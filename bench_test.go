@@ -397,7 +397,7 @@ func BenchmarkSubstrate_Collectives(b *testing.B) {
 // -benchtime=1x.
 func BenchmarkSubstrate_MailboxScale(b *testing.B) {
 	const p = 1024
-	m := comm.NewMachine(comm.MailboxConfig(p))
+	m := comm.NewMachine(comm.DefaultConfig(p))
 	defer m.Close()
 	body := func(pe *comm.PE) {
 		coll.Broadcast(pe, 0, []int64{1, 2, 3, 4})

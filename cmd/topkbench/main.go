@@ -15,32 +15,9 @@
 // blocking A/B twins, and the channel matrix is refused beyond the
 // harness memory budget. `-quick` selects the CI tier (p ≤ 4096, one
 // run per op, no A/B twins) — including the stepper-form selection path.
-// `-exp kernels` (also not part of `all`) runs the host-local kernel
-// family: the selection engines swept over n = 2^10…2^24 and five input
-// distributions, plus the dht.Table probe loop and the treap structural
-// ops; with `-quick` it is the CI smoke tier (one run per op, n ≤ 2^18).
-// `-exp bpq` (also not part of `all`) runs the bulk-priority-queue
-// churn family: ascending InsertBulk + global DeleteMin batches swept
-// over p and per-PE batch size b, continuation-scheduled with blocking
-// A/B twins, plus the treap insert/delete arena gate; `-quick` is the
-// CI smoke tier (p = 256 only, one run per op, no twins).
-// `-exp serve` (also not part of `all`) runs the multi-tenant serving
-// axis: open-loop QPS and p50/p95/p99 completion latency of the
-// internal/serve front end at a calibrated offered rate, comparing
-// sequential vs interleaved inflight and sharded vs global scheduler
-// ready queues; `-quick` is the CI smoke tier (fewer queries).
 // `-cpuprofile f` / `-memprofile f` write pprof profiles of any run.
-//
-// Benchmark pipeline mode (see EXPERIMENTS.md § Benchmark pipeline):
-//
-//	topkbench -json [-pr 1] [-baseline BENCH_PR0.json] [-out BENCH_PR1.json] [-note "..."]
-//
-// runs the fixed host-benchmark suite (Table 1 unsorted selection and the
-// substrate collectives, matching the root bench_test.go configurations)
-// and writes BENCH_PR<N>.json recording ns/op, allocs/op, B/op, the
-// bottleneck communication words and startups per PE, and the modeled
-// critical-path clock. With -baseline, an earlier report's results are
-// embedded so one committed file carries the before/after comparison.
+// The gated benchmark (timings, per-query message counts, oracle checks)
+// is `go run ./bench`; see bench/README.md.
 package main
 
 import (
@@ -51,45 +28,19 @@ import (
 	"runtime/pprof"
 	"strings"
 
-	"commtopk/internal/comm"
 	"commtopk/internal/experiments"
-	"commtopk/internal/wire"
 )
 
 func main() {
-	// A wire cluster re-execs this binary as its workers (rendezvous
-	// address in the environment); a worker process never parses flags.
-	wire.MaybeWorker()
-
-	exp := flag.String("exp", "all", "experiment id (fig6, fig7a, fig7b, fig8, fig5, table1, amsbatch, pqflex, dht, redist, coll, scaling, kernels, bpq, serve, wire, all)")
-	backendFlag := flag.String("backend", "mailbox", "machine backend for the experiment families: mailbox, chanmatrix, or wire (wire is valid only with -exp wire — the other families run closures, which cannot cross process boundaries)")
-	quick := flag.Bool("quick", false, "CI tier: with -exp scaling p capped at 4096, one run per op, no blocking A/B twins; with -exp kernels n capped at 2^18, one run per op; with -exp bpq p=256 only, one run per op, no twins; with -exp serve a reduced query count")
+	exp := flag.String("exp", "all", "experiment id (fig6, fig7a, fig7b, fig8, fig5, table1, amsbatch, pqflex, dht, redist, coll, scaling, all)")
+	quick := flag.Bool("quick", false, "CI tier of -exp scaling: p capped at 4096, one run per op, no blocking A/B twins")
 	pmax := flag.Int("pmax", 64, "maximum PE count for weak-scaling sweeps (powers of two from 1)")
 	perPE := flag.Int("perpe", 1<<17, "elements per PE (the paper's n/p; 2^28 in the paper)")
 	k := flag.Int("k", 32, "output size k")
 	seed := flag.Int64("seed", 1, "random seed")
-	jsonMode := flag.Bool("json", false, "run the benchmark pipeline and emit BENCH_PR<N>.json instead of experiment tables")
-	pr := flag.Int("pr", 0, "PR number stamped into the benchmark report (names the default -out)")
-	baseline := flag.String("baseline", "", "earlier BENCH_PR<N>.json whose results are embedded as the baseline")
-	out := flag.String("out", "", "benchmark report path (default BENCH_PR<pr>.json)")
-	note := flag.String("note", "", "free-form note recorded in the benchmark report")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (inspect with go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write a heap profile (after the run, post-GC) to this file")
 	flag.Parse()
-
-	switch *backendFlag {
-	case "mailbox":
-	case "chanmatrix":
-		experiments.SetBackend(comm.BackendChannelMatrix)
-	case "wire":
-		if *exp != "wire" {
-			fmt.Fprintln(os.Stderr, "topkbench: -backend wire requires -exp wire (the other experiment families run SPMD closures, which cannot cross process boundaries; the wire family runs registered programs)")
-			os.Exit(2)
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "topkbench: unknown -backend %q (want mailbox, chanmatrix, or wire)\n", *backendFlag)
-		os.Exit(2)
-	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -119,46 +70,6 @@ func main() {
 				fmt.Fprintf(os.Stderr, "topkbench: -memprofile: %v\n", err)
 			}
 		}()
-	}
-
-	if *jsonMode {
-		// The pipeline suite runs fixed configurations (so reports stay
-		// comparable PR-over-PR); the experiment sweep flags do not apply.
-		// Exception: -exp wire selects the wire measured-vs-modeled family
-		// as the report's suite.
-		wireReport := *exp == "wire"
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "pmax", "perpe", "k", "seed":
-				fmt.Fprintf(os.Stderr, "topkbench: -%s is ignored in -json mode (the pipeline suite is fixed; see EXPERIMENTS.md)\n", f.Name)
-			case "exp", "quick":
-				if !wireReport {
-					fmt.Fprintf(os.Stderr, "topkbench: -%s is ignored in -json mode (the pipeline suite is fixed; see EXPERIMENTS.md)\n", f.Name)
-				}
-			}
-		})
-		path := *out
-		if path == "" {
-			path = fmt.Sprintf("BENCH_PR%d.json", *pr)
-		}
-		suite := experiments.RunBenchSuite
-		if wireReport {
-			suite = func(progress func(string)) []experiments.BenchResult {
-				return experiments.WireSuite(*quick, progress)
-			}
-		}
-		rep, err := experiments.WriteBenchReportSuite(path, *pr, *note, *baseline, suite,
-			func(line string) { fmt.Fprintln(os.Stderr, line) })
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "topkbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s (%d benchmarks", path, len(rep.Results))
-		if len(rep.Baseline) > 0 {
-			fmt.Printf(", baseline embedded")
-		}
-		fmt.Println(")")
-		return
 	}
 
 	pList := experiments.PList(*pmax)
@@ -225,34 +136,6 @@ func main() {
 		}
 		tables = append(tables, experiments.ScalingTable(scaleMax, *quick))
 	}
-	if *exp == "kernels" {
-		// Not part of -exp all: host-local microbenchmarks of the selection
-		// engines, the dht.Table probe loop and the treap structural ops
-		// (no machine, no meters). -quick is the CI smoke tier: one run per
-		// op and n capped at 2^18.
-		tables = append(tables, experiments.KernelsTables(*quick)...)
-	}
-	if *exp == "bpq" {
-		// Not part of -exp all: the churn family builds machines up to
-		// p = 16384. -quick is the CI smoke tier: p = 256, one run per op,
-		// no blocking A/B twins.
-		tables = append(tables, experiments.BpqTable(*quick))
-	}
-	if *exp == "wire" {
-		// Not part of -exp all: spawns real worker processes. Measures
-		// wall-clock vs the modeled α/β clock for the registered programs
-		// on multi-process clusters, twin-checked against the in-process
-		// mailbox machine. -quick is the CI tier (p=16, 2 processes).
-		tables = append(tables, experiments.WireTable(*quick))
-	}
-	if *exp == "serve" {
-		// Not part of -exp all: wall-clock serving measurements (open-loop
-		// QPS / tail latency of internal/serve) are load-sensitive and take
-		// tens of seconds. -quick is the CI smoke tier: fewer queries, same
-		// calibrated offered rate.
-		tables = append(tables, experiments.ServingTable(*quick))
-	}
-
 	if len(tables) == 0 {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
 		flag.Usage()

@@ -118,7 +118,7 @@ func TestDeleteMinStepMatchesBlockingAcrossBackends(t *testing.T) {
 			mc := comm.NewMachine(comm.MatrixConfig(p))
 			ref := runChurn(mc, p, false)
 			for _, w := range []int{0, 1, 4} {
-				cfg := comm.MailboxConfig(p)
+				cfg := comm.DefaultConfig(p)
 				cfg.Workers = w
 				m := comm.NewMachine(cfg)
 				got := runChurn(m, p, true)
@@ -151,7 +151,7 @@ func TestDeleteMinStepMatchesBlockingAcrossBackends(t *testing.T) {
 // and the batch sizes sum to the reported n on every PE.
 func TestDeleteMinStepThresholdContract(t *testing.T) {
 	const p, perPE = 8, 32
-	m := comm.NewMachine(comm.MailboxConfig(p))
+	m := comm.NewMachine(comm.DefaultConfig(p))
 	defer m.Close()
 	qs := make([]*Queue[uint64], p)
 	m.MustRun(func(pe *comm.PE) {
@@ -198,7 +198,7 @@ func TestPeekMinZeroAllocSteadyState(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under -race (sync.Pool is randomized)")
 	}
 	const p, iters = 8, 50
-	m := comm.NewMachine(comm.MailboxConfig(p))
+	m := comm.NewMachine(comm.DefaultConfig(p))
 	defer m.Close()
 	qs := make([]*Queue[uint64], p)
 	m.MustRun(func(pe *comm.PE) {

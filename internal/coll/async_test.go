@@ -438,7 +438,7 @@ func equalAny(a, b any) bool {
 
 func TestStepperCollectivesMatchBlocking(t *testing.T) {
 	for _, p := range []int{1, 2, 5, 16, 64} {
-		for _, mk := range []func(int) comm.Config{comm.MailboxConfig, comm.MatrixConfig} {
+		for _, mk := range []func(int) comm.Config{comm.DefaultConfig, comm.MatrixConfig} {
 			cfg := mk(p)
 			t.Run(fmt.Sprintf("p=%d/%s", p, cfg.Backend), func(t *testing.T) {
 				for _, pair := range asyncPairs() {
@@ -454,7 +454,7 @@ func TestStepperCollectivesMatchBlocking(t *testing.T) {
 // boundaries and resumes land mid-batch.
 func TestStepperCollectivesShardedScheduler(t *testing.T) {
 	for _, w := range []int{1, 4} {
-		cfg := comm.MailboxConfig(64)
+		cfg := comm.DefaultConfig(64)
 		cfg.Workers = w
 		t.Run(fmt.Sprintf("w=%d", w), func(t *testing.T) {
 			for _, pair := range asyncPairs() {
@@ -472,7 +472,7 @@ func TestStepperCollectivesShardedScheduler(t *testing.T) {
 func TestVectorSteppersContinuationStress(t *testing.T) {
 	const p, rounds = 24, 6
 	for _, w := range []int{1, 3} {
-		cfg := comm.MailboxConfig(p)
+		cfg := comm.DefaultConfig(p)
 		cfg.Workers = w
 		m := comm.NewMachine(cfg)
 		for round := 0; round < rounds; round++ {
@@ -526,7 +526,7 @@ func TestVectorSteppersContinuationStress(t *testing.T) {
 // volume balances.
 func TestGatherStridedCoverage(t *testing.T) {
 	const p, s = 32, 5
-	m := comm.NewMachine(comm.MailboxConfig(p))
+	m := comm.NewMachine(comm.DefaultConfig(p))
 	defer m.Close()
 	visited := make([][]int, p)
 	m.MustRun(func(pe *comm.PE) {

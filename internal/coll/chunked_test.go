@@ -24,7 +24,7 @@ func raggedBlock(r, seed int) []int64 {
 // non-power p, and chunk sizes from the pure ring (1) through a single
 // group (≥ p) — on both backends.
 func TestAllGatherChunkedMatchesAllGatherv(t *testing.T) {
-	for _, cfg := range []func(int) comm.Config{comm.MailboxConfig, comm.MatrixConfig} {
+	for _, cfg := range []func(int) comm.Config{comm.DefaultConfig, comm.MatrixConfig} {
 		for _, p := range []int{1, 2, 4, 6, 7, 16} {
 			for _, chunk := range []int{1, 2, 3, 64} {
 				name := fmt.Sprintf("%s/p=%d/chunk=%d", cfg(p).Backend, p, chunk)
@@ -73,7 +73,7 @@ func TestAllGatherChunkedStartups(t *testing.T) {
 		{16, 16, 4 + 0}, // single group = plain Bruck
 		{12, 5, 2 + 2},  // c = largest divisor ≤ 5 → 4
 	} {
-		m := comm.NewMachine(comm.MailboxConfig(tc.p))
+		m := comm.NewMachine(comm.DefaultConfig(tc.p))
 		m.MustRun(func(pe *comm.PE) {
 			AllGatherChunked(pe, []int64{int64(pe.Rank())}, tc.chunk, func(int, []int64) {})
 		})
@@ -90,7 +90,7 @@ func TestAllGatherChunkedVolume(t *testing.T) {
 	const p, blockLen = 16, 8
 	total := int64(p * blockLen)
 	for _, chunk := range []int{1, 4, 16} {
-		m := comm.NewMachine(comm.MailboxConfig(p))
+		m := comm.NewMachine(comm.DefaultConfig(p))
 		m.MustRun(func(pe *comm.PE) {
 			AllGatherChunked(pe, make([]int64, blockLen), chunk, func(int, []int64) {})
 		})
@@ -141,7 +141,7 @@ func TestAllToAllCombineChunkedMatchesUnchunked(t *testing.T) {
 					}
 					want := make([][]Routed[int64], p)
 					got := make([][]Routed[int64], p)
-					m := comm.NewMachine(comm.MailboxConfig(p))
+					m := comm.NewMachine(comm.DefaultConfig(p))
 					defer m.Close()
 					m.MustRun(func(pe *comm.PE) {
 						want[pe.Rank()] = AllToAllCombine(pe, mk(pe), cmb)
@@ -181,7 +181,7 @@ func sortRouted(items []Routed[int64]) {
 func TestAllToAllCombineChunkedInFlightBound(t *testing.T) {
 	const p = 8
 	run := func(chunk int) (sends, words int64) {
-		m := comm.NewMachine(comm.MailboxConfig(p))
+		m := comm.NewMachine(comm.DefaultConfig(p))
 		defer m.Close()
 		m.MustRun(func(pe *comm.PE) {
 			items := make([]Routed[int64], 6)

@@ -13,7 +13,7 @@ import (
 // blocks the saved copy of half the total is the bulk of host time).
 func BenchmarkAllGatherConcatPayload(b *testing.B) {
 	for _, words := range []int{1, 256, 4096} {
-		for _, cfg := range []func(int) comm.Config{comm.MatrixConfig, comm.MailboxConfig} {
+		for _, cfg := range []func(int) comm.Config{comm.MatrixConfig, comm.DefaultConfig} {
 			c := cfg(64)
 			b.Run(fmt.Sprintf("words=%d/%s", words, c.Backend), func(b *testing.B) {
 				m := comm.NewMachine(c)

@@ -9,8 +9,8 @@ import (
 	"commtopk/internal/mailbox"
 )
 
-// Non-blocking communication: IRecv/ISend handles with Test/Wait/WaitAll,
-// and continuation-scheduled PE bodies (Stepper, Machine.RunAsync).
+// Non-blocking communication: IRecv handles with Test/Wait/WaitAll, and
+// continuation-scheduled PE bodies (Stepper, Machine.RunAsync).
 //
 // The paper's machine model assumes an MPI-like substrate where a PE can
 // post a receive, keep computing, and synchronize later (MPI_Irecv /
@@ -76,38 +76,6 @@ type RecvHandle struct {
 	prev, next *RecvHandle
 }
 
-// SendHandle is the result of ISend. On the mailbox backend sends never
-// block (intake is unbounded), so the handle is complete at creation, and
-// without Config.AsyncSendBuffer the channel-matrix reference implements
-// ISend as a completed blocking send. With the buffer enabled, a send
-// that found its channel full is pending until capacity frees; Test
-// reports delivery and Wait forces it (flushing this handle's send and
-// everything posted before it). The zero SendHandle is complete.
-type SendHandle struct {
-	pe  *PE
-	seq uint64 // 1-based position in the buffered-send order
-}
-
-// Test reports whether the send has been handed to the transport. It
-// first drains whatever pending sends fit in the available capacity,
-// never blocking.
-func (h SendHandle) Test() bool {
-	if h.pe == nil || h.pe.pendDone >= h.seq {
-		return true
-	}
-	h.pe.drainPendingTry()
-	return h.pe.pendDone >= h.seq
-}
-
-// Wait blocks until the send has been handed to the transport (flushing
-// every buffered send up to and including this one). A no-op on complete
-// handles.
-func (h SendHandle) Wait() {
-	if h.pe != nil {
-		h.pe.flushPending(h.seq)
-	}
-}
-
 // IRecv posts a non-blocking receive for the next message from src with
 // the given tag, in the PE's current communication context, and returns
 // its handle. src may be ExternalSrc (= p) to receive injected messages
@@ -131,92 +99,6 @@ func (pe *PE) IRecv(src int, tag Tag) *RecvHandle {
 		}
 	}
 	return h
-}
-
-// ISend transmits data to dst exactly like Send and returns the send
-// handle. Mailbox sends never block, and the plain channel matrix
-// completes the send eagerly as the naive reference — both return a
-// completed handle. With Config.AsyncSendBuffer the channel matrix
-// instead posts without blocking: the meter (clock, words, startups,
-// depart stamp) advances here, at post time, exactly as the eager path
-// would, and a send that finds its channel full parks in the PE's
-// pending FIFO until a blocking point drains it. The payload aliasing
-// rules of Send apply unchanged (and extend until actual delivery).
-func (pe *PE) ISend(dst int, tag Tag, data any, words int64) SendHandle {
-	if !pe.asyncBuf {
-		pe.Send(dst, tag, data, words)
-		return SendHandle{}
-	}
-	if dst < 0 || dst >= pe.p {
-		panic(fmt.Sprintf("comm: PE %d: send to invalid rank %d", pe.rank, dst))
-	}
-	if dst == pe.rank {
-		panic(fmt.Sprintf("comm: PE %d: self-send is not modeled; keep data local", pe.rank))
-	}
-	pe.clock += pe.alpha + pe.beta*float64(words)
-	pe.sentWords += words
-	pe.sends++
-	msg := message{tag: tag, ctx: pe.ctx, words: words, depart: pe.clock, data: data}
-	pe.drainPendingTry()
-	if pe.pendHead == len(pe.pendQ) {
-		select {
-		case pe.m.chans[pe.rank][dst] <- msg:
-			return SendHandle{} // delivered immediately; handle complete
-		default:
-		}
-	}
-	pe.pendQ = append(pe.pendQ, pendingSend{dst: dst, msg: msg})
-	pe.pendTotal++
-	return SendHandle{pe: pe, seq: pe.pendTotal}
-}
-
-// drainPendingTry delivers buffered sends in posting order for as long as
-// channel capacity allows, without blocking.
-func (pe *PE) drainPendingTry() {
-	for pe.pendHead < len(pe.pendQ) {
-		ps := &pe.pendQ[pe.pendHead]
-		select {
-		case pe.m.chans[pe.rank][ps.dst] <- ps.msg:
-			pe.popPending()
-		default:
-			return
-		}
-	}
-}
-
-// flushPending blocks until the first seq buffered sends have been
-// delivered (earlier posts first — the FIFO is never reordered). Sends
-// beyond the queue's current extent are already done; callers pass
-// pendTotal to flush everything.
-func (pe *PE) flushPending(seq uint64) {
-	for pe.pendDone < seq {
-		ps := &pe.pendQ[pe.pendHead]
-		select {
-		case pe.m.chans[pe.rank][ps.dst] <- ps.msg:
-			pe.popPending()
-		default:
-			t0 := time.Now()
-			select {
-			case pe.m.chans[pe.rank][ps.dst] <- ps.msg:
-				pe.popPending()
-			case <-pe.m.abort:
-				panic(abortedError{})
-			}
-			pe.waitNs += time.Since(t0).Nanoseconds()
-		}
-	}
-}
-
-// popPending retires the queue head, dropping its payload reference and
-// recycling the backing array once the queue empties.
-func (pe *PE) popPending() {
-	pe.pendQ[pe.pendHead] = pendingSend{}
-	pe.pendHead++
-	pe.pendDone++
-	if pe.pendHead == len(pe.pendQ) {
-		pe.pendQ = pe.pendQ[:0]
-		pe.pendHead = 0
-	}
 }
 
 // Test reports whether the handle's message has been bound, binding any
@@ -405,9 +287,6 @@ func (pe *PE) takeTry(src int, ctx uint32) (message, bool) {
 		}
 		return fromMsg(mm), true
 	}
-	if pe.asyncBuf {
-		pe.drainPendingTry()
-	}
 	if msg, ok := pe.stashTake(src, ctx); ok {
 		return msg, true
 	}
@@ -442,26 +321,6 @@ func (pe *PE) takeBlocking(src int, ctx uint32) message {
 	}
 	t0 := time.Now()
 	ch := pe.recvChan(src)
-	// A parked receiver keeps offering its pending ISend head — the
-	// progress guarantee that makes buffered posting deadlock-free: every
-	// blocked PE is still a willing sender, so channel capacity somewhere
-	// always frees.
-	for pe.pendHead < len(pe.pendQ) {
-		ps := &pe.pendQ[pe.pendHead]
-		select {
-		case msg := <-ch:
-			if msg.ctx != ctx {
-				pe.stashMsg(src, msg)
-				continue
-			}
-			pe.waitNs += time.Since(t0).Nanoseconds()
-			return msg
-		case pe.m.chans[pe.rank][ps.dst] <- ps.msg:
-			pe.popPending()
-		case <-pe.m.abort:
-			panic(abortedError{})
-		}
-	}
 	for {
 		select {
 		case msg := <-ch:
@@ -542,12 +401,6 @@ func (pe *PE) resetAsync() {
 		h = next
 	}
 	pe.outHead, pe.outTail = nil, nil
-	// Abandon buffered sends (the run is unwinding; peers were released by
-	// the abort) and mark stale SendHandles complete.
-	clear(pe.pendQ)
-	pe.pendQ = pe.pendQ[:0]
-	pe.pendHead = 0
-	pe.pendDone = pe.pendTotal
 }
 
 // Stepper is a resumable PE body: Step runs as far as it can and returns

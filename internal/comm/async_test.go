@@ -35,7 +35,7 @@ func ringBodyIRecv(pe *PE, out []int) {
 // (words, startups, modeled clock) whether the receive is posted early,
 // polled, or taken blocking.
 func TestIRecvWaitMatchesRecv(t *testing.T) {
-	for _, cfg := range []Config{MailboxConfig(8), MatrixConfig(8)} {
+	for _, cfg := range []Config{DefaultConfig(8), MatrixConfig(8)} {
 		t.Run(cfg.Backend.String(), func(t *testing.T) {
 			run := func(body func(pe *PE, out []int)) ([]int, Stats) {
 				m := NewMachine(cfg)
@@ -62,7 +62,7 @@ func TestIRecvWaitMatchesRecv(t *testing.T) {
 // receives posted against one source complete in post order even when
 // waited out of arrival interleaving, on both backends.
 func TestIRecvFIFOPerSource(t *testing.T) {
-	for _, cfg := range []Config{MailboxConfig(2), MatrixConfig(2)} {
+	for _, cfg := range []Config{DefaultConfig(2), MatrixConfig(2)} {
 		t.Run(cfg.Backend.String(), func(t *testing.T) {
 			m := NewMachine(cfg)
 			defer m.Close()
@@ -88,11 +88,10 @@ func TestIRecvFIFOPerSource(t *testing.T) {
 	}
 }
 
-// TestISendAndWaitAll exercises the symmetric half of the API: ISend
-// handles complete immediately, and WaitAll folds a batch of receives in
+// TestWaitAll pins that WaitAll folds a batch of posted receives in
 // slice order.
-func TestISendAndWaitAll(t *testing.T) {
-	m := NewMachine(MailboxConfig(4))
+func TestWaitAll(t *testing.T) {
+	m := NewMachine(DefaultConfig(4))
 	defer m.Close()
 	m.MustRun(func(pe *PE) {
 		const tag Tag = 23
@@ -102,11 +101,7 @@ func TestISendAndWaitAll(t *testing.T) {
 			hs = append(hs, pe.IRecv((pe.Rank()-i+p)%p, tag))
 		}
 		for i := 1; i < p; i++ {
-			sh := pe.ISend((pe.Rank()+i)%p, tag, nil, 1)
-			if !sh.Test() {
-				t.Error("ISend handle not complete")
-			}
-			sh.Wait()
+			pe.Send((pe.Rank()+i)%p, tag, nil, 1)
 		}
 		WaitAll(hs...)
 	})
@@ -118,7 +113,7 @@ func TestISendAndWaitAll(t *testing.T) {
 
 // TestHandleMisusePanics pins the consumed-handle contract.
 func TestHandleMisusePanics(t *testing.T) {
-	m := NewMachine(MailboxConfig(2))
+	m := NewMachine(DefaultConfig(2))
 	defer m.Close()
 	err := m.Run(func(pe *PE) {
 		const tag Tag = 5
@@ -211,7 +206,7 @@ func TestRunAsyncCascade(t *testing.T) {
 	}
 	t.Run("chanmatrix", func(t *testing.T) { check(t, MatrixConfig(p)) })
 	for _, w := range []int{0, 1, 4} {
-		cfg := MailboxConfig(p)
+		cfg := DefaultConfig(p)
 		cfg.Workers = w
 		t.Run(fmt.Sprintf("mailbox/w=%d", w), func(t *testing.T) { check(t, cfg) })
 	}
@@ -226,7 +221,7 @@ func TestRunAsyncCascade(t *testing.T) {
 func TestRunAsyncMidRunResidency(t *testing.T) {
 	const p = 16384
 	before := runtime.NumGoroutine()
-	m := NewMachine(MailboxConfig(p))
+	m := NewMachine(DefaultConfig(p))
 	defer m.Close()
 	w := m.Workers()
 	if w >= p/4 {
@@ -270,7 +265,7 @@ func TestRunAsyncMidRunResidency(t *testing.T) {
 // unwind, and the next run must start clean.
 func TestRunAsyncAbort(t *testing.T) {
 	const p = 256
-	m := NewMachine(MailboxConfig(p))
+	m := NewMachine(DefaultConfig(p))
 	defer m.Close()
 	err := m.RunAsync(func(pe *PE) Stepper {
 		var h *RecvHandle
@@ -317,7 +312,7 @@ func TestRunAsyncAbort(t *testing.T) {
 func TestRunAsyncContinuationStress(t *testing.T) {
 	const p, rounds = 96, 20
 	for _, w := range []int{1, 3} {
-		cfg := MailboxConfig(p)
+		cfg := DefaultConfig(p)
 		cfg.Workers = w
 		m := NewMachine(cfg)
 		for round := 0; round < rounds; round++ {
@@ -358,7 +353,7 @@ func TestRunAsyncContinuationStress(t *testing.T) {
 // keep accumulating coherently.
 func TestRunAsyncInterleavedWithBlockingRuns(t *testing.T) {
 	const p = 16
-	ma := NewMachine(MailboxConfig(p))
+	ma := NewMachine(DefaultConfig(p))
 	defer ma.Close()
 	mb := NewMachine(MatrixConfig(p))
 	for i := 0; i < 4; i++ {

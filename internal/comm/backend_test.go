@@ -13,7 +13,7 @@ import (
 // lives in internal/experiments; these tests pin the substrate itself.)
 
 func TestMailboxBasicSendRecv(t *testing.T) {
-	m := NewMachine(MailboxConfig(2))
+	m := NewMachine(DefaultConfig(2))
 	defer m.Close()
 	err := m.Run(func(pe *PE) {
 		const tag Tag = 7
@@ -36,7 +36,7 @@ func TestMailboxManyPEsAllExchange(t *testing.T) {
 	// The dense-exchange stress of the channel matrix, on mailboxes: every
 	// PE sends to every other, interleaving all senders in each intake.
 	const p = 16
-	m := NewMachine(MailboxConfig(p))
+	m := NewMachine(DefaultConfig(p))
 	defer m.Close()
 	m.MustRun(func(pe *PE) {
 		const tag Tag = 11
@@ -61,7 +61,7 @@ func TestMailboxPerSenderFIFOUnderReordering(t *testing.T) {
 	// Receive sources in the opposite order they become ready: messages
 	// from the not-yet-wanted sender must stash without disturbing the
 	// per-sender order.
-	m := NewMachine(MailboxConfig(3))
+	m := NewMachine(DefaultConfig(3))
 	defer m.Close()
 	m.MustRun(func(pe *PE) {
 		const tag Tag = 5
@@ -93,7 +93,7 @@ func TestMailboxPerSenderFIFOUnderReordering(t *testing.T) {
 }
 
 func TestMailboxRunPropagatesPanicAndReuses(t *testing.T) {
-	m := NewMachine(MailboxConfig(4))
+	m := NewMachine(DefaultConfig(4))
 	defer m.Close()
 	err := m.Run(func(pe *PE) {
 		if pe.Rank() == 2 {
@@ -124,7 +124,7 @@ func TestMailboxRunPropagatesPanicAndReuses(t *testing.T) {
 }
 
 func TestMailboxTagMismatchDetected(t *testing.T) {
-	m := NewMachine(MailboxConfig(2))
+	m := NewMachine(DefaultConfig(2))
 	defer m.Close()
 	err := m.Run(func(pe *PE) {
 		if pe.Rank() == 0 {
@@ -161,7 +161,7 @@ func TestMailboxStatsMatchChannelMatrix(t *testing.T) {
 		return
 	}
 	c1, c2, cr := run(MatrixConfig(8))
-	b1, b2, br := run(MailboxConfig(8))
+	b1, b2, br := run(DefaultConfig(8))
 	if c1 != b1 || c2 != b2 || cr != br {
 		t.Errorf("stats diverge between backends:\nchan:    %+v %+v %+v\nmailbox: %+v %+v %+v",
 			c1, c2, cr, b1, b2, br)
@@ -175,7 +175,7 @@ func TestMailboxStatsMatchChannelMatrix(t *testing.T) {
 }
 
 func TestMailboxWaitTimeAccumulates(t *testing.T) {
-	m := NewMachine(MailboxConfig(2))
+	m := NewMachine(DefaultConfig(2))
 	defer m.Close()
 	var waited time.Duration
 	m.MustRun(func(pe *PE) {
@@ -194,7 +194,7 @@ func TestMailboxWaitTimeAccumulates(t *testing.T) {
 }
 
 func TestMailboxCloseIdempotent(t *testing.T) {
-	m := NewMachine(MailboxConfig(4))
+	m := NewMachine(DefaultConfig(4))
 	m.MustRun(func(pe *PE) {})
 	m.Close()
 	m.Close() // second Close must be a no-op, not a double channel close
@@ -202,7 +202,7 @@ func TestMailboxCloseIdempotent(t *testing.T) {
 
 func TestMailboxWorkersReleasedOnClose(t *testing.T) {
 	before := runtime.NumGoroutine()
-	m := NewMachine(MailboxConfig(64))
+	m := NewMachine(DefaultConfig(64))
 	m.MustRun(func(pe *PE) {})
 	m.Close()
 	deadline := time.Now().Add(2 * time.Second)
@@ -223,7 +223,7 @@ func TestMailboxRunZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	m := NewMachine(MailboxConfig(64))
+	m := NewMachine(DefaultConfig(64))
 	defer m.Close()
 	body := func(pe *PE) {}
 	m.MustRun(body) // spawn the worker pool outside the measurement
@@ -243,7 +243,7 @@ func TestQueueBytesGrowth(t *testing.T) {
 		return float64(QueueBytes(cfg(4096))) / float64(QueueBytes(cfg(256)))
 	}
 	// 16× more PEs: O(p) grows 16×, O(p²) grows 256×.
-	if g := growth(MailboxConfig); g > 20 {
+	if g := growth(DefaultConfig); g > 20 {
 		t.Errorf("mailbox queue memory grew %.0f× for 16× PEs; want O(p)", g)
 	}
 	if g := growth(MatrixConfig); g < 200 {
@@ -254,7 +254,7 @@ func TestQueueBytesGrowth(t *testing.T) {
 	if got := QueueBytes(MatrixConfig(4096)); got < 16<<30 {
 		t.Errorf("channel-matrix estimate at p=4096 = %d B; expected tens of GB", got)
 	}
-	if got := QueueBytes(MailboxConfig(4096)); got > 16<<20 {
+	if got := QueueBytes(DefaultConfig(4096)); got > 16<<20 {
 		t.Errorf("mailbox estimate at p=4096 = %d B; expected well under 16 MB", got)
 	}
 }
@@ -281,19 +281,19 @@ func TestMachineBytesGrowth(t *testing.T) {
 	growth := func(cfg func(int) Config) float64 {
 		return float64(MachineBytes(cfg(4096))) / float64(MachineBytes(cfg(256)))
 	}
-	if g := growth(MailboxConfig); g > 20 {
+	if g := growth(DefaultConfig); g > 20 {
 		t.Errorf("mailbox machine estimate grew %.0f× for 16× PEs; want O(p)", g)
 	}
 	if g := growth(MatrixConfig); g < 100 {
 		t.Errorf("matrix machine estimate grew only %.0f× for 16× PEs", g)
 	}
-	for _, cfg := range []Config{MailboxConfig(1024), MatrixConfig(64)} {
+	for _, cfg := range []Config{DefaultConfig(1024), MatrixConfig(64)} {
 		if MachineBytes(cfg) < QueueBytes(cfg) {
 			t.Errorf("%s: MachineBytes %d < QueueBytes %d", cfg.Backend, MachineBytes(cfg), QueueBytes(cfg))
 		}
 	}
 	// The estimator must charge the scheduler: more workers, more bytes.
-	wide, narrow := MailboxConfig(1024), MailboxConfig(1024)
+	wide, narrow := DefaultConfig(1024), DefaultConfig(1024)
 	wide.Workers, narrow.Workers = 512, 4
 	if MachineBytes(wide) <= MachineBytes(narrow) {
 		t.Errorf("scheduler state not charged: w=512 → %d B, w=4 → %d B", MachineBytes(wide), MachineBytes(narrow))
@@ -303,13 +303,13 @@ func TestMachineBytesGrowth(t *testing.T) {
 // TestSchedWorkersResolution pins the w = min(GOMAXPROCS·8, p) default
 // and the clamping of explicit widths.
 func TestSchedWorkersResolution(t *testing.T) {
-	if w := SchedWorkers(MailboxConfig(1 << 20)); w != min(runtime.GOMAXPROCS(0)*8, 1<<20) {
+	if w := SchedWorkers(DefaultConfig(1 << 20)); w != min(runtime.GOMAXPROCS(0)*8, 1<<20) {
 		t.Errorf("auto w = %d", w)
 	}
-	if w := SchedWorkers(MailboxConfig(3)); w != 3 {
+	if w := SchedWorkers(DefaultConfig(3)); w != 3 {
 		t.Errorf("auto w at p=3 = %d, want 3", w)
 	}
-	cfg := MailboxConfig(64)
+	cfg := DefaultConfig(64)
 	cfg.Workers = 4
 	if w := SchedWorkers(cfg); w != 4 {
 		t.Errorf("explicit w = %d, want 4", w)
@@ -321,7 +321,7 @@ func TestSchedWorkersResolution(t *testing.T) {
 	if w := SchedWorkers(MatrixConfig(64)); w != 0 {
 		t.Errorf("matrix w = %d, want 0", w)
 	}
-	m := NewMachine(MailboxConfig(16))
+	m := NewMachine(DefaultConfig(16))
 	defer m.Close()
 	if m.Workers() != SchedWorkers(m.Config()) {
 		t.Errorf("Machine.Workers = %d, want %d", m.Workers(), SchedWorkers(m.Config()))
@@ -332,7 +332,7 @@ func TestSchedWorkersResolution(t *testing.T) {
 // fewer shards than PEs, every body blocking — at the substrate level.
 func TestMailboxSchedulerWLessThanP(t *testing.T) {
 	const p = 64
-	cfg := MailboxConfig(p)
+	cfg := DefaultConfig(p)
 	cfg.Workers = 4
 	m := NewMachine(cfg)
 	defer m.Close()
@@ -359,7 +359,7 @@ func TestMailboxSchedulerWLessThanP(t *testing.T) {
 func TestMailboxGoroutineCountResident(t *testing.T) {
 	const p = 16384
 	before := runtime.NumGoroutine()
-	m := NewMachine(MailboxConfig(p))
+	m := NewMachine(DefaultConfig(p))
 	defer m.Close()
 	w := m.Workers()
 	if w >= p/4 {
@@ -408,7 +408,7 @@ func TestMailboxMachineMemoryMeasured(t *testing.T) {
 		return after - before
 	}
 	chan64 := measure(MatrixConfig(64))
-	box4096 := measure(MailboxConfig(4096))
+	box4096 := measure(DefaultConfig(4096))
 	// chan64 ≈ 64²·(hchan + 64 slots) ≈ 13 MB; box4096 ≈ 4096 boxes < 2 MB.
 	if box4096 >= chan64 {
 		t.Errorf("mailbox machine at p=4096 uses %d B, channel matrix at p=64 uses %d B; mailbox should be far smaller",

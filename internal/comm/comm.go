@@ -17,7 +17,7 @@
 // to the virtual clock.
 //
 // Communication is available in blocking form (Send/Recv/SendRecv) and
-// non-blocking form (ISend/IRecv handles with Test/Wait/WaitAll — the
+// non-blocking form (IRecv handles with Test/Wait/WaitAll — the
 // MPI_Irecv/MPI_Wait shape the paper's substrate assumes); Recv is sugar
 // for IRecv+Wait, and the meter folds at Wait in program order, so both
 // forms are bit-identical in results and statistics. PE bodies likewise
@@ -104,7 +104,10 @@ func (b Backend) String() string {
 // panics immediately rather than silently mismatching payloads.
 type Tag uint64
 
-// Config describes the simulated machine.
+// Config describes the simulated machine: the paper's three parameters
+// (P, Alpha, Beta), the RNG Seed, and four runtime fields — Backend,
+// Workers (mailbox scheduler width), ChanCap (channel matrix only) and
+// Remote (wire only).
 type Config struct {
 	// P is the number of processing elements.
 	P int
@@ -128,33 +131,6 @@ type Config struct {
 	// and metering are independent of w (pinned by the differential
 	// tests); w only trades host parallelism against resident memory.
 	Workers int
-	// GlobalReadyQueue (mailbox only) selects the scheduler's single
-	// global ready queue instead of the default per-shard ready queues —
-	// the contention A/B reference for the serving benchmark: under
-	// concurrent-query resume storms every notify callback of the
-	// machine funnels through the ready-queue mutex, and the per-shard
-	// split spreads that over w mutexes with work stealing. Results and
-	// metering are identical either way (only host-side contention
-	// changes); the serving suite measures both.
-	GlobalReadyQueue bool
-	// AsyncSendBuffer (channel matrix only) makes ISend truly
-	// non-blocking: a send that finds its channel full is buffered in a
-	// per-PE pending FIFO instead of blocking, and drains at the next
-	// blocking point (a parked receive offers the pending head while it
-	// waits, SendHandle.Wait and blocking Send flush, and the end of the
-	// PE body flushes the rest). The meter is unchanged — clock, word and
-	// startup counters advance at post time with the same depart stamp the
-	// eager path would produce — so posted-order semantics become
-	// observable (head-to-head exchanges beyond ChanCap complete instead
-	// of deadlocking) while results and statistics stay bit-identical.
-	// Mailbox sends never block, so the knob is meaningless there.
-	AsyncSendBuffer bool
-	// PopBatch is the mailbox scheduler's cursor-claim batch size: how
-	// many ranks a shard driver claims per atomic (0 selects the default,
-	// 8). A host-side scheduling constant only — results and metering are
-	// independent of it (see mailbox.Sched.SetPopBatch); the serving
-	// suite exposes it for the adaptive-popBatch measurement hook.
-	PopBatch int
 	// Remote windows a BackendWire machine to its process-local
 	// contiguous rank range (required for BackendWire, ignored
 	// otherwise). See BackendWire.
@@ -178,19 +154,9 @@ type Remote struct {
 // DefaultConfig returns a machine configuration with p PEs on the mailbox
 // backend and the default α/β ratio used throughout the benchmarks
 // (α = 1000β, a typical cluster-interconnect ratio of startup latency to
-// per-word bandwidth). Since PR 3 the default runtime is the mailbox
-// engine; use MatrixConfig for the channel-matrix reference.
+// per-word bandwidth). Use MatrixConfig for the channel-matrix reference.
 func DefaultConfig(p int) Config {
 	return Config{P: p, Alpha: 1000, Beta: 1, ChanCap: 64, Seed: 1, Backend: BackendMailbox}
-}
-
-// MailboxConfig is DefaultConfig with the mailbox backend made explicit.
-// It predates the default flip and is kept so call sites that must not
-// silently follow future default changes can say what they mean.
-func MailboxConfig(p int) Config {
-	cfg := DefaultConfig(p)
-	cfg.Backend = BackendMailbox
-	return cfg
 }
 
 // MatrixConfig is DefaultConfig on the channel-matrix engine — the
@@ -278,12 +244,6 @@ type message struct {
 	data   any
 }
 
-// pendingSend is one buffered ISend awaiting channel capacity.
-type pendingSend struct {
-	dst int
-	msg message
-}
-
 // Machine is a simulated cluster of PEs. Create one with NewMachine, run
 // SPMD programs with Run, and read aggregate statistics with Stats.
 type Machine struct {
@@ -327,10 +287,14 @@ type Machine struct {
 	aggMu sync.Mutex
 	agg   Stats
 
-	abortOnce sync.Once
-	abort     chan struct{}
-	errMu     sync.Mutex
-	err       error
+	// errMu guards the run's first error and the abort state: abortErr
+	// can arrive from outside the run (AbortExternal on the wire reader
+	// goroutine) while finishRun re-arms the machine, so aborted and the
+	// abort channel change only under the lock.
+	errMu   sync.Mutex
+	err     error
+	aborted bool
+	abort   chan struct{}
 }
 
 // NewMachine creates a machine with cfg.P PEs. It panics if cfg.P < 1.
@@ -362,10 +326,7 @@ func NewMachine(cfg Config) *Machine {
 		for i := range m.boxes {
 			m.boxes[i] = mailbox.New()
 		}
-		m.sched = mailbox.NewSchedReady(nLocal, SchedWorkers(cfg), !cfg.GlobalReadyQueue)
-		if cfg.PopBatch > 0 {
-			m.sched.SetPopBatch(cfg.PopBatch)
-		}
+		m.sched = mailbox.NewSched(nLocal, SchedWorkers(cfg))
 		// Send indexes sendBoxes by global destination rank; on the wire
 		// backend the non-local entries stay nil and Send falls through to
 		// the Remote.Forward transport hook.
@@ -394,8 +355,6 @@ func NewMachine(cfg Config) *Machine {
 			pe.box = m.boxes[i]
 			pe.sendBoxes = sendBoxes
 			pe.sched = m.sched
-		} else {
-			pe.asyncBuf = cfg.AsyncSendBuffer
 		}
 		m.pes[i] = pe
 	}
@@ -453,16 +412,17 @@ func (m *Machine) Workers() int {
 // abortErr records the first error and releases all blocked PEs.
 func (m *Machine) abortErr(err error) {
 	m.errMu.Lock()
+	defer m.errMu.Unlock()
 	if m.err == nil {
 		m.err = err
 	}
-	m.errMu.Unlock()
-	m.abortOnce.Do(func() {
+	if !m.aborted {
+		m.aborted = true
 		close(m.abort)
 		for _, b := range m.boxes {
 			b.Interrupt()
 		}
-	})
+	}
 }
 
 // ErrAborted is the panic value delivered to PEs blocked in Send/Recv when
@@ -505,10 +465,6 @@ func (m *Machine) Run(body func(pe *PE)) error {
 					}
 				}()
 				body(pe)
-				// Buffered ISends the body never waited on must still be
-				// delivered before the PE retires (a peer may be blocked
-				// receiving them).
-				pe.flushPending(pe.pendTotal)
 			}()
 		}
 		wg.Wait()
@@ -517,12 +473,15 @@ func (m *Machine) Run(body func(pe *PE)) error {
 }
 
 // finishRun collects a run's first error and, on failure, restores the
-// machine to a clean reusable state (shared by Run and RunAsync).
+// machine to a clean reusable state (shared by Run and RunAsync). The
+// whole reset runs under errMu so an external abort lands either wholly
+// before it (and is cleared with the run it failed) or wholly after it
+// (and fails the next run).
 func (m *Machine) finishRun() error {
 	m.errMu.Lock()
+	defer m.errMu.Unlock()
 	err := m.err
 	m.err = nil
-	m.errMu.Unlock()
 	if err != nil {
 		// The machine's queues may hold stale messages after an abort, and
 		// unwound PE bodies may have left posted receive handles behind;
@@ -546,7 +505,7 @@ func (m *Machine) finishRun() error {
 			pe.resetAsync()
 		}
 		m.abort = make(chan struct{})
-		m.abortOnce = sync.Once{}
+		m.aborted = false
 	}
 	return err
 }
@@ -827,16 +786,6 @@ type PE struct {
 	freeH            *RecvHandle
 	step             Stepper
 
-	// Buffered-ISend state (channel matrix with Config.AsyncSendBuffer):
-	// the pending FIFO of posted-but-undelivered sends, its consumed-head
-	// index, and the monotone posted/delivered counters SendHandle
-	// completion is judged against.
-	asyncBuf  bool
-	pendQ     []pendingSend
-	pendHead  int
-	pendTotal uint64
-	pendDone  uint64
-
 	scratch map[scratchKey]any
 	// pools holds the per-PE typed freelists of pooled stepper state
 	// (see steppool.go). Like scratch, it is only touched by the
@@ -976,9 +925,6 @@ func (pe *PE) Send(dst int, tag Tag, data any, words int64) {
 	if dst == pe.rank {
 		panic(fmt.Sprintf("comm: PE %d: self-send is not modeled; keep data local", pe.rank))
 	}
-	// Earlier buffered ISends must hit the wire first (per-sender FIFO is
-	// a transport guarantee the receivers' tag discipline relies on).
-	pe.flushPending(pe.pendTotal)
 	pe.clock += pe.alpha + pe.beta*float64(words)
 	pe.sentWords += words
 	pe.sends++

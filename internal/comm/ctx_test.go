@@ -13,7 +13,7 @@ import (
 // other context's messages arrive first (matrix stash detour, mailbox
 // keyed demux).
 func TestCtxIsolatedStreams(t *testing.T) {
-	for _, cfg := range []Config{MailboxConfig(4), MatrixConfig(4)} {
+	for _, cfg := range []Config{DefaultConfig(4), MatrixConfig(4)} {
 		t.Run(cfg.Backend.String(), func(t *testing.T) {
 			m := NewMachine(cfg)
 			defer m.Close()
@@ -53,7 +53,7 @@ func TestCtxIsolatedStreams(t *testing.T) {
 // interleaved queries sharing one PE never see each other's protocol
 // state.
 func TestCtxScratchNamespaced(t *testing.T) {
-	m := NewMachine(MailboxConfig(1))
+	m := NewMachine(DefaultConfig(1))
 	defer m.Close()
 	m.MustRun(func(pe *PE) {
 		pe.SetScratch("k", "default")
@@ -79,7 +79,7 @@ func TestCtxScratchNamespaced(t *testing.T) {
 // keeps the pre-context fast path. A shared counter would desynchronize
 // tags when PEs interleave contexts in different orders.
 func TestCtxCollTagSequences(t *testing.T) {
-	m := NewMachine(MailboxConfig(1))
+	m := NewMachine(DefaultConfig(1))
 	defer m.Close()
 	m.MustRun(func(pe *PE) {
 		t0a := pe.NextCollTag()
@@ -108,7 +108,7 @@ func TestCtxCollTagSequences(t *testing.T) {
 // released ids are recycled LIFO, and the default context can never be
 // released.
 func TestContextPoolReuse(t *testing.T) {
-	m := NewMachine(MailboxConfig(1))
+	m := NewMachine(DefaultConfig(1))
 	defer m.Close()
 	a, b, c := m.NewContext(), m.NewContext(), m.NewContext()
 	if a != 1 || b != 2 || c != 3 {
@@ -131,7 +131,7 @@ func TestContextPoolReuse(t *testing.T) {
 // ExternalSrc under the posted context, and the receive is metered as a
 // pure receive (one startup, no send charged to any PE).
 func TestPostDoorbell(t *testing.T) {
-	for _, cfg := range []Config{MailboxConfig(3), MatrixConfig(3)} {
+	for _, cfg := range []Config{DefaultConfig(3), MatrixConfig(3)} {
 		t.Run(cfg.Backend.String(), func(t *testing.T) {
 			m := NewMachine(cfg)
 			defer m.Close()
@@ -244,14 +244,14 @@ func TestMultiWaiterAnyOfResume(t *testing.T) {
 		}
 	}
 	t.Run("mailbox/async", func(t *testing.T) {
-		m := NewMachine(MailboxConfig(p))
+		m := NewMachine(DefaultConfig(p))
 		defer m.Close()
 		out := make([]string, p)
 		m.MustRunAsync(func(pe *PE) Stepper { return &anyWaiter{out: out} })
 		check(t, out)
 	})
 	t.Run("mailbox/blocking", func(t *testing.T) {
-		m := NewMachine(MailboxConfig(p))
+		m := NewMachine(DefaultConfig(p))
 		defer m.Close()
 		out := make([]string, p)
 		m.MustRun(func(pe *PE) { RunSteps(pe, &anyWaiter{out: out}) })

@@ -24,7 +24,7 @@ func AblationAMSBatch(p, perPE int, kmin, kmax int64, seed int64) Table {
 	for _, d := range []int{1, 2, 4, 8, 16, 32} {
 		const reps = 10
 		var rounds int
-		m := comm.NewMachine(expConfig(p))
+		m := comm.NewMachine(comm.DefaultConfig(p))
 		var last *measurement
 		for rep := 0; rep < reps; rep++ {
 			rep := rep
@@ -53,7 +53,7 @@ func AblationPQFlexible(p, perPE int, k int64, seed int64) Table {
 	}
 	locals := sortedLocals(seed, p, perPE)
 	for _, flexible := range []bool{false, true} {
-		m := comm.NewMachine(expConfig(p))
+		m := comm.NewMachine(comm.DefaultConfig(p))
 		meas := runMeasured(m, func(pe *comm.PE) {
 			q := bpq.New[uint64](pe, seed+1)
 			q.InsertBulk(locals[pe.Rank()])
@@ -86,7 +86,7 @@ func AblationDHTRouting(p, distinct int, seed int64) Table {
 		Header: append([]string{"route", "wall(ms)"}, stdHeader...),
 	}
 	for _, mode := range []dht.RouteMode{dht.RouteDirect, dht.RouteHypercube} {
-		m := comm.NewMachine(expConfig(p))
+		m := comm.NewMachine(comm.DefaultConfig(p))
 		meas := runMeasured(m, func(pe *comm.PE) {
 			local := make(map[uint64]int64, distinct)
 			for k := 0; k < distinct; k++ {
@@ -122,7 +122,7 @@ func AblationRedistribution(p, perPE int, seed int64) Table {
 		}
 		counts[0] += hot + (total - hot - rest*int64(p))
 		run := func(naive bool) int64 {
-			m := comm.NewMachine(expConfig(p))
+			m := comm.NewMachine(comm.DefaultConfig(p))
 			m.MustRun(func(pe *comm.PE) {
 				local := make([]uint64, counts[pe.Rank()])
 				if naive {
@@ -156,7 +156,7 @@ func CollectivesScaling(pList []int) Table {
 		Header: []string{"p", "bcast", "allreduce", "scan", "allgather", "hypercube a2a"},
 	}
 	for _, p := range pList {
-		m := comm.NewMachine(expConfig(p))
+		m := comm.NewMachine(comm.DefaultConfig(p))
 		startups := func(body func(pe *comm.PE)) int64 {
 			meas := runMeasured(m, body)
 			return meas.stats.MaxSends

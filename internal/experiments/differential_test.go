@@ -206,7 +206,7 @@ func TestBackendDifferential(t *testing.T) {
 		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
 			seed := int64(1000 + p)
 			chanRes, chanStats := runDiffSuite(t, comm.MatrixConfig(p), seed, perPE)
-			boxRes, boxStats := runDiffSuite(t, comm.MailboxConfig(p), seed, perPE)
+			boxRes, boxStats := runDiffSuite(t, comm.DefaultConfig(p), seed, perPE)
 			ops := diffOps(perPE)
 			for i, op := range ops {
 				if !reflect.DeepEqual(chanRes[i], boxRes[i]) {
@@ -235,7 +235,7 @@ func TestBackendDifferentialShardedScheduler(t *testing.T) {
 	chanRes, chanStats := runDiffSuite(t, comm.MatrixConfig(p), seed, perPE)
 	for _, w := range []int{1, 4} {
 		t.Run(fmt.Sprintf("w=%d", w), func(t *testing.T) {
-			cfg := comm.MailboxConfig(p)
+			cfg := comm.DefaultConfig(p)
 			cfg.Workers = w
 			boxRes, boxStats := runDiffSuite(t, cfg, seed, perPE)
 			for i, op := range diffOps(perPE) {
@@ -257,7 +257,7 @@ func TestBackendDifferentialShardedScheduler(t *testing.T) {
 func TestBackendDifferentialRepeatedRuns(t *testing.T) {
 	const p, rounds = 8, 5
 	mc := comm.NewMachine(comm.MatrixConfig(p))
-	mb := comm.NewMachine(comm.MailboxConfig(p))
+	mb := comm.NewMachine(comm.DefaultConfig(p))
 	defer mb.Close()
 	for r := 0; r < rounds; r++ {
 		var resC, resB [p]int64
@@ -310,7 +310,7 @@ func TestBackendDifferentialContinuationBodies(t *testing.T) {
 	mc.MustRun(func(pe *comm.PE) { refRes[pe.Rank()] = blockBody(pe) })
 	refStats := mc.Stats()
 	for _, w := range []int{0, 1, 4} {
-		cfg := comm.MailboxConfig(p)
+		cfg := comm.DefaultConfig(p)
 		cfg.Workers = w
 		m := comm.NewMachine(cfg)
 		var res [p]int64

@@ -1,6 +1,8 @@
 // Package experiments regenerates the paper's evaluation (Section 10):
 // every figure and table has a function here producing the corresponding
-// series, used by cmd/topkbench and the root-level benchmarks.
+// series, used by cmd/topkbench and the root-level benchmarks. The
+// package's tests are the cross-backend guards: differential,
+// fuzz-differential, goroutine residency and the p = 65536 budget.
 //
 // Scaling note: the paper ran on 2048 cores with n/p up to 2^28; this
 // harness runs p goroutines on one host with n/p defaulting to 2^20 (the
@@ -27,29 +29,6 @@ import (
 
 	"commtopk/internal/comm"
 )
-
-// expBackend is the in-process backend the figure/table families build
-// their machines with — the topkbench -backend flag. The wire backend is
-// not a valid value here: those families run arbitrary closures, which
-// cannot cross a process boundary; the wire axis runs its registered
-// programs via the dedicated wire family instead (-exp wire).
-var expBackend = comm.BackendMailbox
-
-// SetBackend selects the machine backend for the experiment families
-// (BackendMailbox — the default — or BackendChannelMatrix).
-func SetBackend(b comm.Backend) {
-	if b != comm.BackendMailbox && b != comm.BackendChannelMatrix {
-		panic(fmt.Sprintf("experiments: unsupported experiment backend %v", b))
-	}
-	expBackend = b
-}
-
-// expConfig is DefaultConfig under the selected experiment backend.
-func expConfig(p int) comm.Config {
-	cfg := comm.DefaultConfig(p)
-	cfg.Backend = expBackend
-	return cfg
-}
 
 // Table is a formatted experiment result.
 type Table struct {

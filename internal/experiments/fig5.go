@@ -36,7 +36,7 @@ func Fig5(p int, k int, seed int64) Table {
 			locals[i%p] = append(locals[i%p], x)
 		}
 		n := int64(len(stream))
-		m := comm.NewMachine(expConfig(p))
+		m := comm.NewMachine(comm.DefaultConfig(p))
 		for _, algo := range []string{"PEC", "PAC"} {
 			var res freq.Result
 			meas := runMeasured(m, func(pe *comm.PE) {

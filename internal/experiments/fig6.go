@@ -29,7 +29,7 @@ func Fig6(perPE int, pList []int, ks []int64, seed int64) Table {
 			locals[r] = gen.SelectionInput(xrand.NewPE(seed, r), perPE, logUniverse(perPE))
 		}
 		n := int64(p * perPE)
-		m := comm.NewMachine(expConfig(p))
+		m := comm.NewMachine(comm.DefaultConfig(p))
 		for _, k := range ks {
 			if k >= n {
 				continue

@@ -42,7 +42,7 @@ func Fig7(perPE int, pList []int, k int, eps, delta float64, seed int64) Table {
 		for r := 0; r < p; r++ {
 			locals[r] = gen.FrequencyInput(xrand.NewPE(seed, r), z, perPE)
 		}
-		m := comm.NewMachine(expConfig(p))
+		m := comm.NewMachine(comm.DefaultConfig(p))
 		for _, a := range freqAlgos {
 			var sample int64
 			meas := runMeasured(m, func(pe *comm.PE) {

@@ -532,7 +532,7 @@ func TestFuzzDifferentialSteppers(t *testing.T) {
 				refRes, refStats := runFuzzBlocking(comm.MatrixConfig(p), fs)
 				opNames := func(i int) string { return catalog[fs.ops[i]].name }
 				for _, w := range widths {
-					cfg := comm.MailboxConfig(p)
+					cfg := comm.DefaultConfig(p)
 					cfg.Workers = w
 					for _, mode := range []string{"blocking", "stepper"} {
 						var res [][]any

@@ -29,9 +29,21 @@ import (
 // capped only by the p²·m aggregate data movement every all-gather
 // must perform (a host-time budget, recorded when it trips).
 //
-// Since PR 3 each mailbox entry also records the scheduler width w and
+// Each mailbox entry also records the scheduler width w and
 // the process goroutine count measured while the machine is resident —
-// the tentpole claim that goroutines no longer scale with p.
+// goroutines do not scale with p.
+
+// ScalingRow is one entry of the scaling suite: per-op host time, the
+// bottleneck words and startups per PE, the modeled clock, the measured
+// live-heap cost of the machine, the scheduler width (0 on the channel
+// matrix) and the resident goroutine count with the machine live.
+// Skipped says why a configuration was refused; it then has no numbers.
+type ScalingRow struct {
+	Name, Backend, Skipped            string
+	P, Workers, Goroutines            int
+	NsPerOp, MachineBytes             float64
+	WordsPerPE, StartsPerPE, MaxClock float64
+}
 
 // ScalingMemBudgetBytes is the harness memory budget for up-front
 // machine allocation: 1.5 GiB, roomy for everything O(p) and
@@ -263,23 +275,12 @@ const ScalingQuickPMax = 4096
 // backends, refusing configurations whose estimated machine memory
 // exceeds budget. quick selects the CI tier: runs/op drop to 1 and the
 // blocking park-churn A/B twins are skipped (callers should also cap
-// pList at ScalingQuickPMax). progress (optional) receives one line per
-// entry.
-func ScalingSuite(pList []int, budget int64, quick bool, progress func(string)) []BenchResult {
-	var out []BenchResult
+// pList at ScalingQuickPMax).
+func ScalingSuite(pList []int, budget int64, quick bool) []ScalingRow {
+	var out []ScalingRow
 	for _, p := range pList {
 		for _, backend := range []comm.Backend{comm.BackendMailbox, comm.BackendChannelMatrix} {
-			for _, r := range scalingRun(p, backend, budget, quick) {
-				out = append(out, r)
-				if progress != nil {
-					if r.Skipped != "" {
-						progress(fmt.Sprintf("%-44s SKIPPED: %s", r.Name, r.Skipped))
-					} else {
-						progress(fmt.Sprintf("%-44s %14.0f ns/op %10.0f words/PE %8.0f starts/PE %10.0f machine B %5d goroutines",
-							r.Name, r.NsPerOp, r.WordsPerPE, r.StartsPerPE, r.MachineBytes, r.Goroutines))
-					}
-				}
-			}
+			out = append(out, scalingRun(p, backend, budget, quick)...)
 		}
 	}
 	return out
@@ -294,7 +295,7 @@ func scalingRunIters(iters int, quick bool) int {
 	return iters
 }
 
-func scalingRun(p int, backend comm.Backend, budget int64, quick bool) []BenchResult {
+func scalingRun(p int, backend comm.Backend, budget int64, quick bool) []ScalingRow {
 	cfg := comm.DefaultConfig(p)
 	cfg.Backend = backend
 	collName := fmt.Sprintf("Scaling/Collectives/p=%d/%s", p, backend)
@@ -304,10 +305,10 @@ func scalingRun(p int, backend comm.Backend, budget int64, quick bool) []BenchRe
 	selName := fmt.Sprintf("Scaling/Table1Selection/p=%d/%s", p, backend)
 	mtopkName := fmt.Sprintf("Scaling/MtopkDTA/p=%d/%s", p, backend)
 	freqName := fmt.Sprintf("Scaling/FreqPAC/p=%d/%s", p, backend)
-	res := func(name string) BenchResult {
-		return BenchResult{Name: name, P: p, Backend: backend.String(), Workers: comm.SchedWorkers(cfg)}
+	res := func(name string) ScalingRow {
+		return ScalingRow{Name: name, P: p, Backend: backend.String(), Workers: comm.SchedWorkers(cfg)}
 	}
-	skip := func(name, reason string) BenchResult {
+	skip := func(name, reason string) ScalingRow {
 		r := res(name)
 		r.Skipped = reason
 		return r
@@ -323,7 +324,7 @@ func scalingRun(p int, backend comm.Backend, budget int64, quick bool) []BenchRe
 	if mb := comm.MachineBytes(cfg); mb > budget {
 		reason := fmt.Sprintf("estimated machine memory %.2f GiB exceeds the %.1f GiB harness budget",
 			float64(mb)/(1<<30), float64(budget)/(1<<30))
-		out := []BenchResult{skip(collName, reason), skip(gatherName, reason)}
+		out := []ScalingRow{skip(collName, reason), skip(gatherName, reason)}
 		for _, smp := range scalingStridedSweep {
 			out = append(out, skip(stridedNames[smp], reason))
 		}
@@ -338,7 +339,7 @@ func scalingRun(p int, backend comm.Backend, budget int64, quick bool) []BenchRe
 	machineBytes := max(float64(int64(heapLive())-int64(heapBefore)), 0)
 	defer m.Close()
 
-	fill := func(r BenchResult, ns float64, s comm.Stats) BenchResult {
+	fill := func(r ScalingRow, ns float64, s comm.Stats) ScalingRow {
 		r.MachineBytes = machineBytes
 		r.NsPerOp = ns
 		r.WordsPerPE = float64(s.BottleneckWords())
@@ -351,7 +352,7 @@ func scalingRun(p int, backend comm.Backend, budget int64, quick bool) []BenchRe
 		return r
 	}
 
-	var out []BenchResult
+	var out []ScalingRow
 	// Collectives workload. On the mailbox backend the primary entry runs
 	// the continuation form (the async API is how collectives are meant to
 	// run at scale since PR 4); the "/blocking" twin measures the same op
@@ -361,7 +362,6 @@ func scalingRun(p int, backend comm.Backend, budget int64, quick bool) []BenchRe
 	if backend == comm.BackendMailbox {
 		ns, s := measureScalingAsync(m, scalingRunIters(5, quick), scalingCollectivesStart)
 		r := fill(res(collName), ns, s)
-		r.Note = "continuation-scheduled (comm.RunAsync)"
 		out = append(out, r)
 		if !quick {
 			blockIters := 3
@@ -370,7 +370,6 @@ func scalingRun(p int, backend comm.Backend, budget int64, quick bool) []BenchRe
 			}
 			ns, s = measureScaling(m, blockIters, scalingCollectivesBody)
 			rb := fill(res(collBlockName), ns, s)
-			rb.Note = "park-churn A/B reference (blocking bodies)"
 			out = append(out, rb)
 		}
 	} else {
@@ -400,8 +399,6 @@ func scalingRun(p int, backend comm.Backend, budget int64, quick bool) []BenchRe
 			})
 		}
 		r := fill(res(stridedNames[smp]), ns, s)
-		r.Note = fmt.Sprintf("s=%d sources/PE; aggregate movement p·s·m = %.1e words", smp,
-			float64(p)*float64(smp)*gatherBlockLen)
 		out = append(out, r)
 	}
 
@@ -421,29 +418,18 @@ func scalingRun(p int, backend comm.Backend, budget int64, quick bool) []BenchRe
 		if quick || moved > scalingGatherMaxMoved/8 {
 			iters = 1
 		}
-		matNote := ""
-		if matBytes > budget {
-			matNote = fmt.Sprintf("; materializing AllGatherv would need %.1f GiB of results (chunked window %.1f MiB)",
-				float64(matBytes)/(1<<30), float64(int64(p)*scalingGatherChunk*gatherBlockLen*8)/(1<<20))
-		}
 		if backend == comm.BackendMailbox {
 			ns, s := measureScalingAsync(m, iters, scalingGatherStart)
 			r := fill(res(gatherName), ns, s)
-			r.Note = "continuation-scheduled (comm.RunAsync)" + matNote
 			out = append(out, r)
 			if !quick {
 				ns, s = measureScaling(m, iters, scalingGatherBody)
 				rb := fill(res(gatherName+"/blocking"), ns, s)
-				rb.Note = "park-churn A/B reference (blocking bodies)" + matNote
 				out = append(out, rb)
 			}
 		} else {
 			ns, s := measureScaling(m, iters, scalingGatherBody)
-			r := fill(res(gatherName), ns, s)
-			if matNote != "" {
-				r.Note = matNote[2:]
-			}
-			out = append(out, r)
+			out = append(out, fill(res(gatherName), ns, s))
 		}
 	}
 
@@ -460,7 +446,6 @@ func scalingRun(p int, backend comm.Backend, budget int64, quick bool) []BenchRe
 		locals[r] = gen.SelectionInput(xrand.NewPE(3, r), perPE, 12)
 	}
 	n := int64(p) * int64(perPE)
-	selNote := fmt.Sprintf("n/p=%d", perPE)
 	selBlocking := func(pe *comm.PE) {
 		sel.Kth(pe, locals[pe.Rank()], n/2, xrand.NewPE(17, pe.Rank()))
 	}
@@ -469,7 +454,6 @@ func scalingRun(p int, backend comm.Backend, budget int64, quick bool) []BenchRe
 			return sel.KthStep(pe, locals[pe.Rank()], n/2, xrand.NewPE(17, pe.Rank()), nil)
 		})
 		r := fill(res(selName), ns, s)
-		r.Note = selNote + "; continuation-scheduled (comm.RunAsync)"
 		out = append(out, r)
 		if !quick {
 			blockIters := 3
@@ -478,13 +462,11 @@ func scalingRun(p int, backend comm.Backend, budget int64, quick bool) []BenchRe
 			}
 			ns, s = measureScaling(m, blockIters, selBlocking)
 			rb := fill(res(selName+"/blocking"), ns, s)
-			rb.Note = selNote + "; park-churn A/B reference (blocking bodies)"
 			out = append(out, rb)
 		}
 	} else {
 		ns, s := measureScaling(m, scalingRunIters(3, quick), selBlocking)
 		r := fill(res(selName), ns, s)
-		r.Note = selNote
 		out = append(out, r)
 	}
 
@@ -516,13 +498,11 @@ func scalingRun(p int, backend comm.Backend, budget int64, quick bool) []BenchRe
 			return mtopk.DTAStep(pe, datas[pe.Rank()], mtopk.SumScore, 8, xrand.NewPE(23, pe.Rank()), nil)
 		})
 		r := fill(res(mtopkName), ns, s)
-		r.Note = "n/p=4, m=2, k=8; continuation-scheduled (comm.RunAsync)"
 		out = append(out, r)
 		ns, s = measureScalingAsync(m, scalingRunIters(3, quick), func(pe *comm.PE) comm.Stepper {
 			return freq.PACStep(pe, freqLocals[pe.Rank()], freqParams, xrand.NewPE(29, pe.Rank()), nil)
 		})
 		r = fill(res(freqName), ns, s)
-		r.Note = "n/p=16, k=8; continuation-scheduled (comm.RunAsync)"
 		out = append(out, r)
 		if !quick {
 			blockIters := 3
@@ -531,11 +511,9 @@ func scalingRun(p int, backend comm.Backend, budget int64, quick bool) []BenchRe
 			}
 			ns, s = measureScaling(m, blockIters, mtopkBlocking)
 			rb := fill(res(mtopkName+"/blocking"), ns, s)
-			rb.Note = "park-churn A/B reference (blocking bodies)"
 			out = append(out, rb)
 			ns, s = measureScaling(m, blockIters, freqBlocking)
 			rb = fill(res(freqName+"/blocking"), ns, s)
-			rb.Note = "park-churn A/B reference (blocking bodies)"
 			out = append(out, rb)
 		}
 	} else {
@@ -553,11 +531,11 @@ func scalingRun(p int, backend comm.Backend, budget int64, quick bool) []BenchRe
 func ScalingTable(pmax int, quick bool) Table {
 	t := Table{
 		Title: "Scaling: collectives, gathers (chunked + strided s sweep) and Table-1 selection at large p, continuation-scheduled with blocking A/B twins (mailbox vs channel matrix)",
-		Notes: fmt.Sprintf("memory budget %.1f GiB for up-front machine allocation (comm.MachineBytes); over-budget configs are refused\ncollectives op = broadcast + all-reduce + prefix sum + barrier; all mailbox primaries run continuation-scheduled via comm.RunAsync on pooled stepper state, /blocking twins = park-churn A/B\ngather ops: chunked all-gather (m=%d, chunk=%d) + chunked hypercube A2A; strided gather swept over s=%v sources/PE (movement p·s·m; unsuffixed entry = s=%d)\nselection: sel.KthStep, k=n/2, n/p=2^10 through p=2^14 then reduced (see entry notes); goroutines = resident process count with the machine live (w = scheduler width)",
+		Notes: fmt.Sprintf("memory budget %.1f GiB for up-front machine allocation (comm.MachineBytes); over-budget configs are refused\ncollectives op = broadcast + all-reduce + prefix sum + barrier; all mailbox primaries run continuation-scheduled via comm.RunAsync on pooled stepper state, /blocking twins = park-churn A/B\ngather ops: chunked all-gather (m=%d, chunk=%d) + chunked hypercube A2A; strided gather swept over s=%v sources/PE (movement p·s·m; unsuffixed entry = s=%d)\nselection: sel.KthStep, k=n/2, n/p=2^10 through p=2^14 then reduced (scalingSelPerPE); goroutines = resident process count with the machine live (w = scheduler width)",
 			float64(ScalingMemBudgetBytes)/(1<<30), gatherBlockLen, scalingGatherChunk, scalingStridedSweep, scalingStridedSamples),
 		Header: []string{"workload", "p", "backend", "ns/op", "words/PE", "start/PE", "T_model", "machine MB", "w", "goroutines"},
 	}
-	for _, r := range ScalingSuite(ScalingPList(pmax), ScalingMemBudgetBytes, quick, nil) {
+	for _, r := range ScalingSuite(ScalingPList(pmax), ScalingMemBudgetBytes, quick) {
 		if r.Skipped != "" {
 			t.Rows = append(t.Rows, []string{r.Name, fmt.Sprint(r.P), r.Backend, "—", "—", "—", "—", r.Skipped, "—", "—"})
 			continue

@@ -48,7 +48,7 @@ func Table1(p int, perPE int, k int, seed int64) Table {
 		for r := 0; r < p; r++ {
 			locals[r] = gen.SelectionInput(xrand.NewPE(seed, r), perPE, 16)
 		}
-		m := comm.NewMachine(expConfig(p))
+		m := comm.NewMachine(comm.DefaultConfig(p))
 		meas := runMeasured(m, func(pe *comm.PE) {
 			sel.Kth(pe, locals[pe.Rank()], n/2, xrand.NewPE(seed+1, pe.Rank()))
 		})
@@ -66,7 +66,7 @@ func Table1(p int, perPE int, k int, seed int64) Table {
 	// --- Sorted selection (multisequence) ------------------------------
 	{
 		locals := sortedLocals(seed+3, p, perPE)
-		m := comm.NewMachine(expConfig(p))
+		m := comm.NewMachine(comm.DefaultConfig(p))
 		meas := runMeasured(m, func(pe *comm.PE) {
 			shared := xrand.New(seed + 4)
 			sel.MSSelect[uint64](pe, sel.SliceSeq[uint64](locals[pe.Rank()]), int64(k), shared)
@@ -82,7 +82,7 @@ func Table1(p int, perPE int, k int, seed int64) Table {
 	// --- Bulk priority queue -------------------------------------------
 	{
 		locals := sortedLocals(seed+6, p, perPE/4)
-		m := comm.NewMachine(expConfig(p))
+		m := comm.NewMachine(comm.DefaultConfig(p))
 		meas := runMeasured(m, func(pe *comm.PE) {
 			q := bpq.New[uint64](pe, seed+7)
 			q.InsertBulk(locals[pe.Rank()])
@@ -110,7 +110,7 @@ func Table1(p int, perPE int, k int, seed int64) Table {
 			locals[r] = gen.FrequencyInput(xrand.NewPE(seed+10, r), z, perPE)
 		}
 		params := freq.Params{K: k, Eps: 0.02, Delta: 1e-4}
-		m := comm.NewMachine(expConfig(p))
+		m := comm.NewMachine(comm.DefaultConfig(p))
 		meas := runMeasured(m, func(pe *comm.PE) {
 			freq.PAC(pe, locals[pe.Rank()], params, xrand.NewPE(seed+11, pe.Rank()))
 		})
@@ -137,7 +137,7 @@ func Table1(p int, perPE int, k int, seed int64) Table {
 		for r := 0; r < p; r++ {
 			keys[r], vals[r] = gen.WeightedInput(xrand.NewPE(seed+14, r), z, perPE)
 		}
-		m := comm.NewMachine(expConfig(p))
+		m := comm.NewMachine(comm.DefaultConfig(p))
 		meas := runMeasured(m, func(pe *comm.PE) {
 			agg.PAC(pe, keys[pe.Rank()], vals[pe.Rank()], agg.Params{K: k, Eps: 0.02, Delta: 1e-4}, xrand.NewPE(seed+15, pe.Rank()))
 		})
@@ -152,7 +152,7 @@ func Table1(p int, perPE int, k int, seed int64) Table {
 		for r := 0; r < p; r++ {
 			datas[r] = mtopk.NewData(mtopk.GenObjects(xrand.NewPE(seed+16, r), perPE/8, mCrit, uint64(r)<<40), mCrit)
 		}
-		m := comm.NewMachine(expConfig(p))
+		m := comm.NewMachine(comm.DefaultConfig(p))
 		meas := runMeasured(m, func(pe *comm.PE) {
 			mtopk.DTA(pe, datas[pe.Rank()], mtopk.SumScore, k, xrand.NewPE(seed+17, pe.Rank()))
 		})

@@ -180,43 +180,40 @@ func TestKeyedConcurrentSenders(t *testing.T) {
 }
 
 // TestShardedReadyQueueResumes drives the continuation suspend/resume
-// protocol on the sharded ready queues (and, as the A/B toggle's other
-// arm, the global queue) and checks every rank resumes exactly once per
-// suspension — including resumes pushed from producer goroutines outside
-// any worker, the serving layer's doorbell shape.
+// protocol on the sharded ready queues and checks every rank resumes
+// exactly once per suspension — including resumes pushed from producer
+// goroutines outside any worker, the serving layer's doorbell shape.
 func TestShardedReadyQueueResumes(t *testing.T) {
-	for _, sharded := range []bool{true, false} {
-		const p, w, rounds = 96, 3, 10
-		boxes := make([]*Box, p)
-		sc := NewSchedReady(p, w, sharded)
-		for i := range boxes {
-			boxes[i] = New()
-			boxes[i].SetNotify(i, sc.Ready)
-		}
-		sent := make([]bool, p)
-		for round := 0; round < rounds; round++ {
-			shift := 1 + round%(p-1)
-			for i := range sent {
-				sent[i] = false
-			}
-			sc.Run(func(rank int) bool {
-				src := (rank - shift + p) % p
-				if !sent[rank] {
-					sent[rank] = true
-					boxes[(rank+shift)%p].Put(Msg{Src: rank, Tag: uint64(round)})
-					if boxes[rank].Arm(src) {
-						return false
-					}
-				}
-				m, ok := boxes[rank].TryTake(src)
-				if !ok || m.Tag != uint64(round) {
-					t.Errorf("sharded=%v round %d rank %d: got %+v ok=%v", sharded, round, rank, m, ok)
-				}
-				return true
-			})
-		}
-		sc.Close()
+	const p, w, rounds = 96, 3, 10
+	boxes := make([]*Box, p)
+	sc := NewSched(p, w)
+	for i := range boxes {
+		boxes[i] = New()
+		boxes[i].SetNotify(i, sc.Ready)
 	}
+	sent := make([]bool, p)
+	for round := 0; round < rounds; round++ {
+		shift := 1 + round%(p-1)
+		for i := range sent {
+			sent[i] = false
+		}
+		sc.Run(func(rank int) bool {
+			src := (rank - shift + p) % p
+			if !sent[rank] {
+				sent[rank] = true
+				boxes[(rank+shift)%p].Put(Msg{Src: rank, Tag: uint64(round)})
+				if boxes[rank].Arm(src) {
+					return false
+				}
+			}
+			m, ok := boxes[rank].TryTake(src)
+			if !ok || m.Tag != uint64(round) {
+				t.Errorf("round %d rank %d: got %+v ok=%v", round, rank, m, ok)
+			}
+			return true
+		})
+	}
+	sc.Close()
 }
 
 // TestShardedReadyStealing pins the work-stealing pop: ranks resumed in
@@ -226,7 +223,7 @@ func TestShardedReadyQueueResumes(t *testing.T) {
 func TestShardedReadyStealing(t *testing.T) {
 	const p, w = 8, 4 // shard size 2: rank 0,1 → shard 0, …
 	boxes := make([]*Box, p)
-	sc := NewSchedReady(p, w, true)
+	sc := NewSched(p, w)
 	defer sc.Close()
 	for i := range boxes {
 		boxes[i] = New()

@@ -26,7 +26,7 @@ import (
 //     mailbox and returned the worker to the scheduler, which simply
 //     keeps driving — no goroutine parks at all. When the armed message
 //     arrives, the box's notify callback calls Ready(rank) and the rank
-//     is re-run (exec again, same bool protocol) from the global ready
+//     is re-run (exec again, same bool protocol) from the ready
 //     queue. This is the path that keeps mid-run goroutine residency at
 //     exactly w for continuation-scheduled workloads.
 //   - A body that instead blocks inside exec (a legacy blocking Recv)
@@ -79,19 +79,14 @@ type Sched struct {
 	// The ready queue of resumed continuation ranks: intrusive FIFOs
 	// threaded through readyNext, drained by whichever driver or idle
 	// worker sees it first. readyCh (buffered, cap w) carries coalesced
-	// wake-ups for workers parked between assignments. In the default
-	// sharded mode each shard owns a ready list (head/tail/mutex in the
+	// wake-ups for workers parked between assignments. Each shard
+	// owns a ready list (head/tail/mutex in the
 	// shard, shardOf maps rank → shard) so concurrent-query resume
 	// storms from many producer threads spread over w mutexes instead
 	// of serializing on one; readyCount stays global, so the duty
 	// invariant — count > 0 means a token is pending or a goroutine is
-	// on draining duty — is unchanged from the global-queue mode, which
-	// remains selectable (NewSchedReady) as the A/B reference.
-	sharded    bool
+	// on draining duty — spans all of them.
 	shardOf    []int32
-	readyMu    sync.Mutex
-	readyHead  int32
-	readyTail  int32
 	readyNext  []int32
 	readyCount atomic.Int32
 	readyCh    chan struct{}
@@ -99,18 +94,15 @@ type Sched struct {
 	wg      sync.WaitGroup
 	exec    func(rank int) bool
 	started bool
-	// popBatch is the batch size of cursor claims (SetPopBatch; default
-	// defaultPopBatch). Read-only once the first Run has started.
-	popBatch int32
 
 	closeOnce sync.Once
 }
 
-// defaultPopBatch is the number of ranks a driver claims per cursor
+// popBatch is the number of ranks a driver claims per cursor
 // atomic: the hand-off churn constant. A parked driver's unrun remainder
 // is spilled (see WillPark), so batching never strands ranks behind a
-// sleeping body. Configurable per scheduler via SetPopBatch.
-const defaultPopBatch = 8
+// sleeping body.
+const popBatch = 8
 
 // shard is one run queue: the contiguous rank range [lo, hi), the cursor
 // of the next rank to claim, and the spill list of batch remainders
@@ -129,7 +121,7 @@ type shard struct {
 	mu     sync.Mutex
 	spill  []span
 	spillN atomic.Int32
-	// The shard's ready list (sharded mode): resumed ranks in [lo, hi),
+	// The shard's ready list: resumed ranks in [lo, hi),
 	// threaded through the scheduler's shared readyNext array. Guarded
 	// by rMu, separate from mu so resume storms never contend with
 	// spill traffic.
@@ -164,13 +156,7 @@ func (sh *shard) popSpill() (span, bool) {
 // NewSched creates a scheduler for p ranks over w shards (clamped to
 // 1 ≤ w ≤ p) with per-shard ready queues. No goroutines are started
 // until the first Run.
-func NewSched(p, w int) *Sched { return NewSchedReady(p, w, true) }
-
-// NewSchedReady is NewSched with the ready-queue layout explicit:
-// sharded selects per-shard ready lists (the default), false the single
-// global list — kept as the contention A/B reference for the serving
-// benchmark.
-func NewSchedReady(p, w int, sharded bool) *Sched {
+func NewSched(p, w int) *Sched {
 	if w < 1 {
 		w = 1
 	}
@@ -181,14 +167,11 @@ func NewSchedReady(p, w int, sharded bool) *Sched {
 		shards:    make([]shard, w),
 		driverOf:  make([]int32, p),
 		remHi:     make([]int32, p),
-		sharded:   sharded,
+		shardOf:   make([]int32, p),
 		readyNext: make([]int32, p),
-		readyHead: -1,
-		readyTail: -1,
 		kick:      make([]chan struct{}, w),
 		work:      make(chan int32),
 		readyCh:   make(chan struct{}, w),
-		popBatch:  defaultPopBatch,
 	}
 	for i := range sc.shards {
 		sc.shards[i].lo = i * p / w
@@ -197,35 +180,18 @@ func NewSchedReady(p, w int, sharded bool) *Sched {
 		sc.shards[i].rHead = -1
 		sc.shards[i].rTail = -1
 		sc.kick[i] = make(chan struct{}, 1)
+		for r := sc.shards[i].lo; r < sc.shards[i].hi; r++ {
+			sc.shardOf[r] = int32(i)
+		}
 	}
 	for i := range sc.driverOf {
 		sc.driverOf[i] = -1
-	}
-	if sharded {
-		sc.shardOf = make([]int32, p)
-		for i := range sc.shards {
-			for r := sc.shards[i].lo; r < sc.shards[i].hi; r++ {
-				sc.shardOf[r] = int32(i)
-			}
-		}
 	}
 	return sc
 }
 
 // Workers returns the shard count w.
 func (sc *Sched) Workers() int { return len(sc.shards) }
-
-// SetPopBatch sets the number of ranks a driver claims per cursor atomic
-// (clamped to ≥ 1; the default is 8). Larger batches amortize the cursor
-// atomic but lengthen the remainder a parking body must spill; results
-// and metering are independent of the value — it is a host-side
-// scheduling constant only. Must be called before the first Run.
-func (sc *Sched) SetPopBatch(n int) {
-	if n < 1 {
-		n = 1
-	}
-	sc.popBatch = int32(n)
-}
 
 // Run executes exec(rank) for every rank and blocks until every rank is
 // done. exec reports whether the rank completed: false means the body
@@ -257,30 +223,17 @@ func (sc *Sched) Run(exec func(rank int) bool) {
 // picked up by an active driver between bodies or by an idle worker via
 // readyCh.
 func (sc *Sched) Ready(rank int) {
-	if sc.sharded {
-		sh := &sc.shards[sc.shardOf[rank]]
-		sh.rMu.Lock()
-		sc.readyNext[rank] = -1
-		if sh.rTail >= 0 {
-			sc.readyNext[sh.rTail] = int32(rank)
-		} else {
-			sh.rHead = int32(rank)
-		}
-		sh.rTail = int32(rank)
-		sc.readyCount.Add(1)
-		sh.rMu.Unlock()
+	sh := &sc.shards[sc.shardOf[rank]]
+	sh.rMu.Lock()
+	sc.readyNext[rank] = -1
+	if sh.rTail >= 0 {
+		sc.readyNext[sh.rTail] = int32(rank)
 	} else {
-		sc.readyMu.Lock()
-		sc.readyNext[rank] = -1
-		if sc.readyTail >= 0 {
-			sc.readyNext[sc.readyTail] = int32(rank)
-		} else {
-			sc.readyHead = int32(rank)
-		}
-		sc.readyTail = int32(rank)
-		sc.readyCount.Add(1)
-		sc.readyMu.Unlock()
+		sh.rHead = int32(rank)
 	}
+	sh.rTail = int32(rank)
+	sc.readyCount.Add(1)
+	sh.rMu.Unlock()
 	select {
 	case sc.readyCh <- struct{}{}:
 	default:
@@ -291,30 +244,15 @@ func (sc *Sched) Ready(rank int) {
 
 // popReady dequeues one resumed rank, or -1. The atomic count makes the
 // empty check lock-free (drivers poll it between bodies). pref is the
-// calling driver's shard (-1: none): in sharded mode its own ready list
+// calling driver's shard (-1: none): its own ready list
 // is tried first, then the others round-robin — work stealing, so a
 // resume never waits on the locality preference. A pop may return -1
 // while readyCount is transiently positive (a push landing behind the
-// scan); the offDuty hand-off backstop covers that window exactly as it
-// covers the equivalent global-mode race.
+// scan); that push's readyCh token, or the offDuty hand-off of a
+// goroutine that will not see it, covers that window.
 func (sc *Sched) popReady(pref int32) int {
 	if sc.readyCount.Load() == 0 {
 		return -1
-	}
-	if !sc.sharded {
-		sc.readyMu.Lock()
-		r := sc.readyHead
-		if r < 0 {
-			sc.readyMu.Unlock()
-			return -1
-		}
-		sc.readyHead = sc.readyNext[r]
-		if sc.readyHead < 0 {
-			sc.readyTail = -1
-		}
-		sc.readyCount.Add(-1)
-		sc.readyMu.Unlock()
-		return int(r)
 	}
 	w := int32(len(sc.shards))
 	if pref < 0 {
@@ -355,22 +293,26 @@ func (sc *Sched) worker(kick chan struct{}, own int32) {
 			if !ok {
 				return
 			}
-			if s < 0 {
-				// Ready-queue hand-off from a parking role-less body (see
-				// WillPark): there is no shard to drive, only resumes.
-				sc.drainReady()
-			} else {
-				sc.drive(s)
-			}
+			sc.takeOver(s)
 		case <-sc.readyCh:
 			sc.drainReady()
 		}
 	}
 }
 
+// takeOver runs a hand-off: shard s's driver role or, for s < 0, the
+// ready-queue duty of a parking role-less body (see WillPark) — there
+// is no shard to drive then, only resumes.
+func (sc *Sched) takeOver(s int32) {
+	if s < 0 {
+		sc.drainReady()
+	} else {
+		sc.drive(s)
+	}
+}
+
 // drainReady runs resumed ranks until every ready queue is empty.
 func (sc *Sched) drainReady() {
-	defer sc.offDuty()
 	for {
 		r := sc.popReady(-1)
 		if r < 0 {
@@ -380,15 +322,19 @@ func (sc *Sched) drainReady() {
 	}
 }
 
-// offDuty runs as a goroutine leaves scheduling duty — a transient
-// exiting, or a worker about to return to its select loop. If resumed
+// offDuty runs as a goroutine that will not return to the worker select
+// loop leaves scheduling duty — a transient exiting, or a role-less body
+// about to block. If resumed
 // ranks are waiting, hand the draining duty off: the readyCh token that
 // accompanied their Ready is only consumable by a worker parked in
 // select, and every permanent worker may be blocked inside a body whose
 // progress depends on exactly those ranks (found by review: a transient
 // finishing a formerly-parked body exited here while the last Ready of
 // the run sat unserviced — deadlock at w = 1). A spurious hand-off when
-// another goroutine drains the queue first is benign.
+// another goroutine drains the queue first is benign. A permanent worker
+// leaving duty needs none: back in its select, the token of any resume
+// it missed finds it — so a run of continuation bodies spawns no
+// transient, which is the w+O(1) mid-run residency bound.
 func (sc *Sched) offDuty() {
 	if sc.readyCount.Load() > 0 {
 		sc.handOff(-1)
@@ -402,11 +348,10 @@ func (sc *Sched) handOff(s int32) {
 	select {
 	case sc.work <- s:
 	default:
-		if s < 0 {
-			go sc.drainReady()
-		} else {
-			go sc.drive(s)
-		}
+		go func() {
+			sc.takeOver(s)
+			sc.offDuty()
+		}()
 	}
 }
 
@@ -414,7 +359,6 @@ func (sc *Sched) handOff(s int32) {
 // then spilled batch remainders, then fresh cursor batches — until
 // nothing is left or the running body hands the driver role away.
 func (sc *Sched) drive(s int32) {
-	defer sc.offDuty()
 	sh := &sc.shards[s]
 	for {
 		if r := sc.popReady(s); r >= 0 {
@@ -431,12 +375,11 @@ func (sc *Sched) drive(s int32) {
 				continue
 			}
 		}
-		pb := sc.popBatch
-		lo := int(sh.next.Add(pb)-pb)
+		lo := int(sh.next.Add(popBatch) - popBatch)
 		if lo >= sh.hi {
 			return
 		}
-		hi := min(lo+int(pb), sh.hi)
+		hi := min(lo+popBatch, sh.hi)
 		if !sc.runSpan(s, span{int32(lo), int32(hi)}) {
 			return
 		}

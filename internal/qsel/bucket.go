@@ -20,7 +20,7 @@
 //     as a comparison partition, so the engine only beats Floyd–Rivest
 //     while the slice is cache-resident: Select routes through it in the
 //     [BucketMinN, BucketMaxInPlaceN] window and uses scalar Floyd–Rivest
-//     outside (crossovers from the -exp kernels sweep, see EXPERIMENTS.md).
+//     outside (measured crossovers; bench/'s qsel.* probes time the kernels).
 //
 //   - SelectInto promises only the rank-k value (src is read-only, dst is
 //     workspace), so its engine narrows with a compress: copy the target

@@ -43,8 +43,8 @@ func Select[K cmp.Ordered](s []K, k int) K {
 }
 
 // SelectScalar is Select pinned to the scalar Floyd–Rivest path regardless
-// of size or key type — the pre-bucket kernel, kept callable for the
-// differential tests and the -exp kernels before/after benchmark family.
+// of size or key type — the pre-bucket kernel, kept callable as the
+// reference of the differential tests and FuzzSelect.
 func SelectScalar[K cmp.Ordered](s []K, k int) K {
 	if k < 0 || k >= len(s) {
 		panic(fmt.Sprintf("qsel: rank %d out of range [0, %d)", k, len(s)))

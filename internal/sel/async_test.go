@@ -33,7 +33,7 @@ func TestKthStepMatchesBlockingAcrossBackends(t *testing.T) {
 				})
 				refStats := mc.Stats()
 				for _, w := range []int{0, 1, 4} {
-					cfg := comm.MailboxConfig(p)
+					cfg := comm.DefaultConfig(p)
 					cfg.Workers = w
 					m := comm.NewMachine(cfg)
 					res := make([]uint64, p)
@@ -63,7 +63,7 @@ func TestKthStepMatchesBlockingAcrossBackends(t *testing.T) {
 // stale state from a previous selection must never leak into the next.
 func TestKthStepRepeatedRunsReusePooledState(t *testing.T) {
 	const p, perPE, rounds = 8, 128, 10
-	cfg := comm.MailboxConfig(p)
+	cfg := comm.DefaultConfig(p)
 	cfg.Workers = 2
 	m := comm.NewMachine(cfg)
 	defer m.Close()
@@ -109,7 +109,7 @@ func TestKthStepAllocParity(t *testing.T) {
 	}
 	k := int64(p * perPE / 2)
 	measure := func(run func(m *comm.Machine)) float64 {
-		m := comm.NewMachine(comm.MailboxConfig(p))
+		m := comm.NewMachine(comm.DefaultConfig(p))
 		defer m.Close()
 		for i := 0; i < 3; i++ {
 			run(m)

@@ -42,7 +42,7 @@ func TestMSSelectStepMatchesBlockingAcrossBackends(t *testing.T) {
 					t.Fatalf("k=%d: blocking MSSelect = %d, want %d", k, refV[0], k-1)
 				}
 				for _, w := range []int{0, 1, 4} {
-					cfg := comm.MailboxConfig(p)
+					cfg := comm.DefaultConfig(p)
 					cfg.Workers = w
 					m := comm.NewMachine(cfg)
 					gotV := make([]uint64, p)
@@ -88,7 +88,7 @@ func TestAMSSelectStepMatchesBlockingAcrossBackends(t *testing.T) {
 					t.Fatalf("[%d,%d]: blocking Count %d outside range", kmin, kmax, ref[0].Count)
 				}
 				for _, w := range []int{0, 1, 4} {
-					cfg := comm.MailboxConfig(p)
+					cfg := comm.DefaultConfig(p)
 					cfg.Workers = w
 					m := comm.NewMachine(cfg)
 					got := make([]AMSResult[uint64], p)
@@ -131,7 +131,7 @@ func TestAMSSelectStepTightIntervalFallback(t *testing.T) {
 		if ref[0].Count != k {
 			t.Fatalf("k=%d: exact-interval Count = %d", k, ref[0].Count)
 		}
-		m := comm.NewMachine(comm.MailboxConfig(p))
+		m := comm.NewMachine(comm.DefaultConfig(p))
 		got := make([]AMSResult[uint64], p)
 		m.MustRunAsync(func(pe *comm.PE) comm.Stepper {
 			r := pe.Rank()

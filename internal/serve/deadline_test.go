@@ -14,7 +14,7 @@ import (
 func TestDeadlineExpiredAtSubmit(t *testing.T) {
 	const p = 4
 	shards, _ := mkShards(p, 5)
-	m := comm.NewMachine(comm.MailboxConfig(p))
+	m := comm.NewMachine(comm.DefaultConfig(p))
 	defer m.Close()
 	s, err := NewServer(m, shards, Config{Seed: 1})
 	if err != nil {
@@ -57,7 +57,7 @@ func TestDeadlineExpiredWhileQueued(t *testing.T) {
 		shards[i] = sh
 		n += int64(len(sh))
 	}
-	m := comm.NewMachine(comm.MailboxConfig(p))
+	m := comm.NewMachine(comm.DefaultConfig(p))
 	defer m.Close()
 	s, err := NewServer(m, shards, Config{Seed: 2, MaxInflight: 1, BatchMax: 1})
 	if err != nil {

@@ -192,7 +192,7 @@ func TestServeMixedKindsConcurrentMatchesSequential(t *testing.T) {
 		name string
 		cfg  comm.Config
 	}{
-		{"mailbox-wltp", func() comm.Config { c := comm.MailboxConfig(p); c.Workers = 3; return c }()},
+		{"mailbox-wltp", func() comm.Config { c := comm.DefaultConfig(p); c.Workers = 3; return c }()},
 		{"matrix", comm.MatrixConfig(p)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -224,7 +224,7 @@ func TestServeConcurrentMatchesSequential(t *testing.T) {
 		name string
 		cfg  comm.Config
 	}{
-		{"mailbox-wltp", func() comm.Config { c := comm.MailboxConfig(p); c.Workers = 3; return c }()},
+		{"mailbox-wltp", func() comm.Config { c := comm.DefaultConfig(p); c.Workers = 3; return c }()},
 		{"matrix", comm.MatrixConfig(p)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -123,7 +123,7 @@ func TestServeFreqConcurrentMatchesSequential(t *testing.T) {
 		name string
 		cfg  comm.Config
 	}{
-		{"mailbox-wltp", func() comm.Config { c := comm.MailboxConfig(p); c.Workers = 3; return c }()},
+		{"mailbox-wltp", func() comm.Config { c := comm.DefaultConfig(p); c.Workers = 3; return c }()},
 		{"matrix", comm.MatrixConfig(p)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -23,11 +23,6 @@
 // posts a poison doorbell, and waits for the muxes to retire. The
 // machine itself stays owned by the caller (Close does not close it),
 // so one machine can outlive many server generations.
-//
-// Not supported: the channel matrix with AsyncSendBuffer (buffered
-// posting parks without offering sends inside the serving mux's
-// multi-key wait, which can deadlock the reference backend; the mailbox
-// backend has no such coupling).
 package serve
 
 import (
@@ -232,9 +227,6 @@ type Server[K cmp.Ordered] struct {
 func NewServer[K cmp.Ordered](m *comm.Machine, shards [][]K, cfg Config) (*Server[K], error) {
 	if len(shards) != m.P() {
 		return nil, fmt.Errorf("serve: %d shards for %d PEs", len(shards), m.P())
-	}
-	if m.Config().Backend == comm.BackendChannelMatrix && m.Config().AsyncSendBuffer {
-		return nil, errors.New("serve: channel matrix with AsyncSendBuffer is not supported")
 	}
 	s := &Server[K]{
 		m:       m,

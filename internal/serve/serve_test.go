@@ -33,7 +33,7 @@ func mkShards(p int, seed int64) (shards [][]uint64, sorted []uint64) {
 func TestServeBasic(t *testing.T) {
 	const p = 8
 	shards, sorted := mkShards(p, 3)
-	m := comm.NewMachine(comm.MailboxConfig(p))
+	m := comm.NewMachine(comm.DefaultConfig(p))
 	defer m.Close()
 	s, err := NewServer(m, shards, Config{Seed: 41})
 	if err != nil {
@@ -74,7 +74,7 @@ func TestServeBasic(t *testing.T) {
 func TestServeRankValidationAndOverload(t *testing.T) {
 	const p = 4
 	shards, _ := mkShards(p, 5)
-	m := comm.NewMachine(comm.MailboxConfig(p))
+	m := comm.NewMachine(comm.DefaultConfig(p))
 	defer m.Close()
 	var n int64
 	for _, sh := range shards {
@@ -130,19 +130,6 @@ func TestServeRankValidationAndOverload(t *testing.T) {
 	}
 }
 
-// TestServeMatrixUnsupportedAsyncBuf pins the documented hole: the
-// channel matrix with buffered posting is rejected at construction, not
-// discovered as a deadlock.
-func TestServeMatrixUnsupportedAsyncBuf(t *testing.T) {
-	cfg := comm.MatrixConfig(2)
-	cfg.AsyncSendBuffer = true
-	m := comm.NewMachine(cfg)
-	defer m.Close()
-	if _, err := NewServer(m, make([][]uint64, 2), Config{}); err == nil {
-		t.Fatal("AsyncSendBuffer matrix accepted")
-	}
-}
-
 // TestServeConcurrentStress is the -race job: many goroutines submit
 // against one server at full inflight depth while results are verified
 // against the oracle. Exercises keyed demux, context leasing, ArmKeys
@@ -150,7 +137,7 @@ func TestServeMatrixUnsupportedAsyncBuf(t *testing.T) {
 func TestServeConcurrentStress(t *testing.T) {
 	const p, submitters, each = 16, 8, 25
 	shards, sorted := mkShards(p, 11)
-	m := comm.NewMachine(comm.MailboxConfig(p))
+	m := comm.NewMachine(comm.DefaultConfig(p))
 	defer m.Close()
 	s, err := NewServer(m, shards, Config{QueueDepth: submitters * each, MaxInflight: 8, BatchMax: 4, Seed: 13})
 	if err != nil {

@@ -28,10 +28,9 @@ type Config struct {
 	Alpha float64
 	Beta  float64
 	Seed  int64
-	// Workers and PopBatch are per-process mailbox scheduler knobs
-	// (comm.Config.Workers / comm.Config.PopBatch).
-	Workers  int
-	PopBatch int
+	// Workers is the per-process mailbox scheduler width
+	// (comm.Config.Workers).
+	Workers int
 	// Network/Addr select the rendezvous transport: "unix" (default) with
 	// a socket in a fresh temp dir, or "tcp" on 127.0.0.1:0 — the same
 	// dialer seam either way. Addr overrides the listen address.
@@ -40,7 +39,7 @@ type Config struct {
 	// WorkerCommand is the argv launched per worker process; the
 	// rendezvous address and group index travel in the environment
 	// (COMMTOPK_WIRE_*). Empty selects re-exec-self (os.Executable), the
-	// mode the test harness and topkbench use via MaybeWorker.
+	// mode the test harness and bench/ use via MaybeWorker.
 	WorkerCommand []string
 	// HandshakeTimeout bounds Spawn's rendezvous (default 30s);
 	// ShutdownTimeout bounds Close's graceful drain before SIGKILL
@@ -150,8 +149,8 @@ func Spawn(cfg Config) (*Cluster, error) {
 	c.m = comm.NewMachine(comm.Config{
 		P: cfg.P, Alpha: cfg.alphaOrDefault(), Beta: cfg.betaOrDefault(),
 		Seed: cfg.seedOrDefault(), Backend: comm.BackendWire,
-		Workers: cfg.Workers, PopBatch: cfg.PopBatch,
-		Remote: &comm.Remote{Lo: 0, Hi: hi0, Forward: c.forward},
+		Workers: cfg.Workers,
+		Remote:  &comm.Remote{Lo: 0, Hi: hi0, Forward: c.forward},
 	})
 	return c, nil
 }
@@ -243,7 +242,7 @@ func (c *Cluster) rendezvous() error {
 		w := welcome{
 			P: c.p, Procs: c.procs, Lo: lo, Hi: hi,
 			Alpha: c.cfg.alphaOrDefault(), Beta: c.cfg.betaOrDefault(),
-			Seed: c.cfg.seedOrDefault(), Workers: c.cfg.Workers, PopBatch: c.cfg.PopBatch,
+			Seed: c.cfg.seedOrDefault(), Workers: c.cfg.Workers,
 		}
 		if err := writeFrame(conn, appendWelcome(nil, w)); err != nil {
 			conn.Close()

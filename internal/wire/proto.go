@@ -100,15 +100,13 @@ func decodeHello(body []byte) (int, error) {
 // the global machine shape, its own rank window, and the shared seed —
 // the rendezvous rank-map exchange and seed distribution in one frame.
 type welcome struct {
-	P        int
-	Procs    int
-	Lo, Hi   int
-	Alpha    float64
-	Beta     float64
-	Seed     int64
-	Workers  int
-	PopBatch int
-	Global   bool // GlobalReadyQueue
+	P       int
+	Procs   int
+	Lo, Hi  int
+	Alpha   float64
+	Beta    float64
+	Seed    int64
+	Workers int
 }
 
 func appendWelcome(b []byte, w welcome) []byte {
@@ -122,12 +120,6 @@ func appendWelcome(b []byte, w welcome) []byte {
 	e.F64(w.Beta)
 	e.I64(w.Seed)
 	e.U32(uint32(w.Workers))
-	e.U32(uint32(w.PopBatch))
-	if w.Global {
-		e.U8(1)
-	} else {
-		e.U8(0)
-	}
 	return e.Bytes()
 }
 
@@ -145,8 +137,6 @@ func decodeWelcome(body []byte) (welcome, error) {
 	w.Beta = d.F64()
 	w.Seed = d.I64()
 	w.Workers = int(d.U32())
-	w.PopBatch = int(d.U32())
-	w.Global = d.U8() != 0
 	if d.Err() != nil {
 		return w, d.Err()
 	}

@@ -74,8 +74,7 @@ func WorkerMain(network, addr string, index int) int {
 	l := newLink(conn)
 	m := comm.NewMachine(comm.Config{
 		P: w.P, Alpha: w.Alpha, Beta: w.Beta, Seed: w.Seed,
-		Backend: comm.BackendWire, Workers: w.Workers, PopBatch: w.PopBatch,
-		GlobalReadyQueue: w.Global,
+		Backend: comm.BackendWire, Workers: w.Workers,
 		Remote: &comm.Remote{Lo: w.Lo, Hi: w.Hi, Forward: func(dst int, msg mailbox.Msg) {
 			b, err := appendEnvelope(nil, w.P, dst, msg)
 			if err != nil {
