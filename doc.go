@@ -3,12 +3,12 @@
 // Selection Problems" (Hübschle-Schneider, Sanders, Müller; IPDPS 2016).
 //
 // The library runs the paper's algorithms on a simulated distributed machine
-// (internal/comm): p processing elements run the same SPMD program as
-// blocking bodies or resumable steppers, multiplexed over a few scheduler
-// goroutines and exchanging messages through per-receiver mailboxes (or,
-// with internal/wire, across OS processes), with every message metered in
-// machine words and startups so that the paper's cost model O(x + βy + αz)
-// is directly observable.
+// (internal/comm): p processing elements run the same SPMD program — as
+// blocking bodies on a goroutine each, or as resumable steppers
+// multiplexed over a few scheduler goroutines — exchanging messages
+// through per-receiver mailboxes (or, with internal/wire, across OS
+// processes), with every message metered in machine words and startups so
+// that the paper's cost model O(x + βy + αz) is directly observable.
 //
 // Entry points live in internal/core (high-level façade) and the per-problem
 // packages internal/sel, internal/bpq, internal/freq, internal/agg,

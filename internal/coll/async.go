@@ -8,18 +8,20 @@ import (
 // Continuation (Stepper) forms of the scalar collectives and the strided
 // gather, for comm.Machine.RunAsync: the same protocols — same message
 // schedule, same metered words, startups and modeled clock, pinned by
-// the differential suite — expressed as resumable bodies. Where the
-// blocking forms park a goroutine per waiting PE (transiently O(p)
-// stacks during a collective at scale), a stepper suspends as data and
-// the scheduler's w workers keep driving: mid-run goroutine residency
-// stays O(w). The vector/gather-shaped forms live in async_vec.go and
-// async_route.go.
+// the differential suite — expressed as resumable bodies. Where a
+// blocking run holds a goroutine per PE (O(p) stacks), a stepper
+// suspends as data and the scheduler's w workers keep driving: mid-run
+// goroutine residency stays O(w). The vector/gather-shaped forms live in
+// async_vec.go and async_route.go.
 //
 // Each XxxStep factory returns a single-use Stepper for one PE; results
 // are delivered through the out callback (nil to discard). Compose
 // multi-collective bodies with comm.Seq / comm.SeqP, and reuse the same
 // stepper under a blocking body via comm.RunSteps — one implementation,
-// both execution modes.
+// both execution modes. Blocking forms that must not allocate a result
+// closure (Broadcast, BroadcastScalar, ExScanSum) set the state's held
+// flag instead: the final Step then leaves the state alone, and the
+// blocking form reads the result out of it and releases it.
 //
 // # State pooling
 //
@@ -46,6 +48,7 @@ type broadcastStep[T any] struct {
 	boxed any
 	h     *comm.RecvHandle
 	phase int
+	held  bool // driven by the blocking Broadcast, which harvests and releases
 }
 
 // BroadcastStep is the continuation form of Broadcast: root's data
@@ -101,6 +104,9 @@ func (s *broadcastStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
 			}
 			s.phase = 3
 		default:
+			if s.held {
+				return nil
+			}
 			out, data := s.out, s.data
 			*s = broadcastStep[T]{}
 			comm.PutPooled(pe, s)
@@ -265,6 +271,7 @@ type exScanSumStep[T int | int64 | float64 | uint64] struct {
 	d     int
 	h     *comm.RecvHandle
 	phase int
+	held  bool // driven by the blocking ExScanSum, which harvests and releases
 }
 
 // ExScanSumStep is the continuation form of ExScanSum: the dissemination
@@ -346,6 +353,9 @@ func (s *exScanSumStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
 			}
 			s.phase = esphDone
 		default:
+			if s.held {
+				return nil
+			}
 			out, acc := s.out, s.acc
 			*s = exScanSumStep[T]{}
 			comm.PutPooled(pe, s)

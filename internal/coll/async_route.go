@@ -23,7 +23,7 @@ import (
 
 // routeStep phases.
 const (
-	rtphInit = iota
+	rtphInit       = iota
 	rtphHighMain   // high rank: awaiting its final batch (or its count)
 	rtphHighChunks // high rank: draining the final batch's chunk frames
 	rtphExtraMain  // low partner: awaiting the folded-in batch (or count)

@@ -61,15 +61,15 @@ const (
 // all-gather; non-power-of-two stragglers fold onto partners first —
 // exactly the blocking AllReduce's schedule (which drives this stepper).
 type allReduceAccStep[T any] struct {
-	acc  []T
-	op   func(a, b T) T
-	out  func([]T)
-	pool *commbuf.Pool[T]
-	tag  comm.Tag
-	rank int
-	r    int
+	acc   []T
+	op    func(a, b T) T
+	out   func([]T)
+	pool  *commbuf.Pool[T]
+	tag   comm.Tag
+	rank  int
+	r     int
 	extra int
-	mask int
+	mask  int
 	// Rabenseifner state: the live window [lo, hi), the current level's
 	// split, and the halving history retraced by the all-gather. hist's
 	// backing survives pooling so steady state allocates nothing.
@@ -770,6 +770,7 @@ type broadcastScalarStep[T any] struct {
 	mask  int
 	h     *comm.RecvHandle
 	phase int
+	held  bool // driven by the blocking BroadcastScalar, which harvests and releases
 }
 
 // BroadcastScalarStep is the continuation form of BroadcastScalar: the
@@ -826,6 +827,9 @@ func (s *broadcastScalarStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
 			}
 			s.phase = 3
 		default:
+			if s.held {
+				return nil
+			}
 			out, v := s.out, s.v
 			*s = broadcastScalarStep[T]{}
 			comm.PutPooled(pe, s)

@@ -58,21 +58,13 @@ func WordsOf[T any]() int64 {
 func sliceWords[T any](s []T) int64 { return int64(len(s)) * WordsOf[T]() }
 
 // sendCopy copies s into a pooled buffer and sends it to dst. Ownership of
-// the buffer passes to the receiver (which recycles it via recvOwned +
-// Put), so s itself never enters a channel and the caller may mutate it as
-// soon as sendCopy returns.
+// the buffer passes to the receiver (which recycles it with Put when done
+// reading), so s itself never enters a channel and the caller may mutate
+// it as soon as sendCopy returns.
 func sendCopy[T any](pe *comm.PE, pool *commbuf.Pool[T], dst int, tag comm.Tag, s []T) {
 	b := pool.Get(len(s))
 	copy(*b, s)
 	pe.Send(dst, tag, b, sliceWords(s))
-}
-
-// recvOwned receives a pooled buffer sent with sendCopy (or an ownership
-// transfer of a pooled accumulator). The caller owns the buffer and must
-// Put it back when done reading.
-func recvOwned[T any](pe *comm.PE, src int, tag comm.Tag) *[]T {
-	rx, _ := pe.Recv(src, tag)
-	return rx.(*[]T)
 }
 
 // combine folds rx into acc elementwise, in place.
@@ -93,72 +85,27 @@ func Barrier(pe *comm.PE) {
 // Broadcast distributes root's data to all PEs along a binomial tree and
 // returns it everywhere. Non-root inputs are ignored. The returned slice
 // is shared between PEs in-process and must be treated as read-only; use
-// slices.Clone if mutation is needed.
+// slices.Clone if mutation is needed. The schedule is broadcastStep
+// driven to completion with blocking waits.
 func Broadcast[T any](pe *comm.PE, root int, data []T) []T {
-	p := pe.P()
-	if p == 1 {
-		return data
-	}
-	tag := pe.NextCollTag()
-	vr := (pe.Rank() - root + p) % p
-	// The payload is boxed into an interface once and the same box reused
-	// for every child, so a fan-out of log p sends costs one allocation.
-	var boxed any
-	mask := 1
-	for mask < p {
-		if vr&mask != 0 {
-			parent := ((vr &^ mask) + root) % p
-			rx, _ := pe.Recv(parent, tag)
-			boxed = rx
-			data = rx.([]T)
-			break
-		}
-		mask <<= 1
-	}
-	if boxed == nil {
-		boxed = data
-	}
-	// mask is now the position at which we received (or ≥p for the root);
-	// children sit at vr|m for all m below it.
-	words := sliceWords(data)
-	for mask >>= 1; mask > 0; mask >>= 1 {
-		child := vr | mask
-		if child < p && child != vr {
-			pe.Send((child+root)%p, tag, boxed, words)
-		}
-	}
+	s := comm.GetPooled[broadcastStep[T]](pe)
+	*s = broadcastStep[T]{root: root, data: data, held: true}
+	comm.RunSteps(pe, s)
+	data = s.data
+	*s = broadcastStep[T]{}
+	comm.PutPooled(pe, s)
 	return data
 }
 
-// BroadcastScalar broadcasts a single value from root.
+// BroadcastScalar broadcasts a single value from root. Allocation-free
+// in steady state (broadcastScalarStep driven with blocking waits).
 func BroadcastScalar[T any](pe *comm.PE, root int, v T) T {
-	p := pe.P()
-	if p == 1 {
-		return v
-	}
-	pool := commbuf.For[T]()
-	tag := pe.NextCollTag()
-	vr := (pe.Rank() - root + p) % p
-	mask := 1
-	for mask < p {
-		if vr&mask != 0 {
-			parent := ((vr &^ mask) + root) % p
-			rx := recvOwned[T](pe, parent, tag)
-			v = (*rx)[0]
-			pool.Put(rx)
-			break
-		}
-		mask <<= 1
-	}
-	w := WordsOf[T]()
-	for mask >>= 1; mask > 0; mask >>= 1 {
-		child := vr | mask
-		if child < p && child != vr {
-			b := pool.Get(1)
-			(*b)[0] = v
-			pe.Send((child+root)%p, tag, b, w)
-		}
-	}
+	s := comm.GetPooled[broadcastScalarStep[T]](pe)
+	*s = broadcastScalarStep[T]{root: root, v: v, held: true}
+	comm.RunSteps(pe, s)
+	v = s.v
+	*s = broadcastScalarStep[T]{}
+	comm.PutPooled(pe, s)
 	return v
 }
 
@@ -278,54 +225,15 @@ func ExScan[T any](pe *comm.PE, x []T, op func(a, b T) T, identity []T) []T {
 }
 
 // ExScanSum returns the exclusive prefix sum of a scalar. Allocation-free
-// in steady state.
+// in steady state (exScanSumStep driven with blocking waits).
 func ExScanSum[T int | int64 | float64 | uint64](pe *comm.PE, v T) T {
-	p := pe.P()
-	if p == 1 {
-		return 0
-	}
-	pool := commbuf.For[T]()
-	w := WordsOf[T]()
-	rank := pe.Rank()
-	// Inclusive dissemination scan on the scalar.
-	tag := pe.NextCollTag()
-	acc := v
-	for d := 1; d < p; d <<= 1 {
-		var h *comm.RecvHandle
-		if rank-d >= 0 {
-			h = pe.IRecv(rank-d, tag)
-		}
-		if rank+d < p {
-			b := pool.Get(1)
-			(*b)[0] = acc
-			pe.Send(rank+d, tag, b, w)
-		}
-		if h != nil {
-			rxAny, _ := h.Wait()
-			rx := rxAny.(*[]T)
-			acc = (*rx)[0] + acc
-			pool.Put(rx)
-		}
-	}
-	// Shift down by one rank to make it exclusive.
-	tag = pe.NextCollTag()
-	var h *comm.RecvHandle
-	if rank > 0 {
-		h = pe.IRecv(rank-1, tag)
-	}
-	if rank+1 < p {
-		b := pool.Get(1)
-		(*b)[0] = acc
-		pe.Send(rank+1, tag, b, w)
-	}
-	if rank == 0 {
-		return 0
-	}
-	rxAny, _ := h.Wait()
-	rx := rxAny.(*[]T)
-	out := (*rx)[0]
-	pool.Put(rx)
-	return out
+	s := comm.GetPooled[exScanSumStep[T]](pe)
+	*s = exScanSumStep[T]{acc: v, held: true}
+	comm.RunSteps(pe, s)
+	v = s.acc
+	*s = exScanSumStep[T]{}
+	comm.PutPooled(pe, s)
+	return v
 }
 
 // rankedBlock carries a PE's contribution through a gather tree.

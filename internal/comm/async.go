@@ -3,21 +3,20 @@ package comm
 import (
 	"fmt"
 	"reflect"
-	"runtime/debug"
 	"time"
 
 	"commtopk/internal/mailbox"
 )
 
-// Non-blocking communication: IRecv handles with Test/Wait/WaitAll, and
+// Non-blocking communication: IRecv handles with Test/Wait, and
 // continuation-scheduled PE bodies (Stepper, Machine.RunAsync).
 //
 // The paper's machine model assumes an MPI-like substrate where a PE can
 // post a receive, keep computing, and synchronize later (MPI_Irecv /
-// MPI_Wait). The blocking Recv forces the simulator to park a goroutine
-// for every waiting PE body; at p = 131072 the transient park/hand-off
-// churn dominates host time. The handle API decouples the three phases
-// of a receive —
+// MPI_Wait). The blocking Recv forces the simulator to keep a goroutine
+// parked for every waiting PE body; at p = 131072 that is most of the
+// machine's memory and host time. The handle API decouples the three
+// phases of a receive —
 //
 //	post (IRecv: no meter effect), bind (the message is matched to the
 //	handle; whenever the transport delivers), fold (Wait: the meter —
@@ -45,14 +44,14 @@ import (
 // backend, a Step that returns an unbound handle suspends the body as
 // data — the worker goroutine returns to the scheduler and keeps driving
 // other PEs — and the message's arrival re-enqueues the body on the
-// scheduler's ready queue. Mid-run goroutine residency is therefore
-// exactly the scheduler width w, not O(parked bodies): the property the
-// blocking runtime can only provide between runs. Steppers must suspend
-// via Step rather than calling a blocking Wait/Recv (blocking inside a
-// stepper still works, but parks a goroutine like any blocking body).
-// On the channel-matrix backend RunAsync simply drives the stepper with
-// blocking waits on one goroutine per PE — the naive differential
-// reference, bit-identical in results and statistics.
+// scheduler's ready list. Mid-run goroutine residency is therefore
+// exactly the scheduler width w, where a blocking Run holds a goroutine
+// per PE. Steppers must suspend via Step: the scheduler's workers never
+// block, so a Wait/Recv that would have to park there fails the run
+// instead (see assertMayPark). On the channel-matrix backend RunAsync
+// simply drives the stepper with blocking waits on one goroutine per PE
+// — the naive differential reference, bit-identical in results and
+// statistics.
 
 // handle states.
 const (
@@ -155,17 +154,6 @@ func (h *RecvHandle) Wait() (any, int64) {
 	return msg.data, msg.words
 }
 
-// WaitAll completes the handles in slice order (meter folds in that
-// order), discarding payloads — intended for receives whose payloads
-// were already consumed via Test-driven binding or that carry only
-// synchronization (acknowledgements, counts read elsewhere). For
-// payload-carrying receives, call Wait on each handle.
-func WaitAll(hs ...*RecvHandle) {
-	for _, h := range hs {
-		h.Wait()
-	}
-}
-
 // ensureBound blocks until the handle's message is bound, without
 // folding the meter (RunSteps' blocking drive between Step calls).
 func (h *RecvHandle) ensureBound() {
@@ -188,19 +176,12 @@ func (h *RecvHandle) prevPendingFor(src int, ctx uint32) *RecvHandle {
 // oldestPendingFor returns the oldest pending handle for the (src, ctx)
 // stream. The caller guarantees one exists.
 func (pe *PE) oldestPendingFor(src int, ctx uint32) *RecvHandle {
-	if g := pe.oldestPendingForOrNil(src, ctx); g != nil {
-		return g
-	}
-	panic(fmt.Sprintf("comm: PE %d: no pending receive from %d ctx %d", pe.rank, src, ctx))
-}
-
-func (pe *PE) oldestPendingForOrNil(src int, ctx uint32) *RecvHandle {
 	for g := pe.outHead; g != nil; g = g.next {
 		if g.src == src && g.ctx == ctx && g.state == hPending {
 			return g
 		}
 	}
-	return nil
+	panic(fmt.Sprintf("comm: PE %d: no pending receive from %d ctx %d", pe.rank, src, ctx))
 }
 
 // fillUntil blocks taking messages from h's stream, binding them to the
@@ -275,6 +256,17 @@ func (pe *PE) stashTake(src int, ctx uint32) (message, bool) {
 	return msg, true
 }
 
+// stashedFor reports whether any of hs has a message of its stream
+// waiting in the stash.
+func (pe *PE) stashedFor(hs []*RecvHandle) bool {
+	for _, h := range hs {
+		if f := pe.stash[mailbox.Key(h.src, h.ctx)]; f != nil && f.head < len(f.q) {
+			return true
+		}
+	}
+	return false
+}
+
 // takeTry removes the next queued message of the (src, ctx) stream
 // without blocking. On the channel matrix, messages of other contexts
 // encountered on the way are stashed per stream (each moved once), the
@@ -305,12 +297,10 @@ func (pe *PE) takeTry(src int, ctx uint32) (message, bool) {
 }
 
 // takeBlocking blocks for the next message of the (src, ctx) stream,
-// accumulating wait time; on machine abort it unwinds via panic. On the
-// mailbox backend it first hands the shard driver role off (WillPark)
-// so queued PE bodies keep starting while this one parks.
+// accumulating wait time; on machine abort it unwinds via panic.
 func (pe *PE) takeBlocking(src int, ctx uint32) message {
 	if pe.box != nil {
-		pe.sched.WillPark(pe.sidx)
+		pe.assertMayPark()
 		t0 := time.Now()
 		mm, ok := pe.box.TakeKey(mailbox.Key(src, ctx))
 		pe.waitNs += time.Since(t0).Nanoseconds()
@@ -333,6 +323,17 @@ func (pe *PE) takeBlocking(src int, ctx uint32) message {
 		case <-pe.m.abort:
 			panic(abortedError{})
 		}
+	}
+}
+
+// assertMayPark panics when the body about to park is a stepper on a
+// scheduler worker: the w workers never block (that is the scheduler's
+// whole liveness argument), so a stepper that reaches a blocking receive
+// whose message has not arrived is a bug in the stepper — it must return
+// the handle from Step instead — and fails the run like any other panic.
+func (pe *PE) assertMayPark() {
+	if pe.m.asyncStart != nil {
+		panic("blocking receive inside a Stepper under RunAsync: the message has not arrived; return the pending handle from Step instead of calling Wait/Recv")
 	}
 }
 
@@ -408,8 +409,8 @@ func (pe *PE) resetAsync() {
 // without. The scheduler re-invokes Step once that handle's message has
 // arrived (the handle is then bound, so the stepper's Wait on it will
 // not block). Step must tolerate re-invocation at the same point and
-// must not block (use Step-suspension, not blocking Wait/Recv) for the
-// O(w) mid-run residency guarantee to hold.
+// must not block: under RunAsync a Wait/Recv that would have to park
+// fails the run (use Step-suspension instead).
 type Stepper interface {
 	Step(pe *PE) *RecvHandle
 }
@@ -488,11 +489,11 @@ func (s *seqStep) Step(pe *PE) *RecvHandle {
 
 // RunSteps drives a stepper to completion with blocking waits — the
 // bridge that lets one stepper implementation serve both worlds: inside
-// a blocking body (or on the channel matrix) RunSteps parks like any
-// blocking protocol; under RunAsync on the mailbox backend the scheduler
-// drives the same Step calls without ever blocking a goroutine. A
-// MultiWaiter body blocks on any of its pending handles instead of the
-// one Step returned.
+// a blocking body (Run, or RunAsync on the channel matrix) RunSteps
+// parks like any blocking protocol; under RunAsync on the mailbox
+// backend the scheduler drives the same Step calls without ever
+// blocking a goroutine. A MultiWaiter body blocks on any of its pending
+// handles instead of the one Step returned.
 func RunSteps(pe *PE, st Stepper) {
 	mw, _ := st.(MultiWaiter)
 	for {
@@ -514,8 +515,7 @@ func RunSteps(pe *PE, st Stepper) {
 // waitAnyBound blocks until at least one of the pending handles hs is
 // bound, without folding any meter. The mailbox backend waits on the
 // handles' (src, ctx) keys directly; the channel matrix multiplexes the
-// distinct source channels through reflect.Select, stashing messages of
-// uninvolved contexts exactly like takeBlocking. hs must belong to the
+// distinct source channels through reflect.Select. hs must belong to the
 // running PE body and be pending.
 func (pe *PE) waitAnyBound(hs []*RecvHandle) {
 	// Messages may already be queued (or have raced in since Step
@@ -531,7 +531,7 @@ func (pe *PE) waitAnyBound(hs []*RecvHandle) {
 			keys = append(keys, mailbox.Key(h.src, h.ctx))
 		}
 		pe.keyBuf = keys
-		pe.sched.WillPark(pe.sidx)
+		pe.assertMayPark()
 		t0 := time.Now()
 		mm, ok := pe.box.WaitAnyKeys(keys)
 		pe.waitNs += time.Since(t0).Nanoseconds()
@@ -561,24 +561,25 @@ func (pe *PE) waitAnyBound(hs []*RecvHandle) {
 			cases = append(cases, reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(pe.recvChan(h.src))})
 		}
 	}
+	// Several handles can share a source channel in different contexts,
+	// and testing one stashes the other's messages — possibly after that
+	// one was tested. So every message reaches its handle through its
+	// stream's stash, in arrival order: park only while no handle has a
+	// stashed message, stash what the select delivers, and let Test bind.
 	for {
-		chosen, v, _ := reflect.Select(cases)
-		if chosen == 0 {
-			panic(abortedError{})
-		}
-		src := srcs[chosen-1]
-		msg := v.Interface().(message)
-		if g := pe.oldestPendingForOrNil(src, msg.ctx); g != nil {
-			pe.bindMsg(g, msg)
-			for _, h := range hs {
-				if h.state == hBound {
-					pe.waitNs += time.Since(t0).Nanoseconds()
-					return
-				}
+		if !pe.stashedFor(hs) {
+			chosen, v, _ := reflect.Select(cases)
+			if chosen == 0 {
+				panic(abortedError{})
 			}
-			continue
+			pe.stashMsg(srcs[chosen-1], v.Interface().(message))
 		}
-		pe.stashMsg(src, msg)
+		for _, h := range hs {
+			if h.Test() {
+				pe.waitNs += time.Since(t0).Nanoseconds()
+				return
+			}
+		}
 	}
 }
 
@@ -587,11 +588,14 @@ func (pe *PE) waitAnyBound(hs []*RecvHandle) {
 // empty body). On the mailbox backend the sharded scheduler drives the
 // steppers directly — a suspension returns the worker to the scheduler,
 // so the machine holds exactly w goroutines even while thousands of PE
-// bodies are waiting mid-collective. On the channel matrix the steppers
-// are driven with blocking waits on one goroutine per PE (the naive
+// bodies are waiting mid-collective, and an empty RunAsync on a warm
+// machine allocates nothing. On the channel matrix the steppers are
+// driven with blocking waits on one goroutine per PE (the naive
 // differential reference). Results and statistics are bit-identical to
 // the equivalent blocking Run on either backend. Error semantics and
-// machine reuse match Run.
+// machine reuse match Run; in addition, a stepper (or start itself) that
+// reaches a blocking receive whose message has not arrived fails the
+// run — scheduler workers never park.
 func (m *Machine) RunAsync(start func(pe *PE) Stepper) error {
 	if m.sched == nil {
 		return m.Run(func(pe *PE) {
@@ -622,12 +626,9 @@ func (m *Machine) execAsyncRank(rank int) (done bool) {
 	pe := m.pes[rank]
 	defer func() {
 		if r := recover(); r != nil {
-			pe.resetAsync()
-			done = true
+			m.bodyPanicked(pe, r)
 			m.foldStats(pe)
-			if _, ok := r.(abortedError); !ok {
-				m.abortErr(fmt.Errorf("comm: PE %d panicked: %v\n%s", pe.rank, r, debug.Stack()))
-			}
+			done = true // the rank is finished (it failed), not suspended
 		}
 	}()
 	if pe.step == nil {

@@ -88,29 +88,6 @@ func TestIRecvFIFOPerSource(t *testing.T) {
 	}
 }
 
-// TestWaitAll pins that WaitAll folds a batch of posted receives in
-// slice order.
-func TestWaitAll(t *testing.T) {
-	m := NewMachine(DefaultConfig(4))
-	defer m.Close()
-	m.MustRun(func(pe *PE) {
-		const tag Tag = 23
-		p := pe.P()
-		var hs []*RecvHandle
-		for i := 1; i < p; i++ {
-			hs = append(hs, pe.IRecv((pe.Rank()-i+p)%p, tag))
-		}
-		for i := 1; i < p; i++ {
-			pe.Send((pe.Rank()+i)%p, tag, nil, 1)
-		}
-		WaitAll(hs...)
-	})
-	s := m.Stats()
-	if s.MaxSends != 3 || s.MaxRecvWords != 3 {
-		t.Errorf("unexpected stats after WaitAll exchange: %+v", s)
-	}
-}
-
 // TestHandleMisusePanics pins the consumed-handle contract.
 func TestHandleMisusePanics(t *testing.T) {
 	m := NewMachine(DefaultConfig(2))
@@ -132,8 +109,8 @@ func TestHandleMisusePanics(t *testing.T) {
 
 // cascadeStart builds the reverse-cascade continuation body: every rank
 // but the last waits for its successor's token before passing one down.
-// It suspends p−1 bodies at peak — the maximally parked workload that
-// blocking bodies pay p−1 transient goroutines for.
+// It suspends p−1 bodies at peak — the maximally parked workload, for
+// which a blocking Run holds p goroutines.
 func cascadeStart(tag Tag, out []int64) func(pe *PE) Stepper {
 	return func(pe *PE) Stepper {
 		var h *RecvHandle
@@ -215,9 +192,9 @@ func TestRunAsyncCascade(t *testing.T) {
 // TestRunAsyncMidRunResidency is the mid-collective extension of the
 // PR 3 residency guard: while a p = 16384 cascade is in flight — with
 // thousands of PE bodies simultaneously waiting — the process goroutine
-// count must stay at w + O(1). This is the property the blocking runtime
-// cannot provide (its parked bodies each hold a transient goroutine) and
-// the reason the async API exists.
+// count must stay at w + O(1). This is the property a blocking Run
+// cannot provide (every body holds a goroutine) and the reason the async
+// API exists.
 func TestRunAsyncMidRunResidency(t *testing.T) {
 	const p = 16384
 	before := runtime.NumGoroutine()
@@ -307,8 +284,8 @@ func TestRunAsyncAbort(t *testing.T) {
 
 // TestRunAsyncContinuationStress is the -race stress over continuation
 // suspend/resume at w < p: pseudo-random partner shifts make resume
-// events land on arbitrary workers while drivers are mid-batch, repeated
-// across rounds so ready-queue and run-boundary interleavings vary.
+// events land on arbitrary workers while others are mid-batch, repeated
+// across rounds so ready-list and run-boundary interleavings vary.
 func TestRunAsyncContinuationStress(t *testing.T) {
 	const p, rounds = 96, 20
 	for _, w := range []int{1, 3} {
@@ -346,6 +323,53 @@ func TestRunAsyncContinuationStress(t *testing.T) {
 		}
 		m.Close()
 	}
+}
+
+// TestRunAsyncBlockingRecvInStepperFailsRun pins what happens to a
+// stepper that breaks the Step contract: a blocking Recv whose message
+// has not arrived would stall a scheduler worker, so it fails the run
+// with an error naming the rank — no hang — and the machine is reusable.
+func TestRunAsyncBlockingRecvInStepperFailsRun(t *testing.T) {
+	const p = 8
+	cfg := DefaultConfig(p)
+	cfg.Workers = 2
+	m := NewMachine(cfg)
+	defer m.Close()
+	err := m.RunAsync(func(pe *PE) Stepper {
+		return StepFunc(func(pe *PE) *RecvHandle {
+			if pe.Rank() == 3 {
+				pe.Recv(4, Tag(12)) // rank 4 never sends
+			}
+			return nil
+		})
+	})
+	if err == nil || !strings.Contains(err.Error(), "PE 3") || !strings.Contains(err.Error(), "blocking receive inside a Stepper") {
+		t.Fatalf("blocking Recv in a stepper: got %v", err)
+	}
+	// A Recv whose message is already queued never parks and stays legal.
+	m.MustRunAsync(func(pe *PE) Stepper {
+		var h *RecvHandle
+		return StepFunc(func(pe *PE) *RecvHandle {
+			const tag Tag = 13
+			if h == nil {
+				pe.Send((pe.Rank()+1)%p, tag, pe.Rank(), 1)
+				h = pe.IRecv((pe.Rank()-1+p)%p, tag)
+			}
+			if !h.Test() {
+				return h
+			}
+			if rx, _ := h.Wait(); rx.(int) != (pe.Rank()-1+p)%p {
+				t.Errorf("PE %d: got %v", pe.Rank(), rx)
+			}
+			return nil
+		})
+	})
+	out := make([]int64, p)
+	m.MustRunAsync(cascadeStart(Tag(14), out))
+	if out[0] != p-1 {
+		t.Errorf("post-failure cascade got %d", out[0])
+	}
+	m.MustRun(func(pe *PE) { ringBodyRecv(pe, make([]int, p)) })
 }
 
 // TestRunAsyncInterleavedWithBlockingRuns pins cross-mode machine reuse:

@@ -195,7 +195,7 @@ func TestMailboxWaitTimeAccumulates(t *testing.T) {
 
 func TestMailboxCloseIdempotent(t *testing.T) {
 	m := NewMachine(DefaultConfig(4))
-	m.MustRun(func(pe *PE) {})
+	m.MustRunAsync(func(pe *PE) Stepper { return nil }) // spawn the workers
 	m.Close()
 	m.Close() // second Close must be a no-op, not a double channel close
 }
@@ -203,7 +203,7 @@ func TestMailboxCloseIdempotent(t *testing.T) {
 func TestMailboxWorkersReleasedOnClose(t *testing.T) {
 	before := runtime.NumGoroutine()
 	m := NewMachine(DefaultConfig(64))
-	m.MustRun(func(pe *PE) {})
+	m.MustRunAsync(func(pe *PE) Stepper { return nil }) // spawn the workers
 	m.Close()
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
@@ -216,22 +216,22 @@ func TestMailboxWorkersReleasedOnClose(t *testing.T) {
 }
 
 // TestMailboxRunZeroAllocSteadyState is the AllocsPerRun guard of the
-// persistent worker pool: after the first Run has started the workers, a
-// Run dispatch itself must not allocate (the channel matrix pays ~2
-// allocs per PE per Run for goroutine spawns — the floor PR 1 measured).
+// persistent worker pool: after the first RunAsync has started the
+// workers, a RunAsync dispatch itself must not allocate (a blocking Run
+// pays a goroutine spawn per PE on either backend).
 func TestMailboxRunZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	m := NewMachine(DefaultConfig(64))
 	defer m.Close()
-	body := func(pe *PE) {}
-	m.MustRun(body) // spawn the worker pool outside the measurement
+	start := func(pe *PE) Stepper { return nil }
+	m.MustRunAsync(start) // spawn the worker pool outside the measurement
 	allocs := testing.AllocsPerRun(50, func() {
-		m.MustRun(body)
+		m.MustRunAsync(start)
 	})
 	if allocs > 0.5 {
-		t.Errorf("steady-state mailbox Run allocates %.1f times, want 0", allocs)
+		t.Errorf("steady-state empty RunAsync allocates %.1f times, want 0", allocs)
 	}
 }
 
@@ -328,8 +328,9 @@ func TestSchedWorkersResolution(t *testing.T) {
 	}
 }
 
-// TestMailboxSchedulerWLessThanP exercises the multiplexed regime — far
-// fewer shards than PEs, every body blocking — at the substrate level.
+// TestMailboxSchedulerWLessThanP runs blocking bodies on a machine with
+// far fewer scheduler workers than PEs: every body blocks, and none of
+// them may depend on the scheduler width.
 func TestMailboxSchedulerWLessThanP(t *testing.T) {
 	const p = 64
 	cfg := DefaultConfig(p)
@@ -339,9 +340,7 @@ func TestMailboxSchedulerWLessThanP(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		m.MustRun(func(pe *PE) {
 			const tag Tag = 21
-			// Reverse-order ring: every PE waits on a successor that the
-			// in-order shard queues have not started yet, forcing driver
-			// hand-offs down the whole queue.
+			// Reverse-order ring: every PE waits on its successor.
 			next := (pe.Rank() + 1) % p
 			prev := (pe.Rank() - 1 + p) % p
 			pe.Send(prev, tag, pe.Rank()+round, 1)
@@ -354,8 +353,10 @@ func TestMailboxSchedulerWLessThanP(t *testing.T) {
 }
 
 // TestMailboxGoroutineCountResident is the tentpole residency guard: a
-// resident p = 16384 machine — after runs in which thousands of PE
-// bodies parked — keeps its goroutine count at O(w), not O(p).
+// resident p = 16384 machine keeps its goroutine count at O(w), not O(p).
+// A blocking run, in which thousands of PE bodies parked on a goroutine
+// each, leaves none of them behind when it returns; the w workers a
+// stepper run starts are all that stays.
 func TestMailboxGoroutineCountResident(t *testing.T) {
 	const p = 16384
 	before := runtime.NumGoroutine()
@@ -365,21 +366,29 @@ func TestMailboxGoroutineCountResident(t *testing.T) {
 	if w >= p/4 {
 		t.Skipf("GOMAXPROCS too large for a meaningful bound (w=%d, p=%d)", w, p)
 	}
+	settlesAt := func(what string, bound int) {
+		t.Helper()
+		// A body's goroutine signals the run's WaitGroup from a deferred
+		// call and exits a few instructions later, so poll briefly.
+		deadline := time.Now().Add(5 * time.Second)
+		var after int
+		for time.Now().Before(deadline) {
+			if after = runtime.NumGoroutine(); after <= bound {
+				return
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		t.Errorf("%s: %d goroutines (baseline %d, w=%d), want ≤ %d", what, after, before, w, bound)
+	}
 	// A shifted ring parks essentially every PE body at least once.
 	m.MustRun(func(pe *PE) {
 		const tag Tag = 33
 		pe.Send((pe.Rank()+1)%p, tag, nil, 1)
 		pe.Recv((pe.Rank()-1+p)%p, tag)
 	})
-	deadline := time.Now().Add(5 * time.Second)
-	var after int
-	for time.Now().Before(deadline) {
-		if after = runtime.NumGoroutine(); after <= before+w+2 {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Errorf("resident goroutines %d (baseline %d) exceed w+O(1) with w=%d; scheduler residency broken", after, before, w)
+	settlesAt("after a blocking run", before+2)
+	m.MustRunAsync(cascadeStart(Tag(34), nil))
+	settlesAt("resident after a stepper run", before+w+2)
 }
 
 // heapInUse forces a GC and returns live heap bytes.
@@ -416,5 +425,42 @@ func TestMailboxMachineMemoryMeasured(t *testing.T) {
 	}
 	if box4096 > 16<<20 {
 		t.Errorf("mailbox machine at p=4096 uses %d B; want O(p) ≪ 16 MB", box4096)
+	}
+}
+
+// TestBlockingRunWLessThanPStress is the regression for the two
+// scheduler defects blocking runs used to reach at w < p — a shard
+// stranded behind a parked body, and Close racing the hand-off that
+// trailed a run: every body blocks, on machines narrower than p, and
+// every machine is closed the moment its last run returns.
+func TestBlockingRunWLessThanPStress(t *testing.T) {
+	const p, rounds = 64, 4
+	for _, w := range []int{1, 2, 4} {
+		cfg := DefaultConfig(p)
+		cfg.Workers = w
+		m := NewMachine(cfg)
+		for round := 0; round < rounds; round++ {
+			sums := make([]int, p)
+			m.MustRun(func(pe *PE) {
+				const tag Tag = 41
+				next, prev := (pe.Rank()+1)%p, (pe.Rank()-1+p)%p
+				pe.Send(prev, tag, pe.Rank()+round, 1)
+				rx, _ := pe.Recv(next, tag)
+				// Recursive-doubling all-reduce of what the ring delivered.
+				sum := rx.(int)
+				for d := 1; d < p; d <<= 1 {
+					rx, _ := pe.SendRecv(pe.Rank()^d, sum, 1, pe.Rank()^d, tag+Tag(d))
+					sum += rx.(int)
+				}
+				sums[pe.Rank()] = sum
+			})
+			want := p*(p-1)/2 + p*round
+			for r, got := range sums {
+				if got != want {
+					t.Fatalf("w=%d round %d: PE %d reduced %d, want %d", w, round, r, got, want)
+				}
+			}
+		}
+		m.Close()
 	}
 }

@@ -17,14 +17,15 @@
 // to the virtual clock.
 //
 // Communication is available in blocking form (Send/Recv/SendRecv) and
-// non-blocking form (IRecv handles with Test/Wait/WaitAll — the
+// non-blocking form (IRecv handles with Test/Wait — the
 // MPI_Irecv/MPI_Wait shape the paper's substrate assumes); Recv is sugar
 // for IRecv+Wait, and the meter folds at Wait in program order, so both
 // forms are bit-identical in results and statistics. PE bodies likewise
-// run in two forms: blocking (Machine.Run) or continuation-scheduled
-// (Machine.RunAsync over Stepper bodies), where a wait on an unbound
-// handle suspends the body as data instead of parking a goroutine — see
-// async.go.
+// run in two forms. Machine.Run takes a blocking body and gives every
+// local PE a goroutine for the duration of the run; a waiting body parks
+// on its message queue. Machine.RunAsync takes Stepper bodies, where a
+// wait on an unbound handle suspends the body as data and the mailbox
+// scheduler's w ≪ p workers drive all of them — see async.go.
 //
 // # Backends
 //
@@ -34,17 +35,17 @@
 //
 //   - BackendMailbox (default): one MPSC mailbox per receiver
 //     (internal/mailbox) — O(p) queue memory — plus the sharded worker
-//     scheduler: w = min(GOMAXPROCS·8, p) shards multiplex the p PE
-//     bodies, a blocked Recv hands its shard's driver role to an idle
-//     spare, and the machine's resident goroutine count is O(w), not
-//     O(p). Aggregate statistics fold incrementally, so Stats() is O(1)
-//     instead of an O(p) scan. This is the runtime that scales to
-//     p = 131072 (see the scaling suite in internal/experiments).
+//     scheduler RunAsync drives steppers on: w = min(GOMAXPROCS·8, p)
+//     goroutines, resident between runs and mid-run alike. This is the
+//     runtime that scales to p = 131072 (see the scaling suite in
+//     internal/experiments). With Config.Remote set, the machine is one
+//     process's rank window of a larger machine (internal/wire).
 //   - BackendChannelMatrix: the original engine — one buffered channel
-//     per ordered PE pair and p goroutines spawned per Run. Queue memory
-//     is O(p²·ChanCap), which caps it near p ≈ 512; it is retained as
-//     the differential reference the mailbox runtime is pinned against
-//     (comm.MatrixConfig, exercised at p ∈ {4, 16, 64}).
+//     per ordered PE pair. Queue memory is O(p²·ChanCap), which caps it
+//     near p ≈ 512; it is retained as the differential reference the
+//     mailbox runtime is pinned against (comm.MatrixConfig, exercised at
+//     p ∈ {4, 16, 64}). It has no scheduler: RunAsync drives each
+//     stepper with blocking waits under Run.
 package comm
 
 import (
@@ -64,37 +65,23 @@ type Backend int
 
 const (
 	// BackendChannelMatrix is the original engine: a buffered channel per
-	// ordered PE pair, p goroutines spawned per Run, Stats by O(p) scan.
-	// Retained as the differential reference; the Config zero value keeps
-	// selecting it so explicitly constructed Configs are unambiguous.
+	// ordered PE pair. Retained as the differential reference; the Config
+	// zero value keeps selecting it so explicitly constructed Configs are
+	// unambiguous.
 	BackendChannelMatrix Backend = iota
 	// BackendMailbox is the scalable engine (and the DefaultConfig
-	// choice): per-receiver MPSC mailboxes, the sharded worker scheduler,
-	// and O(1) aggregate Stats.
+	// choice): per-receiver MPSC mailboxes and the sharded worker
+	// scheduler for stepper bodies. With Config.Remote set it is one
+	// process of a multi-process machine (see Remote).
 	BackendMailbox
-	// BackendWire is the multi-process engine: this machine owns only the
-	// contiguous local rank window Config.Remote [Lo, Hi) of the full
-	// p-PE machine, runs it on the mailbox scheduler exactly like
-	// BackendMailbox, and hands every message addressed outside the
-	// window to Config.Remote.Forward — the seam internal/wire plugs its
-	// socket transport into. Incoming cross-process messages are injected
-	// with Machine.Deliver. Metering is unchanged: the sender stamps
-	// depart before the frame leaves, the frame carries the stamp, and
-	// the receiver folds the α/β receive rule against it, so results and
-	// per-PE meters are bit-identical to an in-process machine.
-	BackendWire
 )
 
 // String names the backend as used in benchmark reports and CLI flags.
 func (b Backend) String() string {
-	switch b {
-	case BackendMailbox:
+	if b == BackendMailbox {
 		return "mailbox"
-	case BackendWire:
-		return "wire"
-	default:
-		return "chanmatrix"
 	}
+	return "chanmatrix"
 }
 
 // Tag identifies the protocol step a message belongs to. Collectives draw
@@ -107,7 +94,7 @@ type Tag uint64
 // Config describes the simulated machine: the paper's three parameters
 // (P, Alpha, Beta), the RNG Seed, and four runtime fields — Backend,
 // Workers (mailbox scheduler width), ChanCap (channel matrix only) and
-// Remote (wire only).
+// Remote (multi-process mailbox machines only).
 type Config struct {
 	// P is the number of processing elements.
 	P int
@@ -124,21 +111,28 @@ type Config struct {
 	// Backend selects the message runtime. The zero value is the original
 	// channel matrix.
 	Backend Backend
-	// Workers is the mailbox scheduler width w: the number of shards the
-	// p PE bodies are multiplexed over, and the machine's resident
-	// goroutine budget. 0 selects min(GOMAXPROCS·8, p); any value is
-	// clamped to [1, p]. Ignored by the channel matrix. Execution results
-	// and metering are independent of w (pinned by the differential
-	// tests); w only trades host parallelism against resident memory.
+	// Workers is the mailbox scheduler width w: the number of goroutines
+	// the p stepper bodies of a RunAsync are multiplexed over, and the
+	// machine's resident goroutine budget. 0 selects min(GOMAXPROCS·8, p);
+	// any value is clamped to [1, p]. Ignored by the channel matrix and by
+	// blocking Run (a goroutine per PE either way). Execution results and
+	// metering are independent of w (pinned by the differential tests); w
+	// only trades host parallelism against resident memory.
 	Workers int
-	// Remote windows a BackendWire machine to its process-local
-	// contiguous rank range (required for BackendWire, ignored
-	// otherwise). See BackendWire.
+	// Remote, when set, windows a BackendMailbox machine to its
+	// process-local contiguous rank range. See Remote.
 	Remote *Remote
 }
 
-// Remote describes the local rank window of one process of a
-// BackendWire machine and the transport hook for everything outside it.
+// Remote makes a mailbox machine one process of a multi-process machine:
+// it owns only the contiguous local rank window [Lo, Hi) of the full
+// p-PE machine and hands every message addressed outside the window to
+// Forward — the seam internal/wire plugs its socket transport into.
+// Incoming cross-process messages are injected with Machine.Deliver.
+// Metering is unchanged: the sender stamps depart before the frame
+// leaves, the frame carries the stamp, and the receiver folds the α/β
+// receive rule against it, so results and per-PE meters are bit-identical
+// to an in-process machine.
 type Remote struct {
 	// Lo, Hi bound the local window [Lo, Hi): this process constructs
 	// boxes, PEs and scheduler state for exactly these ranks.
@@ -170,8 +164,7 @@ func MatrixConfig(p int) Config {
 
 // SchedWorkers resolves the mailbox scheduler width w for cfg: the
 // explicit cfg.Workers clamped to [1, p], or min(GOMAXPROCS·8, p) when
-// unset. Returns 0 for the channel matrix (which binds one goroutine per
-// PE for the duration of each Run).
+// unset. Returns 0 for the channel matrix, which has no scheduler.
 func SchedWorkers(cfg Config) int {
 	if cfg.Backend == BackendChannelMatrix {
 		return 0
@@ -184,9 +177,9 @@ func SchedWorkers(cfg Config) int {
 }
 
 // localP is the number of PEs this process hosts: the Remote window for
-// a wire machine, all of cfg.P otherwise.
+// a windowed machine, all of cfg.P otherwise.
 func localP(cfg Config) int {
-	if cfg.Backend == BackendWire && cfg.Remote != nil {
+	if cfg.Remote != nil {
 		return cfg.Remote.Hi - cfg.Remote.Lo
 	}
 	return cfg.P
@@ -200,7 +193,7 @@ func localP(cfg Config) int {
 func QueueBytes(cfg Config) int64 {
 	p := int64(cfg.P)
 	switch cfg.Backend {
-	case BackendMailbox, BackendWire:
+	case BackendMailbox:
 		const boxBytes = int64(unsafe.Sizeof(mailbox.Box{})) + 16 // box + slice slot + pointer
 		return int64(localP(cfg)) * boxBytes
 	default:
@@ -218,13 +211,15 @@ func QueueBytes(cfg Config) int64 {
 
 // MachineBytes estimates the full resident cost of a machine for cfg:
 // the message queues (QueueBytes) plus the per-PE handles and, on the
-// mailbox backend, the scheduler state — shard bookkeeping and up to w
-// idle goroutine stacks. The channel matrix is instead charged the p
-// goroutine stacks each Run binds for its duration. This is the number
-// the scaling harness budgets against (QueueBytes alone flatters a
-// backend whose queues are small but whose runtime state is not), and a
-// test pins it against the measured live heap. Transient run state —
-// bodies parked mid-collective — is workload-dependent and not included.
+// mailbox backend, the scheduler state — shard bookkeeping and the w
+// worker goroutine stacks. The channel matrix, which has no resident
+// goroutines, is instead charged the p stacks a run binds. This is the
+// number the scaling harness budgets against (QueueBytes alone flatters
+// a backend whose queues are small but whose runtime state is not), and
+// a test pins it against the measured live heap. Run state is not
+// included: in-flight messages are workload-dependent, and a blocking
+// Run adds a goroutine stack per local PE on either backend until it
+// returns.
 func MachineBytes(cfg Config) int64 {
 	p := int64(localP(cfg))
 	peBytes := int64(unsafe.Sizeof(PE{})) + 8 // handle + slice slot
@@ -256,9 +251,8 @@ type Machine struct {
 	// destination box under the ExternalSrc rank.
 	ext []chan message
 	pes []*PE
-	// lo is the first local rank (0 except on BackendWire, where the
-	// machine owns only the Remote window and pes/boxes are indexed by
-	// rank−lo).
+	// lo is the first local rank (0 except on a windowed machine, which
+	// owns only the Remote window and indexes pes/boxes by rank−lo).
 	lo int
 
 	// Pooled communication-context allocator (NewContext/ReleaseContext):
@@ -269,21 +263,18 @@ type Machine struct {
 	ctxFree []Ctx
 	ctxNext uint32
 
-	// Mailbox-backend run machinery: the sharded scheduler (w shards
-	// multiplexing the p PE bodies; goroutines spawn lazily and at most w
-	// stay resident, torn down by Close or the finalizer), the per-rank
-	// exec wrappers (one closure each per machine, so steady-state Run
-	// and RunAsync dispatch allocate nothing), and the bodies they
-	// dispatch (runBody for blocking Run, asyncStart for RunAsync).
+	// Mailbox-backend RunAsync machinery: the sharded scheduler (w workers
+	// driving the p steppers; they spawn on the first RunAsync and stay
+	// until Close or the finalizer), the per-rank exec wrapper (one method
+	// value per machine, so steady-state dispatch allocates nothing), and
+	// the start function of the run in progress (nil outside RunAsync).
 	sched      *mailbox.Sched
-	exec       func(rank int) bool
 	execAsync  func(rank int) bool
-	runBody    func(pe *PE)
 	asyncStart func(pe *PE) Stepper
 	closeOnce  sync.Once
 
-	// Mailbox-backend aggregate statistics, folded in by each worker when
-	// its body completes (O(1) Stats instead of an O(p) scan).
+	// Aggregate statistics, folded in as each PE's body ends (O(1) Stats
+	// instead of an O(p) scan).
 	aggMu sync.Mutex
 	agg   Stats
 
@@ -306,10 +297,9 @@ func NewMachine(cfg Config) *Machine {
 		cfg.ChanCap = 64
 	}
 	lo := 0
-	if cfg.Backend == BackendWire {
-		r := cfg.Remote
-		if r == nil || r.Forward == nil || r.Lo < 0 || r.Hi <= r.Lo || r.Hi > cfg.P {
-			panic("comm: BackendWire requires Config.Remote with a valid [Lo, Hi) window and Forward hook")
+	if r := cfg.Remote; r != nil {
+		if cfg.Backend != BackendMailbox || r.Forward == nil || r.Lo < 0 || r.Hi <= r.Lo || r.Hi > cfg.P {
+			panic("comm: Config.Remote requires BackendMailbox, a valid [Lo, Hi) window and a Forward hook")
 		}
 		lo = r.Lo
 	}
@@ -327,8 +317,8 @@ func NewMachine(cfg Config) *Machine {
 			m.boxes[i] = mailbox.New()
 		}
 		m.sched = mailbox.NewSched(nLocal, SchedWorkers(cfg))
-		// Send indexes sendBoxes by global destination rank; on the wire
-		// backend the non-local entries stay nil and Send falls through to
+		// Send indexes sendBoxes by global destination rank; on a windowed
+		// machine the non-local entries stay nil and Send falls through to
 		// the Remote.Forward transport hook.
 		if lo == 0 && nLocal == cfg.P {
 			sendBoxes = m.boxes
@@ -350,16 +340,14 @@ func NewMachine(cfg Config) *Machine {
 		}
 	}
 	for i := 0; i < nLocal; i++ {
-		pe := &PE{m: m, rank: lo + i, sidx: i, p: cfg.P, alpha: cfg.Alpha, beta: cfg.Beta}
+		pe := &PE{m: m, rank: lo + i, p: cfg.P, alpha: cfg.Alpha, beta: cfg.Beta}
 		if m.boxes != nil {
 			pe.box = m.boxes[i]
 			pe.sendBoxes = sendBoxes
-			pe.sched = m.sched
 		}
 		m.pes[i] = pe
 	}
 	if m.sched != nil {
-		m.exec = m.execRank
 		m.execAsync = m.execAsyncRank
 		// Suspended continuation bodies (RunAsync) are resumed through the
 		// box notify → scheduler ready-queue path; all boxes share the one
@@ -370,7 +358,7 @@ func NewMachine(cfg Config) *Machine {
 		}
 		// An idle scheduler goroutine references only the scheduler, never
 		// the machine, so the finalizer fires once callers drop the machine
-		// and releases the spare pool.
+		// and releases the workers.
 		runtime.SetFinalizer(m, (*Machine).shutdown)
 	}
 	return m
@@ -431,45 +419,45 @@ type abortedError struct{}
 
 func (abortedError) Error() string { return "comm: aborted because another PE failed" }
 
-// Run executes body on every PE concurrently (SPMD) and blocks until all
-// PEs return. If any PE panics, all PEs are unblocked and Run returns the
-// first panic as an error. Run may be called repeatedly on the same
-// machine; communication state must be drained (which it is whenever a
-// run completes without error, since tags are checked).
+// Run executes body on every local PE concurrently (SPMD) and blocks
+// until all of them return. If any PE panics, all PEs are unblocked and
+// Run returns the first panic as an error. Run may be called repeatedly
+// on the same machine; communication state must be drained (which it is
+// whenever a run completes without error, since tags are checked).
 //
-// On the channel matrix, each Run spawns p goroutines. On the mailbox
-// backend the sharded scheduler multiplexes the p bodies over w shards:
-// a Run whose bodies never block dispatches entirely on the resident
-// goroutines and allocates nothing in steady state (pinned by a test);
-// bodies that block in Recv park on their mailbox and transiently occupy
-// a goroutine each until the run completes.
+// Every PE gets its own goroutine for the duration of the run — a body
+// that blocks in Recv keeps its stack, the irreducible cost of blocking
+// semantics — so a run holds O(p) goroutines until it returns and none
+// afterwards. Programs that must stay at O(w) mid-run are written as
+// steppers and run under RunAsync.
 func (m *Machine) Run(body func(pe *PE)) error {
-	if m.sched != nil {
-		m.runBody = body
-		m.sched.Run(m.exec)
-		m.runBody = nil
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(m.cfg.P)
-		for i := 0; i < m.cfg.P; i++ {
-			pe := m.pes[i]
-			go func() {
-				defer wg.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						pe.resetAsync()
-						if _, ok := r.(abortedError); ok {
-							return // secondary failure; first cause already recorded
-						}
-						m.abortErr(fmt.Errorf("comm: PE %d panicked: %v\n%s", pe.rank, r, debug.Stack()))
-					}
-				}()
-				body(pe)
+	var wg sync.WaitGroup
+	wg.Add(len(m.pes))
+	for _, pe := range m.pes {
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					m.bodyPanicked(pe, r)
+				}
+				m.foldStats(pe)
 			}()
-		}
-		wg.Wait()
+			body(pe)
+		}()
 	}
+	wg.Wait()
 	return m.finishRun()
+}
+
+// bodyPanicked handles the recovered panic r of pe's body, blocking or
+// stepper: drop the PE's posted receives and turn the panic into a
+// machine abort. An abortedError is a secondary failure — the first
+// cause is already recorded.
+func (m *Machine) bodyPanicked(pe *PE, r any) {
+	pe.resetAsync()
+	if _, ok := r.(abortedError); !ok {
+		m.abortErr(fmt.Errorf("comm: PE %d panicked: %v\n%s", pe.rank, r, debug.Stack()))
+	}
 }
 
 // finishRun collects a run's first error and, on failure, restores the
@@ -510,32 +498,10 @@ func (m *Machine) finishRun() error {
 	return err
 }
 
-// execRank is the mailbox backend's per-rank run wrapper for blocking
-// bodies: dispatch the body, convert panics into machine aborts, and
-// fold this PE's counter deltas into the aggregate. Created once per
-// machine so Run stays allocation-free. Blocking bodies always complete
-// within one exec call (they park goroutines instead of suspending), so
-// it always reports done.
-func (m *Machine) execRank(rank int) (done bool) {
-	pe := m.pes[rank]
-	defer func() {
-		if r := recover(); r != nil {
-			pe.resetAsync()
-			done = true // the rank is finished (it failed); never suspended
-			if _, ok := r.(abortedError); !ok {
-				m.abortErr(fmt.Errorf("comm: PE %d panicked: %v\n%s", pe.rank, r, debug.Stack()))
-			}
-		}
-		m.foldStats(pe)
-	}()
-	m.runBody(pe)
-	return true
-}
-
-// foldStats folds pe's monotone counters into the machine aggregate —
-// the mailbox backend's incremental statistics. Deltas (for the totals)
-// use per-PE shadows of the last folded values; the maxima need none
-// because per-PE counters only grow between ResetStats calls.
+// foldStats folds pe's monotone counters into the machine aggregate.
+// Deltas (for the totals) use per-PE shadows of the last folded values;
+// the maxima need none because per-PE counters only grow between
+// ResetStats calls.
 func (m *Machine) foldStats(pe *PE) {
 	m.aggMu.Lock()
 	m.agg.TotalWords += pe.sentWords - pe.foldedSentWords
@@ -625,7 +591,7 @@ func (m *Machine) Post(dst int, ctx Ctx, tag Tag, data any, words int64) {
 }
 
 // Deliver injects a transport-delivered message for local rank dst — the
-// receive half of the BackendWire seam: the wire reader decodes a frame
+// receive half of the Remote seam: the wire reader decodes a frame
 // and hands its envelope here, after which keyed demux, IRecv binding and
 // the metered receive rule proceed exactly as for an in-process send (the
 // message carries the sender's depart stamp across the process boundary).
@@ -645,7 +611,7 @@ func (m *Machine) Deliver(dst int, msg mailbox.Msg) {
 func (m *Machine) AbortExternal(err error) { m.abortErr(err) }
 
 // LocalRanks returns the machine's local rank window [lo, hi): the full
-// [0, P) except on BackendWire, where it is the Config.Remote window.
+// [0, P) except on a windowed machine, where it is Config.Remote's.
 func (m *Machine) LocalRanks() (lo, hi int) { return m.lo, m.lo + len(m.pes) }
 
 // MustRun is Run but panics on error. Intended for examples and benches.
@@ -693,28 +659,12 @@ func (s Stats) BottleneckWords() int64 {
 	return max(s.MaxSentWords, s.MaxRecvWords)
 }
 
-// Stats returns aggregate counters. Only meaningful between Runs. On the
-// mailbox backend this reads the incrementally folded aggregate in O(1);
-// the channel matrix scans its p PEs.
+// Stats returns aggregate counters. Only meaningful between Runs. It
+// reads the aggregate every body folds into as it ends, so it is O(1).
 func (m *Machine) Stats() Stats {
-	if m.sched != nil {
-		m.aggMu.Lock()
-		s := m.agg
-		m.aggMu.Unlock()
-		return s
-	}
-	var s Stats
-	for _, pe := range m.pes {
-		s.TotalWords += pe.sentWords
-		s.TotalSends += pe.sends
-		s.MaxSentWords = max(s.MaxSentWords, pe.sentWords)
-		s.MaxRecvWords = max(s.MaxRecvWords, pe.recvWords)
-		s.MaxSends = max(s.MaxSends, pe.sends)
-		if pe.clock > s.MaxClock {
-			s.MaxClock = pe.clock
-		}
-	}
-	return s
+	m.aggMu.Lock()
+	defer m.aggMu.Unlock()
+	return m.agg
 }
 
 // PE is one processing element's handle, valid only inside the goroutine
@@ -723,10 +673,6 @@ func (m *Machine) Stats() Stats {
 type PE struct {
 	m    *Machine
 	rank int
-	// sidx is the scheduler-local index (rank − machine window lo): what
-	// the mailbox scheduler and box-notify path know this PE as. Equal to
-	// rank everywhere except BackendWire.
-	sidx int
 	p    int
 
 	// alpha/beta are copied from the machine config so the Send/Recv hot
@@ -735,13 +681,10 @@ type PE struct {
 	beta  float64
 
 	// Mailbox backend: box is this PE's own intake, sendBoxes the
-	// machine-wide slice indexed by destination, sched the sharded
-	// scheduler a blocking Recv must notify (driver hand-off). All nil on
-	// the channel matrix (the Send/Recv dispatch tests box/sendBoxes, not
-	// config).
+	// machine-wide slice indexed by destination. Both nil on the channel
+	// matrix (the Send/Recv dispatch tests box/sendBoxes, not config).
 	box       *mailbox.Box
 	sendBoxes []*mailbox.Box
-	sched     *mailbox.Sched
 
 	clock     float64
 	sentWords int64
@@ -751,7 +694,7 @@ type PE struct {
 	waitNs    int64
 
 	// foldedSentWords/foldedSends shadow the last values folded into the
-	// machine aggregate (mailbox backend incremental stats).
+	// machine aggregate.
 	foldedSentWords int64
 	foldedSends     int64
 
@@ -930,7 +873,7 @@ func (pe *PE) Send(dst int, tag Tag, data any, words int64) {
 	pe.sends++
 	if pe.sendBoxes != nil {
 		// Mailbox backend: intake is unbounded, so sends never block and
-		// need no abort watch. A nil box entry (wire backend, non-local
+		// need no abort watch. A nil box entry (windowed machine, non-local
 		// destination) routes through the transport hook instead; the
 		// frame carries the depart stamp so the receiver's meter folds
 		// identically to a local delivery.
@@ -965,8 +908,7 @@ func (pe *PE) Send(dst int, tag Tag, data any, words int64) {
 // IRecv followed by Wait (literally — the handle comes from the per-PE
 // pool, so the sugar allocates nothing): posting binds an
 // already-delivered message eagerly, Wait parks only when the message
-// has not arrived (handing the shard driver role off first on the
-// mailbox backend), and the meter — the single-ported α+βm clock rule, a
+// has not arrived, and the meter — the single-ported α+βm clock rule, a
 // coordinator draining p−1 messages therefore paying Θ(p·(α+βm)) of
 // modeled time — folds at Wait.
 func (pe *PE) Recv(src int, tag Tag) (any, int64) {

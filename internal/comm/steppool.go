@@ -8,10 +8,10 @@ import "reflect"
 // counters, posted handle, captured round state, and the Seq that chains
 // its collectives. Allocating that state per operation costs ~1.2 KB per
 // PE per collectives op — irrelevant at small p, but at p = 131072 it is
-// ~150 MB of garbage per op, and the GC drag eats most of the park-churn
-// win continuation scheduling buys (the PR 4 measurement). The freelists
-// here make steady-state RunAsync dispatch allocation-free, like blocking
-// Run: a stepper factory pops its state struct from the PE's typed
+// ~150 MB of garbage per op, and the GC drag eats most of what
+// continuation scheduling saves over a goroutine per PE. The freelists
+// here make steady-state RunAsync dispatch allocation-free: a stepper
+// factory pops its state struct from the PE's typed
 // freelist, fully reinitializes it, and the stepper pushes it back when
 // its protocol completes.
 //

@@ -223,9 +223,8 @@ func TestBackendDifferential(t *testing.T) {
 
 // TestBackendDifferentialShardedScheduler pins the sharded scheduler
 // against the channel-matrix reference in the multiplexed regime — far
-// fewer shards than PEs (w = 4, p = 64, so every shard queue is 16 deep
-// and every collective forces driver hand-offs) plus the degenerate
-// single-shard machine. Results and metered statistics must be
+// fewer shards than PEs (w = 4, p = 64, so every shard is 16 ranks deep)
+// plus the degenerate single-shard machine. Results and metered statistics must be
 // bit-identical: scheduling order may differ wildly, but the per-PE RNG
 // streams, per-sender FIFO delivery, and above-transport metering make
 // every observable deterministic.

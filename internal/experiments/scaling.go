@@ -105,9 +105,9 @@ func sumInt64(a, b int64) int64 { return a + b }
 // identical message schedule (words/PE, startups/PE and modeled clock
 // are pinned equal by the differential suite) run through
 // comm.RunAsync, so a PE waiting mid-collective suspends as data instead
-// of parking a goroutine. At large p this is where the park/hand-off
-// churn — the dominant host cost of the blocking form — disappears; the
-// suite records both forms so the A/B is in every report. Since PR 5 the
+// of parking a goroutine. At large p this is where the goroutine per PE —
+// the dominant host cost of the blocking form — disappears; the suite
+// records both forms so the A/B is in every report. Since PR 5 the
 // stepper state (and the comm.SeqP composition) is pooled per PE, so the
 // op allocates like the blocking form instead of feeding the GC ~1.2 KB
 // per PE per op — the drag that ate the continuation win at p = 131072.
@@ -253,8 +253,8 @@ func measureScalingRuns(m *comm.Machine, iters int, run func()) (nsPerOp float64
 	return float64(elapsed.Nanoseconds()) / float64(iters), s
 }
 
-// residentGoroutines waits briefly for transient run goroutines (parked
-// PE bodies) to retire and returns the settled process goroutine count —
+// residentGoroutines waits briefly for the goroutines of a blocking run
+// (one per PE body) to retire and returns the settled process goroutine count —
 // the number a resident machine pins between runs.
 func residentGoroutines(bound int) int {
 	deadline := time.Now().Add(3 * time.Second)
@@ -274,7 +274,7 @@ const ScalingQuickPMax = 4096
 // ScalingSuite runs the scaling workloads for every p in pList on both
 // backends, refusing configurations whose estimated machine memory
 // exceeds budget. quick selects the CI tier: runs/op drop to 1 and the
-// blocking park-churn A/B twins are skipped (callers should also cap
+// blocking A/B twins are skipped (callers should also cap
 // pList at ScalingQuickPMax).
 func ScalingSuite(pList []int, budget int64, quick bool) []ScalingRow {
 	var out []ScalingRow
@@ -356,7 +356,7 @@ func scalingRun(p int, backend comm.Backend, budget int64, quick bool) []Scaling
 	// Collectives workload. On the mailbox backend the primary entry runs
 	// the continuation form (the async API is how collectives are meant to
 	// run at scale since PR 4); the "/blocking" twin measures the same op
-	// through blocking bodies — the park-churn A/B — and is skipped in the
+	// through blocking bodies (a goroutine per PE) and is skipped in the
 	// quick tier. The channel matrix keeps the blocking form (its RunAsync
 	// is the naive blocking drive anyway).
 	if backend == comm.BackendMailbox {
@@ -436,8 +436,8 @@ func scalingRun(p int, backend comm.Backend, budget int64, quick bool) []Scaling
 	// Table-1 unsorted selection. Since PR 5 the mailbox primary runs the
 	// full selection skeleton continuation-scheduled (sel.KthStep under
 	// comm.RunAsync — the whole Table-1 pipeline at O(w) mid-run
-	// goroutines); the "/blocking" twin is the park-churn A/B, skipped in
-	// the quick tier. Fixed pivot seed: every measured run takes the same
+	// goroutines); the "/blocking" twin is the goroutine-per-PE A/B,
+	// skipped in the quick tier. Fixed pivot seed: every measured run takes the same
 	// communication path, so the per-op stats are exact rather than
 	// averaged estimates.
 	perPE := scalingSelPerPE(p)
@@ -531,7 +531,7 @@ func scalingRun(p int, backend comm.Backend, budget int64, quick bool) []Scaling
 func ScalingTable(pmax int, quick bool) Table {
 	t := Table{
 		Title: "Scaling: collectives, gathers (chunked + strided s sweep) and Table-1 selection at large p, continuation-scheduled with blocking A/B twins (mailbox vs channel matrix)",
-		Notes: fmt.Sprintf("memory budget %.1f GiB for up-front machine allocation (comm.MachineBytes); over-budget configs are refused\ncollectives op = broadcast + all-reduce + prefix sum + barrier; all mailbox primaries run continuation-scheduled via comm.RunAsync on pooled stepper state, /blocking twins = park-churn A/B\ngather ops: chunked all-gather (m=%d, chunk=%d) + chunked hypercube A2A; strided gather swept over s=%v sources/PE (movement p·s·m; unsuffixed entry = s=%d)\nselection: sel.KthStep, k=n/2, n/p=2^10 through p=2^14 then reduced (scalingSelPerPE); goroutines = resident process count with the machine live (w = scheduler width)",
+		Notes: fmt.Sprintf("memory budget %.1f GiB for up-front machine allocation (comm.MachineBytes); over-budget configs are refused\ncollectives op = broadcast + all-reduce + prefix sum + barrier; all mailbox primaries run continuation-scheduled via comm.RunAsync on pooled stepper state, /blocking twins = the same op as blocking bodies, a goroutine per PE\ngather ops: chunked all-gather (m=%d, chunk=%d) + chunked hypercube A2A; strided gather swept over s=%v sources/PE (movement p·s·m; unsuffixed entry = s=%d)\nselection: sel.KthStep, k=n/2, n/p=2^10 through p=2^14 then reduced (scalingSelPerPE); goroutines = resident process count with the machine live (w = scheduler width)",
 			float64(ScalingMemBudgetBytes)/(1<<30), gatherBlockLen, scalingGatherChunk, scalingStridedSweep, scalingStridedSamples),
 		Header: []string{"workload", "p", "backend", "ns/op", "words/PE", "start/PE", "T_model", "machine MB", "w", "goroutines"},
 	}

@@ -10,7 +10,7 @@ import (
 // payloads plus the uint64 selection set the shard top-k selection
 // gathers. Call it from the shared registration package (see
 // internal/wire/wireprogs) of every binary that runs freq programs on
-// comm.BackendWire; idempotent.
+// a windowed (comm.Remote) machine; idempotent.
 func RegisterWireCodecs() {
 	dht.RegisterWireCodecs()
 	sel.RegisterWireCodecs[uint64]("u64")

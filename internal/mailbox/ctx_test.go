@@ -217,9 +217,9 @@ func TestShardedReadyQueueResumes(t *testing.T) {
 }
 
 // TestShardedReadyStealing pins the work-stealing pop: ranks resumed in
-// a shard whose own worker is blocked inside a body must be picked up by
-// another shard's driver (or an idle worker) — the fairness property the
-// per-shard split must not lose.
+// a shard whose own worker is busy or parked must be picked up by
+// whichever worker wakes — the fairness property the per-shard split
+// must not lose.
 func TestShardedReadyStealing(t *testing.T) {
 	const p, w = 8, 4 // shard size 2: rank 0,1 → shard 0, …
 	boxes := make([]*Box, p)
@@ -262,4 +262,11 @@ func TestShardedReadyStealing(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("sharded ready queues stranded a resumed rank")
 	}
+}
+
+// armedOn reports whether b is armed (test-only peek).
+func armedOn(b *Box) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.armed) > 0
 }

@@ -164,78 +164,6 @@ func TestSchedCloseReleasesGoroutines(t *testing.T) {
 	t.Errorf("goroutines not released: before=%d after=%d", before, runtime.NumGoroutine())
 }
 
-// TestSchedResidentGoroutinesBounded pins the tentpole claim at the
-// scheduler layer: between runs, a scheduler for p ranks keeps at most w
-// idle goroutines, no matter how many bodies parked during the run.
-func TestSchedResidentGoroutinesBounded(t *testing.T) {
-	const p, w = 2048, 4
-	before := runtime.NumGoroutine()
-	boxes := make([]*Box, p)
-	for i := range boxes {
-		boxes[i] = New()
-	}
-	sc := NewSched(p, w)
-	defer sc.Close()
-	// A ring in which every rank first waits for its predecessor: rank 0
-	// unblocks the cascade, so nearly every body parks once.
-	for round := 0; round < 3; round++ {
-		sc.Run(func(rank int) bool {
-			if rank > 0 {
-				if _, ok := boxes[rank].TryTake(rank - 1); !ok {
-					sc.WillPark(rank)
-					if _, ok := boxes[rank].Take(rank - 1); !ok {
-						t.Error("unexpected interrupt")
-					}
-				}
-			}
-			if rank+1 < p {
-				boxes[rank+1].Put(Msg{Src: rank})
-			}
-			return true
-		})
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	var after int
-	for time.Now().Before(deadline) {
-		if after = runtime.NumGoroutine(); after <= before+w+1 {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Errorf("resident goroutines not O(w): before=%d after=%d (w=%d, p=%d)", before, after, w, p)
-}
-
-// TestSchedParkUnparkStress is the -race stress for the driver hand-off:
-// many ranks over few shards, every body blocking on a pseudo-random
-// partner so driver roles bounce between goroutines, repeated across
-// runs so spares are spawned, reused, and retired.
-func TestSchedParkUnparkStress(t *testing.T) {
-	const p, w, rounds = 64, 3, 20
-	boxes := make([]*Box, p)
-	for i := range boxes {
-		boxes[i] = New()
-	}
-	sc := NewSched(p, w)
-	defer sc.Close()
-	for round := 0; round < rounds; round++ {
-		shift := 1 + round%(p-1)
-		sc.Run(func(rank int) bool {
-			dst := (rank + shift) % p
-			src := (rank - shift + p) % p
-			boxes[dst].Put(Msg{Src: rank, Tag: uint64(round)})
-			m, ok := boxes[rank].TryTake(src)
-			if !ok {
-				sc.WillPark(rank)
-				m, ok = boxes[rank].Take(src)
-			}
-			if !ok || m.Tag != uint64(round) {
-				t.Errorf("round %d rank %d: got %+v ok=%v", round, rank, m, ok)
-			}
-			return true
-		})
-	}
-}
-
 // TestArmFiresNotifyOnPut pins the Arm contract: a queued message makes
 // Arm refuse (consumer proceeds synchronously); otherwise the next Put
 // from the armed sender fires notify exactly once, and traffic from other
@@ -348,44 +276,6 @@ func TestSchedContinuationSuspendResume(t *testing.T) {
 	}
 }
 
-// TestSchedSpillOnPark pins the batched-pop hand-off: a driver that
-// parks mid-batch must spill its claimed remainder so the hand-off
-// recipient runs every rank exactly once.
-func TestSchedSpillOnPark(t *testing.T) {
-	const p, w = 64, 1 // one shard: every batch remainder must be spilled
-	boxes := make([]*Box, p)
-	for i := range boxes {
-		boxes[i] = New()
-	}
-	sc := NewSched(p, w)
-	defer sc.Close()
-	hits := make([]atomic.Int32, p)
-	for round := 0; round < 5; round++ {
-		sc.Run(func(rank int) bool {
-			hits[rank].Add(1)
-			// Every rank waits for its successor: with one shard the driver
-			// parks on (nearly) every body, exercising spill on every batch.
-			if rank < p-1 {
-				if _, ok := boxes[rank].TryTake(rank + 1); !ok {
-					sc.WillPark(rank)
-					if _, ok := boxes[rank].Take(rank + 1); !ok {
-						t.Error("unexpected interrupt")
-					}
-				}
-			}
-			if rank > 0 {
-				boxes[rank-1].Put(Msg{Src: rank})
-			}
-			return true
-		})
-	}
-	for r := range hits {
-		if got := hits[r].Load(); got != 5 {
-			t.Errorf("rank %d ran %d times, want 5", r, got)
-		}
-	}
-}
-
 // TestSchedContinuationStress is the -race stress for suspend/resume at
 // w < p: pseudo-random partner shifts, bodies suspending as continuations
 // and resuming on arbitrary workers, repeated across runs.
@@ -476,137 +366,5 @@ func TestSchedContinuationResumeReuse(t *testing.T) {
 	}
 	if got, want := delivered.Load(), int64(rounds*p*hops); got != want {
 		t.Fatalf("delivered %d messages, want %d", got, want)
-	}
-}
-
-// TestReadyQueueHandOffWhenRolelessBodyBlocks pins the WillPark path for
-// a body with no driver role (resumed via the ready queue): if it blocks
-// while another resumed rank is waiting in the ready queue, the draining
-// duty must be handed off — at w = 1 there is no other goroutine to pick
-// the queue up, and without the hand-off this shape deadlocks.
-func TestReadyQueueHandOffWhenRolelessBodyBlocks(t *testing.T) {
-	const p, w = 2, 1
-	boxes := [p]*Box{New(), New()}
-	sc := NewSched(p, w)
-	defer sc.Close()
-	for i := range boxes {
-		boxes[i].SetNotify(i, sc.Ready)
-	}
-	var phase [p]int
-	go func() {
-		// Let both bodies suspend and the sole worker park, then resume
-		// rank 0 first and rank 1 behind it.
-		time.Sleep(20 * time.Millisecond)
-		boxes[0].Put(Msg{Src: 1, Tag: 1})
-		boxes[1].Put(Msg{Src: 0, Tag: 1})
-	}()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		sc.Run(func(rank int) bool {
-			other := 1 - rank
-			if phase[rank] == 0 {
-				phase[rank] = 1
-				if boxes[rank].Arm(other) {
-					return false
-				}
-			}
-			if _, ok := boxes[rank].TryTake(other); !ok {
-				t.Errorf("rank %d resumed without its message", rank)
-			}
-			if rank == 0 {
-				// Wait until rank 1 is queued behind us, then block on a
-				// message only rank 1 will send: the role-less WillPark must
-				// hand the ready queue off or nothing ever runs rank 1.
-				for sc.readyCount.Load() == 0 {
-					runtime.Gosched()
-				}
-				sc.WillPark(rank)
-				if m, ok := boxes[0].Take(1); !ok || m.Tag != 2 {
-					t.Errorf("second take: %+v ok=%v", m, ok)
-				}
-			} else {
-				boxes[0].Put(Msg{Src: 1, Tag: 2})
-			}
-			return true
-		})
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("deadlock: ready-queue hand-off from role-less parked body missing")
-	}
-}
-
-// armedOn reports whether b is armed (test-only peek).
-func armedOn(b *Box) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.armed) > 0
-}
-
-// TestTransientExitHandsOffReadyQueue pins the off-duty check: a
-// transient goroutine finishing a formerly-parked body must not exit
-// while a freshly-resumed rank sits in the ready queue and every
-// permanent worker is blocked inside a body. Shape (w = 1): rank 0
-// blocks on rank 2 (occupying the sole worker), rank 1 blocks on rank 2
-// (occupying transient T1), rank 2 suspends as a continuation awaiting
-// rank 1's reply and its transient exits; rank 1's reply resumes rank 2
-// — whose Ready only T1's exit path can service, since the worker is
-// still blocked in rank 0.
-func TestTransientExitHandsOffReadyQueue(t *testing.T) {
-	const p, w = 3, 1
-	boxes := [p]*Box{New(), New(), New()}
-	sc := NewSched(p, w)
-	defer sc.Close()
-	for i := range boxes {
-		boxes[i].SetNotify(i, sc.Ready)
-	}
-	var phase2 int
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		sc.Run(func(rank int) bool {
-			switch rank {
-			case 0:
-				if _, ok := boxes[0].TryTake(2); !ok {
-					sc.WillPark(0)
-					if _, ok := boxes[0].Take(2); !ok {
-						t.Error("rank 0 interrupted")
-					}
-				}
-			case 1:
-				if _, ok := boxes[1].TryTake(2); !ok {
-					sc.WillPark(1)
-					if _, ok := boxes[1].Take(2); !ok {
-						t.Error("rank 1 interrupted")
-					}
-				}
-				// Reply only once rank 2 is provably suspended, so its
-				// resume cannot be serviced by rank 2's own goroutine.
-				for !armedOn(boxes[2]) {
-					runtime.Gosched()
-				}
-				boxes[2].Put(Msg{Src: 1})
-			default: // rank 2
-				if phase2 == 0 {
-					phase2 = 1
-					boxes[1].Put(Msg{Src: 2})
-					if boxes[2].Arm(1) {
-						return false
-					}
-				}
-				if _, ok := boxes[2].TryTake(1); !ok {
-					t.Error("rank 2 resumed without its reply")
-				}
-				boxes[0].Put(Msg{Src: 2})
-			}
-			return true
-		})
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("deadlock: ready queue stranded by an exiting transient goroutine")
 	}
 }

@@ -60,9 +60,9 @@ type listEntry struct {
 // produced the agg ECSum flake fixed in PR 2).
 type Data struct {
 	m      int
-	ids    []uint64    // insertion order
-	scores [][]float64 // aligned with ids
-	index  *dht.Table  // id → position in ids/scores
+	ids    []uint64      // insertion order
+	scores [][]float64   // aligned with ids
+	index  *dht.Table    // id → position in ids/scores
 	lists  [][]listEntry // per criterion, sorted by score descending
 	ranks  []*dht.Table  // per criterion: id → local rank (0-based)
 	ords   [][]uint64    // per criterion: ascending OrdDesc keys for selection

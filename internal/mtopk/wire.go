@@ -10,7 +10,8 @@ import (
 // float64 scalar carriers of the threshold/estimate reductions and the
 // int64 carriers of the size/above-threshold count reductions. Call it
 // from the shared registration package (see internal/wire/wireprogs) of
-// every binary that runs mtopk programs on comm.BackendWire; idempotent.
+// every binary that runs mtopk programs on a windowed (comm.Remote)
+// machine; idempotent.
 func RegisterWireCodecs() {
 	sel.RegisterWireCodecs[uint64]("u64")
 	sel.RegisterWireCodecs[int64]("i64")

@@ -33,18 +33,18 @@ import (
 
 // kthStep phases.
 const (
-	kphInit         = iota // start the global size sum
-	kphInitSum             // harvest n, validate k, set up the work window
-	kphLoop                // dispatch one recursion level
-	kphMinWait             // k == 1 base case: harvest the min-reduction
-	kphSolveGather         // gatherSolve: residual gathered, start the broadcast
-	kphSolveBcast          // gatherSolve: harvest the k-th element
-	kphPivGather           // sample gathered (root picked pivots), start broadcast
-	kphPivBcast            // harvest pivots; partition and start the count reduce
-	kphFallbackMin         // empty sample: harvest global min, start max reduce
-	kphFallbackMax         // empty sample: harvest global max, partition
-	kphCountsWait          // harvest (na, nb) and branch the recursion
-	kphPeelWait            // tie-peel: harvest the global tie count and branch
+	kphInit        = iota // start the global size sum
+	kphInitSum            // harvest n, validate k, set up the work window
+	kphLoop               // dispatch one recursion level
+	kphMinWait            // k == 1 base case: harvest the min-reduction
+	kphSolveGather        // gatherSolve: residual gathered, start the broadcast
+	kphSolveBcast         // gatherSolve: harvest the k-th element
+	kphPivGather          // sample gathered (root picked pivots), start broadcast
+	kphPivBcast           // harvest pivots; partition and start the count reduce
+	kphFallbackMin        // empty sample: harvest global min, start max reduce
+	kphFallbackMax        // empty sample: harvest global max, partition
+	kphCountsWait         // harvest (na, nb) and branch the recursion
+	kphPeelWait           // tie-peel: harvest the global tie count and branch
 	kphDone
 )
 

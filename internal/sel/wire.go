@@ -12,7 +12,7 @@ import (
 // collective set for K plus the tagged optional-value carrier the min/max
 // reductions use. Call it from the shared registration package (see
 // internal/wire/wireprogs) of every binary that runs sel or bpq programs
-// on comm.BackendWire; elemName is the on-wire identity of K and must
+// on a windowed (comm.Remote) machine; elemName is the on-wire identity of K and must
 // match across processes.
 func RegisterWireCodecs[K cmp.Ordered](elemName string) {
 	coll.RegisterWireCodecs[K](elemName)

@@ -15,14 +15,14 @@
 // rises with inflight depth while each query's metered words/sends stay
 // bit-identical to a sequential run — pinned by the differential test.
 //
-// Lifecycle: NewServer starts the machine body (RunAsync on the mailbox
-// backend; a blocking RunSteps body on the channel matrix, which serves
-// as the small-p differential reference) and the dispatcher. Submit
-// (Kth) is non-blocking admission: a full queue returns ErrOverloaded —
-// the caller sheds load instead of queueing unboundedly. Close drains,
-// posts a poison doorbell, and waits for the muxes to retire. The
-// machine itself stays owned by the caller (Close does not close it),
-// so one machine can outlive many server generations.
+// Lifecycle: NewServer starts the machine body (RunAsync, which on the
+// channel matrix — the small-p differential reference — drives the muxes
+// with blocking waits) and the dispatcher. Submit (Kth) is non-blocking
+// admission: a full queue returns ErrOverloaded — the caller sheds load
+// instead of queueing unboundedly. Close drains, posts a poison
+// doorbell, and waits for the muxes to retire. The machine itself stays
+// owned by the caller (Close does not close it), so one machine can
+// outlive many server generations.
 package serve
 
 import (
@@ -244,13 +244,7 @@ func NewServer[K cmp.Ordered](m *comm.Machine, shards [][]K, cfg Config) (*Serve
 	s.subQ = make(chan *query[K], s.cfg.QueueDepth)
 	s.sem = make(chan struct{}, s.cfg.MaxInflight)
 	go func() {
-		var err error
-		if m.Config().Backend == comm.BackendMailbox {
-			err = m.RunAsync(func(pe *comm.PE) comm.Stepper { return newMux(s, pe) })
-		} else {
-			err = m.Run(func(pe *comm.PE) { comm.RunSteps(pe, newMux(s, pe)) })
-		}
-		s.runErr = err
+		s.runErr = m.RunAsync(func(pe *comm.PE) comm.Stepper { return newMux(s, pe) })
 		close(s.runDone)
 	}()
 	go s.dispatch()

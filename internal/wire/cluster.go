@@ -28,9 +28,6 @@ type Config struct {
 	Alpha float64
 	Beta  float64
 	Seed  int64
-	// Workers is the per-process mailbox scheduler width
-	// (comm.Config.Workers).
-	Workers int
 	// Network/Addr select the rendezvous transport: "unix" (default) with
 	// a socket in a fresh temp dir, or "tcp" on 127.0.0.1:0 — the same
 	// dialer seam either way. Addr overrides the listen address.
@@ -148,9 +145,8 @@ func Spawn(cfg Config) (*Cluster, error) {
 	_, hi0 := GroupBounds(cfg.P, cfg.Procs, 0)
 	c.m = comm.NewMachine(comm.Config{
 		P: cfg.P, Alpha: cfg.alphaOrDefault(), Beta: cfg.betaOrDefault(),
-		Seed: cfg.seedOrDefault(), Backend: comm.BackendWire,
-		Workers: cfg.Workers,
-		Remote:  &comm.Remote{Lo: 0, Hi: hi0, Forward: c.forward},
+		Seed: cfg.seedOrDefault(), Backend: comm.BackendMailbox,
+		Remote: &comm.Remote{Lo: 0, Hi: hi0, Forward: c.forward},
 	})
 	return c, nil
 }
@@ -242,7 +238,7 @@ func (c *Cluster) rendezvous() error {
 		w := welcome{
 			P: c.p, Procs: c.procs, Lo: lo, Hi: hi,
 			Alpha: c.cfg.alphaOrDefault(), Beta: c.cfg.betaOrDefault(),
-			Seed: c.cfg.seedOrDefault(), Workers: c.cfg.Workers,
+			Seed: c.cfg.seedOrDefault(),
 		}
 		if err := writeFrame(conn, appendWelcome(nil, w)); err != nil {
 			conn.Close()

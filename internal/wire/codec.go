@@ -1,5 +1,5 @@
-// Package wire is the multi-process transport behind comm.BackendWire:
-// the machine's p PEs are split into contiguous groups, one OS process
+// Package wire is the multi-process transport behind comm.Remote: the
+// machine's p PEs are split into contiguous groups, one OS process
 // per group, connected by length-prefixed frames over Unix-domain
 // sockets (TCP via the same dialer seam). The leader process runs group
 // 0 and relays frames between workers (hub topology: every worker holds
@@ -93,14 +93,14 @@ func readFrame(r io.Reader) ([]byte, error) {
 // registered payload codecs are built from.
 type Enc struct{ b []byte }
 
-func (e *Enc) U8(v byte)      { e.b = append(e.b, v) }
-func (e *Enc) U32(v uint32)   { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
-func (e *Enc) U64(v uint64)   { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-func (e *Enc) I64(v int64)    { e.U64(uint64(v)) }
-func (e *Enc) F64(v float64)  { e.U64(math.Float64bits(v)) }
-func (e *Enc) Raw(p []byte)   { e.b = append(e.b, p...) }
-func (e *Enc) Str(s string)   { e.U64(uint64(len(s))); e.b = append(e.b, s...) }
-func (e *Enc) Bytes() []byte  { return e.b }
+func (e *Enc) U8(v byte)     { e.b = append(e.b, v) }
+func (e *Enc) U32(v uint32)  { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
+func (e *Enc) U64(v uint64)  { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
+func (e *Enc) I64(v int64)   { e.U64(uint64(v)) }
+func (e *Enc) F64(v float64) { e.U64(math.Float64bits(v)) }
+func (e *Enc) Raw(p []byte)  { e.b = append(e.b, p...) }
+func (e *Enc) Str(s string)  { e.U64(uint64(len(s))); e.b = append(e.b, s...) }
+func (e *Enc) Bytes() []byte { return e.b }
 
 // Dec consumes primitive values from a frame body. Every read validates
 // the remaining length; the first failure latches Err and all subsequent

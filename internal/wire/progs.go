@@ -58,7 +58,6 @@ func RunLocal(cfg Config, prog string, args []uint64) ([]uint64, comm.Stats, err
 	m := comm.NewMachine(comm.Config{
 		P: cfg.P, Alpha: cfg.alphaOrDefault(), Beta: cfg.betaOrDefault(),
 		Seed: cfg.Seed, Backend: comm.BackendMailbox,
-		Workers: cfg.Workers,
 	})
 	defer m.Close()
 	results := make([]uint64, cfg.P)

@@ -100,13 +100,12 @@ func decodeHello(body []byte) (int, error) {
 // the global machine shape, its own rank window, and the shared seed —
 // the rendezvous rank-map exchange and seed distribution in one frame.
 type welcome struct {
-	P       int
-	Procs   int
-	Lo, Hi  int
-	Alpha   float64
-	Beta    float64
-	Seed    int64
-	Workers int
+	P      int
+	Procs  int
+	Lo, Hi int
+	Alpha  float64
+	Beta   float64
+	Seed   int64
 }
 
 func appendWelcome(b []byte, w welcome) []byte {
@@ -119,7 +118,6 @@ func appendWelcome(b []byte, w welcome) []byte {
 	e.F64(w.Alpha)
 	e.F64(w.Beta)
 	e.I64(w.Seed)
-	e.U32(uint32(w.Workers))
 	return e.Bytes()
 }
 
@@ -136,7 +134,6 @@ func decodeWelcome(body []byte) (welcome, error) {
 	w.Alpha = d.F64()
 	w.Beta = d.F64()
 	w.Seed = d.I64()
-	w.Workers = int(d.U32())
 	if d.Err() != nil {
 		return w, d.Err()
 	}

@@ -14,7 +14,7 @@ import (
 
 // Worker process side. A worker is launched by Spawn with the rendezvous
 // address and its group index in the environment; it dials the leader,
-// completes the handshake, builds a BackendWire machine over its rank
+// completes the handshake, builds a windowed mailbox machine over its rank
 // window, and then serves start frames until shutdown. Every frame it
 // sends goes to the leader, which delivers or relays (hub topology).
 
@@ -74,7 +74,7 @@ func WorkerMain(network, addr string, index int) int {
 	l := newLink(conn)
 	m := comm.NewMachine(comm.Config{
 		P: w.P, Alpha: w.Alpha, Beta: w.Beta, Seed: w.Seed,
-		Backend: comm.BackendWire, Workers: w.Workers,
+		Backend: comm.BackendMailbox,
 		Remote: &comm.Remote{Lo: w.Lo, Hi: w.Hi, Forward: func(dst int, msg mailbox.Msg) {
 			b, err := appendEnvelope(nil, w.P, dst, msg)
 			if err != nil {
