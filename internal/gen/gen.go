@@ -6,6 +6,7 @@ package gen
 
 import (
 	"math"
+	"slices"
 
 	"commtopk/internal/xrand"
 )
@@ -185,14 +186,19 @@ func GappedFrequencies(k int, headCount int, tailObjects int, tailCount int) map
 }
 
 // Materialize expands a frequency table into a shuffled object stream.
+// Keys are expanded in ascending order before the seeded shuffle, so the
+// stream is a function of (rng, freq) alone, not of Go's map order.
 func Materialize(rng *xrand.RNG, freq map[uint64]int64) []uint64 {
 	var total int64
-	for _, c := range freq {
+	keys := make([]uint64, 0, len(freq))
+	for k, c := range freq {
+		keys = append(keys, k)
 		total += c
 	}
+	slices.Sort(keys)
 	out := make([]uint64, 0, total)
-	for k, c := range freq {
-		for i := int64(0); i < c; i++ {
+	for _, k := range keys {
+		for c := freq[k]; c > 0; c-- {
 			out = append(out, k)
 		}
 	}

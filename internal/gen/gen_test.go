@@ -2,6 +2,7 @@ package gen
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"commtopk/internal/xrand"
@@ -172,6 +173,13 @@ func TestGappedFrequenciesAndMaterialize(t *testing.T) {
 	for k, c := range freq {
 		if recount[k] != c {
 			t.Errorf("object %d count %d, want %d", k, recount[k], c)
+		}
+	}
+	// One seed, one stream: nothing of Go's map iteration order may leak
+	// through the shuffle (it once did, and -exp fig5 drifted run to run).
+	for i := 0; i < 5; i++ {
+		if again := Materialize(xrand.New(13), freq); !slices.Equal(again, stream) {
+			t.Fatalf("call %d with the same seed returned a different stream", i+2)
 		}
 	}
 }

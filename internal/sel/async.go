@@ -30,11 +30,23 @@ import (
 // the sub-steppers are built once per pooled object and reused, so
 // steady-state dispatch allocates only what the blocking form always
 // has (the gather materializations and broadcast boxing).
+//
+// The state machine has two entry points that differ only in how the
+// candidate window is held. KthStep (unsorted input) sums the shard sizes,
+// copies the shard into per-PE scratch and narrows the window by
+// partitioning it in place, Θ(window) per level. KthSortedStep (the
+// caller states that its shard is ascending and what the global size is)
+// skips the size sum and uses the shard itself as the window: an
+// ascending slice already is the [<lo | lo..hi | >hi] layout the
+// partition produces, so the band counts are binary searches, the
+// extremes are the window's ends, and the shard is never written —
+// O(log window + sample) per level. Sampling, pivot choice, every
+// collective and every narrowing of win are the same code.
 
 // kthStep phases.
 const (
 	kphInit        = iota // start the global size sum
-	kphInitSum            // harvest n, validate k, set up the work window
+	kphInitSum            // n known: validate k, set up the window
 	kphLoop               // dispatch one recursion level
 	kphMinWait            // k == 1 base case: harvest the min-reduction
 	kphSolveGather        // gatherSolve: residual gathered, start the broadcast
@@ -61,7 +73,10 @@ type kthStep[K cmp.Ordered] struct {
 	rng   *xrand.RNG
 	out   func(K)
 	self  bool // self-release + out on completion (the KthStep form)
-	res   K
+	// sorted: local is ascending and is the window itself, read-only
+	// (KthSortedStep); otherwise the window is a scratch copy of local.
+	sorted bool
+	res    K
 
 	// The recursion state: win is the live candidate window of the
 	// per-PE work buffer, kRem/n the remaining rank and global size.
@@ -105,6 +120,7 @@ func newKthStep[K cmp.Ordered](pe *comm.PE, local []K, k int64, rng *xrand.RNG, 
 	s := comm.GetPooled[kthStep[K]](pe)
 	s.pe = pe
 	s.local, s.k, s.rng, s.out, s.self = local, k, rng, out, self
+	s.sorted = false
 	s.phase = kphInit
 	s.cur = nil
 	s.depth = 0
@@ -127,6 +143,26 @@ func newKthStep[K cmp.Ordered](pe *comm.PE, local []K, k int64, rng *xrand.RNG, 
 // stepper driven with blocking waits.
 func KthStep[K cmp.Ordered](pe *comm.PE, local []K, k int64, rng *xrand.RNG, out func(K)) comm.Stepper {
 	return newKthStep(pe, local, k, rng, out, true)
+}
+
+// KthSortedStep is KthStep for a resident, locally sorted shard: sorted
+// must be ascending and n must be the global element count (the sum of
+// len(sorted) over all PEs) — preconditions the caller states, as
+// MSSelect's callers do for theirs; neither is checked. In exchange the
+// shard is never written or copied (it may be shared by any number of
+// concurrent selections), the per-query size all-reduce is skipped, and
+// local work per recursion level is O(log len(sorted) + sample) instead
+// of a scan. The pivot sample reads the same window positions with the
+// same RNG draws per level as KthStep and the per-level collectives are
+// identical, but on the same multiset the two forms see differently
+// ordered windows, so their pivot walks (and meters) differ; the answer
+// is exact in both.
+func KthSortedStep[K cmp.Ordered](pe *comm.PE, sorted []K, n, k int64, rng *xrand.RNG, out func(K)) comm.Stepper {
+	s := newKthStep(pe, sorted, k, rng, out, true)
+	s.sorted = true
+	s.i64 = n
+	s.phase = kphInitSum
+	return s
 }
 
 // release returns the state to the PE pool, keeping the cached closures
@@ -197,10 +233,43 @@ func (s *kthStep[K]) consumeGather(parts [][]K) {
 	}
 }
 
-// startCounts partitions the window around the pivots in place and
-// launches the two-counter all-reduce (the "partition counting scan").
+// bands splits w around [lo, hi]: la elements < lo come first, then lb
+// elements in lo..hi. The unsorted form rearranges w into that layout;
+// a sorted w already has it and is only searched.
+func (s *kthStep[K]) bands(w []K, lo, hi K) (la, lb int) {
+	if !s.sorted {
+		return qsel.PartitionRange(w, lo, hi)
+	}
+	la = SliceSeq[K](w).CountLess(lo)
+	return la, SliceSeq[K](w[la:]).CountLE(hi)
+}
+
+// winMin and winMax are the window's extremes as reduction operands
+// (no value on a PE whose window is empty).
+func (s *kthStep[K]) winMin() tagged[K] {
+	switch {
+	case len(s.win) == 0:
+		return tagged[K]{}
+	case s.sorted:
+		return tagged[K]{Has: true, Val: s.win[0]}
+	}
+	return tagged[K]{Has: true, Val: slices.Min(s.win)}
+}
+
+func (s *kthStep[K]) winMax() tagged[K] {
+	switch {
+	case len(s.win) == 0:
+		return tagged[K]{}
+	case s.sorted:
+		return tagged[K]{Has: true, Val: s.win[len(s.win)-1]}
+	}
+	return tagged[K]{Has: true, Val: slices.Max(s.win)}
+}
+
+// startCounts splits the window around the pivots and launches the
+// two-counter all-reduce (the "partition counting scan").
 func (s *kthStep[K]) startCounts(pe *comm.PE) {
-	s.la, s.lb = qsel.PartitionRange(s.win, s.pivLo, s.pivHi)
+	s.la, s.lb = s.bands(s.win, s.pivLo, s.pivHi)
 	counts := comm.ScratchSlice[int64](pe, "sel.kth.counts.in", 2)
 	counts[0], counts[1] = int64(s.la), int64(s.lb)
 	s.cur = coll.AllReduceIntoStep(pe, comm.ScratchSlice[int64](pe, "sel.kth.counts", 2),
@@ -242,19 +311,18 @@ func (s *kthStep[K]) Step(pe *comm.PE) *comm.RecvHandle {
 			if s.k < 1 || s.k > s.n {
 				panic(fmt.Sprintf("sel: rank %d out of range 1..%d", s.k, s.n))
 			}
-			work := comm.ScratchSlice[K](pe, "sel.kth.work", len(s.local))
-			copy(work, s.local)
-			s.win = work
+			s.win = s.local
+			if !s.sorted {
+				work := comm.ScratchSlice[K](pe, "sel.kth.work", len(s.local))
+				copy(work, s.local)
+				s.win = work
+			}
 			s.kRem = s.k
 			s.phase = kphLoop
 		case kphLoop:
 			if s.kRem == 1 {
 				// Base case of Algorithm 1: a single min-reduction.
-				var cand tagged[K]
-				if len(s.win) > 0 {
-					cand = tagged[K]{Has: true, Val: slices.Min(s.win)}
-				}
-				s.cur = coll.AllReduceScalarStep(pe, cand, s.opMin, s.onTag)
+				s.cur = coll.AllReduceScalarStep(pe, s.winMin(), s.opMin, s.onTag)
 				s.phase = kphMinWait
 				continue
 			}
@@ -300,7 +368,7 @@ func (s *kthStep[K]) Step(pe *comm.PE) *comm.RecvHandle {
 			if len(s.gotPiv) == 0 {
 				// Extremely unlucky sample; fall back to the global extremes
 				// so the next round keeps everything.
-				s.cur = coll.AllReduceScalarStep(pe, localMinTagged(s.win), s.opMin, s.onTag)
+				s.cur = coll.AllReduceScalarStep(pe, s.winMin(), s.opMin, s.onTag)
 				s.phase = kphFallbackMin
 				continue
 			}
@@ -309,7 +377,7 @@ func (s *kthStep[K]) Step(pe *comm.PE) *comm.RecvHandle {
 			s.startCounts(pe)
 		case kphFallbackMin:
 			s.pivLo = s.tg.Val
-			s.cur = coll.AllReduceScalarStep(pe, localMaxTagged(s.win), s.opMax, s.onTag)
+			s.cur = coll.AllReduceScalarStep(pe, s.winMax(), s.opMax, s.onTag)
 			s.phase = kphFallbackMax
 		case kphFallbackMax:
 			s.pivHi = s.tg.Val
@@ -336,7 +404,7 @@ func (s *kthStep[K]) Step(pe *comm.PE) *comm.RecvHandle {
 				// No shrinkage: peel the boundary tie group of the lower
 				// pivot arithmetically (see the blocking form's rationale).
 				b := s.win[s.la : s.la+s.lb]
-				_, nEqLocal := qsel.PartitionRange(b, s.pivLo, s.pivLo)
+				_, nEqLocal := s.bands(b, s.pivLo, s.pivLo)
 				s.nEqLocal = nEqLocal
 				s.cur = coll.AllReduceScalarStep(pe, int64(nEqLocal), addInt64, s.onI64)
 				s.phase = kphPeelWait

@@ -132,4 +132,16 @@ func TestKthStepAllocParity(t *testing.T) {
 		t.Errorf("continuation selection allocates %.1f/op vs blocking %.1f/op; stepper state pooling regressed",
 			stepper, blocking)
 	}
+	// The sorted form shares the state machine and its pool and runs one
+	// collective fewer, so it has nothing to allocate beyond that.
+	sorted, _ := sortedShards(locals)
+	sortedForm := measure(func(m *comm.Machine) {
+		m.MustRunAsync(func(pe *comm.PE) comm.Stepper {
+			return KthSortedStep(pe, sorted[pe.Rank()], int64(p*perPE), k, xrand.NewPE(13, pe.Rank()), nil)
+		})
+	})
+	if sortedForm > blocking+float64(p)*2 {
+		t.Errorf("sorted-form selection allocates %.1f/op vs blocking %.1f/op", sortedForm, blocking)
+	}
+	t.Logf("allocs/op: blocking %.1f, stepper %.1f, sorted form %.1f", blocking, stepper, sortedForm)
 }

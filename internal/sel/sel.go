@@ -4,7 +4,9 @@
 //   - Kth / SmallestK: communication-efficient selection from unsorted
 //     input (Algorithm 1, Theorem 1) — distributed Floyd–Rivest with
 //     Bernoulli pivot sampling that does not require randomly distributed
-//     data.
+//     data. KthSortedStep is the same algorithm for a resident, locally
+//     sorted shard that is queried many times: no copy, no scan, binary
+//     searches for the partition counts (async.go).
 //   - MSSelect: exact multisequence selection from locally sorted input
 //     (Algorithm 9, Theorem 16), O(α log² kp).
 //   - AMSSelect: approximate multisequence selection with flexible output
@@ -23,7 +25,6 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"commtopk/internal/coll"
@@ -107,20 +108,6 @@ func Kth[K cmp.Ordered](pe *comm.PE, local []K, k int64, rng *xrand.RNG) K {
 	res := st.res
 	st.release(pe)
 	return res
-}
-
-func localMinTagged[K cmp.Ordered](s []K) tagged[K] {
-	if len(s) == 0 {
-		return tagged[K]{}
-	}
-	return tagged[K]{Has: true, Val: slices.Min(s)}
-}
-
-func localMaxTagged[K cmp.Ordered](s []K) tagged[K] {
-	if len(s) == 0 {
-		return tagged[K]{}
-	}
-	return tagged[K]{Has: true, Val: slices.Max(s)}
 }
 
 func clamp(x, lo, hi int64) int64 { return min(max(x, lo), hi) }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"commtopk/internal/comm"
-	"commtopk/internal/xrand"
 )
 
 // TestDeadlineExpiredAtSubmit: a deadline already in the past is shed
@@ -38,25 +37,15 @@ func TestDeadlineExpiredAtSubmit(t *testing.T) {
 	}
 }
 
-// TestDeadlineExpiredWhileQueued: with MaxInflight=1 and a long query
-// holding the sole lease, a short-deadline query ages out in the queue
-// and is shed — with the distinct error, before occupying a context
-// lease — when the dispatcher reaches it.
+// TestDeadlineExpiredWhileQueued: with MaxInflight=1 and the sole lease
+// held, a short-deadline query ages out in the queue and is shed — with
+// the distinct error, before occupying a context lease — when the
+// dispatcher reaches it. The test holds the lease token itself, so the
+// follower stays queued exactly until its deadline has passed however
+// fast a query is served.
 func TestDeadlineExpiredWhileQueued(t *testing.T) {
 	const p = 4
-	// Big shards make the blocker query take real wall time (tens of ms),
-	// dwarfing the follower's deadline.
-	rng := xrand.New(9)
-	shards := make([][]uint64, p)
-	var n int64
-	for i := range shards {
-		sh := make([]uint64, 1<<19)
-		for j := range sh {
-			sh[j] = rng.Uint64()
-		}
-		shards[i] = sh
-		n += int64(len(sh))
-	}
+	shards, _ := mkShards(p, 9)
 	m := comm.NewMachine(comm.DefaultConfig(p))
 	defer m.Close()
 	s, err := NewServer(m, shards, Config{Seed: 2, MaxInflight: 1, BatchMax: 1})
@@ -65,25 +54,29 @@ func TestDeadlineExpiredWhileQueued(t *testing.T) {
 	}
 	defer s.Close()
 
-	blocker, err := s.Kth(n / 2)
+	s.sem <- struct{}{} // occupy the single lease
+	deadline := time.Now().Add(5 * time.Millisecond)
+	tk, err := s.KthDeadline(s.n/3, deadline)
 	if err != nil {
-		t.Fatal(err)
-	}
-	tk, err := s.KthDeadline(n/3, time.Now().Add(time.Millisecond))
-	if err != nil {
-		// The dispatcher cannot have drained the blocker yet, so the only
-		// legal submit-time failure is a deadline that lapsed before
-		// submit's own clock check.
+		// The only legal submit-time failure is a deadline that lapsed
+		// before submit's own clock check (a stalled host).
+		<-s.sem
 		if !errors.Is(err, ErrDeadlineExpired) {
 			t.Fatalf("KthDeadline: %v", err)
 		}
 		return
 	}
+	select {
+	case <-tk.done:
+		t.Fatalf("query completed (err %v) while the only lease was held", tk.err)
+	case <-time.After(time.Until(deadline) + time.Millisecond):
+	}
+	<-s.sem // release: the dispatcher's re-check on the way out sheds it
 	if _, werr := tk.Wait(); !errors.Is(werr, ErrDeadlineExpired) {
 		t.Fatalf("queued query Wait = %v; want ErrDeadlineExpired", werr)
 	}
-	if _, err := blocker.Wait(); err != nil {
-		t.Fatalf("blocker: %v", err)
+	if w, sd := tk.Meters(); w != 0 || sd != 0 {
+		t.Fatalf("shed query metered %d words, %d sends; it must never reach a PE", w, sd)
 	}
 	// The shed query's lease was never taken: the server still serves.
 	after, err := s.Kth(1)

@@ -44,11 +44,11 @@ type slot[K cmp.Ordered] struct {
 // only consumes worker time when one of its messages has arrived.
 type mux[K cmp.Ordered] struct {
 	srv   *Server[K]
-	shard []K
+	shard []K              // this PE's resident sorted shard; read-only
 	db    *comm.RecvHandle // posted doorbell receive (ctx 0)
 	slots []*slot[K]
-	// Bulk-PQ state: the resident queue (lazily built from the shard at
-	// the first DeleteMin dispatch) and the FIFO of its in-flight slots.
+	// Bulk-PQ state: the resident queue (lazily built from the sorted
+	// shard at the first DeleteMin dispatch) and the FIFO of its in-flight slots.
 	// The queue is shared mutable state across DeleteMin queries, so
 	// only the FIFO head runs; dispatch order is identical on every PE
 	// (one dispatcher goroutine, per-(src,ctx) FIFO doorbell streams),
@@ -61,7 +61,7 @@ type mux[K cmp.Ordered] struct {
 }
 
 func newMux[K cmp.Ordered](s *Server[K], pe *comm.PE) *mux[K] {
-	return &mux[K]{srv: s, shard: s.shards[pe.Rank()]}
+	return &mux[K]{srv: s, shard: s.sorted[pe.Rank()]}
 }
 
 // PendingHandles implements comm.MultiWaiter: everything this PE might
@@ -155,9 +155,10 @@ func (x *mux[K]) Step(pe *comm.PE) *comm.RecvHandle {
 	}
 }
 
-// addSlot starts a dispatched query on this PE. For Kth the per-query
-// RNG seed makes the pivot walk (and so the meter) independent of
-// interleaving; DeleteMin draws from the resident queue's own streams,
+// addSlot starts a dispatched query on this PE. Kth runs the
+// sorted-input selection straight on the resident shard (no copy, no
+// size all-reduce: the server knows n); its per-query RNG seed makes the
+// pivot walk (and so the meter) independent of interleaving; DeleteMin draws from the resident queue's own streams,
 // which the FIFO consumes in dispatch order.
 func (x *mux[K]) addSlot(pe *comm.PE, q *query[K]) {
 	sl := &slot[K]{q: q}
@@ -165,7 +166,9 @@ func (x *mux[K]) addSlot(pe *comm.PE, q *query[K]) {
 	switch q.kind {
 	case kindPQ:
 		if x.pq == nil {
-			// Materialize the resident queue from the shard. Local-only
+			// Materialize the resident queue from the sorted shard: a
+			// strictly ascending run (unique keys, this kind's
+			// precondition) takes InsertBulk's linear build. Local-only
 			// (insert is communication-free), seeded identically across
 			// servers, so the trajectory matches any dispatch schedule.
 			x.pq = bpq.New[K](pe, x.srv.cfg.Seed)
@@ -179,7 +182,7 @@ func (x *mux[K]) addSlot(pe *comm.PE, q *query[K]) {
 			func(r freq.Result) { sl.items = r.Items })
 		x.slots = append(x.slots, sl)
 	default:
-		sl.step = sel.KthStep(pe, x.shard, q.k, xrand.NewPE(q.seed, pe.Rank()), func(v K) { sl.res = v })
+		sl.step = sel.KthSortedStep(pe, x.shard, x.srv.n, q.k, xrand.NewPE(q.seed, pe.Rank()), func(v K) { sl.res = v })
 		x.slots = append(x.slots, sl)
 	}
 	pe.SetCtx(0)

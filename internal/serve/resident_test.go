@@ -1,0 +1,82 @@
+package serve
+
+import (
+	"runtime"
+	"slices"
+	"testing"
+
+	"commtopk/internal/comm"
+	"commtopk/internal/xrand"
+)
+
+// TestServeResidentIndex pins what NewServer's sorted copy costs and
+// what it must not touch: the caller's shards are byte-identical after a
+// server's whole life (bench/ reuses them across set-ups), and a server
+// that has run 100 fat Kth queries over all eight context leases holds
+// one more copy of the shards plus a constant — no Θ(n/p) scratch per
+// (PE, context) survives on the serve path.
+func TestServeResidentIndex(t *testing.T) {
+	const p, perPE, queries = 4, 1 << 16, 100
+	rng := xrand.New(21)
+	shards := make([][]uint64, p)
+	var union []uint64
+	for r := range shards {
+		shards[r] = make([]uint64, perPE)
+		for i := range shards[r] {
+			shards[r][i] = rng.Uint64()
+		}
+		union = append(union, shards[r]...)
+	}
+	slices.Sort(union)
+	saved := make([][]uint64, p)
+	for r := range shards {
+		saved[r] = slices.Clone(shards[r])
+	}
+	tickets := make([]*Ticket[uint64], 0, queries)
+	m := comm.NewMachine(comm.DefaultConfig(p))
+	defer m.Close()
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := heap()
+
+	s, err := NewServer(m, shards, Config{Seed: 3, MaxInflight: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int64(p * perPE)
+	for i := 0; i < queries; i++ {
+		tk, err := s.Kth(1 + int64(i)*(n-1)/(queries-1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tickets = append(tickets, tk)
+	}
+	for i, tk := range tickets {
+		k := 1 + int64(i)*(n-1)/(queries-1)
+		if v, err := tk.Wait(); err != nil || v != union[k-1] {
+			t.Fatalf("Kth(%d) = %d, %v; want %d", k, v, err, union[k-1])
+		}
+	}
+	clear(tickets)
+	held := heap() - before
+	runtime.KeepAlive(union) // allocated before the first reading: keep it in the second
+	const shardBytes = p * perPE * 8
+	if limit := int64(shardBytes*5/4 + 1<<20); held > limit {
+		t.Errorf("server holds %d bytes after %d queries at MaxInflight 8; want at most %d (1.25 × %d shard bytes + 1 MiB)",
+			held, queries, limit, shardBytes)
+	}
+	t.Logf("resident after %d queries: %d bytes for %d shard bytes", queries, held, shardBytes)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for r := range shards {
+		if !slices.Equal(shards[r], saved[r]) {
+			t.Fatalf("NewServer or a query wrote the caller's shard %d", r)
+		}
+	}
+}

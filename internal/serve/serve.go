@@ -15,6 +15,20 @@
 // rises with inflight depth while each query's metered words/sends stay
 // bit-identical to a sequential run — pinned by the differential test.
 //
+// The shards are immutable for a server's lifetime, so NewServer builds a
+// resident index once — a sorted copy of every shard — and the two query
+// kinds that select by key order are answered from it: Kth runs the
+// sorted-input form of Algorithm 1 (sel.KthSortedStep: the candidate
+// window is a sub-slice of the resident shard, never copied or written;
+// band counts are binary searches; the global size is the server's
+// constant, not a per-query all-reduce), and the first DeleteMin builds
+// its bulk priority queue from the same ascending run in linear time.
+// Cost: O(n/p · log n/p) set-up per shard (sorted min(GOMAXPROCS, p) at a
+// time) and n words resident beside the caller's shards; against a
+// one-shot scan per query that is repaid after about ten Kth queries per
+// server. TopKFreq counts occurrences, not order, and keeps reading the
+// caller's shards.
+//
 // Lifecycle: NewServer starts the machine body (RunAsync, which on the
 // channel matrix — the small-p differential reference — drives the muxes
 // with blocking waits) and the dispatcher. Submit (Kth) is non-blocking
@@ -29,6 +43,8 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -103,8 +119,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Query kinds. Kth selections and TopKFreq heavy-hitter queries run
-// against the immutable shards and may interleave freely; bulk-PQ
+// Query kinds. Kth selections and TopKFreq heavy-hitter queries only
+// read resident data and may interleave freely; bulk-PQ
 // operations mutate the resident queue and are serialized per mux in
 // dispatch order (see mux.pqQ).
 const (
@@ -200,13 +216,16 @@ func (t *Ticket[K]) Meters() (words, sends int64) {
 
 // Server owns the serving state over one machine. Create with NewServer.
 type Server[K cmp.Ordered] struct {
-	m      *comm.Machine
-	shards [][]K
+	m *comm.Machine
+	// sorted is the resident index: sorted[i] is an ascending copy of PE
+	// i's shard, built once by NewServer and never written afterwards.
+	sorted [][]K
 	n      int64 // total elements across shards
 	cfg    Config
-	// freqShards is the uint64 view of shards (non-nil iff K is uint64);
-	// the heavy-hitter query kind counts object identifiers, so it is
-	// only available on servers whose resident keys are identifiers.
+	// freqShards is the uint64 view of the caller's shards (non-nil iff K
+	// is uint64); the heavy-hitter query kind counts object identifiers,
+	// so it is only available on servers whose resident keys are
+	// identifiers.
 	freqShards [][]uint64
 
 	mu      sync.RWMutex // guards subQ against Submit/Close races
@@ -221,16 +240,24 @@ type Server[K cmp.Ordered] struct {
 }
 
 // NewServer starts serving queries against shards (shards[i] is PE i's
-// resident data; read-only for the server's lifetime) on m. The machine
-// must be idle; it stays busy until Close and remains owned by the
-// caller afterwards.
+// resident data) on m. The shards are never written — not by NewServer,
+// not by any query — and the caller must not write them either until
+// Close returns (TopKFreq reads them in place). Kth and DeleteMin are
+// served from a sorted copy NewServer makes of each shard: set-up costs
+// O(n/p · log n/p) per shard, spread over min(GOMAXPROCS, p) goroutines
+// that have exited when NewServer returns, and the server holds n more
+// words than the caller's shards. A one-shot Kth scans its shard about
+// three times and the sort costs about sixteen scans, so the index has
+// paid for itself after roughly ten Kth queries. The machine must be
+// idle; it stays busy until Close and remains owned by the caller
+// afterwards.
 func NewServer[K cmp.Ordered](m *comm.Machine, shards [][]K, cfg Config) (*Server[K], error) {
 	if len(shards) != m.P() {
 		return nil, fmt.Errorf("serve: %d shards for %d PEs", len(shards), m.P())
 	}
 	s := &Server[K]{
 		m:       m,
-		shards:  shards,
+		sorted:  sortedCopies(shards),
 		cfg:     cfg.withDefaults(),
 		runDone: make(chan struct{}),
 		dspDone: make(chan struct{}),
@@ -238,7 +265,7 @@ func NewServer[K cmp.Ordered](m *comm.Machine, shards [][]K, cfg Config) (*Serve
 	for _, sh := range shards {
 		s.n += int64(len(sh))
 	}
-	if fs, ok := any(s.shards).([][]uint64); ok {
+	if fs, ok := any(shards).([][]uint64); ok {
 		s.freqShards = fs
 	}
 	s.subQ = make(chan *query[K], s.cfg.QueueDepth)
@@ -249,6 +276,26 @@ func NewServer[K cmp.Ordered](m *comm.Machine, shards [][]K, cfg Config) (*Serve
 	}()
 	go s.dispatch()
 	return s, nil
+}
+
+// sortedCopies returns an ascending copy of every shard, sorting
+// min(GOMAXPROCS, len(shards)) of them at a time.
+func sortedCopies[K cmp.Ordered](shards [][]K) [][]K {
+	sorted := make([][]K, len(shards))
+	workers := min(runtime.GOMAXPROCS(0), len(shards))
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < len(shards); i += workers {
+				sorted[i] = slices.Clone(shards[i])
+				slices.Sort(sorted[i])
+			}
+		}()
+	}
+	wg.Wait()
+	return sorted
 }
 
 // Kth submits a query for the element of global rank k (1-based) among
@@ -277,12 +324,12 @@ func (s *Server[K]) KthDeadline(k int64, deadline time.Time) (*Ticket[K], error)
 
 // DeleteMin submits a bulk delete-min of global batch size min(k, queue
 // size) against the server's resident priority queue — the second query
-// kind. Every PE lazily materializes the queue from its shard at the
-// first DeleteMin dispatch (shard keys must be globally unique for this
-// query kind); the queue then mutates across DeleteMin queries, so the
-// muxes execute them serialized in dispatch order while Kth queries —
-// which keep serving the immutable shards — interleave freely around
-// them. The popped elements stay resident on their PEs (owner-computes);
+// kind. Every PE lazily materializes the queue from its sorted shard at
+// the first DeleteMin dispatch (shard keys must be globally unique for
+// this query kind; an ascending run builds the search tree in linear
+// time); the queue then mutates across DeleteMin queries, so the muxes
+// execute them serialized in dispatch order while Kth queries — which
+// keep serving the immutable index — interleave freely around them. The popped elements stay resident on their PEs (owner-computes);
 // the ticket surfaces the agreed threshold via Wait and the realized
 // batch size via BatchLen. Non-blocking admission, like Kth.
 func (s *Server[K]) DeleteMin(k int64) (*Ticket[K], error) {
@@ -304,9 +351,9 @@ func (s *Server[K]) DeleteMinDeadline(k int64, deadline time.Time) (*Ticket[K], 
 // TopKFreq submits a heavy-hitter query: the k most frequent keys among
 // the union of all shards, computed by the Section 7.1 PAC pipeline
 // under the server's (FreqEps, FreqDelta) guarantee — the third query
-// kind. Like Kth it serves the immutable shards, so it interleaves
-// freely with every other query under its own context lease, with the
-// same meter attribution; the per-query RNG seed pins its sampling and
+// kind. Like Kth it only reads resident data (the caller's shards, in
+// place), so it interleaves freely with every other query under its own
+// context lease, with the same meter attribution; the per-query RNG seed pins its sampling and
 // pivot walks independent of interleaving. Results arrive via
 // Ticket.Items (identical on all PEs). Only available when K is uint64
 // (the shard elements are the counted identifiers). Non-blocking
