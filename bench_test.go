@@ -390,11 +390,9 @@ func BenchmarkSubstrate_Collectives(b *testing.B) {
 	}
 }
 
-// BenchmarkSubstrate_MailboxScale exercises the mailbox backend at a PE
-// count the channel matrix cannot reach (p = 1024 would need ~2.6 GiB of
-// channel buffers; the mailbox machine is ~0.3 MB and holds w, not p,
-// resident goroutines). CI runs this as the mailbox bench smoke with
-// -benchtime=1x.
+// BenchmarkSubstrate_MailboxScale exercises the machine at p = 1024,
+// where its O(p) memory shows (~0.3 MB; w, not p, resident goroutines).
+// CI runs this as the mailbox bench smoke with -benchtime=1x.
 func BenchmarkSubstrate_MailboxScale(b *testing.B) {
 	const p = 1024
 	m := comm.NewMachine(comm.DefaultConfig(p))

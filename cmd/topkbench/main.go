@@ -10,11 +10,10 @@
 // time; the defaults finish in minutes on a laptop. `-exp scaling` (not
 // part of `all`) runs the large-p suite — the O(log p) collectives, the
 // chunked gather and the strided gather swept over s ∈ {16, 64, 256},
-// and Table-1 selection (sel.KthStep) at p = 256…131072; every mailbox
-// primary is continuation-scheduled on pooled stepper state with
-// blocking A/B twins, and the channel matrix is refused beyond the
-// harness memory budget. `-quick` selects the CI tier (p ≤ 4096, one
-// run per op, no A/B twins) — including the stepper-form selection path.
+// and Table-1 selection (sel.KthStep) at p = 256…131072; every primary
+// is continuation-scheduled on pooled stepper state with blocking A/B
+// twins. `-quick` selects the CI tier (p ≤ 4096, one run per op, no A/B
+// twins) — including the stepper-form selection path.
 // `-cpuprofile f` / `-memprofile f` write pprof profiles of any run.
 // The gated benchmark (timings, per-query message counts, oracle checks)
 // is `go run ./bench`; see bench/README.md.

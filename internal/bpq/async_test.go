@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"commtopk/internal/comm"
+	"commtopk/internal/simexec"
 )
 
 // churnResult is everything one schedule produces on one machine: the
@@ -109,13 +110,13 @@ func runChurn(m *comm.Machine, p int, async bool) churnResult {
 
 // The stepper-form queue ops must be bit-identical to the blocking forms
 // — batches, realized sizes, and metered statistics — whether driven by
-// RunAsync on the mailbox scheduler (including w < p) or by the channel
-// matrix's blocking drive.
+// RunAsync on the scheduler (including w < p) or as blocking bodies whose
+// messages the reference executor carries.
 func TestDeleteMinStepMatchesBlockingAcrossBackends(t *testing.T) {
 	for _, p := range []int{1, 4, 16} {
 		p := p
 		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
-			mc := comm.NewMachine(comm.MatrixConfig(p))
+			mc := simexec.Reference(p)
 			ref := runChurn(mc, p, false)
 			for _, w := range []int{0, 1, 4} {
 				cfg := comm.DefaultConfig(p)
@@ -138,7 +139,7 @@ func TestDeleteMinStepMatchesBlockingAcrossBackends(t *testing.T) {
 					}
 				}
 				if got.stats != ref.stats {
-					t.Errorf("w=%d: stats diverge:\n  blocking matrix: %+v\n  stepper mailbox: %+v",
+					t.Errorf("w=%d: stats diverge:\n  blocking reference: %+v\n  stepper production: %+v",
 						w, ref.stats, got.stats)
 				}
 				m.Close()

@@ -22,14 +22,14 @@ func raggedBlock(r, seed int) []int64 {
 // against the materializing reference: every rank's block delivered
 // exactly once, with the right contents, for ragged inputs, power and
 // non-power p, and chunk sizes from the pure ring (1) through a single
-// group (≥ p) — on both backends.
+// group (≥ p) — on both executors.
 func TestAllGatherChunkedMatchesAllGatherv(t *testing.T) {
-	for _, cfg := range []func(int) comm.Config{comm.DefaultConfig, comm.MatrixConfig} {
+	for _, rig := range bothRigs {
 		for _, p := range []int{1, 2, 4, 6, 7, 16} {
 			for _, chunk := range []int{1, 2, 3, 64} {
-				name := fmt.Sprintf("%s/p=%d/chunk=%d", cfg(p).Backend, p, chunk)
+				name := fmt.Sprintf("%s/p=%d/chunk=%d", rig.name, p, chunk)
 				t.Run(name, func(t *testing.T) {
-					m := comm.NewMachine(cfg(p))
+					m := rig.mk(p)
 					defer m.Close()
 					want := make([][][]int64, p) // [rank][src]block
 					got := make([][][]int64, p)

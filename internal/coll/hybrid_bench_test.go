@@ -13,18 +13,15 @@ import (
 // blocks the saved copy of half the total is the bulk of host time).
 func BenchmarkAllGatherConcatPayload(b *testing.B) {
 	for _, words := range []int{1, 256, 4096} {
-		for _, cfg := range []func(int) comm.Config{comm.MatrixConfig, comm.DefaultConfig} {
-			c := cfg(64)
-			b.Run(fmt.Sprintf("words=%d/%s", words, c.Backend), func(b *testing.B) {
-				m := comm.NewMachine(c)
-				defer m.Close()
-				data := make([]int64, words)
-				m.MustRun(func(pe *comm.PE) {}) // warm scheduler
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					m.MustRun(func(pe *comm.PE) { AllGatherConcat(pe, data) })
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("words=%d", words), func(b *testing.B) {
+			m := comm.NewMachine(comm.DefaultConfig(64))
+			defer m.Close()
+			data := make([]int64, words)
+			m.MustRun(func(pe *comm.PE) {}) // warm scheduler
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.MustRun(func(pe *comm.PE) { AllGatherConcat(pe, data) })
+			}
+		})
 	}
 }

@@ -2,7 +2,6 @@ package comm
 
 import (
 	"fmt"
-	"reflect"
 	"time"
 
 	"commtopk/internal/mailbox"
@@ -23,9 +22,9 @@ import (
 //	virtual clock, word and receive counters — advances in program
 //	order, exactly like a blocking Recv at that point)
 //
-// — so Recv is literally IRecv followed by Wait, both backends share the
-// metering layer, and the two forms are bit-identical in results and
-// statistics (pinned by the differential suite).
+// — so Recv is literally IRecv followed by Wait, and the two forms are
+// bit-identical in results and statistics (pinned by the differential
+// suite).
 //
 // # Handle discipline
 //
@@ -40,18 +39,14 @@ import (
 //
 // A Stepper is a resumable PE body: Step runs until the body either
 // completes (returns nil) or cannot proceed before a pending handle is
-// bound (returns that handle). Under Machine.RunAsync on the mailbox
-// backend, a Step that returns an unbound handle suspends the body as
-// data — the worker goroutine returns to the scheduler and keeps driving
-// other PEs — and the message's arrival re-enqueues the body on the
-// scheduler's ready list. Mid-run goroutine residency is therefore
-// exactly the scheduler width w, where a blocking Run holds a goroutine
-// per PE. Steppers must suspend via Step: the scheduler's workers never
-// block, so a Wait/Recv that would have to park there fails the run
-// instead (see assertMayPark). On the channel-matrix backend RunAsync
-// simply drives the stepper with blocking waits on one goroutine per PE
-// — the naive differential reference, bit-identical in results and
-// statistics.
+// bound (returns that handle). Under Machine.RunAsync a Step that returns
+// an unbound handle suspends the body as data — the worker goroutine
+// returns to the scheduler and keeps driving other PEs — and the
+// message's arrival re-enqueues the body on the scheduler's ready list.
+// Mid-run goroutine residency is therefore exactly the scheduler width w,
+// where a blocking Run holds a goroutine per PE. Steppers must suspend via
+// Step: the scheduler's workers never block, so a Wait/Recv that would
+// have to park there fails the run instead (see assertMayPark).
 
 // handle states.
 const (
@@ -69,7 +64,7 @@ type RecvHandle struct {
 	ctx   uint32 // the PE's communication context at posting time
 	tag   Tag
 	state uint8
-	msg   message
+	msg   mailbox.Msg
 	// prev/next link the PE's outstanding list while posted, and the
 	// freelist (next only) while free.
 	prev, next *RecvHandle
@@ -93,7 +88,7 @@ func (pe *PE) IRecv(src int, tag Tag) *RecvHandle {
 	// for the stream is pending), binding now keeps Test O(1) and Wait
 	// free of transport calls on the fast path.
 	if h.prevPendingFor(src, h.ctx) == nil {
-		if msg, ok := pe.takeTry(src, h.ctx); ok {
+		if msg, ok := pe.box.TryTakeKey(mailbox.Key(src, h.ctx)); ok {
 			pe.bindMsg(h, msg)
 		}
 	}
@@ -113,7 +108,7 @@ func (h *RecvHandle) Test() bool {
 	pe := h.pe
 	for {
 		g := pe.oldestPendingFor(h.src, h.ctx)
-		msg, ok := pe.takeTry(h.src, h.ctx)
+		msg, ok := pe.box.TryTakeKey(mailbox.Key(h.src, h.ctx))
 		if !ok {
 			return false
 		}
@@ -141,17 +136,17 @@ func (h *RecvHandle) Wait() (any, int64) {
 	// Single-ported receive: the transfer occupies this PE for α+βm,
 	// starting no earlier than when the sender started transmitting and
 	// no earlier than the PE's own clock (see Recv).
-	cost := pe.alpha + pe.beta*float64(msg.words)
-	avail := msg.depart - cost
+	cost := pe.alpha + pe.beta*float64(msg.Words)
+	avail := msg.Depart - cost
 	if avail < pe.clock {
 		avail = pe.clock
 	}
 	pe.clock = avail + cost
-	pe.recvWords += msg.words
+	pe.recvWords += msg.Words
 	pe.recvs++
 	pe.outUnlink(h)
 	pe.putHandle(h)
-	return msg.data, msg.words
+	return msg.Data, msg.Words
 }
 
 // ensureBound blocks until the handle's message is bound, without
@@ -189,7 +184,7 @@ func (pe *PE) oldestPendingFor(src int, ctx uint32) *RecvHandle {
 func (pe *PE) fillUntil(h *RecvHandle) {
 	for h.state != hBound {
 		g := pe.oldestPendingFor(h.src, h.ctx)
-		msg, ok := pe.takeTry(h.src, h.ctx)
+		msg, ok := pe.box.TryTakeKey(mailbox.Key(h.src, h.ctx))
 		if !ok {
 			msg = pe.takeBlocking(h.src, h.ctx)
 		}
@@ -199,131 +194,26 @@ func (pe *PE) fillUntil(h *RecvHandle) {
 
 // bindMsg attaches a delivered message to its handle, enforcing the SPMD
 // tag discipline exactly like Recv.
-func (pe *PE) bindMsg(h *RecvHandle, msg message) {
-	if msg.tag != h.tag {
+func (pe *PE) bindMsg(h *RecvHandle, msg mailbox.Msg) {
+	if Tag(msg.Tag) != h.tag {
 		panic(fmt.Sprintf("comm: PE %d: tag mismatch receiving from %d: got %d want %d (desynchronized SPMD program)",
-			pe.rank, h.src, msg.tag, h.tag))
+			pe.rank, h.src, msg.Tag, h.tag))
 	}
 	h.msg = msg
 	h.state = hBound
 }
 
-// fromMsg converts a mailbox message to the metered form.
-func fromMsg(mm mailbox.Msg) message {
-	return message{tag: Tag(mm.Tag), ctx: mm.Ctx, words: mm.Words, depart: mm.Depart, data: mm.Data}
-}
-
-// recvChan returns the channel-matrix channel messages from src arrive
-// on: the matrix column for PEs, the external-injection channel for
-// ExternalSrc.
-func (pe *PE) recvChan(src int) chan message {
-	if src == pe.p {
-		return pe.m.ext[pe.rank]
-	}
-	return pe.m.chans[src][pe.rank]
-}
-
-// stashMsg parks a channel-matrix message taken off src's channel while
-// looking for a different context; takeTry for its own (src, ctx)
-// stream will find it. Stash order is arrival order, so per-stream FIFO
-// survives the detour.
-func (pe *PE) stashMsg(src int, msg message) {
-	key := mailbox.Key(src, msg.ctx)
-	if pe.stash == nil {
-		pe.stash = make(map[uint64]*msgFifo)
-	}
-	f := pe.stash[key]
-	if f == nil {
-		f = &msgFifo{}
-		pe.stash[key] = f
-	}
-	f.q = append(f.q, msg)
-}
-
-// stashTake removes the oldest stashed message for (src, ctx), if any.
-func (pe *PE) stashTake(src int, ctx uint32) (message, bool) {
-	f := pe.stash[mailbox.Key(src, ctx)]
-	if f == nil || f.head >= len(f.q) {
-		return message{}, false
-	}
-	msg := f.q[f.head]
-	f.q[f.head] = message{}
-	f.head++
-	if f.head == len(f.q) {
-		f.q = f.q[:0]
-		f.head = 0
-	}
-	return msg, true
-}
-
-// stashedFor reports whether any of hs has a message of its stream
-// waiting in the stash.
-func (pe *PE) stashedFor(hs []*RecvHandle) bool {
-	for _, h := range hs {
-		if f := pe.stash[mailbox.Key(h.src, h.ctx)]; f != nil && f.head < len(f.q) {
-			return true
-		}
-	}
-	return false
-}
-
-// takeTry removes the next queued message of the (src, ctx) stream
-// without blocking. On the channel matrix, messages of other contexts
-// encountered on the way are stashed per stream (each moved once), the
-// same amortized discipline the mailbox Box applies internally.
-func (pe *PE) takeTry(src int, ctx uint32) (message, bool) {
-	if pe.box != nil {
-		mm, ok := pe.box.TryTakeKey(mailbox.Key(src, ctx))
-		if !ok {
-			return message{}, false
-		}
-		return fromMsg(mm), true
-	}
-	if msg, ok := pe.stashTake(src, ctx); ok {
-		return msg, true
-	}
-	ch := pe.recvChan(src)
-	for {
-		select {
-		case msg := <-ch:
-			if msg.ctx == ctx {
-				return msg, true
-			}
-			pe.stashMsg(src, msg)
-		default:
-			return message{}, false
-		}
-	}
-}
-
 // takeBlocking blocks for the next message of the (src, ctx) stream,
 // accumulating wait time; on machine abort it unwinds via panic.
-func (pe *PE) takeBlocking(src int, ctx uint32) message {
-	if pe.box != nil {
-		pe.assertMayPark()
-		t0 := time.Now()
-		mm, ok := pe.box.TakeKey(mailbox.Key(src, ctx))
-		pe.waitNs += time.Since(t0).Nanoseconds()
-		if !ok {
-			panic(abortedError{})
-		}
-		return fromMsg(mm)
-	}
+func (pe *PE) takeBlocking(src int, ctx uint32) mailbox.Msg {
+	pe.assertMayPark()
 	t0 := time.Now()
-	ch := pe.recvChan(src)
-	for {
-		select {
-		case msg := <-ch:
-			if msg.ctx != ctx {
-				pe.stashMsg(src, msg)
-				continue
-			}
-			pe.waitNs += time.Since(t0).Nanoseconds()
-			return msg
-		case <-pe.m.abort:
-			panic(abortedError{})
-		}
+	msg, ok := pe.box.TakeKey(mailbox.Key(src, ctx))
+	pe.waitNs += time.Since(t0).Nanoseconds()
+	if !ok {
+		panic(abortedError{})
 	}
+	return msg
 }
 
 // assertMayPark panics when the body about to park is a stepper on a
@@ -352,7 +242,7 @@ func (pe *PE) getHandle() *RecvHandle {
 // putHandle recycles a consumed handle, dropping the payload reference.
 func (pe *PE) putHandle(h *RecvHandle) {
 	h.state = hFree
-	h.msg = message{}
+	h.msg = mailbox.Msg{}
 	h.prev = nil
 	h.next = pe.freeH
 	pe.freeH = h
@@ -385,17 +275,17 @@ func (pe *PE) outUnlink(h *RecvHandle) {
 	h.prev, h.next = nil, nil
 }
 
-// resetAsync drops any outstanding handles, the current stepper, the
-// channel-matrix stash, and the context state — abort-path cleanup so a
-// machine is reusable after a failed run.
+// resetAsync drops any outstanding handles, the current stepper and the
+// context state — abort-path cleanup so a machine is reusable after a
+// failed run. The collective tag sequences restart too: the bodies
+// unwound at different collectives, and a constant (rather than, say, the
+// local maximum) lets the processes of a windowed machine agree without
+// talking.
 func (pe *PE) resetAsync() {
 	pe.step = nil
 	pe.ctx = 0
-	for _, f := range pe.stash {
-		clear(f.q)
-		f.q = f.q[:0]
-		f.head = 0
-	}
+	pe.collSeq = 0
+	clear(pe.collSeqCtx)
 	for h := pe.outHead; h != nil; {
 		next := h.next
 		pe.putHandle(h)
@@ -489,9 +379,8 @@ func (s *seqStep) Step(pe *PE) *RecvHandle {
 
 // RunSteps drives a stepper to completion with blocking waits — the
 // bridge that lets one stepper implementation serve both worlds: inside
-// a blocking body (Run, or RunAsync on the channel matrix) RunSteps
-// parks like any blocking protocol; under RunAsync on the mailbox
-// backend the scheduler drives the same Step calls without ever
+// a blocking body (Run) RunSteps parks like any blocking protocol; under
+// RunAsync the scheduler drives the same Step calls without ever
 // blocking a goroutine. A MultiWaiter body blocks on any of its pending
 // handles instead of the one Step returned.
 func RunSteps(pe *PE, st Stepper) {
@@ -513,10 +402,8 @@ func RunSteps(pe *PE, st Stepper) {
 }
 
 // waitAnyBound blocks until at least one of the pending handles hs is
-// bound, without folding any meter. The mailbox backend waits on the
-// handles' (src, ctx) keys directly; the channel matrix multiplexes the
-// distinct source channels through reflect.Select. hs must belong to the
-// running PE body and be pending.
+// bound, without folding any meter. hs must belong to the running PE
+// body and be pending.
 func (pe *PE) waitAnyBound(hs []*RecvHandle) {
 	// Messages may already be queued (or have raced in since Step
 	// returned): a non-blocking sweep binds them without parking.
@@ -525,87 +412,34 @@ func (pe *PE) waitAnyBound(hs []*RecvHandle) {
 			return
 		}
 	}
-	if pe.box != nil {
-		keys := pe.keyBuf[:0]
-		for _, h := range hs {
-			keys = append(keys, mailbox.Key(h.src, h.ctx))
-		}
-		pe.keyBuf = keys
-		pe.assertMayPark()
-		t0 := time.Now()
-		mm, ok := pe.box.WaitAnyKeys(keys)
-		pe.waitNs += time.Since(t0).Nanoseconds()
-		if !ok {
-			panic(abortedError{})
-		}
-		pe.bindMsg(pe.oldestPendingFor(mm.Src, mm.Ctx), fromMsg(mm))
-		return
-	}
-	// Channel matrix: select over the distinct source channels plus the
-	// abort. Allocation per park is acceptable — the matrix is the
-	// small-p differential reference, never the serving engine.
-	t0 := time.Now()
-	srcs := make([]int, 0, len(hs))
-	cases := make([]reflect.SelectCase, 1, len(hs)+1)
-	cases[0] = reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(pe.m.abort)}
+	keys := pe.keyBuf[:0]
 	for _, h := range hs {
-		seen := false
-		for _, s := range srcs {
-			if s == h.src {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			srcs = append(srcs, h.src)
-			cases = append(cases, reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(pe.recvChan(h.src))})
-		}
+		keys = append(keys, mailbox.Key(h.src, h.ctx))
 	}
-	// Several handles can share a source channel in different contexts,
-	// and testing one stashes the other's messages — possibly after that
-	// one was tested. So every message reaches its handle through its
-	// stream's stash, in arrival order: park only while no handle has a
-	// stashed message, stash what the select delivers, and let Test bind.
-	for {
-		if !pe.stashedFor(hs) {
-			chosen, v, _ := reflect.Select(cases)
-			if chosen == 0 {
-				panic(abortedError{})
-			}
-			pe.stashMsg(srcs[chosen-1], v.Interface().(message))
-		}
-		for _, h := range hs {
-			if h.Test() {
-				pe.waitNs += time.Since(t0).Nanoseconds()
-				return
-			}
-		}
+	pe.keyBuf = keys
+	pe.assertMayPark()
+	t0 := time.Now()
+	msg, ok := pe.box.WaitAnyKeys(keys)
+	pe.waitNs += time.Since(t0).Nanoseconds()
+	if !ok {
+		panic(abortedError{})
 	}
+	pe.bindMsg(pe.oldestPendingFor(msg.Src, msg.Ctx), msg)
 }
 
 // RunAsync executes a continuation-scheduled SPMD program: start is
 // called once per PE and returns the PE's body as a Stepper (nil for an
-// empty body). On the mailbox backend the sharded scheduler drives the
-// steppers directly — a suspension returns the worker to the scheduler,
-// so the machine holds exactly w goroutines even while thousands of PE
-// bodies are waiting mid-collective, and an empty RunAsync on a warm
-// machine allocates nothing. On the channel matrix the steppers are
-// driven with blocking waits on one goroutine per PE (the naive
-// differential reference). Results and statistics are bit-identical to
-// the equivalent blocking Run on either backend. Error semantics and
-// machine reuse match Run; in addition, a stepper (or start itself) that
-// reaches a blocking receive whose message has not arrived fails the
-// run — scheduler workers never park.
+// empty body). The scheduler drives the steppers directly — a suspension
+// returns the worker to the scheduler, so the machine holds exactly w
+// goroutines even while thousands of PE bodies are waiting
+// mid-collective, and an empty RunAsync on a warm machine allocates
+// nothing. Results and statistics are bit-identical to the equivalent
+// blocking Run. Error semantics and machine reuse match Run; in addition,
+// a stepper (or start itself) that reaches a blocking receive whose
+// message has not arrived fails the run — scheduler workers never park.
 func (m *Machine) RunAsync(start func(pe *PE) Stepper) error {
-	if m.sched == nil {
-		return m.Run(func(pe *PE) {
-			if st := start(pe); st != nil {
-				RunSteps(pe, st)
-			}
-		})
-	}
 	m.asyncStart = start
-	m.sched.Run(m.execAsync)
+	m.ex.Run(m.execAsync)
 	m.asyncStart = nil
 	return m.finishRun()
 }

@@ -1,4 +1,4 @@
-package comm
+package comm_test
 
 import (
 	"fmt"
@@ -7,7 +7,25 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	. "commtopk/internal/comm"
+	"commtopk/internal/simexec"
 )
+
+// rig is one of the machines a substrate test runs on.
+type rig struct {
+	name string
+	mk   func(p int) *Machine
+}
+
+// bothRigs are a production machine and the reference executor of
+// internal/simexec. The second leg's name is older than that package (the
+// reference used to be a channel-matrix transport); it stays so that test
+// ids remain comparable across history.
+var bothRigs = []rig{
+	{"mailbox", func(p int) *Machine { return NewMachine(DefaultConfig(p)) }},
+	{"chanmatrix", simexec.Reference},
+}
 
 // ringBodyRecv and ringBodyIRecv are the same shifted-ring exchange, one
 // through blocking Recv, one through the handle API with Test polling —
@@ -31,16 +49,16 @@ func ringBodyIRecv(pe *PE, out []int) {
 }
 
 // TestIRecvWaitMatchesRecv pins the sugar equation Recv = IRecv + Wait on
-// both backends: identical results and identical metered statistics
+// both executors: identical results and identical metered statistics
 // (words, startups, modeled clock) whether the receive is posted early,
 // polled, or taken blocking.
 func TestIRecvWaitMatchesRecv(t *testing.T) {
-	for _, cfg := range []Config{DefaultConfig(8), MatrixConfig(8)} {
-		t.Run(cfg.Backend.String(), func(t *testing.T) {
+	for _, rig := range bothRigs {
+		t.Run(rig.name, func(t *testing.T) {
 			run := func(body func(pe *PE, out []int)) ([]int, Stats) {
-				m := NewMachine(cfg)
+				m := rig.mk(8)
 				defer m.Close()
-				out := make([]int, cfg.P)
+				out := make([]int, m.P())
 				m.MustRun(func(pe *PE) { body(pe, out) })
 				return out, m.Stats()
 			}
@@ -60,11 +78,11 @@ func TestIRecvWaitMatchesRecv(t *testing.T) {
 
 // TestIRecvFIFOPerSource pins the posting-order completion rule: two
 // receives posted against one source complete in post order even when
-// waited out of arrival interleaving, on both backends.
+// waited out of arrival interleaving, on both executors.
 func TestIRecvFIFOPerSource(t *testing.T) {
-	for _, cfg := range []Config{DefaultConfig(2), MatrixConfig(2)} {
-		t.Run(cfg.Backend.String(), func(t *testing.T) {
-			m := NewMachine(cfg)
+	for _, rig := range bothRigs {
+		t.Run(rig.name, func(t *testing.T) {
+			m := rig.mk(2)
 			defer m.Close()
 			m.MustRun(func(pe *PE) {
 				const tag Tag = 17
@@ -150,14 +168,13 @@ func cascadeStart(tag Tag, out []int64) func(pe *PE) Stepper {
 	}
 }
 
-// TestRunAsyncCascade runs the suspension-heavy cascade on both backends
-// (mailbox at several scheduler widths) and checks results and stats
+// TestRunAsyncCascade runs the suspension-heavy cascade on both executors
+// (production at several scheduler widths) and checks results and stats
 // against each other.
 func TestRunAsyncCascade(t *testing.T) {
 	const p = 64
 	var wantStats *Stats
-	check := func(t *testing.T, cfg Config) {
-		m := NewMachine(cfg)
+	check := func(t *testing.T, m *Machine) {
 		defer m.Close()
 		out := make([]int64, p)
 		for round := 0; round < 3; round++ {
@@ -181,16 +198,16 @@ func TestRunAsyncCascade(t *testing.T) {
 			}
 		}
 	}
-	t.Run("chanmatrix", func(t *testing.T) { check(t, MatrixConfig(p)) })
+	t.Run("chanmatrix", func(t *testing.T) { check(t, simexec.Reference(p)) })
 	for _, w := range []int{0, 1, 4} {
 		cfg := DefaultConfig(p)
 		cfg.Workers = w
-		t.Run(fmt.Sprintf("mailbox/w=%d", w), func(t *testing.T) { check(t, cfg) })
+		t.Run(fmt.Sprintf("mailbox/w=%d", w), func(t *testing.T) { check(t, NewMachine(cfg)) })
 	}
 }
 
 // TestRunAsyncMidRunResidency is the mid-collective extension of the
-// PR 3 residency guard: while a p = 16384 cascade is in flight — with
+// residency guard: while a p = 16384 cascade is in flight — with
 // thousands of PE bodies simultaneously waiting — the process goroutine
 // count must stay at w + O(1). This is the property a blocking Run
 // cannot provide (every body holds a goroutine) and the reason the async
@@ -379,7 +396,8 @@ func TestRunAsyncInterleavedWithBlockingRuns(t *testing.T) {
 	const p = 16
 	ma := NewMachine(DefaultConfig(p))
 	defer ma.Close()
-	mb := NewMachine(MatrixConfig(p))
+	mb := simexec.Reference(p)
+	defer mb.Close()
 	for i := 0; i < 4; i++ {
 		out := make([]int64, p)
 		ma.MustRunAsync(cascadeStart(Tag(50+i), out))
@@ -387,7 +405,73 @@ func TestRunAsyncInterleavedWithBlockingRuns(t *testing.T) {
 		ma.MustRun(func(pe *PE) { ringBodyRecv(pe, make([]int, p)) })
 		mb.MustRun(func(pe *PE) { ringBodyRecv(pe, make([]int, p)) })
 		if sa, sb := ma.Stats(), mb.Stats(); sa != sb {
-			t.Fatalf("cycle %d: cumulative stats diverge:\n  mailbox: %+v\n  matrix:  %+v", i, sa, sb)
+			t.Fatalf("cycle %d: cumulative stats diverge:\n  production: %+v\n  reference:  %+v", i, sa, sb)
+		}
+	}
+}
+
+// ringCollStep is a minimal collective: one ring shift under the PE's
+// next collective tag.
+func ringCollStep() Stepper {
+	var h *RecvHandle
+	return StepFunc(func(pe *PE) *RecvHandle {
+		p := pe.P()
+		if h == nil {
+			tag := pe.NextCollTag()
+			h = pe.IRecv((pe.Rank()-1+p)%p, tag)
+			pe.Send((pe.Rank()+1)%p, tag, pe.Rank(), 1)
+		}
+		if !h.Test() {
+			return h
+		}
+		h.Wait()
+		return nil
+	})
+}
+
+// TestAbortedRunResetsCollectiveTags is the regression for reuse after an
+// abort that interrupts collectives: the bodies unwind at different points
+// of their collective tag sequences (the failing rank before its first
+// collective, its ring successor inside the first, the others inside the
+// second), and the next run's collectives must agree on tags again — as
+// blocking bodies and as steppers, in context 0 and in a leased context.
+func TestAbortedRunResetsCollectiveTags(t *testing.T) {
+	const p = 4
+	for _, async := range []bool{false, true} {
+		for _, leased := range []bool{false, true} {
+			t.Run(fmt.Sprintf("async=%v/leased=%v", async, leased), func(t *testing.T) {
+				m := NewMachine(DefaultConfig(p))
+				defer m.Close()
+				var ctx Ctx
+				if leased {
+					ctx = m.NewContext()
+				}
+				run := func(failing bool) error {
+					start := func(pe *PE) Stepper {
+						return Seq(
+							StepFunc(func(pe *PE) *RecvHandle {
+								pe.SetCtx(ctx)
+								if failing && pe.Rank() == 2 {
+									panic("boom")
+								}
+								return nil
+							}),
+							ringCollStep(), ringCollStep(),
+							StepFunc(func(pe *PE) *RecvHandle { pe.SetCtx(0); return nil }),
+						)
+					}
+					if async {
+						return m.RunAsync(start)
+					}
+					return m.Run(func(pe *PE) { RunSteps(pe, start(pe)) })
+				}
+				if err := run(true); err == nil || !strings.Contains(err.Error(), "boom") {
+					t.Fatalf("expected panic propagation, got %v", err)
+				}
+				if err := run(false); err != nil {
+					t.Fatalf("machine not reusable after an abort inside collectives: %v", err)
+				}
+			})
 		}
 	}
 }

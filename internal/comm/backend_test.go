@@ -1,16 +1,18 @@
-package comm
+package comm_test
 
 import (
 	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	. "commtopk/internal/comm"
 )
 
-// The mailbox backend must be a drop-in replacement for the channel
-// matrix: same Send/Recv semantics, same metering, same abort behavior.
-// (Full cross-backend differential coverage over the collective suite
-// lives in internal/experiments; these tests pin the substrate itself.)
+// These tests pin the production machine itself: mailbox transport,
+// scheduler, estimator, residency. (Differential coverage against the
+// reference executor over the collective suite lives in
+// internal/experiments.)
 
 func TestMailboxBasicSendRecv(t *testing.T) {
 	m := NewMachine(DefaultConfig(2))
@@ -33,8 +35,8 @@ func TestMailboxBasicSendRecv(t *testing.T) {
 }
 
 func TestMailboxManyPEsAllExchange(t *testing.T) {
-	// The dense-exchange stress of the channel matrix, on mailboxes: every
-	// PE sends to every other, interleaving all senders in each intake.
+	// Dense exchange: every PE sends to every other, interleaving all
+	// senders in each intake.
 	const p = 16
 	m := NewMachine(DefaultConfig(p))
 	defer m.Close()
@@ -138,42 +140,6 @@ func TestMailboxTagMismatchDetected(t *testing.T) {
 	}
 }
 
-// TestMailboxStatsMatchChannelMatrix pins the O(1) folded aggregate
-// against the channel matrix's O(p) scan on a deterministic exchange,
-// including accumulation across Runs and ResetStats.
-func TestMailboxStatsMatchChannelMatrix(t *testing.T) {
-	body := func(pe *PE) {
-		const tag Tag = 2
-		next := (pe.Rank() + 1) % pe.P()
-		prev := (pe.Rank() - 1 + pe.P()) % pe.P()
-		pe.Send(next, tag, nil, int64(pe.Rank()+1))
-		pe.Recv(prev, tag)
-	}
-	run := func(cfg Config) (first, second, reset Stats) {
-		m := NewMachine(cfg)
-		defer m.Close()
-		m.MustRun(body)
-		first = m.Stats()
-		m.MustRun(body)
-		second = m.Stats()
-		m.ResetStats()
-		reset = m.Stats()
-		return
-	}
-	c1, c2, cr := run(MatrixConfig(8))
-	b1, b2, br := run(DefaultConfig(8))
-	if c1 != b1 || c2 != b2 || cr != br {
-		t.Errorf("stats diverge between backends:\nchan:    %+v %+v %+v\nmailbox: %+v %+v %+v",
-			c1, c2, cr, b1, b2, br)
-	}
-	if c2.TotalWords != 2*c1.TotalWords {
-		t.Errorf("stats did not accumulate across runs: %+v then %+v", c1, c2)
-	}
-	if br != (Stats{}) {
-		t.Errorf("ResetStats left %+v", br)
-	}
-}
-
 func TestMailboxWaitTimeAccumulates(t *testing.T) {
 	m := NewMachine(DefaultConfig(2))
 	defer m.Close()
@@ -218,7 +184,7 @@ func TestMailboxWorkersReleasedOnClose(t *testing.T) {
 // TestMailboxRunZeroAllocSteadyState is the AllocsPerRun guard of the
 // persistent worker pool: after the first RunAsync has started the
 // workers, a RunAsync dispatch itself must not allocate (a blocking Run
-// pays a goroutine spawn per PE on either backend).
+// pays a goroutine spawn per PE).
 func TestMailboxRunZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -235,64 +201,36 @@ func TestMailboxRunZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestQueueBytesGrowth pins the tentpole memory claim: the mailbox
-// backend's up-front queue memory is O(p) while the channel matrix is
-// O(p²·ChanCap).
+// TestQueueBytesGrowth pins the memory claim the mailbox transport
+// exists for: a machine's up-front memory is O(p).
 func TestQueueBytesGrowth(t *testing.T) {
-	growth := func(cfg func(int) Config) float64 {
-		return float64(QueueBytes(cfg(4096))) / float64(QueueBytes(cfg(256)))
+	// 16× more PEs: O(p) grows 16×.
+	if g := float64(MachineBytes(DefaultConfig(4096))) / float64(MachineBytes(DefaultConfig(256))); g > 20 {
+		t.Errorf("machine estimate grew %.0f× for 16× PEs; want O(p)", g)
 	}
-	// 16× more PEs: O(p) grows 16×, O(p²) grows 256×.
-	if g := growth(DefaultConfig); g > 20 {
-		t.Errorf("mailbox queue memory grew %.0f× for 16× PEs; want O(p)", g)
-	}
-	if g := growth(MatrixConfig); g < 200 {
-		t.Errorf("channel-matrix queue estimate grew only %.0f× for 16× PEs; estimator wrong?", g)
-	}
-	// Absolute sanity: the matrix at p=4096 is beyond any reasonable
-	// harness budget; the mailbox at the same p is trivial.
-	if got := QueueBytes(MatrixConfig(4096)); got < 16<<30 {
-		t.Errorf("channel-matrix estimate at p=4096 = %d B; expected tens of GB", got)
-	}
-	if got := QueueBytes(DefaultConfig(4096)); got > 16<<20 {
-		t.Errorf("mailbox estimate at p=4096 = %d B; expected well under 16 MB", got)
+	if got := MachineBytes(DefaultConfig(4096)); got > 16<<20 {
+		t.Errorf("estimate at p=4096 = %d B; expected well under 16 MB", got)
 	}
 }
 
-// TestDefaultConfigIsMailbox pins the PR 3 default flip: DefaultConfig
-// selects the mailbox runtime, MatrixConfig the channel-matrix reference,
-// and an explicitly constructed zero-Backend Config still means matrix.
+// TestDefaultConfigIsMailbox pins that there is nothing to select: the
+// zero value of every Config field but P builds the same production
+// machine DefaultConfig does — mailboxes and a scheduler of the default
+// width.
 func TestDefaultConfigIsMailbox(t *testing.T) {
-	if b := DefaultConfig(4).Backend; b != BackendMailbox {
-		t.Errorf("DefaultConfig backend = %v, want mailbox", b)
-	}
-	if b := MatrixConfig(4).Backend; b != BackendChannelMatrix {
-		t.Errorf("MatrixConfig backend = %v, want chanmatrix", b)
-	}
-	if b := (Config{P: 4}).Backend; b != BackendChannelMatrix {
-		t.Errorf("zero-value backend = %v, want chanmatrix", b)
+	for _, cfg := range []Config{DefaultConfig(4), {P: 4}} {
+		m := NewMachine(cfg)
+		if w := m.Workers(); w != SchedWorkers(cfg) || w < 1 {
+			t.Errorf("%+v: Workers = %d, want the scheduler width %d", cfg, w, SchedWorkers(cfg))
+		}
+		m.MustRunAsync(func(pe *PE) Stepper { return nil })
+		m.Close()
 	}
 }
 
-// TestMachineBytesGrowth pins the estimator the scaling budget guards
-// against: O(p) for the mailbox runtime including scheduler state, O(p²)
-// for the matrix, and never below QueueBytes.
+// TestMachineBytesGrowth pins that the estimator charges the scheduler:
+// more workers, more bytes.
 func TestMachineBytesGrowth(t *testing.T) {
-	growth := func(cfg func(int) Config) float64 {
-		return float64(MachineBytes(cfg(4096))) / float64(MachineBytes(cfg(256)))
-	}
-	if g := growth(DefaultConfig); g > 20 {
-		t.Errorf("mailbox machine estimate grew %.0f× for 16× PEs; want O(p)", g)
-	}
-	if g := growth(MatrixConfig); g < 100 {
-		t.Errorf("matrix machine estimate grew only %.0f× for 16× PEs", g)
-	}
-	for _, cfg := range []Config{DefaultConfig(1024), MatrixConfig(64)} {
-		if MachineBytes(cfg) < QueueBytes(cfg) {
-			t.Errorf("%s: MachineBytes %d < QueueBytes %d", cfg.Backend, MachineBytes(cfg), QueueBytes(cfg))
-		}
-	}
-	// The estimator must charge the scheduler: more workers, more bytes.
 	wide, narrow := DefaultConfig(1024), DefaultConfig(1024)
 	wide.Workers, narrow.Workers = 512, 4
 	if MachineBytes(wide) <= MachineBytes(narrow) {
@@ -317,9 +255,6 @@ func TestSchedWorkersResolution(t *testing.T) {
 	cfg.Workers = 1 << 20
 	if w := SchedWorkers(cfg); w != 64 {
 		t.Errorf("oversized w = %d, want clamp to 64", w)
-	}
-	if w := SchedWorkers(MatrixConfig(64)); w != 0 {
-		t.Errorf("matrix w = %d, want 0", w)
 	}
 	m := NewMachine(DefaultConfig(16))
 	defer m.Close()
@@ -400,31 +335,24 @@ func heapInUse() uint64 {
 }
 
 // TestMailboxMachineMemoryMeasured verifies the O(p) claim on the real
-// allocator, not just the estimate: constructing a mailbox machine with
-// 4096 PEs must cost (far) less heap than a 64-PE channel matrix.
+// allocator, not just the estimate: a 4096-PE machine costs little heap,
+// and no more than MachineBytes says (the estimate errs high — it charges
+// the worker stacks a machine only takes at its first RunAsync).
 func TestMailboxMachineMemoryMeasured(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap measurements are not meaningful under -race")
 	}
-	measure := func(cfg Config) uint64 {
-		before := heapInUse()
-		m := NewMachine(cfg)
-		after := heapInUse()
-		runtime.KeepAlive(m)
-		if after < before {
-			return 0
-		}
-		return after - before
+	cfg := DefaultConfig(4096)
+	before := heapInUse()
+	m := NewMachine(cfg)
+	after := heapInUse()
+	runtime.KeepAlive(m)
+	measured := int64(after) - int64(before)
+	if est := MachineBytes(cfg); measured > est {
+		t.Errorf("machine at p=4096 uses %d B of heap, MachineBytes estimates %d B; the estimate must not err low", measured, est)
 	}
-	chan64 := measure(MatrixConfig(64))
-	box4096 := measure(DefaultConfig(4096))
-	// chan64 ≈ 64²·(hchan + 64 slots) ≈ 13 MB; box4096 ≈ 4096 boxes < 2 MB.
-	if box4096 >= chan64 {
-		t.Errorf("mailbox machine at p=4096 uses %d B, channel matrix at p=64 uses %d B; mailbox should be far smaller",
-			box4096, chan64)
-	}
-	if box4096 > 16<<20 {
-		t.Errorf("mailbox machine at p=4096 uses %d B; want O(p) ≪ 16 MB", box4096)
+	if measured > 16<<20 {
+		t.Errorf("machine at p=4096 uses %d B; want O(p) ≪ 16 MB", measured)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package comm provides the distributed-machine substrate the paper's
 // algorithms run on: p processing elements (PEs) executing the same SPMD
-// program as goroutines, exchanging point-to-point messages through a
-// pluggable message runtime (see Backend).
+// program, exchanging point-to-point messages through one mailbox per
+// receiver (internal/mailbox).
 //
 // The package meters every message in machine words and startups, and keeps
 // a per-PE "LogP-lite" virtual clock so the paper's cost model
@@ -23,29 +23,29 @@
 // forms are bit-identical in results and statistics. PE bodies likewise
 // run in two forms. Machine.Run takes a blocking body and gives every
 // local PE a goroutine for the duration of the run; a waiting body parks
-// on its message queue. Machine.RunAsync takes Stepper bodies, where a
-// wait on an unbound handle suspends the body as data and the mailbox
-// scheduler's w ≪ p workers drive all of them — see async.go.
+// on its mailbox. Machine.RunAsync takes Stepper bodies, where a wait on
+// an unbound handle suspends the body as data and the scheduler's w ≪ p
+// workers drive all of them — see async.go.
 //
-// # Backends
+// # Transport and the executor seam
 //
-// Two interchangeable message runtimes implement the same Send/Recv
-// semantics (per-sender FIFO delivery, abort propagation, identical
-// metering — pinned by the differential tests in internal/experiments):
+// There is one transport. A send is a Put into the receiver's
+// mailbox.Box — O(p) queue memory, per-(sender, context) FIFO delivery —
+// and a receive takes from the PE's own box; both are direct calls on the
+// concrete box. With Config.Remote set the machine is one process's rank
+// window of a larger machine (internal/wire) and a send addressed outside
+// the window leaves through Remote.Forward instead.
 //
-//   - BackendMailbox (default): one MPSC mailbox per receiver
-//     (internal/mailbox) — O(p) queue memory — plus the sharded worker
-//     scheduler RunAsync drives steppers on: w = min(GOMAXPROCS·8, p)
-//     goroutines, resident between runs and mid-run alike. This is the
-//     runtime that scales to p = 131072 (see the scaling suite in
-//     internal/experiments). With Config.Remote set, the machine is one
-//     process's rank window of a larger machine (internal/wire).
-//   - BackendChannelMatrix: the original engine — one buffered channel
-//     per ordered PE pair. Queue memory is O(p²·ChanCap), which caps it
-//     near p ≈ 512; it is retained as the differential reference the
-//     mailbox runtime is pinned against (comm.MatrixConfig, exercised at
-//     p ∈ {4, 16, 64}). It has no scheduler: RunAsync drives each
-//     stepper with blocking waits under Run.
+// Two cold-path decisions sit behind the Executor interface: who drives
+// the steppers of a RunAsync, and where a send goes that has no local box.
+// NewMachine installs the production answer — the sharded scheduler of
+// internal/mailbox, w = min(GOMAXPROCS·8, p) goroutines resident between
+// runs and mid-run alike, which scales to p = 131072 (see the scaling
+// suite in internal/experiments), and Remote.Forward. NewMachineOn takes
+// another: internal/simexec, test support only, runs every stepper on one
+// goroutine and carries every message itself, delivering in an order a
+// seeded policy picks — the reference the differential tests pin results
+// and meters against, and the way they explore schedules.
 package comm
 
 import (
@@ -60,30 +60,6 @@ import (
 	"commtopk/internal/mailbox"
 )
 
-// Backend selects the message runtime of a Machine.
-type Backend int
-
-const (
-	// BackendChannelMatrix is the original engine: a buffered channel per
-	// ordered PE pair. Retained as the differential reference; the Config
-	// zero value keeps selecting it so explicitly constructed Configs are
-	// unambiguous.
-	BackendChannelMatrix Backend = iota
-	// BackendMailbox is the scalable engine (and the DefaultConfig
-	// choice): per-receiver MPSC mailboxes and the sharded worker
-	// scheduler for stepper bodies. With Config.Remote set it is one
-	// process of a multi-process machine (see Remote).
-	BackendMailbox
-)
-
-// String names the backend as used in benchmark reports and CLI flags.
-func (b Backend) String() string {
-	if b == BackendMailbox {
-		return "mailbox"
-	}
-	return "chanmatrix"
-}
-
 // Tag identifies the protocol step a message belongs to. Collectives draw
 // tags from a per-PE sequence that stays synchronized because every PE
 // enters every collective (SPMD); point-to-point protocols use explicit
@@ -92,9 +68,9 @@ func (b Backend) String() string {
 type Tag uint64
 
 // Config describes the simulated machine: the paper's three parameters
-// (P, Alpha, Beta), the RNG Seed, and four runtime fields — Backend,
-// Workers (mailbox scheduler width), ChanCap (channel matrix only) and
-// Remote (multi-process mailbox machines only).
+// (P, Alpha, Beta), the RNG Seed, the scheduler width Workers and, for
+// one process of a multi-process machine, Remote. The zero value of every
+// field but P is usable.
 type Config struct {
 	// P is the number of processing elements.
 	P int
@@ -102,29 +78,22 @@ type Config struct {
 	Alpha float64
 	// Beta is the modeled per-word transfer cost (same units as Alpha).
 	Beta float64
-	// ChanCap is the per-ordered-pair channel buffer capacity
-	// (BackendChannelMatrix only; mailbox intake is unbounded and
-	// flow-controlled by the SPMD protocol structure).
-	ChanCap int
 	// Seed seeds the per-PE deterministic RNG streams (see NewPERandSeed).
 	Seed int64
-	// Backend selects the message runtime. The zero value is the original
-	// channel matrix.
-	Backend Backend
-	// Workers is the mailbox scheduler width w: the number of goroutines
-	// the p stepper bodies of a RunAsync are multiplexed over, and the
-	// machine's resident goroutine budget. 0 selects min(GOMAXPROCS·8, p);
-	// any value is clamped to [1, p]. Ignored by the channel matrix and by
-	// blocking Run (a goroutine per PE either way). Execution results and
-	// metering are independent of w (pinned by the differential tests); w
-	// only trades host parallelism against resident memory.
+	// Workers is the scheduler width w: the number of goroutines the p
+	// stepper bodies of a RunAsync are multiplexed over, and the machine's
+	// resident goroutine budget. 0 selects min(GOMAXPROCS·8, p); any value
+	// is clamped to [1, p]. Blocking Run ignores it (a goroutine per PE
+	// either way). Execution results and metering are independent of w
+	// (pinned by the differential tests); w only trades host parallelism
+	// against resident memory.
 	Workers int
-	// Remote, when set, windows a BackendMailbox machine to its
-	// process-local contiguous rank range. See Remote.
+	// Remote, when set, windows the machine to its process-local
+	// contiguous rank range. See Remote.
 	Remote *Remote
 }
 
-// Remote makes a mailbox machine one process of a multi-process machine:
+// Remote makes a machine one process of a multi-process machine:
 // it owns only the contiguous local rank window [Lo, Hi) of the full
 // p-PE machine and hands every message addressed outside the window to
 // Forward — the seam internal/wire plugs its socket transport into.
@@ -145,30 +114,16 @@ type Remote struct {
 	Forward func(dst int, msg mailbox.Msg)
 }
 
-// DefaultConfig returns a machine configuration with p PEs on the mailbox
-// backend and the default α/β ratio used throughout the benchmarks
-// (α = 1000β, a typical cluster-interconnect ratio of startup latency to
-// per-word bandwidth). Use MatrixConfig for the channel-matrix reference.
+// DefaultConfig returns a machine configuration with p PEs and the
+// default α/β ratio used throughout the benchmarks (α = 1000β, a typical
+// cluster-interconnect ratio of startup latency to per-word bandwidth).
 func DefaultConfig(p int) Config {
-	return Config{P: p, Alpha: 1000, Beta: 1, ChanCap: 64, Seed: 1, Backend: BackendMailbox}
+	return Config{P: p, Alpha: 1000, Beta: 1, Seed: 1}
 }
 
-// MatrixConfig is DefaultConfig on the channel-matrix engine — the
-// differential-reference configuration. Its O(p²·ChanCap) queue memory
-// limits it to small p; everything at scale runs on DefaultConfig.
-func MatrixConfig(p int) Config {
-	cfg := DefaultConfig(p)
-	cfg.Backend = BackendChannelMatrix
-	return cfg
-}
-
-// SchedWorkers resolves the mailbox scheduler width w for cfg: the
-// explicit cfg.Workers clamped to [1, p], or min(GOMAXPROCS·8, p) when
-// unset. Returns 0 for the channel matrix, which has no scheduler.
+// SchedWorkers resolves the scheduler width w for cfg: the explicit
+// cfg.Workers clamped to [1, p], or min(GOMAXPROCS·8, p) when unset.
 func SchedWorkers(cfg Config) int {
-	if cfg.Backend == BackendChannelMatrix {
-		return 0
-	}
 	w := cfg.Workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0) * 8
@@ -185,72 +140,63 @@ func localP(cfg Config) int {
 	return cfg.P
 }
 
-// QueueBytes estimates the message-queue memory NewMachine allocates up
-// front for cfg: the channel matrix pays p² buffered channels, the
-// mailbox backend p empty intake boxes. The scaling harness uses the
-// estimate as its memory-budget guard (refusing configurations that could
-// not complete) and tests pin the O(p) vs O(p²) growth.
-func QueueBytes(cfg Config) int64 {
-	p := int64(cfg.P)
-	switch cfg.Backend {
-	case BackendMailbox:
-		const boxBytes = int64(unsafe.Sizeof(mailbox.Box{})) + 16 // box + slice slot + pointer
-		return int64(localP(cfg)) * boxBytes
-	default:
-		chanCap := int64(cfg.ChanCap)
-		if chanCap <= 0 {
-			chanCap = 64
-		}
-		// hchan header (~96 B) + ring buffer of message structs; the +1
-		// row is the per-destination external-injection channels.
-		const hchanBytes = 96
-		msgBytes := int64(unsafe.Sizeof(message{}))
-		return (p*p + p) * (hchanBytes + chanCap*msgBytes)
-	}
-}
-
-// MachineBytes estimates the full resident cost of a machine for cfg:
-// the message queues (QueueBytes) plus the per-PE handles and, on the
-// mailbox backend, the scheduler state — shard bookkeeping and the w
-// worker goroutine stacks. The channel matrix, which has no resident
-// goroutines, is instead charged the p stacks a run binds. This is the
-// number the scaling harness budgets against (QueueBytes alone flatters
-// a backend whose queues are small but whose runtime state is not), and
-// a test pins it against the measured live heap. Run state is not
-// included: in-flight messages are workload-dependent, and a blocking
-// Run adds a goroutine stack per local PE on either backend until it
-// returns.
+// MachineBytes estimates the resident cost of a machine NewMachine builds
+// for cfg: one empty intake box and one PE handle per local rank plus the
+// scheduler state — shard bookkeeping and the w worker goroutine stacks.
+// All of it is O(p). A test pins the estimate against the measured live
+// heap. Run state is not included: in-flight messages are
+// workload-dependent, and a blocking Run adds a goroutine stack per local
+// PE until it returns.
 func MachineBytes(cfg Config) int64 {
-	p := int64(localP(cfg))
-	peBytes := int64(unsafe.Sizeof(PE{})) + 8 // handle + slice slot
-	b := QueueBytes(cfg) + p*peBytes
-	if cfg.Backend != BackendChannelMatrix {
-		return b + mailbox.StateBytes(localP(cfg), SchedWorkers(cfg))
-	}
-	const stackBytes = 8 << 10
-	return b + p*stackBytes
+	const boxBytes = int64(unsafe.Sizeof(mailbox.Box{})) + 16 // box + slice slot + pointer
+	const peBytes = int64(unsafe.Sizeof(PE{})) + 8            // handle + slice slot
+	return int64(localP(cfg))*(boxBytes+peBytes) + mailbox.StateBytes(localP(cfg), SchedWorkers(cfg))
 }
 
-type message struct {
-	tag    Tag
-	ctx    uint32 // communication context (0: default); matched with tag at receive
-	words  int64
-	depart float64 // sender's virtual clock after the send completed
-	data   any
+// Executor is the machine's one seam, both halves on cold paths: who
+// drives the steppers of a RunAsync, and where a send goes whose
+// destination has no local box. NewMachine installs the production
+// implementation (the mailbox scheduler and, on a windowed machine,
+// Remote.Forward); NewMachineOn accepts another, which exists for test
+// support (internal/simexec). Ranks are local indices, 0 ≤ rank < the
+// number of local PEs.
+type Executor interface {
+	// Run calls exec(rank) for every rank and returns once each has
+	// reported done. exec returning false means the body suspended after
+	// arming its mailbox; it is called again after Ready(rank).
+	Run(exec func(rank int) bool)
+	// Ready re-enqueues a suspended rank whose awaited message has
+	// arrived, or whose box was interrupted. Called from any goroutine.
+	Ready(rank int)
+	// Forward takes over a message no local box accepts; it reaches its
+	// receiver through Machine.Deliver. Called from any goroutine.
+	Forward(dst int, msg mailbox.Msg)
+	// Workers is the number of goroutines the executor keeps resident.
+	Workers() int
+	// Close releases them. Not called during a Run; idempotent.
+	Close()
 }
+
+// schedExecutor is the production Executor: the sharded scheduler drives
+// the steppers, and the only sends without a local box are a windowed
+// machine's, which leave through Remote.Forward.
+type schedExecutor struct {
+	*mailbox.Sched
+	remote *Remote
+}
+
+func (e schedExecutor) Forward(dst int, msg mailbox.Msg) { e.remote.Forward(dst, msg) }
 
 // Machine is a simulated cluster of PEs. Create one with NewMachine, run
 // SPMD programs with Run, and read aggregate statistics with Stats.
 type Machine struct {
 	cfg   Config
-	chans [][]chan message // channel-matrix backend: chans[src][dst]
-	boxes []*mailbox.Box   // mailbox backend: boxes[dst]
-	// ext carries externally injected messages (Machine.Post — the
-	// serving front end's doorbells) on the channel matrix, one channel
-	// per destination; the mailbox backend injects straight into the
-	// destination box under the ExternalSrc rank.
-	ext []chan message
-	pes []*PE
+	boxes []*mailbox.Box // one intake per local rank, indexed by rank−lo
+	// sendBoxes is indexed by global destination rank; a nil entry (a
+	// non-local rank of a windowed machine, every rank under NewMachineOn)
+	// sends through ex.Forward.
+	sendBoxes []*mailbox.Box
+	pes       []*PE
 	// lo is the first local rank (0 except on a windowed machine, which
 	// owns only the Remote window and indexes pes/boxes by rank−lo).
 	lo int
@@ -263,12 +209,12 @@ type Machine struct {
 	ctxFree []Ctx
 	ctxNext uint32
 
-	// Mailbox-backend RunAsync machinery: the sharded scheduler (w workers
-	// driving the p steppers; they spawn on the first RunAsync and stay
-	// until Close or the finalizer), the per-rank exec wrapper (one method
-	// value per machine, so steady-state dispatch allocates nothing), and
-	// the start function of the run in progress (nil outside RunAsync).
-	sched      *mailbox.Sched
+	// RunAsync machinery: the executor (in production w workers driving
+	// the p steppers; they spawn on the first RunAsync and stay until Close
+	// or the finalizer), the per-rank exec wrapper (one method value per
+	// machine, so steady-state dispatch allocates nothing), and the start
+	// function of the run in progress (nil outside RunAsync).
+	ex         Executor
 	execAsync  func(rank int) bool
 	asyncStart func(pe *PE) Stepper
 	closeOnce  sync.Once
@@ -280,87 +226,82 @@ type Machine struct {
 
 	// errMu guards the run's first error and the abort state: abortErr
 	// can arrive from outside the run (AbortExternal on the wire reader
-	// goroutine) while finishRun re-arms the machine, so aborted and the
-	// abort channel change only under the lock.
+	// goroutine) while finishRun re-arms the machine, so aborted changes
+	// only under the lock.
 	errMu   sync.Mutex
 	err     error
 	aborted bool
-	abort   chan struct{}
 }
 
-// NewMachine creates a machine with cfg.P PEs. It panics if cfg.P < 1.
+// NewMachine creates a machine with cfg.P PEs (on a windowed machine, the
+// PEs of cfg.Remote's window). It panics if cfg.P < 1.
 func NewMachine(cfg Config) *Machine {
+	if r := cfg.Remote; r != nil && (r.Forward == nil || r.Lo < 0 || r.Hi <= r.Lo || r.Hi > cfg.P) {
+		panic("comm: Config.Remote requires a valid [Lo, Hi) window and a Forward hook")
+	}
+	return newMachine(cfg, nil)
+}
+
+// NewMachineOn is NewMachine with ex in place of the production executor:
+// ex drives every RunAsync, and every Send and Post is handed to
+// ex.Forward — no message reaches a box except through Deliver. The
+// machine must be whole (cfg.Remote nil). Test support; see
+// internal/simexec.
+func NewMachineOn(cfg Config, ex Executor) *Machine {
+	if cfg.Remote != nil || ex == nil {
+		panic("comm: NewMachineOn requires an executor and a whole machine (no Config.Remote)")
+	}
+	return newMachine(cfg, ex)
+}
+
+func newMachine(cfg Config, ex Executor) *Machine {
 	if cfg.P < 1 {
 		panic(fmt.Sprintf("comm: invalid PE count %d", cfg.P))
 	}
-	if cfg.ChanCap <= 0 {
-		cfg.ChanCap = 64
-	}
 	lo := 0
-	if r := cfg.Remote; r != nil {
-		if cfg.Backend != BackendMailbox || r.Forward == nil || r.Lo < 0 || r.Hi <= r.Lo || r.Hi > cfg.P {
-			panic("comm: Config.Remote requires BackendMailbox, a valid [Lo, Hi) window and a Forward hook")
-		}
-		lo = r.Lo
+	if cfg.Remote != nil {
+		lo = cfg.Remote.Lo
 	}
 	nLocal := localP(cfg)
 	m := &Machine{
 		cfg:   cfg,
 		lo:    lo,
+		boxes: make([]*mailbox.Box, nLocal),
 		pes:   make([]*PE, nLocal),
-		abort: make(chan struct{}),
 	}
-	var sendBoxes []*mailbox.Box
-	if cfg.Backend != BackendChannelMatrix {
-		m.boxes = make([]*mailbox.Box, nLocal)
-		for i := range m.boxes {
-			m.boxes[i] = mailbox.New()
-		}
-		m.sched = mailbox.NewSched(nLocal, SchedWorkers(cfg))
-		// Send indexes sendBoxes by global destination rank; on a windowed
-		// machine the non-local entries stay nil and Send falls through to
-		// the Remote.Forward transport hook.
-		if lo == 0 && nLocal == cfg.P {
-			sendBoxes = m.boxes
-		} else {
-			sendBoxes = make([]*mailbox.Box, cfg.P)
-			copy(sendBoxes[lo:], m.boxes)
-		}
+	for i := range m.boxes {
+		m.boxes[i] = mailbox.New()
+	}
+	// Suspended continuation bodies (RunAsync) are resumed through the box
+	// notify → executor ready-queue path; all boxes share the one Ready
+	// method value and differ only in rank. In production that is the
+	// scheduler's own method, bound directly: a resume crosses no interface.
+	var ready func(rank int)
+	if ex != nil {
+		m.sendBoxes = make([]*mailbox.Box, cfg.P) // all nil: every send is ex.Forward's
+		ready = ex.Ready
 	} else {
-		m.chans = make([][]chan message, cfg.P)
-		for i := 0; i < cfg.P; i++ {
-			m.chans[i] = make([]chan message, cfg.P)
-			for j := 0; j < cfg.P; j++ {
-				m.chans[i][j] = make(chan message, cfg.ChanCap)
-			}
-		}
-		m.ext = make([]chan message, cfg.P)
-		for i := range m.ext {
-			m.ext[i] = make(chan message, cfg.ChanCap)
+		sched := mailbox.NewSched(nLocal, SchedWorkers(cfg))
+		ex, ready = schedExecutor{sched, cfg.Remote}, sched.Ready
+		m.sendBoxes = m.boxes
+		if nLocal != cfg.P {
+			m.sendBoxes = make([]*mailbox.Box, cfg.P)
+			copy(m.sendBoxes[lo:], m.boxes)
 		}
 	}
-	for i := 0; i < nLocal; i++ {
-		pe := &PE{m: m, rank: lo + i, p: cfg.P, alpha: cfg.Alpha, beta: cfg.Beta}
-		if m.boxes != nil {
-			pe.box = m.boxes[i]
-			pe.sendBoxes = sendBoxes
+	m.ex = ex
+	m.execAsync = m.execAsyncRank
+	for i, b := range m.boxes {
+		m.pes[i] = &PE{
+			m: m, rank: lo + i, p: cfg.P, alpha: cfg.Alpha, beta: cfg.Beta,
+			box: b, sendBoxes: m.sendBoxes,
 		}
-		m.pes[i] = pe
+		b.SetNotify(i, ready)
 	}
-	if m.sched != nil {
-		m.execAsync = m.execAsyncRank
-		// Suspended continuation bodies (RunAsync) are resumed through the
-		// box notify → scheduler ready-queue path; all boxes share the one
-		// Ready method value and differ only in rank.
-		ready := m.sched.Ready
-		for i, b := range m.boxes {
-			b.SetNotify(i, ready)
-		}
-		// An idle scheduler goroutine references only the scheduler, never
-		// the machine, so the finalizer fires once callers drop the machine
-		// and releases the workers.
-		runtime.SetFinalizer(m, (*Machine).shutdown)
-	}
+	// An idle scheduler goroutine references only the scheduler, never the
+	// machine, so the finalizer fires once callers drop the machine and
+	// releases the workers.
+	runtime.SetFinalizer(m, (*Machine).shutdown)
 	return m
 }
 
@@ -370,32 +311,20 @@ func (m *Machine) P() int { return m.cfg.P }
 // Config returns the machine configuration.
 func (m *Machine) Config() Config { return m.cfg }
 
-// Close releases the resident scheduler goroutines of a mailbox-backend
-// machine. It is optional — an unreachable machine's scheduler is
-// released by a finalizer — but deterministic teardown keeps harness
-// measurements clean. The machine must not be used after Close. No-op on
-// the channel matrix.
+// Close releases the machine's resident scheduler goroutines. It is
+// optional — an unreachable machine's scheduler is released by a
+// finalizer — but deterministic teardown keeps harness measurements
+// clean. The machine must not be used after Close.
 func (m *Machine) Close() {
 	runtime.SetFinalizer(m, nil)
 	m.shutdown()
 }
 
-func (m *Machine) shutdown() {
-	m.closeOnce.Do(func() {
-		if m.sched != nil {
-			m.sched.Close()
-		}
-	})
-}
+func (m *Machine) shutdown() { m.closeOnce.Do(m.ex.Close) }
 
-// Workers returns the mailbox scheduler width w (0 on the channel
-// matrix): the machine's resident goroutine budget.
-func (m *Machine) Workers() int {
-	if m.sched == nil {
-		return 0
-	}
-	return m.sched.Workers()
-}
+// Workers returns the scheduler width w: the machine's resident
+// goroutine budget.
+func (m *Machine) Workers() int { return m.ex.Workers() }
 
 // abortErr records the first error and releases all blocked PEs.
 func (m *Machine) abortErr(err error) {
@@ -406,14 +335,13 @@ func (m *Machine) abortErr(err error) {
 	}
 	if !m.aborted {
 		m.aborted = true
-		close(m.abort)
 		for _, b := range m.boxes {
 			b.Interrupt()
 		}
 	}
 }
 
-// ErrAborted is the panic value delivered to PEs blocked in Send/Recv when
+// abortedError is the panic value delivered to PEs blocked in Recv when
 // another PE has failed; it unwinds the SPMD program cleanly.
 type abortedError struct{}
 
@@ -477,22 +405,9 @@ func (m *Machine) finishRun() error {
 		for _, b := range m.boxes {
 			b.Reset()
 		}
-		for i := range m.chans {
-			for j := range m.chans[i] {
-				for len(m.chans[i][j]) > 0 {
-					<-m.chans[i][j]
-				}
-			}
-		}
-		for _, ch := range m.ext {
-			for len(ch) > 0 {
-				<-ch
-			}
-		}
 		for _, pe := range m.pes {
 			pe.resetAsync()
 		}
-		m.abort = make(chan struct{})
 		m.aborted = false
 	}
 	return err
@@ -569,35 +484,27 @@ func (m *Machine) ExternalSrc() int { return m.cfg.P }
 // context set to ctx). It carries no sender-side meter (no PE paid a
 // send); the receiver's Wait folds the usual α + βm receive cost with a
 // zero depart stamp, so consuming a doorbell costs one startup of
-// modeled time. Safe from any goroutine; never blocks on the mailbox
-// backend (channel-matrix injection queues block when full, watching
-// the abort).
+// modeled time. Safe from any goroutine; never blocks.
 func (m *Machine) Post(dst int, ctx Ctx, tag Tag, data any, words int64) {
-	if m.boxes != nil {
-		msg := mailbox.Msg{
-			Src: m.cfg.P, Ctx: uint32(ctx), Tag: uint64(tag), Words: words, Data: data,
-		}
-		if dst < m.lo || dst >= m.lo+len(m.pes) {
-			m.cfg.Remote.Forward(dst, msg)
-			return
-		}
-		m.boxes[dst-m.lo].Put(msg)
-		return
+	msg := mailbox.Msg{
+		Src: m.cfg.P, Ctx: uint32(ctx), Tag: uint64(tag), Words: words, Data: data,
 	}
-	select {
-	case m.ext[dst] <- message{tag: tag, ctx: uint32(ctx), words: words, data: data}:
-	case <-m.abort:
+	if b := m.sendBoxes[dst]; b != nil {
+		b.Put(msg)
+	} else {
+		m.ex.Forward(dst, msg)
 	}
 }
 
 // Deliver injects a transport-delivered message for local rank dst — the
-// receive half of the Remote seam: the wire reader decodes a frame
-// and hands its envelope here, after which keyed demux, IRecv binding and
-// the metered receive rule proceed exactly as for an in-process send (the
-// message carries the sender's depart stamp across the process boundary).
-// dst must be a local rank. Safe from any goroutine.
+// receive half of Remote.Forward and Executor.Forward: the wire reader
+// decodes a frame and hands its envelope here, after which keyed demux,
+// IRecv binding and the metered receive rule proceed exactly as for an
+// in-process send (the message carries the sender's depart stamp across
+// the process boundary). dst must be a local rank. Safe from any
+// goroutine.
 func (m *Machine) Deliver(dst int, msg mailbox.Msg) {
-	if m.boxes == nil || dst < m.lo || dst >= m.lo+len(m.pes) {
+	if dst < m.lo || dst >= m.lo+len(m.pes) {
 		panic(fmt.Sprintf("comm: Deliver to non-local rank %d (local window [%d, %d))", dst, m.lo, m.lo+len(m.pes)))
 	}
 	m.boxes[dst-m.lo].Put(msg)
@@ -680,9 +587,8 @@ type PE struct {
 	alpha float64
 	beta  float64
 
-	// Mailbox backend: box is this PE's own intake, sendBoxes the
-	// machine-wide slice indexed by destination. Both nil on the channel
-	// matrix (the Send/Recv dispatch tests box/sendBoxes, not config).
+	// box is this PE's own intake, sendBoxes the machine-wide slice
+	// indexed by destination (see Machine.sendBoxes).
 	box       *mailbox.Box
 	sendBoxes []*mailbox.Box
 
@@ -708,12 +614,6 @@ type PE struct {
 	ctx        uint32
 	collSeq    uint64
 	collSeqCtx map[uint32]uint64
-
-	// Channel-matrix per-PE stash: messages taken off a source channel
-	// while looking for a different context, parked per (src, ctx) key
-	// until their own receive comes looking. The mailbox backend demuxes
-	// inside the Box instead.
-	stash map[uint64]*msgFifo
 
 	// keyBuf/hBuf are reusable buffers for multi-handle suspension
 	// (MultiWaiter bodies): the pending handles of the current body and
@@ -746,13 +646,6 @@ type PE struct {
 type scratchKey struct {
 	ctx uint32
 	key string
-}
-
-// msgFifo is one (src, ctx) key's stashed-message queue on the channel
-// matrix (see PE.stash).
-type msgFifo struct {
-	q    []message
-	head int
 }
 
 // Scratch returns the value stored under key in this PE's scratch store
@@ -794,9 +687,9 @@ func ScratchSlice[T any](pe *PE, key string, n int) []T {
 	return b
 }
 
-// WaitTime returns how long this PE has been blocked waiting for messages
-// (or for channel space). Harness code subtracts it from a phase's wall
-// time to estimate pure local work.
+// WaitTime returns how long this PE has been blocked waiting for
+// messages. Harness code subtracts it from a phase's wall time to
+// estimate pure local work.
 func (pe *PE) WaitTime() time.Duration { return time.Duration(pe.waitNs) }
 
 // Rank returns this PE's rank in 0..P-1.
@@ -860,7 +753,8 @@ func (pe *PE) NextCollTag() Tag {
 // Send transmits data (words machine words) to PE dst with the given tag.
 // The payload is passed by reference; the sender must not mutate it after
 // sending (collectives in package coll copy where required). Send never
-// blocks indefinitely: if the machine aborts, Send unwinds via panic.
+// blocks: mailbox intake is unbounded, flow-controlled by the SPMD
+// protocol structure.
 func (pe *PE) Send(dst int, tag Tag, data any, words int64) {
 	if dst < 0 || dst >= pe.p {
 		panic(fmt.Sprintf("comm: PE %d: send to invalid rank %d", pe.rank, dst))
@@ -871,35 +765,16 @@ func (pe *PE) Send(dst int, tag Tag, data any, words int64) {
 	pe.clock += pe.alpha + pe.beta*float64(words)
 	pe.sentWords += words
 	pe.sends++
-	if pe.sendBoxes != nil {
-		// Mailbox backend: intake is unbounded, so sends never block and
-		// need no abort watch. A nil box entry (windowed machine, non-local
-		// destination) routes through the transport hook instead; the
-		// frame carries the depart stamp so the receiver's meter folds
-		// identically to a local delivery.
-		msg := mailbox.Msg{
-			Src: pe.rank, Ctx: pe.ctx, Tag: uint64(tag), Words: words, Depart: pe.clock, Data: data,
-		}
-		if b := pe.sendBoxes[dst]; b != nil {
-			b.Put(msg)
-		} else {
-			pe.m.cfg.Remote.Forward(dst, msg)
-		}
-		return
+	// The message carries the depart stamp, so the receiver's meter folds
+	// identically whether it arrives by a local Put or, forwarded, through
+	// Machine.Deliver.
+	msg := mailbox.Msg{
+		Src: pe.rank, Ctx: pe.ctx, Tag: uint64(tag), Words: words, Depart: pe.clock, Data: data,
 	}
-	msg := message{tag: tag, ctx: pe.ctx, words: words, depart: pe.clock, data: data}
-	// Fast path: the buffered channel has space, so no abort watch and no
-	// wait-time clock reads are needed.
-	select {
-	case pe.m.chans[pe.rank][dst] <- msg:
-	default:
-		t0 := time.Now()
-		select {
-		case pe.m.chans[pe.rank][dst] <- msg:
-		case <-pe.m.abort:
-			panic(abortedError{})
-		}
-		pe.waitNs += time.Since(t0).Nanoseconds()
+	if b := pe.sendBoxes[dst]; b != nil {
+		b.Put(msg)
+	} else {
+		pe.m.ex.Forward(dst, msg)
 	}
 }
 
@@ -918,9 +793,8 @@ func (pe *PE) Recv(src int, tag Tag) (any, int64) {
 // SendRecv sends to dst and receives from src in one full-duplex step
 // (the common exchange pattern of recursive doubling), posting the
 // receive before the send so the two transfers overlap — the handle-API
-// form of the exchange. Sends never block on the mailbox backend, and
-// the buffered channels of the matrix make the exchange deadlock-free
-// for any pairing as long as ChanCap ≥ 1.
+// form of the exchange. Sends never block, so the exchange is
+// deadlock-free for any pairing.
 func (pe *PE) SendRecv(dst int, sendData any, sendWords int64, src int, tag Tag) (any, int64) {
 	h := pe.IRecv(src, tag)
 	pe.Send(dst, tag, sendData, sendWords)

@@ -1,12 +1,14 @@
-package comm
+package comm_test
 
 import (
 	"testing"
 	"time"
+
+	. "commtopk/internal/comm"
 )
 
 func TestAccessors(t *testing.T) {
-	m := NewMachine(Config{P: 3, Alpha: 7, Beta: 2, ChanCap: 4, Seed: 5})
+	m := NewMachine(Config{P: 3, Alpha: 7, Beta: 2, Seed: 5})
 	if m.P() != 3 {
 		t.Errorf("Machine.P = %d", m.P())
 	}
@@ -84,7 +86,7 @@ func TestReceiverPaysTransferTime(t *testing.T) {
 	// A coordinator draining p−1 messages must pay Θ(p·(α+βm)) modeled
 	// time even though all senders transmit concurrently.
 	const p = 9
-	m := NewMachine(Config{P: p, Alpha: 1, Beta: 0, ChanCap: p})
+	m := NewMachine(Config{P: p, Alpha: 1, Beta: 0})
 	m.MustRun(func(pe *PE) {
 		const tag Tag = 4
 		if pe.Rank() == 0 {
@@ -131,25 +133,4 @@ func TestSendToInvalidRank(t *testing.T) {
 	}); err == nil {
 		t.Error("recv from rank -1 should fail")
 	}
-}
-
-func TestChanCapBackpressure(t *testing.T) {
-	// ChanCap 1 forces the sender to block on the second message until
-	// the receiver drains — exercising the slow Send path.
-	m := NewMachine(Config{P: 2, Alpha: 1, Beta: 1, ChanCap: 1})
-	m.MustRun(func(pe *PE) {
-		const tag Tag = 6
-		if pe.Rank() == 0 {
-			for i := 0; i < 50; i++ {
-				pe.Send(1, tag, i, 1)
-			}
-		} else {
-			for i := 0; i < 50; i++ {
-				rx, _ := pe.Recv(0, tag)
-				if rx.(int) != i {
-					t.Fatalf("out of order: %v at %d", rx, i)
-				}
-			}
-		}
-	})
 }

@@ -1,8 +1,11 @@
-package comm
+package comm_test
 
 import (
 	"strings"
 	"testing"
+
+	. "commtopk/internal/comm"
+	"commtopk/internal/simexec"
 )
 
 func TestMachineBasicSendRecv(t *testing.T) {
@@ -25,7 +28,7 @@ func TestMachineBasicSendRecv(t *testing.T) {
 }
 
 func TestMachineCounters(t *testing.T) {
-	m := NewMachine(Config{P: 2, Alpha: 10, Beta: 2, ChanCap: 4, Seed: 1})
+	m := NewMachine(Config{P: 2, Alpha: 10, Beta: 2, Seed: 1})
 	m.MustRun(func(pe *PE) {
 		const tag Tag = 1
 		if pe.Rank() == 0 {
@@ -52,7 +55,7 @@ func TestMachineCounters(t *testing.T) {
 
 func TestVirtualClockCriticalPath(t *testing.T) {
 	// A 3-hop relay: clock should accumulate along the chain, not in parallel.
-	m := NewMachine(Config{P: 4, Alpha: 1, Beta: 0, ChanCap: 4})
+	m := NewMachine(Config{P: 4, Alpha: 1, Beta: 0})
 	m.MustRun(func(pe *PE) {
 		const tag Tag = 2
 		switch pe.Rank() {
@@ -155,10 +158,11 @@ func TestInvalidConfig(t *testing.T) {
 }
 
 func TestManyPEsAllExchange(t *testing.T) {
-	// Stress the buffered-channel matrix with a dense exchange (the
-	// mailbox twin lives in backend_test.go).
+	// A dense exchange of blocking bodies carried by the reference
+	// executor (the production twin lives in backend_test.go).
 	const p = 16
-	m := NewMachine(MatrixConfig(p))
+	m := simexec.Reference(p)
+	defer m.Close()
 	m.MustRun(func(pe *PE) {
 		const tag Tag = 11
 		for i := 1; i < p; i++ {

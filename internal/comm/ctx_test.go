@@ -1,21 +1,23 @@
-package comm
+package comm_test
 
 import (
 	"fmt"
 	"sync"
 	"testing"
+
+	. "commtopk/internal/comm"
+	"commtopk/internal/simexec"
 )
 
 // TestCtxIsolatedStreams pins the core serving invariant on both
-// backends: traffic under different contexts between the same (src, dst)
+// executors: traffic under different contexts between the same (src, dst)
 // pair with the SAME tag forms independent FIFO streams. Receives posted
 // under one context never bind another context's messages, even when the
-// other context's messages arrive first (matrix stash detour, mailbox
-// keyed demux).
+// other context's messages arrive first (the mailbox's keyed demux).
 func TestCtxIsolatedStreams(t *testing.T) {
-	for _, cfg := range []Config{DefaultConfig(4), MatrixConfig(4)} {
-		t.Run(cfg.Backend.String(), func(t *testing.T) {
-			m := NewMachine(cfg)
+	for _, rig := range bothRigs {
+		t.Run(rig.name, func(t *testing.T) {
+			m := rig.mk(4)
 			defer m.Close()
 			m.MustRun(func(pe *PE) {
 				const tag Tag = 61
@@ -126,15 +128,16 @@ func TestContextPoolReuse(t *testing.T) {
 	m.ReleaseContext(0)
 }
 
-// TestPostDoorbell pins external injection on both backends: a
+// TestPostDoorbell pins external injection on both executors: a
 // non-PE goroutine Posts a message mid-run, every PE receives it from
 // ExternalSrc under the posted context, and the receive is metered as a
 // pure receive (one startup, no send charged to any PE).
 func TestPostDoorbell(t *testing.T) {
-	for _, cfg := range []Config{DefaultConfig(3), MatrixConfig(3)} {
-		t.Run(cfg.Backend.String(), func(t *testing.T) {
-			m := NewMachine(cfg)
+	for _, rig := range bothRigs {
+		t.Run(rig.name, func(t *testing.T) {
+			m := rig.mk(3)
 			defer m.Close()
+			cfg := m.Config()
 			const tag Tag = 77
 			ctx := m.NewContext()
 			var wg sync.WaitGroup
@@ -177,10 +180,12 @@ type anyWaiter struct {
 }
 
 func (s *anyWaiter) PendingHandles(buf []*RecvHandle) []*RecvHandle {
-	if s.h3 != nil && s.h3.state == hPending {
+	// Step only returns a handle after Test failed on every one it still
+	// holds, so each of those is pending.
+	if s.h3 != nil {
 		buf = append(buf, s.h3)
 	}
-	if s.h8 != nil && s.h8.state == hPending {
+	if s.h8 != nil {
 		buf = append(buf, s.h8)
 	}
 	return buf
@@ -226,12 +231,11 @@ func (s *anyWaiter) Step(pe *PE) *RecvHandle {
 	}
 }
 
-// TestMultiWaiterAnyOfResume drives anyWaiter through all three
-// execution paths — RunAsync on the mailbox backend (ArmKeys
-// suspension), blocking RunSteps on the mailbox backend (WaitAnyKeys),
-// and blocking RunSteps on the channel matrix (reflect.Select mux) —
-// and requires every PE to consume both streams regardless of arrival
-// order.
+// TestMultiWaiterAnyOfResume drives anyWaiter through its execution
+// paths — RunAsync (ArmKeys suspension) and blocking RunSteps
+// (WaitAnyKeys) in production, and both again on the reference executor,
+// whose seeded delivery order decides which stream binds first — and
+// requires every PE to consume both streams regardless of arrival order.
 func TestMultiWaiterAnyOfResume(t *testing.T) {
 	const p = 8
 	check := func(t *testing.T, out []string) {
@@ -258,10 +262,19 @@ func TestMultiWaiterAnyOfResume(t *testing.T) {
 		check(t, out)
 	})
 	t.Run("matrix/blocking", func(t *testing.T) {
-		m := NewMachine(MatrixConfig(p))
+		m := simexec.Reference(p)
 		defer m.Close()
 		out := make([]string, p)
 		m.MustRun(func(pe *PE) { RunSteps(pe, &anyWaiter{out: out}) })
 		check(t, out)
+	})
+	t.Run("matrix/async", func(t *testing.T) {
+		for _, pol := range simexec.Policies {
+			m, _ := simexec.New(DefaultConfig(p), 7, pol)
+			out := make([]string, p)
+			m.MustRunAsync(func(pe *PE) Stepper { return &anyWaiter{out: out} })
+			m.Close()
+			check(t, out)
+		}
 	})
 }

@@ -1,5 +1,5 @@
 //go:build !race
 
-package comm
+package comm_test
 
 const raceEnabled = false

@@ -1,6 +1,6 @@
 //go:build race
 
-package comm
+package comm_test
 
 // raceEnabled gates the allocation- and memory-count guards: the race
 // runtime randomizes sync.Pool behavior and inflates every allocation, so

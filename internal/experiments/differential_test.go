@@ -9,15 +9,18 @@ import (
 	"commtopk/internal/comm"
 	"commtopk/internal/gen"
 	"commtopk/internal/sel"
+	"commtopk/internal/simexec"
 	"commtopk/internal/xrand"
 )
 
-// Backend differential coverage: the mailbox runtime must be a bit-exact
-// drop-in for the channel matrix. Every operation of the collective suite
-// plus unsorted selection runs on both backends with equal seeds; the
-// per-PE results AND the metered statistics (words/PE, startups/PE, the
-// modeled clock) must match exactly — the metering happens above the
-// transport, and both transports preserve per-sender FIFO order, so any
+// Differential coverage: a production machine (w scheduler goroutines,
+// sends dropped straight into mailboxes) must be bit-exact with the
+// reference machine of internal/simexec (one goroutine, every message
+// carried and delivered in a seeded order). Every operation of the
+// collective suite plus unsorted selection runs on both with equal seeds;
+// the per-PE results AND the metered statistics (words/PE, startups/PE,
+// the modeled clock) must match exactly — the metering happens above the
+// transport, and both executors preserve per-sender FIFO order, so any
 // divergence is a runtime bug.
 
 // diffOp is one differentially tested operation: run returns this PE's
@@ -175,16 +178,16 @@ func diffOps(perPE int) []diffOp {
 	}
 }
 
-// runDiffSuite executes all ops on one machine, capturing per-PE results
-// and per-op stats (ResetStats between ops isolates each op's metering).
-func runDiffSuite(t *testing.T, cfg comm.Config, seed int64, perPE int) (results [][]any, stats []comm.Stats) {
+// runDiffSuite executes all ops on m and closes it, capturing per-PE
+// results and per-op stats (ResetStats between ops isolates each op's
+// metering).
+func runDiffSuite(t *testing.T, m *comm.Machine, seed int64, perPE int) (results [][]any, stats []comm.Stats) {
 	t.Helper()
-	m := comm.NewMachine(cfg)
 	defer m.Close()
 	ops := diffOps(perPE)
 	results = make([][]any, len(ops))
 	for i := range results {
-		results[i] = make([]any, cfg.P)
+		results[i] = make([]any, m.P())
 	}
 	for i, op := range ops {
 		m.ResetStats()
@@ -193,7 +196,7 @@ func runDiffSuite(t *testing.T, cfg comm.Config, seed int64, perPE int) (results
 		if err := m.Run(func(pe *comm.PE) {
 			results[i][pe.Rank()] = op.run(pe, seed)
 		}); err != nil {
-			t.Fatalf("%s on %s: %v", op.name, cfg.Backend, err)
+			t.Fatalf("%s: %v", op.name, err)
 		}
 		stats = append(stats, m.Stats())
 	}
@@ -205,16 +208,16 @@ func TestBackendDifferential(t *testing.T) {
 	for _, p := range []int{4, 16, 64} {
 		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
 			seed := int64(1000 + p)
-			chanRes, chanStats := runDiffSuite(t, comm.MatrixConfig(p), seed, perPE)
-			boxRes, boxStats := runDiffSuite(t, comm.DefaultConfig(p), seed, perPE)
+			refRes, refStats := runDiffSuite(t, simexec.Reference(p), seed, perPE)
+			boxRes, boxStats := runDiffSuite(t, comm.NewMachine(comm.DefaultConfig(p)), seed, perPE)
 			ops := diffOps(perPE)
 			for i, op := range ops {
-				if !reflect.DeepEqual(chanRes[i], boxRes[i]) {
-					t.Errorf("%s: results diverge between backends", op.name)
+				if !reflect.DeepEqual(refRes[i], boxRes[i]) {
+					t.Errorf("%s: results diverge from the reference", op.name)
 				}
-				if chanStats[i] != boxStats[i] {
-					t.Errorf("%s: stats diverge:\n  chanmatrix: %+v\n  mailbox:    %+v",
-						op.name, chanStats[i], boxStats[i])
+				if refStats[i] != boxStats[i] {
+					t.Errorf("%s: stats diverge:\n  reference:  %+v\n  production: %+v",
+						op.name, refStats[i], boxStats[i])
 				}
 			}
 		})
@@ -222,7 +225,7 @@ func TestBackendDifferential(t *testing.T) {
 }
 
 // TestBackendDifferentialShardedScheduler pins the sharded scheduler
-// against the channel-matrix reference in the multiplexed regime — far
+// against the reference executor in the multiplexed regime — far
 // fewer shards than PEs (w = 4, p = 64, so every shard is 16 ranks deep)
 // plus the degenerate single-shard machine. Results and metered statistics must be
 // bit-identical: scheduling order may differ wildly, but the per-PE RNG
@@ -231,19 +234,19 @@ func TestBackendDifferential(t *testing.T) {
 func TestBackendDifferentialShardedScheduler(t *testing.T) {
 	const p, perPE = 64, 1 << 10
 	const seed = int64(7700)
-	chanRes, chanStats := runDiffSuite(t, comm.MatrixConfig(p), seed, perPE)
+	refRes, refStats := runDiffSuite(t, simexec.Reference(p), seed, perPE)
 	for _, w := range []int{1, 4} {
 		t.Run(fmt.Sprintf("w=%d", w), func(t *testing.T) {
 			cfg := comm.DefaultConfig(p)
 			cfg.Workers = w
-			boxRes, boxStats := runDiffSuite(t, cfg, seed, perPE)
+			boxRes, boxStats := runDiffSuite(t, comm.NewMachine(cfg), seed, perPE)
 			for i, op := range diffOps(perPE) {
-				if !reflect.DeepEqual(chanRes[i], boxRes[i]) {
+				if !reflect.DeepEqual(refRes[i], boxRes[i]) {
 					t.Errorf("%s: results diverge at w=%d", op.name, w)
 				}
-				if chanStats[i] != boxStats[i] {
-					t.Errorf("%s: stats diverge at w=%d:\n  chanmatrix: %+v\n  mailbox:    %+v",
-						op.name, w, chanStats[i], boxStats[i])
+				if refStats[i] != boxStats[i] {
+					t.Errorf("%s: stats diverge at w=%d:\n  reference:  %+v\n  production: %+v",
+						op.name, w, refStats[i], boxStats[i])
 				}
 			}
 		})
@@ -255,7 +258,8 @@ func TestBackendDifferentialShardedScheduler(t *testing.T) {
 // machines equivalent after many reuse cycles.
 func TestBackendDifferentialRepeatedRuns(t *testing.T) {
 	const p, rounds = 8, 5
-	mc := comm.NewMachine(comm.MatrixConfig(p))
+	mc := simexec.Reference(p)
+	defer mc.Close()
 	mb := comm.NewMachine(comm.DefaultConfig(p))
 	defer mb.Close()
 	for r := 0; r < rounds; r++ {
@@ -276,11 +280,11 @@ func TestBackendDifferentialRepeatedRuns(t *testing.T) {
 }
 
 // TestBackendDifferentialContinuationBodies pins RunAsync against the
-// blocking reference: the continuation-scheduled collective suite on the
-// mailbox backend (including w < p scheduler widths, where suspensions
+// blocking reference: the continuation-scheduled collective suite on a
+// production machine (including w < p scheduler widths, where suspensions
 // cross worker boundaries) must be bit-identical — per-PE results and
 // metered statistics — to the same collectives as blocking bodies on the
-// channel matrix.
+// reference executor.
 func TestBackendDifferentialContinuationBodies(t *testing.T) {
 	const p = 64
 	sum := func(a, b int64) int64 { return a + b }
@@ -304,7 +308,8 @@ func TestBackendDifferentialContinuationBodies(t *testing.T) {
 			comm.StepFunc(func(pe *comm.PE) *comm.RecvHandle { *out = a ^ b ^ g; return nil }),
 		)
 	}
-	mc := comm.NewMachine(comm.MatrixConfig(p))
+	mc := simexec.Reference(p)
+	defer mc.Close()
 	var refRes [p]int64
 	mc.MustRun(func(pe *comm.PE) { refRes[pe.Rank()] = blockBody(pe) })
 	refStats := mc.Stats()
@@ -315,10 +320,10 @@ func TestBackendDifferentialContinuationBodies(t *testing.T) {
 		var res [p]int64
 		m.MustRunAsync(func(pe *comm.PE) comm.Stepper { return start(pe, &res[pe.Rank()]) })
 		if res != refRes {
-			t.Errorf("w=%d: continuation results diverge from blocking matrix reference", w)
+			t.Errorf("w=%d: continuation results diverge from the blocking reference", w)
 		}
 		if s := m.Stats(); s != refStats {
-			t.Errorf("w=%d: stats diverge:\n  matrix blocking: %+v\n  mailbox async:   %+v", w, refStats, s)
+			t.Errorf("w=%d: stats diverge:\n  reference blocking: %+v\n  production async:   %+v", w, refStats, s)
 		}
 		m.Close()
 	}

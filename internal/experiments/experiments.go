@@ -1,8 +1,9 @@
 // Package experiments regenerates the paper's evaluation (Section 10):
 // every figure and table has a function here producing the corresponding
 // series, used by cmd/topkbench and the root-level benchmarks. The
-// package's tests are the cross-backend guards: differential,
-// fuzz-differential, goroutine residency and the p = 65536 budget.
+// package's tests are the system-level guards: differentials against
+// the reference executor (internal/simexec), schedule exploration,
+// goroutine residency and the p = 65536 budget.
 //
 // Scaling note: the paper ran on 2048 cores with n/p up to 2^28; this
 // harness runs p goroutines on one host with n/p defaulting to 2^20 (the

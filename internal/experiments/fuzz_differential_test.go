@@ -4,24 +4,29 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
+	"commtopk/internal/agg"
+	"commtopk/internal/bnb"
 	"commtopk/internal/bpq"
 	"commtopk/internal/coll"
 	"commtopk/internal/comm"
 	"commtopk/internal/freq"
 	"commtopk/internal/gen"
 	"commtopk/internal/mtopk"
+	"commtopk/internal/redist"
 	"commtopk/internal/sel"
+	"commtopk/internal/simexec"
 	"commtopk/internal/xrand"
 )
 
 // Randomized differential fuzz over the stepper forms: random sequences
 // of collectives with random payload shapes run three ways —
 //
-//	channel matrix, blocking bodies   (the naive reference)
-//	mailbox, blocking bodies          (the production blocking path)
-//	mailbox, continuation bodies      (RunAsync over the pooled steppers)
+//	reference executor, continuation bodies   (simexec: one goroutine, seeded order)
+//	production, blocking bodies               (a goroutine per PE)
+//	production, continuation bodies           (RunAsync over the pooled steppers)
 //
 // at several scheduler widths, and every PE's results plus the machine's
 // metered statistics must be bit-identical across all of them. The fixed
@@ -35,7 +40,7 @@ import (
 // returns a comparable result; step returns the stepper form delivering
 // the same result through *out. prm carries the op's randomized
 // parameters, derived deterministically from the sequence seed so all
-// three machines run identical programs.
+// machines run identical programs.
 type fuzzOp struct {
 	name  string
 	block func(pe *comm.PE, prm int64) any
@@ -98,6 +103,38 @@ func fuzzFreqStream(pe *comm.PE, prm int64) ([]uint64, freq.Params) {
 		local[i] = rng.Uint64() % (u + 1)
 	}
 	return local, freq.Params{K: 1 + int(prm%6), Eps: 0.05, Delta: 0.01}
+}
+
+// fuzzAggInput builds a deterministic skewed per-rank (key, value) stream
+// plus randomized top-sum parameters.
+func fuzzAggInput(pe *comm.PE, prm int64) ([]uint64, []float64, agg.Params) {
+	keys, _ := fuzzFreqStream(pe, prm)
+	rng := xrand.NewPE(prm+1, pe.Rank())
+	vals := make([]float64, len(keys))
+	for i := range vals {
+		vals[i] = float64(1 + rng.Intn(9))
+	}
+	return keys, vals, agg.Params{K: 1 + int(prm%5), Eps: 0.05, Delta: 0.01}
+}
+
+// fuzzSortedSeq builds this rank's share of a locally sorted, globally
+// unique key set: the strided keys {i·p + rank}.
+func fuzzSortedSeq(pe *comm.PE, perPE int) []uint64 {
+	s := make([]uint64, perPE)
+	for i := range s {
+		s[i] = uint64(i*pe.P() + pe.Rank())
+	}
+	return s
+}
+
+// fuzzSkewedLoad builds a rank-dependent number of tagged objects for the
+// load balancer: the last ranks hold most of them.
+func fuzzSkewedLoad(pe *comm.PE, prm int64) []uint64 {
+	local := make([]uint64, (pe.Rank()*int(3+prm%11))%29)
+	for i := range local {
+		local[i] = uint64(pe.Rank())<<32 | uint64(i)
+	}
+	return local
 }
 
 // fuzzBpqResult is the BpqChurn op's per-PE observable: every batch key
@@ -423,6 +460,106 @@ func fuzzOps() []fuzzOp {
 			},
 		},
 		{
+			name: "MtopkRDTA",
+			block: func(pe *comm.PE, prm int64) any {
+				d, k := fuzzMtopkData(pe, prm)
+				return mtopk.RDTA(pe, d, mtopk.SumScore, k, xrand.NewPE(prm+17, pe.Rank()))
+			},
+			step: func(pe *comm.PE, prm int64, out *any) comm.Stepper {
+				d, k := fuzzMtopkData(pe, prm)
+				return mtopk.RDTAStep(pe, d, mtopk.SumScore, k, xrand.NewPE(prm+17, pe.Rank()),
+					func(v []mtopk.Hit) { *out = slices.Clone(v) })
+			},
+		},
+		{
+			name: "FreqEC",
+			block: func(pe *comm.PE, prm int64) any {
+				local, pr := fuzzFreqStream(pe, prm)
+				return freq.EC(pe, local, pr, xrand.NewPE(prm+19, pe.Rank()))
+			},
+			step: func(pe *comm.PE, prm int64, out *any) comm.Stepper {
+				local, pr := fuzzFreqStream(pe, prm)
+				return freq.ECStep(pe, local, pr, xrand.NewPE(prm+19, pe.Rank()),
+					func(v freq.Result) { *out = v })
+			},
+		},
+		{
+			name: "AggPAC",
+			block: func(pe *comm.PE, prm int64) any {
+				keys, vals, pr := fuzzAggInput(pe, prm)
+				return agg.PAC(pe, keys, vals, pr, xrand.NewPE(prm+23, pe.Rank()))
+			},
+			step: func(pe *comm.PE, prm int64, out *any) comm.Stepper {
+				keys, vals, pr := fuzzAggInput(pe, prm)
+				return agg.PACStep(pe, keys, vals, pr, xrand.NewPE(prm+23, pe.Rank()),
+					func(v agg.Result) { *out = v })
+			},
+		},
+		{
+			name: "AggECSum",
+			block: func(pe *comm.PE, prm int64) any {
+				keys, vals, pr := fuzzAggInput(pe, prm)
+				return agg.ECSum(pe, keys, vals, pr, xrand.NewPE(prm+29, pe.Rank()))
+			},
+			step: func(pe *comm.PE, prm int64, out *any) comm.Stepper {
+				keys, vals, pr := fuzzAggInput(pe, prm)
+				return agg.ECSumStep(pe, keys, vals, pr, xrand.NewPE(prm+29, pe.Rank()),
+					func(v agg.Result) { *out = v })
+			},
+		},
+		{
+			name: "RedistBalance",
+			block: func(pe *comm.PE, prm int64) any {
+				return slices.Clone(redist.Balance(pe, fuzzSkewedLoad(pe, prm)))
+			},
+			step: func(pe *comm.PE, prm int64, out *any) comm.Stepper {
+				return redist.BalanceStep(pe, fuzzSkewedLoad(pe, prm),
+					func(v []uint64) { *out = slices.Clone(v) })
+			},
+		},
+		{
+			name: "BnbSolve",
+			block: func(pe *comm.PE, prm int64) any {
+				return bnb.Solve[bnb.KNode](pe, bnb.RandomKnapsack(prm, 10, 40), prm, bnb.Config{})
+			},
+			step: func(pe *comm.PE, prm int64, out *any) comm.Stepper {
+				return bnb.SolveStep[bnb.KNode](pe, bnb.RandomKnapsack(prm, 10, 40), prm, bnb.Config{},
+					func(v bnb.Result[bnb.KNode]) { *out = v })
+			},
+		},
+		{
+			name: "SelMSSelect",
+			block: func(pe *comm.PE, prm int64) any {
+				const perPE = 32
+				v, le := sel.MSSelect[uint64](pe, sel.SliceSeq[uint64](fuzzSortedSeq(pe, perPE)),
+					1+prm%int64(pe.P()*perPE), xrand.New(prm+31))
+				return [2]uint64{v, uint64(le)}
+			},
+			step: func(pe *comm.PE, prm int64, out *any) comm.Stepper {
+				const perPE = 32
+				return sel.MSSelectStep[uint64](pe, sel.SliceSeq[uint64](fuzzSortedSeq(pe, perPE)),
+					1+prm%int64(pe.P()*perPE), xrand.New(prm+31),
+					func(v uint64, le int) { *out = [2]uint64{v, uint64(le)} })
+			},
+		},
+		{
+			name: "SelKthSorted",
+			block: func(pe *comm.PE, prm int64) any {
+				const perPE = 48
+				n := int64(pe.P() * perPE)
+				var got uint64
+				comm.RunSteps(pe, sel.KthSortedStep(pe, fuzzSortedSeq(pe, perPE), n, 1+prm%n,
+					xrand.NewPE(prm+37, pe.Rank()), func(v uint64) { got = v }))
+				return got
+			},
+			step: func(pe *comm.PE, prm int64, out *any) comm.Stepper {
+				const perPE = 48
+				n := int64(pe.P() * perPE)
+				return sel.KthSortedStep(pe, fuzzSortedSeq(pe, perPE), n, 1+prm%n,
+					xrand.NewPE(prm+37, pe.Rank()), func(v uint64) { *out = v })
+			},
+		},
+		{
 			name: "SelKth",
 			block: func(pe *comm.PE, prm int64) any {
 				local := gen.SelectionInput(xrand.NewPE(prm, pe.Rank()), 64, 10)
@@ -457,17 +594,22 @@ func makeFuzzSeq(rng *xrand.RNG, nOps int) fuzzSeq {
 	return fs
 }
 
-// runFuzzBlocking executes the sequence with blocking bodies: one Run,
-// ops called back to back inside it (cross-op state — tags, scratch,
-// pools — is part of what the fuzz exercises).
-func runFuzzBlocking(cfg comm.Config, fs fuzzSeq) ([][]any, comm.Stats) {
-	m := comm.NewMachine(cfg)
-	defer m.Close()
-	catalog := fuzzOps()
+// newFuzzResults allocates the per-op, per-rank result slots of one run.
+func newFuzzResults(fs fuzzSeq, p int) [][]any {
 	results := make([][]any, len(fs.ops))
 	for i := range results {
-		results[i] = make([]any, cfg.P)
+		results[i] = make([]any, p)
 	}
+	return results
+}
+
+// runFuzzBlocking executes the sequence on m with blocking bodies and
+// closes m: one Run, ops called back to back inside it (cross-op state —
+// tags, scratch, pools — is part of what the fuzz exercises).
+func runFuzzBlocking(m *comm.Machine, fs fuzzSeq) ([][]any, comm.Stats) {
+	defer m.Close()
+	catalog := fuzzOps()
+	results := newFuzzResults(fs, m.P())
 	m.MustRun(func(pe *comm.PE) {
 		for i, oi := range fs.ops {
 			results[i][pe.Rank()] = catalog[oi].block(pe, fs.prms[i])
@@ -476,19 +618,13 @@ func runFuzzBlocking(cfg comm.Config, fs fuzzSeq) ([][]any, comm.Stats) {
 	return results, m.Stats()
 }
 
-// runFuzzStepper executes the same sequence as one continuation body per
-// PE under RunAsync: the steppers are chained lazily (each constructed
-// when the previous completes, like real multi-phase bodies whose later
-// stages depend on earlier results).
-func runFuzzStepper(cfg comm.Config, fs fuzzSeq) ([][]any, comm.Stats) {
-	m := comm.NewMachine(cfg)
-	defer m.Close()
+// fuzzBody is the same sequence as one continuation body per PE: the
+// steppers are chained lazily (each constructed when the previous
+// completes, like real multi-phase bodies whose later stages depend on
+// earlier results).
+func fuzzBody(fs fuzzSeq, results [][]any) func(pe *comm.PE) comm.Stepper {
 	catalog := fuzzOps()
-	results := make([][]any, len(fs.ops))
-	for i := range results {
-		results[i] = make([]any, cfg.P)
-	}
-	m.MustRunAsync(func(pe *comm.PE) comm.Stepper {
+	return func(pe *comm.PE) comm.Stepper {
 		i := 0
 		var cur comm.Stepper
 		return comm.StepFunc(func(pe *comm.PE) *comm.RecvHandle {
@@ -504,7 +640,14 @@ func runFuzzStepper(cfg comm.Config, fs fuzzSeq) ([][]any, comm.Stats) {
 			}
 			return nil
 		})
-	})
+	}
+}
+
+// runFuzzStepper executes fuzzBody on m under RunAsync and closes m.
+func runFuzzStepper(m *comm.Machine, fs fuzzSeq) ([][]any, comm.Stats) {
+	defer m.Close()
+	results := newFuzzResults(fs, m.P())
+	m.MustRunAsync(fuzzBody(fs, results))
 	return results, m.Stats()
 }
 
@@ -516,10 +659,10 @@ func fuzzIters() int {
 }
 
 // TestFuzzDifferentialSteppers is the randomized three-way differential:
-// for every random sequence, mailbox-blocking and mailbox-stepper runs
-// must match the channel-matrix reference exactly — per-PE results and
-// metered stats. Widths cover the degenerate single shard, the
-// multiplexed regime, and the default.
+// for every random sequence, production blocking and stepper runs must
+// match the reference executor exactly — per-PE results and metered
+// stats. Widths cover the degenerate single shard, the multiplexed
+// regime, and the default.
 func TestFuzzDifferentialSteppers(t *testing.T) {
 	widths := []int{1, 4, runtime.GOMAXPROCS(0) * 8}
 	for _, p := range []int{4, 16, 64} {
@@ -529,7 +672,7 @@ func TestFuzzDifferentialSteppers(t *testing.T) {
 			catalog := fuzzOps()
 			for it := 0; it < fuzzIters(); it++ {
 				fs := makeFuzzSeq(seqRng, 3+int(seqRng.Intn(4)))
-				refRes, refStats := runFuzzBlocking(comm.MatrixConfig(p), fs)
+				refRes, refStats := runFuzzStepper(simexec.Reference(p), fs)
 				opNames := func(i int) string { return catalog[fs.ops[i]].name }
 				for _, w := range widths {
 					cfg := comm.DefaultConfig(p)
@@ -538,13 +681,13 @@ func TestFuzzDifferentialSteppers(t *testing.T) {
 						var res [][]any
 						var stats comm.Stats
 						if mode == "blocking" {
-							res, stats = runFuzzBlocking(cfg, fs)
+							res, stats = runFuzzBlocking(comm.NewMachine(cfg), fs)
 						} else {
-							res, stats = runFuzzStepper(cfg, fs)
+							res, stats = runFuzzStepper(comm.NewMachine(cfg), fs)
 						}
 						for i := range res {
 							if !reflect.DeepEqual(refRes[i], res[i]) {
-								t.Fatalf("iter %d w=%d %s: op %d (%s) diverges from matrix reference\nref: %v\ngot: %v",
+								t.Fatalf("iter %d w=%d %s: op %d (%s) diverges from the reference\nref: %v\ngot: %v",
 									it, w, mode, i, opNames(i), refRes[i], res[i])
 							}
 						}

@@ -16,39 +16,27 @@ import (
 
 // The scaling suite: the O(log p) collective set, the chunked gather
 // collectives, and Table-1 unsorted selection at p = 256…131072 — PE
-// counts where the paper's O(α log p) startup bounds become visible, and
-// where the channel-matrix backend's O(p²·ChanCap) queue memory exceeds
-// any sane harness budget (p = 4096 alone would need ~50 GiB of channel
-// buffers). Each configuration is guarded by comm.MachineBytes (queues +
-// PE handles + scheduler state) against ScalingMemBudgetBytes:
-// over-budget machines are recorded as skipped with the estimate, not
-// attempted — that refusal is itself the measurement the mailbox backend
-// exists to change. The gather workload has a second guard: the
-// materializing all-gather's O(p·m) per-PE results are checked against
-// the same budget (refused from p = 16384), while the chunked variant is
-// capped only by the p²·m aggregate data movement every all-gather
-// must perform (a host-time budget, recorded when it trips).
+// counts where the paper's O(α log p) startup bounds become visible. A
+// machine is O(p) memory at any of them (comm.MachineBytes; 131072 PEs
+// are tens of MB), so nothing is refused for the machine's sake. The
+// gather workload has its own guard: every all-gather moves p²·m words in
+// aggregate, a host-time budget recorded as a skipped row when it trips.
 //
-// Each mailbox entry also records the scheduler width w and
-// the process goroutine count measured while the machine is resident —
-// goroutines do not scale with p.
+// Each entry also records the scheduler width w and the process goroutine
+// count measured while the machine is resident — goroutines do not scale
+// with p.
 
 // ScalingRow is one entry of the scaling suite: per-op host time, the
 // bottleneck words and startups per PE, the modeled clock, the measured
-// live-heap cost of the machine, the scheduler width (0 on the channel
-// matrix) and the resident goroutine count with the machine live.
-// Skipped says why a configuration was refused; it then has no numbers.
+// live-heap cost of the machine, the scheduler width and the resident
+// goroutine count with the machine live. Skipped says why a configuration
+// was refused; it then has no numbers.
 type ScalingRow struct {
-	Name, Backend, Skipped            string
+	Name, Skipped                     string
 	P, Workers, Goroutines            int
 	NsPerOp, MachineBytes             float64
 	WordsPerPE, StartsPerPE, MaxClock float64
 }
-
-// ScalingMemBudgetBytes is the harness memory budget for up-front
-// machine allocation: 1.5 GiB, roomy for everything O(p) and
-// unreachable for the channel matrix beyond p ≈ 512.
-const ScalingMemBudgetBytes int64 = 3 << 29
 
 // scalingGatherChunk is the chunked collectives' block window c: per-PE
 // gather memory is O(m·c) and the ring startup count p/c − 1.
@@ -271,17 +259,13 @@ func residentGoroutines(bound int) int {
 // enough that a CI smoke finishes in tens of seconds.
 const ScalingQuickPMax = 4096
 
-// ScalingSuite runs the scaling workloads for every p in pList on both
-// backends, refusing configurations whose estimated machine memory
-// exceeds budget. quick selects the CI tier: runs/op drop to 1 and the
-// blocking A/B twins are skipped (callers should also cap
-// pList at ScalingQuickPMax).
-func ScalingSuite(pList []int, budget int64, quick bool) []ScalingRow {
+// ScalingSuite runs the scaling workloads for every p in pList. quick
+// selects the CI tier: runs/op drop to 1 and the blocking A/B twins are
+// skipped (callers should also cap pList at ScalingQuickPMax).
+func ScalingSuite(pList []int, quick bool) []ScalingRow {
 	var out []ScalingRow
 	for _, p := range pList {
-		for _, backend := range []comm.Backend{comm.BackendMailbox, comm.BackendChannelMatrix} {
-			out = append(out, scalingRun(p, backend, budget, quick)...)
-		}
+		out = append(out, scalingRun(p, quick)...)
 	}
 	return out
 }
@@ -295,40 +279,16 @@ func scalingRunIters(iters int, quick bool) int {
 	return iters
 }
 
-func scalingRun(p int, backend comm.Backend, budget int64, quick bool) []ScalingRow {
+func scalingRun(p int, quick bool) []ScalingRow {
 	cfg := comm.DefaultConfig(p)
-	cfg.Backend = backend
-	collName := fmt.Sprintf("Scaling/Collectives/p=%d/%s", p, backend)
-	collBlockName := fmt.Sprintf("Scaling/Collectives/p=%d/%s/blocking", p, backend)
-	gatherName := fmt.Sprintf("Scaling/GatherChunked/p=%d/%s", p, backend)
-	stridedName := fmt.Sprintf("Scaling/GatherStrided/p=%d/%s", p, backend)
-	selName := fmt.Sprintf("Scaling/Table1Selection/p=%d/%s", p, backend)
-	mtopkName := fmt.Sprintf("Scaling/MtopkDTA/p=%d/%s", p, backend)
-	freqName := fmt.Sprintf("Scaling/FreqPAC/p=%d/%s", p, backend)
+	collName := fmt.Sprintf("Scaling/Collectives/p=%d", p)
+	gatherName := fmt.Sprintf("Scaling/GatherChunked/p=%d", p)
+	stridedName := fmt.Sprintf("Scaling/GatherStrided/p=%d", p)
+	selName := fmt.Sprintf("Scaling/Table1Selection/p=%d", p)
+	mtopkName := fmt.Sprintf("Scaling/MtopkDTA/p=%d", p)
+	freqName := fmt.Sprintf("Scaling/FreqPAC/p=%d", p)
 	res := func(name string) ScalingRow {
-		return ScalingRow{Name: name, P: p, Backend: backend.String(), Workers: comm.SchedWorkers(cfg)}
-	}
-	skip := func(name, reason string) ScalingRow {
-		r := res(name)
-		r.Skipped = reason
-		return r
-	}
-	stridedNames := make(map[int]string, len(scalingStridedSweep))
-	for _, smp := range scalingStridedSweep {
-		name := stridedName
-		if smp != scalingStridedSamples {
-			name = fmt.Sprintf("%s/s=%d", stridedName, smp)
-		}
-		stridedNames[smp] = name
-	}
-	if mb := comm.MachineBytes(cfg); mb > budget {
-		reason := fmt.Sprintf("estimated machine memory %.2f GiB exceeds the %.1f GiB harness budget",
-			float64(mb)/(1<<30), float64(budget)/(1<<30))
-		out := []ScalingRow{skip(collName, reason), skip(gatherName, reason)}
-		for _, smp := range scalingStridedSweep {
-			out = append(out, skip(stridedNames[smp], reason))
-		}
-		return append(out, skip(selName, reason), skip(mtopkName, reason), skip(freqName, reason))
+		return ScalingRow{Name: name, P: p, Workers: comm.SchedWorkers(cfg)}
 	}
 
 	baseline := runtime.NumGoroutine()
@@ -351,55 +311,40 @@ func scalingRun(p int, backend comm.Backend, budget int64, quick bool) []Scaling
 		r.Goroutines = residentGoroutines(baseline + r.Workers + 2)
 		return r
 	}
+	// blockIters is the runs/op of the "/blocking" twins: the same op
+	// through blocking bodies, a goroutine per PE, skipped in the quick
+	// tier.
+	blockIters := 3
+	if p >= 1<<16 {
+		blockIters = 1
+	}
 
 	var out []ScalingRow
-	// Collectives workload. On the mailbox backend the primary entry runs
-	// the continuation form (the async API is how collectives are meant to
-	// run at scale since PR 4); the "/blocking" twin measures the same op
-	// through blocking bodies (a goroutine per PE) and is skipped in the
-	// quick tier. The channel matrix keeps the blocking form (its RunAsync
-	// is the naive blocking drive anyway).
-	if backend == comm.BackendMailbox {
-		ns, s := measureScalingAsync(m, scalingRunIters(5, quick), scalingCollectivesStart)
-		r := fill(res(collName), ns, s)
-		out = append(out, r)
-		if !quick {
-			blockIters := 3
-			if p >= 1<<16 {
-				blockIters = 1
-			}
-			ns, s = measureScaling(m, blockIters, scalingCollectivesBody)
-			rb := fill(res(collBlockName), ns, s)
-			out = append(out, rb)
-		}
-	} else {
-		ns, s := measureScaling(m, scalingRunIters(5, quick), scalingCollectivesBody)
-		out = append(out, fill(res(collName), ns, s))
+	// Every primary entry runs the continuation form (the async API is how
+	// collectives are meant to run at scale); its twin follows it.
+	ns, s := measureScalingAsync(m, scalingRunIters(5, quick), scalingCollectivesStart)
+	out = append(out, fill(res(collName), ns, s))
+	if !quick {
+		ns, s = measureScaling(m, blockIters, scalingCollectivesBody)
+		out = append(out, fill(res(collName+"/blocking"), ns, s))
 	}
 
 	// Sampled/strided gather, swept over s: every PE visits s strided
 	// peers, so the aggregate movement is p·s·m words — the gather-shaped
 	// workload that exists at p = 131072, where any full all-gather's p²·m
-	// movement does not fit one host. Continuation-scheduled on the
-	// mailbox backend; the sweep maps the O(m·s)-payload / O(α·s)-startup
-	// trade the way the chunked gathers' c does.
+	// movement does not fit one host. The sweep maps the O(m·s)-payload /
+	// O(α·s)-startup trade the way the chunked gathers' c does.
 	for _, smp := range scalingStridedSweep {
 		iters := scalingRunIters(3, quick)
 		if p >= 1<<16 && smp > scalingStridedSamples {
 			iters = 1 // the s=256 op moves 4× the default; bound host time
 		}
-		start := scalingStridedStart(smp)
-		var ns float64
-		var s comm.Stats
-		if backend == comm.BackendMailbox {
-			ns, s = measureScalingAsync(m, iters, start)
-		} else {
-			ns, s = measureScaling(m, iters, func(pe *comm.PE) {
-				comm.RunSteps(pe, start(pe))
-			})
+		name := stridedName
+		if smp != scalingStridedSamples {
+			name = fmt.Sprintf("%s/s=%d", stridedName, smp)
 		}
-		r := fill(res(stridedNames[smp]), ns, s)
-		out = append(out, r)
+		ns, s = measureScalingAsync(m, iters, scalingStridedStart(smp))
+		out = append(out, fill(res(name), ns, s))
 	}
 
 	// Gather workload: refuse what must be refused, loudly. The
@@ -408,72 +353,50 @@ func scalingRun(p int, backend comm.Backend, budget int64, quick bool) []Scaling
 	// bounded here only by host time.
 	matBytes := int64(p) * int64(p) * gatherBlockLen * 8
 	moved := int64(p) * int64(p) * gatherBlockLen
-	switch {
-	case moved > scalingGatherMaxMoved:
-		out = append(out, skip(gatherName, fmt.Sprintf(
+	if moved > scalingGatherMaxMoved {
+		r := res(gatherName)
+		r.Skipped = fmt.Sprintf(
 			"all-gather moves p²·m = %.1e words per op; over the harness host-time budget (materializing variant would also need %.1f GiB of results)",
-			float64(moved), float64(matBytes)/(1<<30))))
-	default:
+			float64(moved), float64(matBytes)/(1<<30))
+		out = append(out, r)
+	} else {
 		iters := 3
 		if quick || moved > scalingGatherMaxMoved/8 {
 			iters = 1
 		}
-		if backend == comm.BackendMailbox {
-			ns, s := measureScalingAsync(m, iters, scalingGatherStart)
-			r := fill(res(gatherName), ns, s)
-			out = append(out, r)
-			if !quick {
-				ns, s = measureScaling(m, iters, scalingGatherBody)
-				rb := fill(res(gatherName+"/blocking"), ns, s)
-				out = append(out, rb)
-			}
-		} else {
-			ns, s := measureScaling(m, iters, scalingGatherBody)
-			out = append(out, fill(res(gatherName), ns, s))
+		ns, s = measureScalingAsync(m, iters, scalingGatherStart)
+		out = append(out, fill(res(gatherName), ns, s))
+		if !quick {
+			ns, s = measureScaling(m, iters, scalingGatherBody)
+			out = append(out, fill(res(gatherName+"/blocking"), ns, s))
 		}
 	}
 
-	// Table-1 unsorted selection. Since PR 5 the mailbox primary runs the
-	// full selection skeleton continuation-scheduled (sel.KthStep under
-	// comm.RunAsync — the whole Table-1 pipeline at O(w) mid-run
-	// goroutines); the "/blocking" twin is the goroutine-per-PE A/B,
-	// skipped in the quick tier. Fixed pivot seed: every measured run takes the same
-	// communication path, so the per-op stats are exact rather than
-	// averaged estimates.
+	// Table-1 unsorted selection: the full selection skeleton
+	// continuation-scheduled (sel.KthStep under comm.RunAsync — the whole
+	// Table-1 pipeline at O(w) mid-run goroutines). Fixed pivot seed: every
+	// measured run takes the same communication path, so the per-op stats
+	// are exact rather than averaged estimates.
 	perPE := scalingSelPerPE(p)
 	locals := make([][]uint64, p)
 	for r := 0; r < p; r++ {
 		locals[r] = gen.SelectionInput(xrand.NewPE(3, r), perPE, 12)
 	}
 	n := int64(p) * int64(perPE)
-	selBlocking := func(pe *comm.PE) {
-		sel.Kth(pe, locals[pe.Rank()], n/2, xrand.NewPE(17, pe.Rank()))
-	}
-	if backend == comm.BackendMailbox {
-		ns, s := measureScalingAsync(m, scalingRunIters(3, quick), func(pe *comm.PE) comm.Stepper {
-			return sel.KthStep(pe, locals[pe.Rank()], n/2, xrand.NewPE(17, pe.Rank()), nil)
+	ns, s = measureScalingAsync(m, scalingRunIters(3, quick), func(pe *comm.PE) comm.Stepper {
+		return sel.KthStep(pe, locals[pe.Rank()], n/2, xrand.NewPE(17, pe.Rank()), nil)
+	})
+	out = append(out, fill(res(selName), ns, s))
+	if !quick {
+		ns, s = measureScaling(m, blockIters, func(pe *comm.PE) {
+			sel.Kth(pe, locals[pe.Rank()], n/2, xrand.NewPE(17, pe.Rank()))
 		})
-		r := fill(res(selName), ns, s)
-		out = append(out, r)
-		if !quick {
-			blockIters := 3
-			if p >= 1<<16 {
-				blockIters = 1
-			}
-			ns, s = measureScaling(m, blockIters, selBlocking)
-			rb := fill(res(selName+"/blocking"), ns, s)
-			out = append(out, rb)
-		}
-	} else {
-		ns, s := measureScaling(m, scalingRunIters(3, quick), selBlocking)
-		r := fill(res(selName), ns, s)
-		out = append(out, r)
+		out = append(out, fill(res(selName+"/blocking"), ns, s))
 	}
 
-	// Multicriteria threshold algorithm and sampling heavy hitters: the
-	// PR 10 stepper ports measured at scale, tiny per-PE instances (the
-	// axis of interest is the collective critical path over p, not local
-	// scan work). Same mailbox-primary/"/blocking"-twin discipline.
+	// Multicriteria threshold algorithm and sampling heavy hitters at
+	// scale, tiny per-PE instances (the axis of interest is the collective
+	// critical path over p, not local scan work).
 	datas := make([]*mtopk.Data, p)
 	freqLocals := make([][]uint64, p)
 	for r := 0; r < p; r++ {
@@ -487,40 +410,23 @@ func scalingRun(p int, backend comm.Backend, budget int64, quick bool) []Scaling
 		freqLocals[r] = sh
 	}
 	freqParams := freq.Params{K: 8, Eps: 0.05, Delta: 0.01}
-	mtopkBlocking := func(pe *comm.PE) {
-		mtopk.DTA(pe, datas[pe.Rank()], mtopk.SumScore, 8, xrand.NewPE(23, pe.Rank()))
-	}
-	freqBlocking := func(pe *comm.PE) {
-		freq.PAC(pe, freqLocals[pe.Rank()], freqParams, xrand.NewPE(29, pe.Rank()))
-	}
-	if backend == comm.BackendMailbox {
-		ns, s := measureScalingAsync(m, scalingRunIters(3, quick), func(pe *comm.PE) comm.Stepper {
-			return mtopk.DTAStep(pe, datas[pe.Rank()], mtopk.SumScore, 8, xrand.NewPE(23, pe.Rank()), nil)
+	ns, s = measureScalingAsync(m, scalingRunIters(3, quick), func(pe *comm.PE) comm.Stepper {
+		return mtopk.DTAStep(pe, datas[pe.Rank()], mtopk.SumScore, 8, xrand.NewPE(23, pe.Rank()), nil)
+	})
+	out = append(out, fill(res(mtopkName), ns, s))
+	ns, s = measureScalingAsync(m, scalingRunIters(3, quick), func(pe *comm.PE) comm.Stepper {
+		return freq.PACStep(pe, freqLocals[pe.Rank()], freqParams, xrand.NewPE(29, pe.Rank()), nil)
+	})
+	out = append(out, fill(res(freqName), ns, s))
+	if !quick {
+		ns, s = measureScaling(m, blockIters, func(pe *comm.PE) {
+			mtopk.DTA(pe, datas[pe.Rank()], mtopk.SumScore, 8, xrand.NewPE(23, pe.Rank()))
 		})
-		r := fill(res(mtopkName), ns, s)
-		out = append(out, r)
-		ns, s = measureScalingAsync(m, scalingRunIters(3, quick), func(pe *comm.PE) comm.Stepper {
-			return freq.PACStep(pe, freqLocals[pe.Rank()], freqParams, xrand.NewPE(29, pe.Rank()), nil)
+		out = append(out, fill(res(mtopkName+"/blocking"), ns, s))
+		ns, s = measureScaling(m, blockIters, func(pe *comm.PE) {
+			freq.PAC(pe, freqLocals[pe.Rank()], freqParams, xrand.NewPE(29, pe.Rank()))
 		})
-		r = fill(res(freqName), ns, s)
-		out = append(out, r)
-		if !quick {
-			blockIters := 3
-			if p >= 1<<16 {
-				blockIters = 1
-			}
-			ns, s = measureScaling(m, blockIters, mtopkBlocking)
-			rb := fill(res(mtopkName+"/blocking"), ns, s)
-			out = append(out, rb)
-			ns, s = measureScaling(m, blockIters, freqBlocking)
-			rb = fill(res(freqName+"/blocking"), ns, s)
-			out = append(out, rb)
-		}
-	} else {
-		ns, s := measureScaling(m, scalingRunIters(3, quick), mtopkBlocking)
-		out = append(out, fill(res(mtopkName), ns, s))
-		ns, s = measureScaling(m, scalingRunIters(3, quick), freqBlocking)
-		out = append(out, fill(res(freqName), ns, s))
+		out = append(out, fill(res(freqName+"/blocking"), ns, s))
 	}
 	return out
 }
@@ -530,18 +436,18 @@ func scalingRun(p int, backend comm.Backend, budget int64, quick bool) []Scaling
 // callers pass pmax ≤ ScalingQuickPMax alongside it).
 func ScalingTable(pmax int, quick bool) Table {
 	t := Table{
-		Title: "Scaling: collectives, gathers (chunked + strided s sweep) and Table-1 selection at large p, continuation-scheduled with blocking A/B twins (mailbox vs channel matrix)",
-		Notes: fmt.Sprintf("memory budget %.1f GiB for up-front machine allocation (comm.MachineBytes); over-budget configs are refused\ncollectives op = broadcast + all-reduce + prefix sum + barrier; all mailbox primaries run continuation-scheduled via comm.RunAsync on pooled stepper state, /blocking twins = the same op as blocking bodies, a goroutine per PE\ngather ops: chunked all-gather (m=%d, chunk=%d) + chunked hypercube A2A; strided gather swept over s=%v sources/PE (movement p·s·m; unsuffixed entry = s=%d)\nselection: sel.KthStep, k=n/2, n/p=2^10 through p=2^14 then reduced (scalingSelPerPE); goroutines = resident process count with the machine live (w = scheduler width)",
-			float64(ScalingMemBudgetBytes)/(1<<30), gatherBlockLen, scalingGatherChunk, scalingStridedSweep, scalingStridedSamples),
-		Header: []string{"workload", "p", "backend", "ns/op", "words/PE", "start/PE", "T_model", "machine MB", "w", "goroutines"},
+		Title: "Scaling: collectives, gathers (chunked + strided s sweep) and Table-1 selection at large p, continuation-scheduled with blocking A/B twins",
+		Notes: fmt.Sprintf("collectives op = broadcast + all-reduce + prefix sum + barrier; all primaries run continuation-scheduled via comm.RunAsync on pooled stepper state, /blocking twins = the same op as blocking bodies, a goroutine per PE\ngather ops: chunked all-gather (m=%d, chunk=%d) + chunked hypercube A2A; strided gather swept over s=%v sources/PE (movement p·s·m; unsuffixed entry = s=%d)\nselection: sel.KthStep, k=n/2, n/p=2^10 through p=2^14 then reduced (scalingSelPerPE); goroutines = resident process count with the machine live (w = scheduler width)",
+			gatherBlockLen, scalingGatherChunk, scalingStridedSweep, scalingStridedSamples),
+		Header: []string{"workload", "p", "ns/op", "words/PE", "start/PE", "T_model", "machine MB", "w", "goroutines"},
 	}
-	for _, r := range ScalingSuite(ScalingPList(pmax), ScalingMemBudgetBytes, quick) {
+	for _, r := range ScalingSuite(ScalingPList(pmax), quick) {
 		if r.Skipped != "" {
-			t.Rows = append(t.Rows, []string{r.Name, fmt.Sprint(r.P), r.Backend, "—", "—", "—", "—", r.Skipped, "—", "—"})
+			t.Rows = append(t.Rows, []string{r.Name, fmt.Sprint(r.P), "—", "—", "—", "—", r.Skipped, "—", "—"})
 			continue
 		}
 		t.Rows = append(t.Rows, []string{
-			r.Name, fmt.Sprint(r.P), r.Backend,
+			r.Name, fmt.Sprint(r.P),
 			fmt.Sprintf("%.0f", r.NsPerOp),
 			fmt.Sprintf("%.0f", r.WordsPerPE),
 			fmt.Sprintf("%.0f", r.StartsPerPE),

@@ -1,23 +1,21 @@
-// Package mailbox is the scalable message runtime behind the simulated
-// machine's mailbox backend (comm.BackendMailbox): per-receiver
-// multi-producer/single-consumer mailboxes and the sharded worker
-// scheduler (Sched) that multiplexes the p PE bodies over w ≪ p shards,
-// so a resident machine holds O(w) goroutines rather than one per PE.
+// Package mailbox is the simulated machine's message transport and
+// scheduler: per-receiver multi-producer/single-consumer mailboxes (Box)
+// and the sharded worker scheduler (Sched) that multiplexes the p stepper
+// bodies of a comm.RunAsync over w ≪ p goroutines, so a resident machine
+// holds O(w) goroutines rather than one per PE.
 //
-// The original engine allocates a buffered channel per ordered PE pair —
-// O(p²·ChanCap) queue memory — which caps simulated scale far below the
-// paper's algorithmic limits (p = 1024 already needs ~67M message slots).
-// A Box replaces a receiver's whole channel column with one intake list,
-// so a p-PE machine needs exactly p boxes: O(p) queue memory up front,
-// plus one pooled node per message actually in flight.
+// A Box is one receiver's whole intake — one list for all senders and
+// contexts — so a p-PE machine needs exactly p boxes: O(p) queue memory up
+// front, plus one pooled node per message actually in flight. (A buffer
+// per ordered PE pair would be O(p²): p = 1024 alone is a million queues.)
 //
 // Ordering contract: messages from one sender in one communication
 // context are delivered to one receiver in send order (per-key FIFO,
-// key = (sender, context)), exactly like the channel matrix. Messages
-// under different keys may interleave arbitrarily — the receiver
-// demultiplexes by asking for a specific key (TakeKey), and the metered
-// communication paths of internal/comm stay deterministic because every
-// receive names its source and context.
+// key = (sender, context)). Messages under different keys may interleave
+// arbitrarily — the receiver demultiplexes by asking for a specific key
+// (TakeKey), and the metered communication paths of internal/comm stay
+// deterministic because every receive names its source and context.
+// FuzzBox checks the contract against a map-of-queues model.
 //
 // Demux structure: producers append to a single intake FIFO (no map
 // touch, so Put stays a pointer append under the lock). The consumer
@@ -44,8 +42,10 @@ package mailbox
 
 import "sync"
 
-// Msg is one in-flight message. The fields mirror the metered message of
-// internal/comm; Data is the payload reference handed to the receiver.
+// Msg is one in-flight message, metering fields included: internal/comm
+// builds it at Send, stamps Depart with the sender's clock, and folds the
+// receive cost from Words and Depart at Wait. Data is the payload
+// reference handed to the receiver.
 type Msg struct {
 	Src    int
 	Ctx    uint32

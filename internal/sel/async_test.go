@@ -6,13 +6,15 @@ import (
 
 	"commtopk/internal/comm"
 	"commtopk/internal/gen"
+	"commtopk/internal/simexec"
 	"commtopk/internal/xrand"
 )
 
 // KthStep must be bit-identical to the blocking Kth — per-PE results and
-// metered statistics — whether driven by RunAsync on the mailbox
-// scheduler (including w < p, where mid-selection suspensions cross
-// worker boundaries) or by the channel matrix's naive blocking drive.
+// metered statistics — whether driven by RunAsync on the scheduler
+// (including w < p, where mid-selection suspensions cross worker
+// boundaries) or as blocking bodies whose messages the reference executor
+// carries.
 func TestKthStepMatchesBlockingAcrossBackends(t *testing.T) {
 	const perPE = 256
 	for _, p := range []int{1, 3, 16, 64} {
@@ -25,8 +27,8 @@ func TestKthStepMatchesBlockingAcrossBackends(t *testing.T) {
 			n := int64(p * perPE)
 			for _, k := range []int64{1, n / 3, n / 2, n} {
 				k := k
-				// Blocking reference on the channel matrix.
-				mc := comm.NewMachine(comm.MatrixConfig(p))
+				// Blocking reference on the reference executor.
+				mc := simexec.Reference(p)
 				refRes := make([]uint64, p)
 				mc.MustRun(func(pe *comm.PE) {
 					refRes[pe.Rank()] = Kth(pe, locals[pe.Rank()], k, xrand.NewPE(97, pe.Rank()))
@@ -47,7 +49,7 @@ func TestKthStepMatchesBlockingAcrossBackends(t *testing.T) {
 						}
 					}
 					if s := m.Stats(); s != refStats {
-						t.Errorf("k=%d w=%d: stats diverge:\n  blocking matrix: %+v\n  stepper mailbox: %+v",
+						t.Errorf("k=%d w=%d: stats diverge:\n  blocking reference: %+v\n  stepper production: %+v",
 							k, w, refStats, s)
 					}
 					m.Close()

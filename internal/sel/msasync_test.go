@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"commtopk/internal/comm"
+	"commtopk/internal/simexec"
 	"commtopk/internal/xrand"
 )
 
@@ -21,8 +22,8 @@ func msTestSeq(p, r, perPE int) SliceSeq[uint64] {
 
 // MSSelectStep and AMSSelectStep must be bit-identical to the blocking
 // forms — per-PE results and metered statistics — whether driven by
-// RunAsync on the mailbox scheduler (including w < p) or by the channel
-// matrix's blocking drive.
+// RunAsync on the scheduler (including w < p) or as blocking bodies whose
+// messages the reference executor carries.
 func TestMSSelectStepMatchesBlockingAcrossBackends(t *testing.T) {
 	const perPE = 64
 	for _, p := range []int{1, 3, 16, 64} {
@@ -30,7 +31,7 @@ func TestMSSelectStepMatchesBlockingAcrossBackends(t *testing.T) {
 		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
 			n := int64(p * perPE)
 			for _, k := range []int64{1, n / 3, n / 2, n} {
-				mc := comm.NewMachine(comm.MatrixConfig(p))
+				mc := simexec.Reference(p)
 				refV := make([]uint64, p)
 				refN := make([]int, p)
 				mc.MustRun(func(pe *comm.PE) {
@@ -59,7 +60,7 @@ func TestMSSelectStepMatchesBlockingAcrossBackends(t *testing.T) {
 						}
 					}
 					if s := m.Stats(); s != refStats {
-						t.Errorf("k=%d w=%d: stats diverge:\n  blocking matrix: %+v\n  stepper mailbox: %+v",
+						t.Errorf("k=%d w=%d: stats diverge:\n  blocking reference: %+v\n  stepper production: %+v",
 							k, w, refStats, s)
 					}
 					m.Close()
@@ -77,7 +78,7 @@ func TestAMSSelectStepMatchesBlockingAcrossBackends(t *testing.T) {
 			n := int64(p * perPE)
 			for _, kr := range [][2]int64{{1, 1}, {n / 4, n / 2}, {n, n}} {
 				kmin, kmax := kr[0], kr[1]
-				mc := comm.NewMachine(comm.MatrixConfig(p))
+				mc := simexec.Reference(p)
 				ref := make([]AMSResult[uint64], p)
 				mc.MustRun(func(pe *comm.PE) {
 					r := pe.Rank()
@@ -104,7 +105,7 @@ func TestAMSSelectStepMatchesBlockingAcrossBackends(t *testing.T) {
 						}
 					}
 					if s := m.Stats(); s != refStats {
-						t.Errorf("[%d,%d] w=%d: stats diverge:\n  blocking matrix: %+v\n  stepper mailbox: %+v",
+						t.Errorf("[%d,%d] w=%d: stats diverge:\n  blocking reference: %+v\n  stepper production: %+v",
 							kmin, kmax, w, refStats, s)
 					}
 					m.Close()
@@ -121,7 +122,7 @@ func TestAMSSelectStepTightIntervalFallback(t *testing.T) {
 	const p, perPE = 8, 64
 	n := int64(p * perPE)
 	for _, k := range []int64{7, n / 3, n - 5} {
-		mc := comm.NewMachine(comm.MatrixConfig(p))
+		mc := simexec.Reference(p)
 		ref := make([]AMSResult[uint64], p)
 		mc.MustRun(func(pe *comm.PE) {
 			r := pe.Rank()

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"commtopk/internal/comm"
+	"commtopk/internal/simexec"
 	"commtopk/internal/xrand"
 )
 
@@ -111,7 +112,8 @@ func runKth(m *comm.Machine, shards [][]uint64, k, seed int64) ([]uint64, comm.S
 // TestKthSortedDifferential pins KthSortedStep against the sort oracle
 // and against Kth on the same multiset, and its results and all six
 // Stats fields bit-identical across drivers (blocking RunSteps, RunAsync,
-// RunAsync at w < p) and backends (mailbox, channel matrix).
+// RunAsync at w < p) and executors (production, simexec reference — the
+// "matrix" legs, named before that package existed).
 func TestKthSortedDifferential(t *testing.T) {
 	const n = 3000
 	for _, p := range []int{1, 2, 3, 8, 64} {
@@ -125,8 +127,8 @@ func TestKthSortedDifferential(t *testing.T) {
 			{"mailbox/blocking", comm.NewMachine(comm.DefaultConfig(p)), false},
 			{"mailbox/async", comm.NewMachine(comm.DefaultConfig(p)), true},
 			{"mailbox/async/w<p", comm.NewMachine(wLess), true},
-			{"matrix/blocking", comm.NewMachine(comm.MatrixConfig(p)), false},
-			{"matrix/async", comm.NewMachine(comm.MatrixConfig(p)), true},
+			{"matrix/blocking", simexec.Reference(p), false},
+			{"matrix/async", simexec.Reference(p), true},
 		}
 		for si, shape := range shardShapes {
 			shards := shape.gen(xrand.New(int64(100*p+si)), n, p)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"commtopk/internal/comm"
+	"commtopk/internal/simexec"
 	"commtopk/internal/xrand"
 )
 
@@ -16,6 +17,26 @@ type queryOutcome struct {
 	n     int64
 	words int64
 	sends int64
+}
+
+// serveRig is one kind of machine the serving differentials run on.
+type serveRig struct {
+	name string
+	mk   func() *comm.Machine
+}
+
+// serveRigs are a production machine squeezed to w < p and the reference
+// executor of internal/simexec ("matrix": the leg's name is older than
+// that package).
+func serveRigs(p int) []serveRig {
+	return []serveRig{
+		{"mailbox-wltp", func() *comm.Machine {
+			c := comm.DefaultConfig(p)
+			c.Workers = 3
+			return comm.NewMachine(c)
+		}},
+		{"matrix", func() *comm.Machine { return simexec.Reference(p) }},
+	}
 }
 
 // runServed executes the fixed query set against a fresh server on m,
@@ -67,8 +88,8 @@ func runServed(t *testing.T, m *comm.Machine, shards [][]uint64, ranks []int64, 
 // TestServeConcurrentMatchesSequential is the serving layer's
 // differential: N tagged queries interleaved at full inflight depth must
 // be bit-identical — answers AND per-query attributed meters — to the
-// same queries run strictly one at a time, on both backends, with the
-// mailbox scheduler squeezed to w < p (the regime where suspended
+// same queries run strictly one at a time, on both executors, with the
+// production scheduler squeezed to w < p (the regime where suspended
 // tenants genuinely share workers). Per-query RNG streams are derived
 // from the submission index, so the pivot walks are interleaving-
 // independent by construction; this test pins that nothing else (tag
@@ -156,7 +177,7 @@ func mkUniqueShards(p int, seed int64) (shards [][]uint64, sorted []uint64) {
 // selections with resident-queue DeleteMin batches must produce
 // bit-identical per-query answers, batch sizes, AND attributed meters
 // whether run strictly one at a time or at full inflight depth, on both
-// backends, with the mailbox scheduler squeezed to w < p. DeleteMin
+// executors, with the production scheduler squeezed to w < p. DeleteMin
 // queries mutate shared state, so this additionally pins the mux's FIFO
 // serialization: the resident queue's mutation (and RNG-stream) order
 // must equal dispatch order on every PE regardless of interleaving.
@@ -188,18 +209,12 @@ func TestServeMixedKindsConcurrentMatchesSequential(t *testing.T) {
 		}
 		remaining = remaining[take:]
 	}
-	for _, tc := range []struct {
-		name string
-		cfg  comm.Config
-	}{
-		{"mailbox-wltp", func() comm.Config { c := comm.DefaultConfig(p); c.Workers = 3; return c }()},
-		{"matrix", comm.MatrixConfig(p)},
-	} {
+	for _, tc := range serveRigs(p) {
 		t.Run(tc.name, func(t *testing.T) {
-			seqM := comm.NewMachine(tc.cfg)
+			seqM := tc.mk()
 			defer seqM.Close()
 			seq := runServedMixed(t, seqM, shards, queries, Config{MaxInflight: 1, BatchMax: 1, Seed: 31}, false)
-			conM := comm.NewMachine(tc.cfg)
+			conM := tc.mk()
 			defer conM.Close()
 			con := runServedMixed(t, conM, shards, queries, Config{MaxInflight: 6, BatchMax: 4, Seed: 31}, true)
 			for i, q := range queries {
@@ -220,18 +235,12 @@ func TestServeConcurrentMatchesSequential(t *testing.T) {
 	const p = 8
 	shards, sorted := mkShards(p, 17)
 	ranks := []int64{1, 3, 500, 999, 42, int64(len(sorted)), 7, 7, 250, 250, 123, 1000}
-	for _, tc := range []struct {
-		name string
-		cfg  comm.Config
-	}{
-		{"mailbox-wltp", func() comm.Config { c := comm.DefaultConfig(p); c.Workers = 3; return c }()},
-		{"matrix", comm.MatrixConfig(p)},
-	} {
+	for _, tc := range serveRigs(p) {
 		t.Run(tc.name, func(t *testing.T) {
-			seqM := comm.NewMachine(tc.cfg)
+			seqM := tc.mk()
 			defer seqM.Close()
 			seq := runServed(t, seqM, shards, ranks, Config{MaxInflight: 1, BatchMax: 1, Seed: 29}, false)
-			conM := comm.NewMachine(tc.cfg)
+			conM := tc.mk()
 			defer conM.Close()
 			con := runServed(t, conM, shards, ranks, Config{MaxInflight: 6, BatchMax: 4, Seed: 29}, true)
 			for i := range ranks {

@@ -101,7 +101,7 @@ func mkSkewedShards(p int, seed int64) ([][]uint64, map[uint64]int64) {
 // selections with TopKFreq heavy-hitter queries must produce
 // bit-identical per-query answers, item lists, AND attributed meters
 // whether run strictly one at a time or at full inflight depth, on both
-// in-process backends, with the mailbox scheduler squeezed to w < p.
+// executors, with the production scheduler squeezed to w < p.
 // TopKFreq runs the whole PAC pipeline (sampling, DHT routing, shard
 // top-k selection) under a leased context, so this pins that its
 // multi-collective chain — including the ctx-scoped scratch and RNG
@@ -119,18 +119,12 @@ func TestServeFreqConcurrentMatchesSequential(t *testing.T) {
 		{false, n}, {true, 2}, {true, 4}, {false, 17},
 		{true, 6}, {false, n / 3},
 	}
-	for _, tc := range []struct {
-		name string
-		cfg  comm.Config
-	}{
-		{"mailbox-wltp", func() comm.Config { c := comm.DefaultConfig(p); c.Workers = 3; return c }()},
-		{"matrix", comm.MatrixConfig(p)},
-	} {
+	for _, tc := range serveRigs(p) {
 		t.Run(tc.name, func(t *testing.T) {
-			seqM := comm.NewMachine(tc.cfg)
+			seqM := tc.mk()
 			defer seqM.Close()
 			seq := runServedFreq(t, seqM, shards, queries, Config{MaxInflight: 1, BatchMax: 1, Seed: 61}, false)
-			conM := comm.NewMachine(tc.cfg)
+			conM := tc.mk()
 			defer conM.Close()
 			con := runServedFreq(t, conM, shards, queries, Config{MaxInflight: 6, BatchMax: 4, Seed: 61}, true)
 			for i, q := range queries {

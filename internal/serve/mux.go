@@ -53,7 +53,7 @@ type mux[K cmp.Ordered] struct {
 	// only the FIFO head runs; dispatch order is identical on every PE
 	// (one dispatcher goroutine, per-(src,ctx) FIFO doorbell streams),
 	// which keeps the queue's mutation order — and with it every
-	// query's result and meters — independent of backend, worker count,
+	// query's result and meters — independent of executor, worker count,
 	// and inflight depth. Kth slots interleave freely around the FIFO.
 	pq      *bpq.Queue[K]
 	pqQ     []*slot[K]

@@ -29,14 +29,12 @@
 // server. TopKFreq counts occurrences, not order, and keeps reading the
 // caller's shards.
 //
-// Lifecycle: NewServer starts the machine body (RunAsync, which on the
-// channel matrix — the small-p differential reference — drives the muxes
-// with blocking waits) and the dispatcher. Submit (Kth) is non-blocking
-// admission: a full queue returns ErrOverloaded — the caller sheds load
-// instead of queueing unboundedly. Close drains, posts a poison
-// doorbell, and waits for the muxes to retire. The machine itself stays
-// owned by the caller (Close does not close it), so one machine can
-// outlive many server generations.
+// Lifecycle: NewServer starts the machine body (RunAsync) and the
+// dispatcher. Submit (Kth) is non-blocking admission: a full queue
+// returns ErrOverloaded — the caller sheds load instead of queueing
+// unboundedly. Close drains, posts a poison doorbell, and waits for the
+// muxes to retire. The machine itself stays owned by the caller (Close
+// does not close it), so one machine can outlive many server generations.
 package serve
 
 import (

@@ -27,7 +27,7 @@ func mkShards(p int, seed int64) (shards [][]uint64, sorted []uint64) {
 	return shards, sorted
 }
 
-// TestServeBasic pins the end-to-end path on the default backend:
+// TestServeBasic pins the end-to-end path on a production machine:
 // submitted rank queries come back with the exact order statistic, and
 // Close drains cleanly.
 func TestServeBasic(t *testing.T) {

@@ -145,7 +145,7 @@ func Spawn(cfg Config) (*Cluster, error) {
 	_, hi0 := GroupBounds(cfg.P, cfg.Procs, 0)
 	c.m = comm.NewMachine(comm.Config{
 		P: cfg.P, Alpha: cfg.alphaOrDefault(), Beta: cfg.betaOrDefault(),
-		Seed: cfg.seedOrDefault(), Backend: comm.BackendMailbox,
+		Seed:   cfg.seedOrDefault(),
 		Remote: &comm.Remote{Lo: 0, Hi: hi0, Forward: c.forward},
 	})
 	return c, nil

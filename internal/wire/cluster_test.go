@@ -130,7 +130,7 @@ func TestWireRepeatedRuns(t *testing.T) {
 		t.Fatalf("Spawn: %v", err)
 	}
 	defer c.Close()
-	m := comm.NewMachine(comm.Config{P: 8, Alpha: 1000, Beta: 1, Seed: 9, Backend: comm.BackendMailbox})
+	m := comm.NewMachine(comm.Config{P: 8, Alpha: 1000, Beta: 1, Seed: 9})
 	defer m.Close()
 	args := []uint64{13, 7}
 	var prev []uint64

@@ -57,7 +57,7 @@ func RunLocal(cfg Config, prog string, args []uint64) ([]uint64, comm.Stats, err
 	}
 	m := comm.NewMachine(comm.Config{
 		P: cfg.P, Alpha: cfg.alphaOrDefault(), Beta: cfg.betaOrDefault(),
-		Seed: cfg.Seed, Backend: comm.BackendMailbox,
+		Seed: cfg.Seed,
 	})
 	defer m.Close()
 	results := make([]uint64, cfg.P)

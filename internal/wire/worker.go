@@ -74,7 +74,6 @@ func WorkerMain(network, addr string, index int) int {
 	l := newLink(conn)
 	m := comm.NewMachine(comm.Config{
 		P: w.P, Alpha: w.Alpha, Beta: w.Beta, Seed: w.Seed,
-		Backend: comm.BackendMailbox,
 		Remote: &comm.Remote{Lo: w.Lo, Hi: w.Hi, Forward: func(dst int, msg mailbox.Msg) {
 			b, err := appendEnvelope(nil, w.P, dst, msg)
 			if err != nil {

@@ -1,0 +1,122 @@
+#!/usr/bin/env bash
+# The repository's guard set, one command per tier, the same locally and in
+# CI (.github/workflows/ci.yml calls nothing else for tests):
+#
+#   scripts/guard.sh tier1   build, vet, gofmt, the whole suite, then the
+#                            guards that need flags of their own: counter and
+#                            residency guards, repeated-run determinism,
+#                            schedule exploration, smokes, 10 s per fuzz target
+#   scripts/guard.sh race    the -race set: whole packages, then the stress
+#                            tests at -count > 1
+#   scripts/guard.sh long    -tags long: 10^5 explored schedules, 10^4 of
+#                            agg.ECSumStep alone, the p = 16384 mid-run
+#                            residency guard (minutes)
+#
+# Every step that selects tests by name goes through must_run, so a name
+# that matches no test fails the step instead of passing by running nothing.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+# must_run <pkg> <Test1|Test2|...> [go test flags]: runs exactly the named
+# top-level tests of pkg and fails unless each of them reported PASS.
+must_run() {
+  local pkg=$1 names=$2 out n
+  shift 2
+  out=$(go test "$@" -v -run "^(${names})\$" "$pkg" 2>&1) || { tail -n 60 <<<"$out"; return 1; }
+  for n in ${names//|/ }; do
+    grep -q -- "--- PASS: $n " <<<"$out" || { echo "$pkg: no test named $n ran"; return 1; }
+  done
+  echo "$pkg ${names}: $(tail -n 1 <<<"$out")"
+}
+
+# fuzz <pkg> <FuzzTarget>: ten seconds of native fuzzing; fails if the
+# target does not exist.
+fuzz() {
+  local out
+  out=$(go test -run '^$' -fuzz "^$2\$" -fuzztime 10s -fuzzminimizetime 1s "$1" 2>&1) || { tail -n 60 <<<"$out"; return 1; }
+  if grep -q 'no fuzz tests to fuzz' <<<"$out"; then
+    echo "$1: no fuzz target named $2"
+    return 1
+  fi
+  echo "$1 $2: $(tail -n 1 <<<"$out")"
+}
+
+tier1() {
+  go build ./...
+  go vet ./...
+  test -z "$(gofmt -l .)"
+  go test ./...
+  # Dispatch and arena paths are guarded by counters, not timing.
+  must_run ./internal/qsel/ 'TestBucketPathTaken|TestBucketSelectZeroAlloc|TestSelectZeroAlloc'
+  must_run ./internal/treap/ 'TestArenaPathTaken|TestChurnZeroAlloc'
+  # Goroutine residency: a resident p = 16384 machine, p = 16384 mid-run,
+  # p = 65536 inside the memory budget.
+  must_run ./internal/comm/ 'TestMailboxGoroutineCountResident|TestRunAsyncMidRunResidency'
+  must_run ./internal/experiments/ 'TestScaling65536WithinBudgets'
+  # Schedule exploration on the simexec executor (>= 10^3 seeded schedules,
+  # every stepper family and serve kind, results and meters bit-identical)
+  # and its self-test (a FIFO-violating policy is caught; a seed is a trace).
+  must_run ./internal/experiments/ 'TestScheduleExploration|TestExplorationIsSensitive|TestFuzzDifferentialSteppers'
+  must_run ./internal/serve/ 'TestServeScheduleExploration'
+  # Repeated runs are bit-identical (mtopk DTA/RDTA, bnb, redist, freq).
+  must_run ./internal/mtopk/ 'TestMtopkRepeatedRunsBitIdentical' -count=5
+  must_run ./internal/bnb/ 'TestBnbRepeatedRunsBitIdentical' -count=5
+  must_run ./internal/redist/ 'TestBuildPlanStepRepeatedRunsBitIdentical' -count=5
+  must_run ./internal/freq/ 'TestFreqRepeatedRunsBitIdentical' -count=5
+  must_run ./internal/serve/ 'TestDeadlineExpiredAtSubmit|TestDeadlineExpiredWhileQueued' -count=50
+  # Wire: 2-process differential (results and meters bit-identical), worker
+  # death is a clean error with no goroutine leak.
+  must_run ./internal/wire/ 'TestWireDifferential|TestWorkerCrashTeardown|TestClusterCloseIdempotent'
+  # Smokes.
+  go test -run '^$' -bench 'Table1|Substrate_MailboxScale' -benchtime=1x -benchmem .
+  go run ./cmd/topkbench -exp scaling -quick
+  fuzz ./internal/wire/ FuzzEnvelope
+  fuzz ./internal/qsel/ FuzzSelect
+  fuzz ./internal/sel/ FuzzKthSorted
+  fuzz ./internal/mailbox/ FuzzBox
+}
+
+race() {
+  go test -race ./internal/comm/ ./internal/coll/ ./internal/commbuf/ ./internal/qsel/ ./internal/sel/ \
+    ./internal/mailbox/ ./internal/dht/ ./internal/treap/ ./internal/bpq/ ./internal/serve/ \
+    ./internal/mtopk/ ./internal/bnb/ ./internal/redist/
+  go test -race -count=5 ./internal/agg/
+  # Production against the reference executor, and the explored schedules.
+  must_run ./internal/experiments/ 'TestBackendDifferential|TestBackendDifferentialShardedScheduler|TestBackendDifferentialRepeatedRuns|TestBackendDifferentialContinuationBodies|TestFuzzDifferentialSteppers|TestScheduleExploration|TestExplorationIsSensitive' -race
+  # Scheduler: the whole mailbox package, then blocking runs at w < p with
+  # a Close after every machine, then continuation suspend/resume.
+  go test -race -count=20 -timeout 120s ./internal/mailbox/
+  must_run ./internal/comm/ 'TestBlockingRunWLessThanPStress|TestMailboxSchedulerWLessThanP' -race -count=20 -timeout 120s
+  must_run ./internal/comm/ 'TestRunAsyncContinuationStress|TestRunAsyncCascade|TestRunAsyncBlockingRecvInStepperFailsRun|TestAbortedRunResetsCollectiveTags' -race -count=5 -timeout 120s
+  # Context interleaving: tagged demux, multi-key suspension, serving mux.
+  must_run ./internal/comm/ 'TestCtxIsolatedStreams|TestCtxScratchNamespaced|TestMultiWaiterAnyOfResume|TestPostDoorbell' -race -count=3
+  must_run ./internal/mailbox/ 'TestKeyedFIFOAcrossContexts|TestKeyedConcurrentSenders|TestArmKeysFireOnce|TestWaitAnyKeys|TestShardedReadyQueueResumes|TestShardedReadyStealing' -race -count=3
+  # Steppers against their blocking twins, w < p.
+  must_run ./internal/coll/ 'TestVectorSteppersContinuationStress' -race -count=3
+  must_run ./internal/sel/ 'TestKthStepMatchesBlockingAcrossBackends|TestKthStepRepeatedRunsReusePooledState' -race -count=3
+  must_run ./internal/sel/ 'TestKthSortedDifferential|TestKthWindowOpsAgree|TestKthSortedNeverWritesTheShard|TestKthSortedSkipsTheSizeAllReduce' -race -count=5
+  must_run ./internal/bpq/ 'TestDeleteMinStepMatchesBlockingAcrossBackends|TestDeleteMinStepThresholdContract|TestInterleavedInsertDelete' -race -count=3
+  must_run ./internal/mtopk/ 'TestMtopkSteppersMatchBlocking' -race -count=3
+  must_run ./internal/bnb/ 'TestBnbStepperMatchesBlocking' -race -count=3
+  must_run ./internal/redist/ 'TestBalanceStepMatchesBlocking' -race -count=3
+  must_run ./internal/freq/ 'TestFreqSteppersMatchBlocking' -race -count=3
+  must_run ./internal/agg/ 'TestAggSteppersMatchBlocking' -race -count=3
+  # Serving: concurrent equals sequential for all three kinds, on both
+  # executors; the resident index; the stress.
+  must_run ./internal/serve/ 'TestServeResidentIndex|TestServeConcurrentMatchesSequential|TestServeMixedKindsConcurrentMatchesSequential|TestServeFreqConcurrentMatchesSequential|TestServeScheduleExploration|TestServeConcurrentStress' -race -count=5
+  # External abort against finishRun's re-arm (the wire reader goroutine).
+  must_run ./internal/wire/ 'TestWorkerCrashTeardown|TestClusterCloseIdempotent' -race -count=20
+}
+
+long() {
+  must_run ./internal/experiments/ 'TestScheduleExploration|TestScheduleExplorationECSum' -tags long -timeout 60m
+  must_run ./internal/experiments/ 'TestMidRunGoroutineResidency16384' -tags long -timeout 30m
+}
+
+case "${1:-}" in
+tier1 | race | long) "$1" ;;
+*)
+  echo "usage: scripts/guard.sh tier1|race|long" >&2
+  exit 2
+  ;;
+esac
