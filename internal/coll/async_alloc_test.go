@@ -110,6 +110,9 @@ func TestZeroAllocSteppersRunAsync(t *testing.T) {
 		{"Gatherv", 0, func(pe *comm.PE) comm.Stepper {
 			return GathervStep(pe, 0, guardPayload(pe), nil)
 		}},
+		{"ReduceConcat", 0, func(pe *comm.PE) comm.Stepper {
+			return ReduceConcatStep(pe, 0, guardPayload(pe)[:2], guardPayload(pe), nil)
+		}},
 		{"BroadcastScalar", 0, func(pe *comm.PE) comm.Stepper {
 			return BroadcastScalarStep(pe, 0, int64(pe.Rank()), nil)
 		}},

@@ -567,3 +567,80 @@ func TestGatherStridedCoverage(t *testing.T) {
 		t.Errorf("MaxSends = %d, want %d", st.MaxSends, s)
 	}
 }
+
+// TestReduceConcatStep pins the up-sweep: the root — and only the root —
+// receives the elementwise header sums and every PE's block in rank order
+// starting at itself; one message per tree edge, none from the root; and
+// the meters do not depend on the executor or on who drives the stepper.
+func TestReduceConcatStep(t *testing.T) {
+	block := func(rank int) []int64 { // rank r contributes (3r mod 5) copies of r
+		b := make([]int64, (3*rank)%5)
+		for i := range b {
+			b[i] = int64(rank)
+		}
+		return b
+	}
+	for _, p := range []int{1, 2, 3, 5, 8, 13, 64} {
+		for _, root := range []int{0, p / 2, p - 1} {
+			var wantAll []int64
+			wantSums := []int64{0, int64(p), 0}
+			for i := 0; i < p; i++ {
+				r := (root + i) % p
+				wantAll = append(wantAll, block(r)...)
+				wantSums[0] += int64(r + 1)
+				wantSums[2] += int64(len(block(r)))
+			}
+			var ref comm.Stats
+			for ri, rig := range []struct {
+				name  string
+				m     *comm.Machine
+				async bool
+			}{
+				{"mailbox/async", comm.NewMachine(comm.DefaultConfig(p)), true},
+				{"mailbox/blocking", comm.NewMachine(comm.DefaultConfig(p)), false},
+				{"chanmatrix/async", simexec.Reference(p), true},
+			} {
+				name := fmt.Sprintf("p=%d root=%d %s", p, root, rig.name)
+				calls := make([]int, p)
+				mk := func(pe *comm.PE) comm.Stepper {
+					rank := pe.Rank()
+					b := block(rank)
+					return ReduceConcatStep(pe, root, []int64{int64(rank + 1), 1, int64(len(b))}, b,
+						func(sums, all []int64) {
+							calls[rank]++
+							if rank != root {
+								if sums != nil || all != nil {
+									t.Errorf("%s: rank %d received (%v, %v), want nothing", name, rank, sums, all)
+								}
+								return
+							}
+							if !slices.Equal(sums, wantSums) || !slices.Equal(all, wantAll) {
+								t.Errorf("%s: root received sums %v, blocks %v; want %v, %v", name, sums, all, wantSums, wantAll)
+							}
+						})
+				}
+				if rig.async {
+					rig.m.MustRunAsync(mk)
+				} else {
+					rig.m.MustRun(func(pe *comm.PE) { comm.RunSteps(pe, mk(pe)) })
+				}
+				for r, c := range calls {
+					if c != 1 {
+						t.Errorf("%s: rank %d's callback ran %d times", name, r, c)
+					}
+				}
+				st := rig.m.Stats()
+				if st.TotalSends != int64(p-1) || st.MaxSends != int64(min(1, p-1)) {
+					t.Errorf("%s: %d messages, at most %d per PE; want %d and %d",
+						name, st.TotalSends, st.MaxSends, p-1, min(1, p-1))
+				}
+				if ri == 0 {
+					ref = st
+				} else if st != ref {
+					t.Errorf("%s: meters %+v, want %+v", name, st, ref)
+				}
+				rig.m.Close()
+			}
+		}
+	}
+}

@@ -280,7 +280,9 @@ func Scatterv[T any](pe *comm.PE, root int, parts [][]T) []T {
 // bruckMsg is one dissemination round's payload: the concatenated data of
 // a contiguous run of blocks plus their individual lengths. The slices
 // are pooled buffers whose ownership travels with the message (pointers,
-// so the receiver can recycle them).
+// so the receiver can recycle them). ReduceConcatStep's tree edges carry
+// the same shape — lens is then the summed header, data the subtree's
+// concatenation — so the two share this carrier and its wire codec.
 type bruckMsg[T any] struct {
 	lens *[]int64
 	data *[]T

@@ -213,7 +213,7 @@ func (s *selectTopKStep) Step(pe *comm.PE) *comm.RecvHandle {
 				s.phase = tphSmallWait
 				continue
 			}
-			s.cur = sel.KthStep(pe, s.ords, int64(s.k), s.rng, s.onThr)
+			s.cur = sel.KthNStep(pe, s.ords, total, int64(s.k), s.rng, s.onThr)
 			s.phase = tphKthWait
 		case tphSmallWait:
 			SortKVDesc(s.res)

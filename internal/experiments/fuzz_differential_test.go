@@ -157,6 +157,14 @@ func flattenParts(parts [][]int64) []int64 {
 	return flat
 }
 
+// reduceConcatOp is the selection up-sweep on a prm-dependent root: a
+// two-counter header summed, variable-length blocks concatenated.
+func reduceConcatOp(pe *comm.PE, prm int64, out *any) comm.Stepper {
+	b := fuzzPayload(pe, prm)
+	return coll.ReduceConcatStep(pe, int(prm)%pe.P(), []int64{int64(len(b)), prm}, b,
+		func(sums, all []int64) { *out = append(slices.Clone(sums), all...) })
+}
+
 func fuzzOps() []fuzzOp {
 	return []fuzzOp{
 		{
@@ -259,6 +267,16 @@ func fuzzOps() []fuzzOp {
 					*out = flattenParts(parts)
 				})
 			},
+		},
+		{
+			// No blocking form of its own: the blocking leg drives the stepper.
+			name: "ReduceConcat",
+			block: func(pe *comm.PE, prm int64) any {
+				var res any
+				comm.RunSteps(pe, reduceConcatOp(pe, prm, &res))
+				return res
+			},
+			step: reduceConcatOp,
 		},
 		{
 			name: "BroadcastScalar",

@@ -12,127 +12,164 @@ import (
 	"commtopk/internal/xrand"
 )
 
-// Continuation form of Algorithm 1's collective skeleton. KthStep
-// expresses unsorted selection — the size sum, the per-level pivot
-// gather + broadcast, the partition-count all-reduce, and the residual
-// gather-and-solve base case — as a comm.Stepper, so the full selection
-// benchmark runs under Machine.RunAsync with O(w) mid-run goroutines.
-// The blocking Kth drives the same stepper through comm.RunSteps: one
-// implementation, both execution modes, bit-identical results and meter
-// (pinned by the differential fuzz and the scaling suite's A/B twins).
+// Continuation form of Algorithm 1. kthStep expresses unsorted selection
+// as a comm.Stepper, so the full selection benchmark runs under
+// Machine.RunAsync with O(w) mid-run goroutines. The blocking Kth drives
+// the same stepper through comm.RunSteps: one implementation, both
+// execution modes, bit-identical results and meters (pinned by the
+// differential fuzz and the scaling suite's A/B twins).
 //
-// The recursion of the blocking formulation is all tail calls, so the
-// stepper runs it as a loop over a candidate window of the per-PE work
-// buffer; every communication round delegates to the pooled collective
-// steppers of internal/coll, held in the cur slot and driven to
-// completion before the state machine advances. The state struct is
-// pooled per PE (comm.GetPooled); the result-delivery closures handed to
-// the sub-steppers are built once per pooled object and reused, so
-// steady-state dispatch allocates only what the blocking form always
-// has (the gather materializations and broadcast boxing).
+// # One round trip per level
 //
-// The state machine has two entry points that differ only in how the
-// candidate window is held. KthStep (unsorted input) sums the shard sizes,
-// copies the shard into per-PE scratch and narrows the window by
-// partitioning it in place, Θ(window) per level. KthSortedStep (the
-// caller states that its shard is ascending and what the global size is)
-// skips the size sum and uses the shard itself as the window: an
-// ascending slice already is the [<lo | lo..hi | >hi] layout the
-// partition produces, so the band counts are binary searches, the
-// extremes are the window's ends, and the shard is never written —
-// O(log window + sample) per level. Sampling, pivot choice, every
-// collective and every narrowing of win are the same code.
+// A recursion level is one binomial-tree up-sweep and one down-sweep,
+// 2(p−1) messages and 2⌈log₂ p⌉ rounds:
+//
+//   - Up (coll.ReduceConcatStep): every PE has split its window around
+//     the level's pivots into [a: < lo | b: lo..hi | c: > hi]. The sweep
+//     sums the band sizes (la, lb) and concatenates a Bernoulli sample of
+//     the local middle bands — a sample of the window the recursion will
+//     continue on if the answer lies in b, drawn before anyone knows that
+//     it does.
+//   - Down (coll.BroadcastScalarStep of one verdict): the root sends the
+//     global band sizes (na, nb) and, picked from that sample, the next
+//     level's pivots and sampling rate. Every PE derives the same branch
+//     from (na, nb), narrows its window, and splits it around the new
+//     pivots for the next up-sweep.
+//
+// The pivots are Floyd–Rivest's: with m sample elements of a window of n
+// whose rank-k element is wanted, the sample ranks k·m/n ± Δ, Δ = m^(1/2+δ),
+// δ = 1/10, extracted at the root with expected-linear order statistics
+// (qsel.Select, in place on the borrowed concatenation). The rate needs
+// no knob: a fraction c/m of the sample lies between the chosen pivots,
+// so the next band holds about n·c/m elements and rate = min(1,
+// target/(n·c/m)) keeps the expected sample at target = 4(√p + 8)
+// elements, Θ(√p) as Theorem 1 needs (c counts by value, so a tie group
+// on a pivot does not inflate the sample). When the rate reaches 1 the
+// "sample" is the whole band, and the root answers from it instead of
+// picking pivots: the residual problem needs no collective of its own.
+//
+// Level 0 has no pivots yet: the band is the whole window, sampled at
+// min(1, target/n) — a "plain" sweep, always a hit. A speculation miss
+// (the answer lies in a or c; Δ is ≈ 3σ of the sample rank, and 0.6–0.8 %
+// of the levels on unique keys at p = 16 and 64 are misses) leaves the
+// root with a sample of the wrong band; the PEs narrow to the right one
+// and run a plain sweep on it. So do the two other rare cases, an empty
+// sample (rate 0 in the verdict) and a peeled tie group.
+//
+// Every level strictly shrinks the window — the pivots are elements of
+// it, so no band that is kept is the whole of it except in the tie-peel
+// case, which removes the lower pivot's tie group — or, on an empty
+// sample, redraws; there is no depth cap.
+//
+// The state struct is pooled per PE (comm.GetPooled); the result-delivery
+// closures handed to the sub-steppers and the sample buffer live in it
+// across uses, so steady-state dispatch allocates nothing.
+//
+// The state machine has two window representations behind one code path.
+// The unsorted forms copy the shard into per-PE scratch and split the
+// window by partitioning it in place, Θ(window) per level. KthSortedStep
+// (the caller states that its shard is ascending) uses the shard itself:
+// an ascending slice already is the [a | b | c] layout, so the band sizes
+// are binary searches and the shard is never written — O(log window +
+// sample) per level. Sampling, pivot choice, every collective and every
+// narrowing of win are the same code.
 
 // kthStep phases.
 const (
-	kphInit        = iota // start the global size sum
-	kphInitSum            // n known: validate k, set up the window
-	kphLoop               // dispatch one recursion level
-	kphMinWait            // k == 1 base case: harvest the min-reduction
-	kphSolveGather        // gatherSolve: residual gathered, start the broadcast
-	kphSolveBcast         // gatherSolve: harvest the k-th element
-	kphPivGather          // sample gathered (root picked pivots), start broadcast
-	kphPivBcast           // harvest pivots; partition and start the count reduce
-	kphFallbackMin        // empty sample: harvest global min, start max reduce
-	kphFallbackMax        // empty sample: harvest global max, partition
-	kphCountsWait         // harvest (na, nb) and branch the recursion
-	kphPeelWait           // tie-peel: harvest the global tie count and branch
+	kphInit     = iota // start the global size sum
+	kphInitSum         // n known: validate k, set up the window
+	kphLoop            // a level without pivots: k == 1 base case or a plain sweep
+	kphMinWait         // k == 1 base case: harvest the min-reduction
+	kphUp              // up-sweep done (the root has judged it): start the down-sweep
+	kphVerdict         // harvest the verdict, branch, start the next up-sweep
+	kphPeelWait        // tie-peel: harvest the global tie count and branch
 	kphDone
 )
 
-// gather modes of the shared Gatherv callback.
+// verdict is the down-sweep payload: the root's reading of one up-sweep.
+type verdict[K any] struct {
+	// na, nb are the global sizes of bands a and b of the level just
+	// counted; every PE derives its branch from them.
+	na, nb int64
+	// lo, hi are the next level's pivots — or, when the up-sweep carried
+	// the whole band (rate 1), lo is the answer.
+	lo, hi K
+	// rate is the next level's sampling rate of its middle band; 0 says
+	// the root's sample was empty and the PEs must draw a fresh one.
+	rate float64
+}
+
+// The branches of one level, a function of (na, nb) and state every PE
+// shares.
 const (
-	gmPivots = iota // pickPivots: concatenate the sample, extract two pivots
-	gmSolve         // gatherSolve: concatenate the residual, select the k-th
+	brBelow = iota // the answer is in band a (a speculation miss)
+	brAbove        // the answer is in band c (a miss)
+	brTie          // equal pivots around the answer: it is the pivot
+	brPeel         // band b is the whole window: peel the lower pivot's tie group
+	brHit          // the answer is in band b, a strictly smaller window
 )
 
 type kthStep[K cmp.Ordered] struct {
-	pe    *comm.PE
 	local []K
 	k     int64
 	rng   *xrand.RNG
 	out   func(K)
-	self  bool // self-release + out on completion (the KthStep form)
+	self  bool // self-release + out on completion (the *Step forms)
 	// sorted: local is ascending and is the window itself, read-only
 	// (KthSortedStep); otherwise the window is a scratch copy of local.
 	sorted bool
 	res    K
 
-	// The recursion state: win is the live candidate window of the
-	// per-PE work buffer, kRem/n the remaining rank and global size.
-	win   []K
-	kRem  int64
-	n     int64
-	depth int
+	// The recursion state, identical on every PE except win, la and lb:
+	// win is the live candidate window, kRem/n the remaining rank and
+	// global size; the level in flight splits win around [pivLo, pivHi]
+	// (plain: no pivots, band b is all of win) and samples b at rate.
+	win          []K
+	kRem, n      int64
+	target       float64 // expected sample size, 4(√p + 8)
+	plain        bool
+	pivLo, pivHi K
+	rate         float64
+	la, lb       int // local sizes of bands a and b
+	nEqLocal     int // local size of the peeled tie group
 
 	// Current collective sub-stepper and its harvested results.
-	cur        comm.Stepper
-	gatherMode int
-	i64        int64
-	tg         tagged[K]
-	pivots     []K // scratch-backed ("sel.pivots.out"), root work in onParts
-	gotPiv     []K // broadcast result (shared, read immediately)
-	kthVal     K   // gatherSolve root result
-	pivLo      K
-	pivHi      K
-	na, nb     int64
-	la, lb     int // local three-way partition boundaries of win
-	nEqLocal   int // local size of the peeled tie group
+	cur comm.Stepper
+	i64 int64
+	tg  tagged[K]
+	v   verdict[K]
+
+	// Buffers that survive pooling: the up-sweep header and the local
+	// sample (both copied by the collective before Step returns).
+	hdr    [2]int64
+	sample []K
 
 	// Cached result-delivery closures and operator func values (one
 	// allocation per pooled object, not per op — a func value built in a
 	// generic context carries the type dictionary and would otherwise
 	// heap-allocate at every use). The closures capture only s;
 	// everything else is read through fields at call time.
-	onI64   func(int64)
-	onTag   func(tagged[K])
-	onParts func([][]K)
-	onPiv   func([]K)
-	onSums  func([]int64)
-	onK     func(K)
-	opMin   func(a, b tagged[K]) tagged[K]
-	opMax   func(a, b tagged[K]) tagged[K]
+	onI64     func(int64)
+	onTag     func(tagged[K])
+	onUp      func([]int64, []K)
+	onVerdict func(verdict[K])
+	opMin     func(a, b tagged[K]) tagged[K]
 
 	phase int
 }
 
 func newKthStep[K cmp.Ordered](pe *comm.PE, local []K, k int64, rng *xrand.RNG, out func(K), self bool) *kthStep[K] {
 	s := comm.GetPooled[kthStep[K]](pe)
-	s.pe = pe
 	s.local, s.k, s.rng, s.out, s.self = local, k, rng, out, self
 	s.sorted = false
 	s.phase = kphInit
 	s.cur = nil
-	s.depth = 0
 	if s.onI64 == nil {
 		s.onI64 = func(v int64) { s.i64 = v }
 		s.onTag = func(v tagged[K]) { s.tg = v }
-		s.onParts = func(parts [][]K) { s.consumeGather(parts) }
-		s.onPiv = func(v []K) { s.gotPiv = v }
-		s.onSums = func(v []int64) { s.na, s.nb = v[0], v[1] }
-		s.onK = func(v K) { s.kthVal = v }
+		s.onUp = func(sums []int64, all []K) { s.judge(sums, all) }
+		s.onVerdict = func(v verdict[K]) { s.v = v }
 		s.opMin = minTagged[K]
-		s.opMax = maxTagged[K]
 	}
 	return s
 }
@@ -140,23 +177,34 @@ func newKthStep[K cmp.Ordered](pe *comm.PE, local []K, k int64, rng *xrand.RNG, 
 // KthStep is the continuation form of Kth: out (optional) receives the
 // element of global rank k on every PE. Semantics, panics, RNG
 // consumption and the metered schedule match Kth exactly — Kth is this
-// stepper driven with blocking waits.
+// stepper driven with blocking waits. One size all-reduce, then per level
+// one up-sweep and one down-sweep of a binomial tree (see the file
+// comment); local work Θ(window) per level.
 func KthStep[K cmp.Ordered](pe *comm.PE, local []K, k int64, rng *xrand.RNG, out func(K)) comm.Stepper {
 	return newKthStep(pe, local, k, rng, out, true)
 }
 
-// KthSortedStep is KthStep for a resident, locally sorted shard: sorted
-// must be ascending and n must be the global element count (the sum of
-// len(sorted) over all PEs) — preconditions the caller states, as
-// MSSelect's callers do for theirs; neither is checked. In exchange the
-// shard is never written or copied (it may be shared by any number of
-// concurrent selections), the per-query size all-reduce is skipped, and
-// local work per recursion level is O(log len(sorted) + sample) instead
-// of a scan. The pivot sample reads the same window positions with the
-// same RNG draws per level as KthStep and the per-level collectives are
-// identical, but on the same multiset the two forms see differently
-// ordered windows, so their pivot walks (and meters) differ; the answer
-// is exact in both.
+// KthNStep is KthStep for a caller that already knows the global element
+// count n (the sum of len(local) over all PEs, not checked): the size
+// all-reduce is skipped, everything else is KthStep.
+func KthNStep[K cmp.Ordered](pe *comm.PE, local []K, n, k int64, rng *xrand.RNG, out func(K)) comm.Stepper {
+	s := newKthStep(pe, local, k, rng, out, true)
+	s.i64 = n
+	s.phase = kphInitSum
+	return s
+}
+
+// KthSortedStep is KthNStep for a resident, locally sorted shard: sorted
+// must be ascending and n must be the global element count —
+// preconditions the caller states, as MSSelect's callers do for theirs;
+// neither is checked. In exchange the shard is never written or copied
+// (it may be shared by any number of concurrent selections) and local
+// work per recursion level is O(log len(sorted) + sample) instead of a
+// scan. A query is nothing but tree sweeps: 2(p−1) messages per level.
+// The sample reads the same window positions with the same RNG draws per
+// level as KthStep and the collectives are identical, but on the same
+// multiset the two forms see differently ordered windows, so their pivot
+// walks (and meters) differ; the answer is exact in both.
 func KthSortedStep[K cmp.Ordered](pe *comm.PE, sorted []K, n, k int64, rng *xrand.RNG, out func(K)) comm.Stepper {
 	s := newKthStep(pe, sorted, k, rng, out, true)
 	s.sorted = true
@@ -166,71 +214,16 @@ func KthSortedStep[K cmp.Ordered](pe *comm.PE, sorted []K, n, k int64, rng *xran
 }
 
 // release returns the state to the PE pool, keeping the cached closures
-// (and their one-time allocation) for the next use.
+// and the sample buffer (and their one-time allocations) for the next use.
 func (s *kthStep[K]) release(pe *comm.PE) {
 	var zero K
 	s.local, s.win, s.rng, s.out = nil, nil, nil, nil
 	s.cur = nil
-	s.pivots, s.gotPiv = nil, nil
-	s.res, s.kthVal, s.pivLo, s.pivHi = zero, zero, zero, zero
-	s.tg = tagged[K]{}
+	s.res, s.pivLo, s.pivHi = zero, zero, zero
+	s.tg, s.v = tagged[K]{}, verdict[K]{}
+	s.sample = s.sample[:cap(s.sample)]
+	clear(s.sample) // keys may hold references
 	comm.PutPooled(pe, s)
-}
-
-// consumeGather is the shared Gatherv callback: parts is the borrowed
-// rank-indexed view (root only; nil elsewhere) and must be consumed
-// before returning.
-func (s *kthStep[K]) consumeGather(parts [][]K) {
-	pe := s.pe
-	switch s.gatherMode {
-	case gmPivots:
-		// Extract the two pivots at the root and ship back only those:
-		// order statistics, not a sort (see the blocking pickPivots'
-		// rationale, which this reproduces verbatim).
-		pivots := comm.ScratchSlice[K](pe, "sel.pivots.out", 2)[:0]
-		if parts != nil {
-			var total int
-			for _, part := range parts {
-				total += len(part)
-			}
-			all := comm.ScratchSlice[K](pe, "sel.pivots.concat", total)[:0]
-			for _, part := range parts {
-				all = append(all, part...)
-			}
-			if m := int64(len(all)); m > 0 {
-				r := s.kRem * m / s.n
-				delta := int64(math.Ceil(math.Pow(float64(m), 0.5+0.1)))
-				iLo := int(clamp(r-delta, 0, m-1))
-				iHi := int(clamp(r+delta, 0, m-1))
-				// Value-only order statistics: SelectInto leaves the
-				// concatenated sample untouched, so the two ranks are
-				// extracted independently (no reliance on Select's
-				// partition side effect) through the bucket kernel.
-				ws := comm.ScratchSlice[K](pe, "sel.pivots.ws", total)
-				vLo := qsel.SelectInto(ws, all, iLo)
-				vHi := qsel.SelectInto(ws, all, iHi)
-				pivots = append(pivots, vLo, vHi)
-			}
-		}
-		s.pivots = pivots
-	default: // gmSolve
-		if parts == nil {
-			return
-		}
-		var total int
-		for _, part := range parts {
-			total += len(part)
-		}
-		all := comm.ScratchSlice[K](pe, "sel.gather.concat", total)[:0]
-		for _, part := range parts {
-			all = append(all, part...)
-		}
-		if s.kRem < 1 || s.kRem > int64(len(all)) {
-			panic(fmt.Sprintf("sel: internal rank %d out of residual range %d", s.kRem, len(all)))
-		}
-		ws := comm.ScratchSlice[K](pe, "sel.gather.ws", total)
-		s.kthVal = qsel.SelectInto(ws, all, int(s.kRem-1))
-	}
 }
 
 // bands splits w around [lo, hi]: la elements < lo come first, then lb
@@ -244,8 +237,8 @@ func (s *kthStep[K]) bands(w []K, lo, hi K) (la, lb int) {
 	return la, SliceSeq[K](w[la:]).CountLE(hi)
 }
 
-// winMin and winMax are the window's extremes as reduction operands
-// (no value on a PE whose window is empty).
+// winMin is the window's minimum as a reduction operand (no value on a
+// PE whose window is empty).
 func (s *kthStep[K]) winMin() tagged[K] {
 	switch {
 	case len(s.win) == 0:
@@ -256,30 +249,103 @@ func (s *kthStep[K]) winMin() tagged[K] {
 	return tagged[K]{Has: true, Val: slices.Min(s.win)}
 }
 
-func (s *kthStep[K]) winMax() tagged[K] {
-	switch {
-	case len(s.win) == 0:
-		return tagged[K]{}
-	case s.sorted:
-		return tagged[K]{Has: true, Val: s.win[len(s.win)-1]}
+// setUp starts the recursion on the whole input, of global size n.
+func (s *kthStep[K]) setUp(pe *comm.PE, n int64) {
+	if s.k < 1 || s.k > n {
+		panic(fmt.Sprintf("sel: rank %d out of range 1..%d", s.k, n))
 	}
-	return tagged[K]{Has: true, Val: slices.Max(s.win)}
+	s.win = s.local
+	if !s.sorted {
+		work := comm.ScratchSlice[K](pe, "sel.kth.work", len(s.local))
+		copy(work, s.local)
+		s.win = work
+	}
+	s.kRem, s.n = s.k, n
+	s.target = 4 * (math.Sqrt(float64(pe.P())) + 8)
+	s.phase = kphLoop
 }
 
-// startCounts splits the window around the pivots and launches the
-// two-counter all-reduce (the "partition counting scan").
-func (s *kthStep[K]) startCounts(pe *comm.PE) {
-	s.la, s.lb = s.bands(s.win, s.pivLo, s.pivHi)
-	counts := comm.ScratchSlice[int64](pe, "sel.kth.counts.in", 2)
-	counts[0], counts[1] = int64(s.la), int64(s.lb)
-	s.cur = coll.AllReduceIntoStep(pe, comm.ScratchSlice[int64](pe, "sel.kth.counts", 2),
-		counts, addInt64, s.onSums)
-	s.phase = kphCountsWait
+// startSweep splits the window around the level's pivots, samples the
+// middle band at the level's rate and launches the up-sweep.
+func (s *kthStep[K]) startSweep(pe *comm.PE) {
+	s.la, s.lb = 0, len(s.win)
+	if !s.plain {
+		s.la, s.lb = s.bands(s.win, s.pivLo, s.pivHi)
+	}
+	band := s.win[s.la : s.la+s.lb]
+	if s.rate < 1 {
+		sample := s.sample[:0]
+		sk := xrand.NewSkipSampler(s.rng, s.rate)
+		for idx := sk.Next(); idx < int64(len(band)); idx = sk.Next() {
+			sample = append(sample, band[idx])
+		}
+		s.sample, band = sample, sample
+	}
+	s.hdr[0], s.hdr[1] = int64(s.la), int64(s.lb)
+	s.cur = coll.ReduceConcatStep(pe, 0, s.hdr[:], band, s.onUp)
+	s.phase = kphUp
+}
+
+// branch classifies the level just counted. It reads only state that is
+// the same on every PE, so all of them — and the root, one sweep earlier
+// — take the same branch.
+func (s *kthStep[K]) branch(na, nb int64) int {
+	switch {
+	case na >= s.kRem:
+		return brBelow
+	case na+nb < s.kRem:
+		return brAbove
+	case s.plain || s.rate >= 1:
+		return brHit // no pivots to tie on, or the root holds all of band b
+	case s.pivLo == s.pivHi:
+		return brTie
+	case nb == s.n:
+		return brPeel
+	}
+	return brHit
+}
+
+// judge is the up-sweep's callback: on the root (sums is nil elsewhere)
+// it turns the band sizes and the concatenated band sample, a borrowed
+// buffer it may reorder, into the verdict the down-sweep carries.
+func (s *kthStep[K]) judge(sums []int64, all []K) {
+	if sums == nil {
+		return
+	}
+	v := verdict[K]{na: sums[0], nb: sums[1]}
+	if s.branch(v.na, v.nb) == brHit {
+		// The sample is one of the next window: band b, rank kRem, size n.
+		kRem, n, m := s.kRem-v.na, v.nb, int64(len(all))
+		switch {
+		case s.rate >= 1:
+			if m != n {
+				panic(fmt.Sprintf("sel: residual of %d elements gathered as %d", n, m))
+			}
+			v.lo = qsel.Select(all, int(kRem-1))
+		case m > 0:
+			r := kRem * m / n
+			delta := int64(math.Ceil(math.Pow(float64(m), 0.5+0.1)))
+			iLo := int(clamp(r-delta, 0, m-1))
+			iHi := int(clamp(r+delta, 0, m-1))
+			// Select leaves all[iLo:] ≥ lo, so the upper pivot is an order
+			// statistic of that part.
+			v.lo = qsel.Select(all, iLo)
+			v.hi = qsel.Select(all[iLo:], iHi-iLo)
+			var c int64
+			for _, e := range all {
+				if v.lo <= e && e <= v.hi {
+					c++
+				}
+			}
+			v.rate = min(1, s.target*float64(m)/(float64(n)*float64(c)))
+		}
+	}
+	s.v = v
 }
 
 func addInt64(a, b int64) int64 { return a + b }
 
-// finish delivers the result: the KthStep form releases itself and calls
+// finish delivers the result: the *Step forms release themselves and call
 // out; the blocking driver harvests res and releases explicitly.
 func (s *kthStep[K]) finish(pe *comm.PE, v K) *comm.RecvHandle {
 	s.res = v
@@ -307,18 +373,7 @@ func (s *kthStep[K]) Step(pe *comm.PE) *comm.RecvHandle {
 			s.cur = coll.AllReduceScalarStep(pe, int64(len(s.local)), addInt64, s.onI64)
 			s.phase = kphInitSum
 		case kphInitSum:
-			s.n = s.i64
-			if s.k < 1 || s.k > s.n {
-				panic(fmt.Sprintf("sel: rank %d out of range 1..%d", s.k, s.n))
-			}
-			s.win = s.local
-			if !s.sorted {
-				work := comm.ScratchSlice[K](pe, "sel.kth.work", len(s.local))
-				copy(work, s.local)
-				s.win = work
-			}
-			s.kRem = s.k
-			s.phase = kphLoop
+			s.setUp(pe, s.i64)
 		case kphLoop:
 			if s.kRem == 1 {
 				// Base case of Algorithm 1: a single min-reduction.
@@ -326,105 +381,58 @@ func (s *kthStep[K]) Step(pe *comm.PE) *comm.RecvHandle {
 				s.phase = kphMinWait
 				continue
 			}
-			if s.n <= baseCaseLimit(pe.P()) || s.depth > 120 {
-				s.gatherMode = gmSolve
-				s.cur = coll.GathervStep(pe, 0, s.win, s.onParts)
-				s.phase = kphSolveGather
-				continue
-			}
-			// pickPivots: draw the Bernoulli sample of expected size Θ(√p)
-			// into per-PE scratch (growth stored back, paid once per size)
-			// and gather it on the root.
-			pf := float64(pe.P())
-			target := 4 * (math.Sqrt(pf) + 8)
-			rho := target / float64(s.n)
-			if rho > 1 {
-				rho = 1
-			}
-			scratch := comm.ScratchSlice[K](pe, "sel.pivots.sample", int(4*target)/pe.P()+16)
-			sample := scratch[:0]
-			sk := xrand.NewSkipSampler(s.rng, rho)
-			for idx := sk.Next(); idx < int64(len(s.win)); idx = sk.Next() {
-				sample = append(sample, s.win[idx])
-			}
-			if cap(sample) > cap(scratch) {
-				grown := sample
-				pe.SetScratch("sel.pivots.sample", &grown)
-			}
-			s.gatherMode = gmPivots
-			s.cur = coll.GathervStep(pe, 0, sample, s.onParts)
-			s.phase = kphPivGather
+			s.plain = true
+			s.rate = min(1, s.target/float64(s.n))
+			s.startSweep(pe)
 		case kphMinWait:
 			return s.finish(pe, s.tg.Val)
-		case kphSolveGather:
-			s.cur = coll.BroadcastScalarStep(pe, 0, s.kthVal, s.onK)
-			s.phase = kphSolveBcast
-		case kphSolveBcast:
-			return s.finish(pe, s.kthVal)
-		case kphPivGather:
-			s.cur = coll.BroadcastStep(pe, 0, s.pivots, s.onPiv)
-			s.phase = kphPivBcast
-		case kphPivBcast:
-			if len(s.gotPiv) == 0 {
-				// Extremely unlucky sample; fall back to the global extremes
-				// so the next round keeps everything.
-				s.cur = coll.AllReduceScalarStep(pe, s.winMin(), s.opMin, s.onTag)
-				s.phase = kphFallbackMin
-				continue
-			}
-			s.pivLo, s.pivHi = s.gotPiv[0], s.gotPiv[1]
-			s.gotPiv = nil
-			s.startCounts(pe)
-		case kphFallbackMin:
-			s.pivLo = s.tg.Val
-			s.cur = coll.AllReduceScalarStep(pe, s.winMax(), s.opMax, s.onTag)
-			s.phase = kphFallbackMax
-		case kphFallbackMax:
-			s.pivHi = s.tg.Val
-			s.startCounts(pe)
-		case kphCountsWait:
-			na, nb := s.na, s.nb
-			switch {
-			case na >= s.kRem:
+		case kphUp:
+			s.cur = coll.BroadcastScalarStep(pe, 0, s.v, s.onVerdict)
+			s.phase = kphVerdict
+		case kphVerdict:
+			v := s.v
+			switch s.branch(v.na, v.nb) {
+			case brBelow:
 				s.win = s.win[:s.la]
-				s.n = na
-				s.depth++
+				s.n = v.na
 				s.phase = kphLoop
-			case na+nb < s.kRem:
+			case brAbove:
 				s.win = s.win[s.la+s.lb:]
-				s.kRem -= na + nb
-				s.n -= na + nb
-				s.depth++
+				s.kRem -= v.na + v.nb
+				s.n -= v.na + v.nb
 				s.phase = kphLoop
-			case s.pivLo == s.pivHi:
-				// Equal pivots: the k-th element falls inside one big tie
-				// group — the answer is the pivot itself.
+			case brTie:
+				// The k-th element falls inside one big tie group.
 				return s.finish(pe, s.pivLo)
-			case nb == s.n:
-				// No shrinkage: peel the boundary tie group of the lower
-				// pivot arithmetically (see the blocking form's rationale).
-				b := s.win[s.la : s.la+s.lb]
-				_, nEqLocal := s.bands(b, s.pivLo, s.pivLo)
-				s.nEqLocal = nEqLocal
-				s.cur = coll.AllReduceScalarStep(pe, int64(nEqLocal), addInt64, s.onI64)
+			case brPeel:
+				// No shrinkage: every remaining element is in lo..hi. Count
+				// the lower pivot's tie group; the answer is in it or above it.
+				_, s.nEqLocal = s.bands(s.win[s.la:s.la+s.lb], s.pivLo, s.pivLo)
+				s.cur = coll.AllReduceScalarStep(pe, int64(s.nEqLocal), addInt64, s.onI64)
 				s.phase = kphPeelWait
 			default:
 				s.win = s.win[s.la : s.la+s.lb]
-				s.kRem -= na
-				s.n = nb
-				s.depth++
-				s.phase = kphLoop
+				s.kRem -= v.na
+				s.n = v.nb
+				switch {
+				case s.rate >= 1:
+					return s.finish(pe, v.lo) // the root held the whole band
+				case v.rate == 0:
+					s.phase = kphLoop // empty sample: draw again
+				default:
+					s.plain = false
+					s.pivLo, s.pivHi, s.rate = v.lo, v.hi, v.rate
+					s.startSweep(pe)
+				}
 			}
 		case kphPeelWait:
 			nEq := s.i64
-			na, nb := s.na, s.nb
-			if s.kRem-na <= nEq {
+			if s.kRem-s.v.na <= nEq {
 				return s.finish(pe, s.pivLo)
 			}
 			s.win = s.win[s.la+s.nEqLocal : s.la+s.lb]
-			s.kRem -= na + nEq
-			s.n = nb - nEq
-			s.depth++
+			s.kRem -= s.v.na + nEq
+			s.n = s.v.nb - nEq
 			s.phase = kphLoop
 		default:
 			return nil

@@ -111,7 +111,7 @@ func (s *smallestKStep[K]) Step(pe *comm.PE) *comm.RecvHandle {
 			if s.k == s.n {
 				return s.finish(pe, slices.Clone(s.local))
 			}
-			s.cur = KthStep(pe, s.local, s.k, s.rng, s.onK)
+			s.cur = KthNStep(pe, s.local, s.n, s.k, s.rng, s.onK)
 			s.phase = skphKthWait
 		case skphKthWait:
 			belowI, equalI := qsel.Rank(s.local, s.v)

@@ -97,9 +97,11 @@ func TestKthStepRepeatedRunsReusePooledState(t *testing.T) {
 }
 
 // TestKthStepAllocParity pins the pooling: steady-state continuation
-// selection must not allocate more than the blocking form (whose own
-// per-op allocations — gather materializations, broadcast boxing — are
-// inherent to the protocol, not to continuation scheduling).
+// selection must not allocate more than the blocking form. The protocol
+// itself allocates nothing since the level became two pooled tree sweeps
+// (the gather materializations and broadcast boxing are gone: 24 → 18
+// allocs/op blocking, 15 → 9 stepper at p = 8); what is left is this
+// test's RNG per PE and the blocking run's goroutines.
 func TestKthStepAllocParity(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race (sync.Pool is randomized)")

@@ -4,9 +4,10 @@
 //   - Kth / SmallestK: communication-efficient selection from unsorted
 //     input (Algorithm 1, Theorem 1) — distributed Floyd–Rivest with
 //     Bernoulli pivot sampling that does not require randomly distributed
-//     data. KthSortedStep is the same algorithm for a resident, locally
-//     sorted shard that is queried many times: no copy, no scan, binary
-//     searches for the partition counts (async.go).
+//     data, one tree round trip per recursion level. KthSortedStep is
+//     the same algorithm for a resident, locally sorted shard that is
+//     queried many times: no copy, no scan, binary searches for the
+//     partition counts (async.go).
 //   - MSSelect: exact multisequence selection from locally sorted input
 //     (Algorithm 9, Theorem 16), O(α log² kp).
 //   - AMSSelect: approximate multisequence selection with flexible output
@@ -23,13 +24,11 @@ package sel
 
 import (
 	"cmp"
-	"fmt"
 	"math"
 	"sort"
 
 	"commtopk/internal/coll"
 	"commtopk/internal/comm"
-	"commtopk/internal/qsel"
 	"commtopk/internal/xrand"
 )
 
@@ -78,13 +77,6 @@ func firstTagged[K any](a, b tagged[K]) tagged[K] {
 // Unsorted selection (Algorithm 1)
 // ---------------------------------------------------------------------------
 
-// baseCaseLimit returns the remaining-size threshold below which the
-// recursion gathers the residual problem on PE 0 and solves it locally;
-// the gathered volume is O(√p + base) words, preserving Theorem 1.
-func baseCaseLimit(p int) int64 {
-	return max(64, 4*int64(math.Sqrt(float64(p))))
-}
-
 // Kth returns the element of global rank k (1-based) among the union of
 // all PEs' local slices, on every PE. The local slices are not modified.
 // rng must be a per-PE stream (independent across PEs). Panics if k is out
@@ -95,13 +87,15 @@ func baseCaseLimit(p int) int64 {
 // (three-way band partition, package qsel) instead of rebuilding filtered
 // copies per level.
 //
-// Kth is the continuation skeleton of async.go (KthStep) driven to
-// completion with blocking waits — one implementation for both execution
-// modes. The pivot-selection rationale (Bernoulli sample of expected
-// size Θ(√p), Floyd–Rivest pivots at sample ranks k|S|/n ± Δ with
-// Δ = m^(1/2+δ), δ = 1/10, extracted at the root with expected-linear
-// order statistics and shipped back as 2 words) lives with the state
-// machine there.
+// Kth is the state machine of async.go (KthStep) driven to completion
+// with blocking waits — one implementation for both execution modes.
+// After one size all-reduce, a recursion level is one up-sweep and one
+// down-sweep of a binomial tree, 2(p−1) messages: the band counts and a
+// Bernoulli sample of the band the recursion expects to keep go up
+// together, and the root's verdict — the counts, the next Floyd–Rivest
+// pivots (sample ranks k|S|/n ± Δ, Δ = m^(1/2+δ), δ = 1/10) and the next
+// sampling rate, 5 words — comes down. The rationale lives with the
+// state machine there.
 func Kth[K cmp.Ordered](pe *comm.PE, local []K, k int64, rng *xrand.RNG) K {
 	st := newKthStep(pe, local, k, rng, nil, false)
 	comm.RunSteps(pe, st)
@@ -111,32 +105,6 @@ func Kth[K cmp.Ordered](pe *comm.PE, local []K, k int64, rng *xrand.RNG) K {
 }
 
 func clamp(x, lo, hi int64) int64 { return min(max(x, lo), hi) }
-
-// gatherSolve solves a small residual selection problem exactly: gather on
-// PE 0, select the k-th element (expected-linear, no sort), broadcast it.
-func gatherSolve[K cmp.Ordered](pe *comm.PE, s []K, k int64) K {
-	parts := coll.Gatherv(pe, 0, s)
-	var kth K
-	if pe.Rank() == 0 {
-		var total int
-		for _, part := range parts {
-			total += len(part)
-		}
-		// Preallocated concat into per-PE scratch instead of repeated append.
-		all := comm.ScratchSlice[K](pe, "sel.gather.concat", total)[:0]
-		for _, part := range parts {
-			all = append(all, part...)
-		}
-		if k < 1 || k > int64(len(all)) {
-			panic(fmt.Sprintf("sel: internal rank %d out of residual range %d", k, len(all)))
-		}
-		// Value-only: the residual answer needs no partition side effect,
-		// so route through the compress kernel with a scratch workspace.
-		ws := comm.ScratchSlice[K](pe, "sel.gather.ws", total)
-		kth = qsel.SelectInto(ws, all, int(k-1))
-	}
-	return coll.BroadcastScalar(pe, 0, kth)
-}
 
 // SmallestK returns this PE's share of the k globally smallest elements
 // (exactly k in total across PEs, duplicates split by a prefix sum over

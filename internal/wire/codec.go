@@ -27,6 +27,7 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"unsafe"
 )
@@ -433,4 +434,36 @@ func decodePayload(d *Dec) (any, error) {
 		return nil, d.err
 	}
 	return v, nil
+}
+
+// RoundTrip encodes v with its registered codec and decodes the bytes
+// again — what a payload undergoes crossing a process boundary — and
+// returns the registration name it travelled under. It exists for the
+// codec tests of the packages that own the payload types.
+func RoundTrip(v any) (name string, back any, err error) {
+	b, err := appendPayload(nil, v)
+	if err != nil {
+		return "", nil, err
+	}
+	if ce := lookupType(reflect.TypeOf(v)); ce != nil {
+		name = ce.name
+	}
+	d := Dec{b: b}
+	back, err = decodePayload(&d)
+	if err == nil && d.Remaining() != 0 {
+		err = fmt.Errorf("wire: %q left %d of %d bytes undecoded", name, d.Remaining(), len(b))
+	}
+	return name, back, err
+}
+
+// RegisteredNames returns the registration name of every codec, sorted.
+func RegisteredNames() []string {
+	reg.RLock()
+	defer reg.RUnlock()
+	names := make([]string, 0, len(reg.byID))
+	for _, ce := range reg.byID {
+		names = append(names, ce.name)
+	}
+	slices.Sort(names)
+	return names
 }

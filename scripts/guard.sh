@@ -58,6 +58,10 @@ tier1() {
   # and its self-test (a FIFO-violating policy is caught; a seed is a trace).
   must_run ./internal/experiments/ 'TestScheduleExploration|TestExplorationIsSensitive|TestFuzzDifferentialSteppers'
   must_run ./internal/serve/ 'TestServeScheduleExploration'
+  # Selection's two-sweep level: tree messages only, the miss path, tie-heavy
+  # shards, the up-sweep stepper, and every sel/coll wire codec round-trips.
+  must_run ./internal/sel/ 'TestKthIsTreeSweepsOnly|TestKthSpeculationMiss|TestKthTieHeavyShards|TestWireCodecsRoundTrip'
+  must_run ./internal/coll/ 'TestReduceConcatStep|TestWireCodecsRoundTrip'
   # Repeated runs are bit-identical (mtopk DTA/RDTA, bnb, redist, freq).
   must_run ./internal/mtopk/ 'TestMtopkRepeatedRunsBitIdentical' -count=5
   must_run ./internal/bnb/ 'TestBnbRepeatedRunsBitIdentical' -count=5
@@ -94,7 +98,8 @@ race() {
   # Steppers against their blocking twins, w < p.
   must_run ./internal/coll/ 'TestVectorSteppersContinuationStress' -race -count=3
   must_run ./internal/sel/ 'TestKthStepMatchesBlockingAcrossBackends|TestKthStepRepeatedRunsReusePooledState' -race -count=3
-  must_run ./internal/sel/ 'TestKthSortedDifferential|TestKthWindowOpsAgree|TestKthSortedNeverWritesTheShard|TestKthSortedSkipsTheSizeAllReduce' -race -count=5
+  must_run ./internal/sel/ 'TestKthSortedDifferential|TestKthWindowOpsAgree|TestKthSortedNeverWritesTheShard|TestKthSortedSkipsTheSizeAllReduce|TestKthIsTreeSweepsOnly|TestKthSpeculationMiss|TestKthTieHeavyShards' -race -count=5
+  must_run ./internal/coll/ 'TestReduceConcatStep' -race -count=5
   must_run ./internal/bpq/ 'TestDeleteMinStepMatchesBlockingAcrossBackends|TestDeleteMinStepThresholdContract|TestInterleavedInsertDelete' -race -count=3
   must_run ./internal/mtopk/ 'TestMtopkSteppersMatchBlocking' -race -count=3
   must_run ./internal/bnb/ 'TestBnbStepperMatchesBlocking' -race -count=3
