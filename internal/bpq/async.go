@@ -134,8 +134,8 @@ func (st *peekMinStep[K]) Step(pe *comm.PE) *comm.RecvHandle {
 
 // deleteMinStep phases.
 const (
-	dmphInit    = iota // start the global size sum
-	dmphLenWait        // harvest total; drain fast path or start selection
+	dmphInit    = iota // start the size sum
+	dmphLenWait        // harvest the sums; empty, drain or start the selection
 	dmphSelWait        // harvest the threshold; split off the batch
 	dmphDone
 )
@@ -151,12 +151,17 @@ type deleteMinStep[K cmp.Ordered] struct {
 	resV     K     // selection threshold (zero K on drain / empty)
 	resN     int64 // realized batch size across all PEs
 
-	total int64
-	cur   comm.Stepper
-	onLen func(int64)
-	onSel func(K, int)
-	onAms func(sel.AMSResult[K])
-	phase int
+	// sizes is this PE's [queue length, prefix length min(k, length)] and
+	// sums their global totals, one all-reduce for both (a flexible batch
+	// sums the first word only). prefix holds the local prefix, ascending
+	// — the exact selection's input (Appendix A) — and survives pooling.
+	sizes, sums [2]int64
+	prefix      []K
+	cur         comm.Stepper
+	onKth       func(K)
+	onAms       func(sel.AMSResult[K])
+	onKey       func(K) bool // Ascend callback filling prefix
+	phase       int
 }
 
 func newDeleteMinStep[K cmp.Ordered](q *Queue[K], kmin, kmax int64, flex bool, out func([]K, K, int64), self bool) *deleteMinStep[K] {
@@ -164,10 +169,13 @@ func newDeleteMinStep[K cmp.Ordered](q *Queue[K], kmin, kmax int64, flex bool, o
 	st.q, st.kmin, st.kmax, st.flex, st.out, st.self = q, kmin, kmax, flex, out, self
 	st.phase = dmphInit
 	st.cur = nil
-	if st.onLen == nil {
-		st.onLen = func(v int64) { st.total = v }
-		st.onSel = func(v K, _ int) { st.resV = v }
+	if st.onKth == nil {
+		st.onKth = func(v K) { st.resV = v }
 		st.onAms = func(r sel.AMSResult[K]) { st.resV, st.resN = r.Threshold, r.Count }
+		st.onKey = func(k K) bool {
+			st.prefix = append(st.prefix, k)
+			return int64(len(st.prefix)) < st.sizes[1]
+		}
 	}
 	return st
 }
@@ -192,6 +200,8 @@ func (st *deleteMinStep[K]) release(pe *comm.PE) {
 	st.q, st.out, st.cur = nil, nil, nil
 	st.resBatch = nil
 	st.resV = zero
+	clear(st.prefix) // keys may hold references
+	st.prefix = st.prefix[:0]
 	comm.PutPooled(pe, st)
 }
 
@@ -230,11 +240,17 @@ func (st *deleteMinStep[K]) Step(pe *comm.PE) *comm.RecvHandle {
 		}
 		switch st.phase {
 		case dmphInit:
-			st.cur = st.q.GlobalLenStep(st.onLen)
+			n := int64(st.q.tree.Len())
+			st.sizes = [2]int64{n, min(n, max(st.kmax, 0))}
+			w := len(st.sizes)
+			if st.flex {
+				w = 1
+			}
+			st.cur = coll.AllReduceIntoStep(pe, st.sums[:w], st.sizes[:w], addInt64, nil)
 			st.phase = dmphLenWait
 		case dmphLenWait:
 			var zero K
-			total := st.total
+			total := st.sums[0]
 			if st.flex {
 				if total == 0 || st.kmax <= 0 {
 					return st.finish(pe, nil, zero, 0)
@@ -251,15 +267,20 @@ func (st *deleteMinStep[K]) Step(pe *comm.PE) *comm.RecvHandle {
 				if st.kmin >= total {
 					return st.finish(pe, st.drain(), zero, total)
 				}
-				st.resN = st.kmin // exact batch: the realized size is k
-				st.cur = sel.MSSelectStep[K](pe, st.q.seq, st.kmin, st.q.shared, st.onSel)
+				// The batch is the k smallest of the union of the local
+				// prefixes, whose size the sum has just delivered.
+				st.resN = st.kmin
+				if st.sizes[1] > 0 {
+					st.q.tree.Ascend(st.onKey)
+				}
+				st.cur = sel.KthSortedStep[K](pe, st.prefix, st.sums[1], st.kmin, st.q.rng, st.onKth)
 			}
 			st.phase = dmphSelWait
 		case dmphSelWait:
-			batch := st.q.tree.SplitByKey(st.resV)
-			keys := batch.Keys()
-			batch.Recycle()
-			return st.finish(pe, keys, st.resV, st.resN)
+			// This PE's share is its keys ≤ the threshold; the batch slice
+			// is the caller's and the only allocation.
+			j := st.q.seq.CountLE(st.resV)
+			return st.finish(pe, st.q.tree.PopSmallest(j, make([]K, 0, j)), st.resV, st.resN)
 		default:
 			return nil
 		}

@@ -230,3 +230,53 @@ func TestPeekMinZeroAllocSteadyState(t *testing.T) {
 			peek, base, 2*p)
 	}
 }
+
+// DeleteMin must not allocate in steady state beyond the batch it hands
+// back (one slice per PE per op): the size all-reduce, the prefix read,
+// the selection and the split run on pooled state and the treap arena.
+func TestDeleteMinZeroAllocSteadyState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race (sync.Pool is randomized)")
+	}
+	const p, iters, k = 8, 50, 4 * 8
+	m := comm.NewMachine(comm.DefaultConfig(p))
+	defer m.Close()
+	qs := make([]*Queue[uint64], p)
+	m.MustRun(func(pe *comm.PE) {
+		qs[pe.Rank()] = New[uint64](pe, 17)
+	})
+	// refill puts back what one run removes — strided keys, so every PE's
+	// share of a batch is k/p — and is part of the baseline too.
+	next := 0
+	refill := func() {
+		m.MustRun(func(pe *comm.PE) {
+			r := pe.Rank()
+			for i := 0; i < iters*k/p; i++ {
+				qs[r].Insert(uint64((next+i)*p + r))
+			}
+		})
+		next += iters * k / p
+	}
+	run := func() {
+		refill()
+		m.MustRun(func(pe *comm.PE) {
+			q := qs[pe.Rank()]
+			for i := 0; i < iters; i++ {
+				if got := q.DeleteMin(k); len(got) != k/p {
+					t.Errorf("DeleteMin(%d) share %d, want %d", k, len(got), k/p)
+				}
+			}
+		})
+	}
+	for i := 0; i < 3; i++ {
+		run() // warm the pools and the treap arenas
+	}
+	base := testing.AllocsPerRun(5, func() { refill(); m.MustRun(func(pe *comm.PE) {}) })
+	del := testing.AllocsPerRun(5, run)
+	// SplitByKey + Keys cost three per PE per op (the batch, the split-off
+	// tree and its RNG); PopSmallest leaves the batches and harness noise.
+	if extra := del - base - iters*p; extra > float64(2*p) {
+		t.Errorf("DeleteMin loop allocates %.1f/run: %.1f over the %.1f harness baseline and the %d batches (budget %d)",
+			del, extra, base, iters*p, 2*p)
+	}
+}

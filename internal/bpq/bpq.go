@@ -1,14 +1,18 @@
 // Package bpq implements the communication-efficient bulk-parallel
 // priority queue of Section 5: one local search tree per PE, insertions
 // that are purely local (no elements ever move between PEs), and bulk
-// deleteMin* realized by running the multisequence selection algorithms of
-// Section 4 directly on the search trees.
+// deleteMin* realized by running the selection algorithms of Section 4
+// directly on the search trees.
 //
-// Operation costs (Theorem 5):
+// Operation costs:
 //
 //	Insert          O(log n) local, zero communication
-//	DeleteMin(k)    O(α log² kp) expected (exact batch size)
+//	DeleteMin(k)    O(α log kp) expected (exact batch size): one 2-word
+//	                size all-reduce, then Algorithm 1 on the first
+//	                min(k, len) keys of every tree (Appendix A) — one
+//	                binomial-tree round trip, 2(p−1) messages, per level
 //	DeleteMinFlexible(k̲, k̄)  O(α log k̄p) expected when k̄−k̲ = Ω(k̄)
+//	                (Algorithm 2, Theorem 5)
 //
 // Keys must be globally unique (the paper's standing assumption; compose
 // a PE-id/sequence-number tie-break into the key as MakeUnique does).
@@ -29,21 +33,19 @@ import (
 // collective operations (GlobalLen, DeleteMin, DeleteMinFlexible) must be
 // entered by every PE.
 type Queue[K cmp.Ordered] struct {
-	pe     *comm.PE
-	tree   *treap.Tree[K]
-	seq    sel.Seq[K] // treapSeq over tree, boxed once (the tree pointer is stable)
-	rng    *xrand.RNG // per-PE stream (AMS estimator deviates)
-	shared *xrand.RNG // lockstep stream shared across PEs (exact pivots)
+	pe   *comm.PE
+	tree *treap.Tree[K]
+	seq  sel.Seq[K] // treapSeq over tree, boxed once (the tree pointer is stable)
+	rng  *xrand.RNG // per-PE stream (selection samples, AMS estimator deviates)
 }
 
 // New creates this PE's handle. seed must be identical on all PEs; the
 // per-PE streams are decorrelated internally.
 func New[K cmp.Ordered](pe *comm.PE, seed int64) *Queue[K] {
 	q := &Queue[K]{
-		pe:     pe,
-		tree:   treap.New[K](seed + int64(pe.Rank())*7919),
-		rng:    xrand.NewPE(seed, pe.Rank()),
-		shared: xrand.New(seed),
+		pe:   pe,
+		tree: treap.New[K](seed + int64(pe.Rank())*7919),
+		rng:  xrand.NewPE(seed, pe.Rank()),
 	}
 	q.seq = treapSeq[K]{q.tree}
 	return q

@@ -71,7 +71,7 @@ func Table1(p int, perPE int, k int, seed int64) Table {
 			shared := xrand.New(seed + 4)
 			sel.MSSelect[uint64](pe, sel.SliceSeq[uint64](locals[pe.Rank()]), int64(k), shared)
 		})
-		addRow("sorted selection", "exact (α log² kp)", meas, "O(1) words (pivots only)")
+		addRow("sorted selection", "exact (α log kp)", meas, "O(√p·log_p kp) words (samples)")
 
 		measFlex := runMeasured(m, func(pe *comm.PE) {
 			sel.AMSSelect[uint64](pe, sel.SliceSeq[uint64](locals[pe.Rank()]), int64(k), 2*int64(k), xrand.NewPE(seed+5, pe.Rank()))
@@ -88,7 +88,7 @@ func Table1(p int, perPE int, k int, seed int64) Table {
 			q.InsertBulk(locals[pe.Rank()])
 			q.DeleteMin(int64(k))
 		})
-		addRow("bulk PQ insert*+deleteMin*", "new (Thm 5)", meas, "O(1) words (no element moves)")
+		addRow("bulk PQ insert*+deleteMin*", "new (Thm 5)", meas, "O(√p·log_p kp) (no element moves)")
 
 		measOld := runMeasured(m, func(pe *comm.PE) {
 			// Old approach [31]: inserted elements go to random PEs.

@@ -147,5 +147,15 @@ func TestKthStepAllocParity(t *testing.T) {
 	if sortedForm > blocking+float64(p)*2 {
 		t.Errorf("sorted-form selection allocates %.1f/op vs blocking %.1f/op", sortedForm, blocking)
 	}
-	t.Logf("allocs/op: blocking %.1f, stepper %.1f, sorted form %.1f", blocking, stepper, sortedForm)
+	// MSSelectStep is the sorted form on the prefixes, its per-PE stream
+	// reseeded in place: nothing to allocate beyond it either.
+	msForm := measure(func(m *comm.Machine) {
+		m.MustRunAsync(func(pe *comm.PE) comm.Stepper {
+			return MSSelectStep(pe, SliceSeq[uint64](sorted[pe.Rank()]), k, xrand.New(13), nil)
+		})
+	})
+	if msForm > sortedForm+float64(p)*2 {
+		t.Errorf("MSSelectStep allocates %.1f/op vs the sorted form's %.1f/op", msForm, sortedForm)
+	}
+	t.Logf("allocs/op: blocking %.1f, stepper %.1f, sorted form %.1f, MSSelectStep %.1f", blocking, stepper, sortedForm, msForm)
 }

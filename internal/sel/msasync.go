@@ -9,75 +9,66 @@ import (
 	"commtopk/internal/xrand"
 )
 
-// Continuation forms of the multisequence selection algorithms (Section
-// 4, Algorithms 9 and 2) over the Seq interface — the engines behind the
-// bulk-parallel priority queue's DeleteMin. The same discipline as
-// kthStep (async.go): pooled per-PE state, every communication round
-// delegated to the collective steppers of internal/coll held in the cur
-// slot, result-delivery closures and generic operator func values cached
-// on the pooled object so steady-state dispatch is allocation-free. The
-// blocking MSSelect/AMSSelect drive these steppers through comm.RunSteps
-// — one implementation, both execution modes, bit-identical results,
-// RNG consumption and metered schedule (pinned by the bpq differential
-// fuzz op and the stepper A/B tests).
+// Continuation forms of the multisequence selection algorithms over the
+// Seq interface — the engines behind MSSelect, AMSSelect and the bulk
+// priority queue's flexible batches. The same discipline as kthStep
+// (async.go): pooled per-PE state, every communication round delegated
+// to a sub-stepper held in the cur slot, result-delivery closures and
+// generic operator func values cached on the pooled object so
+// steady-state dispatch is allocation-free. The blocking MSSelect and
+// AMSSelect drive these steppers through comm.RunSteps — one
+// implementation, both execution modes, bit-identical results, RNG
+// consumption and metered schedule (pinned by the bpq differential fuzz
+// op and the stepper A/B tests).
+//
+// # Exact selection is Algorithm 1 on the Appendix A prefix
+//
+// The element of global rank k lies in the first min(k, len) elements of
+// every local sequence (Appendix A), so those prefixes — together at most
+// kp elements, each one ascending — are a locally sorted input of which
+// it is the rank-k element. msSelectStep hands them to the sorted form of
+// kthStep: one size all-reduce (p·⌈log₂ p⌉ messages), then per recursion
+// level one binomial-tree up-sweep and one down-sweep, 2(p−1) messages:
+// Theorem 1's O(α log kp) expected on n ≤ kp, where Algorithm 9's
+// random-pivot loop (Theorem 16, O(α log² kp)) paid four
+// recursive-doubling collectives per iteration. A SliceSeq's prefix is a
+// sub-slice; any other Seq's is copied into a pooled buffer, O(min(k,
+// len)) At calls.
 
-// msSelectStep phases.
-const (
-	msphInit       = iota // restrict the window, start the init size sum
-	msphInitSum           // harvest n, validate k
-	msphTotal             // start the per-iteration window sum
-	msphTotalWait         // harvest total; branch base case vs pivot draw
-	msphSingleWait        // total == 1: harvest the owner broadcast
-	msphPrevWait          // harvest the exclusive prefix, publish the pivot
-	msphPivotWait         // harvest the pivot, start the 2-counter reduce
-	msphSumsWait          // harvest (globLess, globLE) and narrow or finish
-	msphDone
-)
-
+// msSelectStep is the exact multisequence selection: the sorted-form
+// kthStep on this PE's prefix, then the local count of elements ≤ the
+// answer on the full sequence.
 type msSelectStep[K cmp.Ordered] struct {
-	pe     *comm.PE
-	s      Seq[K]
-	shared *xrand.RNG
-	out    func(K, int)
-	self   bool
-	k      int64
-	resV   K
-	resN   int
+	s    Seq[K]
+	out  func(K, int)
+	self bool
+	resV K
+	resN int
 
-	lo, hi int
-	kRem   int64
-	r      int64 // pivot position among remaining candidates
-	pivot  K
-	jLess  int
-	jLE    int
-
-	// Current collective sub-stepper and its harvested results.
-	cur  comm.Stepper
-	i64  int64
-	tg   tagged[K]
-	sums [2]int64
-
-	// Cached closures and operator func values (see kthStep).
-	onI64   func(int64)
-	onTag   func(tagged[K])
-	onSums  func([]int64)
-	opFirst func(a, b tagged[K]) tagged[K]
-
-	phase int
+	kth *kthStep[K] // the selection on the prefix; nil once harvested
+	// rng is the per-PE sampling stream, reseeded per use from one draw
+	// of the caller's shared stream; held by value so that costs nothing.
+	rng    xrand.RNG
+	prefix []K // a non-slice Seq's prefix; survives pooling
 }
 
 func newMSSelectStep[K cmp.Ordered](pe *comm.PE, s Seq[K], k int64, shared *xrand.RNG, out func(K, int), self bool) *msSelectStep[K] {
 	st := comm.GetPooled[msSelectStep[K]](pe)
-	st.pe = pe
-	st.s, st.k, st.shared, st.out, st.self = s, k, shared, out, self
-	st.phase = msphInit
-	st.cur = nil
-	if st.onI64 == nil {
-		st.onI64 = func(v int64) { st.i64 = v }
-		st.onTag = func(v tagged[K]) { st.tg = v }
-		st.onSums = func(v []int64) { st.sums[0], st.sums[1] = v[0], v[1] }
-		st.opFirst = firstTagged[K]
+	st.s, st.out, st.self = s, out, self
+	m := int(min(int64(s.Len()), max(k, 0)))
+	var prefix []K
+	if sl, ok := s.(SliceSeq[K]); ok {
+		prefix = sl[:m]
+	} else {
+		prefix = st.prefix[:0]
+		for i := 0; i < m; i++ {
+			prefix = append(prefix, s.At(i))
+		}
+		st.prefix = prefix
 	}
+	st.rng.SeedPE(int64(shared.Uint64()), pe.Rank())
+	st.kth = newKthStep(pe, prefix, k, &st.rng, nil, false)
+	st.kth.sorted = true
 	return st
 }
 
@@ -92,107 +83,31 @@ func MSSelectStep[K cmp.Ordered](pe *comm.PE, s Seq[K], k int64, shared *xrand.R
 
 func (st *msSelectStep[K]) release(pe *comm.PE) {
 	var zero K
-	st.s, st.shared, st.out, st.cur = nil, nil, nil, nil
-	st.resV, st.pivot = zero, zero
-	st.tg = tagged[K]{}
+	st.s, st.out, st.kth = nil, nil, nil
+	st.resV = zero
+	clear(st.prefix[:cap(st.prefix)]) // keys may hold references
 	comm.PutPooled(pe, st)
 }
 
-func (st *msSelectStep[K]) finish(pe *comm.PE, v K, n int) *comm.RecvHandle {
-	st.resV, st.resN = v, n
-	st.phase = msphDone
+func (st *msSelectStep[K]) Step(pe *comm.PE) *comm.RecvHandle {
+	if st.kth == nil {
+		return nil
+	}
+	if h := st.kth.Step(pe); h != nil {
+		return h
+	}
+	v := st.kth.res
+	st.kth.release(pe)
+	st.kth = nil
+	st.resV, st.resN = v, st.s.CountLE(v)
 	if st.self {
-		out := st.out
+		out, n := st.out, st.resN
 		st.release(pe)
 		if out != nil {
 			out(v, n)
 		}
 	}
 	return nil
-}
-
-func (st *msSelectStep[K]) Step(pe *comm.PE) *comm.RecvHandle {
-	for {
-		if st.cur != nil {
-			if h := st.cur.Step(pe); h != nil {
-				return h
-			}
-			st.cur = nil
-		}
-		switch st.phase {
-		case msphInit:
-			// Restrict to the first k elements of each local sequence
-			// (Appendix A).
-			st.lo, st.hi = 0, st.s.Len()
-			if int64(st.hi) > st.k {
-				st.hi = int(st.k)
-			}
-			st.cur = coll.AllReduceScalarStep(pe, int64(st.hi-st.lo), addInt64, st.onI64)
-			st.phase = msphInitSum
-		case msphInitSum:
-			if st.k < 1 || st.k > st.i64 {
-				panic(fmt.Sprintf("sel: MSSelect rank %d out of range 1..%d", st.k, st.i64))
-			}
-			st.kRem = st.k
-			st.phase = msphTotal
-		case msphTotal:
-			st.cur = coll.AllReduceScalarStep(pe, int64(st.hi-st.lo), addInt64, st.onI64)
-			st.phase = msphTotalWait
-		case msphTotalWait:
-			total := st.i64
-			if total == 1 {
-				var cand tagged[K]
-				if st.hi-st.lo == 1 {
-					cand = tagged[K]{Has: true, Val: st.s.At(st.lo)}
-				}
-				st.cur = coll.AllReduceScalarStep(pe, cand, st.opFirst, st.onTag)
-				st.phase = msphSingleWait
-				continue
-			}
-			// Same random number on all PEs selects the pivot position
-			// among the remaining candidates; its owner publishes the key.
-			st.r = st.shared.Int63n(total)
-			st.cur = coll.ExScanSumStep(pe, int64(st.hi-st.lo), st.onI64)
-			st.phase = msphPrevWait
-		case msphSingleWait:
-			v := st.tg.Val
-			return st.finish(pe, v, st.s.CountLE(v))
-		case msphPrevWait:
-			prev := st.i64
-			var cand tagged[K]
-			if st.r >= prev && st.r < prev+int64(st.hi-st.lo) {
-				cand = tagged[K]{Has: true, Val: st.s.At(st.lo + int(st.r-prev))}
-			}
-			st.cur = coll.AllReduceScalarStep(pe, cand, st.opFirst, st.onTag)
-			st.phase = msphPivotWait
-		case msphPivotWait:
-			v := st.tg.Val
-			st.pivot = v
-			st.jLess = clampInt(st.s.CountLess(v), st.lo, st.hi) - st.lo
-			st.jLE = clampInt(st.s.CountLE(v), st.lo, st.hi) - st.lo
-			var jv [2]int64
-			jv[0], jv[1] = int64(st.jLess), int64(st.jLE)
-			st.cur = coll.AllReduceIntoStep(pe, comm.ScratchSlice[int64](pe, "sel.ms.sums", 2),
-				jv[:], addInt64, st.onSums)
-			st.phase = msphSumsWait
-		case msphSumsWait:
-			globLess, globLE := st.sums[0], st.sums[1]
-			switch {
-			case st.kRem <= globLess:
-				st.hi = st.lo + st.jLess
-				st.phase = msphTotal
-			case st.kRem <= globLE:
-				// Unique keys: the pivot itself is the answer.
-				return st.finish(pe, st.pivot, st.s.CountLE(st.pivot))
-			default:
-				st.lo += st.jLE
-				st.kRem -= globLE
-				st.phase = msphTotal
-			}
-		default:
-			return nil
-		}
-	}
 }
 
 // amsSelectStep phases.

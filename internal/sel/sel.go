@@ -8,8 +8,10 @@
 //     the same algorithm for a resident, locally sorted shard that is
 //     queried many times: no copy, no scan, binary searches for the
 //     partition counts (async.go).
-//   - MSSelect: exact multisequence selection from locally sorted input
-//     (Algorithm 9, Theorem 16), O(α log² kp).
+//   - MSSelect: exact multisequence selection from locally sorted input:
+//     Algorithm 1's sorted form on the first min(k, len) elements of each
+//     sequence (Appendix A), one size all-reduce plus one tree round trip
+//     per level, O(α log kp) expected (msasync.go).
 //   - AMSSelect: approximate multisequence selection with flexible output
 //     size k ∈ [k̲, k̄] (Algorithm 2, Theorem 3), O(log k̄ + α log p)
 //     expected.
@@ -63,14 +65,6 @@ func maxTagged[K cmp.Ordered](a, b tagged[K]) tagged[K] {
 		return b
 	}
 	return a
-}
-
-// firstTagged returns whichever operand has a value (owner broadcast).
-func firstTagged[K any](a, b tagged[K]) tagged[K] {
-	if a.Has {
-		return a
-	}
-	return b
 }
 
 // ---------------------------------------------------------------------------
@@ -215,7 +209,7 @@ func (s SliceSeq[K]) CountLE(v K) int {
 }
 
 // ---------------------------------------------------------------------------
-// Exact multisequence selection (Algorithm 9)
+// Exact multisequence selection (Appendix A + Algorithm 1)
 // ---------------------------------------------------------------------------
 
 // MSSelect returns the element of global rank k (1-based) from locally
@@ -224,13 +218,22 @@ func (s SliceSeq[K]) CountLE(v K) int {
 // unique. shared must be a cross-PE synchronized stream: construct it with
 // the same seed on every PE and use it only inside lockstep collectives.
 //
-// O((α log p + log min(n/p, k)) · log min(kp, n)) expected — Theorem 16.
+// MSSelect consumes exactly one draw of shared, which seeds the per-PE
+// sampling stream of the selection.
+//
+// The answer lies in the first min(k, len) elements of every sequence
+// (Appendix A); MSSelect selects it from those prefixes with the sorted
+// form of Algorithm 1 (KthSortedStep's state machine): one size
+// all-reduce, then one binomial-tree up- and down-sweep per level —
+// p·⌈log₂ p⌉ + 2(p−1)·levels messages. That is Theorem 1's latency on
+// n ≤ kp elements, O(α log kp) expected, where Theorem 16's random-pivot
+// loop costs O(α log² kp) in four collectives per iteration. Local work
+// is O(log min(k, len)) per level plus the CountLE of the answer, and
+// O(min(k, len)) once to copy the prefix of a Seq that is not a SliceSeq.
 //
 // MSSelect is the continuation state machine of msasync.go (MSSelectStep)
 // driven to completion with blocking waits — one implementation for both
-// execution modes. The pivot-selection discipline (shared-stream pivot
-// position among remaining candidates, owner broadcast, two-counter
-// narrowing) lives with the state machine there.
+// execution modes.
 func MSSelect[K cmp.Ordered](pe *comm.PE, s Seq[K], k int64, shared *xrand.RNG) (K, int) {
 	st := newMSSelectStep(pe, s, k, shared, nil, false)
 	comm.RunSteps(pe, st)
@@ -277,10 +280,11 @@ func clampFloat(x, lo, hi float64) float64 { return math.Min(math.Max(x, lo), hi
 // per-PE stream (geometric deviates are drawn locally and independently).
 // Expected time O(log k̄ + α log p) when k̄ − k̲ = Ω(k̄) — Theorem 3.
 //
-// If the flexible search does not land in [k̲, k̄] within maxRounds
-// (possible for very tight intervals), it falls back to exact MSSelect at
-// rank k̲ using a shared stream derived from round counts; the fallback
-// preserves correctness at the cost of the Theorem-16 latency.
+// If the flexible search does not land in [k̲, k̄] within amsMaxRounds
+// (rank counts that jump over the interval: ties across PEs), it falls
+// back to exact MSSelect at rank k̲ on the remaining window, seeded from
+// quantities every PE agrees on; the fallback preserves correctness at
+// the cost of the rounds spent.
 func AMSSelect[K cmp.Ordered](pe *comm.PE, s Seq[K], kmin, kmax int64, rng *xrand.RNG) AMSResult[K] {
 	return amsSelect(pe, s, kmin, kmax, rng, 1)
 }

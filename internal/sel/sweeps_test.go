@@ -3,6 +3,7 @@ package sel
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"testing"
 
 	"commtopk/internal/comm"
@@ -46,13 +47,7 @@ func observeKth(m *comm.Machine, sorted bool, shards [][]uint64, k, seed int64, 
 	m.ResetStats()
 	m.MustRun(func(pe *comm.PE) {
 		st := newKthStep(pe, shards[pe.Rank()], k, xrand.NewPE(seed, pe.Rank()), nil, false)
-		onUp := st.onUp
-		if pe.Rank() == 0 {
-			st.onUp = func(sums []int64, all []uint64) {
-				o.sweeps = append(o.sweeps, sweep{st.plain, st.rate, sums[0], sums[1], len(all)})
-				onUp(sums, all)
-			}
-		}
+		restore := watchSweeps(pe, st, &o)
 		if sorted {
 			st.sorted = true
 			st.setUp(pe, n)
@@ -69,7 +64,41 @@ func observeKth(m *comm.Machine, sorted bool, shards [][]uint64, k, seed int64, 
 		if pe.Rank() == 0 {
 			o.target = st.target
 		}
-		st.onUp = onUp // the pooled state keeps its closures
+		restore()
+		st.release(pe)
+	})
+	o.stats = m.Stats()
+	return o
+}
+
+// watchSweeps wraps the root's cached up-sweep callback of st so that
+// every sweep it judges lands in o.sweeps; the returned func puts the
+// pooled state's own callback back.
+func watchSweeps(pe *comm.PE, st *kthStep[uint64], o *observed) (restore func()) {
+	onUp := st.onUp
+	if pe.Rank() == 0 {
+		st.onUp = func(sums []int64, all []uint64) {
+			o.sweeps = append(o.sweeps, sweep{st.plain, st.rate, sums[0], sums[1], len(all)})
+			onUp(sums, all)
+		}
+	}
+	return func() { st.onUp = onUp }
+}
+
+// observeMSSelect runs one MSSelect on m as blocking bodies, through the
+// same seam: the selection it runs on the prefixes is a kthStep the
+// constructor has already built.
+func observeMSSelect(m *comm.Machine, shards [][]uint64, k, seed int64) observed {
+	o := observed{res: make([]uint64, m.P()), sends: make([]int64, m.P())}
+	m.ResetStats()
+	m.MustRun(func(pe *comm.PE) {
+		st := newMSSelectStep[uint64](pe, SliceSeq[uint64](shards[pe.Rank()]), k, xrand.New(seed), nil, false)
+		restore := watchSweeps(pe, st.kth, &o)
+		before := pe.Sends()
+		comm.RunSteps(pe, st)
+		o.sends[pe.Rank()] = pe.Sends() - before
+		o.res[pe.Rank()] = st.resV
+		restore() // on the kthStep st has already put back in the PE's pool
 		st.release(pe)
 	})
 	o.stats = m.Stats()
@@ -126,6 +155,69 @@ func TestKthIsTreeSweepsOnly(t *testing.T) {
 			}
 		}
 		t.Logf("p=%d: %d levels in 8 selections, %d of them after a speculation miss", p, levels, misses)
+		m.Close()
+	}
+}
+
+// TestMSSelectIsTreeSweepsOnly: exact multisequence selection is one
+// size all-reduce — a butterfly, log₂ p messages from every PE — and then
+// exactly the sorted form's tree sweeps on the Appendix A prefixes: the
+// same levels, and per PE the same messages, as KthSortedStep on the
+// first min(k, len) elements of every shard with the per-PE stream
+// MSSelect seeds from its one draw of shared. No ExScanSum, no owner
+// broadcast, no per-iteration size sum: any of them would add messages
+// that neither the butterfly nor the sweeps account for.
+func TestMSSelectIsTreeSweepsOnly(t *testing.T) {
+	for _, p := range []int{4, 16, 64} {
+		const perPE = 256
+		n := int64(p * perPE)
+		logp := int64(bits.Len(uint(p)) - 1)
+		shards := make([][]uint64, p) // the key of rank k is k−1
+		for r := range shards {
+			shards[r] = msTestSeq(p, r, perPE)
+		}
+		m := comm.NewMachine(comm.DefaultConfig(p))
+		levels := 0
+		for seed := int64(1); seed <= 6; seed++ {
+			k := 2 + (seed*n)/7
+			name := fmt.Sprintf("p=%d seed=%d k=%d", p, seed, k)
+			o := observeMSSelect(m, shards, k, seed)
+			for r, v := range o.res {
+				if v != uint64(k-1) {
+					t.Fatalf("%s: rank %d got %d, want %d", name, r, v, k-1)
+				}
+			}
+			s := int64(len(o.sweeps))
+			if s == 0 {
+				t.Fatalf("%s: no sweeps", name)
+			}
+			levels += len(o.sweeps)
+			if want := int64(p)*logp + 2*s*int64(p-1); o.stats.TotalSends != want {
+				t.Errorf("%s: %d messages for %d levels, want %d = p·log₂p + 2·levels·(p−1)", name, o.stats.TotalSends, s, want)
+			}
+			if want := logp + s*logp; o.sends[0] != want || o.stats.MaxSends != want {
+				t.Errorf("%s: the root sent %d messages, the busiest PE %d; want %d", name, o.sends[0], o.stats.MaxSends, want)
+			}
+			for r := 1; r < p; r += 2 {
+				if o.sends[r] != logp+s {
+					t.Errorf("%s: leaf %d sent %d messages in %d levels, want log₂p + levels", name, r, o.sends[r], s)
+				}
+			}
+			prefixes := make([][]uint64, p)
+			for r, sh := range shards {
+				prefixes[r] = sh[:min(int64(len(sh)), k)]
+			}
+			twin := observeKth(m, true, prefixes, k, int64(xrand.New(seed).Uint64()), nil)
+			if !slices.Equal(twin.sweeps, o.sweeps) {
+				t.Errorf("%s: sweeps %+v, KthSortedStep on the prefixes %+v", name, o.sweeps, twin.sweeps)
+			}
+			for r := range twin.sends {
+				if o.sends[r] != twin.sends[r]+logp {
+					t.Errorf("%s: rank %d sent %d, KthSortedStep on the prefixes %d + log₂p", name, r, o.sends[r], twin.sends[r])
+				}
+			}
+		}
+		t.Logf("p=%d: %d levels in 6 selections", p, levels)
 		m.Close()
 	}
 }

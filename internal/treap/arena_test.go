@@ -202,3 +202,41 @@ func TestRecycleInvariants(t *testing.T) {
 		t.Fatalf("final tree broken: %d keys, model %d", len(keys), len(live))
 	}
 }
+
+// TestPopSmallest: PopSmallest(i) hands out exactly what SplitByRank(i)
+// then Keys would, leaves the same tree behind with its invariants, and
+// recycles the nodes without allocating beyond dst.
+func TestPopSmallest(t *testing.T) {
+	rng := xrand.New(78)
+	tr := New[uint64](32)
+	for tr.Len() < 2000 {
+		tr.Insert(rng.Uint64() % 100000)
+	}
+	for _, i := range []int{-1, 0, 1, 7, 300, 1500, 5000} {
+		want := tr.Keys()
+		i0 := min(max(i, 0), len(want))
+		got := tr.PopSmallest(i, []uint64{42})
+		if got[0] != 42 || !slices.Equal(got[1:], want[:i0]) {
+			t.Fatalf("PopSmallest(%d) = %d keys %v…, want the %d smallest", i, len(got)-1, got[:min(len(got), 4)], i0)
+		}
+		if !slices.Equal(tr.Keys(), want[i0:]) {
+			t.Fatalf("PopSmallest(%d) left the wrong keys behind", i)
+		}
+		if mn, ok := tr.Min(); ok != (i0 < len(want)) || ok && mn != want[i0] {
+			t.Fatalf("PopSmallest(%d): Min = %d, %v", i, mn, ok)
+		}
+		checkInvariants(t, tr)
+		for tr.Len() < 2000 {
+			tr.Insert(rng.Uint64() % 100000)
+		}
+	}
+	dst := make([]uint64, 0, 64)
+	if a := testing.AllocsPerRun(100, func() {
+		dst = tr.PopSmallest(64, dst[:0])
+		for _, k := range dst {
+			tr.Insert(k)
+		}
+	}); a != 0 {
+		t.Errorf("PopSmallest + reinsert allocates %v/op, want 0", a)
+	}
+}

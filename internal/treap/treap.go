@@ -418,13 +418,29 @@ func (t *Tree[K]) SplitByKey(key K) *Tree[K] {
 // SplitByRank removes and returns a new tree holding the i smallest keys;
 // the receiver keeps the rest.
 func (t *Tree[K]) SplitByRank(i int) *Tree[K] {
+	return &Tree[K]{root: t.detachSmallest(i), rng: xrand.New(int64(t.rng.Uint64())), ar: t.arena()}
+}
+
+// PopSmallest removes the i smallest keys and appends them to dst in
+// ascending order — SplitByRank(i), Keys and Recycle in one pass, without
+// the split-off tree: the nodes go straight back to the arena, so dst's
+// growth is the only allocation.
+func (t *Tree[K]) PopSmallest(i int, dst []K) []K {
+	t.arena().freeAll(t.detachSmallest(i), &dst)
+	return dst
+}
+
+// detachSmallest removes the i smallest keys from the receiver and
+// returns the subtree holding them.
+func (t *Tree[K]) detachSmallest(i int) *node[K] {
 	if i <= 0 {
-		return &Tree[K]{rng: xrand.New(int64(t.rng.Uint64())), ar: t.arena()}
+		return nil
 	}
+	t.extOK = false
 	if i >= t.Len() {
-		out := &Tree[K]{root: t.root, rng: xrand.New(int64(t.rng.Uint64())), ar: t.arena()}
+		l := t.root
 		t.root = nil
-		return out
+		return l
 	}
 	// Iterative rank split: i threads down as "how many keys of the
 	// current subtree go to the low side", so each node's final size is
@@ -450,8 +466,7 @@ func (t *Tree[K]) SplitByRank(i int) *Tree[K] {
 	*lhook = nil
 	*rhook = nil
 	t.root = r
-	t.extOK = false
-	return &Tree[K]{root: l, rng: xrand.New(int64(t.rng.Uint64())), ar: t.arena()}
+	return l
 }
 
 // Recycle empties the tree and returns every node to the arena free
@@ -460,25 +475,33 @@ func (t *Tree[K]) SplitByRank(i int) *Tree[K] {
 // reuse them. This is how an extracted DeleteMin batch is disposed of
 // after its keys are read out: the former behaviour of dropping the
 // subtree on the floor fed every churn cycle's node count to the GC.
-// O(n) with no allocation (iterative right-rotation teardown).
+// O(n) with no allocation.
 func (t *Tree[K]) Recycle() {
-	a := t.arena()
-	n := t.root
+	t.arena().freeAll(t.root, nil)
+	t.root = nil
+	t.extOK = false
+}
+
+// freeAll returns every node of the detached subtree n to the free list,
+// appending its key to *keys first unless keys is nil. It is an iterative
+// right-rotation teardown: the spine stays reachable without a stack, and
+// a node is freed once it has no left child — when it is the smallest
+// left, so keys come out ascending.
+func (a *arena[K]) freeAll(n *node[K], keys *[]K) {
 	for n != nil {
 		if l := n.left; l != nil {
-			// Rotate the left child up so the spine stays reachable
-			// without a stack.
 			n.left = l.right
 			l.right = n
 			n = l
 			continue
 		}
+		if keys != nil {
+			*keys = append(*keys, n.key)
+		}
 		next := n.right
 		a.freeNode(n)
 		n = next
 	}
-	t.root = nil
-	t.extOK = false
 }
 
 // Concat appends other (all of whose keys must be greater than every key of

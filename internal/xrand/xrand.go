@@ -1,8 +1,8 @@
 // Package xrand provides the deterministic random-number machinery the
 // algorithms rely on: per-PE pseudo-random streams, geometric deviates for
 // skip-value Bernoulli sampling (Section 2 of the paper), and a shared
-// stream for synchronized random choices across PEs (e.g. the common random
-// pivot index of multisequence selection).
+// stream for synchronized random choices across PEs (e.g. the one draw
+// multisequence selection seeds its per-PE sampling streams from).
 //
 // The generator is xoshiro-class (SplitMix64-seeded xorshift multiply),
 // chosen for speed and reproducibility; statistical quality far exceeds the
@@ -30,20 +30,34 @@ type RNG struct {
 
 // New returns a generator seeded deterministically from seed.
 func New(seed int64) *RNG {
-	st := uint64(seed)
 	r := &RNG{}
-	r.s0 = splitMix64(&st)
-	r.s1 = splitMix64(&st)
-	if r.s0 == 0 && r.s1 == 0 {
-		r.s0 = 1
-	}
+	r.reset(seed)
 	return r
 }
 
 // NewPE returns the stream for PE rank derived from a machine seed: streams
 // for distinct ranks are decorrelated via SplitMix64 scrambling.
 func NewPE(seed int64, rank int) *RNG {
-	return New(int64(splitMix64(&[]uint64{uint64(seed) ^ uint64(rank)*0x9e3779b97f4a7c15}[0])))
+	r := &RNG{}
+	r.SeedPE(seed, rank)
+	return r
+}
+
+// reset puts r in the state New(seed) starts in.
+func (r *RNG) reset(seed int64) {
+	st := uint64(seed)
+	r.s0 = splitMix64(&st)
+	r.s1 = splitMix64(&st)
+	if r.s0 == 0 && r.s1 == 0 {
+		r.s0 = 1
+	}
+}
+
+// SeedPE resets r in place to the state NewPE(seed, rank) starts in — the
+// allocation-free form for a stream held by value.
+func (r *RNG) SeedPE(seed int64, rank int) {
+	st := uint64(seed) ^ uint64(rank)*0x9e3779b97f4a7c15
+	r.reset(int64(splitMix64(&st)))
 }
 
 // Uint64 returns the next 64 pseudo-random bits.

@@ -27,6 +27,28 @@ func TestBernoulliRate(t *testing.T) {
 	}
 }
 
+// SeedPE on a used stream held by value restarts it exactly where NewPE
+// starts, without allocating.
+func TestSeedPEMatchesNewPE(t *testing.T) {
+	var r RNG
+	for _, c := range []struct {
+		seed int64
+		rank int
+	}{{0, 0}, {1, 0}, {1, 63}, {-7, 5}, {1 << 40, 1 << 20}} {
+		r.Uint64()
+		r.SeedPE(c.seed, c.rank)
+		want := NewPE(c.seed, c.rank)
+		for i := 0; i < 4; i++ {
+			if got, w := r.Uint64(), want.Uint64(); got != w {
+				t.Fatalf("SeedPE(%d, %d) draw %d = %#x, NewPE gives %#x", c.seed, c.rank, i, got, w)
+			}
+		}
+	}
+	if a := testing.AllocsPerRun(100, func() { r.SeedPE(9, 3) }); a != 0 {
+		t.Errorf("SeedPE allocates %.0f/op", a)
+	}
+}
+
 func TestIntnPanicsOnNonPositive(t *testing.T) {
 	r := New(33)
 	for _, bad := range []int{0, -5} {

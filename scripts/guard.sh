@@ -48,7 +48,7 @@ tier1() {
   go test ./...
   # Dispatch and arena paths are guarded by counters, not timing.
   must_run ./internal/qsel/ 'TestBucketPathTaken|TestBucketSelectZeroAlloc|TestSelectZeroAlloc'
-  must_run ./internal/treap/ 'TestArenaPathTaken|TestChurnZeroAlloc'
+  must_run ./internal/treap/ 'TestArenaPathTaken|TestChurnZeroAlloc|TestPopSmallest'
   # Goroutine residency: a resident p = 16384 machine, p = 16384 mid-run,
   # p = 65536 inside the memory budget.
   must_run ./internal/comm/ 'TestMailboxGoroutineCountResident|TestRunAsyncMidRunResidency'
@@ -59,9 +59,13 @@ tier1() {
   must_run ./internal/experiments/ 'TestScheduleExploration|TestExplorationIsSensitive|TestFuzzDifferentialSteppers'
   must_run ./internal/serve/ 'TestServeScheduleExploration'
   # Selection's two-sweep level: tree messages only, the miss path, tie-heavy
-  # shards, the up-sweep stepper, and every sel/coll wire codec round-trips.
-  must_run ./internal/sel/ 'TestKthIsTreeSweepsOnly|TestKthSpeculationMiss|TestKthTieHeavyShards|TestWireCodecsRoundTrip'
+  # shards, the up-sweep stepper, and every sel/coll/bpq wire codec
+  # round-trips. Exact multisequence selection and bulk DeleteMin ride the
+  # same sweeps: tree messages plus one size sum, exact at the edges on
+  # every executor, no allocation beyond the batch.
+  must_run ./internal/sel/ 'TestKthIsTreeSweepsOnly|TestKthSpeculationMiss|TestKthTieHeavyShards|TestWireCodecsRoundTrip|TestMSSelectIsTreeSweepsOnly|TestMSSelectEdgeCasesAgainstSortOracle'
   must_run ./internal/coll/ 'TestReduceConcatStep|TestWireCodecsRoundTrip'
+  must_run ./internal/bpq/ 'TestDeleteMinIsTreeSweepsOnly|TestDeleteMinEdgeCasesAgainstSortOracle|TestDeleteMinZeroAllocSteadyState|TestWireCodecsRoundTrip'
   # Repeated runs are bit-identical (mtopk DTA/RDTA, bnb, redist, freq).
   must_run ./internal/mtopk/ 'TestMtopkRepeatedRunsBitIdentical' -count=5
   must_run ./internal/bnb/ 'TestBnbRepeatedRunsBitIdentical' -count=5
@@ -98,9 +102,9 @@ race() {
   # Steppers against their blocking twins, w < p.
   must_run ./internal/coll/ 'TestVectorSteppersContinuationStress' -race -count=3
   must_run ./internal/sel/ 'TestKthStepMatchesBlockingAcrossBackends|TestKthStepRepeatedRunsReusePooledState' -race -count=3
-  must_run ./internal/sel/ 'TestKthSortedDifferential|TestKthWindowOpsAgree|TestKthSortedNeverWritesTheShard|TestKthSortedSkipsTheSizeAllReduce|TestKthIsTreeSweepsOnly|TestKthSpeculationMiss|TestKthTieHeavyShards' -race -count=5
+  must_run ./internal/sel/ 'TestKthSortedDifferential|TestKthWindowOpsAgree|TestKthSortedNeverWritesTheShard|TestKthSortedSkipsTheSizeAllReduce|TestKthIsTreeSweepsOnly|TestKthSpeculationMiss|TestKthTieHeavyShards|TestMSSelectIsTreeSweepsOnly|TestMSSelectEdgeCasesAgainstSortOracle' -race -count=5
   must_run ./internal/coll/ 'TestReduceConcatStep' -race -count=5
-  must_run ./internal/bpq/ 'TestDeleteMinStepMatchesBlockingAcrossBackends|TestDeleteMinStepThresholdContract|TestInterleavedInsertDelete' -race -count=3
+  must_run ./internal/bpq/ 'TestDeleteMinStepMatchesBlockingAcrossBackends|TestDeleteMinStepThresholdContract|TestInterleavedInsertDelete|TestDeleteMinIsTreeSweepsOnly|TestDeleteMinEdgeCasesAgainstSortOracle' -race -count=3
   must_run ./internal/mtopk/ 'TestMtopkSteppersMatchBlocking' -race -count=3
   must_run ./internal/bnb/ 'TestBnbStepperMatchesBlocking' -race -count=3
   must_run ./internal/redist/ 'TestBalanceStepMatchesBlocking' -race -count=3
