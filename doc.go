@@ -4,8 +4,8 @@
 //
 // The library runs the paper's algorithms on a simulated distributed machine
 // (internal/comm): p processing elements run the same SPMD program — as
-// blocking bodies on a goroutine each, or as resumable steppers
-// multiplexed over a few scheduler goroutines — exchanging messages
+// resumable steppers, or as blocking bodies that run as coroutines behind
+// a stepper, multiplexed over a few scheduler goroutines — exchanging messages
 // through per-receiver mailboxes (or, with internal/wire, across OS
 // processes), with every message metered in machine words and startups so
 // that the paper's cost model O(x + βy + αz) is directly observable.

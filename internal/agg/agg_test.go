@@ -154,7 +154,8 @@ func TestExactTopSums(t *testing.T) {
 	mach.MustRun(func(pe *comm.PE) {
 		got := ExactTopSums(pe, keys[pe.Rank()], vals[pe.Rank()], 5, dht.RouteHypercube, xrand.NewPE(31, pe.Rank()))
 		if len(got) != 5 {
-			t.Fatalf("got %d items", len(got))
+			t.Errorf("got %d items", len(got))
+			return
 		}
 		for i := range got {
 			if got[i].Key != want[i].Key {

@@ -9,7 +9,7 @@ import (
 // gather, for comm.Machine.RunAsync: the same protocols — same message
 // schedule, same metered words, startups and modeled clock, pinned by
 // the differential suite — expressed as resumable bodies. Where a
-// blocking run holds a goroutine per PE (O(p) stacks), a stepper
+// blocking run holds a coroutine per PE (O(p) stacks), a stepper
 // suspends as data and the scheduler's w workers keep driving: mid-run
 // goroutine residency stays O(w). The vector/gather-shaped forms live in
 // async_vec.go and async_route.go.

@@ -12,10 +12,9 @@ import (
 //
 // The paper's machine model assumes an MPI-like substrate where a PE can
 // post a receive, keep computing, and synchronize later (MPI_Irecv /
-// MPI_Wait). The blocking Recv forces the simulator to keep a goroutine
-// parked for every waiting PE body; at p = 131072 that is most of the
-// machine's memory and host time. The handle API decouples the three
-// phases of a receive —
+// MPI_Wait). A blocking Recv keeps the waiting body's stack alive; at
+// p = 131072 that is most of the machine's memory and host time. The
+// handle API decouples the three phases of a receive —
 //
 //	post (IRecv: no meter effect), bind (the message is matched to the
 //	handle; whenever the transport delivers), fold (Wait: the meter —
@@ -44,9 +43,9 @@ import (
 // returns to the scheduler and keeps driving other PEs — and the
 // message's arrival re-enqueues the body on the scheduler's ready list.
 // Mid-run goroutine residency is therefore exactly the scheduler width w,
-// where a blocking Run holds a goroutine per PE. Steppers must suspend via
-// Step: the scheduler's workers never block, so a Wait/Recv that would
-// have to park there fails the run instead (see assertMayPark).
+// where a blocking Run also holds a coroutine per PE (coro.go). Steppers
+// must suspend via Step: they have no coroutine to yield, so a Wait/Recv
+// whose message has not arrived fails the run instead (see suspend).
 
 // handle states.
 const (
@@ -119,9 +118,9 @@ func (h *RecvHandle) Test() bool {
 	}
 }
 
-// Wait completes the receive: it blocks until the message is bound (a
-// body under RunAsync suspends via Step instead, so its Wait never
-// blocks), folds the meter — clock, word and message counters, exactly
+// Wait completes the receive: it suspends a blocking body until the
+// message is bound (a stepper suspends via Step instead, so its Wait
+// never waits), folds the meter — clock, word and message counters, exactly
 // like Recv — and returns the payload and its size in words. The handle
 // is consumed and recycled; it must not be used afterwards.
 func (h *RecvHandle) Wait() (any, int64) {
@@ -149,14 +148,6 @@ func (h *RecvHandle) Wait() (any, int64) {
 	return msg.Data, msg.Words
 }
 
-// ensureBound blocks until the handle's message is bound, without
-// folding the meter (RunSteps' blocking drive between Step calls).
-func (h *RecvHandle) ensureBound() {
-	if h.state == hPending {
-		h.pe.fillUntil(h)
-	}
-}
-
 // prevPendingFor returns the closest older pending handle for the
 // (src, ctx) stream before h in the outstanding list, or nil.
 func (h *RecvHandle) prevPendingFor(src int, ctx uint32) *RecvHandle {
@@ -179,16 +170,35 @@ func (pe *PE) oldestPendingFor(src int, ctx uint32) *RecvHandle {
 	panic(fmt.Sprintf("comm: PE %d: no pending receive from %d ctx %d", pe.rank, src, ctx))
 }
 
-// fillUntil blocks taking messages from h's stream, binding them to the
-// pending handles for that stream in posting order, until h is bound.
+// fillUntil takes messages from h's stream, binding them to the pending
+// handles for that stream in posting order, until h is bound; while the
+// stream is empty the body is suspended.
 func (pe *PE) fillUntil(h *RecvHandle) {
 	for h.state != hBound {
-		g := pe.oldestPendingFor(h.src, h.ctx)
-		msg, ok := pe.box.TryTakeKey(mailbox.Key(h.src, h.ctx))
-		if !ok {
-			msg = pe.takeBlocking(h.src, h.ctx)
+		if msg, ok := pe.box.TryTakeKey(mailbox.Key(h.src, h.ctx)); ok {
+			pe.bindMsg(pe.oldestPendingFor(h.src, h.ctx), msg)
+		} else {
+			pe.suspend(h)
 		}
-		pe.bindMsg(g, msg)
+	}
+}
+
+// suspend yields the running blocking body on h, which is not bound: the
+// worker arms the mailbox and suspends the rank, and the body resumes here
+// once a message for h's stream — in a multi-wait, for any of pe.hBuf's —
+// has arrived, or the run aborts. A stepper has no coroutine to yield, so
+// a wait whose message has not arrived is a bug in the stepper (it must
+// return the handle from Step instead) and fails the run like any other
+// panic.
+func (pe *PE) suspend(h *RecvHandle) {
+	if pe.yield == nil {
+		panic("blocking receive inside a Stepper under RunAsync: the message has not arrived; return the pending handle from Step instead of calling Wait/Recv")
+	}
+	t0 := time.Now()
+	ok := pe.yield(h)
+	pe.waitNs += time.Since(t0).Nanoseconds()
+	if !ok {
+		panic(abortedError{}) // stopped on the abort path: unwind the body
 	}
 }
 
@@ -201,30 +211,6 @@ func (pe *PE) bindMsg(h *RecvHandle, msg mailbox.Msg) {
 	}
 	h.msg = msg
 	h.state = hBound
-}
-
-// takeBlocking blocks for the next message of the (src, ctx) stream,
-// accumulating wait time; on machine abort it unwinds via panic.
-func (pe *PE) takeBlocking(src int, ctx uint32) mailbox.Msg {
-	pe.assertMayPark()
-	t0 := time.Now()
-	msg, ok := pe.box.TakeKey(mailbox.Key(src, ctx))
-	pe.waitNs += time.Since(t0).Nanoseconds()
-	if !ok {
-		panic(abortedError{})
-	}
-	return msg
-}
-
-// assertMayPark panics when the body about to park is a stepper on a
-// scheduler worker: the w workers never block (that is the scheduler's
-// whole liveness argument), so a stepper that reaches a blocking receive
-// whose message has not arrived is a bug in the stepper — it must return
-// the handle from Step instead — and fails the run like any other panic.
-func (pe *PE) assertMayPark() {
-	if pe.m.asyncStart != nil {
-		panic("blocking receive inside a Stepper under RunAsync: the message has not arrived; return the pending handle from Step instead of calling Wait/Recv")
-	}
 }
 
 // getHandle pops a pooled handle (per-PE freelist, so steady-state
@@ -277,12 +263,17 @@ func (pe *PE) outUnlink(h *RecvHandle) {
 
 // resetAsync drops any outstanding handles, the current stepper and the
 // context state — abort-path cleanup so a machine is reusable after a
-// failed run. The collective tag sequences restart too: the bodies
-// unwound at different collectives, and a constant (rather than, say, the
-// local maximum) lets the processes of a windowed machine agree without
-// talking.
+// failed run. A blocking body still suspended in its coroutine is stopped
+// first: its yield returns false and the body unwinds. The collective tag
+// sequences restart too: the bodies unwound at different collectives, and
+// a constant (rather than, say, the local maximum) lets the processes of a
+// windowed machine agree without talking.
 func (pe *PE) resetAsync() {
+	if c, ok := pe.step.(*coro); ok {
+		c.stop()
+	}
 	pe.step = nil
+	pe.multiWait = false
 	pe.ctx = 0
 	pe.collSeq = 0
 	clear(pe.collSeqCtx)
@@ -298,9 +289,9 @@ func (pe *PE) resetAsync() {
 // nil when the body is done, or the pending RecvHandle it cannot proceed
 // without. The scheduler re-invokes Step once that handle's message has
 // arrived (the handle is then bound, so the stepper's Wait on it will
-// not block). Step must tolerate re-invocation at the same point and
-// must not block: under RunAsync a Wait/Recv that would have to park
-// fails the run (use Step-suspension instead).
+// not wait). Step must tolerate re-invocation at the same point and
+// must not block: under RunAsync a Wait/Recv whose message has not
+// arrived fails the run (use Step-suspension instead).
 type Stepper interface {
 	Step(pe *PE) *RecvHandle
 }
@@ -310,9 +301,9 @@ type Stepper interface {
 // suspend on handles in different communication contexts. A plain
 // Stepper suspends on exactly the one handle Step returned; a
 // MultiWaiter body instead advertises every handle it could resume on,
-// and the scheduler arms its mailbox on all of them (ArmKeys) — resp.
-// blocks on any of them under a blocking drive — so whichever query's
-// message arrives first resumes the body. Without this, two PEs can
+// and the scheduler arms its mailbox on all of them (ArmKeys) — under
+// RunSteps in a blocking body too — so whichever query's message arrives
+// first resumes the body. Without this, two PEs can
 // deadlock each blocked on the other query's traffic even though both
 // queries are individually deadlock-free.
 type MultiWaiter interface {
@@ -377,12 +368,11 @@ func (s *seqStep) Step(pe *PE) *RecvHandle {
 	return nil
 }
 
-// RunSteps drives a stepper to completion with blocking waits — the
-// bridge that lets one stepper implementation serve both worlds: inside
-// a blocking body (Run) RunSteps parks like any blocking protocol; under
-// RunAsync the scheduler drives the same Step calls without ever
-// blocking a goroutine. A MultiWaiter body blocks on any of its pending
-// handles instead of the one Step returned.
+// RunSteps drives a stepper to completion inside a blocking body (Run),
+// suspending the body between Step calls — the bridge that lets one
+// stepper implementation serve both forms. A MultiWaiter body is
+// suspended until any of its pending handles binds instead of the one
+// Step returned.
 func RunSteps(pe *PE, st Stepper) {
 	mw, _ := st.(MultiWaiter)
 	for {
@@ -393,38 +383,33 @@ func RunSteps(pe *PE, st Stepper) {
 		if mw != nil {
 			pe.hBuf = mw.PendingHandles(pe.hBuf[:0])
 			if len(pe.hBuf) > 1 {
-				pe.waitAnyBound(pe.hBuf)
+				pe.waitAnyBound()
 				continue
 			}
 		}
-		h.ensureBound()
+		if h.state == hPending {
+			pe.fillUntil(h)
+		}
 	}
 }
 
-// waitAnyBound blocks until at least one of the pending handles hs is
-// bound, without folding any meter. hs must belong to the running PE
-// body and be pending.
-func (pe *PE) waitAnyBound(hs []*RecvHandle) {
-	// Messages may already be queued (or have raced in since Step
-	// returned): a non-blocking sweep binds them without parking.
-	for _, h := range hs {
-		if h.Test() {
-			return
+// waitAnyBound suspends the body until at least one of the pending
+// handles in pe.hBuf is bound, without folding any meter; while it is
+// suspended, multiWait tells the worker to arm the mailbox on all of
+// their streams.
+func (pe *PE) waitAnyBound() {
+	for {
+		// Messages may already be queued (or have raced in since Step
+		// returned): a sweep binds them without suspending.
+		for _, h := range pe.hBuf {
+			if h.Test() {
+				return
+			}
 		}
+		pe.multiWait = true
+		pe.suspend(pe.hBuf[0])
+		pe.multiWait = false
 	}
-	keys := pe.keyBuf[:0]
-	for _, h := range hs {
-		keys = append(keys, mailbox.Key(h.src, h.ctx))
-	}
-	pe.keyBuf = keys
-	pe.assertMayPark()
-	t0 := time.Now()
-	msg, ok := pe.box.WaitAnyKeys(keys)
-	pe.waitNs += time.Since(t0).Nanoseconds()
-	if !ok {
-		panic(abortedError{})
-	}
-	pe.bindMsg(pe.oldestPendingFor(msg.Src, msg.Ctx), msg)
 }
 
 // RunAsync executes a continuation-scheduled SPMD program: start is
@@ -435,8 +420,8 @@ func (pe *PE) waitAnyBound(hs []*RecvHandle) {
 // mid-collective, and an empty RunAsync on a warm machine allocates
 // nothing. Results and statistics are bit-identical to the equivalent
 // blocking Run. Error semantics and machine reuse match Run; in addition,
-// a stepper (or start itself) that reaches a blocking receive whose
-// message has not arrived fails the run — scheduler workers never park.
+// a stepper (or start itself) that reaches a receive whose message has
+// not arrived fails the run — it has no coroutine to suspend.
 func (m *Machine) RunAsync(start func(pe *PE) Stepper) error {
 	m.asyncStart = start
 	m.ex.Run(m.execAsync)
@@ -480,34 +465,39 @@ func (m *Machine) execAsyncRank(rank int) (done bool) {
 			return true
 		}
 		if h.state != hBound {
-			var armed bool
-			if mw, ok := pe.step.(MultiWaiter); ok {
-				// Multi-query bodies resume when ANY pending receive can
-				// bind, not just the one Step happened to return — arming
-				// on a single key would strand progress on the others.
-				pe.hBuf = mw.PendingHandles(pe.hBuf[:0])
-				keys := pe.keyBuf[:0]
-				for _, g := range pe.hBuf {
-					keys = append(keys, mailbox.Key(g.src, g.ctx))
-				}
-				pe.keyBuf = keys
-				armed = pe.box.ArmKeys(keys)
-			} else {
-				armed = pe.box.ArmKey(mailbox.Key(h.src, h.ctx))
-			}
-			if armed {
+			if pe.arm(h) {
 				// Suspended: the body exists only as data (pe.step plus the
 				// armed box) until the message arrives. No goroutine parks.
 				return false
 			}
 			if pe.box.Interrupted() {
 				// Machine abort: the awaited message will never come and a
-				// Test-polling stepper would spin. Unwind like a blocking
-				// receive would (recovered above).
+				// Test-polling stepper would spin. Unwind (recovered above;
+				// a blocking body's coroutine is stopped on the way).
 				panic(abortedError{})
 			}
 		}
 		// The message arrived while arming (or was already bound): keep
 		// stepping on this worker.
 	}
+}
+
+// arm arms pe's mailbox for the body suspended on h. It reports false
+// when a matching message is already queued or the box is interrupted.
+func (pe *PE) arm(h *RecvHandle) bool {
+	if mw, ok := pe.step.(MultiWaiter); ok {
+		pe.hBuf = mw.PendingHandles(pe.hBuf[:0])
+	} else if !pe.multiWait {
+		return pe.box.ArmKey(mailbox.Key(h.src, h.ctx))
+	}
+	// Multi-query bodies (and blocking bodies in RunSteps' multi-wait)
+	// resume when ANY pending receive can bind, not just the one Step
+	// happened to return — arming on a single key would strand progress
+	// on the others.
+	keys := pe.keyBuf[:0]
+	for _, g := range pe.hBuf {
+		keys = append(keys, mailbox.Key(g.src, g.ctx))
+	}
+	pe.keyBuf = keys
+	return pe.box.ArmKeys(keys)
 }

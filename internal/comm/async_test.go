@@ -1,6 +1,7 @@
 package comm_test
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -127,8 +128,8 @@ func TestHandleMisusePanics(t *testing.T) {
 
 // cascadeStart builds the reverse-cascade continuation body: every rank
 // but the last waits for its successor's token before passing one down.
-// It suspends p−1 bodies at peak — the maximally parked workload, for
-// which a blocking Run holds p goroutines.
+// It suspends p−1 bodies at peak — the maximally suspended workload, for
+// which a blocking Run holds p coroutines.
 func cascadeStart(tag Tag, out []int64) func(pe *PE) Stepper {
 	return func(pe *PE) Stepper {
 		var h *RecvHandle
@@ -210,7 +211,7 @@ func TestRunAsyncCascade(t *testing.T) {
 // residency guard: while a p = 16384 cascade is in flight — with
 // thousands of PE bodies simultaneously waiting — the process goroutine
 // count must stay at w + O(1). This is the property a blocking Run
-// cannot provide (every body holds a goroutine) and the reason the async
+// cannot provide (every body holds a coroutine) and the reason the async
 // API exists.
 func TestRunAsyncMidRunResidency(t *testing.T) {
 	const p = 16384
@@ -363,7 +364,7 @@ func TestRunAsyncBlockingRecvInStepperFailsRun(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "PE 3") || !strings.Contains(err.Error(), "blocking receive inside a Stepper") {
 		t.Fatalf("blocking Recv in a stepper: got %v", err)
 	}
-	// A Recv whose message is already queued never parks and stays legal.
+	// A Recv whose message is already queued never waits and stays legal.
 	m.MustRunAsync(func(pe *PE) Stepper {
 		var h *RecvHandle
 		return StepFunc(func(pe *PE) *RecvHandle {
@@ -385,6 +386,121 @@ func TestRunAsyncBlockingRecvInStepperFailsRun(t *testing.T) {
 	m.MustRunAsync(cascadeStart(Tag(14), out))
 	if out[0] != p-1 {
 		t.Errorf("post-failure cascade got %d", out[0])
+	}
+	m.MustRun(func(pe *PE) { ringBodyRecv(pe, make([]int, p)) })
+}
+
+// settleGoroutines polls until the process goroutine count is at most
+// bound: a finished body's coroutine, or a released worker, exits a few
+// instructions after the run has seen it finish.
+func settleGoroutines(t *testing.T, what string, bound int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	var n int
+	for time.Now().Before(deadline) {
+		if n = runtime.NumGoroutine(); n <= bound {
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	t.Errorf("%s: %d goroutines, want ≤ %d", what, n, bound)
+}
+
+// panicAfterTokens is the failing body of TestBlockingRunAbortWhileSuspended,
+// a named function so the error can be checked for the body's own frame.
+func panicAfterTokens(pe *PE, tag Tag) {
+	for src := 0; src < pe.P()-1; src++ {
+		pe.Recv(src, tag)
+	}
+	panic("boom")
+}
+
+// TestBlockingRunAbortWhileSuspended pins the failure paths of blocking
+// bodies, which run as coroutines on the scheduler, at w = 1 and at the
+// default width: one PE panics while every other body is suspended in
+// Recv, and an external abort (the wire transport's worker-death hook)
+// arrives while all of them are. Run returns the error — for the panic
+// with the panicking body's own frame, which a stack taken on the worker
+// would not show — the machine is reusable, and the goroutine count
+// settles back to the baseline plus the w workers, so no suspended
+// coroutine leaks.
+func TestBlockingRunAbortWhileSuspended(t *testing.T) {
+	const p = 16
+	const tag Tag = 71
+	for _, w := range []int{1, 0} {
+		t.Run(fmt.Sprintf("w=%d", w), func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			cfg := DefaultConfig(p)
+			cfg.Workers = w
+			m := NewMachine(cfg)
+			defer m.Close()
+			resident := before + m.Workers() + 2
+
+			// Every PE but the last hands it a token and then waits for a
+			// message that never comes; the last panics once it holds all
+			// the tokens, so the others are suspended (or about to be).
+			err := m.Run(func(pe *PE) {
+				if pe.Rank() == p-1 {
+					panicAfterTokens(pe, tag)
+				}
+				pe.Send(p-1, tag, nil, 1)
+				pe.Recv(p-1, tag+1)
+			})
+			if err == nil || !strings.Contains(err.Error(), "boom") || !strings.Contains(err.Error(), "panicAfterTokens") {
+				t.Fatalf("want the panic with the body's own frame, got %v", err)
+			}
+			settleGoroutines(t, "after a panic", resident)
+
+			// Every PE waits on its successor, which never sends; the abort
+			// comes from outside once all of them have reached the Recv.
+			died := errors.New("worker died")
+			var waiting atomic.Int32
+			go func() {
+				for waiting.Load() < p {
+					time.Sleep(time.Millisecond)
+				}
+				time.Sleep(5 * time.Millisecond)
+				m.AbortExternal(died)
+			}()
+			err = m.Run(func(pe *PE) {
+				waiting.Add(1)
+				pe.Recv((pe.Rank()+1)%p, tag)
+			})
+			if !errors.Is(err, died) {
+				t.Fatalf("want the external abort, got %v", err)
+			}
+			settleGoroutines(t, "after an external abort", resident)
+
+			out := make([]int, p)
+			m.MustRun(func(pe *PE) { ringBodyRecv(pe, out) })
+			for r, got := range out {
+				if want := (r - 1 + p) % p * 3; got != want {
+					t.Fatalf("after the aborts: rank %d got %d, want %d", r, got, want)
+				}
+			}
+			settleGoroutines(t, "after a clean run", resident)
+		})
+	}
+}
+
+// TestBlockingBodyGoexitFailsRun pins that runtime.Goexit in a blocking
+// body (what t.FailNow does) fails the run like a panic instead of ending
+// the scheduler worker the body's coroutine was resumed on, which would
+// leave its rank open forever.
+func TestBlockingBodyGoexitFailsRun(t *testing.T) {
+	const p = 4
+	cfg := DefaultConfig(p)
+	cfg.Workers = 1
+	m := NewMachine(cfg)
+	defer m.Close()
+	err := m.Run(func(pe *PE) {
+		if pe.Rank() == 1 {
+			runtime.Goexit()
+		}
+		pe.Recv((pe.Rank()+1)%p, Tag(72))
+	})
+	if err == nil || !strings.Contains(err.Error(), "PE 1") || !strings.Contains(err.Error(), "Goexit") {
+		t.Fatalf("want the Goexit as PE 1's failure, got %v", err)
 	}
 	m.MustRun(func(pe *PE) { ringBodyRecv(pe, make([]int, p)) })
 }

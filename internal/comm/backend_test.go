@@ -1,6 +1,7 @@
 package comm_test
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -171,20 +172,13 @@ func TestMailboxWorkersReleasedOnClose(t *testing.T) {
 	m := NewMachine(DefaultConfig(64))
 	m.MustRunAsync(func(pe *PE) Stepper { return nil }) // spawn the workers
 	m.Close()
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before+2 {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Errorf("worker goroutines not released: before=%d after=%d", before, runtime.NumGoroutine())
+	settleGoroutines(t, fmt.Sprintf("workers after Close (baseline %d)", before), before+2)
 }
 
 // TestMailboxRunZeroAllocSteadyState is the AllocsPerRun guard of the
 // persistent worker pool: after the first RunAsync has started the
 // workers, a RunAsync dispatch itself must not allocate (a blocking Run
-// pays a goroutine spawn per PE).
+// pays a coroutine per PE).
 func TestMailboxRunZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -264,8 +258,9 @@ func TestSchedWorkersResolution(t *testing.T) {
 }
 
 // TestMailboxSchedulerWLessThanP runs blocking bodies on a machine with
-// far fewer scheduler workers than PEs: every body blocks, and none of
-// them may depend on the scheduler width.
+// far fewer scheduler workers than PEs: every body waits on its
+// successor, so the 4 workers must suspend and resume 64 coroutines, and
+// no result may depend on the scheduler width.
 func TestMailboxSchedulerWLessThanP(t *testing.T) {
 	const p = 64
 	cfg := DefaultConfig(p)
@@ -289,9 +284,9 @@ func TestMailboxSchedulerWLessThanP(t *testing.T) {
 
 // TestMailboxGoroutineCountResident is the tentpole residency guard: a
 // resident p = 16384 machine keeps its goroutine count at O(w), not O(p).
-// A blocking run, in which thousands of PE bodies parked on a goroutine
-// each, leaves none of them behind when it returns; the w workers a
-// stepper run starts are all that stays.
+// A blocking run, in which thousands of PE bodies were suspended in a
+// coroutine each, leaves none of them behind when it returns; the w
+// workers it starts are all that stays, and a stepper run adds nothing.
 func TestMailboxGoroutineCountResident(t *testing.T) {
 	const p = 16384
 	before := runtime.NumGoroutine()
@@ -301,29 +296,15 @@ func TestMailboxGoroutineCountResident(t *testing.T) {
 	if w >= p/4 {
 		t.Skipf("GOMAXPROCS too large for a meaningful bound (w=%d, p=%d)", w, p)
 	}
-	settlesAt := func(what string, bound int) {
-		t.Helper()
-		// A body's goroutine signals the run's WaitGroup from a deferred
-		// call and exits a few instructions later, so poll briefly.
-		deadline := time.Now().Add(5 * time.Second)
-		var after int
-		for time.Now().Before(deadline) {
-			if after = runtime.NumGoroutine(); after <= bound {
-				return
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-		t.Errorf("%s: %d goroutines (baseline %d, w=%d), want ≤ %d", what, after, before, w, bound)
-	}
-	// A shifted ring parks essentially every PE body at least once.
+	// A shifted ring suspends essentially every PE body at least once.
 	m.MustRun(func(pe *PE) {
 		const tag Tag = 33
 		pe.Send((pe.Rank()+1)%p, tag, nil, 1)
 		pe.Recv((pe.Rank()-1+p)%p, tag)
 	})
-	settlesAt("after a blocking run", before+2)
+	settleGoroutines(t, fmt.Sprintf("after a blocking run (baseline %d, w=%d)", before, w), before+w+2)
 	m.MustRunAsync(cascadeStart(Tag(34), nil))
-	settlesAt("resident after a stepper run", before+w+2)
+	settleGoroutines(t, fmt.Sprintf("resident after a stepper run (baseline %d, w=%d)", before, w), before+w+2)
 }
 
 // heapInUse forces a GC and returns live heap bytes.
@@ -358,9 +339,10 @@ func TestMailboxMachineMemoryMeasured(t *testing.T) {
 
 // TestBlockingRunWLessThanPStress is the regression for the two
 // scheduler defects blocking runs used to reach at w < p — a shard
-// stranded behind a parked body, and Close racing the hand-off that
-// trailed a run: every body blocks, on machines narrower than p, and
-// every machine is closed the moment its last run returns.
+// stranded behind a waiting body, and Close racing the hand-off that
+// trailed a run: every body waits, as a coroutine on machines of 1, 2 and
+// 4 workers for 64 PEs, and every machine is closed the moment its last
+// run returns.
 func TestBlockingRunWLessThanPStress(t *testing.T) {
 	const p, rounds = 64, 4
 	for _, w := range []int{1, 2, 4} {

@@ -20,12 +20,14 @@
 // non-blocking form (IRecv handles with Test/Wait — the
 // MPI_Irecv/MPI_Wait shape the paper's substrate assumes); Recv is sugar
 // for IRecv+Wait, and the meter folds at Wait in program order, so both
-// forms are bit-identical in results and statistics. PE bodies likewise
-// run in two forms. Machine.Run takes a blocking body and gives every
-// local PE a goroutine for the duration of the run; a waiting body parks
-// on its mailbox. Machine.RunAsync takes Stepper bodies, where a wait on
-// an unbound handle suspends the body as data and the scheduler's w ≪ p
-// workers drive all of them — see async.go.
+// forms are bit-identical in results and statistics. Every PE body runs
+// on the scheduler's w ≪ p workers. Machine.RunAsync takes Stepper bodies,
+// where a wait on an unbound handle suspends the body as data — see
+// async.go. Machine.Run takes a blocking body and runs it as a coroutine
+// behind a stepper: a receive that would wait yields its handle, and the
+// body is suspended like any stepper — see coro.go. A blocking body may
+// therefore wait only on comm receives; one blocked on anything else holds
+// its worker.
 //
 // # Transport and the executor seam
 //
@@ -37,12 +39,12 @@
 // the window leaves through Remote.Forward instead.
 //
 // Two cold-path decisions sit behind the Executor interface: who drives
-// the steppers of a RunAsync, and where a send goes that has no local box.
+// the bodies of a run, and where a send goes that has no local box.
 // NewMachine installs the production answer — the sharded scheduler of
 // internal/mailbox, w = min(GOMAXPROCS·8, p) goroutines resident between
 // runs and mid-run alike, which scales to p = 131072 (see the scaling
 // suite in internal/experiments), and Remote.Forward. NewMachineOn takes
-// another: internal/simexec, test support only, runs every stepper on one
+// another: internal/simexec, test support only, runs every body on one
 // goroutine and carries every message itself, delivering in an order a
 // seeded policy picks — the reference the differential tests pin results
 // and meters against, and the way they explore schedules.
@@ -81,12 +83,12 @@ type Config struct {
 	// Seed seeds the per-PE deterministic RNG streams (see NewPERandSeed).
 	Seed int64
 	// Workers is the scheduler width w: the number of goroutines the p
-	// stepper bodies of a RunAsync are multiplexed over, and the machine's
-	// resident goroutine budget. 0 selects min(GOMAXPROCS·8, p); any value
-	// is clamped to [1, p]. Blocking Run ignores it (a goroutine per PE
-	// either way). Execution results and metering are independent of w
-	// (pinned by the differential tests); w only trades host parallelism
-	// against resident memory.
+	// bodies of a run — steppers, and blocking bodies as coroutines — are
+	// multiplexed over, and the machine's resident goroutine budget. 0
+	// selects min(GOMAXPROCS·8, p); any value is clamped to [1, p].
+	// Execution results and metering are independent of w (pinned by the
+	// differential tests); w only trades host parallelism against resident
+	// memory.
 	Workers int
 	// Remote, when set, windows the machine to its process-local
 	// contiguous rank range. See Remote.
@@ -145,7 +147,7 @@ func localP(cfg Config) int {
 // scheduler state — shard bookkeeping and the w worker goroutine stacks.
 // All of it is O(p). A test pins the estimate against the measured live
 // heap. Run state is not included: in-flight messages are
-// workload-dependent, and a blocking Run adds a goroutine stack per local
+// workload-dependent, and a blocking Run adds a coroutine stack per local
 // PE until it returns.
 func MachineBytes(cfg Config) int64 {
 	const boxBytes = int64(unsafe.Sizeof(mailbox.Box{})) + 16 // box + slice slot + pointer
@@ -326,7 +328,7 @@ func (m *Machine) shutdown() { m.closeOnce.Do(m.ex.Close) }
 // goroutine budget.
 func (m *Machine) Workers() int { return m.ex.Workers() }
 
-// abortErr records the first error and releases all blocked PEs.
+// abortErr records the first error and releases all suspended PEs.
 func (m *Machine) abortErr(err error) {
 	m.errMu.Lock()
 	defer m.errMu.Unlock()
@@ -341,8 +343,8 @@ func (m *Machine) abortErr(err error) {
 	}
 }
 
-// abortedError is the panic value delivered to PEs blocked in Recv when
-// another PE has failed; it unwinds the SPMD program cleanly.
+// abortedError is the panic value delivered to PEs suspended in a receive
+// when another PE has failed; it unwinds the SPMD program cleanly.
 type abortedError struct{}
 
 func (abortedError) Error() string { return "comm: aborted because another PE failed" }
@@ -353,44 +355,32 @@ func (abortedError) Error() string { return "comm: aborted because another PE fa
 // on the same machine; communication state must be drained (which it is
 // whenever a run completes without error, since tags are checked).
 //
-// Every PE gets its own goroutine for the duration of the run — a body
-// that blocks in Recv keeps its stack, the irreducible cost of blocking
-// semantics — so a run holds O(p) goroutines until it returns and none
-// afterwards. Programs that must stay at O(w) mid-run are written as
-// steppers and run under RunAsync.
+// Run is RunAsync over a coroutine per PE (see coro.go): a body waiting in
+// Recv is suspended by the scheduler like a stepper, so the run needs no
+// goroutine beyond the w workers, but every body keeps its coroutine
+// stack until it returns — O(p) memory mid-run. Programs that must stay
+// at O(w) mid-run are written as steppers.
 func (m *Machine) Run(body func(pe *PE)) error {
-	var wg sync.WaitGroup
-	wg.Add(len(m.pes))
-	for _, pe := range m.pes {
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					m.bodyPanicked(pe, r)
-				}
-				m.foldStats(pe)
-			}()
-			body(pe)
-		}()
-	}
-	wg.Wait()
-	return m.finishRun()
+	return m.RunAsync(func(pe *PE) Stepper { return newCoro(pe, body) })
 }
 
-// bodyPanicked handles the recovered panic r of pe's body, blocking or
-// stepper: drop the PE's posted receives and turn the panic into a
-// machine abort. An abortedError is a secondary failure — the first
-// cause is already recorded.
+// bodyPanicked handles the recovered panic r of pe's body: drop the PE's
+// posted receives and turn the panic into a machine abort. An
+// abortedError is a secondary failure — the first cause is already
+// recorded.
 func (m *Machine) bodyPanicked(pe *PE, r any) {
 	pe.resetAsync()
-	if _, ok := r.(abortedError); !ok {
+	switch r := r.(type) {
+	case abortedError:
+	case bodyPanic:
+		m.abortErr(fmt.Errorf("comm: PE %d panicked: %v\n%s", pe.rank, r.r, r.stack))
+	default:
 		m.abortErr(fmt.Errorf("comm: PE %d panicked: %v\n%s", pe.rank, r, debug.Stack()))
 	}
 }
 
 // finishRun collects a run's first error and, on failure, restores the
-// machine to a clean reusable state (shared by Run and RunAsync). The
-// whole reset runs under errMu so an external abort lands either wholly
+// machine to a clean reusable state. The whole reset runs under errMu so an external abort lands either wholly
 // before it (and is cleared with the run it failed) or wholly after it
 // (and fails the next run).
 func (m *Machine) finishRun() error {
@@ -511,7 +501,7 @@ func (m *Machine) Deliver(dst int, msg mailbox.Msg) {
 }
 
 // AbortExternal records err as the machine's failure and releases every
-// blocked or suspended local PE, exactly as a local PE panic would — the
+// suspended local PE, exactly as a local PE panic would — the
 // wire transport's hook for propagating a remote process's death into a
 // run in progress. The current (or next) Run returns err; finishRun then
 // restores the machine to a clean state.
@@ -574,9 +564,9 @@ func (m *Machine) Stats() Stats {
 	return m.agg
 }
 
-// PE is one processing element's handle, valid only inside the goroutine
-// Run started for it. All fields are goroutine-local; no synchronization
-// is needed to update counters.
+// PE is one processing element's handle, valid only inside its body — a
+// Run coroutine or a RunAsync stepper — which runs on one goroutine at a
+// time. No synchronization is needed to update counters.
 type PE struct {
 	m    *Machine
 	rank int
@@ -616,18 +606,21 @@ type PE struct {
 	collSeqCtx map[uint32]uint64
 
 	// keyBuf/hBuf are reusable buffers for multi-handle suspension
-	// (MultiWaiter bodies): the pending handles of the current body and
-	// their (src, ctx) arm keys.
-	keyBuf []uint64
-	hBuf   []*RecvHandle
+	// (MultiWaiter bodies, and blocking bodies in RunSteps' multi-wait,
+	// which set multiWait while suspended): the pending handles of the
+	// current body and their (src, ctx) arm keys.
+	keyBuf    []uint64
+	hBuf      []*RecvHandle
+	multiWait bool
 
 	// Non-blocking receive state: the outstanding posted handles (FIFO,
 	// doubly linked), the handle freelist (so Recv = IRecv+Wait allocates
-	// nothing in steady state), and — under RunAsync — the PE's current
-	// continuation body.
+	// nothing in steady state), the PE's current body as a stepper, and —
+	// while that is a blocking body's coroutine — its yield.
 	outHead, outTail *RecvHandle
 	freeH            *RecvHandle
 	step             Stepper
+	yield            func(*RecvHandle) bool
 
 	scratch map[scratchKey]any
 	// pools holds the per-PE typed freelists of pooled stepper state
@@ -653,7 +646,7 @@ type scratchKey struct {
 // holds goroutine-local reusable state (typically buffers, see
 // ScratchSlice) that survives across collective calls and Runs; it
 // needs no synchronization because a PE handle is only valid inside its
-// own goroutine.
+// own body.
 func (pe *PE) Scratch(key string) any {
 	return pe.scratch[scratchKey{pe.ctx, key}]
 }
@@ -687,9 +680,9 @@ func ScratchSlice[T any](pe *PE, key string, n int) []T {
 	return b
 }
 
-// WaitTime returns how long this PE has been blocked waiting for
-// messages. Harness code subtracts it from a phase's wall time to
-// estimate pure local work.
+// WaitTime returns how long this PE's blocking body has been suspended
+// waiting for messages (a stepper's suspensions are not counted). Harness
+// code subtracts it from a phase's wall time to estimate pure local work.
 func (pe *PE) WaitTime() time.Duration { return time.Duration(pe.waitNs) }
 
 // Rank returns this PE's rank in 0..P-1.
@@ -782,8 +775,8 @@ func (pe *PE) Send(dst int, tag Tag, data any, words int64) {
 // tag. It returns the payload and its size in words. Recv is sugar for
 // IRecv followed by Wait (literally — the handle comes from the per-PE
 // pool, so the sugar allocates nothing): posting binds an
-// already-delivered message eagerly, Wait parks only when the message
-// has not arrived, and the meter — the single-ported α+βm clock rule, a
+// already-delivered message eagerly, Wait suspends the body only when the
+// message has not arrived, and the meter — the single-ported α+βm clock rule, a
 // coordinator draining p−1 messages therefore paying Θ(p·(α+βm)) of
 // modeled time — folds at Wait.
 func (pe *PE) Recv(src int, tag Tag) (any, int64) {

@@ -232,8 +232,9 @@ func (s *anyWaiter) Step(pe *PE) *RecvHandle {
 }
 
 // TestMultiWaiterAnyOfResume drives anyWaiter through its execution
-// paths — RunAsync (ArmKeys suspension) and blocking RunSteps
-// (WaitAnyKeys) in production, and both again on the reference executor,
+// paths — RunAsync and blocking RunSteps (a coroutine in a multi-wait),
+// both suspended with ArmKeys, in production, and both again on the
+// reference executor,
 // whose seeded delivery order decides which stream binds first — and
 // requires every PE to consume both streams regardless of arrival order.
 func TestMultiWaiterAnyOfResume(t *testing.T) {

@@ -9,7 +9,7 @@ import "reflect"
 // its collectives. Allocating that state per operation costs ~1.2 KB per
 // PE per collectives op — irrelevant at small p, but at p = 131072 it is
 // ~150 MB of garbage per op, and the GC drag eats most of what
-// continuation scheduling saves over a goroutine per PE. The freelists
+// continuation scheduling saves over a blocking body's stack per PE. The freelists
 // here make steady-state RunAsync dispatch allocation-free: a stepper
 // factory pops its state struct from the PE's typed
 // freelist, fully reinitializes it, and the stepper pushes it back when

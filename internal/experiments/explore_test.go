@@ -20,15 +20,17 @@ import (
 // churn, mtopk DTA/RDTA, freq PAC/EC, agg PAC/ECSum, redist Balance, bnb
 // Solve — serve's three query kinds have their own exploration in
 // internal/serve) runs under many seeded schedules of the simexec
-// executor, every policy in rotation, and each run must equal the
-// production runs — RunAsync and blocking bodies at w ∈ {1, 4, default} —
-// bit for bit. A failure names the seed and policy: that pair replays the
-// schedule.
+// executor, every policy in rotation, both as steppers and as blocking
+// bodies (which simexec schedules as the coroutines they are), and each
+// run must equal the production runs — RunAsync and blocking bodies at
+// w ∈ {1, 4, default} — bit for bit. A failure names the seed, policy and
+// body form: that triple replays the schedule.
 
 // exploreSeq establishes fs's outcome on production machines (which must
 // agree among themselves), then runs it under n seeded schedules, seeds
-// seed0…seed0+n−1, policies in rotation.
-func exploreSeq(t *testing.T, p int, fs fuzzSeq, seed0 int64, n int) {
+// seed0…seed0+n−1, policies in rotation, each schedule once with stepper
+// and once with blocking bodies. It returns the number of simexec runs.
+func exploreSeq(t *testing.T, p int, fs fuzzSeq, seed0 int64, n int) int {
 	t.Helper()
 	catalog := fuzzOps()
 	describe := func() string {
@@ -68,15 +70,20 @@ func exploreSeq(t *testing.T, p int, fs fuzzSeq, seed0 int64, n int) {
 		seed, pol := seed0+int64(i), simexec.Policies[i%len(simexec.Policies)]
 		m, _ := simexec.New(comm.DefaultConfig(p), seed, pol)
 		res, stats := runFuzzStepper(m, fs)
-		check(fmt.Sprintf("simexec seed %d policy %s", seed, pol), res, stats)
+		check(fmt.Sprintf("simexec seed %d policy %s RunAsync", seed, pol), res, stats)
+		m, _ = simexec.New(comm.DefaultConfig(p), seed, pol)
+		res, stats = runFuzzBlocking(m, fs)
+		check(fmt.Sprintf("simexec seed %d policy %s blocking", seed, pol), res, stats)
 	}
+	return 2 * n
 }
 
 // TestScheduleExploration is the tier-1 exploration: every catalog op on
 // its own at two machine sizes, then random 3–6-op sequences (where pooled
 // stepper state, tag sequences and scratch carry over between ops) at
 // three. exploreScale multiplies the schedules per program: 1 in tier-1
-// (≥ 10³ schedules, checked), 100 under -tags long (≥ 10⁵).
+// (≥ 10³ schedules, checked, counting stepper and blocking runs), 100
+// under -tags long (≥ 10⁵).
 func TestScheduleExploration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("schedule exploration skipped in -short mode")
@@ -87,8 +94,7 @@ func TestScheduleExploration(t *testing.T) {
 	for oi := range catalog {
 		for _, p := range []int{4, 16} {
 			n := 16 * exploreScale
-			exploreSeq(t, p, fuzzSeq{ops: []int{oi}, prms: []int64{int64(101 + 7*oi + p)}}, int64(1000*oi+p), n)
-			schedules += n
+			schedules += exploreSeq(t, p, fuzzSeq{ops: []int{oi}, prms: []int64{int64(101 + 7*oi + p)}}, int64(1000*oi+p), n)
 		}
 	}
 	seqRng := xrand.New(4242)
@@ -98,14 +104,13 @@ func TestScheduleExploration(t *testing.T) {
 			if p == 64 {
 				n = 5 * exploreScale
 			}
-			exploreSeq(t, p, makeFuzzSeq(seqRng, 3+seqRng.Intn(4)), int64(100000*p+1000*it), n)
-			schedules += n
+			schedules += exploreSeq(t, p, makeFuzzSeq(seqRng, 3+seqRng.Intn(4)), int64(100000*p+1000*it), n)
 		}
 	}
 	if want := 1000 * exploreScale; schedules < want {
 		t.Errorf("explored %d schedules, want ≥ %d", schedules, want)
 	}
-	t.Logf("%d schedules over %d stepper families, all bit-identical, %.1fs", schedules, len(catalog), time.Since(start).Seconds())
+	t.Logf("%d schedules (stepper and blocking) over %d families, all bit-identical, %.1fs", schedules, len(catalog), time.Since(start).Seconds())
 }
 
 // runFuzzGuarded runs fs as steppers on m and reports any way the run
@@ -132,7 +137,8 @@ func runFuzzGuarded(m *comm.Machine, fs fuzzSeq, wantRes [][]any, wantStats comm
 // delivers a stream's newest message first, must be caught — as a tag
 // mismatch, a stall or a wrong outcome — on at least 9 of 10 random
 // sequences; (2) one seed is one schedule: two runs of a program under it
-// have the same event trace, and another seed has a different one.
+// have the same event trace, and another seed has a different one — as
+// steppers and as blocking bodies.
 func TestExplorationIsSensitive(t *testing.T) {
 	const p = 16
 	seqRng := xrand.New(777)
@@ -154,19 +160,24 @@ func TestExplorationIsSensitive(t *testing.T) {
 	}
 
 	fs := makeFuzzSeq(seqRng, 5)
-	trace := func(seed int64, pol simexec.Policy) (uint64, int64) {
-		m, ex := simexec.New(comm.DefaultConfig(p), seed, pol)
-		runFuzzStepper(m, fs)
-		return ex.TraceHash(), ex.Events()
-	}
-	for _, pol := range simexec.Policies {
-		h1, n1 := trace(5, pol)
-		h2, n2 := trace(5, pol)
-		if h1 != h2 || n1 != n2 {
-			t.Errorf("policy %s: one seed, two traces: %x (%d events) vs %x (%d events)", pol, h1, n1, h2, n2)
+	for _, form := range []struct {
+		name string
+		run  func(*comm.Machine, fuzzSeq) ([][]any, comm.Stats)
+	}{{"stepper", runFuzzStepper}, {"blocking", runFuzzBlocking}} {
+		trace := func(seed int64, pol simexec.Policy) (uint64, int64) {
+			m, ex := simexec.New(comm.DefaultConfig(p), seed, pol)
+			form.run(m, fs)
+			return ex.TraceHash(), ex.Events()
 		}
-		if h3, _ := trace(6, pol); h3 == h1 && pol != simexec.NewestFirst {
-			t.Errorf("policy %s: seeds 5 and 6 produced the same trace %x", pol, h1)
+		for _, pol := range simexec.Policies {
+			h1, n1 := trace(5, pol)
+			h2, n2 := trace(5, pol)
+			if h1 != h2 || n1 != n2 {
+				t.Errorf("%s, policy %s: one seed, two traces: %x (%d events) vs %x (%d events)", form.name, pol, h1, n1, h2, n2)
+			}
+			if h3, _ := trace(6, pol); h3 == h1 && pol != simexec.NewestFirst {
+				t.Errorf("%s, policy %s: seeds 5 and 6 produced the same trace %x", form.name, pol, h1)
+			}
 		}
 	}
 }

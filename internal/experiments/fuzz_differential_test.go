@@ -25,7 +25,7 @@ import (
 // of collectives with random payload shapes run three ways —
 //
 //	reference executor, continuation bodies   (simexec: one goroutine, seeded order)
-//	production, blocking bodies               (a goroutine per PE)
+//	production, blocking bodies               (a coroutine per PE)
 //	production, continuation bodies           (RunAsync over the pooled steppers)
 //
 // at several scheduler widths, and every PE's results plus the machine's

@@ -93,8 +93,8 @@ func sumInt64(a, b int64) int64 { return a + b }
 // identical message schedule (words/PE, startups/PE and modeled clock
 // are pinned equal by the differential suite) run through
 // comm.RunAsync, so a PE waiting mid-collective suspends as data instead
-// of parking a goroutine. At large p this is where the goroutine per PE —
-// the dominant host cost of the blocking form — disappears; the suite
+// of keeping a coroutine stack. At large p this is where the coroutine
+// per PE — the dominant host cost of the blocking form — disappears; the suite
 // records both forms so the A/B is in every report. Since PR 5 the
 // stepper state (and the comm.SeqP composition) is pooled per PE, so the
 // op allocates like the blocking form instead of feeding the GC ~1.2 KB
@@ -307,12 +307,12 @@ func scalingRun(p int, quick bool) []ScalingRow {
 		r.MaxClock = s.MaxClock
 		// Goroutine residency is the tentpole claim: measured on the live
 		// process while the machine (which has just run workloads that
-		// parked thousands of PE bodies) is still resident.
+		// suspended thousands of PE bodies) is still resident.
 		r.Goroutines = residentGoroutines(baseline + r.Workers + 2)
 		return r
 	}
 	// blockIters is the runs/op of the "/blocking" twins: the same op
-	// through blocking bodies, a goroutine per PE, skipped in the quick
+	// through blocking bodies, a coroutine per PE, skipped in the quick
 	// tier.
 	blockIters := 3
 	if p >= 1<<16 {
@@ -437,7 +437,7 @@ func scalingRun(p int, quick bool) []ScalingRow {
 func ScalingTable(pmax int, quick bool) Table {
 	t := Table{
 		Title: "Scaling: collectives, gathers (chunked + strided s sweep) and Table-1 selection at large p, continuation-scheduled with blocking A/B twins",
-		Notes: fmt.Sprintf("collectives op = broadcast + all-reduce + prefix sum + barrier; all primaries run continuation-scheduled via comm.RunAsync on pooled stepper state, /blocking twins = the same op as blocking bodies, a goroutine per PE\ngather ops: chunked all-gather (m=%d, chunk=%d) + chunked hypercube A2A; strided gather swept over s=%v sources/PE (movement p·s·m; unsuffixed entry = s=%d)\nselection: sel.KthStep, k=n/2, n/p=2^10 through p=2^14 then reduced (scalingSelPerPE); goroutines = resident process count with the machine live (w = scheduler width)",
+		Notes: fmt.Sprintf("collectives op = broadcast + all-reduce + prefix sum + barrier; all primaries run continuation-scheduled via comm.RunAsync on pooled stepper state, /blocking twins = the same op as blocking bodies, a coroutine per PE\ngather ops: chunked all-gather (m=%d, chunk=%d) + chunked hypercube A2A; strided gather swept over s=%v sources/PE (movement p·s·m; unsuffixed entry = s=%d)\nselection: sel.KthStep, k=n/2, n/p=2^10 through p=2^14 then reduced (scalingSelPerPE); goroutines = resident process count with the machine live (w = scheduler width)",
 			gatherBlockLen, scalingGatherChunk, scalingStridedSweep, scalingStridedSamples),
 		Header: []string{"workload", "p", "ns/op", "words/PE", "start/PE", "T_model", "machine MB", "w", "goroutines"},
 	}

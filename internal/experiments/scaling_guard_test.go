@@ -16,7 +16,7 @@ import (
 )
 
 // TestScaling65536WithinBudgets is the CI smoke for the large-p regime:
-// a p = 65536 mailbox machine runs a parking-heavy collective workload
+// a p = 65536 mailbox machine runs a suspension-heavy collective workload
 // and the process must stay inside a 1.5 GiB memory budget (RSS as the
 // runtime sees it: everything ever reserved from the
 // OS, heap and goroutine stacks included) while the resident goroutine
@@ -34,7 +34,7 @@ func TestScaling65536WithinBudgets(t *testing.T) {
 	w := m.Workers()
 	body := func(pe *comm.PE) {
 		// Dissemination scan + reverse ring: tens of thousands of PE
-		// bodies park at least once per run.
+		// bodies suspend at least once per run.
 		coll.ExScanSum(pe, int64(pe.Rank()))
 		tag := pe.NextCollTag()
 		pe.Send((pe.Rank()-1+p)%p, tag, nil, 1)
@@ -69,7 +69,7 @@ func TestMidRunGoroutineResidency2048(t *testing.T) { midRunGoroutineResidency(t
 
 // midRunGoroutineResidency is the mid-run residency guard over the whole
 // stepper set: O(w) goroutines are pinned for a *resident* machine
-// elsewhere (parked bodies retired between runs); this asserts the bound
+// elsewhere (suspended bodies retired between runs); this asserts the bound
 // *while p-PE collectives are in flight*. The sampled window covers the
 // scalar collectives op, the strided and chunked gather workloads, the
 // full stepper-form selection (sel.KthStep), the bulk-priority-queue

@@ -95,53 +95,6 @@ func TestArmKeysFireOnce(t *testing.T) {
 	}
 }
 
-// TestWaitAnyKeys pins the blocking multiplexed wait: WaitAnyKeys
-// returns the first message matching any key, leaves non-matching
-// traffic queued, and wakes from a blocked state on a matching Put.
-func TestWaitAnyKeys(t *testing.T) {
-	b := New()
-	keys := []uint64{Key(1, 2), Key(3, 4)}
-	b.Put(Msg{Src: 9, Ctx: 9, Tag: 99})
-	done := make(chan Msg)
-	go func() {
-		m, ok := b.WaitAnyKeys(keys)
-		if !ok {
-			t.Error("WaitAnyKeys interrupted unexpectedly")
-		}
-		done <- m
-	}()
-	select {
-	case <-done:
-		t.Fatal("WaitAnyKeys returned a non-matching message")
-	case <-time.After(10 * time.Millisecond):
-	}
-	b.Put(Msg{Src: 3, Ctx: 4, Tag: 34})
-	if m := <-done; m.Tag != 34 {
-		t.Fatalf("got %+v", m)
-	}
-	if m, ok := b.TryTakeKey(Key(9, 9)); !ok || m.Tag != 99 {
-		t.Fatalf("stashed non-matching message lost: %+v ok=%v", m, ok)
-	}
-	// Interrupt wakes a multiplexed waiter too.
-	go func() {
-		_, ok := b.WaitAnyKeys(keys)
-		done <- Msg{Words: int64(boolToInt(ok))}
-	}()
-	time.Sleep(5 * time.Millisecond)
-	b.Interrupt()
-	if m := <-done; m.Words != 0 {
-		t.Fatal("interrupted WaitAnyKeys reported ok")
-	}
-	b.Reset()
-}
-
-func boolToInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // TestKeyedConcurrentSenders is the -race stress for the demux layer:
 // many producers over distinct (src, ctx) streams, one consumer reading
 // the streams round-robin; per-key sequence numbers must arrive in
@@ -149,6 +102,7 @@ func boolToInt(b bool) int {
 func TestKeyedConcurrentSenders(t *testing.T) {
 	const senders, ctxs, msgs = 4, 3, 120
 	b := New()
+	wake := notifyChan(b)
 	var wg sync.WaitGroup
 	for s := 0; s < senders; s++ {
 		for c := 0; c < ctxs; c++ {
@@ -164,10 +118,7 @@ func TestKeyedConcurrentSenders(t *testing.T) {
 	got := make(map[uint64]int)
 	for n := 0; n < senders*ctxs*msgs; n++ {
 		key := Key(n%senders, uint32((n/senders)%ctxs))
-		m, ok := b.TakeKey(key)
-		if !ok {
-			t.Fatal("unexpected interrupt")
-		}
+		m := takeWaiting(b, key, wake)
 		if int(m.Tag) != got[key] {
 			t.Fatalf("key %d: got seq %d, want %d", key, m.Tag, got[key])
 		}

@@ -1,8 +1,9 @@
 // Package mailbox is the simulated machine's message transport and
 // scheduler: per-receiver multi-producer/single-consumer mailboxes (Box)
-// and the sharded worker scheduler (Sched) that multiplexes the p stepper
-// bodies of a comm.RunAsync over w ≪ p goroutines, so a resident machine
-// holds O(w) goroutines rather than one per PE.
+// and the sharded worker scheduler (Sched) that multiplexes the p bodies
+// of a run — steppers, and blocking bodies as coroutines — over w ≪ p
+// goroutines, so a resident machine holds O(w) goroutines rather than one
+// per PE.
 //
 // A Box is one receiver's whole intake — one list for all senders and
 // contexts — so a p-PE machine needs exactly p boxes: O(p) queue memory up
@@ -13,7 +14,7 @@
 // context are delivered to one receiver in send order (per-key FIFO,
 // key = (sender, context)). Messages under different keys may interleave
 // arbitrarily — the receiver demultiplexes by asking for a specific key
-// (TakeKey), and the metered communication paths of internal/comm stay
+// (TryTakeKey), and the metered communication paths of internal/comm stay
 // deterministic because every receive names its source and context.
 // FuzzBox checks the contract against a map-of-queues model.
 //
@@ -32,12 +33,14 @@
 // protocol structure, not by backpressure) cannot deadlock on buffer
 // capacity.
 //
-// A consumer that cannot afford to park a goroutine (a continuation-
-// scheduled PE body, see comm.RunAsync) uses Arm instead of Take: Arm
-// registers interest in a key — ArmKeys in any of several keys, for a
-// body multiplexing independent queries — without blocking, and the
+// The consumer never blocks in a Box. A PE body that finds no message for
+// its key suspends (see comm.RunAsync; a blocking body is a coroutine that
+// yields) after Arm registers interest in the key — ArmKeys in any of
+// several keys, for a body multiplexing independent queries — and the
 // next Put matching (or an Interrupt) fires the box's notify callback,
 // which re-enqueues the suspended body on the scheduler's ready queue.
+// Receives are the only waits a body can suspend in; a body blocked on
+// anything else holds its scheduler worker.
 package mailbox
 
 import "sync"
@@ -83,11 +86,9 @@ var nodePool = sync.Pool{New: func() any { return new(node) }}
 type subq struct{ head, tail *node }
 
 // Box is a per-receiver mailbox: any number of senders Put concurrently,
-// exactly one consumer goroutine at a time Takes (or Arms). The zero
-// value is not ready; use New.
+// exactly one consumer goroutine at a time takes (or arms). Use New.
 type Box struct {
-	mu   sync.Mutex
-	cond sync.Cond
+	mu sync.Mutex
 	// Intake is a singly linked FIFO over all senders and contexts;
 	// per-key order is the sublist order, preserved because each sender
 	// appends its own messages sequentially and the demux below moves
@@ -96,14 +97,8 @@ type Box struct {
 	// subs holds the per-key sublists the consumer has demuxed so far;
 	// subN counts the messages currently in them (0 means every queued
 	// message still sits in intake order, enabling the head fast path).
-	subs map[uint64]*subq
-	subN int
-	// waitKeys are the keys the consumer is currently blocked on (nil:
-	// not blocked). Producers signal only when they deliver for one of
-	// them, so unrelated traffic does not wake the consumer. waitBuf
-	// backs the common single-key wait without allocating.
-	waitKeys    []uint64
-	waitBuf     [1]uint64
+	subs        map[uint64]*subq
+	subN        int
 	interrupted bool
 	// armed are the keys a suspended (continuation-scheduled) consumer
 	// registered interest in via Arm/ArmKeys (nil: not armed). The Put
@@ -116,11 +111,7 @@ type Box struct {
 }
 
 // New returns an empty Box.
-func New() *Box {
-	b := &Box{}
-	b.cond.L = &b.mu
-	return b
-}
+func New() *Box { return &Box{} }
 
 // SetNotify installs the resume callback Arm relies on: fn(rank) is
 // invoked (outside the box lock) when an armed box receives a matching
@@ -131,7 +122,7 @@ func (b *Box) SetNotify(rank int, fn func(rank int)) {
 	b.notifyRank, b.notify = rank, fn
 }
 
-// keysContain reports whether keys holds key. Wait/arm sets are one or
+// keysContain reports whether keys holds key. Arm sets are one or
 // a handful of entries (a body waits on one handle, a serving mux on a
 // few pending queries), so a linear scan beats any structure.
 func keysContain(keys []uint64, key uint64) bool {
@@ -157,15 +148,11 @@ func (b *Box) Put(m Msg) {
 		b.tail.next = n
 	}
 	b.tail = n
-	wake := keysContain(b.waitKeys, n.key)
 	fire := keysContain(b.armed, n.key)
 	if fire {
 		b.armed = nil
 	}
 	b.mu.Unlock()
-	if wake {
-		b.cond.Signal()
-	}
 	if fire {
 		b.notify(b.notifyRank)
 	}
@@ -257,53 +244,6 @@ func (b *Box) TryTakeKey(key uint64) (Msg, bool) {
 	return release(n), true
 }
 
-// Take blocks until a message from src in context 0 is available
-// (ok = true) or the box is interrupted (ok = false). Consumer only.
-func (b *Box) Take(src int) (Msg, bool) { return b.TakeKey(Key(src, 0)) }
-
-// TakeKey blocks until a message for key is available (ok = true) or the
-// box is interrupted (ok = false). Consumer only.
-func (b *Box) TakeKey(key uint64) (Msg, bool) {
-	b.mu.Lock()
-	for {
-		if n := b.popKey(key); n != nil {
-			b.mu.Unlock()
-			return release(n), true
-		}
-		if b.interrupted {
-			b.mu.Unlock()
-			return Msg{}, false
-		}
-		b.waitBuf[0] = key
-		b.waitKeys = b.waitBuf[:1]
-		b.cond.Wait()
-		b.waitKeys = nil
-	}
-}
-
-// WaitAnyKeys blocks until a message for any of keys is available and
-// removes and returns the oldest such message (scanning keys in order),
-// or reports ok = false on interrupt. Consumer only. The keys slice is
-// read only during the call.
-func (b *Box) WaitAnyKeys(keys []uint64) (Msg, bool) {
-	b.mu.Lock()
-	for {
-		for _, k := range keys {
-			if n := b.popKey(k); n != nil {
-				b.mu.Unlock()
-				return release(n), true
-			}
-		}
-		if b.interrupted {
-			b.mu.Unlock()
-			return Msg{}, false
-		}
-		b.waitKeys = keys
-		b.cond.Wait()
-		b.waitKeys = nil
-	}
-}
-
 // Arm registers interest in the next message from src in context 0
 // without blocking: if one is already queued (or the box is interrupted)
 // Arm reports false and the consumer proceeds synchronously; otherwise
@@ -368,16 +308,14 @@ func release(n *node) Msg {
 	return m
 }
 
-// Interrupt wakes a blocked consumer and fires the notify callback of an
-// armed one; subsequent and in-progress Takes return ok = false until
-// Reset. Used by the machine abort path.
+// Interrupt fires the notify callback of an armed consumer; Arm refuses
+// until Reset. Used by the machine abort path.
 func (b *Box) Interrupt() {
 	b.mu.Lock()
 	b.interrupted = true
 	fire := len(b.armed) > 0
 	b.armed = nil
 	b.mu.Unlock()
-	b.cond.Broadcast()
 	if fire {
 		b.notify(b.notifyRank)
 	}
@@ -385,7 +323,7 @@ func (b *Box) Interrupt() {
 
 // Reset discards all queued messages and clears the interrupt and armed
 // flags. The demuxed sub-queues are kept (empty) so steady-state reuse
-// allocates nothing. Must not race with Put, Take or Arm (the machine
+// allocates nothing. Must not race with Put, a take or Arm (the machine
 // calls it between runs).
 func (b *Box) Reset() {
 	b.mu.Lock()

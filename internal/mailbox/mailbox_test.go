@@ -32,53 +32,6 @@ func TestPerSenderFIFO(t *testing.T) {
 	}
 }
 
-func TestTakeBlocksUntilPut(t *testing.T) {
-	b := New()
-	done := make(chan Msg)
-	go func() {
-		m, ok := b.Take(3)
-		if !ok {
-			t.Error("Take interrupted unexpectedly")
-		}
-		done <- m
-	}()
-	// Traffic from other senders must not satisfy (or wedge) the waiter.
-	b.Put(Msg{Src: 1, Tag: 100})
-	select {
-	case <-done:
-		t.Fatal("Take returned a message from the wrong sender")
-	case <-time.After(10 * time.Millisecond):
-	}
-	b.Put(Msg{Src: 3, Tag: 7})
-	m := <-done
-	if m.Tag != 7 || m.Src != 3 {
-		t.Fatalf("got %+v", m)
-	}
-	if m2, ok := b.TryTake(1); !ok || m2.Tag != 100 {
-		t.Fatalf("stashed message lost: %+v ok=%v", m2, ok)
-	}
-}
-
-func TestInterruptWakesConsumer(t *testing.T) {
-	b := New()
-	done := make(chan bool)
-	go func() {
-		_, ok := b.Take(0)
-		done <- ok
-	}()
-	time.Sleep(5 * time.Millisecond)
-	b.Interrupt()
-	if ok := <-done; ok {
-		t.Fatal("interrupted Take reported ok")
-	}
-	// After Reset the box is usable again.
-	b.Reset()
-	b.Put(Msg{Src: 0, Tag: 1})
-	if _, ok := b.Take(0); !ok {
-		t.Fatal("Take failed after Reset")
-	}
-}
-
 func TestResetDrains(t *testing.T) {
 	b := New()
 	for i := 0; i < 5; i++ {
@@ -93,11 +46,34 @@ func TestResetDrains(t *testing.T) {
 	}
 }
 
+// takeWaiting takes the next message for key the way a suspended PE body
+// does: TryTakeKey, and while nothing is queued, arm the box and wait for
+// its notify on wake (which SetNotify must feed).
+func takeWaiting(b *Box, key uint64, wake <-chan struct{}) Msg {
+	for {
+		if m, ok := b.TryTakeKey(key); ok {
+			return m
+		}
+		if b.ArmKey(key) {
+			<-wake
+		}
+	}
+}
+
+// notifyChan installs a notify callback on b that signals the returned
+// channel (the box fires at most once per arm).
+func notifyChan(b *Box) <-chan struct{} {
+	wake := make(chan struct{}, 1)
+	b.SetNotify(0, func(int) { wake <- struct{}{} })
+	return wake
+}
+
 // TestConcurrentSenders is the -race stress: many producers, one
 // consumer, per-sender sequence numbers must arrive in order.
 func TestConcurrentSenders(t *testing.T) {
 	const senders, msgs = 8, 200
 	b := New()
+	wake := notifyChan(b)
 	var wg sync.WaitGroup
 	for s := 0; s < senders; s++ {
 		wg.Add(1)
@@ -110,12 +86,9 @@ func TestConcurrentSenders(t *testing.T) {
 	}
 	got := make([]int, senders)
 	for n := 0; n < senders*msgs; n++ {
-		// Round-robin across senders exercises both stash and wait paths.
+		// Round-robin across senders exercises both stash and arm paths.
 		src := n % senders
-		m, ok := b.Take(src)
-		if !ok {
-			t.Fatal("unexpected interrupt")
-		}
+		m := takeWaiting(b, Key(src, 0), wake)
 		if int(m.Tag) != got[src] {
 			t.Fatalf("sender %d: got seq %d, want %d", src, m.Tag, got[src])
 		}
@@ -218,6 +191,15 @@ func TestArmInterruptedFiresNotify(t *testing.T) {
 	b.Reset()
 	if !b.Arm(1) {
 		t.Fatal("Arm refused after Reset")
+	}
+	// After Reset the box delivers again: the armed Put fires, the take
+	// finds it.
+	b.Put(Msg{Src: 1, Tag: 5})
+	if got := fired.Load(); got != 2 {
+		t.Fatalf("Put after Reset fired notify %d times in total, want 2", got)
+	}
+	if m, ok := b.TryTake(1); !ok || m.Tag != 5 {
+		t.Fatalf("take after Reset: got %+v ok=%v", m, ok)
 	}
 }
 

@@ -6,10 +6,12 @@ import (
 	"unsafe"
 )
 
-// Sched is the sharded worker scheduler that runs continuation bodies
-// (comm.RunAsync steppers): p ranks multiplexed over w ≪ p permanent
-// worker goroutines, so a machine costs w goroutine stacks — not p —
-// both between runs and while thousands of bodies wait mid-collective.
+// Sched is the sharded worker scheduler that runs every PE body as a
+// continuation (comm.RunAsync steppers, and comm.Machine.Run's blocking
+// bodies as coroutines behind a stepper): p ranks multiplexed over w ≪ p
+// permanent worker goroutines, so a machine costs w goroutine stacks —
+// not p — between runs, and while thousands of stepper bodies wait
+// mid-collective.
 //
 //   - Each worker owns one shard, a contiguous rank range with a cursor.
 //     Kicked once per Run, it claims fresh ranks off the cursor in small
@@ -20,8 +22,9 @@ import (
 //     calls Ready(rank); the rank joins its shard's ready list and is
 //     re-run (same protocol) by whichever worker pops it first.
 //   - exec must not block: a worker stuck in a body drives neither its
-//     cursor nor any ready list. Blocking bodies do not run here at all —
-//     comm.Machine.Run gives each a goroutine of its own.
+//     cursor nor any ready list. A blocking body waiting on a receive
+//     yields its coroutine instead, so it may wait only on receives; one
+//     blocked on anything else holds its worker.
 //
 // Since no worker ever blocks in a body, every worker always returns to
 // its select loop, which is the whole liveness argument: a kick or a

@@ -1,7 +1,7 @@
 // Package simexec is test support: the second implementation of
-// comm.Executor. Where the production executor spreads the p steppers of a
-// RunAsync over w scheduler goroutines and lets every send drop straight
-// into the receiver's mailbox, an Exec runs all p steppers on the calling
+// comm.Executor. Where the production executor spreads the p bodies of a
+// run over w scheduler goroutines and lets every send drop straight into
+// the receiver's mailbox, an Exec runs all p bodies on the calling
 // goroutine, holds every message itself in per-(sender, receiver) FIFO
 // streams, and lets a seeded Policy choose each next event — run one of the
 // ready PEs, or deliver the head of one of the streams (Machine.Deliver does
@@ -12,15 +12,12 @@
 //     program are defined not to depend on interleaving, so a run here must
 //     equal a production run bit for bit;
 //   - a schedule explorer: the same program under many seeds and policies
-//     must keep giving that one answer, and for a stepper program the seed
-//     is a complete reproducer (same seed, same event trace — TraceHash).
+//     must keep giving that one answer, and the seed is a complete
+//     reproducer (same seed, same event trace — TraceHash).
 //
-// A blocking body (Machine.Run) cannot be stepped: its p goroutines run as
-// in production, and an Exec only carries their messages — a sender waits
-// until its message is delivered, and while it waits a pump goroutine picks
-// among the messages of all concurrent senders with the same policy. The
-// pump exits when nothing is held, so a run that has returned has left
-// nothing behind.
+// Both body forms are scheduled alike: a blocking body (Machine.Run) is a
+// coroutine behind a stepper, so running its PE resumes it until it waits
+// on a receive or ends.
 //
 // Only _test.go files import this package.
 package simexec
@@ -67,13 +64,6 @@ func (p Policy) String() string {
 	return [...]string{"random", "newest-first", "eager", "lazy", "starve", "break-fifo"}[p]
 }
 
-// held is one message in flight. done is non-nil when its sender is
-// waiting for the delivery (no Run in progress).
-type held struct {
-	msg  mailbox.Msg
-	done chan struct{}
-}
-
 // Exec implements comm.Executor. Build one, with its machine, with New.
 type Exec struct {
 	p       int
@@ -86,16 +76,12 @@ type Exec struct {
 	cond sync.Cond
 	// streams[dst·(p+1)+src] is the FIFO of messages from src (p: an
 	// external Post) to dst. live lists the non-empty streams and ready the
-	// runnable ranks, both oldest first.
-	streams [][]held
+	// runnable ranks, both oldest first. open counts the ranks of the
+	// current Run that are not done.
+	streams [][]mailbox.Msg
 	live    []int32
 	ready   []int32
-	// open counts the ranks of the current Run that are not done. inRun
-	// says a Run is in progress (senders do not wait); driving says some
-	// goroutine — Run's caller or the pump — is inside drive.
 	open    int
-	inRun   bool
-	driving bool
 
 	events int64
 	hash   uint64
@@ -112,7 +98,7 @@ func New(cfg comm.Config, seed int64, pol Policy) (*comm.Machine, *Exec) {
 	// be collected.
 	runtime.SetFinalizer(m, nil)
 	ex.deliver = m.Deliver
-	ex.streams = make([][]held, cfg.P*(cfg.P+1))
+	ex.streams = make([][]mailbox.Msg, cfg.P*(cfg.P+1))
 	ex.victim = int32(ex.rng.Intn(cfg.P))
 	return m, ex
 }
@@ -132,8 +118,8 @@ func (ex *Exec) Events() int64 {
 }
 
 // TraceHash returns a hash of the event sequence so far: which PE ran or
-// which stream delivered, in order. Two stepper runs of one program with one
-// seed and policy produce the same hash.
+// which stream delivered, in order. Two runs of one program with one seed
+// and policy produce the same hash.
 func (ex *Exec) TraceHash() uint64 {
 	ex.mu.Lock()
 	defer ex.mu.Unlock()
@@ -146,24 +132,18 @@ func (ex *Exec) Workers() int { return 0 }
 // Close implements comm.Executor.
 func (ex *Exec) Close() {}
 
-// Run implements comm.Executor: every stepper on this goroutine, one
-// policy-chosen event at a time. Everything sent during the run has been
-// delivered when it returns.
+// Run implements comm.Executor: every body on this goroutine, one
+// policy-chosen event at a time. Everything sent during the run, and any
+// Post held from before it, has been delivered when it returns.
 func (ex *Exec) Run(exec func(rank int) bool) {
 	ex.mu.Lock()
 	defer ex.mu.Unlock()
-	for ex.driving {
-		ex.cond.Wait() // a pump is finishing what a blocking run or an early Post left
-	}
-	ex.driving, ex.inRun = true, true
 	ex.open = ex.p
 	ex.ready = ex.ready[:0]
 	for r := 0; r < ex.p; r++ {
 		ex.ready = append(ex.ready, int32(r))
 	}
 	ex.drive(exec)
-	ex.driving, ex.inRun = false, false
-	ex.cond.Broadcast()
 }
 
 // Ready implements comm.Executor.
@@ -171,42 +151,21 @@ func (ex *Exec) Ready(rank int) {
 	ex.mu.Lock()
 	ex.ready = append(ex.ready, int32(rank))
 	ex.mu.Unlock()
-	ex.cond.Broadcast()
+	ex.cond.Signal()
 }
 
-// Forward implements comm.Executor: hold the message in its stream. During
-// a Run that is all (the sender may be the driving goroutine itself);
-// otherwise the sender is a blocking body or an external Post, and it waits
-// for the pump to deliver.
+// Forward implements comm.Executor: hold the message in its stream until
+// the run delivers it. The sender is a body the run is driving or an
+// external Post, from any goroutine, during a run or before one.
 func (ex *Exec) Forward(dst int, msg mailbox.Msg) {
 	ex.mu.Lock()
-	h := held{msg: msg}
-	if !ex.inRun {
-		h.done = make(chan struct{})
-		if !ex.driving {
-			ex.driving = true
-			go ex.pump()
-		}
-	}
 	s := dst*(ex.p+1) + msg.Src
 	if len(ex.streams[s]) == 0 {
 		ex.live = append(ex.live, int32(s))
 	}
-	ex.streams[s] = append(ex.streams[s], h)
+	ex.streams[s] = append(ex.streams[s], msg)
 	ex.mu.Unlock()
-	ex.cond.Broadcast()
-	if h.done != nil {
-		<-h.done
-	}
-}
-
-// pump delivers on behalf of blocking bodies until nothing is held.
-func (ex *Exec) pump() {
-	ex.mu.Lock()
-	ex.drive(nil)
-	ex.driving = false
-	ex.mu.Unlock()
-	ex.cond.Broadcast()
+	ex.cond.Signal()
 }
 
 // drive performs events until every rank of the run is done and nothing is
@@ -214,13 +173,6 @@ func (ex *Exec) pump() {
 // since both re-enter (a step sends, a delivery wakes a suspended rank).
 func (ex *Exec) drive(exec func(rank int) bool) {
 	for ex.open > 0 || len(ex.live) > 0 {
-		if exec == nil {
-			// The pump's senders are concurrent goroutines: give the others a
-			// chance to arrive, so the policy has something to choose from.
-			ex.mu.Unlock()
-			runtime.Gosched()
-			ex.mu.Lock()
-		}
 		nr, nl := len(ex.ready), len(ex.live)
 		if nr+nl == 0 {
 			// Every rank is suspended and nothing is in flight: only an
@@ -247,17 +199,14 @@ func (ex *Exec) drive(exec func(rank int) bool) {
 		if ex.pol == BreakFIFO {
 			q[0], q[len(q)-1] = q[len(q)-1], q[0]
 		}
-		h := q[0]
-		q[0] = held{}
+		msg := q[0]
+		q[0] = mailbox.Msg{}
 		if ex.streams[s] = q[1:]; len(q) == 1 {
 			ex.live = append(ex.live[:i-nr], ex.live[i-nr+1:]...)
 		}
 		ex.note(1<<32 | uint64(s))
 		ex.mu.Unlock()
-		ex.deliver(int(s)/(ex.p+1), h.msg)
-		if h.done != nil {
-			close(h.done)
-		}
+		ex.deliver(int(s)/(ex.p+1), msg)
 		ex.mu.Lock()
 	}
 }

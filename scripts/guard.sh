@@ -53,9 +53,14 @@ tier1() {
   # p = 65536 inside the memory budget.
   must_run ./internal/comm/ 'TestMailboxGoroutineCountResident|TestRunAsyncMidRunResidency'
   must_run ./internal/experiments/ 'TestScaling65536WithinBudgets'
+  # Blocking bodies are coroutines on the scheduler: a panic, a Goexit or
+  # an external abort while they are suspended is a clean error, the
+  # machine is reusable, and no coroutine leaks.
+  must_run ./internal/comm/ 'TestBlockingRunAbortWhileSuspended|TestBlockingBodyGoexitFailsRun'
   # Schedule exploration on the simexec executor (>= 10^3 seeded schedules,
-  # every stepper family and serve kind, results and meters bit-identical)
-  # and its self-test (a FIFO-violating policy is caught; a seed is a trace).
+  # every family as steppers and as blocking bodies, every serve kind,
+  # results and meters bit-identical) and its self-test (a FIFO-violating
+  # policy is caught; a seed is a trace, in both body forms).
   must_run ./internal/experiments/ 'TestScheduleExploration|TestExplorationIsSensitive|TestFuzzDifferentialSteppers'
   must_run ./internal/serve/ 'TestServeScheduleExploration'
   # Selection's two-sweep level: tree messages only, the miss path, tie-heavy
@@ -91,14 +96,15 @@ race() {
   go test -race -count=5 ./internal/agg/
   # Production against the reference executor, and the explored schedules.
   must_run ./internal/experiments/ 'TestBackendDifferential|TestBackendDifferentialShardedScheduler|TestBackendDifferentialRepeatedRuns|TestBackendDifferentialContinuationBodies|TestFuzzDifferentialSteppers|TestScheduleExploration|TestExplorationIsSensitive' -race
-  # Scheduler: the whole mailbox package, then blocking runs at w < p with
-  # a Close after every machine, then continuation suspend/resume.
+  # Scheduler: the whole mailbox package, then blocking runs (coroutines)
+  # at w < p with a Close after every machine, then continuation
+  # suspend/resume.
   go test -race -count=20 -timeout 120s ./internal/mailbox/
   must_run ./internal/comm/ 'TestBlockingRunWLessThanPStress|TestMailboxSchedulerWLessThanP' -race -count=20 -timeout 120s
-  must_run ./internal/comm/ 'TestRunAsyncContinuationStress|TestRunAsyncCascade|TestRunAsyncBlockingRecvInStepperFailsRun|TestAbortedRunResetsCollectiveTags' -race -count=5 -timeout 120s
+  must_run ./internal/comm/ 'TestRunAsyncContinuationStress|TestRunAsyncCascade|TestRunAsyncBlockingRecvInStepperFailsRun|TestAbortedRunResetsCollectiveTags|TestBlockingRunAbortWhileSuspended' -race -count=5 -timeout 120s
   # Context interleaving: tagged demux, multi-key suspension, serving mux.
   must_run ./internal/comm/ 'TestCtxIsolatedStreams|TestCtxScratchNamespaced|TestMultiWaiterAnyOfResume|TestPostDoorbell' -race -count=3
-  must_run ./internal/mailbox/ 'TestKeyedFIFOAcrossContexts|TestKeyedConcurrentSenders|TestArmKeysFireOnce|TestWaitAnyKeys|TestShardedReadyQueueResumes|TestShardedReadyStealing' -race -count=3
+  must_run ./internal/mailbox/ 'TestKeyedFIFOAcrossContexts|TestKeyedConcurrentSenders|TestArmKeysFireOnce|TestShardedReadyQueueResumes|TestShardedReadyStealing' -race -count=3
   # Steppers against their blocking twins, w < p.
   must_run ./internal/coll/ 'TestVectorSteppersContinuationStress' -race -count=3
   must_run ./internal/sel/ 'TestKthStepMatchesBlockingAcrossBackends|TestKthStepRepeatedRunsReusePooledState' -race -count=3
