@@ -273,8 +273,9 @@ func TestDeleteMinZeroAllocSteadyState(t *testing.T) {
 	}
 	base := testing.AllocsPerRun(5, func() { refill(); m.MustRun(func(pe *comm.PE) {}) })
 	del := testing.AllocsPerRun(5, run)
-	// SplitByKey + Keys cost three per PE per op (the batch, the split-off
-	// tree and its RNG); PopSmallest leaves the batches and harness noise.
+	// A split-off tree + Keys would cost three per PE per op (the batch,
+	// the tree and its RNG); PopSmallest leaves the batches and harness
+	// noise.
 	if extra := del - base - iters*p; extra > float64(2*p) {
 		t.Errorf("DeleteMin loop allocates %.1f/run: %.1f over the %.1f harness baseline and the %d batches (budget %d)",
 			del, extra, base, iters*p, 2*p)

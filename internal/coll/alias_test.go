@@ -105,7 +105,7 @@ func measureCollectiveAllocs(p, opsPerRun int, body func(pe *comm.PE)) float64 {
 	empty := testing.AllocsPerRun(10, func() {
 		m.MustRun(func(pe *comm.PE) {})
 	})
-	// Warm up pools and scratch stores before measuring.
+	// Warm up pools before measuring.
 	m.MustRun(func(pe *comm.PE) {
 		for i := 0; i < 3; i++ {
 			body(pe)
@@ -131,6 +131,7 @@ func TestZeroAllocCollectives(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under -race (sync.Pool is randomized)")
 	}
 	const p, ops = 8, 64
+	dst := perRank[int64](p, 4)
 	cases := []struct {
 		name string
 		body func(pe *comm.PE)
@@ -143,10 +144,9 @@ func TestZeroAllocCollectives(t *testing.T) {
 		{"Barrier", func(pe *comm.PE) { Barrier(pe) }},
 		{"BroadcastScalar", func(pe *comm.PE) { BroadcastScalar(pe, 0, int64(42)) }},
 		{"AllReduceInto", func(pe *comm.PE) {
-			dst := comm.ScratchSlice[int64](pe, "test.dst", 4)
 			var x [4]int64
 			x[0] = int64(pe.Rank())
-			AllReduceInto(pe, dst, x[:], func(a, b int64) int64 { return a + b })
+			AllReduceInto(pe, dst[pe.Rank()], x[:], func(a, b int64) int64 { return a + b })
 		}},
 	}
 	for _, tc := range cases {
@@ -172,11 +172,11 @@ func TestZeroAllocSelectionHarness(t *testing.T) {
 	// Lives here rather than in sel to keep the AllocsPerRun helpers in one
 	// place; sel's own tests cover correctness.
 	const p, ops = 4, 8
+	dst := perRank[int64](p, 2)
 	perOp := measureCollectiveAllocs(p, ops, func(pe *comm.PE) {
 		var x [2]int64
 		x[0], x[1] = int64(pe.Rank()), 1
-		AllReduceInto(pe, comm.ScratchSlice[int64](pe, "test.sel", 2), x[:],
-			func(a, b int64) int64 { return a + b })
+		AllReduceInto(pe, dst[pe.Rank()], x[:], func(a, b int64) int64 { return a + b })
 		ExScanSum(pe, int64(pe.Rank()))
 	})
 	if perOp > float64(p)*0.5 {

@@ -5,10 +5,12 @@ import (
 	"commtopk/internal/commbuf"
 )
 
-// Continuation (Stepper) forms of the scalar collectives and the strided
-// gather, for comm.Machine.RunAsync: the same protocols — same message
-// schedule, same metered words, startups and modeled clock, pinned by
-// the differential suite — expressed as resumable bodies. Where a
+// Continuation (Stepper) forms of the broadcast, the scalar collectives
+// and the strided gather, for comm.Machine.RunAsync: the same protocols —
+// same message schedule, same metered words, startups and modeled clock,
+// pinned by the differential suite — expressed as resumable bodies. The
+// scalar all-reduce and exclusive scan are no protocols of their own:
+// they run the vector engines on a one-element accumulator. Where a
 // blocking run holds a coroutine per PE (O(p) stacks), a stepper
 // suspends as data and the scheduler's w workers keep driving: mid-run
 // goroutine residency stays O(w). The vector/gather-shaped forms live in
@@ -19,9 +21,10 @@ import (
 // multi-collective bodies with comm.Seq / comm.SeqP, and reuse the same
 // stepper under a blocking body via comm.RunSteps — one implementation,
 // both execution modes. Blocking forms that must not allocate a result
-// closure (Broadcast, BroadcastScalar, ExScanSum) set the state's held
-// flag instead: the final Step then leaves the state alone, and the
-// blocking form reads the result out of it and releases it.
+// closure (Broadcast, BroadcastScalar, and AllReduceScalar and ExScanSum
+// through runScalar) set the state's held flag instead: the final Step
+// then leaves the state alone, and the blocking form reads the result
+// out of it and releases it.
 //
 // # State pooling
 //
@@ -118,131 +121,51 @@ func (s *broadcastStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
 	}
 }
 
-// scalar-collective phase constants (allReduceScalarStep).
-const (
-	arphInit = iota
-	arphStragglerWait
-	arphExtraWait
-	arphRounds
-	arphRoundWait
-	arphFoldOut
-	arphDone
-)
-
-// allReduceScalarStep — see AllReduceScalarStep.
-type allReduceScalarStep[T any] struct {
-	op       func(a, b T) T
-	out      func(T)
-	pool     *commbuf.Pool[T]
-	tag      comm.Tag
-	acc      T
-	rank     int
-	r, extra int
-	mask     int
-	h        *comm.RecvHandle
-	phase    int
+// scalarStep is a scalar collective: a vector engine run on a
+// one-element accumulator. The all-reduce is allReduceAccStep and the
+// exclusive scan is the exclusive inScanStep, so each protocol has one
+// implementation and the scalar forms ship exactly the one-element copies
+// the vector forms would.
+type scalarStep[T any] struct {
+	// buf[0] is the accumulator, buf[1] the exclusive scan's identity
+	// (the zero value). Both live in the pooled state: nothing allocates
+	// per op.
+	buf  [2]T
+	eng  comm.Stepper
+	out  func(T)
+	held bool // driven by a blocking form, which harvests buf[0] and releases
 }
 
-// AllReduceScalarStep is the continuation form of AllReduceScalar: the
-// non-power-of-two fold-in/out around recursive doubling, scalar
-// payloads in pooled one-element buffers, exactly as the blocking form
-// ships them.
-func AllReduceScalarStep[T any](pe *comm.PE, v T, op func(a, b T) T, out func(T)) comm.Stepper {
-	s := comm.GetPooled[allReduceScalarStep[T]](pe)
-	*s = allReduceScalarStep[T]{op: op, out: out, acc: v}
+func newScalarStep[T any](pe *comm.PE, v T, out func(T)) *scalarStep[T] {
+	s := comm.GetPooled[scalarStep[T]](pe)
+	*s = scalarStep[T]{out: out}
+	s.buf[0] = v
 	return s
 }
 
-func (s *allReduceScalarStep[T]) send1(pe *comm.PE, dst int, x T) {
-	b := s.pool.Get(1)
-	(*b)[0] = x
-	pe.Send(dst, s.tag, b, WordsOf[T]())
+func newAllReduceScalar[T any](pe *comm.PE, v T, op func(a, b T) T, out func(T)) *scalarStep[T] {
+	s := newScalarStep(pe, v, out)
+	s.eng = newAllReduceAccStep(pe, s.buf[:1:1], op, nil)
+	return s
 }
 
-func (s *allReduceScalarStep[T]) take1() T {
-	rxAny, _ := s.h.Wait()
-	s.h = nil
-	rx := rxAny.(*[]T)
-	x := (*rx)[0]
-	s.pool.Put(rx)
-	return x
+func newExScanSum[T int | int64 | float64 | uint64](pe *comm.PE, v T, out func(T)) *scalarStep[T] {
+	s := newScalarStep(pe, v, out)
+	s.eng = newInScanStep(pe, s.buf[:1:1], opsOf[T](pe).add, s.buf[1:], true, nil)
+	return s
 }
 
-func (s *allReduceScalarStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
-	p := pe.P()
-	for {
-		switch s.phase {
-		case arphInit:
-			if p == 1 {
-				s.phase = arphDone
-				continue
-			}
-			s.pool = commbuf.For[T]()
-			s.tag = pe.NextCollTag()
-			s.rank = pe.Rank()
-			s.r = 1
-			for s.r*2 <= p {
-				s.r *= 2
-			}
-			s.extra = p - s.r
-			if s.rank >= s.r {
-				// Straggler: fold onto the low partner, await the result.
-				s.h = pe.IRecv(s.rank-s.r, s.tag)
-				s.send1(pe, s.rank-s.r, s.acc)
-				s.phase = arphStragglerWait
-				if !s.h.Test() {
-					return s.h
-				}
-				continue
-			}
-			if s.rank < s.extra {
-				s.h = pe.IRecv(s.rank+s.r, s.tag)
-				s.phase = arphExtraWait
-				if !s.h.Test() {
-					return s.h
-				}
-				continue
-			}
-			s.mask = 1
-			s.phase = arphRounds
-		case arphStragglerWait:
-			s.acc = s.take1()
-			s.phase = arphDone
-		case arphExtraWait:
-			s.acc = s.op(s.acc, s.take1())
-			s.mask = 1
-			s.phase = arphRounds
-		case arphRounds:
-			if s.mask >= s.r {
-				s.phase = arphFoldOut
-				continue
-			}
-			partner := s.rank ^ s.mask
-			s.h = pe.IRecv(partner, s.tag)
-			s.send1(pe, partner, s.acc)
-			s.phase = arphRoundWait
-			if !s.h.Test() {
-				return s.h
-			}
-		case arphRoundWait:
-			s.acc = s.op(s.acc, s.take1())
-			s.mask <<= 1
-			s.phase = arphRounds
-		case arphFoldOut:
-			if s.rank < s.extra {
-				s.send1(pe, s.rank+s.r, s.acc)
-			}
-			s.phase = arphDone
-		default:
-			out, acc := s.out, s.acc
-			*s = allReduceScalarStep[T]{}
-			comm.PutPooled(pe, s)
-			if out != nil {
-				out(acc)
-			}
-			return nil
-		}
-	}
+// AllReduceScalarStep is the continuation form of AllReduceScalar: the
+// all-reduce engine on one element, which always takes the
+// recursive-doubling path.
+func AllReduceScalarStep[T any](pe *comm.PE, v T, op func(a, b T) T, out func(T)) comm.Stepper {
+	return newAllReduceScalar(pe, v, op, out)
+}
+
+// ExScanSumStep is the continuation form of ExScanSum: the exclusive
+// vector scan on one element with identity 0.
+func ExScanSumStep[T int | int64 | float64 | uint64](pe *comm.PE, v T, out func(T)) comm.Stepper {
+	return newExScanSum(pe, v, out)
 }
 
 // BarrierStep is the continuation form of Barrier (a zero-word
@@ -251,120 +174,36 @@ func BarrierStep(pe *comm.PE) comm.Stepper {
 	return AllReduceScalarStep(pe, int64(0), func(a, b int64) int64 { return a + b }, nil)
 }
 
-// exScanSum phase constants.
-const (
-	esphInit = iota
-	esphRounds
-	esphRoundWait
-	esphShift
-	esphShiftWait
-	esphDone
-)
-
-// exScanSumStep — see ExScanSumStep.
-type exScanSumStep[T int | int64 | float64 | uint64] struct {
-	out   func(T)
-	pool  *commbuf.Pool[T]
-	tag   comm.Tag
-	acc   T
-	rank  int
-	d     int
-	h     *comm.RecvHandle
-	phase int
-	held  bool // driven by the blocking ExScanSum, which harvests and releases
-}
-
-// ExScanSumStep is the continuation form of ExScanSum: the dissemination
-// scan followed by the shift-down round, identical wire schedule.
-func ExScanSumStep[T int | int64 | float64 | uint64](pe *comm.PE, v T, out func(T)) comm.Stepper {
-	s := comm.GetPooled[exScanSumStep[T]](pe)
-	*s = exScanSumStep[T]{out: out, acc: v}
-	return s
-}
-
-func (s *exScanSumStep[T]) send1(pe *comm.PE, dst int, x T) {
-	b := s.pool.Get(1)
-	(*b)[0] = x
-	pe.Send(dst, s.tag, b, WordsOf[T]())
-}
-
-func (s *exScanSumStep[T]) take1() T {
-	rxAny, _ := s.h.Wait()
-	s.h = nil
-	rx := rxAny.(*[]T)
-	x := (*rx)[0]
-	s.pool.Put(rx)
-	return x
-}
-
-func (s *exScanSumStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
-	p := pe.P()
-	for {
-		switch s.phase {
-		case esphInit:
-			if p == 1 {
-				s.acc = 0
-				s.phase = esphDone
-				continue
-			}
-			s.pool = commbuf.For[T]()
-			s.rank = pe.Rank()
-			s.tag = pe.NextCollTag()
-			s.d = 1
-			s.phase = esphRounds
-		case esphRounds:
-			if s.d >= p {
-				s.tag = pe.NextCollTag()
-				s.phase = esphShift
-				continue
-			}
-			if s.rank-s.d >= 0 {
-				s.h = pe.IRecv(s.rank-s.d, s.tag)
-			}
-			if s.rank+s.d < p {
-				s.send1(pe, s.rank+s.d, s.acc)
-			}
-			s.phase = esphRoundWait
-			if s.h != nil && !s.h.Test() {
-				return s.h
-			}
-		case esphRoundWait:
-			if s.h != nil {
-				s.acc = s.take1() + s.acc
-			}
-			s.d <<= 1
-			s.phase = esphRounds
-		case esphShift:
-			if s.rank > 0 {
-				s.h = pe.IRecv(s.rank-1, s.tag)
-			}
-			if s.rank+1 < p {
-				s.send1(pe, s.rank+1, s.acc)
-			}
-			s.phase = esphShiftWait
-			if s.h != nil && !s.h.Test() {
-				return s.h
-			}
-		case esphShiftWait:
-			if s.h != nil {
-				s.acc = s.take1()
-			} else {
-				s.acc = 0 // rank 0: exclusive prefix is the identity
-			}
-			s.phase = esphDone
-		default:
-			if s.held {
-				return nil
-			}
-			out, acc := s.out, s.acc
-			*s = exScanSumStep[T]{}
-			comm.PutPooled(pe, s)
-			if out != nil {
-				out(acc)
-			}
-			return nil
+func (s *scalarStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
+	if s.eng != nil {
+		if h := s.eng.Step(pe); h != nil {
+			return h
 		}
+		s.eng = nil
 	}
+	if s.held {
+		return nil
+	}
+	out, v := s.out, s.buf[0]
+	s.release(pe)
+	if out != nil {
+		out(v)
+	}
+	return nil
+}
+
+func (s *scalarStep[T]) release(pe *comm.PE) {
+	*s = scalarStep[T]{}
+	comm.PutPooled(pe, s)
+}
+
+// runScalar drives s with blocking waits and returns its result.
+func runScalar[T any](pe *comm.PE, s *scalarStep[T]) T {
+	s.held = true
+	comm.RunSteps(pe, s)
+	v := s.buf[0]
+	s.release(pe)
+	return v
 }
 
 // GatherStrided delivers, to every PE, the blocks of its s = samples

@@ -13,8 +13,9 @@ import (
 // constant (151 MB of garbage per collectives op at p = 131072) the
 // PR 4 measurements charged to per-op stepper state.
 //
-// Inputs come from per-PE scratch and package-level funcs so the guards
-// measure the steppers, not the harness. The only tolerated allocations
+// Inputs come from per-rank buffers allocated before measuring and from
+// package-level funcs, so the guards measure the steppers, not the
+// harness. The only tolerated allocations
 // are protocol-inherent boxings the blocking forms share (Broadcast's
 // root boxes its slice payload once per op).
 
@@ -27,7 +28,7 @@ func measureAsyncAllocs(p int, start func(pe *comm.PE) comm.Stepper) float64 {
 	empty := testing.AllocsPerRun(10, func() {
 		m.MustRunAsync(func(pe *comm.PE) comm.Stepper { return nil })
 	})
-	// Warm up pools, scratch stores and the per-PE stepper freelists.
+	// Warm up pools and the per-PE stepper freelists.
 	for i := 0; i < 3; i++ {
 		m.MustRunAsync(start)
 	}
@@ -37,9 +38,12 @@ func measureAsyncAllocs(p int, start func(pe *comm.PE) comm.Stepper) float64 {
 	return loaded - empty
 }
 
-func guardPayload(pe *comm.PE) []int64 {
-	b := comm.ScratchSlice[int64](pe, "guard.payload", 3)
-	b[0], b[1], b[2] = int64(pe.Rank()), 7, int64(pe.Rank()*3)
+// perRank returns one n-element buffer per rank of a p-PE machine.
+func perRank[T any](p, n int) [][]T {
+	b := make([][]T, p)
+	for i := range b {
+		b[i] = make([]T, n)
+	}
 	return b
 }
 
@@ -50,6 +54,23 @@ func TestZeroAllocSteppersRunAsync(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under -race (sync.Pool is randomized)")
 	}
 	const p = 8
+	payload, dst, long, longDst := perRank[int64](p, 3), perRank[int64](p, 3), perRank[int64](p, 4*p+3), perRank[int64](p, 4*p+3)
+	id, flat, routed := perRank[int64](p, 3), perRank[int64](p, p), perRank[int64](p, p)
+	parts := perRank[[]int64](p, p)
+	guardPayload := func(pe *comm.PE) []int64 {
+		b := payload[pe.Rank()]
+		b[0], b[1], b[2] = int64(pe.Rank()), 7, int64(pe.Rank()*3)
+		return b
+	}
+	// guardRouted is a small routed workload: payload IS the destination
+	// (guardDest), so nothing allocates per op.
+	guardRouted := func(pe *comm.PE) []int64 {
+		items := routed[pe.Rank()]
+		for d := range items {
+			items[d] = int64(d)
+		}
+		return items
+	}
 	cases := []struct {
 		name   string
 		budget float64 // machine-wide allocs per op tolerated beyond slack
@@ -70,27 +91,20 @@ func TestZeroAllocSteppersRunAsync(t *testing.T) {
 			return ExScanSumStep(pe, int64(pe.Rank()), nil)
 		}},
 		{"InScan", 0, func(pe *comm.PE) comm.Stepper {
-			dst := comm.ScratchSlice[int64](pe, "guard.scan.dst", 3)
-			return InScanStep(pe, dst, guardPayload(pe), sumI64, nil)
+			return InScanStep(pe, dst[pe.Rank()], guardPayload(pe), sumI64, nil)
 		}},
 		{"ExScan", 0, func(pe *comm.PE) comm.Stepper {
-			dst := comm.ScratchSlice[int64](pe, "guard.scan.dst", 3)
-			id := comm.ScratchSlice[int64](pe, "guard.scan.id", 3)
-			clear(id)
-			return ExScanStep(pe, dst, guardPayload(pe), sumI64, id, nil)
+			return ExScanStep(pe, dst[pe.Rank()], guardPayload(pe), sumI64, id[pe.Rank()], nil)
 		}},
 		{"GatherStrided", 0, func(pe *comm.PE) comm.Stepper {
 			return GatherStridedStep(pe, guardPayload(pe), 3, discardVisit)
 		}},
 		{"AllReduceIntoVec", 0, func(pe *comm.PE) comm.Stepper {
-			dst := comm.ScratchSlice[int64](pe, "guard.dst", 3)
-			return AllReduceIntoStep(pe, dst, guardPayload(pe), sumI64, nil)
+			return AllReduceIntoStep(pe, dst[pe.Rank()], guardPayload(pe), sumI64, nil)
 		}},
 		{"AllReduceIntoLong", 0, func(pe *comm.PE) comm.Stepper {
 			// ≥ 4p words selects the Rabenseifner path.
-			x := comm.ScratchSlice[int64](pe, "guard.long", 4*pe.P()+3)
-			dst := comm.ScratchSlice[int64](pe, "guard.longdst", len(x))
-			return AllReduceIntoStep(pe, dst, x, sumI64, nil)
+			return AllReduceIntoStep(pe, longDst[pe.Rank()], long[pe.Rank()], sumI64, nil)
 		}},
 		{"AllGatherv", 0, func(pe *comm.PE) comm.Stepper {
 			return AllGathervStep(pe, guardPayload(pe), nil)
@@ -99,8 +113,7 @@ func TestZeroAllocSteppersRunAsync(t *testing.T) {
 			return AllGatherConcatStep(pe, guardPayload(pe), nil)
 		}},
 		{"AllToAll", 0, func(pe *comm.PE) comm.Stepper {
-			parts := comm.ScratchSlice[[]int64](pe, "guard.parts", pe.P())
-			flat := comm.ScratchSlice[int64](pe, "guard.flat", pe.P())
+			parts, flat := parts[pe.Rank()], flat[pe.Rank()]
 			for d := range parts {
 				flat[d] = int64(pe.Rank()*100 + d)
 				parts[d] = flat[d : d+1]
@@ -152,16 +165,6 @@ func TestZeroAllocSteppersRunAsync(t *testing.T) {
 func sumI64(a, b int64) int64 { return a + b }
 
 func guardDest(v int64) int { return int(v) }
-
-// guardRouted builds a small routed workload in scratch: payload IS the
-// destination (guardDest), so nothing allocates per op.
-func guardRouted(pe *comm.PE) []int64 {
-	items := comm.ScratchSlice[int64](pe, "guard.routed", pe.P())
-	for d := range items {
-		items[d] = int64(d)
-	}
-	return items
-}
 
 // TestZeroAllocSelKthStepRunAsync lives in internal/sel (the stepper is
 // sel.KthStep); this file keeps only the collectives guards.

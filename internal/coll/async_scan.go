@@ -5,11 +5,11 @@ import (
 	"commtopk/internal/commbuf"
 )
 
-// Continuation forms of the vector prefix scans — the last collectives
-// in the catalog to gain stepper forms. Same wire schedule as the
-// blocking InScan/ExScan (Hillis–Steele dissemination, plus one
+// Continuation forms of the vector prefix scans. Same wire schedule as
+// the blocking InScan/ExScan (Hillis–Steele dissemination, plus one
 // shift-down round for the exclusive form), which are these steppers
-// driven by comm.RunSteps.
+// driven by comm.RunSteps; ExScanSum is the exclusive engine on one
+// element.
 
 // inScan phase constants.
 const (
@@ -42,9 +42,7 @@ type inScanStep[T any] struct {
 func InScanStep[T any](pe *comm.PE, dst, x []T, op func(a, b T) T, out func([]T)) comm.Stepper {
 	dst = commbuf.Resize(dst[:0], len(x))
 	copy(dst, x)
-	s := comm.GetPooled[inScanStep[T]](pe)
-	*s = inScanStep[T]{acc: dst, op: op, out: out}
-	return s
+	return newInScanStep(pe, dst, op, nil, false, out)
 }
 
 // ExScanStep is the continuation form of ExScan: dst receives
@@ -53,8 +51,13 @@ func InScanStep[T any](pe *comm.PE, dst, x []T, op func(a, b T) T, out func([]T)
 func ExScanStep[T any](pe *comm.PE, dst, x []T, op func(a, b T) T, identity []T, out func([]T)) comm.Stepper {
 	dst = commbuf.Resize(dst[:0], len(x))
 	copy(dst, x)
+	return newInScanStep(pe, dst, op, identity, true, out)
+}
+
+// newInScanStep scans acc, this PE's contribution, in place.
+func newInScanStep[T any](pe *comm.PE, acc []T, op func(a, b T) T, identity []T, exclusive bool, out func([]T)) *inScanStep[T] {
 	s := comm.GetPooled[inScanStep[T]](pe)
-	*s = inScanStep[T]{acc: dst, op: op, identity: identity, exclusive: true, out: out}
+	*s = inScanStep[T]{acc: acc, op: op, identity: identity, exclusive: exclusive, out: out}
 	return s
 }
 

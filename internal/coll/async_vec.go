@@ -159,7 +159,9 @@ func (s *allReduceAccStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
 			s.pool.Put(rx)
 			s.phase = avphStart
 		case avphStart:
-			if sliceWords(s.acc) >= int64(4*s.r) && s.r > 2 {
+			// One element cannot be halved: the scalar collectives always
+			// take recursive doubling, whatever the element's size.
+			if len(s.acc) >= 2 && sliceWords(s.acc) >= int64(4*s.r) && s.r > 2 {
 				s.lo, s.hi = 0, len(s.acc)
 				s.hist = s.hist[:0]
 				s.mask = s.r / 2

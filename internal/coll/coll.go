@@ -29,9 +29,14 @@
 // allocate their result — one slice per call, with all internal traffic
 // pooled.
 //
-// The data-movement collectives (Broadcast, Gatherv, AllGatherv, AllToAll)
-// keep their by-reference semantics for the payload: see each function's
-// aliasing notes.
+// The data-movement collectives Broadcast, Gatherv and AllGatherv keep
+// by-reference semantics for the payload: see each function's aliasing
+// notes. AllToAll hands back caller-owned copies of what it receives and
+// aliases only the PE's own part.
+//
+// Every collective has one protocol engine, a stepper (the async*.go
+// files): the blocking form drives it with comm.RunSteps, and the scalar
+// all-reduce and exclusive scan run the vector engines on one element.
 package coll
 
 import (
@@ -155,19 +160,10 @@ func AllReduceInto[T any](pe *comm.PE, dst, x []T, op func(a, b T) T) []T {
 	return dst
 }
 
-// AllReduceScalar is AllReduce for a single value. Allocation-free in
-// steady state.
+// AllReduceScalar is AllReduce for a single value: the all-reduce engine
+// on a one-element accumulator. Allocation-free in steady state.
 func AllReduceScalar[T any](pe *comm.PE, v T, op func(a, b T) T) T {
-	if pe.P() == 1 {
-		return v
-	}
-	pool := commbuf.For[T]()
-	b := pool.Get(1)
-	(*b)[0] = v
-	comm.RunSteps(pe, newAllReduceAccStep(pe, *b, op, nil))
-	out := (*b)[0]
-	pool.Put(b)
-	return out
+	return runScalar(pe, newAllReduceScalar(pe, v, op, nil))
 }
 
 // addOf, minOf and maxOf are the scalar reduction operators as
@@ -224,16 +220,11 @@ func ExScan[T any](pe *comm.PE, x []T, op func(a, b T) T, identity []T) []T {
 	return res
 }
 
-// ExScanSum returns the exclusive prefix sum of a scalar. Allocation-free
-// in steady state (exScanSumStep driven with blocking waits).
+// ExScanSum returns the exclusive prefix sum of a scalar: ExScan on a
+// one-element accumulator with identity 0. Allocation-free in steady
+// state.
 func ExScanSum[T int | int64 | float64 | uint64](pe *comm.PE, v T) T {
-	s := comm.GetPooled[exScanSumStep[T]](pe)
-	*s = exScanSumStep[T]{acc: v, held: true}
-	comm.RunSteps(pe, s)
-	v = s.acc
-	*s = exScanSumStep[T]{}
-	comm.PutPooled(pe, s)
-	return v
+	return runScalar(pe, newExScanSum(pe, v, nil))
 }
 
 // rankedBlock carries a PE's contribution through a gather tree.
@@ -376,29 +367,19 @@ func AllGatherConcat[T any](pe *comm.PE, data []T) []T {
 
 // AllToAll delivers parts[i] from every PE to PE i; the result is indexed
 // by source rank. Direct point-to-point delivery: p-1 startups per PE,
-// pairwise-staggered to avoid hot spots. The self-part out[rank] aliases
-// parts[rank] (no copy — pinned by tests), and received parts alias the
-// senders' slices; treat the result as read-only.
+// pairwise-staggered to avoid hot spots (allToAllStep driven with
+// blocking waits). The self-part out[rank] aliases parts[rank] (no copy —
+// pinned by tests); every received part is a caller-owned copy, and
+// parts may be reused as soon as AllToAll returns.
 func AllToAll[T any](pe *comm.PE, parts [][]T) [][]T {
-	p := pe.P()
-	if len(parts) != p {
-		panic(fmt.Sprintf("coll: AllToAll needs %d parts, got %d", p, len(parts)))
-	}
-	out := make([][]T, p)
-	out[pe.Rank()] = parts[pe.Rank()]
-	if p == 1 {
-		return out
-	}
-	tag := pe.NextCollTag()
+	out := make([][]T, pe.P())
 	rank := pe.Rank()
-	for i := 1; i < p; i++ {
-		dst := (rank + i) % p
-		src := (rank - i + p) % p
-		h := pe.IRecv(src, tag)
-		pe.Send(dst, tag, parts[dst], sliceWords(parts[dst]))
-		rx, _ := h.Wait()
-		out[src] = rx.([]T)
-	}
+	comm.RunSteps(pe, AllToAllStep(pe, parts, func(src int, part []T) {
+		if src != rank {
+			part = slices.Clone(part)
+		}
+		out[src] = part
+	}))
 	return out
 }
 

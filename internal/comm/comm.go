@@ -622,62 +622,13 @@ type PE struct {
 	step             Stepper
 	yield            func(*RecvHandle) bool
 
-	scratch map[scratchKey]any
 	// pools holds the per-PE typed freelists of pooled stepper state
-	// (see steppool.go). Like scratch, it is only touched by the
-	// goroutine currently running this PE's body. Pools need no context
-	// namespacing: concurrent queries pop distinct objects off the same
-	// freelist, and released objects carry no query state.
+	// (see steppool.go), and with them every reusable per-PE buffer: a
+	// buffer lives in the state of the stepper that uses it. Only the
+	// goroutine currently running this PE's body touches it. Pools need
+	// no context namespacing: concurrent queries pop distinct objects off
+	// the same freelist, so two interleaved queries never share a buffer.
 	pools map[reflect.Type]any
-}
-
-// scratchKey namespaces the scratch store by the PE's communication
-// context, so concurrently interleaved queries reusing the same named
-// buffers (sel.KthStep's partition scratch, the collectives' hold
-// buffers) never alias each other. Call sites keep their plain string
-// keys; the context is attached here.
-type scratchKey struct {
-	ctx uint32
-	key string
-}
-
-// Scratch returns the value stored under key in this PE's scratch store
-// (scoped to the PE's current communication context), or nil. The store
-// holds goroutine-local reusable state (typically buffers, see
-// ScratchSlice) that survives across collective calls and Runs; it
-// needs no synchronization because a PE handle is only valid inside its
-// own body.
-func (pe *PE) Scratch(key string) any {
-	return pe.scratch[scratchKey{pe.ctx, key}]
-}
-
-// SetScratch stores v under key in this PE's scratch store (scoped to
-// the PE's current communication context).
-func (pe *PE) SetScratch(key string, v any) {
-	if pe.scratch == nil {
-		pe.scratch = make(map[scratchKey]any)
-	}
-	pe.scratch[scratchKey{pe.ctx, key}] = v
-}
-
-// ScratchSlice returns a per-PE reusable buffer of length n for the given
-// key, allocating or growing it only when the stored buffer is missing,
-// of a different element type, or too small. Contents are unspecified.
-// Callers own the buffer until their next ScratchSlice call with the same
-// key — do not hold it across calls into code that may use the same key,
-// and never send it (ownership cannot transfer off the PE). Buffers are
-// scoped to the PE's current communication context, so interleaved
-// queries cannot alias each other's scratch.
-func ScratchSlice[T any](pe *PE, key string, n int) []T {
-	if v, ok := pe.scratch[scratchKey{pe.ctx, key}]; ok {
-		if b, ok := v.(*[]T); ok && cap(*b) >= n {
-			*b = (*b)[:n]
-			return *b
-		}
-	}
-	b := make([]T, n)
-	pe.SetScratch(key, &b)
-	return b
 }
 
 // WaitTime returns how long this PE's blocking body has been suspended
@@ -710,12 +661,12 @@ func (pe *PE) RecvWords() int64 { return pe.recvWords }
 func (pe *PE) Sends() int64 { return pe.sends }
 
 // SetCtx switches the PE's current communication context: sends attach
-// it, receives posted afterwards match on it, and the scratch store and
-// collective tag sequence are scoped to it. The serving mux switches
-// contexts between query slots; ordinary SPMD bodies stay in the
-// default context 0. The context must be identical across PEs for the
-// same logical operation (it replaces nothing of the SPMD discipline —
-// it isolates whole operations from each other).
+// it, receives posted afterwards match on it, and the collective tag
+// sequence is scoped to it. The serving mux switches contexts between
+// query slots; ordinary SPMD bodies stay in the default context 0. The
+// context must be identical across PEs for the same logical operation
+// (it replaces nothing of the SPMD discipline — it isolates whole
+// operations from each other).
 func (pe *PE) SetCtx(c Ctx) { pe.ctx = uint32(c) }
 
 // CurCtx returns the PE's current communication context.

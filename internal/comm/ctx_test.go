@@ -50,32 +50,6 @@ func TestCtxIsolatedStreams(t *testing.T) {
 	}
 }
 
-// TestCtxScratchNamespaced pins per-context scratch isolation: the same
-// scratch key under different contexts resolves to different slots, so
-// interleaved queries sharing one PE never see each other's protocol
-// state.
-func TestCtxScratchNamespaced(t *testing.T) {
-	m := NewMachine(DefaultConfig(1))
-	defer m.Close()
-	m.MustRun(func(pe *PE) {
-		pe.SetScratch("k", "default")
-		pe.SetCtx(5)
-		if pe.Scratch("k") != nil {
-			t.Error("ctx 5 sees ctx 0 scratch")
-		}
-		pe.SetScratch("k", "five")
-		pe.SetCtx(0)
-		if got := pe.Scratch("k"); got != "default" {
-			t.Errorf("ctx 0 scratch clobbered: %v", got)
-		}
-		pe.SetCtx(5)
-		if got := pe.Scratch("k"); got != "five" {
-			t.Errorf("ctx 5 scratch lost: %v", got)
-		}
-		pe.SetCtx(0)
-	})
-}
-
 // TestCtxCollTagSequences pins per-context collective tag sequences:
 // each context numbers its collectives independently, and context 0
 // keeps the pre-context fast path. A shared counter would desynchronize

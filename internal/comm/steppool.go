@@ -16,7 +16,7 @@ import "reflect"
 // its protocol completes.
 //
 // The freelists are PE-local (no synchronization — a PE's body runs on
-// one goroutine at a time, like the Scratch store) and keyed by the
+// one goroutine at a time) and keyed by the
 // state's concrete type, so every stepper form shares one list per PE
 // regardless of call site. Objects in the list are inert: Get hands out
 // spares in LIFO order and the factory must overwrite every field

@@ -1,6 +1,7 @@
 package dht
 
 import (
+	"slices"
 	"sort"
 
 	"commtopk/internal/coll"
@@ -108,15 +109,19 @@ const (
 
 // selectTopKStep — see SelectTopKTableStep.
 type selectTopKStep struct {
-	pe    *comm.PE
-	items []KV
-	k     int
-	rng   *xrand.RNG
-	out   func([]KV)
-	self  bool
-	res   []KV
+	pe   *comm.PE
+	k    int
+	rng  *xrand.RNG
+	out  func([]KV)
+	self bool
+	res  []KV
 
+	// Buffers that survive pooling: the shard's entries (reordered in
+	// place), their complemented counts and the tie band's staging copy.
+	items []KV
 	ords  []uint64
+	tied  []KV
+
 	i64   int64
 	thr   uint64
 	nSel  int
@@ -132,10 +137,11 @@ type selectTopKStep struct {
 	phase int
 }
 
-func newSelectTopKStep(pe *comm.PE, items []KV, k int, rng *xrand.RNG, out func([]KV), self bool) *selectTopKStep {
+func newSelectTopKStep(pe *comm.PE, shard *Table, k int, rng *xrand.RNG, out func([]KV), self bool) *selectTopKStep {
 	s := comm.GetPooled[selectTopKStep](pe)
 	s.pe = pe
-	s.items, s.k, s.rng, s.out, s.self = items, k, rng, out, self
+	s.items = shard.AppendKVs(slices.Grow(s.items[:0], shard.Len()))
+	s.k, s.rng, s.out, s.self = k, rng, out, self
 	s.phase = tphInit
 	s.cur = nil
 	if s.onI64 == nil {
@@ -156,17 +162,15 @@ func newSelectTopKStep(pe *comm.PE, items []KV, k int, rng *xrand.RNG, out func(
 // SelectTopKTableStep is the continuation form of SelectTopKTable: out
 // receives the k highest-count entries of the sharded count table on
 // every PE, caller-owned and sorted by SortKVDesc. The shard is read at
-// construction time (into per-PE scratch), so it may be released once
-// the factory returns. Semantics, RNG consumption and the metered
-// schedule match SelectTopKTable exactly.
+// construction time (into the stepper's own buffer), so it may be
+// released once the factory returns. Semantics, RNG consumption and the
+// metered schedule match SelectTopKTable exactly.
 func SelectTopKTableStep(pe *comm.PE, shard *Table, k int, rng *xrand.RNG, out func([]KV)) comm.Stepper {
-	items := comm.ScratchSlice[KV](pe, "dht.topk.items", shard.Len())[:0]
-	return newSelectTopKStep(pe, shard.AppendKVs(items), k, rng, out, true)
+	return newSelectTopKStep(pe, shard, k, rng, out, true)
 }
 
 func (s *selectTopKStep) release(pe *comm.PE) {
-	s.pe = nil
-	s.items, s.ords, s.res = nil, nil, nil
+	s.pe, s.res = nil, nil
 	s.rng, s.out, s.cur = nil, nil, nil
 	comm.PutPooled(pe, s)
 }
@@ -196,7 +200,7 @@ func (s *selectTopKStep) Step(pe *comm.PE) *comm.RecvHandle {
 		}
 		switch s.phase {
 		case tphInit:
-			ords := comm.ScratchSlice[uint64](pe, "dht.topk.ords", len(s.items))[:0]
+			ords := s.ords[:0]
 			for _, it := range s.items {
 				ords = append(ords, ^uint64(it.Count))
 			}
@@ -219,11 +223,13 @@ func (s *selectTopKStep) Step(pe *comm.PE) *comm.RecvHandle {
 			SortKVDesc(s.res)
 			return s.finish(pe, s.res)
 		case tphKthWait:
-			// Band the local entries around the selected threshold — see the
-			// compress rationale in the blocking selectTopKItems.
+			// Band the local entries around the selected threshold: the
+			// rank of the threshold in the complemented-count multiset
+			// splits them into a strictly-above band and a tie band,
+			// compressed forward in one pass.
 			thrCount := int64(^s.thr)
 			nSel, nTied := qsel.Rank(s.ords, s.thr)
-			tiedTmp := comm.ScratchSlice[KV](pe, "dht.topk.tied", nTied)[:0]
+			tiedTmp := s.tied[:0]
 			items := s.items
 			w := 0
 			for _, it := range items {
@@ -235,6 +241,7 @@ func (s *selectTopKStep) Step(pe *comm.PE) *comm.RecvHandle {
 				}
 			}
 			copy(items[nSel:], tiedTmp)
+			s.tied = tiedTmp
 			s.nSel, s.nTied = nSel, nTied
 			s.cur = coll.AllReduceScalarStep(pe, int64(nSel), addI64, s.onI64)
 			s.phase = tphNAboveWait

@@ -25,31 +25,10 @@ func SortKVDesc(items []KV) {
 // ascending key, so shard iteration order cannot leak into the result —
 // and exactly k entries are returned (fewer if fewer exist globally).
 // Shared by the frequent-objects (§7) and sum-aggregation (§8) layers.
-// The shard table is only read. Collective.
+// The shard table is only read. Collective. The blocking driver of
+// SelectTopKTableStep, which holds the algorithm (async.go).
 func SelectTopKTable(pe *comm.PE, shard *Table, k int, rng *xrand.RNG) []KV {
-	items := comm.ScratchSlice[KV](pe, "dht.topk.items", shard.Len())[:0]
-	items = shard.AppendKVs(items)
-	return selectTopKItems(pe, items, k, rng)
-}
-
-// SelectTopK is SelectTopKTable for callers holding a Go map.
-func SelectTopK(pe *comm.PE, shard map[uint64]int64, k int, rng *xrand.RNG) []KV {
-	items := comm.ScratchSlice[KV](pe, "dht.topk.items", len(shard))[:0]
-	for key, c := range shard {
-		items = append(items, KV{Key: key, Count: c})
-	}
-	return selectTopKItems(pe, items, k, rng)
-}
-
-// selectTopKItems is the shared selection core: the blocking driver of
-// selectTopKStep (see async.go for the algorithm — the rank of the
-// threshold in the complemented-count multiset splits the local entries
-// into a strictly-above band and a tie band compressed forward in one
-// pass, and a prefix sum splits the ties deterministically across PEs).
-// items is consumed as scratch (it may be reordered); the returned slice
-// is freshly gathered and caller-owned.
-func selectTopKItems(pe *comm.PE, items []KV, k int, rng *xrand.RNG) []KV {
-	st := newSelectTopKStep(pe, items, k, rng, nil, false)
+	st := newSelectTopKStep(pe, shard, k, rng, nil, false)
 	comm.RunSteps(pe, st)
 	res := st.res
 	st.release(pe)

@@ -254,8 +254,8 @@ func TestBackendDifferentialShardedScheduler(t *testing.T) {
 }
 
 // TestBackendDifferentialRepeatedRuns pins cross-run state handling: tag
-// sequences, scratch stores and the persistent worker pool must leave the
-// machines equivalent after many reuse cycles.
+// sequences, pooled stepper state and the persistent worker pool must
+// leave the machines equivalent after many reuse cycles.
 func TestBackendDifferentialRepeatedRuns(t *testing.T) {
 	const p, rounds = 8, 5
 	mc := simexec.Reference(p)

@@ -80,7 +80,7 @@ func exploreSeq(t *testing.T, p int, fs fuzzSeq, seed0 int64, n int) int {
 
 // TestScheduleExploration is the tier-1 exploration: every catalog op on
 // its own at two machine sizes, then random 3–6-op sequences (where pooled
-// stepper state, tag sequences and scratch carry over between ops) at
+// stepper state, its buffers and tag sequences carry over between ops) at
 // three. exploreScale multiplies the schedules per program: 1 in tier-1
 // (≥ 10³ schedules, checked, counting stepper and blocking runs), 100
 // under -tags long (≥ 10⁵).

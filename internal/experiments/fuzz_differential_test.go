@@ -623,7 +623,7 @@ func newFuzzResults(fs fuzzSeq, p int) [][]any {
 
 // runFuzzBlocking executes the sequence on m with blocking bodies and
 // closes m: one Run, ops called back to back inside it (cross-op state —
-// tags, scratch, pools — is part of what the fuzz exercises).
+// tags, pools and the buffers in them — is part of what the fuzz exercises).
 func runFuzzBlocking(m *comm.Machine, fs fuzzSeq) ([][]any, comm.Stats) {
 	defer m.Close()
 	catalog := fuzzOps()

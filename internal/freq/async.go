@@ -1,6 +1,8 @@
 package freq
 
 import (
+	"slices"
+
 	"commtopk/internal/coll"
 	"commtopk/internal/comm"
 	"commtopk/internal/dht"
@@ -35,6 +37,7 @@ type pacStep struct {
 	n     int64
 	agg   *dht.Table
 	shard *dht.Table
+	items []dht.KV // the sample's entries staged for routing; survives pooling
 	res   Result
 
 	cur     comm.Stepper
@@ -105,8 +108,8 @@ func (s *pacStep) Step(pe *comm.PE) *comm.RecvHandle {
 			s.cur = coll.AllReduceScalarStep(pe, s.agg.Total(), addI64, s.onSize)
 			s.phase = fphSizeWait
 		case fphSizeWait:
-			items := comm.ScratchSlice[dht.KV](pe, "freq.count.items", s.agg.Len())[:0]
-			s.cur = dht.CountKVStep(pe, s.agg.AppendKVs(items), s.p.Route, s.onShard)
+			s.items = s.agg.AppendKVs(slices.Grow(s.items[:0], s.agg.Len()))
+			s.cur = dht.CountKVStep(pe, s.items, s.p.Route, s.onShard)
 			s.phase = fphShardWait
 		case fphShardWait:
 			s.agg.Release()
@@ -156,6 +159,7 @@ type ecStep struct {
 	n      int64
 	agg    *dht.Table
 	shard  *dht.Table
+	items  []dht.KV // the sample's entries staged for routing; survives pooling
 	cands  []dht.KV
 	keys   []uint64
 	counts []int64
@@ -243,8 +247,8 @@ func (s *ecStep) Step(pe *comm.PE) *comm.RecvHandle {
 			s.cur = coll.AllReduceScalarStep(pe, s.agg.Total(), addI64, s.onSize)
 			s.phase = ephSizeWait
 		case ephSizeWait:
-			items := comm.ScratchSlice[dht.KV](pe, "freq.count.items", s.agg.Len())[:0]
-			s.cur = dht.CountKVStep(pe, s.agg.AppendKVs(items), s.p.Route, s.onShard)
+			s.items = s.agg.AppendKVs(slices.Grow(s.items[:0], s.agg.Len()))
+			s.cur = dht.CountKVStep(pe, s.items, s.p.Route, s.onShard)
 			s.phase = ephShardWait
 		case ephShardWait:
 			s.agg.Release()

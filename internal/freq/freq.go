@@ -89,12 +89,9 @@ func sampleCounts(local []uint64, rho float64, rng *xrand.RNG) *dht.Table {
 }
 
 // countShard routes a sampled count table into the DHT and returns the
-// owned shard as a pooled table (caller releases). The KV staging buffer
-// is per-PE scratch, so a steady-state query allocates only in the
-// routing collective itself.
+// owned shard as a pooled table (caller releases).
 func countShard(pe *comm.PE, agg *dht.Table, route dht.RouteMode) *dht.Table {
-	items := comm.ScratchSlice[dht.KV](pe, "freq.count.items", agg.Len())[:0]
-	return dht.CountKV(pe, agg.AppendKVs(items), route)
+	return dht.CountKV(pe, agg.AppendKVs(make([]dht.KV, 0, agg.Len())), route)
 }
 
 // PAC computes an (ε, δ)-approximation of the top-k most frequent objects

@@ -261,11 +261,12 @@ func TestSelectTopKTieSplitting(t *testing.T) {
 	const p = 4
 	m := comm.NewMachine(comm.DefaultConfig(p))
 	m.MustRun(func(pe *comm.PE) {
-		shard := map[uint64]int64{}
+		shard := dht.NewTable(50)
+		defer shard.Release()
 		for i := 0; i < 50; i++ {
-			shard[uint64(pe.Rank()*1000+i)] = 7 // all tied
+			shard.Set(uint64(pe.Rank()*1000+i), 7) // all tied
 		}
-		got := dht.SelectTopK(pe, shard, 33, xrand.NewPE(97, pe.Rank()))
+		got := dht.SelectTopKTable(pe, shard, 33, xrand.NewPE(97, pe.Rank()))
 		if len(got) != 33 {
 			t.Errorf("tie splitting returned %d items, want 33", len(got))
 		}
@@ -276,8 +277,10 @@ func TestSelectTopKFewerThanK(t *testing.T) {
 	const p = 3
 	m := comm.NewMachine(comm.DefaultConfig(p))
 	m.MustRun(func(pe *comm.PE) {
-		shard := map[uint64]int64{uint64(pe.Rank()): int64(pe.Rank() + 1)}
-		got := dht.SelectTopK(pe, shard, 10, xrand.NewPE(101, pe.Rank()))
+		shard := dht.NewTable(1)
+		defer shard.Release()
+		shard.Set(uint64(pe.Rank()), int64(pe.Rank()+1))
+		got := dht.SelectTopKTable(pe, shard, 10, xrand.NewPE(101, pe.Rank()))
 		if len(got) != p {
 			t.Errorf("got %d items, want all %d", len(got), p)
 		}

@@ -66,13 +66,13 @@ import (
 // across uses, so steady-state dispatch allocates nothing.
 //
 // The state machine has two window representations behind one code path.
-// The unsorted forms copy the shard into per-PE scratch and split the
-// window by partitioning it in place, Θ(window) per level. KthSortedStep
-// (the caller states that its shard is ascending) uses the shard itself:
-// an ascending slice already is the [a | b | c] layout, so the band sizes
-// are binary searches and the shard is never written — O(log window +
-// sample) per level. Sampling, pivot choice, every collective and every
-// narrowing of win are the same code.
+// The unsorted forms copy the shard into the state's work buffer and
+// split the window by partitioning it in place, Θ(window) per level.
+// KthSortedStep (the caller states that its shard is ascending) uses the
+// shard itself: an ascending slice already is the [a | b | c] layout, so
+// the band sizes are binary searches and the shard is never written —
+// O(log window + sample) per level. Sampling, pivot choice, every
+// collective and every narrowing of win are the same code.
 
 // kthStep phases.
 const (
@@ -116,7 +116,7 @@ type kthStep[K cmp.Ordered] struct {
 	out   func(K)
 	self  bool // self-release + out on completion (the *Step forms)
 	// sorted: local is ascending and is the window itself, read-only
-	// (KthSortedStep); otherwise the window is a scratch copy of local.
+	// (KthSortedStep); otherwise the window is the work copy of local.
 	sorted bool
 	res    K
 
@@ -140,9 +140,11 @@ type kthStep[K cmp.Ordered] struct {
 	v   verdict[K]
 
 	// Buffers that survive pooling: the up-sweep header and the local
-	// sample (both copied by the collective before Step returns).
+	// sample (both copied by the collective before Step returns), and the
+	// unsorted forms' working copy of the shard, which win slices.
 	hdr    [2]int64
 	sample []K
+	work   []K
 
 	// Cached result-delivery closures and operator func values (one
 	// allocation per pooled object, not per op — a func value built in a
@@ -214,7 +216,8 @@ func KthSortedStep[K cmp.Ordered](pe *comm.PE, sorted []K, n, k int64, rng *xran
 }
 
 // release returns the state to the PE pool, keeping the cached closures
-// and the sample buffer (and their one-time allocations) for the next use.
+// and the buffers (and their one-time allocations) for the next use. The
+// work copy is not cleared: that would cost Θ(window) per query.
 func (s *kthStep[K]) release(pe *comm.PE) {
 	var zero K
 	s.local, s.win, s.rng, s.out = nil, nil, nil, nil
@@ -256,9 +259,8 @@ func (s *kthStep[K]) setUp(pe *comm.PE, n int64) {
 	}
 	s.win = s.local
 	if !s.sorted {
-		work := comm.ScratchSlice[K](pe, "sel.kth.work", len(s.local))
-		copy(work, s.local)
-		s.win = work
+		s.work = append(s.work[:0], s.local...)
+		s.win = s.work
 	}
 	s.kRem, s.n = s.k, n
 	s.target = 4 * (math.Sqrt(float64(pe.P())) + 8)

@@ -147,9 +147,15 @@ type amsSelectStep[K cmp.Ordered] struct {
 	cur comm.Stepper
 	i64 int64
 	tg  tagged[K]
-	vs  []tagged[K]
-	ks  []int64
 	ms  *msSelectStep[K]
+
+	// A round's buffers, surviving pooling: the local candidates, their
+	// global minima or maxima vs, the local ranks js and the global
+	// ranks ks (vs and ks are the all-reductions' destinations).
+	cands []tagged[K]
+	vs    []tagged[K]
+	js    []int64
+	ks    []int64
 
 	// Cached closures and operator func values (see kthStep).
 	onI64 func(int64)
@@ -192,7 +198,7 @@ func AMSSelectStep[K cmp.Ordered](pe *comm.PE, s Seq[K], kmin, kmax int64, rng *
 
 func (st *amsSelectStep[K]) release(pe *comm.PE) {
 	st.s, st.rng, st.out, st.cur = nil, nil, nil, nil
-	st.vs, st.ks, st.ms = nil, nil, nil
+	st.ms = nil
 	st.res = AMSResult[K]{}
 	st.tg = tagged[K]{}
 	comm.PutPooled(pe, st)
@@ -260,8 +266,9 @@ func (st *amsSelectStep[K]) Step(pe *comm.PE) *comm.RecvHandle {
 			// Draw d candidate thresholds with the dual estimator (see the
 			// blocking form's rationale in sel.go).
 			st.useMin = st.kmaxR < st.nR-st.kmaxR
-			cands := comm.ScratchSlice[tagged[K]](pe, "sel.ams.cands", st.d)
-			clear(cands) // scratch reuse: absent candidates must read as zero
+			// Absent candidates must read as zero.
+			st.cands = append(st.cands[:0], make([]tagged[K], st.d)...)
+			cands := st.cands
 			for t := 0; t < st.d; t++ {
 				if st.useMin {
 					rho := amsRho(st.kminR, st.kmaxR)
@@ -277,11 +284,10 @@ func (st *amsSelectStep[K]) Step(pe *comm.PE) *comm.RecvHandle {
 					}
 				}
 			}
-			vsDst := comm.ScratchSlice[tagged[K]](pe, "sel.ams.vs", st.d)
 			if st.useMin {
-				st.cur = coll.AllReduceIntoStep(pe, vsDst, cands, st.opMin, st.onVs)
+				st.cur = coll.AllReduceIntoStep(pe, st.vs, cands, st.opMin, st.onVs)
 			} else {
-				st.cur = coll.AllReduceIntoStep(pe, vsDst, cands, st.opMax, st.onVs)
+				st.cur = coll.AllReduceIntoStep(pe, st.vs, cands, st.opMax, st.onVs)
 			}
 			st.phase = aphVsWait
 		case aphAllWait:
@@ -293,7 +299,8 @@ func (st *amsSelectStep[K]) Step(pe *comm.PE) *comm.RecvHandle {
 			})
 		case aphVsWait:
 			// Rank all candidates with one vector-valued sum.
-			js := comm.ScratchSlice[int64](pe, "sel.ams.js", st.d)
+			st.js = append(st.js[:0], make([]int64, st.d)...)
+			js := st.js
 			for t := 0; t < st.d; t++ {
 				if st.vs[t].Has {
 					js[t] = int64(clampInt(st.s.CountLE(st.vs[t].Val), st.lo, st.hi) - st.lo)
@@ -304,12 +311,11 @@ func (st *amsSelectStep[K]) Step(pe *comm.PE) *comm.RecvHandle {
 					js[t] = int64(st.hi - st.lo)
 				}
 			}
-			st.cur = coll.AllReduceIntoStep(pe, comm.ScratchSlice[int64](pe, "sel.ams.ks", st.d),
-				js, addInt64, st.onKs)
+			st.cur = coll.AllReduceIntoStep(pe, st.ks, js, addInt64, st.onKs)
 			st.phase = aphKsWait
 		case aphKsWait:
 			// Success check, then narrow to (largest under, smallest over).
-			js := comm.ScratchSlice[int64](pe, "sel.ams.js", st.d)
+			js := st.js
 			bestUnder := int64(-1)
 			bestUnderJ := 0
 			bestOver := st.nR

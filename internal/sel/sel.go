@@ -77,9 +77,9 @@ func maxTagged[K cmp.Ordered](a, b tagged[K]) tagged[K] {
 // of range — a programming error surfaced through Machine.Run.
 //
 // Local work is allocation-free in steady state: the input is copied once
-// into a per-PE scratch buffer and the recursion partitions it in place
-// (three-way band partition, package qsel) instead of rebuilding filtered
-// copies per level.
+// into a buffer of the pooled selection state and the recursion
+// partitions it in place (three-way band partition, package qsel) instead
+// of rebuilding filtered copies per level.
 //
 // Kth is the state machine of async.go (KthStep) driven to completion
 // with blocking waits — one implementation for both execution modes.
@@ -119,34 +119,31 @@ func SmallestK[K cmp.Ordered](pe *comm.PE, local []K, k int64, rng *xrand.RNG) [
 //
 // The redistribution groups elements by destination with a counting sort
 // into one flat send buffer instead of p growing append slices, so the
-// host-side cost is O(n/p) time and a single allocation per call (the
-// flat buffer, which is sent by reference and therefore must not be a
-// reused scratch buffer: receivers may still read it after this PE moves
-// on). The old per-element append behavior inflated the baseline's
-// wall-clock constant and flattered the new algorithm's measured win —
-// the communication metrics were always honest.
+// host-side cost is O(n/p) time and O(1) allocations per call. The old
+// per-element append behavior inflated the baseline's wall-clock constant
+// and flattered the new algorithm's measured win — the communication
+// metrics were always honest.
 func KthRandomized[K cmp.Ordered](pe *comm.PE, local []K, k int64, rng *xrand.RNG) K {
 	p := pe.P()
 	if p == 1 {
 		return Kth(pe, local, k, rng)
 	}
-	dests := comm.ScratchSlice[int32](pe, "sel.rand.dests", len(local))
-	counts := comm.ScratchSlice[int32](pe, "sel.rand.counts", p)
-	clear(counts)
+	dests := make([]int32, len(local))
+	counts := make([]int32, p)
 	for i := range local {
 		d := rng.Intn(p)
 		dests[i] = int32(d)
 		counts[d]++
 	}
 	// offs[d] is the write cursor for destination d in the flat buffer.
-	offs := comm.ScratchSlice[int32](pe, "sel.rand.offs", p)
+	offs := make([]int32, p)
 	var off int32
 	for d, c := range counts {
 		offs[d] = off
 		off += c
 	}
 	flat := make([]K, len(local))
-	parts := comm.ScratchSlice[[]K](pe, "sel.rand.parts", p)
+	parts := make([][]K, p)
 	off = 0
 	for d, c := range counts {
 		parts[d] = flat[off : off+c]
@@ -162,7 +159,7 @@ func KthRandomized[K cmp.Ordered](pe *comm.PE, local []K, k int64, rng *xrand.RN
 	for _, part := range recv {
 		total += len(part)
 	}
-	shuffled := comm.ScratchSlice[K](pe, "sel.rand.concat", total)[:0]
+	shuffled := make([]K, 0, total)
 	for _, part := range recv {
 		shuffled = append(shuffled, part...)
 	}

@@ -93,7 +93,7 @@ func runServed(t *testing.T, m *comm.Machine, shards [][]uint64, ranks []int64, 
 // tenants genuinely share workers). Per-query RNG streams are derived
 // from the submission index, so the pivot walks are interleaving-
 // independent by construction; this test pins that nothing else (tag
-// allocation, scratch, context demux, meter attribution) leaks between
+// allocation, pooled buffers, context demux, meter attribution) leaks between
 // tenants either.
 // mixedQuery is one entry of a mixed-kind workload: pq selects the
 // query type submitted with batch/rank size k.

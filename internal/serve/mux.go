@@ -32,8 +32,8 @@ type slot[K cmp.Ordered] struct {
 // mux is the per-PE tenant multiplexer: one long-lived stepper that
 // consumes doorbells from the admission front end and interleaves every
 // active query's selection stepper on this PE, switching the PE's
-// communication context per slot so the queries' traffic (and scratch,
-// and collective tag sequences) never mix.
+// communication context per slot so the queries' traffic (and collective
+// tag sequences) never mix.
 //
 // Scheduling is a full sweep: every Step invocation tries the doorbell
 // and every runnable slot until nothing can progress, then suspends.

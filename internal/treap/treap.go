@@ -19,7 +19,7 @@
 // # Node arena
 //
 // Nodes live in slab-allocated blocks owned by a per-tree arena that is
-// shared with every tree split off from it (SplitByKey/SplitByRank), with
+// shared with every tree split off from it (SplitByRank), with
 // a free list threaded through recycled nodes' right pointers. Insert
 // takes a node from the free list when one is available and bump-allocates
 // from the current slab otherwise, so the only heap allocation on the
@@ -173,30 +173,19 @@ func (t *Tree[K]) Reseed(seed int64) {
 // Len returns the number of keys stored.
 func (t *Tree[K]) Len() int { return size(t.root) }
 
-// split splits n into (< key) and (>= key).
-func split[K cmp.Ordered](n *node[K], key K) (lt, ge *node[K]) {
-	return splitBound(n, key, false)
-}
-
-// splitLE splits n into (<= key) and (> key).
-func splitLE[K cmp.Ordered](n *node[K], key K) (le, gt *node[K]) {
-	return splitBound(n, key, true)
-}
-
-// splitBound splits n at key into (a, b) where a holds the keys < key
-// (incl=false) or ≤ key (incl=true) and b the rest. Iterative two-pass:
-// the first walk counts how many keys fall on the a side (the boundary
-// rank c); the second walk detaches nodes onto the two output spines via
-// hook pointers, using c to write each node's final subtree size on the
-// way down — a node kept on the a side retains exactly the c a-side keys
-// of its old subtree, and descending right discards its left subtree and
-// itself from that count, while a node on the b side loses exactly the c
-// a-side keys below it. No recursion, no allocation, sizes exact without
-// an unwind.
-func splitBound[K cmp.Ordered](n *node[K], key K, incl bool) (a, b *node[K]) {
+// split splits n at key into (a, b) where a holds the keys < key and b
+// the rest. Iterative two-pass: the first walk counts how many keys fall
+// on the a side (the boundary rank c); the second walk detaches nodes
+// onto the two output spines via hook pointers, using c to write each
+// node's final subtree size on the way down — a node kept on the a side
+// retains exactly the c a-side keys of its old subtree, and descending
+// right discards its left subtree and itself from that count, while a
+// node on the b side loses exactly the c a-side keys below it. No
+// recursion, no allocation, sizes exact without an unwind.
+func split[K cmp.Ordered](n *node[K], key K) (a, b *node[K]) {
 	c := 0
 	for m := n; m != nil; {
-		if m.key < key || (incl && m.key == key) {
+		if m.key < key {
 			c += size(m.left) + 1
 			m = m.right
 		} else {
@@ -205,7 +194,7 @@ func splitBound[K cmp.Ordered](n *node[K], key K, incl bool) (a, b *node[K]) {
 	}
 	ahook, bhook := &a, &b
 	for n != nil {
-		if n.key < key || (incl && n.key == key) {
+		if n.key < key {
 			n.size = c
 			c -= size(n.left) + 1
 			*ahook = n
@@ -404,15 +393,6 @@ func (t *Tree[K]) Rank(key K) int {
 		}
 	}
 	return r
-}
-
-// SplitByKey removes and returns a new tree holding all keys ≤ key; the
-// receiver keeps the keys > key. This is the paper's T.split(x).
-func (t *Tree[K]) SplitByKey(key K) *Tree[K] {
-	le, gt := splitLE(t.root, key)
-	t.root = gt
-	t.extOK = false
-	return &Tree[K]{root: le, rng: xrand.New(int64(t.rng.Uint64())), ar: t.arena()}
 }
 
 // SplitByRank removes and returns a new tree holding the i smallest keys;

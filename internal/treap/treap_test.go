@@ -97,37 +97,6 @@ func TestSelectRankAgainstSortedReference(t *testing.T) {
 	}
 }
 
-func TestSplitByKey(t *testing.T) {
-	tr := buildTree(t, []uint64{1, 2, 3, 4, 5, 6, 7, 8})
-	low := tr.SplitByKey(4)
-	if got := low.Keys(); !slices.Equal(got, []uint64{1, 2, 3, 4}) {
-		t.Errorf("low = %v", got)
-	}
-	if got := tr.Keys(); !slices.Equal(got, []uint64{5, 6, 7, 8}) {
-		t.Errorf("high = %v", got)
-	}
-	// Split at an absent boundary.
-	tr2 := buildTree(t, []uint64{10, 20, 30})
-	low2 := tr2.SplitByKey(25)
-	if got := low2.Keys(); !slices.Equal(got, []uint64{10, 20}) {
-		t.Errorf("low2 = %v", got)
-	}
-	if got := tr2.Keys(); !slices.Equal(got, []uint64{30}) {
-		t.Errorf("high2 = %v", got)
-	}
-	// Split below min and above max.
-	tr3 := buildTree(t, []uint64{5, 6})
-	if got := tr3.SplitByKey(1).Len(); got != 0 {
-		t.Errorf("split below min kept %d", got)
-	}
-	if got := tr3.SplitByKey(100).Len(); got != 2 {
-		t.Errorf("split above max kept %d", got)
-	}
-	if tr3.Len() != 0 {
-		t.Errorf("tree should be empty, has %d", tr3.Len())
-	}
-}
-
 func TestSplitByRank(t *testing.T) {
 	tr := buildTree(t, []uint64{10, 20, 30, 40, 50})
 	front := tr.SplitByRank(2)
@@ -176,8 +145,7 @@ func TestSplitConcatRoundTrip(t *testing.T) {
 		tr.Insert(rng.Uint64() % 100000)
 	}
 	want := tr.Keys()
-	mid := want[len(want)/2]
-	low := tr.SplitByKey(mid)
+	low := tr.SplitByRank(len(want) / 2)
 	low.Concat(tr)
 	got := low.Keys()
 	if !slices.Equal(got, want) {
@@ -325,7 +293,7 @@ func TestMinMaxCacheUnderMutation(t *testing.T) {
 	check(50, 50)
 	tr.InsertBulk([]int{1, 2, 3, 99})
 	check(1, 99)
-	low := tr.SplitByKey(3) // receiver keeps > 3
+	low := tr.SplitByRank(3) // receiver keeps > 3
 	check(50, 99)
 	if mn, _ := low.Min(); mn != 1 {
 		t.Fatalf("split-off min %d", mn)
@@ -427,7 +395,7 @@ func TestIterativeOpsInvariants(t *testing.T) {
 	tr := New[uint64](7)
 	live := map[uint64]bool{}
 	for op := 0; op < 2000; op++ {
-		switch rng.Uint64() % 5 {
+		switch rng.Uint64() % 4 {
 		case 0, 1: // insert
 			k := rng.Uint64() % 4096
 			if tr.Insert(k) == live[k] {
@@ -440,20 +408,7 @@ func TestIterativeOpsInvariants(t *testing.T) {
 				t.Fatalf("Delete(%d) disagreed with model", k)
 			}
 			delete(live, k)
-		case 3: // split by key, then concat back
-			k := rng.Uint64() % 4096
-			low := tr.SplitByKey(k)
-			checkInvariants(t, low)
-			checkInvariants(t, tr)
-			if lm, ok := low.Max(); ok && lm > k {
-				t.Fatalf("SplitByKey(%d) left %d in low side", k, lm)
-			}
-			if tm, ok := tr.Min(); ok && tm <= k {
-				t.Fatalf("SplitByKey(%d) left %d in high side", k, tm)
-			}
-			low.Concat(tr)
-			*tr = *low
-		case 4: // split by rank, then concat back
+		case 3: // split by rank, then concat back
 			if n := tr.Len(); n > 0 {
 				i := int(rng.Uint64() % uint64(n+1))
 				low := tr.SplitByRank(i)

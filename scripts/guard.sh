@@ -69,7 +69,7 @@ tier1() {
   # same sweeps: tree messages plus one size sum, exact at the edges on
   # every executor, no allocation beyond the batch.
   must_run ./internal/sel/ 'TestKthIsTreeSweepsOnly|TestKthSpeculationMiss|TestKthTieHeavyShards|TestWireCodecsRoundTrip|TestMSSelectIsTreeSweepsOnly|TestMSSelectEdgeCasesAgainstSortOracle'
-  must_run ./internal/coll/ 'TestReduceConcatStep|TestWireCodecsRoundTrip'
+  must_run ./internal/coll/ 'TestReduceConcatStep|TestWireCodecsRoundTrip|TestScalarCollectivesAreVectorForms|TestAllToAllReceivedPartsAreOwned'
   must_run ./internal/bpq/ 'TestDeleteMinIsTreeSweepsOnly|TestDeleteMinEdgeCasesAgainstSortOracle|TestDeleteMinZeroAllocSteadyState|TestWireCodecsRoundTrip'
   # Repeated runs are bit-identical (mtopk DTA/RDTA, bnb, redist, freq).
   must_run ./internal/mtopk/ 'TestMtopkRepeatedRunsBitIdentical' -count=5
@@ -103,10 +103,10 @@ race() {
   must_run ./internal/comm/ 'TestBlockingRunWLessThanPStress|TestMailboxSchedulerWLessThanP' -race -count=20 -timeout 120s
   must_run ./internal/comm/ 'TestRunAsyncContinuationStress|TestRunAsyncCascade|TestRunAsyncBlockingRecvInStepperFailsRun|TestAbortedRunResetsCollectiveTags|TestBlockingRunAbortWhileSuspended' -race -count=5 -timeout 120s
   # Context interleaving: tagged demux, multi-key suspension, serving mux.
-  must_run ./internal/comm/ 'TestCtxIsolatedStreams|TestCtxScratchNamespaced|TestMultiWaiterAnyOfResume|TestPostDoorbell' -race -count=3
+  must_run ./internal/comm/ 'TestCtxIsolatedStreams|TestMultiWaiterAnyOfResume|TestPostDoorbell' -race -count=3
   must_run ./internal/mailbox/ 'TestKeyedFIFOAcrossContexts|TestKeyedConcurrentSenders|TestArmKeysFireOnce|TestShardedReadyQueueResumes|TestShardedReadyStealing' -race -count=3
   # Steppers against their blocking twins, w < p.
-  must_run ./internal/coll/ 'TestVectorSteppersContinuationStress' -race -count=3
+  must_run ./internal/coll/ 'TestVectorSteppersContinuationStress|TestScalarCollectivesAreVectorForms|TestAllToAllReceivedPartsAreOwned' -race -count=3
   must_run ./internal/sel/ 'TestKthStepMatchesBlockingAcrossBackends|TestKthStepRepeatedRunsReusePooledState' -race -count=3
   must_run ./internal/sel/ 'TestKthSortedDifferential|TestKthWindowOpsAgree|TestKthSortedNeverWritesTheShard|TestKthSortedSkipsTheSizeAllReduce|TestKthIsTreeSweepsOnly|TestKthSpeculationMiss|TestKthTieHeavyShards|TestMSSelectIsTreeSweepsOnly|TestMSSelectEdgeCasesAgainstSortOracle' -race -count=5
   must_run ./internal/coll/ 'TestReduceConcatStep' -race -count=5
