@@ -259,7 +259,7 @@ func (st *deleteMinStep[K]) Step(pe *comm.PE) *comm.RecvHandle {
 					return st.finish(pe, st.drain(), zero, total)
 				}
 				kmin := max(st.kmin, 1)
-				st.cur = sel.AMSSelectStep[K](pe, st.q.seq, kmin, st.kmax, st.q.rng, st.onAms)
+				st.cur = sel.AMSSelectNStep[K](pe, st.q.seq, total, kmin, st.kmax, st.q.rng, st.onAms)
 			} else {
 				if st.kmin <= 0 || total == 0 {
 					return st.finish(pe, nil, zero, 0)

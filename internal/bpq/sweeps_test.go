@@ -276,3 +276,47 @@ func TestDeleteMinEdgeCasesAgainstSortOracle(t *testing.T) {
 		}
 	}
 }
+
+// TestDeleteMinFlexibleSumsSizeOnce: a flexible batch sums the queue
+// length once and hands the total to the flexible selection
+// (sel.AMSSelectNStep), which therefore opens with no size sum of its own.
+// On this fixture the selection lands in its first round, so every PE
+// sends 3·log₂ p = 9 messages: the size sum and the round's candidate and
+// rank reductions. Summing the length twice sent 12.
+func TestDeleteMinFlexibleSumsSizeOnce(t *testing.T) {
+	const p = 8
+	logp := int64(bits.Len(uint(p)) - 1)
+	parts, sorted := uniqueValues(11, 8000, p)
+	m := comm.NewMachine(comm.DefaultConfig(p))
+	defer m.Close()
+	sent := make([]int64, p)
+	batches := make([][]uint64, p)
+	var n int64
+	m.MustRun(func(pe *comm.PE) {
+		q := New[uint64](pe, 12)
+		q.InsertBulk(parts[pe.Rank()])
+		before := pe.Sends()
+		batch, got := q.DeleteMinFlexible(1000, 2000)
+		sent[pe.Rank()] = pe.Sends() - before
+		batches[pe.Rank()] = batch
+		if pe.Rank() == 0 {
+			n = got
+		}
+	})
+	if n < 1000 || n > 2000 {
+		t.Fatalf("batch of %d outside [1000, 2000]", n)
+	}
+	all := slices.Concat(batches...)
+	slices.Sort(all)
+	if !slices.Equal(all, sorted[:n]) {
+		t.Errorf("the batch is not the %d smallest keys", n)
+	}
+	for r, s := range sent {
+		if s != 3*logp {
+			t.Errorf("rank %d sent %d messages, want 3·log₂p = %d", r, s, 3*logp)
+		}
+	}
+	if s := m.Stats(); s.TotalWords != 96 || s.MaxSends != 9 {
+		t.Errorf("stats %+v: want 96 words and 9 messages per PE (12 with the second size sum)", s)
+	}
+}

@@ -17,7 +17,7 @@ import (
 // order their messages arrive; production tests that on whatever the
 // host's cores happen to produce. Here every stepper family of the catalog
 // (fuzzOps: the collectives, sel Kth/KthSorted/MSSelect, bpq DeleteMin
-// churn, mtopk DTA/RDTA, freq PAC/EC, agg PAC/ECSum, redist Balance, bnb
+// churn, mtopk DTA/RDTA/TopK, freq PAC/EC, agg PAC/ECSum, redist Balance, bnb
 // Solve — serve's three query kinds have their own exploration in
 // internal/serve) runs under many seeded schedules of the simexec
 // executor, every policy in rotation, both as steppers and as blocking

@@ -593,6 +593,19 @@ func fuzzOps() []fuzzOp {
 					func(v uint64) { *out = v })
 			},
 		},
+		{
+			name: "MtopkTopK",
+			block: func(pe *comm.PE, prm int64) any {
+				d, k := fuzzMtopkData(pe, prm)
+				hits, dta := mtopk.TopK(pe, d, mtopk.SumScore, k, xrand.NewPE(prm+41, pe.Rank()))
+				return [2]any{hits, dta}
+			},
+			step: func(pe *comm.PE, prm int64, out *any) comm.Stepper {
+				d, k := fuzzMtopkData(pe, prm)
+				return mtopk.TopKStep(pe, d, mtopk.SumScore, k, xrand.NewPE(prm+41, pe.Rank()),
+					func(hits []mtopk.Hit, dta mtopk.DTAResult) { *out = [2]any{slices.Clone(hits), dta} })
+			},
+		},
 	}
 }
 

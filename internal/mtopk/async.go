@@ -5,6 +5,7 @@ import (
 
 	"commtopk/internal/coll"
 	"commtopk/internal/comm"
+	"commtopk/internal/commbuf"
 	"commtopk/internal/sel"
 	"commtopk/internal/xrand"
 )
@@ -25,16 +26,17 @@ func addF64(a, b float64) float64 { return a + b }
 
 // dtaStep phases.
 const (
-	dphInit        = iota // start the global object-count sum
-	dphNWait              // harvest n, start the first probe round
-	dphListLoop           // dispatch the next list's prefix selection
-	dphListMinWait        // whole-list prefix: harvest the min score
-	dphListSelWait        // harvest the AMS selection for one list
-	dphEstWait            // harvest the hit estimate; branch the search
+	dphInit    = iota // start the global object-count sum
+	dphNWait          // harvest n, start the first round
+	dphSelWait        // harvest the round's list thresholds, start the estimate sum
+	dphEstWait        // harvest the hit estimates; finish or search on
 	dphDone
 )
 
-// dtaStep — see DTAStep/DTAProbedStep.
+// dtaStep — see DTAStep/DTAProbedStep. A round evaluates its scan depths
+// K (its probes) together: the m lists of every probe are the lanes of
+// one sel.AMSSelectLanesStep, and one vector sum carries the probes' hit
+// estimates.
 type dtaStep struct {
 	pe     *comm.PE
 	d      *Data
@@ -46,25 +48,24 @@ type dtaStep struct {
 	self   bool
 	res    DTAResult
 
-	nGlobal   int64
-	probe     int64
-	lastProbe int64
-	probeIdx  int
-	found     bool
+	nGlobal int64
+	probe   int64 // the first scan depth on the next round's lattice
 
-	lens []int
-	xs   []float64
-	li   int // current list index within the round
+	// The round's buffers, m entries per probe: lens is handed out as
+	// PrefixLens, so it is fresh every round; the rest survive pooling.
+	ks    []int64 // the probes that can pass
+	lanes []sel.AMSLane[uint64]
+	lens  []int
+	xs    []float64
+	est   []float64 // local hit estimates, one per probe
+	ests  []float64 // their global sums
 
 	i64 int64
-	f64 float64
-	ams sel.AMSResult[uint64]
 
 	cur comm.Stepper
 
-	onI64 func(int64)
-	onF64 func(float64)
-	onAMS func(sel.AMSResult[uint64])
+	onI64  func(int64)
+	onEsts func([]float64)
 
 	phase int
 }
@@ -84,8 +85,7 @@ func newDTAStep(pe *comm.PE, d *Data, t ScoreFunc, k, probes int, rng *xrand.RNG
 	s.res = DTAResult{}
 	if s.onI64 == nil {
 		s.onI64 = func(v int64) { s.i64 = v }
-		s.onF64 = func(v float64) { s.f64 = v }
-		s.onAMS = func(v sel.AMSResult[uint64]) { s.ams = v }
+		s.onEsts = func(v []float64) { s.ests = v }
 	}
 	return s
 }
@@ -104,7 +104,8 @@ func DTAProbedStep(pe *comm.PE, d *Data, t ScoreFunc, k, probes int, rng *xrand.
 func (s *dtaStep) release(pe *comm.PE) {
 	s.pe, s.d, s.t, s.rng, s.out, s.cur = nil, nil, nil, nil, nil, nil
 	s.res = DTAResult{}
-	s.lens, s.xs = nil, nil
+	s.lens = nil
+	clear(s.lanes) // drop the Seq references
 	comm.PutPooled(pe, s)
 }
 
@@ -121,13 +122,50 @@ func (s *dtaStep) finish(pe *comm.PE, v DTAResult) *comm.RecvHandle {
 	return nil
 }
 
-// startProbe begins one scan-depth evaluation (the blocking dtaRound):
-// fresh per-probe bands, list cursor reset.
-func (s *dtaStep) startProbe() {
-	s.lens = make([]int, s.d.m)
-	s.xs = make([]float64, s.d.m)
-	s.li = 0
-	s.phase = dphListLoop
+// canPass reports whether scan depth K can end the search. Its estimate
+// is at most the number of selected list entries, Σᵢ Countᵢ ≤ 2mK, so it
+// reaches 2k only if mK ≥ k — unless K covers every object.
+func (s *dtaStep) canPass(K int64) bool {
+	return K >= s.nGlobal || int64(s.d.m)*K >= int64(s.k)
+}
+
+// startRound lays out a round's lattice — probe, 4·probe, … (probes
+// depths; the next round starts at twice the last) — and keeps the
+// probes that can pass, up to the first that covers every object (a
+// larger one cannot be the smallest to pass). A round with none is
+// skipped without communication. The kept probes' lists are the lanes
+// of one selection.
+func (s *dtaStep) startRound(pe *comm.PE) {
+	for {
+		s.ks = s.ks[:0]
+		K := s.probe
+		for j := 0; j < s.probes; j++ {
+			if j > 0 {
+				K *= 4
+			}
+			if s.canPass(K) && (len(s.ks) == 0 || s.ks[len(s.ks)-1] < s.nGlobal) {
+				s.ks = append(s.ks, K)
+			}
+		}
+		s.probe = 2 * K
+		if len(s.ks) > 0 {
+			break
+		}
+	}
+	s.res.Rounds++
+	m := s.d.m
+	s.lanes = s.lanes[:0]
+	for _, K := range s.ks {
+		for i := 0; i < m; i++ {
+			// K ≥ n selects the whole list: its lane reduces to the
+			// global maximum key, the list's minimum score.
+			s.lanes = append(s.lanes, sel.AMSLane[uint64]{
+				Seq: sel.SliceSeq[uint64](s.d.ords[i]), KMin: min(K, s.nGlobal), KMax: 2 * K, N: s.nGlobal,
+			})
+		}
+	}
+	s.cur = sel.AMSSelectLanesStep[uint64](pe, s.lanes, s.rng)
+	s.phase = dphSelWait
 }
 
 func (s *dtaStep) Step(pe *comm.PE) *comm.RecvHandle {
@@ -148,90 +186,60 @@ func (s *dtaStep) Step(pe *comm.PE) *comm.RecvHandle {
 				return s.finish(pe, DTAResult{PrefixLens: make([]int, s.d.m)})
 			}
 			s.probe = int64(s.k)/(int64(s.d.m)*int64(pe.P())) + 1
-			s.res.Rounds++
-			s.probeIdx = 0
-			s.found = false
-			s.startProbe()
-		case dphListLoop:
-			if s.li < s.d.m {
-				i := s.li
-				if s.probe >= s.nGlobal {
-					// Prefix = whole list: the threshold entry is the global
-					// minimum score of the list.
-					s.lens[i] = len(s.d.ords[i])
-					v := math.Inf(1)
-					if n := len(s.d.lists[i]); n > 0 {
-						v = s.d.lists[i][n-1].score
-					}
-					s.cur = coll.AllReduceScalarStep(pe, v, math.Min, s.onF64)
-					s.phase = dphListMinWait
-					continue
-				}
-				s.cur = sel.AMSSelectStep[uint64](pe, sel.SliceSeq[uint64](s.d.ords[i]), s.probe, 2*s.probe, s.rng, s.onAMS)
-				s.phase = dphListSelWait
-				continue
+			s.startRound(pe)
+		case dphSelWait:
+			// All list thresholds in hand: estimate each probe's number of
+			// hits by sampling its prefixes (rejecting objects already
+			// present in an earlier list's prefix to avoid double counting).
+			m := s.d.m
+			s.lens = make([]int, len(s.lanes))
+			s.xs = commbuf.Resize(s.xs[:0], len(s.lanes))
+			for j, l := range s.lanes {
+				s.lens[j] = min(l.Res.LocalLen, len(s.d.lists[j%m]))
+				s.xs[j] = FromOrdDesc(l.Res.Threshold)
 			}
-			// All list thresholds in hand: estimate the number of hits by
-			// sampling each prefix (rejecting objects already present in an
-			// earlier list's prefix to avoid double counting).
-			thr := s.t(s.xs)
-			y := 4 * int(math.Log2(float64(s.probe)+2))
-			var localEst float64
-			for i := 0; i < s.d.m; i++ {
-				pl := s.lens[i]
-				if pl == 0 {
-					continue
-				}
-				var rejected, hits int
-				for sm := 0; sm < y; sm++ {
-					e := s.d.lists[i][s.rng.Intn(pl)]
-					if s.d.inEarlierPrefix(e.id, i, s.lens) {
-						rejected++
+			s.est = s.est[:0]
+			for j, K := range s.ks {
+				lens := s.lens[j*m : (j+1)*m]
+				thr := s.t(s.xs[j*m : (j+1)*m])
+				y := 4 * int(math.Log2(float64(K)+2))
+				var localEst float64
+				for i := 0; i < m; i++ {
+					pl := lens[i]
+					if pl == 0 {
 						continue
 					}
-					if sc, _ := s.d.Score(e.id, s.t); sc >= thr {
-						hits++
+					var rejected, hits int
+					for sm := 0; sm < y; sm++ {
+						e := s.d.lists[i][s.rng.Intn(pl)]
+						if s.d.inEarlierPrefix(e.id, i, lens) {
+							rejected++
+							continue
+						}
+						if sc, _ := s.d.Score(e.id, s.t); sc >= thr {
+							hits++
+						}
 					}
+					localEst += float64(pl) * (1 - float64(rejected)/float64(y)) * (float64(hits) / float64(y))
 				}
-				localEst += float64(pl) * (1 - float64(rejected)/float64(y)) * (float64(hits) / float64(y))
+				s.est = append(s.est, localEst)
 			}
-			s.cur = coll.AllReduceScalarStep(pe, localEst, addF64, s.onF64)
+			s.cur = coll.AllReduceIntoStep(pe, s.ests, s.est, addF64, s.onEsts)
 			s.phase = dphEstWait
-		case dphListMinWait:
-			s.xs[s.li] = s.f64
-			s.li++
-			s.phase = dphListLoop
-		case dphListSelWait:
-			s.lens[s.li] = min(s.ams.LocalLen, len(s.d.lists[s.li]))
-			s.xs[s.li] = FromOrdDesc(s.ams.Threshold)
-			s.li++
-			s.phase = dphListLoop
 		case dphEstWait:
-			est := s.f64
-			s.res.PrefixLens = s.lens
-			s.res.Threshold = s.t(s.xs)
-			s.res.EstimatedHits = est
-			s.res.K = s.probe
-			s.lastProbe = s.probe
-			if est >= 2*float64(s.k) || s.probe >= s.nGlobal {
-				s.found = true
+			// The smallest probe that passes ends the search.
+			m := s.d.m
+			for j, K := range s.ks {
+				if est := s.ests[j]; est >= 2*float64(s.k) || K >= s.nGlobal {
+					s.res.PrefixLens = s.lens[j*m : (j+1)*m : (j+1)*m]
+					s.res.Threshold = s.t(s.xs[j*m : (j+1)*m])
+					s.res.EstimatedHits = est
+					s.res.K = K
+					s.res.Hits = s.d.collectHits(s.t, s.res.Threshold, s.res.PrefixLens)
+					return s.finish(pe, s.res)
+				}
 			}
-			s.probe *= 4
-			s.probeIdx++
-			if s.found {
-				s.res.Hits = s.d.collectHits(s.t, s.res.Threshold, s.res.PrefixLens)
-				return s.finish(pe, s.res)
-			}
-			if s.probeIdx < s.probes {
-				s.startProbe()
-				continue
-			}
-			// Round exhausted: continue the exponential search past the
-			// probes.
-			s.probe = s.lastProbe * 2
-			s.res.Rounds++
-			s.probeIdx = 0
-			s.startProbe()
+			s.startRound(pe)
 		default:
 			return nil
 		}

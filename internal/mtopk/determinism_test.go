@@ -8,22 +8,24 @@ import (
 	"commtopk/internal/xrand"
 )
 
-// runOnce executes one full battery (DTA, RDTA, TopK) on a fresh machine
-// and returns everything observable: per-PE results and the machine
-// meters.
+// runOnce executes one full battery (DTA, DTAProbed with three probes,
+// RDTA, TopK) on a fresh machine and returns everything observable:
+// per-PE results and the machine meters.
 type mtopkObs struct {
 	dta   []DTAResult
+	probe []DTAResult
 	rdta  [][]Hit
 	topk  [][]Hit
 	stats comm.Stats
 }
 
 func runBattery(p int, datas []*Data) mtopkObs {
-	o := mtopkObs{dta: make([]DTAResult, p), rdta: make([][]Hit, p), topk: make([][]Hit, p)}
+	o := mtopkObs{dta: make([]DTAResult, p), probe: make([]DTAResult, p), rdta: make([][]Hit, p), topk: make([][]Hit, p)}
 	mach := comm.NewMachine(comm.DefaultConfig(p))
 	mach.MustRun(func(pe *comm.PE) {
 		r := pe.Rank()
 		o.dta[r] = DTA(pe, datas[r], SumScore, 9, xrand.NewPE(101, r))
+		o.probe[r] = DTAProbed(pe, datas[r], SumScore, 9, 3, xrand.NewPE(107, r))
 		o.rdta[r] = RDTA(pe, datas[r], SumScore, 9, xrand.NewPE(103, r))
 		o.topk[r], _ = TopK(pe, datas[r], SumScore, 9, xrand.NewPE(105, r))
 	})
@@ -47,6 +49,9 @@ func TestMtopkRepeatedRunsBitIdentical(t *testing.T) {
 		if !reflect.DeepEqual(got.dta, ref.dta) {
 			t.Fatalf("rep %d: DTA results diverged", rep)
 		}
+		if !reflect.DeepEqual(got.probe, ref.probe) {
+			t.Fatalf("rep %d: DTAProbed results diverged", rep)
+		}
 		if !reflect.DeepEqual(got.rdta, ref.rdta) {
 			t.Fatalf("rep %d: RDTA results diverged", rep)
 		}
@@ -67,12 +72,13 @@ func TestMtopkSteppersMatchBlocking(t *testing.T) {
 	datas, _ := buildDistributed(43, p, 250, 3)
 	ref := runBattery(p, datas)
 
-	got := mtopkObs{dta: make([]DTAResult, p), rdta: make([][]Hit, p), topk: make([][]Hit, p)}
+	got := mtopkObs{dta: make([]DTAResult, p), probe: make([]DTAResult, p), rdta: make([][]Hit, p), topk: make([][]Hit, p)}
 	mach := comm.NewMachine(comm.DefaultConfig(p))
 	mach.MustRunAsync(func(pe *comm.PE) comm.Stepper {
 		r := pe.Rank()
 		return comm.SeqP(pe,
 			DTAStep(pe, datas[r], SumScore, 9, xrand.NewPE(101, r), func(v DTAResult) { got.dta[r] = v }),
+			DTAProbedStep(pe, datas[r], SumScore, 9, 3, xrand.NewPE(107, r), func(v DTAResult) { got.probe[r] = v }),
 			RDTAStep(pe, datas[r], SumScore, 9, xrand.NewPE(103, r), func(v []Hit) { got.rdta[r] = v }),
 			TopKStep(pe, datas[r], SumScore, 9, xrand.NewPE(105, r), func(v []Hit, _ DTAResult) { got.topk[r] = v }),
 		)
@@ -81,6 +87,9 @@ func TestMtopkSteppersMatchBlocking(t *testing.T) {
 
 	if !reflect.DeepEqual(got.dta, ref.dta) {
 		t.Errorf("DTAStep diverged from blocking DTA")
+	}
+	if !reflect.DeepEqual(got.probe, ref.probe) {
+		t.Errorf("DTAProbedStep diverged from blocking DTAProbed")
 	}
 	if !reflect.DeepEqual(got.rdta, ref.rdta) {
 		t.Errorf("RDTAStep diverged from blocking RDTA")

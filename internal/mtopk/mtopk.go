@@ -246,7 +246,8 @@ type DTAResult struct {
 	// score ≥ Threshold (deduplicated locally). Their union over PEs
 	// contains the true top-k with high probability.
 	Hits []Hit
-	// Rounds is the number of exponential-search rounds.
+	// Rounds is the number of exponential-search rounds run (a round
+	// whose depths all have mK < k cannot pass and is skipped uncounted).
 	Rounds int
 	// EstimatedHits is the final sampling-based hit estimate H.
 	EstimatedHits float64
@@ -256,7 +257,12 @@ type DTAResult struct {
 // the approximate multisequence selection of Section 4.3 approximating
 // the globally K-th largest score of every list and a sampling-based
 // truthful estimator of the number of hits. Expected time
-// O(m² log²K + βm logK + α log p logK) — Theorem 6. Collective.
+// O(m² log²K + βm logK + α log p logK) — Theorem 6. The α term is one
+// selection's per search step: the m list selections of a step are the
+// lanes of one sel.AMSSelectLanesStep, whose rounds reduce all lists at
+// once. The search starts at the first K with mK ≥ k: an estimate is at
+// most the 2mK selected entries, so a smaller K cannot reach 2k.
+// Collective.
 func DTA(pe *comm.PE, d *Data, t ScoreFunc, k int, rng *xrand.RNG) DTAResult {
 	return DTAProbed(pe, d, t, k, 1, rng)
 }
@@ -264,12 +270,15 @@ func DTA(pe *comm.PE, d *Data, t ScoreFunc, k int, rng *xrand.RNG) DTAResult {
 // DTAProbed is DTA with the Section 6 refinement "we can further reduce
 // the latency of DTA by trying several values of K in each iteration":
 // each round evaluates `probes` scan depths K, 4K, 16K, ... concurrently
-// and jumps directly to the smallest depth whose hit estimate suffices,
-// cutting the number of exponential-search rounds by the probe factor at
-// the cost of O(probes) extra selections of small prefixes per round.
-// probes = 1 is plain DTA. The blocking form drives the dtaStep state
-// machine of async.go through comm.RunSteps — one implementation, both
-// execution modes. Collective.
+// — their m·probes list selections are lanes of one selection and their
+// estimates one vector sum — and jumps directly to the smallest depth
+// whose hit estimate suffices, cutting the number of exponential-search
+// rounds by the probe factor at the cost of O(probes) words per
+// selection round. Depths that cannot pass (mK < k) are left out, and
+// so are those beyond the first that covers every object. probes = 1 is
+// plain DTA. The blocking form drives the dtaStep state machine of
+// async.go through comm.RunSteps — one implementation, both execution
+// modes. Collective.
 func DTAProbed(pe *comm.PE, d *Data, t ScoreFunc, k int, probes int, rng *xrand.RNG) DTAResult {
 	st := newDTAStep(pe, d, t, k, probes, rng, nil, false)
 	comm.RunSteps(pe, st)

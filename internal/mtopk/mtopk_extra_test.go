@@ -132,7 +132,8 @@ func TestDTAKValidation(t *testing.T) {
 
 func TestDTAProbedFewerRounds(t *testing.T) {
 	// The Section 6 refinement: probing several K per round must reduce
-	// the exponential-search round count without losing hits.
+	// the exponential-search round count without losing hits, and since a
+	// round's probes are lanes of one selection, without more startups.
 	const p = 4
 	const perPE = 2000
 	const k = 24
@@ -145,8 +146,9 @@ func TestDTAProbedFewerRounds(t *testing.T) {
 	}
 	want := BruteForceTopK(NewData(all, 3), SumScore, k)
 
-	run := func(probes int) (DTAResult, map[uint64]bool) {
+	run := func(probes int) (DTAResult, map[uint64]bool, int64) {
 		m := comm.NewMachine(comm.DefaultConfig(p))
+		defer m.Close()
 		union := map[uint64]bool{}
 		hitsByPE := make([][]Hit, p)
 		var res DTAResult
@@ -162,12 +164,15 @@ func TestDTAProbedFewerRounds(t *testing.T) {
 				union[h.ID] = true
 			}
 		}
-		return res, union
+		return res, union, m.Stats().MaxSends
 	}
-	plain, unionPlain := run(1)
-	probed, unionProbed := run(3)
+	plain, unionPlain, sendsPlain := run(1)
+	probed, unionProbed, sendsProbed := run(3)
 	if probed.Rounds > plain.Rounds {
 		t.Errorf("probed rounds %d > plain %d", probed.Rounds, plain.Rounds)
+	}
+	if sendsProbed > sendsPlain {
+		t.Errorf("probed DTA sent %d messages per PE, plain %d", sendsProbed, sendsPlain)
 	}
 	for _, w := range want {
 		if !unionPlain[w.ID] {

@@ -2,6 +2,7 @@ package mtopk
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -257,5 +258,59 @@ func TestDataAccessors(t *testing.T) {
 	// List 0 must rank 6 (0.8) before 5 (0.3).
 	if d.lists[0][0].id != 6 || d.lists[1][0].id != 5 {
 		t.Error("list ordering wrong")
+	}
+}
+
+// TestDTAOneSelectionPerProbe: a probe's m list selections are the lanes
+// of one selection (no size sum: every list has the n DTA has summed),
+// and the probes that cannot pass (mK < k) are not run. On these
+// fixtures DTA's bottleneck startups are at most half of what m
+// selections one after another, each with its own size sum, sent from
+// K = k/(mp)+1 on: the recorded values. The hits still contain the top-k.
+func TestDTAOneSelectionPerProbe(t *testing.T) {
+	for _, c := range []struct {
+		p, perPE, m, k int
+		before         int64 // MaxSends of the per-list selections
+	}{
+		{8, 2000, 3, 16, 579},
+		{16, 2048, 4, 32, 1256},
+	} {
+		datas, global := buildDistributed(29, c.p, c.perPE, c.m)
+		mach := comm.NewMachine(comm.DefaultConfig(c.p))
+		union := map[uint64]bool{}
+		hitsByPE := make([][]Hit, c.p)
+		var res DTAResult
+		mach.MustRun(func(pe *comm.PE) {
+			r := DTA(pe, datas[pe.Rank()], SumScore, c.k, xrand.NewPE(31, pe.Rank()))
+			hitsByPE[pe.Rank()] = r.Hits
+			if pe.Rank() == 0 {
+				res = r
+			}
+		})
+		sends := mach.Stats().MaxSends
+		mach.Close()
+		t.Logf("p=%d m=%d k=%d: %d messages per PE, %d before", c.p, c.m, c.k, sends, c.before)
+		if 2*sends > c.before {
+			t.Errorf("p=%d m=%d k=%d: DTA sent %d messages per PE, want at most half of %d", c.p, c.m, c.k, sends, c.before)
+		}
+		// The rounds run are the doubling steps from the first depth with
+		// mK ≥ k up to the depth found.
+		start := int64(c.k/(c.m*c.p) + 1)
+		for int64(c.m)*start < int64(c.k) {
+			start *= 2
+		}
+		if want := bits.Len64(uint64(res.K / start)); res.Rounds != want {
+			t.Errorf("p=%d: %d rounds to K = %d, want %d from K = %d", c.p, res.Rounds, res.K, want, start)
+		}
+		for _, hs := range hitsByPE {
+			for _, h := range hs {
+				union[h.ID] = true
+			}
+		}
+		for _, w := range BruteForceTopK(global, SumScore, c.k) {
+			if !union[w.ID] {
+				t.Errorf("p=%d: DTA hits miss top-k object %d", c.p, w.ID)
+			}
+		}
 	}
 }

@@ -54,19 +54,6 @@ func minTagged[K cmp.Ordered](a, b tagged[K]) tagged[K] {
 	return a
 }
 
-func maxTagged[K cmp.Ordered](a, b tagged[K]) tagged[K] {
-	if !a.Has {
-		return b
-	}
-	if !b.Has {
-		return a
-	}
-	if b.Val > a.Val {
-		return b
-	}
-	return a
-}
-
 // ---------------------------------------------------------------------------
 // Unsorted selection (Algorithm 1)
 // ---------------------------------------------------------------------------
@@ -297,16 +284,15 @@ func AMSSelectBatched[K cmp.Ordered](pe *comm.PE, s Seq[K], kmin, kmax int64, d 
 	return amsSelect(pe, s, kmin, kmax, rng, d)
 }
 
-// amsSelect is the continuation state machine of msasync.go
-// (AMSSelectStep) driven to completion with blocking waits — one
-// implementation for both execution modes. The estimator rationale (dual
-// min/max geometric sampling, d-wide candidate reductions, narrowing to
-// the tightest under/over bracket, exact fallback) lives with the state
-// machine there.
+// amsSelect is the one-lane state machine of msasync.go (AMSSelectStep)
+// driven to completion with blocking waits — one implementation for both
+// execution modes. The estimator rationale (dual min/max geometric
+// sampling, d-wide candidate reductions, narrowing to the tightest
+// under/over bracket, exact fallback) lives with the state machine there.
 func amsSelect[K cmp.Ordered](pe *comm.PE, s Seq[K], kmin, kmax int64, rng *xrand.RNG, d int) AMSResult[K] {
-	st := newAMSSelectStep(pe, s, kmin, kmax, rng, d, nil, false)
+	st := newAMSOneLane(pe, s, -1, kmin, kmax, rng, d, nil, false)
 	comm.RunSteps(pe, st)
-	res := st.res
+	res := st.lanes[0].Res
 	st.release(pe)
 	return res
 }

@@ -11,6 +11,9 @@
 #   scripts/guard.sh long    -tags long: 10^5 explored schedules, 10^4 of
 #                            agg.ECSumStep alone, the p = 16384 mid-run
 #                            residency guard (minutes)
+#   scripts/guard.sh bench   BENCHMARK.json's command at full size, all six
+#                            workloads at -seconds 3: exit 0 and six correct
+#                            result lines (about a minute)
 #
 # Every step that selects tests by name goes through must_run, so a name
 # that matches no test fails the step instead of passing by running nothing.
@@ -70,7 +73,13 @@ tier1() {
   # every executor, no allocation beyond the batch.
   must_run ./internal/sel/ 'TestKthIsTreeSweepsOnly|TestKthSpeculationMiss|TestKthTieHeavyShards|TestWireCodecsRoundTrip|TestMSSelectIsTreeSweepsOnly|TestMSSelectEdgeCasesAgainstSortOracle'
   must_run ./internal/coll/ 'TestReduceConcatStep|TestWireCodecsRoundTrip|TestScalarCollectivesAreVectorForms|TestAllToAllReceivedPartsAreOwned'
-  must_run ./internal/bpq/ 'TestDeleteMinIsTreeSweepsOnly|TestDeleteMinEdgeCasesAgainstSortOracle|TestDeleteMinZeroAllocSteadyState|TestWireCodecsRoundTrip'
+  must_run ./internal/bpq/ 'TestDeleteMinIsTreeSweepsOnly|TestDeleteMinEdgeCasesAgainstSortOracle|TestDeleteMinZeroAllocSteadyState|TestWireCodecsRoundTrip|TestDeleteMinFlexibleSumsSizeOnce'
+  # Flexible selection runs in lanes: each lane against the sort oracle,
+  # one round's messages for all lanes, the known-n entry without its size
+  # sum, the one-lane case pinned to its recorded result and meters; DTA
+  # runs one lane selection per probe and skips the probes that cannot pass.
+  must_run ./internal/sel/ 'TestAMSLanesAgainstSortOracle|TestAMSLanesShareEachRound|TestAMSSelectNStepSkipsTheSizeSum|TestAMSSelectOneLaneGolden'
+  must_run ./internal/mtopk/ 'TestDTAOneSelectionPerProbe|TestDTAProbedFewerRounds|TestDTAPolylogCommunication'
   # Repeated runs are bit-identical (mtopk DTA/RDTA, bnb, redist, freq).
   must_run ./internal/mtopk/ 'TestMtopkRepeatedRunsBitIdentical' -count=5
   must_run ./internal/bnb/ 'TestBnbRepeatedRunsBitIdentical' -count=5
@@ -110,8 +119,9 @@ race() {
   must_run ./internal/sel/ 'TestKthStepMatchesBlockingAcrossBackends|TestKthStepRepeatedRunsReusePooledState' -race -count=3
   must_run ./internal/sel/ 'TestKthSortedDifferential|TestKthWindowOpsAgree|TestKthSortedNeverWritesTheShard|TestKthSortedSkipsTheSizeAllReduce|TestKthIsTreeSweepsOnly|TestKthSpeculationMiss|TestKthTieHeavyShards|TestMSSelectIsTreeSweepsOnly|TestMSSelectEdgeCasesAgainstSortOracle' -race -count=5
   must_run ./internal/coll/ 'TestReduceConcatStep' -race -count=5
-  must_run ./internal/bpq/ 'TestDeleteMinStepMatchesBlockingAcrossBackends|TestDeleteMinStepThresholdContract|TestInterleavedInsertDelete|TestDeleteMinIsTreeSweepsOnly|TestDeleteMinEdgeCasesAgainstSortOracle' -race -count=3
-  must_run ./internal/mtopk/ 'TestMtopkSteppersMatchBlocking' -race -count=3
+  must_run ./internal/sel/ 'TestAMSLanesAgainstSortOracle|TestAMSLanesShareEachRound|TestAMSSelectNStepSkipsTheSizeSum|TestAMSSelectOneLaneGolden' -race -count=3
+  must_run ./internal/bpq/ 'TestDeleteMinStepMatchesBlockingAcrossBackends|TestDeleteMinStepThresholdContract|TestInterleavedInsertDelete|TestDeleteMinIsTreeSweepsOnly|TestDeleteMinEdgeCasesAgainstSortOracle|TestDeleteMinFlexibleSumsSizeOnce' -race -count=3
+  must_run ./internal/mtopk/ 'TestMtopkSteppersMatchBlocking|TestDTAOneSelectionPerProbe|TestDTAProbedFewerRounds' -race -count=3
   must_run ./internal/bnb/ 'TestBnbStepperMatchesBlocking' -race -count=3
   must_run ./internal/redist/ 'TestBalanceStepMatchesBlocking' -race -count=3
   must_run ./internal/freq/ 'TestFreqSteppersMatchBlocking' -race -count=3
@@ -128,10 +138,26 @@ long() {
   must_run ./internal/experiments/ 'TestMidRunGoroutineResidency16384' -tags long -timeout 30m
 }
 
+# bench: the benchmark's own command, all six workloads in full size at
+# three seconds each. It passes only if the command exits 0 and prints six
+# "correct":true result lines: the shrunken tier-1 smoke cannot show that
+# a full-size workload fails to run.
+bench() {
+  local out n
+  out=$(go run ./bench -seconds 3 2>&1) || { tail -n 60 <<<"$out"; echo "bench: the benchmark exited non-zero"; return 1; }
+  n=$(grep -o '"correct":true' <<<"$out" | wc -l)
+  if [ "$n" -ne 6 ]; then
+    tail -n 60 <<<"$out"
+    echo "bench: $n of 6 workloads printed a correct result"
+    return 1
+  fi
+  echo "bench: 6 of 6 workloads correct"
+}
+
 case "${1:-}" in
-tier1 | race | long) "$1" ;;
+tier1 | race | long | bench) "$1" ;;
 *)
-  echo "usage: scripts/guard.sh tier1|race|long" >&2
+  echo "usage: scripts/guard.sh tier1|race|long|bench" >&2
   exit 2
   ;;
 esac
