@@ -13,9 +13,12 @@ package agg
 
 import (
 	"fmt"
+	"slices"
 
 	"commtopk/internal/comm"
+	"commtopk/internal/commbuf"
 	"commtopk/internal/dht"
+	"commtopk/internal/qsel"
 	"commtopk/internal/xrand"
 )
 
@@ -59,42 +62,98 @@ type Result struct {
 	KStar int
 }
 
-// LocalAggregate sums values per key — the first step of Section 8.1 and
-// a useful public helper. The result is a pooled dht.SumTable (the last
-// query-path structure that was a Go map until PR 4): the caller owns it
-// and should Release it when done so steady-state queries stay
-// allocation-lean.
-func LocalAggregate(keys []uint64, values []float64) *dht.SumTable {
+// Aggregate is one PE's input summed per key — the first step of
+// Section 8.1 — as sorted runs: Keys ascending and unique, Sums[i] the
+// sum of Keys[i]'s values, added from 0 in input order. Its arrays are
+// pooled buffers (internal/commbuf): the owner calls Release when done.
+type Aggregate struct {
+	Keys  []uint64
+	Sums  []float64
+	total float64
+	kbuf  *[]uint64
+	sbuf  *[]float64
+}
+
+// LocalAggregate sums values per key (Section 8.1), a useful public
+// helper. One stable radix sort of the (key, value) pairs
+// (qsel.SortPairs) and one run-length pass build the runs: Theorem 15
+// needs this step to be linear, not a hash table. Stability makes every
+// sum add its values in input order, and Total is summed in input order
+// too, so both are the bits a per-key hash-table accumulation gives.
+// Negative values panic.
+func LocalAggregate(keys []uint64, values []float64) Aggregate {
 	if len(keys) != len(values) {
 		panic("agg: keys/values length mismatch")
 	}
-	t := dht.NewSumTable(len(keys))
-	for i, k := range keys {
-		v := values[i]
+	var a Aggregate
+	for _, v := range values {
 		if v < 0 {
 			panic("agg: negative value")
 		}
-		t.Add(k, v)
+		a.total += v
 	}
-	return t
+	n := len(keys)
+	if n == 0 {
+		return a
+	}
+	a.kbuf, a.sbuf = commbuf.Get[uint64](n), commbuf.Get[float64](n)
+	kb, sb := commbuf.Get[uint64](n), commbuf.Get[float64](n)
+	sk, sv := qsel.SortPairs(keys, values, *a.kbuf, *a.sbuf, *kb, *sb)
+	// Keep the buffer pair the sort ended in; the other goes back now.
+	if &sk[0] == &(*kb)[0] {
+		a.kbuf, kb = kb, a.kbuf
+		a.sbuf, sb = sb, a.sbuf
+	}
+	commbuf.Put(kb)
+	commbuf.Put(sb)
+	u := 0
+	for i := 0; i < n; u++ {
+		k, sum := sk[i], 0.0
+		for ; i < n && sk[i] == k; i++ {
+			sum += sv[i]
+		}
+		sk[u], sv[u] = k, sum
+	}
+	a.Keys, a.Sums = sk[:u], sv[:u]
+	return a
+}
+
+// Len returns the number of distinct keys.
+func (a *Aggregate) Len() int { return len(a.Keys) }
+
+// Total returns the sum of all values, in input order.
+func (a *Aggregate) Total() float64 { return a.total }
+
+// Get returns key's sum and whether the key occurs (a binary search).
+func (a *Aggregate) Get(key uint64) (float64, bool) {
+	i, ok := slices.BinarySearch(a.Keys, key)
+	if !ok {
+		return 0, false
+	}
+	return a.Sums[i], true
+}
+
+// Release returns the arrays to their pools; a is empty afterwards.
+func (a *Aggregate) Release() {
+	commbuf.Put(a.kbuf)
+	commbuf.Put(a.sbuf)
+	*a = Aggregate{}
 }
 
 // sampleAggregated converts aggregated values into integer sample counts
 // (as KV pairs in ascending key order): floor + Bernoulli residual
-// (Section 8.1). Keys are visited in sorted order (dht.SortedKeys) so
-// each key's Bernoulli draw is a fixed function of the RNG stream:
-// iterating in table (or, before PR 4, Go-map) order would let the
-// layout decide which key consumed which deviate, making the sampled
-// counts — and hence ECSum's candidate set and realized ε̃ — vary
-// between runs with identical seeds (the agg.TestECSumIsExact flake).
-// The second result is the realized local sample size.
-func sampleAggregated(local *dht.SumTable, vavg float64, rng *xrand.RNG) ([]dht.KV, int64) {
-	keys := local.SortedKeys(make([]uint64, 0, local.Len()))
+// (Section 8.1). Keys are visited in the runs' ascending order, so each
+// key's Bernoulli draw is a fixed function of the RNG stream: a layout
+// order (a hash table's slots, a Go map's iteration) would let the layout
+// decide which key consumed which deviate, making the sampled counts —
+// and hence ECSum's candidate set and realized ε̃ — vary between runs
+// with identical seeds (the agg.TestECSumIsExact flake). The second
+// result is the realized local sample size.
+func sampleAggregated(local *Aggregate, vavg float64, rng *xrand.RNG) ([]dht.KV, int64) {
 	out := make([]dht.KV, 0, local.Len())
 	var total int64
-	for _, k := range keys {
-		v, _ := local.Get(k)
-		q := v / vavg
+	for i, k := range local.Keys {
+		q := local.Sums[i] / vavg
 		c := int64(q)
 		if rng.Bernoulli(q - float64(c)) {
 			c++
@@ -139,11 +198,9 @@ func ExactTopSums(pe *comm.PE, keys []uint64, values []float64, k int, route dht
 	// Scale to fixed point so the counting DHT can carry sums. Sorted key
 	// order keeps the routed batches deterministic.
 	const scale = 1 << 20
-	ids := local.SortedKeys(make([]uint64, 0, local.Len()))
-	fixed := make([]dht.KV, len(ids))
-	for i, key := range ids {
-		v, _ := local.Get(key)
-		fixed[i] = dht.KV{Key: key, Count: int64(v * scale)}
+	fixed := make([]dht.KV, local.Len())
+	for i, key := range local.Keys {
+		fixed[i] = dht.KV{Key: key, Count: int64(local.Sums[i] * scale)}
 	}
 	shard := dht.CountKV(pe, fixed, route)
 	top := dht.SelectTopKTable(pe, shard, k, rng)

@@ -191,14 +191,11 @@ func TestLocalAggregate(t *testing.T) {
 func TestSampleAggregatedDeviationAtMostOne(t *testing.T) {
 	// Per key, the sample count must deviate from v/vavg by < 1.
 	rng := xrand.New(37)
-	local := dht.NewSumTable(3)
+	local := LocalAggregate([]uint64{1, 2, 3}, []float64{10.3, 0.7, 99.99})
 	defer local.Release()
-	local.Add(1, 10.3)
-	local.Add(2, 0.7)
-	local.Add(3, 99.99)
 	const vavg = 1.0
 	for trial := 0; trial < 100; trial++ {
-		kvs, total := sampleAggregated(local, vavg, rng)
+		kvs, total := sampleAggregated(&local, vavg, rng)
 		s := map[uint64]int64{}
 		var sum int64
 		for _, kv := range kvs {
@@ -208,13 +205,13 @@ func TestSampleAggregatedDeviationAtMostOne(t *testing.T) {
 		if sum != total {
 			t.Fatalf("reported sample size %d, summed %d", total, sum)
 		}
-		local.ForEach(func(k uint64, v float64) {
-			q := v / vavg
+		for i, k := range local.Keys {
+			q := local.Sums[i] / vavg
 			c := float64(s[k])
 			if c < math.Floor(q) || c > math.Ceil(q) {
 				t.Fatalf("key %d: count %v outside [floor,ceil] of %v", k, c, q)
 			}
-		})
+		}
 	}
 }
 

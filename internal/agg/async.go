@@ -1,8 +1,9 @@
 package agg
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"commtopk/internal/coll"
 	"commtopk/internal/comm"
@@ -42,7 +43,7 @@ type aggStep struct {
 	self   bool
 	exact  bool // ECSum path (exact summation of k* candidates)
 
-	local  *dht.SumTable
+	local  Aggregate // sorted runs in pooled buffers, returned at release
 	n      int64
 	mTotal float64
 	aggKVs []dht.KV
@@ -108,11 +109,9 @@ func (s *aggStep) finish(pe *comm.PE) *comm.RecvHandle {
 }
 
 func (s *aggStep) release(pe *comm.PE) {
-	if s.local != nil {
-		s.local.Release()
-	}
+	s.local.Release()
 	s.keys, s.values, s.rng, s.out, s.cur = nil, nil, nil, nil, nil
-	s.local, s.shard = nil, nil
+	s.shard = nil
 	s.aggKVs, s.cands, s.ids = nil, nil, nil
 	s.sums = s.sums[:0]
 	s.res = Result{}
@@ -153,7 +152,7 @@ func (s *aggStep) Step(pe *comm.PE) *comm.RecvHandle {
 			}
 			s.res.VAvg = s.mTotal / sz
 			var localSize int64
-			s.aggKVs, localSize = sampleAggregated(s.local, s.res.VAvg, s.rng)
+			s.aggKVs, localSize = sampleAggregated(&s.local, s.res.VAvg, s.rng)
 			s.cur = coll.AllReduceScalarStep(pe, localSize, addI64, s.onSize)
 			s.phase = aphSizeWait
 		case aphSizeWait:
@@ -187,7 +186,7 @@ func (s *aggStep) Step(pe *comm.PE) *comm.RecvHandle {
 			for i, kv := range s.cands {
 				ids[i] = kv.Key
 			}
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+			slices.Sort(ids)
 			s.ids = ids
 			if len(ids) == 0 {
 				s.res.Items = nil
@@ -204,11 +203,13 @@ func (s *aggStep) Step(pe *comm.PE) *comm.RecvHandle {
 			for i, id := range s.ids {
 				items[i] = ItemSum{Key: id, Sum: s.sums[i]}
 			}
-			sort.Slice(items, func(i, j int) bool {
-				if items[i].Sum != items[j].Sum {
-					return items[i].Sum > items[j].Sum
+			// Keys are unique (one candidate per key), so the order is
+			// total: sum descending, then key ascending.
+			slices.SortFunc(items, func(a, b ItemSum) int {
+				if c := cmp.Compare(b.Sum, a.Sum); c != 0 {
+					return c
 				}
-				return items[i].Key < items[j].Key
+				return cmp.Compare(a.Key, b.Key)
 			})
 			if len(items) > s.p.K {
 				items = items[:s.p.K]

@@ -10,9 +10,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"commtopk/internal/agg"
 	"commtopk/internal/comm"
@@ -191,11 +191,13 @@ func (c *Cluster) BalanceLoad(locals [][]uint64) ([][]uint64, error) {
 
 func sortUint64(s []uint64) { slices.Sort(s) }
 
+// sortHitsDesc orders hits by score descending, then id ascending: a
+// total order, since object ids are globally unique.
 func sortHitsDesc(hits []mtopk.Hit) {
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].Score != hits[j].Score {
-			return hits[i].Score > hits[j].Score
+	slices.SortFunc(hits, func(a, b mtopk.Hit) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
 		}
-		return hits[i].ID < hits[j].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 }

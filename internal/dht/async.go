@@ -1,8 +1,8 @@
 package dht
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 
 	"commtopk/internal/coll"
 	"commtopk/internal/comm"
@@ -254,7 +254,8 @@ func (s *selectTopKStep) Step(pe *comm.PE) *comm.RecvHandle {
 			needTies := int64(s.k) - s.nAb
 			take := min(max(needTies-prevTies, 0), int64(s.nTied))
 			tied := s.items[s.nSel : s.nSel+s.nTied]
-			sort.Slice(tied, func(i, j int) bool { return tied[i].Key < tied[j].Key })
+			// A shard holds each key once: ascending key is a total order.
+			slices.SortFunc(tied, func(a, b KV) int { return cmp.Compare(a.Key, b.Key) })
 			s.cur = coll.AllGatherConcatStep(pe, s.items[:s.nSel+int(take)], s.onAll)
 			s.phase = tphGatherWait
 		case tphGatherWait:

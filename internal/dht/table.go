@@ -27,14 +27,14 @@ import (
 // chain). Tag mismatches are rejected eight at a time without leaving the
 // control line; the slot array is read only for the (rare) tag hits.
 //
-// SumTable is the same structure over float64 values, for the
-// sum-aggregation layer's per-key value totals (Section 8.1) — the last
-// query-path structure that was still a Go map.
+// SumTable is the same structure over float64 values: the sequential
+// threshold algorithm's seen-set (internal/mtopk) and the reference the
+// sum-aggregation layer's sorted-run aggregate is tested against.
 //
 // Iteration (ForEach, AppendKVs) is in slot order, which is a pure
 // function of the insertion sequence — deterministic wherever the
 // insertions are, unlike Go map iteration; SortedKeys gives the
-// ascending-key order the RNG-consuming passes need. Keys hash through
+// ascending-key order that deterministic batches need. Keys hash through
 // Mix, the same finalizer that shards keys across PEs: the group index
 // comes from its low bits, the control tag from its top seven.
 //

@@ -1,19 +1,22 @@
 package dht
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"commtopk/internal/comm"
 	"commtopk/internal/xrand"
 )
 
-// SortKVDesc orders by count descending, key ascending (deterministic).
+// SortKVDesc orders by count descending, key ascending (deterministic:
+// two entries that compare equal are equal, so any sort gives this
+// order).
 func SortKVDesc(items []KV) {
-	sort.Slice(items, func(i, j int) bool {
-		if items[i].Count != items[j].Count {
-			return items[i].Count > items[j].Count
+	slices.SortFunc(items, func(a, b KV) int {
+		if c := cmp.Compare(b.Count, a.Count); c != 0 {
+			return c
 		}
-		return items[i].Key < items[j].Key
+		return cmp.Compare(a.Key, b.Key)
 	})
 }
 

@@ -212,11 +212,11 @@ func (s *dtaStep) Step(pe *comm.PE) *comm.RecvHandle {
 					var rejected, hits int
 					for sm := 0; sm < y; sm++ {
 						e := s.d.lists[i][s.rng.Intn(pl)]
-						if s.d.inEarlierPrefix(e.id, i, lens) {
+						if s.d.inEarlierPrefix(e.pos, i, lens) {
 							rejected++
 							continue
 						}
-						if sc, _ := s.d.Score(e.id, s.t); sc >= thr {
+						if sc := s.t(s.d.scores[e.pos]); sc >= thr {
 							hits++
 						}
 					}

@@ -11,12 +11,15 @@
 package mtopk
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"commtopk/internal/comm"
 	"commtopk/internal/dht"
+	"commtopk/internal/qsel"
 	"commtopk/internal/xrand"
 )
 
@@ -45,70 +48,78 @@ type Hit struct {
 	Score float64
 }
 
-// listEntry is one row of a score list.
+// listEntry is one row of a score list: a score and the position of its
+// object in ids/scores.
 type listEntry struct {
 	score float64
-	id    uint64
+	pos   int32
 }
 
 // Data is one PE's share of the dataset: objects plus m local rankings.
-// All indexes are map-free (slices in insertion order plus pooled
-// dht.Table id→position tables), so every scan over the data — the
-// sequential TA, the hit collection, the brute-force reference — visits
-// objects in a fixed order and repeated runs are bit-identical: no Go
-// map iteration order anywhere (the class of nondeterminism that
+// All indexes are map-free (slices in insertion order, dense rank arrays
+// and a pooled dht.Table id→position index), so every scan over the data
+// — the sequential TA, the hit collection, the brute-force reference —
+// visits objects in a fixed order and repeated runs are bit-identical: no
+// Go map iteration order anywhere (the class of nondeterminism that
 // produced the agg ECSum flake fixed in PR 2).
 type Data struct {
 	m      int
 	ids    []uint64      // insertion order
 	scores [][]float64   // aligned with ids
 	index  *dht.Table    // id → position in ids/scores
-	lists  [][]listEntry // per criterion, sorted by score descending
-	ranks  []*dht.Table  // per criterion: id → local rank (0-based)
+	lists  [][]listEntry // per criterion: score descending, then id ascending
+	ranks  []int32       // ranks[pos*m+i]: rank (0-based) of object pos in list i
 	ords   [][]uint64    // per criterion: ascending OrdDesc keys for selection
 }
 
 // NewData indexes a PE's local objects. Every object must carry exactly m
 // scores; IDs must be globally unique (they identify objects across PEs).
+//
+// The lists come from one sorting engine, qsel's stable radix sort: the
+// positions are sorted by id once, and each list sorts that order stably
+// by OrdDesc(score), so equal scores keep ascending ids — score
+// descending, then id ascending, a total order. OrdDesc ranks +0 above
+// −0, which keeps every ords list ascending.
 func NewData(objects []Object, m int) *Data {
+	n := len(objects)
 	d := &Data{
 		m:      m,
-		ids:    make([]uint64, 0, len(objects)),
-		scores: make([][]float64, 0, len(objects)),
-		index:  dht.NewTable(len(objects)),
+		ids:    make([]uint64, n),
+		scores: make([][]float64, n),
+		index:  dht.NewTable(n),
 		lists:  make([][]listEntry, m),
-		ranks:  make([]*dht.Table, m),
+		ranks:  make([]int32, n*m),
 		ords:   make([][]uint64, m),
 	}
-	for _, o := range objects {
+	order := make([]int32, n)
+	for pos, o := range objects {
 		if len(o.Scores) != m {
 			panic(fmt.Sprintf("mtopk: object %d has %d scores, want %d", o.ID, len(o.Scores), m))
 		}
-		if _, dup := d.index.Get(o.ID); dup {
-			panic(fmt.Sprintf("mtopk: duplicate object id %d", o.ID))
-		}
-		d.index.Set(o.ID, int64(len(d.ids)))
-		d.ids = append(d.ids, o.ID)
-		d.scores = append(d.scores, o.Scores)
+		d.ids[pos], d.scores[pos], order[pos] = o.ID, o.Scores, int32(pos)
+		d.index.Set(o.ID, int64(pos))
 	}
+	in, ka, kb := make([]uint64, n), make([]uint64, n), make([]uint64, n)
+	pa, pb := make([]int32, n), make([]int32, n)
+	sortedIDs, byID := qsel.SortPairs(d.ids, order, ka, pa, kb, pb)
+	for r := 1; r < n; r++ {
+		if sortedIDs[r] == sortedIDs[r-1] {
+			panic(fmt.Sprintf("mtopk: duplicate object id %d", sortedIDs[r]))
+		}
+	}
+	copy(order, byID)
 	for i := 0; i < m; i++ {
-		list := make([]listEntry, 0, len(objects))
-		for _, o := range objects {
-			list = append(list, listEntry{score: o.Scores[i], id: o.ID})
+		for r, pos := range order {
+			in[r] = OrdDesc(d.scores[pos][i])
 		}
-		sort.Slice(list, func(a, b int) bool {
-			if list[a].score != list[b].score {
-				return list[a].score > list[b].score
-			}
-			return list[a].id < list[b].id
-		})
+		ords, perm := qsel.SortPairs(in, order, ka, pa, kb, pb)
+		d.ords[i] = slices.Clone(ords)
+		list := make([]listEntry, n)
+		for r, pos := range perm {
+			list[r] = listEntry{score: FromOrdDesc(ords[r]), pos: pos}
+			d.ranks[int(pos)*m+i] = int32(r)
+		}
 		d.lists[i] = list
-		d.ranks[i] = dht.NewTable(len(list))
-		d.ords[i] = make([]uint64, len(list))
-		for r, e := range list {
-			d.ranks[i].Set(e.id, int64(r))
-			d.ords[i][r] = OrdDesc(e.score)
-		}
 	}
 	return d
 }
@@ -180,9 +191,8 @@ func SequentialTA(d *Data, t ScoreFunc, k int) ([]Hit, int) {
 			}
 			e := d.lists[i][row]
 			xs[i] = e.score
-			if _, ok := seen.Get(e.id); !ok {
-				sc, _ := d.Score(e.id, t)
-				seen.Set(e.id, sc)
+			if _, ok := seen.Get(d.ids[e.pos]); !ok {
+				seen.Set(d.ids[e.pos], t(d.scores[e.pos]))
 			}
 		}
 		if seen.Len() >= k {
@@ -208,12 +218,7 @@ func kthBest(seen *dht.SumTable, k int) float64 {
 func topHits(seen *dht.SumTable, k int) []Hit {
 	hits := make([]Hit, 0, seen.Len())
 	seen.ForEach(func(id uint64, s float64) { hits = append(hits, Hit{ID: id, Score: s}) })
-	sort.Slice(hits, func(a, b int) bool {
-		if hits[a].Score != hits[b].Score {
-			return hits[a].Score > hits[b].Score
-		}
-		return hits[a].ID < hits[b].ID
-	})
+	slices.SortFunc(hits, compareHitsDesc)
 	if len(hits) > k {
 		hits = hits[:k]
 	}
@@ -287,12 +292,14 @@ func DTAProbed(pe *comm.PE, d *Data, t ScoreFunc, k int, probes int, rng *xrand.
 	return res
 }
 
-// inEarlierPrefix reports whether the object also appears in the prefix of
-// an earlier list — purely local, since all of an object's list entries
-// live on its home PE.
-func (d *Data) inEarlierPrefix(id uint64, i int, prefixLens []int) bool {
+// inEarlierPrefix reports whether the object at position pos also
+// appears in the prefix of an earlier list — purely local, since all of
+// an object's list entries live on its home PE: m dense rank reads, no
+// lookup.
+func (d *Data) inEarlierPrefix(pos int32, i int, prefixLens []int) bool {
+	ranks := d.ranks[int(pos)*d.m:]
 	for j := 0; j < i; j++ {
-		if r, ok := d.ranks[j].Get(id); ok && int(r) < prefixLens[j] {
+		if int(ranks[j]) < prefixLens[j] {
 			return true
 		}
 	}
@@ -300,32 +307,33 @@ func (d *Data) inEarlierPrefix(id uint64, i int, prefixLens []int) bool {
 }
 
 // collectHits scans the local prefixes and returns deduplicated objects
-// with overall score at least thr. The scan order (list-major, rank
-// ascending) plus table-backed dedup makes the hit order deterministic
-// before the final sort even sees it.
+// with overall score at least thr, best first. An object is taken in the
+// first list whose prefix holds it (inEarlierPrefix skips it in later
+// ones), so the scan needs no seen-set.
 func (d *Data) collectHits(t ScoreFunc, thr float64, prefixLens []int) []Hit {
-	seen := dht.NewTable(0)
-	defer seen.Release()
 	var hits []Hit
 	for i := 0; i < d.m; i++ {
-		for r := 0; r < prefixLens[i] && r < len(d.lists[i]); r++ {
-			id := d.lists[i][r].id
-			if _, dup := seen.Get(id); dup {
+		for _, e := range d.lists[i][:min(prefixLens[i], len(d.lists[i]))] {
+			if d.inEarlierPrefix(e.pos, i, prefixLens) {
 				continue
 			}
-			seen.Set(id, 1)
-			if sc, _ := d.Score(id, t); sc >= thr {
-				hits = append(hits, Hit{ID: id, Score: sc})
+			if sc := t(d.scores[e.pos]); sc >= thr {
+				hits = append(hits, Hit{ID: d.ids[e.pos], Score: sc})
 			}
 		}
 	}
-	sort.Slice(hits, func(a, b int) bool {
-		if hits[a].Score != hits[b].Score {
-			return hits[a].Score > hits[b].Score
-		}
-		return hits[a].ID < hits[b].ID
-	})
+	slices.SortFunc(hits, compareHitsDesc)
 	return hits
+}
+
+// compareHitsDesc orders hits by score descending, then id ascending: a
+// total order wherever ids are unique, as they are within a Data and,
+// by NewData's contract, across PEs.
+func compareHitsDesc(a, b Hit) int {
+	if c := cmp.Compare(b.Score, a.Score); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
 }
 
 // grantHits maps SmallestK's selected ord keys back to local hits: ords

@@ -256,7 +256,7 @@ func TestDataAccessors(t *testing.T) {
 		t.Error("missing object reported present")
 	}
 	// List 0 must rank 6 (0.8) before 5 (0.3).
-	if d.lists[0][0].id != 6 || d.lists[1][0].id != 5 {
+	if d.ids[d.lists[0][0].pos] != 6 || d.ids[d.lists[1][0].pos] != 5 {
 		t.Error("list ordering wrong")
 	}
 }

@@ -51,6 +51,12 @@ tier1() {
   go test ./...
   # Dispatch and arena paths are guarded by counters, not timing.
   must_run ./internal/qsel/ 'TestBucketPathTaken|TestBucketSelectZeroAlloc|TestSelectZeroAlloc'
+  # The local kernels of the batch algorithms: the stable radix engine
+  # against a stable sort, the aggregate's sorted runs against a hash-table
+  # oracle to the bit and allocation-free on a warm pool, NewData's lists
+  # and dense ranks against a stable sort under heavy score ties.
+  must_run ./internal/qsel/ 'TestSortPairsStableAgainstSortOracle|TestSortPairsZeroAlloc'
+  must_run ./internal/agg/ 'TestLocalAggregate|TestLocalAggregateMatchesSumTable|TestLocalAggregateZeroAlloc'
   must_run ./internal/treap/ 'TestArenaPathTaken|TestChurnZeroAlloc|TestPopSmallest'
   # Goroutine residency: a resident p = 16384 machine, p = 16384 mid-run,
   # p = 65536 inside the memory budget.
@@ -79,9 +85,11 @@ tier1() {
   # sum, the one-lane case pinned to its recorded result and meters; DTA
   # runs one lane selection per probe and skips the probes that cannot pass.
   must_run ./internal/sel/ 'TestAMSLanesAgainstSortOracle|TestAMSLanesShareEachRound|TestAMSSelectNStepSkipsTheSizeSum|TestAMSSelectOneLaneGolden'
-  must_run ./internal/mtopk/ 'TestDTAOneSelectionPerProbe|TestDTAProbedFewerRounds|TestDTAPolylogCommunication'
-  # Repeated runs are bit-identical (mtopk DTA/RDTA, bnb, redist, freq).
+  must_run ./internal/mtopk/ 'TestDTAOneSelectionPerProbe|TestDTAProbedFewerRounds|TestDTAPolylogCommunication|TestNewDataListsMatchStableSort|TestInEarlierPrefixMatchesScan'
+  # Repeated runs are bit-identical (mtopk DTA/RDTA, bnb, redist, freq),
+  # and agg's PAC/ECSum reproduce their recorded results and meters.
   must_run ./internal/mtopk/ 'TestMtopkRepeatedRunsBitIdentical' -count=5
+  must_run ./internal/agg/ 'TestAggResultsGolden' -count=5
   must_run ./internal/bnb/ 'TestBnbRepeatedRunsBitIdentical' -count=5
   must_run ./internal/redist/ 'TestBuildPlanStepRepeatedRunsBitIdentical' -count=5
   must_run ./internal/freq/ 'TestFreqRepeatedRunsBitIdentical' -count=5
@@ -126,6 +134,9 @@ race() {
   must_run ./internal/redist/ 'TestBalanceStepMatchesBlocking' -race -count=3
   must_run ./internal/freq/ 'TestFreqSteppersMatchBlocking' -race -count=3
   must_run ./internal/agg/ 'TestAggSteppersMatchBlocking' -race -count=3
+  must_run ./internal/agg/ 'TestAggResultsGolden|TestLocalAggregateMatchesSumTable' -race -count=3
+  must_run ./internal/mtopk/ 'TestNewDataListsMatchStableSort|TestInEarlierPrefixMatchesScan' -race -count=3
+  must_run ./internal/qsel/ 'TestSortPairsStableAgainstSortOracle' -race -count=3
   # Serving: concurrent equals sequential for all three kinds, on both
   # executors; the resident index; the stress.
   must_run ./internal/serve/ 'TestServeResidentIndex|TestServeConcurrentMatchesSequential|TestServeMixedKindsConcurrentMatchesSequential|TestServeFreqConcurrentMatchesSequential|TestServeScheduleExploration|TestServeConcurrentStress' -race -count=5
