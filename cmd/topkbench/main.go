@@ -9,8 +9,7 @@
 // Larger -perpe / -pmax approach the paper's scales at the cost of run
 // time; the defaults finish in minutes on a laptop. `-exp scaling` (not
 // part of `all`) runs the large-p suite — the O(log p) collectives, the
-// chunked gather and the strided gather swept over s ∈ {16, 64, 256},
-// and Table-1 selection (sel.KthStep) at p = 256…131072; every primary
+// chunked all-gather, and Table-1 selection (sel.KthStep) at p = 256…131072; every primary
 // is continuation-scheduled on pooled stepper state with blocking A/B
 // twins. `-quick` selects the CI tier (p ≤ 4096, one run per op, no A/B
 // twins) — including the stepper-form selection path.

@@ -27,57 +27,20 @@ func TestAllReduceDoesNotAliasInput(t *testing.T) {
 	}
 }
 
-func TestReduceDoesNotAliasInputAllRanks(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 8} {
-		runOn(t, p, func(pe *comm.PE) {
-			x := []int64{5, int64(pe.Rank())}
-			got := Reduce(pe, 0, x, func(a, b int64) int64 { return a + b })
-			if pe.Rank() == 0 {
-				got[0] = 99
-			}
-			// Mutating the input after the call must not corrupt anything:
-			// inputs are copied (never sent by reference) on every path.
-			x[0], x[1] = -3, -4
-			if pe.Rank() == 0 && got[0] != 99 {
-				t.Errorf("p=%d: result buffer not caller-owned", p)
-			}
-		})
-	}
-}
-
 func TestAllReduceIntoReusesDst(t *testing.T) {
 	runOn(t, 4, func(pe *comm.PE) {
 		dst := make([]int64, 2, 8)
-		first := AllReduceInto(pe, dst, []int64{1, 2}, func(a, b int64) int64 { return a + b })
+		var first, second []int64
+		comm.RunSteps(pe, AllReduceIntoStep(pe, dst, []int64{1, 2}, sumI64, func(v []int64) { first = v }))
 		if first[0] != 4 || first[1] != 8 {
 			t.Fatalf("got %v", first)
 		}
-		second := AllReduceInto(pe, first, []int64{10, 20}, func(a, b int64) int64 { return a + b })
+		comm.RunSteps(pe, AllReduceIntoStep(pe, first, []int64{10, 20}, sumI64, func(v []int64) { second = v }))
 		if &second[0] != &first[0] {
-			t.Error("AllReduceInto reallocated although dst capacity sufficed")
+			t.Error("AllReduceIntoStep reallocated although dst capacity sufficed")
 		}
 		if second[0] != 40 || second[1] != 80 {
 			t.Fatalf("got %v", second)
-		}
-	})
-}
-
-func TestReduceIntoReusesDst(t *testing.T) {
-	runOn(t, 4, func(pe *comm.PE) {
-		var dst []int64
-		if pe.Rank() == 0 {
-			dst = make([]int64, 0, 4)
-		}
-		got := ReduceInto(pe, 0, dst, []int64{1}, func(a, b int64) int64 { return a + b })
-		if pe.Rank() == 0 {
-			if got[0] != 4 {
-				t.Fatalf("got %v", got)
-			}
-			if &got[0] != &dst[:1][0] {
-				t.Error("ReduceInto reallocated although dst capacity sufficed")
-			}
-		} else if got != nil {
-			t.Errorf("non-root got %v", got)
 		}
 	})
 }
@@ -146,7 +109,7 @@ func TestZeroAllocCollectives(t *testing.T) {
 		{"AllReduceInto", func(pe *comm.PE) {
 			var x [4]int64
 			x[0] = int64(pe.Rank())
-			AllReduceInto(pe, dst[pe.Rank()], x[:], func(a, b int64) int64 { return a + b })
+			comm.RunSteps(pe, AllReduceIntoStep(pe, dst[pe.Rank()], x[:], sumI64, nil))
 		}},
 	}
 	for _, tc := range cases {
@@ -176,7 +139,7 @@ func TestZeroAllocSelectionHarness(t *testing.T) {
 	perOp := measureCollectiveAllocs(p, ops, func(pe *comm.PE) {
 		var x [2]int64
 		x[0], x[1] = int64(pe.Rank()), 1
-		AllReduceInto(pe, dst[pe.Rank()], x[:], func(a, b int64) int64 { return a + b })
+		comm.RunSteps(pe, AllReduceIntoStep(pe, dst[pe.Rank()], x[:], sumI64, nil))
 		ExScanSum(pe, int64(pe.Rank()))
 	})
 	if perOp > float64(p)*0.5 {

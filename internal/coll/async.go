@@ -2,11 +2,10 @@ package coll
 
 import (
 	"commtopk/internal/comm"
-	"commtopk/internal/commbuf"
 )
 
-// Continuation (Stepper) forms of the broadcast, the scalar collectives
-// and the strided gather, for comm.Machine.RunAsync: the same protocols —
+// Continuation (Stepper) forms of the broadcast and the scalar
+// collectives, for comm.Machine.RunAsync: the same protocols —
 // same message schedule, same metered words, startups and modeled clock,
 // pinned by the differential suite — expressed as resumable bodies. The
 // scalar all-reduce and exclusive scan are no protocols of their own:
@@ -204,83 +203,4 @@ func runScalar[T any](pe *comm.PE, s *scalarStep[T]) T {
 	v := s.buf[0]
 	s.release(pe)
 	return v
-}
-
-// GatherStrided delivers, to every PE, the blocks of its s = samples
-// strided sources {(rank + 1 + j·⌈(p−1)/s⌉) mod p : j < s} — a sampled
-// gather: the suite's answer to the p²·m aggregate movement that caps
-// full all-gathers on one host. Every PE still sends and receives
-// exactly s blocks (the sampling pattern is symmetric), so the measured
-// volume is s·m words and s startups per PE while per-PE memory stays
-// O(m) — blocks are visited, never materialized. visit observes views
-// of other PEs' memory (in-process read-only, like AllGatherv's result).
-// The exchange is round-staggered like AllToAll, so in-flight messages
-// stay O(p) rather than O(p·s).
-func GatherStrided[T any](pe *comm.PE, data []T, samples int, visit func(src int, block []T)) {
-	comm.RunSteps(pe, GatherStridedStep(pe, data, samples, visit))
-}
-
-// gatherStridedStep — see GatherStridedStep.
-type gatherStridedStep[T any] struct {
-	data    []T
-	samples int
-	visit   func(src int, block []T)
-	pool    *commbuf.Pool[T]
-	tag     comm.Tag
-	stride  int
-	s       int
-	i       int
-	h       *comm.RecvHandle
-	inited  bool
-}
-
-// GatherStridedStep is the continuation form of GatherStrided (and its
-// implementation — the blocking form drives the same stepper).
-func GatherStridedStep[T any](pe *comm.PE, data []T, samples int, visit func(src int, block []T)) comm.Stepper {
-	s := comm.GetPooled[gatherStridedStep[T]](pe)
-	*s = gatherStridedStep[T]{data: data, samples: samples, visit: visit}
-	return s
-}
-
-func (s *gatherStridedStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
-	p := pe.P()
-	if !s.inited {
-		s.inited = true
-		if p == 1 || s.samples < 1 {
-			s.s = 0
-			return s.finish(pe)
-		}
-		s.s = min(s.samples, p-1)
-		s.stride = max((p-1)/s.s, 1)
-		s.pool = commbuf.For[T]()
-		s.tag = pe.NextCollTag()
-	}
-	rank := pe.Rank()
-	for s.i < s.s {
-		off := 1 + s.i*s.stride
-		if s.h == nil {
-			s.h = pe.IRecv((rank+off)%p, s.tag)
-			// My block goes to the PE that samples me at this offset, as a
-			// pooled copy with ownership transfer (a by-reference slice send
-			// would box the header — one heap allocation per hop — and the
-			// stepper is pinned allocation-free).
-			sendCopy(pe, s.pool, (rank-off+p)%p, s.tag, s.data)
-			if !s.h.Test() {
-				return s.h
-			}
-		}
-		rxAny, _ := s.h.Wait()
-		s.h = nil
-		rx := rxAny.(*[]T)
-		s.visit((rank+off)%p, *rx)
-		s.pool.Put(rx)
-		s.i++
-	}
-	return s.finish(pe)
-}
-
-func (s *gatherStridedStep[T]) finish(pe *comm.PE) *comm.RecvHandle {
-	*s = gatherStridedStep[T]{}
-	comm.PutPooled(pe, s)
-	return nil
 }

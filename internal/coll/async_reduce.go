@@ -7,128 +7,10 @@ import (
 	"commtopk/internal/commbuf"
 )
 
-// Continuation forms of the rooted binomial-tree collectives Reduce and
-// Scatterv — the same wire schedule (tags, partners, message sizes) as
-// the blocking forms, expressed as steppers so serving-layer queries can
-// interleave them on one RunAsync scheduler. The blocking forms drive
-// these engines via comm.RunSteps, exactly like Gatherv/gathervStep, so
-// there is one schedule implementation per collective.
-
-// ---------------------------------------------------------------------------
-// Binomial reduce
-// ---------------------------------------------------------------------------
-
-// reduceStep — see ReduceStep.
-type reduceStep[T any] struct {
-	root   int
-	dst, x []T
-	op     func(a, b T) T
-	out    func([]T)
-	pool   *commbuf.Pool[T]
-	tag    comm.Tag
-	vr     int
-	mask   int
-	accPtr *[]T
-	h      *comm.RecvHandle
-	phase  int
-}
-
-// ReduceStep is the continuation form of ReduceInto: x combined
-// elementwise with op along a binomial tree, the result written into a
-// resized dst and handed to out on the root (out(nil) elsewhere). op
-// must be associative and commutative; dst must not overlap x. With a
-// reused dst the steady state allocates nothing on any PE.
-func ReduceStep[T any](pe *comm.PE, root int, dst, x []T, op func(a, b T) T, out func([]T)) comm.Stepper {
-	s := comm.GetPooled[reduceStep[T]](pe)
-	*s = reduceStep[T]{root: root, dst: dst, x: x, op: op, out: out}
-	return s
-}
-
-func (s *reduceStep[T]) finish(pe *comm.PE, result []T) *comm.RecvHandle {
-	out := s.out
-	*s = reduceStep[T]{}
-	comm.PutPooled(pe, s)
-	if out != nil {
-		out(result)
-	}
-	return nil
-}
-
-func (s *reduceStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
-	p := pe.P()
-	for {
-		switch s.phase {
-		case 0:
-			if p == 1 {
-				dst := commbuf.Resize(s.dst[:0], len(s.x))
-				copy(dst, s.x)
-				return s.finish(pe, dst)
-			}
-			s.pool = commbuf.For[T]()
-			s.tag = pe.NextCollTag()
-			s.vr = (pe.Rank() - s.root + p) % p
-			s.mask = 1
-			s.phase = 1
-		case 1:
-			for s.mask < p {
-				if s.vr&s.mask != 0 {
-					parent := ((s.vr &^ s.mask) + s.root) % p
-					if s.accPtr != nil {
-						// Hand the accumulator itself to the parent; it
-						// recycles it.
-						pe.Send(parent, s.tag, s.accPtr, sliceWords(*s.accPtr))
-						s.accPtr = nil
-					} else {
-						sendCopy(pe, s.pool, parent, s.tag, s.x)
-					}
-					return s.finish(pe, nil)
-				}
-				child := s.vr | s.mask
-				if child < p {
-					s.h = pe.IRecv((child+s.root)%p, s.tag)
-					s.phase = 2
-					if !s.h.Test() {
-						return s.h
-					}
-					break
-				}
-				s.mask <<= 1
-			}
-			if s.phase == 1 {
-				// Only vr == 0 (the root) exits the loop.
-				dst := commbuf.Resize(s.dst[:0], len(s.x))
-				if s.accPtr != nil {
-					copy(dst, *s.accPtr)
-					s.pool.Put(s.accPtr)
-					s.accPtr = nil
-				} else {
-					copy(dst, s.x)
-				}
-				return s.finish(pe, dst)
-			}
-		default:
-			rxAny, _ := s.h.Wait()
-			s.h = nil
-			rx := rxAny.(*[]T)
-			if s.accPtr == nil {
-				// First contribution: fold x into the received buffer and
-				// adopt it as the accumulator — zero copies, zero allocs.
-				if len(*rx) != len(s.x) {
-					panic(fmt.Sprintf("coll: reduction vector length mismatch: %d vs %d", len(s.x), len(*rx)))
-				}
-				for i, v := range s.x {
-					(*rx)[i] = s.op(v, (*rx)[i])
-				}
-				s.accPtr = rx
-			} else {
-				combine(s.op, *s.accPtr, *rx)
-				s.pool.Put(rx)
-			}
-			s.mask <<= 1
-			s.phase = 1
-		}
-	}
-}
+// The rooted binomial-tree collectives as steppers: the up-sweep that
+// sums a header and concatenates data blocks (ReduceConcatStep, one
+// selection level's way up), and Scatterv's scatter, which the blocking
+// Scatterv drives via comm.RunSteps.
 
 // ---------------------------------------------------------------------------
 // Binomial reduce + concatenate (one up-sweep)
@@ -250,7 +132,7 @@ func (s *reduceConcatStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
 // Binomial scatter
 // ---------------------------------------------------------------------------
 
-// scattervStep — see ScattervStep.
+// scattervStep — see newScattervStep.
 type scattervStep[T any] struct {
 	root  int
 	parts [][]T
@@ -263,11 +145,11 @@ type scattervStep[T any] struct {
 	phase int
 }
 
-// ScattervStep is the continuation form of Scatterv: root's parts[i]
-// travels to PE i along a binomial tree and out receives the local part
-// on every PE. parts is only read on root; the delivered slice aliases
-// the root's parts[i] (not a copy), exactly like the blocking form.
-func ScattervStep[T any](pe *comm.PE, root int, parts [][]T, out func([]T)) comm.Stepper {
+// newScattervStep is Scatterv's engine: root's parts[i] travels to PE i
+// along a binomial tree and out receives the local part on every PE.
+// parts is only read on root; the delivered slice aliases the root's
+// parts[i] (not a copy).
+func newScattervStep[T any](pe *comm.PE, root int, parts [][]T, out func([]T)) comm.Stepper {
 	s := comm.GetPooled[scattervStep[T]](pe)
 	*s = scattervStep[T]{root: root, parts: parts, out: out}
 	return s

@@ -7,12 +7,11 @@ import (
 	"commtopk/internal/commbuf"
 )
 
-// Continuation forms of the hypercube router (RouteCombine /
-// AllToAllCombine, plus the chunk-framed variants) and the streaming
-// chunked all-gather. As in async_vec.go, the engines here are THE
-// implementation — the blocking forms in hypercube.go/chunked.go drive
-// the same steppers through comm.RunSteps — and the *Step forms deliver
-// borrowed results.
+// Continuation forms of the hypercube router (AllToAllCombine and
+// RouteCombineStep) and the streaming chunked all-gather. As in
+// async_vec.go, the engines here are THE implementation — the blocking
+// forms in hypercube.go/chunked.go drive the same steppers through
+// comm.RunSteps — and the *Step forms deliver borrowed results.
 //
 // The route engine ships every batch as a pooled copy with ownership
 // transfer (the receiver recycles it after folding it in), where the old
@@ -23,30 +22,24 @@ import (
 
 // routeStep phases.
 const (
-	rtphInit       = iota
-	rtphHighMain   // high rank: awaiting its final batch (or its count)
-	rtphHighChunks // high rank: draining the final batch's chunk frames
-	rtphExtraMain  // low partner: awaiting the folded-in batch (or count)
-	rtphExtraChunks
-	rtphBit // partition + post + ship for the current hypercube dimension
-	rtphBitMain
-	rtphBitChunks
+	rtphInit      = iota
+	rtphHighWait  // high rank: awaiting its final batch
+	rtphExtraWait // low partner: awaiting the folded-in batch
+	rtphBit       // partition + post + ship for the current hypercube dimension
+	rtphBitWait
 	rtphUnfold
 	rtphDone
 )
 
 // routeStep is the hypercube routing engine as a continuation: fold-in
 // of non-power-of-two stragglers, the dimension sweeps with optional
-// per-step combine, and the unfold — RouteCombine's schedule, with
-// chunk > 0 selecting the chunk-framed shipments of routeCombineChunked
-// (a one-word count then ⌈n/chunk⌉ bounded messages per exchange). The
-// engine does not self-release: consumers harvest hold, then call
-// release. hold's backing is engine-owned (the ping-pong buffers); the
-// blocking wrappers copy it out, the *Step forms lend it to out.
+// per-step combine, and the unfold — routeCombine's schedule. The engine
+// does not self-release: consumers harvest hold, then call release.
+// hold's backing is engine-owned (the ping-pong buffers); the blocking
+// wrapper copies it out, the *Step form lends it to out.
 type routeStep[T any] struct {
 	dest  func(T) int
 	cmb   func([]T) []T
-	chunk int
 	pool  *commbuf.Pool[T]
 	tag   comm.Tag
 	rank  int
@@ -64,18 +57,14 @@ type routeStep[T any] struct {
 	bufA, bufB []T
 	shipBuf    []T
 	useA       bool
-	need       int // chunk frames: items still to receive this exchange
 	h          *comm.RecvHandle
 	phase      int
 }
 
-// newRouteStep builds the engine; chunk 0 selects direct (unframed)
-// exchanges, chunk ≥ 1 the count + chunk framing (validated by the
-// chunked entry points).
-func newRouteStep[T any](pe *comm.PE, items []T, chunk int, dest func(T) int, cmb func([]T) []T) *routeStep[T] {
+func newRouteStep[T any](pe *comm.PE, items []T, dest func(T) int, cmb func([]T) []T) *routeStep[T] {
 	s := comm.GetPooled[routeStep[T]](pe)
 	bufA, bufB, ship := s.bufA[:0], s.bufB[:0], s.shipBuf[:0]
-	*s = routeStep[T]{dest: dest, cmb: cmb, chunk: chunk, hold: items, bufA: bufA, bufB: bufB, shipBuf: ship}
+	*s = routeStep[T]{dest: dest, cmb: cmb, hold: items, bufA: bufA, bufB: bufB, shipBuf: ship}
 	return s
 }
 
@@ -103,16 +92,6 @@ func (s *routeStep[T]) storeKeep(b []T) {
 	}
 }
 
-// ship sends items to dst: one pooled-copy message (direct), or the
-// count + chunk framing of sendChunked.
-func (s *routeStep[T]) ship(pe *comm.PE, dst int, items []T) {
-	if s.chunk > 0 {
-		sendChunked(pe, dst, s.tag, s.chunk, items)
-		return
-	}
-	sendCopy(pe, s.pool, dst, s.tag, items)
-}
-
 // combineHold applies the optional per-step combine hook.
 func (s *routeStep[T]) combineHold() {
 	if s.cmb != nil {
@@ -120,31 +99,12 @@ func (s *routeStep[T]) combineHold() {
 	}
 }
 
-// takeMain consumes the exchange's first message. Direct mode: the whole
-// batch — append it onto dst and report done. Chunked mode: the count
-// word — record how many items follow and report not-done.
-func (s *routeStep[T]) takeMain(dst []T) ([]T, bool) {
-	rxAny, _ := s.h.Wait()
-	s.h = nil
-	if s.chunk > 0 {
-		hp := rxAny.(*[]int64)
-		s.need = int((*hp)[0])
-		commbuf.For[int64]().Put(hp)
-		return dst, s.need == 0
-	}
-	rx := rxAny.(*[]T)
-	dst = append(dst, *rx...)
-	s.pool.Put(rx)
-	return dst, true
-}
-
-// takeChunk consumes one chunk frame, appending onto dst.
-func (s *routeStep[T]) takeChunk(dst []T) []T {
+// take receives the exchange's batch and appends it onto dst.
+func (s *routeStep[T]) take(dst []T) []T {
 	rxAny, _ := s.h.Wait()
 	s.h = nil
 	rx := rxAny.(*[]T)
 	dst = append(dst, *rx...)
-	s.need -= len(*rx)
 	s.pool.Put(rx)
 	return dst
 }
@@ -180,9 +140,9 @@ func (s *routeStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
 				// and the eventual return overlap).
 				s.peer = s.rank - s.r
 				s.h = pe.IRecv(s.peer, s.tag)
-				s.ship(pe, s.peer, s.hold)
+				sendCopy(pe, s.pool, s.peer, s.tag, s.hold)
 				s.hold = s.flipKeep()
-				s.phase = rtphHighMain
+				s.phase = rtphHighWait
 				if !s.h.Test() {
 					return s.h
 				}
@@ -191,7 +151,7 @@ func (s *routeStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
 			if s.rank < s.extra {
 				s.peer = s.rank + s.r
 				s.h = pe.IRecv(s.peer, s.tag)
-				s.phase = rtphExtraMain
+				s.phase = rtphExtraWait
 				if !s.h.Test() {
 					return s.h
 				}
@@ -199,54 +159,17 @@ func (s *routeStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
 			}
 			s.bit = 0
 			s.phase = rtphBit
-		case rtphHighMain:
-			var done bool
-			s.hold, done = s.takeMain(s.hold)
-			if done {
-				s.storeKeep(s.hold)
-				s.combineHold()
-				s.phase = rtphDone
-				return nil
-			}
-			s.phase = rtphHighChunks
-		case rtphHighChunks:
-			for s.need > 0 {
-				if s.h == nil {
-					s.h = pe.IRecv(s.peer, s.tag)
-					if !s.h.Test() {
-						return s.h
-					}
-				}
-				s.hold = s.takeChunk(s.hold)
-			}
+		case rtphHighWait:
+			s.hold = s.take(s.hold)
 			s.storeKeep(s.hold)
 			s.combineHold()
 			s.phase = rtphDone
 			return nil
-		case rtphExtraMain:
-			var done bool
-			s.hold, done = s.takeMain(s.hold)
-			if done {
-				s.combineHold()
-				s.bit = 0
-				s.phase = rtphBit
-				continue
-			}
-			s.phase = rtphExtraChunks
-		case rtphExtraChunks:
+		case rtphExtraWait:
 			// hold still aliases the caller's items here (the fold-in
-			// appends onto it, like the blocking form did) — it must NOT be
-			// stored as a keep buffer, or a later partition round would
-			// write into the caller's slice.
-			for s.need > 0 {
-				if s.h == nil {
-					s.h = pe.IRecv(s.peer, s.tag)
-					if !s.h.Test() {
-						return s.h
-					}
-				}
-				s.hold = s.takeChunk(s.hold)
-			}
+			// appends onto it) — it must NOT be stored as a keep buffer, or
+			// a later partition round would write into the caller's slice.
+			s.hold = s.take(s.hold)
 			s.combineHold()
 			s.bit = 0
 			s.phase = rtphBit
@@ -273,32 +196,13 @@ func (s *routeStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
 			s.shipBuf = shipB
 			s.hold = keep
 			s.h = pe.IRecv(s.peer, s.tag)
-			s.ship(pe, s.peer, shipB)
-			s.phase = rtphBitMain
+			sendCopy(pe, s.pool, s.peer, s.tag, shipB)
+			s.phase = rtphBitWait
 			if !s.h.Test() {
 				return s.h
 			}
-		case rtphBitMain:
-			var done bool
-			s.hold, done = s.takeMain(s.hold)
-			if done {
-				s.storeKeep(s.hold)
-				s.combineHold()
-				s.bit++
-				s.phase = rtphBit
-				continue
-			}
-			s.phase = rtphBitChunks
-		case rtphBitChunks:
-			for s.need > 0 {
-				if s.h == nil {
-					s.h = pe.IRecv(s.peer, s.tag)
-					if !s.h.Test() {
-						return s.h
-					}
-				}
-				s.hold = s.takeChunk(s.hold)
-			}
+		case rtphBitWait:
+			s.hold = s.take(s.hold)
 			s.storeKeep(s.hold)
 			s.combineHold()
 			s.bit++
@@ -316,7 +220,7 @@ func (s *routeStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
 					}
 				}
 				s.shipBuf = theirs
-				s.ship(pe, s.rank+s.r, theirs)
+				sendCopy(pe, s.pool, s.rank+s.r, s.tag, theirs)
 				s.hold = mine
 				s.storeKeep(mine)
 			}
@@ -329,33 +233,24 @@ func (s *routeStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
 	}
 }
 
-// routeResult clones the engine's held batch into a caller-owned slice
-// (nil stays nil for an empty result, matching the old appends-from-nil
-// behavior of the blocking router).
-func (s *routeStep[T]) routeResult() []T {
-	return append([]T(nil), s.hold...)
-}
-
-// routeOutStep — the self-releasing wrapper behind the public route
-// steppers.
+// routeOutStep — the self-releasing wrapper behind RouteCombineStep.
 type routeOutStep[T any] struct {
 	items []T
-	chunk int
 	dest  func(T) int
 	cmb   func([]T) []T
 	out   func([]T)
 	eng   *routeStep[T]
 }
 
-func newRouteOutStep[T any](pe *comm.PE, items []T, chunk int, dest func(T) int, cmb func([]T) []T, out func([]T)) comm.Stepper {
+func newRouteOutStep[T any](pe *comm.PE, items []T, dest func(T) int, cmb func([]T) []T, out func([]T)) comm.Stepper {
 	s := comm.GetPooled[routeOutStep[T]](pe)
-	*s = routeOutStep[T]{items: items, chunk: chunk, dest: dest, cmb: cmb, out: out}
+	*s = routeOutStep[T]{items: items, dest: dest, cmb: cmb, out: out}
 	return s
 }
 
 func (s *routeOutStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
 	if s.eng == nil {
-		s.eng = newRouteStep(pe, s.items, s.chunk, s.dest, s.cmb)
+		s.eng = newRouteStep(pe, s.items, s.dest, s.cmb)
 	}
 	if h := s.eng.Step(pe); h != nil {
 		return h
@@ -371,36 +266,15 @@ func (s *routeOutStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
 	return nil
 }
 
-// RouteCombineStep is the continuation form of RouteCombine: out
-// receives this PE's routed batch as a borrowed view valid only during
-// the call (the blocking form's result is caller-owned). dest and
-// combine follow RouteCombine's contract. Steady-state allocation-free
-// (modulo the caller's own combine hook).
+// RouteCombineStep is the hypercube router as a stepper, for items whose
+// destination is derivable from the item itself (e.g. a hashed key):
+// nothing but the payload travels. dest must be pure; combine (optional)
+// re-aggregates the held batch after every exchange and must preserve
+// destinations. out receives this PE's routed batch as a borrowed view
+// valid only during the call. Steady-state allocation-free (modulo the
+// caller's own combine hook).
 func RouteCombineStep[T any](pe *comm.PE, items []T, dest func(T) int, combine func([]T) []T, out func([]T)) comm.Stepper {
-	return newRouteOutStep(pe, items, 0, dest, combine, out)
-}
-
-// AllToAllCombineStep is the continuation form of AllToAllCombine.
-func AllToAllCombineStep[T any](pe *comm.PE, items []Routed[T], combine func([]Routed[T]) []Routed[T], out func([]Routed[T])) comm.Stepper {
-	return newRouteOutStep(pe, items, 0, routedDest[T], combine, out)
-}
-
-// RouteCombineChunkedStep is the continuation form of the chunk-framed
-// router underneath AllToAllCombineChunked.
-func RouteCombineChunkedStep[T any](pe *comm.PE, items []T, chunk int, dest func(T) int, combine func([]T) []T, out func([]T)) comm.Stepper {
-	if chunk < 1 {
-		panic(fmt.Sprintf("coll: chunk %d < 1", chunk))
-	}
-	return newRouteOutStep(pe, items, chunk, dest, combine, out)
-}
-
-// AllToAllCombineChunkedStep is the continuation form of
-// AllToAllCombineChunked.
-func AllToAllCombineChunkedStep[T any](pe *comm.PE, items []Routed[T], chunk int, combine func([]Routed[T]) []Routed[T], out func([]Routed[T])) comm.Stepper {
-	if chunk < 1 {
-		panic(fmt.Sprintf("coll: chunk %d < 1", chunk))
-	}
-	return newRouteOutStep(pe, items, chunk, routedDest[T], combine, out)
+	return newRouteOutStep(pe, items, dest, combine, out)
 }
 
 // routedDest is AllToAllCombine's dest function (package-level so the

@@ -5,11 +5,10 @@ import (
 	"commtopk/internal/commbuf"
 )
 
-// Continuation forms of the vector prefix scans. Same wire schedule as
-// the blocking InScan/ExScan (Hillis–Steele dissemination, plus one
-// shift-down round for the exclusive form), which are these steppers
-// driven by comm.RunSteps; ExScanSum is the exclusive engine on one
-// element.
+// The prefix-scan engine as a stepper: Hillis–Steele dissemination, plus
+// one shift-down round for the exclusive form. The blocking InScan drives
+// the inclusive form with comm.RunSteps; ExScanSum is the exclusive form
+// on one element.
 
 // inScan phase constants.
 const (
@@ -21,7 +20,7 @@ const (
 	isphDone
 )
 
-// inScanStep — see InScanStep / ExScanStep.
+// inScanStep — see newInScanStep.
 type inScanStep[T any] struct {
 	acc       []T
 	op        func(a, b T) T
@@ -36,25 +35,9 @@ type inScanStep[T any] struct {
 	phase     int
 }
 
-// InScanStep is the continuation form of InScan: dst (resized as needed,
-// may be nil) receives op(x@0, ..., x@rank) elementwise and is handed to
-// out. The result never aliases x.
-func InScanStep[T any](pe *comm.PE, dst, x []T, op func(a, b T) T, out func([]T)) comm.Stepper {
-	dst = commbuf.Resize(dst[:0], len(x))
-	copy(dst, x)
-	return newInScanStep(pe, dst, op, nil, false, out)
-}
-
-// ExScanStep is the continuation form of ExScan: dst receives
-// op(x@0, ..., x@(rank-1)) elementwise — the identity on rank 0.
-// identity must have the same length as x.
-func ExScanStep[T any](pe *comm.PE, dst, x []T, op func(a, b T) T, identity []T, out func([]T)) comm.Stepper {
-	dst = commbuf.Resize(dst[:0], len(x))
-	copy(dst, x)
-	return newInScanStep(pe, dst, op, identity, true, out)
-}
-
-// newInScanStep scans acc, this PE's contribution, in place.
+// newInScanStep scans acc, this PE's contribution, in place: inclusive
+// leaves op(x@0, ..., x@rank) in it, exclusive op(x@0, ..., x@(rank-1))
+// — identity (the same length as acc) on rank 0. out receives acc.
 func newInScanStep[T any](pe *comm.PE, acc []T, op func(a, b T) T, identity []T, exclusive bool, out func([]T)) *inScanStep[T] {
 	s := comm.GetPooled[inScanStep[T]](pe)
 	*s = inScanStep[T]{acc: acc, op: op, identity: identity, exclusive: exclusive, out: out}

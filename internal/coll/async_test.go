@@ -78,35 +78,7 @@ func asyncPairs() []asyncPair {
 			},
 			start: func(pe *comm.PE, out *any) comm.Stepper {
 				x := []int64{int64(pe.Rank()) + 1, int64(pe.Rank() * 2)}
-				return InScanStep(pe, nil, x, sum, func(v []int64) { *out = slices.Clone(v) })
-			},
-		},
-		{
-			name: "ExScan",
-			block: func(pe *comm.PE, out *any) {
-				x := []int64{int64(pe.Rank()) + 3, 1}
-				*out = ExScan(pe, x, sum, []int64{0, 0})
-			},
-			start: func(pe *comm.PE, out *any) comm.Stepper {
-				x := []int64{int64(pe.Rank()) + 3, 1}
-				return ExScanStep(pe, nil, x, sum, []int64{0, 0}, func(v []int64) { *out = slices.Clone(v) })
-			},
-		},
-		{
-			name: "GatherStrided",
-			block: func(pe *comm.PE, out *any) {
-				block := []int64{int64(pe.Rank()), int64(pe.Rank() * 2)}
-				var sum int64
-				GatherStrided(pe, block, 3, func(src int, b []int64) { sum += int64(src) + b[1] })
-				*out = sum
-			},
-			start: func(pe *comm.PE, out *any) comm.Stepper {
-				block := []int64{int64(pe.Rank()), int64(pe.Rank() * 2)}
-				var sum int64
-				return comm.Seq(
-					GatherStridedStep(pe, block, 3, func(src int, b []int64) { sum += int64(src) + b[1] }),
-					comm.StepFunc(func(pe *comm.PE) *comm.RecvHandle { *out = sum; return nil }),
-				)
+				return newInScanStep(pe, x, sum, nil, false, func(v []int64) { *out = slices.Clone(v) })
 			},
 		},
 		{
@@ -213,44 +185,6 @@ func asyncPairs() []asyncPair {
 			},
 		},
 		{
-			name: "Gatherv",
-			block: func(pe *comm.PE, out *any) {
-				data := make([]int64, pe.Rank()%3+1)
-				for i := range data {
-					data[i] = int64(pe.Rank()*7 + i)
-				}
-				flat := []int64{}
-				for _, part := range Gatherv(pe, 0, data) {
-					flat = append(flat, part...)
-				}
-				*out = flat
-			},
-			start: func(pe *comm.PE, out *any) comm.Stepper {
-				data := make([]int64, pe.Rank()%3+1)
-				for i := range data {
-					data[i] = int64(pe.Rank()*7 + i)
-				}
-				return GathervStep(pe, 0, data, func(parts [][]int64) {
-					flat := []int64{}
-					for _, part := range parts {
-						flat = append(flat, part...)
-					}
-					*out = flat
-				})
-			},
-		},
-		{
-			name: "Reduce",
-			block: func(pe *comm.PE, out *any) {
-				x := []int64{int64(pe.Rank()) + 5, int64(pe.Rank() * 3), 11}
-				*out = Reduce(pe, 1%pe.P(), x, sum)
-			},
-			start: func(pe *comm.PE, out *any) comm.Stepper {
-				x := []int64{int64(pe.Rank()) + 5, int64(pe.Rank() * 3), 11}
-				return ReduceStep(pe, 1%pe.P(), nil, x, sum, func(v []int64) { *out = slices.Clone(v) })
-			},
-		},
-		{
 			name: "Scatterv",
 			block: func(pe *comm.PE, out *any) {
 				var parts [][]int64
@@ -270,7 +204,7 @@ func asyncPairs() []asyncPair {
 						parts[i] = []int64{int64(i * 13), int64(i)}
 					}
 				}
-				return ScattervStep(pe, 0, parts, func(v []int64) { *out = slices.Clone(v) })
+				return newScattervStep(pe, 0, parts, func(v []int64) { *out = slices.Clone(v) })
 			},
 		},
 		{
@@ -289,19 +223,7 @@ func asyncPairs() []asyncPair {
 				*out = flattenRouted(got)
 			},
 			start: func(pe *comm.PE, out *any) comm.Stepper {
-				return AllToAllCombineStep(pe, routeItems(pe), sumPerDest, func(got []Routed[int64]) {
-					*out = flattenRouted(got)
-				})
-			},
-		},
-		{
-			name: "RouteCombineChunked",
-			block: func(pe *comm.PE, out *any) {
-				got := AllToAllCombineChunked(pe, routeItems(pe), 2, nil)
-				*out = flattenRouted(got)
-			},
-			start: func(pe *comm.PE, out *any) comm.Stepper {
-				return AllToAllCombineChunkedStep(pe, routeItems(pe), 2, nil, func(got []Routed[int64]) {
+				return RouteCombineStep(pe, routeItems(pe), routedDest[int64], sumPerDest, func(got []Routed[int64]) {
 					*out = flattenRouted(got)
 				})
 			},
@@ -502,7 +424,7 @@ func TestVectorSteppersContinuationStress(t *testing.T) {
 							concatSum += e
 						}
 					}),
-					AllToAllCombineStep(pe, routeItems(pe), nil, func(got []Routed[int64]) {
+					RouteCombineStep(pe, routeItems(pe), routedDest[int64], nil, func(got []Routed[int64]) {
 						for _, it := range got {
 							routeSum += it.Payload
 						}
@@ -530,41 +452,6 @@ func TestVectorSteppersContinuationStress(t *testing.T) {
 			}
 		}
 		m.Close()
-	}
-}
-
-// TestGatherStridedCoverage pins the sampling pattern: every PE visits
-// exactly s distinct non-self sources, and the global send/receive
-// volume balances.
-func TestGatherStridedCoverage(t *testing.T) {
-	const p, s = 32, 5
-	m := comm.NewMachine(comm.DefaultConfig(p))
-	defer m.Close()
-	visited := make([][]int, p)
-	m.MustRun(func(pe *comm.PE) {
-		block := []int64{int64(pe.Rank())}
-		GatherStrided(pe, block, s, func(src int, b []int64) {
-			if b[0] != int64(src) {
-				t.Errorf("rank %d: block from %d carries %d", pe.Rank(), src, b[0])
-			}
-			visited[pe.Rank()] = append(visited[pe.Rank()], src)
-		})
-	})
-	for r, vs := range visited {
-		if len(vs) != s {
-			t.Errorf("rank %d visited %d sources, want %d", r, len(vs), s)
-		}
-		seen := map[int]bool{r: true}
-		for _, src := range vs {
-			if seen[src] {
-				t.Errorf("rank %d visited %d twice (or itself)", r, src)
-			}
-			seen[src] = true
-		}
-	}
-	st := m.Stats()
-	if st.MaxSends != s {
-		t.Errorf("MaxSends = %d, want %d", st.MaxSends, s)
 	}
 }
 

@@ -8,10 +8,10 @@ import (
 )
 
 // Continuation forms of the vector- and gather-shaped collectives:
-// AllReduce/AllReduceInto (recursive doubling + the Rabenseifner long
-// path), the dissemination all-gather (AllGatherv/AllGatherConcat), the
-// staggered direct AllToAll, the binomial Gatherv, and BroadcastScalar.
-// The hypercube router and the chunked gathers are in async_route.go.
+// AllReduce (recursive doubling + the Rabenseifner long path), the
+// dissemination all-gather (AllGatherv/AllGatherConcat), the staggered
+// direct AllToAll, the binomial Gatherv, and BroadcastScalar. The
+// hypercube router and the chunked all-gather are in async_route.go.
 //
 // The reduction and gather engines here are THE implementation: the
 // blocking forms in coll.go drive the same steppers through
@@ -89,10 +89,10 @@ func newAllReduceAccStep[T any](pe *comm.PE, acc []T, op func(a, b T) T, out fun
 	return s
 }
 
-// AllReduceIntoStep is the continuation form of AllReduceInto: dst
-// (grown as needed; nil to allocate) receives the elementwise
-// combination of x across PEs and is handed to out. dst must not
-// overlap x. With a reused dst the steady state allocates nothing.
+// AllReduceIntoStep is AllReduce writing into dst (grown as needed; nil
+// to allocate): dst receives the elementwise combination of x across PEs
+// and is handed to out. dst must not overlap x. With a reused dst the
+// steady state allocates nothing.
 func AllReduceIntoStep[T any](pe *comm.PE, dst, x []T, op func(a, b T) T, out func([]T)) comm.Stepper {
 	dst = commbuf.Resize(dst[:0], len(x))
 	copy(dst, x)
@@ -694,67 +694,6 @@ func (s *gathervStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
 			s.phase = 1
 		}
 	}
-}
-
-// gathervOutStep — see GathervStep.
-type gathervOutStep[T any] struct {
-	root int
-	data []T
-	out  func([][]T)
-	eng  *gathervStep[T]
-}
-
-// GathervStep is the continuation form of Gatherv: out receives the
-// rank-indexed slice of contributions on the root and nil elsewhere. The
-// rank-indexed slice is a borrowed pooled view valid only during the
-// call (the contributed subslices themselves alias the senders' data,
-// exactly like the blocking form — read-only). Steady-state
-// allocation-free on every PE.
-func GathervStep[T any](pe *comm.PE, root int, data []T, out func([][]T)) comm.Stepper {
-	s := comm.GetPooled[gathervOutStep[T]](pe)
-	*s = gathervOutStep[T]{root: root, data: data, out: out}
-	return s
-}
-
-func (s *gathervOutStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
-	p := pe.P()
-	if p == 1 {
-		out, data := s.out, s.data
-		*s = gathervOutStep[T]{}
-		comm.PutPooled(pe, s)
-		if out != nil {
-			out([][]T{data})
-		}
-		return nil
-	}
-	if s.eng == nil {
-		s.eng = newGathervStep(pe, s.root, s.data)
-	}
-	if h := s.eng.Step(pe); h != nil {
-		return h
-	}
-	var parts [][]T
-	var partsPtr *[][]T
-	if pe.Rank() == s.root {
-		partsPtr = commbuf.For[[]T]().Get(p)
-		parts = *partsPtr
-		for _, b := range s.eng.hold {
-			parts[b.rank] = b.data
-		}
-	}
-	out := s.out
-	eng := s.eng
-	*s = gathervOutStep[T]{}
-	comm.PutPooled(pe, s)
-	if out != nil {
-		out(parts)
-	}
-	if partsPtr != nil {
-		clear(*partsPtr)
-		commbuf.For[[]T]().Put(partsPtr)
-	}
-	eng.release(pe)
-	return nil
 }
 
 // ---------------------------------------------------------------------------

@@ -157,7 +157,7 @@ func BitonicMergePositions(pe *comm.PE, aKey, bKey uint64) (posA, posB int) {
 		}
 		reports = append(reports, posReport{Origin: e.Origin, Seq: e.Seq, Pos: int32(pos)})
 	}
-	back := RouteCombine(pe, reports, func(r posReport) int { return int(r.Origin) }, nil)
+	back := routeCombine(pe, reports, func(r posReport) int { return int(r.Origin) }, nil)
 	posA, posB = -1, -1
 	for _, r := range back {
 		if r.Seq == 0 {

@@ -1,28 +1,24 @@
 package coll
 
 import (
-	"fmt"
-
 	"commtopk/internal/comm"
-	"commtopk/internal/commbuf"
 )
 
-// Chunked / streaming variants of the gather-shaped collectives.
+// The streaming all-gather.
 //
 // The materializing forms (AllGatherv, AllGatherConcat, AllToAll) hand
 // every PE all p blocks at once: per-PE result memory O(p·m̄), which at
 // p = 16384 with even 4-word blocks is ~0.5 MB per PE — p² in aggregate,
 // the reason the scaling suite's collective set was capped at the
-// O(log p) operations. The variants here never materialize: the caller
+// O(log p) operations. AllGatherChunked never materializes: the caller
 // supplies a visit callback and the per-PE footprint stays
 // O(m + chunk·m̄) — the local block plus a bounded window of in-flight
 // blocks — at the price of a startup count that grows from O(log p)
 // toward O(p/chunk). That trade is fundamental: every PE must still
 // *see* p·m̄ words, it just no longer has to *hold* them.
 //
-// Both protocols are implemented as continuation steppers
-// (async_route.go); the blocking forms here drive them through
-// comm.RunSteps.
+// The protocol is a continuation stepper (async_route.go); the blocking
+// form here drives it through comm.RunSteps.
 
 // AllGatherChunked delivers every PE's block to every PE without
 // materializing the gather: visit is called exactly once per rank — in
@@ -64,53 +60,4 @@ func groupSize(p, chunk int) int {
 		}
 	}
 	return 1
-}
-
-// AllToAllCombineChunked is AllToAllCombine with bounded in-flight
-// blocks: each hypercube exchange ships its items in ⌈n/chunk⌉ messages
-// of at most chunk items, preceded by a one-word count, so no single
-// in-flight message (and no mailbox node) ever holds more than chunk
-// items. The extra startups are metered honestly; total volume gains one
-// word per exchange. combine (optional) re-aggregates the held buffer
-// after every exchange step exactly as in AllToAllCombine — with a
-// combine that keeps the held set small, per-PE memory is
-// O(held + chunk) instead of O(held + largest shipment).
-func AllToAllCombineChunked[T any](pe *comm.PE, items []Routed[T], chunk int, combine func([]Routed[T]) []Routed[T]) []Routed[T] {
-	return routeCombineChunked(pe, items, chunk, routedDest[T], combine)
-}
-
-// routeCombineChunked is RouteCombine with chunk-bounded shipments. The
-// routing structure (fold-in of non-power-of-two stragglers, hypercube
-// dimension sweeps, unfold) and the item order delivered to combine are
-// identical to RouteCombine's — both drive the same route engine — so
-// results are bit-identical and the word volume differs by exactly one
-// count word per exchange.
-func routeCombineChunked[T any](pe *comm.PE, items []T, chunk int, dest func(T) int, combine func([]T) []T) []T {
-	if chunk < 1 {
-		panic(fmt.Sprintf("coll: chunk %d < 1", chunk))
-	}
-	st := newRouteStep(pe, items, chunk, dest, combine)
-	comm.RunSteps(pe, st)
-	out := st.hold
-	if pe.P() > 1 {
-		out = st.routeResult()
-	}
-	st.release(pe)
-	return out
-}
-
-// sendChunked frames items as a one-word count followed by ⌈n/chunk⌉
-// pooled messages of at most chunk items each (ownership transfers).
-func sendChunked[T any](pe *comm.PE, dst int, tag comm.Tag, chunk int, items []T) {
-	w := WordsOf[T]()
-	hp := commbuf.For[int64]().Get(1)
-	(*hp)[0] = int64(len(items))
-	pe.Send(dst, tag, hp, 1)
-	pool := commbuf.For[T]()
-	for off := 0; off < len(items); off += chunk {
-		end := min(off+chunk, len(items))
-		b := pool.Get(end - off)
-		copy(*b, items[off:end])
-		pe.Send(dst, tag, b, int64(end-off)*w)
-	}
 }

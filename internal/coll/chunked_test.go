@@ -100,105 +100,3 @@ func TestAllGatherChunkedVolume(t *testing.T) {
 		m.Close()
 	}
 }
-
-// TestAllToAllCombineChunkedMatchesUnchunked pins the chunk-framed
-// hypercube router against AllToAllCombine: identical delivered
-// multisets (and identical order, since the routing structure is shared)
-// with and without a combine hook, across chunk sizes and non-power p.
-func TestAllToAllCombineChunkedMatchesUnchunked(t *testing.T) {
-	combine := func(held []Routed[int64]) []Routed[int64] {
-		// Sum payloads per destination — order-canonical, like the DHT use.
-		sums := map[int]int64{}
-		for _, it := range held {
-			sums[it.Dest] += it.Payload
-		}
-		dests := make([]int, 0, len(sums))
-		for d := range sums {
-			dests = append(dests, d)
-		}
-		slices.Sort(dests)
-		out := make([]Routed[int64], 0, len(sums))
-		for _, d := range dests {
-			out = append(out, Routed[int64]{Dest: d, Payload: sums[d]})
-		}
-		return out
-	}
-	for _, p := range []int{1, 2, 5, 8, 13} {
-		for _, chunk := range []int{1, 3, 1024} {
-			for _, withCombine := range []bool{false, true} {
-				name := fmt.Sprintf("p=%d/chunk=%d/combine=%v", p, chunk, withCombine)
-				t.Run(name, func(t *testing.T) {
-					mk := func(pe *comm.PE) []Routed[int64] {
-						items := make([]Routed[int64], 2*pe.P())
-						for i := range items {
-							items[i] = Routed[int64]{Dest: i % pe.P(), Payload: int64(pe.Rank()*1000 + i)}
-						}
-						return items
-					}
-					var cmb func([]Routed[int64]) []Routed[int64]
-					if withCombine {
-						cmb = combine
-					}
-					want := make([][]Routed[int64], p)
-					got := make([][]Routed[int64], p)
-					m := comm.NewMachine(comm.DefaultConfig(p))
-					defer m.Close()
-					m.MustRun(func(pe *comm.PE) {
-						want[pe.Rank()] = AllToAllCombine(pe, mk(pe), cmb)
-						got[pe.Rank()] = AllToAllCombineChunked(pe, mk(pe), chunk, cmb)
-					})
-					for r := 0; r < p; r++ {
-						sortRouted(want[r])
-						sortRouted(got[r])
-						if !reflect.DeepEqual(want[r], got[r]) {
-							t.Errorf("PE %d: chunked routing diverges\nwant %v\ngot  %v", r, want[r], got[r])
-						}
-					}
-				})
-			}
-		}
-	}
-}
-
-func sortRouted(items []Routed[int64]) {
-	slices.SortFunc(items, func(a, b Routed[int64]) int {
-		if a.Dest != b.Dest {
-			return a.Dest - b.Dest
-		}
-		switch {
-		case a.Payload < b.Payload:
-			return -1
-		case a.Payload > b.Payload:
-			return 1
-		}
-		return 0
-	})
-}
-
-// TestAllToAllCombineChunkedInFlightBound pins the chunk framing in the
-// meter: with n items per shipment and chunk c, each exchange costs
-// ⌈n/c⌉ + 1 startups instead of 1, and exactly one extra word.
-func TestAllToAllCombineChunkedInFlightBound(t *testing.T) {
-	const p = 8
-	run := func(chunk int) (sends, words int64) {
-		m := comm.NewMachine(comm.DefaultConfig(p))
-		defer m.Close()
-		m.MustRun(func(pe *comm.PE) {
-			items := make([]Routed[int64], 6)
-			for i := range items {
-				items[i] = Routed[int64]{Dest: (pe.Rank() + i) % p, Payload: 1}
-			}
-			AllToAllCombineChunked(pe, items, chunk, nil)
-		})
-		s := m.Stats()
-		return s.TotalSends, s.TotalWords
-	}
-	s1, w1 := run(1)
-	s64, w64 := run(64)
-	if s1 <= s64 {
-		t.Errorf("chunk=1 should need more startups than chunk=64: %d vs %d", s1, s64)
-	}
-	if w1 != w64 {
-		t.Errorf("volume must not depend on chunk: %d vs %d words", w1, w64)
-	}
-}

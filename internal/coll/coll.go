@@ -22,12 +22,11 @@
 // callers may reuse their input slices immediately.
 //
 // Fully allocation-free in steady state are the variants that do not hand
-// a fresh result slice to the caller: ReduceInto/AllReduceInto (with a
-// reused dst), the scalar collectives (AllReduceScalar, SumAll, MinAll,
-// MaxAll, BroadcastScalar, ExScanSum), and Barrier. The slice-returning
-// conveniences (Reduce, AllReduce, InScan, ExScan, AllGatherConcat) still
-// allocate their result — one slice per call, with all internal traffic
-// pooled.
+// a fresh result slice to the caller: the scalar collectives
+// (AllReduceScalar, SumAll, BroadcastScalar, ExScanSum), Barrier, and
+// AllReduceIntoStep with a reused dst. The slice-returning
+// conveniences (AllReduce, InScan, AllGatherConcat) still allocate their
+// result — one slice per call, with all internal traffic pooled.
 //
 // The data-movement collectives Broadcast, Gatherv and AllGatherv keep
 // by-reference semantics for the payload: see each function's aliasing
@@ -114,47 +113,16 @@ func BroadcastScalar[T any](pe *comm.PE, root int, v T) T {
 	return v
 }
 
-// Reduce combines the vectors x elementwise with op along a binomial tree;
-// the result lands on root (nil elsewhere). op must be associative and
-// commutative. The result never aliases x, and x is not retained after
-// Reduce returns.
-func Reduce[T any](pe *comm.PE, root int, x []T, op func(a, b T) T) []T {
-	if pe.Rank() != root && pe.P() > 1 {
-		return ReduceInto(pe, root, nil, x, op)
-	}
-	return ReduceInto(pe, root, make([]T, 0, len(x)), x, op)
-}
-
-// ReduceInto is Reduce writing the root's result into dst (grown as
-// needed; pass nil to allocate). dst must not overlap x. Only the root's
-// dst is used; other PEs may pass nil and receive nil. With a reused dst
-// the steady-state allocation count is zero on every PE. The schedule is
-// the binomial-tree engine of async_reduce.go driven to completion with
-// blocking waits — one implementation for both execution modes.
-func ReduceInto[T any](pe *comm.PE, root int, dst, x []T, op func(a, b T) T) []T {
-	var result []T
-	comm.RunSteps(pe, ReduceStep(pe, root, dst, x, op, func(r []T) { result = r }))
-	return result
-}
-
 // AllReduce combines x elementwise with op and returns the result on all
 // PEs. Short vectors use recursive doubling (volume m·log p, minimal
 // latency); long vectors switch to reduce-scatter + all-gather
 // (Rabenseifner), whose volume is O(m) independent of p — the
 // full-bandwidth regime of the collectives the paper cites [33]. Both
 // paths fold non-power-of-two stragglers onto partners first. The result
-// never aliases x and is owned by the caller.
+// never aliases x and is owned by the caller. The schedule is the
+// all-reduce engine of async_vec.go driven with blocking waits.
 func AllReduce[T any](pe *comm.PE, x []T, op func(a, b T) T) []T {
-	return AllReduceInto(pe, nil, x, op)
-}
-
-// AllReduceInto is AllReduce writing the result into dst (grown as needed;
-// pass nil to allocate). dst must not overlap x. With a reused dst the
-// steady-state allocation count is zero. The schedule is the all-reduce
-// engine stepper of async_vec.go, driven to completion with blocking
-// waits (comm.RunSteps) — one implementation for both execution modes.
-func AllReduceInto[T any](pe *comm.PE, dst, x []T, op func(a, b T) T) []T {
-	dst = commbuf.Resize(dst[:0], len(x))
+	dst := commbuf.Resize[T](nil, len(x))
 	copy(dst, x)
 	comm.RunSteps(pe, newAllReduceAccStep(pe, dst, op, nil))
 	return dst
@@ -166,24 +134,22 @@ func AllReduceScalar[T any](pe *comm.PE, v T, op func(a, b T) T) T {
 	return runScalar(pe, newAllReduceScalar(pe, v, op, nil))
 }
 
-// addOf, minOf and maxOf are the scalar reduction operators as
-// package-level generic functions. Evaluating one inside a generic
-// function still builds a dictionary-carrying func value that
-// heap-allocates when it escapes into the pooled stepper state, so the
-// zero-alloc wrappers below cache the built values in a per-PE singleton
-// (comm.GetSingleton) — one allocation per PE and element type, ever.
+// addOf is the sum operator as a package-level generic function.
+// Evaluating it inside a generic function still builds a
+// dictionary-carrying func value that heap-allocates when it escapes into
+// the pooled stepper state, so the zero-alloc wrappers below cache the
+// built value in a per-PE singleton (comm.GetSingleton) — one allocation
+// per PE and element type, ever.
 func addOf[T cmp.Ordered](a, b T) T { return a + b }
-func minOf[T cmp.Ordered](a, b T) T { return min(a, b) }
-func maxOf[T cmp.Ordered](a, b T) T { return max(a, b) }
 
 type scalarOps[T cmp.Ordered] struct {
-	add, mn, mx func(a, b T) T
+	add func(a, b T) T
 }
 
 func opsOf[T cmp.Ordered](pe *comm.PE) *scalarOps[T] {
 	o := comm.GetSingleton[scalarOps[T]](pe)
 	if o.add == nil {
-		o.add, o.mn, o.mx = addOf[T], minOf[T], maxOf[T]
+		o.add = addOf[T]
 	}
 	return o
 }
@@ -193,36 +159,20 @@ func SumAll[T int | int64 | float64 | uint64](pe *comm.PE, v T) T {
 	return AllReduceScalar(pe, v, opsOf[T](pe).add)
 }
 
-// MinAll returns the global minimum of v across PEs on all PEs.
-func MinAll[T cmp.Ordered](pe *comm.PE, v T) T {
-	return AllReduceScalar(pe, v, opsOf[T](pe).mn)
-}
-
-// MaxAll returns the global maximum of v across PEs on all PEs.
-func MaxAll[T cmp.Ordered](pe *comm.PE, v T) T {
-	return AllReduceScalar(pe, v, opsOf[T](pe).mx)
-}
-
 // InScan returns the inclusive prefix combination of x: PE j receives
 // op(x@0, ..., x@j) elementwise (Hillis–Steele dissemination, O(log p)
-// rounds). The result never aliases x.
+// rounds). The result never aliases x. The schedule is the scan engine
+// of async_scan.go driven with blocking waits.
 func InScan[T any](pe *comm.PE, x []T, op func(a, b T) T) []T {
-	var res []T
-	comm.RunSteps(pe, InScanStep(pe, nil, x, op, func(v []T) { res = v }))
-	return res
+	acc := commbuf.Resize[T](nil, len(x))
+	copy(acc, x)
+	comm.RunSteps(pe, newInScanStep(pe, acc, op, nil, false, nil))
+	return acc
 }
 
-// ExScan returns the exclusive prefix combination of x: PE j receives
-// op(x@0, ..., x@(j-1)), and PE 0 receives identity.
-func ExScan[T any](pe *comm.PE, x []T, op func(a, b T) T, identity []T) []T {
-	var res []T
-	comm.RunSteps(pe, ExScanStep(pe, nil, x, op, identity, func(v []T) { res = v }))
-	return res
-}
-
-// ExScanSum returns the exclusive prefix sum of a scalar: ExScan on a
-// one-element accumulator with identity 0. Allocation-free in steady
-// state.
+// ExScanSum returns the exclusive prefix sum of a scalar: the exclusive
+// scan engine on a one-element accumulator with identity 0.
+// Allocation-free in steady state.
 func ExScanSum[T int | int64 | float64 | uint64](pe *comm.PE, v T) T {
 	return runScalar(pe, newExScanSum(pe, v, nil))
 }
@@ -261,10 +211,10 @@ func Gatherv[T any](pe *comm.PE, root int, data []T) [][]T {
 // returns the local part on every PE. parts is only read on root. The
 // returned slice aliases the root's parts[i] (not a copy). The schedule
 // is the binomial-tree engine of async_reduce.go driven to completion
-// with blocking waits — one implementation for both execution modes.
+// with blocking waits.
 func Scatterv[T any](pe *comm.PE, root int, parts [][]T) []T {
 	var mine []T
-	comm.RunSteps(pe, ScattervStep(pe, root, parts, func(r []T) { mine = r }))
+	comm.RunSteps(pe, newScattervStep(pe, root, parts, func(r []T) { mine = r }))
 	return mine
 }
 
@@ -381,15 +331,4 @@ func AllToAll[T any](pe *comm.PE, parts [][]T) [][]T {
 		out[src] = part
 	}))
 	return out
-}
-
-// SortedSample realizes the paper's "fast inefficient sorting" of a small
-// distributed sample (O(√p) objects): the sample is all-gathered and each
-// PE sorts it locally, so afterwards every PE knows the globally sorted
-// sample. Volume O(β|S|) per PE and O(α log p) startups, the same cost
-// class as the brute-force comparison sort of [2].
-func SortedSample[K cmp.Ordered](pe *comm.PE, local []K) []K {
-	all := AllGatherConcat(pe, local)
-	slices.Sort(all)
-	return all
 }

@@ -48,35 +48,6 @@ func TestBroadcastLogStartups(t *testing.T) {
 	}
 }
 
-func TestReduce(t *testing.T) {
-	for _, p := range peCounts {
-		root := p / 2
-		runOn(t, p, func(pe *comm.PE) {
-			x := []int64{int64(pe.Rank()), 1}
-			got := Reduce(pe, root, x, func(a, b int64) int64 { return a + b })
-			if pe.Rank() == root {
-				wantSum := int64(p * (p - 1) / 2)
-				if got[0] != wantSum || got[1] != int64(p) {
-					t.Errorf("p=%d: reduce got %v, want [%d %d]", p, got, wantSum, p)
-				}
-			} else if got != nil {
-				t.Errorf("p=%d rank=%d: non-root got %v", p, pe.Rank(), got)
-			}
-		})
-	}
-}
-
-func TestReduceDoesNotAliasInput(t *testing.T) {
-	runOn(t, 1, func(pe *comm.PE) {
-		x := []int64{5}
-		got := Reduce(pe, 0, x, func(a, b int64) int64 { return a + b })
-		got[0] = 99
-		if x[0] != 5 {
-			t.Error("Reduce result aliases caller input")
-		}
-	})
-}
-
 func TestAllReduce(t *testing.T) {
 	for _, p := range peCounts {
 		runOn(t, p, func(pe *comm.PE) {
@@ -93,11 +64,11 @@ func TestAllReduce(t *testing.T) {
 func TestAllReduceMinMax(t *testing.T) {
 	for _, p := range peCounts {
 		runOn(t, p, func(pe *comm.PE) {
-			if got := MinAll(pe, pe.Rank()+5); got != 5 {
-				t.Errorf("MinAll got %d", got)
+			if got := AllReduceScalar(pe, pe.Rank()+5, func(a, b int) int { return min(a, b) }); got != 5 {
+				t.Errorf("min all-reduce got %d", got)
 			}
-			if got := MaxAll(pe, pe.Rank()); got != p-1 {
-				t.Errorf("MaxAll got %d, want %d", got, p-1)
+			if got := AllReduceScalar(pe, pe.Rank(), func(a, b int) int { return max(a, b) }); got != p-1 {
+				t.Errorf("max all-reduce got %d, want %d", got, p-1)
 			}
 			if got := SumAll(pe, int64(1)); got != int64(p) {
 				t.Errorf("SumAll got %d, want %d", got, p)
@@ -250,21 +221,6 @@ func TestAllToAll(t *testing.T) {
 
 func TestBarrier(t *testing.T) {
 	runOn(t, 8, func(pe *comm.PE) { Barrier(pe) })
-}
-
-func TestSortedSample(t *testing.T) {
-	for _, p := range peCounts {
-		runOn(t, p, func(pe *comm.PE) {
-			local := []uint64{uint64(100 - pe.Rank()), uint64(pe.Rank())}
-			got := SortedSample(pe, local)
-			if len(got) != 2*p {
-				t.Fatalf("p=%d: sample size %d, want %d", p, len(got), 2*p)
-			}
-			if !slices.IsSorted(got) {
-				t.Errorf("p=%d: sample not sorted: %v", p, got)
-			}
-		})
-	}
 }
 
 func TestWordsOf(t *testing.T) {

@@ -18,28 +18,25 @@ type Routed[T any] struct {
 // combine hook is applied to the held buffer, letting the application
 // re-aggregate (e.g. sum counts with equal keys) so message sizes stay
 // bounded. combine may be nil for plain routing.
-func AllToAllCombine[T any](pe *comm.PE, items []Routed[T], combine func([]Routed[T]) []Routed[T]) []Routed[T] {
-	return RouteCombine(pe, items, routedDest[T], combine)
-}
-
-// RouteCombine is the hypercube router underneath AllToAllCombine for
-// items whose destination is derivable from the item itself (e.g. a
-// hashed key): nothing but the payload travels, saving the explicit
-// destination word. dest must be pure; combine (optional) re-aggregates
-// the held buffer after every exchange and must preserve destinations.
 //
 // O(log p) startups per PE. Non-power-of-two p is handled by folding the
 // top p−r ranks onto their partners before routing and unfolding at the
-// end (two extra exchanges). The schedule is the route engine stepper of
-// async_route.go driven with blocking waits — one implementation, both
-// execution modes; the result is caller-owned (for p = 1 it aliases
-// items, as before).
-func RouteCombine[T any](pe *comm.PE, items []T, dest func(T) int, combine func([]T) []T) []T {
-	st := newRouteStep(pe, items, 0, dest, combine)
+// end (two extra exchanges). The result is caller-owned (for p = 1 it
+// aliases items).
+func AllToAllCombine[T any](pe *comm.PE, items []Routed[T], combine func([]Routed[T]) []Routed[T]) []Routed[T] {
+	return routeCombine(pe, items, routedDest[T], combine)
+}
+
+// routeCombine is the route engine of async_route.go (RouteCombineStep's
+// schedule) driven with blocking waits; the result is a caller-owned copy
+// of the engine's held batch (nil for an empty result), or items itself
+// for p = 1.
+func routeCombine[T any](pe *comm.PE, items []T, dest func(T) int, combine func([]T) []T) []T {
+	st := newRouteStep(pe, items, dest, combine)
 	comm.RunSteps(pe, st)
 	out := st.hold
 	if pe.P() > 1 {
-		out = st.routeResult()
+		out = append([]T(nil), st.hold...)
 	}
 	st.release(pe)
 	return out

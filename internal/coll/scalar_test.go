@@ -44,11 +44,6 @@ func TestScalarCollectivesAreVectorForms(t *testing.T) {
 		}},
 	}
 	exScan := []scalarForm{
-		{"ExScanStep", func(m *comm.Machine, res []float64) {
-			m.MustRunAsync(func(pe *comm.PE) comm.Stepper {
-				return ExScanStep(pe, nil, []float64{val(pe)}, addF64, []float64{0}, func(v []float64) { res[pe.Rank()] = v[0] })
-			})
-		}},
 		{"ExScanSumStep", func(m *comm.Machine, res []float64) {
 			m.MustRunAsync(func(pe *comm.PE) comm.Stepper {
 				return ExScanSumStep(pe, val(pe), func(v float64) { res[pe.Rank()] = v })
@@ -56,6 +51,11 @@ func TestScalarCollectivesAreVectorForms(t *testing.T) {
 		}},
 		{"ExScanSum", func(m *comm.Machine, res []float64) {
 			m.MustRun(func(pe *comm.PE) { res[pe.Rank()] = ExScanSum(pe, val(pe)) })
+		}},
+		{"exclusive inScanStep", func(m *comm.Machine, res []float64) {
+			m.MustRunAsync(func(pe *comm.PE) comm.Stepper {
+				return newInScanStep(pe, []float64{val(pe)}, addF64, []float64{0}, true, func(v []float64) { res[pe.Rank()] = v[0] })
+			})
 		}},
 	}
 	// The non-powers of two exercise the all-reduce's fold-in and fold-out.

@@ -112,18 +112,6 @@ func diffOps(perPE int) []diffOp {
 			}
 			return flat
 		}},
-		{"HypercubeA2AChunked", func(pe *comm.PE, seed int64) any {
-			items := make([]coll.Routed[int64], pe.P())
-			for d := range items {
-				items[d] = coll.Routed[int64]{Dest: d, Payload: seed + int64(pe.Rank()+d)}
-			}
-			got := coll.AllToAllCombineChunked(pe, items, 2, nil)
-			var sum int64
-			for _, it := range got {
-				sum += it.Payload
-			}
-			return sum
-		}},
 		{"HypercubeA2A", func(pe *comm.PE, seed int64) any {
 			items := make([]coll.Routed[int64], pe.P())
 			for d := range items {
@@ -150,14 +138,6 @@ func diffOps(perPE int) []diffOp {
 			a, _ := h1.Wait()
 			b, _ := h2.Wait()
 			return []int64{a.(int64), b.(int64)}
-		}},
-		{"GatherStrided", func(pe *comm.PE, seed int64) any {
-			block := []int64{seed + int64(pe.Rank()), int64(pe.Rank() * 3)}
-			var acc []int64
-			coll.GatherStrided(pe, block, 5, func(src int, b []int64) {
-				acc = append(acc, int64(src), b[0], b[1])
-			})
-			return acc
 		}},
 		{"SelKth", func(pe *comm.PE, seed int64) any {
 			local := gen.SelectionInput(xrand.NewPE(seed, pe.Rank()), perPE, 12)
@@ -279,6 +259,16 @@ func TestBackendDifferentialRepeatedRuns(t *testing.T) {
 	}
 }
 
+// a2aParts is rank r's all-to-all contribution: one word r·p + d for
+// each destination d.
+func a2aParts(pe *comm.PE) [][]int64 {
+	parts := make([][]int64, pe.P())
+	for d := range parts {
+		parts[d] = []int64{int64(pe.Rank()*pe.P() + d)}
+	}
+	return parts
+}
+
 // TestBackendDifferentialContinuationBodies pins RunAsync against the
 // blocking reference: the continuation-scheduled collective suite on a
 // production machine (including w < p scheduler widths, where suspensions
@@ -294,7 +284,9 @@ func TestBackendDifferentialContinuationBodies(t *testing.T) {
 		b := coll.ExScanSum(pe, int64(pe.Rank()))
 		coll.Barrier(pe)
 		var g int64
-		coll.GatherStrided(pe, []int64{int64(pe.Rank())}, 7, func(src int, blk []int64) { g += blk[0] })
+		for _, part := range coll.AllToAll(pe, a2aParts(pe)) {
+			g += part[0]
+		}
 		return a ^ b ^ g
 	}
 	start := func(pe *comm.PE, out *int64) comm.Stepper {
@@ -304,7 +296,7 @@ func TestBackendDifferentialContinuationBodies(t *testing.T) {
 			coll.AllReduceScalarStep(pe, int64(pe.Rank())+3, sum, func(v int64) { a = v }),
 			coll.ExScanSumStep(pe, int64(pe.Rank()), func(v int64) { b = v }),
 			coll.BarrierStep(pe),
-			coll.GatherStridedStep(pe, []int64{int64(pe.Rank())}, 7, func(src int, blk []int64) { g += blk[0] }),
+			coll.AllToAllStep(pe, a2aParts(pe), func(src int, part []int64) { g += part[0] }),
 			comm.StepFunc(func(pe *comm.PE) *comm.RecvHandle { *out = a ^ b ^ g; return nil }),
 		)
 	}

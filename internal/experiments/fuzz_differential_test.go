@@ -71,6 +71,9 @@ func fuzzRouteItems(pe *comm.PE, prm int64) []coll.Routed[int64] {
 	return items
 }
 
+// routedDest is RouteCombineStep's dest function for routed items.
+func routedDest(it coll.Routed[int64]) int { return it.Dest }
+
 // fuzzBpqKeys builds count globally unique ascending keys for this rank
 // in the batch namespace base (namespaces far enough apart that refill
 // batches never collide with the initial fill).
@@ -237,38 +240,6 @@ func fuzzOps() []fuzzOp {
 			},
 		},
 		{
-			name: "GatherStrided",
-			block: func(pe *comm.PE, prm int64) any {
-				s := int(prm%7) + 1
-				acc := []int64{}
-				coll.GatherStrided(pe, []int64{prm + int64(pe.Rank())}, s, func(src int, b []int64) {
-					acc = append(acc, int64(src), b[0])
-				})
-				return acc
-			},
-			step: func(pe *comm.PE, prm int64, out *any) comm.Stepper {
-				s := int(prm%7) + 1
-				acc := []int64{}
-				return comm.Seq(
-					coll.GatherStridedStep(pe, []int64{prm + int64(pe.Rank())}, s, func(src int, b []int64) {
-						acc = append(acc, int64(src), b[0])
-					}),
-					comm.StepFunc(func(pe *comm.PE) *comm.RecvHandle { *out = acc; return nil }),
-				)
-			},
-		},
-		{
-			name: "Gatherv",
-			block: func(pe *comm.PE, prm int64) any {
-				return flattenParts(coll.Gatherv(pe, int(prm)%pe.P(), fuzzPayload(pe, prm)))
-			},
-			step: func(pe *comm.PE, prm int64, out *any) comm.Stepper {
-				return coll.GathervStep(pe, int(prm)%pe.P(), fuzzPayload(pe, prm), func(parts [][]int64) {
-					*out = flattenParts(parts)
-				})
-			},
-		},
-		{
 			// No blocking form of its own: the blocking leg drives the stepper.
 			name: "ReduceConcat",
 			block: func(pe *comm.PE, prm int64) any {
@@ -345,29 +316,7 @@ func fuzzOps() []fuzzOp {
 				return sum
 			},
 			step: func(pe *comm.PE, prm int64, out *any) comm.Stepper {
-				return coll.AllToAllCombineStep(pe, fuzzRouteItems(pe, prm), nil,
-					func(got []coll.Routed[int64]) {
-						var sum int64
-						for _, it := range got {
-							sum += it.Payload * int64(it.Dest+1)
-						}
-						*out = sum
-					})
-			},
-		},
-		{
-			name: "RouteCombineChunked",
-			block: func(pe *comm.PE, prm int64) any {
-				chunk := int(prm%4) + 1
-				var sum int64
-				for _, it := range coll.AllToAllCombineChunked(pe, fuzzRouteItems(pe, prm), chunk, nil) {
-					sum += it.Payload * int64(it.Dest+1)
-				}
-				return sum
-			},
-			step: func(pe *comm.PE, prm int64, out *any) comm.Stepper {
-				chunk := int(prm%4) + 1
-				return coll.AllToAllCombineChunkedStep(pe, fuzzRouteItems(pe, prm), chunk, nil,
+				return coll.RouteCombineStep(pe, fuzzRouteItems(pe, prm), routedDest, nil,
 					func(got []coll.Routed[int64]) {
 						var sum int64
 						for _, it := range got {

@@ -14,8 +14,8 @@ import (
 	"commtopk/internal/xrand"
 )
 
-// The scaling suite: the O(log p) collective set, the chunked gather
-// collectives, and Table-1 unsorted selection at p = 256…131072 — PE
+// The scaling suite: the O(log p) collective set, the chunked all-gather,
+// and Table-1 unsorted selection at p = 256…131072 — PE
 // counts where the paper's O(α log p) startup bounds become visible. A
 // machine is O(p) memory at any of them (comm.MachineBytes; 131072 PEs
 // are tens of MB), so nothing is refused for the machine's sake. The
@@ -43,9 +43,10 @@ type ScalingRow struct {
 const scalingGatherChunk = 64
 
 // scalingGatherMaxMoved caps the gather workload by aggregate data
-// movement (p² blocks of gatherBlockLen words): ~2.1e9 moved words ≈
-// 17 GB of memcpy per op is the most this harness spends on one
-// configuration (p = 16384 with 4-word blocks).
+// movement (p² blocks of gatherBlockLen words): 3·2^30 ≈ 3.2e9 moved
+// words ≈ 26 GB of memcpy per op is the most this harness spends on one
+// configuration. p = 16384 with 4-word blocks moves ≈ 1.07e9 words and
+// runs; p = 65536 (≈ 1.7e10) is recorded as skipped.
 const scalingGatherMaxMoved int64 = 3 << 30
 
 // ScalingPList returns the scaling-suite PE counts up to pmax.
@@ -108,46 +109,14 @@ func scalingCollectivesStart(pe *comm.PE) comm.Stepper {
 	)
 }
 
-// scalingStridedSamples is the sampled-gather workload's default per-PE
-// source count s: every PE visits s strided peers, so the aggregate
-// movement is p·s·m words — O(p), against the p²·m of any full
-// all-gather — and the suite can run a gather-shaped workload at
-// p = 131072.
-const scalingStridedSamples = 64
-
-// scalingStridedSweep is the s sweep of the strided gather: the sampled
-// gather trades O(m·s) transient payload references and O(α·s) startups
-// per PE against sample coverage, the same axis the chunked gathers map
-// with their window c. The suite runs all three so the trade is a curve,
-// not a point; s = 64 keeps the PR 4 entry name for PR-over-PR
-// comparability.
-var scalingStridedSweep = []int{16, 64, 256}
-
-// scalingStridedStart is one op of the sampled/strided gather workload
-// as a continuation body: coll.GatherStridedStep visits the blocks of s
-// deterministic sources with O(m) per-PE memory and round-staggered
-// O(p) in-flight messages. The checksum keeps the visits honest.
-func scalingStridedStart(samples int) func(pe *comm.PE) comm.Stepper {
-	return func(pe *comm.PE) comm.Stepper {
-		block := make([]int64, gatherBlockLen)
-		for i := range block {
-			block[i] = int64(pe.Rank() + i)
-		}
-		var sum int64
-		return coll.GatherStridedStep(pe, block, samples, func(src int, b []int64) {
-			sum += b[0]
-		})
-	}
-}
-
 // gatherBlockLen is the per-PE block size of the gather workload.
 const gatherBlockLen = 4
 
 // scalingGatherBody is one op of the chunked-gather workload: every PE
 // receives every other PE's block through the streaming all-gather
 // (visited, never materialized — per-PE memory O(m·chunk) instead of the
-// O(p·m) that kept gathers out of the suite), plus a chunk-framed
-// hypercube all-to-all. The checksum keeps the visit honest.
+// O(p·m) that kept gathers out of the suite). The visit reads every
+// block.
 func scalingGatherBody(pe *comm.PE) {
 	var block [gatherBlockLen]int64
 	for i := range block {
@@ -157,39 +126,18 @@ func scalingGatherBody(pe *comm.PE) {
 	coll.AllGatherChunked(pe, block[:], scalingGatherChunk, func(src int, b []int64) {
 		sum += b[0]
 	})
-	items := []coll.Routed[int64]{
-		{Dest: (pe.Rank() + 1) % pe.P(), Payload: sum},
-		{Dest: (pe.Rank() + pe.P()/2) % pe.P(), Payload: 1},
-	}
-	coll.AllToAllCombineChunked(pe, items, scalingGatherChunk, nil)
 }
 
-// scalingGatherStart is the continuation form of the same op. The
-// hypercube stage's items depend on the gather's checksum, so its
-// stepper is constructed lazily once the chunked all-gather completes
-// (a StepFunc stage inside the pooled sequence).
+// scalingGatherStart is the continuation form of the same op.
 func scalingGatherStart(pe *comm.PE) comm.Stepper {
 	block := make([]int64, gatherBlockLen)
 	for i := range block {
 		block[i] = int64(pe.Rank() + i)
 	}
 	var sum int64
-	var a2a comm.Stepper
-	return comm.SeqP(pe,
-		coll.AllGatherChunkedStep(pe, block, scalingGatherChunk, func(src int, b []int64) {
-			sum += b[0]
-		}),
-		comm.StepFunc(func(pe *comm.PE) *comm.RecvHandle {
-			if a2a == nil {
-				items := []coll.Routed[int64]{
-					{Dest: (pe.Rank() + 1) % pe.P(), Payload: sum},
-					{Dest: (pe.Rank() + pe.P()/2) % pe.P(), Payload: 1},
-				}
-				a2a = coll.AllToAllCombineChunkedStep(pe, items, scalingGatherChunk, nil, nil)
-			}
-			return a2a.Step(pe)
-		}),
-	)
+	return coll.AllGatherChunkedStep(pe, block, scalingGatherChunk, func(src int, b []int64) {
+		sum += b[0]
+	})
 }
 
 // heapLive settles the heap and returns live bytes. Two GC cycles: the
@@ -255,7 +203,7 @@ func residentGoroutines(bound int) int {
 }
 
 // ScalingQuickPMax caps the -quick tier of the suite: large enough that
-// the O(α log p) trends and both gather variants are visible, small
+// the O(α log p) trends and the chunked gather are visible, small
 // enough that a CI smoke finishes in tens of seconds.
 const ScalingQuickPMax = 4096
 
@@ -283,7 +231,6 @@ func scalingRun(p int, quick bool) []ScalingRow {
 	cfg := comm.DefaultConfig(p)
 	collName := fmt.Sprintf("Scaling/Collectives/p=%d", p)
 	gatherName := fmt.Sprintf("Scaling/GatherChunked/p=%d", p)
-	stridedName := fmt.Sprintf("Scaling/GatherStrided/p=%d", p)
 	selName := fmt.Sprintf("Scaling/Table1Selection/p=%d", p)
 	mtopkName := fmt.Sprintf("Scaling/MtopkDTA/p=%d", p)
 	freqName := fmt.Sprintf("Scaling/FreqPAC/p=%d", p)
@@ -327,24 +274,6 @@ func scalingRun(p int, quick bool) []ScalingRow {
 	if !quick {
 		ns, s = measureScaling(m, blockIters, scalingCollectivesBody)
 		out = append(out, fill(res(collName+"/blocking"), ns, s))
-	}
-
-	// Sampled/strided gather, swept over s: every PE visits s strided
-	// peers, so the aggregate movement is p·s·m words — the gather-shaped
-	// workload that exists at p = 131072, where any full all-gather's p²·m
-	// movement does not fit one host. The sweep maps the O(m·s)-payload /
-	// O(α·s)-startup trade the way the chunked gathers' c does.
-	for _, smp := range scalingStridedSweep {
-		iters := scalingRunIters(3, quick)
-		if p >= 1<<16 && smp > scalingStridedSamples {
-			iters = 1 // the s=256 op moves 4× the default; bound host time
-		}
-		name := stridedName
-		if smp != scalingStridedSamples {
-			name = fmt.Sprintf("%s/s=%d", stridedName, smp)
-		}
-		ns, s = measureScalingAsync(m, iters, scalingStridedStart(smp))
-		out = append(out, fill(res(name), ns, s))
 	}
 
 	// Gather workload: refuse what must be refused, loudly. The
@@ -436,9 +365,9 @@ func scalingRun(p int, quick bool) []ScalingRow {
 // callers pass pmax ≤ ScalingQuickPMax alongside it).
 func ScalingTable(pmax int, quick bool) Table {
 	t := Table{
-		Title: "Scaling: collectives, gathers (chunked + strided s sweep) and Table-1 selection at large p, continuation-scheduled with blocking A/B twins",
-		Notes: fmt.Sprintf("collectives op = broadcast + all-reduce + prefix sum + barrier; all primaries run continuation-scheduled via comm.RunAsync on pooled stepper state, /blocking twins = the same op as blocking bodies, a coroutine per PE\ngather ops: chunked all-gather (m=%d, chunk=%d) + chunked hypercube A2A; strided gather swept over s=%v sources/PE (movement p·s·m; unsuffixed entry = s=%d)\nselection: sel.KthStep, k=n/2, n/p=2^10 through p=2^14 then reduced (scalingSelPerPE); goroutines = resident process count with the machine live (w = scheduler width)",
-			gatherBlockLen, scalingGatherChunk, scalingStridedSweep, scalingStridedSamples),
+		Title: "Scaling: collectives, the chunked all-gather and Table-1 selection at large p, continuation-scheduled with blocking A/B twins",
+		Notes: fmt.Sprintf("collectives op = broadcast + all-reduce + prefix sum + barrier; all primaries run continuation-scheduled via comm.RunAsync on pooled stepper state, /blocking twins = the same op as blocking bodies, a coroutine per PE\ngather op: chunked all-gather (m=%d, chunk=%d), movement p²·m\nselection: sel.KthStep, k=n/2, n/p=2^10 through p=2^14 then reduced (scalingSelPerPE); goroutines = resident process count with the machine live (w = scheduler width)",
+			gatherBlockLen, scalingGatherChunk),
 		Header: []string{"workload", "p", "ns/op", "words/PE", "start/PE", "T_model", "machine MB", "w", "goroutines"},
 	}
 	for _, r := range ScalingSuite(ScalingPList(pmax), quick) {

@@ -129,7 +129,6 @@ func midRunGoroutineResidency(t *testing.T, p int) {
 		for i := 0; i < 2; i++ {
 			m.MustRunAsync(scalingCollectivesStart)
 		}
-		m.MustRunAsync(scalingStridedStart(16))
 		m.MustRunAsync(scalingGatherStart)
 		m.MustRunAsync(func(pe *comm.PE) comm.Stepper {
 			return sel.KthStep(pe, locals[pe.Rank()], int64(p*selPerPE/2),

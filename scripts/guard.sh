@@ -78,7 +78,9 @@ tier1() {
   # same sweeps: tree messages plus one size sum, exact at the edges on
   # every executor, no allocation beyond the batch.
   must_run ./internal/sel/ 'TestKthIsTreeSweepsOnly|TestKthSpeculationMiss|TestKthTieHeavyShards|TestWireCodecsRoundTrip|TestMSSelectIsTreeSweepsOnly|TestMSSelectEdgeCasesAgainstSortOracle'
-  must_run ./internal/coll/ 'TestReduceConcatStep|TestWireCodecsRoundTrip|TestScalarCollectivesAreVectorForms|TestAllToAllReceivedPartsAreOwned'
+  # The collective catalog is what the code calls: every exported coll
+  # function has a non-test caller outside the package.
+  must_run ./internal/coll/ 'TestReduceConcatStep|TestWireCodecsRoundTrip|TestScalarCollectivesAreVectorForms|TestAllToAllReceivedPartsAreOwned|TestExportedCollectivesHaveCallers'
   must_run ./internal/bpq/ 'TestDeleteMinIsTreeSweepsOnly|TestDeleteMinEdgeCasesAgainstSortOracle|TestDeleteMinZeroAllocSteadyState|TestWireCodecsRoundTrip|TestDeleteMinFlexibleSumsSizeOnce'
   # Flexible selection runs in lanes: each lane against the sort oracle,
   # one round's messages for all lanes, the known-n entry without its size
@@ -111,6 +113,8 @@ race() {
     ./internal/mailbox/ ./internal/dht/ ./internal/treap/ ./internal/bpq/ ./internal/serve/ \
     ./internal/mtopk/ ./internal/bnb/ ./internal/redist/
   go test -race -count=5 ./internal/agg/
+  # The benchmark's own tests (its smoke runs every workload shrunken).
+  go test -race -count=1 ./bench
   # Production against the reference executor, and the explored schedules.
   must_run ./internal/experiments/ 'TestBackendDifferential|TestBackendDifferentialShardedScheduler|TestBackendDifferentialRepeatedRuns|TestBackendDifferentialContinuationBodies|TestFuzzDifferentialSteppers|TestScheduleExploration|TestExplorationIsSensitive' -race
   # Scheduler: the whole mailbox package, then blocking runs (coroutines)
