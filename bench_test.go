@@ -20,6 +20,7 @@ import (
 	"commtopk/internal/bpq"
 	"commtopk/internal/coll"
 	"commtopk/internal/comm"
+	"commtopk/internal/commbuf"
 	"commtopk/internal/dht"
 	"commtopk/internal/freq"
 	"commtopk/internal/gen"
@@ -318,11 +319,11 @@ func BenchmarkAblation_DHTRouting(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				m.MustRun(func(pe *comm.PE) {
-					local := make(map[uint64]int64, distinct)
-					for k := 0; k < distinct; k++ {
-						local[uint64(k)] = int64(pe.Rank() + 1)
+					local := make([]dht.KV, distinct)
+					for k := range local {
+						local[k] = dht.KV{Key: uint64(k), Count: int64(pe.Rank() + 1)}
 					}
-					dht.CountKeys(pe, local, mode)
+					commbuf.Put(dht.CountKV(pe, local, mode))
 				})
 			}
 			reportComm(b, m)

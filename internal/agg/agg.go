@@ -18,7 +18,6 @@ import (
 	"commtopk/internal/comm"
 	"commtopk/internal/commbuf"
 	"commtopk/internal/dht"
-	"commtopk/internal/qsel"
 	"commtopk/internal/xrand"
 )
 
@@ -30,8 +29,6 @@ type Params struct {
 	Eps float64
 	// Delta is the failure probability.
 	Delta float64
-	// Route selects the DHT insertion routing.
-	Route dht.RouteMode
 	// KStarOverride fixes the exactly-summed candidate count for ECSum.
 	KStarOverride int
 }
@@ -75,12 +72,11 @@ type Aggregate struct {
 }
 
 // LocalAggregate sums values per key (Section 8.1), a useful public
-// helper. One stable radix sort of the (key, value) pairs
-// (qsel.SortPairs) and one run-length pass build the runs: Theorem 15
-// needs this step to be linear, not a hash table. Stability makes every
-// sum add its values in input order, and Total is summed in input order
-// too, so both are the bits a per-key hash-table accumulation gives.
-// Negative values panic.
+// helper. The run engine dht.SumRuns (one stable radix sort and one
+// run-length pass) builds the runs: Theorem 15 needs this step to be
+// linear, not a hash table. Stability makes every sum add its values in
+// input order, and Total is summed in input order too, so both are the
+// bits a per-key hash-table accumulation gives. Negative values panic.
 func LocalAggregate(keys []uint64, values []float64) Aggregate {
 	if len(keys) != len(values) {
 		panic("agg: keys/values length mismatch")
@@ -98,23 +94,14 @@ func LocalAggregate(keys []uint64, values []float64) Aggregate {
 	}
 	a.kbuf, a.sbuf = commbuf.Get[uint64](n), commbuf.Get[float64](n)
 	kb, sb := commbuf.Get[uint64](n), commbuf.Get[float64](n)
-	sk, sv := qsel.SortPairs(keys, values, *a.kbuf, *a.sbuf, *kb, *sb)
-	// Keep the buffer pair the sort ended in; the other goes back now.
-	if &sk[0] == &(*kb)[0] {
+	a.Keys, a.Sums = dht.SumRuns(keys, values, *a.kbuf, *a.sbuf, *kb, *sb)
+	// Keep the buffer pair the runs ended in; the other goes back now.
+	if &a.Keys[0] == &(*kb)[0] {
 		a.kbuf, kb = kb, a.kbuf
 		a.sbuf, sb = sb, a.sbuf
 	}
 	commbuf.Put(kb)
 	commbuf.Put(sb)
-	u := 0
-	for i := 0; i < n; u++ {
-		k, sum := sk[i], 0.0
-		for ; i < n && sk[i] == k; i++ {
-			sum += sv[i]
-		}
-		sk[u], sv[u] = k, sum
-	}
-	a.Keys, a.Sums = sk[:u], sv[:u]
 	return a
 }
 
@@ -192,19 +179,19 @@ func ECSum(pe *comm.PE, keys []uint64, values []float64, p Params, rng *xrand.RN
 
 // ExactTopSums computes the exact answer through the DHT (ground truth
 // for tests; not communication-efficient). Collective.
-func ExactTopSums(pe *comm.PE, keys []uint64, values []float64, k int, route dht.RouteMode, rng *xrand.RNG) []ItemSum {
+func ExactTopSums(pe *comm.PE, keys []uint64, values []float64, k int, rng *xrand.RNG) []ItemSum {
 	local := LocalAggregate(keys, values)
 	defer local.Release()
-	// Scale to fixed point so the counting DHT can carry sums. Sorted key
-	// order keeps the routed batches deterministic.
+	// Scale to fixed point so the counting DHT can carry sums; the
+	// aggregate's keys ascend, so fixed is count runs.
 	const scale = 1 << 20
 	fixed := make([]dht.KV, local.Len())
 	for i, key := range local.Keys {
 		fixed[i] = dht.KV{Key: key, Count: int64(local.Sums[i] * scale)}
 	}
-	shard := dht.CountKV(pe, fixed, route)
-	top := dht.SelectTopKTable(pe, shard, k, rng)
-	shard.Release()
+	shard := dht.CountKV(pe, fixed, dht.RouteHypercube)
+	top := dht.SelectTopK(pe, *shard, k, rng)
+	commbuf.Put(shard)
 	items := make([]ItemSum, len(top))
 	for i, kv := range top {
 		items[i] = ItemSum{Key: kv.Key, Sum: float64(kv.Count) / scale}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"commtopk/internal/comm"
-	"commtopk/internal/dht"
 	"commtopk/internal/gen"
 	"commtopk/internal/xrand"
 )
@@ -152,7 +151,7 @@ func TestExactTopSums(t *testing.T) {
 	want := exactTopSums(exact, 5)
 	mach := comm.NewMachine(comm.DefaultConfig(p))
 	mach.MustRun(func(pe *comm.PE) {
-		got := ExactTopSums(pe, keys[pe.Rank()], vals[pe.Rank()], 5, dht.RouteHypercube, xrand.NewPE(31, pe.Rank()))
+		got := ExactTopSums(pe, keys[pe.Rank()], vals[pe.Rank()], 5, xrand.NewPE(31, pe.Rank()))
 		if len(got) != 5 {
 			t.Errorf("got %d items", len(got))
 			return

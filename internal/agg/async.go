@@ -7,6 +7,7 @@ import (
 
 	"commtopk/internal/coll"
 	"commtopk/internal/comm"
+	"commtopk/internal/commbuf"
 	"commtopk/internal/dht"
 	"commtopk/internal/stats"
 	"commtopk/internal/xrand"
@@ -47,7 +48,7 @@ type aggStep struct {
 	n      int64
 	mTotal float64
 	aggKVs []dht.KV
-	shard  *dht.Table
+	shard  *[]dht.KV
 	cands  []dht.KV
 	ids    []uint64
 	sums   []float64
@@ -57,7 +58,7 @@ type aggStep struct {
 	onN      func(int64)
 	onM      func(float64)
 	onSize   func(int64)
-	onShard  func(*dht.Table)
+	onShard  func(*[]dht.KV)
 	onSel    func([]dht.KV)
 	onGlobal func([]float64)
 	phase    int
@@ -76,7 +77,7 @@ func newAggStep(pe *comm.PE, keys []uint64, values []float64, p Params, exact bo
 		s.onN = func(v int64) { s.n = v }
 		s.onM = func(v float64) { s.mTotal = v }
 		s.onSize = func(v int64) { s.res.SampleSize = v }
-		s.onShard = func(t *dht.Table) { s.shard = t }
+		s.onShard = func(sh *[]dht.KV) { s.shard = sh }
 		s.onSel = func(c []dht.KV) { s.cands = c }
 		s.onGlobal = func(g []float64) { s.sums = append(s.sums[:0], g...) }
 	}
@@ -156,22 +157,22 @@ func (s *aggStep) Step(pe *comm.PE) *comm.RecvHandle {
 			s.cur = coll.AllReduceScalarStep(pe, localSize, addI64, s.onSize)
 			s.phase = aphSizeWait
 		case aphSizeWait:
-			s.cur = dht.CountKVStep(pe, s.aggKVs, s.p.Route, s.onShard)
+			s.cur = dht.CountKVStep(pe, s.aggKVs, dht.RouteHypercube, s.onShard)
 			s.phase = aphShardWait
 		case aphShardWait:
 			sel := s.p.K
 			if s.exact {
 				sel = s.res.KStar
 			}
-			s.cur = dht.SelectTopKTableStep(pe, s.shard, sel, s.rng, s.onSel)
+			s.cur = dht.SelectTopKStep(pe, *s.shard, sel, s.rng, s.onSel)
+			commbuf.Put(s.shard)
+			s.shard = nil
 			if s.exact {
 				s.phase = aphCandWait
 			} else {
 				s.phase = aphTopWait
 			}
 		case aphTopWait:
-			s.shard.Release()
-			s.shard = nil
 			items := make([]ItemSum, len(s.cands))
 			for i, kv := range s.cands {
 				items[i] = ItemSum{Key: kv.Key, Sum: float64(kv.Count) * s.res.VAvg}
@@ -179,8 +180,6 @@ func (s *aggStep) Step(pe *comm.PE) *comm.RecvHandle {
 			s.res.Items = items
 			return s.finish(pe)
 		case aphCandWait:
-			s.shard.Release()
-			s.shard = nil
 			s.res.Exact = true
 			ids := make([]uint64, len(s.cands))
 			for i, kv := range s.cands {

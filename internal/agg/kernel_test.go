@@ -3,6 +3,7 @@ package agg
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"commtopk/internal/dht"
@@ -55,7 +56,9 @@ func TestLocalAggregateMatchesSumTable(t *testing.T) {
 					oracle.Add(k, vals[i])
 				}
 				a := LocalAggregate(keys, vals)
-				want := oracle.SortedKeys(nil)
+				var want []uint64
+				oracle.ForEach(func(k uint64, _ float64) { want = append(want, k) })
+				slices.Sort(want)
 				if len(a.Keys) != len(want) || len(a.Sums) != len(want) {
 					t.Fatalf("%s: %d keys and %d sums, oracle has %d keys", name, len(a.Keys), len(a.Sums), len(want))
 				}

@@ -1,11 +1,9 @@
 package dht
 
 import (
-	"cmp"
-	"slices"
-
 	"commtopk/internal/coll"
 	"commtopk/internal/comm"
+	"commtopk/internal/commbuf"
 	"commtopk/internal/qsel"
 	"commtopk/internal/sel"
 	"commtopk/internal/xrand"
@@ -20,51 +18,36 @@ import (
 
 // countKVStep — see CountKVStep.
 type countKVStep struct {
-	out func(*Table)
-	t   *Table
-	p   int
-	cur comm.Stepper
+	out   func(*[]KV)
+	shard *[]KV
+	p     int
+	cur   comm.Stepper
 
 	// Cached closures (built once per pooled object; they capture only s
 	// and read the live fields at call time).
-	visit   func(src int, part []KV)
-	destFn  func(kv KV) int
-	combine func(held []KV) []KV
-	onHeld  func(held []KV)
+	visit  func(src int, part []KV)
+	destFn func(kv KV) int
+	onHeld func(held []KV)
 }
 
 // CountKVStep is the continuation form of CountKV: out receives, on each
-// PE, the global counts of the keys it owns in a pooled Table the
-// receiver must Release. The routed batches are consumed borrowed (no
-// caller-owned clones); the metered schedule matches CountKV exactly —
-// the blocking form is this stepper driven with blocking waits.
-func CountKVStep(pe *comm.PE, items []KV, mode RouteMode, out func(*Table)) comm.Stepper {
+// PE, the global counts of the keys it owns as runs in a pooled buffer
+// the receiver returns with commbuf.Put. Under RouteHypercube the held
+// batch after every exchange is the kept part and the received part, two
+// runs, and SumKVs folds it back into one; under RouteDirect the owner
+// sums the concatenated received parts once. The routed batches are
+// consumed borrowed (no caller-owned clones); the metered schedule
+// matches CountKV exactly — the blocking form is this stepper driven with
+// blocking waits.
+func CountKVStep(pe *comm.PE, items []KV, mode RouteMode, out func(*[]KV)) comm.Stepper {
 	s := comm.GetPooled[countKVStep](pe)
 	s.out = out
-	s.t = NewTable(len(items))
+	s.shard = commbuf.GetCap[KV](len(items))
 	s.p = pe.P()
 	if s.visit == nil {
-		s.visit = func(src int, part []KV) {
-			for _, kv := range part {
-				s.t.Add(kv.Key, kv.Count)
-			}
-		}
+		s.visit = func(_ int, part []KV) { s.onHeld(part) }
 		s.destFn = func(kv KV) int { return Owner(kv.Key, s.p) }
-		s.combine = func(held []KV) []KV {
-			s.t.Reset()
-			for _, kv := range held {
-				s.t.Add(kv.Key, kv.Count)
-			}
-			// Overwriting held in place is safe: ownership of a routed batch
-			// moves with the message (see CountKV's rationale).
-			return s.t.AppendKVs(held[:0])
-		}
-		s.onHeld = func(held []KV) {
-			s.t.Reset()
-			for _, kv := range held {
-				s.t.Add(kv.Key, kv.Count)
-			}
-		}
+		s.onHeld = func(held []KV) { *s.shard = append(*s.shard, held...) }
 	}
 	switch mode {
 	case RouteDirect:
@@ -75,7 +58,7 @@ func CountKVStep(pe *comm.PE, items []KV, mode RouteMode, out func(*Table)) comm
 		}
 		s.cur = coll.AllToAllStep(pe, parts, s.visit)
 	case RouteHypercube:
-		s.cur = coll.RouteCombineStep(pe, items, s.destFn, s.combine, s.onHeld)
+		s.cur = coll.RouteCombineStep(pe, items, s.destFn, SumKVs, s.onHeld)
 	default:
 		panic("dht: unknown route mode")
 	}
@@ -86,11 +69,12 @@ func (s *countKVStep) Step(pe *comm.PE) *comm.RecvHandle {
 	if h := s.cur.Step(pe); h != nil {
 		return h
 	}
-	out, t := s.out, s.t
-	s.out, s.t, s.cur = nil, nil, nil
+	out, shard := s.out, s.shard
+	*shard = SumKVs(*shard)
+	s.out, s.shard, s.cur = nil, nil, nil
 	comm.PutPooled(pe, s)
 	if out != nil {
-		out(t)
+		out(shard)
 	}
 	return nil
 }
@@ -107,7 +91,7 @@ const (
 	tphDone
 )
 
-// selectTopKStep — see SelectTopKTableStep.
+// selectTopKStep — see SelectTopKStep.
 type selectTopKStep struct {
 	pe   *comm.PE
 	k    int
@@ -116,8 +100,8 @@ type selectTopKStep struct {
 	self bool
 	res  []KV
 
-	// Buffers that survive pooling: the shard's entries (reordered in
-	// place), their complemented counts and the tie band's staging copy.
+	// Buffers that survive pooling: the shard's runs (reordered in place),
+	// their complemented counts and the tie band's staging copy.
 	items []KV
 	ords  []uint64
 	tied  []KV
@@ -137,10 +121,10 @@ type selectTopKStep struct {
 	phase int
 }
 
-func newSelectTopKStep(pe *comm.PE, shard *Table, k int, rng *xrand.RNG, out func([]KV), self bool) *selectTopKStep {
+func newSelectTopKStep(pe *comm.PE, shard []KV, k int, rng *xrand.RNG, out func([]KV), self bool) *selectTopKStep {
 	s := comm.GetPooled[selectTopKStep](pe)
 	s.pe = pe
-	s.items = shard.AppendKVs(slices.Grow(s.items[:0], shard.Len()))
+	s.items = append(s.items[:0], shard...)
 	s.k, s.rng, s.out, s.self = k, rng, out, self
 	s.phase = tphInit
 	s.cur = nil
@@ -159,13 +143,13 @@ func newSelectTopKStep(pe *comm.PE, shard *Table, k int, rng *xrand.RNG, out fun
 	return s
 }
 
-// SelectTopKTableStep is the continuation form of SelectTopKTable: out
-// receives the k highest-count entries of the sharded count table on
-// every PE, caller-owned and sorted by SortKVDesc. The shard is read at
+// SelectTopKStep is the continuation form of SelectTopK: out receives
+// the k highest-count entries of the sharded count runs on every PE,
+// caller-owned and sorted by SortKVDesc. The shard is read at
 // construction time (into the stepper's own buffer), so it may be
 // released once the factory returns. Semantics, RNG consumption and the
-// metered schedule match SelectTopKTable exactly.
-func SelectTopKTableStep(pe *comm.PE, shard *Table, k int, rng *xrand.RNG, out func([]KV)) comm.Stepper {
+// metered schedule match SelectTopK exactly.
+func SelectTopKStep(pe *comm.PE, shard []KV, k int, rng *xrand.RNG, out func([]KV)) comm.Stepper {
 	return newSelectTopKStep(pe, shard, k, rng, out, true)
 }
 
@@ -226,7 +210,8 @@ func (s *selectTopKStep) Step(pe *comm.PE) *comm.RecvHandle {
 			// Band the local entries around the selected threshold: the
 			// rank of the threshold in the complemented-count multiset
 			// splits them into a strictly-above band and a tie band,
-			// compressed forward in one pass.
+			// compressed forward in one pass. The pass keeps the runs'
+			// order, so the tie band ascends by key.
 			thrCount := int64(^s.thr)
 			nSel, nTied := qsel.Rank(s.ords, s.thr)
 			tiedTmp := s.tied[:0]
@@ -253,9 +238,6 @@ func (s *selectTopKStep) Step(pe *comm.PE) *comm.RecvHandle {
 			prevTies := s.i64
 			needTies := int64(s.k) - s.nAb
 			take := min(max(needTies-prevTies, 0), int64(s.nTied))
-			tied := s.items[s.nSel : s.nSel+s.nTied]
-			// A shard holds each key once: ascending key is a total order.
-			slices.SortFunc(tied, func(a, b KV) int { return cmp.Compare(a.Key, b.Key) })
 			s.cur = coll.AllGatherConcatStep(pe, s.items[:s.nSel+int(take)], s.onAll)
 			s.phase = tphGatherWait
 		case tphGatherWait:

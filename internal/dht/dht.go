@@ -5,13 +5,23 @@
 // (all-to-all) or through the hypercube with per-step aggregation
 // ("indirect delivery to maintain logarithmic latency ... the incoming
 // sample counts are merged with a hash table in each step").
+//
+// A count is held as runs: a []KV with each key once, keys strictly
+// ascending. One engine builds every run — a stable radix sort
+// (qsel.SortPairs) and a run-length pass: SumRuns sums values per key,
+// SumKVs applies it to KV pairs (every hypercube step's held batch, the
+// owners' shards, the dSBF cells, Resolve's gathered keys) and CountRuns
+// counts bare keys (the local sample). SelectTopK reads the shards as
+// runs. Table, the pooled hash table, serves keyed lookups only (see its
+// doc).
 package dht
 
 import (
-	"sort"
+	"slices"
 
 	"commtopk/internal/coll"
 	"commtopk/internal/comm"
+	"commtopk/internal/qsel"
 )
 
 // KV is one key's (partial or global) count.
@@ -20,7 +30,9 @@ type KV struct {
 	Count int64
 }
 
-// RouteMode selects the delivery strategy for count insertion.
+// RouteMode selects CountKV's delivery strategy. The algorithms route
+// through the hypercube; RouteDirect is the baseline of the Section 7.1
+// routing ablation.
 type RouteMode int
 
 const (
@@ -43,33 +55,17 @@ func Mix(key uint64) uint64 {
 // Owner returns the PE owning key.
 func Owner(key uint64, p int) int { return int(Mix(key) % uint64(p)) }
 
-// CountKV inserts every PE's locally aggregated counts (as KV pairs, any
-// order) and returns, on each PE, the global counts of the keys it owns
-// in a pooled Table the caller must Release. This is the allocation-lean
-// core of the counting DHT: the hypercube route re-aggregates with one
-// reused Table per query instead of a fresh Go map per routing step, and
-// the in-place combine writes its output over the held buffer, so the
+// CountKV routes every PE's count runs (see SumKVs) to the keys' owners
+// and returns, on each PE, the global counts of the keys it owns as runs
+// in a pooled buffer the caller returns with commbuf.Put. Under
+// RouteHypercube every routing step sums the held batch back into runs,
+// in place: ownership of a routed batch moves with the message, so the
 // steady-state per-step cost is zero allocations. Collective.
-func CountKV(pe *comm.PE, items []KV, mode RouteMode) *Table {
+func CountKV(pe *comm.PE, items []KV, mode RouteMode) *[]KV {
 	st := CountKVStep(pe, items, mode, nil).(*countKVStep)
-	out := st.t
+	shard := st.shard
 	comm.RunSteps(pe, st)
-	return out
-}
-
-// CountKeys is CountKV for callers holding a Go map; it returns a map.
-// Prefer CountKV + Table on hot paths — this wrapper pays the map churn
-// CountKV exists to avoid.
-func CountKeys(pe *comm.PE, local map[uint64]int64, mode RouteMode) map[uint64]int64 {
-	items := make([]KV, 0, len(local))
-	for k, c := range local {
-		items = append(items, KV{k, c})
-	}
-	t := CountKV(pe, items, mode)
-	out := make(map[uint64]int64, t.Len())
-	t.ForEach(func(k uint64, c int64) { out[k] = c })
-	t.Release()
-	return out
+	return shard
 }
 
 // HC is a hashed cell count: the dSBF wire format. Hash and Count are
@@ -82,32 +78,19 @@ type HC struct {
 
 // SBF is a distributed single-shot Bloom filter over counted keys: each
 // PE holds the summed counts of the hash cells it owns, plus its local
-// per-key contributions for later resolution of collisions. All state is
-// map-free (pooled Table + sorted slice), so repeated builds over the
-// same input are bit-identical — cell iteration order cannot leak into
-// downstream selection, RNG consumption, or meters.
+// per-key contributions for later resolution of collisions. Both are
+// sorted slices built from the sample's runs, so repeated builds over the
+// same input are bit-identical.
 type SBF struct {
 	pe *comm.PE
-	// Cells holds owned 32-bit hash cells (as uint64 keys) → global summed
-	// counts, in a pooled Table released by Release.
-	Cells *Table
-	// local is this PE's own contribution, sorted by (cell, key) so
-	// Resolve scans it in a deterministic order.
-	local []cellKV
-}
-
-// cellKV is one local (cell, key, count) contribution kept for Resolve.
-type cellKV struct {
-	cell uint32
-	kv   KV
-}
-
-// Release recycles the pooled cell table.
-func (s *SBF) Release() {
-	if s.Cells != nil {
-		s.Cells.Release()
-		s.Cells = nil
-	}
+	// Cells holds the owned hash cells' global counts as runs: Key is the
+	// 32-bit cell, ascending.
+	Cells []KV
+	// cells[i] is the cell of the local contribution local[i]; both are
+	// sorted by (cell, key), so Resolve walks them against the requested
+	// cells in a deterministic order.
+	cells []uint64
+	local []KV
 }
 
 // cellOf hashes a key into the 32-bit cell space.
@@ -116,64 +99,54 @@ func cellOf(key uint64) uint32 { return uint32(Mix(key) >> 32) }
 // cellOwner distributes cells over PEs by range-ish hashing.
 func cellOwner(cell uint32, p int) int { return int(uint64(cell) % uint64(p)) }
 
-// BuildSBF inserts locally aggregated counts (a sampled count table) as
-// (hash, count) cells. Counts are saturated at 2^32−1 per message (ample
-// for sample counts). The table is only read. Collective.
-func BuildSBF(pe *comm.PE, local *Table) *SBF {
+// hcOf is a cell run's wire form, its count saturated at 2^32−1 (ample
+// for sample counts).
+func hcOf(kv KV) HC { return HC{uint32(kv.Key), uint32(min(kv.Count, 0xffffffff))} }
+
+// BuildSBF inserts a PE's sampled count runs as (hash, count) cells and
+// keeps the runs as its local contributions. The routed cells are runs
+// too (ascending cell), and every routing step sums the held batch back
+// into runs. local is only read. Collective.
+func BuildSBF(pe *comm.PE, local []KV) *SBF {
 	p := pe.P()
-	s := &SBF{pe: pe, Cells: NewTable(local.Len()), local: make([]cellKV, 0, local.Len())}
-	cellAgg := NewTable(local.Len())
-	local.ForEach(func(k uint64, c int64) {
-		cell := cellOf(k)
-		s.local = append(s.local, cellKV{cell, KV{k, c}})
-		cellAgg.Add(uint64(cell), c)
-	})
-	// Sort contributions by (cell, key) and emit the routed cells in
-	// ascending cell order: the message content is order-insensitive (the
-	// router re-aggregates per destination), but a fixed order pins the
-	// in-flight batch layouts bit-identical across repeated runs.
-	sort.Slice(s.local, func(i, j int) bool {
-		if s.local[i].cell != s.local[j].cell {
-			return s.local[i].cell < s.local[j].cell
-		}
-		return s.local[i].kv.Key < s.local[j].kv.Key
-	})
-	items := make([]HC, 0, cellAgg.Len())
-	for _, ck := range cellAgg.SortedKeys(nil) {
-		c, _ := cellAgg.Get(ck)
-		if c > 0xffffffff {
-			c = 0xffffffff
-		}
-		items = append(items, HC{uint32(ck), uint32(c)})
+	n := len(local)
+	s := &SBF{pe: pe}
+	// local ascends by key, so a stable sort by cell orders the
+	// contributions by (cell, key); cells doubles as the sort's second
+	// key buffer.
+	cells := make([]uint64, n)
+	runs := make([]KV, n)
+	for i, kv := range local {
+		cells[i] = uint64(cellOf(kv.Key))
+		runs[i] = KV{cells[i], kv.Count}
 	}
-	cellAgg.Release()
+	s.cells, s.local = qsel.SortPairs(cells, local, make([]uint64, n), make([]KV, n), cells, make([]KV, n))
+	runs = SumKVs(runs)
+	items := make([]HC, len(runs))
+	for i, kv := range runs {
+		items[i] = hcOf(kv)
+	}
 	destFn := func(hc HC) int { return cellOwner(hc.Hash, p) }
-	agg := NewTable(len(items))
 	combine := func(held []HC) []HC {
-		agg.Reset()
+		runs = runs[:0]
 		for _, hc := range held {
-			agg.Add(uint64(hc.Hash), int64(hc.Count))
+			runs = append(runs, KV{uint64(hc.Hash), int64(hc.Count)})
 		}
-		// Overwrite held in place (batch ownership moves with the message,
-		// see CountKV); slot order is deterministic given the deterministic
-		// insertion sequence above.
-		out := held[:0]
-		agg.ForEach(func(cell uint64, c int64) {
-			if c > 0xffffffff {
-				c = 0xffffffff
-			}
-			out = append(out, HC{uint32(cell), uint32(c)})
-		})
+		runs = SumKVs(runs)
+		// The runs are no longer than held, which the router hands over
+		// with the message: overwrite it in place.
+		out := held[:len(runs)]
+		for i, kv := range runs {
+			out[i] = hcOf(kv)
+		}
 		return out
 	}
-	// Borrowed-batch consumption: the cell table is folded straight out of
-	// the router's held buffer, no caller-owned clone needed.
 	comm.RunSteps(pe, coll.RouteCombineStep(pe, items, destFn, combine, func(held []HC) {
-		for _, hc := range held {
-			s.Cells.Add(uint64(hc.Hash), int64(hc.Count))
+		s.Cells = make([]KV, len(held))
+		for i, hc := range held {
+			s.Cells[i] = KV{uint64(hc.Hash), int64(hc.Count)}
 		}
 	}))
-	agg.Release()
 	return s
 }
 
@@ -182,26 +155,23 @@ func BuildSBF(pe *comm.PE, local *Table) *SBF {
 // (hash, value) pairs with (key, value) pairs, splitting them where hash
 // collisions occurred"). cells must be identical on all PEs (e.g. from an
 // all-gather of owners' selections). The result — global per-key counts
-// for every key falling in one of the cells — is returned on all PEs.
-// Collective.
+// for every key falling in one of the cells, as runs — is returned on all
+// PEs. Collective.
 func (s *SBF) Resolve(cells []uint32) []KV {
-	want := make(map[uint32]bool, len(cells))
-	for _, c := range cells {
-		want[c] = true
+	want := make([]uint64, len(cells))
+	for i, c := range cells {
+		want[i] = uint64(c)
 	}
+	slices.Sort(want)
 	var mine []KV
-	for _, ck := range s.local { // sorted by (cell, key): deterministic
-		if want[ck.cell] {
-			mine = append(mine, ck.kv)
+	i := 0
+	for _, c := range want {
+		for i < len(s.cells) && s.cells[i] < c {
+			i++
+		}
+		for ; i < len(s.cells) && s.cells[i] == c; i++ {
+			mine = append(mine, s.local[i])
 		}
 	}
-	all := coll.AllGatherConcat(s.pe, mine)
-	agg := NewTable(len(all))
-	for _, kv := range all {
-		agg.Add(kv.Key, kv.Count)
-	}
-	out := agg.AppendKVs(make([]KV, 0, agg.Len()))
-	agg.Release()
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
+	return SumKVs(coll.AllGatherConcat(s.pe, mine))
 }

@@ -1,10 +1,12 @@
 package dht
 
 import (
+	"slices"
 	"testing"
 
 	"commtopk/internal/coll"
 	"commtopk/internal/comm"
+	"commtopk/internal/commbuf"
 	"commtopk/internal/xrand"
 )
 
@@ -19,13 +21,31 @@ func localCountsFor(seed int64, rank, universe, items int) map[uint64]int64 {
 	return m
 }
 
-// tableFromMap loads a count map into a fresh Table (test convenience).
-func tableFromMap(m map[uint64]int64) *Table {
-	t := NewTable(len(m))
+// runsFromMap turns a count map into count runs (test convenience).
+func runsFromMap(m map[uint64]int64) []KV {
+	kvs := make([]KV, 0, len(m))
 	for k, c := range m {
-		t.Add(k, c)
+		kvs = append(kvs, KV{k, c})
 	}
-	return t
+	return SumKVs(kvs)
+}
+
+// countKV is CountKV with the shard copied out of its pooled buffer.
+func countKV(pe *comm.PE, items []KV, mode RouteMode) []KV {
+	shard := CountKV(pe, items, mode)
+	out := slices.Clone(*shard)
+	commbuf.Put(shard)
+	return out
+}
+
+// isRuns reports whether kvs holds each key once, keys ascending.
+func isRuns(kvs []KV) bool {
+	for i := 1; i < len(kvs); i++ {
+		if kvs[i-1].Key >= kvs[i].Key {
+			return false
+		}
+	}
+	return true
 }
 
 func globalExpected(seed int64, p, universe, items int) map[uint64]int64 {
@@ -43,18 +63,21 @@ func TestCountKeysBothRoutes(t *testing.T) {
 		for _, p := range peCounts {
 			want := globalExpected(42, p, 200, 500)
 			m := comm.NewMachine(comm.DefaultConfig(p))
-			got := make([]map[uint64]int64, p)
+			got := make([][]KV, p)
 			m.MustRun(func(pe *comm.PE) {
-				local := localCountsFor(42, pe.Rank(), 200, 500)
-				got[pe.Rank()] = CountKeys(pe, local, mode)
+				local := runsFromMap(localCountsFor(42, pe.Rank(), 200, 500))
+				got[pe.Rank()] = countKV(pe, local, mode)
 			})
 			merged := map[uint64]int64{}
 			for r, shard := range got {
-				for k, c := range shard {
-					if Owner(k, p) != r {
-						t.Errorf("mode=%d p=%d: key %d landed on %d, owner %d", mode, p, k, r, Owner(k, p))
+				if !isRuns(shard) {
+					t.Errorf("mode=%d p=%d: PE %d's shard is not runs", mode, p, r)
+				}
+				for _, kv := range shard {
+					if Owner(kv.Key, p) != r {
+						t.Errorf("mode=%d p=%d: key %d landed on %d, owner %d", mode, p, kv.Key, r, Owner(kv.Key, p))
 					}
-					merged[k] += c
+					merged[kv.Key] += kv.Count
 				}
 			}
 			if len(merged) != len(want) {
@@ -72,7 +95,7 @@ func TestCountKeysBothRoutes(t *testing.T) {
 func TestCountKeysEmpty(t *testing.T) {
 	m := comm.NewMachine(comm.DefaultConfig(4))
 	m.MustRun(func(pe *comm.PE) {
-		got := CountKeys(pe, nil, RouteHypercube)
+		got := countKV(pe, nil, RouteHypercube)
 		if len(got) != 0 {
 			t.Errorf("empty insert produced %v", got)
 		}
@@ -87,11 +110,11 @@ func TestHypercubeVolumeAdvantageOnSharedKeys(t *testing.T) {
 	run := func(mode RouteMode) int64 {
 		m := comm.NewMachine(comm.DefaultConfig(p))
 		m.MustRun(func(pe *comm.PE) {
-			local := map[uint64]int64{}
-			for k := 0; k < universe; k++ {
-				local[uint64(k)] = int64(pe.Rank() + 1)
+			local := make([]KV, universe)
+			for k := range local {
+				local[k] = KV{uint64(k), int64(pe.Rank() + 1)}
 			}
-			CountKeys(pe, local, mode)
+			countKV(pe, local, mode)
 		})
 		return m.Stats().MaxRecvWords
 	}
@@ -120,12 +143,14 @@ func TestSBFCountsMatch(t *testing.T) {
 		m := comm.NewMachine(comm.DefaultConfig(p))
 		cellsByPE := make([]map[uint32]int64, p)
 		m.MustRun(func(pe *comm.PE) {
-			local := tableFromMap(localCountsFor(7, pe.Rank(), 300, 400))
-			s := BuildSBF(pe, local)
-			local.Release()
+			s := BuildSBF(pe, runsFromMap(localCountsFor(7, pe.Rank(), 300, 400)))
+			if !isRuns(s.Cells) {
+				t.Errorf("p=%d: PE %d's cells are not runs", p, pe.Rank())
+			}
 			cells := map[uint32]int64{}
-			s.Cells.ForEach(func(cell uint64, c int64) { cells[uint32(cell)] = c })
-			s.Release()
+			for _, kv := range s.Cells {
+				cells[uint32(kv.Key)] = kv.Count
+			}
 			cellsByPE[pe.Rank()] = cells
 		})
 		// Cell sums must equal the key-count sums grouped by cell
@@ -160,18 +185,18 @@ func TestSBFResolveSplitsCollisions(t *testing.T) {
 	m := comm.NewMachine(comm.DefaultConfig(p))
 	resolvedByPE := make([][]KV, p)
 	m.MustRun(func(pe *comm.PE) {
-		local := tableFromMap(localCountsFor(11, pe.Rank(), 100, 300))
-		s := BuildSBF(pe, local)
-		local.Release()
-		// Resolve every cell: must reconstruct the full exact table.
+		s := BuildSBF(pe, runsFromMap(localCountsFor(11, pe.Rank(), 100, 300)))
+		// Resolve every cell: must reconstruct the full exact counts.
 		var cells []uint32
 		for k := range want {
 			cells = append(cells, cellOf(k))
 		}
 		resolvedByPE[pe.Rank()] = s.Resolve(cells)
-		s.Release()
 	})
 	for r := 0; r < p; r++ {
+		if !isRuns(resolvedByPE[r]) {
+			t.Errorf("PE %d's resolution is not runs", r)
+		}
 		got := map[uint64]int64{}
 		for _, kv := range resolvedByPE[r] {
 			got[kv.Key] += kv.Count

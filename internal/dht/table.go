@@ -3,18 +3,16 @@ package dht
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"commtopk/internal/commbuf"
 )
 
-// Table is an open-addressing uint64 → int64 count table whose slot and
-// control arrays are pooled buffers (internal/commbuf). The
-// frequent-objects and sum-aggregation layers build and discard a count
-// table per query — and, on the hypercube insertion route, one per
-// routing step — so the Go map they used churned O(distinct keys) of
-// allocation per query. A Table recycles its arrays through the pool:
-// steady-state queries allocate nothing for counting.
+// Table is an open-addressing uint64 → int64 table whose slot and
+// control arrays are pooled buffers (internal/commbuf), so a table built
+// and released per query allocates nothing in the steady state. Counting
+// does not use it (counts are runs, see SumKVs); its callers are keyed
+// lookups: mtopk's id → position index and grant counts, the exact-count
+// pass's candidate index (internal/freq) and bench's table probe.
 //
 // The probe loop is cache-conscious in the SwissTable style: liveness and
 // a 7-bit hash tag live in a separate control array, one byte per slot,
@@ -31,10 +29,9 @@ import (
 // threshold algorithm's seen-set (internal/mtopk) and the reference the
 // sum-aggregation layer's sorted-run aggregate is tested against.
 //
-// Iteration (ForEach, AppendKVs) is in slot order, which is a pure
-// function of the insertion sequence — deterministic wherever the
-// insertions are, unlike Go map iteration; SortedKeys gives the
-// ascending-key order that deterministic batches need. Keys hash through
+// Iteration (ForEach) is in slot order, which is a pure function of the
+// insertion sequence — deterministic wherever the insertions are, unlike
+// Go map iteration. Keys hash through
 // Mix, the same finalizer that shards keys across PEs: the group index
 // comes from its low bits, the control tag from its top seven.
 //
@@ -51,14 +48,6 @@ func NewTable(hint int) *Table {
 	t := &Table{}
 	t.presize(hint)
 	return t
-}
-
-// AppendKVs appends the live entries to dst in slot order.
-func (t *Table) AppendKVs(dst []KV) []KV {
-	t.ForEach(func(k uint64, c int64) {
-		dst = append(dst, KV{Key: k, Count: c})
-	})
-	return dst
 }
 
 // SumTable is Table over float64 values: uint64 → float64 value sums
@@ -79,7 +68,7 @@ func NewSumTable(hint int) *SumTable {
 // ctrl holds one byte per slot, eight slots to a word: 0x00 for empty,
 // 0x80|tag for live, where tag is the top seven bits of Mix(key). slots
 // is never cleared — a slot's bytes are meaningful only while its control
-// byte is live, so Reset and grow touch just the control words (n/8 words
+// byte is live, so grow touches just the control words (n/8 words
 // instead of n slots).
 type tableOf[V int64 | float64] struct {
 	ctrl  *[]uint64
@@ -277,26 +266,6 @@ func (t *tableOf[V]) ForEach(f func(key uint64, val V)) {
 			f(s.key, s.val)
 		}
 	}
-}
-
-// SortedKeys appends every live key to dst and sorts the result
-// ascending — the deterministic iteration order for passes that consume
-// RNG deviates per key (sampling) or build wire batches, replacing the
-// build-a-slice-and-sort dance every such caller used to do on Go maps.
-func (t *tableOf[V]) SortedKeys(dst []uint64) []uint64 {
-	t.ForEach(func(k uint64, _ V) { dst = append(dst, k) })
-	slices.Sort(dst)
-	return dst
-}
-
-// Reset clears the table for reuse, keeping its arrays. Only the control
-// words need zeroing — 1/24th of the footprint the old slot-clearing
-// Reset touched.
-func (t *tableOf[V]) Reset() {
-	if t.ctrl != nil {
-		clear(*t.ctrl)
-	}
-	t.used, t.total = 0, 0
 }
 
 // Release returns the arrays to the pool; the table remains usable and

@@ -2,7 +2,6 @@ package dht
 
 import (
 	"reflect"
-	"slices"
 	"testing"
 )
 
@@ -54,7 +53,9 @@ func TestTableIterationDeterministic(t *testing.T) {
 		for i := 0; i < 500; i++ {
 			tb.Add(uint64(i*2654435761)%1000, 1)
 		}
-		return tb.AppendKVs(nil)
+		var kvs []KV
+		tb.ForEach(func(k uint64, c int64) { kvs = append(kvs, KV{k, c}) })
+		return kvs
 	}
 	a, b := build(), build()
 	if !reflect.DeepEqual(a, b) {
@@ -65,18 +66,13 @@ func TestTableIterationDeterministic(t *testing.T) {
 	}
 }
 
-func TestTableResetAndReleaseReuse(t *testing.T) {
+func TestTableReleaseReuse(t *testing.T) {
 	tb := NewTable(8)
-	tb.Add(1, 1)
-	tb.Reset()
-	if tb.Len() != 0 || tb.Total() != 0 {
-		t.Fatalf("Reset left %d/%d", tb.Len(), tb.Total())
-	}
-	if _, ok := tb.Get(1); ok {
-		t.Error("Reset kept a key")
-	}
 	tb.Add(2, 5)
 	tb.Release()
+	if tb.Len() != 0 || tb.Total() != 0 {
+		t.Fatalf("Release left %d/%d", tb.Len(), tb.Total())
+	}
 	// A released table must be usable again.
 	tb.Add(3, 7)
 	if got, ok := tb.Get(3); !ok || got != 7 {
@@ -135,29 +131,6 @@ func TestSumTableBasics(t *testing.T) {
 	s.Add(3, 1) // released table must be usable again
 	if got, _ := s.Get(3); got != 1 {
 		t.Errorf("post-release Add lost value: %v", got)
-	}
-}
-
-func TestSortedKeysDeterministic(t *testing.T) {
-	tb := NewTable(0)
-	keys := []uint64{900, 3, 77, 12, 500, 1}
-	for _, k := range keys {
-		tb.Add(k, int64(k))
-	}
-	got := tb.SortedKeys(nil)
-	want := append([]uint64(nil), keys...)
-	slices.Sort(want)
-	if !slices.Equal(got, want) {
-		t.Errorf("SortedKeys = %v, want %v", got, want)
-	}
-	// Appending into a reused buffer must extend, not clobber.
-	buf := []uint64{42}
-	got = tb.SortedKeys(buf[:1])
-	if got[0] > got[1] { // sorted including the prefix
-		t.Logf("prefix participates in the sort, as documented: %v", got[:2])
-	}
-	if len(got) != len(keys)+1 {
-		t.Errorf("reused-buffer SortedKeys has %d keys", len(got))
 	}
 }
 

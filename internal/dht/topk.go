@@ -20,17 +20,18 @@ func SortKVDesc(items []KV) {
 	})
 }
 
-// SelectTopKTable returns the k entries with the highest counts from a
-// DHT-sharded count Table, on all PEs, using the unsorted selection
-// algorithm of Section 4.1 on the counts (descending order is realized by
+// SelectTopK returns the k entries with the highest counts from
+// DHT-sharded count runs (each PE's shard holds each key once, keys
+// ascending), on all PEs, using the unsorted selection algorithm of
+// Section 4.1 on the counts (descending order is realized by
 // complementing the count). Ties at the threshold are split
 // deterministically — across PEs with a prefix sum, within a PE by
-// ascending key, so shard iteration order cannot leak into the result —
-// and exactly k entries are returned (fewer if fewer exist globally).
-// Shared by the frequent-objects (§7) and sum-aggregation (§8) layers.
-// The shard table is only read. Collective. The blocking driver of
-// SelectTopKTableStep, which holds the algorithm (async.go).
-func SelectTopKTable(pe *comm.PE, shard *Table, k int, rng *xrand.RNG) []KV {
+// ascending key — and exactly k entries are returned (fewer if fewer
+// exist globally). Shared by the frequent-objects (§7) and
+// sum-aggregation (§8) layers. The shard is only read. Collective. The
+// blocking driver of SelectTopKStep, which holds the algorithm
+// (async.go).
+func SelectTopK(pe *comm.PE, shard []KV, k int, rng *xrand.RNG) []KV {
 	st := newSelectTopKStep(pe, shard, k, rng, nil, false)
 	comm.RunSteps(pe, st)
 	res := st.res

@@ -5,6 +5,7 @@ import (
 
 	"commtopk/internal/bpq"
 	"commtopk/internal/comm"
+	"commtopk/internal/commbuf"
 	"commtopk/internal/dht"
 	"commtopk/internal/redist"
 	"commtopk/internal/sel"
@@ -91,11 +92,11 @@ func AblationDHTRouting(p, distinct int, seed int64) Table {
 	for _, mode := range []dht.RouteMode{dht.RouteDirect, dht.RouteHypercube} {
 		m := comm.NewMachine(comm.DefaultConfig(p))
 		meas := runMeasured(m, func(pe *comm.PE) {
-			local := make(map[uint64]int64, distinct)
-			for k := 0; k < distinct; k++ {
-				local[uint64(k)] = int64(pe.Rank() + 1)
+			local := make([]dht.KV, distinct)
+			for k := range local {
+				local[k] = dht.KV{Key: uint64(k), Count: int64(pe.Rank() + 1)}
 			}
-			dht.CountKeys(pe, local, mode)
+			commbuf.Put(dht.CountKV(pe, local, mode))
 		})
 		name := "direct"
 		if mode == dht.RouteHypercube {

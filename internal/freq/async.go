@@ -1,10 +1,9 @@
 package freq
 
 import (
-	"slices"
-
 	"commtopk/internal/coll"
 	"commtopk/internal/comm"
+	"commtopk/internal/commbuf"
 	"commtopk/internal/dht"
 	"commtopk/internal/stats"
 	"commtopk/internal/xrand"
@@ -35,15 +34,14 @@ type pacStep struct {
 	self  bool
 
 	n     int64
-	agg   *dht.Table
-	shard *dht.Table
-	items []dht.KV // the sample's entries staged for routing; survives pooling
+	runs  []dht.KV // the sample's count runs, routed; survives pooling
+	shard *[]dht.KV
 	res   Result
 
 	cur     comm.Stepper
 	onN     func(int64)
 	onSize  func(int64)
-	onShard func(*dht.Table)
+	onShard func(*[]dht.KV)
 	onTop   func([]dht.KV)
 	phase   int
 }
@@ -58,7 +56,7 @@ func newPACStep(pe *comm.PE, local []uint64, p Params, rng *xrand.RNG, out func(
 	if s.onN == nil {
 		s.onN = func(v int64) { s.n = v }
 		s.onSize = func(v int64) { s.res.SampleSize = v }
-		s.onShard = func(t *dht.Table) { s.shard = t }
+		s.onShard = func(sh *[]dht.KV) { s.shard = sh }
 		s.onTop = func(top []dht.KV) { s.res.Items = top }
 	}
 	return s
@@ -85,7 +83,7 @@ func (s *pacStep) finish(pe *comm.PE) *comm.RecvHandle {
 
 func (s *pacStep) release(pe *comm.PE) {
 	s.local, s.rng, s.out, s.cur = nil, nil, nil, nil
-	s.agg, s.shard = nil, nil
+	s.shard = nil
 	s.res = Result{}
 	comm.PutPooled(pe, s)
 }
@@ -104,21 +102,19 @@ func (s *pacStep) Step(pe *comm.PE) *comm.RecvHandle {
 			s.phase = fphNWait
 		case fphNWait:
 			s.res.Rho = min(1, stats.PACSampleSize(s.n, s.p.K, s.p.Eps, s.p.Delta)/float64(s.n))
-			s.agg = sampleCounts(s.local, s.res.Rho, s.rng)
-			s.cur = coll.AllReduceScalarStep(pe, s.agg.Total(), addI64, s.onSize)
+			var size int64
+			s.runs, size = sampleCounts(s.local, s.res.Rho, s.rng, s.runs)
+			s.cur = coll.AllReduceScalarStep(pe, size, addI64, s.onSize)
 			s.phase = fphSizeWait
 		case fphSizeWait:
-			s.items = s.agg.AppendKVs(slices.Grow(s.items[:0], s.agg.Len()))
-			s.cur = dht.CountKVStep(pe, s.items, s.p.Route, s.onShard)
+			s.cur = dht.CountKVStep(pe, s.runs, dht.RouteHypercube, s.onShard)
 			s.phase = fphShardWait
 		case fphShardWait:
-			s.agg.Release()
-			s.agg = nil
-			s.cur = dht.SelectTopKTableStep(pe, s.shard, s.p.K, s.rng, s.onTop)
+			s.cur = dht.SelectTopKStep(pe, *s.shard, s.p.K, s.rng, s.onTop)
+			commbuf.Put(s.shard)
+			s.shard = nil
 			s.phase = fphTopWait
 		case fphTopWait:
-			s.shard.Release()
-			s.shard = nil
 			for i := range s.res.Items {
 				s.res.Items[i].Count = int64(float64(s.res.Items[i].Count)/s.res.Rho + 0.5)
 			}
@@ -157,9 +153,8 @@ type ecStep struct {
 	haveParams bool
 
 	n      int64
-	agg    *dht.Table
-	shard  *dht.Table
-	items  []dht.KV // the sample's entries staged for routing; survives pooling
+	runs   []dht.KV // the sample's count runs, routed; survives pooling
+	shard  *[]dht.KV
 	cands  []dht.KV
 	keys   []uint64
 	counts []int64
@@ -168,7 +163,7 @@ type ecStep struct {
 	cur      comm.Stepper
 	onN      func(int64)
 	onSize   func(int64)
-	onShard  func(*dht.Table)
+	onShard  func(*[]dht.KV)
 	onCands  func([]dht.KV)
 	onGlobal func([]int64)
 	phase    int
@@ -188,7 +183,7 @@ func newECStep(pe *comm.PE, local []uint64, p Params, kStar int, rho float64, ha
 	if s.onN == nil {
 		s.onN = func(v int64) { s.n = v }
 		s.onSize = func(v int64) { s.res.SampleSize = v }
-		s.onShard = func(t *dht.Table) { s.shard = t }
+		s.onShard = func(sh *[]dht.KV) { s.shard = sh }
 		s.onCands = func(c []dht.KV) { s.cands = c }
 		s.onGlobal = func(g []int64) { s.counts = append(s.counts[:0], g...) }
 	}
@@ -216,7 +211,7 @@ func (s *ecStep) finish(pe *comm.PE) *comm.RecvHandle {
 
 func (s *ecStep) release(pe *comm.PE) {
 	s.local, s.rng, s.out, s.cur = nil, nil, nil, nil
-	s.agg, s.shard, s.cands, s.keys = nil, nil, nil, nil
+	s.shard, s.cands, s.keys = nil, nil, nil
 	s.counts = s.counts[:0]
 	s.res = Result{}
 	comm.PutPooled(pe, s)
@@ -243,51 +238,29 @@ func (s *ecStep) Step(pe *comm.PE) *comm.RecvHandle {
 			s.res.Rho = min(1, stats.ECSampleSize(s.n, kStar, s.p.Eps, s.p.Delta)/float64(s.n))
 			s.phase = ephSample
 		case ephSample:
-			s.agg = sampleCounts(s.local, s.res.Rho, s.rng)
-			s.cur = coll.AllReduceScalarStep(pe, s.agg.Total(), addI64, s.onSize)
+			var size int64
+			s.runs, size = sampleCounts(s.local, s.res.Rho, s.rng, s.runs)
+			s.cur = coll.AllReduceScalarStep(pe, size, addI64, s.onSize)
 			s.phase = ephSizeWait
 		case ephSizeWait:
-			s.items = s.agg.AppendKVs(slices.Grow(s.items[:0], s.agg.Len()))
-			s.cur = dht.CountKVStep(pe, s.items, s.p.Route, s.onShard)
+			s.cur = dht.CountKVStep(pe, s.runs, dht.RouteHypercube, s.onShard)
 			s.phase = ephShardWait
 		case ephShardWait:
-			s.agg.Release()
-			s.agg = nil
-			s.cur = dht.SelectTopKTableStep(pe, s.shard, s.res.KStar, s.rng, s.onCands)
+			s.cur = dht.SelectTopKStep(pe, *s.shard, s.res.KStar, s.rng, s.onCands)
+			commbuf.Put(s.shard)
+			s.shard = nil
 			s.phase = ephCandWait
 		case ephCandWait:
-			s.shard.Release()
-			s.shard = nil
 			s.keys = candidateKeys(s.cands)
 			s.res.Exact = true
 			if len(s.keys) == 0 {
 				s.res.Items = nil
 				return s.finish(pe)
 			}
-			// Local exact counting pass over the candidate index.
-			index := dht.NewTable(len(s.keys))
-			for i, k := range s.keys {
-				index.Set(k, int64(i))
-			}
-			counts := make([]int64, len(s.keys))
-			for _, x := range s.local {
-				if i, ok := index.Get(x); ok {
-					counts[i]++
-				}
-			}
-			index.Release()
-			s.cur = coll.AllReduceStep(pe, counts, addI64, s.onGlobal)
+			s.cur = coll.AllReduceStep(pe, countExactly(s.local, s.keys), addI64, s.onGlobal)
 			s.phase = ephExactWait
 		case ephExactWait:
-			exact := make([]dht.KV, len(s.keys))
-			for i, k := range s.keys {
-				exact[i] = dht.KV{Key: k, Count: s.counts[i]}
-			}
-			dht.SortKVDesc(exact)
-			if len(exact) > s.p.K {
-				exact = exact[:s.p.K]
-			}
-			s.res.Items = exact
+			s.res.Items = exactTop(s.keys, s.counts, s.p.K)
 			return s.finish(pe)
 		default:
 			return nil

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"commtopk/internal/comm"
+	"commtopk/internal/commbuf"
 	"commtopk/internal/dht"
 	"commtopk/internal/stats"
 	"commtopk/internal/xrand"
@@ -75,11 +76,10 @@ func TestFigure4PaperExample(t *testing.T) {
 		var got []uint64
 		m.MustRun(func(pe *comm.PE) {
 			rng := xrand.NewPE(seed, pe.Rank())
-			agg := sampleCounts(locals[pe.Rank()], 0.3, rng)
-			shard := countShard(pe, agg, dht.RouteHypercube)
-			agg.Release()
-			top := dht.SelectTopKTable(pe, shard, 5, rng)
-			shard.Release()
+			runs, _ := sampleCounts(locals[pe.Rank()], 0.3, rng, nil)
+			shard := dht.CountKV(pe, runs, dht.RouteHypercube)
+			top := dht.SelectTopK(pe, *shard, 5, rng)
+			commbuf.Put(shard)
 			if pe.Rank() == 0 {
 				got = keysOf(top)
 			}

@@ -25,6 +25,7 @@ import (
 
 	"commtopk/internal/coll"
 	"commtopk/internal/comm"
+	"commtopk/internal/commbuf"
 	"commtopk/internal/dht"
 	"commtopk/internal/gen"
 	"commtopk/internal/stats"
@@ -40,8 +41,6 @@ type Params struct {
 	Eps float64
 	// Delta is the failure probability δ.
 	Delta float64
-	// Route selects DHT insertion routing (default hypercube).
-	Route dht.RouteMode
 	// KStarOverride, if positive, fixes EC's exactly-counted candidate
 	// count instead of the volume-optimal choice of Theorem 11.
 	KStarOverride int
@@ -70,28 +69,23 @@ type Result struct {
 
 // sampleCounts draws a Bernoulli(rho) sample of the local input and
 // aggregates it by key (the Section 7.4 local-aggregation refinement)
-// into a pooled count table the caller must Release. The input scan
-// order fixes both the RNG consumption and the table's iteration order,
-// so downstream candidate sets are deterministic per seed.
-func sampleCounts(local []uint64, rho float64, rng *xrand.RNG) *dht.Table {
-	agg := dht.NewTable(0)
+// into count runs, built in dst's backing array. The skip sampler draws
+// over input positions, so the RNG consumption is a function of the input
+// alone. The second result is the realized local sample size.
+func sampleCounts(local []uint64, rho float64, rng *xrand.RNG, dst []dht.KV) ([]dht.KV, int64) {
 	if rho >= 1 {
-		for _, x := range local {
-			agg.Add(x, 1)
-		}
-		return agg
+		return dht.CountRuns(local, dst), int64(len(local))
 	}
+	b := commbuf.GetCap[uint64](int(rho*float64(len(local))) + 16)
+	sample := *b
 	s := xrand.NewSkipSampler(rng, rho)
 	for idx := s.Next(); idx < int64(len(local)); idx = s.Next() {
-		agg.Add(local[idx], 1)
+		sample = append(sample, local[idx])
 	}
-	return agg
-}
-
-// countShard routes a sampled count table into the DHT and returns the
-// owned shard as a pooled table (caller releases).
-func countShard(pe *comm.PE, agg *dht.Table, route dht.RouteMode) *dht.Table {
-	return dht.CountKV(pe, agg.AppendKVs(make([]dht.KV, 0, agg.Len())), route)
+	dst = dht.CountRuns(sample, dst)
+	*b = sample
+	commbuf.Put(b)
+	return dst, int64(len(sample))
 }
 
 // PAC computes an (ε, δ)-approximation of the top-k most frequent objects
@@ -138,20 +132,13 @@ func candidateKeys(items []dht.KV) []uint64 {
 	return slices.Compact(keys)
 }
 
-// countExactly counts the given candidate keys exactly over the whole
-// input: the identities travel by all-gather (already done by the caller's
-// selection), each PE scans its local input once (O(n/p)), and a
-// vector-valued sum reduction produces global counts on all PEs —
-// O(β·k* + α log p) communication. The keys slice must be identical on
-// all PEs. Results are sorted by count descending.
-func countExactly(pe *comm.PE, local []uint64, keys []uint64) []dht.KV {
-	if len(keys) == 0 {
-		return nil
-	}
-	// Candidate index as a pooled table (key → position) — the counting
-	// scan is the EC query path's hottest local loop, and the open
-	// addressing both avoids the Go-map churn and probes faster at these
-	// sizes (k* entries).
+// countExactly counts the given candidate keys (identical on all PEs)
+// over the local input: one scan, O(n/p), probing a pooled key →
+// position table per element — at k* in the hundreds about twice as fast
+// as a binary search over the sorted candidates. The caller sums the
+// counts with one vector reduction: O(β·k* + α log p) communication, the
+// candidate identities having travelled with the selection's all-gather.
+func countExactly(local []uint64, keys []uint64) []int64 {
 	index := dht.NewTable(len(keys))
 	for i, k := range keys {
 		index.Set(k, int64(i))
@@ -163,13 +150,27 @@ func countExactly(pe *comm.PE, local []uint64, keys []uint64) []dht.KV {
 		}
 	}
 	index.Release()
-	global := coll.AllReduce(pe, counts, func(a, b int64) int64 { return a + b })
+	return counts
+}
+
+// exactTop pairs the candidate keys with their global counts and returns
+// the k most frequent, sorted by SortKVDesc.
+func exactTop(keys []uint64, counts []int64, k int) []dht.KV {
 	out := make([]dht.KV, len(keys))
-	for i, k := range keys {
-		out[i] = dht.KV{Key: k, Count: global[i]}
+	for i, key := range keys {
+		out[i] = dht.KV{Key: key, Count: counts[i]}
 	}
 	dht.SortKVDesc(out)
-	return out
+	return out[:min(k, len(out))]
+}
+
+// countTop is the blocking exact count of the candidates: countExactly,
+// one vector sum reduction, and exactTop. Collective.
+func countTop(pe *comm.PE, local []uint64, keys []uint64, k int) []dht.KV {
+	if len(keys) == 0 {
+		return nil
+	}
+	return exactTop(keys, coll.AllReduce(pe, countExactly(local, keys), addI64), k)
 }
 
 // PEC computes a probably exactly correct result for distributions with a
@@ -186,15 +187,14 @@ func PEC(pe *comm.PE, local []uint64, p Params, eps0 float64, rng *xrand.RNG) Re
 	}
 	n := coll.SumAll(pe, int64(len(local)))
 	rho0 := min(1, stats.PACSampleSize(n, p.K, eps0, p.Delta)/float64(n))
-	agg := sampleCounts(local, rho0, rng)
-	stage1Size := coll.SumAll(pe, agg.Total())
-	shard := countShard(pe, agg, p.Route)
-	agg.Release()
+	runs, size := sampleCounts(local, rho0, rng, nil)
+	stage1Size := coll.SumAll(pe, size)
+	shard := dht.CountKV(pe, runs, dht.RouteHypercube)
 
 	// Inspect the head of the sampled frequency distribution.
 	m := max(4*p.K, 64)
-	head := dht.SelectTopKTable(pe, shard, m, rng)
-	shard.Release()
+	head := dht.SelectTopK(pe, *shard, m, rng)
+	commbuf.Put(shard)
 	countsDesc := make([]int64, len(head))
 	for i, it := range head {
 		countsDesc[i] = it.Count
@@ -218,10 +218,7 @@ func PEC(pe *comm.PE, local []uint64, p Params, eps0 float64, rng *xrand.RNG) Re
 	if kStar > len(head) {
 		kStar = len(head)
 	}
-	exact := countExactly(pe, local, candidateKeys(head[:kStar]))
-	if len(exact) > p.K {
-		exact = exact[:p.K]
-	}
+	exact := countTop(pe, local, candidateKeys(head[:kStar]), p.K)
 	return Result{Items: exact, SampleSize: stage1Size, Rho: rho0, KStar: kStar, Exact: true}
 }
 
@@ -253,8 +250,8 @@ func Naive(pe *comm.PE, local []uint64, p Params, rng *xrand.RNG) Result {
 	p.validate()
 	n := coll.SumAll(pe, int64(len(local)))
 	rho := min(1, stats.PACSampleSize(n, p.K, p.Eps, p.Delta)/float64(n))
-	agg := sampleCounts(local, rho, rng)
-	sampleSize := coll.SumAll(pe, agg.Total())
+	runs, size := sampleCounts(local, rho, rng, nil)
+	sampleSize := coll.SumAll(pe, size)
 
 	// Direct delivery to the coordinator: rank 0 receives p-1 messages.
 	tag := pe.NextCollTag()
@@ -262,42 +259,36 @@ func Naive(pe *comm.PE, local []uint64, p Params, rng *xrand.RNG) Result {
 	if pe.Rank() == 0 {
 		for src := 1; src < pe.P(); src++ {
 			rx, _ := pe.Recv(src, tag)
-			for _, kv := range rx.([]dht.KV) {
-				agg.Add(kv.Key, kv.Count)
-			}
+			runs = append(runs, rx.([]dht.KV)...)
 		}
-		top = topKLocal(agg, p.K)
+		top = topKLocal(dht.SumKVs(runs), p.K)
 	} else {
-		out := agg.AppendKVs(make([]dht.KV, 0, agg.Len()))
-		pe.Send(0, tag, out, int64(len(out))*coll.WordsOf[dht.KV]())
+		pe.Send(0, tag, runs, int64(len(runs))*coll.WordsOf[dht.KV]())
 	}
-	agg.Release()
-	top = coll.Broadcast(pe, 0, top)
-	items := make([]dht.KV, len(top))
-	for i, it := range top {
-		items[i] = dht.KV{Key: it.Key, Count: int64(float64(it.Count)/rho + 0.5)}
-	}
-	return Result{Items: items, SampleSize: sampleSize, Rho: rho, Exact: rho >= 1}
+	return scaled(coll.Broadcast(pe, 0, top), sampleSize, rho)
 }
 
 // NaiveTree is the second baseline: identical sample, but the aggregated
 // counts flow to the coordinator along a binomial tree that merges count
-// tables at every step (latency O(log p), but the volume near the root
+// runs at every step (latency O(log p), but the volume near the root
 // still grows with the distinct-key count). Collective.
 func NaiveTree(pe *comm.PE, local []uint64, p Params, rng *xrand.RNG) Result {
 	p.validate()
 	n := coll.SumAll(pe, int64(len(local)))
 	rho := min(1, stats.PACSampleSize(n, p.K, p.Eps, p.Delta)/float64(n))
-	agg := sampleCounts(local, rho, rng)
-	sampleSize := coll.SumAll(pe, agg.Total())
+	runs, size := sampleCounts(local, rho, rng, nil)
+	sampleSize := coll.SumAll(pe, size)
 
-	merged := treeReduceCounts(pe, agg)
 	var top []dht.KV
-	if pe.Rank() == 0 {
+	if merged := treeReduceCounts(pe, runs); pe.Rank() == 0 {
 		top = topKLocal(merged, p.K)
 	}
-	agg.Release()
-	top = coll.Broadcast(pe, 0, top)
+	return scaled(coll.Broadcast(pe, 0, top), sampleSize, rho)
+}
+
+// scaled is a baseline's result: the coordinator's top sample counts
+// scaled by 1/ρ.
+func scaled(top []dht.KV, sampleSize int64, rho float64) Result {
 	items := make([]dht.KV, len(top))
 	for i, it := range top {
 		items[i] = dht.KV{Key: it.Key, Count: int64(float64(it.Count)/rho + 0.5)}
@@ -305,10 +296,10 @@ func NaiveTree(pe *comm.PE, local []uint64, p Params, rng *xrand.RNG) Result {
 	return Result{Items: items, SampleSize: sampleSize, Rho: rho, Exact: rho >= 1}
 }
 
-// treeReduceCounts merges count tables up a binomial tree rooted at 0,
-// accumulating directly into acc (consumed); the root returns the global
-// table (acc itself), others nil.
-func treeReduceCounts(pe *comm.PE, acc *dht.Table) *dht.Table {
+// treeReduceCounts merges count runs up a binomial tree rooted at 0: each
+// PE appends its children's runs to acc and sums them back into runs
+// before passing them up. The root returns the global runs, others nil.
+func treeReduceCounts(pe *comm.PE, acc []dht.KV) []dht.KV {
 	p := pe.P()
 	if p == 1 {
 		return acc
@@ -317,38 +308,31 @@ func treeReduceCounts(pe *comm.PE, acc *dht.Table) *dht.Table {
 	vr := pe.Rank()
 	for mask := 1; mask < p; mask <<= 1 {
 		if vr&mask != 0 {
-			out := acc.AppendKVs(make([]dht.KV, 0, acc.Len()))
-			pe.Send(vr&^mask, tag, out, int64(len(out))*coll.WordsOf[dht.KV]())
+			acc = dht.SumKVs(acc)
+			pe.Send(vr&^mask, tag, acc, int64(len(acc))*coll.WordsOf[dht.KV]())
 			return nil
 		}
-		src := vr | mask
-		if src < p {
+		if src := vr | mask; src < p {
 			rx, _ := pe.Recv(src, tag)
-			for _, kv := range rx.([]dht.KV) {
-				acc.Add(kv.Key, kv.Count)
-			}
+			acc = append(acc, rx.([]dht.KV)...)
 		}
 	}
-	return acc
+	return dht.SumKVs(acc)
 }
 
-func topKLocal(t *dht.Table, k int) []dht.KV {
-	all := t.AppendKVs(make([]dht.KV, 0, t.Len()))
-	dht.SortKVDesc(all)
-	if len(all) > k {
-		all = all[:k]
-	}
-	return all
+// topKLocal sorts counts by SortKVDesc, in place, and returns the first k.
+func topKLocal(counts []dht.KV, k int) []dht.KV {
+	dht.SortKVDesc(counts)
+	return counts[:min(k, len(counts))]
 }
 
 // ExactTopK computes the exact top-k by fully counting every key through
 // the DHT — the ground truth used by tests and experiment scoring (not
 // communication-efficient; Θ(distinct keys) volume). Collective.
-func ExactTopK(pe *comm.PE, local []uint64, k int, route dht.RouteMode, rng *xrand.RNG) []dht.KV {
-	agg := sampleCounts(local, 1, rng)
-	shard := countShard(pe, agg, route)
-	agg.Release()
-	out := dht.SelectTopKTable(pe, shard, k, rng)
-	shard.Release()
+func ExactTopK(pe *comm.PE, local []uint64, k int, rng *xrand.RNG) []dht.KV {
+	runs, _ := sampleCounts(local, 1, rng, nil)
+	shard := dht.CountKV(pe, runs, dht.RouteHypercube)
+	out := dht.SelectTopK(pe, *shard, k, rng)
+	commbuf.Put(shard)
 	return out
 }

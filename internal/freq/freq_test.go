@@ -236,7 +236,7 @@ func TestExactTopK(t *testing.T) {
 	want := stats.TopKOf(exact, 10)
 	m := comm.NewMachine(comm.DefaultConfig(p))
 	m.MustRun(func(pe *comm.PE) {
-		got := ExactTopK(pe, locals[pe.Rank()], 10, dht.RouteHypercube, xrand.NewPE(89, pe.Rank()))
+		got := ExactTopK(pe, locals[pe.Rank()], 10, xrand.NewPE(89, pe.Rank()))
 		if len(got) != 10 {
 			t.Errorf("ExactTopK returned %d items", len(got))
 			return
@@ -261,12 +261,11 @@ func TestSelectTopKTieSplitting(t *testing.T) {
 	const p = 4
 	m := comm.NewMachine(comm.DefaultConfig(p))
 	m.MustRun(func(pe *comm.PE) {
-		shard := dht.NewTable(50)
-		defer shard.Release()
-		for i := 0; i < 50; i++ {
-			shard.Set(uint64(pe.Rank()*1000+i), 7) // all tied
+		shard := make([]dht.KV, 50)
+		for i := range shard {
+			shard[i] = dht.KV{Key: uint64(pe.Rank()*1000 + i), Count: 7} // all tied
 		}
-		got := dht.SelectTopKTable(pe, shard, 33, xrand.NewPE(97, pe.Rank()))
+		got := dht.SelectTopK(pe, shard, 33, xrand.NewPE(97, pe.Rank()))
 		if len(got) != 33 {
 			t.Errorf("tie splitting returned %d items, want 33", len(got))
 		}
@@ -277,10 +276,8 @@ func TestSelectTopKFewerThanK(t *testing.T) {
 	const p = 3
 	m := comm.NewMachine(comm.DefaultConfig(p))
 	m.MustRun(func(pe *comm.PE) {
-		shard := dht.NewTable(1)
-		defer shard.Release()
-		shard.Set(uint64(pe.Rank()), int64(pe.Rank()+1))
-		got := dht.SelectTopKTable(pe, shard, 10, xrand.NewPE(101, pe.Rank()))
+		shard := []dht.KV{{Key: uint64(pe.Rank()), Count: int64(pe.Rank() + 1)}}
+		got := dht.SelectTopK(pe, shard, 10, xrand.NewPE(101, pe.Rank()))
 		if len(got) != p {
 			t.Errorf("got %d items, want all %d", len(got), p)
 		}

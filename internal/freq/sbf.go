@@ -1,8 +1,6 @@
 package freq
 
 import (
-	"sort"
-
 	"commtopk/internal/coll"
 	"commtopk/internal/comm"
 	"commtopk/internal/dht"
@@ -26,11 +24,9 @@ func ECSBF(pe *comm.PE, local []uint64, p Params, rng *xrand.RNG) Result {
 	}
 	rho := min(1, stats.ECSampleSize(n, kStar, p.Eps, p.Delta)/float64(n))
 
-	agg := sampleCounts(local, rho, rng)
-	sampleSize := coll.SumAll(pe, agg.Total())
-	sbf := dht.BuildSBF(pe, agg)
-	defer sbf.Release()
-	agg.Release()
+	runs, size := sampleCounts(local, rho, rng, nil)
+	sampleSize := coll.SumAll(pe, size)
+	sbf := dht.BuildSBF(pe, runs)
 
 	kappa := kStar/2 + 8
 	var resolved []dht.KV
@@ -43,36 +39,24 @@ func ECSBF(pe *comm.PE, local []uint64, p Params, rng *xrand.RNG) Result {
 		}
 		kappa *= 2
 	}
-	sort.Slice(resolved, func(i, j int) bool {
-		if resolved[i].Count != resolved[j].Count {
-			return resolved[i].Count > resolved[j].Count
-		}
-		return resolved[i].Key < resolved[j].Key
-	})
+	dht.SortKVDesc(resolved)
 	if len(resolved) > kStar {
 		resolved = resolved[:kStar]
 	}
-	exact := countExactly(pe, local, candidateKeys(resolved))
-	if len(exact) > p.K {
-		exact = exact[:p.K]
-	}
+	exact := countTop(pe, local, candidateKeys(resolved), p.K)
 	return Result{Items: exact, SampleSize: sampleSize, Rho: rho, KStar: kStar, Exact: true}
 }
 
 // selectTopCells picks the m cells with the highest counts from the
-// distributed cell table (all PEs receive the same cell list). The cell
-// table already keys cells as uint64, so selection runs directly on it —
-// no staging copy, and no map iteration anywhere on the path: the
-// table's slot order is fixed by its (deterministic) insertion sequence,
-// so the selection's pivot sampling draws the same RNG stream on every
-// run and under any serve interleaving. Collective.
-func selectTopCells(pe *comm.PE, cells *dht.Table, m int, rng *xrand.RNG) []uint32 {
-	// Selection hashes by dht.Owner; ownership differs from cellOwner but
-	// correctness only needs *some* consistent sharding, which re-sharding
-	// through CountKeys would provide — yet the counts here are already
-	// global (each cell lives on exactly one PE), so selection can run
-	// directly on the local tables.
-	top := dht.SelectTopKTable(pe, cells, m, rng)
+// distributed cell runs (all PEs receive the same cell list). The runs
+// already key cells as uint64 in ascending order, a function of the
+// sample alone, so selection runs directly on them and its pivot sampling
+// draws the same RNG stream on every run and under any serve
+// interleaving. Each cell's count is global (a cell lives on exactly one
+// PE, its cellOwner), which is all the selection needs of a sharding.
+// Collective.
+func selectTopCells(pe *comm.PE, cells []dht.KV, m int, rng *xrand.RNG) []uint32 {
+	top := dht.SelectTopK(pe, cells, m, rng)
 	out := make([]uint32, len(top))
 	for i, kv := range top {
 		out[i] = uint32(kv.Key)

@@ -57,6 +57,9 @@ tier1() {
   # and dense ranks against a stable sort under heavy score ties.
   must_run ./internal/qsel/ 'TestSortPairsStableAgainstSortOracle|TestSortPairsZeroAlloc'
   must_run ./internal/agg/ 'TestLocalAggregate|TestLocalAggregateMatchesSumTable|TestLocalAggregateZeroAlloc'
+  # Counting is sorted runs: the run engine allocation-free on a warm
+  # pool, and every dht codec round-trips.
+  must_run ./internal/dht/ 'TestRunEngineZeroAlloc|TestWireCodecsRoundTrip|TestCountKeysBothRoutes|TestSBFResolveSplitsCollisions'
   must_run ./internal/treap/ 'TestArenaPathTaken|TestChurnZeroAlloc|TestPopSmallest'
   # Goroutine residency: a resident p = 16384 machine, p = 16384 mid-run,
   # p = 65536 inside the memory budget.
@@ -89,12 +92,14 @@ tier1() {
   must_run ./internal/sel/ 'TestAMSLanesAgainstSortOracle|TestAMSLanesShareEachRound|TestAMSSelectNStepSkipsTheSizeSum|TestAMSSelectOneLaneGolden'
   must_run ./internal/mtopk/ 'TestDTAOneSelectionPerProbe|TestDTAProbedFewerRounds|TestDTAPolylogCommunication|TestNewDataListsMatchStableSort|TestInEarlierPrefixMatchesScan'
   # Repeated runs are bit-identical (mtopk DTA/RDTA, bnb, redist, freq),
-  # and agg's PAC/ECSum reproduce their recorded results and meters.
+  # and agg's PAC/ECSum and every freq algorithm reproduce their recorded
+  # results and meters.
   must_run ./internal/mtopk/ 'TestMtopkRepeatedRunsBitIdentical' -count=5
   must_run ./internal/agg/ 'TestAggResultsGolden' -count=5
   must_run ./internal/bnb/ 'TestBnbRepeatedRunsBitIdentical' -count=5
   must_run ./internal/redist/ 'TestBuildPlanStepRepeatedRunsBitIdentical' -count=5
   must_run ./internal/freq/ 'TestFreqRepeatedRunsBitIdentical' -count=5
+  must_run ./internal/freq/ 'TestFreqResultsGolden' -count=5
   must_run ./internal/serve/ 'TestDeadlineExpiredAtSubmit|TestDeadlineExpiredWhileQueued' -count=50
   # Wire: 2-process differential (results and meters bit-identical), worker
   # death is a clean error with no goroutine leak.
@@ -106,6 +111,7 @@ tier1() {
   fuzz ./internal/qsel/ FuzzSelect
   fuzz ./internal/sel/ FuzzKthSorted
   fuzz ./internal/mailbox/ FuzzBox
+  fuzz ./internal/dht/ FuzzSumRuns
 }
 
 race() {
@@ -139,6 +145,7 @@ race() {
   must_run ./internal/freq/ 'TestFreqSteppersMatchBlocking' -race -count=3
   must_run ./internal/agg/ 'TestAggSteppersMatchBlocking' -race -count=3
   must_run ./internal/agg/ 'TestAggResultsGolden|TestLocalAggregateMatchesSumTable' -race -count=3
+  must_run ./internal/freq/ 'TestFreqResultsGolden' -race -count=3
   must_run ./internal/mtopk/ 'TestNewDataListsMatchStableSort|TestInEarlierPrefixMatchesScan' -race -count=3
   must_run ./internal/qsel/ 'TestSortPairsStableAgainstSortOracle' -race -count=3
   # Serving: concurrent equals sequential for all three kinds, on both
