@@ -249,7 +249,7 @@ func BenchmarkTable1_BranchAndBound(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		seed := int64(i)
 		m.MustRun(func(pe *comm.PE) {
-			bnb.Solve[bnb.KNode](pe, instance, seed, bnb.Config{})
+			bnb.Solve[bnb.KNode](pe, instance, seed)
 		})
 	}
 	reportComm(b, m)

@@ -32,7 +32,7 @@ func main() {
 	m := comm.NewMachine(comm.DefaultConfig(p))
 	var result bnb.Result[bnb.KNode]
 	m.MustRun(func(pe *comm.PE) {
-		res := bnb.Solve[bnb.KNode](pe, instance, 99, bnb.Config{})
+		res := bnb.Solve[bnb.KNode](pe, instance, 99)
 		if pe.Rank() == 0 {
 			result = res
 		}

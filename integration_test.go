@@ -168,7 +168,7 @@ func TestPipelineBnBUsesSelectionInternals(t *testing.T) {
 	want := -float64(inst.OptimalByDP())
 	m := comm.NewMachine(comm.DefaultConfig(p))
 	m.MustRun(func(pe *comm.PE) {
-		res := bnb.Solve[bnb.KNode](pe, inst, 3, bnb.Config{})
+		res := bnb.Solve[bnb.KNode](pe, inst, 3)
 		if res.Objective != want {
 			t.Errorf("objective %v, want %v", res.Objective, want)
 		}

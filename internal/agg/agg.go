@@ -12,12 +12,16 @@
 package agg
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
+	"commtopk/internal/coll"
 	"commtopk/internal/comm"
 	"commtopk/internal/commbuf"
 	"commtopk/internal/dht"
+	"commtopk/internal/stats"
 	"commtopk/internal/xrand"
 )
 
@@ -29,8 +33,6 @@ type Params struct {
 	Eps float64
 	// Delta is the failure probability.
 	Delta float64
-	// KStarOverride fixes the exactly-summed candidate count for ECSum.
-	KStarOverride int
 }
 
 func (p Params) validate() {
@@ -154,28 +156,84 @@ func sampleAggregated(local *Aggregate, vavg float64, rng *xrand.RNG) ([]dht.KV,
 }
 
 // PAC computes an (ε, δ)-approximation of the top-k highest-summing keys
-// (Theorem 15). Collective. Blocking driver over the same state machine
-// PACStep exposes for comm.RunAsync.
+// (Theorem 15). Collective.
 func PAC(pe *comm.PE, keys []uint64, values []float64, p Params, rng *xrand.RNG) Result {
-	st := newAggStep(pe, keys, values, p, false, rng, nil, false)
-	comm.RunSteps(pe, st)
-	res := st.res
-	st.release(pe)
-	return res
+	return topSums(pe, keys, values, p, false, rng)
 }
 
 // ECSum is the exact-summation variant (end of Section 8.2): like PAC,
 // but the k* highest-sampled candidates are summed exactly — and unlike
 // the frequent-objects case, no second input scan is needed: "a lookup in
-// the local aggregation result now suffices". Collective. Blocking
-// driver over the ECSumStep state machine.
+// the local aggregation result now suffices". Collective.
 func ECSum(pe *comm.PE, keys []uint64, values []float64, p Params, rng *xrand.RNG) Result {
-	st := newAggStep(pe, keys, values, p, true, rng, nil, false)
-	comm.RunSteps(pe, st)
-	res := st.res
-	st.release(pe)
+	return topSums(pe, keys, values, p, true, rng)
+}
+
+// topSums is PAC (exact false) and ECSum (exact true): Section 8's
+// value-proportional sampling, DHT routing and selection; the two
+// diverge only after the candidate selection.
+func topSums(pe *comm.PE, keys []uint64, values []float64, p Params, exact bool, rng *xrand.RNG) Result {
+	p.validate()
+	local := LocalAggregate(keys, values)
+	defer local.Release()
+	n := coll.SumAll(pe, int64(len(keys)))
+	mTotal := coll.SumAll(pe, local.Total())
+	if mTotal <= 0 {
+		return Result{}
+	}
+	var res Result
+	sz := stats.SumAggSampleSize(n, pe.P(), p.Eps, p.Delta)
+	sel := p.K
+	if exact {
+		res.KStar = stats.OptimalKStar(n, p.K, pe.P(), p.Eps, p.Delta)
+		sel = res.KStar
+		sz = max(sz/math.Sqrt(float64(res.KStar)), float64(4*p.K))
+	}
+	res.VAvg = mTotal / sz
+	sample, localSize := sampleAggregated(&local, res.VAvg, rng)
+	res.SampleSize = coll.SumAll(pe, localSize)
+	shard := dht.CountKV(pe, sample, dht.RouteHypercube)
+	cands := dht.SelectTopK(pe, *shard, sel, rng)
+	commbuf.Put(shard)
+	if !exact {
+		res.Items = make([]ItemSum, len(cands))
+		for i, kv := range cands {
+			res.Items[i] = ItemSum{Key: kv.Key, Sum: float64(kv.Count) * res.VAvg}
+		}
+		return res
+	}
+
+	res.Exact = true
+	if len(cands) == 0 {
+		return res
+	}
+	ids := make([]uint64, len(cands))
+	for i, kv := range cands {
+		ids[i] = kv.Key
+	}
+	slices.Sort(ids)
+	sums := make([]float64, len(ids))
+	for i, id := range ids {
+		sums[i], _ = local.Get(id)
+	}
+	sums = coll.AllReduce(pe, sums, addF64)
+	items := make([]ItemSum, len(ids))
+	for i, id := range ids {
+		items[i] = ItemSum{Key: id, Sum: sums[i]}
+	}
+	// Keys are unique (one candidate per key), so the order is total: sum
+	// descending, then key ascending.
+	slices.SortFunc(items, func(a, b ItemSum) int {
+		if c := cmp.Compare(b.Sum, a.Sum); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Key, b.Key)
+	})
+	res.Items = items[:min(len(items), p.K)]
 	return res
 }
+
+func addF64(a, b float64) float64 { return a + b }
 
 // ExactTopSums computes the exact answer through the DHT (ground truth
 // for tests; not communication-efficient). Collective.

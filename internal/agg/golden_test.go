@@ -44,8 +44,7 @@ func (g aggGolden) equal(h aggGolden) bool {
 }
 
 // TestAggResultsGolden pins PAC's and ECSum's results and meters on a
-// fixed Zipf fixture, bit for bit, in both execution forms (blocking and
-// RunAsync). The results were recorded from the SumTable-based local
+// fixed Zipf fixture, bit for bit. The results were recorded from the SumTable-based local
 // aggregation; any kernel behind LocalAggregate must reproduce them: the
 // same per-key sums, the same key order for the Bernoulli draws, the same
 // routed batches. The meters are those of a shard read in ascending key
@@ -73,39 +72,26 @@ func TestAggResultsGolden(t *testing.T) {
 				106, 0x406f7a1fc4074c42, 136, comm.Stats{TotalWords: 5868, MaxSentWords: 394, MaxRecvWords: 374, TotalSends: 512, MaxSends: 32, MaxClock: 64764}}},
 	} {
 		keys, vals, _ := workload(43, c.p, 1500, 1<<12)
-		for _, form := range []string{"blocking", "async"} {
-			for _, exact := range []bool{false, true} {
-				name := fmt.Sprintf("p=%d %s exact=%v", c.p, form, exact)
-				res := make([]Result, c.p)
-				m := comm.NewMachine(comm.DefaultConfig(c.p))
-				if form == "blocking" {
-					m.MustRun(func(pe *comm.PE) {
-						r := pe.Rank()
-						if exact {
-							res[r] = ECSum(pe, keys[r], vals[r], params, xrand.NewPE(67, r))
-						} else {
-							res[r] = PAC(pe, keys[r], vals[r], params, xrand.NewPE(61, r))
-						}
-					})
-				} else {
-					m.MustRunAsync(func(pe *comm.PE) comm.Stepper {
-						r := pe.Rank()
-						out := func(v Result) { res[r] = v }
-						if exact {
-							return ECSumStep(pe, keys[r], vals[r], params, xrand.NewPE(67, r), out)
-						}
-						return PACStep(pe, keys[r], vals[r], params, xrand.NewPE(61, r), out)
-					})
-				}
-				got := goldenOf(res[0], m.Stats())
-				m.Close()
-				want := c.pac
+		for _, exact := range []bool{false, true} {
+			name := fmt.Sprintf("p=%d exact=%v", c.p, exact)
+			res := make([]Result, c.p)
+			m := comm.NewMachine(comm.DefaultConfig(c.p))
+			m.MustRun(func(pe *comm.PE) {
+				r := pe.Rank()
 				if exact {
-					want = c.ec
+					res[r] = ECSum(pe, keys[r], vals[r], params, xrand.NewPE(67, r))
+				} else {
+					res[r] = PAC(pe, keys[r], vals[r], params, xrand.NewPE(61, r))
 				}
-				if !got.equal(want) {
-					t.Errorf("%s:\n got %v\nwant %v", name, got, want)
-				}
+			})
+			got := goldenOf(res[0], m.Stats())
+			m.Close()
+			want := c.pac
+			if exact {
+				want = c.ec
+			}
+			if !got.equal(want) {
+				t.Errorf("%s:\n got %v\nwant %v", name, got, want)
 			}
 		}
 	}

@@ -13,6 +13,8 @@ package bnb
 import (
 	"math"
 
+	"commtopk/internal/bpq"
+	"commtopk/internal/coll"
 	"commtopk/internal/comm"
 )
 
@@ -28,13 +30,6 @@ type Problem[N any] interface {
 	Bound(n N) float64
 	// Solution returns (objective, true) if n is a complete solution.
 	Solution(n N) (float64, bool)
-}
-
-// Config tunes the driver.
-type Config struct {
-	// BatchMin/BatchMax bound the flexible deleteMin* batch size per
-	// iteration. Zero values default to p and 4p (the paper's k_i = O(p)).
-	BatchMin, BatchMax int64
 }
 
 // Result summarizes a finished search.
@@ -79,14 +74,122 @@ func FloatFromPrio(u uint32) float64 {
 // Solve runs the distributed search. Collective: every PE must call it
 // with the same problem and seed. The returned Expanded/Objective/
 // Iterations agree on all PEs; Found is true on exactly one PE (if a
-// solution exists), whose Best holds the optimum. Blocking driver over
-// the same state machine SolveStep exposes for comm.RunAsync.
-func Solve[N any](pe *comm.PE, prob Problem[N], seed int64, cfg Config) Result[N] {
-	st := newSolveStep(pe, prob, seed, cfg, nil, false)
-	comm.RunSteps(pe, st)
-	res := st.res
-	st.release(pe)
+// solution exists), whose Best holds the optimum. Each iteration
+// deletes a flexible batch of k_i ∈ [p, 4p] nodes — the paper's
+// k_i = O(p).
+func Solve[N any](pe *comm.PE, prob Problem[N], seed int64) Result[N] {
+	p, rank := pe.P(), pe.Rank()
+	s := &search[N]{pe: pe, prob: prob, q: bpq.New[uint64](pe, seed), incumbent: math.Inf(1)}
+	root := prob.Root()
+	if v, ok := prob.Solution(root); ok {
+		// Every PE sees the same root; rank 0 claims it.
+		res := Result[N]{Objective: v, Found: rank == 0}
+		if res.Found {
+			res.Best = root
+		}
+		return res
+	}
+	if rank == 0 {
+		s.push(root, prob.Bound(root))
+	}
+	var iter int
+	for {
+		iter++
+		globalInc := coll.AllReduceScalar(pe, s.incumbent, math.Min)
+		minKey, ok := s.q.PeekMin()
+		// Downward-rounded priorities make this prune-or-stop test safe.
+		if !ok || FloatFromPrio(uint32(minKey>>32)) >= globalInc {
+			break
+		}
+		batch, _ := s.q.DeleteMinFlexible(int64(p), 4*int64(p))
+		s.expand(batch, globalInc)
+	}
+	res := Result[N]{Objective: coll.AllReduceScalar(pe, s.incumbent, math.Min), Iterations: iter}
+	// Exactly one PE claims the optimum (lowest rank among holders).
+	holder := int64(p)
+	if s.found && s.incumbent == res.Objective {
+		holder = int64(rank)
+	}
+	holder = coll.AllReduceScalar(pe, holder, minI64)
+	res.Expanded = coll.SumAll(pe, s.expanded)
+	if s.found && int64(rank) == holder {
+		res.Best, res.Found = s.best, true
+	}
 	return res
+}
+
+func minI64(a, b int64) int64 { return min(a, b) }
+
+// search is one PE's share of a running search: its local queue, the
+// nodes behind the queue's keys, and its incumbent.
+//
+// The node store is a slice: the seq stamp baked into a queue key by
+// bpq.MakeUnique is the node's slot index, and slots of expanded nodes
+// are recycled through a free list, so memory is bounded by the peak
+// number of live nodes and lookups are a shift and an index — no
+// hashing, no map iteration, no nondeterministic expansion order
+// anywhere on the path. Slot reuse is safe for key uniqueness: a slot is
+// freed only when its key has left the queue, and two live entries can
+// never share a slot, so (prio, slot·P + rank) collides only with
+// already-deleted keys — which the treap no longer contains.
+type search[N any] struct {
+	pe    *comm.PE
+	prob  Problem[N]
+	q     *bpq.Queue[uint64]
+	nodes []N
+	free  []uint32
+
+	incumbent float64
+	best      N
+	found     bool
+	expanded  int64
+}
+
+// push stores n in a free slot and queues it under its bound.
+func (s *search[N]) push(n N, bound float64) {
+	var slot uint32
+	if k := len(s.free); k > 0 {
+		slot = s.free[k-1]
+		s.free = s.free[:k-1]
+		s.nodes[slot] = n
+	} else {
+		slot = uint32(len(s.nodes))
+		s.nodes = append(s.nodes, n)
+	}
+	s.q.Insert(bpq.MakeUnique(PrioFromFloat(bound), slot, s.pe.Rank(), s.pe.P()))
+}
+
+// expand processes this PE's share of a deleteMin* batch: slot-decoded
+// node fetch, prune against the round's global incumbent, expansion and
+// local re-insertion of surviving children.
+func (s *search[N]) expand(batch []uint64, globalInc float64) {
+	p, rank := uint32(s.pe.P()), uint32(s.pe.Rank())
+	var zero N
+	for _, key := range batch {
+		low := uint32(key)
+		if low%p != rank {
+			panic("bnb: batch key was not stamped by this PE")
+		}
+		slot := low / p
+		n := s.nodes[slot]
+		s.nodes[slot] = zero
+		s.free = append(s.free, slot)
+		if FloatFromPrio(uint32(key>>32)) >= globalInc {
+			continue // pruned: bound can no longer beat the incumbent
+		}
+		s.expanded++
+		for _, c := range s.prob.Expand(n) {
+			if v, ok := s.prob.Solution(c); ok {
+				if v < s.incumbent {
+					s.incumbent, s.best, s.found = v, c, true
+				}
+				continue
+			}
+			if b := s.prob.Bound(c); b < s.incumbent {
+				s.push(c, b)
+			}
+		}
+	}
 }
 
 // SolveSequential is the single-threaded best-first reference (the

@@ -2,6 +2,7 @@ package bnb
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"commtopk/internal/comm"
@@ -50,7 +51,7 @@ func TestDistributedKnapsackMatchesDP(t *testing.T) {
 			m := comm.NewMachine(comm.DefaultConfig(p))
 			founds := make([]bool, p)
 			m.MustRun(func(pe *comm.PE) {
-				res := Solve[KNode](pe, k, 99, Config{})
+				res := Solve[KNode](pe, k, 99)
 				if res.Objective != want {
 					t.Errorf("p=%d seed=%d: objective %v, want %v", p, seed, res.Objective, want)
 				}
@@ -83,7 +84,7 @@ func TestParallelExpansionOverheadBounded(t *testing.T) {
 	m := comm.NewMachine(comm.DefaultConfig(p))
 	var par int64
 	m.MustRun(func(pe *comm.PE) {
-		res := Solve[KNode](pe, k, 7, Config{})
+		res := Solve[KNode](pe, k, 7)
 		if pe.Rank() == 0 {
 			par = res.Expanded
 		}
@@ -100,6 +101,21 @@ func TestSolveTrivialRootSolution(t *testing.T) {
 	obj, _, found, _ := SolveSequential[KNode](k)
 	if !found || obj != 0 {
 		t.Errorf("trivial sequential: %v %v", obj, found)
+	}
+	for _, p := range []int{1, 3} {
+		m := comm.NewMachine(comm.DefaultConfig(p))
+		founds := make([]bool, p)
+		m.MustRun(func(pe *comm.PE) {
+			res := Solve[KNode](pe, k, 1)
+			if res.Objective != 0 || res.Expanded != 0 || res.Iterations != 0 {
+				t.Errorf("p=%d PE %d: trivial distributed result %+v", p, pe.Rank(), res)
+			}
+			founds[pe.Rank()] = res.Found
+		})
+		m.Close()
+		if !founds[0] || slices.Contains(founds[1:], true) {
+			t.Errorf("p=%d: root solution claimed by %v, want rank 0 only", p, founds)
+		}
 	}
 }
 

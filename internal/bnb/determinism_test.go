@@ -19,7 +19,7 @@ func solveBattery(p int, seed int64) bnbObs {
 	o := bnbObs{res: make([]Result[KNode], p)}
 	mach := comm.NewMachine(comm.DefaultConfig(p))
 	mach.MustRun(func(pe *comm.PE) {
-		o.res[pe.Rank()] = Solve[KNode](pe, k, seed, Config{})
+		o.res[pe.Rank()] = Solve[KNode](pe, k, seed)
 	})
 	o.stats = mach.Stats()
 	return o
@@ -41,29 +41,5 @@ func TestBnbRepeatedRunsBitIdentical(t *testing.T) {
 		if got.stats != ref.stats {
 			t.Fatalf("rep %d: meters diverged: %+v vs %+v", rep, got.stats, ref.stats)
 		}
-	}
-}
-
-// TestBnbStepperMatchesBlocking pins the tentpole contract for bnb:
-// SolveStep under RunAsync produces bit-identical results and meters to
-// the blocking Solve (which drives the same machine through RunSteps).
-func TestBnbStepperMatchesBlocking(t *testing.T) {
-	const p = 6
-	ref := solveBattery(p, 99)
-
-	k := RandomKnapsack(7, 18, 50)
-	got := bnbObs{res: make([]Result[KNode], p)}
-	mach := comm.NewMachine(comm.DefaultConfig(p))
-	mach.MustRunAsync(func(pe *comm.PE) comm.Stepper {
-		r := pe.Rank()
-		return SolveStep[KNode](pe, k, 99, Config{}, func(v Result[KNode]) { got.res[r] = v })
-	})
-	got.stats = mach.Stats()
-
-	if !reflect.DeepEqual(got.res, ref.res) {
-		t.Errorf("SolveStep diverged from blocking Solve")
-	}
-	if got.stats != ref.stats {
-		t.Errorf("stepper meters diverged: %+v vs %+v", got.stats, ref.stats)
 	}
 }

@@ -62,7 +62,7 @@ func TestBnbResultsGolden(t *testing.T) {
 		got := bnbGolden{res: make([]Result[KNode], p)}
 		m := comm.NewMachine(comm.DefaultConfig(p))
 		m.MustRun(func(pe *comm.PE) {
-			got.res[pe.Rank()] = Solve[KNode](pe, inst, 99, Config{})
+			got.res[pe.Rank()] = Solve[KNode](pe, inst, 99)
 		})
 		got.stats = m.Stats()
 		m.Close()

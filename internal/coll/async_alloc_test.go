@@ -102,9 +102,6 @@ func TestZeroAllocSteppersRunAsync(t *testing.T) {
 			// ≥ 4p words selects the Rabenseifner path.
 			return AllReduceIntoStep(pe, longDst[pe.Rank()], long[pe.Rank()], sumI64, nil)
 		}},
-		{"AllGatherv", 0, func(pe *comm.PE) comm.Stepper {
-			return AllGathervStep(pe, guardPayload(pe), nil)
-		}},
 		{"AllGatherConcat", 0, func(pe *comm.PE) comm.Stepper {
 			return AllGatherConcatStep(pe, guardPayload(pe), nil)
 		}},

@@ -89,7 +89,7 @@ func asyncPairs() []asyncPair {
 			},
 			start: func(pe *comm.PE, out *any) comm.Stepper {
 				x := []int64{int64(pe.Rank()) + 2, 1, int64(pe.Rank() * pe.Rank())}
-				return AllReduceStep(pe, x, sum, func(v []int64) { *out = slices.Clone(v) })
+				return AllReduceIntoStep(pe, nil, x, sum, func(v []int64) { *out = slices.Clone(v) })
 			},
 		},
 		{
@@ -106,34 +106,7 @@ func asyncPairs() []asyncPair {
 				for i := range x {
 					x[i] = int64(pe.Rank()*len(x) + i)
 				}
-				return AllReduceStep(pe, x, sum, func(v []int64) { *out = slices.Clone(v) })
-			},
-		},
-		{
-			name: "AllGatherv",
-			block: func(pe *comm.PE, out *any) {
-				data := make([]int64, pe.Rank()%3)
-				for i := range data {
-					data[i] = int64(pe.Rank()*10 + i)
-				}
-				var flat []int64
-				for _, v := range AllGatherv(pe, data) {
-					flat = append(flat, v...)
-				}
-				*out = flat
-			},
-			start: func(pe *comm.PE, out *any) comm.Stepper {
-				data := make([]int64, pe.Rank()%3)
-				for i := range data {
-					data[i] = int64(pe.Rank()*10 + i)
-				}
-				return AllGathervStep(pe, data, func(parts [][]int64) {
-					var flat []int64
-					for _, v := range parts {
-						flat = append(flat, v...)
-					}
-					*out = flat
-				})
+				return AllReduceIntoStep(pe, nil, x, sum, func(v []int64) { *out = slices.Clone(v) })
 			},
 		},
 		{
@@ -416,7 +389,7 @@ func TestVectorSteppersContinuationStress(t *testing.T) {
 				var vecSum, concatSum, routeSum, chunkSum int64
 				x := []int64{int64(pe.Rank() + round), 3}
 				return comm.SeqP(pe,
-					AllReduceStep(pe, x, func(a, b int64) int64 { return a + b }, func(v []int64) {
+					AllReduceIntoStep(pe, nil, x, func(a, b int64) int64 { return a + b }, func(v []int64) {
 						vecSum = v[0] + v[1]
 					}),
 					AllGatherConcatStep(pe, []int64{int64(pe.Rank())}, func(v []int64) {

@@ -99,12 +99,6 @@ func AllReduceIntoStep[T any](pe *comm.PE, dst, x []T, op func(a, b T) T, out fu
 	return newAllReduceAccStep(pe, dst, op, out)
 }
 
-// AllReduceStep is the continuation form of AllReduce: out receives a
-// freshly allocated caller-owned result.
-func AllReduceStep[T any](pe *comm.PE, x []T, op func(a, b T) T, out func([]T)) comm.Stepper {
-	return AllReduceIntoStep(pe, nil, x, op, out)
-}
-
 func (s *allReduceAccStep[T]) take() *[]T {
 	rxAny, _ := s.h.Wait()
 	s.h = nil
@@ -413,64 +407,6 @@ func (s *agBruckStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
 			s.phase = 1
 		}
 	}
-}
-
-// allGathervStep — see AllGathervStep.
-type allGathervStep[T any] struct {
-	data []T
-	out  func([][]T)
-	eng  *agBruckStep[T]
-}
-
-// AllGathervStep is the continuation form of AllGatherv: out receives
-// every PE's slice indexed by rank. Unlike the blocking form's
-// caller-owned result, out's argument is a borrowed view — the slices
-// and their backing arena are pooled and recycled when out returns, so
-// consume (or copy) them inside the callback. Steady-state
-// allocation-free.
-func AllGathervStep[T any](pe *comm.PE, data []T, out func([][]T)) comm.Stepper {
-	s := comm.GetPooled[allGathervStep[T]](pe)
-	*s = allGathervStep[T]{data: data, out: out}
-	return s
-}
-
-func (s *allGathervStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
-	p := pe.P()
-	if p == 1 {
-		out, data := s.out, s.data
-		*s = allGathervStep[T]{}
-		comm.PutPooled(pe, s)
-		if out != nil {
-			out([][]T{data})
-		}
-		return nil
-	}
-	if s.eng == nil {
-		s.eng = newAGBruckStep(pe, s.data, false)
-	}
-	if h := s.eng.Step(pe); h != nil {
-		return h
-	}
-	arena, lens := s.eng.arena, s.eng.lens
-	partsPtr := commbuf.For[[]T]().Get(p)
-	parts := *partsPtr
-	var off int64
-	for i := 0; i < p; i++ {
-		r := (pe.Rank() + i) % p
-		parts[r] = arena[off : off+lens[i]]
-		off += lens[i]
-	}
-	out := s.out
-	eng := s.eng
-	*s = allGathervStep[T]{}
-	comm.PutPooled(pe, s)
-	if out != nil {
-		out(parts)
-	}
-	clear(parts)
-	commbuf.For[[]T]().Put(partsPtr)
-	eng.release(pe)
-	return nil
 }
 
 // allGatherConcatStep — see AllGatherConcatStep.

@@ -6,9 +6,10 @@ import "testing"
 
 const exploreScale = 100
 
-// TestScheduleExplorationECSum gives agg.ECSumStep 10⁴ schedules of its
-// own: its sampling once consumed an RNG in map-iteration order, and the
-// flake that caused stayed documented as "known" long after the fix.
+// TestScheduleExplorationECSum gives agg.ECSum 10⁴ schedules of its own,
+// as blocking bodies: its sampling once consumed an RNG in map-iteration
+// order, and the flake that caused stayed documented as "known" long
+// after the fix.
 func TestScheduleExplorationECSum(t *testing.T) {
 	for oi, op := range fuzzOps() {
 		if op.name == "AggECSum" {

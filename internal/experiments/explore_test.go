@@ -15,21 +15,23 @@ import (
 // Schedule exploration. Results and all six comm.Stats fields of an SPMD
 // program are defined not to depend on how its PEs interleave or in which
 // order their messages arrive; production tests that on whatever the
-// host's cores happen to produce. Here every stepper family of the catalog
+// host's cores happen to produce. Here every family of the catalog
 // (fuzzOps: the collectives, sel Kth/KthSorted/MSSelect, bpq DeleteMin
 // churn, mtopk DTA/RDTA/TopK, freq PAC/EC, agg PAC/ECSum, redist Balance, bnb
 // Solve — serve's three query kinds have their own exploration in
 // internal/serve) runs under many seeded schedules of the simexec
-// executor, every policy in rotation, both as steppers and as blocking
-// bodies (which simexec schedules as the coroutines they are), and each
-// run must equal the production runs — RunAsync and blocking bodies at
+// executor, every policy in rotation, as blocking bodies (which simexec
+// schedules as the coroutines they are) and — for sequences whose ops
+// all have a stepper form — as steppers, and each run must equal the
+// production runs — blocking bodies and, where they exist, RunAsync at
 // w ∈ {1, 4, default} — bit for bit. A failure names the seed, policy and
 // body form: that triple replays the schedule.
 
 // exploreSeq establishes fs's outcome on production machines (which must
 // agree among themselves), then runs it under n seeded schedules, seeds
-// seed0…seed0+n−1, policies in rotation, each schedule once with stepper
-// and once with blocking bodies. It returns the number of simexec runs.
+// seed0…seed0+n−1, policies in rotation, each schedule with blocking
+// bodies and, if fs has a stepper form, with steppers. It returns the
+// number of simexec runs.
 func exploreSeq(t *testing.T, p int, fs fuzzSeq, seed0 int64, n int) int {
 	t.Helper()
 	catalog := fuzzOps()
@@ -58,24 +60,32 @@ func exploreSeq(t *testing.T, p int, fs fuzzSeq, seed0 int64, n int) int {
 			t.Fatalf("%s: %s: stats diverge\nwant: %+v\ngot:  %+v", describe(), who, refStats, stats)
 		}
 	}
+	stepper := fs.stepperForm()
 	for _, w := range []int{1, 4, 0} {
 		cfg := comm.DefaultConfig(p)
 		cfg.Workers = w
-		res, stats := runFuzzStepper(comm.NewMachine(cfg), fs)
-		check(fmt.Sprintf("production RunAsync w=%d", w), res, stats)
-		res, stats = runFuzzBlocking(comm.NewMachine(cfg), fs)
+		if stepper {
+			res, stats := runFuzzStepper(comm.NewMachine(cfg), fs)
+			check(fmt.Sprintf("production RunAsync w=%d", w), res, stats)
+		}
+		res, stats := runFuzzBlocking(comm.NewMachine(cfg), fs)
 		check(fmt.Sprintf("production blocking w=%d", w), res, stats)
 	}
+	runs := 0
 	for i := 0; i < n; i++ {
 		seed, pol := seed0+int64(i), simexec.Policies[i%len(simexec.Policies)]
+		if stepper {
+			m, _ := simexec.New(comm.DefaultConfig(p), seed, pol)
+			res, stats := runFuzzStepper(m, fs)
+			check(fmt.Sprintf("simexec seed %d policy %s RunAsync", seed, pol), res, stats)
+			runs++
+		}
 		m, _ := simexec.New(comm.DefaultConfig(p), seed, pol)
-		res, stats := runFuzzStepper(m, fs)
-		check(fmt.Sprintf("simexec seed %d policy %s RunAsync", seed, pol), res, stats)
-		m, _ = simexec.New(comm.DefaultConfig(p), seed, pol)
-		res, stats = runFuzzBlocking(m, fs)
+		res, stats := runFuzzBlocking(m, fs)
 		check(fmt.Sprintf("simexec seed %d policy %s blocking", seed, pol), res, stats)
+		runs++
 	}
-	return 2 * n
+	return runs
 }
 
 // TestScheduleExploration is the tier-1 exploration: every catalog op on
@@ -113,7 +123,8 @@ func TestScheduleExploration(t *testing.T) {
 	t.Logf("%d schedules (stepper and blocking) over %d families, all bit-identical, %.1fs", schedules, len(catalog), time.Since(start).Seconds())
 }
 
-// runFuzzGuarded runs fs as steppers on m and reports any way the run
+// runFuzzGuarded runs fs on m — as steppers where it can, as blocking
+// bodies otherwise — and reports any way the run
 // went wrong — an error, a stall (nothing runnable, nothing in flight: the
 // watchdog aborts the machine, which wakes the executor), or an outcome
 // different from want.
@@ -121,7 +132,12 @@ func runFuzzGuarded(m *comm.Machine, fs fuzzSeq, wantRes [][]any, wantStats comm
 	defer m.Close()
 	results := newFuzzResults(fs, m.P())
 	watchdog := time.AfterFunc(10*time.Second, func() { m.AbortExternal(errors.New("stalled")) })
-	err := m.RunAsync(fuzzBody(fs, results))
+	var err error
+	if fs.stepperForm() {
+		err = m.RunAsync(fuzzBody(fs, results))
+	} else {
+		err = m.Run(fuzzBlockingBody(fs, results))
+	}
 	watchdog.Stop()
 	if err != nil {
 		return err
@@ -145,7 +161,7 @@ func TestExplorationIsSensitive(t *testing.T) {
 	caught := 0
 	for it := 0; it < 10; it++ {
 		fs := makeFuzzSeq(seqRng, 3+seqRng.Intn(4))
-		wantRes, wantStats := runFuzzStepper(simexec.Reference(p), fs)
+		wantRes, wantStats := runFuzzReference(p, fs)
 		for seed := int64(0); seed < 3; seed++ {
 			m, _ := simexec.New(comm.DefaultConfig(p), seed, simexec.BreakFIFO)
 			if runFuzzGuarded(m, fs, wantRes, wantStats) != nil {
@@ -159,14 +175,20 @@ func TestExplorationIsSensitive(t *testing.T) {
 		t.Errorf("a policy that violates per-sender FIFO was caught on %d of 10 sequences, want ≥ 9", caught)
 	}
 
+	// The stepper form needs a sequence whose ops all have one.
 	fs := makeFuzzSeq(seqRng, 5)
+	stepFS := fs
+	for !stepFS.stepperForm() {
+		stepFS = makeFuzzSeq(seqRng, 5)
+	}
 	for _, form := range []struct {
 		name string
 		run  func(*comm.Machine, fuzzSeq) ([][]any, comm.Stats)
-	}{{"stepper", runFuzzStepper}, {"blocking", runFuzzBlocking}} {
+		fs   fuzzSeq
+	}{{"stepper", runFuzzStepper, stepFS}, {"blocking", runFuzzBlocking, fs}} {
 		trace := func(seed int64, pol simexec.Policy) (uint64, int64) {
 			m, ex := simexec.New(comm.DefaultConfig(p), seed, pol)
-			form.run(m, fs)
+			form.run(m, form.fs)
 			return ex.TraceHash(), ex.Events()
 		}
 		for _, pol := range simexec.Policies {

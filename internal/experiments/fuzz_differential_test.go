@@ -22,7 +22,8 @@ import (
 )
 
 // Randomized differential fuzz over the stepper forms: random sequences
-// of collectives with random payload shapes run three ways —
+// of collectives with random payload shapes run three ways (a sequence
+// with a blocking-only op runs as blocking bodies on both executors) —
 //
 //	reference executor, continuation bodies   (simexec: one goroutine, seeded order)
 //	production, blocking bodies               (a coroutine per PE)
@@ -37,8 +38,9 @@ import (
 // three execution modes would surface.
 
 // fuzzOp is one fuzzable collective: block runs the blocking form and
-// returns a comparable result; step returns the stepper form delivering
-// the same result through *out. prm carries the op's randomized
+// returns a comparable result; step, where the op has a stepper form,
+// returns it delivering the same result through *out (nil for the
+// families that are blocking code only). prm carries the op's randomized
 // parameters, derived deterministically from the sequence seed so all
 // machines run identical programs.
 type fuzzOp struct {
@@ -231,7 +233,7 @@ func fuzzOps() []fuzzOp {
 				for i := range x {
 					x[i] = prm + int64(pe.Rank()*n+i)
 				}
-				return coll.AllReduceStep(pe, x, func(a, b int64) int64 { return a + b },
+				return coll.AllReduceIntoStep(pe, nil, x, func(a, b int64) int64 { return a + b },
 					func(v []int64) {
 						o := make([]int64, len(v))
 						copy(o, v)
@@ -263,11 +265,6 @@ func fuzzOps() []fuzzOp {
 			name: "AllGatherv",
 			block: func(pe *comm.PE, prm int64) any {
 				return flattenParts(coll.AllGatherv(pe, fuzzPayload(pe, prm)))
-			},
-			step: func(pe *comm.PE, prm int64, out *any) comm.Stepper {
-				return coll.AllGathervStep(pe, fuzzPayload(pe, prm), func(parts [][]int64) {
-					*out = flattenParts(parts)
-				})
 			},
 		},
 		{
@@ -432,22 +429,12 @@ func fuzzOps() []fuzzOp {
 				d, k := fuzzMtopkData(pe, prm)
 				return mtopk.RDTA(pe, d, mtopk.SumScore, k, xrand.NewPE(prm+17, pe.Rank()))
 			},
-			step: func(pe *comm.PE, prm int64, out *any) comm.Stepper {
-				d, k := fuzzMtopkData(pe, prm)
-				return mtopk.RDTAStep(pe, d, mtopk.SumScore, k, xrand.NewPE(prm+17, pe.Rank()),
-					func(v []mtopk.Hit) { *out = slices.Clone(v) })
-			},
 		},
 		{
 			name: "FreqEC",
 			block: func(pe *comm.PE, prm int64) any {
 				local, pr := fuzzFreqStream(pe, prm)
 				return freq.EC(pe, local, pr, xrand.NewPE(prm+19, pe.Rank()))
-			},
-			step: func(pe *comm.PE, prm int64, out *any) comm.Stepper {
-				local, pr := fuzzFreqStream(pe, prm)
-				return freq.ECStep(pe, local, pr, xrand.NewPE(prm+19, pe.Rank()),
-					func(v freq.Result) { *out = v })
 			},
 		},
 		{
@@ -456,11 +443,6 @@ func fuzzOps() []fuzzOp {
 				keys, vals, pr := fuzzAggInput(pe, prm)
 				return agg.PAC(pe, keys, vals, pr, xrand.NewPE(prm+23, pe.Rank()))
 			},
-			step: func(pe *comm.PE, prm int64, out *any) comm.Stepper {
-				keys, vals, pr := fuzzAggInput(pe, prm)
-				return agg.PACStep(pe, keys, vals, pr, xrand.NewPE(prm+23, pe.Rank()),
-					func(v agg.Result) { *out = v })
-			},
 		},
 		{
 			name: "AggECSum",
@@ -468,30 +450,17 @@ func fuzzOps() []fuzzOp {
 				keys, vals, pr := fuzzAggInput(pe, prm)
 				return agg.ECSum(pe, keys, vals, pr, xrand.NewPE(prm+29, pe.Rank()))
 			},
-			step: func(pe *comm.PE, prm int64, out *any) comm.Stepper {
-				keys, vals, pr := fuzzAggInput(pe, prm)
-				return agg.ECSumStep(pe, keys, vals, pr, xrand.NewPE(prm+29, pe.Rank()),
-					func(v agg.Result) { *out = v })
-			},
 		},
 		{
 			name: "RedistBalance",
 			block: func(pe *comm.PE, prm int64) any {
 				return slices.Clone(redist.Balance(pe, fuzzSkewedLoad(pe, prm)))
 			},
-			step: func(pe *comm.PE, prm int64, out *any) comm.Stepper {
-				return redist.BalanceStep(pe, fuzzSkewedLoad(pe, prm),
-					func(v []uint64) { *out = slices.Clone(v) })
-			},
 		},
 		{
 			name: "BnbSolve",
 			block: func(pe *comm.PE, prm int64) any {
-				return bnb.Solve[bnb.KNode](pe, bnb.RandomKnapsack(prm, 10, 40), prm, bnb.Config{})
-			},
-			step: func(pe *comm.PE, prm int64, out *any) comm.Stepper {
-				return bnb.SolveStep[bnb.KNode](pe, bnb.RandomKnapsack(prm, 10, 40), prm, bnb.Config{},
-					func(v bnb.Result[bnb.KNode]) { *out = v })
+				return bnb.Solve[bnb.KNode](pe, bnb.RandomKnapsack(prm, 10, 40), prm)
 			},
 		},
 		{
@@ -549,11 +518,6 @@ func fuzzOps() []fuzzOp {
 				hits, dta := mtopk.TopK(pe, d, mtopk.SumScore, k, xrand.NewPE(prm+41, pe.Rank()))
 				return [2]any{hits, dta}
 			},
-			step: func(pe *comm.PE, prm int64, out *any) comm.Stepper {
-				d, k := fuzzMtopkData(pe, prm)
-				return mtopk.TopKStep(pe, d, mtopk.SumScore, k, xrand.NewPE(prm+41, pe.Rank()),
-					func(hits []mtopk.Hit, dta mtopk.DTAResult) { *out = [2]any{slices.Clone(hits), dta} })
-			},
 		},
 	}
 }
@@ -574,6 +538,27 @@ func makeFuzzSeq(rng *xrand.RNG, nOps int) fuzzSeq {
 	return fs
 }
 
+// stepperForm reports whether every op of fs has a stepper form. A
+// sequence with a blocking-only op runs as blocking bodies everywhere.
+func (fs fuzzSeq) stepperForm() bool {
+	catalog := fuzzOps()
+	for _, oi := range fs.ops {
+		if catalog[oi].step == nil {
+			return false
+		}
+	}
+	return true
+}
+
+// runFuzzReference runs fs on the reference executor: as continuation
+// bodies where it can, as blocking bodies otherwise.
+func runFuzzReference(p int, fs fuzzSeq) ([][]any, comm.Stats) {
+	if fs.stepperForm() {
+		return runFuzzStepper(simexec.Reference(p), fs)
+	}
+	return runFuzzBlocking(simexec.Reference(p), fs)
+}
+
 // newFuzzResults allocates the per-op, per-rank result slots of one run.
 func newFuzzResults(fs fuzzSeq, p int) [][]any {
 	results := make([][]any, len(fs.ops))
@@ -588,14 +573,19 @@ func newFuzzResults(fs fuzzSeq, p int) [][]any {
 // tags, pools and the buffers in them — is part of what the fuzz exercises).
 func runFuzzBlocking(m *comm.Machine, fs fuzzSeq) ([][]any, comm.Stats) {
 	defer m.Close()
-	catalog := fuzzOps()
 	results := newFuzzResults(fs, m.P())
-	m.MustRun(func(pe *comm.PE) {
+	m.MustRun(fuzzBlockingBody(fs, results))
+	return results, m.Stats()
+}
+
+// fuzzBlockingBody is the sequence as one blocking body per PE.
+func fuzzBlockingBody(fs fuzzSeq, results [][]any) func(pe *comm.PE) {
+	catalog := fuzzOps()
+	return func(pe *comm.PE) {
 		for i, oi := range fs.ops {
 			results[i][pe.Rank()] = catalog[oi].block(pe, fs.prms[i])
 		}
-	})
-	return results, m.Stats()
+	}
 }
 
 // fuzzBody is the same sequence as one continuation body per PE: the
@@ -641,7 +631,8 @@ func fuzzIters() int {
 // TestFuzzDifferentialSteppers is the randomized three-way differential:
 // for every random sequence, production blocking and stepper runs must
 // match the reference executor exactly — per-PE results and metered
-// stats. Widths cover the degenerate single shard, the multiplexed
+// stats. A sequence with a blocking-only op has no stepper runs; its
+// reference runs blocking bodies. Widths cover the degenerate single shard, the multiplexed
 // regime, and the default.
 func TestFuzzDifferentialSteppers(t *testing.T) {
 	widths := []int{1, 4, runtime.GOMAXPROCS(0) * 8}
@@ -652,12 +643,16 @@ func TestFuzzDifferentialSteppers(t *testing.T) {
 			catalog := fuzzOps()
 			for it := 0; it < fuzzIters(); it++ {
 				fs := makeFuzzSeq(seqRng, 3+int(seqRng.Intn(4)))
-				refRes, refStats := runFuzzStepper(simexec.Reference(p), fs)
+				refRes, refStats := runFuzzReference(p, fs)
 				opNames := func(i int) string { return catalog[fs.ops[i]].name }
+				modes := []string{"blocking"}
+				if fs.stepperForm() {
+					modes = append(modes, "stepper")
+				}
 				for _, w := range widths {
 					cfg := comm.DefaultConfig(p)
 					cfg.Workers = w
-					for _, mode := range []string{"blocking", "stepper"} {
+					for _, mode := range modes {
 						var res [][]any
 						var stats comm.Stats
 						if mode == "blocking" {

@@ -23,9 +23,10 @@ const (
 
 // pacStep is the continuation form of PAC — Bernoulli sampling,
 // distributed hashing and unsorted selection on sample counts as a
-// pooled state machine over the dht steppers. The blocking PAC drives
-// this machine through comm.RunSteps: one implementation, both
-// execution modes, bit-identical results, RNG consumption and meters.
+// pooled state machine over the dht steppers, so serve's TopKFreq
+// queries interleave under comm.RunAsync. The blocking PAC drives this
+// machine through comm.RunSteps: bit-identical results, RNG consumption
+// and meters in both forms.
 type pacStep struct {
 	local []uint64
 	p     Params
@@ -120,147 +121,6 @@ func (s *pacStep) Step(pe *comm.PE) *comm.RecvHandle {
 			}
 			dht.SortKVDesc(s.res.Items)
 			s.res.Exact = s.res.Rho >= 1
-			return s.finish(pe)
-		default:
-			return nil
-		}
-	}
-}
-
-// ecStep phases.
-const (
-	ephInit      = iota // start the global input-size sum (skipped when rho given)
-	ephNWait            // harvest n; choose k*, rho
-	ephSample           // sample locally, start sample-size sum
-	ephSizeWait         // harvest sample size; start DHT routing
-	ephShardWait        // harvest owned shard; start candidate selection
-	ephCandWait         // harvest candidates; local exact count, start reduction
-	ephExactWait        // harvest global counts; sort, truncate, finish
-	ephDone
-)
-
-// ecStep is the continuation form of EC / ecCore: sample at ρ, select
-// the k* most sampled, count them exactly with a vector reduction.
-type ecStep struct {
-	local []uint64
-	p     Params
-	rng   *xrand.RNG
-	out   func(Result)
-	self  bool
-
-	// haveParams: kStar/rho were fixed by the caller (the ecCore entry
-	// used by PECZipf); otherwise they are derived from the global n.
-	haveParams bool
-
-	n      int64
-	runs   []dht.KV // the sample's count runs, routed; survives pooling
-	shard  *[]dht.KV
-	cands  []dht.KV
-	keys   []uint64
-	counts []int64
-	res    Result
-
-	cur      comm.Stepper
-	onN      func(int64)
-	onSize   func(int64)
-	onShard  func(*[]dht.KV)
-	onCands  func([]dht.KV)
-	onGlobal func([]int64)
-	phase    int
-}
-
-func newECStep(pe *comm.PE, local []uint64, p Params, kStar int, rho float64, haveParams bool, rng *xrand.RNG, out func(Result), self bool) *ecStep {
-	p.validate()
-	s := comm.GetPooled[ecStep](pe)
-	s.local, s.p, s.rng, s.out, s.self = local, p, rng, out, self
-	s.haveParams = haveParams
-	s.res = Result{KStar: kStar, Rho: rho}
-	s.phase = ephInit
-	if haveParams {
-		s.phase = ephSample
-	}
-	s.cur = nil
-	if s.onN == nil {
-		s.onN = func(v int64) { s.n = v }
-		s.onSize = func(v int64) { s.res.SampleSize = v }
-		s.onShard = func(sh *[]dht.KV) { s.shard = sh }
-		s.onCands = func(c []dht.KV) { s.cands = c }
-		s.onGlobal = func(g []int64) { s.counts = append(s.counts[:0], g...) }
-	}
-	return s
-}
-
-// ECStep is the continuation form of EC: out (optional) receives the
-// exactly counted top-k. Collective; interleaves with unrelated
-// steppers under comm.RunAsync.
-func ECStep(pe *comm.PE, local []uint64, p Params, rng *xrand.RNG, out func(Result)) comm.Stepper {
-	return newECStep(pe, local, p, 0, 0, false, rng, out, true)
-}
-
-func (s *ecStep) finish(pe *comm.PE) *comm.RecvHandle {
-	s.phase = ephDone
-	if s.self {
-		res, out := s.res, s.out
-		s.release(pe)
-		if out != nil {
-			out(res)
-		}
-	}
-	return nil
-}
-
-func (s *ecStep) release(pe *comm.PE) {
-	s.local, s.rng, s.out, s.cur = nil, nil, nil, nil
-	s.shard, s.cands, s.keys = nil, nil, nil
-	s.counts = s.counts[:0]
-	s.res = Result{}
-	comm.PutPooled(pe, s)
-}
-
-func (s *ecStep) Step(pe *comm.PE) *comm.RecvHandle {
-	for {
-		if s.cur != nil {
-			if h := s.cur.Step(pe); h != nil {
-				return h
-			}
-			s.cur = nil
-		}
-		switch s.phase {
-		case ephInit:
-			s.cur = coll.AllReduceScalarStep(pe, int64(len(s.local)), addI64, s.onN)
-			s.phase = ephNWait
-		case ephNWait:
-			kStar := s.p.KStarOverride
-			if kStar <= 0 {
-				kStar = stats.OptimalKStar(s.n, s.p.K, pe.P(), s.p.Eps, s.p.Delta)
-			}
-			s.res.KStar = kStar
-			s.res.Rho = min(1, stats.ECSampleSize(s.n, kStar, s.p.Eps, s.p.Delta)/float64(s.n))
-			s.phase = ephSample
-		case ephSample:
-			var size int64
-			s.runs, size = sampleCounts(s.local, s.res.Rho, s.rng, s.runs)
-			s.cur = coll.AllReduceScalarStep(pe, size, addI64, s.onSize)
-			s.phase = ephSizeWait
-		case ephSizeWait:
-			s.cur = dht.CountKVStep(pe, s.runs, dht.RouteHypercube, s.onShard)
-			s.phase = ephShardWait
-		case ephShardWait:
-			s.cur = dht.SelectTopKStep(pe, *s.shard, s.res.KStar, s.rng, s.onCands)
-			commbuf.Put(s.shard)
-			s.shard = nil
-			s.phase = ephCandWait
-		case ephCandWait:
-			s.keys = candidateKeys(s.cands)
-			s.res.Exact = true
-			if len(s.keys) == 0 {
-				s.res.Items = nil
-				return s.finish(pe)
-			}
-			s.cur = coll.AllReduceStep(pe, countExactly(s.local, s.keys), addI64, s.onGlobal)
-			s.phase = ephExactWait
-		case ephExactWait:
-			s.res.Items = exactTop(s.keys, s.counts, s.p.K)
 			return s.finish(pe)
 		default:
 			return nil

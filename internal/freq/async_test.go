@@ -8,44 +8,41 @@ import (
 	"commtopk/internal/xrand"
 )
 
-// TestFreqSteppersMatchBlocking pins the tentpole contract for freq:
-// PACStep/ECStep under RunAsync produce bit-identical results and
-// meters to the blocking PAC/EC (which drive the same machines through
-// RunSteps).
+// TestFreqSteppersMatchBlocking pins PACStep, the stepper serve's
+// TopKFreq queries run: under RunAsync it produces bit-identical results
+// and meters to the blocking PAC (which drives the same machine through
+// RunSteps), twice in a row on one machine so pooled state carries over.
 func TestFreqSteppersMatchBlocking(t *testing.T) {
 	const p = 5
 	locals, _ := zipfWorkload(29, p, 3000, 1<<11)
 	params := Params{K: 8, Eps: 0.02, Delta: 0.01}
 
 	type obs struct {
-		pac, ec []Result
-		stats   comm.Stats
+		pac   [2][]Result
+		stats comm.Stats
 	}
-	ref := obs{pac: make([]Result, p), ec: make([]Result, p)}
+	ref := obs{pac: [2][]Result{make([]Result, p), make([]Result, p)}}
 	mach := comm.NewMachine(comm.DefaultConfig(p))
 	mach.MustRun(func(pe *comm.PE) {
 		r := pe.Rank()
-		ref.pac[r] = PAC(pe, locals[r], params, xrand.NewPE(31, r))
-		ref.ec[r] = EC(pe, locals[r], params, xrand.NewPE(33, r))
+		ref.pac[0][r] = PAC(pe, locals[r], params, xrand.NewPE(31, r))
+		ref.pac[1][r] = PAC(pe, locals[r], params, xrand.NewPE(33, r))
 	})
 	ref.stats = mach.Stats()
 
-	got := obs{pac: make([]Result, p), ec: make([]Result, p)}
+	got := obs{pac: [2][]Result{make([]Result, p), make([]Result, p)}}
 	mach2 := comm.NewMachine(comm.DefaultConfig(p))
 	mach2.MustRunAsync(func(pe *comm.PE) comm.Stepper {
 		r := pe.Rank()
 		return comm.SeqP(pe,
-			PACStep(pe, locals[r], params, xrand.NewPE(31, r), func(v Result) { got.pac[r] = v }),
-			ECStep(pe, locals[r], params, xrand.NewPE(33, r), func(v Result) { got.ec[r] = v }),
+			PACStep(pe, locals[r], params, xrand.NewPE(31, r), func(v Result) { got.pac[0][r] = v }),
+			PACStep(pe, locals[r], params, xrand.NewPE(33, r), func(v Result) { got.pac[1][r] = v }),
 		)
 	})
 	got.stats = mach2.Stats()
 
 	if !reflect.DeepEqual(got.pac, ref.pac) {
 		t.Errorf("PACStep diverged from blocking PAC")
-	}
-	if !reflect.DeepEqual(got.ec, ref.ec) {
-		t.Errorf("ECStep diverged from blocking EC")
 	}
 	if got.stats != ref.stats {
 		t.Errorf("stepper meters diverged: %+v vs %+v", got.stats, ref.stats)

@@ -90,8 +90,8 @@ func sampleCounts(local []uint64, rho float64, rng *xrand.RNG, dst []dht.KV) ([]
 
 // PAC computes an (ε, δ)-approximation of the top-k most frequent objects
 // (Section 7.1). Expected time O(n/p·ρ + β·(log p/(pε²))·log(k/δ) + α log n).
-// Collective. Blocking driver over the same state machine PACStep
-// exposes for comm.RunAsync.
+// Collective. The blocking driver of PACStep, the form serve's
+// frequent-objects queries run under comm.RunAsync.
 func PAC(pe *comm.PE, local []uint64, p Params, rng *xrand.RNG) Result {
 	st := newPACStep(pe, local, p, rng, nil, false)
 	comm.RunSteps(pe, st)
@@ -103,24 +103,30 @@ func PAC(pe *comm.PE, local []uint64, p Params, rng *xrand.RNG) Result {
 // EC computes an (ε, δ)-approximation using exact counting of the k* most
 // frequently sampled objects (Section 7.2, Theorem 11): smaller sample
 // (linear in 1/ε), two extra all-gather/reduction rounds, local counting
-// pass. Collective. Blocking driver over the ECStep state machine.
+// pass. Collective.
 func EC(pe *comm.PE, local []uint64, p Params, rng *xrand.RNG) Result {
-	st := newECStep(pe, local, p, 0, 0, false, rng, nil, false)
-	comm.RunSteps(pe, st)
-	res := st.res
-	st.release(pe)
-	return res
+	p.validate()
+	n := coll.SumAll(pe, int64(len(local)))
+	kStar := p.KStarOverride
+	if kStar <= 0 {
+		kStar = stats.OptimalKStar(n, p.K, pe.P(), p.Eps, p.Delta)
+	}
+	rho := min(1, stats.ECSampleSize(n, kStar, p.Eps, p.Delta)/float64(n))
+	return ecCore(pe, local, p, kStar, rho, rng)
 }
 
 // ecCore is the shared EC machinery with caller-fixed k* and ρ: sample
 // at rho, select the kStar most sampled, count them exactly, return the
-// exact top-k among them.
+// exact top-k among them. Collective.
 func ecCore(pe *comm.PE, local []uint64, p Params, kStar int, rho float64, rng *xrand.RNG) Result {
-	st := newECStep(pe, local, p, kStar, rho, true, rng, nil, false)
-	comm.RunSteps(pe, st)
-	res := st.res
-	st.release(pe)
-	return res
+	p.validate()
+	runs, size := sampleCounts(local, rho, rng, nil)
+	sampleSize := coll.SumAll(pe, size)
+	shard := dht.CountKV(pe, runs, dht.RouteHypercube)
+	cands := dht.SelectTopK(pe, *shard, kStar, rng)
+	commbuf.Put(shard)
+	items := countTop(pe, local, candidateKeys(cands), p.K)
+	return Result{Items: items, SampleSize: sampleSize, Rho: rho, KStar: kStar, Exact: true}
 }
 
 func candidateKeys(items []dht.KV) []uint64 {

@@ -44,15 +44,15 @@ func (g freqGolden) equal(h freqGolden) bool {
 	return g.sampleSize == h.sampleSize && g.rho == h.rho && g.kStar == h.kStar && g.exact == h.exact && g.stats == h.stats
 }
 
-// goldenAlgos are the golden fixture's algorithms; PAC and EC also run as
-// steppers under RunAsync and must reproduce the blocking record.
+// goldenAlgos are the golden fixture's algorithms; PAC also runs as a
+// stepper under RunAsync and must reproduce the blocking record.
 var goldenAlgos = []struct {
 	name  string
 	run   func(pe *comm.PE, local []uint64, p Params, rng *xrand.RNG) Result
 	async func(pe *comm.PE, local []uint64, p Params, rng *xrand.RNG, out func(Result)) comm.Stepper
 }{
 	{"PAC", PAC, PACStep},
-	{"EC", EC, ECStep},
+	{"EC", EC, nil},
 	{"ECSBF", ECSBF, nil},
 	{"PEC", func(pe *comm.PE, local []uint64, p Params, rng *xrand.RNG) Result {
 		return PEC(pe, local, p, 0.2, rng)

@@ -10,16 +10,14 @@ import (
 	"commtopk/internal/xrand"
 )
 
-// Continuation forms of the Section 6 multicriteria algorithms,
-// following the sel.KthStep template: pooled per-PE state
-// (comm.GetPooled), cached result-delivery closures built once per
-// pooled object, collective sub-steppers driven through the cur slot,
-// and blocking forms that drive the same engines via comm.RunSteps —
-// one implementation, both execution modes, bit-identical results, RNG
-// consumption and meters. DTA's exponential search and RDTA's k̂
-// doubling loop are re-entrant: every communication round suspends as
-// data, so multicriteria queries run under Machine.RunAsync at O(w)
-// mid-run goroutines and can ride the serve mux.
+// The continuation form of DTA, following the sel.KthStep template:
+// pooled per-PE state (comm.GetPooled), cached result-delivery closures
+// built once per pooled object, collective sub-steppers driven through
+// the cur slot, and a blocking DTAProbed that drives the same machine via
+// comm.RunSteps — bit-identical results, RNG consumption and meters. The
+// exponential search is re-entrant: every communication round suspends
+// as data, so the scaling suite runs DTA under Machine.RunAsync at O(w)
+// mid-run goroutines. RDTA and TopK are blocking code only.
 
 func addI64(a, b int64) int64     { return a + b }
 func addF64(a, b float64) float64 { return a + b }
@@ -33,7 +31,7 @@ const (
 	dphDone
 )
 
-// dtaStep — see DTAStep/DTAProbedStep. A round evaluates its scan depths
+// dtaStep — see DTAStep and DTAProbed. A round evaluates its scan depths
 // K (its probes) together: the m lists of every probe are the lanes of
 // one sel.AMSSelectLanesStep, and one vector sum carries the probes' hit
 // estimates.
@@ -94,11 +92,6 @@ func newDTAStep(pe *comm.PE, d *Data, t ScoreFunc, k, probes int, rng *xrand.RNG
 // every PE.
 func DTAStep(pe *comm.PE, d *Data, t ScoreFunc, k int, rng *xrand.RNG, out func(DTAResult)) comm.Stepper {
 	return newDTAStep(pe, d, t, k, 1, rng, out, true)
-}
-
-// DTAProbedStep is the continuation form of DTAProbed.
-func DTAProbedStep(pe *comm.PE, d *Data, t ScoreFunc, k, probes int, rng *xrand.RNG, out func(DTAResult)) comm.Stepper {
-	return newDTAStep(pe, d, t, k, probes, rng, out, true)
 }
 
 func (s *dtaStep) release(pe *comm.PE) {
@@ -240,247 +233,6 @@ func (s *dtaStep) Step(pe *comm.PE) *comm.RecvHandle {
 				}
 			}
 			s.startRound(pe)
-		default:
-			return nil
-		}
-	}
-}
-
-// rdtaStep phases.
-const (
-	rphLoop      = iota // run the local TA, start the threshold max
-	rphTauWait          // harvest the global threshold, start the count
-	rphTotalWait        // harvest the candidate count; verify or double k̂
-	rphTakeWait         // harvest the global candidate total
-	rphSelWait          // harvest the SmallestK share, grant local hits
-	rphDone
-)
-
-// rdtaStep — see RDTAStep.
-type rdtaStep struct {
-	pe   *comm.PE
-	d    *Data
-	t    ScoreFunc
-	k    int
-	rng  *xrand.RNG
-	out  func([]Hit)
-	self bool
-	res  []Hit
-
-	kHat      int
-	nLocal    int
-	localHits []Hit
-	ords      []uint64
-	selected  []uint64
-
-	i64 int64
-	f64 float64
-
-	cur comm.Stepper
-
-	onI64 func(int64)
-	onF64 func(float64)
-	onSel func([]uint64)
-
-	phase int
-}
-
-func newRDTAStep(pe *comm.PE, d *Data, t ScoreFunc, k int, rng *xrand.RNG, out func([]Hit), self bool) *rdtaStep {
-	s := comm.GetPooled[rdtaStep](pe)
-	s.pe = pe
-	s.d, s.t, s.k, s.rng, s.out, s.self = d, t, k, rng, out, self
-	s.phase = rphLoop
-	s.cur = nil
-	s.kHat = k/pe.P() + 2*bitLen(pe.P()) + 1
-	s.nLocal = d.NumObjects()
-	if s.onI64 == nil {
-		s.onI64 = func(v int64) { s.i64 = v }
-		s.onF64 = func(v float64) { s.f64 = v }
-		s.onSel = func(v []uint64) { s.selected = v }
-	}
-	return s
-}
-
-// RDTAStep is the continuation form of RDTA; out receives this PE's
-// share of the top-k.
-func RDTAStep(pe *comm.PE, d *Data, t ScoreFunc, k int, rng *xrand.RNG, out func([]Hit)) comm.Stepper {
-	return newRDTAStep(pe, d, t, k, rng, out, true)
-}
-
-func (s *rdtaStep) release(pe *comm.PE) {
-	s.pe, s.d, s.t, s.rng, s.out, s.cur = nil, nil, nil, nil, nil, nil
-	s.res, s.localHits, s.ords, s.selected = nil, nil, nil, nil
-	comm.PutPooled(pe, s)
-}
-
-func (s *rdtaStep) finish(pe *comm.PE, v []Hit) *comm.RecvHandle {
-	s.res = v
-	s.phase = rphDone
-	if s.self {
-		out := s.out
-		s.release(pe)
-		if out != nil {
-			out(v)
-		}
-	}
-	return nil
-}
-
-func (s *rdtaStep) Step(pe *comm.PE) *comm.RecvHandle {
-	for {
-		if s.cur != nil {
-			if h := s.cur.Step(pe); h != nil {
-				return h
-			}
-			s.cur = nil
-		}
-		switch s.phase {
-		case rphLoop:
-			if s.kHat > s.nLocal {
-				s.kHat = s.nLocal
-			}
-			s.localHits, _ = SequentialTA(s.d, s.t, max(s.kHat, 1))
-			// Local threshold: worst score this PE can still vouch for (the
-			// entire local set scanned means -inf — we have everything).
-			tau := math.Inf(-1)
-			if len(s.localHits) == s.kHat && s.kHat > 0 {
-				tau = s.localHits[len(s.localHits)-1].Score
-			}
-			s.cur = coll.AllReduceScalarStep(pe, tau, math.Max, s.onF64)
-			s.phase = rphTauWait
-		case rphTauWait:
-			globalTau := s.f64
-			var above int64
-			for _, h := range s.localHits {
-				if h.Score >= globalTau {
-					above++
-				}
-			}
-			s.cur = coll.AllReduceScalarStep(pe, above, addI64, s.onI64)
-			s.phase = rphTotalWait
-		case rphTotalWait:
-			total := s.i64
-			if total >= int64(s.k) || int64(s.nLocal*pe.P()) <= int64(s.k) || s.kHat >= s.nLocal {
-				// Verified (or exhausted): select the top-k among candidates.
-				ords := make([]uint64, 0, len(s.localHits))
-				for _, h := range s.localHits {
-					ords = append(ords, OrdDesc(h.Score))
-				}
-				s.ords = ords
-				s.cur = coll.AllReduceScalarStep(pe, int64(len(ords)), addI64, s.onI64)
-				s.phase = rphTakeWait
-				continue
-			}
-			s.kHat *= 2
-			s.phase = rphLoop
-		case rphTakeWait:
-			take := min(int64(s.k), s.i64)
-			s.cur = sel.SmallestKStep(pe, s.ords, take, s.rng, s.onSel)
-			s.phase = rphSelWait
-		case rphSelWait:
-			return s.finish(pe, grantHits(s.localHits, s.selected))
-		default:
-			return nil
-		}
-	}
-}
-
-// topkStep phases.
-const (
-	kphDTA     = iota // run the DTA sub-machine
-	kphSumWait        // harvest the global hit-ord total
-	kphSelWait        // harvest the SmallestK share, grant local hits
-	kphDone
-)
-
-// topkStep — see TopKStep.
-type topkStep struct {
-	pe   *comm.PE
-	d    *Data
-	t    ScoreFunc
-	k    int
-	rng  *xrand.RNG
-	out  func([]Hit, DTAResult)
-	self bool
-	res  []Hit
-	dta  DTAResult
-
-	ords     []uint64
-	selected []uint64
-	i64      int64
-
-	cur comm.Stepper
-
-	onDTA func(DTAResult)
-	onI64 func(int64)
-	onSel func([]uint64)
-
-	phase int
-}
-
-func newTopKStep(pe *comm.PE, d *Data, t ScoreFunc, k int, rng *xrand.RNG, out func([]Hit, DTAResult), self bool) *topkStep {
-	s := comm.GetPooled[topkStep](pe)
-	s.pe = pe
-	s.d, s.t, s.k, s.rng, s.out, s.self = d, t, k, rng, out, self
-	s.phase = kphDTA
-	if s.onDTA == nil {
-		s.onDTA = func(v DTAResult) { s.dta = v }
-		s.onI64 = func(v int64) { s.i64 = v }
-		s.onSel = func(v []uint64) { s.selected = v }
-	}
-	s.cur = newDTAStep(pe, d, t, k, 1, rng, s.onDTA, true)
-	return s
-}
-
-// TopKStep is the continuation form of TopK; out receives this PE's
-// share of the exact top-k plus the underlying DTAResult.
-func TopKStep(pe *comm.PE, d *Data, t ScoreFunc, k int, rng *xrand.RNG, out func([]Hit, DTAResult)) comm.Stepper {
-	return newTopKStep(pe, d, t, k, rng, out, true)
-}
-
-func (s *topkStep) release(pe *comm.PE) {
-	s.pe, s.d, s.t, s.rng, s.out, s.cur = nil, nil, nil, nil, nil, nil
-	s.res, s.ords, s.selected = nil, nil, nil
-	s.dta = DTAResult{}
-	comm.PutPooled(pe, s)
-}
-
-func (s *topkStep) finish(pe *comm.PE) *comm.RecvHandle {
-	s.phase = kphDone
-	if s.self {
-		out, res, dta := s.out, s.res, s.dta
-		s.release(pe)
-		if out != nil {
-			out(res, dta)
-		}
-	}
-	return nil
-}
-
-func (s *topkStep) Step(pe *comm.PE) *comm.RecvHandle {
-	for {
-		if s.cur != nil {
-			if h := s.cur.Step(pe); h != nil {
-				return h
-			}
-			s.cur = nil
-		}
-		switch s.phase {
-		case kphDTA:
-			ords := make([]uint64, len(s.dta.Hits))
-			for i, h := range s.dta.Hits {
-				ords[i] = OrdDesc(h.Score)
-			}
-			s.ords = ords
-			s.cur = coll.AllReduceScalarStep(pe, int64(len(ords)), addI64, s.onI64)
-			s.phase = kphSumWait
-		case kphSumWait:
-			take := min(int64(s.k), s.i64)
-			s.cur = sel.SmallestKStep(pe, s.ords, take, s.rng, s.onSel)
-			s.phase = kphSelWait
-		case kphSelWait:
-			s.res = grantHits(s.dta.Hits, s.selected)
-			return s.finish(pe)
 		default:
 			return nil
 		}

@@ -15,11 +15,12 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
+	"commtopk/internal/coll"
 	"commtopk/internal/comm"
 	"commtopk/internal/dht"
 	"commtopk/internal/qsel"
+	"commtopk/internal/sel"
 	"commtopk/internal/xrand"
 )
 
@@ -208,11 +209,8 @@ func SequentialTA(d *Data, t ScoreFunc, k int) ([]Hit, int) {
 func kthBest(seen *dht.SumTable, k int) float64 {
 	scores := make([]float64, 0, seen.Len())
 	seen.ForEach(func(_ uint64, s float64) { scores = append(scores, s) })
-	sort.Sort(sort.Reverse(sort.Float64Slice(scores)))
-	if k > len(scores) {
-		k = len(scores)
-	}
-	return scores[k-1]
+	slices.Sort(scores)
+	return scores[len(scores)-min(k, len(scores))]
 }
 
 func topHits(seen *dht.SumTable, k int) []Hit {
@@ -282,8 +280,7 @@ func DTA(pe *comm.PE, d *Data, t ScoreFunc, k int, rng *xrand.RNG) DTAResult {
 // selection round. Depths that cannot pass (mK < k) are left out, and
 // so are those beyond the first that covers every object. probes = 1 is
 // plain DTA. The blocking form drives the dtaStep state machine of
-// async.go through comm.RunSteps — one implementation, both execution
-// modes. Collective.
+// async.go through comm.RunSteps. Collective.
 func DTAProbed(pe *comm.PE, d *Data, t ScoreFunc, k int, probes int, rng *xrand.RNG) DTAResult {
 	st := newDTAStep(pe, d, t, k, probes, rng, nil, false)
 	comm.RunSteps(pe, st)
@@ -326,33 +323,47 @@ func (d *Data) collectHits(t ScoreFunc, thr float64, prefixLens []int) []Hit {
 	return hits
 }
 
-// compareHitsDesc orders hits by score descending, then id ascending: a
-// total order wherever ids are unique, as they are within a Data and,
-// by NewData's contract, across PEs.
+// compareHitsDesc orders hits by score descending, then id ascending. The
+// score order is that of OrdDesc, the key the selections run on, so a
+// sorted hit list has ascending ords (+0 ranks above −0): a total order
+// wherever ids are unique, as they are within a Data and, by NewData's
+// contract, across PEs.
 func compareHitsDesc(a, b Hit) int {
-	if c := cmp.Compare(b.Score, a.Score); c != 0 {
+	if c := cmp.Compare(OrdDesc(a.Score), OrdDesc(b.Score)); c != 0 {
 		return c
 	}
 	return cmp.Compare(a.ID, b.ID)
 }
 
-// grantHits maps SmallestK's selected ord keys back to local hits: ords
-// may contain duplicates across PEs only for exactly equal scores, and
-// SmallestK has already split those fairly — keep as many local hits per
-// ord value as it granted us. Table-backed, so the grant bookkeeping
-// cannot reorder anything.
-func grantHits(hits []Hit, selected []uint64) []Hit {
-	grant := dht.NewTable(len(selected))
-	defer grant.Release()
-	for _, o := range selected {
-		grant.Add(o, 1)
+// selectHits keeps this PE's share of the k best of every PE's hits
+// (sorted by compareHitsDesc): the unsorted selection of Section 4.1 on
+// their ords, whose prefix sum splits ties at the boundary fairly.
+// Collective.
+func selectHits(pe *comm.PE, hits []Hit, k int, rng *xrand.RNG) []Hit {
+	ords := make([]uint64, len(hits))
+	for i, h := range hits {
+		ords[i] = OrdDesc(h.Score)
 	}
+	take := min(int64(k), coll.SumAll(pe, int64(len(ords))))
+	return grantHits(hits, sel.SmallestK(pe, ords, take, rng))
+}
+
+// grantHits maps SmallestK's selected ords back to local hits: ords may
+// repeat only for exactly equal scores, and SmallestK has already split
+// those fairly — keep as many local hits per ord as it granted us. The
+// hits ascend in ord, so one walk over the sorted selection pairs them.
+func grantHits(hits []Hit, selected []uint64) []Hit {
+	slices.Sort(selected)
 	var out []Hit
+	j := 0
 	for _, h := range hits {
 		o := OrdDesc(h.Score)
-		if g, _ := grant.Get(o); g > 0 {
-			grant.Add(o, -1)
+		for j < len(selected) && selected[j] < o {
+			j++
+		}
+		if j < len(selected) && selected[j] == o {
 			out = append(out, h)
+			j++
 		}
 	}
 	return out
@@ -363,11 +374,8 @@ func grantHits(hits []Hit, selected []uint64) []Hit {
 // identify the k most relevant; ties at the boundary are split by a
 // prefix sum. Returns this PE's share of the top-k. Collective.
 func TopK(pe *comm.PE, d *Data, t ScoreFunc, k int, rng *xrand.RNG) ([]Hit, DTAResult) {
-	st := newTopKStep(pe, d, t, k, rng, nil, false)
-	comm.RunSteps(pe, st)
-	hits, res := st.res, st.dta
-	st.release(pe)
-	return hits, res
+	res := DTA(pe, d, t, k, rng)
+	return selectHits(pe, res.Hits, k, rng), res
 }
 
 // ---------------------------------------------------------------------------
@@ -378,14 +386,33 @@ func TopK(pe *comm.PE, d *Data, t ScoreFunc, k int, rng *xrand.RNG) ([]Hit, DTAR
 // locally for k̂ = c·(k/p + log p) results, the global threshold is the
 // max of the local thresholds, and the candidate count above it is
 // verified; on failure k̂ doubles (Section 6, "Random Data Distribution").
-// Returns this PE's share of the top-k. The blocking form drives the
-// rdtaStep state machine of async.go. Collective.
+// Returns this PE's share of the top-k. Collective.
 func RDTA(pe *comm.PE, d *Data, t ScoreFunc, k int, rng *xrand.RNG) []Hit {
-	st := newRDTAStep(pe, d, t, k, rng, nil, false)
-	comm.RunSteps(pe, st)
-	res := st.res
-	st.release(pe)
-	return res
+	p, nLocal := pe.P(), d.NumObjects()
+	kHat := k/p + 2*bitLen(p) + 1
+	for {
+		kHat = min(kHat, nLocal)
+		hits, _ := SequentialTA(d, t, max(kHat, 1))
+		// Local threshold: worst score this PE can still vouch for (the
+		// entire local set scanned means -inf — we have everything).
+		tau := math.Inf(-1)
+		if len(hits) == kHat && kHat > 0 {
+			tau = hits[len(hits)-1].Score
+		}
+		globalTau := coll.AllReduceScalar(pe, tau, math.Max)
+		var above int64
+		for _, h := range hits {
+			if h.Score >= globalTau {
+				above++
+			}
+		}
+		total := coll.SumAll(pe, above)
+		if total >= int64(k) || int64(nLocal*p) <= int64(k) || kHat >= nLocal {
+			// Verified (or exhausted): select the top-k among candidates.
+			return selectHits(pe, hits, k, rng)
+		}
+		kHat *= 2
+	}
 }
 
 func bitLen(x int) int {

@@ -17,6 +17,8 @@
 package redist
 
 import (
+	"fmt"
+
 	"commtopk/internal/coll"
 	"commtopk/internal/comm"
 	"commtopk/internal/xrand"
@@ -58,27 +60,85 @@ func (pl *Plan) TotalReceived() int64 {
 	return t
 }
 
-// BuildPlan computes the transfer plan for the current distribution.
-// Collective: all PEs pass their local object count. Blocking driver
-// over the same state machine BuildPlanStep exposes for comm.RunAsync.
+// boundary is one PE's run in the surplus/deficit enumeration: the global
+// index of its first moved element (or open slot) and the run length.
+type boundary struct {
+	rank  int
+	start int64
+	count int64
+}
+
+// BuildPlan computes the transfer plan for the current distribution:
+// the global count, the prefix sums of the surplus and deficit
+// sequences, the surplus total and an all-gather of each sequence's run
+// boundaries, then a purely local merge. Collective: all PEs pass their
+// local object count.
 func BuildPlan(pe *comm.PE, localCount int64) Plan {
-	st := newBuildPlanStep(pe, localCount, nil, false)
-	comm.RunSteps(pe, st)
-	plan := st.plan
-	st.release(pe)
+	if localCount < 0 {
+		panic("redist: negative local count")
+	}
+	p := int64(pe.P())
+	n := coll.SumAll(pe, localCount)
+	plan := Plan{NBar: (n + p - 1) / p}
+	if n == 0 {
+		return plan
+	}
+	surplus := max(localCount-plan.NBar, 0)
+	deficit := max(plan.NBar-localCount, 0)
+	sPrefix := coll.ExScanSum(pe, surplus)
+	dPrefix := coll.ExScanSum(pe, deficit)
+	totalSurplus := coll.SumAll(pe, surplus)
+	rank := pe.Rank()
+	sendRuns := coll.AllGatherConcat(pe, []boundary{{rank, sPrefix, surplus}})
+	recvRuns := coll.AllGatherConcat(pe, []boundary{{rank, dPrefix, deficit}})
+	// Only the first totalSurplus slots fill.
+	plan.Sends = overlaps(sPrefix, sPrefix+surplus, recvRuns, totalSurplus)
+	plan.Recvs = overlaps(dPrefix, dPrefix+deficit, sendRuns, totalSurplus)
 	return plan
+}
+
+// overlaps pairs this PE's run [lo, hi) of one enumeration, cut at limit,
+// with the opposite side's runs — the paper's merge of the two prefix-sum
+// enumerations. The runs arrive in rank order and each overlaps the run
+// at most once, so the transfers come out in ascending peer order.
+func overlaps(lo, hi int64, runs []boundary, limit int64) []Transfer {
+	var ts []Transfer
+	hi = min(hi, limit)
+	for _, r := range runs {
+		if olo, ohi := max(r.start, lo), min(r.start+r.count, hi); olo < ohi {
+			ts = append(ts, Transfer{Peer: r.rank, Count: ohi - olo})
+		}
+	}
+	return ts
 }
 
 // Apply executes a plan: surplus objects are taken from the tail of the
 // local slice and shipped to the plan's receivers; received objects are
-// appended. Returns the balanced local slice. Collective. Blocking
-// driver over the ExecuteStep state machine.
+// appended in the plan's peer order. Returns the balanced local slice.
+// Collective.
 func Apply[T any](pe *comm.PE, local []T, plan Plan) []T {
-	st := newExecuteStep(pe, local, plan, nil, false)
-	comm.RunSteps(pe, st)
-	out := st.res
-	st.release(pe)
-	return out
+	sendTotal := plan.TotalSent()
+	if sendTotal > int64(len(local)) {
+		panic(fmt.Sprintf("redist: plan sends %d of %d local objects", sendTotal, len(local)))
+	}
+	tag := pe.NextCollTag()
+	keep := int64(len(local)) - sendTotal
+	cursor := keep
+	for _, seg := range plan.Sends {
+		chunk := local[cursor : cursor+seg.Count]
+		pe.Send(seg.Peer, tag, chunk, int64(len(chunk))*coll.WordsOf[T]())
+		cursor += seg.Count
+	}
+	res := local[:keep:keep]
+	for _, seg := range plan.Recvs {
+		rx, _ := pe.Recv(seg.Peer, tag)
+		chunk := rx.([]T)
+		if int64(len(chunk)) != seg.Count {
+			panic(fmt.Sprintf("redist: expected %d objects from %d, got %d", seg.Count, seg.Peer, len(chunk)))
+		}
+		res = append(res, chunk...)
+	}
+	return res
 }
 
 // Balance is the convenience wrapper: plan and apply in one call.

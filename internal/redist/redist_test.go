@@ -1,6 +1,7 @@
 package redist
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -99,6 +100,7 @@ func TestSendersOnlySendReceiversOnlyReceive(t *testing.T) {
 	m := comm.NewMachine(comm.DefaultConfig(p))
 	m.MustRun(func(pe *comm.PE) {
 		plan := BuildPlan(pe, counts[pe.Rank()])
+		checkAscendingPeers(t, pe.Rank(), plan)
 		if len(plan.Sends) > 0 && len(plan.Recvs) > 0 {
 			t.Errorf("PE %d both sends and receives", pe.Rank())
 		}
@@ -268,7 +270,23 @@ func plansOf(t *testing.T, counts []int64, batcher bool) []Plan {
 	}); err != nil {
 		t.Fatalf("counts=%v batcher=%v: %v", counts, batcher, err)
 	}
+	for r, plan := range plans {
+		checkAscendingPeers(t, r, plan)
+	}
 	return plans
+}
+
+// checkAscendingPeers: a plan lists its transfers in ascending peer
+// order, at most one per peer.
+func checkAscendingPeers(t *testing.T, rank int, plan Plan) {
+	t.Helper()
+	for _, ts := range [][]Transfer{plan.Sends, plan.Recvs} {
+		for i := 1; i < len(ts); i++ {
+			if ts[i-1].Peer >= ts[i].Peer {
+				t.Errorf("PE %d: transfers %+v are not in ascending peer order", rank, ts)
+			}
+		}
+	}
 }
 
 func plansEqual(a, b []Plan) bool {
@@ -362,5 +380,31 @@ func TestBatcherPlanBuildingScalesBetter(t *testing.T) {
 	allgather, batcher := vol(false), vol(true)
 	if batcher >= allgather {
 		t.Errorf("Batcher plan volume %d not below all-gather %d at p=%d", batcher, allgather, p)
+	}
+}
+
+// TestBuildPlanStepRepeatedRunsBitIdentical: the plan construction has
+// no map iteration or RNG anywhere, so repeated runs must be
+// bit-identical in both plans and meters.
+func TestBuildPlanStepRepeatedRunsBitIdentical(t *testing.T) {
+	const p = 5
+	counts := []int64{190, 3, 77, 0, 41}
+	run := func() ([]Plan, comm.Stats) {
+		plans := make([]Plan, p)
+		mach := comm.NewMachine(comm.DefaultConfig(p))
+		mach.MustRun(func(pe *comm.PE) {
+			plans[pe.Rank()] = BuildPlan(pe, counts[pe.Rank()])
+		})
+		return plans, mach.Stats()
+	}
+	refPlans, refStats := run()
+	for rep := 0; rep < 3; rep++ {
+		plans, stats := run()
+		if !reflect.DeepEqual(plans, refPlans) {
+			t.Fatalf("rep %d: plans diverged", rep)
+		}
+		if stats != refStats {
+			t.Fatalf("rep %d: meters diverged", rep)
+		}
 	}
 }

@@ -9,7 +9,7 @@
 #   scripts/guard.sh race    the -race set: whole packages, then the stress
 #                            tests at -count > 1
 #   scripts/guard.sh long    -tags long: 10^5 explored schedules, 10^4 of
-#                            agg.ECSumStep alone, the p = 16384 mid-run
+#                            agg.ECSum alone, the p = 16384 mid-run
 #                            residency guard (minutes)
 #   scripts/guard.sh bench   BENCHMARK.json's command at full size, all six
 #                            workloads at -seconds 3: exit 0 and six correct
@@ -70,7 +70,8 @@ tier1() {
   # machine is reusable, and no coroutine leaks.
   must_run ./internal/comm/ 'TestBlockingRunAbortWhileSuspended|TestBlockingBodyGoexitFailsRun'
   # Schedule exploration on the simexec executor (>= 10^3 seeded schedules,
-  # every family as steppers and as blocking bodies, every serve kind,
+  # every family as blocking bodies and, where it has a stepper form, as
+  # steppers, every serve kind,
   # results and meters bit-identical) and its self-test (a FIFO-violating
   # policy is caught; a seed is a trace, in both body forms).
   must_run ./internal/experiments/ 'TestScheduleExploration|TestExplorationIsSensitive|TestFuzzDifferentialSteppers'
@@ -92,12 +93,12 @@ tier1() {
   must_run ./internal/sel/ 'TestAMSLanesAgainstSortOracle|TestAMSLanesShareEachRound|TestAMSSelectNStepSkipsTheSizeSum|TestAMSSelectOneLaneGolden'
   must_run ./internal/mtopk/ 'TestDTAOneSelectionPerProbe|TestDTAProbedFewerRounds|TestDTAPolylogCommunication|TestNewDataListsMatchStableSort|TestInEarlierPrefixMatchesScan'
   # Repeated runs are bit-identical (mtopk DTA/RDTA, bnb, redist, freq),
-  # and agg's PAC/ECSum and every freq algorithm reproduce their recorded
-  # results and meters.
-  must_run ./internal/mtopk/ 'TestMtopkRepeatedRunsBitIdentical' -count=5
+  # and mtopk's RDTA/TopK, bnb, redist, agg's PAC/ECSum and every freq
+  # algorithm reproduce their recorded results and meters.
+  must_run ./internal/mtopk/ 'TestMtopkRepeatedRunsBitIdentical|TestMtopkResultsGolden' -count=5
   must_run ./internal/agg/ 'TestAggResultsGolden' -count=5
-  must_run ./internal/bnb/ 'TestBnbRepeatedRunsBitIdentical' -count=5
-  must_run ./internal/redist/ 'TestBuildPlanStepRepeatedRunsBitIdentical' -count=5
+  must_run ./internal/bnb/ 'TestBnbRepeatedRunsBitIdentical|TestBnbResultsGolden' -count=5
+  must_run ./internal/redist/ 'TestBuildPlanStepRepeatedRunsBitIdentical|TestRedistResultsGolden' -count=5
   must_run ./internal/freq/ 'TestFreqRepeatedRunsBitIdentical' -count=5
   must_run ./internal/freq/ 'TestFreqResultsGolden' -count=5
   must_run ./internal/serve/ 'TestDeadlineExpiredAtSubmit|TestDeadlineExpiredWhileQueued' -count=50
@@ -132,7 +133,8 @@ race() {
   # Context interleaving: tagged demux, multi-key suspension, serving mux.
   must_run ./internal/comm/ 'TestCtxIsolatedStreams|TestMultiWaiterAnyOfResume|TestPostDoorbell' -race -count=3
   must_run ./internal/mailbox/ 'TestKeyedFIFOAcrossContexts|TestKeyedConcurrentSenders|TestArmKeysFireOnce|TestShardedReadyQueueResumes|TestShardedReadyStealing' -race -count=3
-  # Steppers against their blocking twins, w < p.
+  # Steppers against their blocking twins, w < p; the blocking-only
+  # families against their recorded results and meters.
   must_run ./internal/coll/ 'TestVectorSteppersContinuationStress|TestScalarCollectivesAreVectorForms|TestAllToAllReceivedPartsAreOwned' -race -count=3
   must_run ./internal/sel/ 'TestKthStepMatchesBlockingAcrossBackends|TestKthStepRepeatedRunsReusePooledState' -race -count=3
   must_run ./internal/sel/ 'TestKthSortedDifferential|TestKthWindowOpsAgree|TestKthSortedNeverWritesTheShard|TestKthSortedSkipsTheSizeAllReduce|TestKthIsTreeSweepsOnly|TestKthSpeculationMiss|TestKthTieHeavyShards|TestMSSelectIsTreeSweepsOnly|TestMSSelectEdgeCasesAgainstSortOracle' -race -count=5
@@ -140,10 +142,10 @@ race() {
   must_run ./internal/sel/ 'TestAMSLanesAgainstSortOracle|TestAMSLanesShareEachRound|TestAMSSelectNStepSkipsTheSizeSum|TestAMSSelectOneLaneGolden' -race -count=3
   must_run ./internal/bpq/ 'TestDeleteMinStepMatchesBlockingAcrossBackends|TestDeleteMinStepThresholdContract|TestInterleavedInsertDelete|TestDeleteMinIsTreeSweepsOnly|TestDeleteMinEdgeCasesAgainstSortOracle|TestDeleteMinFlexibleSumsSizeOnce' -race -count=3
   must_run ./internal/mtopk/ 'TestMtopkSteppersMatchBlocking|TestDTAOneSelectionPerProbe|TestDTAProbedFewerRounds' -race -count=3
-  must_run ./internal/bnb/ 'TestBnbStepperMatchesBlocking' -race -count=3
-  must_run ./internal/redist/ 'TestBalanceStepMatchesBlocking' -race -count=3
+  must_run ./internal/bnb/ 'TestBnbResultsGolden' -race -count=3
+  must_run ./internal/redist/ 'TestRedistResultsGolden' -race -count=3
   must_run ./internal/freq/ 'TestFreqSteppersMatchBlocking' -race -count=3
-  must_run ./internal/agg/ 'TestAggSteppersMatchBlocking' -race -count=3
+  must_run ./internal/mtopk/ 'TestMtopkResultsGolden' -race -count=3
   must_run ./internal/agg/ 'TestAggResultsGolden|TestLocalAggregateMatchesSumTable' -race -count=3
   must_run ./internal/freq/ 'TestFreqResultsGolden' -race -count=3
   must_run ./internal/mtopk/ 'TestNewDataListsMatchStableSort|TestInEarlierPrefixMatchesScan' -race -count=3
