@@ -1,7 +1,8 @@
 package bnb
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"commtopk/internal/xrand"
 )
@@ -32,9 +33,9 @@ func NewKnapsack(values, weights []int64, capacity int64) *Knapsack {
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.Slice(idx, func(a, b int) bool {
+	slices.SortFunc(idx, func(a, b int) int {
 		// density comparison without division: v_a*w_b > v_b*w_a
-		return values[idx[a]]*weights[idx[b]] > values[idx[b]]*weights[idx[a]]
+		return cmp.Compare(values[b]*weights[a], values[a]*weights[b])
 	})
 	k := &Knapsack{capacity: capacity}
 	for _, i := range idx {

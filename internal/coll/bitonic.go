@@ -1,8 +1,9 @@
 package coll
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"commtopk/internal/comm"
 )
@@ -109,11 +110,8 @@ func BitonicMergePositions(pe *comm.PE, aKey, bKey uint64) (posA, posB int) {
 		for q := range slots {
 			pairs = append(pairs, pairing{low: q &^ h, mine: q})
 		}
-		sort.Slice(pairs, func(i, j int) bool {
-			if pairs[i].low != pairs[j].low {
-				return pairs[i].low < pairs[j].low
-			}
-			return pairs[i].mine < pairs[j].mine
+		slices.SortFunc(pairs, func(a, b pairing) int {
+			return cmp.Or(cmp.Compare(a.low, b.low), cmp.Compare(a.mine, b.mine))
 		})
 		for _, pr := range pairs {
 			q := pr.mine

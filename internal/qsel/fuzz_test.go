@@ -7,19 +7,22 @@ import (
 	"testing"
 )
 
+// maxFuzzN caps the length of a decoded key slice.
+const maxFuzzN = 1 << 15
+
 // fuzzKeys decodes fuzz bytes into a key slice. data[0] is a mode byte,
 // the rest the payload:
 //
 //	bits 0–1  element width 1, 2, 4 or 8 bytes (narrow widths give the
 //	          duplicate-heavy inputs, width 8 raw 64-bit patterns)
 //	bits 2–4  log2 of the tiling factor: the decoded base is repeated up
-//	          to 128 times, so a short input reaches the bucket engines
-//	          (n ≥ BucketMinN) and the small-period sniff
+//	          to 128 times, so a short input reaches thousands of
+//	          elements and small-period (sawtooth) inputs
 //	bit 5     xor every tile with a tile-dependent constant, which breaks
 //	          the period and spreads the values over the key space
 //
-// The length is capped at 1<<15 elements (BucketMaxInPlaceN, so Select's
-// in-place engine is in range) to bound the time of one execution.
+// The length is capped at maxFuzzN elements to bound the time of one
+// execution.
 func fuzzKeys(data []byte) []uint64 {
 	if len(data) < 2 {
 		return nil
@@ -36,14 +39,14 @@ func fuzzKeys(data []byte) []uint64 {
 		return nil
 	}
 	tiles := 1 << (mode >> 2 & 7)
-	out := make([]uint64, 0, min(len(base)*tiles, BucketMaxInPlaceN))
-	for t := 0; t < tiles && len(out) < BucketMaxInPlaceN; t++ {
+	out := make([]uint64, 0, min(len(base)*tiles, maxFuzzN))
+	for t := 0; t < tiles && len(out) < maxFuzzN; t++ {
 		var x uint64
 		if mode&32 != 0 {
 			x = uint64(t) * 0x9e3779b97f4a7c15
 		}
 		for _, v := range base {
-			if len(out) == BucketMaxInPlaceN {
+			if len(out) == maxFuzzN {
 				break
 			}
 			out = append(out, v^x)
@@ -71,9 +74,9 @@ func fuzzFloats(keys []uint64, raw bool) []float64 {
 }
 
 // oracleCase checks every exported kernel against a slices.Sort oracle:
-// Select, SelectScalar and SelectInto through diffCaseReadOnly (value,
-// partition contract, multiset, src untouched), then Rank and
-// PartitionRange against the sorted copy's lower and upper bounds.
+// Select and SelectInto through diffCaseReadOnly (value, partition
+// contract, multiset, src untouched), then Rank and PartitionRange
+// against the sorted copy's lower and upper bounds.
 func oracleCase[K selKey](t *testing.T, label string, orig []K, k, k2 int) {
 	t.Helper()
 	diffCaseReadOnly(t, label, orig, k)
@@ -115,24 +118,24 @@ func oracleCase[K selKey](t *testing.T, label string, orig []K, k, k2 int) {
 	}
 }
 
-// FuzzSelect runs Select, SelectScalar, SelectInto, Rank and
-// PartitionRange on []uint64 and []float64 decoded from the fuzz bytes
-// (see fuzzKeys) against a slices.Sort oracle, at the fuzzed ranks and
-// always at k = 0 and k = n−1.
+// FuzzSelect runs Select, SelectInto, Rank and PartitionRange on
+// []uint64 and []float64 decoded from the fuzz bytes (see fuzzKeys)
+// against a slices.Sort oracle, at the fuzzed ranks and always at k = 0
+// and k = n−1.
 //
 // NaN is rejected in the harness, not pinned: the package documents NaN
-// keys as unsupported (bucket.go — they have no < order, so neither the
-// oracle nor the partition contract is defined for them); inputs that
-// decode to a NaN are skipped on the float side only.
+// keys as unsupported (see the package doc: they have no < order, so
+// neither the oracle nor the partition contract is defined for them);
+// inputs that decode to a NaN are skipped on the float side only.
 func FuzzSelect(f *testing.F) {
 	f.Add([]byte{0, 5, 5, 5, 5, 5, 5, 5}, uint16(3), uint16(0))                                                                // all equal
 	f.Add([]byte{0, 0, 1, 0, 1, 1, 0, 7, 1}, uint16(2), uint16(6))                                                             // ±0 runs on the float side
 	f.Add([]byte{0, 3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5}, uint16(4), uint16(9))                                                    // duplicates
 	f.Add([]byte{3, 0, 0, 0, 0, 0, 0, 0xf0, 0x7f, 0, 0, 0, 0, 0, 0, 0xf0, 0xff, 1, 0, 0, 0, 0, 0, 0, 0}, uint16(0), uint16(1)) // +Inf, −Inf, a subnormal
 	f.Add([]byte{3, 1, 0, 0, 0, 0, 0, 0xf8, 0x7f, 0, 0, 0, 0, 0, 0, 0, 0x80}, uint16(1), uint16(0))                            // a NaN and −0
-	f.Add(append([]byte{0 | 7<<2}, seq(64)...), uint16(1000), uint16(5000))                                                    // period 64 × 128 tiles: sniff path
-	f.Add(append([]byte{1 | 7<<2 | 32}, seq(200)...), uint16(4097), uint16(77))                                                // spread, n = 12800: bucket engines
-	f.Add(append([]byte{3 | 6<<2 | 32}, seq(255)...), uint16(2047), uint16(2048))                                              // raw 64-bit, n = 1984 < BucketMinN
+	f.Add(append([]byte{0 | 7<<2}, seq(64)...), uint16(1000), uint16(5000))                                                    // period 64 × 128 tiles: sawtooth
+	f.Add(append([]byte{1 | 7<<2 | 32}, seq(200)...), uint16(4097), uint16(77))                                                // spread, n = 12800
+	f.Add(append([]byte{3 | 6<<2 | 32}, seq(255)...), uint16(2047), uint16(2048))                                              // raw 64-bit, n = 1984
 	f.Fuzz(func(t *testing.T, data []byte, k1, k2 uint16) {
 		keys := fuzzKeys(data)
 		if len(keys) == 0 {

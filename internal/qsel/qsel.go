@@ -12,6 +12,12 @@
 // threshold. The three-way (fat-pivot) partition makes duplicate-heavy
 // inputs first-class: an equal run containing the target rank terminates
 // immediately instead of degrading quadratically.
+//
+// Keys are compared with < and == only, so ties may resolve to either
+// side. −0.0 and +0.0 compare equal and either is a valid rank-k answer;
+// elements are only moved, never rewritten, so a slice keeps its −0.0
+// population. NaN keys are unsupported: they have no < order, so neither
+// the rank nor the partition contract is defined for them.
 package qsel
 
 import (
@@ -24,28 +30,7 @@ import (
 // (0-based) and returns it: afterwards every element of s[:k] is ≤ s[k]
 // and every element of s[k+1:] is ≥ s[k]. Expected O(len(s)) time, zero
 // allocations. Panics if k is out of range.
-//
-// Cache-resident slices ([BucketMinN, BucketMaxInPlaceN] elements) of a
-// fixed-width numeric key type are served by the in-place bucket engine
-// (bucket.go); everything else uses scalar Floyd–Rivest. Both paths produce
-// the same partition contract. Callers that only need the rank-k value —
-// no partition side effect — should use SelectInto, whose compress engine
-// has no upper crossover and wins at memory scale.
 func Select[K cmp.Ordered](s []K, k int) K {
-	if k < 0 || k >= len(s) {
-		panic(fmt.Sprintf("qsel: rank %d out of range [0, %d)", k, len(s)))
-	}
-	if len(s) >= BucketMinN && len(s) <= BucketMaxInPlaceN && bucketSelect(s, k) {
-		return s[k]
-	}
-	sel(s, 0, len(s)-1, k)
-	return s[k]
-}
-
-// SelectScalar is Select pinned to the scalar Floyd–Rivest path regardless
-// of size or key type — the pre-bucket kernel, kept callable as the
-// reference of the differential tests and FuzzSelect.
-func SelectScalar[K cmp.Ordered](s []K, k int) K {
 	if k < 0 || k >= len(s) {
 		panic(fmt.Sprintf("qsel: rank %d out of range [0, %d)", k, len(s)))
 	}
@@ -54,75 +39,16 @@ func SelectScalar[K cmp.Ordered](s []K, k int) K {
 }
 
 // SelectInto returns the element of rank k (0-based) of src without
-// modifying src, using dst (len(dst) ≥ len(src)) as workspace; dst's
-// contents are unspecified on return. This is the value-only kernel: every
-// pivot-extraction and residual-solve site in the distributed pipelines
-// needs just the order statistic, not Select's partition side effect, and
-// dropping that obligation lets the large-n path narrow by compressing the
-// rank-k radix bucket (branch-predictable, no swap traffic) instead of
-// partitioning — see bucket.go. Small or unsupported-key inputs fall back
-// to copy + scalar Floyd–Rivest inside dst. Zero allocations either way.
+// modifying src: it copies src into dst (len(dst) ≥ len(src)) and runs
+// Select there, so dst's contents are unspecified on return. Zero
+// allocations.
 func SelectInto[K cmp.Ordered](dst, src []K, k int) K {
-	if k < 0 || k >= len(src) {
-		panic(fmt.Sprintf("qsel: rank %d out of range [0, %d)", k, len(src)))
-	}
 	if len(dst) < len(src) {
 		panic(fmt.Sprintf("qsel: SelectInto dst len %d < src len %d", len(dst), len(src)))
 	}
-	if len(src) >= BucketMinN && !smallPeriod(src) {
-		if v, ok := bucketSelectInto(dst, src, k); ok {
-			return v
-		}
-	}
 	d := dst[:len(src)]
 	copy(d, src)
-	sel(d, 0, len(d)-1, k)
-	return d[k]
-}
-
-// Small-period inputs (sawtooth and friends) are the compress engine's
-// documented adversarial case: the value range is tiny, so every element
-// survives the early bucket levels and each pass re-streams nearly the
-// whole window, while scalar Floyd–Rivest's fat-pivot partition retires
-// the k-th value's whole equal run at once. sniffMaxPeriod bounds the
-// recurrence scan (and with it the sniff's cost: at most one extra pass
-// over a prefix); periods above it don't repeat values often enough to
-// hurt the bucket path.
-const (
-	sniffMaxPeriod = 4096
-	sniffProbes    = 16
-)
-
-// smallPeriod reports whether s looks periodic with a small period: the
-// leading pair recurs within min(len/4, sniffMaxPeriod) positions AND
-// sniffProbes strided probes across the whole slice agree with that
-// period. Random inputs practically never pass the pair recurrence, and
-// duplicate-heavy (random small-range) inputs that do are rejected by
-// the probes, so the bucket path keeps those wins. False positives only
-// reroute to the (always correct) scalar path.
-func smallPeriod[K cmp.Ordered](s []K) bool {
-	n := len(s)
-	limit := min(n/4, sniffMaxPeriod)
-	p := 0
-	for j := 1; j <= limit; j++ {
-		if s[j] == s[0] && s[j+1] == s[1] {
-			p = j
-			break
-		}
-	}
-	if p <= 1 {
-		// No recurrence, or a constant prefix: truly constant windows are
-		// the compress engine's best case (the prep fold's diff==0 path
-		// answers right after the transform pass), so never reroute them.
-		return false
-	}
-	for t := 1; t <= sniffProbes; t++ {
-		pos := (n - 1) * t / sniffProbes
-		if s[pos] != s[pos%p] {
-			return false
-		}
-	}
-	return true
+	return Select(d, k)
 }
 
 // Rank counts the elements of s strictly below v and equal to v in one

@@ -190,6 +190,85 @@ func TestSelectZeroAlloc(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("PartitionRange allocates %.1f per run, want 0", allocs)
 	}
+	n := 4 * 2048
+	f := make([]float64, n)
+	i64 := make([]int64, n)
+	for i := range f {
+		f[i] = r.NormFloat64()
+		i64[i] = int64(r.Uint64())
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		Select(f, n/2)
+		Select(i64, n/2)
+	}); allocs != 0 {
+		t.Errorf("Select (float64, int64) allocates %.1f per run, want 0", allocs)
+	}
+	u, dst := s[:n], make([]uint64, n)
+	if allocs := testing.AllocsPerRun(10, func() {
+		SelectInto(dst, u, n/2)
+	}); allocs != 0 {
+		t.Errorf("SelectInto allocates %.1f per run, want 0", allocs)
+	}
+	// A sawtooth at 2^17 elements: a small value range, long equal runs.
+	nw := 1 << 17
+	saw := make([]uint64, nw)
+	for i := range saw {
+		saw[i] = uint64(i % 1024)
+	}
+	dstW := make([]uint64, nw)
+	if allocs := testing.AllocsPerRun(10, func() {
+		SelectInto(dstW, saw, nw/2)
+	}); allocs != 0 {
+		t.Errorf("SelectInto (n=%d sawtooth) allocates %.1f per run, want 0", nw, allocs)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		Rank(u, u[0])
+	}); allocs != 0 {
+		t.Errorf("Rank allocates %.1f per run, want 0", allocs)
+	}
+}
+
+func TestRank(t *testing.T) {
+	r := rand.New(rand.NewSource(10))
+	for trial := 0; trial < 100; trial++ {
+		n := 1 + r.Intn(500)
+		s := make([]uint64, n)
+		for i := range s {
+			s[i] = uint64(r.Intn(64))
+		}
+		v := uint64(r.Intn(64))
+		below, equal := Rank(s, v)
+		wb, we := 0, 0
+		for _, e := range s {
+			if e < v {
+				wb++
+			} else if e == v {
+				we++
+			}
+		}
+		if below != wb || equal != we {
+			t.Fatalf("trial %d: Rank=(%d,%d), want (%d,%d)", trial, below, equal, wb, we)
+		}
+	}
+}
+
+func TestSelectInto(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	src := make([]uint64, 5000)
+	for i := range src {
+		src[i] = r.Uint64()
+	}
+	orig := slices.Clone(src)
+	sorted := slices.Clone(src)
+	slices.Sort(sorted)
+	dst := make([]uint64, len(src)+7)
+	got := SelectInto(dst, src, 1234)
+	if got != sorted[1234] {
+		t.Fatalf("SelectInto: got %d want %d", got, sorted[1234])
+	}
+	if !slices.Equal(src, orig) {
+		t.Fatal("SelectInto modified src")
+	}
 }
 
 func BenchmarkSelectVsSort(b *testing.B) {

@@ -1,8 +1,9 @@
 package redist
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"commtopk/internal/coll"
 	"commtopk/internal/comm"
@@ -133,8 +134,9 @@ func BuildPlanBatcher(pe *comm.PE, localCount int64) Plan {
 			}
 		}
 	}))
-	sort.Slice(plan.Sends, func(i, j int) bool { return plan.Sends[i].Peer < plan.Sends[j].Peer })
-	sort.Slice(plan.Recvs, func(i, j int) bool { return plan.Recvs[i].Peer < plan.Recvs[j].Peer })
+	byPeer := func(a, b Transfer) int { return cmp.Compare(a.Peer, b.Peer) }
+	slices.SortFunc(plan.Sends, byPeer)
+	slices.SortFunc(plan.Recvs, byPeer)
 
 	// A PE is a sender or a receiver, never both (surplus and deficit
 	// cannot both be positive); zero-overlap pairings were dropped above.

@@ -26,11 +26,14 @@ package sel
 
 import (
 	"cmp"
+	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"commtopk/internal/coll"
 	"commtopk/internal/comm"
+	"commtopk/internal/qsel"
 	"commtopk/internal/xrand"
 )
 
@@ -91,11 +94,34 @@ func clamp(x, lo, hi int64) int64 { return min(max(x, lo), hi) }
 // (exactly k in total across PEs, duplicates split by a prefix sum over
 // ranks). The order of the returned slice is unspecified.
 func SmallestK[K cmp.Ordered](pe *comm.PE, local []K, k int64, rng *xrand.RNG) []K {
-	st := newSmallestKStep(pe, local, k, rng, nil, false)
-	comm.RunSteps(pe, st)
-	res := st.res
-	st.release(pe)
-	return res
+	n := coll.SumAll(pe, int64(len(local)))
+	if k < 0 || k > n {
+		panic(fmt.Sprintf("sel: k %d out of range 0..%d", k, n))
+	}
+	if k == 0 {
+		return nil
+	}
+	if k == n {
+		return slices.Clone(local)
+	}
+	var v K
+	comm.RunSteps(pe, KthNStep(pe, local, n, k, rng, func(x K) { v = x }))
+	// Every element below v is taken; v's tie group fills the remaining
+	// k − globLo places, lower ranks first.
+	below, equal := qsel.Rank(local, v)
+	globLo := coll.SumAll(pe, int64(below))
+	take := clamp(k-globLo-coll.ExScanSum(pe, int64(equal)), 0, int64(equal))
+	out := make([]K, 0, int64(below)+take)
+	for _, e := range local {
+		switch {
+		case e < v:
+			out = append(out, e)
+		case e == v && take > 0:
+			out = append(out, e)
+			take--
+		}
+	}
+	return out
 }
 
 // KthRandomized is the pre-paper baseline ([31], Table 1 "old"): it first

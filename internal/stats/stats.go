@@ -7,8 +7,9 @@
 package stats
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
 // PACSampleSize returns the expected sample size ρn for the basic PAC
@@ -140,11 +141,8 @@ func TopKOf(exact map[uint64]int64, k int) []uint64 {
 	for key, c := range exact {
 		all = append(all, kc{key, c})
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].c != all[j].c {
-			return all[i].c > all[j].c
-		}
-		return all[i].key < all[j].key
+	slices.SortFunc(all, func(a, b kc) int {
+		return cmp.Or(cmp.Compare(b.c, a.c), cmp.Compare(a.key, b.key))
 	})
 	if k > len(all) {
 		k = len(all)

@@ -100,9 +100,8 @@ func TestInsertBulkAscendingFastPath(t *testing.T) {
 	}
 }
 
-// TestArenaPathTaken is the counter-guarded dispatch test (the
-// qsel.BucketSelects idiom): churn must run through the free list, not
-// the heap.
+// TestArenaPathTaken is the counter-guarded path test (ArenaStats, not
+// timing): churn must run through the free list, not the heap.
 func TestArenaPathTaken(t *testing.T) {
 	tr := New[uint64](5)
 	for i := uint64(0); i < 1000; i++ {

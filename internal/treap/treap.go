@@ -64,8 +64,8 @@ const (
 // it. Not safe for concurrent use — like the trees it backs, an arena
 // belongs to one goroutine (one PE) at a time. The counters are plain
 // ints for the same reason; ArenaStats exposes them so tests can assert
-// the allocator paths are actually taken (the bucket-dispatch guard
-// idiom) without timing or AllocsPerRun heuristics.
+// the allocator paths are actually taken without timing or AllocsPerRun
+// heuristics.
 type arena[K cmp.Ordered] struct {
 	slabs [][]node[K]
 	used  int      // bump cursor into the last slab
