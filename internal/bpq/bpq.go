@@ -14,6 +14,10 @@
 //	DeleteMinFlexible(k̲, k̄)  O(α log k̄p) expected when k̄−k̲ = Ω(k̄)
 //	                (Algorithm 2, Theorem 5)
 //
+// The collective operations are straight-line blocking code, entered by
+// every PE of an SPMD body; the selections they run are driven to
+// completion with blocking waits (comm.RunSteps).
+//
 // Keys must be globally unique (the paper's standing assumption; compose
 // a PE-id/sequence-number tie-break into the key as MakeUnique does).
 package bpq
@@ -30,24 +34,73 @@ import (
 
 // Queue is one PE's handle of the distributed bulk priority queue. All
 // PEs of the machine must create their handle with the same seed, and the
-// collective operations (GlobalLen, DeleteMin, DeleteMinFlexible) must be
-// entered by every PE.
+// collective operations (GlobalLen, PeekMin, DeleteMin,
+// DeleteMinFlexible) must be entered by every PE.
 type Queue[K cmp.Ordered] struct {
 	pe   *comm.PE
 	tree *treap.Tree[K]
 	seq  sel.Seq[K] // treapSeq over tree, boxed once (the tree pointer is stable)
 	rng  *xrand.RNG // per-PE stream (selection samples, AMS estimator deviates)
+
+	// Reused by every delete, so that a steady-state call allocates only
+	// its batch: this PE's [queue length, prefix length min(k, length)]
+	// and their global sums (one all-reduce for both; a flexible batch
+	// sums the first word only), the ascending local prefix an exact
+	// batch selects on (Appendix A), and the selection's threshold and
+	// realized size.
+	sizes, sums [2]int64
+	prefix      []K
+	thr         K
+	count       int64
+
+	// Func values built once: taking the func value of a generic function
+	// materializes a dictionary closure, which escapes into the collective
+	// call and costs one heap allocation per operation unless cached (the
+	// coll.opsOf discipline).
+	minTag func(a, b tagged[K]) tagged[K]
+	onKth  func(K)
+	onAms  func(sel.AMSResult[K])
+	onKey  func(K) bool // Ascend callback filling prefix
 }
+
+// tagged mirrors sel's optional-value reduction carrier (the sentinel
+// for "this PE's queue is empty").
+type tagged[K any] struct {
+	Has bool
+	Val K
+}
+
+func minTagged[K cmp.Ordered](a, b tagged[K]) tagged[K] {
+	if !a.Has {
+		return b
+	}
+	if !b.Has {
+		return a
+	}
+	if b.Val < a.Val {
+		return b
+	}
+	return a
+}
+
+func addInt64(a, b int64) int64 { return a + b }
 
 // New creates this PE's handle. seed must be identical on all PEs; the
 // per-PE streams are decorrelated internally.
 func New[K cmp.Ordered](pe *comm.PE, seed int64) *Queue[K] {
 	q := &Queue[K]{
-		pe:   pe,
-		tree: treap.New[K](seed + int64(pe.Rank())*7919),
-		rng:  xrand.NewPE(seed, pe.Rank()),
+		pe:     pe,
+		tree:   treap.New[K](seed + int64(pe.Rank())*7919),
+		rng:    xrand.NewPE(seed, pe.Rank()),
+		minTag: minTagged[K],
 	}
 	q.seq = treapSeq[K]{q.tree}
+	q.onKth = func(v K) { q.thr = v }
+	q.onAms = func(r sel.AMSResult[K]) { q.thr, q.count = r.Threshold, r.Count }
+	q.onKey = func(k K) bool {
+		q.prefix = append(q.prefix, k)
+		return int64(len(q.prefix)) < q.sizes[1]
+	}
 	return q
 }
 
@@ -68,15 +121,15 @@ func (q *Queue[K]) GlobalLen() int64 {
 }
 
 // PeekMin returns the globally smallest key without removing it.
-// Collective; ok is false when the queue is globally empty. The min
-// operator is a per-PE singleton (see pqOps), so steady-state calls do
-// not allocate.
+// Collective; ok is false when the queue is globally empty. Steady-state
+// calls do not allocate.
 func (q *Queue[K]) PeekMin() (K, bool) {
-	st := newPeekMinStep(q, nil, false)
-	comm.RunSteps(q.pe, st)
-	res := st.res
-	st.release(q.pe)
-	return res.Val, res.Has
+	var c tagged[K]
+	if v, ok := q.tree.Min(); ok {
+		c = tagged[K]{true, v}
+	}
+	r := coll.AllReduceScalar(q.pe, c, q.minTag)
+	return r.Val, r.Has
 }
 
 // treapSeq adapts the local search tree to the Seq interface of the
@@ -107,11 +160,8 @@ func (s treapSeq[K]) CountLE(v K) int {
 // stored — the owner-computes rule). If fewer than k elements remain, all
 // are removed. Collective.
 func (q *Queue[K]) DeleteMin(k int64) []K {
-	st := newDeleteMinStep(q, k, k, false, nil, false)
-	comm.RunSteps(q.pe, st)
-	out := st.resBatch
-	st.release(q.pe)
-	return out
+	batch, _, _ := q.deleteMin(k, k, false)
+	return batch
 }
 
 // DeleteMinFlexible removes the k globally smallest elements for some
@@ -119,11 +169,64 @@ func (q *Queue[K]) DeleteMin(k int64) []K {
 // returns this PE's share plus the realized k. If fewer than kmin remain,
 // everything is removed. Collective.
 func (q *Queue[K]) DeleteMinFlexible(kmin, kmax int64) ([]K, int64) {
-	st := newDeleteMinStep(q, kmin, kmax, true, nil, false)
-	comm.RunSteps(q.pe, st)
-	out, n := st.resBatch, st.resN
-	st.release(q.pe)
-	return out, n
+	batch, _, n := q.deleteMin(kmin, kmax, true)
+	return batch, n
+}
+
+// deleteMin is both deletes (flex false: the exact batch kmin == kmax).
+// It returns this PE's share in ascending order, the agreed selection
+// threshold (zero K when the queue drained or the batch is empty) and
+// the realized global batch size.
+func (q *Queue[K]) deleteMin(kmin, kmax int64, flex bool) (batch []K, threshold K, n int64) {
+	local := int64(q.tree.Len())
+	q.sizes = [2]int64{local, min(local, max(kmax, 0))}
+	w := len(q.sizes)
+	if flex {
+		w = 1
+	}
+	comm.RunSteps(q.pe, coll.AllReduceIntoStep(q.pe, q.sums[:w], q.sizes[:w], addInt64, nil))
+	total := q.sums[0]
+	if flex {
+		if total == 0 || kmax <= 0 {
+			return nil, threshold, 0
+		}
+		if kmin >= total || kmax >= total {
+			return q.drain(), threshold, total
+		}
+		comm.RunSteps(q.pe, sel.AMSSelectNStep[K](q.pe, q.seq, total, max(kmin, 1), kmax, q.rng, q.onAms))
+		n = q.count
+	} else {
+		if kmin <= 0 || total == 0 {
+			return nil, threshold, 0
+		}
+		if kmin >= total {
+			return q.drain(), threshold, total
+		}
+		// The batch is the k smallest of the union of the local prefixes,
+		// whose size the sum has just delivered.
+		if q.sizes[1] > 0 {
+			q.tree.Ascend(q.onKey)
+		}
+		comm.RunSteps(q.pe, sel.KthSortedStep[K](q.pe, q.prefix, q.sums[1], kmin, q.rng, q.onKth))
+		clear(q.prefix) // keys may hold references
+		q.prefix = q.prefix[:0]
+		n = kmin
+	}
+	// This PE's share is its keys ≤ the threshold; the batch slice is the
+	// caller's and the only allocation.
+	threshold = q.thr
+	j := q.seq.CountLE(threshold)
+	return q.tree.PopSmallest(j, make([]K, 0, j)), threshold, n
+}
+
+// drain empties the local tree, recycling every node into the arena, and
+// reseeds its priority stream from one q.rng draw: the draw is part of the
+// queue's RNG trajectory, which every later batch depends on.
+func (q *Queue[K]) drain() []K {
+	out := q.tree.Keys()
+	q.tree.Recycle()
+	q.tree.Reseed(int64(q.rng.Uint64()))
+	return out
 }
 
 // MakeUnique composes a priority quantized to 32 bits with a globally

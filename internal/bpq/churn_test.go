@@ -19,11 +19,9 @@ type churnResult struct {
 }
 
 // runChurn executes the same insert/delete schedule on a fresh set of
-// queue handles over m, using either the blocking forms (async=false) or
-// the stepper forms under RunAsync (async=true). Inserts are local and
-// happen in a plain blocking run either way — the A/B difference is only
-// in how the collective deletes execute.
-func runChurn(m *comm.Machine, p int, async bool) churnResult {
+// queue handles over m, one blocking run per insert, delete and length
+// query.
+func runChurn(m *comm.Machine, p int) churnResult {
 	const perPE = 64
 	qs := make([]*Queue[uint64], p)
 	m.MustRun(func(pe *comm.PE) {
@@ -64,38 +62,10 @@ func runChurn(m *comm.Machine, p int, async bool) churnResult {
 		}
 		batches := make([][]uint64, p)
 		ns := make([]int64, p)
-		if async {
-			m.MustRunAsync(func(pe *comm.PE) comm.Stepper {
-				r := pe.Rank()
-				out := func(batch []uint64, _ uint64, n int64) {
-					batches[r], ns[r] = batch, n
-				}
-				if rd.flex {
-					return qs[r].DeleteMinFlexibleStep(rd.kmin, rd.kmax, out)
-				}
-				return qs[r].DeleteMinStep(rd.kmin, out)
-			})
-		} else {
-			m.MustRun(func(pe *comm.PE) {
-				r := pe.Rank()
-				if rd.flex {
-					batches[r], ns[r] = qs[r].DeleteMinFlexible(rd.kmin, rd.kmax)
-				} else {
-					batches[r] = qs[r].DeleteMin(rd.kmin)
-				}
-			})
-			if !rd.flex {
-				// Blocking DeleteMin doesn't report the realized size; it is
-				// the global batch size (k, or the whole queue on a drain).
-				var tot int64
-				for r := 0; r < p; r++ {
-					tot += int64(len(batches[r]))
-				}
-				for r := 0; r < p; r++ {
-					ns[r] = tot
-				}
-			}
-		}
+		m.MustRun(func(pe *comm.PE) {
+			r := pe.Rank()
+			batches[r], _, ns[r] = qs[r].deleteMin(rd.kmin, rd.kmax, rd.flex)
+		})
 		lens := make([]int64, p)
 		m.MustRun(func(pe *comm.PE) {
 			lens[pe.Rank()] = qs[pe.Rank()].GlobalLen()
@@ -108,25 +78,25 @@ func runChurn(m *comm.Machine, p int, async bool) churnResult {
 	return res
 }
 
-// The stepper-form queue ops must be bit-identical to the blocking forms
-// — batches, realized sizes, and metered statistics — whether driven by
-// RunAsync on the scheduler (including w < p) or as blocking bodies whose
-// messages the reference executor carries.
-func TestDeleteMinStepMatchesBlockingAcrossBackends(t *testing.T) {
+// Deletes must be bit-identical — batches, realized sizes, and metered
+// statistics — on production machines (including w < p) and on the
+// reference executor, whose seeded delivery order carries the same
+// blocking bodies' messages.
+func TestDeleteMinMatchesAcrossExecutors(t *testing.T) {
 	for _, p := range []int{1, 4, 16} {
 		p := p
 		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
 			mc := simexec.Reference(p)
-			ref := runChurn(mc, p, false)
+			ref := runChurn(mc, p)
 			for _, w := range []int{0, 1, 4} {
 				cfg := comm.DefaultConfig(p)
 				cfg.Workers = w
 				m := comm.NewMachine(cfg)
-				got := runChurn(m, p, true)
+				got := runChurn(m, p)
 				for rd := range ref.batches {
 					for r := 0; r < p; r++ {
 						if !slices.Equal(got.batches[rd][r], ref.batches[rd][r]) {
-							t.Errorf("w=%d round %d rank %d: stepper batch %v vs blocking %v",
+							t.Errorf("w=%d round %d rank %d: production batch %v vs reference %v",
 								w, rd, r, got.batches[rd][r], ref.batches[rd][r])
 						}
 						if got.ns[rd][r] != ref.ns[rd][r] {
@@ -139,7 +109,7 @@ func TestDeleteMinStepMatchesBlockingAcrossBackends(t *testing.T) {
 					}
 				}
 				if got.stats != ref.stats {
-					t.Errorf("w=%d: stats diverge:\n  blocking reference: %+v\n  stepper production: %+v",
+					t.Errorf("w=%d: stats diverge:\n  reference: %+v\n  production: %+v",
 						w, ref.stats, got.stats)
 				}
 				m.Close()
@@ -148,9 +118,9 @@ func TestDeleteMinStepMatchesBlockingAcrossBackends(t *testing.T) {
 	}
 }
 
-// DeleteMinStep reports the agreed threshold: every returned key is ≤ it
+// An exact delete agrees on its threshold: every returned key is ≤ it
 // and the batch sizes sum to the reported n on every PE.
-func TestDeleteMinStepThresholdContract(t *testing.T) {
+func TestDeleteMinThresholdContract(t *testing.T) {
 	const p, perPE = 8, 32
 	m := comm.NewMachine(comm.DefaultConfig(p))
 	defer m.Close()
@@ -168,11 +138,9 @@ func TestDeleteMinStepThresholdContract(t *testing.T) {
 	batches := make([][]uint64, p)
 	vs := make([]uint64, p)
 	ns := make([]int64, p)
-	m.MustRunAsync(func(pe *comm.PE) comm.Stepper {
+	m.MustRun(func(pe *comm.PE) {
 		r := pe.Rank()
-		return qs[r].DeleteMinStep(k, func(batch []uint64, v uint64, n int64) {
-			batches[r], vs[r], ns[r] = batch, v, n
-		})
+		batches[r], vs[r], ns[r] = qs[r].deleteMin(k, k, false)
 	})
 	var got int64
 	for r := 0; r < p; r++ {
@@ -191,8 +159,8 @@ func TestDeleteMinStepThresholdContract(t *testing.T) {
 	}
 }
 
-// PeekMin must not allocate in steady state: the reduction operator is a
-// per-PE singleton, not a fresh funcval per call (which previously cost
+// PeekMin must not allocate in steady state: the reduction operator is
+// built once per queue, not a fresh funcval per call (which would cost
 // one heap allocation per PeekMin per PE).
 func TestPeekMinZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
@@ -233,7 +201,8 @@ func TestPeekMinZeroAllocSteadyState(t *testing.T) {
 
 // DeleteMin must not allocate in steady state beyond the batch it hands
 // back (one slice per PE per op): the size all-reduce, the prefix read,
-// the selection and the split run on pooled state and the treap arena.
+// the selection and the split run on the queue's buffers, pooled
+// selection state and the treap arena.
 func TestDeleteMinZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race (sync.Pool is randomized)")

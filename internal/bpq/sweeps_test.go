@@ -122,7 +122,7 @@ type dmOutcome struct {
 	stats      comm.Stats
 }
 
-func runDeleteCase(m *comm.Machine, c dmCase, async bool) dmOutcome {
+func runDeleteCase(m *comm.Machine, c dmCase) dmOutcome {
 	p := m.P()
 	o := dmOutcome{batches: make([][]uint64, p), thresholds: make([]uint64, p), ns: make([]int64, p)}
 	qs := make([]*Queue[uint64], p)
@@ -131,20 +131,10 @@ func runDeleteCase(m *comm.Machine, c dmCase, async bool) dmOutcome {
 		qs[pe.Rank()].InsertBulk(c.parts[pe.Rank()])
 	})
 	m.ResetStats()
-	out := func(r int) func([]uint64, uint64, int64) {
-		return func(b []uint64, v uint64, n int64) { o.batches[r], o.thresholds[r], o.ns[r] = b, v, n }
-	}
-	step := func(pe *comm.PE) comm.Stepper {
-		if c.flex {
-			return qs[pe.Rank()].DeleteMinFlexibleStep(c.kmin, c.kmax, out(pe.Rank()))
-		}
-		return qs[pe.Rank()].DeleteMinStep(c.kmin, out(pe.Rank()))
-	}
-	if async {
-		m.MustRunAsync(step)
-	} else {
-		m.MustRun(func(pe *comm.PE) { comm.RunSteps(pe, step(pe)) })
-	}
+	m.MustRun(func(pe *comm.PE) {
+		r := pe.Rank()
+		o.batches[r], o.thresholds[r], o.ns[r] = qs[r].deleteMin(c.kmin, c.kmax, c.flex)
+	})
 	o.stats = m.Stats()
 	m.MustRun(func(pe *comm.PE) {
 		if n := qs[pe.Rank()].GlobalLen(); pe.Rank() == 0 {
@@ -159,12 +149,13 @@ func runDeleteCase(m *comm.Machine, c dmCase, async bool) dmOutcome {
 // every local length, k = 1, total − 1, total and beyond (the drain), all
 // keys on one PE, kmin = kmax — remove exactly the oracle's smallest keys,
 // each PE its own keys up to the agreed threshold, and give bit-identical
-// batches, thresholds, sizes and meters blocking (RunSteps on a goroutine
-// per PE), under RunAsync, and on the seeded executor under every policy.
+// batches, thresholds, sizes and meters on a default production machine,
+// on one squeezed to w < p, and on the seeded executor under every
+// policy.
 //
 // kmin = kmax on unique keys converges in a few estimation rounds. The
 // flexible search only fails — and hands the window, a subSeq over the
-// treap, to MSSelectStep, which copies its prefix — when no rank count can
+// treap, to the exact MSSelect engine, which copies its prefix — when no rank count can
 // land in [k, k]: the "cross-PE ties" case holds the same keys on every
 // PE, outside the queue's unique-key contract, and k is no multiple of p.
 // There only the threshold and the shares are defined, and are checked.
@@ -218,7 +209,7 @@ func TestDeleteMinEdgeCasesAgainstSortOracle(t *testing.T) {
 		total := int64(len(union))
 		want := min(c.kmin, total)
 		blocking := comm.NewMachine(comm.DefaultConfig(p))
-		ref := runDeleteCase(blocking, c, false)
+		ref := runDeleteCase(blocking, c)
 		blocking.Close()
 		// The oracle.
 		var got []uint64
@@ -256,22 +247,22 @@ func TestDeleteMinEdgeCasesAgainstSortOracle(t *testing.T) {
 		check := func(mode string, o dmOutcome) {
 			for r := range o.batches {
 				if !slices.Equal(o.batches[r], ref.batches[r]) || o.thresholds[r] != ref.thresholds[r] || o.ns[r] != ref.ns[r] {
-					t.Errorf("%s %s: rank %d (%v, %d, %d), blocking (%v, %d, %d)", c.name, mode, r,
+					t.Errorf("%s %s: rank %d (%v, %d, %d), default machine (%v, %d, %d)", c.name, mode, r,
 						o.batches[r], o.thresholds[r], o.ns[r], ref.batches[r], ref.thresholds[r], ref.ns[r])
 				}
 			}
 			if o.stats != ref.stats || o.left != ref.left {
-				t.Errorf("%s %s: stats %+v, %d left; blocking %+v, %d left", c.name, mode, o.stats, o.left, ref.stats, ref.left)
+				t.Errorf("%s %s: stats %+v, %d left; default machine %+v, %d left", c.name, mode, o.stats, o.left, ref.stats, ref.left)
 			}
 		}
 		cfg := comm.DefaultConfig(p)
 		cfg.Workers = 3
 		m := comm.NewMachine(cfg)
-		check("async", runDeleteCase(m, c, true))
+		check("w=3", runDeleteCase(m, c))
 		m.Close()
 		for _, pol := range simexec.Policies {
 			m, _ := simexec.New(comm.DefaultConfig(p), int64(len(c.name)), pol)
-			check("simexec/"+pol.String(), runDeleteCase(m, c, true))
+			check("simexec/"+pol.String(), runDeleteCase(m, c))
 			m.Close()
 		}
 	}

@@ -363,41 +363,6 @@ func fuzzOps() []fuzzOp {
 				res.total = q.GlobalLen()
 				return res
 			},
-			step: func(pe *comm.PE, prm int64, out *any) comm.Stepper {
-				p := int64(pe.P())
-				q := bpq.New[uint64](pe, prm)
-				q.InsertBulk(fuzzBpqKeys(pe, 0, 16+int(prm%16)))
-				kmin := 1 + prm%5
-				var res fuzzBpqResult
-				// The refill and the two collectives that read tree state at
-				// factory time are built lazily, after the preceding stage's
-				// queue mutations have landed.
-				var flex, glen comm.Stepper
-				return comm.Seq(
-					q.DeleteMinStep(1+prm%(24*p), func(batch []uint64, _ uint64, _ int64) {
-						res.batches = append(res.batches, batch...)
-					}),
-					comm.StepFunc(func(pe *comm.PE) *comm.RecvHandle {
-						if flex == nil {
-							q.InsertBulk(fuzzBpqKeys(pe, 1000, 8))
-							flex = q.DeleteMinFlexibleStep(kmin, kmin+prm%(4*p),
-								func(batch []uint64, _ uint64, n int64) {
-									res.batches = append(res.batches, batch...)
-									res.n2 = n
-								})
-						}
-						return flex.Step(pe)
-					}),
-					q.PeekMinStep(func(mn uint64, ok bool) { res.min, res.ok = mn, ok }),
-					comm.StepFunc(func(pe *comm.PE) *comm.RecvHandle {
-						if glen == nil {
-							glen = q.GlobalLenStep(func(v int64) { res.total = v })
-						}
-						return glen.Step(pe)
-					}),
-					comm.StepFunc(func(pe *comm.PE) *comm.RecvHandle { *out = res; return nil }),
-				)
-			},
 		},
 		{
 			name: "MtopkDTA",
@@ -470,12 +435,6 @@ func fuzzOps() []fuzzOp {
 				v, le := sel.MSSelect[uint64](pe, sel.SliceSeq[uint64](fuzzSortedSeq(pe, perPE)),
 					1+prm%int64(pe.P()*perPE), xrand.New(prm+31))
 				return [2]uint64{v, uint64(le)}
-			},
-			step: func(pe *comm.PE, prm int64, out *any) comm.Stepper {
-				const perPE = 32
-				return sel.MSSelectStep[uint64](pe, sel.SliceSeq[uint64](fuzzSortedSeq(pe, perPE)),
-					1+prm%int64(pe.P()*perPE), xrand.New(prm+31),
-					func(v uint64, le int) { *out = [2]uint64{v, uint64(le)} })
 			},
 		},
 		{

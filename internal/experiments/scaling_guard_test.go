@@ -2,10 +2,10 @@ package experiments
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
-	"commtopk/internal/bpq"
 	"commtopk/internal/coll"
 	"commtopk/internal/comm"
 	"commtopk/internal/freq"
@@ -72,8 +72,9 @@ func TestMidRunGoroutineResidency2048(t *testing.T) { midRunGoroutineResidency(t
 // elsewhere (suspended bodies retired between runs); this asserts the bound
 // *while p-PE collectives are in flight*. The sampled window covers the
 // scalar collectives op, the strided and chunked gather workloads, the
-// full stepper-form selection (sel.KthStep), the bulk-priority-queue
-// DeleteMinStep against per-rank resident queues, the multicriteria
+// full stepper-form selection (sel.KthStep), the sorted-input selection
+// serve's Kth and DeleteMin run (sel.KthSortedStep) on per-rank sorted
+// shards, the multicriteria
 // threshold algorithm (mtopk.DTAStep — nested AMS selections plus scalar
 // reductions), and the sampling heavy-hitter pipeline (freq.PACStep — DHT
 // routing plus shard top-k selection) — most PEs are simultaneously
@@ -95,19 +96,12 @@ func midRunGoroutineResidency(t *testing.T, p int) {
 	for r := 0; r < p; r++ {
 		locals[r] = gen.SelectionInput(xrand.NewPE(3, r), selPerPE, 12)
 	}
-	// Per-rank resident queues for the DeleteMinStep workload, built
-	// before sampling starts (PE objects are stable on a resident
-	// machine, so the queues stay bound to their PEs across runs).
-	qs := make([]*bpq.Queue[uint64], p)
-	m.MustRun(func(pe *comm.PE) {
-		q := bpq.New[uint64](pe, 99)
-		keys := make([]uint64, selPerPE)
-		for i := range keys {
-			keys[i] = uint64(i*p + pe.Rank())
-		}
-		q.InsertBulk(keys)
-		qs[pe.Rank()] = q
-	})
+	// Per-rank sorted shards for the KthSortedStep workload, the
+	// resident index a server reads.
+	sorted := make([][]uint64, p)
+	for r := range sorted {
+		sorted[r] = slices.Sorted(slices.Values(locals[r]))
+	}
 	// Per-rank multicriteria instances and skewed key streams for the
 	// mtopk/freq stepper workloads, built host-side (no PE needed).
 	datas := make([]*mtopk.Data, p)
@@ -135,7 +129,8 @@ func midRunGoroutineResidency(t *testing.T, p int) {
 				xrand.NewPE(17, pe.Rank()), nil)
 		})
 		m.MustRunAsync(func(pe *comm.PE) comm.Stepper {
-			return qs[pe.Rank()].DeleteMinStep(int64(p*selPerPE/4), nil)
+			return sel.KthSortedStep(pe, sorted[pe.Rank()], int64(p*selPerPE), int64(p*selPerPE/4),
+				xrand.NewPE(19, pe.Rank()), nil)
 		})
 		m.MustRunAsync(func(pe *comm.PE) comm.Stepper {
 			return mtopk.DTAStep(pe, datas[pe.Rank()], mtopk.SumScore, 8,

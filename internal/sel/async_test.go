@@ -147,15 +147,16 @@ func TestKthStepAllocParity(t *testing.T) {
 	if sortedForm > blocking+float64(p)*2 {
 		t.Errorf("sorted-form selection allocates %.1f/op vs blocking %.1f/op", sortedForm, blocking)
 	}
-	// MSSelectStep is the sorted form on the prefixes, its per-PE stream
-	// reseeded in place: nothing to allocate beyond it either.
+	// MSSelect is the sorted form on the prefixes, its per-PE stream
+	// reseeded in place: blocking, it has nothing to allocate beyond the
+	// blocking Kth either.
 	msForm := measure(func(m *comm.Machine) {
-		m.MustRunAsync(func(pe *comm.PE) comm.Stepper {
-			return MSSelectStep(pe, SliceSeq[uint64](sorted[pe.Rank()]), k, xrand.New(13), nil)
+		m.MustRun(func(pe *comm.PE) {
+			MSSelect(pe, SliceSeq[uint64](sorted[pe.Rank()]), k, xrand.New(13))
 		})
 	})
-	if msForm > sortedForm+float64(p)*2 {
-		t.Errorf("MSSelectStep allocates %.1f/op vs the sorted form's %.1f/op", msForm, sortedForm)
+	if msForm > blocking+float64(p)*2 {
+		t.Errorf("MSSelect allocates %.1f/op vs the blocking Kth's %.1f/op", msForm, blocking)
 	}
-	t.Logf("allocs/op: blocking %.1f, stepper %.1f, sorted form %.1f, MSSelectStep %.1f", blocking, stepper, sortedForm, msForm)
+	t.Logf("allocs/op: blocking %.1f, stepper %.1f, sorted form %.1f, MSSelect %.1f", blocking, stepper, sortedForm, msForm)
 }

@@ -180,7 +180,8 @@ func TestAMSLanesShareEachRound(t *testing.T) {
 }
 
 // TestAMSSelectNStepSkipsTheSizeSum: with the global length given, the
-// flexible selection is AMSSelectStep minus its opening size all-reduce —
+// flexible selection is the one-lane engine that sums the lengths first
+// (AMSSelect's) minus that opening size all-reduce —
 // the same result on every PE and ⌈log₂ p⌉ fewer messages per PE (p a
 // power of two), one word each.
 func TestAMSSelectNStepSkipsTheSizeSum(t *testing.T) {
@@ -200,7 +201,7 @@ func TestAMSSelectNStepSkipsTheSizeSum(t *testing.T) {
 				if known {
 					comm.RunSteps(pe, AMSSelectNStep[uint64](pe, msTestSeq(p, r, perPE), n, kr[0], kr[1], xrand.NewPE(47, r), out))
 				} else {
-					comm.RunSteps(pe, AMSSelectStep[uint64](pe, msTestSeq(p, r, perPE), kr[0], kr[1], xrand.NewPE(47, r), out))
+					comm.RunSteps(pe, newAMSOneLane[uint64](pe, msTestSeq(p, r, perPE), -1, kr[0], kr[1], xrand.NewPE(47, r), 1, out, true))
 				}
 				sent[r] = pe.Sends() - before
 			})

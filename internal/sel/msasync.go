@@ -10,18 +10,17 @@ import (
 	"commtopk/internal/xrand"
 )
 
-// Continuation forms of the multisequence selection algorithms over the
+// The state machines of the multisequence selection algorithms over the
 // Seq interface — the engines behind MSSelect, AMSSelect, the bulk
 // priority queue's flexible batches and DTA's list selections. The same
 // discipline as kthStep (async.go): pooled per-PE state, every
 // communication round delegated to a sub-stepper held in the cur slot,
 // result-delivery closures and generic operator func values cached on
-// the pooled object so steady-state dispatch is allocation-free. The blocking MSSelect and
-// AMSSelect drive these steppers through comm.RunSteps — one
-// implementation, both execution modes, bit-identical results, RNG
-// consumption and metered schedule (pinned by the bpq differential fuzz
-// op and the stepper A/B tests).
-//
+// the pooled object so steady-state dispatch is allocation-free. The
+// blocking MSSelect and AMSSelect drive these steppers through
+// comm.RunSteps; AMSSelectNStep and AMSSelectLanesStep hand them to a
+// caller's stepper.
+
 // # Exact selection is Algorithm 1 on the Appendix A prefix
 //
 // The element of global rank k lies in the first min(k, len) elements of
@@ -38,11 +37,10 @@ import (
 
 // msSelectStep is the exact multisequence selection: the sorted-form
 // kthStep on this PE's prefix, then the local count of elements ≤ the
-// answer on the full sequence.
+// answer on the full sequence. Its owner reads resV and resN once it has
+// completed and then releases it.
 type msSelectStep[K cmp.Ordered] struct {
 	s    Seq[K]
-	out  func(K, int)
-	self bool
 	resV K
 	resN int
 
@@ -53,9 +51,9 @@ type msSelectStep[K cmp.Ordered] struct {
 	prefix []K // a non-slice Seq's prefix; survives pooling
 }
 
-func newMSSelectStep[K cmp.Ordered](pe *comm.PE, s Seq[K], k int64, shared *xrand.RNG, out func(K, int), self bool) *msSelectStep[K] {
+func newMSSelectStep[K cmp.Ordered](pe *comm.PE, s Seq[K], k int64, shared *xrand.RNG) *msSelectStep[K] {
 	st := comm.GetPooled[msSelectStep[K]](pe)
-	st.s, st.out, st.self = s, out, self
+	st.s = s
 	m := int(min(int64(s.Len()), max(k, 0)))
 	var prefix []K
 	if sl, ok := s.(SliceSeq[K]); ok {
@@ -73,18 +71,9 @@ func newMSSelectStep[K cmp.Ordered](pe *comm.PE, s Seq[K], k int64, shared *xran
 	return st
 }
 
-// MSSelectStep is the continuation form of MSSelect: out (optional)
-// receives, on every PE, the element of global rank k and this PE's
-// local count of elements ≤ it. Semantics, panics, shared-stream
-// consumption and the metered schedule match MSSelect exactly —
-// MSSelect is this stepper driven with blocking waits.
-func MSSelectStep[K cmp.Ordered](pe *comm.PE, s Seq[K], k int64, shared *xrand.RNG, out func(v K, localLE int)) comm.Stepper {
-	return newMSSelectStep(pe, s, k, shared, out, true)
-}
-
 func (st *msSelectStep[K]) release(pe *comm.PE) {
 	var zero K
-	st.s, st.out, st.kth = nil, nil, nil
+	st.s, st.kth = nil, nil
 	st.resV = zero
 	clear(st.prefix[:cap(st.prefix)]) // keys may hold references
 	comm.PutPooled(pe, st)
@@ -101,13 +90,6 @@ func (st *msSelectStep[K]) Step(pe *comm.PE) *comm.RecvHandle {
 	st.kth.release(pe)
 	st.kth = nil
 	st.resV, st.resN = v, st.s.CountLE(v)
-	if st.self {
-		out, n := st.out, st.resN
-		st.release(pe)
-		if out != nil {
-			out(v, n)
-		}
-	}
 	return nil
 }
 
@@ -125,8 +107,7 @@ func (st *msSelectStep[K]) Step(pe *comm.PE) *comm.RecvHandle {
 // carries its reduction direction (laneCand), so min- and max-sampled
 // lanes share one vector. With the global lengths known the opening
 // size sum is skipped, as KthNStep skips it; otherwise it is one vector
-// sum over the lanes. AMSSelect/AMSSelectStep are the one-lane case with
-// that sum.
+// sum over the lanes. AMSSelect is the one-lane case with that sum.
 //
 // Vectors stay on coll's recursive-doubling path while they are shorter
 // than 4r words (r the largest power of two ≤ p): laneCand[uint64] is 2
@@ -256,17 +237,12 @@ func newAMSOneLane[K cmp.Ordered](pe *comm.PE, s Seq[K], n, kmin, kmax int64, rn
 	return st
 }
 
-// AMSSelectStep is the continuation form of AMSSelect: out (optional)
-// receives the flexible selection result on every PE. Semantics, panics,
-// per-PE RNG consumption and the metered schedule match AMSSelect
-// exactly — AMSSelect is this stepper driven with blocking waits.
-func AMSSelectStep[K cmp.Ordered](pe *comm.PE, s Seq[K], kmin, kmax int64, rng *xrand.RNG, out func(AMSResult[K])) comm.Stepper {
-	return newAMSOneLane(pe, s, -1, kmin, kmax, rng, 1, out, true)
-}
-
-// AMSSelectNStep is AMSSelectStep for a caller that already knows the
-// global element count n (the sum of s.Len() over all PEs, not checked):
-// the size all-reduce is skipped, everything else is AMSSelectStep.
+// AMSSelectNStep is the continuation form of AMSSelect for a caller that
+// already knows the global element count n (the sum of s.Len() over all
+// PEs, not checked): out (optional) receives the flexible selection
+// result on every PE. The size all-reduce is skipped; everything else —
+// semantics, panics, per-PE RNG consumption and the rest of the metered
+// schedule — is AMSSelect's.
 func AMSSelectNStep[K cmp.Ordered](pe *comm.PE, s Seq[K], n, kmin, kmax int64, rng *xrand.RNG, out func(AMSResult[K])) comm.Stepper {
 	return newAMSOneLane(pe, s, max(n, 0), kmin, kmax, rng, 1, out, true)
 }
@@ -462,7 +438,7 @@ func (st *amsStep[K]) Step(pe *comm.PE) *comm.RecvHandle {
 			l, w := &st.lanes[st.fb], &st.win[st.fb]
 			shared := xrand.New(int64(0x5eed + l.KMin + 31*l.KMax + 977*l.N))
 			sub := subSeq[K]{s: l.Seq, lo: w.lo, hi: w.hi}
-			st.ms = newMSSelectStep[K](pe, sub, w.kminR, shared, nil, false)
+			st.ms = newMSSelectStep[K](pe, sub, w.kminR, shared)
 			st.cur = st.ms
 			st.phase = aphFallbackWait
 		case aphFallbackWait:

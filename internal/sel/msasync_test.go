@@ -21,10 +21,33 @@ func msTestSeq(p, r, perPE int) SliceSeq[uint64] {
 	return s
 }
 
-// MSSelectStep and AMSSelectStep must be bit-identical to the blocking
-// forms — per-PE results and metered statistics — whether driven by
-// RunAsync on the scheduler (including w < p) or as blocking bodies whose
-// messages the reference executor carries.
+// msSelectStepper runs the exact selection engine (msSelectStep) as a
+// stepper of its own and hands its result to out once it completes.
+func msSelectStepper(pe *comm.PE, s Seq[uint64], k int64, shared *xrand.RNG, out func(v uint64, localLE int)) comm.Stepper {
+	st := newMSSelectStep(pe, s, k, shared)
+	return comm.StepFunc(func(pe *comm.PE) *comm.RecvHandle {
+		if h := st.Step(pe); h != nil {
+			return h
+		}
+		v, n := st.resV, st.resN
+		st.release(pe)
+		out(v, n)
+		return nil
+	})
+}
+
+// amsSelectStepper is the one-lane flexible selection engine with its
+// size sum (AMSSelect's) as a stepper of its own.
+func amsSelectStepper(pe *comm.PE, s Seq[uint64], kmin, kmax int64, rng *xrand.RNG, out func(AMSResult[uint64])) comm.Stepper {
+	return newAMSOneLane(pe, s, -1, kmin, kmax, rng, 1, out, true)
+}
+
+// The engines behind MSSelect and AMSSelect, run as steppers, must be
+// bit-identical to the blocking forms — per-PE results and metered
+// statistics — whether driven by RunAsync on the scheduler (including
+// w < p) or as blocking bodies whose messages the reference executor
+// carries: they are what AMSSelectNStep and DTA's lanes hand to a
+// caller's stepper.
 func TestMSSelectStepMatchesBlockingAcrossBackends(t *testing.T) {
 	const perPE = 64
 	for _, p := range []int{1, 3, 16, 64} {
@@ -51,7 +74,7 @@ func TestMSSelectStepMatchesBlockingAcrossBackends(t *testing.T) {
 					gotN := make([]int, p)
 					m.MustRunAsync(func(pe *comm.PE) comm.Stepper {
 						r := pe.Rank()
-						return MSSelectStep[uint64](pe, msTestSeq(p, r, perPE), k, xrand.New(33),
+						return msSelectStepper(pe, msTestSeq(p, r, perPE), k, xrand.New(33),
 							func(v uint64, le int) { gotV[r], gotN[r] = v, le })
 					})
 					for r := 0; r < p; r++ {
@@ -96,7 +119,7 @@ func TestAMSSelectStepMatchesBlockingAcrossBackends(t *testing.T) {
 					got := make([]AMSResult[uint64], p)
 					m.MustRunAsync(func(pe *comm.PE) comm.Stepper {
 						r := pe.Rank()
-						return AMSSelectStep[uint64](pe, msTestSeq(p, r, perPE), kmin, kmax, xrand.NewPE(71, r),
+						return amsSelectStepper(pe, msTestSeq(p, r, perPE), kmin, kmax, xrand.NewPE(71, r),
 							func(res AMSResult[uint64]) { got[r] = res })
 					})
 					for r := 0; r < p; r++ {
@@ -119,7 +142,7 @@ func TestAMSSelectStepMatchesBlockingAcrossBackends(t *testing.T) {
 // The degenerate interval [k, k] on unique keys converges (3–7 rounds
 // for these ks); on a two-value input no rank count lands in [k, k] and
 // the window cannot narrow, so after amsMaxRounds the exact fallback —
-// MSSelectStep on the window, a subSeq whose prefix it copies — answers.
+// the exact engine on the window, a subSeq whose prefix it copies — answers.
 // Either way stepper and blocking must agree bit for bit, and the
 // threshold is the oracle's.
 func TestAMSSelectStepTightIntervalFallback(t *testing.T) {
@@ -161,7 +184,7 @@ func TestAMSSelectStepTightIntervalFallback(t *testing.T) {
 			got := make([]AMSResult[uint64], p)
 			m.MustRunAsync(func(pe *comm.PE) comm.Stepper {
 				r := pe.Rank()
-				return AMSSelectStep[uint64](pe, in.seq(p, r, perPE), k, k, xrand.NewPE(5, r),
+				return amsSelectStepper(pe, in.seq(p, r, perPE), k, k, xrand.NewPE(5, r),
 					func(res AMSResult[uint64]) { got[r] = res })
 			})
 			for r := 0; r < p; r++ {
@@ -265,7 +288,7 @@ func TestMSSelectEdgeCasesAgainstSortOracle(t *testing.T) {
 					vs, les := make([]uint64, p), make([]int, p)
 					m.MustRunAsync(func(pe *comm.PE) comm.Stepper {
 						r := pe.Rank()
-						return MSSelectStep(pe, seq(r), k, xrand.New(7), func(v uint64, le int) { vs[r], les[r] = v, le })
+						return msSelectStepper(pe, seq(r), k, xrand.New(7), func(v uint64, le int) { vs[r], les[r] = v, le })
 					})
 					check(mode, vs, les)
 					if s := m.Stats(); s != want {

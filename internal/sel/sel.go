@@ -241,11 +241,11 @@ func (s SliceSeq[K]) CountLE(v K) int {
 // is O(log min(k, len)) per level plus the CountLE of the answer, and
 // O(min(k, len)) once to copy the prefix of a Seq that is not a SliceSeq.
 //
-// MSSelect is the continuation state machine of msasync.go (MSSelectStep)
-// driven to completion with blocking waits — one implementation for both
-// execution modes.
+// MSSelect is the state machine of msasync.go (msSelectStep) driven to
+// completion with blocking waits; AMSSelect's exact fallback runs the
+// same machine.
 func MSSelect[K cmp.Ordered](pe *comm.PE, s Seq[K], k int64, shared *xrand.RNG) (K, int) {
-	st := newMSSelectStep(pe, s, k, shared, nil, false)
+	st := newMSSelectStep(pe, s, k, shared)
 	comm.RunSteps(pe, st)
 	v, n := st.resV, st.resN
 	st.release(pe)
@@ -310,9 +310,9 @@ func AMSSelectBatched[K cmp.Ordered](pe *comm.PE, s Seq[K], kmin, kmax int64, d 
 	return amsSelect(pe, s, kmin, kmax, rng, d)
 }
 
-// amsSelect is the one-lane state machine of msasync.go (AMSSelectStep)
-// driven to completion with blocking waits — one implementation for both
-// execution modes. The estimator rationale (dual min/max geometric
+// amsSelect is the one-lane state machine of msasync.go (newAMSOneLane)
+// driven to completion with blocking waits — the engine AMSSelectNStep
+// hands to a caller's stepper. The estimator rationale (dual min/max geometric
 // sampling, d-wide candidate reductions, narrowing to the tightest
 // under/over bracket, exact fallback) lives with the state machine there.
 func amsSelect[K cmp.Ordered](pe *comm.PE, s Seq[K], kmin, kmax int64, rng *xrand.RNG, d int) AMSResult[K] {

@@ -92,7 +92,7 @@ func observeMSSelect(m *comm.Machine, shards [][]uint64, k, seed int64) observed
 	o := observed{res: make([]uint64, m.P()), sends: make([]int64, m.P())}
 	m.ResetStats()
 	m.MustRun(func(pe *comm.PE) {
-		st := newMSSelectStep[uint64](pe, SliceSeq[uint64](shards[pe.Rank()]), k, xrand.New(seed), nil, false)
+		st := newMSSelectStep[uint64](pe, SliceSeq[uint64](shards[pe.Rank()]), k, xrand.New(seed))
 		restore := watchSweeps(pe, st.kth, &o)
 		before := pe.Sends()
 		comm.RunSteps(pe, st)

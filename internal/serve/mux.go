@@ -3,7 +3,7 @@ package serve
 import (
 	"cmp"
 
-	"commtopk/internal/bpq"
+	"commtopk/internal/coll"
 	"commtopk/internal/comm"
 	"commtopk/internal/dht"
 	"commtopk/internal/freq"
@@ -47,21 +47,22 @@ type mux[K cmp.Ordered] struct {
 	shard []K              // this PE's resident sorted shard; read-only
 	db    *comm.RecvHandle // posted doorbell receive (ctx 0)
 	slots []*slot[K]
-	// Bulk-PQ state: the resident queue (lazily built from the sorted
-	// shard at the first DeleteMin dispatch) and the FIFO of its in-flight slots.
-	// The queue is shared mutable state across DeleteMin queries, so
-	// only the FIFO head runs; dispatch order is identical on every PE
-	// (one dispatcher goroutine, per-(src,ctx) FIFO doorbell streams),
-	// which keeps the queue's mutation order — and with it every
-	// query's result and meters — independent of executor, worker count,
-	// and inflight depth. Kth slots interleave freely around the FIFO.
-	pq      *bpq.Queue[K]
+	// DeleteMin state: the queue is the unpopped suffix shard[cut:], rng
+	// its selections' stream, and pqQ the FIFO of DeleteMin slots. cut is
+	// shared mutable state across DeleteMin queries, so only the FIFO
+	// head runs; dispatch order is identical on every PE (one dispatcher
+	// goroutine, per-(src,ctx) FIFO doorbell streams), which keeps the
+	// pop order — and with it every query's result and meters —
+	// independent of executor, worker count, and inflight depth. Kth slots
+	// interleave freely around the FIFO.
+	cut     int
+	rng     *xrand.RNG
 	pqQ     []*slot[K]
 	closing bool
 }
 
 func newMux[K cmp.Ordered](s *Server[K], pe *comm.PE) *mux[K] {
-	return &mux[K]{srv: s, shard: s.sorted[pe.Rank()]}
+	return &mux[K]{srv: s, shard: s.sorted[pe.Rank()], rng: xrand.NewPE(s.cfg.Seed, pe.Rank())}
 }
 
 // PendingHandles implements comm.MultiWaiter: everything this PE might
@@ -75,7 +76,7 @@ func (x *mux[K]) PendingHandles(buf []*comm.RecvHandle) []*comm.RecvHandle {
 			buf = append(buf, sl.pending)
 		}
 	}
-	// Only the FIFO head of the bulk-PQ queue can be suspended.
+	// Only the FIFO head of the DeleteMin queries can be suspended.
 	if len(x.pqQ) > 0 && x.pqQ[0].pending != nil {
 		buf = append(buf, x.pqQ[0].pending)
 	}
@@ -122,9 +123,9 @@ func (x *mux[K]) Step(pe *comm.PE) *comm.RecvHandle {
 			}
 			i++
 		}
-		// Bulk-PQ FIFO: step only the head; the next query starts after
-		// the head retires, so the resident queue mutates in dispatch
-		// order on every PE.
+		// DeleteMin FIFO: step only the head; the next query starts after
+		// the head retires, so the cursor moves in dispatch order on
+		// every PE.
 		if len(x.pqQ) > 0 {
 			sl := x.pqQ[0]
 			if sl.pending == nil || sl.pending.Test() {
@@ -158,23 +159,15 @@ func (x *mux[K]) Step(pe *comm.PE) *comm.RecvHandle {
 // addSlot starts a dispatched query on this PE. Kth runs the
 // sorted-input selection straight on the resident shard (no copy, no
 // size all-reduce: the server knows n); its per-query RNG seed makes the
-// pivot walk (and so the meter) independent of interleaving; DeleteMin draws from the resident queue's own streams,
-// which the FIFO consumes in dispatch order.
+// pivot walk (and so the meter) independent of interleaving. DeleteMin
+// draws from the mux's own stream, which the FIFO consumes in dispatch
+// order.
 func (x *mux[K]) addSlot(pe *comm.PE, q *query[K]) {
 	sl := &slot[K]{q: q}
 	pe.SetCtx(q.ctx)
 	switch q.kind {
 	case kindPQ:
-		if x.pq == nil {
-			// Materialize the resident queue from the sorted shard: a
-			// strictly ascending run (unique keys, this kind's
-			// precondition) takes InsertBulk's linear build. Local-only
-			// (insert is communication-free), seeded identically across
-			// servers, so the trajectory matches any dispatch schedule.
-			x.pq = bpq.New[K](pe, x.srv.cfg.Seed)
-			x.pq.InsertBulk(x.shard)
-		}
-		sl.step = x.pq.DeleteMinStep(q.k, func(_ []K, v K, n int64) { sl.res, sl.resN = v, n })
+		sl.step = &popStep[K]{x: x, sl: sl}
 		x.pqQ = append(x.pqQ, sl)
 	case kindFreq:
 		p := freq.Params{K: int(q.k), Eps: x.srv.cfg.FreqEps, Delta: x.srv.cfg.FreqDelta}
@@ -186,6 +179,68 @@ func (x *mux[K]) addSlot(pe *comm.PE, q *query[K]) {
 		x.slots = append(x.slots, sl)
 	}
 	pe.SetCtx(0)
+}
+
+// popStep is one DeleteMin on one PE, the paper's exact deleteMin* on
+// locally sorted sequences: a 2-word size all-reduce of [len, min(k,
+// len)] over the unpopped suffixes, then the sorted-form selection
+// (sel.KthSortedStep) on the first min(k, len) keys of every suffix
+// (Appendix A), read in place, and the cursor moves past this PE's keys
+// ≤ the agreed threshold. A batch of at least what remains pops
+// everything and reports the zero threshold; so does an empty queue,
+// with batch size 0. The suffix is read when the FIFO first steps the
+// query, after every earlier DeleteMin has moved the cursor.
+type popStep[K cmp.Ordered] struct {
+	x           *mux[K]
+	sl          *slot[K]
+	sizes, sums [2]int64
+	cur         comm.Stepper
+	phase       int
+}
+
+// popStep phases.
+const (
+	popInit  = iota // start the size sum
+	popSized        // empty, drain, or start the selection
+	popCut          // move the cursor past the batch
+)
+
+func addInt64(a, b int64) int64 { return a + b }
+
+func (st *popStep[K]) Step(pe *comm.PE) *comm.RecvHandle {
+	x, sl := st.x, st.sl
+	for {
+		if st.cur != nil {
+			if h := st.cur.Step(pe); h != nil {
+				return h
+			}
+			st.cur = nil
+		}
+		queue := x.shard[x.cut:]
+		switch st.phase {
+		case popInit:
+			n := int64(len(queue))
+			st.sizes = [2]int64{n, min(n, sl.q.k)}
+			st.cur = coll.AllReduceIntoStep(pe, st.sums[:], st.sizes[:], addInt64, nil)
+			st.phase = popSized
+		case popSized:
+			total := st.sums[0]
+			if total == 0 {
+				return nil
+			}
+			if sl.q.k >= total {
+				x.cut = len(x.shard)
+				sl.resN = total
+				return nil
+			}
+			sl.resN = sl.q.k
+			st.cur = sel.KthSortedStep(pe, queue[:st.sizes[1]], st.sums[1], sl.q.k, x.rng, func(v K) { sl.res = v })
+			st.phase = popCut
+		default:
+			x.cut += sel.SliceSeq[K](queue).CountLE(sl.res)
+			return nil
+		}
+	}
 }
 
 // stepSlot runs one tenant burst under its context, attributing the

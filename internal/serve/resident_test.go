@@ -12,11 +12,13 @@ import (
 // TestServeResidentIndex pins what NewServer's sorted copy costs and
 // what it must not touch: the caller's shards are byte-identical after a
 // server's whole life (bench/ reuses them across set-ups), and a server
-// that has run 100 fat Kth queries over all eight context leases holds
-// one more copy of the shards plus a constant — no Θ(n/p) scratch per
-// (PE, context) survives on the serve path.
+// that has run 100 fat Kth queries over all eight context leases and then
+// 20 DeleteMin(32) holds one more copy of the shards plus a constant — no
+// Θ(n/p) scratch per (PE, context) survives on the serve path, and the
+// priority queue DeleteMin pops from is the sorted copy itself, not a
+// second structure over the same keys.
 func TestServeResidentIndex(t *testing.T) {
-	const p, perPE, queries = 4, 1 << 16, 100
+	const p, perPE, queries, pops, batch = 4, 1 << 16, 100, 20, 32
 	rng := xrand.New(21)
 	shards := make([][]uint64, p)
 	var union []uint64
@@ -63,14 +65,24 @@ func TestServeResidentIndex(t *testing.T) {
 		}
 	}
 	clear(tickets)
+	for j := 1; j <= pops; j++ {
+		tk, err := s.DeleteMin(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, err := tk.Wait(); err != nil || v != union[j*batch-1] || tk.BatchLen() != batch {
+			t.Fatalf("DeleteMin #%d = %d (batch %d), %v; want %d (batch %d)", j, v, tk.BatchLen(), err, union[j*batch-1], batch)
+		}
+	}
 	held := heap() - before
 	runtime.KeepAlive(union) // allocated before the first reading: keep it in the second
 	const shardBytes = p * perPE * 8
 	if limit := int64(shardBytes*5/4 + 1<<20); held > limit {
-		t.Errorf("server holds %d bytes after %d queries at MaxInflight 8; want at most %d (1.25 × %d shard bytes + 1 MiB)",
-			held, queries, limit, shardBytes)
+		t.Errorf("server holds %d bytes after %d Kth queries at MaxInflight 8 and %d DeleteMin(%d); want at most %d (1.25 × %d shard bytes + 1 MiB)",
+			held, queries, pops, batch, limit, shardBytes)
 	}
-	t.Logf("resident after %d queries: %d bytes for %d shard bytes", queries, held, shardBytes)
+	t.Logf("resident after %d Kth and %d DeleteMin queries: %d bytes for %d shard bytes (%.2f×)",
+		queries, pops, held, shardBytes, float64(held)/shardBytes)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

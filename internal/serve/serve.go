@@ -15,26 +15,30 @@
 // rises with inflight depth while each query's metered words/sends stay
 // bit-identical to a sequential run — pinned by the differential test.
 //
-// The shards are immutable for a server's lifetime, so NewServer builds a
-// resident index once — a sorted copy of every shard — and the two query
-// kinds that select by key order are answered from it: Kth runs the
-// sorted-input form of Algorithm 1 (sel.KthSortedStep: the candidate
-// window is a sub-slice of the resident shard, never copied or written;
-// band counts are binary searches; the global size is the server's
-// constant, not a per-query all-reduce), and the first DeleteMin builds
-// its bulk priority queue from the same ascending run in linear time.
-// Cost: O(n/p · log n/p) set-up per shard (sorted min(GOMAXPROCS, p) at a
-// time) and n words resident beside the caller's shards; against a
-// one-shot scan per query that is repaid after about ten Kth queries per
-// server. TopKFreq counts occurrences, not order, and keeps reading the
-// caller's shards.
+// The key set is immutable for a server's lifetime, so NewServer builds
+// a resident index once — a sorted copy of every shard — and the two
+// query kinds that select by key order are answered from it. Kth answers
+// from the whole key set with the sorted-input form of Algorithm 1
+// (sel.KthSortedStep: the candidate window is a sub-slice of the resident
+// shard, never copied or written; band counts are binary searches; the
+// global size is the server's constant, not a per-query all-reduce).
+// DeleteMin pops from the unpopped suffix of every sorted shard, the
+// server's priority queue (a served queue never inserts): one size sum,
+// the same selection on the first min(k, len) keys of every suffix
+// (Appendix A), and a per-PE cursor moves past the batch. Popped keys
+// stay in the index, so Kth still sees them. Cost: O(n/p · log n/p)
+// set-up per shard (sorted min(GOMAXPROCS, p) at a time) and n words
+// resident beside the caller's shards; against a one-shot scan per query
+// that is repaid after about ten Kth queries per server. TopKFreq counts
+// occurrences, not order, and keeps reading the caller's shards.
 //
 // Lifecycle: NewServer starts the machine body (RunAsync) and the
-// dispatcher. Submit (Kth) is non-blocking admission: a full queue
-// returns ErrOverloaded — the caller sheds load instead of queueing
-// unboundedly. Close drains, posts a poison doorbell, and waits for the
-// muxes to retire. The machine itself stays owned by the caller (Close
-// does not close it), so one machine can outlive many server generations.
+// dispatcher. Kth, DeleteMin and TopKFreq (and their Deadline forms) are
+// non-blocking admission: a full queue returns ErrOverloaded — the caller
+// sheds load instead of queueing unboundedly. Close drains, posts a
+// poison doorbell, and waits for the muxes to retire. The machine itself
+// stays owned by the caller (Close does not close it), so one machine can
+// outlive many server generations.
 package serve
 
 import (
@@ -118,9 +122,9 @@ func (c Config) withDefaults() Config {
 }
 
 // Query kinds. Kth selections and TopKFreq heavy-hitter queries only
-// read resident data and may interleave freely; bulk-PQ
-// operations mutate the resident queue and are serialized per mux in
-// dispatch order (see mux.pqQ).
+// read resident data and may interleave freely; DeleteMin queries move
+// the resident queue's cursor and are serialized per mux in dispatch
+// order (see mux.pqQ).
 const (
 	kindKth = iota
 	kindPQ
@@ -241,14 +245,14 @@ type Server[K cmp.Ordered] struct {
 // resident data) on m. The shards are never written — not by NewServer,
 // not by any query — and the caller must not write them either until
 // Close returns (TopKFreq reads them in place). Kth and DeleteMin are
-// served from a sorted copy NewServer makes of each shard: set-up costs
-// O(n/p · log n/p) per shard, spread over min(GOMAXPROCS, p) goroutines
-// that have exited when NewServer returns, and the server holds n more
-// words than the caller's shards. A one-shot Kth scans its shard about
-// three times and the sort costs about sixteen scans, so the index has
-// paid for itself after roughly ten Kth queries. The machine must be
-// idle; it stays busy until Close and remains owned by the caller
-// afterwards.
+// served from a sorted copy NewServer makes of each shard, which no
+// query writes either: set-up costs O(n/p · log n/p) per shard, spread
+// over min(GOMAXPROCS, p) goroutines that have exited when NewServer
+// returns, and the server holds n more words than the caller's shards. A
+// one-shot Kth scans its shard about three times and the sort costs about
+// sixteen scans, so the index has paid for itself after roughly ten Kth
+// queries. The machine must be idle; it stays busy until Close and
+// remains owned by the caller afterwards.
 func NewServer[K cmp.Ordered](m *comm.Machine, shards [][]K, cfg Config) (*Server[K], error) {
 	if len(shards) != m.P() {
 		return nil, fmt.Errorf("serve: %d shards for %d PEs", len(shards), m.P())
@@ -322,14 +326,15 @@ func (s *Server[K]) KthDeadline(k int64, deadline time.Time) (*Ticket[K], error)
 
 // DeleteMin submits a bulk delete-min of global batch size min(k, queue
 // size) against the server's resident priority queue — the second query
-// kind. Every PE lazily materializes the queue from its sorted shard at
-// the first DeleteMin dispatch (shard keys must be globally unique for
-// this query kind; an ascending run builds the search tree in linear
-// time); the queue then mutates across DeleteMin queries, so the muxes
-// execute them serialized in dispatch order while Kth queries — which
-// keep serving the immutable index — interleave freely around them. The popped elements stay resident on their PEs (owner-computes);
-// the ticket surfaces the agreed threshold via Wait and the realized
-// batch size via BatchLen. Non-blocking admission, like Kth.
+// kind. The queue is the unpopped suffix of every PE's sorted shard (shard
+// keys must be globally unique for this query kind), and a DeleteMin pops
+// the k smallest keys of their union by moving a per-PE cursor. The
+// cursors are shared state, so the muxes run DeleteMin queries serialized
+// in dispatch order, while Kth queries — which answer from the whole key
+// set, popped keys included — interleave freely around them. The ticket
+// surfaces the agreed threshold via Wait (zero K when the batch took
+// everything left or the queue was empty) and the realized batch size
+// via BatchLen. Non-blocking admission, like Kth.
 func (s *Server[K]) DeleteMin(k int64) (*Ticket[K], error) {
 	if k < 1 {
 		return nil, fmt.Errorf("serve: batch size %d must be at least 1", k)

@@ -94,14 +94,17 @@ tier1() {
   must_run ./internal/sel/ 'TestAMSLanesAgainstSortOracle|TestAMSLanesShareEachRound|TestAMSSelectNStepSkipsTheSizeSum|TestAMSSelectOneLaneGolden'
   must_run ./internal/mtopk/ 'TestDTAOneSelectionPerProbe|TestDTAProbedFewerRounds|TestDTAPolylogCommunication|TestNewDataListsMatchStableSort|TestInEarlierPrefixMatchesScan'
   # Repeated runs are bit-identical (mtopk DTA/RDTA, bnb, redist, freq),
-  # and mtopk's RDTA/TopK, bnb, redist, agg's PAC/ECSum and every freq
-  # algorithm reproduce their recorded results and meters.
+  # and mtopk's RDTA/TopK, bnb, redist, agg's PAC/ECSum, every freq
+  # algorithm, the bulk priority queue and served Kth/DeleteMin reproduce
+  # their recorded results and meters.
   must_run ./internal/mtopk/ 'TestMtopkRepeatedRunsBitIdentical|TestMtopkResultsGolden' -count=5
   must_run ./internal/agg/ 'TestAggResultsGolden' -count=5
   must_run ./internal/bnb/ 'TestBnbRepeatedRunsBitIdentical|TestBnbResultsGolden' -count=5
   must_run ./internal/redist/ 'TestBuildPlanStepRepeatedRunsBitIdentical|TestRedistResultsGolden' -count=5
   must_run ./internal/freq/ 'TestFreqRepeatedRunsBitIdentical' -count=5
   must_run ./internal/freq/ 'TestFreqResultsGolden' -count=5
+  must_run ./internal/bpq/ 'TestBpqResultsGolden' -count=5
+  must_run ./internal/serve/ 'TestServeMixedGolden' -count=5
   must_run ./internal/serve/ 'TestDeadlineExpiredAtSubmit|TestDeadlineExpiredWhileQueued' -count=50
   # Wire: 2-process differential (results and meters bit-identical), worker
   # death is a clean error with no goroutine leak.
@@ -141,7 +144,7 @@ race() {
   must_run ./internal/sel/ 'TestKthSortedDifferential|TestKthWindowOpsAgree|TestKthSortedNeverWritesTheShard|TestKthSortedSkipsTheSizeAllReduce|TestKthIsTreeSweepsOnly|TestKthSpeculationMiss|TestKthTieHeavyShards|TestMSSelectIsTreeSweepsOnly|TestMSSelectEdgeCasesAgainstSortOracle' -race -count=5
   must_run ./internal/coll/ 'TestReduceConcatStep' -race -count=5
   must_run ./internal/sel/ 'TestAMSLanesAgainstSortOracle|TestAMSLanesShareEachRound|TestAMSSelectNStepSkipsTheSizeSum|TestAMSSelectOneLaneGolden' -race -count=3
-  must_run ./internal/bpq/ 'TestDeleteMinStepMatchesBlockingAcrossBackends|TestDeleteMinStepThresholdContract|TestInterleavedInsertDelete|TestDeleteMinIsTreeSweepsOnly|TestDeleteMinEdgeCasesAgainstSortOracle|TestDeleteMinFlexibleSumsSizeOnce' -race -count=3
+  must_run ./internal/bpq/ 'TestDeleteMinMatchesAcrossExecutors|TestDeleteMinThresholdContract|TestInterleavedInsertDelete|TestDeleteMinIsTreeSweepsOnly|TestDeleteMinEdgeCasesAgainstSortOracle|TestDeleteMinFlexibleSumsSizeOnce|TestBpqResultsGolden' -race -count=3
   must_run ./internal/mtopk/ 'TestMtopkSteppersMatchBlocking|TestDTAOneSelectionPerProbe|TestDTAProbedFewerRounds' -race -count=3
   must_run ./internal/bnb/ 'TestBnbResultsGolden' -race -count=3
   must_run ./internal/redist/ 'TestRedistResultsGolden' -race -count=3
@@ -152,8 +155,9 @@ race() {
   must_run ./internal/mtopk/ 'TestNewDataListsMatchStableSort|TestInEarlierPrefixMatchesScan' -race -count=3
   must_run ./internal/qsel/ 'TestSortPairsStableAgainstSortOracle' -race -count=3
   # Serving: concurrent equals sequential for all three kinds, on both
-  # executors; the resident index; the stress.
-  must_run ./internal/serve/ 'TestServeResidentIndex|TestServeConcurrentMatchesSequential|TestServeMixedKindsConcurrentMatchesSequential|TestServeFreqConcurrentMatchesSequential|TestServeScheduleExploration|TestServeConcurrentStress' -race -count=5
+  # executors; Kth/DeleteMin against their recorded results and meters;
+  # the resident index; the stress.
+  must_run ./internal/serve/ 'TestServeResidentIndex|TestServeConcurrentMatchesSequential|TestServeMixedKindsConcurrentMatchesSequential|TestServeFreqConcurrentMatchesSequential|TestServeScheduleExploration|TestServeConcurrentStress|TestServeMixedGolden' -race -count=5
   # External abort against finishRun's re-arm (the wire reader goroutine).
   must_run ./internal/wire/ 'TestWorkerCrashTeardown|TestClusterCloseIdempotent' -race -count=20
 }
