@@ -76,7 +76,7 @@ func TestFreqResultsGolden(t *testing.T) {
 		"p=1 PEC":        {[][2]int64{{1, 466}, {2, 204}, {3, 170}, {4, 118}}, 1353, 0x3fd56408af75bbd8, 19, true, comm.Stats{}},
 		"p=1 Naive":      {[][2]int64{{1, 466}, {2, 204}, {3, 170}, {4, 118}}, 4000, 0x3ff0000000000000, 0, true, comm.Stats{}},
 		"p=1 NaiveTree":  {[][2]int64{{1, 466}, {2, 204}, {3, 170}, {4, 118}}, 4000, 0x3ff0000000000000, 0, true, comm.Stats{}},
-		"p=3 PAC":        {[][2]int64{{1, 1317}, {2, 586}, {3, 433}, {4, 343}}, 5279, 0x3fdc8560e9f24fcb, 0, false, comm.Stats{TotalWords: 4211, MaxSentWords: 1755, MaxRecvWords: 2446, TotalSends: 47, MaxSends: 23, MaxClock: 47203}},
+		"p=3 PAC":        {[][2]int64{{1, 1317}, {2, 586}, {3, 433}, {4, 343}}, 5279, 0x3fdc8560e9f24fcb, 0, false, comm.Stats{TotalWords: 4208, MaxSentWords: 1755, MaxRecvWords: 2443, TotalSends: 47, MaxSends: 23, MaxClock: 47200}},
 		"p=3 EC":         {[][2]int64{{1, 1333}, {2, 626}, {3, 464}, {4, 367}}, 72, 0x3f78808f679318eb, 39, true, comm.Stats{TotalWords: 575, MaxSentWords: 251, MaxRecvWords: 278, TotalSends: 43, MaxSends: 21, MaxClock: 39529}},
 		"p=3 ECSBF":      {[][2]int64{{1, 1333}, {2, 626}, {3, 464}, {4, 367}}, 68, 0x3f78808f679318eb, 39, true, comm.Stats{TotalWords: 687, MaxSentWords: 254, MaxRecvWords: 282, TotalSends: 32, MaxSends: 14, MaxClock: 28527}},
 		"p=3 PEC":        {[][2]int64{{1, 1333}, {2, 626}, {3, 464}, {4, 367}}, 1352, 0x3fbc8560e9f24fcb, 21, true, comm.Stats{TotalWords: 1989, MaxSentWords: 859, MaxRecvWords: 1054, TotalSends: 59, MaxSends: 29, MaxClock: 56913}},
@@ -85,7 +85,7 @@ func TestFreqResultsGolden(t *testing.T) {
 		"p=16 PAC":       {[][2]int64{{1, 7324}, {2, 3854}, {3, 2310}, {4, 1771}}, 5304, 0x3fb56408af75bbd8, 0, false, comm.Stats{TotalWords: 10985, MaxSentWords: 759, MaxRecvWords: 732, TotalSends: 538, MaxSends: 41, MaxClock: 82558}},
 		"p=16 EC":        {[][2]int64{{1, 7192}, {2, 3595}, {3, 2395}, {4, 1810}}, 123, 0x3f5ca8328d07c58f, 28, true, comm.Stats{TotalWords: 4743, MaxSentWords: 425, MaxRecvWords: 515, TotalSends: 726, MaxSends: 57, MaxClock: 113909}},
 		"p=16 ECSBF":     {[][2]int64{{1, 7192}, {2, 3595}, {3, 2395}, {4, 1810}}, 110, 0x3f5ca8328d07c58f, 28, true, comm.Stats{TotalWords: 6883, MaxSentWords: 550, MaxRecvWords: 517, TotalSends: 636, MaxSends: 45, MaxClock: 90032}},
-		"p=16 PEC":       {[][2]int64{{1, 7192}, {2, 3595}, {3, 2395}, {4, 1810}}, 1346, 0x3f956408af75bbd8, 14, true, comm.Stats{TotalWords: 8962, MaxSentWords: 760, MaxRecvWords: 962, TotalSends: 1068, MaxSends: 89, MaxClock: 178686}},
+		"p=16 PEC":       {[][2]int64{{1, 7192}, {2, 3595}, {3, 2395}, {4, 1810}}, 1346, 0x3f956408af75bbd8, 14, true, comm.Stats{TotalWords: 8823, MaxSentWords: 737, MaxRecvWords: 924, TotalSends: 1004, MaxSends: 85, MaxClock: 170652}},
 		"p=16 Naive":     {[][2]int64{{1, 6881}, {2, 3614}, {3, 2537}, {4, 1759}}, 5335, 0x3fb56408af75bbd8, 0, false, comm.Stats{TotalWords: 5984, MaxSentWords: 444, MaxRecvWords: 5744, TotalSends: 158, MaxSends: 12, MaxClock: 40784}},
 		"p=16 NaiveTree": {[][2]int64{{1, 7217}, {2, 3351}, {3, 2058}, {4, 1843}}, 5316, 0x3fb56408af75bbd8, 0, false, comm.Stats{TotalWords: 10480, MaxSentWords: 2020, MaxRecvWords: 4168, TotalSends: 158, MaxSends: 12, MaxClock: 28366}},
 	}

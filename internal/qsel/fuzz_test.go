@@ -76,7 +76,8 @@ func fuzzFloats(keys []uint64, raw bool) []float64 {
 // oracleCase checks every exported kernel against a slices.Sort oracle:
 // Select and SelectInto through diffCaseReadOnly (value, partition
 // contract, multiset, src untouched), then Rank and PartitionRange
-// against the sorted copy's lower and upper bounds.
+// against the sorted copy's lower and upper bounds, then SplitBand and
+// Keep against PartitionRange and an input-order filter (splitBandCase).
 func oracleCase[K selKey](t *testing.T, label string, orig []K, k, k2 int) {
 	t.Helper()
 	diffCaseReadOnly(t, label, orig, k)
@@ -116,12 +117,13 @@ func oracleCase[K selKey](t *testing.T, label string, orig []K, k, k2 int) {
 	if !slices.Equal(s, sorted) {
 		t.Fatalf("%s n=%d: PartitionRange changed the multiset", label, len(orig))
 	}
+	splitBandCase(t, label, orig, lo, hi)
 }
 
-// FuzzSelect runs Select, SelectInto, Rank and PartitionRange on
-// []uint64 and []float64 decoded from the fuzz bytes (see fuzzKeys)
-// against a slices.Sort oracle, at the fuzzed ranks and always at k = 0
-// and k = n−1.
+// FuzzSelect runs Select, SelectInto, Rank, PartitionRange, SplitBand and
+// Keep on []uint64 and []float64 decoded from the fuzz bytes (see
+// fuzzKeys) against a slices.Sort oracle, at the fuzzed ranks and always
+// at k = 0 and k = n−1.
 //
 // NaN is rejected in the harness, not pinned: the package documents NaN
 // keys as unsupported (see the package doc: they have no < order, so

@@ -1,6 +1,7 @@
-// Package qsel provides expected-linear order-statistic selection and
-// in-place multiway partitioning — the sort-free local kernels under the
-// paper's selection algorithms. Everywhere the distributed code only needs
+// Package qsel provides expected-linear order-statistic selection,
+// in-place multiway partitioning and branch-free, order-keeping band
+// compaction (SplitBand, Keep, Rank) — the sort-free local kernels under
+// the paper's selection algorithms. Everywhere the distributed code only needs
 // an order statistic (pivot extraction from a gathered sample, the k-th
 // element of a gathered residual), a full slices.Sort is Θ(n log n) local
 // work the cost model charges to the x term for no benefit; Select is
@@ -54,16 +55,138 @@ func SelectInto[K cmp.Ordered](dst, src []K, k int) K {
 // Rank counts the elements of s strictly below v and equal to v in one
 // pass — the local rank split every threshold-partition consumer (SmallestK,
 // the dht top-k extraction) needs after a distributed selection. Zero
-// allocations.
+// allocations, no data-dependent branch.
 func Rank[K cmp.Ordered](s []K, v K) (below, equal int) {
 	for _, e := range s {
+		// The increments are written as conditional moves in place: a
+		// helper returning 0 or 1 is not inlined into every generic
+		// instantiation, and a call per element costs more than the
+		// mispredictions it removes.
+		b := 0
 		if e < v {
-			below++
-		} else if e == v {
-			equal++
+			b = 1
 		}
+		q := 0
+		if e == v {
+			q = 1
+		}
+		below += b
+		equal += q
 	}
 	return below, equal
+}
+
+// SplitBand is the counting, order-keeping form of PartitionRange: in one
+// pass it counts the na elements of src below lo and writes the nb
+// elements in lo..hi to dst[:nb] in their order in src, and it writes
+// nothing else that survives (dst[nb:len(src)] holds leftovers). src is never
+// written unless dst shares its memory. dst must hold len(src) elements
+// and may be src itself or start at or before src in the same array (the
+// writes never overtake the reads); any other overlap with src is the
+// caller's error. (na, nb) and band b's multiset are PartitionRange's.
+// Every element is stored and the counters advance by 0 or 1, so there is
+// no data-dependent branch. lo ≤ hi is the caller's responsibility.
+func SplitBand[K cmp.Ordered](dst, src []K, lo, hi K) (na, nb int) {
+	dst = dst[:len(src)]
+	for _, e := range src {
+		dst[nb] = e
+		a := 0
+		if e < lo {
+			a = 1
+		}
+		c := 0
+		if e > hi {
+			c = 1
+		}
+		na += a
+		nb += 1 - a - c
+	}
+	return na, nb
+}
+
+// End is the kind of one end of an Interval.
+type End uint8
+
+const (
+	Unbounded End = iota // no bound on this side
+	Open                 // the end value itself is outside
+	Closed               // the end value itself is inside
+)
+
+// Interval is the set of keys between Lo and Hi, each end open, closed or
+// absent (the value of an Unbounded end is ignored).
+type Interval[K cmp.Ordered] struct {
+	Lo, Hi       K
+	LoEnd, HiEnd End
+}
+
+// Keep writes the elements of src inside iv to dst in their order in src
+// and returns how many it wrote: SplitBand's pass with an interval of any
+// ends, and no count of the elements below it. The aliasing rules are
+// SplitBand's: dst holds len(src) elements and may be src itself or start
+// at or before it in the same array. No data-dependent branch; an
+// interval with one open end and no other (a window cut at a pivot, the
+// only kind a miss or a peel compacts in place) runs a loop of one
+// comparison per element.
+func Keep[K cmp.Ordered](dst, src []K, iv Interval[K]) int {
+	dst = dst[:len(src)]
+	lo, hi := iv.Lo, iv.Hi
+	j := 0
+	switch {
+	case iv.LoEnd == Unbounded && iv.HiEnd == Open:
+		for _, e := range src {
+			dst[j] = e
+			d := 0
+			if e < hi {
+				d = 1
+			}
+			j += d
+		}
+	case iv.LoEnd == Open && iv.HiEnd == Unbounded:
+		for _, e := range src {
+			dst[j] = e
+			d := 0
+			if e > lo {
+				d = 1
+			}
+			j += d
+		}
+	default:
+		// An element is outside when it is below lo (or on it, if that end
+		// is open), or likewise above hi; an unbounded end excludes
+		// nothing.
+		loOn, hiOn, loOpen, hiOpen := 0, 0, 0, 0
+		if iv.LoEnd != Unbounded {
+			loOn = 1
+		}
+		if iv.HiEnd != Unbounded {
+			hiOn = 1
+		}
+		if iv.LoEnd == Open {
+			loOpen = 1
+		}
+		if iv.HiEnd == Open {
+			hiOpen = 1
+		}
+		for _, e := range src {
+			dst[j] = e
+			lt, eqLo, gt, eqHi := 0, 0, 0, 0
+			if e < lo {
+				lt = 1
+			}
+			if e == lo {
+				eqLo = 1
+			}
+			if e > hi {
+				gt = 1
+			}
+			if e == hi {
+				eqHi = 1
+			}
+			j += 1 ^ (loOn&(lt|loOpen&eqLo) | hiOn&(gt|hiOpen&eqHi))
+		}
+	}
+	return j
 }
 
 // sel narrows [left, right] (inclusive) until s[k] is in final position.

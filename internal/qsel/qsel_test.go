@@ -293,3 +293,51 @@ func BenchmarkSelectVsSort(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkBandSplit times one split of a window around a middle band of
+// half its elements: the swap loop on a fresh copy (what the unsorted
+// selection paid per level before SplitBand), SplitBand into a second
+// buffer, and the Rank and Keep passes (Keep with one end is a speculation
+// miss compacted out of the window, with two a window rebuilt from the
+// shard).
+func BenchmarkBandSplit(b *testing.B) {
+	const n = 1 << 17
+	r := rand.New(rand.NewSource(5))
+	src := make([]uint64, n)
+	for i := range src {
+		src[i] = r.Uint64()
+	}
+	lo, hi := uint64(1)<<62, uint64(3)<<62
+	work := make([]uint64, n)
+	b.Run("copy+PartitionRange", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			copy(work, src)
+			bandSink, bandSink2 = PartitionRange(work, lo, hi)
+		}
+	})
+	b.Run("SplitBand", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			bandSink, bandSink2 = SplitBand(work, src, lo, hi)
+		}
+	})
+	b.Run("Keep/two ends", func(b *testing.B) {
+		iv := Interval[uint64]{Lo: lo, LoEnd: Open, Hi: hi, HiEnd: Closed}
+		for i := 0; i < b.N; i++ {
+			bandSink = Keep(work, src, iv)
+		}
+	})
+	b.Run("Keep/one end", func(b *testing.B) {
+		iv := Interval[uint64]{Hi: lo, HiEnd: Open}
+		for i := 0; i < b.N; i++ {
+			bandSink = Keep(work, src, iv)
+		}
+	})
+	b.Run("Rank", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			bandSink, bandSink2 = Rank(src, lo)
+		}
+	})
+}
+
+// bandSink and bandSink2 keep BenchmarkBandSplit's results live.
+var bandSink, bandSink2 int

@@ -66,13 +66,20 @@ import (
 // across uses, so steady-state dispatch allocates nothing.
 //
 // The state machine has two window representations behind one code path.
-// The unsorted forms copy the shard into the state's work buffer and
-// split the window by partitioning it in place, Θ(window) per level.
-// KthSortedStep (the caller states that its shard is ascending) uses the
-// shard itself: an ascending slice already is the [a | b | c] layout, so
-// the band sizes are binary searches and the shard is never written —
-// O(log window + sample) per level. Sampling, pivot choice, every
-// collective and every narrowing of win are the same code.
+// In the unsorted forms every window is the shard's elements inside a
+// value interval (open, closed or unbounded ends, bounds), kept in the
+// shard's order. Level 0 samples the shard itself; a split is one
+// branch-free pass (qsel.SplitBand) that counts band a and writes band b
+// densely into the state's work buffer, Θ(window) per level, and never
+// writes the shard. The band goes beside the window in work when it fits,
+// so the window stays readable; a speculation miss then compacts band a
+// or c out of it in place (qsel.Keep), and otherwise rebuilds it from the
+// shard with the window's interval — the same elements in the same order
+// either way. KthSortedStep (the caller states that its shard is
+// ascending) uses the shard itself: an ascending slice already is the
+// [a | b | c] layout, so the band sizes are binary searches and the shard
+// is never written — O(log window + sample) per level. Sampling, pivot
+// choice, every collective and every branch are the same code.
 
 // kthStep phases.
 const (
@@ -116,15 +123,18 @@ type kthStep[K cmp.Ordered] struct {
 	out   func(K)
 	self  bool // self-release + out on completion (the *Step forms)
 	// sorted: local is ascending and is the window itself, read-only
-	// (KthSortedStep); otherwise the window is the work copy of local.
+	// (KthSortedStep); otherwise the window is local until the first split
+	// and lies in work from then on.
 	sorted bool
 	res    K
 
-	// The recursion state, identical on every PE except win, la and lb:
-	// win is the live candidate window, kRem/n the remaining rank and
+	// The recursion state, identical on every PE except win, band, la and
+	// lb: win is the live candidate window, kRem/n the remaining rank and
 	// global size; the level in flight splits win around [pivLo, pivHi]
-	// (plain: no pivots, band b is all of win) and samples b at rate.
+	// (plain: no pivots, band b is all of win), band holds b, and b is
+	// sampled at rate.
 	win          []K
+	band         []K
 	kRem, n      int64
 	target       float64 // expected sample size, 4(√p + 8)
 	plain        bool
@@ -132,6 +142,20 @@ type kthStep[K cmp.Ordered] struct {
 	rate         float64
 	la, lb       int // local sizes of bands a and b
 	nEqLocal     int // local size of the peeled tie group
+	// nBelow counts the local elements below the window: every narrowing
+	// that drops elements below it adds them. With resIn and resEq, set
+	// by finish, it gives the result's local rank split (localRank)
+	// without a pass over the shard.
+	nBelow int
+	resIn  []K
+	resEq  int
+
+	// The unsorted window's value interval; whether the window lies in
+	// work (it is local before the first split); whether the split in
+	// flight left win readable (band b went beside it, not over it).
+	bounds    qsel.Interval[K]
+	inWork    bool
+	winIntact bool
 
 	// Current collective sub-stepper and its harvested results.
 	cur comm.Stepper
@@ -141,7 +165,8 @@ type kthStep[K cmp.Ordered] struct {
 
 	// Buffers that survive pooling: the up-sweep header and the local
 	// sample (both copied by the collective before Step returns), and the
-	// unsorted forms' working copy of the shard, which win slices.
+	// unsorted forms' work buffer of len(local), which win and band slice
+	// from the first split on.
 	hdr    [2]int64
 	sample []K
 	work   []K
@@ -190,7 +215,11 @@ func KthStep[K cmp.Ordered](pe *comm.PE, local []K, k int64, rng *xrand.RNG, out
 // count n (the sum of len(local) over all PEs, not checked): the size
 // all-reduce is skipped, everything else is KthStep.
 func KthNStep[K cmp.Ordered](pe *comm.PE, local []K, n, k int64, rng *xrand.RNG, out func(K)) comm.Stepper {
-	s := newKthStep(pe, local, k, rng, out, true)
+	return newKthNStep(pe, local, n, k, rng, out, true)
+}
+
+func newKthNStep[K cmp.Ordered](pe *comm.PE, local []K, n, k int64, rng *xrand.RNG, out func(K), self bool) *kthStep[K] {
+	s := newKthStep(pe, local, k, rng, out, self)
 	s.i64 = n
 	s.phase = kphInitSum
 	return s
@@ -208,36 +237,126 @@ func KthNStep[K cmp.Ordered](pe *comm.PE, local []K, n, k int64, rng *xrand.RNG,
 // multiset the two forms see differently ordered windows, so their pivot
 // walks (and meters) differ; the answer is exact in both.
 func KthSortedStep[K cmp.Ordered](pe *comm.PE, sorted []K, n, k int64, rng *xrand.RNG, out func(K)) comm.Stepper {
-	s := newKthStep(pe, sorted, k, rng, out, true)
+	s := newKthNStep(pe, sorted, n, k, rng, out, true)
 	s.sorted = true
-	s.i64 = n
-	s.phase = kphInitSum
 	return s
 }
 
 // release returns the state to the PE pool, keeping the cached closures
-// and the buffers (and their one-time allocations) for the next use. The
-// work copy is not cleared: that would cost Θ(window) per query.
+// and the buffers (and their one-time allocations) for the next use. No
+// slice of the caller's shard survives it (a pooled state would pin a
+// retired server's sorted shard). The work buffer is not cleared: that
+// would cost Θ(window) per query.
 func (s *kthStep[K]) release(pe *comm.PE) {
 	var zero K
-	s.local, s.win, s.rng, s.out = nil, nil, nil, nil
+	s.local, s.win, s.band, s.resIn, s.rng, s.out = nil, nil, nil, nil, nil, nil
 	s.cur = nil
 	s.res, s.pivLo, s.pivHi = zero, zero, zero
+	s.bounds = qsel.Interval[K]{}
 	s.tg, s.v = tagged[K]{}, verdict[K]{}
 	s.sample = s.sample[:cap(s.sample)]
 	clear(s.sample) // keys may hold references
 	comm.PutPooled(pe, s)
 }
 
-// bands splits w around [lo, hi]: la elements < lo come first, then lb
-// elements in lo..hi. The unsorted form rearranges w into that layout;
-// a sorted w already has it and is only searched.
-func (s *kthStep[K]) bands(w []K, lo, hi K) (la, lb int) {
-	if !s.sorted {
-		return qsel.PartitionRange(w, lo, hi)
+// split splits the window around [pivLo, pivHi]: la elements are below
+// pivLo and band holds the lb elements in pivLo..pivHi. A sorted window
+// already is the [a | b | c] layout and is only searched. The unsorted
+// form writes band b, in window order, to the front of work when that
+// does not overlap the window (always on the first split, whose window
+// is local), else right after the window when it fits there, else over
+// the window itself, which is then no longer readable (winIntact).
+func (s *kthStep[K]) split() {
+	if s.sorted {
+		s.la = SliceSeq[K](s.win).CountLess(s.pivLo)
+		s.lb = SliceSeq[K](s.win[s.la:]).CountLE(s.pivHi)
+		s.band = s.win[s.la : s.la+s.lb]
+		return
 	}
-	la = SliceSeq[K](w).CountLess(lo)
-	return la, SliceSeq[K](w[la:]).CountLE(hi)
+	w := len(s.win)
+	if !s.inWork {
+		if cap(s.work) < len(s.local) {
+			s.work = make([]K, len(s.local))
+		}
+		s.work = s.work[:len(s.local)]
+	}
+	// Every window in work is a two-index slice of it, so its offset is
+	// the difference of the capacities.
+	off := cap(s.work) - cap(s.win)
+	dst := s.work
+	s.winIntact = true
+	switch {
+	case !s.inWork || off >= w:
+		// The front of work is clear of the window.
+	case off+2*w <= len(s.work):
+		dst = s.work[off+w:]
+	default:
+		dst, s.winIntact = s.win, false
+	}
+	s.la, s.lb = qsel.SplitBand(dst, s.win, s.pivLo, s.pivHi)
+	s.band = dst[:s.lb]
+}
+
+// narrow makes the part of the window beyond cut, a one-ended interval,
+// the new window: band a or c, which the sorted form holds at win[i:j].
+// The unsorted form compacts it out of the window when the split left
+// that readable (in place once the window lies in work), comparing with
+// cut's end only, and rebuilds it from the shard otherwise with the new
+// window's whole interval — the same elements in the same order.
+func (s *kthStep[K]) narrow(cut qsel.Interval[K], i, j int) {
+	if s.sorted {
+		s.win = s.win[i:j]
+		return
+	}
+	iv := cut
+	if cut.LoEnd == qsel.Unbounded {
+		iv.Lo, iv.LoEnd = s.bounds.Lo, s.bounds.LoEnd
+	} else {
+		iv.Hi, iv.HiEnd = s.bounds.Hi, s.bounds.HiEnd
+	}
+	if !s.winIntact {
+		s.take(s.work[:qsel.Keep(s.work, s.local, iv)], iv)
+		return
+	}
+	dst := s.work
+	if s.inWork {
+		dst = s.win
+	}
+	s.take(dst[:qsel.Keep(dst, s.win, cut)], iv)
+}
+
+// take makes w, the part of the window inside iv, the new window.
+func (s *kthStep[K]) take(w []K, iv qsel.Interval[K]) {
+	s.win, s.bounds, s.inWork = w, iv, !s.sorted
+}
+
+// peel removes the lower pivot's tie group from band b, the whole window
+// on a peel, and counts it locally. The unsorted form compacts the rest
+// of the band to its front.
+func (s *kthStep[K]) peel() {
+	lb := len(s.band)
+	if s.sorted {
+		s.band = s.band[SliceSeq[K](s.band).CountLE(s.pivLo):]
+	} else {
+		above := qsel.Interval[K]{Lo: s.pivLo, LoEnd: qsel.Open}
+		s.band = s.band[:qsel.Keep(s.band, s.band, above)]
+	}
+	s.nEqLocal = lb - len(s.band)
+}
+
+// peeled is the window's interval after a peel: band b without the lower
+// pivot.
+func (s *kthStep[K]) peeled() qsel.Interval[K] {
+	return qsel.Interval[K]{Lo: s.pivLo, LoEnd: qsel.Open, Hi: s.pivHi, HiEnd: qsel.Closed}
+}
+
+// localRank is the result's local rank split after the selection has
+// finished (before release): the number of local elements below it and
+// of its local tie group — qsel.Rank(local, res), read off the narrowing
+// history and one pass over the final window at most.
+func (s *kthStep[K]) localRank() (below, equal int) {
+	b, e := qsel.Rank(s.resIn, s.res)
+	return s.nBelow + b, e + s.resEq
 }
 
 // winMin is the window's minimum as a reduction operand (no value on a
@@ -252,17 +371,16 @@ func (s *kthStep[K]) winMin() tagged[K] {
 	return tagged[K]{Has: true, Val: slices.Min(s.win)}
 }
 
-// setUp starts the recursion on the whole input, of global size n.
+// setUp starts the recursion on the whole input, of global size n. It
+// copies nothing: level 0's window is the shard itself.
 func (s *kthStep[K]) setUp(pe *comm.PE, n int64) {
 	if s.k < 1 || s.k > n {
 		panic(fmt.Sprintf("sel: rank %d out of range 1..%d", s.k, n))
 	}
 	s.win = s.local
-	if !s.sorted {
-		s.work = append(s.work[:0], s.local...)
-		s.win = s.work
-	}
+	s.bounds, s.inWork = qsel.Interval[K]{}, false
 	s.kRem, s.n = s.k, n
+	s.nBelow = 0
 	s.target = 4 * (math.Sqrt(float64(pe.P())) + 8)
 	s.phase = kphLoop
 }
@@ -270,11 +388,12 @@ func (s *kthStep[K]) setUp(pe *comm.PE, n int64) {
 // startSweep splits the window around the level's pivots, samples the
 // middle band at the level's rate and launches the up-sweep.
 func (s *kthStep[K]) startSweep(pe *comm.PE) {
-	s.la, s.lb = 0, len(s.win)
-	if !s.plain {
-		s.la, s.lb = s.bands(s.win, s.pivLo, s.pivHi)
+	if s.plain {
+		s.la, s.lb, s.band = 0, len(s.win), s.win
+	} else {
+		s.split()
 	}
-	band := s.win[s.la : s.la+s.lb]
+	band := s.band
 	if s.rate < 1 {
 		sample := s.sample[:0]
 		sk := xrand.NewSkipSampler(s.rng, s.rate)
@@ -347,10 +466,13 @@ func (s *kthStep[K]) judge(sums []int64, all []K) {
 
 func addInt64(a, b int64) int64 { return a + b }
 
-// finish delivers the result: the *Step forms release themselves and call
-// out; the blocking driver harvests res and releases explicitly.
-func (s *kthStep[K]) finish(pe *comm.PE, v K) *comm.RecvHandle {
-	s.res = v
+// finish delivers the result v, whose local tie group and the local
+// elements below it that nBelow does not count lie in in, or are eq
+// elements of the group: the *Step forms release themselves and call out;
+// the blocking drivers harvest res (and localRank) and release
+// explicitly.
+func (s *kthStep[K]) finish(pe *comm.PE, v K, in []K, eq int) *comm.RecvHandle {
+	s.res, s.resIn, s.resEq = v, in, eq
 	s.phase = kphDone
 	if s.self {
 		out := s.out
@@ -387,7 +509,7 @@ func (s *kthStep[K]) Step(pe *comm.PE) *comm.RecvHandle {
 			s.rate = min(1, s.target/float64(s.n))
 			s.startSweep(pe)
 		case kphMinWait:
-			return s.finish(pe, s.tg.Val)
+			return s.finish(pe, s.tg.Val, s.win, 0)
 		case kphUp:
 			s.cur = coll.BroadcastScalarStep(pe, 0, s.v, s.onVerdict)
 			s.phase = kphVerdict
@@ -395,30 +517,35 @@ func (s *kthStep[K]) Step(pe *comm.PE) *comm.RecvHandle {
 			v := s.v
 			switch s.branch(v.na, v.nb) {
 			case brBelow:
-				s.win = s.win[:s.la]
+				s.narrow(qsel.Interval[K]{Hi: s.pivLo, HiEnd: qsel.Open}, 0, s.la)
 				s.n = v.na
 				s.phase = kphLoop
 			case brAbove:
-				s.win = s.win[s.la+s.lb:]
+				s.nBelow += s.la + s.lb
+				s.narrow(qsel.Interval[K]{Lo: s.pivHi, LoEnd: qsel.Open}, s.la+s.lb, len(s.win))
 				s.kRem -= v.na + v.nb
 				s.n -= v.na + v.nb
 				s.phase = kphLoop
 			case brTie:
-				// The k-th element falls inside one big tie group.
-				return s.finish(pe, s.pivLo)
+				// The k-th element falls inside one big tie group: band b.
+				s.nBelow += s.la
+				return s.finish(pe, s.pivLo, nil, s.lb)
 			case brPeel:
 				// No shrinkage: every remaining element is in lo..hi. Count
 				// the lower pivot's tie group; the answer is in it or above it.
-				_, s.nEqLocal = s.bands(s.win[s.la:s.la+s.lb], s.pivLo, s.pivLo)
+				s.peel()
 				s.cur = coll.AllReduceScalarStep(pe, int64(s.nEqLocal), addInt64, s.onI64)
 				s.phase = kphPeelWait
 			default:
-				s.win = s.win[s.la : s.la+s.lb]
+				if !s.plain {
+					s.take(s.band, qsel.Interval[K]{Lo: s.pivLo, LoEnd: qsel.Closed, Hi: s.pivHi, HiEnd: qsel.Closed})
+				}
+				s.nBelow += s.la
 				s.kRem -= v.na
 				s.n = v.nb
 				switch {
 				case s.rate >= 1:
-					return s.finish(pe, v.lo) // the root held the whole band
+					return s.finish(pe, v.lo, s.win, 0) // the root held the whole band
 				case v.rate == 0:
 					s.phase = kphLoop // empty sample: draw again
 				default:
@@ -430,9 +557,10 @@ func (s *kthStep[K]) Step(pe *comm.PE) *comm.RecvHandle {
 		case kphPeelWait:
 			nEq := s.i64
 			if s.kRem-s.v.na <= nEq {
-				return s.finish(pe, s.pivLo)
+				return s.finish(pe, s.pivLo, nil, s.nEqLocal)
 			}
-			s.win = s.win[s.la+s.nEqLocal : s.la+s.lb]
+			s.nBelow += s.nEqLocal
+			s.take(s.band, s.peeled())
 			s.kRem -= s.v.na + nEq
 			s.n = s.v.nb - nEq
 			s.phase = kphLoop

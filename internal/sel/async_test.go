@@ -2,10 +2,12 @@ package sel
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"commtopk/internal/comm"
 	"commtopk/internal/gen"
+	"commtopk/internal/qsel"
 	"commtopk/internal/simexec"
 	"commtopk/internal/xrand"
 )
@@ -159,4 +161,116 @@ func TestKthStepAllocParity(t *testing.T) {
 		t.Errorf("MSSelect allocates %.1f/op vs the blocking Kth's %.1f/op", msForm, blocking)
 	}
 	t.Logf("allocs/op: blocking %.1f, stepper %.1f, sorted form %.1f, MSSelect %.1f", blocking, stepper, sortedForm, msForm)
+}
+
+// TestKthReleaseKeepsNoShardSlice: a released kthStep waits in its PE's
+// pool for the next selection, so a slice it kept of the caller's shard —
+// the window, band b, the shard itself — would pin that shard until
+// then (a retired server's sorted copy, say). After selections in both
+// forms, on every shape and at ranks that reach the miss, peel and rate-1
+// paths, every slice field but the state's own buffers (work, sample) is
+// nil, those share no memory with the shard, and work is no longer than it.
+func TestKthReleaseKeepsNoShardSlice(t *testing.T) {
+	const p, n = 4, 2048
+	owned := map[string]bool{"work": true, "sample": true}
+	for _, shape := range shardShapes {
+		shards := shape.gen(xrand.New(31), n, p)
+		sorted, _ := sortedShards(shards)
+		for _, form := range []struct {
+			name   string
+			shards [][]uint64
+		}{{"unsorted", shards}, {"sorted", sorted}} {
+			m := comm.NewMachine(comm.DefaultConfig(p))
+			for _, k := range []int64{1, 2, n / 3, n} {
+				m.MustRun(func(pe *comm.PE) {
+					shard := form.shards[pe.Rank()]
+					st := newKthStep(pe, shard, k, xrand.NewPE(k, pe.Rank()), nil, false)
+					if form.name == "sorted" {
+						st.sorted, st.i64, st.phase = true, n, kphInitSum
+					}
+					comm.RunSteps(pe, st)
+					st.release(pe)
+					v := reflect.ValueOf(st).Elem()
+					seen := 0
+					for i := 0; i < v.NumField(); i++ {
+						f, name := v.Field(i), v.Type().Field(i).Name
+						if f.Kind() != reflect.Slice {
+							continue
+						}
+						seen++
+						switch {
+						case !owned[name] && !f.IsNil():
+							t.Errorf("%s %s k=%d: released state keeps %s (len %d)", shape.name, form.name, k, name, f.Len())
+						case owned[name] && overlaps(f, reflect.ValueOf(shard)):
+							t.Errorf("%s %s k=%d: the state's %s shares memory with the shard", shape.name, form.name, k, name)
+						}
+					}
+					if seen < 5 || len(st.work) > len(shard) {
+						t.Errorf("%s %s k=%d: %d slice fields, work %d for a shard of %d", shape.name, form.name, k, seen, len(st.work), len(shard))
+					}
+				})
+			}
+			m.Close()
+		}
+	}
+}
+
+// overlaps reports whether the backing arrays of two slices share memory.
+func overlaps(a, b reflect.Value) bool {
+	if a.Cap() == 0 || b.Cap() == 0 {
+		return false
+	}
+	sz := a.Type().Elem().Size()
+	a0, b0 := a.Pointer(), b.Pointer()
+	return a0 < b0+uintptr(b.Cap())*sz && b0 < a0+uintptr(a.Cap())*sz
+}
+
+// TestKthLocalRankMatchesRank: SmallestK reads the result's local rank
+// split off the selection's narrowing history (localRank) instead of a
+// pass over the shard, so on every shape, in both forms, at ranks that
+// end in the min-reduction, a rate-1 band, a tie and a peel, it must be
+// qsel.Rank(shard, result) on every PE.
+func TestKthLocalRankMatchesRank(t *testing.T) {
+	const n = 3000
+	var counted, scanned int // results whose tie group was counted resp. scanned at the end
+	for _, p := range []int{1, 4} {
+		m := comm.NewMachine(comm.DefaultConfig(p))
+		for si, shape := range shardShapes {
+			shards := shape.gen(xrand.New(int64(7*p+si)), n, p)
+			sorted, _ := sortedShards(shards)
+			for _, form := range []struct {
+				sorted bool
+				shards [][]uint64
+			}{{false, shards}, {true, sorted}} {
+				for _, k := range []int64{1, 2, n / 3, n / 2, 7 * n / 10, n - 1, n} {
+					for seed := int64(0); seed < 3; seed++ {
+						m.MustRun(func(pe *comm.PE) {
+							shard := form.shards[pe.Rank()]
+							st := newKthStep(pe, shard, k, xrand.NewPE(seed, pe.Rank()), nil, false)
+							st.i64, st.phase, st.sorted = n, kphInitSum, form.sorted
+							comm.RunSteps(pe, st)
+							b, e := st.localRank()
+							wb, we := qsel.Rank(shard, st.res)
+							if b != wb || e != we {
+								t.Errorf("p=%d %s sorted=%v k=%d seed=%d PE %d: localRank (%d, %d), Rank (%d, %d)",
+									p, shape.name, form.sorted, k, seed, pe.Rank(), b, e, wb, we)
+							}
+							if pe.Rank() == 0 {
+								if st.resIn == nil {
+									counted++
+								} else {
+									scanned++
+								}
+							}
+							st.release(pe)
+						})
+					}
+				}
+			}
+		}
+		m.Close()
+	}
+	if counted == 0 || scanned == 0 {
+		t.Errorf("tie groups counted %d times, scanned %d times; want both", counted, scanned)
+	}
 }

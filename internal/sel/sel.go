@@ -33,7 +33,6 @@ import (
 
 	"commtopk/internal/coll"
 	"commtopk/internal/comm"
-	"commtopk/internal/qsel"
 	"commtopk/internal/xrand"
 )
 
@@ -66,10 +65,12 @@ func minTagged[K cmp.Ordered](a, b tagged[K]) tagged[K] {
 // rng must be a per-PE stream (independent across PEs). Panics if k is out
 // of range — a programming error surfaced through Machine.Run.
 //
-// Local work is allocation-free in steady state: the input is copied once
-// into a buffer of the pooled selection state and the recursion
-// partitions it in place (three-way band partition, package qsel) instead
-// of rebuilding filtered copies per level.
+// Local work is allocation-free in steady state and copies nothing up
+// front: level 0 samples local itself, and each later level splits its
+// window with one branch-free pass that counts the elements below the
+// band and writes the band, in local's order, into a buffer of the pooled
+// selection state (qsel.SplitBand) — one buffer of len(local), never a
+// second.
 //
 // Kth is the state machine of async.go (KthStep) driven to completion
 // with blocking waits — one implementation for both execution modes.
@@ -104,22 +105,44 @@ func SmallestK[K cmp.Ordered](pe *comm.PE, local []K, k int64, rng *xrand.RNG) [
 	if k == n {
 		return slices.Clone(local)
 	}
-	var v K
-	comm.RunSteps(pe, KthNStep(pe, local, n, k, rng, func(x K) { v = x }))
+	st := newKthNStep(pe, local, n, k, rng, nil, false)
+	comm.RunSteps(pe, st)
+	v := st.res
 	// Every element below v is taken; v's tie group fills the remaining
-	// k − globLo places, lower ranks first.
-	below, equal := qsel.Rank(local, v)
+	// k − globLo places, lower ranks first. The selection's narrowing
+	// history gives the local rank split without a pass over local.
+	below, equal := st.localRank()
+	st.release(pe)
 	globLo := coll.SumAll(pe, int64(below))
-	take := clamp(k-globLo-coll.ExScanSum(pe, int64(equal)), 0, int64(equal))
-	out := make([]K, 0, int64(below)+take)
-	for _, e := range local {
-		switch {
-		case e < v:
-			out = append(out, e)
-		case e == v && take > 0:
-			out = append(out, e)
-			take--
+	take := int(clamp(k-globLo-coll.ExScanSum(pe, int64(equal)), 0, int64(equal)))
+	out := make([]K, below+take)
+	// The output pass has no data-dependent branch: every element is
+	// stored at out[j], and j moves past the ones below v and the first
+	// take of v's tie group (seen counts the group so far). Once the ties
+	// are taken, the second loop compares with v once per element; it
+	// stops when out is full, so no store overruns it.
+	i, j := 0, 0
+	for seen := 0; seen < take; i++ {
+		e := local[i]
+		out[j] = e
+		lt, eq := 0, 0
+		if e < v {
+			lt = 1
 		}
+		if e == v {
+			eq = 1
+		}
+		seen += eq
+		j += lt | eq
+	}
+	for ; j < len(out); i++ {
+		e := local[i]
+		out[j] = e
+		lt := 0
+		if e < v {
+			lt = 1
+		}
+		j += lt
 	}
 	return out
 }

@@ -37,7 +37,7 @@ func TestSmallestKGolden(t *testing.T) {
 				{0, 1, 2, 2, 3, 5, 7, 8, 8, 9, 10, 10, 12, 13, 13, 14, 15, 16, 16, 17, 18, 18, 18},
 				{0, 0, 0, 0, 1, 2, 2, 3, 4, 6, 6, 6, 7, 7, 8, 12, 12, 13, 13, 13, 15, 15, 16, 16, 18, 18, 18, 18, 19, 19, 19},
 			},
-			stats: comm.Stats{TotalWords: 208, MaxSentWords: 82, MaxRecvWords: 149, TotalSends: 33, MaxSends: 17, MaxClock: 31206},
+			stats: comm.Stats{TotalWords: 182, MaxSentWords: 72, MaxRecvWords: 133, TotalSends: 29, MaxSends: 15, MaxClock: 27180},
 		},
 		16: {
 			shares: [][]uint64{
@@ -58,7 +58,7 @@ func TestSmallestKGolden(t *testing.T) {
 				{10, 12, 15},
 				{4, 7, 17, 18},
 			},
-			stats: comm.Stats{TotalWords: 799, MaxSentWords: 139, MaxRecvWords: 160, TotalSends: 282, MaxSends: 25, MaxClock: 49288},
+			stats: comm.Stats{TotalWords: 969, MaxSentWords: 172, MaxRecvWords: 196, TotalSends: 312, MaxSends: 29, MaxClock: 57354},
 		},
 	}
 	const n, k = 240, 77

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"commtopk/internal/comm"
+	"commtopk/internal/qsel"
 	"commtopk/internal/simexec"
 	"commtopk/internal/xrand"
 )
@@ -184,38 +185,116 @@ func TestKthSortedDifferential(t *testing.T) {
 }
 
 // TestKthWindowOpsAgree: the two forms differ only in their local window
-// operations, so on one multiset — ascending for the sorted form, in any
-// order for the other — those must return the same band counts and
-// minimum.
+// operations, so on one multiset — ascending for the sorted form, in
+// shard order for the other — a walk of splits around pivots drawn from
+// the window, each followed by a narrowing to band a or c, a hit or a
+// peel, must give both the same band counts, tie counts, window
+// multisets and minima. The unsorted window must be the shard's elements
+// inside its interval in shard order, never longer than the shard, and
+// the walk must take both miss paths: compacting the window the split
+// left readable, and rebuilding it from the shard after an in-place split.
 func TestKthWindowOpsAgree(t *testing.T) {
 	rng := xrand.New(17)
+	var fromWindow, fromShard int
 	for trial := 0; trial < 500; trial++ {
-		w := make([]uint64, rng.Intn(40))
+		w := make([]uint64, rng.Intn(60))
 		for i := range w {
 			w[i] = uint64(rng.Intn(12))
 		}
 		asc := slices.Clone(w)
 		slices.Sort(asc)
-		lo := uint64(rng.Intn(14))
-		hi := lo + uint64(rng.Intn(4))
-		sorted := &kthStep[uint64]{sorted: true, win: asc}
-		scan := &kthStep[uint64]{win: w}
-		if sorted.winMin() != scan.winMin() {
-			t.Fatalf("minimum of %v: sorted form %v, scan %v", asc, sorted.winMin(), scan.winMin())
+		sorted := &kthStep[uint64]{sorted: true, local: asc, win: asc}
+		scan := &kthStep[uint64]{local: w, win: w}
+		for level := 0; len(sorted.win) > 0; level++ {
+			if sorted.winMin() != scan.winMin() {
+				t.Fatalf("trial %d level %d: minimum %v, scan %v", trial, level, sorted.winMin(), scan.winMin())
+			}
+			if want := inInterval(w, scan.bounds); !slices.Equal(scan.win, want) {
+				t.Fatalf("trial %d level %d: unsorted window %v, want the shard inside %+v: %v", trial, level, scan.win, scan.bounds, want)
+			}
+			if got := slices.Sorted(slices.Values(scan.win)); !slices.Equal(got, sorted.win) {
+				t.Fatalf("trial %d level %d: windows differ: sorted %v, scan %v", trial, level, sorted.win, got)
+			}
+			if len(scan.work) > len(w) {
+				t.Fatalf("trial %d: work holds %d elements, the shard %d", trial, len(scan.work), len(w))
+			}
+			i := rng.Intn(len(sorted.win))
+			j := i + rng.Intn(len(sorted.win)-i)
+			for _, st := range []*kthStep[uint64]{sorted, scan} {
+				st.pivLo, st.pivHi = sorted.win[i], sorted.win[j]
+				st.split()
+			}
+			if sorted.la != scan.la || sorted.lb != scan.lb || len(scan.band) != scan.lb {
+				t.Fatalf("trial %d level %d: bands around [%d, %d]: sorted (%d, %d), scan (%d, %d)",
+					trial, level, sorted.pivLo, sorted.pivHi, sorted.la, sorted.lb, scan.la, scan.lb)
+			}
+			if got := slices.Sorted(slices.Values(scan.band)); !slices.Equal(got, sorted.band) {
+				t.Fatalf("trial %d level %d: band b: sorted %v, scan %v", trial, level, sorted.band, got)
+			}
+			switch br := rng.Intn(4); {
+			case br <= 1:
+				counted(scan, &fromWindow, &fromShard)
+				for _, st := range []*kthStep[uint64]{sorted, scan} {
+					st.narrow(qsel.Interval[uint64]{Hi: st.pivLo, HiEnd: qsel.Open}, 0, st.la)
+				}
+			case br == 2:
+				counted(scan, &fromWindow, &fromShard)
+				for _, st := range []*kthStep[uint64]{sorted, scan} {
+					st.narrow(qsel.Interval[uint64]{Lo: st.pivHi, LoEnd: qsel.Open}, st.la+st.lb, len(st.win))
+				}
+			case scan.lb == len(scan.win):
+				sorted.peel()
+				scan.peel()
+				if sorted.nEqLocal != scan.nEqLocal {
+					t.Fatalf("trial %d level %d: tie group of %d: sorted %d, scan %d", trial, level, sorted.pivLo, sorted.nEqLocal, scan.nEqLocal)
+				}
+				for _, st := range []*kthStep[uint64]{sorted, scan} {
+					st.take(st.band, st.peeled())
+				}
+			default:
+				for _, st := range []*kthStep[uint64]{sorted, scan} {
+					st.take(st.band, qsel.Interval[uint64]{Lo: st.pivLo, LoEnd: qsel.Closed, Hi: st.pivHi, HiEnd: qsel.Closed})
+				}
+			}
 		}
-		la, lb := sorted.bands(asc, lo, hi)
-		sa, sb := scan.bands(w, lo, hi)
-		if la != sa || lb != sb {
-			t.Fatalf("bands of %v around [%d, %d]: sorted form (%d, %d), scan (%d, %d)", asc, lo, hi, la, lb, sa, sb)
-		}
+	}
+	if fromWindow == 0 || fromShard == 0 {
+		t.Errorf("misses compacted from the window %d times, rebuilt from the shard %d times; want both", fromWindow, fromShard)
 	}
 	if raceEnabled {
 		return
 	}
-	st := &kthStep[uint64]{sorted: true, win: []uint64{1, 2, 2, 3, 5, 8}}
-	if a := testing.AllocsPerRun(100, func() { st.bands(st.win, 2, 5); st.winMin() }); a != 0 {
-		t.Errorf("sorted-form window operations allocate %.0f times per level", a)
+	sorted := &kthStep[uint64]{sorted: true, win: []uint64{1, 2, 2, 3, 5, 8}, pivLo: 2, pivHi: 5}
+	shard := []uint64{8, 2, 5, 1, 3, 2}
+	scan := &kthStep[uint64]{local: shard, win: shard, pivLo: 2, pivHi: 5}
+	scan.split() // sizes work
+	for _, st := range []*kthStep[uint64]{sorted, scan} {
+		if a := testing.AllocsPerRun(100, func() { st.inWork = false; st.split(); st.winMin() }); a != 0 {
+			t.Errorf("sorted=%v: window operations allocate %.0f times per level", st.sorted, a)
+		}
 	}
+}
+
+// counted tallies which path the next miss of st takes.
+func counted(st *kthStep[uint64], fromWindow, fromShard *int) {
+	if st.winIntact {
+		*fromWindow++
+	} else {
+		*fromShard++
+	}
+}
+
+// inInterval is the oracle of an unsorted window: the elements of shard
+// inside iv, in shard order.
+func inInterval(shard []uint64, iv qsel.Interval[uint64]) []uint64 {
+	out := []uint64{}
+	for _, e := range shard {
+		if (iv.LoEnd == qsel.Unbounded || e > iv.Lo || e == iv.Lo && iv.LoEnd == qsel.Closed) &&
+			(iv.HiEnd == qsel.Unbounded || e < iv.Hi || e == iv.Hi && iv.HiEnd == qsel.Closed) {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 // TestKthSortedNeverWritesTheShard: the resident shard is shared by every

@@ -249,6 +249,31 @@ func merge[K cmp.Ordered](a, b *node[K]) *node[K] {
 	}
 }
 
+// insert links the detached node nn, whose key root does not hold, into
+// root and returns the new root. One descent: the walk counts the new key
+// into every subtree it passes until it reaches the first node nn
+// outranks, and only that subtree is split, under nn. That is the tree
+// split + merge(merge(l, nn), r) builds — a treap's shape is a function
+// of its (key, priority) set, and on a priority tie the node with the
+// smaller key stays above, as merge has it.
+func insert[K cmp.Ordered](root, nn *node[K]) *node[K] {
+	hook := &root
+	for n := *hook; n != nil && (n.prio > nn.prio || n.prio == nn.prio && n.key < nn.key); n = *hook {
+		n.size++
+		if nn.key < n.key {
+			hook = &n.left
+		} else {
+			hook = &n.right
+		}
+	}
+	if sub := *hook; sub != nil {
+		nn.size += sub.size
+		nn.left, nn.right = split(sub, nn.key)
+	}
+	*hook = nn
+	return root
+}
+
 // Insert adds key to the tree. It returns false (and leaves the tree
 // unchanged) if the key is already present.
 func (t *Tree[K]) Insert(key K) bool {
@@ -257,8 +282,7 @@ func (t *Tree[K]) Insert(key K) bool {
 	}
 	nn := t.arena().newNode(key, t.rng.Uint64())
 	wasEmpty := t.root == nil
-	l, r := split(t.root, key)
-	t.root = merge(merge(l, nn), r)
+	t.root = insert(t.root, nn)
 	if wasEmpty {
 		t.minK, t.maxK, t.extOK = key, key, true
 	} else if t.extOK {

@@ -457,3 +457,46 @@ func TestIterativeOpsZeroAlloc(t *testing.T) {
 		t.Errorf("Ascend allocs = %v, want 0", a)
 	}
 }
+
+// TestInsertBuildsTheMergeShape: the one-descent insert builds exactly the
+// tree split + merge(merge(l, new), r) builds — the same node at every
+// position, with the same size — including on priority ties, which
+// priorities drawn from four values make common.
+func TestInsertBuildsTheMergeShape(t *testing.T) {
+	rng := xrand.New(5)
+	for trial := 0; trial < 200; trial++ {
+		var got, want *node[uint64]
+		seen := map[uint64]bool{}
+		for i := 0; i < 60; i++ {
+			key, prio := rng.Uint64()%100, rng.Uint64()%4
+			if trial%2 == 1 {
+				prio = rng.Uint64()
+			}
+			if seen[key] {
+				continue
+			}
+			seen[key] = true
+			got = insert(got, &node[uint64]{key: key, prio: prio, size: 1})
+			l, r := split(want, key)
+			want = merge(merge(l, &node[uint64]{key: key, prio: prio, size: 1}), r)
+			if path, ok := sameShape(got, want, "root"); !ok {
+				t.Fatalf("trial %d: after inserting %d (priority %d) the trees differ at %s", trial, key, prio, path)
+			}
+		}
+	}
+}
+
+// sameShape compares two trees node by node (key, priority, size) and
+// returns the path of the first difference.
+func sameShape(a, b *node[uint64], path string) (string, bool) {
+	switch {
+	case a == nil || b == nil:
+		return path, a == nil && b == nil
+	case a.key != b.key || a.prio != b.prio || a.size != b.size:
+		return path, false
+	}
+	if p, ok := sameShape(a.left, b.left, path+".left"); !ok {
+		return p, false
+	}
+	return sameShape(a.right, b.right, path+".right")
+}

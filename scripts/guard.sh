@@ -49,9 +49,10 @@ tier1() {
   go vet ./...
   test -z "$(gofmt -l .)"
   go test ./...
-  # The selection kernels allocate nothing; the treap's arena path (below)
-  # is guarded by a counter, not timing.
-  must_run ./internal/qsel/ 'TestSelectZeroAlloc'
+  # The selection kernels allocate nothing, and the branch-free band split
+  # agrees with the swap-loop partition; the treap's arena path (below) is
+  # guarded by a counter, not timing.
+  must_run ./internal/qsel/ 'TestSelectZeroAlloc|TestSplitBandZeroAlloc|TestSplitBandAgainstPartitionRange'
   # The local kernels of the batch algorithms: the stable radix engine
   # against a stable sort, the aggregate's sorted runs against a hash-table
   # oracle to the bit and allocation-free on a warm pool, NewData's lists
@@ -61,7 +62,7 @@ tier1() {
   # Counting is sorted runs: the run engine allocation-free on a warm
   # pool, and every dht codec round-trips.
   must_run ./internal/dht/ 'TestRunEngineZeroAlloc|TestWireCodecsRoundTrip|TestCountKeysBothRoutes|TestSBFResolveSplitsCollisions'
-  must_run ./internal/treap/ 'TestArenaPathTaken|TestChurnZeroAlloc|TestPopSmallest'
+  must_run ./internal/treap/ 'TestArenaPathTaken|TestChurnZeroAlloc|TestPopSmallest|TestInsertBuildsTheMergeShape'
   # Goroutine residency: a resident p = 16384 machine, p = 16384 mid-run,
   # p = 65536 inside the memory budget.
   must_run ./internal/comm/ 'TestMailboxGoroutineCountResident|TestRunAsyncMidRunResidency'
@@ -82,7 +83,7 @@ tier1() {
   # round-trips. Exact multisequence selection and bulk DeleteMin ride the
   # same sweeps: tree messages plus one size sum, exact at the edges on
   # every executor, no allocation beyond the batch.
-  must_run ./internal/sel/ 'TestKthIsTreeSweepsOnly|TestKthSpeculationMiss|TestKthTieHeavyShards|TestWireCodecsRoundTrip|TestMSSelectIsTreeSweepsOnly|TestMSSelectEdgeCasesAgainstSortOracle'
+  must_run ./internal/sel/ 'TestKthIsTreeSweepsOnly|TestKthSpeculationMiss|TestKthTieHeavyShards|TestWireCodecsRoundTrip|TestMSSelectIsTreeSweepsOnly|TestMSSelectEdgeCasesAgainstSortOracle|TestKthWindowOpsAgree|TestKthReleaseKeepsNoShardSlice'
   # The collective catalog is what the code calls: every exported coll
   # function has a non-test caller outside the package.
   must_run ./internal/coll/ 'TestReduceConcatStep|TestWireCodecsRoundTrip|TestScalarCollectivesAreVectorForms|TestAllToAllReceivedPartsAreOwned|TestExportedCollectivesHaveCallers'
@@ -95,14 +96,15 @@ tier1() {
   must_run ./internal/mtopk/ 'TestDTAOneSelectionPerProbe|TestDTAProbedFewerRounds|TestDTAPolylogCommunication|TestNewDataListsMatchStableSort|TestInEarlierPrefixMatchesScan'
   # Repeated runs are bit-identical (mtopk DTA/RDTA, bnb, redist, freq),
   # and mtopk's RDTA/TopK, bnb, redist, agg's PAC/ECSum, every freq
-  # algorithm, the bulk priority queue and served Kth/DeleteMin reproduce
-  # their recorded results and meters.
+  # algorithm, SmallestK, the bulk priority queue and served Kth/DeleteMin
+  # reproduce their recorded results and meters.
   must_run ./internal/mtopk/ 'TestMtopkRepeatedRunsBitIdentical|TestMtopkResultsGolden' -count=5
   must_run ./internal/agg/ 'TestAggResultsGolden' -count=5
   must_run ./internal/bnb/ 'TestBnbRepeatedRunsBitIdentical|TestBnbResultsGolden' -count=5
   must_run ./internal/redist/ 'TestBuildPlanStepRepeatedRunsBitIdentical|TestRedistResultsGolden' -count=5
   must_run ./internal/freq/ 'TestFreqRepeatedRunsBitIdentical' -count=5
   must_run ./internal/freq/ 'TestFreqResultsGolden' -count=5
+  must_run ./internal/sel/ 'TestSmallestKGolden' -count=5
   must_run ./internal/bpq/ 'TestBpqResultsGolden' -count=5
   must_run ./internal/serve/ 'TestServeMixedGolden' -count=5
   must_run ./internal/serve/ 'TestDeadlineExpiredAtSubmit|TestDeadlineExpiredWhileQueued' -count=50
@@ -141,7 +143,7 @@ race() {
   # families against their recorded results and meters.
   must_run ./internal/coll/ 'TestVectorSteppersContinuationStress|TestScalarCollectivesAreVectorForms|TestAllToAllReceivedPartsAreOwned' -race -count=3
   must_run ./internal/sel/ 'TestKthStepMatchesBlockingAcrossBackends|TestKthStepRepeatedRunsReusePooledState' -race -count=3
-  must_run ./internal/sel/ 'TestKthSortedDifferential|TestKthWindowOpsAgree|TestKthSortedNeverWritesTheShard|TestKthSortedSkipsTheSizeAllReduce|TestKthIsTreeSweepsOnly|TestKthSpeculationMiss|TestKthTieHeavyShards|TestMSSelectIsTreeSweepsOnly|TestMSSelectEdgeCasesAgainstSortOracle' -race -count=5
+  must_run ./internal/sel/ 'TestKthSortedDifferential|TestKthWindowOpsAgree|TestKthReleaseKeepsNoShardSlice|TestKthSortedNeverWritesTheShard|TestKthSortedSkipsTheSizeAllReduce|TestKthIsTreeSweepsOnly|TestKthSpeculationMiss|TestKthTieHeavyShards|TestMSSelectIsTreeSweepsOnly|TestMSSelectEdgeCasesAgainstSortOracle' -race -count=5
   must_run ./internal/coll/ 'TestReduceConcatStep' -race -count=5
   must_run ./internal/sel/ 'TestAMSLanesAgainstSortOracle|TestAMSLanesShareEachRound|TestAMSSelectNStepSkipsTheSizeSum|TestAMSSelectOneLaneGolden' -race -count=3
   must_run ./internal/bpq/ 'TestDeleteMinMatchesAcrossExecutors|TestDeleteMinThresholdContract|TestInterleavedInsertDelete|TestDeleteMinIsTreeSweepsOnly|TestDeleteMinEdgeCasesAgainstSortOracle|TestDeleteMinFlexibleSumsSizeOnce|TestBpqResultsGolden' -race -count=3
