@@ -1,11 +1,15 @@
 package serve
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"reflect"
+	"slices"
 	"testing"
 
 	"commtopk/internal/comm"
+	"commtopk/internal/xrand"
 )
 
 // TestServeMixedGolden pins a fixed Kth/DeleteMin sequence at
@@ -84,4 +88,65 @@ func fmtServeGolden(outs []queryOutcome) string {
 		s += fmt.Sprintf("\t{res: %d, n: %d, words: %d, sends: %d},\n", o.res, o.n, o.words, o.sends)
 	}
 	return s + "}"
+}
+
+// TestServeKthGolden pins served Kth at a shape with a populated rank
+// table and bounded windows: p = 16 shards of 2^13 unique keys, a few
+// hundred ranks (1, n, evenly spaced ranks, and each side of the global
+// rank of every 8th shard key contributed at a 16p stride), served one
+// at a time and at full inflight depth. Every answer must equal the sort
+// oracle; the attributed meters are pinned as their sums and a digest of
+// the per-query (words, sends) sequence.
+func TestServeKthGolden(t *testing.T) {
+	const p, perPE = 16, 1 << 13
+	const wantWords, wantSends, wantDigest = 613436, 95524, 0x4f30ffb05ce1f631
+	rng := xrand.New(42)
+	shards := make([][]uint64, p)
+	var sorted []uint64
+	for r := range shards {
+		shards[r] = make([]uint64, perPE)
+		for j := range shards[r] {
+			shards[r][j] = rng.Uint64()<<20 | uint64(len(sorted))
+			sorted = append(sorted, shards[r][j])
+		}
+	}
+	slices.Sort(sorted)
+	n := int64(len(sorted))
+	ranks := []int64{1, n}
+	for i := int64(1); i < 100; i++ {
+		ranks = append(ranks, 1+i*(n-1)/100)
+	}
+	stride := 16 * p
+	for _, sh := range shards {
+		own := slices.Sorted(slices.Values(sh))
+		for i := stride - 1; i < len(own); i += 8 * stride {
+			r, _ := slices.BinarySearch(sorted, own[i])
+			ranks = append(ranks, int64(r), int64(r+1), int64(r+2))
+		}
+	}
+	for _, run := range []struct {
+		cfg        Config
+		concurrent bool
+	}{
+		{Config{MaxInflight: 1, BatchMax: 1, Seed: 43}, false},
+		{Config{QueueDepth: 512, MaxInflight: 6, BatchMax: 4, Seed: 43}, true},
+	} {
+		m := comm.NewMachine(comm.DefaultConfig(p))
+		got := runServed(t, m, shards, ranks, run.cfg, run.concurrent)
+		m.Close()
+		var words, sends int64
+		h := fnv.New64a()
+		for i, o := range got {
+			if want := sorted[ranks[i]-1]; o.res != want {
+				t.Errorf("concurrent=%v: Kth(%d) = %d, want %d", run.concurrent, ranks[i], o.res, want)
+			}
+			words += o.words
+			sends += o.sends
+			binary.Write(h, binary.LittleEndian, [2]int64{o.words, o.sends})
+		}
+		if words != wantWords || sends != wantSends || h.Sum64() != wantDigest {
+			t.Errorf("concurrent=%v: %d queries: words %d, sends %d, digest %#x; want %d, %d, %#x",
+				run.concurrent, len(ranks), words, sends, h.Sum64(), wantWords, wantSends, uint64(wantDigest))
+		}
+	}
 }
