@@ -35,14 +35,14 @@ func TestServeMixedGolden(t *testing.T) {
 		3: {
 			{res: 107687713590739073, n: 0, words: 8, sends: 4},
 			{res: 562651720480456706, n: 5, words: 32, sends: 8},
-			{res: 9848460403976175765, n: 0, words: 164, sends: 16},
+			{res: 9848460403976175765, n: 0, words: 127, sends: 12},
 			{res: 748566039293329470, n: 1, words: 16, sends: 8},
 			{res: 4962326346748395558, n: 37, words: 121, sends: 16},
-			{res: 18445585215121260587, n: 0, words: 110, sends: 12},
+			{res: 18445585215121260587, n: 0, words: 35, sends: 4},
 			{res: 0, n: 116, words: 8, sends: 4},
-			{res: 1334437871725052062, n: 0, words: 106, sends: 12},
+			{res: 1334437871725052062, n: 0, words: 112, sends: 12},
 			{res: 0, n: 0, words: 8, sends: 4},
-			{res: 6899904195984359526, n: 0, words: 130, sends: 12},
+			{res: 6899904195984359526, n: 0, words: 126, sends: 12},
 		},
 		16: {
 			{res: 34428792639324519, n: 0, words: 128, sends: 64},
@@ -99,7 +99,7 @@ func fmtServeGolden(outs []queryOutcome) string {
 // the per-query (words, sends) sequence.
 func TestServeKthGolden(t *testing.T) {
 	const p, perPE = 16, 1 << 13
-	const wantWords, wantSends, wantDigest = 613436, 95524, 0x4f30ffb05ce1f631
+	const wantWords, wantSends, wantDigest = 144879, 27132, 0xcc4fd84b19df499d
 	rng := xrand.New(42)
 	shards := make([][]uint64, p)
 	var sorted []uint64

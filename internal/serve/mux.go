@@ -45,6 +45,7 @@ type slot[K cmp.Ordered] struct {
 type mux[K cmp.Ordered] struct {
 	srv   *Server[K]
 	shard []K              // this PE's resident sorted shard; read-only
+	table rankTable        // this PE's share of the resident rank table
 	db    *comm.RecvHandle // posted doorbell receive (ctx 0)
 	slots []*slot[K]
 	// DeleteMin state: the queue is the unpopped suffix shard[cut:], rng
@@ -62,7 +63,8 @@ type mux[K cmp.Ordered] struct {
 }
 
 func newMux[K cmp.Ordered](s *Server[K], pe *comm.PE) *mux[K] {
-	return &mux[K]{srv: s, shard: s.sorted[pe.Rank()], rng: xrand.NewPE(s.cfg.Seed, pe.Rank())}
+	r := pe.Rank()
+	return &mux[K]{srv: s, shard: s.sorted[r], table: s.tables[r], rng: xrand.NewPE(s.cfg.Seed, r)}
 }
 
 // PendingHandles implements comm.MultiWaiter: everything this PE might
@@ -175,7 +177,8 @@ func (x *mux[K]) addSlot(pe *comm.PE, q *query[K]) {
 			func(r freq.Result) { sl.items = r.Items })
 		x.slots = append(x.slots, sl)
 	default:
-		sl.step = sel.KthSortedStep(pe, x.shard, x.srv.n, q.k, xrand.NewPE(q.seed, pe.Rank()), func(v K) { sl.res = v })
+		lo, hi, base, total := x.table.window(q.k, x.srv.n, len(x.shard))
+		sl.step = sel.KthSortedStep(pe, x.shard[lo:hi], total, q.k-base, xrand.NewPE(q.seed, pe.Rank()), func(v K) { sl.res = v })
 		x.slots = append(x.slots, sl)
 	}
 	pe.SetCtx(0)

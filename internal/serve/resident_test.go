@@ -9,14 +9,15 @@ import (
 	"commtopk/internal/xrand"
 )
 
-// TestServeResidentIndex pins what NewServer's sorted copy costs and
-// what it must not touch: the caller's shards are byte-identical after a
-// server's whole life (bench/ reuses them across set-ups), and a server
-// that has run 100 fat Kth queries over all eight context leases and then
-// 20 DeleteMin(32) holds one more copy of the shards plus a constant — no
-// Θ(n/p) scratch per (PE, context) survives on the serve path, and the
-// priority queue DeleteMin pops from is the sorted copy itself, not a
-// second structure over the same keys.
+// TestServeResidentIndex pins what NewServer's sorted copy and rank
+// table cost and what they must not touch: the caller's shards are
+// byte-identical after a server's whole life (bench/ reuses them across
+// set-ups), and a server that has run 100 fat Kth queries over all eight
+// context leases and then 20 DeleteMin(32) holds one more copy of the
+// shards, its rank table (12 bytes per row, n/16p rows on every PE) and
+// a constant — no Θ(n/p) scratch per (PE, context) survives on the serve
+// path, and the priority queue DeleteMin pops from is the sorted copy
+// itself, not a second structure over the same keys.
 func TestServeResidentIndex(t *testing.T) {
 	const p, perPE, queries, pops, batch = 4, 1 << 16, 100, 20, 32
 	rng := xrand.New(21)
@@ -81,8 +82,12 @@ func TestServeResidentIndex(t *testing.T) {
 		t.Errorf("server holds %d bytes after %d Kth queries at MaxInflight 8 and %d DeleteMin(%d); want at most %d (1.25 × %d shard bytes + 1 MiB)",
 			held, queries, pops, batch, limit, shardBytes)
 	}
-	t.Logf("resident after %d Kth and %d DeleteMin queries: %d bytes for %d shard bytes (%.2f×)",
-		queries, pops, held, shardBytes, float64(held)/shardBytes)
+	var tableBytes int
+	for _, tb := range s.tables {
+		tableBytes += 8*len(tb.ranks) + 4*len(tb.pos)
+	}
+	t.Logf("resident after %d Kth and %d DeleteMin queries: %d bytes for %d shard bytes (%.2f×), %d of them the rank table",
+		queries, pops, held, shardBytes, float64(held)/shardBytes, tableBytes)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

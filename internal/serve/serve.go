@@ -45,6 +45,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -222,6 +223,9 @@ type Server[K cmp.Ordered] struct {
 	// sorted is the resident index: sorted[i] is an ascending copy of PE
 	// i's shard, built once by NewServer and never written afterwards.
 	sorted [][]K
+	// tables[i] is PE i's share of the rank table over the sorted shards,
+	// built once by NewServer (see buildRankTable).
+	tables []rankTable
 	n      int64 // total elements across shards
 	cfg    Config
 	// freqShards is the uint64 view of the caller's shards (non-nil iff K
@@ -265,7 +269,16 @@ func NewServer[K cmp.Ordered](m *comm.Machine, shards [][]K, cfg Config) (*Serve
 		dspDone: make(chan struct{}),
 	}
 	for _, sh := range shards {
+		if len(sh) > math.MaxInt32 {
+			return nil, fmt.Errorf("serve: shard of %d keys exceeds %d", len(sh), math.MaxInt32)
+		}
 		s.n += int64(len(sh))
+	}
+	s.tables = make([]rankTable, m.P())
+	if err := m.Run(func(pe *comm.PE) {
+		s.tables[pe.Rank()] = buildRankTable(pe, s.sorted[pe.Rank()])
+	}); err != nil {
+		return nil, err
 	}
 	if fs, ok := any(shards).([][]uint64); ok {
 		s.freqShards = fs

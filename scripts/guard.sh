@@ -78,6 +78,11 @@ tier1() {
   # policy is caught; a seed is a trace, in both body forms).
   must_run ./internal/experiments/ 'TestScheduleExploration|TestExplorationIsSensitive|TestFuzzDifferentialSteppers'
   must_run ./internal/serve/ 'TestServeScheduleExploration'
+  # Served Kth's rank table: built through both executors on random,
+  # tie-heavy, unequal, empty and short shards; windows of at most 16p²
+  # keys; answers at and beside every row rank against the sort oracle;
+  # the sends per query it saves.
+  must_run ./internal/serve/ 'TestRankTable|TestRankTableServedAnswers|TestRankTableCutsSends'
   # Selection's two-sweep level: tree messages only, the miss path, tie-heavy
   # shards, the up-sweep stepper, and every sel/coll/bpq wire codec
   # round-trips. Exact multisequence selection and bulk DeleteMin ride the
@@ -106,7 +111,7 @@ tier1() {
   must_run ./internal/freq/ 'TestFreqResultsGolden' -count=5
   must_run ./internal/sel/ 'TestSmallestKGolden' -count=5
   must_run ./internal/bpq/ 'TestBpqResultsGolden' -count=5
-  must_run ./internal/serve/ 'TestServeMixedGolden' -count=5
+  must_run ./internal/serve/ 'TestServeMixedGolden|TestServeKthGolden' -count=5
   must_run ./internal/serve/ 'TestDeadlineExpiredAtSubmit|TestDeadlineExpiredWhileQueued' -count=50
   # Wire: 2-process differential (results and meters bit-identical), worker
   # death is a clean error with no goroutine leak.
@@ -158,8 +163,8 @@ race() {
   must_run ./internal/qsel/ 'TestSortPairsStableAgainstSortOracle' -race -count=3
   # Serving: concurrent equals sequential for all three kinds, on both
   # executors; Kth/DeleteMin against their recorded results and meters;
-  # the resident index; the stress.
-  must_run ./internal/serve/ 'TestServeResidentIndex|TestServeConcurrentMatchesSequential|TestServeMixedKindsConcurrentMatchesSequential|TestServeFreqConcurrentMatchesSequential|TestServeScheduleExploration|TestServeConcurrentStress|TestServeMixedGolden' -race -count=5
+  # the resident index and its rank table; the stress.
+  must_run ./internal/serve/ 'TestServeResidentIndex|TestServeConcurrentMatchesSequential|TestServeMixedKindsConcurrentMatchesSequential|TestServeFreqConcurrentMatchesSequential|TestServeScheduleExploration|TestServeConcurrentStress|TestServeMixedGolden|TestRankTable|TestRankTableServedAnswers|TestRankTableCutsSends' -race -count=5
   # External abort against finishRun's re-arm (the wire reader goroutine).
   must_run ./internal/wire/ 'TestWorkerCrashTeardown|TestClusterCloseIdempotent' -race -count=20
 }
