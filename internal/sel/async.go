@@ -226,12 +226,14 @@ func newKthNStep[K cmp.Ordered](pe *comm.PE, local []K, n, k int64, rng *xrand.R
 }
 
 // KthSortedStep is KthNStep for a resident, locally sorted shard: sorted
-// must be ascending and n must be the global element count —
-// preconditions the caller states, as MSSelect's callers do for theirs;
-// neither is checked. In exchange the shard is never written or copied
-// (it may be shared by any number of concurrent selections) and local
-// work per recursion level is O(log len(sorted) + sample) instead of a
-// scan. A query is nothing but tree sweeps: 2(p−1) messages per level.
+// must be ascending and n must be the global element count of the union of
+// the slices the PEs pass (not of their whole shards: a caller that passes
+// a sub-slice, a window or a prefix, passes that union's size and a rank
+// inside it) — preconditions the caller states, as MSSelect's callers do
+// for theirs; neither is checked. In exchange the shard is never written
+// or copied (it may be shared by any number of concurrent selections) and
+// local work per recursion level is O(log len(sorted) + sample) instead of
+// a scan. A query is nothing but tree sweeps: 2(p−1) messages per level.
 // The sample reads the same window positions with the same RNG draws per
 // level as KthStep and the collectives are identical, but on the same
 // multiset the two forms see differently ordered windows, so their pivot

@@ -96,7 +96,8 @@ func fmtServeGolden(outs []queryOutcome) string {
 // rank of every 8th shard key contributed at a 16p stride), served one
 // at a time and at full inflight depth. Every answer must equal the sort
 // oracle; the attributed meters are pinned as their sums and a digest of
-// the per-query (words, sends) sequence.
+// the per-query (words, sends) sequence. Selecting over all n keys, with
+// no rank table, the same queries sent 613 436 words in 95 524 messages.
 func TestServeKthGolden(t *testing.T) {
 	const p, perPE = 16, 1 << 13
 	const wantWords, wantSends, wantDigest = 144879, 27132, 0xcc4fd84b19df499d

@@ -158,12 +158,13 @@ func (x *mux[K]) Step(pe *comm.PE) *comm.RecvHandle {
 	}
 }
 
-// addSlot starts a dispatched query on this PE. Kth runs the
-// sorted-input selection straight on the resident shard (no copy, no
-// size all-reduce: the server knows n); its per-query RNG seed makes the
-// pivot walk (and so the meter) independent of interleaving. DeleteMin
-// draws from the mux's own stream, which the FIFO consumes in dispatch
-// order.
+// addSlot starts a dispatched query on this PE. Kth looks up the rank
+// table's window around k (a binary search, no messages) and runs the
+// sorted-input selection straight on that sub-slice of the resident
+// shard (no copy, no size all-reduce: the table knows the window's global
+// size); its per-query RNG seed makes the pivot walk (and so the meter)
+// independent of interleaving. DeleteMin draws from the mux's own
+// stream, which the FIFO consumes in dispatch order.
 func (x *mux[K]) addSlot(pe *comm.PE, q *query[K]) {
 	sl := &slot[K]{q: q}
 	pe.SetCtx(q.ctx)

@@ -16,21 +16,28 @@
 // bit-identical to a sequential run — pinned by the differential test.
 //
 // The key set is immutable for a server's lifetime, so NewServer builds
-// a resident index once — a sorted copy of every shard — and the two
-// query kinds that select by key order are answered from it. Kth answers
-// from the whole key set with the sorted-input form of Algorithm 1
-// (sel.KthSortedStep: the candidate window is a sub-slice of the resident
+// a resident index once — a sorted copy of every shard and a rank table
+// over the copies — and the two query kinds that select by key order are
+// answered from it. The rank table holds every (16p)-th key of every
+// sorted shard as a row with its exact global rank and, per PE, the
+// shard position that cuts the key set at that row. Kth finds the two
+// rows around its rank by a binary search, with no messages, and runs
+// the sorted-input form of Algorithm 1 (sel.KthSortedStep) inside that
+// window of at most 16p² keys: the window is a sub-slice of the resident
 // shard, never copied or written; band counts are binary searches; the
-// global size is the server's constant, not a per-query all-reduce).
-// DeleteMin pops from the unpopped suffix of every sorted shard, the
-// server's priority queue (a served queue never inserts): one size sum,
-// the same selection on the first min(k, len) keys of every suffix
-// (Appendix A), and a per-PE cursor moves past the batch. Popped keys
-// stay in the index, so Kth still sees them. Cost: O(n/p · log n/p)
-// set-up per shard (sorted min(GOMAXPROCS, p) at a time) and n words
-// resident beside the caller's shards; against a one-shot scan per query
-// that is repaid after about ten Kth queries per server. TopKFreq counts
-// occurrences, not order, and keeps reading the caller's shards.
+// window's global size is read off the table, not a per-query
+// all-reduce. DeleteMin pops from the unpopped suffix of every sorted
+// shard, the server's priority queue (a served queue never inserts): one
+// size sum, the same selection on the first min(k, len) keys of every
+// suffix (Appendix A), and a per-PE cursor moves past the batch; it does
+// not use the table. Popped keys stay in the index, so Kth still sees
+// them. Cost: O(n/p · log n/p) set-up per shard (sorted min(GOMAXPROCS,
+// p) at a time), one all-gather of n/16p rows and one all-reduce of as
+// many counts; resident beside the caller's shards are n words of sorted
+// copies and 12 bytes per row on every PE (3/4 of a byte per key in
+// all). Against a one-shot scan per query that is repaid after about ten
+// Kth queries per server. TopKFreq counts occurrences, not order, and
+// keeps reading the caller's shards.
 //
 // Lifecycle: NewServer starts the machine body (RunAsync) and the
 // dispatcher. Kth, DeleteMin and TopKFreq (and their Deadline forms) are
@@ -247,16 +254,20 @@ type Server[K cmp.Ordered] struct {
 
 // NewServer starts serving queries against shards (shards[i] is PE i's
 // resident data) on m. The shards are never written — not by NewServer,
-// not by any query — and the caller must not write them either until
-// Close returns (TopKFreq reads them in place). Kth and DeleteMin are
-// served from a sorted copy NewServer makes of each shard, which no
-// query writes either: set-up costs O(n/p · log n/p) per shard, spread
-// over min(GOMAXPROCS, p) goroutines that have exited when NewServer
-// returns, and the server holds n more words than the caller's shards. A
-// one-shot Kth scans its shard about three times and the sort costs about
-// sixteen scans, so the index has paid for itself after roughly ten Kth
-// queries. The machine must be idle; it stays busy until Close and
-// remains owned by the caller afterwards.
+// not by any query — and the caller must not write them either until Close
+// returns (TopKFreq reads them in place); no shard may hold more than
+// math.MaxInt32 keys. Kth and DeleteMin are served from a sorted copy NewServer
+// makes of each shard, which no query writes either, and Kth also from a
+// rank table over the copies. The sort costs O(n/p · log n/p) per shard,
+// spread over min(GOMAXPROCS, p) goroutines that have exited when
+// NewServer returns; the table costs one blocking run on m (an all-gather
+// of n/16p rows, a binary search per row on every PE and one all-reduce of
+// the counts). The server holds n more words than the caller's shards plus
+// 12 bytes per table row on every PE. A one-shot Kth scans its shard about
+// three times and the sort costs about sixteen scans (the table adds about
+// a seventh to the set-up at p = 16, n/p = 2^16), so the index has paid
+// for itself after roughly ten Kth queries. The machine must be idle; it
+// stays busy until Close and remains owned by the caller afterwards.
 func NewServer[K cmp.Ordered](m *comm.Machine, shards [][]K, cfg Config) (*Server[K], error) {
 	if len(shards) != m.P() {
 		return nil, fmt.Errorf("serve: %d shards for %d PEs", len(shards), m.P())
