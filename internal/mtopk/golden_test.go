@@ -132,7 +132,7 @@ func TestMtopkResultsGolden(t *testing.T) {
 				{Threshold: 2, K: 128, PrefixLens: []int{14, 13, 12}, Hits: []Hit{{0xe0000000d, 2.125}, {0xe00000016, 2.125}, {0xe00000021, 2.125}, {0xe00000026, 2.125}, {0xe0000000c, 2}, {0xe0000001b, 2}}, Rounds: 6, EstimatedHits: 65.70153061224488},
 				{Threshold: 2, K: 128, PrefixLens: []int{10, 19, 13}, Hits: []Hit{{0xf00000001, 2.25}, {0xf0000001c, 2.25}, {0xf00000012, 2.125}, {0xf00000015, 2.125}, {0xf0000001a, 2}}, Rounds: 6, EstimatedHits: 65.70153061224488},
 			},
-			topkStats: comm.Stats{TotalWords: 148267, MaxSentWords: 10069, MaxRecvWords: 10369, TotalSends: 34120, MaxSends: 2193, MaxClock: 4405018},
+			topkStats: comm.Stats{TotalWords: 146571, MaxSentWords: 9749, MaxRecvWords: 10065, TotalSends: 33760, MaxSends: 2145, MaxClock: 4308397},
 		},
 	}
 	const k = 9

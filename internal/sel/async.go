@@ -37,24 +37,40 @@ import (
 //     pivots for the next up-sweep.
 //
 // The pivots are Floyd–Rivest's: with m sample elements of a window of n
-// whose rank-k element is wanted, the sample ranks k·m/n ± Δ, Δ = m^(1/2+δ),
-// δ = 1/10, extracted at the root with expected-linear order statistics
-// (qsel.Select, in place on the borrowed concatenation). The rate needs
-// no knob: a fraction c/m of the sample lies between the chosen pivots,
-// so the next band holds about n·c/m elements and rate = min(1,
-// target/(n·c/m)) keeps the expected sample at target = 4(√p + 8)
-// elements, Θ(√p) as Theorem 1 needs (c counts by value, so a tie group
-// on a pivot does not inflate the sample). When the rate reaches 1 the
-// "sample" is the whole band, and the root answers from it instead of
-// picking pivots: the residual problem needs no collective of its own.
+// whose rank-k element is wanted, the sample ranks k·m/n ± Δ, extracted
+// at the root with expected-linear order statistics (qsel.Select, in
+// place on the borrowed concatenation). The rate needs no knob: a
+// fraction c/m of the sample lies between the chosen pivots, so the next
+// band holds about n·c/m elements and rate = min(1, target/(n·c/m))
+// keeps the expected sample at target elements, Θ(√p) as Theorem 1 needs
+// (c counts by value, so a tie group on a pivot does not inflate the
+// sample). When the rate reaches 1 the "sample" is the whole band, and
+// the root answers from it instead of picking pivots: the residual
+// problem needs no collective of its own.
 //
 // Level 0 has no pivots yet: the band is the whole window, sampled at
 // min(1, target/n) — a "plain" sweep, always a hit. A speculation miss
-// (the answer lies in a or c; Δ is ≈ 3σ of the sample rank, and 0.6–0.8 %
-// of the levels on unique keys at p = 16 and 64 are misses) leaves the
-// root with a sample of the wrong band; the PEs narrow to the right one
-// and run a plain sweep on it. So do the two other rare cases, an empty
-// sample (rate 0 in the verdict) and a peeled tie group.
+// (the answer lies in a or c) leaves the root with a sample of the wrong
+// band; the PEs narrow to the right one and run a plain sweep on it. So
+// do the two other rare cases, an empty sample (rate 0 in the verdict)
+// and a peeled tie group.
+//
+// The two forms price a miss differently, so each has its own level
+// rule, fixed in setUp (target) and judge (Δ):
+//
+//   - Unsorted: target 4(√p + 8), Δ = m^(1/2+δ), δ = 1/10, ≈ 3σ of the
+//     sample rank. A miss costs a Θ(window) pass (qsel.Keep or a rebuild)
+//     besides its sweep, so the wide Δ keeps misses rare: 0.6–0.8 % of
+//     the levels on unique keys at p = 16 and 64. A level shrinks the
+//     window by m/2Δ ≈ 2.4.
+//   - Sorted: target 8(√p + 8), Δ = ⌈¾√m⌉, ≈ 1.5σ. A miss costs one sweep
+//     and no scan, so a sample twice as large with pivots twice as tight
+//     shrinks the window by m/2Δ ≈ ⅔√m per level (≈ 6.5 at p = 16), and
+//     the 9–15 % of pivot levels that miss cost less than the levels it
+//     saves: 4–6.3 sweeps per query instead of 6.3–11 on random keys at
+//     p = 16 and 64 (TestKthSortedSweepsPerQuery). The larger sample
+//     alone, at Δ = m^0.6, would cost words: more selections would end in
+//     a whole-band gather.
 //
 // Every level strictly shrinks the window — the pivots are elements of
 // it, so no band that is kept is the whole of it except in the tie-peel
@@ -79,7 +95,8 @@ import (
 // ascending) uses the shard itself: an ascending slice already is the
 // [a | b | c] layout, so the band sizes are binary searches and the shard
 // is never written — O(log window + sample) per level. Sampling, pivot
-// choice, every collective and every branch are the same code.
+// choice, every collective and every branch are the same code; only the
+// level rule's two constants differ.
 
 // kthStep phases.
 const (
@@ -136,7 +153,7 @@ type kthStep[K cmp.Ordered] struct {
 	win          []K
 	band         []K
 	kRem, n      int64
-	target       float64 // expected sample size, 4(√p + 8)
+	target       float64 // expected sample size, 4(√p + 8), twice that sorted
 	plain        bool
 	pivLo, pivHi K
 	rate         float64
@@ -234,10 +251,13 @@ func newKthNStep[K cmp.Ordered](pe *comm.PE, local []K, n, k int64, rng *xrand.R
 // or copied (it may be shared by any number of concurrent selections) and
 // local work per recursion level is O(log len(sorted) + sample) instead of
 // a scan. A query is nothing but tree sweeps: 2(p−1) messages per level.
-// The sample reads the same window positions with the same RNG draws per
-// level as KthStep and the collectives are identical, but on the same
-// multiset the two forms see differently ordered windows, so their pivot
-// walks (and meters) differ; the answer is exact in both.
+// A speculation miss costs it one sweep and no scan, so it has a level
+// rule of its own (see the file comment): a sample of 8(√p + 8), twice
+// KthStep's, and pivots ⌈¾√m⌉ sample ranks either side of the target
+// instead of m^0.6, which takes about half as many levels on random keys.
+// Sampling, pivot choice and the collectives are otherwise KthStep's
+// code; the two forms' pivot walks (and meters) differ, and the answer is
+// exact in both.
 func KthSortedStep[K cmp.Ordered](pe *comm.PE, sorted []K, n, k int64, rng *xrand.RNG, out func(K)) comm.Stepper {
 	s := newKthNStep(pe, sorted, n, k, rng, out, true)
 	s.sorted = true
@@ -384,6 +404,9 @@ func (s *kthStep[K]) setUp(pe *comm.PE, n int64) {
 	s.kRem, s.n = s.k, n
 	s.nBelow = 0
 	s.target = 4 * (math.Sqrt(float64(pe.P())) + 8)
+	if s.sorted { // a miss costs one sweep and no scan: see the file comment
+		s.target *= 2
+	}
 	s.phase = kphLoop
 }
 
@@ -447,9 +470,13 @@ func (s *kthStep[K]) judge(sums []int64, all []K) {
 			v.lo = qsel.Select(all, int(kRem-1))
 		case m > 0:
 			r := kRem * m / n
-			delta := int64(math.Ceil(math.Pow(float64(m), 0.5+0.1)))
-			iLo := int(clamp(r-delta, 0, m-1))
-			iHi := int(clamp(r+delta, 0, m-1))
+			delta := math.Pow(float64(m), 0.5+0.1)
+			if s.sorted { // see the file comment for the two rules
+				delta = 0.75 * math.Sqrt(float64(m))
+			}
+			d := int64(math.Ceil(delta))
+			iLo := int(clamp(r-d, 0, m-1))
+			iHi := int(clamp(r+d, 0, m-1))
 			// Select leaves all[iLo:] ≥ lo, so the upper pivot is an order
 			// statistic of that part.
 			v.lo = qsel.Select(all, iLo)

@@ -324,3 +324,78 @@ func TestKthTieHeavyShards(t *testing.T) {
 		m.Close()
 	}
 }
+
+// TestKthSortedSweepsPerQuery guards the sorted form's level rule: a
+// sample of 8(√p + 8) and pivots ⌈¾√m⌉ sample ranks either side of the
+// target. Over random keys at p = 16 and 64, n/p = 2^8 and 2^14, the mean
+// number of sweeps (levels) per KthSortedStep must stay at or under the
+// bound: the rule's measurement (3.96, 6.25, 4.23 and 6.27) plus about
+// 11 %. Δ = m^0.6 at the same target reads 4.69, 8.27, 5.10 and 8.38,
+// and the unsorted rule (target 4(√p + 8), Δ = m^0.6) 6.33, 10.83, 6.94
+// and 11.00. It logs the share of pivot levels that missed: 9–15 % under
+// this rule, 2.5–7 % under the unsorted one. A miss costs the sorted form
+// one sweep and no scan, so the narrow Δ spends misses to save levels.
+func TestKthSortedSweepsPerQuery(t *testing.T) {
+	const seeds, ranks = 3, 16
+	for _, tc := range []struct {
+		p, perPE int
+		bound    float64
+	}{
+		{16, 1 << 8, 4.4},
+		{16, 1 << 14, 7.0},
+		{64, 1 << 8, 4.7},
+		{64, 1 << 14, 7.0},
+	} {
+		n := tc.p * tc.perPE
+		global := make([]uint64, n)
+		rng := xrand.New(int64(tc.p + tc.perPE))
+		for i := range global {
+			global[i] = rng.Uint64()
+		}
+		sorted, union := sortedShards(distribute(global, tc.p))
+		// All selections of a shape run in one blocking run, one after
+		// another on every PE: under -race a run per selection grew the
+		// test binary by about 60 KB per coroutine it retired. The root
+		// counts the sweeps.
+		var o observed
+		levels, pivotLevels, misses := 0, 0, 0
+		m := comm.NewMachine(comm.DefaultConfig(tc.p))
+		m.MustRun(func(pe *comm.PE) {
+			for seed := int64(1); seed <= seeds; seed++ {
+				for i := range ranks {
+					k := 2 + int64(i)*int64(n-2)/(ranks-1)
+					st := newKthStep(pe, sorted[pe.Rank()], k, xrand.NewPE(seed, pe.Rank()), nil, false)
+					st.sorted = true
+					st.setUp(pe, int64(n))
+					restore := watchSweeps(pe, st, &o)
+					comm.RunSteps(pe, st)
+					if st.res != union[k-1] {
+						t.Errorf("p=%d n/p=%d k=%d seed=%d: rank %d got %d, want %d", tc.p, tc.perPE, k, seed, pe.Rank(), st.res, union[k-1])
+					}
+					restore()
+					st.release(pe)
+					if pe.Rank() != 0 {
+						continue
+					}
+					levels += len(o.sweeps)
+					for j, sw := range o.sweeps {
+						if !sw.plain {
+							pivotLevels++
+							if j+1 < len(o.sweeps) && o.sweeps[j+1].plain {
+								misses++
+							}
+						}
+					}
+					o.sweeps = o.sweeps[:0]
+				}
+			}
+		})
+		m.Close()
+		mean := float64(levels) / (seeds * ranks)
+		t.Logf("p=%d n/p=%d: %.2f sweeps per query, %d of %d pivot levels missed (%.1f %%)",
+			tc.p, tc.perPE, mean, misses, pivotLevels, 100*float64(misses)/float64(max(pivotLevels, 1)))
+		if mean > tc.bound {
+			t.Errorf("p=%d n/p=%d: %.2f sweeps per query, want at most %.2f", tc.p, tc.perPE, mean, tc.bound)
+		}
+	}
+}

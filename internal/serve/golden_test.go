@@ -35,26 +35,26 @@ func TestServeMixedGolden(t *testing.T) {
 		3: {
 			{res: 107687713590739073, n: 0, words: 8, sends: 4},
 			{res: 562651720480456706, n: 5, words: 32, sends: 8},
-			{res: 9848460403976175765, n: 0, words: 127, sends: 12},
+			{res: 9848460403976175765, n: 0, words: 101, sends: 8},
 			{res: 748566039293329470, n: 1, words: 16, sends: 8},
-			{res: 4962326346748395558, n: 37, words: 121, sends: 16},
+			{res: 4962326346748395558, n: 37, words: 106, sends: 12},
 			{res: 18445585215121260587, n: 0, words: 35, sends: 4},
 			{res: 0, n: 116, words: 8, sends: 4},
-			{res: 1334437871725052062, n: 0, words: 112, sends: 12},
+			{res: 1334437871725052062, n: 0, words: 103, sends: 8},
 			{res: 0, n: 0, words: 8, sends: 4},
-			{res: 6899904195984359526, n: 0, words: 126, sends: 12},
+			{res: 6899904195984359526, n: 0, words: 111, sends: 8},
 		},
 		16: {
 			{res: 34428792639324519, n: 0, words: 128, sends: 64},
-			{res: 129839787077009564, n: 5, words: 479, sends: 124},
-			{res: 8712363069245751545, n: 0, words: 982, sends: 150},
+			{res: 129839787077009564, n: 5, words: 393, sends: 94},
+			{res: 8712363069245751545, n: 0, words: 807, sends: 90},
 			{res: 175869751220765394, n: 1, words: 256, sends: 128},
-			{res: 748566039293329470, n: 37, words: 881, sends: 184},
-			{res: 18445890744356962677, n: 0, words: 592, sends: 90},
+			{res: 748566039293329470, n: 37, words: 735, sends: 124},
+			{res: 18445890744356962677, n: 0, words: 601, sends: 90},
 			{res: 0, n: 807, words: 128, sends: 64},
-			{res: 177682610788499597, n: 0, words: 580, sends: 90},
+			{res: 177682610788499597, n: 0, words: 725, sends: 90},
 			{res: 0, n: 0, words: 128, sends: 64},
-			{res: 5957843835285406165, n: 0, words: 959, sends: 150},
+			{res: 5957843835285406165, n: 0, words: 823, sends: 90},
 		},
 	}
 	for _, p := range []int{1, 3, 16} {
@@ -97,10 +97,10 @@ func fmtServeGolden(outs []queryOutcome) string {
 // at a time and at full inflight depth. Every answer must equal the sort
 // oracle; the attributed meters are pinned as their sums and a digest of
 // the per-query (words, sends) sequence. Selecting over all n keys, with
-// no rank table, the same queries sent 613 436 words in 95 524 messages.
+// no rank table, the same queries sent 458 183 words in 51 128 messages.
 func TestServeKthGolden(t *testing.T) {
 	const p, perPE = 16, 1 << 13
-	const wantWords, wantSends, wantDigest = 144879, 27132, 0xcc4fd84b19df499d
+	const wantWords, wantSends, wantDigest = 118848, 18818, 0x16b40019a354f158
 	rng := xrand.New(42)
 	shards := make([][]uint64, p)
 	var sorted []uint64

@@ -261,12 +261,14 @@ type Server[K cmp.Ordered] struct {
 // rank table over the copies. The sort costs O(n/p · log n/p) per shard,
 // spread over min(GOMAXPROCS, p) goroutines that have exited when
 // NewServer returns; the table costs one blocking run on m (an all-gather
-// of n/16p rows, a binary search per row on every PE and one all-reduce of
-// the counts). The server holds n more words than the caller's shards plus
-// 12 bytes per table row on every PE. A one-shot Kth scans its shard about
-// three times and the sort costs about sixteen scans (the table adds about
-// a seventh to the set-up at p = 16, n/p = 2^16), so the index has paid
-// for itself after roughly ten Kth queries. The machine must be idle; it
+// of n/16p rows, a merge of the rows and one walk over the shard on every
+// PE, and one all-reduce of the counts), skipped when every shard is
+// shorter than 16p and the table would be empty. The server holds n more
+// words than the caller's shards plus 12 bytes per table row on every PE.
+// A one-shot Kth scans its shard about three times and the sort costs
+// about sixteen scans (the table adds under a tenth to the set-up at
+// p = 16, n/p = 2^16), so the index has paid for itself after roughly ten
+// Kth queries. The machine must be idle; it
 // stays busy until Close and remains owned by the caller afterwards.
 func NewServer[K cmp.Ordered](m *comm.Machine, shards [][]K, cfg Config) (*Server[K], error) {
 	if len(shards) != m.P() {
@@ -279,17 +281,23 @@ func NewServer[K cmp.Ordered](m *comm.Machine, shards [][]K, cfg Config) (*Serve
 		runDone: make(chan struct{}),
 		dspDone: make(chan struct{}),
 	}
+	longest := 0
 	for _, sh := range shards {
 		if len(sh) > math.MaxInt32 {
 			return nil, fmt.Errorf("serve: shard of %d keys exceeds %d", len(sh), math.MaxInt32)
 		}
 		s.n += int64(len(sh))
+		longest = max(longest, len(sh))
 	}
 	s.tables = make([]rankTable, m.P())
-	if err := m.Run(func(pe *comm.PE) {
-		s.tables[pe.Rank()] = buildRankTable(pe, s.sorted[pe.Rank()])
-	}); err != nil {
-		return nil, err
+	// A shard shorter than the stride contributes no row, so when every
+	// shard is, the table is empty and its run would buy nothing.
+	if longest >= rankStride*m.P() {
+		if err := m.Run(func(pe *comm.PE) {
+			s.tables[pe.Rank()] = buildRankTable(pe, s.sorted[pe.Rank()])
+		}); err != nil {
+			return nil, err
+		}
 	}
 	if fs, ok := any(shards).([][]uint64); ok {
 		s.freqShards = fs

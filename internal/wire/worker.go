@@ -7,6 +7,7 @@ import (
 	"os"
 	"strconv"
 	"sync/atomic"
+	"time"
 
 	"commtopk/internal/comm"
 	"commtopk/internal/mailbox"
@@ -17,6 +18,13 @@ import (
 // completes the handshake, builds a windowed mailbox machine over its rank
 // window, and then serves start frames until shutdown. Every frame it
 // sends goes to the leader, which delivers or relays (hub topology).
+
+// unwindBound is how long a worker whose reader has failed — the leader
+// is gone, or sent a frame it cannot use — waits for its run to unwind
+// before it ends the process with status 2. A PE that never suspends
+// never sees the machine abort, and its worker would otherwise outlive
+// its leader.
+const unwindBound = 3 * time.Second
 
 // Environment keys Spawn sets for worker processes.
 const (
@@ -45,7 +53,9 @@ func MaybeWorker() {
 
 // WorkerMain runs the worker loop against the leader at (network, addr)
 // as group index and returns the process exit code: 0 after a clean
-// shutdown frame, nonzero on transport or protocol failure.
+// shutdown frame, nonzero on transport or protocol failure. When the
+// leader connection fails and the run in progress has not unwound
+// within unwindBound, it exits the process with status 2 itself.
 func WorkerMain(network, addr string, index int) int {
 	if network == "" {
 		network = "unix"
@@ -92,6 +102,21 @@ func WorkerMain(network, addr string, index int) int {
 		shutCh    = make(chan struct{})
 		downCh    = make(chan error, 1)
 	)
+	// unwound ends the process unless stopped; fail arms it.
+	unwound := time.AfterFunc(unwindBound, func() {
+		fmt.Fprintf(os.Stderr, "wire worker %d: the run did not unwind within %v of the failure\n", index, unwindBound)
+		os.Exit(2)
+	})
+	unwound.Stop()
+	defer unwound.Stop()
+	// fail ends the reader on err: the run in progress aborts, the main
+	// loop returns 2 once it has unwound, and the process exits with 2
+	// after unwindBound if it has not.
+	fail := func(err error) {
+		unwound.Reset(unwindBound)
+		m.AbortExternal(err)
+		downCh <- err
+	}
 	go func() { // reader: deliveries and control, concurrent with m.Run
 		for {
 			body, err := readFrame(br)
@@ -101,9 +126,7 @@ func WorkerMain(network, addr string, index int) int {
 					return // clean: leader closed after shutdown
 				default:
 				}
-				err = fmt.Errorf("wire worker %d: leader connection lost: %w", index, err)
-				m.AbortExternal(err)
-				downCh <- err
+				fail(fmt.Errorf("wire worker %d: leader connection lost: %w", index, err))
 				return
 			}
 			switch body[0] {
@@ -113,17 +136,14 @@ func WorkerMain(network, addr string, index int) int {
 					err = fmt.Errorf("misrouted frame for rank %d (window [%d, %d))", dst, w.Lo, w.Hi)
 				}
 				if err != nil {
-					err = fmt.Errorf("wire worker %d: %w", index, err)
-					m.AbortExternal(err)
-					downCh <- err
+					fail(fmt.Errorf("wire worker %d: %w", index, err))
 					return
 				}
 				m.Deliver(dst, msg)
 			case kStart:
 				s, err := decodeStart(body)
 				if err != nil {
-					m.AbortExternal(err)
-					downCh <- err
+					fail(err)
 					return
 				}
 				startCh <- s
@@ -139,9 +159,7 @@ func WorkerMain(network, addr string, index int) int {
 				close(shutCh)
 				return
 			default:
-				err := fmt.Errorf("wire worker %d: unexpected frame kind %d", index, body[0])
-				m.AbortExternal(err)
-				downCh <- err
+				fail(fmt.Errorf("wire worker %d: unexpected frame kind %d", index, body[0]))
 				return
 			}
 		}

@@ -81,14 +81,16 @@ tier1() {
   # Served Kth's rank table: built through both executors on random,
   # tie-heavy, unequal, empty and short shards; windows of at most 16p²
   # keys; answers at and beside every row rank against the sort oracle;
-  # the sends per query it saves.
-  must_run ./internal/serve/ 'TestRankTable|TestRankTableServedAnswers|TestRankTableCutsSends'
+  # the sends per query it saves; no build run when every shard is
+  # shorter than the stride.
+  must_run ./internal/serve/ 'TestRankTable|TestRankTableServedAnswers|TestRankTableCutsSends|TestShortShardsBuildNoTable'
   # Selection's two-sweep level: tree messages only, the miss path, tie-heavy
   # shards, the up-sweep stepper, and every sel/coll/bpq wire codec
   # round-trips. Exact multisequence selection and bulk DeleteMin ride the
   # same sweeps: tree messages plus one size sum, exact at the edges on
-  # every executor, no allocation beyond the batch.
-  must_run ./internal/sel/ 'TestKthIsTreeSweepsOnly|TestKthSpeculationMiss|TestKthTieHeavyShards|TestWireCodecsRoundTrip|TestMSSelectIsTreeSweepsOnly|TestMSSelectEdgeCasesAgainstSortOracle|TestKthWindowOpsAgree|TestKthReleaseKeepsNoShardSlice'
+  # every executor, no allocation beyond the batch. The sorted form's
+  # level rule holds its sweeps per query under their bound.
+  must_run ./internal/sel/ 'TestKthIsTreeSweepsOnly|TestKthSpeculationMiss|TestKthTieHeavyShards|TestWireCodecsRoundTrip|TestMSSelectIsTreeSweepsOnly|TestMSSelectEdgeCasesAgainstSortOracle|TestKthWindowOpsAgree|TestKthReleaseKeepsNoShardSlice|TestKthSortedSweepsPerQuery'
   # The collective catalog is what the code calls: every exported coll
   # function has a non-test caller outside the package.
   must_run ./internal/coll/ 'TestReduceConcatStep|TestWireCodecsRoundTrip|TestScalarCollectivesAreVectorForms|TestAllToAllReceivedPartsAreOwned|TestExportedCollectivesHaveCallers'
@@ -114,8 +116,9 @@ tier1() {
   must_run ./internal/serve/ 'TestServeMixedGolden|TestServeKthGolden' -count=5
   must_run ./internal/serve/ 'TestDeadlineExpiredAtSubmit|TestDeadlineExpiredWhileQueued' -count=50
   # Wire: 2-process differential (results and meters bit-identical), worker
-  # death is a clean error with no goroutine leak.
-  must_run ./internal/wire/ 'TestWireDifferential|TestWorkerCrashTeardown|TestClusterCloseIdempotent'
+  # death is a clean error with no goroutine leak, and a worker whose
+  # leader is gone exits by itself even when its run cannot unwind.
+  must_run ./internal/wire/ 'TestWireDifferential|TestWorkerCrashTeardown|TestClusterCloseIdempotent|TestWorkerExitsWhenLeaderDropsMidSpin'
   # Smokes.
   go test -run '^$' -bench 'Table1|Substrate_MailboxScale' -benchtime=1x -benchmem .
   go run ./cmd/topkbench -exp scaling -quick
@@ -148,7 +151,7 @@ race() {
   # families against their recorded results and meters.
   must_run ./internal/coll/ 'TestVectorSteppersContinuationStress|TestScalarCollectivesAreVectorForms|TestAllToAllReceivedPartsAreOwned' -race -count=3
   must_run ./internal/sel/ 'TestKthStepMatchesBlockingAcrossBackends|TestKthStepRepeatedRunsReusePooledState' -race -count=3
-  must_run ./internal/sel/ 'TestKthSortedDifferential|TestKthWindowOpsAgree|TestKthReleaseKeepsNoShardSlice|TestKthSortedNeverWritesTheShard|TestKthSortedSkipsTheSizeAllReduce|TestKthIsTreeSweepsOnly|TestKthSpeculationMiss|TestKthTieHeavyShards|TestMSSelectIsTreeSweepsOnly|TestMSSelectEdgeCasesAgainstSortOracle' -race -count=5
+  must_run ./internal/sel/ 'TestKthSortedDifferential|TestKthWindowOpsAgree|TestKthReleaseKeepsNoShardSlice|TestKthSortedNeverWritesTheShard|TestKthSortedSkipsTheSizeAllReduce|TestKthIsTreeSweepsOnly|TestKthSpeculationMiss|TestKthTieHeavyShards|TestMSSelectIsTreeSweepsOnly|TestMSSelectEdgeCasesAgainstSortOracle|TestKthSortedSweepsPerQuery' -race -count=5
   must_run ./internal/coll/ 'TestReduceConcatStep' -race -count=5
   must_run ./internal/sel/ 'TestAMSLanesAgainstSortOracle|TestAMSLanesShareEachRound|TestAMSSelectNStepSkipsTheSizeSum|TestAMSSelectOneLaneGolden' -race -count=3
   must_run ./internal/bpq/ 'TestDeleteMinMatchesAcrossExecutors|TestDeleteMinThresholdContract|TestInterleavedInsertDelete|TestDeleteMinIsTreeSweepsOnly|TestDeleteMinEdgeCasesAgainstSortOracle|TestDeleteMinFlexibleSumsSizeOnce|TestBpqResultsGolden' -race -count=3
@@ -164,7 +167,7 @@ race() {
   # Serving: concurrent equals sequential for all three kinds, on both
   # executors; Kth/DeleteMin against their recorded results and meters;
   # the resident index and its rank table; the stress.
-  must_run ./internal/serve/ 'TestServeResidentIndex|TestServeConcurrentMatchesSequential|TestServeMixedKindsConcurrentMatchesSequential|TestServeFreqConcurrentMatchesSequential|TestServeScheduleExploration|TestServeConcurrentStress|TestServeMixedGolden|TestRankTable|TestRankTableServedAnswers|TestRankTableCutsSends' -race -count=5
+  must_run ./internal/serve/ 'TestServeResidentIndex|TestServeConcurrentMatchesSequential|TestServeMixedKindsConcurrentMatchesSequential|TestServeFreqConcurrentMatchesSequential|TestServeScheduleExploration|TestServeConcurrentStress|TestServeMixedGolden|TestRankTable|TestRankTableServedAnswers|TestRankTableCutsSends|TestShortShardsBuildNoTable' -race -count=5
   # External abort against finishRun's re-arm (the wire reader goroutine).
   must_run ./internal/wire/ 'TestWorkerCrashTeardown|TestClusterCloseIdempotent' -race -count=20
 }
