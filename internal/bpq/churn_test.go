@@ -250,3 +250,59 @@ func TestDeleteMinZeroAllocSteadyState(t *testing.T) {
 			del, extra, base, iters*p, 2*p)
 	}
 }
+
+// DeleteMinFlexible must not allocate in steady state beyond the batch
+// it hands back, as DeleteMin does not: the size sum, the flexible
+// selection's rounds and its buffers, and the split run on the queue's
+// buffers, pooled selection state and the treap arena.
+func TestDeleteMinFlexibleZeroAllocSteadyState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race (sync.Pool is randomized)")
+	}
+	const p, iters, k = 8, 50, 4 * 8
+	m := comm.NewMachine(comm.DefaultConfig(p))
+	defer m.Close()
+	qs := make([]*Queue[uint64], p)
+	// next is every PE's next key index and taken what its last run
+	// removed; refill puts that back, so every queue keeps its size and
+	// the arena its nodes. Refilling is part of the baseline too.
+	next := make([]int, p)
+	taken := make([]int, p)
+	m.MustRun(func(pe *comm.PE) {
+		r := pe.Rank()
+		qs[r] = New[uint64](pe, 19)
+		taken[r] = 4 * iters * k / p
+	})
+	refill := func() {
+		m.MustRun(func(pe *comm.PE) {
+			r := pe.Rank()
+			for i := 0; i < taken[r]; i++ {
+				qs[r].Insert(uint64((next[r]+i)*p + r))
+			}
+			next[r] += taken[r]
+			taken[r] = 0
+		})
+	}
+	run := func() {
+		refill()
+		m.MustRun(func(pe *comm.PE) {
+			q := qs[pe.Rank()]
+			for i := 0; i < iters; i++ {
+				got, n := q.DeleteMinFlexible(k, 2*k)
+				if n < k || n > 2*k {
+					t.Errorf("DeleteMinFlexible(%d, %d) removed %d", k, 2*k, n)
+				}
+				taken[pe.Rank()] += len(got)
+			}
+		})
+	}
+	for i := 0; i < 3; i++ {
+		run() // warm the pools and the treap arenas
+	}
+	base := testing.AllocsPerRun(5, func() { refill(); m.MustRun(func(pe *comm.PE) {}) })
+	del := testing.AllocsPerRun(5, run)
+	if extra := del - base - iters*p; extra > float64(2*p) {
+		t.Errorf("DeleteMinFlexible loop allocates %.1f/run: %.1f over the %.1f harness baseline and the %d batches (budget %d)",
+			del, extra, base, iters*p, 2*p)
+	}
+}
