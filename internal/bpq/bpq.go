@@ -46,12 +46,10 @@ type Queue[K cmp.Ordered] struct {
 	// its batch: this PE's [queue length, prefix length min(k, length)]
 	// and their global sums (one all-reduce for both; a flexible batch
 	// sums the first word only), the ascending local prefix an exact
-	// batch selects on (Appendix A), and the selection's threshold and
-	// realized size.
+	// batch selects on (Appendix A), and the selection's threshold.
 	sizes, sums [2]int64
 	prefix      []K
 	thr         K
-	count       int64
 
 	// Func values built once: taking the func value of a generic function
 	// materializes a dictionary closure, which escapes into the collective
@@ -59,7 +57,6 @@ type Queue[K cmp.Ordered] struct {
 	// coll.opsOf discipline).
 	minTag func(a, b tagged[K]) tagged[K]
 	onKth  func(K)
-	onAms  func(sel.AMSResult[K])
 	onKey  func(K) bool // Ascend callback filling prefix
 }
 
@@ -96,7 +93,6 @@ func New[K cmp.Ordered](pe *comm.PE, seed int64) *Queue[K] {
 	}
 	q.seq = treapSeq[K]{q.tree}
 	q.onKth = func(v K) { q.thr = v }
-	q.onAms = func(r sel.AMSResult[K]) { q.thr, q.count = r.Threshold, r.Count }
 	q.onKey = func(k K) bool {
 		q.prefix = append(q.prefix, k)
 		return int64(len(q.prefix)) < q.sizes[1]
@@ -193,8 +189,8 @@ func (q *Queue[K]) deleteMin(kmin, kmax int64, flex bool) (batch []K, threshold 
 		if kmin >= total || kmax >= total {
 			return q.drain(), threshold, total
 		}
-		comm.RunSteps(q.pe, sel.AMSSelectNStep[K](q.pe, q.seq, total, max(kmin, 1), kmax, q.rng, q.onAms))
-		n = q.count
+		r := sel.AMSSelectN(q.pe, q.seq, total, max(kmin, 1), kmax, q.rng)
+		q.thr, n = r.Threshold, r.Count
 	} else {
 		if kmin <= 0 || total == 0 {
 			return nil, threshold, 0

@@ -270,7 +270,7 @@ func TestDeleteMinEdgeCasesAgainstSortOracle(t *testing.T) {
 
 // TestDeleteMinFlexibleSumsSizeOnce: a flexible batch sums the queue
 // length once and hands the total to the flexible selection
-// (sel.AMSSelectNStep), which therefore opens with no size sum of its own.
+// (sel.AMSSelectN), which therefore opens with no size sum of its own.
 // On this fixture the selection lands in its first round, so every PE
 // sends 3·log₂ p = 9 messages: the size sum and the round's candidate and
 // rank reductions. Summing the length twice sent 12.

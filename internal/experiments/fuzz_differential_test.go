@@ -370,11 +370,6 @@ func fuzzOps() []fuzzOp {
 				d, k := fuzzMtopkData(pe, prm)
 				return mtopk.DTA(pe, d, mtopk.SumScore, k, xrand.NewPE(prm+11, pe.Rank()))
 			},
-			step: func(pe *comm.PE, prm int64, out *any) comm.Stepper {
-				d, k := fuzzMtopkData(pe, prm)
-				return mtopk.DTAStep(pe, d, mtopk.SumScore, k, xrand.NewPE(prm+11, pe.Rank()),
-					func(v mtopk.DTAResult) { *out = v })
-			},
 		},
 		{
 			name: "FreqPAC",

@@ -3,13 +3,13 @@ package experiments
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"commtopk/internal/coll"
 	"commtopk/internal/comm"
 	"commtopk/internal/freq"
 	"commtopk/internal/gen"
-	"commtopk/internal/mtopk"
 	"commtopk/internal/sel"
 	"commtopk/internal/xrand"
 )
@@ -232,7 +232,7 @@ func scalingRun(p int, quick bool) []ScalingRow {
 	collName := fmt.Sprintf("Scaling/Collectives/p=%d", p)
 	gatherName := fmt.Sprintf("Scaling/GatherChunked/p=%d", p)
 	selName := fmt.Sprintf("Scaling/Table1Selection/p=%d", p)
-	mtopkName := fmt.Sprintf("Scaling/MtopkDTA/p=%d", p)
+	sortedName := fmt.Sprintf("Scaling/SortedSelection/p=%d", p)
 	freqName := fmt.Sprintf("Scaling/FreqPAC/p=%d", p)
 	res := func(name string) ScalingRow {
 		return ScalingRow{Name: name, P: p, Workers: comm.SchedWorkers(cfg)}
@@ -323,13 +323,28 @@ func scalingRun(p int, quick bool) []ScalingRow {
 		out = append(out, fill(res(selName+"/blocking"), ns, s))
 	}
 
-	// Multicriteria threshold algorithm and sampling heavy hitters at
-	// scale, tiny per-PE instances (the axis of interest is the collective
-	// critical path over p, not local scan work).
-	datas := make([]*mtopk.Data, p)
+	// Sorted selection, the form serve answers Kth with (sel.KthSortedStep
+	// under comm.RunAsync), on the same keys, now sorted in place on every
+	// PE; its twin drives the same stepper inside a blocking body.
+	for _, l := range locals {
+		slices.Sort(l)
+	}
+	ns, s = measureScalingAsync(m, scalingRunIters(3, quick), func(pe *comm.PE) comm.Stepper {
+		return sel.KthSortedStep(pe, locals[pe.Rank()], n, n/2, xrand.NewPE(19, pe.Rank()), nil)
+	})
+	out = append(out, fill(res(sortedName), ns, s))
+	if !quick {
+		ns, s = measureScaling(m, blockIters, func(pe *comm.PE) {
+			comm.RunSteps(pe, sel.KthSortedStep(pe, locals[pe.Rank()], n, n/2, xrand.NewPE(19, pe.Rank()), nil))
+		})
+		out = append(out, fill(res(sortedName+"/blocking"), ns, s))
+	}
+
+	// Sampling heavy hitters at scale, tiny per-PE instances (the axis of
+	// interest is the collective critical path over p, not local scan
+	// work).
 	freqLocals := make([][]uint64, p)
 	for r := 0; r < p; r++ {
-		datas[r] = mtopk.NewData(mtopk.GenObjects(xrand.NewPE(7, r), 4, 2, 1+uint64(r)*4), 2)
 		rng := xrand.NewPE(11, r)
 		sh := make([]uint64, 16)
 		for i := range sh {
@@ -340,18 +355,10 @@ func scalingRun(p int, quick bool) []ScalingRow {
 	}
 	freqParams := freq.Params{K: 8, Eps: 0.05, Delta: 0.01}
 	ns, s = measureScalingAsync(m, scalingRunIters(3, quick), func(pe *comm.PE) comm.Stepper {
-		return mtopk.DTAStep(pe, datas[pe.Rank()], mtopk.SumScore, 8, xrand.NewPE(23, pe.Rank()), nil)
-	})
-	out = append(out, fill(res(mtopkName), ns, s))
-	ns, s = measureScalingAsync(m, scalingRunIters(3, quick), func(pe *comm.PE) comm.Stepper {
 		return freq.PACStep(pe, freqLocals[pe.Rank()], freqParams, xrand.NewPE(29, pe.Rank()), nil)
 	})
 	out = append(out, fill(res(freqName), ns, s))
 	if !quick {
-		ns, s = measureScaling(m, blockIters, func(pe *comm.PE) {
-			mtopk.DTA(pe, datas[pe.Rank()], mtopk.SumScore, 8, xrand.NewPE(23, pe.Rank()))
-		})
-		out = append(out, fill(res(mtopkName+"/blocking"), ns, s))
 		ns, s = measureScaling(m, blockIters, func(pe *comm.PE) {
 			freq.PAC(pe, freqLocals[pe.Rank()], freqParams, xrand.NewPE(29, pe.Rank()))
 		})

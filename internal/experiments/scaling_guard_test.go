@@ -10,7 +10,6 @@ import (
 	"commtopk/internal/comm"
 	"commtopk/internal/freq"
 	"commtopk/internal/gen"
-	"commtopk/internal/mtopk"
 	"commtopk/internal/sel"
 	"commtopk/internal/xrand"
 )
@@ -74,9 +73,7 @@ func TestMidRunGoroutineResidency2048(t *testing.T) { midRunGoroutineResidency(t
 // scalar collectives op, the strided and chunked gather workloads, the
 // full stepper-form selection (sel.KthStep), the sorted-input selection
 // serve's Kth and DeleteMin run (sel.KthSortedStep) on per-rank sorted
-// shards, the multicriteria
-// threshold algorithm (mtopk.DTAStep — nested AMS selections plus scalar
-// reductions), and the sampling heavy-hitter pipeline (freq.PACStep — DHT
+// shards, and the sampling heavy-hitter pipeline (freq.PACStep — DHT
 // routing plus shard top-k selection) — most PEs are simultaneously
 // waiting mid-collective at any sampled instant, and none of them may
 // hold a goroutine. Skipped under -short.
@@ -102,13 +99,10 @@ func midRunGoroutineResidency(t *testing.T, p int) {
 	for r := range sorted {
 		sorted[r] = slices.Sorted(slices.Values(locals[r]))
 	}
-	// Per-rank multicriteria instances and skewed key streams for the
-	// mtopk/freq stepper workloads, built host-side (no PE needed).
-	datas := make([]*mtopk.Data, p)
+	// Per-rank skewed key streams for the freq stepper workload, built
+	// host-side (no PE needed).
 	freqLocals := make([][]uint64, p)
 	for r := 0; r < p; r++ {
-		objs := mtopk.GenObjects(xrand.NewPE(7, r), 4, 2, 1+uint64(r)*4)
-		datas[r] = mtopk.NewData(objs, 2)
 		rng := xrand.NewPE(11, r)
 		sh := make([]uint64, 16)
 		for i := range sh {
@@ -131,10 +125,6 @@ func midRunGoroutineResidency(t *testing.T, p int) {
 		m.MustRunAsync(func(pe *comm.PE) comm.Stepper {
 			return sel.KthSortedStep(pe, sorted[pe.Rank()], int64(p*selPerPE), int64(p*selPerPE/4),
 				xrand.NewPE(19, pe.Rank()), nil)
-		})
-		m.MustRunAsync(func(pe *comm.PE) comm.Stepper {
-			return mtopk.DTAStep(pe, datas[pe.Rank()], mtopk.SumScore, 8,
-				xrand.NewPE(23, pe.Rank()), nil)
 		})
 		m.MustRunAsync(func(pe *comm.PE) comm.Stepper {
 			return freq.PACStep(pe, freqLocals[pe.Rank()],

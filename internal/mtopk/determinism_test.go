@@ -63,41 +63,3 @@ func TestMtopkRepeatedRunsBitIdentical(t *testing.T) {
 		}
 	}
 }
-
-// TestMtopkSteppersMatchBlocking pins DTA's stepper, the form the
-// scaling suite runs: DTAStep and the same machine with three probes
-// under RunAsync produce bit-identical results and meters to the
-// blocking DTA and DTAProbed (which drive it through RunSteps).
-func TestMtopkSteppersMatchBlocking(t *testing.T) {
-	const p = 6
-	datas, _ := buildDistributed(43, p, 250, 3)
-	ref := mtopkObs{dta: make([]DTAResult, p), probe: make([]DTAResult, p)}
-	mach := comm.NewMachine(comm.DefaultConfig(p))
-	mach.MustRun(func(pe *comm.PE) {
-		r := pe.Rank()
-		ref.dta[r] = DTA(pe, datas[r], SumScore, 9, xrand.NewPE(101, r))
-		ref.probe[r] = DTAProbed(pe, datas[r], SumScore, 9, 3, xrand.NewPE(107, r))
-	})
-	ref.stats = mach.Stats()
-
-	got := mtopkObs{dta: make([]DTAResult, p), probe: make([]DTAResult, p)}
-	mach = comm.NewMachine(comm.DefaultConfig(p))
-	mach.MustRunAsync(func(pe *comm.PE) comm.Stepper {
-		r := pe.Rank()
-		return comm.SeqP(pe,
-			DTAStep(pe, datas[r], SumScore, 9, xrand.NewPE(101, r), func(v DTAResult) { got.dta[r] = v }),
-			newDTAStep(pe, datas[r], SumScore, 9, 3, xrand.NewPE(107, r), func(v DTAResult) { got.probe[r] = v }, true),
-		)
-	})
-	got.stats = mach.Stats()
-
-	if !reflect.DeepEqual(got.dta, ref.dta) {
-		t.Errorf("DTAStep diverged from blocking DTA")
-	}
-	if !reflect.DeepEqual(got.probe, ref.probe) {
-		t.Errorf("the probed stepper diverged from blocking DTAProbed")
-	}
-	if got.stats != ref.stats {
-		t.Errorf("stepper meters diverged: %+v vs %+v", got.stats, ref.stats)
-	}
-}

@@ -8,6 +8,9 @@
 // (the paper's distributed setting: "each PE has a subset of the objects
 // and m sorted lists ranking its locally present objects"). Overall
 // relevance is a monotone scoring function t(x₁,...,x_m).
+//
+// DTA, RDTA and TopK are collectives in straight-line blocking code:
+// every PE calls them inside an SPMD body.
 package mtopk
 
 import (
@@ -18,6 +21,7 @@ import (
 
 	"commtopk/internal/coll"
 	"commtopk/internal/comm"
+	"commtopk/internal/commbuf"
 	"commtopk/internal/dht"
 	"commtopk/internal/qsel"
 	"commtopk/internal/sel"
@@ -262,7 +266,7 @@ type DTAResult struct {
 // truthful estimator of the number of hits. Expected time
 // O(m² log²K + βm logK + α log p logK) — Theorem 6. The α term is one
 // selection's per search step: the m list selections of a step are the
-// lanes of one sel.AMSSelectLanesStep, whose rounds reduce all lists at
+// lanes of one sel.AMSSelectLanes, whose rounds reduce all lists at
 // once. The search starts at the first K with mK ≥ k: an estimate is at
 // most the 2mK selected entries, so a smaller K cannot reach 2k.
 // Collective.
@@ -279,15 +283,127 @@ func DTA(pe *comm.PE, d *Data, t ScoreFunc, k int, rng *xrand.RNG) DTAResult {
 // rounds by the probe factor at the cost of O(probes) words per
 // selection round. Depths that cannot pass (mK < k) are left out, and
 // so are those beyond the first that covers every object. probes = 1 is
-// plain DTA. The blocking form drives the dtaStep state machine of
-// async.go through comm.RunSteps. Collective.
+// plain DTA. Collective.
 func DTAProbed(pe *comm.PE, d *Data, t ScoreFunc, k int, probes int, rng *xrand.RNG) DTAResult {
-	st := newDTAStep(pe, d, t, k, probes, rng, nil, false)
-	comm.RunSteps(pe, st)
-	res := st.res
-	st.release(pe)
-	return res
+	if k < 1 {
+		panic("mtopk: k must be positive")
+	}
+	if probes < 1 {
+		panic("mtopk: probes must be positive")
+	}
+	nGlobal := coll.SumAll(pe, int64(d.NumObjects()))
+	if nGlobal == 0 {
+		return DTAResult{PrefixLens: make([]int, d.m)}
+	}
+	b := comm.GetPooled[dtaBuf](pe)
+	defer b.release(pe)
+	var res DTAResult
+	m := d.m
+	// A depth can end the search only if it covers every object or mK ≥ k:
+	// its estimate is at most the 2mK selected list entries.
+	canPass := func(K int64) bool { return K >= nGlobal || int64(m)*K >= int64(k) }
+	probe := int64(k)/(int64(m)*int64(pe.P())) + 1
+	for {
+		// A round's lattice is probe, 4·probe, … (probes depths; the next
+		// round starts at twice the last). It keeps the depths that can
+		// pass, up to the first that covers every object (a larger one
+		// cannot be the smallest to pass); a round with none is skipped
+		// without communication.
+		b.ks = b.ks[:0]
+		K := probe
+		for j := 0; j < probes; j++ {
+			if j > 0 {
+				K *= 4
+			}
+			if canPass(K) && (len(b.ks) == 0 || b.ks[len(b.ks)-1] < nGlobal) {
+				b.ks = append(b.ks, K)
+			}
+		}
+		probe = 2 * K
+		if len(b.ks) == 0 {
+			continue
+		}
+		res.Rounds++
+		// The kept depths' lists are the lanes of one selection. K ≥ n
+		// selects the whole list: its lane reduces to the global maximum
+		// key, the list's minimum score.
+		b.lanes = b.lanes[:0]
+		for _, K := range b.ks {
+			for i := 0; i < m; i++ {
+				b.lanes = append(b.lanes, sel.AMSLane[uint64]{
+					Seq: sel.SliceSeq[uint64](d.ords[i]), KMin: min(K, nGlobal), KMax: 2 * K, N: nGlobal,
+				})
+			}
+		}
+		sel.AMSSelectLanes(pe, b.lanes, rng)
+		// All list thresholds in hand: estimate each depth's number of
+		// hits by sampling its prefixes (rejecting objects already present
+		// in an earlier list's prefix to avoid double counting). lens is
+		// handed out as PrefixLens, so it is fresh every round.
+		lens := make([]int, len(b.lanes))
+		b.xs = commbuf.Resize(b.xs[:0], len(b.lanes))
+		for j, l := range b.lanes {
+			lens[j] = min(l.Res.LocalLen, len(d.lists[j%m]))
+			b.xs[j] = FromOrdDesc(l.Res.Threshold)
+		}
+		b.est = b.est[:0]
+		for j, K := range b.ks {
+			lens := lens[j*m : (j+1)*m]
+			thr := t(b.xs[j*m : (j+1)*m])
+			y := 4 * int(math.Log2(float64(K)+2))
+			var localEst float64
+			for i := 0; i < m; i++ {
+				pl := lens[i]
+				if pl == 0 {
+					continue
+				}
+				var rejected, hits int
+				for sm := 0; sm < y; sm++ {
+					e := d.lists[i][rng.Intn(pl)]
+					if d.inEarlierPrefix(e.pos, i, lens) {
+						rejected++
+						continue
+					}
+					if sc := t(d.scores[e.pos]); sc >= thr {
+						hits++
+					}
+				}
+				localEst += float64(pl) * (1 - float64(rejected)/float64(y)) * (float64(hits) / float64(y))
+			}
+			b.est = append(b.est, localEst)
+		}
+		b.ests = commbuf.Resize(b.ests[:0], len(b.est))
+		comm.RunSteps(pe, coll.AllReduceIntoStep(pe, b.ests, b.est, addF64, nil))
+		// The smallest depth that passes ends the search.
+		for j, K := range b.ks {
+			if est := b.ests[j]; est >= 2*float64(k) || K >= nGlobal {
+				res.PrefixLens = lens[j*m : (j+1)*m : (j+1)*m]
+				res.Threshold = t(b.xs[j*m : (j+1)*m])
+				res.EstimatedHits = est
+				res.K = K
+				res.Hits = d.collectHits(t, res.Threshold, res.PrefixLens)
+				return res
+			}
+		}
+	}
 }
+
+// dtaBuf holds DTA's per-round buffers on a PE across uses: the depths
+// of a round, their list lanes, the lanes' thresholds as scores, and the
+// local and global hit estimates, one per depth.
+type dtaBuf struct {
+	ks        []int64
+	lanes     []sel.AMSLane[uint64]
+	xs        []float64
+	est, ests []float64
+}
+
+func (b *dtaBuf) release(pe *comm.PE) {
+	clear(b.lanes) // drop the Seq references
+	comm.PutPooled(pe, b)
+}
+
+func addF64(a, b float64) float64 { return a + b }
 
 // inEarlierPrefix reports whether the object at position pos also
 // appears in the prefix of an earlier list — purely local, since all of

@@ -51,11 +51,11 @@ func laneIntervals(ns []int64) [][2]int64 {
 }
 
 // TestAMSLanesAgainstSortOracle: L lanes of mixed intervals and lengths
-// in one AMSSelectLanesStep, at p ∈ {1, 2, 3, 5, 8, 16}. Every lane's
-// Count lies in its interval, its Threshold is the oracle's element of
-// rank Count, and every PE's LocalLen is its count of keys ≤ Threshold —
-// the same on the reference executor (blocking body) and under RunAsync
-// at w ∈ {0, 1}, meters included. Lanes land in different rounds.
+// in one AMSSelectLanes, at p ∈ {1, 2, 3, 5, 8, 16}. Every lane's Count
+// lies in its interval, its Threshold is the oracle's element of rank
+// Count, and every PE's LocalLen is its count of keys ≤ Threshold — the
+// same on the reference executor and on the mailbox scheduler at
+// w ∈ {0, 1}, meters included. Lanes land in different rounds.
 func TestAMSLanesAgainstSortOracle(t *testing.T) {
 	const L = 7
 	for _, p := range []int{1, 2, 3, 5, 8, 16} {
@@ -82,7 +82,7 @@ func TestAMSLanesAgainstSortOracle(t *testing.T) {
 			mc.MustRun(func(pe *comm.PE) {
 				r := pe.Rank()
 				ref[r] = lanesOf(r)
-				comm.RunSteps(pe, AMSSelectLanesStep(pe, ref[r], xrand.NewPE(41, r)))
+				AMSSelectLanes(pe, ref[r], xrand.NewPE(41, r))
 			})
 			refStats := mc.Stats()
 			rounds := map[int]bool{}
@@ -113,20 +113,20 @@ func TestAMSLanesAgainstSortOracle(t *testing.T) {
 				cfg.Workers = w
 				m := comm.NewMachine(cfg)
 				got := make([][]AMSLane[uint64], p)
-				m.MustRunAsync(func(pe *comm.PE) comm.Stepper {
+				m.MustRun(func(pe *comm.PE) {
 					r := pe.Rank()
 					got[r] = lanesOf(r)
-					return AMSSelectLanesStep(pe, got[r], xrand.NewPE(41, r))
+					AMSSelectLanes(pe, got[r], xrand.NewPE(41, r))
 				})
 				for r := 0; r < p; r++ {
 					for l := 0; l < L; l++ {
 						if got[r][l].Res != ref[r][l].Res {
-							t.Errorf("w=%d rank %d lane %d: stepper %+v vs blocking %+v", w, r, l, got[r][l].Res, ref[r][l].Res)
+							t.Errorf("w=%d rank %d lane %d: production %+v vs reference %+v", w, r, l, got[r][l].Res, ref[r][l].Res)
 						}
 					}
 				}
 				if s := m.Stats(); s != refStats {
-					t.Errorf("w=%d: stats diverge:\n  blocking reference: %+v\n  stepper production: %+v", w, refStats, s)
+					t.Errorf("w=%d: stats diverge:\n  reference:  %+v\n  production: %+v", w, refStats, s)
 				}
 				m.Close()
 			}
@@ -160,7 +160,7 @@ func TestAMSLanesShareEachRound(t *testing.T) {
 			lanes[r][l] = AMSLane[uint64]{Seq: laneSeq(p, r, l), KMin: ivs[l][0], KMax: ivs[l][1], N: ns[l]}
 		}
 		before := pe.Sends()
-		comm.RunSteps(pe, AMSSelectLanesStep(pe, lanes[r], xrand.NewPE(43, r)))
+		AMSSelectLanes(pe, lanes[r], xrand.NewPE(43, r))
 		sent[r] = pe.Sends() - before
 	})
 	slowest, separate := 0, int64(0)
@@ -179,12 +179,11 @@ func TestAMSLanesShareEachRound(t *testing.T) {
 	}
 }
 
-// TestAMSSelectNStepSkipsTheSizeSum: with the global length given, the
-// flexible selection is the one-lane engine that sums the lengths first
-// (AMSSelect's) minus that opening size all-reduce —
-// the same result on every PE and ⌈log₂ p⌉ fewer messages per PE (p a
-// power of two), one word each.
-func TestAMSSelectNStepSkipsTheSizeSum(t *testing.T) {
+// TestAMSSelectNSkipsTheSizeSum: with the global length given, the
+// flexible selection is AMSSelect, which sums the lengths first, minus
+// that opening size all-reduce — the same result on every PE and
+// ⌈log₂ p⌉ fewer messages per PE (p a power of two), one word each.
+func TestAMSSelectNSkipsTheSizeSum(t *testing.T) {
 	const p, perPE = 8, 100
 	logp := int64(bits.Len(uint(p)) - 1)
 	n := int64(p * perPE)
@@ -196,12 +195,11 @@ func TestAMSSelectNStepSkipsTheSizeSum(t *testing.T) {
 			sent := make([]int64, p)
 			m.MustRun(func(pe *comm.PE) {
 				r := pe.Rank()
-				out := func(v AMSResult[uint64]) { res[r] = v }
 				before := pe.Sends()
 				if known {
-					comm.RunSteps(pe, AMSSelectNStep[uint64](pe, msTestSeq(p, r, perPE), n, kr[0], kr[1], xrand.NewPE(47, r), out))
+					res[r] = AMSSelectN[uint64](pe, msTestSeq(p, r, perPE), n, kr[0], kr[1], xrand.NewPE(47, r))
 				} else {
-					comm.RunSteps(pe, newAMSOneLane[uint64](pe, msTestSeq(p, r, perPE), -1, kr[0], kr[1], xrand.NewPE(47, r), 1, out, true))
+					res[r] = AMSSelect[uint64](pe, msTestSeq(p, r, perPE), kr[0], kr[1], xrand.NewPE(47, r))
 				}
 				sent[r] = pe.Sends() - before
 			})
@@ -226,7 +224,7 @@ func TestAMSSelectNStepSkipsTheSizeSum(t *testing.T) {
 // TestAMSSelectOneLaneGolden: AMSSelect is the one-lane, unknown-n case
 // of the lanes engine, and that case is message for message and draw for
 // draw the selection it replaced: on these fixtures the result and all
-// six meters are the values the dedicated one-lane stepper produced.
+// six meters are the values the dedicated one-lane selection produced.
 func TestAMSSelectOneLaneGolden(t *testing.T) {
 	for _, c := range []struct {
 		p, perPE   int

@@ -21,33 +21,11 @@ func msTestSeq(p, r, perPE int) SliceSeq[uint64] {
 	return s
 }
 
-// msSelectStepper runs the exact selection engine (msSelectStep) as a
-// stepper of its own and hands its result to out once it completes.
-func msSelectStepper(pe *comm.PE, s Seq[uint64], k int64, shared *xrand.RNG, out func(v uint64, localLE int)) comm.Stepper {
-	st := newMSSelectStep(pe, s, k, shared)
-	return comm.StepFunc(func(pe *comm.PE) *comm.RecvHandle {
-		if h := st.Step(pe); h != nil {
-			return h
-		}
-		v, n := st.resV, st.resN
-		st.release(pe)
-		out(v, n)
-		return nil
-	})
-}
-
-// amsSelectStepper is the one-lane flexible selection engine with its
-// size sum (AMSSelect's) as a stepper of its own.
-func amsSelectStepper(pe *comm.PE, s Seq[uint64], kmin, kmax int64, rng *xrand.RNG, out func(AMSResult[uint64])) comm.Stepper {
-	return newAMSOneLane(pe, s, -1, kmin, kmax, rng, 1, out, true)
-}
-
-// The engines behind MSSelect and AMSSelect, run as steppers, must be
-// bit-identical to the blocking forms — per-PE results and metered
-// statistics — whether driven by RunAsync on the scheduler (including
-// w < p) or as blocking bodies whose messages the reference executor
-// carries: they are what AMSSelectNStep and DTA's lanes hand to a
-// caller's stepper.
+// MSSelect and AMSSelect must be bit-identical — per-PE results and
+// metered statistics — on the mailbox scheduler (including w < p) and on
+// the reference executor, whose single goroutine carries every message.
+// (The test names are kept from when the production leg ran the
+// selections' state machines under RunAsync.)
 func TestMSSelectStepMatchesBlockingAcrossBackends(t *testing.T) {
 	const perPE = 64
 	for _, p := range []int{1, 3, 16, 64} {
@@ -72,19 +50,18 @@ func TestMSSelectStepMatchesBlockingAcrossBackends(t *testing.T) {
 					m := comm.NewMachine(cfg)
 					gotV := make([]uint64, p)
 					gotN := make([]int, p)
-					m.MustRunAsync(func(pe *comm.PE) comm.Stepper {
+					m.MustRun(func(pe *comm.PE) {
 						r := pe.Rank()
-						return msSelectStepper(pe, msTestSeq(p, r, perPE), k, xrand.New(33),
-							func(v uint64, le int) { gotV[r], gotN[r] = v, le })
+						gotV[r], gotN[r] = MSSelect[uint64](pe, msTestSeq(p, r, perPE), k, xrand.New(33))
 					})
 					for r := 0; r < p; r++ {
 						if gotV[r] != refV[r] || gotN[r] != refN[r] {
-							t.Errorf("k=%d w=%d rank %d: stepper (%d, %d) vs blocking (%d, %d)",
+							t.Errorf("k=%d w=%d rank %d: production (%d, %d) vs reference (%d, %d)",
 								k, w, r, gotV[r], gotN[r], refV[r], refN[r])
 						}
 					}
 					if s := m.Stats(); s != refStats {
-						t.Errorf("k=%d w=%d: stats diverge:\n  blocking reference: %+v\n  stepper production: %+v",
+						t.Errorf("k=%d w=%d: stats diverge:\n  reference:  %+v\n  production: %+v",
 							k, w, refStats, s)
 					}
 					m.Close()
@@ -117,19 +94,18 @@ func TestAMSSelectStepMatchesBlockingAcrossBackends(t *testing.T) {
 					cfg.Workers = w
 					m := comm.NewMachine(cfg)
 					got := make([]AMSResult[uint64], p)
-					m.MustRunAsync(func(pe *comm.PE) comm.Stepper {
+					m.MustRun(func(pe *comm.PE) {
 						r := pe.Rank()
-						return amsSelectStepper(pe, msTestSeq(p, r, perPE), kmin, kmax, xrand.NewPE(71, r),
-							func(res AMSResult[uint64]) { got[r] = res })
+						got[r] = AMSSelect[uint64](pe, msTestSeq(p, r, perPE), kmin, kmax, xrand.NewPE(71, r))
 					})
 					for r := 0; r < p; r++ {
 						if got[r] != ref[r] {
-							t.Errorf("[%d,%d] w=%d rank %d: stepper %+v vs blocking %+v",
+							t.Errorf("[%d,%d] w=%d rank %d: production %+v vs reference %+v",
 								kmin, kmax, w, r, got[r], ref[r])
 						}
 					}
 					if s := m.Stats(); s != refStats {
-						t.Errorf("[%d,%d] w=%d: stats diverge:\n  blocking reference: %+v\n  stepper production: %+v",
+						t.Errorf("[%d,%d] w=%d: stats diverge:\n  reference:  %+v\n  production: %+v",
 							kmin, kmax, w, refStats, s)
 					}
 					m.Close()
@@ -143,8 +119,8 @@ func TestAMSSelectStepMatchesBlockingAcrossBackends(t *testing.T) {
 // for these ks); on a two-value input no rank count lands in [k, k] and
 // the window cannot narrow, so after amsMaxRounds the exact fallback —
 // the exact engine on the window, a subSeq whose prefix it copies — answers.
-// Either way stepper and blocking must agree bit for bit, and the
-// threshold is the oracle's.
+// Either way the mailbox scheduler and the reference executor must agree
+// bit for bit, and the threshold is the oracle's.
 func TestAMSSelectStepTightIntervalFallback(t *testing.T) {
 	const p, perPE = 8, 64
 	n := int64(p * perPE)
@@ -182,14 +158,13 @@ func TestAMSSelectStepTightIntervalFallback(t *testing.T) {
 			}
 			m := comm.NewMachine(comm.DefaultConfig(p))
 			got := make([]AMSResult[uint64], p)
-			m.MustRunAsync(func(pe *comm.PE) comm.Stepper {
+			m.MustRun(func(pe *comm.PE) {
 				r := pe.Rank()
-				return amsSelectStepper(pe, in.seq(p, r, perPE), k, k, xrand.NewPE(5, r),
-					func(res AMSResult[uint64]) { got[r] = res })
+				got[r] = AMSSelect[uint64](pe, in.seq(p, r, perPE), k, k, xrand.NewPE(5, r))
 			})
 			for r := 0; r < p; r++ {
 				if got[r] != ref[r] {
-					t.Errorf("%s rank %d: stepper %+v vs blocking %+v", name, r, got[r], ref[r])
+					t.Errorf("%s rank %d: production %+v vs reference %+v", name, r, got[r], ref[r])
 				}
 			}
 			if s := m.Stats(); s != refStats {
@@ -237,9 +212,9 @@ var msEdgeShapes = []struct {
 // TestMSSelectEdgeCasesAgainstSortOracle: on every edge shape, at k = 1
 // (the min-reduction base case), 2, the middle, total − 1 and total, with
 // the prefix sliced and copied, MSSelect returns the oracle's element and
-// every PE its exact local count — bit-identical results and meters
-// whether blocking, under RunAsync, or on the seeded executor under every
-// policy.
+// every PE its exact local count — bit-identical results and meters on
+// the mailbox scheduler at any width and on the seeded executor under
+// every policy.
 func TestMSSelectEdgeCasesAgainstSortOracle(t *testing.T) {
 	const p, n = 8, 400
 	_, sorted := globalSorted(xrand.New(61), n)
@@ -284,24 +259,24 @@ func TestMSSelectEdgeCasesAgainstSortOracle(t *testing.T) {
 				check("blocking", vs, les)
 				want := blocking.Stats()
 				blocking.Close()
-				async := func(mode string, m *comm.Machine) {
+				again := func(mode string, m *comm.Machine) {
 					vs, les := make([]uint64, p), make([]int, p)
-					m.MustRunAsync(func(pe *comm.PE) comm.Stepper {
+					m.MustRun(func(pe *comm.PE) {
 						r := pe.Rank()
-						return msSelectStepper(pe, seq(r), k, xrand.New(7), func(v uint64, le int) { vs[r], les[r] = v, le })
+						vs[r], les[r] = MSSelect(pe, seq(r), k, xrand.New(7))
 					})
 					check(mode, vs, les)
 					if s := m.Stats(); s != want {
-						t.Errorf("%s %s: stats %+v, blocking %+v", name, mode, s, want)
+						t.Errorf("%s %s: stats %+v, first run %+v", name, mode, s, want)
 					}
 					m.Close()
 				}
 				cfg := comm.DefaultConfig(p)
 				cfg.Workers = 3
-				async("async", comm.NewMachine(cfg))
+				again("w=3", comm.NewMachine(cfg))
 				for _, pol := range simexec.Policies {
 					m, _ := simexec.New(comm.DefaultConfig(p), k, pol)
-					async("simexec/"+pol.String(), m)
+					again("simexec/"+pol.String(), m)
 				}
 			}
 		}

@@ -11,11 +11,19 @@
 //   - MSSelect: exact multisequence selection from locally sorted input:
 //     Algorithm 1's sorted form on the first min(k, len) elements of each
 //     sequence (Appendix A), one size all-reduce plus one tree round trip
-//     per level, O(α log kp) expected (msasync.go).
+//     per level, O(α log kp) expected.
 //   - AMSSelect: approximate multisequence selection with flexible output
 //     size k ∈ [k̲, k̄] (Algorithm 2, Theorem 3), O(log k̄ + α log p)
-//     expected.
+//     expected; AMSSelectN skips the size sum when n is known, and
+//     AMSSelectLanes runs L such selections in lockstep, a round's
+//     reductions shared.
 //   - AMSSelectBatched: the d-concurrent-trials refinement (Theorem 4).
+//
+// Only Algorithm 1 has a continuation form (KthStep, KthNStep,
+// KthSortedStep, async.go), because serve and the scaling suite run it
+// under Machine.RunAsync; the multisequence selections are straight-line
+// blocking code over the same collectives, and MSSelect drives Algorithm
+// 1's state machine with blocking waits.
 //
 // All functions are SPMD collectives: every PE must call them with its
 // local share of the data. Keys must have a unique total order for the
@@ -33,6 +41,7 @@ import (
 
 	"commtopk/internal/coll"
 	"commtopk/internal/comm"
+	"commtopk/internal/commbuf"
 	"commtopk/internal/xrand"
 )
 
@@ -255,24 +264,59 @@ func (s SliceSeq[K]) CountLE(v K) int {
 // sampling stream of the selection.
 //
 // The answer lies in the first min(k, len) elements of every sequence
-// (Appendix A); MSSelect selects it from those prefixes with the sorted
-// form of Algorithm 1 (KthSortedStep's state machine): one size
-// all-reduce, then one binomial-tree up- and down-sweep per level —
-// p·⌈log₂ p⌉ + 2(p−1)·levels messages. That is Theorem 1's latency on
-// n ≤ kp elements, O(α log kp) expected, where Theorem 16's random-pivot
-// loop costs O(α log² kp) in four collectives per iteration. Local work
-// is O(log min(k, len)) per level plus the CountLE of the answer, and
-// O(min(k, len)) once to copy the prefix of a Seq that is not a SliceSeq.
-//
-// MSSelect is the state machine of msasync.go (msSelectStep) driven to
-// completion with blocking waits; AMSSelect's exact fallback runs the
-// same machine.
+// (Appendix A), so those prefixes — together at most kp elements, each
+// one ascending — are a locally sorted input of which it is the rank-k
+// element. MSSelect selects it with the sorted form of Algorithm 1
+// (KthSortedStep's state machine, async.go): one size all-reduce, then
+// one binomial-tree up- and down-sweep per level — p·⌈log₂ p⌉ +
+// 2(p−1)·levels messages. That is Theorem 1's latency on n ≤ kp
+// elements, O(α log kp) expected, where Theorem 16's random-pivot loop
+// costs O(α log² kp) in four collectives per iteration. Local work is
+// O(log min(k, len)) per level plus the CountLE of the answer, and
+// O(min(k, len)) once to copy the prefix of a Seq that is not a SliceSeq
+// (a SliceSeq's prefix is a sub-slice).
 func MSSelect[K cmp.Ordered](pe *comm.PE, s Seq[K], k int64, shared *xrand.RNG) (K, int) {
-	st := newMSSelectStep(pe, s, k, shared)
+	st, buf := newMSKth(pe, s, k, shared)
 	comm.RunSteps(pe, st)
-	v, n := st.resV, st.resN
+	v := st.res
 	st.release(pe)
-	return v, n
+	buf.release(pe)
+	return v, s.CountLE(v)
+}
+
+// msBuf is the pooled per-PE state of one exact multisequence selection:
+// the sampling stream, reseeded per use and read by the selection through
+// a pointer, and a non-slice Seq's prefix.
+type msBuf[K cmp.Ordered] struct {
+	rng    xrand.RNG
+	prefix []K
+}
+
+// newMSKth builds the selection MSSelect runs: the sorted-form kthStep on
+// this PE's first min(k, len) elements of s, sampling from a per-PE
+// stream seeded by one draw of shared.
+func newMSKth[K cmp.Ordered](pe *comm.PE, s Seq[K], k int64, shared *xrand.RNG) (*kthStep[K], *msBuf[K]) {
+	buf := comm.GetPooled[msBuf[K]](pe)
+	m := int(min(int64(s.Len()), max(k, 0)))
+	var prefix []K
+	if sl, ok := s.(SliceSeq[K]); ok {
+		prefix = sl[:m]
+	} else {
+		prefix = buf.prefix[:0]
+		for i := 0; i < m; i++ {
+			prefix = append(prefix, s.At(i))
+		}
+		buf.prefix = prefix
+	}
+	buf.rng.SeedPE(int64(shared.Uint64()), pe.Rank())
+	st := newKthStep(pe, prefix, k, &buf.rng, nil, false)
+	st.sorted = true
+	return st, buf
+}
+
+func (b *msBuf[K]) release(pe *comm.PE) {
+	clear(b.prefix[:cap(b.prefix)]) // keys may hold references
+	comm.PutPooled(pe, b)
 }
 
 func clampInt(x, lo, hi int) int { return min(max(x, lo), hi) }
@@ -319,7 +363,7 @@ func clampFloat(x, lo, hi float64) float64 { return math.Min(math.Max(x, lo), hi
 // quantities every PE agrees on; the fallback preserves correctness at
 // the cost of the rounds spent.
 func AMSSelect[K cmp.Ordered](pe *comm.PE, s Seq[K], kmin, kmax int64, rng *xrand.RNG) AMSResult[K] {
-	return amsSelect(pe, s, kmin, kmax, rng, 1)
+	return amsOne(pe, s, -1, kmin, kmax, rng, 1)
 }
 
 // AMSSelectBatched is AMSSelect with d concurrent Bernoulli trials per
@@ -330,20 +374,331 @@ func AMSSelectBatched[K cmp.Ordered](pe *comm.PE, s Seq[K], kmin, kmax int64, d 
 	if d < 1 {
 		panic("sel: AMSSelectBatched needs d >= 1")
 	}
-	return amsSelect(pe, s, kmin, kmax, rng, d)
+	return amsOne(pe, s, -1, kmin, kmax, rng, d)
 }
 
-// amsSelect is the one-lane state machine of msasync.go (newAMSOneLane)
-// driven to completion with blocking waits — the engine AMSSelectNStep
-// hands to a caller's stepper. The estimator rationale (dual min/max geometric
-// sampling, d-wide candidate reductions, narrowing to the tightest
-// under/over bracket, exact fallback) lives with the state machine there.
-func amsSelect[K cmp.Ordered](pe *comm.PE, s Seq[K], kmin, kmax int64, rng *xrand.RNG, d int) AMSResult[K] {
-	st := newAMSOneLane(pe, s, -1, kmin, kmax, rng, d, nil, false)
-	comm.RunSteps(pe, st)
-	res := st.lanes[0].Res
-	st.release(pe)
+// AMSSelectN is AMSSelect for a caller that already knows the global
+// element count n (the sum of s.Len() over all PEs, not checked): the
+// size all-reduce is skipped; everything else — semantics, panics, per-PE
+// RNG consumption and the rest of the metered schedule — is AMSSelect's.
+func AMSSelectN[K cmp.Ordered](pe *comm.PE, s Seq[K], n, kmin, kmax int64, rng *xrand.RNG) AMSResult[K] {
+	return amsOne(pe, s, max(n, 0), kmin, kmax, rng, 1)
+}
+
+// # Flexible selection runs in lanes
+//
+// AMSSelectLanes is Algorithm 2 over L independent lanes — L flexible
+// selections, each with its own sequence, interval [k̲, k̄] and window,
+// run in lockstep. A round is two vector all-reductions whatever L is:
+// one over the active lanes' candidate thresholds (d per lane; a lane
+// whose whole window fits in k̄ sends its window maximum instead) and one
+// over the ranks of those candidates. A lane that lands drops out of the
+// vectors, and the selection ends when the last one has. So L selections
+// cost the startups of the slowest one, not of all of them (DTA's m
+// lists, Theorem 6's α·log p per search step). A lane's slot carries its
+// reduction direction (laneCand), so min- and max-sampled lanes share one
+// vector. AMSSelect is the one-lane case with a size sum first.
+//
+// Vectors stay on coll's recursive-doubling path while they are shorter
+// than 4r words (r the largest power of two ≤ p): laneCand[uint64] is 2
+// words, so up to 2r candidate slots per round; longer vectors take the
+// reduce-scatter path — the same result in 2⌈log₂ r⌉ rounds.
+
+// AMSLane is one lane of AMSSelectLanes: the flexible selection of the
+// KMin ≤ k ≤ KMax globally smallest elements of Seq, whose global length
+// (the sum of Seq.Len() over all PEs, not checked) is N. Res receives the
+// lane's result.
+type AMSLane[K cmp.Ordered] struct {
+	Seq        Seq[K]
+	KMin, KMax int64
+	N          int64
+	Res        AMSResult[K]
+}
+
+// AMSSelectLanes runs one flexible selection per lane in lockstep (see
+// above), with no size sum. On return each lane's Res holds what
+// AMSSelectN would return for it, up to RNG draws: the lanes draw from
+// rng in lane order. lanes must be the same length on every PE; one lane
+// has the metered schedule of AMSSelectN.
+func AMSSelectLanes[K cmp.Ordered](pe *comm.PE, lanes []AMSLane[K], rng *xrand.RNG) {
+	for _, l := range lanes {
+		checkAMSRange(l.KMin, l.KMax)
+	}
+	b := getAMSBuf[K](pe)
+	b.run(pe, lanes, false, rng, 1)
+	comm.PutPooled(pe, b)
+}
+
+func checkAMSRange(kmin, kmax int64) {
+	if kmin < 1 || kmax < kmin {
+		panic(fmt.Sprintf("sel: AMSSelect invalid range [%d, %d]", kmin, kmax))
+	}
+}
+
+// amsOne is the one-lane selection on s; n < 0 sums the length first.
+func amsOne[K cmp.Ordered](pe *comm.PE, s Seq[K], n, kmin, kmax int64, rng *xrand.RNG, d int) AMSResult[K] {
+	checkAMSRange(kmin, kmax)
+	b := getAMSBuf[K](pe)
+	b.one[0] = AMSLane[K]{Seq: s, KMin: kmin, KMax: kmax, N: n}
+	b.run(pe, b.one[:], n < 0, rng, d)
+	res := b.one[0].Res
+	b.one[0] = AMSLane[K]{}
+	comm.PutPooled(pe, b)
 	return res
+}
+
+// laneCand is one candidate slot of a round's threshold reduction: the
+// tagged optional value plus the direction it is reduced in. A lane's
+// direction depends only on its global window, so every PE sets the same
+// Max on the same slot. It is as many words as tagged[K].
+type laneCand[K any] struct {
+	Has, Max bool
+	Val      K
+}
+
+func reduceLaneCand[K cmp.Ordered](a, b laneCand[K]) laneCand[K] {
+	switch {
+	case !a.Has:
+		return b
+	case !b.Has:
+		return a
+	case a.Max && b.Val > a.Val, !a.Max && b.Val < a.Val:
+		return b
+	}
+	return a
+}
+
+// amsWindow is one lane's search state: the local window [lo, hi), the
+// count accepted below it, the interval and global size left in it.
+type amsWindow struct {
+	lo, hi       int
+	accepted     int64
+	kminR, kmaxR int64
+	nR           int64
+	slot         int // the lane's first slot in this round's candidate vector
+	useMin       bool
+	all          bool // this round's slot is the window maximum
+	done         bool
+}
+
+const amsMaxRounds = 60
+
+// amsBuf is the pooled per-PE state of a flexible selection, kept across
+// uses so that steady state allocates nothing: the one-lane entries'
+// lane, every lane's window, and a round's local candidates, their global
+// reductions vs, the local ranks js and the global ranks ks (the size sum
+// reuses js and ks).
+type amsBuf[K cmp.Ordered] struct {
+	one    [1]AMSLane[K]
+	win    []amsWindow
+	cands  []laneCand[K]
+	vs     []laneCand[K]
+	js, ks []int64
+	// The reduction operator, built once: a generic function's value
+	// carries its type dictionary and would allocate at every use.
+	opCand func(a, b laneCand[K]) laneCand[K]
+}
+
+func getAMSBuf[K cmp.Ordered](pe *comm.PE) *amsBuf[K] {
+	b := comm.GetPooled[amsBuf[K]](pe)
+	if b.opCand == nil {
+		b.opCand = reduceLaneCand[K]
+	}
+	return b
+}
+
+// allReduceInto is the vector all-reduce of x into dst's backing, grown
+// as needed, which it returns.
+func allReduceInto[T any](pe *comm.PE, dst, x []T, op func(a, b T) T) []T {
+	dst = commbuf.Resize(dst[:0], len(x))
+	comm.RunSteps(pe, coll.AllReduceIntoStep(pe, dst, x, op, nil))
+	return dst
+}
+
+// run is Algorithm 2 over lanes: the lane-size sum (sumN), rounds until
+// every lane has landed, and the exact fallback for the lanes still
+// searching after amsMaxRounds (a degenerate interval).
+func (b *amsBuf[K]) run(pe *comm.PE, lanes []AMSLane[K], sumN bool, rng *xrand.RNG, d int) {
+	if sumN {
+		b.js = b.js[:0]
+		for _, l := range lanes {
+			b.js = append(b.js, int64(l.Seq.Len()))
+		}
+		b.ks = allReduceInto(pe, b.ks, b.js, addInt64)
+	}
+	b.win = commbuf.Resize(b.win[:0], len(lanes))
+	for i := range lanes {
+		l := &lanes[i]
+		if sumN {
+			l.N = b.ks[i]
+		}
+		if l.KMin > l.N {
+			panic(fmt.Sprintf("sel: AMSSelect k̲=%d exceeds input size %d", l.KMin, l.N))
+		}
+		b.win[i] = amsWindow{hi: l.Seq.Len(), kminR: l.KMin, kmaxR: l.KMax, nR: l.N}
+	}
+	for round := 1; round <= amsMaxRounds; round++ {
+		if !b.round(pe, lanes, rng, d, round) {
+			return
+		}
+	}
+	for i := range lanes {
+		l, w := &lanes[i], &b.win[i]
+		if w.done {
+			continue
+		}
+		// The shared stream must be identical across PEs: derive it from
+		// quantities all PEs agree on.
+		shared := xrand.New(int64(0x5eed + l.KMin + 31*l.KMax + 977*l.N))
+		v, _ := MSSelect[K](pe, subSeq[K]{s: l.Seq, lo: w.lo, hi: w.hi}, w.kminR, shared)
+		l.Res = AMSResult[K]{
+			Threshold: v,
+			Count:     w.accepted + w.kminR,
+			LocalLen:  l.Seq.CountLE(v),
+			Rounds:    amsMaxRounds,
+		}
+	}
+}
+
+// round is one estimation round over the lanes still searching; it
+// reports whether any lane is still searching after it.
+func (b *amsBuf[K]) round(pe *comm.PE, lanes []AMSLane[K], rng *xrand.RNG, d, round int) bool {
+	// Draw d candidate thresholds per lane with the dual estimator: a lane
+	// whose k̄ lies in the lower half of its window samples the window from
+	// the bottom at amsRho's rate and proposes the least sample (useMin),
+	// any other lane the mirror image from the top. Absent candidates must
+	// read as zero.
+	b.cands = b.cands[:0]
+	for i := range lanes {
+		w := &b.win[i]
+		if w.done {
+			continue
+		}
+		s := lanes[i].Seq
+		w.slot = len(b.cands)
+		w.all = w.kmaxR >= w.nR
+		if w.all {
+			// Everything remaining fits: threshold is the global max.
+			c := laneCand[K]{Max: true}
+			if w.hi-w.lo > 0 {
+				c.Has, c.Val = true, s.At(w.hi-1)
+			}
+			b.cands = append(b.cands, c)
+			continue
+		}
+		w.useMin = w.kmaxR < w.nR-w.kmaxR
+		for t := 0; t < d; t++ {
+			c := laneCand[K]{Max: !w.useMin}
+			if w.useMin {
+				x := rng.Geometric(amsRho(w.kminR, w.kmaxR))
+				if x <= int64(w.hi-w.lo) {
+					c.Has, c.Val = true, s.At(w.lo+int(x)-1)
+				}
+			} else {
+				x := rng.Geometric(amsRho(w.nR-w.kmaxR+1, w.nR-w.kminR+1))
+				if x <= int64(w.hi-w.lo) {
+					c.Has, c.Val = true, s.At(w.hi-int(x))
+				}
+			}
+			b.cands = append(b.cands, c)
+		}
+	}
+	if len(b.cands) == 0 {
+		return false
+	}
+	b.vs = allReduceInto(pe, b.vs, b.cands, b.opCand)
+	// Window-maximum lanes are done; rank all other candidates with one
+	// vector-valued sum.
+	b.js = b.js[:0]
+	for i := range lanes {
+		w := &b.win[i]
+		if w.done {
+			continue
+		}
+		s := lanes[i].Seq
+		if w.all {
+			lanes[i].Res = AMSResult[K]{
+				Threshold: b.vs[w.slot].Val,
+				Count:     w.accepted + w.nR,
+				LocalLen:  w.hi,
+				Rounds:    round,
+			}
+			w.done = true
+			continue
+		}
+		for _, v := range b.vs[w.slot : w.slot+d] {
+			if v.Has {
+				b.js = append(b.js, int64(clampInt(s.CountLE(v.Val), w.lo, w.hi)-w.lo))
+			} else {
+				// No PE produced a candidate (all deviates overshot): treat
+				// as "everything ≤ v", forcing the window logic to keep the
+				// full window and retry.
+				b.js = append(b.js, int64(w.hi-w.lo))
+			}
+		}
+	}
+	if len(b.js) == 0 {
+		return false
+	}
+	b.ks = allReduceInto(pe, b.ks, b.js, addInt64)
+	// Per lane: success check, then narrow to (largest under, smallest
+	// over).
+	c := 0
+	active := false
+	for i := range lanes {
+		w := &b.win[i]
+		if w.done {
+			continue
+		}
+		b.narrow(&lanes[i], w, b.vs[w.slot:w.slot+d], b.js[c:c+d], b.ks[c:c+d], round)
+		c += d
+		active = active || !w.done
+	}
+	return active
+}
+
+// narrow lands lane l if one of its candidates vs' global ranks ks (local
+// ranks js) falls in the interval left, and otherwise shrinks its window w
+// to the tightest (largest under, smallest over) bracket.
+func (b *amsBuf[K]) narrow(l *AMSLane[K], w *amsWindow, vs []laneCand[K], js, ks []int64, round int) {
+	bestUnder := int64(-1)
+	bestUnderJ := 0
+	bestOver := w.nR
+	bestOverJ := w.hi - w.lo
+	for t, v := range vs {
+		if !v.Has {
+			continue
+		}
+		k := ks[t]
+		switch {
+		case k >= w.kminR && k <= w.kmaxR:
+			l.Res = AMSResult[K]{
+				Threshold: v.Val,
+				Count:     w.accepted + k,
+				LocalLen:  w.lo + int(js[t]),
+				Rounds:    round,
+			}
+			w.done = true
+			return
+		case k < w.kminR && k > bestUnder:
+			bestUnder, bestUnderJ = k, int(js[t])
+		case k > w.kmaxR && k < bestOver:
+			bestOver, bestOverJ = k, int(js[t])
+		}
+	}
+	nROld := w.nR
+	if bestUnder >= 0 {
+		w.accepted += bestUnder
+		w.kminR -= bestUnder
+		w.kmaxR -= bestUnder
+		w.nR -= bestUnder
+		w.lo += bestUnderJ
+		bestOverJ -= bestUnderJ
+	}
+	if bestOver < nROld {
+		w.nR = bestOver - max(bestUnder, 0)
+		w.hi = w.lo + bestOverJ
+	}
 }
 
 // subSeq restricts a Seq to the window [lo, hi) — the paper's cursor

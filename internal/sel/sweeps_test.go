@@ -86,20 +86,21 @@ func watchSweeps(pe *comm.PE, st *kthStep[uint64], o *observed) (restore func())
 }
 
 // observeMSSelect runs one MSSelect on m as blocking bodies, through the
-// same seam: the selection it runs on the prefixes is a kthStep the
-// constructor has already built.
+// same seam: the selection MSSelect runs on the prefixes is the kthStep
+// newMSKth builds.
 func observeMSSelect(m *comm.Machine, shards [][]uint64, k, seed int64) observed {
 	o := observed{res: make([]uint64, m.P()), sends: make([]int64, m.P())}
 	m.ResetStats()
 	m.MustRun(func(pe *comm.PE) {
-		st := newMSSelectStep[uint64](pe, SliceSeq[uint64](shards[pe.Rank()]), k, xrand.New(seed))
-		restore := watchSweeps(pe, st.kth, &o)
+		st, buf := newMSKth[uint64](pe, SliceSeq[uint64](shards[pe.Rank()]), k, xrand.New(seed))
+		restore := watchSweeps(pe, st, &o)
 		before := pe.Sends()
 		comm.RunSteps(pe, st)
 		o.sends[pe.Rank()] = pe.Sends() - before
-		o.res[pe.Rank()] = st.resV
-		restore() // on the kthStep st has already put back in the PE's pool
+		o.res[pe.Rank()] = st.res
+		restore()
 		st.release(pe)
+		buf.release(pe)
 	})
 	o.stats = m.Stats()
 	return o

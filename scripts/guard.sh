@@ -88,30 +88,32 @@ tier1() {
   # shards, the up-sweep stepper, and every sel/coll/bpq wire codec
   # round-trips. Exact multisequence selection and bulk DeleteMin ride the
   # same sweeps: tree messages plus one size sum, exact at the edges on
-  # every executor, no allocation beyond the batch. The sorted form's
-  # level rule holds its sweeps per query under their bound.
+  # every executor, no allocation beyond the batch (nor in a flexible
+  # DeleteMin). The sorted form's level rule holds its sweeps per query
+  # under their bound.
   must_run ./internal/sel/ 'TestKthIsTreeSweepsOnly|TestKthSpeculationMiss|TestKthTieHeavyShards|TestWireCodecsRoundTrip|TestMSSelectIsTreeSweepsOnly|TestMSSelectEdgeCasesAgainstSortOracle|TestKthWindowOpsAgree|TestKthReleaseKeepsNoShardSlice|TestKthSortedSweepsPerQuery'
   # The collective catalog is what the code calls: every exported coll
   # function has a non-test caller outside the package.
   must_run ./internal/coll/ 'TestReduceConcatStep|TestWireCodecsRoundTrip|TestScalarCollectivesAreVectorForms|TestAllToAllReceivedPartsAreOwned|TestExportedCollectivesHaveCallers'
-  must_run ./internal/bpq/ 'TestDeleteMinIsTreeSweepsOnly|TestDeleteMinEdgeCasesAgainstSortOracle|TestDeleteMinZeroAllocSteadyState|TestWireCodecsRoundTrip|TestDeleteMinFlexibleSumsSizeOnce'
+  must_run ./internal/bpq/ 'TestDeleteMinIsTreeSweepsOnly|TestDeleteMinEdgeCasesAgainstSortOracle|TestDeleteMinZeroAllocSteadyState|TestDeleteMinFlexibleZeroAllocSteadyState|TestWireCodecsRoundTrip|TestDeleteMinFlexibleSumsSizeOnce'
   # Flexible selection runs in lanes: each lane against the sort oracle,
   # one round's messages for all lanes, the known-n entry without its size
   # sum, the one-lane case pinned to its recorded result and meters; DTA
   # runs one lane selection per probe and skips the probes that cannot pass.
-  must_run ./internal/sel/ 'TestAMSLanesAgainstSortOracle|TestAMSLanesShareEachRound|TestAMSSelectNStepSkipsTheSizeSum|TestAMSSelectOneLaneGolden'
+  must_run ./internal/sel/ 'TestAMSLanesAgainstSortOracle|TestAMSLanesShareEachRound|TestAMSSelectNSkipsTheSizeSum|TestAMSSelectOneLaneGolden'
   must_run ./internal/mtopk/ 'TestDTAOneSelectionPerProbe|TestDTAProbedFewerRounds|TestDTAPolylogCommunication|TestNewDataListsMatchStableSort|TestInEarlierPrefixMatchesScan'
   # Repeated runs are bit-identical (mtopk DTA/RDTA, bnb, redist, freq),
-  # and mtopk's RDTA/TopK, bnb, redist, agg's PAC/ECSum, every freq
-  # algorithm, SmallestK, the bulk priority queue and served Kth/DeleteMin
-  # reproduce their recorded results and meters.
-  must_run ./internal/mtopk/ 'TestMtopkRepeatedRunsBitIdentical|TestMtopkResultsGolden' -count=5
+  # and mtopk's RDTA/TopK/DTAProbed, bnb, redist, agg's PAC/ECSum, every
+  # freq algorithm, SmallestK, MSSelect, AMSSelectBatched, the bulk priority
+  # queue and served Kth/DeleteMin reproduce their recorded results and
+  # meters.
+  must_run ./internal/mtopk/ 'TestMtopkRepeatedRunsBitIdentical|TestMtopkResultsGolden|TestDTAProbedGolden' -count=5
   must_run ./internal/agg/ 'TestAggResultsGolden' -count=5
   must_run ./internal/bnb/ 'TestBnbRepeatedRunsBitIdentical|TestBnbResultsGolden' -count=5
   must_run ./internal/redist/ 'TestBuildPlanStepRepeatedRunsBitIdentical|TestRedistResultsGolden' -count=5
   must_run ./internal/freq/ 'TestFreqRepeatedRunsBitIdentical' -count=5
   must_run ./internal/freq/ 'TestFreqResultsGolden' -count=5
-  must_run ./internal/sel/ 'TestSmallestKGolden' -count=5
+  must_run ./internal/sel/ 'TestSmallestKGolden|TestMSSelectGolden|TestAMSSelectBatchedGolden' -count=5
   must_run ./internal/bpq/ 'TestBpqResultsGolden' -count=5
   must_run ./internal/serve/ 'TestServeMixedGolden|TestServeKthGolden' -count=5
   must_run ./internal/serve/ 'TestDeadlineExpiredAtSubmit|TestDeadlineExpiredWhileQueued' -count=50
@@ -153,13 +155,13 @@ race() {
   must_run ./internal/sel/ 'TestKthStepMatchesBlockingAcrossBackends|TestKthStepRepeatedRunsReusePooledState' -race -count=3
   must_run ./internal/sel/ 'TestKthSortedDifferential|TestKthWindowOpsAgree|TestKthReleaseKeepsNoShardSlice|TestKthSortedNeverWritesTheShard|TestKthSortedSkipsTheSizeAllReduce|TestKthIsTreeSweepsOnly|TestKthSpeculationMiss|TestKthTieHeavyShards|TestMSSelectIsTreeSweepsOnly|TestMSSelectEdgeCasesAgainstSortOracle|TestKthSortedSweepsPerQuery' -race -count=5
   must_run ./internal/coll/ 'TestReduceConcatStep' -race -count=5
-  must_run ./internal/sel/ 'TestAMSLanesAgainstSortOracle|TestAMSLanesShareEachRound|TestAMSSelectNStepSkipsTheSizeSum|TestAMSSelectOneLaneGolden' -race -count=3
+  must_run ./internal/sel/ 'TestAMSLanesAgainstSortOracle|TestAMSLanesShareEachRound|TestAMSSelectNSkipsTheSizeSum|TestAMSSelectOneLaneGolden' -race -count=3
   must_run ./internal/bpq/ 'TestDeleteMinMatchesAcrossExecutors|TestDeleteMinThresholdContract|TestInterleavedInsertDelete|TestDeleteMinIsTreeSweepsOnly|TestDeleteMinEdgeCasesAgainstSortOracle|TestDeleteMinFlexibleSumsSizeOnce|TestBpqResultsGolden' -race -count=3
-  must_run ./internal/mtopk/ 'TestMtopkSteppersMatchBlocking|TestDTAOneSelectionPerProbe|TestDTAProbedFewerRounds' -race -count=3
+  must_run ./internal/mtopk/ 'TestDTAOneSelectionPerProbe|TestDTAProbedFewerRounds' -race -count=3
   must_run ./internal/bnb/ 'TestBnbResultsGolden' -race -count=3
   must_run ./internal/redist/ 'TestRedistResultsGolden' -race -count=3
   must_run ./internal/freq/ 'TestFreqSteppersMatchBlocking' -race -count=3
-  must_run ./internal/mtopk/ 'TestMtopkResultsGolden' -race -count=3
+  must_run ./internal/mtopk/ 'TestMtopkResultsGolden|TestDTAProbedGolden' -race -count=3
   must_run ./internal/agg/ 'TestAggResultsGolden|TestLocalAggregateMatchesSumTable' -race -count=3
   must_run ./internal/freq/ 'TestFreqResultsGolden' -race -count=3
   must_run ./internal/mtopk/ 'TestNewDataListsMatchStableSort|TestInEarlierPrefixMatchesScan' -race -count=3
