@@ -40,7 +40,11 @@ type Queue[K cmp.Ordered] struct {
 	pe   *comm.PE
 	tree *treap.Tree[K]
 	seq  sel.Seq[K] // treapSeq over tree, boxed once (the tree pointer is stable)
-	rng  *xrand.RNG // per-PE stream (selection samples, AMS estimator deviates)
+	rng  *xrand.RNG // per-PE stream: one draw per selection, one per drain
+	// selRng is the stream a selection samples from (pivot samples, AMS
+	// estimator deviates), reseeded before each one from one draw of rng:
+	// how many values a selection draws then moves nothing after it.
+	selRng xrand.RNG
 
 	// Reused by every delete, so that a steady-state call allocates only
 	// its batch: this PE's [queue length, prefix length min(k, length)]
@@ -189,7 +193,7 @@ func (q *Queue[K]) deleteMin(kmin, kmax int64, flex bool) (batch []K, threshold 
 		if kmin >= total || kmax >= total {
 			return q.drain(), threshold, total
 		}
-		r := sel.AMSSelectN(q.pe, q.seq, total, max(kmin, 1), kmax, q.rng)
+		r := sel.AMSSelectN(q.pe, q.seq, total, max(kmin, 1), kmax, q.selStream())
 		q.thr, n = r.Threshold, r.Count
 	} else {
 		if kmin <= 0 || total == 0 {
@@ -203,7 +207,7 @@ func (q *Queue[K]) deleteMin(kmin, kmax int64, flex bool) (batch []K, threshold 
 		if q.sizes[1] > 0 {
 			q.tree.Ascend(q.onKey)
 		}
-		comm.RunSteps(q.pe, sel.KthSortedStep[K](q.pe, q.prefix, q.sums[1], kmin, q.rng, q.onKth))
+		comm.RunSteps(q.pe, sel.KthSortedStep[K](q.pe, q.prefix, q.sums[1], kmin, q.selStream(), q.onKth))
 		clear(q.prefix) // keys may hold references
 		q.prefix = q.prefix[:0]
 		n = kmin
@@ -213,6 +217,13 @@ func (q *Queue[K]) deleteMin(kmin, kmax int64, flex bool) (batch []K, threshold 
 	threshold = q.thr
 	j := q.seq.CountLE(threshold)
 	return q.tree.PopSmallest(j, make([]K, 0, j)), threshold, n
+}
+
+// selStream reseeds the selection stream from one draw of q.rng and
+// returns it.
+func (q *Queue[K]) selStream() *xrand.RNG {
+	q.selRng.SeedPE(int64(q.rng.Uint64()), q.pe.Rank())
+	return &q.selRng
 }
 
 // drain empties the local tree, recycling every node into the arena, and

@@ -84,32 +84,32 @@ func TestBpqResultsGolden(t *testing.T) {
 		},
 		3: {
 			pes: []string{
-				"L21 P(0,true) D[0 3] F6[6 9] D[] L18 P(12,true) D[12 15] F4[120] F16[123 126 180 183] L0 P(0,false) D[] F0[] D[240] L0 P(0,false)",
-				"L21 P(0,true) D[1 4] F6[7 10] D[] L18 P(12,true) D[13 16 19] F4[121] F16[124 127 181 184 187] L0 P(0,false) D[] F0[] D[241 244] L0 P(0,false)",
-				"L21 P(0,true) D[2] F6[5 8] D[11] L18 P(12,true) D[14 17] F4[20 23] F16[122 125 128 182 185 188 191] L0 P(0,false) D[] F0[] D[242] L0 P(0,false)",
+				"L21 P(0,true) D[0 3] F7[6 9] D[12] L17 P(13,true) D[15] F4[120] F15[123 126 180 183] L0 P(0,false) D[] F0[] D[240] L0 P(0,false)",
+				"L21 P(0,true) D[1 4] F7[7 10] D[] L17 P(13,true) D[13 16 19] F4[121] F15[124 127 181 184 187] L0 P(0,false) D[] F0[] D[241 244] L0 P(0,false)",
+				"L21 P(0,true) D[2] F7[5 8 11] D[] L17 P(13,true) D[14 17 20] F4[23 122] F15[125 128 182 185 188 191] L0 P(0,false) D[] F0[] D[242] L0 P(0,false)",
 			},
-			stats: comm.Stats{TotalWords: 211, MaxSentWords: 100, MaxRecvWords: 111, TotalSends: 112, MaxSends: 56, MaxClock: 112211},
+			stats: comm.Stats{TotalWords: 319, MaxSentWords: 154, MaxRecvWords: 165, TotalSends: 184, MaxSends: 92, MaxClock: 184319},
 		},
 		16: {
 			pes: []string{
-				"L126 P(0,true) D[0 16] F37[32 48] D[] L118 P(56,true) D[64 80] F17[] F115[640 656 672 960 976] L0 P(0,false) D[] F0[] D[1280] L0 P(0,false)",
-				"L126 P(0,true) D[1 17] F37[33 49] D[] L118 P(56,true) D[65 81] F17[97] F115[641 657 673 961 977 993] L0 P(0,false) D[] F0[] D[1281 1297] L0 P(0,false)",
-				"L126 P(0,true) D[2] F37[18 34 50] D[] L118 P(56,true) D[66 82] F17[98] F115[114 642 658 674 962 978 994 1010] L0 P(0,false) D[] F0[] D[1282] L0 P(0,false)",
-				"L126 P(0,true) D[3] F37[19 35 51] D[] L118 P(56,true) D[67 83] F17[99] F115[115 131 643 659 675 963 979] L0 P(0,false) D[] F0[] D[1283 1299] L0 P(0,false)",
-				"L126 P(0,true) D[4] F37[20 36 52] D[] L118 P(56,true) D[68 84] F17[100] F115[116 132 148 644 660 676 964 980 996] L0 P(0,false) D[] F0[] D[1284] L0 P(0,false)",
-				"L126 P(0,true) D[5] F37[21 37 53] D[] L118 P(56,true) D[69 85] F17[] F115[645 661 677 965 981 997 1013] L0 P(0,false) D[] F0[] D[1285 1301] L0 P(0,false)",
-				"L126 P(0,true) D[6] F37[22 38 54] D[] L118 P(56,true) D[70 86] F17[102] F115[646 662 678 966 982] L0 P(0,false) D[] F0[] D[1286] L0 P(0,false)",
-				"L126 P(0,true) D[7] F37[23 39] D[55] L118 P(56,true) D[71 87] F17[103] F115[119 647 663 679 967 983 999] L0 P(0,false) D[] F0[] D[1287 1303] L0 P(0,false)",
-				"L126 P(0,true) D[8] F37[24 40] D[] L118 P(56,true) D[56 72 88] F17[104] F115[120 136 648 664 680 968 984 1000 1016] L0 P(0,false) D[] F0[] D[1288] L0 P(0,false)",
-				"L126 P(0,true) D[9] F37[25 41] D[] L118 P(56,true) D[57 73] F17[89 105] F115[121 137 153 649 665 681 969 985] L0 P(0,false) D[] F0[] D[1289 1305] L0 P(0,false)",
-				"L126 P(0,true) D[10] F37[26 42] D[] L118 P(56,true) D[58 74] F17[90] F115[650 666 682 970 986 1002] L0 P(0,false) D[] F0[] D[1290] L0 P(0,false)",
-				"L126 P(0,true) D[11] F37[27 43] D[] L118 P(56,true) D[59 75] F17[91 107] F115[651 667 683 971 987 1003 1019] L0 P(0,false) D[] F0[] D[1291 1307] L0 P(0,false)",
-				"L126 P(0,true) D[12] F37[28 44] D[] L118 P(56,true) D[60 76] F17[92 108] F115[124 652 668 684 972 988] L0 P(0,false) D[] F0[] D[1292] L0 P(0,false)",
-				"L126 P(0,true) D[13] F37[29 45] D[] L118 P(56,true) D[61 77] F17[93] F115[109 125 141 653 669 685 973 989 1005] L0 P(0,false) D[] F0[] D[1293 1309] L0 P(0,false)",
-				"L126 P(0,true) D[14] F37[30 46] D[] L118 P(56,true) D[62 78] F17[94] F115[110 126 142 158 654 670 686 974 990 1006 1022] L0 P(0,false) D[] F0[] D[1294] L0 P(0,false)",
-				"L126 P(0,true) D[15] F37[31 47] D[] L118 P(56,true) D[63 79] F17[95] F115[655 671 687 975 991] L0 P(0,false) D[] F0[] D[1295 1311] L0 P(0,false)",
+				"L126 P(0,true) D[0 16] F34[32 48] D[] L121 P(53,true) D[64 80] F17[] F118[640 656 672 960 976] L0 P(0,false) D[] F0[] D[1280] L0 P(0,false)",
+				"L126 P(0,true) D[1 17] F34[33 49] D[] L121 P(53,true) D[65 81] F17[97] F118[641 657 673 961 977 993] L0 P(0,false) D[] F0[] D[1281 1297] L0 P(0,false)",
+				"L126 P(0,true) D[2] F34[18 34 50] D[] L121 P(53,true) D[66 82] F17[98] F118[114 642 658 674 962 978 994 1010] L0 P(0,false) D[] F0[] D[1282] L0 P(0,false)",
+				"L126 P(0,true) D[3] F34[19 35 51] D[] L121 P(53,true) D[67 83] F17[99] F118[115 131 643 659 675 963 979] L0 P(0,false) D[] F0[] D[1283 1299] L0 P(0,false)",
+				"L126 P(0,true) D[4] F34[20 36] D[52] L121 P(53,true) D[68 84] F17[100] F118[116 132 148 644 660 676 964 980 996] L0 P(0,false) D[] F0[] D[1284] L0 P(0,false)",
+				"L126 P(0,true) D[5] F34[21 37] D[] L121 P(53,true) D[53 69 85] F17[] F118[645 661 677 965 981 997 1013] L0 P(0,false) D[] F0[] D[1285 1301] L0 P(0,false)",
+				"L126 P(0,true) D[6] F34[22 38] D[] L121 P(53,true) D[54 70] F17[86 102] F118[646 662 678 966 982] L0 P(0,false) D[] F0[] D[1286] L0 P(0,false)",
+				"L126 P(0,true) D[7] F34[23 39] D[] L121 P(53,true) D[55 71] F17[87 103] F118[119 647 663 679 967 983 999] L0 P(0,false) D[] F0[] D[1287 1303] L0 P(0,false)",
+				"L126 P(0,true) D[8] F34[24 40] D[] L121 P(53,true) D[56 72] F17[88 104] F118[120 136 648 664 680 968 984 1000 1016] L0 P(0,false) D[] F0[] D[1288] L0 P(0,false)",
+				"L126 P(0,true) D[9] F34[25 41] D[] L121 P(53,true) D[57 73] F17[89] F118[105 121 137 153 649 665 681 969 985] L0 P(0,false) D[] F0[] D[1289 1305] L0 P(0,false)",
+				"L126 P(0,true) D[10] F34[26 42] D[] L121 P(53,true) D[58 74] F17[90] F118[650 666 682 970 986 1002] L0 P(0,false) D[] F0[] D[1290] L0 P(0,false)",
+				"L126 P(0,true) D[11] F34[27 43] D[] L121 P(53,true) D[59 75] F17[91] F118[107 651 667 683 971 987 1003 1019] L0 P(0,false) D[] F0[] D[1291 1307] L0 P(0,false)",
+				"L126 P(0,true) D[12] F34[28 44] D[] L121 P(53,true) D[60 76] F17[92] F118[108 124 652 668 684 972 988] L0 P(0,false) D[] F0[] D[1292] L0 P(0,false)",
+				"L126 P(0,true) D[13] F34[29 45] D[] L121 P(53,true) D[61 77] F17[93] F118[109 125 141 653 669 685 973 989 1005] L0 P(0,false) D[] F0[] D[1293 1309] L0 P(0,false)",
+				"L126 P(0,true) D[14] F34[30 46] D[] L121 P(53,true) D[62 78] F17[94] F118[110 126 142 158 654 670 686 974 990 1006 1022] L0 P(0,false) D[] F0[] D[1294] L0 P(0,false)",
+				"L126 P(0,true) D[15] F34[31 47] D[] L121 P(53,true) D[63 79] F17[95] F118[655 671 687 975 991] L0 P(0,false) D[] F0[] D[1295 1311] L0 P(0,false)",
 			},
-			stats: comm.Stats{TotalWords: 3255, MaxSentWords: 343, MaxRecvWords: 404, TotalSends: 1656, MaxSends: 112, MaxClock: 224654},
+			stats: comm.Stats{TotalWords: 4222, MaxSentWords: 401, MaxRecvWords: 464, TotalSends: 2296, MaxSends: 152, MaxClock: 304771},
 		},
 	}
 	for _, p := range []int{1, 3, 16} {

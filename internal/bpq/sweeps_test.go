@@ -15,8 +15,8 @@ import (
 // TestDeleteMinIsTreeSweepsOnly: an exact DeleteMin(k ≥ 2) is one 2-word
 // size all-reduce — a butterfly, log₂ p messages of 2 words from every PE —
 // and then exactly sel.KthSortedStep on the first min(k, len) keys of
-// every queue with the queue's own stream: per PE the same messages, plus
-// log₂ p. That selection is tree sweeps only (a leaf sends one message
+// every queue with the queue's selection stream: per PE the same
+// messages, plus log₂ p. That selection is tree sweeps only (a leaf sends one message
 // per level, the root log₂ p); no ExScanSum, owner broadcast or second
 // size sum fits in the count. DeleteMin(1) is the two butterflies of the
 // size sum and Algorithm 1's min-reduction base case.
@@ -39,7 +39,8 @@ func TestDeleteMinIsTreeSweepsOnly(t *testing.T) {
 				qs[pe.Rank()] = New[uint64](pe, seed)
 				qs[pe.Rank()].InsertBulk(keys(pe.Rank()))
 			})
-			// A fresh queue has drawn nothing from its stream yet.
+			// A fresh queue reseeds its selection stream from the first
+			// draw of its own stream.
 			nPrime := int64(p) * min(k, perPE)
 			twin := make([]int64, p)
 			answer := make([]uint64, p)
@@ -47,7 +48,8 @@ func TestDeleteMinIsTreeSweepsOnly(t *testing.T) {
 			m.MustRun(func(pe *comm.PE) {
 				r := pe.Rank()
 				before := pe.Sends()
-				comm.RunSteps(pe, sel.KthSortedStep(pe, keys(r)[:min(k, perPE)], nPrime, k, xrand.NewPE(seed, r),
+				rng := xrand.NewPE(int64(xrand.NewPE(seed, r).Uint64()), r)
+				comm.RunSteps(pe, sel.KthSortedStep(pe, keys(r)[:min(k, perPE)], nPrime, k, rng,
 					func(v uint64) { answer[r] = v }))
 				twin[r] = pe.Sends() - before
 			})
@@ -270,21 +272,33 @@ func TestDeleteMinEdgeCasesAgainstSortOracle(t *testing.T) {
 
 // TestDeleteMinFlexibleSumsSizeOnce: a flexible batch sums the queue
 // length once and hands the total to the flexible selection
-// (sel.AMSSelectN), which therefore opens with no size sum of its own.
-// On this fixture the selection lands in its first round, so every PE
-// sends 3·log₂ p = 9 messages: the size sum and the round's candidate and
-// rank reductions. Summing the length twice sent 12.
+// (sel.AMSSelectN), which therefore opens with no size sum of its own:
+// every PE sends exactly what sel.AMSSelectN with the queue's selection
+// stream sends, plus the one-word size sum's log₂ p messages. Summing the
+// length twice sent log₂ p more.
 func TestDeleteMinFlexibleSumsSizeOnce(t *testing.T) {
-	const p = 8
+	const p, seed = 8, 12
 	logp := int64(bits.Len(uint(p)) - 1)
 	parts, sorted := uniqueValues(11, 8000, p)
 	m := comm.NewMachine(comm.DefaultConfig(p))
 	defer m.Close()
+	twin := make([]int64, p)
+	twinRes := make([]sel.AMSResult[uint64], p)
+	m.MustRun(func(pe *comm.PE) {
+		r := pe.Rank()
+		before := pe.Sends()
+		rng := xrand.NewPE(int64(xrand.NewPE(seed, r).Uint64()), r)
+		mine := slices.Sorted(slices.Values(parts[r]))
+		twinRes[r] = sel.AMSSelectN(pe, sel.SliceSeq[uint64](mine), int64(len(sorted)), 1000, 2000, rng)
+		twin[r] = pe.Sends() - before
+	})
+	twinStats := m.Stats()
+	m.ResetStats()
 	sent := make([]int64, p)
 	batches := make([][]uint64, p)
 	var n int64
 	m.MustRun(func(pe *comm.PE) {
-		q := New[uint64](pe, 12)
+		q := New[uint64](pe, seed)
 		q.InsertBulk(parts[pe.Rank()])
 		before := pe.Sends()
 		batch, got := q.DeleteMinFlexible(1000, 2000)
@@ -302,12 +316,16 @@ func TestDeleteMinFlexibleSumsSizeOnce(t *testing.T) {
 	if !slices.Equal(all, sorted[:n]) {
 		t.Errorf("the batch is not the %d smallest keys", n)
 	}
+	if n != twinRes[0].Count {
+		t.Errorf("batch of %d, the selection's count %d", n, twinRes[0].Count)
+	}
 	for r, s := range sent {
-		if s != 3*logp {
-			t.Errorf("rank %d sent %d messages, want 3·log₂p = %d", r, s, 3*logp)
+		if s != twin[r]+logp {
+			t.Errorf("rank %d sent %d messages, want the selection's %d + log₂p", r, s, twin[r])
 		}
 	}
-	if s := m.Stats(); s.TotalWords != 96 || s.MaxSends != 9 {
-		t.Errorf("stats %+v: want 96 words and 9 messages per PE (12 with the second size sum)", s)
+	if s := m.Stats(); s.TotalWords != twinStats.TotalWords+int64(p)*logp {
+		t.Errorf("%d words, want the selection's %d + a 1-word butterfly", s.TotalWords, twinStats.TotalWords)
 	}
+	t.Logf("the selection took %d rounds: %d messages per PE", twinRes[0].Rounds, sent[0])
 }
