@@ -212,9 +212,12 @@ var msEdgeShapes = []struct {
 // TestMSSelectEdgeCasesAgainstSortOracle: on every edge shape, at k = 1
 // (the min-reduction base case), 2, the middle, total − 1 and total, with
 // the prefix sliced and copied, MSSelect returns the oracle's element and
-// every PE its exact local count — bit-identical results and meters on
-// the mailbox scheduler at any width and on the seeded executor under
-// every policy.
+// every PE its exact local count — bit-identical results, per-PE sends of
+// every selection and meters of the run on the mailbox scheduler at any
+// width and on the seeded executor under every policy. The five
+// selections of a shape run one after another in one blocking run per
+// machine: under -race a run per selection grew the test binary by about
+// 60 KB per coroutine it retired.
 func TestMSSelectEdgeCasesAgainstSortOracle(t *testing.T) {
 	const p, n = 8, 400
 	_, sorted := globalSorted(xrand.New(61), n)
@@ -226,58 +229,73 @@ func TestMSSelectEdgeCasesAgainstSortOracle(t *testing.T) {
 		}
 		slices.Sort(union)
 		total := int64(len(union))
-		for _, k := range []int64{1, 2, total / 2, total - 1, total} {
-			for _, opaque := range []bool{false, true} {
-				name := fmt.Sprintf("%s k=%d opaque=%v", shape.name, k, opaque)
-				seq := func(r int) Seq[uint64] {
-					if opaque {
-						return opaqueSeq{parts[r]}
-					}
-					return SliceSeq[uint64](parts[r])
+		ks := []int64{1, 2, total / 2, total - 1, total}
+		for _, opaque := range []bool{false, true} {
+			name := fmt.Sprintf("%s opaque=%v", shape.name, opaque)
+			seq := func(r int) Seq[uint64] {
+				if opaque {
+					return opaqueSeq{parts[r]}
 				}
-				check := func(mode string, vs []uint64, les []int) {
+				return SliceSeq[uint64](parts[r])
+			}
+			type outcome struct {
+				vs    [][]uint64 // [k][rank]
+				les   [][]int
+				sends [][]int64
+				stats comm.Stats
+			}
+			run := func(mode string, m *comm.Machine) outcome {
+				o := outcome{}
+				for range ks {
+					o.vs = append(o.vs, make([]uint64, p))
+					o.les = append(o.les, make([]int, p))
+					o.sends = append(o.sends, make([]int64, p))
+				}
+				m.MustRun(func(pe *comm.PE) {
+					r := pe.Rank()
+					for i, k := range ks {
+						before := pe.Sends()
+						o.vs[i][r], o.les[i][r] = MSSelect(pe, seq(r), k, xrand.New(7))
+						o.sends[i][r] = pe.Sends() - before
+					}
+				})
+				o.stats = m.Stats()
+				m.Close()
+				for i, k := range ks {
 					var sum int64
-					for r := range vs {
-						if vs[r] != union[k-1] {
-							t.Fatalf("%s %s: rank %d got %d, want %d", name, mode, r, vs[r], union[k-1])
+					for r, v := range o.vs[i] {
+						if v != union[k-1] {
+							t.Fatalf("%s k=%d %s: rank %d got %d, want %d", name, k, mode, r, v, union[k-1])
 						}
-						if want := SliceSeq[uint64](parts[r]).CountLE(vs[r]); les[r] != want {
-							t.Errorf("%s %s: rank %d local count %d, want %d", name, mode, r, les[r], want)
+						if want := SliceSeq[uint64](parts[r]).CountLE(v); o.les[i][r] != want {
+							t.Errorf("%s k=%d %s: rank %d local count %d, want %d", name, k, mode, r, o.les[i][r], want)
 						}
-						sum += int64(les[r])
+						sum += int64(o.les[i][r])
 					}
 					if sum != k {
-						t.Errorf("%s %s: local counts sum to %d", name, mode, sum)
+						t.Errorf("%s k=%d %s: local counts sum to %d", name, k, mode, sum)
 					}
 				}
-				blocking := comm.NewMachine(comm.DefaultConfig(p))
-				vs, les := make([]uint64, p), make([]int, p)
-				blocking.MustRun(func(pe *comm.PE) {
-					r := pe.Rank()
-					vs[r], les[r] = MSSelect(pe, seq(r), k, xrand.New(7))
-				})
-				check("blocking", vs, les)
-				want := blocking.Stats()
-				blocking.Close()
-				again := func(mode string, m *comm.Machine) {
-					vs, les := make([]uint64, p), make([]int, p)
-					m.MustRun(func(pe *comm.PE) {
-						r := pe.Rank()
-						vs[r], les[r] = MSSelect(pe, seq(r), k, xrand.New(7))
-					})
-					check(mode, vs, les)
-					if s := m.Stats(); s != want {
-						t.Errorf("%s %s: stats %+v, first run %+v", name, mode, s, want)
+				return o
+			}
+			want := run("production", comm.NewMachine(comm.DefaultConfig(p)))
+			again := func(mode string, m *comm.Machine) {
+				got := run(mode, m)
+				for i, k := range ks {
+					if !slices.Equal(got.sends[i], want.sends[i]) {
+						t.Errorf("%s k=%d %s: sends per PE %v, first run %v", name, k, mode, got.sends[i], want.sends[i])
 					}
-					m.Close()
 				}
-				cfg := comm.DefaultConfig(p)
-				cfg.Workers = 3
-				again("w=3", comm.NewMachine(cfg))
-				for _, pol := range simexec.Policies {
-					m, _ := simexec.New(comm.DefaultConfig(p), k, pol)
-					again("simexec/"+pol.String(), m)
+				if got.stats != want.stats {
+					t.Errorf("%s %s: stats %+v, first run %+v", name, mode, got.stats, want.stats)
 				}
+			}
+			cfg := comm.DefaultConfig(p)
+			cfg.Workers = 3
+			again("w=3", comm.NewMachine(cfg))
+			for _, pol := range simexec.Policies {
+				m, _ := simexec.New(comm.DefaultConfig(p), total, pol)
+				again("simexec/"+pol.String(), m)
 			}
 		}
 	}

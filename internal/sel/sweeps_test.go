@@ -292,34 +292,52 @@ func TestKthTieHeavyShards(t *testing.T) {
 		for si, shape := range shardShapes {
 			shards := shape.gen(xrand.New(int64(10*p+si)), n, p)
 			sorted, union := sortedShards(shards)
-			for _, k := range []int64{1, 2, n / 3, n / 2, 7 * n / 10, n - 1, n} {
-				for seed := int64(0); seed < 3; seed++ {
-					for _, form := range []struct {
-						name   string
-						sorted bool
-						shards [][]uint64
-					}{{"sorted", true, sorted}, {"one-shot", false, shards}} {
-						o := observeKth(m, form.sorted, form.shards, k, seed, nil)
-						name := fmt.Sprintf("p=%d %s k=%d seed=%d %s", p, shape.name, k, seed, form.name)
-						for r, v := range o.res {
-							if v != union[k-1] {
-								t.Fatalf("%s: rank %d got %d, want %d", name, r, v, union[k-1])
+			limit := 10
+			if shape.name == "giant-tie" {
+				limit = 32
+			}
+			for _, form := range []struct {
+				name   string
+				sorted bool
+				shards [][]uint64
+			}{{"sorted", true, sorted}, {"one-shot", false, shards}} {
+				// A group's selections run in one blocking run, one after
+				// another on every PE: under -race a run per selection grew
+				// the test binary by about 60 KB per coroutine it retired.
+				// The root checks each selection's sweeps.
+				var o observed
+				m.MustRun(func(pe *comm.PE) {
+					for _, k := range []int64{1, 2, n / 3, n / 2, 7 * n / 10, n - 1, n} {
+						for seed := int64(0); seed < 3; seed++ {
+							name := fmt.Sprintf("p=%d %s k=%d seed=%d %s", p, shape.name, k, seed, form.name)
+							st := newKthStep(pe, form.shards[pe.Rank()], k, xrand.NewPE(seed, pe.Rank()), nil, false)
+							if form.sorted {
+								st.sorted = true
+								st.setUp(pe, n)
 							}
-						}
-						limit := 10
-						if shape.name == "giant-tie" {
-							limit = 32
-						}
-						if len(o.sweeps) > limit {
-							t.Errorf("%s: %d levels, want ≤ %d", name, len(o.sweeps), limit)
-						}
-						for i, sw := range o.sweeps {
-							if float64(sw.m) > 3*o.target {
-								t.Errorf("%s: level %d carried %d elements up, target %.0f (%+v)", name, i, sw.m, o.target, sw)
+							restore := watchSweeps(pe, st, &o)
+							comm.RunSteps(pe, st)
+							if st.res != union[k-1] {
+								t.Errorf("%s: rank %d got %d, want %d", name, pe.Rank(), st.res, union[k-1])
 							}
+							target := st.target
+							restore()
+							st.release(pe)
+							if pe.Rank() != 0 {
+								continue
+							}
+							if len(o.sweeps) > limit {
+								t.Errorf("%s: %d levels, want ≤ %d", name, len(o.sweeps), limit)
+							}
+							for i, sw := range o.sweeps {
+								if float64(sw.m) > 3*target {
+									t.Errorf("%s: level %d carried %d elements up, target %.0f (%+v)", name, i, sw.m, target, sw)
+								}
+							}
+							o.sweeps = o.sweeps[:0]
 						}
 					}
-				}
+				})
 			}
 		}
 		m.Close()
