@@ -19,7 +19,33 @@ import (
 // experiment harness, a wire program or a command. A collective that
 // only tests reach is dead weight; delete it or unexport it.
 func TestExportedCollectivesHaveCallers(t *testing.T) {
-	const collPath = "commtopk/internal/coll"
+	for _, name := range uncalledExports(t, "coll", func(string) bool { return true }) {
+		t.Errorf("coll.%s has no non-test caller outside internal/coll: delete it or unexport it", name)
+	}
+}
+
+// The same rule for the continuation forms of the algorithm packages: a
+// family keeps an exported …Step constructor only while non-test code
+// outside its package drives it (serve's mux, the scaling suite, the
+// benchmark's probes, or another package's stepper). A stepper only tests
+// reach is a second path to keep bit-identical with the blocking form for
+// nothing; delete it and keep the blocking code.
+func TestExportedSteppersHaveCallers(t *testing.T) {
+	isStep := func(name string) bool { return strings.HasSuffix(name, "Step") }
+	for _, pkg := range []string{"sel", "dht", "freq", "mtopk"} {
+		for _, name := range uncalledExports(t, pkg, isStep) {
+			t.Errorf("%s.%s has no non-test caller outside internal/%s: delete the stepper", pkg, name, pkg)
+		}
+	}
+}
+
+// uncalledExports returns, sorted, the exported top-level functions of
+// internal/<pkg> that keep selects and that no non-test Go file outside
+// the package references as <pkg>.<Name>, under whatever name each file
+// imports it.
+func uncalledExports(t *testing.T, pkg string, keep func(name string) bool) []string {
+	t.Helper()
+	pkgPath := "commtopk/internal/" + pkg
 	root, err := filepath.Abs("../..")
 	if err != nil {
 		t.Fatal(err)
@@ -27,12 +53,14 @@ func TestExportedCollectivesHaveCallers(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
 		t.Fatalf("module root not found at %s: %v", root, err)
 	}
-	collDir := filepath.Join(root, "internal", "coll")
+	pkgDir := filepath.Join(root, "internal", pkg)
 	fset := token.NewFileSet()
 
-	// The catalog: exported top-level functions of this package.
+	// The catalog: exported top-level functions of the package that keep
+	// selects (found counts them all, to tell a moved package).
 	exported := map[string]bool{}
-	pkgFiles, err := filepath.Glob(filepath.Join(collDir, "*.go"))
+	found := 0
+	pkgFiles, err := filepath.Glob(filepath.Join(pkgDir, "*.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,16 +74,18 @@ func TestExportedCollectivesHaveCallers(t *testing.T) {
 		}
 		for _, d := range f.Decls {
 			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.IsExported() {
-				exported[fd.Name.Name] = true
+				found++
+				if keep(fd.Name.Name) {
+					exported[fd.Name.Name] = true
+				}
 			}
 		}
 	}
-	if len(exported) == 0 {
-		t.Fatal("no exported functions found; the package path moved?")
+	if found == 0 {
+		t.Fatalf("no exported functions found in %s; the package path moved?", pkgDir)
 	}
 
-	// The callers: coll.<Name> selectors in non-test files elsewhere,
-	// under whatever name each file imports the package.
+	// The callers: <pkg>.<Name> selectors in non-test files elsewhere.
 	called := map[string]bool{}
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -63,7 +93,7 @@ func TestExportedCollectivesHaveCallers(t *testing.T) {
 		}
 		if d.IsDir() {
 			name := d.Name()
-			if path == collDir || (path != root && (strings.HasPrefix(name, ".") || name == "testdata" || name == "vendor")) {
+			if path == pkgDir || (path != root && (strings.HasPrefix(name, ".") || name == "testdata" || name == "vendor")) {
 				return filepath.SkipDir
 			}
 			return nil
@@ -77,8 +107,8 @@ func TestExportedCollectivesHaveCallers(t *testing.T) {
 		}
 		local := ""
 		for _, imp := range f.Imports {
-			if p, _ := strconv.Unquote(imp.Path.Value); p == collPath {
-				local = "coll"
+			if p, _ := strconv.Unquote(imp.Path.Value); p == pkgPath {
+				local = pkg
 				if imp.Name != nil {
 					local = imp.Name.Name
 				}
@@ -108,7 +138,5 @@ func TestExportedCollectivesHaveCallers(t *testing.T) {
 		}
 	}
 	sort.Strings(orphans)
-	for _, name := range orphans {
-		t.Errorf("coll.%s has no non-test caller outside internal/coll: delete it or unexport it", name)
-	}
+	return orphans
 }
