@@ -15,7 +15,8 @@ import (
 )
 
 // The scaling suite: the O(log p) collective set, the chunked all-gather,
-// and Table-1 unsorted selection at p = 256…131072 — PE
+// Table-1 unsorted selection, the sorted selection serve answers Kth with
+// and sampling heavy hitters at p = 256…131072 — PE
 // counts where the paper's O(α log p) startup bounds become visible. A
 // machine is O(p) memory at any of them (comm.MachineBytes; 131072 PEs
 // are tens of MB), so nothing is refused for the machine's sake. The
@@ -372,8 +373,8 @@ func scalingRun(p int, quick bool) []ScalingRow {
 // callers pass pmax ≤ ScalingQuickPMax alongside it).
 func ScalingTable(pmax int, quick bool) Table {
 	t := Table{
-		Title: "Scaling: collectives, the chunked all-gather and Table-1 selection at large p, continuation-scheduled with blocking A/B twins",
-		Notes: fmt.Sprintf("collectives op = broadcast + all-reduce + prefix sum + barrier; all primaries run continuation-scheduled via comm.RunAsync on pooled stepper state, /blocking twins = the same op as blocking bodies, a coroutine per PE\ngather op: chunked all-gather (m=%d, chunk=%d), movement p²·m\nselection: sel.KthStep, k=n/2, n/p=2^10 through p=2^14 then reduced (scalingSelPerPE); goroutines = resident process count with the machine live (w = scheduler width)",
+		Title: "Scaling: collectives, the chunked all-gather, Table-1 and sorted selection and heavy hitters at large p, continuation-scheduled with blocking A/B twins",
+		Notes: fmt.Sprintf("collectives op = broadcast + all-reduce + prefix sum + barrier; all primaries run continuation-scheduled via comm.RunAsync on pooled stepper state, /blocking twins = the same op as blocking bodies, a coroutine per PE\ngather op: chunked all-gather (m=%d, chunk=%d), movement p²·m\nselection: sel.KthStep, k=n/2, n/p=2^10 through p=2^14 then reduced (scalingSelPerPE); sorted selection: sel.KthSortedStep (serve's Kth) on the same keys sorted per PE, n known, k=n/2\nheavy hitters: freq.PACStep (serve's TopKFreq), 16 keys per PE, k=8; goroutines = resident process count with the machine live (w = scheduler width)",
 			gatherBlockLen, scalingGatherChunk),
 		Header: []string{"workload", "p", "ns/op", "words/PE", "start/PE", "T_model", "machine MB", "w", "goroutines"},
 	}

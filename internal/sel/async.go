@@ -12,12 +12,14 @@ import (
 	"commtopk/internal/xrand"
 )
 
-// Continuation form of Algorithm 1. kthStep expresses unsorted selection
-// as a comm.Stepper, so the full selection benchmark runs under
-// Machine.RunAsync with O(w) mid-run goroutines. The blocking Kth drives
-// the same stepper through comm.RunSteps: one implementation, both
-// execution modes, bit-identical results and meters (pinned by the
-// differential fuzz and the scaling suite's A/B twins).
+// Continuation form of Algorithm 1, the package's one state machine.
+// kthStep expresses selection as a comm.Stepper, so serve's Kth and
+// DeleteMin (KthSortedStep) and the scaling suite run it under
+// Machine.RunAsync with O(w) mid-run goroutines. The blocking Kth,
+// SmallestK and MSSelect drive the same stepper through comm.RunSteps:
+// one implementation, both execution modes, bit-identical results and
+// meters (pinned by the differential fuzz and the scaling suite's A/B
+// twins).
 //
 // # One round trip per level
 //
