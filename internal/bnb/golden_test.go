@@ -24,37 +24,37 @@ func TestBnbResultsGolden(t *testing.T) {
 	want := map[int]bnbGolden{
 		1: {
 			res: []Result[KNode]{
-				{Objective: -571, Best: KNode{Level: 22, Value: 571, Weight: 326}, Found: true, Expanded: 69, Iterations: 64},
+				{Objective: -571, Best: KNode{Level: 22, Value: 571, Weight: 326}, Found: true, Expanded: 68, Iterations: 64},
 			},
 		},
 		3: {
 			res: []Result[KNode]{
-				{Objective: -571, Best: KNode{Level: 22, Value: 571, Weight: 326}, Found: true, Expanded: 117, Iterations: 26},
-				{Objective: -571, Expanded: 117, Iterations: 26},
-				{Objective: -571, Expanded: 117, Iterations: 26},
+				{Objective: -571, Best: KNode{Level: 22, Value: 571, Weight: 326}, Found: true, Expanded: 131, Iterations: 24},
+				{Objective: -571, Expanded: 131, Iterations: 24},
+				{Objective: -571, Expanded: 131, Iterations: 24},
 			},
-			stats: comm.Stats{TotalWords: 904, MaxSentWords: 452, MaxRecvWords: 452, TotalSends: 640, MaxSends: 320, MaxClock: 640904},
+			stats: comm.Stats{TotalWords: 764, MaxSentWords: 382, MaxRecvWords: 382, TotalSends: 544, MaxSends: 272, MaxClock: 544764},
 		},
 		16: {
 			res: []Result[KNode]{
-				{Objective: -571, Best: KNode{Level: 22, Value: 571, Weight: 326}, Found: true, Expanded: 575, Iterations: 23},
-				{Objective: -571, Expanded: 575, Iterations: 23},
-				{Objective: -571, Expanded: 575, Iterations: 23},
-				{Objective: -571, Expanded: 575, Iterations: 23},
-				{Objective: -571, Expanded: 575, Iterations: 23},
-				{Objective: -571, Expanded: 575, Iterations: 23},
-				{Objective: -571, Expanded: 575, Iterations: 23},
-				{Objective: -571, Expanded: 575, Iterations: 23},
-				{Objective: -571, Expanded: 575, Iterations: 23},
-				{Objective: -571, Expanded: 575, Iterations: 23},
-				{Objective: -571, Expanded: 575, Iterations: 23},
-				{Objective: -571, Expanded: 575, Iterations: 23},
-				{Objective: -571, Expanded: 575, Iterations: 23},
-				{Objective: -571, Expanded: 575, Iterations: 23},
-				{Objective: -571, Expanded: 575, Iterations: 23},
-				{Objective: -571, Expanded: 575, Iterations: 23},
+				{Objective: -571, Best: KNode{Level: 22, Value: 571, Weight: 326}, Found: true, Expanded: 743, Iterations: 23},
+				{Objective: -571, Expanded: 743, Iterations: 23},
+				{Objective: -571, Expanded: 743, Iterations: 23},
+				{Objective: -571, Expanded: 743, Iterations: 23},
+				{Objective: -571, Expanded: 743, Iterations: 23},
+				{Objective: -571, Expanded: 743, Iterations: 23},
+				{Objective: -571, Expanded: 743, Iterations: 23},
+				{Objective: -571, Expanded: 743, Iterations: 23},
+				{Objective: -571, Expanded: 743, Iterations: 23},
+				{Objective: -571, Expanded: 743, Iterations: 23},
+				{Objective: -571, Expanded: 743, Iterations: 23},
+				{Objective: -571, Expanded: 743, Iterations: 23},
+				{Objective: -571, Expanded: 743, Iterations: 23},
+				{Objective: -571, Expanded: 743, Iterations: 23},
+				{Objective: -571, Expanded: 743, Iterations: 23},
+				{Objective: -571, Expanded: 743, Iterations: 23},
 			},
-			stats: comm.Stats{TotalWords: 12160, MaxSentWords: 760, MaxRecvWords: 760, TotalSends: 8640, MaxSends: 540, MaxClock: 1081520},
+			stats: comm.Stats{TotalWords: 11392, MaxSentWords: 712, MaxRecvWords: 712, TotalSends: 8128, MaxSends: 508, MaxClock: 1017424},
 		},
 	}
 	inst := RandomKnapsack(5, 22, 60)
