@@ -348,19 +348,19 @@ func DTAProbed(pe *comm.PE, d *Data, t ScoreFunc, k int, probes int, rng *xrand.
 		}
 		b.est = b.est[:0]
 		for j, K := range b.ks {
-			lens := lens[j*m : (j+1)*m]
+			depthLens := lens[j*m : (j+1)*m]
 			thr := t(b.xs[j*m : (j+1)*m])
 			y := 4 * int(math.Log2(float64(K)+2))
 			var localEst float64
 			for i := 0; i < m; i++ {
-				pl := lens[i]
+				pl := depthLens[i]
 				if pl == 0 {
 					continue
 				}
 				var rejected, hits int
 				for sm := 0; sm < y; sm++ {
 					e := d.lists[i][rng.Intn(pl)]
-					if d.inEarlierPrefix(e.pos, i, lens) {
+					if d.inEarlierPrefix(e.pos, i, depthLens) {
 						rejected++
 						continue
 					}
