@@ -173,7 +173,7 @@ func (x *mux[K]) addSlot(pe *comm.PE, q *query[K]) {
 		sl.step = &popStep[K]{x: x, sl: sl}
 		x.pqQ = append(x.pqQ, sl)
 	case kindFreq:
-		p := freq.Params{K: int(q.k), Eps: x.srv.cfg.FreqEps, Delta: x.srv.cfg.FreqDelta}
+		p := freq.Params{K: int(q.k), Eps: freqEps, Delta: freqDelta}
 		sl.step = freq.PACStep(pe, x.srv.freqShards[pe.Rank()], p, xrand.NewPE(q.seed, pe.Rank()),
 			func(r freq.Result) { sl.items = r.Items })
 		x.slots = append(x.slots, sl)

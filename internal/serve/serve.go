@@ -103,12 +103,15 @@ type Config struct {
 	// PE via xrand.NewPE), making every query's pivot walk — and with it
 	// its meter — reproducible independent of interleaving.
 	Seed int64
-	// FreqEps/FreqDelta are the (ε, δ) guarantees TopKFreq queries run
-	// under (defaults 0.02 and 0.01). Per-server, not per-query: the
-	// sampling rate they imply is a property of the resident data set.
-	FreqEps   float64
-	FreqDelta float64
 }
+
+// freqEps and freqDelta are the (ε, δ) guarantee every TopKFreq query
+// runs under. They are fixed, not per-query: the sampling rate they
+// imply is a property of the resident data set.
+const (
+	freqEps   = 0.02
+	freqDelta = 0.01
+)
 
 func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
@@ -119,12 +122,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BatchMax <= 0 {
 		c.BatchMax = 8
-	}
-	if c.FreqEps <= 0 {
-		c.FreqEps = 0.02
-	}
-	if c.FreqDelta <= 0 {
-		c.FreqDelta = 0.01
 	}
 	return c
 }
@@ -385,7 +382,7 @@ func (s *Server[K]) DeleteMinDeadline(k int64, deadline time.Time) (*Ticket[K], 
 
 // TopKFreq submits a heavy-hitter query: the k most frequent keys among
 // the union of all shards, computed by the Section 7.1 PAC pipeline
-// under the server's (FreqEps, FreqDelta) guarantee — the third query
+// with ε = 0.02 and δ = 0.01 (freqEps, freqDelta) — the third query
 // kind. Like Kth it only reads resident data (the caller's shards, in
 // place), so it interleaves freely with every other query under its own
 // context lease, with the same meter attribution; the per-query RNG seed pins its sampling and
