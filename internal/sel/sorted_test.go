@@ -99,45 +99,84 @@ func sortedShards(shards [][]uint64) (sorted [][]uint64, union []uint64) {
 	return sorted, union
 }
 
-// runKthSorted runs one sorted-form selection on m — under RunAsync, or
-// as a blocking body driving the stepper with RunSteps — and returns the
-// per-PE results and that run's meters.
-func runKthSorted(m *comm.Machine, async bool, sorted [][]uint64, k, seed int64) ([]uint64, comm.Stats) {
+// kthQuery is one selection: its rank and its pivot seed.
+type kthQuery struct{ k, seed int64 }
+
+// runKthSorted runs the sorted-form selections qs one after another on
+// every PE, all in one run on m — under RunAsync, or as a blocking body
+// driving the steppers with RunSteps — and returns each selection's
+// per-PE results and per-PE sends, and the run's meters.
+func runKthSorted(m *comm.Machine, async bool, sorted [][]uint64, qs ...kthQuery) (res [][]uint64, sends [][]int64, st comm.Stats) {
 	var n int64
 	for _, sh := range sorted {
 		n += int64(len(sh))
 	}
-	res := make([]uint64, m.P())
+	res, sends = make([][]uint64, len(qs)), make([][]int64, len(qs))
+	for i := range qs {
+		res[i], sends[i] = make([]uint64, m.P()), make([]int64, m.P())
+	}
+	mk := func(pe *comm.PE, i int) comm.Stepper {
+		r := pe.Rank()
+		return KthSortedStep(pe, sorted[r], n, qs[i].k, xrand.NewPE(qs[i].seed, r),
+			func(v uint64) { res[i][r] = v })
+	}
 	m.ResetStats()
-	mk := func(pe *comm.PE) comm.Stepper {
-		return KthSortedStep(pe, sorted[pe.Rank()], n, k, xrand.NewPE(seed, pe.Rank()),
-			func(v uint64) { res[pe.Rank()] = v })
-	}
 	if async {
-		m.MustRunAsync(mk)
+		m.MustRunAsync(func(pe *comm.PE) comm.Stepper {
+			var cur comm.Stepper
+			var i int
+			var before int64
+			return comm.StepFunc(func(pe *comm.PE) *comm.RecvHandle {
+				for ; i < len(qs); i++ {
+					if cur == nil {
+						before, cur = pe.Sends(), mk(pe, i)
+					}
+					if h := cur.Step(pe); h != nil {
+						return h
+					}
+					sends[i][pe.Rank()] = pe.Sends() - before
+					cur = nil
+				}
+				return nil
+			})
+		})
 	} else {
-		m.MustRun(func(pe *comm.PE) { comm.RunSteps(pe, mk(pe)) })
+		m.MustRun(func(pe *comm.PE) {
+			for i := range qs {
+				before := pe.Sends()
+				comm.RunSteps(pe, mk(pe, i))
+				sends[i][pe.Rank()] = pe.Sends() - before
+			}
+		})
 	}
-	return res, m.Stats()
+	return res, sends, m.Stats()
 }
 
-// runKth is the unsorted one-shot form on the same machine.
-func runKth(m *comm.Machine, shards [][]uint64, k, seed int64) ([]uint64, comm.Stats) {
-	res := make([]uint64, m.P())
+// runKth is the unsorted one-shot form on the same machine, every
+// selection in one blocking run.
+func runKth(m *comm.Machine, shards [][]uint64, qs ...kthQuery) ([][]uint64, comm.Stats) {
+	res := make([][]uint64, len(qs))
+	for i := range qs {
+		res[i] = make([]uint64, m.P())
+	}
 	m.ResetStats()
 	m.MustRun(func(pe *comm.PE) {
-		res[pe.Rank()] = Kth(pe, shards[pe.Rank()], k, xrand.NewPE(seed, pe.Rank()))
+		r := pe.Rank()
+		for i, q := range qs {
+			res[i][r] = Kth(pe, shards[r], q.k, xrand.NewPE(q.seed, r))
+		}
 	})
 	return res, m.Stats()
 }
 
 // TestKthSortedDifferential pins KthSortedStep against the sort oracle
-// and against Kth on the same multiset, and its results and all six
-// Stats fields bit-identical across drivers (blocking RunSteps, RunAsync,
-// RunAsync at w < p) and executors (production, simexec reference — the
-// "matrix" legs, named before that package existed).
+// and against Kth on the same multiset, and its results, every
+// selection's per-PE sends and all six Stats fields of the run
+// bit-identical across run forms (blocking RunSteps, RunAsync, RunAsync at
+// w < p) and executors (production, the simexec reference). A shape's
+// selections share one run per rig.
 func TestKthSortedDifferential(t *testing.T) {
-	const n = 3000
+	const n, seed = 3000, 97
 	for _, p := range []int{1, 2, 3, 8, 64} {
 		wLess := comm.DefaultConfig(p)
 		wLess.Workers = min(2, p)
@@ -149,32 +188,40 @@ func TestKthSortedDifferential(t *testing.T) {
 			{"mailbox/blocking", comm.NewMachine(comm.DefaultConfig(p)), false},
 			{"mailbox/async", comm.NewMachine(comm.DefaultConfig(p)), true},
 			{"mailbox/async/w<p", comm.NewMachine(wLess), true},
-			{"matrix/blocking", simexec.Reference(p), false},
-			{"matrix/async", simexec.Reference(p), true},
+			{"simexec/blocking", simexec.Reference(p), false},
+			{"simexec/async", simexec.Reference(p), true},
+		}
+		var qs []kthQuery
+		for _, k := range []int64{1, 2, n / 2, n - 1, n} {
+			qs = append(qs, kthQuery{k, seed})
 		}
 		for si, shape := range shardShapes {
+			name := fmt.Sprintf("p=%d/%s", p, shape.name)
 			shards := shape.gen(xrand.New(int64(100*p+si)), n, p)
 			sorted, union := sortedShards(shards)
-			for _, k := range []int64{1, 2, n / 2, n - 1, n} {
-				name := fmt.Sprintf("p=%d/%s/k=%d", p, shape.name, k)
-				want := union[k-1]
-				const seed = 97
-				unsorted, _ := runKth(rigs[0].m, shards, k, seed)
-				var refStats comm.Stats
-				for i, rig := range rigs {
-					res, stats := runKthSorted(rig.m, rig.async, sorted, k, seed)
-					for r := range res {
-						if res[r] != want || unsorted[r] != want {
-							t.Fatalf("%s %s rank %d: sorted form %d, Kth %d, oracle %d",
-								name, rig.name, r, res[r], unsorted[r], want)
+			unsorted, _ := runKth(rigs[0].m, shards, qs...)
+			var refSends [][]int64
+			var refStats comm.Stats
+			for ri, rig := range rigs {
+				res, sends, stats := runKthSorted(rig.m, rig.async, sorted, qs...)
+				for i, q := range qs {
+					want := union[q.k-1]
+					for r := range res[i] {
+						if res[i][r] != want || unsorted[i][r] != want {
+							t.Fatalf("%s/k=%d %s rank %d: sorted form %d, Kth %d, oracle %d",
+								name, q.k, rig.name, r, res[i][r], unsorted[i][r], want)
 						}
 					}
-					if i == 0 {
-						refStats = stats
-					} else if stats != refStats {
-						t.Errorf("%s: meters diverge:\n  %s: %+v\n  %s: %+v",
-							name, rigs[0].name, refStats, rig.name, stats)
+					if ri > 0 && !slices.Equal(sends[i], refSends[i]) {
+						t.Errorf("%s/k=%d: per-PE sends diverge:\n  %s: %v\n  %s: %v",
+							name, q.k, rigs[0].name, refSends[i], rig.name, sends[i])
 					}
+				}
+				if ri == 0 {
+					refSends, refStats = sends, stats
+				} else if stats != refStats {
+					t.Errorf("%s: meters diverge:\n  %s: %+v\n  %s: %+v",
+						name, rigs[0].name, refStats, rig.name, stats)
 				}
 			}
 		}
@@ -321,9 +368,9 @@ func neverWritesTheShard(t *testing.T, p int) {
 		}
 		for q := 0; q < perShape; q++ {
 			k := int64(1 + q*(n-1)/(perShape-1))
-			res, _ := runKthSorted(m, q%2 == 0, sorted, k, int64(q))
-			if res[0] != union[k-1] {
-				t.Fatalf("p=%d %s k=%d: got %d want %d", p, shape.name, k, res[0], union[k-1])
+			res, _, _ := runKthSorted(m, q%2 == 0, sorted, kthQuery{k, int64(q)})
+			if res[0][0] != union[k-1] {
+				t.Fatalf("p=%d %s k=%d: got %d want %d", p, shape.name, k, res[0][0], union[k-1])
 			}
 		}
 		for r := range sorted {
@@ -344,13 +391,16 @@ func TestKthSortedSkipsTheSizeAllReduce(t *testing.T) {
 	sorted, _ := sortedShards(shards)
 	m := comm.NewMachine(comm.DefaultConfig(p))
 	defer m.Close()
-	var sendsSorted, sendsUnsorted int64
-	for seed := int64(0); seed < seeds; seed++ {
-		_, st := runKthSorted(m, true, sorted, n/2, seed)
-		sendsSorted += st.TotalSends
-		_, st = runKth(m, shards, n/2, seed)
-		sendsUnsorted += st.TotalSends
+	// Each form runs its selections in one run: a run's sends are the sum
+	// of its selections'.
+	qs := make([]kthQuery, seeds)
+	for seed := range qs {
+		qs[seed] = kthQuery{n / 2, int64(seed)}
 	}
+	_, _, st := runKthSorted(m, true, sorted, qs...)
+	sendsSorted := st.TotalSends
+	_, st = runKth(m, shards, qs...)
+	sendsUnsorted := st.TotalSends
 	perPE := func(total int64) float64 { return float64(total) / (seeds * p) }
 	t.Logf("mean startups/PE over %d seeds: sorted form %.2f, unsorted form %.2f",
 		seeds, perPE(sendsSorted), perPE(sendsUnsorted))
@@ -386,12 +436,12 @@ func FuzzKthSorted(f *testing.F) {
 		cfg.Workers = min(2, p)
 		m := comm.NewMachine(cfg)
 		defer m.Close()
-		got, _ := runKthSorted(m, true, sorted, k, seed)
-		ref, _ := runKth(m, shards, k, seed)
-		for r := range got {
-			if got[r] != union[k-1] || ref[r] != union[k-1] {
+		got, _, _ := runKthSorted(m, true, sorted, kthQuery{k, seed})
+		ref, _ := runKth(m, shards, kthQuery{k, seed})
+		for r := range got[0] {
+			if got[0][r] != union[k-1] || ref[0][r] != union[k-1] {
 				t.Fatalf("p=%d %s n=%d k=%d rank %d: sorted form %d, Kth %d, oracle %d",
-					p, shape.name, n, k, r, got[r], ref[r], union[k-1])
+					p, shape.name, n, k, r, got[0][r], ref[0][r], union[k-1])
 			}
 		}
 	})
