@@ -122,14 +122,13 @@ func (s *broadcastStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
 
 // scalarStep is a scalar collective: a vector engine run on a
 // one-element accumulator. The all-reduce is allReduceAccStep and the
-// exclusive scan is the exclusive inScanStep, so each protocol has one
+// exclusive scan is exScanStep, so each protocol has one
 // implementation and the scalar forms ship exactly the one-element copies
 // the vector forms would.
 type scalarStep[T any] struct {
-	// buf[0] is the accumulator, buf[1] the exclusive scan's identity
-	// (the zero value). Both live in the pooled state: nothing allocates
-	// per op.
-	buf  [2]T
+	// buf is the accumulator; it lives in the pooled state, so nothing
+	// allocates per op.
+	buf  [1]T
 	eng  comm.Stepper
 	out  func(T)
 	held bool // driven by a blocking form, which harvests buf[0] and releases
@@ -144,13 +143,13 @@ func newScalarStep[T any](pe *comm.PE, v T, out func(T)) *scalarStep[T] {
 
 func newAllReduceScalar[T any](pe *comm.PE, v T, op func(a, b T) T, out func(T)) *scalarStep[T] {
 	s := newScalarStep(pe, v, out)
-	s.eng = newAllReduceAccStep(pe, s.buf[:1:1], op, nil)
+	s.eng = newAllReduceAccStep(pe, s.buf[:], op, nil)
 	return s
 }
 
 func newExScanSum[T int | int64 | float64 | uint64](pe *comm.PE, v T, out func(T)) *scalarStep[T] {
 	s := newScalarStep(pe, v, out)
-	s.eng = newInScanStep(pe, s.buf[:1:1], opsOf[T](pe).add, s.buf[1:], true, nil)
+	s.eng = newExScanStep(pe, s.buf[:], opsOf[T](pe).add, nil)
 	return s
 }
 

@@ -90,11 +90,6 @@ func TestZeroAllocSteppersRunAsync(t *testing.T) {
 		{"ExScanSum", 0, func(pe *comm.PE) comm.Stepper {
 			return ExScanSumStep(pe, int64(pe.Rank()), nil)
 		}},
-		{"InScan", 0, func(pe *comm.PE) comm.Stepper {
-			acc := dst[pe.Rank()]
-			copy(acc, guardPayload(pe))
-			return newInScanStep(pe, acc, sumI64, nil, false, nil)
-		}},
 		{"AllReduceIntoVec", 0, func(pe *comm.PE) comm.Stepper {
 			return AllReduceIntoStep(pe, dst[pe.Rank()], guardPayload(pe), sumI64, nil)
 		}},
@@ -121,9 +116,6 @@ func TestZeroAllocSteppersRunAsync(t *testing.T) {
 		}},
 		{"RouteCombine", 0, func(pe *comm.PE) comm.Stepper {
 			return RouteCombineStep(pe, guardRouted(pe), guardDest, nil, nil)
-		}},
-		{"AllGatherChunked", 0, func(pe *comm.PE) comm.Stepper {
-			return AllGatherChunkedStep(pe, guardPayload(pe), 3, discardVisit)
 		}},
 		{"SeqPChain", 1, func(pe *comm.PE) comm.Stepper {
 			// The scaling suite's collectives op shape: pooled sequence of

@@ -1,20 +1,13 @@
 package coll
 
 import (
-	"fmt"
-
 	"commtopk/internal/comm"
 	"commtopk/internal/commbuf"
 )
 
-// The rooted binomial-tree collectives as steppers: the up-sweep that
-// sums a header and concatenates data blocks (ReduceConcatStep, one
-// selection level's way up), and Scatterv's scatter, which the blocking
-// Scatterv drives via comm.RunSteps.
-
-// ---------------------------------------------------------------------------
-// Binomial reduce + concatenate (one up-sweep)
-// ---------------------------------------------------------------------------
+// The binomial up-sweep as a stepper: it sums a header and concatenates
+// data blocks on the root (ReduceConcatStep, one selection level's way
+// up).
 
 // reduceConcatStep — see ReduceConcatStep.
 type reduceConcatStep[T any] struct {
@@ -124,118 +117,6 @@ func (s *reduceConcatStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
 			s.tpool.Put(rx.data)
 			s.mask <<= 1
 			s.phase = 1
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Binomial scatter
-// ---------------------------------------------------------------------------
-
-// scattervStep — see newScattervStep.
-type scattervStep[T any] struct {
-	root  int
-	parts [][]T
-	out   func([]T)
-	tag   comm.Tag
-	vr    int
-	mask  int
-	hold  []rankedBlock[T]
-	h     *comm.RecvHandle
-	phase int
-}
-
-// newScattervStep is Scatterv's engine: root's parts[i] travels to PE i
-// along a binomial tree and out receives the local part on every PE.
-// parts is only read on root; the delivered slice aliases the root's
-// parts[i] (not a copy).
-func newScattervStep[T any](pe *comm.PE, root int, parts [][]T, out func([]T)) comm.Stepper {
-	s := comm.GetPooled[scattervStep[T]](pe)
-	*s = scattervStep[T]{root: root, parts: parts, out: out}
-	return s
-}
-
-func (s *scattervStep[T]) finish(pe *comm.PE, mine []T) *comm.RecvHandle {
-	out := s.out
-	*s = scattervStep[T]{}
-	comm.PutPooled(pe, s)
-	if out != nil {
-		out(mine)
-	}
-	return nil
-}
-
-func (s *scattervStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
-	p := pe.P()
-	for {
-		switch s.phase {
-		case 0:
-			if p == 1 {
-				return s.finish(pe, s.parts[0])
-			}
-			if pe.Rank() == s.root && len(s.parts) != p {
-				panic(fmt.Sprintf("coll: Scatterv needs %d parts, got %d", p, len(s.parts)))
-			}
-			s.tag = pe.NextCollTag()
-			s.vr = (pe.Rank() - s.root + p) % p
-			// mask starts at half the power of two covering my subtree in
-			// vr-space (mySpan in the blocking form).
-			mySpan := 1
-			if s.vr == 0 {
-				for mySpan < p {
-					mySpan <<= 1
-				}
-				s.mask = mySpan >> 1
-				for i, part := range s.parts {
-					s.hold = append(s.hold, rankedBlock[T]{rank: (i - s.root + p) % p, data: part})
-				}
-				s.phase = 2
-				continue
-			}
-			mySpan = s.vr & (-s.vr)
-			s.mask = mySpan >> 1
-			parent := ((s.vr - mySpan) + s.root) % p
-			s.h = pe.IRecv(parent, s.tag)
-			s.phase = 1
-			if !s.h.Test() {
-				return s.h
-			}
-		case 1:
-			rxAny, _ := s.h.Wait()
-			s.h = nil
-			s.hold = rxAny.([]rankedBlock[T])
-			s.phase = 2
-		default:
-			for ; s.mask >= 1; s.mask >>= 1 {
-				child := s.vr | s.mask
-				if child >= p {
-					continue
-				}
-				var block []rankedBlock[T]
-				var words int64
-				for _, b := range s.hold {
-					if b.rank >= child && b.rank < child+s.mask {
-						block = append(block, b)
-						words += sliceWords(b.data)
-					}
-				}
-				pe.Send((child+s.root)%p, s.tag, block, words)
-				// Keep only what remains in my half.
-				var rest []rankedBlock[T]
-				for _, b := range s.hold {
-					if b.rank < child || b.rank >= child+s.mask {
-						rest = append(rest, b)
-					}
-				}
-				s.hold = rest
-			}
-			var mine []T
-			for _, b := range s.hold {
-				if b.rank == s.vr {
-					mine = b.data
-				}
-			}
-			return s.finish(pe, mine)
 		}
 	}
 }

@@ -5,71 +5,60 @@ import (
 	"commtopk/internal/commbuf"
 )
 
-// The prefix-scan engine as a stepper: Hillis–Steele dissemination, plus
-// one shift-down round for the exclusive form. The blocking InScan drives
-// the inclusive form with comm.RunSteps; ExScanSum is the exclusive form
-// on one element.
+// The exclusive prefix-scan engine as a stepper: Hillis–Steele
+// dissemination, then one shift-down round. ExScanSum runs it on one
+// element; rank 0's prefix is the zero value, the identity of a sum.
 
-// inScan phase constants.
+// exScan phase constants.
 const (
-	isphInit = iota
-	isphRounds
-	isphRoundWait
-	isphShift
-	isphShiftWait
-	isphDone
+	esphInit = iota
+	esphRounds
+	esphRoundWait
+	esphShift
+	esphShiftWait
+	esphDone
 )
 
-// inScanStep — see newInScanStep.
-type inScanStep[T any] struct {
-	acc       []T
-	op        func(a, b T) T
-	identity  []T
-	exclusive bool
-	out       func([]T)
-	pool      *commbuf.Pool[T]
-	tag       comm.Tag
-	rank      int
-	d         int
-	h         *comm.RecvHandle
-	phase     int
+// exScanStep — see newExScanStep.
+type exScanStep[T any] struct {
+	acc   []T
+	op    func(a, b T) T
+	out   func([]T)
+	pool  *commbuf.Pool[T]
+	tag   comm.Tag
+	rank  int
+	d     int
+	h     *comm.RecvHandle
+	phase int
 }
 
-// newInScanStep scans acc, this PE's contribution, in place: inclusive
-// leaves op(x@0, ..., x@rank) in it, exclusive op(x@0, ..., x@(rank-1))
-// — identity (the same length as acc) on rank 0. out receives acc.
-func newInScanStep[T any](pe *comm.PE, acc []T, op func(a, b T) T, identity []T, exclusive bool, out func([]T)) *inScanStep[T] {
-	s := comm.GetPooled[inScanStep[T]](pe)
-	*s = inScanStep[T]{acc: acc, op: op, identity: identity, exclusive: exclusive, out: out}
+// newExScanStep scans acc, this PE's contribution, in place, leaving
+// op(x@0, ..., x@(rank-1)) in it — zeros on rank 0. out receives acc.
+func newExScanStep[T any](pe *comm.PE, acc []T, op func(a, b T) T, out func([]T)) *exScanStep[T] {
+	s := comm.GetPooled[exScanStep[T]](pe)
+	*s = exScanStep[T]{acc: acc, op: op, out: out}
 	return s
 }
 
-func (s *inScanStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
+func (s *exScanStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
 	p := pe.P()
 	for {
 		switch s.phase {
-		case isphInit:
+		case esphInit:
 			if p == 1 {
-				if s.exclusive {
-					s.acc = s.acc[:0]
-					s.acc = append(s.acc, s.identity...)
-				}
-				s.phase = isphDone
+				clear(s.acc)
+				s.phase = esphDone
 				continue
 			}
 			s.pool = commbuf.For[T]()
 			s.rank = pe.Rank()
 			s.tag = pe.NextCollTag()
 			s.d = 1
-			s.phase = isphRounds
-		case isphRounds:
+			s.phase = esphRounds
+		case esphRounds:
 			if s.d >= p {
-				if !s.exclusive {
-					s.phase = isphDone
-					continue
-				}
 				s.tag = pe.NextCollTag()
-				s.phase = isphShift
+				s.phase = esphShift
 				continue
 			}
 			// acc currently covers ranks (rank-d, rank]; post the round's
@@ -80,11 +69,11 @@ func (s *inScanStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
 			if s.rank+s.d < p {
 				sendCopy(pe, s.pool, s.rank+s.d, s.tag, s.acc)
 			}
-			s.phase = isphRoundWait
+			s.phase = esphRoundWait
 			if s.h != nil && !s.h.Test() {
 				return s.h
 			}
-		case isphRoundWait:
+		case esphRoundWait:
 			if s.h != nil {
 				rxAny, _ := s.h.Wait()
 				s.h = nil
@@ -97,19 +86,19 @@ func (s *inScanStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
 				s.pool.Put(rx)
 			}
 			s.d <<= 1
-			s.phase = isphRounds
-		case isphShift:
+			s.phase = esphRounds
+		case esphShift:
 			if s.rank > 0 {
 				s.h = pe.IRecv(s.rank-1, s.tag)
 			}
 			if s.rank+1 < p {
 				sendCopy(pe, s.pool, s.rank+1, s.tag, s.acc)
 			}
-			s.phase = isphShiftWait
+			s.phase = esphShiftWait
 			if s.h != nil && !s.h.Test() {
 				return s.h
 			}
-		case isphShiftWait:
+		case esphShiftWait:
 			if s.h != nil {
 				rxAny, _ := s.h.Wait()
 				s.h = nil
@@ -117,14 +106,12 @@ func (s *inScanStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
 				copy(s.acc, *rx)
 				s.pool.Put(rx)
 			} else {
-				// Rank 0: the exclusive prefix is the identity.
-				s.acc = s.acc[:0]
-				s.acc = append(s.acc, s.identity...)
+				clear(s.acc) // rank 0: the empty prefix
 			}
-			s.phase = isphDone
+			s.phase = esphDone
 		default:
 			out, acc := s.out, s.acc
-			*s = inScanStep[T]{}
+			*s = exScanStep[T]{}
 			comm.PutPooled(pe, s)
 			if out != nil {
 				out(acc)

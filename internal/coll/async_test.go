@@ -71,17 +71,6 @@ func asyncPairs() []asyncPair {
 			},
 		},
 		{
-			name: "InScan",
-			block: func(pe *comm.PE, out *any) {
-				x := []int64{int64(pe.Rank()) + 1, int64(pe.Rank() * 2)}
-				*out = InScan(pe, x, sum)
-			},
-			start: func(pe *comm.PE, out *any) comm.Stepper {
-				x := []int64{int64(pe.Rank()) + 1, int64(pe.Rank() * 2)}
-				return newInScanStep(pe, x, sum, nil, false, func(v []int64) { *out = slices.Clone(v) })
-			},
-		},
-		{
 			name: "AllReduceVec",
 			block: func(pe *comm.PE, out *any) {
 				x := []int64{int64(pe.Rank()) + 2, 1, int64(pe.Rank() * pe.Rank())}
@@ -158,29 +147,6 @@ func asyncPairs() []asyncPair {
 			},
 		},
 		{
-			name: "Scatterv",
-			block: func(pe *comm.PE, out *any) {
-				var parts [][]int64
-				if pe.Rank() == 0 {
-					parts = make([][]int64, pe.P())
-					for i := range parts {
-						parts[i] = []int64{int64(i * 13), int64(i)}
-					}
-				}
-				*out = slices.Clone(Scatterv(pe, 0, parts))
-			},
-			start: func(pe *comm.PE, out *any) comm.Stepper {
-				var parts [][]int64
-				if pe.Rank() == 0 {
-					parts = make([][]int64, pe.P())
-					for i := range parts {
-						parts[i] = []int64{int64(i * 13), int64(i)}
-					}
-				}
-				return newScattervStep(pe, 0, parts, func(v []int64) { *out = slices.Clone(v) })
-			},
-		},
-		{
 			name: "BroadcastScalar",
 			block: func(pe *comm.PE, out *any) {
 				*out = BroadcastScalar(pe, 0, int64(pe.Rank())+41)
@@ -192,34 +158,14 @@ func asyncPairs() []asyncPair {
 		{
 			name: "RouteCombine",
 			block: func(pe *comm.PE, out *any) {
-				got := AllToAllCombine(pe, routeItems(pe), sumPerDest)
-				*out = flattenRouted(got)
+				comm.RunSteps(pe, RouteCombineStep(pe, routeItems(pe), routedDest, sumPerDest, func(got []routed) {
+					*out = flattenRouted(got)
+				}))
 			},
 			start: func(pe *comm.PE, out *any) comm.Stepper {
-				return RouteCombineStep(pe, routeItems(pe), routedDest[int64], sumPerDest, func(got []Routed[int64]) {
+				return RouteCombineStep(pe, routeItems(pe), routedDest, sumPerDest, func(got []routed) {
 					*out = flattenRouted(got)
 				})
-			},
-		},
-		{
-			name: "AllGatherChunked",
-			block: func(pe *comm.PE, out *any) {
-				data := []int64{int64(pe.Rank()), int64(pe.Rank() * 3)}
-				acc := []int64{}
-				AllGatherChunked(pe, data, 3, func(src int, b []int64) {
-					acc = append(acc, int64(src), b[0], b[1])
-				})
-				*out = acc
-			},
-			start: func(pe *comm.PE, out *any) comm.Stepper {
-				data := []int64{int64(pe.Rank()), int64(pe.Rank() * 3)}
-				acc := []int64{}
-				return comm.Seq(
-					AllGatherChunkedStep(pe, data, 3, func(src int, b []int64) {
-						acc = append(acc, int64(src), b[0], b[1])
-					}),
-					comm.StepFunc(func(pe *comm.PE) *comm.RecvHandle { *out = acc; return nil }),
-				)
 			},
 		},
 		{
@@ -245,20 +191,28 @@ func asyncPairs() []asyncPair {
 	}
 }
 
+// routed is a router test item: its destination rank and a payload.
+type routed struct {
+	Dest    int
+	Payload int64
+}
+
+func routedDest(it routed) int { return it.Dest }
+
 // routeItems builds the hypercube workload: two items per destination.
-func routeItems(pe *comm.PE) []Routed[int64] {
-	items := make([]Routed[int64], 0, 2*pe.P())
+func routeItems(pe *comm.PE) []routed {
+	items := make([]routed, 0, 2*pe.P())
 	for d := 0; d < pe.P(); d++ {
 		items = append(items,
-			Routed[int64]{Dest: d, Payload: int64(pe.Rank()*100 + d)},
-			Routed[int64]{Dest: d, Payload: int64(d * d)})
+			routed{Dest: d, Payload: int64(pe.Rank()*100 + d)},
+			routed{Dest: d, Payload: int64(d * d)})
 	}
 	return items
 }
 
 // sumPerDest is an order-canonical combine hook (sums per destination,
 // emits in ascending dest order), usable under any schedule.
-func sumPerDest(held []Routed[int64]) []Routed[int64] {
+func sumPerDest(held []routed) []routed {
 	sums := map[int]int64{}
 	for _, it := range held {
 		sums[it.Dest] += it.Payload
@@ -268,14 +222,14 @@ func sumPerDest(held []Routed[int64]) []Routed[int64] {
 		dests = append(dests, d)
 	}
 	slices.Sort(dests)
-	out := make([]Routed[int64], 0, len(dests))
+	out := make([]routed, 0, len(dests))
 	for _, d := range dests {
-		out = append(out, Routed[int64]{Dest: d, Payload: sums[d]})
+		out = append(out, routed{Dest: d, Payload: sums[d]})
 	}
 	return out
 }
 
-func flattenRouted(items []Routed[int64]) []int64 {
+func flattenRouted(items []routed) []int64 {
 	flat := []int64{}
 	for _, it := range items {
 		flat = append(flat, int64(it.Dest), it.Payload)
@@ -333,15 +287,13 @@ func equalAny(a, b any) bool {
 }
 
 // bothRigs are a production machine and the reference executor of
-// internal/simexec. The second leg's name is older than that package (the
-// reference used to be a channel-matrix transport); it stays so that test
-// ids remain comparable across history.
+// internal/simexec.
 var bothRigs = []struct {
 	name string
 	mk   func(p int) *comm.Machine
 }{
 	{"mailbox", func(p int) *comm.Machine { return comm.NewMachine(comm.DefaultConfig(p)) }},
-	{"chanmatrix", simexec.Reference},
+	{"simexec", simexec.Reference},
 }
 
 func TestStepperCollectivesMatchBlocking(t *testing.T) {
@@ -373,7 +325,7 @@ func TestStepperCollectivesShardedScheduler(t *testing.T) {
 
 // TestVectorSteppersContinuationStress is the -race stress over the
 // vector/gather steppers at w < p: a chained continuation body (vector
-// all-reduce, Bruck all-gather, hypercube route, chunked gather) runs
+// all-reduce, Bruck all-gather, hypercube route) runs
 // repeatedly so suspend/resume events land on arbitrary workers while
 // pooled stepper state is recycled across ops and run boundaries.
 func TestVectorSteppersContinuationStress(t *testing.T) {
@@ -386,7 +338,7 @@ func TestVectorSteppersContinuationStress(t *testing.T) {
 			round := round
 			var results [p]int64
 			m.MustRunAsync(func(pe *comm.PE) comm.Stepper {
-				var vecSum, concatSum, routeSum, chunkSum int64
+				var vecSum, concatSum, routeSum int64
 				x := []int64{int64(pe.Rank() + round), 3}
 				return comm.SeqP(pe,
 					AllReduceIntoStep(pe, nil, x, func(a, b int64) int64 { return a + b }, func(v []int64) {
@@ -397,25 +349,22 @@ func TestVectorSteppersContinuationStress(t *testing.T) {
 							concatSum += e
 						}
 					}),
-					RouteCombineStep(pe, routeItems(pe), routedDest[int64], nil, func(got []Routed[int64]) {
+					RouteCombineStep(pe, routeItems(pe), routedDest, nil, func(got []routed) {
 						for _, it := range got {
 							routeSum += it.Payload
 						}
 					}),
-					AllGatherChunkedStep(pe, []int64{int64(pe.Rank())}, 5, func(src int, b []int64) {
-						chunkSum += b[0]
-					}),
 					comm.StepFunc(func(pe *comm.PE) *comm.RecvHandle {
-						results[pe.Rank()] = vecSum + concatSum + routeSum + chunkSum
+						results[pe.Rank()] = vecSum + concatSum + routeSum
 						return nil
 					}),
 				)
 			})
 			// Closed-form expectations keep the stress honest.
 			base := int64(p*(p-1)/2) + int64(p*round) + 3*int64(p) // vector all-reduce
-			gather := int64(p * (p - 1) / 2)                       // both gathers
+			gather := int64(p * (p - 1) / 2)                       // the all-gather
 			for r := 0; r < p; r++ {
-				want := base + 2*gather
+				want := base + gather
 				for src := 0; src < p; src++ {
 					want += int64(src*100+r) + int64(r*r)
 				}
@@ -458,7 +407,7 @@ func TestReduceConcatStep(t *testing.T) {
 			}{
 				{"mailbox/async", comm.NewMachine(comm.DefaultConfig(p)), true},
 				{"mailbox/blocking", comm.NewMachine(comm.DefaultConfig(p)), false},
-				{"chanmatrix/async", simexec.Reference(p), true},
+				{"simexec/async", simexec.Reference(p), true},
 			} {
 				name := fmt.Sprintf("p=%d root=%d %s", p, root, rig.name)
 				calls := make([]int, p)

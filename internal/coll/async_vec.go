@@ -10,8 +10,8 @@ import (
 // Continuation forms of the vector- and gather-shaped collectives:
 // AllReduce (recursive doubling + the Rabenseifner long path), the
 // dissemination all-gather (AllGatherv/AllGatherConcat), the staggered
-// direct AllToAll, the binomial Gatherv, and BroadcastScalar. The
-// hypercube router and the chunked all-gather are in async_route.go.
+// direct AllToAll, and BroadcastScalar. The hypercube router is in
+// async_route.go.
 //
 // The reduction and gather engines here are THE implementation: the
 // blocking forms in coll.go drive the same steppers through
@@ -541,93 +541,6 @@ func (s *allToAllStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
 			*s = allToAllStep[T]{}
 			comm.PutPooled(pe, s)
 			return nil
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Binomial gather
-// ---------------------------------------------------------------------------
-
-// gathervStep is the Gatherv tree engine as a continuation. It does not
-// self-release: the root's consumer harvests hold (blocks in tree-merge
-// order, each labeled with its contributing rank) and calls release.
-// Non-root PEs end with hold nil (their batch moved to the parent).
-type gathervStep[T any] struct {
-	root    int
-	data    []T
-	bpool   *commbuf.Pool[rankedBlock[T]]
-	tag     comm.Tag
-	vr      int
-	mask    int
-	holdPtr *[]rankedBlock[T]
-	hold    []rankedBlock[T]
-	h       *comm.RecvHandle
-	phase   int
-}
-
-func newGathervStep[T any](pe *comm.PE, root int, data []T) *gathervStep[T] {
-	s := comm.GetPooled[gathervStep[T]](pe)
-	*s = gathervStep[T]{root: root, data: data}
-	return s
-}
-
-func (s *gathervStep[T]) release(pe *comm.PE) {
-	if s.holdPtr != nil {
-		*s.holdPtr = s.hold
-		s.bpool.Put(s.holdPtr)
-	}
-	*s = gathervStep[T]{}
-	comm.PutPooled(pe, s)
-}
-
-func (s *gathervStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
-	p := pe.P()
-	for {
-		switch s.phase {
-		case 0:
-			s.bpool = commbuf.For[rankedBlock[T]]()
-			s.tag = pe.NextCollTag()
-			s.vr = (pe.Rank() - s.root + p) % p
-			s.holdPtr = s.bpool.GetCap(1)
-			s.hold = append(*s.holdPtr, rankedBlock[T]{rank: pe.Rank(), data: s.data})
-			s.mask = 1
-			s.phase = 1
-		case 1:
-			for s.mask < p {
-				if s.vr&s.mask != 0 {
-					dst := ((s.vr &^ s.mask) + s.root) % p
-					var words int64
-					for _, b := range s.hold {
-						words += sliceWords(b.data)
-					}
-					*s.holdPtr = s.hold
-					pe.Send(dst, s.tag, s.holdPtr, words) // ownership moves to the parent
-					s.holdPtr, s.hold = nil, nil
-					return nil
-				}
-				src := s.vr | s.mask
-				if src < p {
-					s.h = pe.IRecv((src+s.root)%p, s.tag)
-					s.phase = 2
-					if !s.h.Test() {
-						return s.h
-					}
-					break
-				}
-				s.mask <<= 1
-			}
-			if s.phase == 1 {
-				return nil // root: hold carries all p blocks
-			}
-		default:
-			rxAny, _ := s.h.Wait()
-			s.h = nil
-			blocks := rxAny.(*[]rankedBlock[T])
-			s.hold = append(s.hold, (*blocks)...)
-			s.bpool.Put(blocks)
-			s.mask <<= 1
-			s.phase = 1
 		}
 	}
 }

@@ -24,6 +24,17 @@ func TestExportedCollectivesHaveCallers(t *testing.T) {
 	}
 }
 
+// The same rule for redistribution's plan and the local selection
+// kernels: a second plan builder or a kernel that only tests reach fails
+// here.
+func TestRedistAndQselExportsHaveCallers(t *testing.T) {
+	for _, pkg := range []string{"redist", "qsel"} {
+		for _, name := range uncalledExports(t, pkg, func(string) bool { return true }) {
+			t.Errorf("%s.%s has no non-test caller outside internal/%s: delete it or unexport it", pkg, name, pkg)
+		}
+	}
+}
+
 // The same rule for the continuation forms of the algorithm packages: a
 // family keeps an exported …Step constructor only while non-test code
 // outside its package drives it (serve's mux, the scaling suite, the

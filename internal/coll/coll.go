@@ -1,8 +1,8 @@
 // Package coll implements the collective communication operations of
 // Section 2 of the paper on top of the point-to-point primitives of
-// internal/comm: broadcast, (all-)reduction, prefix sums, gather, scatter,
-// all-gather, all-to-all, and the hypercube all-to-all with per-step
-// combining used for distributed hash table insertion.
+// internal/comm: broadcast, (all-)reduction, the exclusive prefix sum,
+// the binomial up-sweep, all-gather, all-to-all, and the hypercube router
+// with per-step combining used for distributed hash table insertion.
 //
 // All collectives are implemented with binomial trees, recursive doubling
 // or hypercube exchanges, so their measured startup counts are O(log p)
@@ -25,10 +25,10 @@
 // a fresh result slice to the caller: the scalar collectives
 // (AllReduceScalar, SumAll, BroadcastScalar, ExScanSum), Barrier, and
 // AllReduceIntoStep with a reused dst. The slice-returning
-// conveniences (AllReduce, InScan, AllGatherConcat) still allocate their
+// conveniences (AllReduce, AllGatherConcat) still allocate their
 // result — one slice per call, with all internal traffic pooled.
 //
-// The data-movement collectives Broadcast, Gatherv and AllGatherv keep
+// The data-movement collectives Broadcast and AllGatherv keep
 // by-reference semantics for the payload: see each function's aliasing
 // notes. AllToAll hands back caller-owned copies of what it receives and
 // aliases only the PE's own part.
@@ -159,63 +159,11 @@ func SumAll[T int | int64 | float64 | uint64](pe *comm.PE, v T) T {
 	return AllReduceScalar(pe, v, opsOf[T](pe).add)
 }
 
-// InScan returns the inclusive prefix combination of x: PE j receives
-// op(x@0, ..., x@j) elementwise (Hillis–Steele dissemination, O(log p)
-// rounds). The result never aliases x. The schedule is the scan engine
-// of async_scan.go driven with blocking waits.
-func InScan[T any](pe *comm.PE, x []T, op func(a, b T) T) []T {
-	acc := commbuf.Resize[T](nil, len(x))
-	copy(acc, x)
-	comm.RunSteps(pe, newInScanStep(pe, acc, op, nil, false, nil))
-	return acc
-}
-
 // ExScanSum returns the exclusive prefix sum of a scalar: the exclusive
 // scan engine on a one-element accumulator with identity 0.
 // Allocation-free in steady state.
 func ExScanSum[T int | int64 | float64 | uint64](pe *comm.PE, v T) T {
 	return runScalar(pe, newExScanSum(pe, v, nil))
-}
-
-// rankedBlock carries a PE's contribution through a gather tree.
-type rankedBlock[T any] struct {
-	rank int
-	data []T
-}
-
-// Gatherv collects every PE's slice on root: the returned slice of slices
-// is indexed by rank on root, nil elsewhere. Contributions may have
-// different lengths. Uses a binomial tree (O(α log p) startups; each tree
-// edge carries its whole subtree, so volume is O(β·total) at the root's
-// incoming edges, matching the model). The root's result aliases the
-// contributing PEs' data slices (not copies); treat it as read-only.
-func Gatherv[T any](pe *comm.PE, root int, data []T) [][]T {
-	p := pe.P()
-	if p == 1 {
-		return [][]T{data}
-	}
-	st := newGathervStep(pe, root, data)
-	comm.RunSteps(pe, st)
-	var out [][]T
-	if pe.Rank() == root {
-		out = make([][]T, p)
-		for _, b := range st.hold {
-			out[b.rank] = b.data
-		}
-	}
-	st.release(pe)
-	return out
-}
-
-// Scatterv distributes parts[i] from root to PE i along a binomial tree and
-// returns the local part on every PE. parts is only read on root. The
-// returned slice aliases the root's parts[i] (not a copy). The schedule
-// is the binomial-tree engine of async_reduce.go driven to completion
-// with blocking waits.
-func Scatterv[T any](pe *comm.PE, root int, parts [][]T) []T {
-	var mine []T
-	comm.RunSteps(pe, newScattervStep(pe, root, parts, func(r []T) { mine = r }))
-	return mine
 }
 
 // bruckMsg is one dissemination round's payload: the concatenated data of

@@ -81,61 +81,11 @@ func TestScans(t *testing.T) {
 	for _, p := range peCounts {
 		runOn(t, p, func(pe *comm.PE) {
 			r := int64(pe.Rank())
-			incl := InScan(pe, []int64{r + 1}, func(a, b int64) int64 { return a + b })
-			wantIncl := (r + 1) * (r + 2) / 2
-			if incl[0] != wantIncl {
-				t.Errorf("p=%d rank=%d: InScan got %d, want %d", p, pe.Rank(), incl[0], wantIncl)
-			}
-			excl := ExScanSum(pe, r+1)
-			if excl != wantIncl-(r+1) {
-				t.Errorf("p=%d rank=%d: ExScan got %d, want %d", p, pe.Rank(), excl, wantIncl-(r+1))
+			want := r * (r + 1) / 2 // 1 + 2 + … + r
+			if got := ExScanSum(pe, r+1); got != want {
+				t.Errorf("p=%d rank=%d: ExScan got %d, want %d", p, pe.Rank(), got, want)
 			}
 		})
-	}
-}
-
-func TestGatherv(t *testing.T) {
-	for _, p := range peCounts {
-		root := p - 1
-		runOn(t, p, func(pe *comm.PE) {
-			// Varying lengths: rank i contributes i+1 copies of i.
-			data := make([]int, pe.Rank()+1)
-			for i := range data {
-				data[i] = pe.Rank()
-			}
-			got := Gatherv(pe, root, data)
-			if pe.Rank() != root {
-				if got != nil {
-					t.Errorf("non-root got %v", got)
-				}
-				return
-			}
-			for r := 0; r < p; r++ {
-				if len(got[r]) != r+1 || (len(got[r]) > 0 && got[r][0] != r) {
-					t.Errorf("p=%d: gathered[%d] = %v", p, r, got[r])
-				}
-			}
-		})
-	}
-}
-
-func TestScatterv(t *testing.T) {
-	for _, p := range peCounts {
-		for _, root := range []int{0, p - 1} {
-			runOn(t, p, func(pe *comm.PE) {
-				var parts [][]int
-				if pe.Rank() == root {
-					parts = make([][]int, p)
-					for i := range parts {
-						parts[i] = []int{i * 10, i}
-					}
-				}
-				got := Scatterv(pe, root, parts)
-				if len(got) != 2 || got[0] != pe.Rank()*10 || got[1] != pe.Rank() {
-					t.Errorf("p=%d root=%d rank=%d: got %v", p, root, pe.Rank(), got)
-				}
-			})
-		}
 	}
 }
 
@@ -235,8 +185,17 @@ func TestWordsOf(t *testing.T) {
 	}
 }
 
-func TestAllToAllCombine(t *testing.T) {
+// routeCombine runs the router stepper in a blocking body and returns a
+// copy of the routed batch.
+func routeCombine[T any](pe *comm.PE, items []T, dest func(T) int, combine func([]T) []T) []T {
+	var got []T
+	comm.RunSteps(pe, RouteCombineStep(pe, items, dest, combine, func(b []T) { got = slices.Clone(b) }))
+	return got
+}
+
+func TestRouteCombineStep(t *testing.T) {
 	type kv struct {
+		Dest  int
 		Key   uint64
 		Count int64
 	}
@@ -244,35 +203,35 @@ func TestAllToAllCombine(t *testing.T) {
 		runOn(t, p, func(pe *comm.PE) {
 			// Every PE sends one item to every dest; dest d should end with
 			// p items (or fewer after combining) summing to p * (d+1).
-			items := make([]Routed[kv], 0, p)
+			items := make([]kv, 0, p)
 			for d := 0; d < p; d++ {
-				items = append(items, Routed[kv]{Dest: d, Payload: kv{Key: uint64(d), Count: int64(d + 1)}})
+				items = append(items, kv{Dest: d, Key: uint64(d), Count: int64(d + 1)})
 			}
-			combine := func(held []Routed[kv]) []Routed[kv] {
+			combine := func(held []kv) []kv {
 				type dk struct {
 					dest int
 					key  uint64
 				}
 				agg := map[dk]int64{}
 				for _, it := range held {
-					agg[dk{it.Dest, it.Payload.Key}] += it.Payload.Count
+					agg[dk{it.Dest, it.Key}] += it.Count
 				}
-				out := make([]Routed[kv], 0, len(agg))
+				out := make([]kv, 0, len(agg))
 				for k, c := range agg {
-					out = append(out, Routed[kv]{Dest: k.dest, Payload: kv{k.key, c}})
+					out = append(out, kv{k.dest, k.key, c})
 				}
 				return out
 			}
-			got := AllToAllCombine(pe, items, combine)
+			got := routeCombine(pe, items, func(it kv) int { return it.Dest }, combine)
 			var total int64
 			for _, it := range got {
 				if it.Dest != pe.Rank() {
 					t.Errorf("p=%d rank=%d: received item for dest %d", p, pe.Rank(), it.Dest)
 				}
-				if it.Payload.Key != uint64(pe.Rank()) {
-					t.Errorf("p=%d rank=%d: received key %d", p, pe.Rank(), it.Payload.Key)
+				if it.Key != uint64(pe.Rank()) {
+					t.Errorf("p=%d rank=%d: received key %d", p, pe.Rank(), it.Key)
 				}
-				total += it.Payload.Count
+				total += it.Count
 			}
 			want := int64(p) * int64(pe.Rank()+1)
 			if total != want {
@@ -282,12 +241,12 @@ func TestAllToAllCombine(t *testing.T) {
 	}
 }
 
-func TestAllToAllCombineNoCombineHook(t *testing.T) {
+func TestRouteCombineStepNoCombineHook(t *testing.T) {
 	for _, p := range peCounts {
 		runOn(t, p, func(pe *comm.PE) {
-			items := []Routed[int]{{Dest: (pe.Rank() + 1) % p, Payload: pe.Rank()}}
-			got := AllToAllCombine(pe, items, nil)
-			wantFrom := (pe.Rank() - 1 + p) % p
+			items := []routed{{Dest: (pe.Rank() + 1) % p, Payload: int64(pe.Rank())}}
+			got := routeCombine(pe, items, routedDest, nil)
+			wantFrom := int64((pe.Rank() - 1 + p) % p)
 			if len(got) != 1 || got[0].Payload != wantFrom {
 				t.Errorf("p=%d rank=%d: got %v, want payload %d", p, pe.Rank(), got, wantFrom)
 			}
@@ -295,14 +254,14 @@ func TestAllToAllCombineNoCombineHook(t *testing.T) {
 	}
 }
 
-func TestAllToAllCombineLogStartups(t *testing.T) {
+func TestRouteCombineStepLogStartups(t *testing.T) {
 	m := comm.NewMachine(comm.DefaultConfig(64))
 	m.MustRun(func(pe *comm.PE) {
-		items := make([]Routed[uint64], 64)
+		items := make([]routed, 64)
 		for d := range items {
-			items[d] = Routed[uint64]{Dest: d, Payload: uint64(d)}
+			items[d] = routed{Dest: d, Payload: int64(d)}
 		}
-		AllToAllCombine(pe, items, nil)
+		routeCombine(pe, items, routedDest, nil)
 	})
 	if s := m.Stats(); s.MaxSends > 8 {
 		t.Errorf("hypercube bottleneck startups = %d, want <= 8 (log p + fold)", s.MaxSends)
@@ -351,55 +310,5 @@ func TestAllReduceLongVolumeIndependentOfP(t *testing.T) {
 	}
 	if v64 > 3*n {
 		t.Errorf("long allreduce volume %d exceeds ~2m = %d", v64, 2*n)
-	}
-}
-
-func TestBitonicMergePositions(t *testing.T) {
-	// Compare against a local sort for a spread of topologies and inputs.
-	for _, p := range peCounts {
-		for seed := int64(0); seed < 3; seed++ {
-			// Build two globally ascending unique sequences.
-			aKeys := make([]uint64, p)
-			bKeys := make([]uint64, p)
-			cur := uint64(seed * 7)
-			rngStep := func(i int64) uint64 { return uint64((i*2654435761)%13) + 1 }
-			for i := 0; i < p; i++ {
-				cur += rngStep(int64(i) + seed)
-				aKeys[i] = cur * 2
-			}
-			cur = uint64(seed * 3)
-			for i := 0; i < p; i++ {
-				cur += rngStep(int64(i) + 5*seed)
-				bKeys[i] = cur*2 + 1 // odd: disjoint from aKeys
-			}
-			all := append(slices.Clone(aKeys), bKeys...)
-			slices.Sort(all)
-			wantPos := map[uint64]int{}
-			for i, k := range all {
-				wantPos[k] = i
-			}
-			m := comm.NewMachine(comm.DefaultConfig(p))
-			m.MustRun(func(pe *comm.PE) {
-				pa, pb := BitonicMergePositions(pe, aKeys[pe.Rank()], bKeys[pe.Rank()])
-				if pa != wantPos[aKeys[pe.Rank()]] {
-					t.Errorf("p=%d seed=%d rank=%d: posA=%d want %d", p, seed, pe.Rank(), pa, wantPos[aKeys[pe.Rank()]])
-				}
-				if pb != wantPos[bKeys[pe.Rank()]] {
-					t.Errorf("p=%d seed=%d rank=%d: posB=%d want %d", p, seed, pe.Rank(), pb, wantPos[bKeys[pe.Rank()]])
-				}
-			})
-		}
-	}
-}
-
-func TestBitonicMergeLogStartups(t *testing.T) {
-	const p = 64
-	m := comm.NewMachine(comm.DefaultConfig(p))
-	m.MustRun(func(pe *comm.PE) {
-		BitonicMergePositions(pe, uint64(pe.Rank())*2, uint64(pe.Rank())*2+1+128)
-	})
-	// log2(2p)=7 stages × ≤2 slots + position routing (≈log p): well under 64.
-	if s := m.Stats(); s.MaxSends > 40 {
-		t.Errorf("bitonic merge used %d startups at p=64", s.MaxSends)
 	}
 }

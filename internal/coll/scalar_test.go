@@ -52,9 +52,9 @@ func TestScalarCollectivesAreVectorForms(t *testing.T) {
 		{"ExScanSum", func(m *comm.Machine, res []float64) {
 			m.MustRun(func(pe *comm.PE) { res[pe.Rank()] = ExScanSum(pe, val(pe)) })
 		}},
-		{"exclusive inScanStep", func(m *comm.Machine, res []float64) {
+		{"exScanStep", func(m *comm.Machine, res []float64) {
 			m.MustRunAsync(func(pe *comm.PE) comm.Stepper {
-				return newInScanStep(pe, []float64{val(pe)}, addF64, []float64{0}, true, func(v []float64) { res[pe.Rank()] = v[0] })
+				return newExScanStep(pe, []float64{val(pe)}, addF64, func(v []float64) { res[pe.Rank()] = v[0] })
 			})
 		}},
 	}

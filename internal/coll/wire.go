@@ -7,45 +7,16 @@ import (
 // RegisterWireCodecs registers, under names derived from elemName, every
 // payload shape the collectives over element type T can put on a
 // cross-process frame: the POD element shapes (T, *T, []T, *[]T) that
-// Broadcast, AllToAll, the scans and the pooled-copy sends use, plus the
-// composite carriers — ranked gather/scatter blocks, Bruck batches with
-// pooled ownership, and borrowed Bruck views. Call it (from the same
-// registration package in every participating binary — see
-// internal/wire/wireprogs) once per element type a wire-backed program
-// communicates; elemName must match across processes because it defines
-// the on-wire type identity. Registration is idempotent for the same
-// (name, type) pair.
-//
-// It also registers the element-independent bitonic merge payloads
-// (mergeElem, posReport) and their routed composites, so programs using
-// BitonicMergePositions need no extra calls.
+// Broadcast, AllToAll, the scan, the router and the pooled-copy sends
+// use, plus the Bruck carriers — batches with pooled ownership
+// (ReduceConcatStep's tree edges) and borrowed views (the all-gather).
+// Call it (from the same registration package in every participating
+// binary — see internal/wire/wireprogs) once per element type a
+// wire-backed program communicates; elemName must match across processes
+// because it defines the on-wire type identity. Registration is
+// idempotent for the same (name, type) pair.
 func RegisterWireCodecs[T any](elemName string) {
-	registerElem[T](elemName)
-	registerElem[mergeElem]("coll.mergeElem")
-	registerElem[posReport]("coll.posReport")
-}
-
-func registerElem[T any](elemName string) {
 	wire.RegisterPOD[T](elemName)
-
-	rb := "coll.rankedBlock[" + elemName + "]"
-	wire.Register[[]rankedBlock[T]](rb+"[]", encRankedBlocks[T], decRankedBlocks[T])
-	wire.Register[*[]rankedBlock[T]](rb+"[]*",
-		func(e *wire.Enc, v *[]rankedBlock[T]) {
-			if v == nil {
-				e.U8(0)
-				return
-			}
-			e.U8(1)
-			encRankedBlocks(e, *v)
-		},
-		func(d *wire.Dec) *[]rankedBlock[T] {
-			if d.U8() == 0 {
-				return nil
-			}
-			s := decRankedBlocks[T](d)
-			return &s
-		})
 
 	// Bruck batches cross only as one-element pooled slices; the decoded
 	// side materializes fresh backing stores, which the receiver recycles
@@ -107,27 +78,6 @@ func registerElem[T any](elemName string) {
 			}
 			return &s
 		})
-}
-
-func encRankedBlocks[T any](e *wire.Enc, v []rankedBlock[T]) {
-	e.U64(uint64(len(v)))
-	for _, b := range v {
-		e.I64(int64(b.rank))
-		wire.EncPODSlice(e, b.data)
-	}
-}
-
-func decRankedBlocks[T any](d *wire.Dec) []rankedBlock[T] {
-	n := d.Len(16) // rank word + element count minimum per block
-	if d.Err() != nil {
-		return nil
-	}
-	s := make([]rankedBlock[T], n)
-	for i := range s {
-		s[i].rank = int(d.I64())
-		s[i].data = wire.DecPODSlice[T](d)
-	}
-	return s
 }
 
 func encPtrSlice[T any](e *wire.Enc, v *[]T) {

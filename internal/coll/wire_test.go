@@ -24,35 +24,15 @@ func TestWireCodecsRoundTrip(t *testing.T) {
 	RegisterWireCodecs[wireElem]("coll.test.elem")
 	e := []wireElem{{1, 2, 3}, {1 << 40, -5, 6}, {7, 0, -1}}
 	lens := []int64{2, 1}
-	merge := []mergeElem{{Key: 9, Origin: 3, Seq: 1}, {Key: 8, Origin: 2, Seq: -1}}
-	reports := []posReport{{Origin: 1, Seq: 0, Pos: 44}, {Origin: 5, Seq: 1, Pos: 2}}
 	samples := map[string]any{
-		"coll.test.elem":                      e[0],
-		"coll.test.elem*":                     &e[1],
-		"coll.test.elem[]":                    e,
-		"coll.test.elem[]*":                   &e,
-		"coll.rankedBlock[coll.test.elem][]":  []rankedBlock[wireElem]{{rank: 4, data: e[:2]}, {rank: 0, data: e[2:]}},
-		"coll.rankedBlock[coll.test.elem][]*": &[]rankedBlock[wireElem]{{rank: 1, data: e}},
+		"coll.test.elem":    e[0],
+		"coll.test.elem*":   &e[1],
+		"coll.test.elem[]":  e,
+		"coll.test.elem[]*": &e,
 		// The Bruck batch, which is also ReduceConcatStep's up-sweep carrier
 		// (lens is then the summed header).
-		"coll.bruckMsg[coll.test.elem][]*":    &[]bruckMsg[wireElem]{{lens: &lens, data: &e}},
-		"coll.bruckView[coll.test.elem][]*":   &[]bruckView[wireElem]{{lens: lens, data: e}},
-		"coll.mergeElem":                      merge[0],
-		"coll.mergeElem*":                     &merge[1],
-		"coll.mergeElem[]":                    merge,
-		"coll.mergeElem[]*":                   &merge,
-		"coll.rankedBlock[coll.mergeElem][]":  []rankedBlock[mergeElem]{{rank: 2, data: merge}},
-		"coll.rankedBlock[coll.mergeElem][]*": &[]rankedBlock[mergeElem]{{rank: 2, data: merge[:1]}},
-		"coll.bruckMsg[coll.mergeElem][]*":    &[]bruckMsg[mergeElem]{{lens: &lens, data: &merge}},
-		"coll.bruckView[coll.mergeElem][]*":   &[]bruckView[mergeElem]{{lens: lens, data: merge}},
-		"coll.posReport":                      reports[0],
-		"coll.posReport*":                     &reports[1],
-		"coll.posReport[]":                    reports,
-		"coll.posReport[]*":                   &reports,
-		"coll.rankedBlock[coll.posReport][]":  []rankedBlock[posReport]{{rank: 6, data: reports}},
-		"coll.rankedBlock[coll.posReport][]*": &[]rankedBlock[posReport]{{rank: 6, data: reports[1:]}},
-		"coll.bruckMsg[coll.posReport][]*":    &[]bruckMsg[posReport]{{lens: &lens, data: &reports}},
-		"coll.bruckView[coll.posReport][]*":   &[]bruckView[posReport]{{lens: lens, data: reports}},
+		"coll.bruckMsg[coll.test.elem][]*":  &[]bruckMsg[wireElem]{{lens: &lens, data: &e}},
+		"coll.bruckView[coll.test.elem][]*": &[]bruckView[wireElem]{{lens: lens, data: e}},
 	}
 	for _, name := range wire.RegisteredNames() {
 		if _, known := slices.BinarySearch(before, name); !known && samples[name] == nil {

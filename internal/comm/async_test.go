@@ -20,12 +20,10 @@ type rig struct {
 }
 
 // bothRigs are a production machine and the reference executor of
-// internal/simexec. The second leg's name is older than that package (the
-// reference used to be a channel-matrix transport); it stays so that test
-// ids remain comparable across history.
+// internal/simexec.
 var bothRigs = []rig{
 	{"mailbox", func(p int) *Machine { return NewMachine(DefaultConfig(p)) }},
-	{"chanmatrix", simexec.Reference},
+	{"simexec", simexec.Reference},
 }
 
 // ringBodyRecv and ringBodyIRecv are the same shifted-ring exchange, one
@@ -199,7 +197,7 @@ func TestRunAsyncCascade(t *testing.T) {
 			}
 		}
 	}
-	t.Run("chanmatrix", func(t *testing.T) { check(t, simexec.Reference(p)) })
+	t.Run("simexec", func(t *testing.T) { check(t, simexec.Reference(p)) })
 	for _, w := range []int{0, 1, 4} {
 		cfg := DefaultConfig(p)
 		cfg.Workers = w

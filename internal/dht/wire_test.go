@@ -11,7 +11,7 @@ import (
 // TestWireCodecsRoundTrip: the element codecs RegisterWireCodecs adds —
 // KV and HC, each as a value, a pointer, a slice and a pooled slice —
 // decode what they encoded, under the name they were registered as. The
-// collective carriers registered around them (coll.rankedBlock[dht.KV][]
+// collective carriers registered around them (coll.bruckMsg[dht.KV][]*
 // and the like) are coll's generic codecs, which internal/coll
 // round-trips itself. A dht codec without a sample here fails the test.
 func TestWireCodecsRoundTrip(t *testing.T) {

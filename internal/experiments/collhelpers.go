@@ -23,10 +23,15 @@ func collAllGather(pe *comm.PE) {
 	coll.AllGatherConcat(pe, []int64{int64(pe.Rank())})
 }
 
+// collHyperA2A routes one 2-word item from every PE to every PE through
+// the hypercube router.
 func collHyperA2A(pe *comm.PE) {
-	items := make([]coll.Routed[int64], pe.P())
+	items := make([][2]int64, pe.P())
 	for d := range items {
-		items[d] = coll.Routed[int64]{Dest: d, Payload: int64(pe.Rank())}
+		items[d] = [2]int64{int64(d), int64(pe.Rank())}
 	}
-	coll.AllToAllCombine(pe, items, nil)
+	comm.RunSteps(pe, coll.RouteCombineStep(pe, items, itemDest, nil, nil))
 }
+
+// itemDest is collHyperA2A's destination: the item's first word.
+func itemDest(it [2]int64) int { return int(it[0]) }

@@ -56,20 +56,6 @@ func diffOps(perPE int) []diffOp {
 		{"ExScanSum", func(pe *comm.PE, seed int64) any {
 			return coll.ExScanSum(pe, int64(pe.Rank())+seed)
 		}},
-		{"InScan", func(pe *comm.PE, seed int64) any {
-			return coll.InScan(pe, []int64{int64(pe.Rank()) + seed}, func(a, b int64) int64 { return a + b })
-		}},
-		{"GathervScatterv", func(pe *comm.PE, seed int64) any {
-			data := make([]int64, pe.Rank()%3+1)
-			for i := range data {
-				data[i] = seed + int64(pe.Rank()*10+i)
-			}
-			parts := coll.Gatherv(pe, 0, data)
-			back := coll.Scatterv(pe, 0, parts)
-			out := make([]int64, len(back))
-			copy(out, back)
-			return out
-		}},
 		{"AllGatherConcat", func(pe *comm.PE, seed int64) any {
 			return coll.AllGatherConcat(pe, []int64{int64(pe.Rank()) + seed, seed})
 		}},
@@ -97,31 +83,17 @@ func diffOps(perPE int) []diffOp {
 			}
 			return flat
 		}},
-		{"AllGatherChunked", func(pe *comm.PE, seed int64) any {
-			data := make([]int64, pe.Rank()%4)
-			for i := range data {
-				data[i] = seed + int64(pe.Rank()*7+i)
-			}
-			flat := make([]int64, 0, 4*pe.P())
-			blocks := make([][]int64, pe.P())
-			coll.AllGatherChunked(pe, data, 3, func(src int, block []int64) {
-				blocks[src] = append([]int64(nil), block...)
-			})
-			for _, b := range blocks {
-				flat = append(flat, b...)
-			}
-			return flat
-		}},
 		{"HypercubeA2A", func(pe *comm.PE, seed int64) any {
-			items := make([]coll.Routed[int64], pe.P())
+			items := make([]routed, pe.P())
 			for d := range items {
-				items[d] = coll.Routed[int64]{Dest: d, Payload: seed + int64(pe.Rank())}
+				items[d] = routed{Dest: d, Payload: seed + int64(pe.Rank())}
 			}
-			got := coll.AllToAllCombine(pe, items, nil)
 			var sum int64
-			for _, it := range got {
-				sum += it.Payload
-			}
+			comm.RunSteps(pe, coll.RouteCombineStep(pe, items, routedDest, nil, func(got []routed) {
+				for _, it := range got {
+					sum += it.Payload
+				}
+			}))
 			return sum
 		}},
 		{"IRecvPipeline", func(pe *comm.PE, seed int64) any {

@@ -60,12 +60,18 @@ func fuzzPayload(pe *comm.PE, prm int64) []int64 {
 	return data
 }
 
-func fuzzRouteItems(pe *comm.PE, prm int64) []coll.Routed[int64] {
+// routed is a router item: its destination rank and a payload.
+type routed struct {
+	Dest    int
+	Payload int64
+}
+
+func fuzzRouteItems(pe *comm.PE, prm int64) []routed {
 	p := pe.P()
 	n := int(prm%3) + p
-	items := make([]coll.Routed[int64], n)
+	items := make([]routed, n)
 	for i := range items {
-		items[i] = coll.Routed[int64]{
+		items[i] = routed{
 			Dest:    int((prm + int64(pe.Rank()*7+i*13)) % int64(p)),
 			Payload: prm + int64(pe.Rank()*1000+i),
 		}
@@ -74,7 +80,20 @@ func fuzzRouteItems(pe *comm.PE, prm int64) []coll.Routed[int64] {
 }
 
 // routedDest is RouteCombineStep's dest function for routed items.
-func routedDest(it coll.Routed[int64]) int { return it.Dest }
+func routedDest(it routed) int { return it.Dest }
+
+// routeOp routes the prm-dependent items and folds what arrives into one
+// order-independent sum.
+func routeOp(pe *comm.PE, prm int64, out *any) comm.Stepper {
+	return coll.RouteCombineStep(pe, fuzzRouteItems(pe, prm), routedDest, nil,
+		func(got []routed) {
+			var sum int64
+			for _, it := range got {
+				sum += it.Payload * int64(it.Dest+1)
+			}
+			*out = sum
+		})
+}
 
 // fuzzBpqKeys builds count globally unique ascending keys for this rank
 // in the batch namespace base (namespaces far enough apart that refill
@@ -304,47 +323,14 @@ func fuzzOps() []fuzzOp {
 			},
 		},
 		{
+			// No blocking form of its own: the blocking leg drives the stepper.
 			name: "RouteCombine",
 			block: func(pe *comm.PE, prm int64) any {
-				var sum int64
-				for _, it := range coll.AllToAllCombine(pe, fuzzRouteItems(pe, prm), nil) {
-					sum += it.Payload * int64(it.Dest+1)
-				}
-				return sum
+				var res any
+				comm.RunSteps(pe, routeOp(pe, prm, &res))
+				return res
 			},
-			step: func(pe *comm.PE, prm int64, out *any) comm.Stepper {
-				return coll.RouteCombineStep(pe, fuzzRouteItems(pe, prm), routedDest, nil,
-					func(got []coll.Routed[int64]) {
-						var sum int64
-						for _, it := range got {
-							sum += it.Payload * int64(it.Dest+1)
-						}
-						*out = sum
-					})
-			},
-		},
-		{
-			name: "AllGatherChunked",
-			block: func(pe *comm.PE, prm int64) any {
-				chunk := int(prm%5) + 1
-				acc := []int64{}
-				coll.AllGatherChunked(pe, fuzzPayload(pe, prm), chunk, func(src int, b []int64) {
-					acc = append(acc, int64(src))
-					acc = append(acc, b...)
-				})
-				return acc
-			},
-			step: func(pe *comm.PE, prm int64, out *any) comm.Stepper {
-				chunk := int(prm%5) + 1
-				acc := []int64{}
-				return comm.Seq(
-					coll.AllGatherChunkedStep(pe, fuzzPayload(pe, prm), chunk, func(src int, b []int64) {
-						acc = append(acc, int64(src))
-						acc = append(acc, b...)
-					}),
-					comm.StepFunc(func(pe *comm.PE) *comm.RecvHandle { *out = acc; return nil }),
-				)
-			},
+			step: routeOp,
 		},
 		{
 			name: "BpqChurn",

@@ -14,14 +14,11 @@ import (
 	"commtopk/internal/xrand"
 )
 
-// The scaling suite: the O(log p) collective set, the chunked all-gather,
-// Table-1 unsorted selection, the sorted selection serve answers Kth with
-// and sampling heavy hitters at p = 256…131072 — PE
-// counts where the paper's O(α log p) startup bounds become visible. A
-// machine is O(p) memory at any of them (comm.MachineBytes; 131072 PEs
-// are tens of MB), so nothing is refused for the machine's sake. The
-// gather workload has its own guard: every all-gather moves p²·m words in
-// aggregate, a host-time budget recorded as a skipped row when it trips.
+// The scaling suite: the O(log p) collective set, Table-1 unsorted
+// selection, the sorted selection serve answers Kth with and sampling
+// heavy hitters at p = 256…131072 — PE counts where the paper's
+// O(α log p) startup bounds become visible. A machine is O(p) memory at
+// any of them (comm.MachineBytes; 131072 PEs are tens of MB).
 //
 // Each entry also records the scheduler width w and the process goroutine
 // count measured while the machine is resident — goroutines do not scale
@@ -30,25 +27,13 @@ import (
 // ScalingRow is one entry of the scaling suite: per-op host time, the
 // bottleneck words and startups per PE, the modeled clock, the measured
 // live-heap cost of the machine, the scheduler width and the resident
-// goroutine count with the machine live. Skipped says why a configuration
-// was refused; it then has no numbers.
+// goroutine count with the machine live.
 type ScalingRow struct {
-	Name, Skipped                     string
+	Name                              string
 	P, Workers, Goroutines            int
 	NsPerOp, MachineBytes             float64
 	WordsPerPE, StartsPerPE, MaxClock float64
 }
-
-// scalingGatherChunk is the chunked collectives' block window c: per-PE
-// gather memory is O(m·c) and the ring startup count p/c − 1.
-const scalingGatherChunk = 64
-
-// scalingGatherMaxMoved caps the gather workload by aggregate data
-// movement (p² blocks of gatherBlockLen words): 3·2^30 ≈ 3.2e9 moved
-// words ≈ 26 GB of memcpy per op is the most this harness spends on one
-// configuration. p = 16384 with 4-word blocks moves ≈ 1.07e9 words and
-// runs; p = 65536 (≈ 1.7e10) is recorded as skipped.
-const scalingGatherMaxMoved int64 = 3 << 30
 
 // ScalingPList returns the scaling-suite PE counts up to pmax.
 func ScalingPList(pmax int) []int {
@@ -108,37 +93,6 @@ func scalingCollectivesStart(pe *comm.PE) comm.Stepper {
 		coll.ExScanSumStep(pe, int64(pe.Rank()), nil),
 		coll.BarrierStep(pe),
 	)
-}
-
-// gatherBlockLen is the per-PE block size of the gather workload.
-const gatherBlockLen = 4
-
-// scalingGatherBody is one op of the chunked-gather workload: every PE
-// receives every other PE's block through the streaming all-gather
-// (visited, never materialized — per-PE memory O(m·chunk) instead of the
-// O(p·m) that kept gathers out of the suite). The visit reads every
-// block.
-func scalingGatherBody(pe *comm.PE) {
-	var block [gatherBlockLen]int64
-	for i := range block {
-		block[i] = int64(pe.Rank() + i)
-	}
-	var sum int64
-	coll.AllGatherChunked(pe, block[:], scalingGatherChunk, func(src int, b []int64) {
-		sum += b[0]
-	})
-}
-
-// scalingGatherStart is the continuation form of the same op.
-func scalingGatherStart(pe *comm.PE) comm.Stepper {
-	block := make([]int64, gatherBlockLen)
-	for i := range block {
-		block[i] = int64(pe.Rank() + i)
-	}
-	var sum int64
-	return coll.AllGatherChunkedStep(pe, block, scalingGatherChunk, func(src int, b []int64) {
-		sum += b[0]
-	})
 }
 
 // heapLive settles the heap and returns live bytes. Two GC cycles: the
@@ -204,8 +158,8 @@ func residentGoroutines(bound int) int {
 }
 
 // ScalingQuickPMax caps the -quick tier of the suite: large enough that
-// the O(α log p) trends and the chunked gather are visible, small
-// enough that a CI smoke finishes in tens of seconds.
+// the O(α log p) trends are visible, small enough that a CI smoke
+// finishes in tens of seconds.
 const ScalingQuickPMax = 4096
 
 // ScalingSuite runs the scaling workloads for every p in pList. quick
@@ -231,7 +185,6 @@ func scalingRunIters(iters int, quick bool) int {
 func scalingRun(p int, quick bool) []ScalingRow {
 	cfg := comm.DefaultConfig(p)
 	collName := fmt.Sprintf("Scaling/Collectives/p=%d", p)
-	gatherName := fmt.Sprintf("Scaling/GatherChunked/p=%d", p)
 	selName := fmt.Sprintf("Scaling/Table1Selection/p=%d", p)
 	sortedName := fmt.Sprintf("Scaling/SortedSelection/p=%d", p)
 	freqName := fmt.Sprintf("Scaling/FreqPAC/p=%d", p)
@@ -275,31 +228,6 @@ func scalingRun(p int, quick bool) []ScalingRow {
 	if !quick {
 		ns, s = measureScaling(m, blockIters, scalingCollectivesBody)
 		out = append(out, fill(res(collName+"/blocking"), ns, s))
-	}
-
-	// Gather workload: refuse what must be refused, loudly. The
-	// materializing all-gather would hold p blocks on every PE; the
-	// chunked one moves the same p² blocks through O(m·chunk) windows,
-	// bounded here only by host time.
-	matBytes := int64(p) * int64(p) * gatherBlockLen * 8
-	moved := int64(p) * int64(p) * gatherBlockLen
-	if moved > scalingGatherMaxMoved {
-		r := res(gatherName)
-		r.Skipped = fmt.Sprintf(
-			"all-gather moves p²·m = %.1e words per op; over the harness host-time budget (materializing variant would also need %.1f GiB of results)",
-			float64(moved), float64(matBytes)/(1<<30))
-		out = append(out, r)
-	} else {
-		iters := 3
-		if quick || moved > scalingGatherMaxMoved/8 {
-			iters = 1
-		}
-		ns, s = measureScalingAsync(m, iters, scalingGatherStart)
-		out = append(out, fill(res(gatherName), ns, s))
-		if !quick {
-			ns, s = measureScaling(m, iters, scalingGatherBody)
-			out = append(out, fill(res(gatherName+"/blocking"), ns, s))
-		}
 	}
 
 	// Table-1 unsorted selection: the full selection skeleton
@@ -373,16 +301,11 @@ func scalingRun(p int, quick bool) []ScalingRow {
 // callers pass pmax ≤ ScalingQuickPMax alongside it).
 func ScalingTable(pmax int, quick bool) Table {
 	t := Table{
-		Title: "Scaling: collectives, the chunked all-gather, Table-1 and sorted selection and heavy hitters at large p, continuation-scheduled with blocking A/B twins",
-		Notes: fmt.Sprintf("collectives op = broadcast + all-reduce + prefix sum + barrier; all primaries run continuation-scheduled via comm.RunAsync on pooled stepper state, /blocking twins = the same op as blocking bodies, a coroutine per PE\ngather op: chunked all-gather (m=%d, chunk=%d), movement p²·m\nselection: sel.KthStep, k=n/2, n/p=2^10 through p=2^14 then reduced (scalingSelPerPE); sorted selection: sel.KthSortedStep (serve's Kth) on the same keys sorted per PE, n known, k=n/2\nheavy hitters: freq.PACStep (serve's TopKFreq), 16 keys per PE, k=8; goroutines = resident process count with the machine live (w = scheduler width)",
-			gatherBlockLen, scalingGatherChunk),
+		Title:  "Scaling: collectives, Table-1 and sorted selection and heavy hitters at large p, continuation-scheduled with blocking A/B twins",
+		Notes:  "collectives op = broadcast + all-reduce + prefix sum + barrier; all primaries run continuation-scheduled via comm.RunAsync on pooled stepper state, /blocking twins = the same op as blocking bodies, a coroutine per PE\nselection: sel.KthStep, k=n/2, n/p=2^10 through p=2^14 then reduced (scalingSelPerPE); sorted selection: sel.KthSortedStep (serve's Kth) on the same keys sorted per PE, n known, k=n/2\nheavy hitters: freq.PACStep (serve's TopKFreq), 16 keys per PE, k=8; goroutines = resident process count with the machine live (w = scheduler width)",
 		Header: []string{"workload", "p", "ns/op", "words/PE", "start/PE", "T_model", "machine MB", "w", "goroutines"},
 	}
 	for _, r := range ScalingSuite(ScalingPList(pmax), quick) {
-		if r.Skipped != "" {
-			t.Rows = append(t.Rows, []string{r.Name, fmt.Sprint(r.P), "—", "—", "—", "—", r.Skipped, "—", "—"})
-			continue
-		}
 		t.Rows = append(t.Rows, []string{
 			r.Name, fmt.Sprint(r.P),
 			fmt.Sprintf("%.0f", r.NsPerOp),

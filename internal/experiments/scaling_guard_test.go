@@ -70,10 +70,10 @@ func TestMidRunGoroutineResidency2048(t *testing.T) { midRunGoroutineResidency(t
 // stepper set: O(w) goroutines are pinned for a *resident* machine
 // elsewhere (suspended bodies retired between runs); this asserts the bound
 // *while p-PE collectives are in flight*. The sampled window covers the
-// scalar collectives op, the strided and chunked gather workloads, the
-// full stepper-form selection (sel.KthStep), the sorted-input selection
-// serve's Kth and DeleteMin run (sel.KthSortedStep) on per-rank sorted
-// shards, and the sampling heavy-hitter pipeline (freq.PACStep — DHT
+// scalar collectives op, the full stepper-form selection (sel.KthStep),
+// the sorted-input selection serve's Kth and DeleteMin run
+// (sel.KthSortedStep) on per-rank sorted shards, and the sampling
+// heavy-hitter pipeline (freq.PACStep — DHT
 // routing plus shard top-k selection) — most PEs are simultaneously
 // waiting mid-collective at any sampled instant, and none of them may
 // hold a goroutine. Skipped under -short.
@@ -117,7 +117,6 @@ func midRunGoroutineResidency(t *testing.T, p int) {
 		for i := 0; i < 2; i++ {
 			m.MustRunAsync(scalingCollectivesStart)
 		}
-		m.MustRunAsync(scalingGatherStart)
 		m.MustRunAsync(func(pe *comm.PE) comm.Stepper {
 			return sel.KthStep(pe, locals[pe.Rank()], int64(p*selPerPE/2),
 				xrand.NewPE(17, pe.Rank()), nil)

@@ -172,16 +172,10 @@ func sortedLocals(seed int64, p, perPE int) [][]uint64 {
 			// the paper's (v, x) tie-breaking composition.
 			l[i] = rng.Uint64()<<32 | uint64(r)<<24 | uint64(i)&0xffffff
 		}
-		sortU64(l)
+		slices.Sort(l)
 		locals[r] = l
 	}
 	return locals
-}
-
-func sortU64(s []uint64) {
-	// stdlib sort; kept behind a helper so the experiment files stay
-	// dependency-light.
-	slicesSort(s)
 }
 
 // randomReassign sends every element to a uniformly random PE — the
@@ -193,18 +187,10 @@ func randomReassign(pe *comm.PE, local []uint64, rng *xrand.RNG) []uint64 {
 		d := rng.Intn(p)
 		parts[d] = append(parts[d], x)
 	}
-	recv := allToAll(pe, parts)
+	recv := coll.AllToAll(pe, parts)
 	var out []uint64
 	for _, part := range recv {
 		out = append(out, part...)
 	}
 	return out
-}
-
-// slicesSort and allToAll are thin aliases keeping the experiment files'
-// import lists focused on the algorithm packages.
-func slicesSort(s []uint64) { slices.Sort(s) }
-
-func allToAll(pe *comm.PE, parts [][]uint64) [][]uint64 {
-	return coll.AllToAll(pe, parts)
 }

@@ -9,10 +9,10 @@
 // surplus and deficit sequences enumerate the elements to move and the
 // empty slots; merging the two enumerations pairs every surplus run with
 // its receiving slots, yielding per-PE gather/scatter transfer segments.
-// The merge is realized with an all-gather of the 2p run boundaries
-// (O(p) words per PE) rather than Batcher's O(α log p) distributed
-// bitonic merge; the transfer plan — the section's actual contribution —
-// is identical, and the plan-building cost is dwarfed by the transfer
+// The merge is an all-gather of the 2p run boundaries (O(p) words per PE)
+// and a local pass, where the paper merges with Batcher's O(α log p)
+// bitonic network: the transfer plan — the section's actual contribution
+// — is the same, and the plan-building cost is dwarfed by the transfer
 // volume O(β·max_i n_i) it authorizes.
 package redist
 

@@ -255,23 +255,61 @@ func TestSkewedBigRedistribution(t *testing.T) {
 	checkBalanced(t, counts, out)
 }
 
-// plansOf collects each PE's plan from both builders for equivalence checks.
-func plansOf(t *testing.T, counts []int64, batcher bool) []Plan {
+// plansOf collects each PE's plan from BuildPlan.
+func plansOf(t *testing.T, counts []int64) []Plan {
 	t.Helper()
 	p := len(counts)
 	m := comm.NewMachine(comm.DefaultConfig(p))
 	plans := make([]Plan, p)
 	if err := m.Run(func(pe *comm.PE) {
-		if batcher {
-			plans[pe.Rank()] = BuildPlanBatcher(pe, counts[pe.Rank()])
-		} else {
-			plans[pe.Rank()] = BuildPlan(pe, counts[pe.Rank()])
-		}
+		plans[pe.Rank()] = BuildPlan(pe, counts[pe.Rank()])
 	}); err != nil {
-		t.Fatalf("counts=%v batcher=%v: %v", counts, batcher, err)
+		t.Fatalf("counts=%v: %v", counts, err)
 	}
 	for r, plan := range plans {
 		checkAscendingPeers(t, r, plan)
+	}
+	return plans
+}
+
+// oraclePlans computes every PE's plan sequentially from all counts: the
+// surplus runs (objects to move) and the deficit runs (open slots), each
+// in rank order, merged so that the i-th moved object fills the i-th
+// slot.
+func oraclePlans(counts []int64) []Plan {
+	p := int64(len(counts))
+	var n int64
+	for _, c := range counts {
+		n += c
+	}
+	nBar := (n + p - 1) / p
+	type run struct {
+		rank int
+		left int64
+	}
+	plans := make([]Plan, p)
+	var surplus, deficit []run
+	for r, c := range counts {
+		plans[r].NBar = nBar
+		if c > nBar {
+			surplus = append(surplus, run{r, c - nBar})
+		} else if c < nBar {
+			deficit = append(deficit, run{r, nBar - c})
+		}
+	}
+	for i, j := 0, 0; i < len(surplus) && j < len(deficit); {
+		s, d := &surplus[i], &deficit[j]
+		c := min(s.left, d.left)
+		plans[s.rank].Sends = append(plans[s.rank].Sends, Transfer{Peer: d.rank, Count: c})
+		plans[d.rank].Recvs = append(plans[d.rank].Recvs, Transfer{Peer: s.rank, Count: c})
+		s.left -= c
+		d.left -= c
+		if s.left == 0 {
+			i++
+		}
+		if d.left == 0 {
+			j++
+		}
 	}
 	return plans
 }
@@ -303,7 +341,9 @@ func plansEqual(a, b []Plan) bool {
 	return true
 }
 
-func TestBatcherPlanMatchesAllGatherPlan(t *testing.T) {
+// TestBuildPlanMatchesSequentialOracle pins BuildPlan's exact plans to
+// the sequential merge of the surplus and deficit runs.
+func TestBuildPlanMatchesSequentialOracle(t *testing.T) {
 	cases := [][]int64{
 		{100, 0, 0, 0},
 		{0, 0, 0, 100},
@@ -317,15 +357,13 @@ func TestBatcherPlanMatchesAllGatherPlan(t *testing.T) {
 		{1000, 1, 1, 1, 1, 1, 1, 1},
 	}
 	for _, counts := range cases {
-		ref := plansOf(t, counts, false)
-		got := plansOf(t, counts, true)
-		if !plansEqual(ref, got) {
-			t.Errorf("counts %v:\n allgather %+v\n batcher   %+v", counts, ref, got)
+		if got, want := plansOf(t, counts), oraclePlans(counts); !plansEqual(got, want) {
+			t.Errorf("counts %v:\n BuildPlan %+v\n oracle    %+v", counts, got, want)
 		}
 	}
 }
 
-func TestBatcherPlanQuickEquivalence(t *testing.T) {
+func TestBuildPlanQuickAgainstOracle(t *testing.T) {
 	check := func(raw []uint8) bool {
 		if len(raw) == 0 || len(raw) > 12 {
 			return true
@@ -334,59 +372,17 @@ func TestBatcherPlanQuickEquivalence(t *testing.T) {
 		for i, r := range raw {
 			counts[i] = int64(r % 200)
 		}
-		ref := plansOf(t, counts, false)
-		got := plansOf(t, counts, true)
-		return plansEqual(ref, got)
+		return plansEqual(plansOf(t, counts), oraclePlans(counts))
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestBatcherPlanApplies(t *testing.T) {
-	counts := []int64{90, 3, 40, 0, 8, 0, 0, 12}
-	p := len(counts)
-	m := comm.NewMachine(comm.DefaultConfig(p))
-	out := make([][]uint64, p)
-	m.MustRun(func(pe *comm.PE) {
-		local := make([]uint64, counts[pe.Rank()])
-		for i := range local {
-			local[i] = uint64(pe.Rank())<<32 + uint64(i)
-		}
-		plan := BuildPlanBatcher(pe, int64(len(local)))
-		out[pe.Rank()] = Apply(pe, local, plan)
-	})
-	checkBalanced(t, counts, out)
-}
-
-func TestBatcherPlanBuildingScalesBetter(t *testing.T) {
-	// Plan-building volume: all-gather is O(p) words per PE, Batcher O(log p).
-	const p = 64
-	vol := func(batcher bool) int64 {
-		m := comm.NewMachine(comm.DefaultConfig(p))
-		m.MustRun(func(pe *comm.PE) {
-			count := int64(100)
-			if pe.Rank() == 3 {
-				count = 100 + 5*p
-			}
-			if batcher {
-				BuildPlanBatcher(pe, count)
-			} else {
-				BuildPlan(pe, count)
-			}
-		})
-		return m.Stats().BottleneckWords()
-	}
-	allgather, batcher := vol(false), vol(true)
-	if batcher >= allgather {
-		t.Errorf("Batcher plan volume %d not below all-gather %d at p=%d", batcher, allgather, p)
-	}
-}
-
-// TestBuildPlanStepRepeatedRunsBitIdentical: the plan construction has
-// no map iteration or RNG anywhere, so repeated runs must be
-// bit-identical in both plans and meters.
-func TestBuildPlanStepRepeatedRunsBitIdentical(t *testing.T) {
+// TestBuildPlanRepeatedRunsBitIdentical: the plan construction has no
+// map iteration or RNG anywhere, so repeated runs must be bit-identical
+// in both plans and meters.
+func TestBuildPlanRepeatedRunsBitIdentical(t *testing.T) {
 	const p = 5
 	counts := []int64{190, 3, 77, 0, 41}
 	run := func() ([]Plan, comm.Stats) {

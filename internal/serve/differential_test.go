@@ -26,8 +26,7 @@ type serveRig struct {
 }
 
 // serveRigs are a production machine squeezed to w < p and the reference
-// executor of internal/simexec ("matrix": the leg's name is older than
-// that package).
+// executor of internal/simexec.
 func serveRigs(p int) []serveRig {
 	return []serveRig{
 		{"mailbox-wltp", func() *comm.Machine {
@@ -35,7 +34,7 @@ func serveRigs(p int) []serveRig {
 			c.Workers = 3
 			return comm.NewMachine(c)
 		}},
-		{"matrix", func() *comm.Machine { return simexec.Reference(p) }},
+		{"simexec", func() *comm.Machine { return simexec.Reference(p) }},
 	}
 }
 

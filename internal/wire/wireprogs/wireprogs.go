@@ -58,9 +58,7 @@ func mixSlice(h uint64, s []uint64) uint64 {
 }
 
 // progCollectives runs the collective battery over pseudo-random local
-// blocks: broadcasts, reductions, scans, gather/scatter, all-to-all, the
-// chunked Bruck all-gather and the bitonic merge — together these cover
-// every payload shape the coll package puts on the wire.
+// blocks: broadcasts, reductions, the exclusive scan and all-to-all.
 // args: [seed, n] with n the per-PE block length.
 func progCollectives(pe *comm.PE, args []uint64) uint64 {
 	seed, n := int64(args[0]), int(args[1])
@@ -85,27 +83,6 @@ func progCollectives(pe *comm.PE, args []uint64) uint64 {
 	for src, part := range coll.AllToAll(pe, parts) {
 		h = mix(h, uint64(src))
 		h = mixSlice(h, part)
-	}
-
-	gathered := coll.Gatherv(pe, 0, local[:1+rank%3])
-	if rank == 0 {
-		for _, part := range gathered {
-			h = mixSlice(h, part)
-		}
-		h = mixSlice(h, coll.Scatterv(pe, 0, gathered))
-	} else {
-		h = mixSlice(h, coll.Scatterv[uint64](pe, 0, nil))
-	}
-
-	coll.AllGatherChunked(pe, local[:1+rank%2], 2, func(src int, block []uint64) {
-		h = mix(h, uint64(src))
-		h = mixSlice(h, block)
-	})
-
-	if p > 1 {
-		// Two globally ascending, globally unique sequences.
-		posA, posB := coll.BitonicMergePositions(pe, uint64(2*rank), uint64(2*rank+1))
-		h = mix(h, uint64(posA)<<32|uint64(posB))
 	}
 	return h
 }

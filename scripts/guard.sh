@@ -61,7 +61,7 @@ tier1() {
   must_run ./internal/agg/ 'TestLocalAggregate|TestLocalAggregateMatchesSumTable|TestLocalAggregateZeroAlloc'
   # Counting is sorted runs: the run engine allocation-free on a warm
   # pool, and every dht codec round-trips.
-  must_run ./internal/dht/ 'TestRunEngineZeroAlloc|TestWireCodecsRoundTrip|TestCountKeysBothRoutes|TestSBFResolveSplitsCollisions'
+  must_run ./internal/dht/ 'TestRunEngineZeroAlloc|TestWireCodecsRoundTrip|TestCountKVBothRoutes|TestSBFResolveSplitsCollisions'
   must_run ./internal/treap/ 'TestArenaPathTaken|TestChurnZeroAlloc|TestPopSmallest|TestInsertBuildsTheMergeShape'
   # Goroutine residency: a resident p = 16384 machine, p = 16384 mid-run,
   # p = 65536 inside the memory budget.
@@ -92,10 +92,10 @@ tier1() {
   # DeleteMin). The sorted form's level rule holds its sweeps per query
   # under their bound.
   must_run ./internal/sel/ 'TestKthIsTreeSweepsOnly|TestKthSpeculationMiss|TestKthTieHeavyShards|TestWireCodecsRoundTrip|TestMSSelectIsTreeSweepsOnly|TestMSSelectEdgeCasesAgainstSortOracle|TestKthWindowOpsAgree|TestKthReleaseKeepsNoShardSlice|TestKthSortedSweepsPerQuery'
-  # The collective catalog is what the code calls: every exported coll
-  # function, and every exported …Step constructor of sel, dht, freq and
-  # mtopk, has a non-test caller outside its package.
-  must_run ./internal/coll/ 'TestReduceConcatStep|TestWireCodecsRoundTrip|TestScalarCollectivesAreVectorForms|TestAllToAllReceivedPartsAreOwned|TestExportedCollectivesHaveCallers|TestExportedSteppersHaveCallers'
+  # The collective catalog is what the code calls: every exported coll,
+  # redist and qsel function, and every exported …Step constructor of sel,
+  # dht, freq and mtopk, has a non-test caller outside its package.
+  must_run ./internal/coll/ 'TestReduceConcatStep|TestWireCodecsRoundTrip|TestScalarCollectivesAreVectorForms|TestAllToAllReceivedPartsAreOwned|TestExportedCollectivesHaveCallers|TestRedistAndQselExportsHaveCallers|TestExportedSteppersHaveCallers'
   must_run ./internal/bpq/ 'TestDeleteMinIsTreeSweepsOnly|TestDeleteMinEdgeCasesAgainstSortOracle|TestDeleteMinZeroAllocSteadyState|TestDeleteMinFlexibleZeroAllocSteadyState|TestWireCodecsRoundTrip|TestDeleteMinFlexibleSumsSizeOnce'
   # Flexible selection runs in lanes: each lane against the sort oracle,
   # one round's messages for all lanes, the known-n entry without its size
@@ -111,7 +111,7 @@ tier1() {
   must_run ./internal/mtopk/ 'TestMtopkRepeatedRunsBitIdentical|TestMtopkResultsGolden|TestDTAProbedGolden' -count=5
   must_run ./internal/agg/ 'TestAggResultsGolden' -count=5
   must_run ./internal/bnb/ 'TestBnbRepeatedRunsBitIdentical|TestBnbResultsGolden' -count=5
-  must_run ./internal/redist/ 'TestBuildPlanStepRepeatedRunsBitIdentical|TestRedistResultsGolden' -count=5
+  must_run ./internal/redist/ 'TestBuildPlanRepeatedRunsBitIdentical|TestRedistResultsGolden' -count=5
   must_run ./internal/freq/ 'TestFreqRepeatedRunsBitIdentical' -count=5
   must_run ./internal/freq/ 'TestFreqResultsGolden' -count=5
   must_run ./internal/sel/ 'TestSmallestKGolden|TestMSSelectGolden|TestAMSSelectBatchedGolden' -count=5
