@@ -8,8 +8,8 @@
 //
 // Larger -perpe / -pmax approach the paper's scales at the cost of run
 // time; the defaults finish in minutes on a laptop. `-exp scaling` (not
-// part of `all`) runs the large-p suite — the O(log p) collectives, the
-// chunked all-gather, Table-1 selection (sel.KthStep), the sorted
+// part of `all`) runs the large-p suite — the O(log p) collectives,
+// Table-1 selection (sel.KthStep), the sorted
 // selection serve answers Kth with (sel.KthSortedStep) and sampling heavy
 // hitters (freq.PACStep) at p = 256…131072; every primary is
 // continuation-scheduled on pooled stepper state with blocking A/B
