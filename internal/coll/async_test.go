@@ -287,13 +287,15 @@ func equalAny(a, b any) bool {
 }
 
 // bothRigs are a production machine and the reference executor of
-// internal/simexec.
+// internal/simexec. The second leg's name is older than that package (the
+// reference used to be a channel-matrix transport); it stays so that test
+// ids remain comparable across history.
 var bothRigs = []struct {
 	name string
 	mk   func(p int) *comm.Machine
 }{
 	{"mailbox", func(p int) *comm.Machine { return comm.NewMachine(comm.DefaultConfig(p)) }},
-	{"simexec", simexec.Reference},
+	{"chanmatrix", simexec.Reference},
 }
 
 func TestStepperCollectivesMatchBlocking(t *testing.T) {
@@ -407,7 +409,7 @@ func TestReduceConcatStep(t *testing.T) {
 			}{
 				{"mailbox/async", comm.NewMachine(comm.DefaultConfig(p)), true},
 				{"mailbox/blocking", comm.NewMachine(comm.DefaultConfig(p)), false},
-				{"simexec/async", simexec.Reference(p), true},
+				{"chanmatrix/async", simexec.Reference(p), true},
 			} {
 				name := fmt.Sprintf("p=%d root=%d %s", p, root, rig.name)
 				calls := make([]int, p)

@@ -20,10 +20,12 @@ type rig struct {
 }
 
 // bothRigs are a production machine and the reference executor of
-// internal/simexec.
+// internal/simexec. The second leg's name is older than that package (the
+// reference used to be a channel-matrix transport); it stays so that test
+// ids remain comparable across history.
 var bothRigs = []rig{
 	{"mailbox", func(p int) *Machine { return NewMachine(DefaultConfig(p)) }},
-	{"simexec", simexec.Reference},
+	{"chanmatrix", simexec.Reference},
 }
 
 // ringBodyRecv and ringBodyIRecv are the same shifted-ring exchange, one
@@ -197,7 +199,7 @@ func TestRunAsyncCascade(t *testing.T) {
 			}
 		}
 	}
-	t.Run("simexec", func(t *testing.T) { check(t, simexec.Reference(p)) })
+	t.Run("chanmatrix", func(t *testing.T) { check(t, simexec.Reference(p)) })
 	for _, w := range []int{0, 1, 4} {
 		cfg := DefaultConfig(p)
 		cfg.Workers = w

@@ -236,14 +236,14 @@ func TestMultiWaiterAnyOfResume(t *testing.T) {
 		m.MustRun(func(pe *PE) { RunSteps(pe, &anyWaiter{out: out}) })
 		check(t, out)
 	})
-	t.Run("simexec/blocking", func(t *testing.T) {
+	t.Run("matrix/blocking", func(t *testing.T) {
 		m := simexec.Reference(p)
 		defer m.Close()
 		out := make([]string, p)
 		m.MustRun(func(pe *PE) { RunSteps(pe, &anyWaiter{out: out}) })
 		check(t, out)
 	})
-	t.Run("simexec/async", func(t *testing.T) {
+	t.Run("matrix/async", func(t *testing.T) {
 		for _, pol := range simexec.Policies {
 			m, _ := simexec.New(DefaultConfig(p), 7, pol)
 			out := make([]string, p)

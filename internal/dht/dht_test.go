@@ -58,7 +58,7 @@ func globalExpected(seed int64, p, universe, items int) map[uint64]int64 {
 	return want
 }
 
-func TestCountKVBothRoutes(t *testing.T) {
+func TestCountKeysBothRoutes(t *testing.T) {
 	for _, mode := range []RouteMode{RouteDirect, RouteHypercube} {
 		for _, p := range peCounts {
 			want := globalExpected(42, p, 200, 500)
@@ -92,7 +92,7 @@ func TestCountKVBothRoutes(t *testing.T) {
 	}
 }
 
-func TestCountKVEmpty(t *testing.T) {
+func TestCountKeysEmpty(t *testing.T) {
 	m := comm.NewMachine(comm.DefaultConfig(4))
 	m.MustRun(func(pe *comm.PE) {
 		got := countKV(pe, nil, RouteHypercube)

@@ -24,7 +24,9 @@ func msTestSeq(p, r, perPE int) SliceSeq[uint64] {
 // MSSelect and AMSSelect must be bit-identical — per-PE results and
 // metered statistics — on the mailbox scheduler (including w < p) and on
 // the reference executor, whose single goroutine carries every message.
-func TestMSSelectMatchesAcrossExecutors(t *testing.T) {
+// (The test names are kept from when the production leg ran the
+// selections' state machines under RunAsync.)
+func TestMSSelectStepMatchesBlockingAcrossBackends(t *testing.T) {
 	const perPE = 64
 	for _, p := range []int{1, 3, 16, 64} {
 		p := p
@@ -69,7 +71,7 @@ func TestMSSelectMatchesAcrossExecutors(t *testing.T) {
 	}
 }
 
-func TestAMSSelectMatchesAcrossExecutors(t *testing.T) {
+func TestAMSSelectStepMatchesBlockingAcrossBackends(t *testing.T) {
 	const perPE = 64
 	for _, p := range []int{1, 3, 16, 64} {
 		p := p
@@ -119,7 +121,7 @@ func TestAMSSelectMatchesAcrossExecutors(t *testing.T) {
 // the exact engine on the window, a subSeq whose prefix it copies — answers.
 // Either way the mailbox scheduler and the reference executor must agree
 // bit for bit, and the threshold is the oracle's.
-func TestAMSSelectTightIntervalFallback(t *testing.T) {
+func TestAMSSelectStepTightIntervalFallback(t *testing.T) {
 	const p, perPE = 8, 64
 	n := int64(p * perPE)
 	twoValues := func(_, r, perPE int) SliceSeq[uint64] {

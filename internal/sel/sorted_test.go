@@ -173,7 +173,8 @@ func runKth(m *comm.Machine, shards [][]uint64, qs ...kthQuery) ([][]uint64, com
 // and against Kth on the same multiset, and its results, every
 // selection's per-PE sends and all six Stats fields of the run
 // bit-identical across run forms (blocking RunSteps, RunAsync, RunAsync at
-// w < p) and executors (production, the simexec reference). A shape's
+// w < p) and executors (production, the simexec reference — the "matrix"
+// legs, named before that package existed). A shape's
 // selections share one run per rig.
 func TestKthSortedDifferential(t *testing.T) {
 	const n, seed = 3000, 97
@@ -188,8 +189,8 @@ func TestKthSortedDifferential(t *testing.T) {
 			{"mailbox/blocking", comm.NewMachine(comm.DefaultConfig(p)), false},
 			{"mailbox/async", comm.NewMachine(comm.DefaultConfig(p)), true},
 			{"mailbox/async/w<p", comm.NewMachine(wLess), true},
-			{"simexec/blocking", simexec.Reference(p), false},
-			{"simexec/async", simexec.Reference(p), true},
+			{"matrix/blocking", simexec.Reference(p), false},
+			{"matrix/async", simexec.Reference(p), true},
 		}
 		var qs []kthQuery
 		for _, k := range []int64{1, 2, n / 2, n - 1, n} {

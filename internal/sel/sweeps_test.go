@@ -249,7 +249,7 @@ func TestKthSpeculationMiss(t *testing.T) {
 			m    *comm.Machine
 		}{
 			{"mailbox", comm.NewMachine(comm.DefaultConfig(p))},
-			{"simexec", simexec.Reference(p)},
+			{"chanmatrix", simexec.Reference(p)},
 		} {
 			o := observeKth(rig.m, true, sorted, k, 5, func() (uint64, uint64, float64) { return tc.lo, tc.hi, 0.5 })
 			name := tc.name + "/" + rig.name

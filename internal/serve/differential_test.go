@@ -26,7 +26,8 @@ type serveRig struct {
 }
 
 // serveRigs are a production machine squeezed to w < p and the reference
-// executor of internal/simexec.
+// executor of internal/simexec ("matrix": the leg's name is older than
+// that package).
 func serveRigs(p int) []serveRig {
 	return []serveRig{
 		{"mailbox-wltp", func() *comm.Machine {
@@ -34,7 +35,7 @@ func serveRigs(p int) []serveRig {
 			c.Workers = 3
 			return comm.NewMachine(c)
 		}},
-		{"simexec", func() *comm.Machine { return simexec.Reference(p) }},
+		{"matrix", func() *comm.Machine { return simexec.Reference(p) }},
 	}
 }
 

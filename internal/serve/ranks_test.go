@@ -85,7 +85,7 @@ func TestRankTable(t *testing.T) {
 			m    *comm.Machine
 		}{
 			{"mailbox", comm.NewMachine(comm.DefaultConfig(p))},
-			{"simexec", simexec.Reference(p)},
+			{"matrix", simexec.Reference(p)},
 		} {
 			tables := buildTables(t, rig.m, sorted)
 			rig.m.Close()
