@@ -17,7 +17,7 @@ import (
 //
 // Each XxxStep factory returns a single-use Stepper for one PE; results
 // are delivered through the out callback (nil to discard). Compose
-// multi-collective bodies with comm.Seq / comm.SeqP, and reuse the same
+// multi-collective bodies with comm.SeqP, and reuse the same
 // stepper under a blocking body via comm.RunSteps — one implementation,
 // both execution modes. Blocking forms that must not allocate a result
 // closure (Broadcast, BroadcastScalar, and AllReduceScalar and ExScanSum
@@ -35,7 +35,7 @@ import (
 // the GC ~150 MB per collectives op. The lifecycle contract: a factory
 // fully reinitializes the popped struct; the final Step clears
 // reference-holding fields, releases the struct, then invokes out; a
-// completed stepper must never be stepped again (comm.Seq and RunAsync
+// completed stepper must never be stepped again (comm.SeqP and RunAsync
 // both guarantee this). Guarded by the AllocsPerRun tests in
 // async_alloc_test.go.
 

@@ -55,7 +55,7 @@ func asyncPairs() []asyncPair {
 			name:  "Barrier",
 			block: func(pe *comm.PE, out *any) { Barrier(pe); *out = true },
 			start: func(pe *comm.PE, out *any) comm.Stepper {
-				return comm.Seq(BarrierStep(pe), comm.StepFunc(func(pe *comm.PE) *comm.RecvHandle {
+				return comm.SeqP(pe, BarrierStep(pe), comm.StepFunc(func(pe *comm.PE) *comm.RecvHandle {
 					*out = true
 					return nil
 				}))
@@ -130,7 +130,7 @@ func asyncPairs() []asyncPair {
 				}
 				// Visit order differs from index order; re-index to compare.
 				bys := make([][]int64, pe.P())
-				return comm.Seq(
+				return comm.SeqP(pe,
 					AllToAllStep(pe, parts, func(src int, part []int64) {
 						bys[src] = slices.Clone(part)
 					}),

@@ -183,19 +183,22 @@ func (pe *PE) fillUntil(h *RecvHandle) {
 	}
 }
 
-// suspend yields the running blocking body on h, which is not bound: the
-// worker arms the mailbox and suspends the rank, and the body resumes here
-// once a message for h's stream — in a multi-wait, for any of pe.hBuf's —
-// has arrived, or the run aborts. A stepper has no coroutine to yield, so
-// a wait whose message has not arrived is a bug in the stepper (it must
+// suspend yields the running blocking body on h, which is not bound: its
+// driver suspends on h, and the body resumes here once a message for h's
+// stream has arrived, or the run aborts. The body's yield goes back into
+// pe.yield on resumption: the driver of a nested body restored its own
+// while this one was suspended. A stepper has no coroutine to yield, so a
+// wait whose message has not arrived is a bug in the stepper (it must
 // return the handle from Step instead) and fails the run like any other
 // panic.
 func (pe *PE) suspend(h *RecvHandle) {
-	if pe.yield == nil {
+	yield := pe.yield
+	if yield == nil {
 		panic("blocking receive inside a Stepper under RunAsync: the message has not arrived; return the pending handle from Step instead of calling Wait/Recv")
 	}
 	t0 := time.Now()
-	ok := pe.yield(h)
+	ok := yield(h)
+	pe.yield = yield
 	pe.waitNs += time.Since(t0).Nanoseconds()
 	if !ok {
 		panic(abortedError{}) // stopped on the abort path: unwind the body
@@ -263,17 +266,21 @@ func (pe *PE) outUnlink(h *RecvHandle) {
 
 // resetAsync drops any outstanding handles, the current stepper and the
 // context state — abort-path cleanup so a machine is reusable after a
-// failed run. A blocking body still suspended in its coroutine is stopped
-// first: its yield returns false and the body unwinds. The collective tag
-// sequences restart too: the bodies unwound at different collectives, and
-// a constant (rather than, say, the local maximum) lets the processes of a
+// failed run. Every blocking body still suspended in a coroutine — the
+// run's own and any nested one (BodyStep) — is stopped first: its yield
+// returns false and the body unwinds. The collective tag sequences
+// restart too: the bodies unwound at different collectives, and a
+// constant (rather than, say, the local maximum) lets the processes of a
 // windowed machine agree without talking.
 func (pe *PE) resetAsync() {
-	if c, ok := pe.step.(*coro); ok {
+	for n := len(pe.coros); n > 0; n = len(pe.coros) {
+		c := pe.coros[n-1]
+		pe.coros[n-1] = nil
+		pe.coros = pe.coros[:n-1]
 		c.stop()
 	}
 	pe.step = nil
-	pe.multiWait = false
+	pe.yield = nil
 	pe.ctx = 0
 	pe.collSeq = 0
 	clear(pe.collSeqCtx)
@@ -301,11 +308,11 @@ type Stepper interface {
 // suspend on handles in different communication contexts. A plain
 // Stepper suspends on exactly the one handle Step returned; a
 // MultiWaiter body instead advertises every handle it could resume on,
-// and the scheduler arms its mailbox on all of them (ArmKeys) — under
-// RunSteps in a blocking body too — so whichever query's message arrives
-// first resumes the body. Without this, two PEs can
-// deadlock each blocked on the other query's traffic even though both
-// queries are individually deadlock-free.
+// and the scheduler arms its mailbox on all of them (ArmKeys), so
+// whichever query's message arrives first resumes the body. Without
+// this, two PEs can deadlock each blocked on the other query's traffic
+// even though both queries are individually deadlock-free. A MultiWaiter
+// runs only as a RunAsync body; RunSteps rejects one.
 type MultiWaiter interface {
 	Stepper
 	// PendingHandles appends the pending (unbound) handles the body is
@@ -322,31 +329,22 @@ type StepFunc func(pe *PE) *RecvHandle
 // Step implements Stepper.
 func (f StepFunc) Step(pe *PE) *RecvHandle { return f(pe) }
 
-// Seq composes steppers into one body that runs them to completion in
+// SeqP composes steppers into one body that runs them to completion in
 // order — the building block for multi-collective continuation bodies.
-// The composition state is allocated per call; hot callers use SeqP.
-func Seq(steps ...Stepper) Stepper {
-	// The variadic slice is call-owned; retaining it directly is safe
-	// (only SeqP must copy, into its pooled backing).
-	return &seqStep{steps: steps}
-}
-
-// SeqP is Seq with the composition state drawn from the PE's stepper
-// pool (see steppool.go) and released when the sequence completes, so a
-// body built fresh every op allocates nothing in steady state. The
-// variadic argument slice is copied, not retained.
+// The composition state is drawn from the PE's stepper pool (see
+// steppool.go) and released when the sequence completes, so a body built
+// fresh every op allocates nothing in steady state. The variadic argument
+// slice is copied, not retained.
 func SeqP(pe *PE, steps ...Stepper) Stepper {
 	s := GetPooled[seqStep](pe)
 	s.steps = append(s.steps[:0], steps...)
 	s.i = 0
-	s.pooled = true
 	return s
 }
 
 type seqStep struct {
-	steps  []Stepper
-	i      int
-	pooled bool
+	steps []Stepper
+	i     int
 }
 
 func (s *seqStep) Step(pe *PE) *RecvHandle {
@@ -359,56 +357,29 @@ func (s *seqStep) Step(pe *PE) *RecvHandle {
 		s.steps[s.i] = nil
 		s.i++
 	}
-	if s.pooled {
-		s.steps = s.steps[:0]
-		s.i = 0
-		s.pooled = false
-		PutPooled(pe, s)
-	}
+	s.steps = s.steps[:0]
+	s.i = 0
+	PutPooled(pe, s)
 	return nil
 }
 
 // RunSteps drives a stepper to completion inside a blocking body (Run),
-// suspending the body between Step calls — the bridge that lets one
-// stepper implementation serve both forms. A MultiWaiter body is
-// suspended until any of its pending handles binds instead of the one
-// Step returned.
+// suspending the body between Step calls on the handle Step returned —
+// the bridge that lets one stepper implementation serve both forms. A
+// MultiWaiter would need a wait on any of several handles, which a
+// blocking body does not have: RunSteps panics on one.
 func RunSteps(pe *PE, st Stepper) {
-	mw, _ := st.(MultiWaiter)
+	if _, ok := st.(MultiWaiter); ok {
+		panic("comm: RunSteps on a MultiWaiter; run it as a RunAsync body")
+	}
 	for {
 		h := st.Step(pe)
 		if h == nil {
 			return
 		}
-		if mw != nil {
-			pe.hBuf = mw.PendingHandles(pe.hBuf[:0])
-			if len(pe.hBuf) > 1 {
-				pe.waitAnyBound()
-				continue
-			}
-		}
 		if h.state == hPending {
 			pe.fillUntil(h)
 		}
-	}
-}
-
-// waitAnyBound suspends the body until at least one of the pending
-// handles in pe.hBuf is bound, without folding any meter; while it is
-// suspended, multiWait tells the worker to arm the mailbox on all of
-// their streams.
-func (pe *PE) waitAnyBound() {
-	for {
-		// Messages may already be queued (or have raced in since Step
-		// returned): a sweep binds them without suspending.
-		for _, h := range pe.hBuf {
-			if h.Test() {
-				return
-			}
-		}
-		pe.multiWait = true
-		pe.suspend(pe.hBuf[0])
-		pe.multiWait = false
 	}
 }
 
@@ -485,15 +456,14 @@ func (m *Machine) execAsyncRank(rank int) (done bool) {
 // arm arms pe's mailbox for the body suspended on h. It reports false
 // when a matching message is already queued or the box is interrupted.
 func (pe *PE) arm(h *RecvHandle) bool {
-	if mw, ok := pe.step.(MultiWaiter); ok {
-		pe.hBuf = mw.PendingHandles(pe.hBuf[:0])
-	} else if !pe.multiWait {
+	mw, ok := pe.step.(MultiWaiter)
+	if !ok {
 		return pe.box.ArmKey(mailbox.Key(h.src, h.ctx))
 	}
-	// Multi-query bodies (and blocking bodies in RunSteps' multi-wait)
-	// resume when ANY pending receive can bind, not just the one Step
-	// happened to return — arming on a single key would strand progress
-	// on the others.
+	// A multi-query body resumes when ANY pending receive can bind, not
+	// just the one Step happened to return — arming on a single key would
+	// strand progress on the others.
+	pe.hBuf = mw.PendingHandles(pe.hBuf[:0])
 	keys := pe.keyBuf[:0]
 	for _, g := range pe.hBuf {
 		keys = append(keys, mailbox.Key(g.src, g.ctx))

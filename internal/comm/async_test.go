@@ -229,7 +229,7 @@ func TestRunAsyncMidRunResidency(t *testing.T) {
 		defer close(done)
 		// Two chained cascades lengthen the in-flight window.
 		m.MustRunAsync(func(pe *PE) Stepper {
-			return Seq(cascadeStart(Tag(7), nil)(pe), cascadeStart(Tag(8), nil)(pe))
+			return SeqP(pe, cascadeStart(Tag(7), nil)(pe), cascadeStart(Tag(8), nil)(pe))
 		})
 	}()
 	for {
@@ -564,7 +564,7 @@ func TestAbortedRunResetsCollectiveTags(t *testing.T) {
 				}
 				run := func(failing bool) error {
 					start := func(pe *PE) Stepper {
-						return Seq(
+						return SeqP(pe,
 							StepFunc(func(pe *PE) *RecvHandle {
 								pe.SetCtx(ctx)
 								if failing && pe.Rank() == 2 {

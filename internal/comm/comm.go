@@ -361,7 +361,7 @@ func (abortedError) Error() string { return "comm: aborted because another PE fa
 // stack until it returns — O(p) memory mid-run. Programs that must stay
 // at O(w) mid-run are written as steppers.
 func (m *Machine) Run(body func(pe *PE)) error {
-	return m.RunAsync(func(pe *PE) Stepper { return newCoro(pe, body) })
+	return m.RunAsync(func(pe *PE) Stepper { return BodyStep(pe, body) })
 }
 
 // bodyPanicked handles the recovered panic r of pe's body: drop the PE's
@@ -606,21 +606,21 @@ type PE struct {
 	collSeqCtx map[uint32]uint64
 
 	// keyBuf/hBuf are reusable buffers for multi-handle suspension
-	// (MultiWaiter bodies, and blocking bodies in RunSteps' multi-wait,
-	// which set multiWait while suspended): the pending handles of the
-	// current body and their (src, ctx) arm keys.
-	keyBuf    []uint64
-	hBuf      []*RecvHandle
-	multiWait bool
+	// (MultiWaiter bodies): the pending handles of the current body and
+	// their (src, ctx) arm keys.
+	keyBuf []uint64
+	hBuf   []*RecvHandle
 
 	// Non-blocking receive state: the outstanding posted handles (FIFO,
 	// doubly linked), the handle freelist (so Recv = IRecv+Wait allocates
-	// nothing in steady state), the PE's current body as a stepper, and —
-	// while that is a blocking body's coroutine — its yield.
+	// nothing in steady state), the PE's current body as a stepper, the
+	// yield of the blocking body running now (nil while none is), and the
+	// live list of its unfinished body coroutines (BodyStep).
 	outHead, outTail *RecvHandle
 	freeH            *RecvHandle
 	step             Stepper
 	yield            func(*RecvHandle) bool
+	coros            []*coro
 
 	// pools holds the per-PE typed freelists of pooled stepper state
 	// (see steppool.go), and with them every reusable per-PE buffer: a

@@ -2,6 +2,7 @@ package comm_test
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -205,12 +206,11 @@ func (s *anyWaiter) Step(pe *PE) *RecvHandle {
 	}
 }
 
-// TestMultiWaiterAnyOfResume drives anyWaiter through its execution
-// paths — RunAsync and blocking RunSteps (a coroutine in a multi-wait),
-// both suspended with ArmKeys, in production, and both again on the
-// reference executor,
-// whose seeded delivery order decides which stream binds first — and
-// requires every PE to consume both streams regardless of arrival order.
+// TestMultiWaiterAnyOfResume drives anyWaiter under RunAsync, suspended
+// with ArmKeys, in production and on the reference executor, whose seeded
+// delivery order decides which stream binds first, and requires every PE
+// to consume both streams regardless of arrival order. A blocking body
+// has no wait on several handles: RunSteps must refuse a MultiWaiter.
 func TestMultiWaiterAnyOfResume(t *testing.T) {
 	const p = 8
 	check := func(t *testing.T, out []string) {
@@ -229,19 +229,13 @@ func TestMultiWaiterAnyOfResume(t *testing.T) {
 		m.MustRunAsync(func(pe *PE) Stepper { return &anyWaiter{out: out} })
 		check(t, out)
 	})
-	t.Run("mailbox/blocking", func(t *testing.T) {
+	t.Run("blocking/rejected", func(t *testing.T) {
 		m := NewMachine(DefaultConfig(p))
 		defer m.Close()
-		out := make([]string, p)
-		m.MustRun(func(pe *PE) { RunSteps(pe, &anyWaiter{out: out}) })
-		check(t, out)
-	})
-	t.Run("matrix/blocking", func(t *testing.T) {
-		m := simexec.Reference(p)
-		defer m.Close()
-		out := make([]string, p)
-		m.MustRun(func(pe *PE) { RunSteps(pe, &anyWaiter{out: out}) })
-		check(t, out)
+		err := m.Run(func(pe *PE) { RunSteps(pe, &anyWaiter{out: make([]string, p)}) })
+		if err == nil || !strings.Contains(err.Error(), "RunSteps on a MultiWaiter") {
+			t.Errorf("RunSteps on a MultiWaiter: err = %v, want its panic", err)
+		}
 	})
 	t.Run("matrix/async", func(t *testing.T) {
 		for _, pol := range simexec.Policies {

@@ -21,7 +21,7 @@ import "reflect"
 // regardless of call site. Objects in the list are inert: Get hands out
 // spares in LIFO order and the factory must overwrite every field
 // (`*s = stepT{...}` resets stale state wholesale). Steppers released on
-// completion must never be stepped again — comm.Seq and Machine.RunAsync
+// completion must never be stepped again — comm.SeqP and Machine.RunAsync
 // both guarantee a stepper that returned nil is not re-invoked.
 //
 // Abort unwinds (machine errors) drop in-flight state objects on the

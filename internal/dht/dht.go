@@ -21,6 +21,7 @@ import (
 
 	"commtopk/internal/coll"
 	"commtopk/internal/comm"
+	"commtopk/internal/commbuf"
 	"commtopk/internal/qsel"
 )
 
@@ -60,12 +61,67 @@ func Owner(key uint64, p int) int { return int(Mix(key) % uint64(p)) }
 // in a pooled buffer the caller returns with commbuf.Put. Under
 // RouteHypercube every routing step sums the held batch back into runs,
 // in place: ownership of a routed batch moves with the message, so the
-// steady-state per-step cost is zero allocations. Collective.
+// steady-state per-step cost is zero allocations. Under RouteDirect the
+// owner sums the concatenated received parts once. items may be
+// overwritten. Collective.
 func CountKV(pe *comm.PE, items []KV, mode RouteMode) *[]KV {
-	st := CountKVStep(pe, items, mode, nil).(*countKVStep)
-	shard := st.shard
-	comm.RunSteps(pe, st)
+	s := getScratch(pe)
+	defer s.release(pe)
+	shard := commbuf.GetCap[KV](len(items))
+	s.shard = shard
+	switch mode {
+	case RouteDirect:
+		parts := make([][]KV, s.p)
+		for _, kv := range items {
+			d := Owner(kv.Key, s.p)
+			parts[d] = append(parts[d], kv)
+		}
+		comm.RunSteps(pe, coll.AllToAllStep(pe, parts, s.onPart))
+	case RouteHypercube:
+		comm.RunSteps(pe, coll.RouteCombineStep(pe, items, s.owner, SumKVs, s.onHeld))
+	default:
+		panic("dht: unknown route mode")
+	}
+	*shard = SumKVs(*shard)
 	return shard
+}
+
+// scratch is the per-call state of CountKV and SelectTopK, pooled per PE
+// (comm.GetPooled): its buffers keep their capacity from call to call,
+// and its callbacks, built once per pooled object, write into it — a
+// closure built per call would cost an allocation per call.
+type scratch struct {
+	p     int
+	shard *[]KV    // CountKV's owned shard, which onHeld fills
+	ords  []uint64 // SelectTopK's complemented counts
+	share []KV     // SelectTopK's local share of the top k
+	top   []KV     // the gathered top k, caller-owned, which onAll fills
+
+	owner  func(KV) int
+	onHeld func([]KV)
+	onPart func(int, []KV)
+	onAll  func([]KV)
+}
+
+func getScratch(pe *comm.PE) *scratch {
+	s := comm.GetPooled[scratch](pe)
+	s.p = pe.P()
+	if s.owner == nil {
+		s.owner = func(kv KV) int { return Owner(kv.Key, s.p) }
+		s.onHeld = func(held []KV) { *s.shard = append(*s.shard, held...) }
+		s.onPart = func(_ int, part []KV) { s.onHeld(part) }
+		s.onAll = func(all []KV) {
+			s.top = make([]KV, len(all))
+			copy(s.top, all)
+		}
+	}
+	return s
+}
+
+// release returns s to the PE's pool, keeping its buffers.
+func (s *scratch) release(pe *comm.PE) {
+	s.shard, s.top = nil, nil
+	comm.PutPooled(pe, s)
 }
 
 // HC is a hashed cell count: the dSBF wire format. Hash and Count are

@@ -1,6 +1,7 @@
 package dht
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -219,5 +220,55 @@ func TestSBFWireFormatIsOneWord(t *testing.T) {
 	}
 	if w := coll.WordsOf[KV](); w != 2 {
 		t.Errorf("KV costs %d words, want 2", w)
+	}
+}
+
+// TestCountAndSelectAllocBound bounds what a warm blocking CountKV plus
+// SelectTopK allocates at p = 3 beyond an empty run's harness cost: the
+// routed batches, the owners' shards and the selection's scratch come
+// from pools, so what is left is the owned result. The bound is the
+// count measured when both were pooled stepper state (4, every time). A
+// commbuf pool hands a buffer to whichever worker asks and drops one
+// that is too small, so a round may pay for a buffer that another PE's
+// batch left on its worker: the best of three rounds is held to it.
+func TestCountAndSelectAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race mode randomizes sync.Pool")
+	}
+	const p, k = 3, 8
+	const bound = 4
+	m := comm.NewMachine(comm.DefaultConfig(p))
+	defer m.Close()
+	locals := make([][]KV, p)
+	items := make([][]KV, p)
+	rngs := make([]*xrand.RNG, p)
+	for r := range locals {
+		locals[r] = runsFromMap(localCountsFor(5, r, 400, 2000))
+		items[r] = make([]KV, 0, 2*len(locals[r]))
+		rngs[r] = xrand.NewPE(9, r)
+	}
+	run := func() {
+		m.MustRun(func(pe *comm.PE) {
+			r := pe.Rank()
+			// CountKV may combine its input in place: route a fresh copy.
+			items[r] = append(items[r][:0], locals[r]...)
+			shard := CountKV(pe, items[r], RouteHypercube)
+			if top := SelectTopK(pe, *shard, k, rngs[r]); len(top) != k {
+				t.Errorf("PE %d: %d entries, want %d", r, len(top), k)
+			}
+			commbuf.Put(shard)
+		})
+	}
+	base := testing.AllocsPerRun(10, func() { m.MustRun(func(pe *comm.PE) {}) })
+	for i := 0; i < 3; i++ {
+		run() // warm the pools
+	}
+	got := math.Inf(1)
+	for i := 0; i < 3; i++ {
+		got = min(got, testing.AllocsPerRun(20, run)-base)
+	}
+	t.Logf("CountKV + SelectTopK at p = %d: %.1f allocations per run over the %.1f harness baseline", p, got, base)
+	if got > bound {
+		t.Errorf("CountKV + SelectTopK allocate %.1f per run at p = %d, bound %d", got, p, bound)
 	}
 }

@@ -314,7 +314,7 @@ func fuzzOps() []fuzzOp {
 					parts[d] = []int64{prm + int64(pe.Rank()*100+d), int64(d)}
 				}
 				bys := make([][]int64, pe.P())
-				return comm.Seq(
+				return comm.SeqP(pe,
 					coll.AllToAllStep(pe, parts, func(src int, part []int64) {
 						bys[src] = append([]int64(nil), part...)
 					}),
@@ -363,10 +363,13 @@ func fuzzOps() []fuzzOp {
 				local, pr := fuzzFreqStream(pe, prm)
 				return freq.PAC(pe, local, pr, xrand.NewPE(prm+13, pe.Rank()))
 			},
+			// The form serve's TopKFreq runs: the blocking PAC as a nested
+			// body.
 			step: func(pe *comm.PE, prm int64, out *any) comm.Stepper {
-				local, pr := fuzzFreqStream(pe, prm)
-				return freq.PACStep(pe, local, pr, xrand.NewPE(prm+13, pe.Rank()),
-					func(v freq.Result) { *out = v })
+				return comm.BodyStep(pe, func(pe *comm.PE) {
+					local, pr := fuzzFreqStream(pe, prm)
+					*out = freq.PAC(pe, local, pr, xrand.NewPE(prm+13, pe.Rank()))
+				})
 			},
 		},
 		{

@@ -283,16 +283,10 @@ func scalingRun(p int, quick bool) []ScalingRow {
 		freqLocals[r] = sh
 	}
 	freqParams := freq.Params{K: 8, Eps: 0.05, Delta: 0.01}
-	ns, s = measureScalingAsync(m, scalingRunIters(3, quick), func(pe *comm.PE) comm.Stepper {
-		return freq.PACStep(pe, freqLocals[pe.Rank()], freqParams, xrand.NewPE(29, pe.Rank()), nil)
+	ns, s = measureScaling(m, scalingRunIters(3, quick), func(pe *comm.PE) {
+		freq.PAC(pe, freqLocals[pe.Rank()], freqParams, xrand.NewPE(29, pe.Rank()))
 	})
 	out = append(out, fill(res(freqName), ns, s))
-	if !quick {
-		ns, s = measureScaling(m, blockIters, func(pe *comm.PE) {
-			freq.PAC(pe, freqLocals[pe.Rank()], freqParams, xrand.NewPE(29, pe.Rank()))
-		})
-		out = append(out, fill(res(freqName+"/blocking"), ns, s))
-	}
 	return out
 }
 
@@ -301,8 +295,8 @@ func scalingRun(p int, quick bool) []ScalingRow {
 // callers pass pmax ≤ ScalingQuickPMax alongside it).
 func ScalingTable(pmax int, quick bool) Table {
 	t := Table{
-		Title:  "Scaling: collectives, Table-1 and sorted selection and heavy hitters at large p, continuation-scheduled with blocking A/B twins",
-		Notes:  "collectives op = broadcast + all-reduce + prefix sum + barrier; all primaries run continuation-scheduled via comm.RunAsync on pooled stepper state, /blocking twins = the same op as blocking bodies, a coroutine per PE\nselection: sel.KthStep, k=n/2, n/p=2^10 through p=2^14 then reduced (scalingSelPerPE); sorted selection: sel.KthSortedStep (serve's Kth) on the same keys sorted per PE, n known, k=n/2\nheavy hitters: freq.PACStep (serve's TopKFreq), 16 keys per PE, k=8; goroutines = resident process count with the machine live (w = scheduler width)",
+		Title:  "Scaling: collectives, Table-1 and sorted selection and heavy hitters at large p, selections and collectives continuation-scheduled with blocking A/B twins",
+		Notes:  "collectives op = broadcast + all-reduce + prefix sum + barrier; the collectives and selection primaries run continuation-scheduled via comm.RunAsync on pooled stepper state, /blocking twins = the same op as blocking bodies, a coroutine per PE\nselection: sel.KthStep, k=n/2, n/p=2^10 through p=2^14 then reduced (scalingSelPerPE); sorted selection: sel.KthSortedStep (serve's Kth) on the same keys sorted per PE, n known, k=n/2\nheavy hitters: freq.PAC as blocking bodies, a coroutine per PE (serve's TopKFreq runs it as a nested body), 16 keys per PE, k=8; goroutines = resident process count with the machine live (w = scheduler width)",
 		Header: []string{"workload", "p", "ns/op", "words/PE", "start/PE", "T_model", "machine MB", "w", "goroutines"},
 	}
 	for _, r := range ScalingSuite(ScalingPList(pmax), quick) {

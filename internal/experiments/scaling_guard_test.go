@@ -8,7 +8,7 @@ import (
 
 	"commtopk/internal/coll"
 	"commtopk/internal/comm"
-	"commtopk/internal/freq"
+	"commtopk/internal/dht"
 	"commtopk/internal/gen"
 	"commtopk/internal/sel"
 	"commtopk/internal/xrand"
@@ -72,11 +72,11 @@ func TestMidRunGoroutineResidency2048(t *testing.T) { midRunGoroutineResidency(t
 // *while p-PE collectives are in flight*. The sampled window covers the
 // scalar collectives op, the full stepper-form selection (sel.KthStep),
 // the sorted-input selection serve's Kth and DeleteMin run
-// (sel.KthSortedStep) on per-rank sorted shards, and the sampling
-// heavy-hitter pipeline (freq.PACStep — DHT
-// routing plus shard top-k selection) — most PEs are simultaneously
-// waiting mid-collective at any sampled instant, and none of them may
-// hold a goroutine. Skipped under -short.
+// (sel.KthSortedStep) on per-rank sorted shards, and the DHT routing of
+// the heavy-hitter pipeline (coll.RouteCombineStep of per-rank count runs
+// to their keys' owners, summed at every step) — most PEs are
+// simultaneously waiting mid-collective at any sampled instant, and none
+// of them may hold a goroutine. Skipped under -short.
 func midRunGoroutineResidency(t *testing.T, p int) {
 	if testing.Short() {
 		t.Skip("mid-run residency guard skipped in -short mode")
@@ -99,9 +99,9 @@ func midRunGoroutineResidency(t *testing.T, p int) {
 	for r := range sorted {
 		sorted[r] = slices.Sorted(slices.Values(locals[r]))
 	}
-	// Per-rank skewed key streams for the freq stepper workload, built
+	// Per-rank count runs of skewed keys for the routing workload, built
 	// host-side (no PE needed).
-	freqLocals := make([][]uint64, p)
+	freqRuns := make([][]dht.KV, p)
 	for r := 0; r < p; r++ {
 		rng := xrand.NewPE(11, r)
 		sh := make([]uint64, 16)
@@ -109,7 +109,7 @@ func midRunGoroutineResidency(t *testing.T, p int) {
 			u := rng.Uint64() % 16
 			sh[i] = rng.Uint64() % (u + 1)
 		}
-		freqLocals[r] = sh
+		freqRuns[r] = dht.CountRuns(sh, nil)
 	}
 	done := make(chan struct{})
 	go func() {
@@ -126,9 +126,8 @@ func midRunGoroutineResidency(t *testing.T, p int) {
 				xrand.NewPE(19, pe.Rank()), nil)
 		})
 		m.MustRunAsync(func(pe *comm.PE) comm.Stepper {
-			return freq.PACStep(pe, freqLocals[pe.Rank()],
-				freq.Params{K: 8, Eps: 0.05, Delta: 0.01},
-				xrand.NewPE(29, pe.Rank()), nil)
+			return coll.RouteCombineStep(pe, freqRuns[pe.Rank()], func(kv dht.KV) int { return dht.Owner(kv.Key, p) },
+				dht.SumKVs, nil)
 		})
 	}()
 	var maxMid, samples int64

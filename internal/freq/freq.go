@@ -89,15 +89,27 @@ func sampleCounts(local []uint64, rho float64, rng *xrand.RNG, dst []dht.KV) ([]
 }
 
 // PAC computes an (ε, δ)-approximation of the top-k most frequent objects
-// (Section 7.1). Expected time O(n/p·ρ + β·(log p/(pε²))·log(k/δ) + α log n).
-// Collective. The blocking driver of PACStep, the form serve's
-// frequent-objects queries run under comm.RunAsync.
+// (Section 7.1): a size sum, a Bernoulli sample counted into runs, a
+// sample-size sum, the hypercube count of the runs at their keys' owners
+// and the top-k selection on the owners' counts, scaled by 1/ρ. Expected
+// time O(n/p·ρ + β·(log p/(pε²))·log(k/δ) + α log n). Collective.
 func PAC(pe *comm.PE, local []uint64, p Params, rng *xrand.RNG) Result {
-	st := newPACStep(pe, local, p, rng, nil, false)
-	comm.RunSteps(pe, st)
-	res := st.res
-	st.release(pe)
-	return res
+	p.validate()
+	n := coll.SumAll(pe, int64(len(local)))
+	rho := min(1, stats.PACSampleSize(n, p.K, p.Eps, p.Delta)/float64(n))
+	rb := commbuf.GetCap[dht.KV](int(rho*float64(len(local))) + 16)
+	runs, size := sampleCounts(local, rho, rng, *rb)
+	sampleSize := coll.SumAll(pe, size)
+	shard := dht.CountKV(pe, runs, dht.RouteHypercube)
+	*rb = runs
+	commbuf.Put(rb)
+	items := dht.SelectTopK(pe, *shard, p.K, rng)
+	commbuf.Put(shard)
+	for i := range items {
+		items[i].Count = int64(float64(items[i].Count)/rho + 0.5)
+	}
+	dht.SortKVDesc(items)
+	return Result{Items: items, SampleSize: sampleSize, Rho: rho, Exact: rho >= 1}
 }
 
 // EC computes an (ε, δ)-approximation using exact counting of the k* most
@@ -169,6 +181,8 @@ func exactTop(keys []uint64, counts []int64, k int) []dht.KV {
 	dht.SortKVDesc(out)
 	return out[:min(k, len(out))]
 }
+
+func addI64(a, b int64) int64 { return a + b }
 
 // countTop is the blocking exact count of the candidates: countExactly,
 // one vector sum reduction, and exactTop. Collective.

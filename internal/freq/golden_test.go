@@ -44,21 +44,22 @@ func (g freqGolden) equal(h freqGolden) bool {
 	return g.sampleSize == h.sampleSize && g.rho == h.rho && g.kStar == h.kStar && g.exact == h.exact && g.stats == h.stats
 }
 
-// goldenAlgos are the golden fixture's algorithms; PAC also runs as a
-// stepper under RunAsync and must reproduce the blocking record.
+// goldenAlgos are the golden fixture's algorithms; PAC also runs in the
+// form serve's TopKFreq runs it, a nested body (comm.BodyStep) under
+// RunAsync, and must reproduce the blocking record.
 var goldenAlgos = []struct {
 	name  string
 	run   func(pe *comm.PE, local []uint64, p Params, rng *xrand.RNG) Result
-	async func(pe *comm.PE, local []uint64, p Params, rng *xrand.RNG, out func(Result)) comm.Stepper
+	async bool
 }{
-	{"PAC", PAC, PACStep},
-	{"EC", EC, nil},
-	{"ECSBF", ECSBF, nil},
+	{"PAC", PAC, true},
+	{"EC", EC, false},
+	{"ECSBF", ECSBF, false},
 	{"PEC", func(pe *comm.PE, local []uint64, p Params, rng *xrand.RNG) Result {
 		return PEC(pe, local, p, 0.2, rng)
-	}, nil},
-	{"Naive", Naive, nil},
-	{"NaiveTree", NaiveTree, nil},
+	}, false},
+	{"Naive", Naive, false},
+	{"NaiveTree", NaiveTree, false},
 }
 
 // TestFreqResultsGolden pins every frequent-objects algorithm's result
@@ -93,7 +94,7 @@ func TestFreqResultsGolden(t *testing.T) {
 		locals, _ := zipfWorkload(47, p, 4000, 1<<12)
 		for ai, a := range goldenAlgos {
 			forms := []string{"blocking"}
-			if a.async != nil {
+			if a.async {
 				forms = append(forms, "async")
 			}
 			for _, form := range forms {
@@ -108,8 +109,10 @@ func TestFreqResultsGolden(t *testing.T) {
 					})
 				} else {
 					m.MustRunAsync(func(pe *comm.PE) comm.Stepper {
-						r := pe.Rank()
-						return a.async(pe, locals[r], params, xrand.NewPE(seed, r), func(v Result) { res[r] = v })
+						return comm.BodyStep(pe, func(pe *comm.PE) {
+							r := pe.Rank()
+							res[r] = a.run(pe, locals[r], params, xrand.NewPE(seed, r))
+						})
 					})
 				}
 				got := freqGoldenOf(res[0], m.Stats())

@@ -8,10 +8,10 @@ import (
 	"commtopk/internal/xrand"
 )
 
-// TestFreqSteppersMatchBlocking pins PACStep, the stepper serve's
-// TopKFreq queries run: under RunAsync it produces bit-identical results
-// and meters to the blocking PAC (which drives the same machine through
-// RunSteps), twice in a row on one machine so pooled state carries over.
+// TestFreqSteppersMatchBlocking pins the form serve's TopKFreq queries
+// run PAC in, a nested body (comm.BodyStep) of a stepper under RunAsync:
+// it produces bit-identical results and meters to PAC run by Run, twice
+// in a row on one machine so pooled scratch carries over.
 func TestFreqSteppersMatchBlocking(t *testing.T) {
 	const p = 5
 	locals, _ := zipfWorkload(29, p, 3000, 1<<11)
@@ -35,17 +35,17 @@ func TestFreqSteppersMatchBlocking(t *testing.T) {
 	mach2.MustRunAsync(func(pe *comm.PE) comm.Stepper {
 		r := pe.Rank()
 		return comm.SeqP(pe,
-			PACStep(pe, locals[r], params, xrand.NewPE(31, r), func(v Result) { got.pac[0][r] = v }),
-			PACStep(pe, locals[r], params, xrand.NewPE(33, r), func(v Result) { got.pac[1][r] = v }),
+			comm.BodyStep(pe, func(pe *comm.PE) { got.pac[0][r] = PAC(pe, locals[r], params, xrand.NewPE(31, r)) }),
+			comm.BodyStep(pe, func(pe *comm.PE) { got.pac[1][r] = PAC(pe, locals[r], params, xrand.NewPE(33, r)) }),
 		)
 	})
 	got.stats = mach2.Stats()
 
 	if !reflect.DeepEqual(got.pac, ref.pac) {
-		t.Errorf("PACStep diverged from blocking PAC")
+		t.Errorf("PAC as a nested body diverged from PAC under Run")
 	}
 	if got.stats != ref.stats {
-		t.Errorf("stepper meters diverged: %+v vs %+v", got.stats, ref.stats)
+		t.Errorf("nested-body meters diverged: %+v vs %+v", got.stats, ref.stats)
 	}
 }
 

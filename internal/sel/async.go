@@ -16,7 +16,7 @@ import (
 // kthStep expresses selection as a comm.Stepper, so serve's Kth and
 // DeleteMin (KthSortedStep) and the scaling suite run it under
 // Machine.RunAsync with O(w) mid-run goroutines. The blocking Kth,
-// SmallestK and MSSelect drive the same stepper through comm.RunSteps:
+// SmallestKN and MSSelect drive the same stepper through comm.RunSteps:
 // one implementation, both execution modes, bit-identical results and
 // meters (pinned by the differential fuzz and the scaling suite's A/B
 // twins).
@@ -230,26 +230,22 @@ func KthStep[K cmp.Ordered](pe *comm.PE, local []K, k int64, rng *xrand.RNG, out
 	return newKthStep(pe, local, k, rng, out, true)
 }
 
-// KthNStep is KthStep for a caller that already knows the global element
-// count n (the sum of len(local) over all PEs, not checked): the size
-// all-reduce is skipped, everything else is KthStep.
-func KthNStep[K cmp.Ordered](pe *comm.PE, local []K, n, k int64, rng *xrand.RNG, out func(K)) comm.Stepper {
-	return newKthNStep(pe, local, n, k, rng, out, true)
-}
-
-func newKthNStep[K cmp.Ordered](pe *comm.PE, local []K, n, k int64, rng *xrand.RNG, out func(K), self bool) *kthStep[K] {
+// newKthStepN is newKthStep for a caller that already knows the global
+// element count n (the sum of len(local) over all PEs, not checked): the
+// size all-reduce is skipped, everything else is the same selection.
+func newKthStepN[K cmp.Ordered](pe *comm.PE, local []K, n, k int64, rng *xrand.RNG, out func(K), self bool) *kthStep[K] {
 	s := newKthStep(pe, local, k, rng, out, self)
 	s.i64 = n
 	s.phase = kphInitSum
 	return s
 }
 
-// KthSortedStep is KthNStep for a resident, locally sorted shard: sorted
-// must be ascending and n must be the global element count of the union of
-// the slices the PEs pass (not of their whole shards: a caller that passes
-// a sub-slice, a window or a prefix, passes that union's size and a rank
-// inside it) — preconditions the caller states, as MSSelect's callers do
-// for theirs; neither is checked. In exchange the shard is never written
+// KthSortedStep is KthStep for a resident, locally sorted shard, without
+// the size all-reduce: sorted must be ascending and n must be the global
+// element count of the union of the slices the PEs pass (not of their
+// whole shards: a caller that passes a sub-slice, a window or a prefix,
+// passes that union's size and a rank inside it) — preconditions the
+// caller states, as MSSelect's callers do for theirs; neither is checked. In exchange the shard is never written
 // or copied (it may be shared by any number of concurrent selections) and
 // local work per recursion level is O(log len(sorted) + sample) instead of
 // a scan. A query is nothing but tree sweeps: 2(p−1) messages per level.
@@ -261,7 +257,7 @@ func newKthNStep[K cmp.Ordered](pe *comm.PE, local []K, n, k int64, rng *xrand.R
 // code; the two forms' pivot walks (and meters) differ, and the answer is
 // exact in both.
 func KthSortedStep[K cmp.Ordered](pe *comm.PE, sorted []K, n, k int64, rng *xrand.RNG, out func(K)) comm.Stepper {
-	s := newKthNStep(pe, sorted, n, k, rng, out, true)
+	s := newKthStepN(pe, sorted, n, k, rng, out, true)
 	s.sorted = true
 	return s
 }

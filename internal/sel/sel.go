@@ -19,11 +19,12 @@
 //     reductions shared.
 //   - AMSSelectBatched: the d-concurrent-trials refinement (Theorem 4).
 //
-// Only Algorithm 1 has a continuation form (KthStep, KthNStep,
-// KthSortedStep, async.go), because serve and the scaling suite run it
-// under Machine.RunAsync; the multisequence selections are straight-line
-// blocking code over the same collectives, and MSSelect drives Algorithm
-// 1's state machine with blocking waits.
+// Only Algorithm 1 has a continuation form (KthStep, KthSortedStep,
+// async.go), because serve and the scaling suite run it under
+// Machine.RunAsync; SmallestK, SmallestKN and the multisequence
+// selections are straight-line blocking code over the same collectives,
+// and Kth, SmallestKN and MSSelect drive Algorithm 1's state machine with
+// blocking waits.
 //
 // All functions are SPMD collectives: every PE must call them with its
 // local share of the data. Keys must have a unique total order for the
@@ -102,28 +103,17 @@ func clamp(x, lo, hi int64) int64 { return min(max(x, lo), hi) }
 
 // SmallestK returns this PE's share of the k globally smallest elements
 // (exactly k in total across PEs, duplicates split by a prefix sum over
-// ranks). The order of the returned slice is unspecified.
+// ranks): a size sum and SmallestKN's split. The order of the returned
+// slice is unspecified.
 func SmallestK[K cmp.Ordered](pe *comm.PE, local []K, k int64, rng *xrand.RNG) []K {
 	n := coll.SumAll(pe, int64(len(local)))
-	if k < 0 || k > n {
-		panic(fmt.Sprintf("sel: k %d out of range 0..%d", k, n))
-	}
-	if k == 0 {
+	v, below, take := SmallestKN(pe, local, n, k, rng)
+	switch k {
+	case 0:
 		return nil
-	}
-	if k == n {
+	case n:
 		return slices.Clone(local)
 	}
-	st := newKthNStep(pe, local, n, k, rng, nil, false)
-	comm.RunSteps(pe, st)
-	v := st.res
-	// Every element below v is taken; v's tie group fills the remaining
-	// k − globLo places, lower ranks first. The selection's narrowing
-	// history gives the local rank split without a pass over local.
-	below, equal := st.localRank()
-	st.release(pe)
-	globLo := coll.SumAll(pe, int64(below))
-	take := int(clamp(k-globLo-coll.ExScanSum(pe, int64(equal)), 0, int64(equal)))
 	out := make([]K, below+take)
 	// The output pass has no data-dependent branch: every element is
 	// stored at out[j], and j moves past the ones below v and the first
@@ -154,6 +144,37 @@ func SmallestK[K cmp.Ordered](pe *comm.PE, local []K, k int64, rng *xrand.RNG) [
 		j += lt
 	}
 	return out
+}
+
+// SmallestKN is the split behind SmallestK, for a caller that knows n, the
+// global element count (the sum of len(local) over all PEs, not checked).
+// This PE's share of the k globally smallest elements is its below
+// elements less than v and the first take of its elements equal to v, in
+// local order: the tie group of v is split by a prefix sum over the PEs'
+// tie counts, lower ranks first. The share is empty for k = 0 and all of
+// local for k = n (below = len(local)); v is then the zero value and no
+// message is sent. Otherwise it is the unsorted selection of v (Kth
+// without its size sum), the result's local rank split read off the
+// selection's narrowing history without a pass over local, one SumAll
+// of the counts below v and one ExScanSum of the tie counts. Collective.
+func SmallestKN[K cmp.Ordered](pe *comm.PE, local []K, n, k int64, rng *xrand.RNG) (v K, below, take int) {
+	if k < 0 || k > n {
+		panic(fmt.Sprintf("sel: k %d out of range 0..%d", k, n))
+	}
+	if k == 0 || k == n {
+		if k == n {
+			below = len(local)
+		}
+		return v, below, 0
+	}
+	st := newKthStepN(pe, local, n, k, rng, nil, false)
+	comm.RunSteps(pe, st)
+	v = st.res
+	below, equal := st.localRank()
+	st.release(pe)
+	globLo := coll.SumAll(pe, int64(below))
+	take = int(clamp(k-globLo-coll.ExScanSum(pe, int64(equal)), 0, int64(equal)))
+	return v, below, take
 }
 
 // KthRandomized is the pre-paper baseline ([31], Table 1 "old"): it first

@@ -17,9 +17,8 @@ type op[K cmp.Ordered] struct {
 	queries []*query[K]
 }
 
-// slot is one in-flight query on one PE: its selection stepper, the
-// receive it is suspended on (nil when runnable), and the result
-// delivery closure's landing field.
+// slot is one in-flight query on one PE: its stepper, the receive it is
+// suspended on (nil when runnable), and the result's landing field.
 type slot[K cmp.Ordered] struct {
 	q       *query[K]
 	step    comm.Stepper
@@ -144,9 +143,8 @@ func (x *mux[K]) Step(pe *comm.PE) *comm.RecvHandle {
 			if x.closing && len(x.slots) == 0 && len(x.pqQ) == 0 {
 				return nil // retired: poison consumed, tenants drained
 			}
-			// Suspend. The returned handle is what single-waiter drivers
-			// block on; MultiWaiter-aware drivers (RunSteps, RunAsync)
-			// collect the full set via PendingHandles instead.
+			// Suspend. RunAsync arms the mailbox on every handle
+			// PendingHandles lists; the one returned is among them.
 			if x.db != nil {
 				return x.db
 			}
@@ -163,8 +161,10 @@ func (x *mux[K]) Step(pe *comm.PE) *comm.RecvHandle {
 // sorted-input selection straight on that sub-slice of the resident
 // shard (no copy, no size all-reduce: the table knows the window's global
 // size); its per-query RNG seed makes the pivot walk (and so the meter)
-// independent of interleaving. DeleteMin draws from the mux's own
-// stream, which the FIFO consumes in dispatch order.
+// independent of interleaving. TopKFreq runs the blocking freq.PAC as a
+// nested coroutine body (comm.BodyStep) on its own per-query stream.
+// DeleteMin draws from the mux's own stream, which the FIFO consumes in
+// dispatch order.
 func (x *mux[K]) addSlot(pe *comm.PE, q *query[K]) {
 	sl := &slot[K]{q: q}
 	pe.SetCtx(q.ctx)
@@ -173,9 +173,9 @@ func (x *mux[K]) addSlot(pe *comm.PE, q *query[K]) {
 		sl.step = &popStep[K]{x: x, sl: sl}
 		x.pqQ = append(x.pqQ, sl)
 	case kindFreq:
+		shard, rng := x.srv.freqShards[pe.Rank()], xrand.NewPE(q.seed, pe.Rank())
 		p := freq.Params{K: int(q.k), Eps: freqEps, Delta: freqDelta}
-		sl.step = freq.PACStep(pe, x.srv.freqShards[pe.Rank()], p, xrand.NewPE(q.seed, pe.Rank()),
-			func(r freq.Result) { sl.items = r.Items })
+		sl.step = comm.BodyStep(pe, func(pe *comm.PE) { sl.items = freq.PAC(pe, shard, p, rng).Items })
 		x.slots = append(x.slots, sl)
 	default:
 		lo, hi, base, total := x.table.window(q.k, x.srv.n, len(x.shard))
