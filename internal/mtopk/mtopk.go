@@ -453,36 +453,21 @@ func compareHitsDesc(a, b Hit) int {
 
 // selectHits keeps this PE's share of the k best of every PE's hits
 // (sorted by compareHitsDesc): the unsorted selection of Section 4.1 on
-// their ords, whose prefix sum splits ties at the boundary fairly.
+// their ords, whose prefix sum splits ties at the boundary fairly. The
+// hits ascend in ord, so the share SmallestKN grants — every hit below
+// the threshold ord and the first take of its ties — is a prefix of them.
 // Collective.
 func selectHits(pe *comm.PE, hits []Hit, k int, rng *xrand.RNG) []Hit {
 	ords := make([]uint64, len(hits))
 	for i, h := range hits {
 		ords[i] = OrdDesc(h.Score)
 	}
-	take := min(int64(k), coll.SumAll(pe, int64(len(ords))))
-	return grantHits(hits, sel.SmallestK(pe, ords, take, rng))
-}
-
-// grantHits maps SmallestK's selected ords back to local hits: ords may
-// repeat only for exactly equal scores, and SmallestK has already split
-// those fairly — keep as many local hits per ord as it granted us. The
-// hits ascend in ord, so one walk over the sorted selection pairs them.
-func grantHits(hits []Hit, selected []uint64) []Hit {
-	slices.Sort(selected)
-	var out []Hit
-	j := 0
-	for _, h := range hits {
-		o := OrdDesc(h.Score)
-		for j < len(selected) && selected[j] < o {
-			j++
-		}
-		if j < len(selected) && selected[j] == o {
-			out = append(out, h)
-			j++
-		}
+	n := coll.SumAll(pe, int64(len(ords)))
+	_, below, take := sel.SmallestKN(pe, ords, n, min(int64(k), n), rng)
+	if below+take == 0 {
+		return nil
 	}
-	return out
+	return slices.Clone(hits[:below+take])
 }
 
 // TopK completes DTA into an exact top-k query: it collects the DTA hits
