@@ -11,10 +11,11 @@
 // part of `all`) runs the large-p suite — the O(log p) collectives,
 // Table-1 selection (sel.KthStep), the sorted
 // selection serve answers Kth with (sel.KthSortedStep) and sampling heavy
-// hitters (freq.PACStep) at p = 256…131072; every primary is
-// continuation-scheduled on pooled stepper state with blocking A/B
-// twins. `-quick` selects the CI tier (p ≤ 4096, one run per op, no A/B
-// twins) — including the stepper-form selection paths.
+// hitters (freq.PAC) at p = 256…131072; the collectives and selections
+// are continuation-scheduled on pooled stepper state with blocking A/B
+// twins, the heavy hitters run as blocking bodies. `-quick` selects the
+// CI tier (p ≤ 4096, one run per op, no A/B twins) — including the
+// stepper-form selection paths.
 // `-cpuprofile f` / `-memprofile f` write pprof profiles of any run.
 // The gated benchmark (timings, per-query message counts, oracle checks)
 // is `go run ./bench`; see bench/README.md.

@@ -104,8 +104,8 @@ func mkSkewedShards(p int, seed int64) ([][]uint64, map[uint64]int64) {
 // executors, with the production scheduler squeezed to w < p.
 // TopKFreq runs the whole PAC pipeline (sampling, DHT routing, shard
 // top-k selection) under a leased context, so this pins that its
-// multi-collective chain — including the buffers of its pooled stepper
-// states and its RNG streams — does not leak between tenants.
+// multi-collective chain — including its pooled scratch, its nested
+// coroutine body and its RNG streams — does not leak between tenants.
 func TestServeFreqConcurrentMatchesSequential(t *testing.T) {
 	const p = 8
 	shards, _ := mkSkewedShards(p, 77)

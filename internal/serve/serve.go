@@ -37,7 +37,8 @@
 // copies and 12 bytes per row on every PE (3/4 of a byte per key in
 // all). Against a one-shot scan per query that is repaid after about ten
 // Kth queries per server. TopKFreq counts occurrences, not order, and
-// keeps reading the caller's shards.
+// keeps reading the caller's shards: it runs the blocking freq.PAC as a
+// coroutine body nested in the mux (comm.BodyStep).
 //
 // Lifecycle: NewServer starts the machine body (RunAsync) and the
 // dispatcher. Kth, DeleteMin and TopKFreq (and their Deadline forms) are

@@ -60,8 +60,9 @@ tier1() {
   must_run ./internal/qsel/ 'TestSortPairsStableAgainstSortOracle|TestSortPairsZeroAlloc'
   must_run ./internal/agg/ 'TestLocalAggregate|TestLocalAggregateMatchesSumTable|TestLocalAggregateZeroAlloc'
   # Counting is sorted runs: the run engine allocation-free on a warm
-  # pool, and every dht codec round-trips.
-  must_run ./internal/dht/ 'TestRunEngineZeroAlloc|TestWireCodecsRoundTrip|TestCountKeysBothRoutes|TestSBFResolveSplitsCollisions'
+  # pool, every dht codec round-trips, and a blocking count and top-k
+  # selection allocate no more than their pooled stepper forms did.
+  must_run ./internal/dht/ 'TestRunEngineZeroAlloc|TestWireCodecsRoundTrip|TestCountKeysBothRoutes|TestSBFResolveSplitsCollisions|TestCountAndSelectAllocBound'
   must_run ./internal/treap/ 'TestArenaPathTaken|TestChurnZeroAlloc|TestPopSmallest|TestInsertBuildsTheMergeShape'
   # Goroutine residency: a resident p = 16384 machine, p = 16384 mid-run,
   # p = 65536 inside the memory budget.
@@ -69,8 +70,10 @@ tier1() {
   must_run ./internal/experiments/ 'TestScaling65536WithinBudgets'
   # Blocking bodies are coroutines on the scheduler: a panic, a Goexit or
   # an external abort while they are suspended is a clean error, the
-  # machine is reusable, and no coroutine leaks.
-  must_run ./internal/comm/ 'TestBlockingRunAbortWhileSuspended|TestBlockingBodyGoexitFailsRun'
+  # machine is reusable, and no coroutine leaks — nested bodies
+  # (comm.BodyStep inside a stepper) included, which also resume each on
+  # its own yield.
+  must_run ./internal/comm/ 'TestBlockingRunAbortWhileSuspended|TestBlockingBodyGoexitFailsRun|TestBodyStepNestedAlternates|TestBodyStepAbortStopsNestedBodies'
   # Schedule exploration on the simexec executor (>= 10^3 seeded schedules,
   # every family as blocking bodies and, where it has a stepper form, as
   # steppers, every serve kind,
@@ -147,14 +150,19 @@ race() {
   go test -race -count=20 -timeout 120s ./internal/mailbox/
   must_run ./internal/comm/ 'TestBlockingRunWLessThanPStress|TestMailboxSchedulerWLessThanP' -race -count=20 -timeout 120s
   must_run ./internal/comm/ 'TestRunAsyncContinuationStress|TestRunAsyncCascade|TestRunAsyncBlockingRecvInStepperFailsRun|TestAbortedRunResetsCollectiveTags|TestBlockingRunAbortWhileSuspended' -race -count=5 -timeout 120s
-  # Context interleaving: tagged demux, multi-key suspension, serving mux.
-  must_run ./internal/comm/ 'TestCtxIsolatedStreams|TestMultiWaiterAnyOfResume|TestPostDoorbell' -race -count=3
+  # Context interleaving: tagged demux, multi-key suspension, nested
+  # bodies, serving mux.
+  must_run ./internal/comm/ 'TestCtxIsolatedStreams|TestMultiWaiterAnyOfResume|TestPostDoorbell|TestBodyStepNestedAlternates|TestBodyStepAbortStopsNestedBodies' -race -count=3
   must_run ./internal/mailbox/ 'TestKeyedFIFOAcrossContexts|TestKeyedConcurrentSenders|TestArmKeysFireOnce|TestShardedReadyQueueResumes|TestShardedReadyStealing' -race -count=3
   # Steppers against their blocking twins, w < p; the blocking-only
   # families against their recorded results and meters.
   must_run ./internal/coll/ 'TestVectorSteppersContinuationStress|TestScalarCollectivesAreVectorForms|TestAllToAllReceivedPartsAreOwned' -race -count=3
   must_run ./internal/sel/ 'TestKthStepMatchesBlockingAcrossBackends|TestKthStepRepeatedRunsReusePooledState' -race -count=3
-  must_run ./internal/sel/ 'TestKthSortedDifferential|TestKthWindowOpsAgree|TestKthReleaseKeepsNoShardSlice|TestKthSortedNeverWritesTheShard|TestKthSortedSkipsTheSizeAllReduce|TestKthIsTreeSweepsOnly|TestKthSpeculationMiss|TestKthTieHeavyShards|TestMSSelectIsTreeSweepsOnly|TestMSSelectEdgeCasesAgainstSortOracle|TestKthSortedSweepsPerQuery' -race -count=5
+  # Three processes: a race binary keeps what every earlier test in it
+  # touched, so one process would peak near the sum of these tests' peaks.
+  must_run ./internal/sel/ 'TestKthSortedDifferential' -race -count=5
+  must_run ./internal/sel/ 'TestKthIsTreeSweepsOnly|TestMSSelectIsTreeSweepsOnly|TestMSSelectEdgeCasesAgainstSortOracle' -race -count=5
+  must_run ./internal/sel/ 'TestKthWindowOpsAgree|TestKthReleaseKeepsNoShardSlice|TestKthSortedNeverWritesTheShard|TestKthSortedSkipsTheSizeAllReduce|TestKthSpeculationMiss|TestKthTieHeavyShards|TestKthSortedSweepsPerQuery' -race -count=5
   must_run ./internal/coll/ 'TestReduceConcatStep' -race -count=5
   must_run ./internal/sel/ 'TestAMSLanesAgainstSortOracle|TestAMSLanesShareEachRound|TestAMSSelectNSkipsTheSizeSum|TestAMSSelectOneLaneGolden' -race -count=3
   must_run ./internal/bpq/ 'TestDeleteMinMatchesAcrossExecutors|TestDeleteMinThresholdContract|TestInterleavedInsertDelete|TestDeleteMinIsTreeSweepsOnly|TestDeleteMinEdgeCasesAgainstSortOracle|TestDeleteMinFlexibleSumsSizeOnce|TestBpqResultsGolden' -race -count=3
