@@ -358,7 +358,6 @@ func (s *seqStep) Step(pe *PE) *RecvHandle {
 		s.i++
 	}
 	s.steps = s.steps[:0]
-	s.i = 0
 	PutPooled(pe, s)
 	return nil
 }

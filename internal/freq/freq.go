@@ -97,7 +97,10 @@ func PAC(pe *comm.PE, local []uint64, p Params, rng *xrand.RNG) Result {
 	p.validate()
 	n := coll.SumAll(pe, int64(len(local)))
 	rho := min(1, stats.PACSampleSize(n, p.K, p.Eps, p.Delta)/float64(n))
-	rb := commbuf.GetCap[dht.KV](int(rho*float64(len(local))) + 16)
+	// Any pooled buffer will do: the runs grow to the sample's distinct
+	// keys, where a hint of the sample size would hold a shard-sized
+	// buffer per PE at ρ = 1.
+	rb := commbuf.GetCap[dht.KV](0)
 	runs, size := sampleCounts(local, rho, rng, *rb)
 	sampleSize := coll.SumAll(pe, size)
 	shard := dht.CountKV(pe, runs, dht.RouteHypercube)
