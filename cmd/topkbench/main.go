@@ -8,7 +8,8 @@
 //
 // Larger -perpe / -pmax approach the paper's scales at the cost of run
 // time; the defaults finish in minutes on a laptop. `-exp scaling` (not
-// part of `all`) runs the large-p suite — the O(log p) collectives,
+// part of `all`) runs the large-p suite — one selection level's
+// collective steppers (the only collectives a stepper composes),
 // Table-1 selection (sel.KthStep), the sorted
 // selection serve answers Kth with (sel.KthSortedStep) and sampling heavy
 // hitters (freq.PAC) at p = 256…131072; the collectives and selections

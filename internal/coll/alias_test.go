@@ -6,9 +6,8 @@ import (
 	"commtopk/internal/comm"
 )
 
-// These tests pin the buffer-ownership contracts of the collectives after
-// the in-place/pooled rewrite: reduction results must never alias caller
-// inputs (so callers may reuse their buffers immediately), while AllToAll
+// These tests pin the buffer-ownership contracts of the collectives:
+// reduction results must never alias caller inputs (so callers may reuse their buffers immediately), while AllToAll
 // deliberately keeps the self-part aliased (zero-copy local delivery).
 
 func TestAllReduceDoesNotAliasInput(t *testing.T) {
@@ -85,16 +84,17 @@ func measureCollectiveAllocs(p, opsPerRun int, body func(pe *comm.PE)) float64 {
 }
 
 // TestZeroAllocCollectives guards the zero-allocation hot paths: the
-// reduction-shaped collectives must not allocate per call in steady state
-// on any PE. The budget is a small fraction of an allocation per op to
-// absorb rare sync.Pool refills after GC; the pre-rewrite baseline was
-// ≥ 5 allocations per op per PE.
+// scalar collectives, the all-reduce into a reused dst and the router must
+// not allocate per call in steady state on any PE. The budget is a small
+// fraction of an allocation per op to absorb rare sync.Pool refills after
+// GC.
 func TestZeroAllocCollectives(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race (sync.Pool is randomized)")
 	}
 	const p, ops = 8, 64
 	dst := perRank[int64](p, 4)
+	routed := perRank[int64](p, p)
 	cases := []struct {
 		name string
 		body func(pe *comm.PE)
@@ -110,6 +110,15 @@ func TestZeroAllocCollectives(t *testing.T) {
 			var x [4]int64
 			x[0] = int64(pe.Rank())
 			comm.RunSteps(pe, AllReduceIntoStep(pe, dst[pe.Rank()], x[:], sumI64, nil))
+		}},
+		{"RouteCombine", func(pe *comm.PE) {
+			// The payload is the destination (guardDest), so nothing but
+			// the router can allocate.
+			items := routed[pe.Rank()]
+			for d := range items {
+				items[d] = int64(d)
+			}
+			RouteCombine(pe, items, guardDest, nil, nil)
 		}},
 	}
 	for _, tc := range cases {

@@ -112,7 +112,7 @@ func (s *reduceConcatStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
 			(*wp)[0] = bruckMsg[T]{}
 			s.wpool.Put(wp)
 			combine(addOf[int64], *s.sums, *rx.lens)
-			*s.all = append(*s.all, (*rx.data)...)
+			s.all = appendPooled(s.tpool, s.all, *rx.data)
 			s.ipool.Put(rx.lens)
 			s.tpool.Put(rx.data)
 			s.mask <<= 1

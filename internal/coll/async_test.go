@@ -25,49 +25,12 @@ func asyncPairs() []asyncPair {
 	sum := func(a, b int64) int64 { return a + b }
 	return []asyncPair{
 		{
-			name: "Broadcast",
-			block: func(pe *comm.PE, out *any) {
-				var data []int64
-				if pe.Rank() == 0 {
-					data = []int64{3, 1, 4, 1, 5}
-				}
-				got := Broadcast(pe, 0, data)
-				*out = slices.Clone(got)
-			},
-			start: func(pe *comm.PE, out *any) comm.Stepper {
-				var data []int64
-				if pe.Rank() == 0 {
-					data = []int64{3, 1, 4, 1, 5}
-				}
-				return BroadcastStep(pe, 0, data, func(got []int64) { *out = slices.Clone(got) })
-			},
-		},
-		{
 			name: "AllReduceScalar",
 			block: func(pe *comm.PE, out *any) {
 				*out = AllReduceScalar(pe, int64(pe.Rank())+7, sum)
 			},
 			start: func(pe *comm.PE, out *any) comm.Stepper {
 				return AllReduceScalarStep(pe, int64(pe.Rank())+7, sum, func(v int64) { *out = v })
-			},
-		},
-		{
-			name:  "Barrier",
-			block: func(pe *comm.PE, out *any) { Barrier(pe); *out = true },
-			start: func(pe *comm.PE, out *any) comm.Stepper {
-				return comm.SeqP(pe, BarrierStep(pe), comm.StepFunc(func(pe *comm.PE) *comm.RecvHandle {
-					*out = true
-					return nil
-				}))
-			},
-		},
-		{
-			name: "ExScanSum",
-			block: func(pe *comm.PE, out *any) {
-				*out = ExScanSum(pe, int64(pe.Rank()*2)+1)
-			},
-			start: func(pe *comm.PE, out *any) comm.Stepper {
-				return ExScanSumStep(pe, int64(pe.Rank()*2)+1, func(v int64) { *out = v })
 			},
 		},
 		{
@@ -99,54 +62,6 @@ func asyncPairs() []asyncPair {
 			},
 		},
 		{
-			name: "AllGatherConcat",
-			block: func(pe *comm.PE, out *any) {
-				*out = AllGatherConcat(pe, []int64{int64(pe.Rank()), 9})
-			},
-			start: func(pe *comm.PE, out *any) comm.Stepper {
-				return AllGatherConcatStep(pe, []int64{int64(pe.Rank()), 9}, func(v []int64) {
-					*out = slices.Clone(v) // borrowed: copy before the buffer recycles
-				})
-			},
-		},
-		{
-			name: "AllToAll",
-			block: func(pe *comm.PE, out *any) {
-				parts := make([][]int64, pe.P())
-				for d := range parts {
-					parts[d] = []int64{int64(pe.Rank()*100 + d)}
-				}
-				var flat []int64
-				for src, part := range AllToAll(pe, parts) {
-					flat = append(flat, int64(src))
-					flat = append(flat, part...)
-				}
-				*out = flat
-			},
-			start: func(pe *comm.PE, out *any) comm.Stepper {
-				parts := make([][]int64, pe.P())
-				for d := range parts {
-					parts[d] = []int64{int64(pe.Rank()*100 + d)}
-				}
-				// Visit order differs from index order; re-index to compare.
-				bys := make([][]int64, pe.P())
-				return comm.SeqP(pe,
-					AllToAllStep(pe, parts, func(src int, part []int64) {
-						bys[src] = slices.Clone(part)
-					}),
-					comm.StepFunc(func(pe *comm.PE) *comm.RecvHandle {
-						var flat []int64
-						for src, part := range bys {
-							flat = append(flat, int64(src))
-							flat = append(flat, part...)
-						}
-						*out = flat
-						return nil
-					}),
-				)
-			},
-		},
-		{
 			name: "BroadcastScalar",
 			block: func(pe *comm.PE, out *any) {
 				*out = BroadcastScalar(pe, 0, int64(pe.Rank())+41)
@@ -156,85 +71,41 @@ func asyncPairs() []asyncPair {
 			},
 		},
 		{
-			name: "RouteCombine",
-			block: func(pe *comm.PE, out *any) {
-				comm.RunSteps(pe, RouteCombineStep(pe, routeItems(pe), routedDest, sumPerDest, func(got []routed) {
-					*out = flattenRouted(got)
-				}))
-			},
-			start: func(pe *comm.PE, out *any) comm.Stepper {
-				return RouteCombineStep(pe, routeItems(pe), routedDest, sumPerDest, func(got []routed) {
-					*out = flattenRouted(got)
-				})
-			},
-		},
-		{
+			// One selection level's collectives in a row: a size sum, the
+			// up-sweep, the verdict's broadcast.
 			name: "ChainedSuite",
 			block: func(pe *comm.PE, out *any) {
-				Broadcast(pe, 0, []int64{1, 2, 3, 4})
 				a := AllReduceScalar(pe, int64(pe.Rank()), sum)
-				b := ExScanSum(pe, int64(pe.Rank()))
-				Barrier(pe)
-				*out = a + b
+				var b int64
+				comm.RunSteps(pe, chainUp(pe, &b))
+				c := BroadcastScalar(pe, 0, int64(pe.Rank())+41)
+				*out = a + b + c
 			},
 			start: func(pe *comm.PE, out *any) comm.Stepper {
-				var a, b int64
+				var a, b, c int64
 				return comm.SeqP(pe,
-					BroadcastStep[int64](pe, 0, []int64{1, 2, 3, 4}, nil),
 					AllReduceScalarStep(pe, int64(pe.Rank()), sum, func(v int64) { a = v }),
-					ExScanSumStep(pe, int64(pe.Rank()), func(v int64) { b = v }),
-					BarrierStep(pe),
-					comm.StepFunc(func(pe *comm.PE) *comm.RecvHandle { *out = a + b; return nil }),
+					chainUp(pe, &b),
+					BroadcastScalarStep(pe, 0, int64(pe.Rank())+41, func(v int64) { c = v }),
+					comm.StepFunc(func(pe *comm.PE) *comm.RecvHandle { *out = a + b + c; return nil }),
 				)
 			},
 		},
 	}
 }
 
-// routed is a router test item: its destination rank and a payload.
-type routed struct {
-	Dest    int
-	Payload int64
-}
-
-func routedDest(it routed) int { return it.Dest }
-
-// routeItems builds the hypercube workload: two items per destination.
-func routeItems(pe *comm.PE) []routed {
-	items := make([]routed, 0, 2*pe.P())
-	for d := 0; d < pe.P(); d++ {
-		items = append(items,
-			routed{Dest: d, Payload: int64(pe.Rank()*100 + d)},
-			routed{Dest: d, Payload: int64(d * d)})
-	}
-	return items
-}
-
-// sumPerDest is an order-canonical combine hook (sums per destination,
-// emits in ascending dest order), usable under any schedule.
-func sumPerDest(held []routed) []routed {
-	sums := map[int]int64{}
-	for _, it := range held {
-		sums[it.Dest] += it.Payload
-	}
-	dests := make([]int, 0, len(sums))
-	for d := range sums {
-		dests = append(dests, d)
-	}
-	slices.Sort(dests)
-	out := make([]routed, 0, len(dests))
-	for _, d := range dests {
-		out = append(out, routed{Dest: d, Payload: sums[d]})
-	}
-	return out
-}
-
-func flattenRouted(items []routed) []int64 {
-	flat := []int64{}
-	for _, it := range items {
-		flat = append(flat, int64(it.Dest), it.Payload)
-	}
-	return flat
+// chainUp is ChainedSuite's up-sweep: a two-counter header and a one-word
+// block per PE; the root folds what it receives into *b.
+func chainUp(pe *comm.PE, b *int64) comm.Stepper {
+	return ReduceConcatStep(pe, 0, []int64{int64(pe.Rank() + 1), 1}, []int64{int64(pe.Rank() * 3)},
+		func(sums, all []int64) {
+			if sums != nil {
+				*b = sums[0]*1000 + sums[1]
+				for _, v := range all {
+					*b += v
+				}
+			}
+		})
 }
 
 // runPair executes one collective three ways on cfg — blocking body,
@@ -326,10 +197,10 @@ func TestStepperCollectivesShardedScheduler(t *testing.T) {
 }
 
 // TestVectorSteppersContinuationStress is the -race stress over the
-// vector/gather steppers at w < p: a chained continuation body (vector
-// all-reduce, Bruck all-gather, hypercube route) runs
-// repeatedly so suspend/resume events land on arbitrary workers while
-// pooled stepper state is recycled across ops and run boundaries.
+// steppers at w < p: a chained continuation body (vector all-reduce, the
+// up-sweep, the scalar broadcast, the scalar all-reduce) runs repeatedly
+// so suspend/resume events land on arbitrary workers while pooled stepper
+// state is recycled across ops and run boundaries.
 func TestVectorSteppersContinuationStress(t *testing.T) {
 	const p, rounds = 24, 6
 	for _, w := range []int{1, 3} {
@@ -340,36 +211,40 @@ func TestVectorSteppersContinuationStress(t *testing.T) {
 			round := round
 			var results [p]int64
 			m.MustRunAsync(func(pe *comm.PE) comm.Stepper {
-				var vecSum, concatSum, routeSum int64
+				var vecSum, concatSum, bcast, sqSum int64
+				var down comm.Stepper
 				x := []int64{int64(pe.Rank() + round), 3}
 				return comm.SeqP(pe,
 					AllReduceIntoStep(pe, nil, x, func(a, b int64) int64 { return a + b }, func(v []int64) {
 						vecSum = v[0] + v[1]
 					}),
-					AllGatherConcatStep(pe, []int64{int64(pe.Rank())}, func(v []int64) {
-						for _, e := range v {
+					ReduceConcatStep(pe, 0, []int64{1}, []int64{int64(pe.Rank())}, func(_, all []int64) {
+						for _, e := range all {
 							concatSum += e
 						}
 					}),
-					RouteCombineStep(pe, routeItems(pe), routedDest, nil, func(got []routed) {
-						for _, it := range got {
-							routeSum += it.Payload
+					comm.StepFunc(func(pe *comm.PE) *comm.RecvHandle {
+						// The root's gathered sum, sent down the tree: built
+						// once the up-sweep is done.
+						if down == nil {
+							down = BroadcastScalarStep(pe, 0, concatSum, func(v int64) { bcast = v })
 						}
+						return down.Step(pe)
+					}),
+					AllReduceScalarStep(pe, int64(pe.Rank()*pe.Rank()), func(a, b int64) int64 { return a + b }, func(v int64) {
+						sqSum = v
 					}),
 					comm.StepFunc(func(pe *comm.PE) *comm.RecvHandle {
-						results[pe.Rank()] = vecSum + concatSum + routeSum
+						results[pe.Rank()] = vecSum + bcast + sqSum
 						return nil
 					}),
 				)
 			})
 			// Closed-form expectations keep the stress honest.
-			base := int64(p*(p-1)/2) + int64(p*round) + 3*int64(p) // vector all-reduce
-			gather := int64(p * (p - 1) / 2)                       // the all-gather
+			want := int64(p*(p-1)/2) + int64(p*round) + 3*int64(p) // vector all-reduce
+			want += int64(p * (p - 1) / 2)                         // the gathered ranks
+			want += int64((p - 1) * p * (2*p - 1) / 6)             // the squares
 			for r := 0; r < p; r++ {
-				want := base + gather
-				for src := 0; src < p; src++ {
-					want += int64(src*100+r) + int64(r*r)
-				}
 				if results[r] != want {
 					t.Fatalf("w=%d round %d rank %d: got %d want %d", w, round, r, results[r], want)
 				}

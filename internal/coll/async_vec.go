@@ -1,30 +1,21 @@
 package coll
 
 import (
-	"fmt"
-
 	"commtopk/internal/comm"
 	"commtopk/internal/commbuf"
 )
 
-// Continuation forms of the vector- and gather-shaped collectives:
-// AllReduce (recursive doubling + the Rabenseifner long path), the
-// dissemination all-gather (AllGatherv/AllGatherConcat), the staggered
-// direct AllToAll, and BroadcastScalar. The hypercube router is in
-// async_route.go.
-//
-// The reduction and gather engines here are THE implementation: the
-// blocking forms in coll.go drive the same steppers through
-// comm.RunSteps, so the two execution modes cannot diverge in results or
-// metered statistics (additionally pinned by the async pairs and the
-// randomized differential fuzz).
+// The vector all-reduce engine (AllReduce, AllReduceIntoStep and, on one
+// element, the scalar all-reduce) and the scalar broadcast engine
+// (BroadcastScalar, BroadcastScalarStep). The blocking forms in coll.go
+// drive the same steppers through comm.RunSteps, so the two execution
+// modes cannot diverge in results or metered statistics.
 //
 // Result-delivery convention: the *Step forms hand results to the out
-// callback as borrowed views — valid only during the call, backed by
-// pooled buffers recycled immediately after — so a continuation body
-// that consumes results in place runs allocation-free. The blocking
-// wrappers keep their documented materializing contracts (caller-owned
-// results) by copying out of the engine before releasing it.
+// callback as borrowed views, valid only during the call, so a
+// continuation body that consumes results in place runs allocation-free.
+// The blocking wrappers keep their materializing contracts (caller-owned
+// results).
 
 // ---------------------------------------------------------------------------
 // Vector all-reduce
@@ -270,276 +261,6 @@ func (s *allReduceAccStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
 			if out != nil {
 				out(acc)
 			}
-			return nil
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Dissemination all-gather
-// ---------------------------------------------------------------------------
-
-// agBruckStep is the Bruck all-gather engine as a continuation (see
-// allGatherBruck for the protocol). fresh selects the result-ownership
-// mode: true allocates arena/lens freshly (the blocking AllGatherv and
-// AllGatherConcat contracts — their caller-owned results view or copy
-// the arena) and ships in-process read-only views per round; false draws
-// them from the commbuf pools and ships pooled copies instead, because a
-// pooled arena is recycled as soon as the op completes and a partner on
-// another worker may still be reading a shipped view at that instant —
-// the view optimization is only sound for arenas that die by GC. The
-// engine does not self-release: consumers harvest arena/lens, then call
-// release (pooled) or put (fresh).
-type agBruckStep[T any] struct {
-	data     []T
-	fresh    bool
-	arena    []T
-	lens     []int64
-	lensPtr  *[]int64
-	arenaPtr *[]T
-	fpool    *commbuf.Pool[bruckView[T]]
-	wpool    *commbuf.Pool[bruckMsg[T]]
-	tag      comm.Tag
-	d        int
-	h        *comm.RecvHandle
-	phase    int
-}
-
-func newAGBruckStep[T any](pe *comm.PE, data []T, fresh bool) *agBruckStep[T] {
-	s := comm.GetPooled[agBruckStep[T]](pe)
-	*s = agBruckStep[T]{data: data, fresh: fresh}
-	return s
-}
-
-// put releases the engine state only (fresh mode: the harvested
-// arena/lens are caller-owned).
-func (s *agBruckStep[T]) put(pe *comm.PE) {
-	*s = agBruckStep[T]{}
-	comm.PutPooled(pe, s)
-}
-
-// release recycles the pooled arena/lens and then the engine state
-// (pooled mode, after the consumer is done reading).
-func (s *agBruckStep[T]) release(pe *comm.PE) {
-	*s.lensPtr = s.lens
-	commbuf.For[int64]().Put(s.lensPtr)
-	*s.arenaPtr = s.arena
-	commbuf.For[T]().Put(s.arenaPtr)
-	s.put(pe)
-}
-
-func (s *agBruckStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
-	p := pe.P()
-	for {
-		switch s.phase {
-		case 0:
-			s.tag = pe.NextCollTag()
-			if s.fresh {
-				s.fpool = commbuf.For[bruckView[T]]()
-				s.lens = make([]int64, 1, p)
-				s.lens[0] = int64(len(s.data))
-				s.arena = make([]T, 0, 2*len(s.data)+8)
-			} else {
-				s.wpool = commbuf.For[bruckMsg[T]]()
-				s.lensPtr = commbuf.For[int64]().GetCap(p)
-				s.lens = append(*s.lensPtr, int64(len(s.data)))
-				s.arenaPtr = commbuf.For[T]().GetCap(2*len(s.data) + 8)
-				s.arena = *s.arenaPtr
-			}
-			s.arena = append(s.arena, s.data...)
-			s.d = 1
-			s.phase = 1
-		case 1:
-			if s.d >= p {
-				return nil // complete; the consumer harvests arena/lens
-			}
-			rank := pe.Rank()
-			dst := (rank - s.d + p) % p
-			src := (rank + s.d) % p
-			cnt := min(s.d, p-s.d)
-			var elems int64
-			for _, l := range s.lens[:cnt] {
-				elems += l
-			}
-			// One message per round: lengths ride along with the payload
-			// (both metered), and a single send keeps the exchange
-			// deadlock-free. Fresh mode ships capacity-capped views of the
-			// held run (see bruckView); pooled mode ships owned copies.
-			s.h = pe.IRecv(src, s.tag)
-			if s.fresh {
-				fp := s.fpool.Get(1)
-				(*fp)[0] = bruckView[T]{lens: s.lens[:cnt:cnt], data: s.arena[:elems:elems]}
-				pe.Send(dst, s.tag, fp, int64(cnt)+elems*WordsOf[T]())
-			} else {
-				lp := commbuf.For[int64]().Get(cnt)
-				copy(*lp, s.lens[:cnt])
-				dp := commbuf.For[T]().Get(int(elems))
-				copy(*dp, s.arena[:elems])
-				wp := s.wpool.Get(1)
-				(*wp)[0] = bruckMsg[T]{lens: lp, data: dp}
-				pe.Send(dst, s.tag, wp, int64(cnt)+elems*WordsOf[T]())
-			}
-			s.phase = 2
-			if !s.h.Test() {
-				return s.h
-			}
-		default:
-			rxAny, _ := s.h.Wait()
-			s.h = nil
-			if s.fresh {
-				rf := rxAny.(*[]bruckView[T])
-				rx := (*rf)[0]
-				s.lens = append(s.lens, rx.lens...)
-				s.arena = append(s.arena, rx.data...)
-				(*rf)[0] = bruckView[T]{}
-				s.fpool.Put(rf)
-			} else {
-				rw := rxAny.(*[]bruckMsg[T])
-				rx := (*rw)[0]
-				s.lens = append(s.lens, (*rx.lens)...)
-				s.arena = append(s.arena, (*rx.data)...)
-				commbuf.For[int64]().Put(rx.lens)
-				commbuf.For[T]().Put(rx.data)
-				(*rw)[0] = bruckMsg[T]{}
-				s.wpool.Put(rw)
-			}
-			s.d <<= 1
-			s.phase = 1
-		}
-	}
-}
-
-// allGatherConcatStep — see AllGatherConcatStep.
-type allGatherConcatStep[T any] struct {
-	data []T
-	out  func([]T)
-	eng  *agBruckStep[T]
-}
-
-// AllGatherConcatStep is the continuation form of AllGatherConcat: out
-// receives every PE's slice concatenated in rank order, as a borrowed
-// pooled buffer valid only during the call (the blocking form's result
-// is caller-owned instead). Steady-state allocation-free.
-func AllGatherConcatStep[T any](pe *comm.PE, data []T, out func([]T)) comm.Stepper {
-	s := comm.GetPooled[allGatherConcatStep[T]](pe)
-	*s = allGatherConcatStep[T]{data: data, out: out}
-	return s
-}
-
-func (s *allGatherConcatStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
-	p := pe.P()
-	if p == 1 {
-		out, data := s.out, s.data
-		*s = allGatherConcatStep[T]{}
-		comm.PutPooled(pe, s)
-		if out != nil {
-			out(data)
-		}
-		return nil
-	}
-	if s.eng == nil {
-		s.eng = newAGBruckStep(pe, s.data, false)
-	}
-	if h := s.eng.Step(pe); h != nil {
-		return h
-	}
-	arena, lens := s.eng.arena, s.eng.lens
-	// Rotate into rank order (see AllGatherConcat) inside a pooled buffer.
-	i0 := (p - pe.Rank()) % p
-	var off0 int64
-	for _, l := range lens[:i0] {
-		off0 += l
-	}
-	rotPtr := commbuf.For[T]().Get(len(arena))
-	rot := *rotPtr
-	n := copy(rot, arena[off0:])
-	copy(rot[n:], arena[:off0])
-	out := s.out
-	eng := s.eng
-	*s = allGatherConcatStep[T]{}
-	comm.PutPooled(pe, s)
-	if out != nil {
-		out(rot)
-	}
-	commbuf.For[T]().Put(rotPtr)
-	eng.release(pe)
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Direct all-to-all
-// ---------------------------------------------------------------------------
-
-// allToAllStep — see AllToAllStep.
-type allToAllStep[T any] struct {
-	parts [][]T
-	visit func(src int, part []T)
-	pool  *commbuf.Pool[T]
-	tag   comm.Tag
-	i     int
-	h     *comm.RecvHandle
-	phase int
-}
-
-// AllToAllStep is the continuation form of AllToAll: parts[i] reaches PE
-// i, and visit observes each received part — the own part first, then
-// the staggered sources in exchange order. Unlike the blocking form's
-// per-sender aliasing, visited parts are pooled receiver-side copies
-// valid only during the call (the ownership-transfer framing that makes
-// the stepper allocation-free); the measured words and startups are
-// identical.
-func AllToAllStep[T any](pe *comm.PE, parts [][]T, visit func(src int, part []T)) comm.Stepper {
-	s := comm.GetPooled[allToAllStep[T]](pe)
-	*s = allToAllStep[T]{parts: parts, visit: visit}
-	return s
-}
-
-func (s *allToAllStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
-	p := pe.P()
-	rank := pe.Rank()
-	for {
-		switch s.phase {
-		case 0:
-			if len(s.parts) != p {
-				panic(fmt.Sprintf("coll: AllToAll needs %d parts, got %d", p, len(s.parts)))
-			}
-			if s.visit != nil {
-				s.visit(rank, s.parts[rank])
-			}
-			if p == 1 {
-				s.phase = 3
-				continue
-			}
-			s.pool = commbuf.For[T]()
-			s.tag = pe.NextCollTag()
-			s.i = 1
-			s.phase = 1
-		case 1:
-			if s.i >= p {
-				s.phase = 3
-				continue
-			}
-			dst := (rank + s.i) % p
-			src := (rank - s.i + p) % p
-			s.h = pe.IRecv(src, s.tag)
-			sendCopy(pe, s.pool, dst, s.tag, s.parts[dst])
-			s.phase = 2
-			if !s.h.Test() {
-				return s.h
-			}
-		case 2:
-			rxAny, _ := s.h.Wait()
-			s.h = nil
-			rx := rxAny.(*[]T)
-			if s.visit != nil {
-				s.visit((rank-s.i+p)%p, *rx)
-			}
-			s.pool.Put(rx)
-			s.i++
-			s.phase = 1
-		default:
-			*s = allToAllStep[T]{}
-			comm.PutPooled(pe, s)
 			return nil
 		}
 	}

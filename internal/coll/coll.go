@@ -12,30 +12,32 @@
 //
 // # Buffer ownership and allocation discipline
 //
-// The reduction-shaped collectives move all intermediate message buffers
-// through the typed pools in internal/commbuf, travelling as *[]T (a
-// pointer in an interface does not allocate, unlike a slice header).
-// Ownership of a buffer transfers with the message — the sender never
-// touches it again, and the receiver recycles it after combining — so
-// recycling is race-free without any extra synchronization. Results never
-// alias caller inputs, and caller inputs are never sent by reference, so
-// callers may reuse their input slices immediately.
+// Intermediate message buffers move through the typed pools in
+// internal/commbuf, travelling as *[]T (a pointer in an interface does
+// not allocate, unlike a slice header). Ownership of a buffer transfers
+// with the message — the sender never touches it again, and the receiver
+// recycles it after reading — so recycling is race-free without any
+// extra synchronization. Caller inputs are never sent by reference, so
+// callers may reuse their input slices as soon as a collective returns.
 //
-// Fully allocation-free in steady state are the variants that do not hand
-// a fresh result slice to the caller: the scalar collectives
-// (AllReduceScalar, SumAll, BroadcastScalar, ExScanSum), Barrier, and
-// AllReduceIntoStep with a reused dst. The slice-returning
-// conveniences (AllReduce, AllGatherConcat) still allocate their
-// result — one slice per call, with all internal traffic pooled.
+// Fully allocation-free in steady state are the collectives that do not
+// hand a fresh result slice to the caller: the scalar collectives
+// (AllReduceScalar, SumAll, BroadcastScalar, ExScanSum), Barrier,
+// AllReduceIntoStep with a reused dst, and RouteCombine (modulo its
+// combine hook). The slice-returning collectives (AllReduce, AllGatherv,
+// AllGatherConcat, AllToAll) allocate their result and nothing else.
 //
-// The data-movement collectives Broadcast and AllGatherv keep
-// by-reference semantics for the payload: see each function's aliasing
-// notes. AllToAll hands back caller-owned copies of what it receives and
-// aliases only the PE's own part.
+// Results alias no caller input, with two exceptions: Broadcast returns
+// the root's slice on every PE, read-only, and AllToAll hands back the
+// PE's own part as it was passed (every received part is a caller-owned
+// copy).
 //
-// Every collective has one protocol engine, a stepper (the async*.go
-// files): the blocking form drives it with comm.RunSteps, and the scalar
-// all-reduce and exclusive scan run the vector engines on one element.
+// A collective is a stepper only where a stepper composes it (async*.go):
+// selection's level runs ReduceConcatStep, BroadcastScalarStep and
+// AllReduceScalarStep, the serving mux AllReduceIntoStep, and their
+// blocking forms drive the same engines with comm.RunSteps. Every other
+// collective is straight-line blocking code in the paper's SPMD shape:
+// each round posts its receive, sends, then waits.
 package coll
 
 import (
@@ -71,6 +73,28 @@ func sendCopy[T any](pe *comm.PE, pool *commbuf.Pool[T], dst int, tag comm.Tag, 
 	pe.Send(dst, tag, b, sliceWords(s))
 }
 
+// appendPooled appends s to the pooled buffer b. When b is full, its
+// contents move to a pooled buffer of a class that fits and b goes back
+// to its pool, so a buffer that grows round by round allocates nothing
+// once the pool is warm.
+func appendPooled[T any](pool *commbuf.Pool[T], b *[]T, s []T) *[]T {
+	if n := len(*b) + len(s); n > cap(*b) {
+		nb := pool.GetCap(n)
+		*nb = append(*nb, *b...)
+		pool.Put(b)
+		b = nb
+	}
+	*b = append(*b, s...)
+	return b
+}
+
+// waitBuf completes h and returns its payload, a pooled buffer that is
+// now the caller's to Put.
+func waitBuf[T any](h *comm.RecvHandle) *[]T {
+	rx, _ := h.Wait()
+	return rx.(*[]T)
+}
+
 // combine folds rx into acc elementwise, in place.
 func combine[T any](op func(a, b T) T, acc, rx []T) {
 	if len(acc) != len(rx) {
@@ -89,15 +113,35 @@ func Barrier(pe *comm.PE) {
 // Broadcast distributes root's data to all PEs along a binomial tree and
 // returns it everywhere. Non-root inputs are ignored. The returned slice
 // is shared between PEs in-process and must be treated as read-only; use
-// slices.Clone if mutation is needed. The schedule is broadcastStep
-// driven to completion with blocking waits.
+// slices.Clone if mutation is needed.
 func Broadcast[T any](pe *comm.PE, root int, data []T) []T {
-	s := comm.GetPooled[broadcastStep[T]](pe)
-	*s = broadcastStep[T]{root: root, data: data, held: true}
-	comm.RunSteps(pe, s)
-	data = s.data
-	*s = broadcastStep[T]{}
-	comm.PutPooled(pe, s)
+	p := pe.P()
+	if p == 1 {
+		return data
+	}
+	tag := pe.NextCollTag()
+	vr := (pe.Rank() - root + p) % p
+	// Receive from the parent (the lowest set bit of vr), then forward to
+	// the children below that bit. A forwarded payload is the box it
+	// arrived in; only the root boxes its slice.
+	mask := 1
+	var boxed any
+	for ; mask < p; mask <<= 1 {
+		if vr&mask != 0 {
+			boxed, _ = pe.Recv(((vr&^mask)+root)%p, tag)
+			data = boxed.([]T)
+			break
+		}
+	}
+	if boxed == nil {
+		boxed = data
+	}
+	words := sliceWords(data)
+	for mask >>= 1; mask > 0; mask >>= 1 {
+		if child := vr | mask; child < p {
+			pe.Send((child+root)%p, tag, boxed, words)
+		}
+	}
 	return data
 }
 
@@ -159,11 +203,50 @@ func SumAll[T int | int64 | float64 | uint64](pe *comm.PE, v T) T {
 	return AllReduceScalar(pe, v, opsOf[T](pe).add)
 }
 
-// ExScanSum returns the exclusive prefix sum of a scalar: the exclusive
-// scan engine on a one-element accumulator with identity 0.
-// Allocation-free in steady state.
+// ExScanSum returns the exclusive prefix sum of a scalar — the sum over
+// lower ranks, 0 on rank 0 — by Hillis–Steele dissemination (⌈log₂ p⌉
+// rounds in which rank r adds what rank r−d holds) and one shift-down
+// round. Every round posts its receive before its send. Allocation-free in
+// steady state.
 func ExScanSum[T int | int64 | float64 | uint64](pe *comm.PE, v T) T {
-	return runScalar(pe, newExScanSum(pe, v, nil))
+	p := pe.P()
+	if p == 1 {
+		return 0
+	}
+	pool := commbuf.For[T]()
+	rank := pe.Rank()
+	tag := pe.NextCollTag()
+	// acc covers ranks (rank−d, rank] at the start of round d.
+	acc := [1]T{v}
+	for d := 1; d < p; d <<= 1 {
+		var h *comm.RecvHandle
+		if rank-d >= 0 {
+			h = pe.IRecv(rank-d, tag)
+		}
+		if rank+d < p {
+			sendCopy(pe, pool, rank+d, tag, acc[:])
+		}
+		if h != nil {
+			rx := waitBuf[T](h)
+			acc[0] = (*rx)[0] + acc[0]
+			pool.Put(rx)
+		}
+	}
+	tag = pe.NextCollTag()
+	var h *comm.RecvHandle
+	if rank > 0 {
+		h = pe.IRecv(rank-1, tag)
+	}
+	if rank+1 < p {
+		sendCopy(pe, pool, rank+1, tag, acc[:])
+	}
+	if h == nil {
+		return 0 // rank 0: the empty prefix
+	}
+	rx := waitBuf[T](h)
+	v = (*rx)[0]
+	pool.Put(rx)
+	return v
 }
 
 // bruckMsg is one dissemination round's payload: the concatenated data of
@@ -177,67 +260,94 @@ type bruckMsg[T any] struct {
 	data *[]T
 }
 
-// bruckView is a dissemination round's payload in the hybrid scheme:
-// read-only views straight into the sender's held run, no staging copy.
-// Each hop still lands one physical copy in the receiver (the arena
-// append — what a real transfer's write side costs), but the sender no
-// longer stages the run into a pooled buffer first; dropping that second
-// copy plus the per-round pool traffic recovers most of the host-side
-// cost the all-copying rewrite added, without touching the meter (the
-// same words are charged). Safe because the sender only ever appends
-// *beyond* the sent prefix afterwards (in-place appends write disjoint
-// indices; reallocating appends leave the shared backing untouched), the
-// receiver only reads, and every downstream consumer of the gathered
-// result either copies it out (AllGatherConcat) or exposes it read-only
-// (AllGatherv).
-type bruckView[T any] struct {
-	lens []int64
-	data []T
-}
-
-// allGatherBruck is the dissemination (Bruck-style gossiping) all-gather
-// engine: starting from its own block, every PE doubles its held run of
-// blocks per round by exchanging with partners at distance 2^i, so after
-// ⌈log₂ p⌉ rounds it holds all p blocks. Compared to the previous
-// gather+broadcast realization the bottleneck volume drops from the
-// root's Θ(total·log p) (the binomial broadcast resends the full
-// assembly to every child) to ≤ total + p length words per PE — the
-// paper's O(β·total + α log p) with the gossiping constant — and the
-// startup count is a uniform ⌈log₂ p⌉ per PE.
+// allGatherBruck is the dissemination (Bruck-style gossiping) all-gather:
+// starting from its own block, every PE doubles its held run of blocks
+// per round by exchanging with partners at distance 2^i, so after
+// ⌈log₂ p⌉ rounds it holds all p blocks — ≤ total + p length words and
+// ⌈log₂ p⌉ startups per PE, the paper's O(β·total + α log p) with the
+// gossiping constant. Every round ships pooled copies of the held lengths
+// and data, whose ownership moves to the receiver.
 //
-// Returns the receiver-local arena holding the blocks in shifted order
-// (rank, rank+1, …, rank+p−1 mod p) and the per-block lengths in that
-// order. Both are freshly allocated and caller-owned; nothing aliases
-// another PE's memory. Every round ships in-process read-only views of
-// the sender's held run (see bruckView) and the receiver appends them
-// into its own arena — one physical copy per hop instead of a staging
-// copy plus an append, while the meter still charges the full transfer.
-func allGatherBruck[T any](pe *comm.PE, data []T) (arena []T, lens []int64) {
-	st := newAGBruckStep(pe, data, true)
-	comm.RunSteps(pe, st)
-	arena, lens = st.arena, st.lens
-	st.put(pe)
+// It returns pooled buffers, which the caller puts back: the arena holds
+// the blocks in shifted order (rank, rank+1, …, rank+p−1 mod p) and lens
+// their lengths in that order.
+func allGatherBruck[T any](pe *comm.PE, data []T) (arena *[]T, lens *[]int64) {
+	p, rank := pe.P(), pe.Rank()
+	tag := pe.NextCollTag()
+	wpool, ipool, tpool := commbuf.For[bruckMsg[T]](), commbuf.For[int64](), commbuf.For[T]()
+	lens = ipool.GetCap(p)
+	*lens = append(*lens, int64(len(data)))
+	arena = tpool.GetCap(2*len(data) + 8)
+	*arena = append(*arena, data...)
+	for d := 1; d < p; d <<= 1 {
+		cnt := min(d, p-d)
+		var elems int64
+		for _, l := range (*lens)[:cnt] {
+			elems += l
+		}
+		// One message per round: the lengths ride along with the payload
+		// (both metered), and a single send keeps the exchange
+		// deadlock-free.
+		h := pe.IRecv((rank+d)%p, tag)
+		lp := ipool.Get(cnt)
+		copy(*lp, (*lens)[:cnt])
+		dp := tpool.Get(int(elems))
+		copy(*dp, (*arena)[:elems])
+		wp := wpool.Get(1)
+		(*wp)[0] = bruckMsg[T]{lens: lp, data: dp}
+		pe.Send((rank-d+p)%p, tag, wp, int64(cnt)+elems*WordsOf[T]())
+		rw := waitBuf[bruckMsg[T]](h)
+		rx := (*rw)[0]
+		*lens = append(*lens, (*rx.lens)...)
+		arena = appendPooled(tpool, arena, *rx.data)
+		ipool.Put(rx.lens)
+		tpool.Put(rx.data)
+		(*rw)[0] = bruckMsg[T]{}
+		wpool.Put(rw)
+	}
 	return arena, lens
 }
 
-// AllGatherv collects every PE's slice on all PEs (indexed by rank), via
-// the dissemination all-gather (see allGatherBruck): volume ≤ total + p
-// length words per PE in ⌈log₂ p⌉ startups — the paper's gossiping bound,
-// half (or better) of the previous gather+broadcast realization. The
-// returned subslices view one receiver-local buffer; as before, treat
-// them as read-only (for p = 1 the result aliases data).
+// allGatherRanked runs the all-gather and copies its result out once, in
+// rank order, into a caller-owned slice; lens receives the block lengths
+// in rank order (when non-nil, length p).
+func allGatherRanked[T any](pe *comm.PE, data []T, lens []int64) []T {
+	p := pe.P()
+	arena, held := allGatherBruck(pe, data)
+	// The arena starts at this PE's own block: rank 0's block sits at held
+	// index i0 = p − rank (mod p).
+	i0 := (p - pe.Rank()) % p
+	var off0 int64
+	for _, l := range (*held)[:i0] {
+		off0 += l
+	}
+	out := make([]T, len(*arena))
+	n := copy(out, (*arena)[off0:])
+	copy(out[n:], (*arena)[:off0])
+	if lens != nil {
+		n := copy(lens, (*held)[i0:])
+		copy(lens[n:], (*held)[:i0])
+	}
+	commbuf.For[T]().Put(arena)
+	commbuf.For[int64]().Put(held)
+	return out
+}
+
+// AllGatherv collects every PE's slice on all PEs, indexed by rank, via
+// the dissemination all-gather (see allGatherBruck). The returned
+// subslices view one caller-owned buffer.
 func AllGatherv[T any](pe *comm.PE, data []T) [][]T {
 	p := pe.P()
 	if p == 1 {
-		return [][]T{data}
+		return [][]T{slices.Clone(data)}
 	}
-	arena, lens := allGatherBruck(pe, data)
+	lens := make([]int64, p)
+	flat := allGatherRanked(pe, data, lens)
 	out := make([][]T, p)
 	var off int64
-	for i := 0; i < p; i++ {
-		r := (pe.Rank() + i) % p
-		out[r] = arena[off : off+lens[i]]
-		off += lens[i]
+	for r, l := range lens {
+		out[r] = flat[off : off+l : off+l]
+		off += l
 	}
 	return out
 }
@@ -245,38 +355,38 @@ func AllGatherv[T any](pe *comm.PE, data []T) [][]T {
 // AllGatherConcat collects every PE's slice concatenated in rank order.
 // The result is owned by the caller (each PE gets its own copy).
 func AllGatherConcat[T any](pe *comm.PE, data []T) []T {
-	p := pe.P()
-	if p == 1 {
+	if pe.P() == 1 {
 		return slices.Clone(data)
 	}
-	arena, lens := allGatherBruck(pe, data)
-	// The arena starts at this PE's own block; rotate into rank order.
-	// Block of rank 0 sits at held index i0 = p − rank (mod p).
-	i0 := (p - pe.Rank()) % p
-	var off0 int64
-	for _, l := range lens[:i0] {
-		off0 += l
-	}
-	out := make([]T, len(arena))
-	n := copy(out, arena[off0:])
-	copy(out[n:], arena[:off0])
-	return out
+	return allGatherRanked(pe, data, nil)
 }
 
 // AllToAll delivers parts[i] from every PE to PE i; the result is indexed
-// by source rank. Direct point-to-point delivery: p-1 startups per PE,
-// pairwise-staggered to avoid hot spots (allToAllStep driven with
-// blocking waits). The self-part out[rank] aliases parts[rank] (no copy —
-// pinned by tests); every received part is a caller-owned copy, and
-// parts may be reused as soon as AllToAll returns.
+// by source rank. Direct point-to-point delivery: p−1 startups per PE,
+// pairwise-staggered to avoid hot spots (round i sends to rank+i and
+// receives from rank−i, each part as a pooled copy). The self-part
+// out[rank] aliases parts[rank] (no copy — pinned by tests); every
+// received part is a caller-owned copy, and parts may be reused as soon
+// as AllToAll returns.
 func AllToAll[T any](pe *comm.PE, parts [][]T) [][]T {
-	out := make([][]T, pe.P())
-	rank := pe.Rank()
-	comm.RunSteps(pe, AllToAllStep(pe, parts, func(src int, part []T) {
-		if src != rank {
-			part = slices.Clone(part)
-		}
-		out[src] = part
-	}))
+	p, rank := pe.P(), pe.Rank()
+	if len(parts) != p {
+		panic(fmt.Sprintf("coll: AllToAll needs %d parts, got %d", p, len(parts)))
+	}
+	out := make([][]T, p)
+	out[rank] = parts[rank]
+	if p == 1 {
+		return out
+	}
+	pool := commbuf.For[T]()
+	tag := pe.NextCollTag()
+	for i := 1; i < p; i++ {
+		dst, src := (rank+i)%p, (rank-i+p)%p
+		h := pe.IRecv(src, tag)
+		sendCopy(pe, pool, dst, tag, parts[dst])
+		rx := waitBuf[T](h)
+		out[src] = slices.Clone(*rx)
+		pool.Put(rx)
+	}
 	return out
 }

@@ -114,9 +114,8 @@ func TestAllGatherConcat(t *testing.T) {
 
 func TestAllGatherDisseminationBounds(t *testing.T) {
 	// The Bruck all-gather must cost ⌈log₂ p⌉ startups per PE and a
-	// bottleneck volume of ≤ total + p length words — half (or better) of
-	// the old gather+broadcast, whose root resent the full assembly to
-	// every binomial child (Θ(total·log p) at the bottleneck).
+	// bottleneck volume of ≤ total + p length words (a gather plus a
+	// binomial broadcast would put Θ(total·log p) on the root).
 	const p, blockLen = 64, 4
 	m := comm.NewMachine(comm.DefaultConfig(p))
 	m.MustRun(func(pe *comm.PE) {
@@ -185,15 +184,22 @@ func TestWordsOf(t *testing.T) {
 	}
 }
 
-// routeCombine runs the router stepper in a blocking body and returns a
-// copy of the routed batch.
+// routed is a router test item: its destination rank and a payload.
+type routed struct {
+	Dest    int
+	Payload int64
+}
+
+func routedDest(it routed) int { return it.Dest }
+
+// routeCombine runs the router and returns a copy of the routed batch.
 func routeCombine[T any](pe *comm.PE, items []T, dest func(T) int, combine func([]T) []T) []T {
 	var got []T
-	comm.RunSteps(pe, RouteCombineStep(pe, items, dest, combine, func(b []T) { got = slices.Clone(b) }))
+	RouteCombine(pe, items, dest, combine, func(b []T) { got = slices.Clone(b) })
 	return got
 }
 
-func TestRouteCombineStep(t *testing.T) {
+func TestRouteCombine(t *testing.T) {
 	type kv struct {
 		Dest  int
 		Key   uint64
@@ -241,7 +247,7 @@ func TestRouteCombineStep(t *testing.T) {
 	}
 }
 
-func TestRouteCombineStepNoCombineHook(t *testing.T) {
+func TestRouteCombineNoCombineHook(t *testing.T) {
 	for _, p := range peCounts {
 		runOn(t, p, func(pe *comm.PE) {
 			items := []routed{{Dest: (pe.Rank() + 1) % p, Payload: int64(pe.Rank())}}
@@ -254,7 +260,7 @@ func TestRouteCombineStepNoCombineHook(t *testing.T) {
 	}
 }
 
-func TestRouteCombineStepLogStartups(t *testing.T) {
+func TestRouteCombineLogStartups(t *testing.T) {
 	m := comm.NewMachine(comm.DefaultConfig(64))
 	m.MustRun(func(pe *comm.PE) {
 		items := make([]routed, 64)

@@ -8,9 +8,8 @@ import (
 )
 
 // BenchmarkAllGatherConcatPayload measures the all-gather across block
-// sizes — the final-round reference-share hybrid's win grows with the
-// payload (at 1-word blocks per-message overhead dominates; at KB-scale
-// blocks the saved copy of half the total is the bulk of host time).
+// sizes: at 1-word blocks per-message overhead dominates, at KB-scale
+// blocks the per-round copies.
 func BenchmarkAllGatherConcatPayload(b *testing.B) {
 	for _, words := range []int{1, 256, 4096} {
 		b.Run(fmt.Sprintf("words=%d", words), func(b *testing.B) {

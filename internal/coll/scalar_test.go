@@ -9,10 +9,10 @@ import (
 	"commtopk/internal/comm"
 )
 
-// The scalar all-reduce and exclusive scan are the vector engines run on
-// a one-element accumulator. These tests pin that they are the vector
-// forms — bit-identical values and all six Stats fields — and that
-// AllToAll hands back owned copies of what it receives.
+// The scalar all-reduce is the vector engine run on a one-element
+// accumulator. These tests pin that it is the vector form — bit-identical
+// values and all six Stats fields — and that AllToAll hands back owned
+// copies of what it receives.
 
 // scalarForm is one way to compute a scalar collective: run fills res
 // with every rank's result.
@@ -28,7 +28,7 @@ func val(pe *comm.PE) float64 { return 0.1*float64(pe.Rank()) + 1/3.0 }
 func addF64(a, b float64) float64 { return a + b }
 
 func TestScalarCollectivesAreVectorForms(t *testing.T) {
-	allReduce := []scalarForm{
+	forms := []scalarForm{
 		{"AllReduceIntoStep", func(m *comm.Machine, res []float64) {
 			m.MustRunAsync(func(pe *comm.PE) comm.Stepper {
 				return AllReduceIntoStep(pe, nil, []float64{val(pe)}, addF64, func(v []float64) { res[pe.Rank()] = v[0] })
@@ -43,44 +43,27 @@ func TestScalarCollectivesAreVectorForms(t *testing.T) {
 			m.MustRun(func(pe *comm.PE) { res[pe.Rank()] = AllReduceScalar(pe, val(pe), addF64) })
 		}},
 	}
-	exScan := []scalarForm{
-		{"ExScanSumStep", func(m *comm.Machine, res []float64) {
-			m.MustRunAsync(func(pe *comm.PE) comm.Stepper {
-				return ExScanSumStep(pe, val(pe), func(v float64) { res[pe.Rank()] = v })
-			})
-		}},
-		{"ExScanSum", func(m *comm.Machine, res []float64) {
-			m.MustRun(func(pe *comm.PE) { res[pe.Rank()] = ExScanSum(pe, val(pe)) })
-		}},
-		{"exScanStep", func(m *comm.Machine, res []float64) {
-			m.MustRunAsync(func(pe *comm.PE) comm.Stepper {
-				return newExScanStep(pe, []float64{val(pe)}, addF64, func(v []float64) { res[pe.Rank()] = v[0] })
-			})
-		}},
-	}
 	// The non-powers of two exercise the all-reduce's fold-in and fold-out.
 	for _, p := range []int{1, 2, 3, 5, 6, 8, 16, 64} {
-		for _, forms := range [][]scalarForm{allReduce, exScan} {
-			t.Run(fmt.Sprintf("p=%d/%s", p, forms[0].name), func(t *testing.T) {
-				run := func(f scalarForm) ([]float64, comm.Stats) {
-					m := comm.NewMachine(comm.DefaultConfig(p))
-					defer m.Close()
-					res := make([]float64, p)
-					f.run(m, res)
-					return res, m.Stats()
+		t.Run(fmt.Sprintf("p=%d/%s", p, forms[0].name), func(t *testing.T) {
+			run := func(f scalarForm) ([]float64, comm.Stats) {
+				m := comm.NewMachine(comm.DefaultConfig(p))
+				defer m.Close()
+				res := make([]float64, p)
+				f.run(m, res)
+				return res, m.Stats()
+			}
+			wantRes, wantStats := run(forms[0])
+			for _, f := range forms[1:] {
+				res, stats := run(f)
+				if !slices.Equal(res, wantRes) {
+					t.Errorf("%s = %v, %s = %v", f.name, res, forms[0].name, wantRes)
 				}
-				wantRes, wantStats := run(forms[0])
-				for _, f := range forms[1:] {
-					res, stats := run(f)
-					if !slices.Equal(res, wantRes) {
-						t.Errorf("%s = %v, %s = %v", f.name, res, forms[0].name, wantRes)
-					}
-					if stats != wantStats {
-						t.Errorf("%s stats %+v, %s stats %+v", f.name, stats, forms[0].name, wantStats)
-					}
+				if stats != wantStats {
+					t.Errorf("%s stats %+v, %s stats %+v", f.name, stats, forms[0].name, wantStats)
 				}
-			})
-		}
+			}
+		})
 	}
 
 	// An element as wide as the all-reduce engine's long-vector threshold

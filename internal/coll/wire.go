@@ -8,8 +8,8 @@ import (
 // payload shape the collectives over element type T can put on a
 // cross-process frame: the POD element shapes (T, *T, []T, *[]T) that
 // Broadcast, AllToAll, the scan, the router and the pooled-copy sends
-// use, plus the Bruck carriers — batches with pooled ownership
-// (ReduceConcatStep's tree edges) and borrowed views (the all-gather).
+// use, plus the Bruck carrier, a batch with pooled ownership (the
+// all-gather's rounds and ReduceConcatStep's tree edges).
 // Call it (from the same registration package in every participating
 // binary — see internal/wire/wireprogs) once per element type a
 // wire-backed program communicates; elemName must match across processes
@@ -46,35 +46,6 @@ func RegisterWireCodecs[T any](elemName string) {
 			for i := range s {
 				s[i].lens = decPtrSlice[int64](d)
 				s[i].data = decPtrSlice[T](d)
-			}
-			return &s
-		})
-
-	wire.Register[*[]bruckView[T]]("coll.bruckView["+elemName+"][]*",
-		func(e *wire.Enc, v *[]bruckView[T]) {
-			if v == nil {
-				e.U8(0)
-				return
-			}
-			e.U8(1)
-			e.U64(uint64(len(*v)))
-			for _, m := range *v {
-				wire.EncPODSlice(e, m.lens)
-				wire.EncPODSlice(e, m.data)
-			}
-		},
-		func(d *wire.Dec) *[]bruckView[T] {
-			if d.U8() == 0 {
-				return nil
-			}
-			n := d.Len(16) // two counts minimum per view
-			if d.Err() != nil {
-				return nil
-			}
-			s := make([]bruckView[T], n)
-			for i := range s {
-				s[i].lens = wire.DecPODSlice[int64](d)
-				s[i].data = wire.DecPODSlice[T](d)
 			}
 			return &s
 		})

@@ -31,8 +31,7 @@ func TestWireCodecsRoundTrip(t *testing.T) {
 		"coll.test.elem[]*": &e,
 		// The Bruck batch, which is also ReduceConcatStep's up-sweep carrier
 		// (lens is then the summed header).
-		"coll.bruckMsg[coll.test.elem][]*":  &[]bruckMsg[wireElem]{{lens: &lens, data: &e}},
-		"coll.bruckView[coll.test.elem][]*": &[]bruckView[wireElem]{{lens: lens, data: e}},
+		"coll.bruckMsg[coll.test.elem][]*": &[]bruckMsg[wireElem]{{lens: &lens, data: &e}},
 	}
 	for _, name := range wire.RegisteredNames() {
 		if _, known := slices.BinarySearch(before, name); !known && samples[name] == nil {

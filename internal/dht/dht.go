@@ -76,9 +76,11 @@ func CountKV(pe *comm.PE, items []KV, mode RouteMode) *[]KV {
 			d := Owner(kv.Key, s.p)
 			parts[d] = append(parts[d], kv)
 		}
-		comm.RunSteps(pe, coll.AllToAllStep(pe, parts, s.onPart))
+		for _, part := range coll.AllToAll(pe, parts) {
+			*shard = append(*shard, part...)
+		}
 	case RouteHypercube:
-		comm.RunSteps(pe, coll.RouteCombineStep(pe, items, s.owner, SumKVs, s.onHeld))
+		coll.RouteCombine(pe, items, s.owner, SumKVs, s.onHeld)
 	default:
 		panic("dht: unknown route mode")
 	}
@@ -95,12 +97,9 @@ type scratch struct {
 	shard *[]KV    // CountKV's owned shard, which onHeld fills
 	ords  []uint64 // SelectTopK's complemented counts
 	share []KV     // SelectTopK's local share of the top k
-	top   []KV     // the gathered top k, caller-owned, which onAll fills
 
 	owner  func(KV) int
 	onHeld func([]KV)
-	onPart func(int, []KV)
-	onAll  func([]KV)
 }
 
 func getScratch(pe *comm.PE) *scratch {
@@ -109,18 +108,13 @@ func getScratch(pe *comm.PE) *scratch {
 	if s.owner == nil {
 		s.owner = func(kv KV) int { return Owner(kv.Key, s.p) }
 		s.onHeld = func(held []KV) { *s.shard = append(*s.shard, held...) }
-		s.onPart = func(_ int, part []KV) { s.onHeld(part) }
-		s.onAll = func(all []KV) {
-			s.top = make([]KV, len(all))
-			copy(s.top, all)
-		}
 	}
 	return s
 }
 
 // release returns s to the PE's pool, keeping its buffers.
 func (s *scratch) release(pe *comm.PE) {
-	s.shard, s.top = nil, nil
+	s.shard = nil
 	comm.PutPooled(pe, s)
 }
 
@@ -197,12 +191,12 @@ func BuildSBF(pe *comm.PE, local []KV) *SBF {
 		}
 		return out
 	}
-	comm.RunSteps(pe, coll.RouteCombineStep(pe, items, destFn, combine, func(held []HC) {
+	coll.RouteCombine(pe, items, destFn, combine, func(held []HC) {
 		s.Cells = make([]KV, len(held))
 		for i, hc := range held {
 			s.Cells[i] = KV{uint64(hc.Hash), int64(hc.Count)}
 		}
-	}))
+	})
 	return s
 }
 

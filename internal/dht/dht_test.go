@@ -226,11 +226,12 @@ func TestSBFWireFormatIsOneWord(t *testing.T) {
 // TestCountAndSelectAllocBound bounds what a warm blocking CountKV plus
 // SelectTopK allocates at p = 3 beyond an empty run's harness cost: the
 // routed batches, the owners' shards and the selection's scratch come
-// from pools, so what is left is the owned result. The bound is the
-// count measured when both were pooled stepper state (4, every time). A
-// commbuf pool hands a buffer to whichever worker asks and drops one
-// that is too small, so a round may pay for a buffer that another PE's
-// batch left on its worker: the best of three rounds is held to it.
+// from pools, so what is left is the owned result: 4 allocations, the
+// count a warm run reads every time. A commbuf pool keeps one class per
+// power-of-two capacity and a Get never takes a buffer too small for it,
+// so a shard-sized request does not pay for the small batches other PEs
+// put back on its worker; the best of three rounds absorbs a pool that
+// a GC emptied mid-measurement.
 func TestCountAndSelectAllocBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race mode randomizes sync.Pool")

@@ -40,7 +40,7 @@ func SelectTopK(pe *comm.PE, shard []KV, k int, rng *xrand.RNG) []KV {
 	s := getScratch(pe)
 	defer s.release(pe)
 	if total <= int64(k) {
-		return s.gatherSorted(pe, shard)
+		return gatherSorted(pe, shard)
 	}
 	ords := s.ords[:0]
 	for _, it := range shard {
@@ -61,13 +61,13 @@ func SelectTopK(pe *comm.PE, shard []KV, k int, rng *xrand.RNG) []KV {
 		}
 	}
 	s.share = share
-	return s.gatherSorted(pe, share)
+	return gatherSorted(pe, share)
 }
 
 // gatherSorted all-gathers every PE's entries into a caller-owned slice
 // sorted by SortKVDesc. Collective.
-func (s *scratch) gatherSorted(pe *comm.PE, local []KV) []KV {
-	comm.RunSteps(pe, coll.AllGatherConcatStep(pe, local, s.onAll))
-	SortKVDesc(s.top)
-	return s.top
+func gatherSorted(pe *comm.PE, local []KV) []KV {
+	top := coll.AllGatherConcat(pe, local)
+	SortKVDesc(top)
+	return top
 }

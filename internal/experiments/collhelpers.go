@@ -30,7 +30,7 @@ func collHyperA2A(pe *comm.PE) {
 	for d := range items {
 		items[d] = [2]int64{int64(d), int64(pe.Rank())}
 	}
-	comm.RunSteps(pe, coll.RouteCombineStep(pe, items, itemDest, nil, nil))
+	coll.RouteCombine(pe, items, itemDest, nil, nil)
 }
 
 // itemDest is collHyperA2A's destination: the item's first word.

@@ -89,11 +89,11 @@ func diffOps(perPE int) []diffOp {
 				items[d] = routed{Dest: d, Payload: seed + int64(pe.Rank())}
 			}
 			var sum int64
-			comm.RunSteps(pe, coll.RouteCombineStep(pe, items, routedDest, nil, func(got []routed) {
+			coll.RouteCombine(pe, items, routedDest, nil, func(got []routed) {
 				for _, it := range got {
 					sum += it.Payload
 				}
-			}))
+			})
 			return sum
 		}},
 		{"IRecvPipeline", func(pe *comm.PE, seed int64) any {
@@ -246,30 +246,46 @@ func a2aParts(pe *comm.PE) [][]int64 {
 // production machine (including w < p scheduler widths, where suspensions
 // cross worker boundaries) must be bit-identical — per-PE results and
 // metered statistics — to the same collectives as blocking bodies on the
-// reference executor.
+// reference executor. The suite is one selection level's steppers after a
+// nested blocking body (comm.BodyStep) that runs the collectives without
+// a stepper form.
 func TestBackendDifferentialContinuationBodies(t *testing.T) {
 	const p = 64
 	sum := func(a, b int64) int64 { return a + b }
-	blockBody := func(pe *comm.PE) int64 {
+	straight := func(pe *comm.PE) int64 {
 		coll.Broadcast(pe, 0, []int64{9, 8, 7})
-		a := coll.AllReduceScalar(pe, int64(pe.Rank())+3, sum)
 		b := coll.ExScanSum(pe, int64(pe.Rank()))
 		coll.Barrier(pe)
 		var g int64
 		for _, part := range coll.AllToAll(pe, a2aParts(pe)) {
 			g += part[0]
 		}
-		return a ^ b ^ g
+		return b ^ g
+	}
+	hdr := []int64{2, 1}
+	up := func(pe *comm.PE, c *int64) comm.Stepper {
+		return coll.ReduceConcatStep(pe, 0, hdr, []int64{int64(pe.Rank())}, func(sums, all []int64) {
+			if sums != nil {
+				*c = sums[0] + int64(len(all))
+			}
+		})
+	}
+	blockBody := func(pe *comm.PE) int64 {
+		bg := straight(pe)
+		a := coll.AllReduceScalar(pe, int64(pe.Rank())+3, sum)
+		var c int64
+		comm.RunSteps(pe, up(pe, &c))
+		d := coll.BroadcastScalar(pe, 0, int64(pe.Rank())+5)
+		return a ^ bg ^ c ^ d
 	}
 	start := func(pe *comm.PE, out *int64) comm.Stepper {
-		var a, b, g int64
+		var a, bg, c, d int64
 		return comm.SeqP(pe,
-			coll.BroadcastStep[int64](pe, 0, []int64{9, 8, 7}, nil),
+			comm.BodyStep(pe, func(pe *comm.PE) { bg = straight(pe) }),
 			coll.AllReduceScalarStep(pe, int64(pe.Rank())+3, sum, func(v int64) { a = v }),
-			coll.ExScanSumStep(pe, int64(pe.Rank()), func(v int64) { b = v }),
-			coll.BarrierStep(pe),
-			coll.AllToAllStep(pe, a2aParts(pe), func(src int, part []int64) { g += part[0] }),
-			comm.StepFunc(func(pe *comm.PE) *comm.RecvHandle { *out = a ^ b ^ g; return nil }),
+			up(pe, &c),
+			coll.BroadcastScalarStep(pe, 0, int64(pe.Rank())+5, func(v int64) { d = v }),
+			comm.StepFunc(func(pe *comm.PE) *comm.RecvHandle { *out = a ^ bg ^ c ^ d; return nil }),
 		)
 	}
 	mc := simexec.Reference(p)

@@ -79,20 +79,28 @@ func fuzzRouteItems(pe *comm.PE, prm int64) []routed {
 	return items
 }
 
-// routedDest is RouteCombineStep's dest function for routed items.
+// routedDest is the router's dest function for routed items.
 func routedDest(it routed) int { return it.Dest }
 
 // routeOp routes the prm-dependent items and folds what arrives into one
 // order-independent sum.
-func routeOp(pe *comm.PE, prm int64, out *any) comm.Stepper {
-	return coll.RouteCombineStep(pe, fuzzRouteItems(pe, prm), routedDest, nil,
-		func(got []routed) {
-			var sum int64
-			for _, it := range got {
-				sum += it.Payload * int64(it.Dest+1)
-			}
-			*out = sum
-		})
+func routeOp(pe *comm.PE, prm int64) any {
+	var sum int64
+	coll.RouteCombine(pe, fuzzRouteItems(pe, prm), routedDest, nil, func(got []routed) {
+		for _, it := range got {
+			sum += it.Payload * int64(it.Dest+1)
+		}
+	})
+	return sum
+}
+
+// nested is the stepper leg of a collective that is blocking code only:
+// its blocking form as a nested body (comm.BodyStep), the way serve runs
+// blocking code inside a stepper.
+func nested(block func(pe *comm.PE, prm int64) any) func(pe *comm.PE, prm int64, out *any) comm.Stepper {
+	return func(pe *comm.PE, prm int64, out *any) comm.Stepper {
+		return comm.BodyStep(pe, func(pe *comm.PE) { *out = block(pe, prm) })
+	}
 }
 
 // fuzzBpqKeys builds count globally unique ascending keys for this rank
@@ -189,31 +197,36 @@ func reduceConcatOp(pe *comm.PE, prm int64, out *any) comm.Stepper {
 		func(sums, all []int64) { *out = append(slices.Clone(sums), all...) })
 }
 
+func broadcastOp(pe *comm.PE, prm int64) any {
+	var data []int64
+	if pe.Rank() == 0 {
+		data = []int64{prm, prm * 3, 42}
+	}
+	return slices.Clone(coll.Broadcast(pe, 0, data))
+}
+
+func exScanOp(pe *comm.PE, prm int64) any {
+	return coll.ExScanSum(pe, prm+int64(pe.Rank()*3))
+}
+
+func allGatherConcatOp(pe *comm.PE, prm int64) any {
+	return coll.AllGatherConcat(pe, fuzzPayload(pe, prm))
+}
+
+func allToAllOp(pe *comm.PE, prm int64) any {
+	parts := make([][]int64, pe.P())
+	for d := range parts {
+		parts[d] = []int64{prm + int64(pe.Rank()*100+d), int64(d)}
+	}
+	return flattenParts(coll.AllToAll(pe, parts))
+}
+
 func fuzzOps() []fuzzOp {
 	return []fuzzOp{
 		{
-			name: "Broadcast",
-			block: func(pe *comm.PE, prm int64) any {
-				var data []int64
-				if pe.Rank() == 0 {
-					data = []int64{prm, prm * 3, 42}
-				}
-				got := coll.Broadcast(pe, 0, data)
-				out := make([]int64, len(got))
-				copy(out, got)
-				return out
-			},
-			step: func(pe *comm.PE, prm int64, out *any) comm.Stepper {
-				var data []int64
-				if pe.Rank() == 0 {
-					data = []int64{prm, prm * 3, 42}
-				}
-				return coll.BroadcastStep(pe, 0, data, func(got []int64) {
-					o := make([]int64, len(got))
-					copy(o, got)
-					*out = o
-				})
-			},
+			name:  "Broadcast",
+			block: broadcastOp,
+			step:  nested(broadcastOp),
 		},
 		{
 			name: "AllReduceScalar",
@@ -226,13 +239,9 @@ func fuzzOps() []fuzzOp {
 			},
 		},
 		{
-			name: "ExScanSum",
-			block: func(pe *comm.PE, prm int64) any {
-				return coll.ExScanSum(pe, prm+int64(pe.Rank()*3))
-			},
-			step: func(pe *comm.PE, prm int64, out *any) comm.Stepper {
-				return coll.ExScanSumStep(pe, prm+int64(pe.Rank()*3), func(v int64) { *out = v })
-			},
+			name:  "ExScanSum",
+			block: exScanOp,
+			step:  nested(exScanOp),
 		},
 		{
 			name: "AllReduceVec",
@@ -287,50 +296,19 @@ func fuzzOps() []fuzzOp {
 			},
 		},
 		{
-			name: "AllGatherConcat",
-			block: func(pe *comm.PE, prm int64) any {
-				return coll.AllGatherConcat(pe, fuzzPayload(pe, prm))
-			},
-			step: func(pe *comm.PE, prm int64, out *any) comm.Stepper {
-				return coll.AllGatherConcatStep(pe, fuzzPayload(pe, prm), func(v []int64) {
-					o := make([]int64, len(v))
-					copy(o, v)
-					*out = o
-				})
-			},
+			name:  "AllGatherConcat",
+			block: allGatherConcatOp,
+			step:  nested(allGatherConcatOp),
 		},
 		{
-			name: "AllToAll",
-			block: func(pe *comm.PE, prm int64) any {
-				parts := make([][]int64, pe.P())
-				for d := range parts {
-					parts[d] = []int64{prm + int64(pe.Rank()*100+d), int64(d)}
-				}
-				return flattenParts(coll.AllToAll(pe, parts))
-			},
-			step: func(pe *comm.PE, prm int64, out *any) comm.Stepper {
-				parts := make([][]int64, pe.P())
-				for d := range parts {
-					parts[d] = []int64{prm + int64(pe.Rank()*100+d), int64(d)}
-				}
-				bys := make([][]int64, pe.P())
-				return comm.SeqP(pe,
-					coll.AllToAllStep(pe, parts, func(src int, part []int64) {
-						bys[src] = append([]int64(nil), part...)
-					}),
-					comm.StepFunc(func(pe *comm.PE) *comm.RecvHandle { *out = flattenParts(bys); return nil }),
-				)
-			},
+			name:  "AllToAll",
+			block: allToAllOp,
+			step:  nested(allToAllOp),
 		},
 		{
-			// No blocking form of its own: the blocking leg drives the stepper.
-			name: "RouteCombine",
-			block: func(pe *comm.PE, prm int64) any {
-				var res any
-				comm.RunSteps(pe, routeOp(pe, prm, &res))
-				return res
-			},
-			step: routeOp,
+			name:  "RouteCombine",
+			block: routeOp,
+			step:  nested(routeOp),
 		},
 		{
 			name: "BpqChurn",

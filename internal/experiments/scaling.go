@@ -14,7 +14,7 @@ import (
 	"commtopk/internal/xrand"
 )
 
-// The scaling suite: the O(log p) collective set, Table-1 unsorted
+// The scaling suite: one selection level's collectives, Table-1 unsorted
 // selection, the sorted selection serve answers Kth with and sampling
 // heavy hitters at p = 256…131072 — PE counts where the paper's
 // O(α log p) startup bounds become visible. A machine is O(p) memory at
@@ -62,36 +62,37 @@ func scalingSelPerPE(p int) int {
 	}
 }
 
-// scalingCollectivesBody is one op of the collective scaling workload:
-// the O(log p)-startup collectives (broadcast, all-reduce, prefix sum,
-// barrier) whose memory footprint stays O(p) at any scale.
-func scalingCollectivesBody(pe *comm.PE) {
-	coll.Broadcast(pe, 0, []int64{1, 2, 3, 4})
-	coll.AllReduceScalar(pe, int64(pe.Rank()), func(a, b int64) int64 { return a + b })
-	coll.ExScanSum(pe, int64(pe.Rank()))
-	coll.Barrier(pe)
-}
+// scalingLevelHdr is the collectives op's up-sweep header: two counters,
+// as a selection level sends them (read-only, shared by every PE).
+var scalingLevelHdr = []int64{2, 1}
 
 // sumInt64 is the reduction operator of the scaling workloads
 // (package-level, so stepper factories allocate no closure per op).
 func sumInt64(a, b int64) int64 { return a + b }
 
+// scalingCollectivesBody is one op of the collective scaling workload as
+// a blocking body: the collectives one selection level composes (sel's
+// kthStep) — the all-reduce of a size, the binomial up-sweep of a 2-word
+// header with an empty block, and the broadcast of one value. O(log p)
+// startups per PE, O(p) memory at any scale.
+func scalingCollectivesBody(pe *comm.PE) {
+	coll.AllReduceScalar(pe, int64(pe.Rank()), sumInt64)
+	comm.RunSteps(pe, coll.ReduceConcatStep[int64](pe, 0, scalingLevelHdr, nil, nil))
+	coll.BroadcastScalar(pe, 0, int64(pe.Rank()))
+}
+
 // scalingCollectivesStart is the continuation form of the same op — the
-// identical message schedule (words/PE, startups/PE and modeled clock
-// are pinned equal by the differential suite) run through
-// comm.RunAsync, so a PE waiting mid-collective suspends as data instead
-// of keeping a coroutine stack. At large p this is where the coroutine
-// per PE — the dominant host cost of the blocking form — disappears; the suite
-// records both forms so the A/B is in every report. Since PR 5 the
-// stepper state (and the comm.SeqP composition) is pooled per PE, so the
-// op allocates like the blocking form instead of feeding the GC ~1.2 KB
-// per PE per op — the drag that ate the continuation win at p = 131072.
+// identical message schedule run through comm.RunAsync, so a PE waiting
+// mid-collective suspends as data instead of keeping a coroutine stack.
+// At large p this is where the coroutine per PE, the dominant host cost
+// of the blocking form, disappears; the suite records both forms so the
+// A/B is in every report. The stepper state and the comm.SeqP
+// composition are pooled per PE, so the op allocates nothing per PE.
 func scalingCollectivesStart(pe *comm.PE) comm.Stepper {
 	return comm.SeqP(pe,
-		coll.BroadcastStep(pe, 0, []int64{1, 2, 3, 4}, nil),
 		coll.AllReduceScalarStep(pe, int64(pe.Rank()), sumInt64, nil),
-		coll.ExScanSumStep(pe, int64(pe.Rank()), nil),
-		coll.BarrierStep(pe),
+		coll.ReduceConcatStep[int64](pe, 0, scalingLevelHdr, nil, nil),
+		coll.BroadcastScalarStep(pe, 0, int64(pe.Rank()), nil),
 	)
 }
 
@@ -296,7 +297,7 @@ func scalingRun(p int, quick bool) []ScalingRow {
 func ScalingTable(pmax int, quick bool) Table {
 	t := Table{
 		Title:  "Scaling: collectives, Table-1 and sorted selection and heavy hitters at large p, selections and collectives continuation-scheduled with blocking A/B twins",
-		Notes:  "collectives op = broadcast + all-reduce + prefix sum + barrier; the collectives and selection primaries run continuation-scheduled via comm.RunAsync on pooled stepper state, /blocking twins = the same op as blocking bodies, a coroutine per PE\nselection: sel.KthStep, k=n/2, n/p=2^10 through p=2^14 then reduced (scalingSelPerPE); sorted selection: sel.KthSortedStep (serve's Kth) on the same keys sorted per PE, n known, k=n/2\nheavy hitters: freq.PAC as blocking bodies, a coroutine per PE (serve's TopKFreq runs it as a nested body), 16 keys per PE, k=8; goroutines = resident process count with the machine live (w = scheduler width)",
+		Notes:  "collectives op = one selection level's collectives: all-reduce of a size + up-sweep of a 2-word header with an empty block + broadcast of a value; the collectives and selection primaries run continuation-scheduled via comm.RunAsync on pooled stepper state, /blocking twins = the same op as blocking bodies, a coroutine per PE\nselection: sel.KthStep, k=n/2, n/p=2^10 through p=2^14 then reduced (scalingSelPerPE); sorted selection: sel.KthSortedStep (serve's Kth) on the same keys sorted per PE, n known, k=n/2\nheavy hitters: freq.PAC as blocking bodies, a coroutine per PE (serve's TopKFreq runs it as a nested body), 16 keys per PE, k=8; goroutines = resident process count with the machine live (w = scheduler width)",
 		Header: []string{"workload", "p", "ns/op", "words/PE", "start/PE", "T_model", "machine MB", "w", "goroutines"},
 	}
 	for _, r := range ScalingSuite(ScalingPList(pmax), quick) {

@@ -8,7 +8,6 @@ import (
 
 	"commtopk/internal/coll"
 	"commtopk/internal/comm"
-	"commtopk/internal/dht"
 	"commtopk/internal/gen"
 	"commtopk/internal/sel"
 	"commtopk/internal/xrand"
@@ -70,13 +69,11 @@ func TestMidRunGoroutineResidency2048(t *testing.T) { midRunGoroutineResidency(t
 // stepper set: O(w) goroutines are pinned for a *resident* machine
 // elsewhere (suspended bodies retired between runs); this asserts the bound
 // *while p-PE collectives are in flight*. The sampled window covers the
-// scalar collectives op, the full stepper-form selection (sel.KthStep),
-// the sorted-input selection serve's Kth and DeleteMin run
-// (sel.KthSortedStep) on per-rank sorted shards, and the DHT routing of
-// the heavy-hitter pipeline (coll.RouteCombineStep of per-rank count runs
-// to their keys' owners, summed at every step) — most PEs are
-// simultaneously waiting mid-collective at any sampled instant, and none
-// of them may hold a goroutine. Skipped under -short.
+// collectives op (one selection level's steppers), the full stepper-form
+// selection (sel.KthStep) and the sorted-input selection serve's Kth and
+// DeleteMin run (sel.KthSortedStep) on per-rank sorted shards — most PEs
+// are simultaneously waiting mid-collective at any sampled instant, and
+// none of them may hold a goroutine. Skipped under -short.
 func midRunGoroutineResidency(t *testing.T, p int) {
 	if testing.Short() {
 		t.Skip("mid-run residency guard skipped in -short mode")
@@ -99,18 +96,6 @@ func midRunGoroutineResidency(t *testing.T, p int) {
 	for r := range sorted {
 		sorted[r] = slices.Sorted(slices.Values(locals[r]))
 	}
-	// Per-rank count runs of skewed keys for the routing workload, built
-	// host-side (no PE needed).
-	freqRuns := make([][]dht.KV, p)
-	for r := 0; r < p; r++ {
-		rng := xrand.NewPE(11, r)
-		sh := make([]uint64, 16)
-		for i := range sh {
-			u := rng.Uint64() % 16
-			sh[i] = rng.Uint64() % (u + 1)
-		}
-		freqRuns[r] = dht.CountRuns(sh, nil)
-	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -124,10 +109,6 @@ func midRunGoroutineResidency(t *testing.T, p int) {
 		m.MustRunAsync(func(pe *comm.PE) comm.Stepper {
 			return sel.KthSortedStep(pe, sorted[pe.Rank()], int64(p*selPerPE), int64(p*selPerPE/4),
 				xrand.NewPE(19, pe.Rank()), nil)
-		})
-		m.MustRunAsync(func(pe *comm.PE) comm.Stepper {
-			return coll.RouteCombineStep(pe, freqRuns[pe.Rank()], func(kv dht.KV) int { return dht.Owner(kv.Key, p) },
-				dht.SumKVs, nil)
 		})
 	}()
 	var maxMid, samples int64

@@ -97,8 +97,11 @@ tier1() {
   must_run ./internal/sel/ 'TestKthIsTreeSweepsOnly|TestKthSpeculationMiss|TestKthTieHeavyShards|TestWireCodecsRoundTrip|TestMSSelectIsTreeSweepsOnly|TestMSSelectEdgeCasesAgainstSortOracle|TestKthWindowOpsAgree|TestKthReleaseKeepsNoShardSlice|TestKthSortedSweepsPerQuery'
   # The collective catalog is what the code calls: every exported coll,
   # redist and qsel function, and every exported …Step constructor of sel,
-  # dht, freq and mtopk, has a non-test caller outside its package.
-  must_run ./internal/coll/ 'TestReduceConcatStep|TestWireCodecsRoundTrip|TestScalarCollectivesAreVectorForms|TestAllToAllReceivedPartsAreOwned|TestExportedCollectivesHaveCallers|TestRedistAndQselExportsHaveCallers|TestExportedSteppersHaveCallers'
+  # dht, freq and mtopk, has a non-test caller outside its package, and
+  # every coll …Step a stepper that composes it (not the experiments, the
+  # benchmark or a comm.RunSteps argument). The straight-line collectives
+  # and the dht layer on them reproduce their recorded results and meters.
+  must_run ./internal/coll/ 'TestReduceConcatStep|TestWireCodecsRoundTrip|TestScalarCollectivesAreVectorForms|TestAllToAllReceivedPartsAreOwned|TestExportedCollectivesHaveCallers|TestRedistAndQselExportsHaveCallers|TestExportedSteppersHaveCallers|TestCollectivesGolden'
   must_run ./internal/bpq/ 'TestDeleteMinIsTreeSweepsOnly|TestDeleteMinEdgeCasesAgainstSortOracle|TestDeleteMinZeroAllocSteadyState|TestDeleteMinFlexibleZeroAllocSteadyState|TestWireCodecsRoundTrip|TestDeleteMinFlexibleSumsSizeOnce'
   # Flexible selection runs in lanes: each lane against the sort oracle,
   # one round's messages for all lanes, the known-n entry without its size
