@@ -19,11 +19,11 @@ import (
 // are delivered through the out callback (nil to discard). The blocking
 // forms of these engines (AllReduce, AllReduceScalar, SumAll, Barrier,
 // BroadcastScalar) drive them with comm.RunSteps — one implementation,
-// both execution modes. Blocking forms that must not
-// allocate a result closure (BroadcastScalar, and AllReduceScalar through
-// runScalar) set the state's held flag instead: the final Step then
-// leaves the state alone, and the blocking form reads the result out of
-// it and releases it.
+// both execution modes. Blocking forms that must not allocate a result
+// closure (BroadcastScalar, and AllReduceScalar through runScalar) set
+// the state's held flag instead: the final Step then leaves the state
+// alone, and the blocking form reads the result out of it and releases
+// it.
 //
 // # State pooling
 //

@@ -48,9 +48,8 @@ func TestGetAlternatingSizesAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestGetCapacityClasses pins the class arithmetic: every buffer Get
-// returns holds at least the request, and a buffer below the smallest
-// class is dropped rather than handed to a Get.
+// TestGetCapacityClasses pins the class arithmetic at the edges: every
+// buffer Get returns, fresh or pooled, holds at least the request.
 func TestGetCapacityClasses(t *testing.T) {
 	var pl Pool[byte]
 	for _, n := range []int{0, 1, 7, 8, 9, 16, 17, 1000, 1 << 20} {
@@ -60,12 +59,9 @@ func TestGetCapacityClasses(t *testing.T) {
 		}
 		pl.Put(b)
 	}
-	if c := cap(*pl.GetCap(100)); c < 100 {
-		t.Errorf("GetCap(100) has capacity %d", c)
-	}
-	tiny := make([]byte, 3)
-	pl.Put(&tiny)
-	if b := pl.Get(8); cap(*b) < 8 {
-		t.Errorf("Get(8) returned capacity %d", cap(*b))
+	for _, n := range []int{1 << 20, 17, 9, 8, 0} {
+		if b := pl.GetCap(n); len(*b) != 0 || cap(*b) < n {
+			t.Errorf("GetCap(%d): len %d cap %d", n, len(*b), cap(*b))
+		}
 	}
 }

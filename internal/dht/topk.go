@@ -37,11 +37,11 @@ func SelectTopK(pe *comm.PE, shard []KV, k int, rng *xrand.RNG) []KV {
 	if total == 0 {
 		return nil
 	}
-	s := getScratch(pe)
-	defer s.release(pe)
 	if total <= int64(k) {
 		return gatherSorted(pe, shard)
 	}
+	s := getScratch(pe)
+	defer s.release(pe)
 	ords := s.ords[:0]
 	for _, it := range shard {
 		ords = append(ords, ^uint64(it.Count))
