@@ -77,7 +77,7 @@ var anyCaller = callers{}
 // uncalledExports returns, sorted, the exported top-level functions of
 // internal/<pkg> that keep selects and that no non-test Go file outside
 // the package references as <pkg>.<Name>, under whatever name each file
-// imports it, by a reference that by counts.
+// imports it, by a reference that by counts as a caller.
 func uncalledExports(t *testing.T, pkg string, keep func(name string) bool, by callers) []string {
 	t.Helper()
 	pkgPath := "commtopk/internal/" + pkg
