@@ -418,3 +418,70 @@ func TestKthSortedSweepsPerQuery(t *testing.T) {
 		}
 	}
 }
+
+// kthBranchCount tallies the branches the selections of a fixture took:
+// levels that ran the k = 1 base case, verdicts that tied on equal pivots,
+// tie peels, and speculation misses.
+type kthBranchCount struct {
+	Base, Tie, Peel, Miss int
+}
+
+func (c *kthBranchCount) add(d kthBranchCount) {
+	c.Base += d.Base
+	c.Tie += d.Tie
+	c.Peel += d.Peel
+	c.Miss += d.Miss
+}
+
+// countKthBranches runs the one-lane selection of rank k on a fresh
+// machine (sorted: KthSortedStep's form on shards of global size n;
+// otherwise the one-shot Kth) with the per-PE stream of seed, and counts
+// on the root which branch every verdict took. A base case is counted
+// when k = 1 or when a miss or an empty sample leaves rank 1 to find; the
+// base case after a peel is not seen here.
+func countKthBranches(p int, sorted bool, shards [][]uint64, n, k, seed int64) kthBranchCount {
+	m := comm.NewMachine(comm.DefaultConfig(p))
+	defer m.Close()
+	var c kthBranchCount
+	if k == 1 {
+		c.Base++
+	}
+	m.MustRun(func(pe *comm.PE) {
+		st := newKthStep(pe, shards[pe.Rank()], k, xrand.NewPE(seed, pe.Rank()), nil, false)
+		if sorted {
+			st.sorted, st.i64, st.phase = true, n, kphInitSum
+		}
+		onUp := st.onUp
+		if pe.Rank() == 0 {
+			st.onUp = func(sums []int64, all []uint64) {
+				br := st.branch(sums[0], sums[1])
+				final := st.rate >= 1
+				onUp(sums, all)
+				kRem := st.kRem
+				switch br {
+				case brBelow, brAbove:
+					c.Miss++
+					if br == brAbove {
+						kRem -= sums[0] + sums[1]
+					}
+				case brTie:
+					c.Tie++
+				case brPeel:
+					c.Peel++
+				default:
+					kRem -= sums[0]
+					if final || st.v.rate != 0 {
+						kRem = 0
+					}
+				}
+				if br != brTie && br != brPeel && kRem == 1 {
+					c.Base++
+				}
+			}
+		}
+		comm.RunSteps(pe, st)
+		st.onUp = onUp
+		st.release(pe)
+	})
+	return c
+}

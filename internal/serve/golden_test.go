@@ -98,6 +98,9 @@ func fmtServeGolden(outs []queryOutcome) string {
 // oracle; the attributed meters are pinned as their sums and a digest of
 // the per-query (words, sends) sequence. Selecting over all n keys, with
 // no rank table, the same queries sent 458 183 words in 51 128 messages.
+// The thin shape of the serving benchmark (p = 64, n/p = 256 random keys,
+// every shard shorter than 16p, so no rank table) is pinned the same way,
+// served one at a time.
 func TestServeKthGolden(t *testing.T) {
 	const p, perPE = 16, 1 << 13
 	const wantWords, wantSends, wantDigest = 118848, 18818, 0x16b40019a354f158
@@ -150,4 +153,41 @@ func TestServeKthGolden(t *testing.T) {
 				run.concurrent, len(ranks), words, sends, h.Sum64(), wantWords, wantSends, uint64(wantDigest))
 		}
 	}
+	t.Run("thin", func(t *testing.T) {
+		const p, perPE = 64, 256
+		const wantWords, wantSends, wantDigest = 201001, 33900, 0xc152f0f2b8393997
+		shards := make([][]uint64, p)
+		var sorted []uint64
+		for r := range shards {
+			rng := xrand.NewPE(47, r)
+			shards[r] = make([]uint64, perPE)
+			for j := range shards[r] {
+				shards[r][j] = rng.Uint64()
+			}
+			sorted = append(sorted, shards[r]...)
+		}
+		slices.Sort(sorted)
+		n := int64(len(sorted))
+		ranks := []int64{1, 2, n / 2, n}
+		for i := int64(1); i < 60; i++ {
+			ranks = append(ranks, 1+i*(n-1)/60)
+		}
+		m := comm.NewMachine(comm.DefaultConfig(p))
+		got := runServed(t, m, shards, ranks, Config{MaxInflight: 1, BatchMax: 1, Seed: 53}, false)
+		m.Close()
+		var words, sends int64
+		h := fnv.New64a()
+		for i, o := range got {
+			if want := sorted[ranks[i]-1]; o.res != want {
+				t.Errorf("Kth(%d) = %d, want %d", ranks[i], o.res, want)
+			}
+			words += o.words
+			sends += o.sends
+			binary.Write(h, binary.LittleEndian, [2]int64{o.words, o.sends})
+		}
+		if words != wantWords || sends != wantSends || h.Sum64() != wantDigest {
+			t.Errorf("%d queries: words %d, sends %d, digest %#x; want %d, %d, %#x",
+				len(ranks), words, sends, h.Sum64(), wantWords, wantSends, uint64(wantDigest))
+		}
+	})
 }
