@@ -6,10 +6,10 @@ import (
 
 // The continuation (Stepper) forms, for comm.Machine.RunAsync. A
 // collective is a stepper only where a stepper composes it: sel's kthStep
-// runs a selection level as ReduceConcatStep up, BroadcastScalarStep down
-// and AllReduceScalarStep for its sums, and serve's popStep sums sizes with
-// AllReduceIntoStep. Every other collective is straight-line blocking
-// code (coll.go, route.go). The scalar all-reduce is no protocol of its
+// runs a selection level as ReduceConcatStep up and BroadcastVecStep
+// down, and its lanes' private sums with AllReduceScalarStep; serve's
+// popStep sums sizes with AllReduceIntoStep. Every other collective is
+// straight-line blocking code (coll.go, route.go). The scalar all-reduce is no protocol of its
 // own: it runs the vector engine (async_vec.go) on a one-element
 // accumulator. Where a blocking run holds a coroutine per PE (O(p)
 // stacks), a stepper suspends as data and the scheduler's w workers keep

@@ -50,6 +50,10 @@ func TestZeroAllocSteppersRunAsync(t *testing.T) {
 	}
 	const p = 8
 	payload, dst, long, longDst := perRank[int64](p, 3), perRank[int64](p, 3), perRank[int64](p, 4*p+3), perRank[int64](p, 4*p+3)
+	segHdr := perRank[int64](p, 3)
+	for _, h := range segHdr {
+		h[0], h[1], h[2] = 1, 2, 1 // two segments: one element, then the rest
+	}
 	guardPayload := func(pe *comm.PE) []int64 {
 		b := payload[pe.Rank()]
 		b[0], b[1], b[2] = int64(pe.Rank()), 7, int64(pe.Rank()*3)
@@ -70,18 +74,24 @@ func TestZeroAllocSteppersRunAsync(t *testing.T) {
 			return AllReduceIntoStep(pe, longDst[pe.Rank()], long[pe.Rank()], sumI64, nil)
 		}},
 		{"ReduceConcat", func(pe *comm.PE) comm.Stepper {
-			return ReduceConcatStep(pe, 0, guardPayload(pe)[:2], guardPayload(pe), nil)
+			return ReduceConcatStep(pe, 0, guardPayload(pe)[:2], 1, guardPayload(pe), nil)
+		}},
+		{"ReduceConcatSegs", func(pe *comm.PE) comm.Stepper {
+			return ReduceConcatStep(pe, 0, segHdr[pe.Rank()], 2, guardPayload(pe), nil)
 		}},
 		{"BroadcastScalar", func(pe *comm.PE) comm.Stepper {
-			return BroadcastScalarStep(pe, 0, int64(pe.Rank()), nil)
+			return BroadcastVecStep(pe, 0, guardPayload(pe)[:1], nil)
+		}},
+		{"BroadcastVec", func(pe *comm.PE) comm.Stepper {
+			return BroadcastVecStep(pe, 0, guardPayload(pe), nil)
 		}},
 		{"SeqPChain", func(pe *comm.PE) comm.Stepper {
 			// One selection level's collectives as the scaling suite runs
 			// them: a pooled sequence of pooled steppers.
 			return comm.SeqP(pe,
 				AllReduceScalarStep(pe, int64(pe.Rank()), sumI64, nil),
-				ReduceConcatStep(pe, 0, guardPayload(pe)[:2], guardPayload(pe)[:0], nil),
-				BroadcastScalarStep(pe, 0, int64(pe.Rank()), nil),
+				ReduceConcatStep(pe, 0, guardPayload(pe)[:2], 1, guardPayload(pe)[:0], nil),
+				BroadcastVecStep(pe, 0, guardPayload(pe)[:1], nil),
 			)
 		}},
 	}

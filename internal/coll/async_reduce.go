@@ -6,13 +6,14 @@ import (
 )
 
 // The binomial up-sweep as a stepper: it sums a header and concatenates
-// data blocks on the root (ReduceConcatStep, one selection level's way
-// up).
+// data blocks on the root, segment by segment (ReduceConcatStep, one
+// selection level's way up for all of its lanes).
 
 // reduceConcatStep — see ReduceConcatStep.
 type reduceConcatStep[T any] struct {
 	root  int
 	hdr   []int64
+	segs  int
 	data  []T
 	out   func(sums []int64, all []T)
 	wpool *commbuf.Pool[bruckMsg[T]]
@@ -34,15 +35,21 @@ type reduceConcatStep[T any] struct {
 // data (any length per PE) is concatenated in rank order starting at
 // root (root, root+1, …, cyclically — a subtree of the tree is a
 // contiguous rank range, so appending children in receive order is
-// already rank order). out receives both on the root as borrowed pooled
-// views, valid only during the call, which it may reorder in place; on
-// every other PE it receives (nil, nil). p−1 messages and ⌈log₂ p⌉
-// rounds in total; an edge carries len(hdr) words plus its subtree's
-// data. Neither hdr nor data is retained past the first Step, and the
-// steady state allocates nothing on any PE.
-func ReduceConcatStep[T any](pe *comm.PE, root int, hdr []int64, data []T, out func(sums []int64, all []T)) comm.Stepper {
+// already rank order). data is segs ≥ 1 segments (the same number on
+// every PE): the last segs−1 words of hdr are the lengths of the first
+// segs−1 of them, and the last segment is the rest. Those words sum like
+// the others, so every subtree's header states its own segment lengths,
+// and the concatenation keeps each segment contiguous: the root receives
+// segment 0 of every PE in rank order, then segment 1, and so on. out
+// receives both on the root as borrowed pooled views, valid only during
+// the call, which it may reorder in place; on every other PE it receives
+// (nil, nil). p−1 messages and ⌈log₂ p⌉ rounds in total; an edge carries
+// len(hdr) words plus its subtree's data. Neither hdr nor data is
+// retained past the first Step, and the steady state allocates nothing
+// on any PE.
+func ReduceConcatStep[T any](pe *comm.PE, root int, hdr []int64, segs int, data []T, out func(sums []int64, all []T)) comm.Stepper {
 	s := comm.GetPooled[reduceConcatStep[T]](pe)
-	*s = reduceConcatStep[T]{root: root, hdr: hdr, data: data, out: out}
+	*s = reduceConcatStep[T]{root: root, hdr: hdr, segs: segs, data: data, out: out}
 	return s
 }
 
@@ -111,12 +118,37 @@ func (s *reduceConcatStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
 			rx := (*wp)[0]
 			(*wp)[0] = bruckMsg[T]{}
 			s.wpool.Put(wp)
+			if s.segs > 1 {
+				s.all = mergeSegs(s.tpool, s.all, *s.sums, *rx.data, *rx.lens, s.segs)
+			} else {
+				s.all = appendPooled(s.tpool, s.all, *rx.data)
+			}
 			combine(addOf[int64], *s.sums, *rx.lens)
-			s.all = appendPooled(s.tpool, s.all, *rx.data)
 			s.ipool.Put(rx.lens)
 			s.tpool.Put(rx.data)
 			s.mask <<= 1
 			s.phase = 1
 		}
 	}
+}
+
+// mergeSegs concatenates b after a segment by segment into a pooled
+// buffer, which it returns; a goes back to pool. ah and bh are the two
+// headers, whose last segs−1 words are the lengths of the first segs−1
+// segments of a and of b.
+func mergeSegs[T any](pool *commbuf.Pool[T], a *[]T, ah []int64, b []T, bh []int64, segs int) *[]T {
+	out := pool.GetCap(len(*a) + len(b))
+	lens := len(ah) - (segs - 1)
+	ai, bi := 0, 0
+	for j := range segs {
+		na, nb := len(*a)-ai, len(b)-bi
+		if j < segs-1 {
+			na, nb = int(ah[lens+j]), int(bh[lens+j])
+		}
+		*out = append(*out, (*a)[ai:ai+na]...)
+		*out = append(*out, b[bi:bi+nb]...)
+		ai, bi = ai+na, bi+nb
+	}
+	pool.Put(a)
+	return out
 }

@@ -2,6 +2,7 @@ package coll
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"testing"
 
@@ -67,7 +68,7 @@ func asyncPairs() []asyncPair {
 				*out = BroadcastScalar(pe, 0, int64(pe.Rank())+41)
 			},
 			start: func(pe *comm.PE, out *any) comm.Stepper {
-				return BroadcastScalarStep(pe, 0, int64(pe.Rank())+41, func(v int64) { *out = v })
+				return BroadcastVecStep(pe, 0, []int64{int64(pe.Rank()) + 41}, func(v []int64) { *out = v[0] })
 			},
 		},
 		{
@@ -86,7 +87,7 @@ func asyncPairs() []asyncPair {
 				return comm.SeqP(pe,
 					AllReduceScalarStep(pe, int64(pe.Rank()), sum, func(v int64) { a = v }),
 					chainUp(pe, &b),
-					BroadcastScalarStep(pe, 0, int64(pe.Rank())+41, func(v int64) { c = v }),
+					BroadcastVecStep(pe, 0, []int64{int64(pe.Rank()) + 41}, func(v []int64) { c = v[0] }),
 					comm.StepFunc(func(pe *comm.PE) *comm.RecvHandle { *out = a + b + c; return nil }),
 				)
 			},
@@ -97,7 +98,7 @@ func asyncPairs() []asyncPair {
 // chainUp is ChainedSuite's up-sweep: a two-counter header and a one-word
 // block per PE; the root folds what it receives into *b.
 func chainUp(pe *comm.PE, b *int64) comm.Stepper {
-	return ReduceConcatStep(pe, 0, []int64{int64(pe.Rank() + 1), 1}, []int64{int64(pe.Rank() * 3)},
+	return ReduceConcatStep(pe, 0, []int64{int64(pe.Rank() + 1), 1}, 1, []int64{int64(pe.Rank() * 3)},
 		func(sums, all []int64) {
 			if sums != nil {
 				*b = sums[0]*1000 + sums[1]
@@ -218,7 +219,7 @@ func TestVectorSteppersContinuationStress(t *testing.T) {
 					AllReduceIntoStep(pe, nil, x, func(a, b int64) int64 { return a + b }, func(v []int64) {
 						vecSum = v[0] + v[1]
 					}),
-					ReduceConcatStep(pe, 0, []int64{1}, []int64{int64(pe.Rank())}, func(_, all []int64) {
+					ReduceConcatStep(pe, 0, []int64{1}, 1, []int64{int64(pe.Rank())}, func(_, all []int64) {
 						for _, e := range all {
 							concatSum += e
 						}
@@ -227,7 +228,7 @@ func TestVectorSteppersContinuationStress(t *testing.T) {
 						// The root's gathered sum, sent down the tree: built
 						// once the up-sweep is done.
 						if down == nil {
-							down = BroadcastScalarStep(pe, 0, concatSum, func(v int64) { bcast = v })
+							down = BroadcastVecStep(pe, 0, []int64{concatSum}, func(v []int64) { bcast = v[0] })
 						}
 						return down.Step(pe)
 					}),
@@ -258,7 +259,11 @@ func TestVectorSteppersContinuationStress(t *testing.T) {
 // receives the elementwise header sums and every PE's block in rank order
 // starting at itself; one message per tree edge, none from the root; and
 // the meters do not depend on the executor or on who drives the stepper.
+// With segments, the root receives segment 0 of every PE in rank order,
+// then segment 1, and so on, on ragged and empty segments, and the edges
+// carry the header and the data, nothing more.
 func TestReduceConcatStep(t *testing.T) {
+	t.Run("segments", testReduceConcatSegments)
 	block := func(rank int) []int64 { // rank r contributes (3r mod 5) copies of r
 		b := make([]int64, (3*rank)%5)
 		for i := range b {
@@ -291,7 +296,7 @@ func TestReduceConcatStep(t *testing.T) {
 				mk := func(pe *comm.PE) comm.Stepper {
 					rank := pe.Rank()
 					b := block(rank)
-					return ReduceConcatStep(pe, root, []int64{int64(rank + 1), 1, int64(len(b))}, b,
+					return ReduceConcatStep(pe, root, []int64{int64(rank + 1), 1, int64(len(b))}, 1, b,
 						func(sums, all []int64) {
 							calls[rank]++
 							if rank != root {
@@ -326,6 +331,152 @@ func TestReduceConcatStep(t *testing.T) {
 					t.Errorf("%s: meters %+v, want %+v", name, st, ref)
 				}
 				rig.m.Close()
+			}
+		}
+	}
+}
+
+// testReduceConcatSegments is TestReduceConcatStep's segment-aware part.
+func testReduceConcatSegments(t *testing.T) {
+	// PE r's segment j holds (r + 2j) mod 4 elements: ragged, and empty
+	// on some PEs in every segment.
+	seg := func(r, j int) []int64 {
+		b := make([]int64, (r+2*j)%4)
+		for i := range b {
+			b[i] = int64(1000*r + 10*j + i)
+		}
+		return b
+	}
+	for _, p := range []int{1, 2, 3, 5, 16} {
+		for _, segs := range []int{2, 3, 5} {
+			for _, root := range []int{0, p - 1} {
+				wantSums := make([]int64, 1+segs-1)
+				var wantAll []int64
+				for j := range segs {
+					for i := range p {
+						r := (root + i) % p
+						wantAll = append(wantAll, seg(r, j)...)
+						if j < segs-1 {
+							wantSums[1+j] += int64(len(seg(r, j)))
+						}
+					}
+				}
+				for r := range p {
+					wantSums[0] += int64(r + 1)
+				}
+				var ref comm.Stats
+				for ri, rig := range []struct {
+					name string
+					m    *comm.Machine
+				}{
+					{"mailbox", comm.NewMachine(comm.DefaultConfig(p))},
+					{"chanmatrix", simexec.Reference(p)},
+				} {
+					name := fmt.Sprintf("p=%d segs=%d root=%d %s", p, segs, root, rig.name)
+					got := 0
+					rig.m.MustRunAsync(func(pe *comm.PE) comm.Stepper {
+						rank := pe.Rank()
+						hdr := []int64{int64(rank + 1)}
+						var data []int64
+						for j := range segs {
+							data = append(data, seg(rank, j)...)
+							if j < segs-1 {
+								hdr = append(hdr, int64(len(seg(rank, j))))
+							}
+						}
+						return ReduceConcatStep(pe, root, hdr, segs, data, func(sums, all []int64) {
+							if rank != root {
+								return
+							}
+							got++
+							if !slices.Equal(sums, wantSums) || !slices.Equal(all, wantAll) {
+								t.Errorf("%s: root received sums %v, data %v; want %v, %v", name, sums, all, wantSums, wantAll)
+							}
+						})
+					})
+					st := rig.m.Stats()
+					if got != 1 || st.TotalSends != int64(p-1) {
+						t.Errorf("%s: root callback ran %d times, %d messages; want 1 and %d", name, got, st.TotalSends, p-1)
+					}
+					if hdrWords := int64(segs * (p - 1)); st.TotalWords < hdrWords {
+						t.Errorf("%s: %d words, fewer than the headers' %d", name, st.TotalWords, hdrWords)
+					}
+					if ri == 0 {
+						ref = st
+					} else if st != ref {
+						t.Errorf("%s: meters %+v, want %+v", name, st, ref)
+					}
+					rig.m.Close()
+				}
+			}
+		}
+	}
+}
+
+// TestBroadcastVecStep pins the vector broadcast: every PE receives the
+// root's vector, on every executor, by p−1 messages of len(v) elements
+// each, at most ⌈log₂ p⌉ from one PE; the one-element vector is
+// BroadcastScalar's message schedule, word for word.
+func TestBroadcastVecStep(t *testing.T) {
+	for _, p := range []int{1, 2, 3, 5, 16} {
+		logp := int64(bits.Len(uint(p - 1)))
+		for _, n := range []int{0, 1, 3, 7} {
+			for _, root := range []int{0, p - 1} {
+				want := make([]int64, n)
+				for i := range want {
+					want[i] = int64(100*root + i)
+				}
+				var ref comm.Stats
+				for ri, rig := range []struct {
+					name string
+					m    *comm.Machine
+				}{
+					{"mailbox", comm.NewMachine(comm.DefaultConfig(p))},
+					{"chanmatrix", simexec.Reference(p)},
+				} {
+					name := fmt.Sprintf("p=%d n=%d root=%d %s", p, n, root, rig.name)
+					got := make([][]int64, p)
+					rig.m.MustRunAsync(func(pe *comm.PE) comm.Stepper {
+						var v []int64
+						if pe.Rank() == root {
+							v = slices.Clone(want)
+						}
+						return BroadcastVecStep(pe, root, v, func(v []int64) { got[pe.Rank()] = slices.Clone(v) })
+					})
+					for r, g := range got {
+						if !slices.Equal(g, want) {
+							t.Errorf("%s: rank %d received %v, want %v", name, r, g, want)
+						}
+					}
+					st := rig.m.Stats()
+					if st.TotalSends != int64(p-1) || st.TotalWords != int64(n*(p-1)) || st.MaxSends > logp {
+						t.Errorf("%s: %d messages, %d words, at most %d per PE; want %d, %d, ≤ %d",
+							name, st.TotalSends, st.TotalWords, st.MaxSends, p-1, n*(p-1), logp)
+					}
+					if ri == 0 {
+						ref = st
+					} else if st != ref {
+						t.Errorf("%s: meters %+v, want %+v", name, st, ref)
+					}
+					rig.m.Close()
+				}
+				if n != 1 {
+					continue
+				}
+				m := comm.NewMachine(comm.DefaultConfig(p))
+				m.MustRun(func(pe *comm.PE) {
+					v := int64(-1) // ignored off the root
+					if pe.Rank() == root {
+						v = want[0]
+					}
+					if v = BroadcastScalar(pe, root, v); v != want[0] {
+						t.Errorf("p=%d root=%d: BroadcastScalar on rank %d gave %d, want %d", p, root, pe.Rank(), v, want[0])
+					}
+				})
+				if st := m.Stats(); st.TotalSends != int64(p-1) || st.TotalWords != int64(p-1) || st.MaxSends > logp {
+					t.Errorf("p=%d root=%d: BroadcastScalar sent %+v", p, root, st)
+				}
+				m.Close()
 			}
 		}
 	}

@@ -267,32 +267,44 @@ func (s *allReduceAccStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
 }
 
 // ---------------------------------------------------------------------------
-// Scalar broadcast
+// Vector broadcast
 // ---------------------------------------------------------------------------
 
-// broadcastScalarStep — see BroadcastScalarStep.
-type broadcastScalarStep[T any] struct {
-	root  int
-	v     T
-	out   func(T)
-	pool  *commbuf.Pool[T]
-	tag   comm.Tag
-	vr    int
-	mask  int
-	h     *comm.RecvHandle
+// broadcastStep — see BroadcastVecStep.
+type broadcastStep[T any] struct {
+	root int
+	v    []T
+	one  [1]T // BroadcastScalar's value, so the blocking form allocates nothing
+	out  func([]T)
+	pool *commbuf.Pool[T]
+	rx   *[]T // the received buffer (non-root), recycled after out
+	tag  comm.Tag
+	vr   int
+	mask int
+	h    *comm.RecvHandle
+	held bool // driven by the blocking BroadcastScalar, which harvests and releases
+	// phase: 0 post the receive, 1 take it, 2 forward, 3 deliver.
 	phase int
-	held  bool // driven by the blocking BroadcastScalar, which harvests and releases
 }
 
-// BroadcastScalarStep is the continuation form of BroadcastScalar: the
-// binomial tree on pooled one-element buffers, identical wire schedule.
-func BroadcastScalarStep[T any](pe *comm.PE, root int, v T, out func(T)) comm.Stepper {
-	s := comm.GetPooled[broadcastScalarStep[T]](pe)
-	*s = broadcastScalarStep[T]{root: root, v: v, out: out}
+// BroadcastVecStep broadcasts root's vector v along a binomial tree, in
+// one message per edge of len(v) elements (non-root inputs are ignored,
+// and the length travels with the message). out receives the vector on
+// every PE as a borrowed view, valid only during the call: on the root v
+// itself, elsewhere a pooled buffer. On one element it is the scalar
+// broadcast: the words and startups of BroadcastScalar. The steady state
+// allocates nothing.
+func BroadcastVecStep[T any](pe *comm.PE, root int, v []T, out func([]T)) comm.Stepper {
+	return newBroadcast(pe, root, v, out)
+}
+
+func newBroadcast[T any](pe *comm.PE, root int, v []T, out func([]T)) *broadcastStep[T] {
+	s := comm.GetPooled[broadcastStep[T]](pe)
+	*s = broadcastStep[T]{root: root, v: v, out: out}
 	return s
 }
 
-func (s *broadcastScalarStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
+func (s *broadcastStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
 	p := pe.P()
 	for {
 		switch s.phase {
@@ -321,19 +333,14 @@ func (s *broadcastScalarStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
 			if s.h != nil {
 				rxAny, _ := s.h.Wait()
 				s.h = nil
-				rx := rxAny.(*[]T)
-				s.v = (*rx)[0]
-				s.pool.Put(rx)
+				s.rx = rxAny.(*[]T)
+				s.v = *s.rx
 			}
 			s.phase = 2
 		case 2:
-			w := WordsOf[T]()
 			for s.mask >>= 1; s.mask > 0; s.mask >>= 1 {
-				child := s.vr | s.mask
-				if child < p && child != s.vr {
-					b := s.pool.Get(1)
-					(*b)[0] = s.v
-					pe.Send((child+s.root)%p, s.tag, b, w)
+				if child := s.vr | s.mask; child < p && child != s.vr {
+					sendCopy(pe, s.pool, (child+s.root)%p, s.tag, s.v)
 				}
 			}
 			s.phase = 3
@@ -341,13 +348,22 @@ func (s *broadcastScalarStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
 			if s.held {
 				return nil
 			}
-			out, v := s.out, s.v
-			*s = broadcastScalarStep[T]{}
-			comm.PutPooled(pe, s)
+			out, v, pool, rx := s.out, s.v, s.pool, s.rx
+			s.release(pe)
 			if out != nil {
 				out(v)
+			}
+			if rx != nil {
+				pool.Put(rx)
 			}
 			return nil
 		}
 	}
+}
+
+// release returns the state to the pool (the received buffer, if any, is
+// the caller's to recycle).
+func (s *broadcastStep[T]) release(pe *comm.PE) {
+	*s = broadcastStep[T]{}
+	comm.PutPooled(pe, s)
 }

@@ -33,7 +33,7 @@
 // copy).
 //
 // A collective is a stepper only where a stepper composes it (async*.go):
-// selection's level runs ReduceConcatStep, BroadcastScalarStep and
+// selection's level runs ReduceConcatStep, BroadcastVecStep and
 // AllReduceScalarStep, the serving mux AllReduceIntoStep, and their
 // blocking forms drive the same engines with comm.RunSteps. Every other
 // collective is straight-line blocking code in the paper's SPMD shape:
@@ -145,15 +145,19 @@ func Broadcast[T any](pe *comm.PE, root int, data []T) []T {
 	return data
 }
 
-// BroadcastScalar broadcasts a single value from root. Allocation-free
-// in steady state (broadcastScalarStep driven with blocking waits).
+// BroadcastScalar broadcasts a single value from root: the vector
+// broadcast (BroadcastVecStep) on one element, driven with blocking
+// waits. Allocation-free in steady state.
 func BroadcastScalar[T any](pe *comm.PE, root int, v T) T {
-	s := comm.GetPooled[broadcastScalarStep[T]](pe)
-	*s = broadcastScalarStep[T]{root: root, v: v, held: true}
+	s := newBroadcast[T](pe, root, nil, nil)
+	s.one[0] = v
+	s.v, s.held = s.one[:], true
 	comm.RunSteps(pe, s)
-	v = s.v
-	*s = broadcastScalarStep[T]{}
-	comm.PutPooled(pe, s)
+	v = s.v[0]
+	if s.rx != nil {
+		s.pool.Put(s.rx)
+	}
+	s.release(pe)
 	return v
 }
 

@@ -264,7 +264,7 @@ func TestBackendDifferentialContinuationBodies(t *testing.T) {
 	}
 	hdr := []int64{2, 1}
 	up := func(pe *comm.PE, c *int64) comm.Stepper {
-		return coll.ReduceConcatStep(pe, 0, hdr, []int64{int64(pe.Rank())}, func(sums, all []int64) {
+		return coll.ReduceConcatStep(pe, 0, hdr, 1, []int64{int64(pe.Rank())}, func(sums, all []int64) {
 			if sums != nil {
 				*c = sums[0] + int64(len(all))
 			}
@@ -284,7 +284,7 @@ func TestBackendDifferentialContinuationBodies(t *testing.T) {
 			comm.BodyStep(pe, func(pe *comm.PE) { bg = straight(pe) }),
 			coll.AllReduceScalarStep(pe, int64(pe.Rank())+3, sum, func(v int64) { a = v }),
 			up(pe, &c),
-			coll.BroadcastScalarStep(pe, 0, int64(pe.Rank())+5, func(v int64) { d = v }),
+			coll.BroadcastVecStep(pe, 0, []int64{int64(pe.Rank()) + 5}, func(v []int64) { d = v[0] }),
 			comm.StepFunc(func(pe *comm.PE) *comm.RecvHandle { *out = a ^ bg ^ c ^ d; return nil }),
 		)
 	}

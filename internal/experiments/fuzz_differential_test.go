@@ -193,7 +193,7 @@ func flattenParts(parts [][]int64) []int64 {
 // two-counter header summed, variable-length blocks concatenated.
 func reduceConcatOp(pe *comm.PE, prm int64, out *any) comm.Stepper {
 	b := fuzzPayload(pe, prm)
-	return coll.ReduceConcatStep(pe, int(prm)%pe.P(), []int64{int64(len(b)), prm}, b,
+	return coll.ReduceConcatStep(pe, int(prm)%pe.P(), []int64{int64(len(b)), prm}, 1, b,
 		func(sums, all []int64) { *out = append(slices.Clone(sums), all...) })
 }
 
@@ -285,8 +285,8 @@ func fuzzOps() []fuzzOp {
 				return coll.BroadcastScalar(pe, int(prm)%pe.P(), prm+int64(pe.Rank()))
 			},
 			step: func(pe *comm.PE, prm int64, out *any) comm.Stepper {
-				return coll.BroadcastScalarStep(pe, int(prm)%pe.P(), prm+int64(pe.Rank()),
-					func(v int64) { *out = v })
+				return coll.BroadcastVecStep(pe, int(prm)%pe.P(), []int64{prm + int64(pe.Rank())},
+					func(v []int64) { *out = v[0] })
 			},
 		},
 		{

@@ -63,8 +63,12 @@ func scalingSelPerPE(p int) int {
 }
 
 // scalingLevelHdr is the collectives op's up-sweep header: two counters,
-// as a selection level sends them (read-only, shared by every PE).
-var scalingLevelHdr = []int64{2, 1}
+// as a one-lane selection level sends them, and scalingLevelVerdict its
+// down-sweep's one-element vector (both read-only, shared by every PE).
+var (
+	scalingLevelHdr     = []int64{2, 1}
+	scalingLevelVerdict = []int64{7}
+)
 
 // sumInt64 is the reduction operator of the scaling workloads
 // (package-level, so stepper factories allocate no closure per op).
@@ -77,7 +81,7 @@ func sumInt64(a, b int64) int64 { return a + b }
 // startups per PE, O(p) memory at any scale.
 func scalingCollectivesBody(pe *comm.PE) {
 	coll.AllReduceScalar(pe, int64(pe.Rank()), sumInt64)
-	comm.RunSteps(pe, coll.ReduceConcatStep[int64](pe, 0, scalingLevelHdr, nil, nil))
+	comm.RunSteps(pe, coll.ReduceConcatStep[int64](pe, 0, scalingLevelHdr, 1, nil, nil))
 	coll.BroadcastScalar(pe, 0, int64(pe.Rank()))
 }
 
@@ -91,8 +95,8 @@ func scalingCollectivesBody(pe *comm.PE) {
 func scalingCollectivesStart(pe *comm.PE) comm.Stepper {
 	return comm.SeqP(pe,
 		coll.AllReduceScalarStep(pe, int64(pe.Rank()), sumInt64, nil),
-		coll.ReduceConcatStep[int64](pe, 0, scalingLevelHdr, nil, nil),
-		coll.BroadcastScalarStep(pe, 0, int64(pe.Rank()), nil),
+		coll.ReduceConcatStep[int64](pe, 0, scalingLevelHdr, 1, nil, nil),
+		coll.BroadcastVecStep(pe, 0, scalingLevelVerdict, nil),
 	)
 }
 

@@ -8,35 +8,47 @@ import (
 
 	"commtopk/internal/coll"
 	"commtopk/internal/comm"
+	"commtopk/internal/commbuf"
 	"commtopk/internal/qsel"
 	"commtopk/internal/xrand"
 )
 
 // Continuation form of Algorithm 1, the package's one state machine.
-// kthStep expresses selection as a comm.Stepper, so serve's Kth and
-// DeleteMin (KthSortedStep) and the scaling suite run it under
-// Machine.RunAsync with O(w) mid-run goroutines. The blocking Kth,
-// SmallestKN and MSSelect drive the same stepper through comm.RunSteps:
-// one implementation, both execution modes, bit-identical results and
-// meters (pinned by the differential fuzz and the scaling suite's A/B
-// twins).
+// kthStep expresses selection as a comm.Stepper over L lanes, each one
+// selection. Serve runs every mux's in-flight Kth queries as the lanes of
+// one KthSortedLanesStep under Machine.RunAsync; every other caller runs
+// one lane: KthStep, KthSortedStep (serve's DeleteMin, bpq), the scaling
+// suite, and the blocking Kth, SmallestKN and MSSelect, which drive the
+// stepper through comm.RunSteps — one implementation, both execution
+// modes, bit-identical results and meters (pinned by the differential
+// fuzz, the scaling suite's A/B twins and TestKthGolden).
 //
-// # One round trip per level
+// # One round trip per level, for all lanes
 //
 // A recursion level is one binomial-tree up-sweep and one down-sweep,
-// 2(p−1) messages and 2⌈log₂ p⌉ rounds:
+// 2(p−1) messages and 2⌈log₂ p⌉ rounds, however many lanes ride it:
 //
-//   - Up (coll.ReduceConcatStep): every PE has split its window around
-//     the level's pivots into [a: < lo | b: lo..hi | c: > hi]. The sweep
-//     sums the band sizes (la, lb) and concatenates a Bernoulli sample of
-//     the local middle bands — a sample of the window the recursion will
-//     continue on if the answer lies in b, drawn before anyone knows that
-//     it does.
-//   - Down (coll.BroadcastScalarStep of one verdict): the root sends the
-//     global band sizes (na, nb) and, picked from that sample, the next
-//     level's pivots and sampling rate. Every PE derives the same branch
-//     from (na, nb), narrows its window, and splits it around the new
-//     pivots for the next up-sweep.
+//   - Up (coll.ReduceConcatStep): every PE has split each lane's window
+//     around the lane's pivots into [a: < lo | b: lo..hi | c: > hi]. The
+//     sweep sums the band sizes (la, lb per lane) and concatenates, lane
+//     by lane, a Bernoulli sample of the local middle bands — a sample of
+//     the window the recursion will continue on if the answer lies in b,
+//     drawn before anyone knows that it does. Past one lane the header
+//     also carries the lanes' sample sizes, by which the sweep keeps each
+//     lane's sample contiguous.
+//   - Down (coll.BroadcastVecStep of one verdict per lane): the root sends
+//     each lane's global band sizes (na, nb) and, picked from the lane's
+//     sample, its next pivots and sampling rate. Every PE derives the same
+//     branch from (na, nb), narrows the lane's window, and splits it
+//     around the new pivots for the next up-sweep. Verdicts past the live
+//     lanes announce lanes the root admitted (Feed): every PE admits as
+//     many, in the same order, and they start with a plain sweep.
+//
+// A lane that needs a collective of its own — the size sum, the k = 1
+// min-reduction, a tie count — runs it before the level's sweeps, lane
+// after lane. A lane's pivot walk reads only its own window and stream,
+// so its answer does not depend on which lanes share its levels; one lane
+// sends exactly what a lone selection always sent.
 //
 // The pivots are Floyd–Rivest's: with m sample elements of a window of n
 // whose rank-k element is wanted, the sample ranks k·m/n ± Δ, extracted
@@ -58,7 +70,7 @@ import (
 // and a peeled tie group.
 //
 // The two forms price a miss differently, so each has its own level
-// rule, fixed in setUp (target) and judge (Δ):
+// rule, fixed in newKthEngine (target) and judge (Δ):
 //
 //   - Unsorted: target 4(√p + 8), Δ = m^(1/2+δ), δ = 1/10, ≈ 3σ of the
 //     sample rank. A miss costs a Θ(window) pass (qsel.Keep or a rebuild)
@@ -79,9 +91,10 @@ import (
 // case, which removes the lower pivot's tie group — or, on an empty
 // sample, redraws; there is no depth cap.
 //
-// The state struct is pooled per PE (comm.GetPooled); the result-delivery
-// closures handed to the sub-steppers and the sample buffer live in it
-// across uses, so steady-state dispatch allocates nothing.
+// The state struct is pooled per PE (comm.GetPooled); the lanes, the
+// result-delivery closures handed to the sub-steppers and the sample and
+// verdict buffers live in it across uses, so steady-state dispatch
+// allocates nothing.
 //
 // The state machine has two window representations behind one code path.
 // In the unsorted forms every window is the shard's elements inside a
@@ -100,15 +113,24 @@ import (
 // choice, every collective and every branch are the same code; only the
 // level rule's two constants differ.
 
+// Lane phases: what a lane needs before the level's shared up-sweep.
+const (
+	lpSum      = iota // start the global size sum
+	lpSetUp           // n known: validate k, set up the window
+	lpLoop            // a level without pivots: k == 1 base case or a plain sweep
+	lpMinWait         // k == 1 base case: harvest the min-reduction
+	lpPeel            // tie peel: start the global tie count
+	lpPeelWait        // harvest the tie count and branch
+	lpSweep           // ready for the shared up-sweep
+	lpDone
+)
+
 // kthStep phases.
 const (
-	kphInit     = iota // start the global size sum
-	kphInitSum         // n known: validate k, set up the window
-	kphLoop            // a level without pivots: k == 1 base case or a plain sweep
-	kphMinWait         // k == 1 base case: harvest the min-reduction
-	kphUp              // up-sweep done (the root has judged it): start the down-sweep
-	kphVerdict         // harvest the verdict, branch, start the next up-sweep
-	kphPeelWait        // tie-peel: harvest the global tie count and branch
+	kphAdmit   = iota // admit the lanes the verdict vector announced
+	kphPrivate        // each lane in order runs its private collectives
+	kphUp             // up-sweep done (the root has judged it): start the down-sweep
+	kphVerdict        // apply every lane's verdict
 	kphDone
 )
 
@@ -135,39 +157,42 @@ const (
 	brHit          // the answer is in band b, a strictly smaller window
 )
 
-type kthStep[K cmp.Ordered] struct {
+// kthLane is one selection's per-PE state. Every field but win, band,
+// la, lb, nEqLocal, nBelow and the window's representation is the same
+// on every PE.
+type kthLane[K cmp.Ordered] struct {
 	local []K
 	k     int64
-	rng   *xrand.RNG
-	out   func(K)
-	self  bool // self-release + out on completion (the *Step forms)
+	// rng is the lane's sampling stream, by value; ext, when not nil, is
+	// the caller's stream it was copied from and is written back to when
+	// the lane finishes.
+	rng   xrand.RNG
+	ext   *xrand.RNG
+	id    int
+	phase int
 	// sorted: local is ascending and is the window itself, read-only
 	// (KthSortedStep); otherwise the window is local until the first split
 	// and lies in work from then on.
 	sorted bool
-	res    K
 
-	// The recursion state, identical on every PE except win, band, la and
-	// lb: win is the live candidate window, kRem/n the remaining rank and
-	// global size; the level in flight splits win around [pivLo, pivHi]
-	// (plain: no pivots, band b is all of win), band holds b, and b is
-	// sampled at rate.
+	// The recursion state: win is the live candidate window, kRem/n the
+	// remaining rank and global size; the level in flight splits win
+	// around [pivLo, pivHi] (plain: no pivots, band b is all of win), band
+	// holds b, and b is sampled at rate.
 	win          []K
 	band         []K
 	kRem, n      int64
-	target       float64 // expected sample size, 4(√p + 8), twice that sorted
 	plain        bool
 	pivLo, pivHi K
 	rate         float64
 	la, lb       int // local sizes of bands a and b
 	nEqLocal     int // local size of the peeled tie group
 	// nBelow counts the local elements below the window: every narrowing
-	// that drops elements below it adds them. With resIn and resEq, set
-	// by finish, it gives the result's local rank split (localRank)
-	// without a pass over the shard.
+	// that drops elements below it adds them. With the result's resIn and
+	// resEq it gives the result's local rank split (localRank) without a
+	// pass over the shard.
 	nBelow int
-	resIn  []K
-	resEq  int
+	v      verdict[K] // the level's verdict (a peel reads it after its count)
 
 	// The unsorted window's value interval; whether the window lies in
 	// work (it is local before the first split); whether the split in
@@ -176,48 +201,107 @@ type kthStep[K cmp.Ordered] struct {
 	inWork    bool
 	winIntact bool
 
+	// The unsorted forms' work buffer of len(local), which win and band
+	// slice from the first split on. It survives the lane: a new lane in
+	// the same slot of the pooled state reuses it.
+	work []K
+}
+
+// kthStep is the selection engine: L lanes, each one selection, that
+// share every level's two sweeps. A level first runs, lane by lane, the
+// collectives only one lane needs (its size sum, its k = 1
+// min-reduction, its tie count), then one up-sweep for every live lane
+// and one down-sweep of their verdicts. A lane that answers drops out; a
+// Feed (KthSortedLanesStep) adds lanes at the next level.
+type kthStep[K cmp.Ordered] struct {
+	lanes  []kthLane[K]
+	sorted bool
+	target float64 // expected sample size per lane, 4(√p + 8), twice that sorted
+	feed   Feed[K]
+	out    func(K)
+	self   bool // self-release + out on completion (the *Step forms)
+
+	// A one-lane selection without a feed leaves its result here, for out
+	// or for the blocking drivers (res, localRank).
+	res    K
+	resIn  []K
+	resEq  int
+	nBelow int
+
+	li    int // the lane whose private collectives run
+	admit int // lanes the verdict vector announced and the feed has yet to hand over
+
 	// Current collective sub-stepper and its harvested results.
 	cur comm.Stepper
 	i64 int64
 	tg  tagged[K]
-	v   verdict[K]
 
-	// Buffers that survive pooling: the up-sweep header and the local
-	// sample (both copied by the collective before Step returns), and the
-	// unsorted forms' work buffer of len(local), which win and band slice
-	// from the first split on.
-	hdr    [2]int64
-	sample []K
-	work   []K
+	// Buffers that survive pooling: the up-sweep header and the lanes'
+	// samples (both copied by the collective before Step returns), and the
+	// verdict vector.
+	hdr      []int64
+	sample   []K
+	verdicts []verdict[K]
 
 	// Cached result-delivery closures and operator func values (one
 	// allocation per pooled object, not per op — a func value built in a
 	// generic context carries the type dictionary and would otherwise
 	// heap-allocate at every use). The closures capture only s;
 	// everything else is read through fields at call time.
-	onI64     func(int64)
-	onTag     func(tagged[K])
-	onUp      func([]int64, []K)
-	onVerdict func(verdict[K])
-	opMin     func(a, b tagged[K]) tagged[K]
+	onI64      func(int64)
+	onTag      func(tagged[K])
+	onUp       func([]int64, []K)
+	onVerdicts func([]verdict[K])
+	opMin      func(a, b tagged[K]) tagged[K]
 
 	phase int
 }
 
-func newKthStep[K cmp.Ordered](pe *comm.PE, local []K, k int64, rng *xrand.RNG, out func(K), self bool) *kthStep[K] {
+// newKthEngine draws a lanes engine with no lanes from the PE's pool.
+func newKthEngine[K cmp.Ordered](pe *comm.PE, sorted bool, out func(K), self bool) *kthStep[K] {
 	s := comm.GetPooled[kthStep[K]](pe)
-	s.local, s.k, s.rng, s.out, s.self = local, k, rng, out, self
-	s.sorted = false
-	s.phase = kphInit
+	s.sorted, s.out, s.self, s.feed = sorted, out, self, nil
+	s.lanes = s.lanes[:0]
+	s.phase, s.li, s.admit = kphPrivate, 0, 0
 	s.cur = nil
+	s.target = 4 * (math.Sqrt(float64(pe.P())) + 8)
+	if sorted { // a miss costs one sweep and no scan: see the file comment
+		s.target *= 2
+	}
 	if s.onI64 == nil {
 		s.onI64 = func(v int64) { s.i64 = v }
 		s.onTag = func(v tagged[K]) { s.tg = v }
 		s.onUp = func(sums []int64, all []K) { s.judge(sums, all) }
-		s.onVerdict = func(v verdict[K]) { s.v = v }
+		s.onVerdicts = func(v []verdict[K]) { s.verdicts = append(s.verdicts[:0], v...) }
 		s.opMin = minTagged[K]
 	}
 	return s
+}
+
+// newKthStep is the one-lane selection of rank k in local, whose global
+// size is n (n < 0: a size all-reduce finds it), sampling from rng.
+func newKthStep[K cmp.Ordered](pe *comm.PE, local []K, n, k int64, sorted bool, rng *xrand.RNG, out func(K), self bool) *kthStep[K] {
+	s := newKthEngine(pe, sorted, out, self)
+	l := s.addLane(local, n, k, 0)
+	l.rng, l.ext = *rng, rng
+	return s
+}
+
+// addLane appends a lane for rank k of local (global size n; n < 0: sum
+// it first) and returns it; valid until the next addLane.
+func (s *kthStep[K]) addLane(local []K, n, k int64, id int) *kthLane[K] {
+	i := len(s.lanes)
+	if i < cap(s.lanes) {
+		s.lanes = s.lanes[:i+1]
+	} else {
+		s.lanes = append(s.lanes, kthLane[K]{})
+	}
+	l := &s.lanes[i]
+	*l = kthLane[K]{local: local, k: k, n: n, id: id, sorted: s.sorted, work: l.work, phase: lpSetUp}
+	if n < 0 {
+		l.phase = lpSum
+	}
+	return l
 }
 
 // KthStep is the continuation form of Kth: out (optional) receives the
@@ -227,17 +311,7 @@ func newKthStep[K cmp.Ordered](pe *comm.PE, local []K, k int64, rng *xrand.RNG, 
 // one up-sweep and one down-sweep of a binomial tree (see the file
 // comment); local work Θ(window) per level.
 func KthStep[K cmp.Ordered](pe *comm.PE, local []K, k int64, rng *xrand.RNG, out func(K)) comm.Stepper {
-	return newKthStep(pe, local, k, rng, out, true)
-}
-
-// newKthStepN is newKthStep for a caller that already knows the global
-// element count n (the sum of len(local) over all PEs, not checked): the
-// size all-reduce is skipped, everything else is the same selection.
-func newKthStepN[K cmp.Ordered](pe *comm.PE, local []K, n, k int64, rng *xrand.RNG, out func(K), self bool) *kthStep[K] {
-	s := newKthStep(pe, local, k, rng, out, self)
-	s.i64 = n
-	s.phase = kphInitSum
-	return s
+	return newKthStep(pe, local, -1, k, false, rng, out, true)
 }
 
 // KthSortedStep is KthStep for a resident, locally sorted shard, without
@@ -245,38 +319,90 @@ func newKthStepN[K cmp.Ordered](pe *comm.PE, local []K, n, k int64, rng *xrand.R
 // element count of the union of the slices the PEs pass (not of their
 // whole shards: a caller that passes a sub-slice, a window or a prefix,
 // passes that union's size and a rank inside it) — preconditions the
-// caller states, as MSSelect's callers do for theirs; neither is checked. In exchange the shard is never written
-// or copied (it may be shared by any number of concurrent selections) and
-// local work per recursion level is O(log len(sorted) + sample) instead of
-// a scan. A query is nothing but tree sweeps: 2(p−1) messages per level.
-// A speculation miss costs it one sweep and no scan, so it has a level
-// rule of its own (see the file comment): a sample of 8(√p + 8), twice
-// KthStep's, and pivots ⌈¾√m⌉ sample ranks either side of the target
-// instead of m^0.6, which takes about half as many levels on random keys.
-// Sampling, pivot choice and the collectives are otherwise KthStep's
-// code; the two forms' pivot walks (and meters) differ, and the answer is
-// exact in both.
+// caller states, as MSSelect's callers do for theirs; neither is checked.
+// In exchange the shard is never written or copied (it may be shared by
+// any number of concurrent selections) and local work per recursion level
+// is O(log len(sorted) + sample) instead of a scan. A query is nothing
+// but tree sweeps: 2(p−1) messages per level. A speculation miss costs it
+// one sweep and no scan, so it has a level rule of its own (see the file
+// comment): a sample of 8(√p + 8), twice KthStep's, and pivots ⌈¾√m⌉
+// sample ranks either side of the target instead of m^0.6, which takes
+// about half as many levels on random keys. Sampling, pivot choice and
+// the collectives are otherwise KthStep's code; the two forms' pivot
+// walks (and meters) differ, and the answer is exact in both. It is
+// KthSortedLanesStep with one lane and no feed.
 func KthSortedStep[K cmp.Ordered](pe *comm.PE, sorted []K, n, k int64, rng *xrand.RNG, out func(K)) comm.Stepper {
-	s := newKthStepN(pe, sorted, n, k, rng, out, true)
-	s.sorted = true
+	return newKthStep(pe, sorted, n, k, true, rng, out, true)
+}
+
+// Lane is one selection a Feed hands to KthSortedLanesStep: the element
+// of rank K in the union of the PEs' ascending Sorted slices, whose global
+// size is N (KthSortedStep's preconditions). Its sampling stream is
+// xrand.NewPE(Seed, rank)'s; ID names it to Feed.Done.
+type Lane[K cmp.Ordered] struct {
+	Sorted []K
+	N, K   int64
+	Seed   int64
+	ID     int
+}
+
+// A Feed supplies KthSortedLanesStep with lanes. Every PE's feed must
+// hand over the same lanes in the same order.
+type Feed[K cmp.Ordered] interface {
+	// Ready is asked on rank 0 once per level, when the level's up-sweep
+	// has arrived: how many lanes the feed can hand over now. The
+	// selection admits them all, and its down-sweep tells every other PE
+	// how many.
+	Ready() int
+	// Next hands over the feed's next lane — or, when that lane has not
+	// reached this PE yet, the receive that brings it: the selection
+	// suspends on it and asks again.
+	Next(pe *comm.PE) (Lane[K], *comm.RecvHandle)
+	// Done delivers lane id's answer on this PE. The lane is gone from
+	// the selection, whose sends from then on are the other lanes'.
+	Done(pe *comm.PE, id int, v K)
+}
+
+// KthSortedLanesStep runs KthSortedStep's selection for many lanes at
+// once: it starts with the feed's next first lanes and, while any lane is
+// live, admits at every level what the feed's Ready reports on rank 0.
+// A level costs one up-sweep and one down-sweep however many lanes ride
+// it — the header grows by 3 words and the verdict vector by one verdict
+// per lane — plus the private collectives of the lanes that need one
+// (a k = 1 min-reduction, a tie count). A lane's pivot walk depends only
+// on its own window and stream, so its answer does not depend on which
+// lanes share its levels. The stepper ends when no lane is live; it
+// allocates nothing in the steady state.
+func KthSortedLanesStep[K cmp.Ordered](pe *comm.PE, feed Feed[K], first int) comm.Stepper {
+	s := newKthEngine[K](pe, true, nil, true)
+	s.feed, s.admit, s.phase = feed, first, kphAdmit
 	return s
 }
 
 // release returns the state to the PE pool, keeping the cached closures
 // and the buffers (and their one-time allocations) for the next use. No
-// slice of the caller's shard survives it (a pooled state would pin a
-// retired server's sorted shard). The work buffer is not cleared: that
+// slice of a caller's shard survives it (a pooled state would pin a
+// retired server's sorted shard). The work buffers are not cleared: that
 // would cost Θ(window) per query.
 func (s *kthStep[K]) release(pe *comm.PE) {
 	var zero K
-	s.local, s.win, s.band, s.resIn, s.rng, s.out = nil, nil, nil, nil, nil, nil
-	s.cur = nil
-	s.res, s.pivLo, s.pivHi = zero, zero, zero
-	s.bounds = qsel.Interval[K]{}
-	s.tg, s.v = tagged[K]{}, verdict[K]{}
+	for i := range s.lanes[:cap(s.lanes)] {
+		s.lanes[:cap(s.lanes)][i].drop()
+	}
+	s.lanes = s.lanes[:0]
+	s.resIn, s.out, s.feed, s.cur = nil, nil, nil, nil
+	s.res = zero
+	s.tg = tagged[K]{}
 	s.sample = s.sample[:cap(s.sample)]
 	clear(s.sample) // keys may hold references
+	s.verdicts = s.verdicts[:cap(s.verdicts)]
+	clear(s.verdicts)
 	comm.PutPooled(pe, s)
+}
+
+// drop clears every reference of the lane but its work buffer.
+func (l *kthLane[K]) drop() {
+	*l = kthLane[K]{work: l.work}
 }
 
 // split splits the window around [pivLo, pivHi]: la elements are below
@@ -286,35 +412,35 @@ func (s *kthStep[K]) release(pe *comm.PE) {
 // does not overlap the window (always on the first split, whose window
 // is local), else right after the window when it fits there, else over
 // the window itself, which is then no longer readable (winIntact).
-func (s *kthStep[K]) split() {
-	if s.sorted {
-		s.la = SliceSeq[K](s.win).CountLess(s.pivLo)
-		s.lb = SliceSeq[K](s.win[s.la:]).CountLE(s.pivHi)
-		s.band = s.win[s.la : s.la+s.lb]
+func (l *kthLane[K]) split() {
+	if l.sorted {
+		l.la = SliceSeq[K](l.win).CountLess(l.pivLo)
+		l.lb = SliceSeq[K](l.win[l.la:]).CountLE(l.pivHi)
+		l.band = l.win[l.la : l.la+l.lb]
 		return
 	}
-	w := len(s.win)
-	if !s.inWork {
-		if cap(s.work) < len(s.local) {
-			s.work = make([]K, len(s.local))
+	w := len(l.win)
+	if !l.inWork {
+		if cap(l.work) < len(l.local) {
+			l.work = make([]K, len(l.local))
 		}
-		s.work = s.work[:len(s.local)]
+		l.work = l.work[:len(l.local)]
 	}
 	// Every window in work is a two-index slice of it, so its offset is
 	// the difference of the capacities.
-	off := cap(s.work) - cap(s.win)
-	dst := s.work
-	s.winIntact = true
+	off := cap(l.work) - cap(l.win)
+	dst := l.work
+	l.winIntact = true
 	switch {
-	case !s.inWork || off >= w:
+	case !l.inWork || off >= w:
 		// The front of work is clear of the window.
-	case off+2*w <= len(s.work):
-		dst = s.work[off+w:]
+	case off+2*w <= len(l.work):
+		dst = l.work[off+w:]
 	default:
-		dst, s.winIntact = s.win, false
+		dst, l.winIntact = l.win, false
 	}
-	s.la, s.lb = qsel.SplitBand(dst, s.win, s.pivLo, s.pivHi)
-	s.band = dst[:s.lb]
+	l.la, l.lb = qsel.SplitBand(dst, l.win, l.pivLo, l.pivHi)
+	l.band = dst[:l.lb]
 }
 
 // narrow makes the part of the window beyond cut, a one-ended interval,
@@ -323,57 +449,57 @@ func (s *kthStep[K]) split() {
 // that readable (in place once the window lies in work), comparing with
 // cut's end only, and rebuilds it from the shard otherwise with the new
 // window's whole interval — the same elements in the same order.
-func (s *kthStep[K]) narrow(cut qsel.Interval[K], i, j int) {
-	if s.sorted {
-		s.win = s.win[i:j]
+func (l *kthLane[K]) narrow(cut qsel.Interval[K], i, j int) {
+	if l.sorted {
+		l.win = l.win[i:j]
 		return
 	}
 	iv := cut
 	if cut.LoEnd == qsel.Unbounded {
-		iv.Lo, iv.LoEnd = s.bounds.Lo, s.bounds.LoEnd
+		iv.Lo, iv.LoEnd = l.bounds.Lo, l.bounds.LoEnd
 	} else {
-		iv.Hi, iv.HiEnd = s.bounds.Hi, s.bounds.HiEnd
+		iv.Hi, iv.HiEnd = l.bounds.Hi, l.bounds.HiEnd
 	}
-	if !s.winIntact {
-		s.take(s.work[:qsel.Keep(s.work, s.local, iv)], iv)
+	if !l.winIntact {
+		l.take(l.work[:qsel.Keep(l.work, l.local, iv)], iv)
 		return
 	}
-	dst := s.work
-	if s.inWork {
-		dst = s.win
+	dst := l.work
+	if l.inWork {
+		dst = l.win
 	}
-	s.take(dst[:qsel.Keep(dst, s.win, cut)], iv)
+	l.take(dst[:qsel.Keep(dst, l.win, cut)], iv)
 }
 
 // take makes w, the part of the window inside iv, the new window.
-func (s *kthStep[K]) take(w []K, iv qsel.Interval[K]) {
-	s.win, s.bounds, s.inWork = w, iv, !s.sorted
+func (l *kthLane[K]) take(w []K, iv qsel.Interval[K]) {
+	l.win, l.bounds, l.inWork = w, iv, !l.sorted
 }
 
 // peel removes the lower pivot's tie group from band b, the whole window
 // on a peel, and counts it locally. The unsorted form compacts the rest
 // of the band to its front.
-func (s *kthStep[K]) peel() {
-	lb := len(s.band)
-	if s.sorted {
-		s.band = s.band[SliceSeq[K](s.band).CountLE(s.pivLo):]
+func (l *kthLane[K]) peel() {
+	lb := len(l.band)
+	if l.sorted {
+		l.band = l.band[SliceSeq[K](l.band).CountLE(l.pivLo):]
 	} else {
-		above := qsel.Interval[K]{Lo: s.pivLo, LoEnd: qsel.Open}
-		s.band = s.band[:qsel.Keep(s.band, s.band, above)]
+		above := qsel.Interval[K]{Lo: l.pivLo, LoEnd: qsel.Open}
+		l.band = l.band[:qsel.Keep(l.band, l.band, above)]
 	}
-	s.nEqLocal = lb - len(s.band)
+	l.nEqLocal = lb - len(l.band)
 }
 
 // peeled is the window's interval after a peel: band b without the lower
 // pivot.
-func (s *kthStep[K]) peeled() qsel.Interval[K] {
-	return qsel.Interval[K]{Lo: s.pivLo, LoEnd: qsel.Open, Hi: s.pivHi, HiEnd: qsel.Closed}
+func (l *kthLane[K]) peeled() qsel.Interval[K] {
+	return qsel.Interval[K]{Lo: l.pivLo, LoEnd: qsel.Open, Hi: l.pivHi, HiEnd: qsel.Closed}
 }
 
-// localRank is the result's local rank split after the selection has
-// finished (before release): the number of local elements below it and
-// of its local tie group — qsel.Rank(local, res), read off the narrowing
-// history and one pass over the final window at most.
+// localRank is a one-lane selection's result's local rank split after it
+// has finished (before release): the number of local elements below it
+// and of its local tie group — qsel.Rank(local, res), read off the
+// narrowing history and one pass over the final window at most.
 func (s *kthStep[K]) localRank() (below, equal int) {
 	b, e := qsel.Rank(s.resIn, s.res)
 	return s.nBelow + b, e + s.resEq
@@ -381,134 +507,300 @@ func (s *kthStep[K]) localRank() (below, equal int) {
 
 // winMin is the window's minimum as a reduction operand (no value on a
 // PE whose window is empty).
-func (s *kthStep[K]) winMin() tagged[K] {
+func (l *kthLane[K]) winMin() tagged[K] {
 	switch {
-	case len(s.win) == 0:
+	case len(l.win) == 0:
 		return tagged[K]{}
-	case s.sorted:
-		return tagged[K]{Has: true, Val: s.win[0]}
+	case l.sorted:
+		return tagged[K]{Has: true, Val: l.win[0]}
 	}
-	return tagged[K]{Has: true, Val: slices.Min(s.win)}
+	return tagged[K]{Has: true, Val: slices.Min(l.win)}
 }
 
 // setUp starts the recursion on the whole input, of global size n. It
 // copies nothing: level 0's window is the shard itself.
-func (s *kthStep[K]) setUp(pe *comm.PE, n int64) {
-	if s.k < 1 || s.k > n {
-		panic(fmt.Sprintf("sel: rank %d out of range 1..%d", s.k, n))
+func (l *kthLane[K]) setUp(n int64) {
+	if l.k < 1 || l.k > n {
+		panic(fmt.Sprintf("sel: rank %d out of range 1..%d", l.k, n))
 	}
-	s.win = s.local
-	s.bounds, s.inWork = qsel.Interval[K]{}, false
-	s.kRem, s.n = s.k, n
-	s.nBelow = 0
-	s.target = 4 * (math.Sqrt(float64(pe.P())) + 8)
-	if s.sorted { // a miss costs one sweep and no scan: see the file comment
-		s.target *= 2
-	}
-	s.phase = kphLoop
+	l.win = l.local
+	l.bounds, l.inWork = qsel.Interval[K]{}, false
+	l.kRem, l.n = l.k, n
+	l.nBelow = 0
+	l.phase = lpLoop
 }
 
-// startSweep splits the window around the level's pivots, samples the
-// middle band at the level's rate and launches the up-sweep.
+// startSweep splits every lane's window around its level's pivots,
+// samples each middle band at its lane's rate into one buffer, lane after
+// lane, and launches the up-sweep. Its header is [la, lb] of every lane,
+// then the sample sizes of all lanes but the last: the up-sweep sums them
+// like the counts and keeps each lane's sample contiguous by them. One
+// lane sends [la, lb] and its sample, and a band at rate 1 goes up
+// uncopied.
 func (s *kthStep[K]) startSweep(pe *comm.PE) {
-	if s.plain {
-		s.la, s.lb, s.band = 0, len(s.win), s.win
-	} else {
-		s.split()
-	}
-	band := s.band
-	if s.rate < 1 {
-		sample := s.sample[:0]
-		sk := xrand.NewSkipSampler(s.rng, s.rate)
-		for idx := sk.Next(); idx < int64(len(band)); idx = sk.Next() {
-			sample = append(sample, band[idx])
+	nl := len(s.lanes)
+	s.hdr = commbuf.Resize(s.hdr[:0], 3*nl-1)
+	s.sample = s.sample[:0]
+	for i := range s.lanes {
+		l := &s.lanes[i]
+		if l.plain {
+			l.la, l.lb, l.band = 0, len(l.win), l.win
+		} else {
+			l.split()
 		}
-		s.sample, band = sample, sample
+		s.hdr[2*i], s.hdr[2*i+1] = int64(l.la), int64(l.lb)
+		m := len(s.sample)
+		switch {
+		case l.rate < 1:
+			sk := xrand.NewSkipSampler(&l.rng, l.rate)
+			for idx := sk.Next(); idx < int64(len(l.band)); idx = sk.Next() {
+				s.sample = append(s.sample, l.band[idx])
+			}
+		case nl > 1:
+			s.sample = append(s.sample, l.band...)
+		}
+		if i < nl-1 {
+			s.hdr[2*nl+i] = int64(len(s.sample) - m)
+		}
 	}
-	s.hdr[0], s.hdr[1] = int64(s.la), int64(s.lb)
-	s.cur = coll.ReduceConcatStep(pe, 0, s.hdr[:], band, s.onUp)
+	data := s.sample
+	if nl == 1 && s.lanes[0].rate >= 1 {
+		data = s.lanes[0].band
+	}
+	s.cur = coll.ReduceConcatStep(pe, 0, s.hdr, nl, data, s.onUp)
 	s.phase = kphUp
 }
 
 // branch classifies the level just counted. It reads only state that is
 // the same on every PE, so all of them — and the root, one sweep earlier
 // — take the same branch.
-func (s *kthStep[K]) branch(na, nb int64) int {
+func (l *kthLane[K]) branch(na, nb int64) int {
 	switch {
-	case na >= s.kRem:
+	case na >= l.kRem:
 		return brBelow
-	case na+nb < s.kRem:
+	case na+nb < l.kRem:
 		return brAbove
-	case s.plain || s.rate >= 1:
+	case l.plain || l.rate >= 1:
 		return brHit // no pivots to tie on, or the root holds all of band b
-	case s.pivLo == s.pivHi:
+	case l.pivLo == l.pivHi:
 		return brTie
-	case nb == s.n:
+	case nb == l.n:
 		return brPeel
 	}
 	return brHit
 }
 
 // judge is the up-sweep's callback: on the root (sums is nil elsewhere)
-// it turns the band sizes and the concatenated band sample, a borrowed
-// buffer it may reorder, into the verdict the down-sweep carries.
+// it turns every lane's band sizes and its part of the concatenated band
+// sample, a borrowed buffer it may reorder, into the lane's verdict, and
+// appends an empty verdict for every lane the feed can admit now: the
+// down-sweep carries the vector.
 func (s *kthStep[K]) judge(sums []int64, all []K) {
 	if sums == nil {
 		return
 	}
-	v := verdict[K]{na: sums[0], nb: sums[1]}
-	if s.branch(v.na, v.nb) == brHit {
-		// The sample is one of the next window: band b, rank kRem, size n.
-		kRem, n, m := s.kRem-v.na, v.nb, int64(len(all))
-		switch {
-		case s.rate >= 1:
-			if m != n {
-				panic(fmt.Sprintf("sel: residual of %d elements gathered as %d", n, m))
-			}
-			v.lo = qsel.Select(all, int(kRem-1))
-		case m > 0:
-			r := kRem * m / n
-			delta := math.Pow(float64(m), 0.5+0.1)
-			if s.sorted { // see the file comment for the two rules
-				delta = 0.75 * math.Sqrt(float64(m))
-			}
-			d := int64(math.Ceil(delta))
-			iLo := int(clamp(r-d, 0, m-1))
-			iHi := int(clamp(r+d, 0, m-1))
-			// Select leaves all[iLo:] ≥ lo, so the upper pivot is an order
-			// statistic of that part.
-			v.lo = qsel.Select(all, iLo)
-			v.hi = qsel.Select(all[iLo:], iHi-iLo)
-			var c int64
-			for _, e := range all {
-				if v.lo <= e && e <= v.hi {
-					c++
-				}
-			}
-			v.rate = min(1, s.target*float64(m)/(float64(n)*float64(c)))
+	nl := len(s.lanes)
+	s.verdicts = s.verdicts[:0]
+	off := 0
+	for i := range s.lanes {
+		m := len(all) - off
+		if i < nl-1 {
+			m = int(sums[2*nl+i])
+		}
+		s.verdicts = append(s.verdicts, s.lanes[i].judge(s.target, sums[2*i], sums[2*i+1], all[off:off+m]))
+		off += m
+	}
+	if s.feed != nil {
+		for n := s.feed.Ready(); n > 0; n-- {
+			s.verdicts = append(s.verdicts, verdict[K]{})
 		}
 	}
-	s.v = v
+}
+
+// judge is the root's reading of the lane's level: its global band sizes
+// na and nb and its band sample all.
+func (l *kthLane[K]) judge(target float64, na, nb int64, all []K) verdict[K] {
+	v := verdict[K]{na: na, nb: nb}
+	if l.branch(v.na, v.nb) != brHit {
+		return v
+	}
+	// The sample is one of the next window: band b, rank kRem, size n.
+	kRem, n, m := l.kRem-v.na, v.nb, int64(len(all))
+	switch {
+	case l.rate >= 1:
+		if m != n {
+			panic(fmt.Sprintf("sel: residual of %d elements gathered as %d", n, m))
+		}
+		v.lo = qsel.Select(all, int(kRem-1))
+	case m > 0:
+		r := kRem * m / n
+		delta := math.Pow(float64(m), 0.5+0.1)
+		if l.sorted { // see the file comment for the two rules
+			delta = 0.75 * math.Sqrt(float64(m))
+		}
+		d := int64(math.Ceil(delta))
+		iLo := int(clamp(r-d, 0, m-1))
+		iHi := int(clamp(r+d, 0, m-1))
+		// Select leaves all[iLo:] ≥ lo, so the upper pivot is an order
+		// statistic of that part.
+		v.lo = qsel.Select(all, iLo)
+		v.hi = qsel.Select(all[iLo:], iHi-iLo)
+		var c int64
+		for _, e := range all {
+			if v.lo <= e && e <= v.hi {
+				c++
+			}
+		}
+		v.rate = min(1, target*float64(m)/(float64(n)*float64(c)))
+	}
+	return v
 }
 
 func addInt64(a, b int64) int64 { return a + b }
 
-// finish delivers the result v, whose local tie group and the local
-// elements below it that nBelow does not count lie in in, or are eq
-// elements of the group: the *Step forms release themselves and call out;
-// the blocking drivers harvest res (and localRank) and release
+// finish ends lane l with the result v, whose local tie group and the
+// local elements below it that nBelow does not count lie in in, or are eq
+// elements of the group. It writes the lane's stream back to the
+// caller's and hands v to the feed, or, without one, keeps it (and the
+// rank split) for the end of the selection.
+func (s *kthStep[K]) finish(pe *comm.PE, l *kthLane[K], v K, in []K, eq int) {
+	l.phase = lpDone
+	if l.ext != nil {
+		*l.ext = l.rng
+	}
+	if s.feed != nil {
+		s.feed.Done(pe, l.id, v)
+	} else {
+		s.res, s.resIn, s.resEq, s.nBelow = v, in, eq, l.nBelow
+	}
+}
+
+// done ends the selection: the *Step forms release themselves and call
+// out; the blocking drivers harvest res (and localRank) and release
 // explicitly.
-func (s *kthStep[K]) finish(pe *comm.PE, v K, in []K, eq int) *comm.RecvHandle {
-	s.res, s.resIn, s.resEq = v, in, eq
+func (s *kthStep[K]) done(pe *comm.PE) *comm.RecvHandle {
 	s.phase = kphDone
 	if s.self {
-		out := s.out
+		out, v := s.out, s.res
 		s.release(pe)
 		if out != nil {
 			out(v)
 		}
 	}
 	return nil
+}
+
+// private runs the lanes' private collectives, lane by lane from s.li:
+// it starts the next one (s.cur) and reports true, or reports false when
+// every lane is done or ready for the up-sweep.
+func (s *kthStep[K]) private(pe *comm.PE) bool {
+lanes:
+	for ; s.li < len(s.lanes); s.li++ {
+		l := &s.lanes[s.li]
+		for {
+			switch l.phase {
+			case lpSum:
+				s.cur = coll.AllReduceScalarStep(pe, int64(len(l.local)), addInt64, s.onI64)
+				l.n, l.phase = -1, lpSetUp
+				return true
+			case lpSetUp:
+				if l.n < 0 {
+					l.n = s.i64
+				}
+				l.setUp(l.n)
+			case lpLoop:
+				if l.kRem == 1 {
+					// Base case of Algorithm 1: a single min-reduction.
+					s.cur = coll.AllReduceScalarStep(pe, l.winMin(), s.opMin, s.onTag)
+					l.phase = lpMinWait
+					return true
+				}
+				l.plain = true
+				l.rate = min(1, s.target/float64(l.n))
+				l.phase = lpSweep
+			case lpMinWait:
+				s.finish(pe, l, s.tg.Val, l.win, 0)
+			case lpPeel:
+				s.cur = coll.AllReduceScalarStep(pe, int64(l.nEqLocal), addInt64, s.onI64)
+				l.phase = lpPeelWait
+				return true
+			case lpPeelWait:
+				nEq := s.i64
+				if l.kRem-l.v.na <= nEq {
+					s.finish(pe, l, l.pivLo, nil, l.nEqLocal)
+					continue
+				}
+				l.nBelow += l.nEqLocal
+				l.take(l.band, l.peeled())
+				l.kRem -= l.v.na + nEq
+				l.n = l.v.nb - nEq
+				l.phase = lpLoop
+			default: // lpSweep, lpDone
+				continue lanes
+			}
+		}
+	}
+	return false
+}
+
+// apply takes lane l through the branch its verdict v names.
+func (s *kthStep[K]) apply(pe *comm.PE, l *kthLane[K], v verdict[K]) {
+	l.v = v
+	switch l.branch(v.na, v.nb) {
+	case brBelow:
+		l.narrow(qsel.Interval[K]{Hi: l.pivLo, HiEnd: qsel.Open}, 0, l.la)
+		l.n = v.na
+		l.phase = lpLoop
+	case brAbove:
+		l.nBelow += l.la + l.lb
+		l.narrow(qsel.Interval[K]{Lo: l.pivHi, LoEnd: qsel.Open}, l.la+l.lb, len(l.win))
+		l.kRem -= v.na + v.nb
+		l.n -= v.na + v.nb
+		l.phase = lpLoop
+	case brTie:
+		// The k-th element falls inside one big tie group: band b.
+		l.nBelow += l.la
+		s.finish(pe, l, l.pivLo, nil, l.lb)
+	case brPeel:
+		// No shrinkage: every remaining element is in lo..hi. Count the
+		// lower pivot's tie group; the answer is in it or above it.
+		l.peel()
+		l.phase = lpPeel
+	default:
+		if !l.plain {
+			l.take(l.band, qsel.Interval[K]{Lo: l.pivLo, LoEnd: qsel.Closed, Hi: l.pivHi, HiEnd: qsel.Closed})
+		}
+		l.nBelow += l.la
+		l.kRem -= v.na
+		l.n = v.nb
+		switch {
+		case l.rate >= 1:
+			s.finish(pe, l, v.lo, l.win, 0) // the root held the whole band
+		case v.rate == 0:
+			l.phase = lpLoop // empty sample: draw again
+		default:
+			l.plain = false
+			l.pivLo, l.pivHi, l.rate = v.lo, v.hi, v.rate
+			l.phase = lpSweep
+		}
+	}
+}
+
+// compact drops the finished lanes, keeping the others in order. It
+// swaps rather than overwrites, so every slot keeps a work buffer.
+func (s *kthStep[K]) compact() {
+	j := 0
+	for i := range s.lanes {
+		if s.lanes[i].phase == lpDone {
+			s.lanes[i].drop()
+			continue
+		}
+		if i != j {
+			s.lanes[i], s.lanes[j] = s.lanes[j], s.lanes[i]
+		}
+		j++
+	}
+	s.lanes = s.lanes[:j]
 }
 
 func (s *kthStep[K]) Step(pe *comm.PE) *comm.RecvHandle {
@@ -520,77 +812,34 @@ func (s *kthStep[K]) Step(pe *comm.PE) *comm.RecvHandle {
 			s.cur = nil
 		}
 		switch s.phase {
-		case kphInit:
-			s.cur = coll.AllReduceScalarStep(pe, int64(len(s.local)), addInt64, s.onI64)
-			s.phase = kphInitSum
-		case kphInitSum:
-			s.setUp(pe, s.i64)
-		case kphLoop:
-			if s.kRem == 1 {
-				// Base case of Algorithm 1: a single min-reduction.
-				s.cur = coll.AllReduceScalarStep(pe, s.winMin(), s.opMin, s.onTag)
-				s.phase = kphMinWait
+		case kphAdmit:
+			for ; s.admit > 0; s.admit-- {
+				ln, h := s.feed.Next(pe)
+				if h != nil {
+					return h
+				}
+				s.addLane(ln.Sorted, ln.N, ln.K, ln.ID).rng.SeedPE(ln.Seed, pe.Rank())
+			}
+			s.li, s.phase = 0, kphPrivate
+		case kphPrivate:
+			if s.private(pe) {
 				continue
 			}
-			s.plain = true
-			s.rate = min(1, s.target/float64(s.n))
+			s.compact()
+			if len(s.lanes) == 0 {
+				return s.done(pe)
+			}
 			s.startSweep(pe)
-		case kphMinWait:
-			return s.finish(pe, s.tg.Val, s.win, 0)
 		case kphUp:
-			s.cur = coll.BroadcastScalarStep(pe, 0, s.v, s.onVerdict)
+			s.cur = coll.BroadcastVecStep(pe, 0, s.verdicts, s.onVerdicts)
 			s.phase = kphVerdict
 		case kphVerdict:
-			v := s.v
-			switch s.branch(v.na, v.nb) {
-			case brBelow:
-				s.narrow(qsel.Interval[K]{Hi: s.pivLo, HiEnd: qsel.Open}, 0, s.la)
-				s.n = v.na
-				s.phase = kphLoop
-			case brAbove:
-				s.nBelow += s.la + s.lb
-				s.narrow(qsel.Interval[K]{Lo: s.pivHi, LoEnd: qsel.Open}, s.la+s.lb, len(s.win))
-				s.kRem -= v.na + v.nb
-				s.n -= v.na + v.nb
-				s.phase = kphLoop
-			case brTie:
-				// The k-th element falls inside one big tie group: band b.
-				s.nBelow += s.la
-				return s.finish(pe, s.pivLo, nil, s.lb)
-			case brPeel:
-				// No shrinkage: every remaining element is in lo..hi. Count
-				// the lower pivot's tie group; the answer is in it or above it.
-				s.peel()
-				s.cur = coll.AllReduceScalarStep(pe, int64(s.nEqLocal), addInt64, s.onI64)
-				s.phase = kphPeelWait
-			default:
-				if !s.plain {
-					s.take(s.band, qsel.Interval[K]{Lo: s.pivLo, LoEnd: qsel.Closed, Hi: s.pivHi, HiEnd: qsel.Closed})
-				}
-				s.nBelow += s.la
-				s.kRem -= v.na
-				s.n = v.nb
-				switch {
-				case s.rate >= 1:
-					return s.finish(pe, v.lo, s.win, 0) // the root held the whole band
-				case v.rate == 0:
-					s.phase = kphLoop // empty sample: draw again
-				default:
-					s.plain = false
-					s.pivLo, s.pivHi, s.rate = v.lo, v.hi, v.rate
-					s.startSweep(pe)
-				}
+			for i := range s.lanes {
+				s.apply(pe, &s.lanes[i], s.verdicts[i])
 			}
-		case kphPeelWait:
-			nEq := s.i64
-			if s.kRem-s.v.na <= nEq {
-				return s.finish(pe, s.pivLo, nil, s.nEqLocal)
-			}
-			s.nBelow += s.nEqLocal
-			s.take(s.band, s.peeled())
-			s.kRem -= s.v.na + nEq
-			s.n = s.v.nb - nEq
-			s.phase = kphLoop
+			s.admit = len(s.verdicts) - len(s.lanes)
+			s.compact()
+			s.phase = kphAdmit
 		default:
 			return nil
 		}

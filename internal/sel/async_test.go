@@ -168,11 +168,13 @@ func TestKthStepAllocParity(t *testing.T) {
 // the window, band b, the shard itself — would pin that shard until
 // then (a retired server's sorted copy, say). After selections in both
 // forms, on every shape and at ranks that reach the miss, peel and rate-1
-// paths, every slice field but the state's own buffers (work, sample) is
-// nil, those share no memory with the shard, and work is no longer than it.
+// paths, every slice field of the state and of every lane slot but the
+// state's own buffers (the lanes, the header, the sample, the verdicts,
+// a lane's work) is nil, those share no memory with the shard, and work
+// is no longer than it.
 func TestKthReleaseKeepsNoShardSlice(t *testing.T) {
 	const p, n = 4, 2048
-	owned := map[string]bool{"work": true, "sample": true}
+	owned := map[string]bool{"lanes": true, "hdr": true, "sample": true, "verdicts": true, "work": true}
 	for _, shape := range shardShapes {
 		shards := shape.gen(xrand.New(31), n, p)
 		sorted, _ := sortedShards(shards)
@@ -184,35 +186,49 @@ func TestKthReleaseKeepsNoShardSlice(t *testing.T) {
 			for _, k := range []int64{1, 2, n / 3, n} {
 				m.MustRun(func(pe *comm.PE) {
 					shard := form.shards[pe.Rank()]
-					st := newKthStep(pe, shard, k, xrand.NewPE(k, pe.Rank()), nil, false)
-					if form.name == "sorted" {
-						st.sorted, st.i64, st.phase = true, n, kphInitSum
+					nn, sorted := int64(-1), form.name == "sorted"
+					if sorted {
+						nn = n
 					}
+					st := newKthStep(pe, shard, nn, k, sorted, xrand.NewPE(k, pe.Rank()), nil, false)
 					comm.RunSteps(pe, st)
 					st.release(pe)
-					v := reflect.ValueOf(st).Elem()
-					seen := 0
-					for i := 0; i < v.NumField(); i++ {
-						f, name := v.Field(i), v.Type().Field(i).Name
-						if f.Kind() != reflect.Slice {
-							continue
-						}
-						seen++
-						switch {
-						case !owned[name] && !f.IsNil():
-							t.Errorf("%s %s k=%d: released state keeps %s (len %d)", shape.name, form.name, k, name, f.Len())
-						case owned[name] && overlaps(f, reflect.ValueOf(shard)):
-							t.Errorf("%s %s k=%d: the state's %s shares memory with the shard", shape.name, form.name, k, name)
-						}
+					name := fmt.Sprintf("%s %s k=%d", shape.name, form.name, k)
+					seen := checkReleased(t, name, reflect.ValueOf(st).Elem(), owned, shard)
+					slots := st.lanes[:cap(st.lanes)]
+					for i := range slots {
+						seen += checkReleased(t, name, reflect.ValueOf(&slots[i]).Elem(), owned, shard)
 					}
-					if seen < 5 || len(st.work) > len(shard) {
-						t.Errorf("%s %s k=%d: %d slice fields, work %d for a shard of %d", shape.name, form.name, k, seen, len(st.work), len(shard))
+					if seen < 8 || len(slots) != 1 || len(slots[0].work) > len(shard) {
+						t.Errorf("%s: %d slice fields, %d lane slots, work %d for a shard of %d", name, seen, len(slots), len(slots[0].work), len(shard))
 					}
 				})
 			}
 			m.Close()
 		}
 	}
+}
+
+// checkReleased reports every slice field of v, a released state, that is
+// not one of the owned buffers and is not nil, and every owned one that
+// shares memory with shard. It returns the number of slice fields.
+func checkReleased(t *testing.T, name string, v reflect.Value, owned map[string]bool, shard []uint64) int {
+	t.Helper()
+	seen := 0
+	for i := 0; i < v.NumField(); i++ {
+		f, field := v.Field(i), v.Type().Field(i).Name
+		if f.Kind() != reflect.Slice {
+			continue
+		}
+		seen++
+		switch {
+		case !owned[field] && !f.IsNil():
+			t.Errorf("%s: released state keeps %s (len %d)", name, field, f.Len())
+		case owned[field] && f.Type().Elem().Kind() == reflect.Uint64 && overlaps(f, reflect.ValueOf(shard)):
+			t.Errorf("%s: the state's %s shares memory with the shard", name, field)
+		}
+	}
+	return seen
 }
 
 // overlaps reports whether the backing arrays of two slices share memory.
@@ -246,8 +262,7 @@ func TestKthLocalRankMatchesRank(t *testing.T) {
 					for seed := int64(0); seed < 3; seed++ {
 						m.MustRun(func(pe *comm.PE) {
 							shard := form.shards[pe.Rank()]
-							st := newKthStep(pe, shard, k, xrand.NewPE(seed, pe.Rank()), nil, false)
-							st.i64, st.phase, st.sorted = n, kphInitSum, form.sorted
+							st := newKthStep(pe, shard, n, k, form.sorted, xrand.NewPE(seed, pe.Rank()), nil, false)
 							comm.RunSteps(pe, st)
 							b, e := st.localRank()
 							wb, we := qsel.Rank(shard, st.res)

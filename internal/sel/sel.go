@@ -92,7 +92,7 @@ func minTagged[K cmp.Ordered](a, b tagged[K]) tagged[K] {
 // sampling rate, 5 words — comes down. The rationale lives with the
 // state machine there.
 func Kth[K cmp.Ordered](pe *comm.PE, local []K, k int64, rng *xrand.RNG) K {
-	st := newKthStep(pe, local, k, rng, nil, false)
+	st := newKthStep(pe, local, -1, k, false, rng, nil, false)
 	comm.RunSteps(pe, st)
 	res := st.res
 	st.release(pe)
@@ -167,7 +167,7 @@ func SmallestKN[K cmp.Ordered](pe *comm.PE, local []K, n, k int64, rng *xrand.RN
 		}
 		return v, below, 0
 	}
-	st := newKthStepN(pe, local, n, k, rng, nil, false)
+	st := newKthStep(pe, local, n, k, false, rng, nil, false)
 	comm.RunSteps(pe, st)
 	v = st.res
 	below, equal := st.localRank()
@@ -330,9 +330,7 @@ func newMSKth[K cmp.Ordered](pe *comm.PE, s Seq[K], k int64, shared *xrand.RNG) 
 		buf.prefix = prefix
 	}
 	buf.rng.SeedPE(int64(shared.Uint64()), pe.Rank())
-	st := newKthStep(pe, prefix, k, &buf.rng, nil, false)
-	st.sorted = true
-	return st, buf
+	return newKthStep(pe, prefix, -1, k, true, &buf.rng, nil, false), buf
 }
 
 func (b *msBuf[K]) release(pe *comm.PE) {

@@ -251,8 +251,8 @@ func TestKthWindowOpsAgree(t *testing.T) {
 		}
 		asc := slices.Clone(w)
 		slices.Sort(asc)
-		sorted := &kthStep[uint64]{sorted: true, local: asc, win: asc}
-		scan := &kthStep[uint64]{local: w, win: w}
+		sorted := &kthLane[uint64]{sorted: true, local: asc, win: asc}
+		scan := &kthLane[uint64]{local: w, win: w}
 		for level := 0; len(sorted.win) > 0; level++ {
 			if sorted.winMin() != scan.winMin() {
 				t.Fatalf("trial %d level %d: minimum %v, scan %v", trial, level, sorted.winMin(), scan.winMin())
@@ -268,7 +268,7 @@ func TestKthWindowOpsAgree(t *testing.T) {
 			}
 			i := rng.Intn(len(sorted.win))
 			j := i + rng.Intn(len(sorted.win)-i)
-			for _, st := range []*kthStep[uint64]{sorted, scan} {
+			for _, st := range []*kthLane[uint64]{sorted, scan} {
 				st.pivLo, st.pivHi = sorted.win[i], sorted.win[j]
 				st.split()
 			}
@@ -282,12 +282,12 @@ func TestKthWindowOpsAgree(t *testing.T) {
 			switch br := rng.Intn(4); {
 			case br <= 1:
 				counted(scan, &fromWindow, &fromShard)
-				for _, st := range []*kthStep[uint64]{sorted, scan} {
+				for _, st := range []*kthLane[uint64]{sorted, scan} {
 					st.narrow(qsel.Interval[uint64]{Hi: st.pivLo, HiEnd: qsel.Open}, 0, st.la)
 				}
 			case br == 2:
 				counted(scan, &fromWindow, &fromShard)
-				for _, st := range []*kthStep[uint64]{sorted, scan} {
+				for _, st := range []*kthLane[uint64]{sorted, scan} {
 					st.narrow(qsel.Interval[uint64]{Lo: st.pivHi, LoEnd: qsel.Open}, st.la+st.lb, len(st.win))
 				}
 			case scan.lb == len(scan.win):
@@ -296,11 +296,11 @@ func TestKthWindowOpsAgree(t *testing.T) {
 				if sorted.nEqLocal != scan.nEqLocal {
 					t.Fatalf("trial %d level %d: tie group of %d: sorted %d, scan %d", trial, level, sorted.pivLo, sorted.nEqLocal, scan.nEqLocal)
 				}
-				for _, st := range []*kthStep[uint64]{sorted, scan} {
+				for _, st := range []*kthLane[uint64]{sorted, scan} {
 					st.take(st.band, st.peeled())
 				}
 			default:
-				for _, st := range []*kthStep[uint64]{sorted, scan} {
+				for _, st := range []*kthLane[uint64]{sorted, scan} {
 					st.take(st.band, qsel.Interval[uint64]{Lo: st.pivLo, LoEnd: qsel.Closed, Hi: st.pivHi, HiEnd: qsel.Closed})
 				}
 			}
@@ -312,11 +312,11 @@ func TestKthWindowOpsAgree(t *testing.T) {
 	if raceEnabled {
 		return
 	}
-	sorted := &kthStep[uint64]{sorted: true, win: []uint64{1, 2, 2, 3, 5, 8}, pivLo: 2, pivHi: 5}
+	sorted := &kthLane[uint64]{sorted: true, win: []uint64{1, 2, 2, 3, 5, 8}, pivLo: 2, pivHi: 5}
 	shard := []uint64{8, 2, 5, 1, 3, 2}
-	scan := &kthStep[uint64]{local: shard, win: shard, pivLo: 2, pivHi: 5}
+	scan := &kthLane[uint64]{local: shard, win: shard, pivLo: 2, pivHi: 5}
 	scan.split() // sizes work
-	for _, st := range []*kthStep[uint64]{sorted, scan} {
+	for _, st := range []*kthLane[uint64]{sorted, scan} {
 		if a := testing.AllocsPerRun(100, func() { st.inWork = false; st.split(); st.winMin() }); a != 0 {
 			t.Errorf("sorted=%v: window operations allocate %.0f times per level", st.sorted, a)
 		}
@@ -324,7 +324,7 @@ func TestKthWindowOpsAgree(t *testing.T) {
 }
 
 // counted tallies which path the next miss of st takes.
-func counted(st *kthStep[uint64], fromWindow, fromShard *int) {
+func counted(st *kthLane[uint64], fromWindow, fromShard *int) {
 	if st.winIntact {
 		*fromWindow++
 	} else {

@@ -15,7 +15,7 @@ import (
 // the way the blocking Kth does — newKthStep, comm.RunSteps, release —
 // which leaves two unexported seams open: the root's cached up-sweep
 // callback can be wrapped to see every sweep, and pivots can be planted
-// between setUp and the first sweep.
+// in the one lane between its setUp and the first sweep.
 
 // sweep is what the root saw of one up-sweep.
 type sweep struct {
@@ -46,16 +46,17 @@ func observeKth(m *comm.Machine, sorted bool, shards [][]uint64, k, seed int64, 
 	o := observed{res: make([]uint64, m.P()), sends: make([]int64, m.P())}
 	m.ResetStats()
 	m.MustRun(func(pe *comm.PE) {
-		st := newKthStep(pe, shards[pe.Rank()], k, xrand.NewPE(seed, pe.Rank()), nil, false)
-		restore := watchSweeps(pe, st, &o)
+		nn := int64(-1)
 		if sorted {
-			st.sorted = true
-			st.setUp(pe, n)
-			if plant != nil {
-				st.plain = false
-				st.pivLo, st.pivHi, st.rate = plant()
-				st.startSweep(pe)
-			}
+			nn = n
+		}
+		st := newKthStep(pe, shards[pe.Rank()], nn, k, sorted, xrand.NewPE(seed, pe.Rank()), nil, false)
+		restore := watchSweeps(pe, st, &o)
+		if plant != nil {
+			l := &st.lanes[0]
+			l.setUp(n)
+			l.pivLo, l.pivHi, l.rate = plant()
+			l.phase = lpSweep
 		}
 		before := pe.Sends()
 		comm.RunSteps(pe, st)
@@ -71,14 +72,15 @@ func observeKth(m *comm.Machine, sorted bool, shards [][]uint64, k, seed int64, 
 	return o
 }
 
-// watchSweeps wraps the root's cached up-sweep callback of st so that
-// every sweep it judges lands in o.sweeps; the returned func puts the
-// pooled state's own callback back.
+// watchSweeps wraps the root's cached up-sweep callback of st, a
+// one-lane selection, so that every sweep it judges lands in o.sweeps;
+// the returned func puts the pooled state's own callback back.
 func watchSweeps(pe *comm.PE, st *kthStep[uint64], o *observed) (restore func()) {
 	onUp := st.onUp
 	if pe.Rank() == 0 {
 		st.onUp = func(sums []int64, all []uint64) {
-			o.sweeps = append(o.sweeps, sweep{st.plain, st.rate, sums[0], sums[1], len(all)})
+			l := &st.lanes[0]
+			o.sweeps = append(o.sweeps, sweep{l.plain, l.rate, sums[0], sums[1], len(all)})
 			onUp(sums, all)
 		}
 	}
@@ -310,11 +312,11 @@ func TestKthTieHeavyShards(t *testing.T) {
 					for _, k := range []int64{1, 2, n / 3, n / 2, 7 * n / 10, n - 1, n} {
 						for seed := int64(0); seed < 3; seed++ {
 							name := fmt.Sprintf("p=%d %s k=%d seed=%d %s", p, shape.name, k, seed, form.name)
-							st := newKthStep(pe, form.shards[pe.Rank()], k, xrand.NewPE(seed, pe.Rank()), nil, false)
+							nn := int64(-1)
 							if form.sorted {
-								st.sorted = true
-								st.setUp(pe, n)
+								nn = int64(n)
 							}
+							st := newKthStep(pe, form.shards[pe.Rank()], nn, k, form.sorted, xrand.NewPE(seed, pe.Rank()), nil, false)
 							restore := watchSweeps(pe, st, &o)
 							comm.RunSteps(pe, st)
 							if st.res != union[k-1] {
@@ -383,9 +385,7 @@ func TestKthSortedSweepsPerQuery(t *testing.T) {
 			for seed := int64(1); seed <= seeds; seed++ {
 				for i := range ranks {
 					k := 2 + int64(i)*int64(n-2)/(ranks-1)
-					st := newKthStep(pe, sorted[pe.Rank()], k, xrand.NewPE(seed, pe.Rank()), nil, false)
-					st.sorted = true
-					st.setUp(pe, int64(n))
+					st := newKthStep(pe, sorted[pe.Rank()], int64(n), k, true, xrand.NewPE(seed, pe.Rank()), nil, false)
 					restore := watchSweeps(pe, st, &o)
 					comm.RunSteps(pe, st)
 					if st.res != union[k-1] {
@@ -447,17 +447,19 @@ func countKthBranches(p int, sorted bool, shards [][]uint64, n, k, seed int64) k
 		c.Base++
 	}
 	m.MustRun(func(pe *comm.PE) {
-		st := newKthStep(pe, shards[pe.Rank()], k, xrand.NewPE(seed, pe.Rank()), nil, false)
+		nn := int64(-1)
 		if sorted {
-			st.sorted, st.i64, st.phase = true, n, kphInitSum
+			nn = n
 		}
+		st := newKthStep(pe, shards[pe.Rank()], nn, k, sorted, xrand.NewPE(seed, pe.Rank()), nil, false)
 		onUp := st.onUp
 		if pe.Rank() == 0 {
 			st.onUp = func(sums []int64, all []uint64) {
-				br := st.branch(sums[0], sums[1])
-				final := st.rate >= 1
+				l := &st.lanes[0]
+				br := l.branch(sums[0], sums[1])
+				final := l.rate >= 1
 				onUp(sums, all)
-				kRem := st.kRem
+				kRem := l.kRem
 				switch br {
 				case brBelow, brAbove:
 					c.Miss++
@@ -470,7 +472,7 @@ func countKthBranches(p int, sorted bool, shards [][]uint64, n, k, seed int64) k
 					c.Peel++
 				default:
 					kRem -= sums[0]
-					if final || st.v.rate != 0 {
+					if final || st.verdicts[0].rate != 0 {
 						kRem = 0
 					}
 				}

@@ -14,10 +14,12 @@ import (
 
 // TestServeMixedGolden pins a fixed Kth/DeleteMin sequence at
 // p ∈ {1, 3, 16}: every query's answer, realized batch size and
-// attributed words and sends, bit for bit, served strictly one at a time
-// and at full inflight depth. The sequence ends with a DeleteMin asking
-// for at least what remains and one on the emptied queue; Kth queries
-// after them still answer from the whole key set.
+// attributed words and sends, bit for bit, served strictly one at a time;
+// at full inflight depth the same answers, batch sizes and DeleteMin
+// meters, and Kth meters under the served meter contract (meterSums).
+// The sequence ends with a DeleteMin asking for at least what remains
+// and one on the emptied queue; Kth queries after them still answer from
+// the whole key set.
 func TestServeMixedGolden(t *testing.T) {
 	want := map[int][]queryOutcome{
 		1: {
@@ -72,11 +74,20 @@ func TestServeMixedGolden(t *testing.T) {
 			{Config{MaxInflight: 6, BatchMax: 4, Seed: 41}, true},
 		} {
 			m := comm.NewMachine(comm.DefaultConfig(p))
-			got := runServedMixed(t, m, shards, queries, run.cfg, run.concurrent)
+			got, delta := runServedMixed(t, m, shards, queries, run.cfg, run.concurrent)
 			m.Close()
-			if !reflect.DeepEqual(got, want[p]) {
-				t.Errorf("p=%d concurrent=%v:\n got %s\nwant %s", p, run.concurrent, fmtServeGolden(got), fmtServeGolden(want[p]))
+			if !run.concurrent {
+				if !reflect.DeepEqual(got, want[p]) {
+					t.Errorf("p=%d:\n got %s\nwant %s", p, fmtServeGolden(got), fmtServeGolden(want[p]))
+				}
+				continue
 			}
+			for i, o := range got {
+				if w := want[p][i]; o.res != w.res || o.n != w.n {
+					t.Errorf("p=%d concurrent: query %d: %+v, want %+v", p, i, o, w)
+				}
+			}
+			meterSums(t, fmt.Sprintf("p=%d concurrent", p), mixedExact(queries), outcomeMeters(want[p]), outcomeMeters(got), delta)
 		}
 	}
 }
@@ -95,8 +106,9 @@ func fmtServeGolden(outs []queryOutcome) string {
 // hundred ranks (1, n, evenly spaced ranks, and each side of the global
 // rank of every 8th shard key contributed at a 16p stride), served one
 // at a time and at full inflight depth. Every answer must equal the sort
-// oracle; the attributed meters are pinned as their sums and a digest of
-// the per-query (words, sends) sequence. Selecting over all n keys, with
+// oracle; one at a time, the attributed meters are pinned as their sums
+// and a digest of the per-query (words, sends) sequence, and at depth
+// they follow the served meter contract (meterSums). Selecting over all n keys, with
 // no rank table, the same queries sent 458 183 words in 51 128 messages.
 // The thin shape of the serving benchmark (p = 64, n/p = 256 random keys,
 // every shard shorter than 16p, so no rank table) is pinned the same way,
@@ -136,7 +148,7 @@ func TestServeKthGolden(t *testing.T) {
 		{Config{QueueDepth: 512, MaxInflight: 6, BatchMax: 4, Seed: 43}, true},
 	} {
 		m := comm.NewMachine(comm.DefaultConfig(p))
-		got := runServed(t, m, shards, ranks, run.cfg, run.concurrent)
+		got, delta := runServed(t, m, shards, ranks, run.cfg, run.concurrent)
 		m.Close()
 		var words, sends int64
 		h := fnv.New64a()
@@ -148,9 +160,15 @@ func TestServeKthGolden(t *testing.T) {
 			sends += o.sends
 			binary.Write(h, binary.LittleEndian, [2]int64{o.words, o.sends})
 		}
-		if words != wantWords || sends != wantSends || h.Sum64() != wantDigest {
-			t.Errorf("concurrent=%v: %d queries: words %d, sends %d, digest %#x; want %d, %d, %#x",
-				run.concurrent, len(ranks), words, sends, h.Sum64(), wantWords, wantSends, uint64(wantDigest))
+		switch {
+		case run.concurrent:
+			if [2]int64{words, sends} != delta || sends > wantSends {
+				t.Errorf("concurrent: %d queries: tickets sum to %d words, %d sends; the machine sent %v; want at most %d sends",
+					len(ranks), words, sends, delta, wantSends)
+			}
+		case words != wantWords || sends != wantSends || h.Sum64() != wantDigest:
+			t.Errorf("%d queries: words %d, sends %d, digest %#x; want %d, %d, %#x",
+				len(ranks), words, sends, h.Sum64(), wantWords, wantSends, uint64(wantDigest))
 		}
 	}
 	t.Run("thin", func(t *testing.T) {
@@ -173,7 +191,7 @@ func TestServeKthGolden(t *testing.T) {
 			ranks = append(ranks, 1+i*(n-1)/60)
 		}
 		m := comm.NewMachine(comm.DefaultConfig(p))
-		got := runServed(t, m, shards, ranks, Config{MaxInflight: 1, BatchMax: 1, Seed: 53}, false)
+		got, _ := runServed(t, m, shards, ranks, Config{MaxInflight: 1, BatchMax: 1, Seed: 53}, false)
 		m.Close()
 		var words, sends int64
 		h := fnv.New64a()

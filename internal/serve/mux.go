@@ -17,8 +17,9 @@ type op[K cmp.Ordered] struct {
 	queries []*query[K]
 }
 
-// slot is one in-flight query on one PE: its stepper, the receive it is
-// suspended on (nil when runnable), and the result's landing field.
+// slot is one in-flight DeleteMin or TopKFreq query on one PE: its
+// stepper, the receive it is suspended on (nil when runnable), and the
+// result's landing field.
 type slot[K cmp.Ordered] struct {
 	q       *query[K]
 	step    comm.Stepper
@@ -28,33 +29,62 @@ type slot[K cmp.Ordered] struct {
 	items   []dht.KV // heavy hitters (TopKFreq slots only)
 }
 
+// lane is one admitted Kth query on one PE: a lane of the mux's
+// selection engine, and its answer once the engine has delivered it.
+type lane[K cmp.Ordered] struct {
+	q    *query[K]
+	res  K
+	done bool
+}
+
 // mux is the per-PE tenant multiplexer: one long-lived stepper that
-// consumes doorbells from the admission front end and interleaves every
-// active query's selection stepper on this PE, switching the PE's
-// communication context per slot so the queries' traffic (and collective
-// tag sequences) never mix.
+// consumes doorbells from the admission front end and interleaves, on
+// this PE, every TopKFreq and DeleteMin query's stepper, each under its
+// own communication context, with one selection engine that runs all of
+// its Kth queries as lanes under the server's Kth context.
 //
-// Scheduling is a full sweep: every Step invocation tries the doorbell
-// and every runnable slot until nothing can progress, then suspends.
-// As a comm.MultiWaiter the mux suspends on ALL its pending receives at
-// once — the doorbell plus one per waiting slot — so a message for any
-// tenant (or a new batch) resumes the PE. A resume storm from one query
-// cannot starve another: each sweep revisits every slot, and a slot
-// only consumes worker time when one of its messages has arrived.
+// Scheduling is a full sweep: every Step invocation tries the doorbell,
+// every runnable slot and the engine until nothing can progress, then
+// suspends. As a comm.MultiWaiter the mux suspends on ALL its pending
+// receives at once — the doorbell plus one per waiting slot and the
+// engine's — so a message for any tenant (or a new batch) resumes the
+// PE. A resume storm from one query cannot starve another: each sweep
+// revisits every slot, and a slot only consumes worker time when one of
+// its messages has arrived.
+//
+// Kth admission is the engine's Feed (Ready, Next, Done). An idle engine
+// starts with the Kth queries of the oldest doorbell it has not admitted
+// (kthQ's first bells[0] queries); every PE receives the same doorbells
+// in the same order, so every PE starts the same lanes. A running engine
+// admits at each level every Kth query the root (rank 0) has received,
+// and every other PE admits as many from the head of its kthQ — waiting
+// on its doorbell receive for one that has not arrived yet.
 type mux[K cmp.Ordered] struct {
 	srv   *Server[K]
 	shard []K              // this PE's resident sorted shard; read-only
 	table rankTable        // this PE's share of the resident rank table
 	db    *comm.RecvHandle // posted doorbell receive (ctx 0)
 	slots []*slot[K]
+	// The Kth engine (nil while idle), the receive it waits on (nil when
+	// runnable; onDB: it waits for a doorbell to bring the next Kth
+	// query), the dispatched Kth queries it has not admitted, in dispatch
+	// order, the number of them each of their doorbells brought, and its
+	// lanes in admission order, which share every burst's meters.
+	eng   comm.Stepper
+	wait  *comm.RecvHandle
+	onDB  bool
+	kthQ  []*query[K]
+	bells []int
+	lanes []lane[K]
+	deal  int // the lane the next burst's remainders are dealt from
 	// DeleteMin state: the queue is the unpopped suffix shard[cut:], rng
 	// its selections' stream, and pqQ the FIFO of DeleteMin slots. cut is
 	// shared mutable state across DeleteMin queries, so only the FIFO
 	// head runs; dispatch order is identical on every PE (one dispatcher
 	// goroutine, per-(src,ctx) FIFO doorbell streams), which keeps the
 	// pop order — and with it every query's result and meters —
-	// independent of executor, worker count, and inflight depth. Kth slots
-	// interleave freely around the FIFO.
+	// independent of executor, worker count, and inflight depth. TopKFreq
+	// slots and the Kth engine interleave freely around the FIFO.
 	cut     int
 	rng     *xrand.RNG
 	pqQ     []*slot[K]
@@ -81,6 +111,9 @@ func (x *mux[K]) PendingHandles(buf []*comm.RecvHandle) []*comm.RecvHandle {
 	if len(x.pqQ) > 0 && x.pqQ[0].pending != nil {
 		buf = append(buf, x.pqQ[0].pending)
 	}
+	if x.wait != nil {
+		buf = append(buf, x.wait)
+	}
 	return buf
 }
 
@@ -95,8 +128,17 @@ func (x *mux[K]) Step(pe *comm.PE) *comm.RecvHandle {
 			x.db = nil
 			progress = true
 			if o, _ := rx.(*op[K]); o != nil && len(o.queries) > 0 {
+				kth := 0
 				for _, q := range o.queries {
-					x.addSlot(pe, q)
+					if q.kind == kindKth {
+						x.kthQ = append(x.kthQ, q)
+						kth++
+					} else {
+						x.addSlot(pe, q)
+					}
+				}
+				if kth > 0 {
+					x.bells = append(x.bells, kth)
 				}
 				x.db = pe.IRecv(pe.ExternalSrc(), doorbellTag)
 			} else {
@@ -133,56 +175,152 @@ func (x *mux[K]) Step(pe *comm.PE) *comm.RecvHandle {
 				sl.pending = nil
 				progress = true
 				if x.stepSlot(pe, sl) {
-					copy(x.pqQ, x.pqQ[1:])
-					x.pqQ[len(x.pqQ)-1] = nil
-					x.pqQ = x.pqQ[:len(x.pqQ)-1]
+					x.pqQ = popFront(x.pqQ)
 				}
 			}
 		}
+		if x.eng == nil && len(x.bells) > 0 {
+			x.eng = sel.KthSortedLanesStep[K](pe, x, x.bells[0])
+		}
+		if x.eng != nil && (x.onDB && len(x.kthQ) > 0 || !x.onDB && (x.wait == nil || x.wait.Test())) {
+			progress = true
+			x.stepEngine(pe)
+		}
 		if !progress {
-			if x.closing && len(x.slots) == 0 && len(x.pqQ) == 0 {
+			if x.closing && len(x.slots) == 0 && len(x.pqQ) == 0 && x.eng == nil {
 				return nil // retired: poison consumed, tenants drained
 			}
 			// Suspend. RunAsync arms the mailbox on every handle
 			// PendingHandles lists; the one returned is among them.
-			if x.db != nil {
+			switch {
+			case x.db != nil:
 				return x.db
-			}
-			if len(x.slots) > 0 {
+			case len(x.slots) > 0:
 				return x.slots[0].pending
+			case len(x.pqQ) > 0:
+				return x.pqQ[0].pending
 			}
-			return x.pqQ[0].pending
+			return x.wait
 		}
 	}
 }
 
-// addSlot starts a dispatched query on this PE. Kth looks up the rank
-// table's window around k (a binary search, no messages) and runs the
-// sorted-input selection straight on that sub-slice of the resident
-// shard (no copy, no size all-reduce: the table knows the window's global
-// size); its per-query RNG seed makes the pivot walk (and so the meter)
-// independent of interleaving. TopKFreq runs the blocking freq.PAC as a
-// nested coroutine body (comm.BodyStep) on its own per-query stream.
-// DeleteMin draws from the mux's own stream, which the FIFO consumes in
-// dispatch order.
+// addSlot starts a dispatched DeleteMin or TopKFreq query on this PE.
+// TopKFreq runs the blocking freq.PAC as a nested coroutine body
+// (comm.BodyStep) on its own per-query stream. DeleteMin draws from the
+// mux's own stream, which the FIFO consumes in dispatch order.
 func (x *mux[K]) addSlot(pe *comm.PE, q *query[K]) {
 	sl := &slot[K]{q: q}
 	pe.SetCtx(q.ctx)
-	switch q.kind {
-	case kindPQ:
+	if q.kind == kindPQ {
 		sl.step = &popStep[K]{x: x, sl: sl}
 		x.pqQ = append(x.pqQ, sl)
-	case kindFreq:
+	} else {
 		shard, rng := x.srv.freqShards[pe.Rank()], xrand.NewPE(q.seed, pe.Rank())
 		p := freq.Params{K: int(q.k), Eps: freqEps, Delta: freqDelta}
 		sl.step = comm.BodyStep(pe, func(pe *comm.PE) { sl.items = freq.PAC(pe, shard, p, rng).Items })
 		x.slots = append(x.slots, sl)
-	default:
-		lo, hi, base, total := x.table.window(q.k, x.srv.n, len(x.shard))
-		sl.step = sel.KthSortedStep(pe, x.shard[lo:hi], total, q.k-base, xrand.NewPE(q.seed, pe.Rank()), func(v K) { sl.res = v })
-		x.slots = append(x.slots, sl)
 	}
 	pe.SetCtx(0)
+}
+
+// Ready implements sel.Feed on rank 0: the engine admits every Kth query
+// this PE has received.
+func (x *mux[K]) Ready() int { return len(x.kthQ) }
+
+// Next implements sel.Feed: the next Kth query of the dispatch order as a
+// lane, or the doorbell receive that will bring it. The lane is the
+// sorted-input selection straight on the rank table's window around k, a
+// sub-slice of the resident shard (a binary search, no messages, no copy;
+// the table knows the window's global size), with the query's own stream,
+// so its pivot walk does not depend on which lanes share its levels.
+func (x *mux[K]) Next(pe *comm.PE) (sel.Lane[K], *comm.RecvHandle) {
+	if len(x.kthQ) == 0 {
+		if x.db == nil {
+			panic("serve: a Kth lane was announced after the poison doorbell")
+		}
+		return sel.Lane[K]{}, x.db
+	}
+	q := x.kthQ[0]
+	x.kthQ = popFront(x.kthQ)
+	if x.bells[0]--; x.bells[0] == 0 {
+		x.bells = popFront(x.bells)
+	}
+	x.lanes = append(x.lanes, lane[K]{q: q})
+	lo, hi, base, total := x.table.window(q.k, x.srv.n, len(x.shard))
+	return sel.Lane[K]{Sorted: x.shard[lo:hi], N: total, K: q.k - base, Seed: q.seed, ID: q.id}, nil
+}
+
+// Done implements sel.Feed: lane id has its answer on this PE.
+func (x *mux[K]) Done(_ *comm.PE, id int, v K) {
+	for i := range x.lanes {
+		if l := &x.lanes[i]; l.q.id == id {
+			l.res, l.done = v, true
+			return
+		}
+	}
+	panic("serve: the engine finished a lane the mux does not know")
+}
+
+// stepEngine runs one engine burst under the Kth context. Its sent words
+// and messages (exact deltas of this PE's counters) are split evenly
+// among the lanes live during it, so a lone lane is metered exactly and
+// the tickets sum to the machine's counters. The remainders are dealt
+// one unit per lane from a cursor that moves on by the sends dealt: a
+// burst often sends fewer messages than there are lanes, and a fixed
+// receiver would get nearly all of the level's messages. Lanes that
+// finished complete their tickets after the split.
+func (x *mux[K]) stepEngine(pe *comm.PE) {
+	w0, s0 := pe.SentWords(), pe.Sends()
+	pe.SetCtx(x.srv.kthCtx)
+	h := x.eng.Step(pe)
+	pe.SetCtx(0)
+	if n := len(x.lanes); n > 0 {
+		dw, ds := pe.SentWords()-w0, pe.Sends()-s0
+		rw, rs := int(dw%int64(n)), int(ds%int64(n))
+		x.deal %= n // lanes may have left since the last burst
+		for i := range x.lanes {
+			// Lane i's turn in the deal of the remainders.
+			turn := (i - x.deal + n) % n
+			w, s := dw/int64(n), ds/int64(n)
+			if turn < rw {
+				w++
+			}
+			if turn < rs {
+				s++
+			}
+			if w != 0 {
+				x.lanes[i].q.words.Add(w)
+			}
+			if s != 0 {
+				x.lanes[i].q.sends.Add(s)
+			}
+		}
+		x.deal = (x.deal + rs) % n
+	}
+	j := 0
+	for _, l := range x.lanes {
+		if !l.done {
+			x.lanes[j] = l
+			j++
+			continue
+		}
+		if pe.Rank() == 0 {
+			l.q.t.res = l.res
+		}
+		if l.q.peLeft.Add(-1) == 0 {
+			x.srv.finishQuery(l.q)
+		}
+	}
+	clear(x.lanes[j:])
+	x.lanes = x.lanes[:j]
+	x.wait, x.onDB = h, false
+	switch {
+	case h == nil:
+		x.eng = nil
+	case h == x.db:
+		x.wait, x.onDB = nil, true
+	}
 }
 
 // popStep is one DeleteMin on one PE, the paper's exact deleteMin* on
@@ -275,4 +413,12 @@ func (x *mux[K]) stepSlot(pe *comm.PE, sl *slot[K]) (done bool) {
 		x.srv.finishQuery(sl.q)
 	}
 	return true
+}
+
+// popFront removes a FIFO's head in place, so the FIFO keeps its backing
+// array (and appending to it stays allocation-free).
+func popFront[T any](q []T) []T {
+	copy(q, q[1:])
+	clear(q[len(q)-1:])
+	return q[:len(q)-1]
 }

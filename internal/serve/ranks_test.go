@@ -215,7 +215,8 @@ func TestRankTableCutsSends(t *testing.T) {
 	m := comm.NewMachine(comm.DefaultConfig(p))
 	defer m.Close()
 	var sends int64
-	for _, o := range runServed(t, m, shards, ranks, Config{Seed: 5}, true) {
+	outs, _ := runServed(t, m, shards, ranks, Config{Seed: 5}, true)
+	for _, o := range outs {
 		sends += o.sends
 	}
 	mean := float64(sends) / float64(p*queries)

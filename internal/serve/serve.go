@@ -137,17 +137,18 @@ const (
 	kindFreq
 )
 
-// query is the shared per-query record all p mux slots work on.
+// query is the shared per-query record all p muxes work on.
 type query[K cmp.Ordered] struct {
 	kind     int
 	k        int64
+	id       int // submission index, unique per server
 	seed     int64
 	deadline time.Time // zero: no admission deadline
-	ctx      comm.Ctx
+	ctx      comm.Ctx  // DeleteMin and TopKFreq: the query's own context
 	t        *Ticket[K]
-	// peLeft counts PEs still running this query's stepper; the PE that
-	// takes it to zero releases the context lease and completes the
-	// ticket.
+	// peLeft counts PEs still running this query; the PE that takes it
+	// to zero releases the context lease and the MaxInflight token and
+	// completes the ticket.
 	peLeft     atomic.Int32
 	dispatched atomic.Bool
 	words      atomic.Int64 // sent words, summed over PEs
@@ -233,6 +234,9 @@ type Server[K cmp.Ordered] struct {
 	tables []rankTable
 	n      int64 // total elements across shards
 	cfg    Config
+	// kthCtx is the context every mux's Kth engine runs its collectives
+	// in, leased by NewServer and released when the muxes retire.
+	kthCtx comm.Ctx
 	// freqShards is the uint64 view of the caller's shards (non-nil iff K
 	// is uint64); the heavy-hitter query kind counts object identifiers,
 	// so it is only available on servers whose resident keys are
@@ -302,8 +306,10 @@ func NewServer[K cmp.Ordered](m *comm.Machine, shards [][]K, cfg Config) (*Serve
 	}
 	s.subQ = make(chan *query[K], s.cfg.QueueDepth)
 	s.sem = make(chan struct{}, s.cfg.MaxInflight)
+	s.kthCtx = m.NewContext()
 	go func() {
 		s.runErr = m.RunAsync(func(pe *comm.PE) comm.Stepper { return newMux(s, pe) })
+		m.ReleaseContext(s.kthCtx)
 		close(s.runDone)
 	}()
 	go s.dispatch()
@@ -413,7 +419,8 @@ func (s *Server[K]) submit(kind int, k int64, deadline time.Time) (*Ticket[K], e
 		return nil, ErrDeadlineExpired
 	}
 	t := &Ticket[K]{done: make(chan struct{}), srv: s}
-	t.q = &query[K]{kind: kind, k: k, seed: s.cfg.Seed + s.nextID.Add(1), deadline: deadline, t: t}
+	id := s.nextID.Add(1)
+	t.q = &query[K]{kind: kind, k: k, id: int(id), seed: s.cfg.Seed + id, deadline: deadline, t: t}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed.Load() {
@@ -508,7 +515,9 @@ func (s *Server[K]) dispatch() {
 				continue
 			}
 			for _, q := range live {
-				q.ctx = s.m.NewContext()
+				if q.kind != kindKth {
+					q.ctx = s.m.NewContext()
+				}
 				q.peLeft.Store(int32(p))
 				q.dispatched.Store(true)
 			}
@@ -553,10 +562,12 @@ func (s *Server[K]) shedExpired(q *query[K]) bool {
 }
 
 // finishQuery runs on whichever PE decrements peLeft to zero: all p
-// steppers have retired, so no traffic under the context remains and the
-// lease can recycle.
+// steppers (or engine lanes) have retired, so no traffic under the
+// query's context remains and the lease can recycle.
 func (s *Server[K]) finishQuery(q *query[K]) {
-	s.m.ReleaseContext(q.ctx)
+	if q.kind != kindKth {
+		s.m.ReleaseContext(q.ctx)
+	}
 	<-s.sem
 	close(q.t.done)
 }
