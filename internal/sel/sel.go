@@ -19,12 +19,14 @@
 //     reductions shared.
 //   - AMSSelectBatched: the d-concurrent-trials refinement (Theorem 4).
 //
-// Only Algorithm 1 has a continuation form (KthStep, KthSortedStep,
-// async.go), because serve and the scaling suite run it under
-// Machine.RunAsync; SmallestK, SmallestKN and the multisequence
+// Only Algorithm 1 has a continuation form (KthStep, KthSortedStep and
+// KthSortedLanesStep, async.go), because serve and the scaling suite run
+// it under Machine.RunAsync; its state machine runs any number of
+// selections as lanes that share every level's sweeps, and serve's Kth
+// queries ride it that way. SmallestK, SmallestKN and the multisequence
 // selections are straight-line blocking code over the same collectives,
-// and Kth, SmallestKN and MSSelect drive Algorithm 1's state machine with
-// blocking waits.
+// and Kth, SmallestKN and MSSelect drive Algorithm 1's state machine, one
+// lane, with blocking waits.
 //
 // All functions are SPMD collectives: every PE must call them with its
 // local share of the data. Keys must have a unique total order for the

@@ -97,3 +97,66 @@ func TestServeResidentIndex(t *testing.T) {
 		}
 	}
 }
+
+// TestServeKthAllocsIndependentOfP: a served Kth allocates its ticket,
+// its query record and its share of a doorbell, and nothing per PE — the
+// lanes, their streams and the result delivery live in every mux's
+// pooled selection engine. On a warm server, one query at a time, the
+// count per query is the same at p = 16 and p = 64 and at most 8 (a
+// slot, a stream and a result closure per PE and query read 3p + 5).
+func TestServeKthAllocsIndependentOfP(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race (sync.Pool is randomized)")
+	}
+	const perPE = 256
+	allocs := map[int]float64{}
+	for _, p := range []int{16, 64} {
+		shards, sorted := mkUniformShards(p, perPE, 29)
+		n := int64(len(sorted))
+		m := comm.NewMachine(comm.DefaultConfig(p))
+		s, err := NewServer(m, shards, Config{Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := int64(0)
+		query := func() {
+			i++
+			k := 1 + i*7919%n
+			tk, err := s.Kth(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := tk.Wait(); err != nil || got != sorted[k-1] {
+				t.Fatalf("p=%d: Kth(%d) = %d, %v; want %d", p, k, got, err, sorted[k-1])
+			}
+		}
+		for range 50 {
+			query()
+		}
+		allocs[p] = testing.AllocsPerRun(200, query)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		m.Close()
+	}
+	t.Logf("allocations per served Kth: %v", allocs)
+	if allocs[16] != allocs[64] || allocs[64] > 8 {
+		t.Errorf("allocations per served Kth: %.2f at p = 16, %.2f at p = 64; want equal and at most 8", allocs[16], allocs[64])
+	}
+}
+
+// mkUniformShards is p shards of perPE random keys and their sorted
+// union.
+func mkUniformShards(p, perPE int, seed int64) (shards [][]uint64, sorted []uint64) {
+	rng := xrand.New(seed)
+	shards = make([][]uint64, p)
+	for r := range shards {
+		shards[r] = make([]uint64, perPE)
+		for j := range shards[r] {
+			shards[r][j] = rng.Uint64()
+		}
+		sorted = append(sorted, shards[r]...)
+	}
+	slices.Sort(sorted)
+	return shards, sorted
+}

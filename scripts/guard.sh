@@ -87,21 +87,25 @@ tier1() {
   # the sends per query it saves; no build run when every shard is
   # shorter than the stride.
   must_run ./internal/serve/ 'TestRankTable|TestRankTableServedAnswers|TestRankTableCutsSends|TestShortShardsBuildNoTable'
+  # A served Kth allocates its ticket, query and doorbell share, nothing
+  # per PE: the same count at p = 16 and p = 64.
+  must_run ./internal/serve/ 'TestServeKthAllocsIndependentOfP'
   # Selection's two-sweep level: tree messages only, the miss path, tie-heavy
   # shards, the up-sweep stepper, and every sel/coll/bpq wire codec
   # round-trips. Exact multisequence selection and bulk DeleteMin ride the
   # same sweeps: tree messages plus one size sum, exact at the edges on
   # every executor, no allocation beyond the batch (nor in a flexible
   # DeleteMin). The sorted form's level rule holds its sweeps per query
-  # under their bound.
-  must_run ./internal/sel/ 'TestKthIsTreeSweepsOnly|TestKthSpeculationMiss|TestKthTieHeavyShards|TestWireCodecsRoundTrip|TestMSSelectIsTreeSweepsOnly|TestMSSelectEdgeCasesAgainstSortOracle|TestKthWindowOpsAgree|TestKthReleaseKeepsNoShardSlice|TestKthSortedSweepsPerQuery'
+  # under their bound. One lane is pinned to its recorded results and
+  # meters on every branch; L lanes share each level's sweeps.
+  must_run ./internal/sel/ 'TestKthIsTreeSweepsOnly|TestKthSpeculationMiss|TestKthTieHeavyShards|TestWireCodecsRoundTrip|TestMSSelectIsTreeSweepsOnly|TestMSSelectEdgeCasesAgainstSortOracle|TestKthWindowOpsAgree|TestKthReleaseKeepsNoShardSlice|TestKthSortedSweepsPerQuery|TestKthGolden|TestKthLanesShareEachLevel'
   # The collective catalog is what the code calls: every exported coll,
   # redist and qsel function, and every exported …Step constructor of sel,
   # dht, freq and mtopk, has a non-test caller outside its package, and
   # every coll …Step a stepper that composes it (not the experiments, the
   # benchmark or a comm.RunSteps argument). The straight-line collectives
   # and the dht layer on them reproduce their recorded results and meters.
-  must_run ./internal/coll/ 'TestReduceConcatStep|TestWireCodecsRoundTrip|TestScalarCollectivesAreVectorForms|TestAllToAllReceivedPartsAreOwned|TestExportedCollectivesHaveCallers|TestRedistAndQselExportsHaveCallers|TestExportedSteppersHaveCallers|TestCollectivesGolden'
+  must_run ./internal/coll/ 'TestReduceConcatStep|TestBroadcastVecStep|TestWireCodecsRoundTrip|TestScalarCollectivesAreVectorForms|TestAllToAllReceivedPartsAreOwned|TestExportedCollectivesHaveCallers|TestRedistAndQselExportsHaveCallers|TestExportedSteppersHaveCallers|TestCollectivesGolden'
   must_run ./internal/bpq/ 'TestDeleteMinIsTreeSweepsOnly|TestDeleteMinEdgeCasesAgainstSortOracle|TestDeleteMinZeroAllocSteadyState|TestDeleteMinFlexibleZeroAllocSteadyState|TestWireCodecsRoundTrip|TestDeleteMinFlexibleSumsSizeOnce'
   # Flexible selection runs in lanes: each lane against the sort oracle,
   # one round's messages for all lanes, the known-n entry without its size
@@ -160,13 +164,13 @@ race() {
   # Steppers against their blocking twins, w < p; the blocking-only
   # families against their recorded results and meters.
   must_run ./internal/coll/ 'TestVectorSteppersContinuationStress|TestScalarCollectivesAreVectorForms|TestAllToAllReceivedPartsAreOwned' -race -count=3
-  must_run ./internal/sel/ 'TestKthStepMatchesBlockingAcrossBackends|TestKthStepRepeatedRunsReusePooledState' -race -count=3
+  must_run ./internal/sel/ 'TestKthStepMatchesBlockingAcrossBackends|TestKthStepRepeatedRunsReusePooledState|TestKthLanesShareEachLevel' -race -count=3
   # Three processes: a race binary keeps what every earlier test in it
   # touched, so one process would peak near the sum of these tests' peaks.
   must_run ./internal/sel/ 'TestKthSortedDifferential' -race -count=5
   must_run ./internal/sel/ 'TestKthIsTreeSweepsOnly|TestMSSelectIsTreeSweepsOnly|TestMSSelectEdgeCasesAgainstSortOracle' -race -count=5
   must_run ./internal/sel/ 'TestKthWindowOpsAgree|TestKthReleaseKeepsNoShardSlice|TestKthSortedNeverWritesTheShard|TestKthSortedSkipsTheSizeAllReduce|TestKthSpeculationMiss|TestKthTieHeavyShards|TestKthSortedSweepsPerQuery' -race -count=5
-  must_run ./internal/coll/ 'TestReduceConcatStep' -race -count=5
+  must_run ./internal/coll/ 'TestReduceConcatStep|TestBroadcastVecStep' -race -count=5
   must_run ./internal/sel/ 'TestAMSLanesAgainstSortOracle|TestAMSLanesShareEachRound|TestAMSSelectNSkipsTheSizeSum|TestAMSSelectOneLaneGolden' -race -count=3
   must_run ./internal/bpq/ 'TestDeleteMinMatchesAcrossExecutors|TestDeleteMinThresholdContract|TestInterleavedInsertDelete|TestDeleteMinIsTreeSweepsOnly|TestDeleteMinEdgeCasesAgainstSortOracle|TestDeleteMinFlexibleSumsSizeOnce|TestBpqResultsGolden' -race -count=3
   must_run ./internal/mtopk/ 'TestDTAOneSelectionPerProbe|TestDTAProbedFewerRounds' -race -count=3
@@ -179,9 +183,10 @@ race() {
   must_run ./internal/mtopk/ 'TestNewDataListsMatchStableSort|TestInEarlierPrefixMatchesScan' -race -count=3
   must_run ./internal/qsel/ 'TestSortPairsStableAgainstSortOracle' -race -count=3
   # Serving: concurrent equals sequential for all three kinds, on both
-  # executors; Kth/DeleteMin against their recorded results and meters;
-  # the resident index and its rank table; the stress.
-  must_run ./internal/serve/ 'TestServeResidentIndex|TestServeConcurrentMatchesSequential|TestServeMixedKindsConcurrentMatchesSequential|TestServeFreqConcurrentMatchesSequential|TestServeScheduleExploration|TestServeConcurrentStress|TestServeMixedGolden|TestRankTable|TestRankTableServedAnswers|TestRankTableCutsSends|TestShortShardsBuildNoTable' -race -count=5
+  # executors, Kth lanes under the meter contract; Kth/DeleteMin against
+  # their recorded results and meters; the resident index and its rank
+  # table; the stress.
+  must_run ./internal/serve/ 'TestServeResidentIndex|TestServeKthGolden|TestServeConcurrentMatchesSequential|TestServeMixedKindsConcurrentMatchesSequential|TestServeFreqConcurrentMatchesSequential|TestServeScheduleExploration|TestServeConcurrentStress|TestServeMixedGolden|TestRankTable|TestRankTableServedAnswers|TestRankTableCutsSends|TestShortShardsBuildNoTable' -race -count=5
   # External abort against finishRun's re-arm (the wire reader goroutine).
   must_run ./internal/wire/ 'TestWorkerCrashTeardown|TestClusterCloseIdempotent' -race -count=20
 }
