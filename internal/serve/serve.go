@@ -7,13 +7,21 @@
 // The paper's algorithms are phrased as one SPMD program at a time; a
 // serving deployment instead sees an open stream of independent top-k
 // queries against resident shards. Running them back-to-back leaves the
-// machine idle during every query's communication stalls. The pieces
-// here overlap those stalls: every query leases a comm.Ctx, so its
+// machine idle during every query's communication stalls and pays every
+// query's messages in full. Kth queries share them: every PE's mux runs
+// its in-flight Kth queries as the lanes of one selection engine
+// (sel.KthSortedLanesStep) in one context leased for the server's
+// lifetime, so a level's two tree sweeps serve every lane in it, and a
+// query that arrives while the engine runs joins at its next level.
+// DeleteMin and TopKFreq queries each lease a comm.Ctx, so their
 // collective traffic is invisible to every other query's, and the per-PE
-// mux steps whichever query's messages have arrived (comm.MultiWaiter
-// suspension arms all pending (src, ctx) keys at once). Throughput
-// rises with inflight depth while each query's metered words/sends stay
-// bit-identical to a sequential run — pinned by the differential test.
+// mux steps whichever tenant's messages have arrived (comm.MultiWaiter
+// suspension arms all pending (src, ctx) keys at once). Answers do not
+// depend on interleaving or depth. Meters follow one contract (pinned by
+// the differentials): a query served alone, and every DeleteMin and
+// TopKFreq query at any depth, is metered bit-identically to a
+// sequential run; Kth queries at depth share their levels' words and
+// sends, and their tickets sum to the machine's counters.
 //
 // The key set is immutable for a server's lifetime, so NewServer builds
 // a resident index once — a sorted copy of every shard and a rank table
@@ -22,8 +30,8 @@
 // sorted shard as a row with its exact global rank and, per PE, the
 // shard position that cuts the key set at that row. Kth finds the two
 // rows around its rank by a binary search, with no messages, and runs
-// the sorted-input form of Algorithm 1 (sel.KthSortedStep) inside that
-// window of at most 16p² keys: the window is a sub-slice of the resident
+// the sorted-input form of Algorithm 1 (a lane of the mux's engine)
+// inside that window of at most 16p² keys: the window is a sub-slice of the resident
 // shard, never copied or written; band counts are binary searches; the
 // window's global size is read off the table, not a per-query
 // all-reduce. DeleteMin pops from the unpopped suffix of every sorted
@@ -40,8 +48,8 @@
 // keeps reading the caller's shards: it runs the blocking freq.PAC as a
 // coroutine body nested in the mux (comm.BodyStep).
 //
-// Lifecycle: NewServer starts the machine body (RunAsync) and the
-// dispatcher. Kth, DeleteMin and TopKFreq (and their Deadline forms) are
+// Lifecycle: NewServer leases the Kth engines' context and starts the
+// machine body (RunAsync) and the dispatcher. Kth, DeleteMin and TopKFreq (and their Deadline forms) are
 // non-blocking admission: a full queue returns ErrOverloaded — the caller
 // sheds load instead of queueing unboundedly. Close drains, posts a
 // poison doorbell, and waits for the muxes to retire. The machine itself
@@ -91,14 +99,17 @@ type Config struct {
 	// QueueDepth bounds the submission queue (default 256). Admission
 	// beyond it fails fast with ErrOverloaded.
 	QueueDepth int
-	// MaxInflight bounds concurrently executing queries — the number of
-	// simultaneously leased communication contexts (default 4).
+	// MaxInflight bounds concurrently executing queries (default 4): the
+	// Kth lanes of the muxes' selection engines plus the DeleteMin and
+	// TopKFreq queries, each of which leases a communication context.
 	// MaxInflight == 1 is the sequential baseline the benchmark and the
 	// differential test compare against.
 	MaxInflight int
 	// BatchMax bounds how many queued queries one doorbell dispatches
-	// (default 8): same-shape queries coalesce into one bulk op, paying
-	// one doorbell startup per PE for the whole batch.
+	// (default 8), paying one doorbell startup per PE for the whole
+	// batch. Kth queries do not need a batch to share their sweeps: one
+	// that arrives while others run joins their selection at its next
+	// level.
 	BatchMax int
 	// Seed derives per-query RNG streams (query i uses Seed+i on every
 	// PE via xrand.NewPE), making every query's pivot walk — and with it
@@ -213,12 +224,16 @@ func (t *Ticket[K]) BatchLen() int64 { return t.n }
 func (t *Ticket[K]) Items() []dht.KV { return t.items }
 
 // Meters returns the query's attributed communication: words sent and
-// messages sent, summed over all PEs, exactly the traffic its stepper
-// performed. Valid after Wait returns nil error. The virtual clock is
-// deliberately not attributed — under interleaving a PE's clock folds
-// waits of whichever query resumed it, so per-query clock is not well
-// defined; words and startups are, and they are what the differential
-// test pins against sequential execution.
+// messages sent, summed over all PEs. A DeleteMin or TopKFreq query, and
+// a Kth query that ran alone, is metered exactly the traffic its stepper
+// performed. Kth queries that shared their selection engine share its
+// traffic: on every PE, each burst of the engine is split evenly among
+// the lanes live during it (the remainders dealt in turn), so the
+// tickets of a run sum to the machine's counters, but which lanes shared
+// a level depends on timing. Valid after Wait returns nil error. The
+// virtual clock is deliberately not attributed — under interleaving a
+// PE's clock folds waits of whichever query resumed it, so per-query
+// clock is not well defined.
 func (t *Ticket[K]) Meters() (words, sends int64) {
 	return t.q.words.Load(), t.q.sends.Load()
 }
@@ -392,8 +407,8 @@ func (s *Server[K]) DeleteMinDeadline(k int64, deadline time.Time) (*Ticket[K], 
 // with ε = 0.02 and δ = 0.01 (freqEps, freqDelta) — the third query
 // kind. Like Kth it only reads resident data (the caller's shards, in
 // place), so it interleaves freely with every other query under its own
-// context lease, with the same meter attribution; the per-query RNG seed pins its sampling and
-// pivot walks independent of interleaving. Results arrive via
+// context lease, metered exactly at any depth; the per-query RNG seed
+// pins its sampling and pivot walks independent of interleaving. Results arrive via
 // Ticket.Items (identical on all PEs). Only available when K is uint64
 // (the shard elements are the counted identifiers). Non-blocking
 // admission, like Kth.
@@ -435,9 +450,9 @@ func (s *Server[K]) submit(kind int, k int64, deadline time.Time) (*Ticket[K], e
 }
 
 // Close stops admission, drains dispatched queries, retires the per-PE
-// muxes via a poison doorbell, and returns the machine body's error (nil
-// on a clean drain). Idempotent. The machine is NOT closed — it belongs
-// to the caller.
+// muxes via a poison doorbell (their retirement releases the Kth
+// context), and returns the machine body's error (nil on a clean drain).
+// Idempotent. The machine is NOT closed — it belongs to the caller.
 func (s *Server[K]) Close() error {
 	if s.closed.CompareAndSwap(false, true) {
 		s.mu.Lock()
@@ -450,10 +465,10 @@ func (s *Server[K]) Close() error {
 }
 
 // dispatch is the admission loop: dequeue, coalesce up to BatchMax
-// queries, lease a context per query (blocking on the MaxInflight
-// semaphore — backpressure lands in the bounded subQ, which is what
-// Submit's ErrOverloaded reports against), and ring every PE's doorbell
-// once per batch.
+// queries, take a MaxInflight token per query (blocking on the semaphore
+// — backpressure lands in the bounded subQ, which is what Submit's
+// ErrOverloaded reports against) and a context per DeleteMin and
+// TopKFreq query, and ring every PE's doorbell once per batch.
 func (s *Server[K]) dispatch() {
 	defer close(s.dspDone)
 	p := s.m.P()
