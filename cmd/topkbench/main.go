@@ -11,7 +11,7 @@
 // part of `all`) runs the large-p suite — one selection level's
 // collective steppers (the only collectives a stepper composes),
 // Table-1 selection (sel.KthStep), the sorted
-// selection serve answers Kth with (sel.KthSortedStep) and sampling heavy
+// selection serve answers Kth with (sel.KthSortedStep, one lane) and sampling heavy
 // hitters (freq.PAC) at p = 256…131072; the collectives and selections
 // are continuation-scheduled on pooled stepper state with blocking A/B
 // twins, the heavy hitters run as blocking bodies. `-quick` selects the

@@ -258,7 +258,7 @@ func scalingRun(p int, quick bool) []ScalingRow {
 	}
 
 	// Sorted selection, the form serve answers Kth with (sel.KthSortedStep
-	// under comm.RunAsync), on the same keys, now sorted in place on every
+	// under comm.RunAsync, one lane of serve's engine), on the same keys, now sorted in place on every
 	// PE; its twin drives the same stepper inside a blocking body.
 	for _, l := range locals {
 		slices.Sort(l)
@@ -301,7 +301,7 @@ func scalingRun(p int, quick bool) []ScalingRow {
 func ScalingTable(pmax int, quick bool) Table {
 	t := Table{
 		Title:  "Scaling: collectives, Table-1 and sorted selection and heavy hitters at large p, selections and collectives continuation-scheduled with blocking A/B twins",
-		Notes:  "collectives op = one selection level's collectives: all-reduce of a size + up-sweep of a 2-word header with an empty block + broadcast of a value; the collectives and selection primaries run continuation-scheduled via comm.RunAsync on pooled stepper state, /blocking twins = the same op as blocking bodies, a coroutine per PE\nselection: sel.KthStep, k=n/2, n/p=2^10 through p=2^14 then reduced (scalingSelPerPE); sorted selection: sel.KthSortedStep (serve's Kth) on the same keys sorted per PE, n known, k=n/2\nheavy hitters: freq.PAC as blocking bodies, a coroutine per PE (serve's TopKFreq runs it as a nested body), 16 keys per PE, k=8; goroutines = resident process count with the machine live (w = scheduler width)",
+		Notes:  "collectives op = one selection level's collectives: all-reduce of a size + up-sweep of a 2-word header with an empty block + broadcast of a value; the collectives and selection primaries run continuation-scheduled via comm.RunAsync on pooled stepper state, /blocking twins = the same op as blocking bodies, a coroutine per PE\nselection: sel.KthStep, k=n/2, n/p=2^10 through p=2^14 then reduced (scalingSelPerPE); sorted selection: sel.KthSortedStep (one lane of serve's Kth engine) on the same keys sorted per PE, n known, k=n/2\nheavy hitters: freq.PAC as blocking bodies, a coroutine per PE (serve's TopKFreq runs it as a nested body), 16 keys per PE, k=8; goroutines = resident process count with the machine live (w = scheduler width)",
 		Header: []string{"workload", "p", "ns/op", "words/PE", "start/PE", "T_model", "machine MB", "w", "goroutines"},
 	}
 	for _, r := range ScalingSuite(ScalingPList(pmax), quick) {

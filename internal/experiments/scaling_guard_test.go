@@ -71,7 +71,7 @@ func TestMidRunGoroutineResidency2048(t *testing.T) { midRunGoroutineResidency(t
 // *while p-PE collectives are in flight*. The sampled window covers the
 // collectives op (one selection level's steppers), the full stepper-form
 // selection (sel.KthStep) and the sorted-input selection serve's Kth and
-// DeleteMin run (sel.KthSortedStep) on per-rank sorted shards — most PEs
+// DeleteMin run (sel.KthSortedStep, one lane) on per-rank sorted shards — most PEs
 // are simultaneously waiting mid-collective at any sampled instant, and
 // none of them may hold a goroutine. Skipped under -short.
 func midRunGoroutineResidency(t *testing.T, p int) {

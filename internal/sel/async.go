@@ -386,10 +386,11 @@ func KthSortedLanesStep[K cmp.Ordered](pe *comm.PE, feed Feed[K], first int) com
 // would cost Θ(window) per query.
 func (s *kthStep[K]) release(pe *comm.PE) {
 	var zero K
-	for i := range s.lanes[:cap(s.lanes)] {
-		s.lanes[:cap(s.lanes)][i].drop()
+	slots := s.lanes[:cap(s.lanes)]
+	for i := range slots {
+		slots[i].drop()
 	}
-	s.lanes = s.lanes[:0]
+	s.lanes = slots[:0]
 	s.resIn, s.out, s.feed, s.cur = nil, nil, nil, nil
 	s.res = zero
 	s.tg = tagged[K]{}
@@ -701,10 +702,10 @@ lanes:
 			switch l.phase {
 			case lpSum:
 				s.cur = coll.AllReduceScalarStep(pe, int64(len(l.local)), addInt64, s.onI64)
-				l.n, l.phase = -1, lpSetUp
+				l.phase = lpSetUp
 				return true
 			case lpSetUp:
-				if l.n < 0 {
+				if l.n < 0 { // the size sum's
 					l.n = s.i64
 				}
 				l.setUp(l.n)

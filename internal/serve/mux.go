@@ -277,26 +277,13 @@ func (x *mux[K]) stepEngine(pe *comm.PE) {
 	pe.SetCtx(0)
 	if n := len(x.lanes); n > 0 {
 		dw, ds := pe.SentWords()-w0, pe.Sends()-s0
-		rw, rs := int(dw%int64(n)), int(ds%int64(n))
 		x.deal %= n // lanes may have left since the last burst
-		for i := range x.lanes {
-			// Lane i's turn in the deal of the remainders.
-			turn := (i - x.deal + n) % n
-			w, s := dw/int64(n), ds/int64(n)
-			if turn < rw {
-				w++
-			}
-			if turn < rs {
-				s++
-			}
-			if w != 0 {
-				x.lanes[i].q.words.Add(w)
-			}
-			if s != 0 {
-				x.lanes[i].q.sends.Add(s)
-			}
+		for i, l := range x.lanes {
+			turn := (i - x.deal + n) % n // lane i's place in the deal
+			l.q.words.Add(share(dw, n, turn))
+			l.q.sends.Add(share(ds, n, turn))
 		}
-		x.deal = (x.deal + rs) % n
+		x.deal = (x.deal + int(ds%int64(n))) % n
 	}
 	j := 0
 	for _, l := range x.lanes {
@@ -321,6 +308,15 @@ func (x *mux[K]) stepEngine(pe *comm.PE) {
 	case h == x.db:
 		x.wait, x.onDB = nil, true
 	}
+}
+
+// share is the part of d that the lane in place turn of a deal among n
+// lanes gets: d/n, and one more while the remainder lasts.
+func share(d int64, n, turn int) int64 {
+	if turn < int(d%int64(n)) {
+		return d/int64(n) + 1
+	}
+	return d / int64(n)
 }
 
 // popStep is one DeleteMin on one PE, the paper's exact deleteMin* on
