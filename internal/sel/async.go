@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"commtopk/internal/coll"
@@ -170,6 +171,9 @@ type kthLane[K cmp.Ordered] struct {
 	ext   *xrand.RNG
 	id    int
 	phase int
+	// words, sends are the lane's meters on this PE under a feed (see
+	// KthSortedLanesStep).
+	words, sends int64
 	// sorted: local is ascending and is the window itself, read-only
 	// (KthSortedStep); otherwise the window is local until the first split
 	// and lies in work from then on.
@@ -230,6 +234,9 @@ type kthStep[K cmp.Ordered] struct {
 
 	li    int // the lane whose private collectives run
 	admit int // lanes the verdict vector announced and the feed has yet to hand over
+	// Under a feed, the down-sweep's words and sends on this PE, which
+	// every live lane is metered in full but for the other lanes' verdicts.
+	downWords, downSends int64
 
 	// Current collective sub-stepper and its harvested results.
 	cur comm.Stepper
@@ -263,6 +270,7 @@ func newKthEngine[K cmp.Ordered](pe *comm.PE, sorted bool, out func(K), self boo
 	s.sorted, s.out, s.self, s.feed = sorted, out, self, nil
 	s.lanes = s.lanes[:0]
 	s.phase, s.li, s.admit = kphPrivate, 0, 0
+	s.downWords, s.downSends = 0, 0
 	s.cur = nil
 	s.target = 4 * (math.Sqrt(float64(pe.P())) + 8)
 	if sorted { // a miss costs one sweep and no scan: see the file comment
@@ -358,9 +366,9 @@ type Feed[K cmp.Ordered] interface {
 	// reached this PE yet, the receive that brings it: the selection
 	// suspends on it and asks again.
 	Next(pe *comm.PE) (Lane[K], *comm.RecvHandle)
-	// Done delivers lane id's answer on this PE. The lane is gone from
-	// the selection, whose sends from then on are the other lanes'.
-	Done(pe *comm.PE, id int, v K)
+	// Done delivers lane id's answer on this PE with the lane's meters
+	// there (see KthSortedLanesStep). The lane is gone from the selection.
+	Done(pe *comm.PE, id int, v K, words, sends int64)
 }
 
 // KthSortedLanesStep runs KthSortedStep's selection for many lanes at
@@ -373,6 +381,16 @@ type Feed[K cmp.Ordered] interface {
 // on its own window and stream, so its answer does not depend on which
 // lanes share its levels. The stepper ends when no lane is live; it
 // allocates nothing in the steady state.
+//
+// Every lane is metered what it would send alone, so summed over the
+// PEs its meters are a lone KthSortedStep's on the same window and
+// stream, whichever lanes shared its levels: on every PE, its private
+// collectives' sends, of each down-sweep the sends and its verdict's
+// words, and of each up-sweep the message and the [la, lb] header of a
+// non-root PE plus its sample's words times the edges they travel to
+// the root (a non-root PE's message carries its subtree's sample, so the
+// sums agree). The machine sends less: every lane past the first in a
+// level saves its up-sweep and down-sweep messages.
 func KthSortedLanesStep[K cmp.Ordered](pe *comm.PE, feed Feed[K], first int) comm.Stepper {
 	s := newKthEngine[K](pe, true, nil, true)
 	s.feed, s.admit, s.phase = feed, first, kphAdmit
@@ -563,6 +581,13 @@ func (s *kthStep[K]) startSweep(pe *comm.PE) {
 		if i < nl-1 {
 			s.hdr[2*nl+i] = int64(len(s.sample) - m)
 		}
+		if s.feed != nil {
+			seg := len(s.sample) - m
+			if l.rate >= 1 {
+				seg = len(l.band)
+			}
+			l.meterUp(pe, seg)
+		}
 	}
 	data := s.sample
 	if nl == 1 && s.lanes[0].rate >= 1 {
@@ -570,6 +595,19 @@ func (s *kthStep[K]) startSweep(pe *comm.PE) {
 	}
 	s.cur = coll.ReduceConcatStep(pe, 0, s.hdr, nl, data, s.onUp)
 	s.phase = kphUp
+}
+
+// meterUp meters the lane's part of an up-sweep in which this PE
+// contributes seg sample elements: a non-root PE's message and [la, lb],
+// and the sample's words once per tree edge between this PE and the root
+// (rank r lies popcount(r) edges below root 0).
+func (l *kthLane[K]) meterUp(pe *comm.PE, seg int) {
+	r := pe.Rank()
+	if r != 0 {
+		l.sends++
+		l.words += 2
+	}
+	l.words += int64(bits.OnesCount(uint(r))) * int64(seg) * coll.WordsOf[K]()
 }
 
 // branch classifies the level just counted. It reads only state that is
@@ -670,7 +708,7 @@ func (s *kthStep[K]) finish(pe *comm.PE, l *kthLane[K], v K, in []K, eq int) {
 		*l.ext = l.rng
 	}
 	if s.feed != nil {
-		s.feed.Done(pe, l.id, v)
+		s.feed.Done(pe, l.id, v, l.words, l.sends)
 	} else {
 		s.res, s.resIn, s.resEq, s.nBelow = v, in, eq, l.nBelow
 	}
@@ -804,10 +842,33 @@ func (s *kthStep[K]) compact() {
 	s.lanes = s.lanes[:j]
 }
 
+// stepCur steps the collective in flight. Under a feed it meters what
+// the collective sends on this PE: a private collective's to lane li, a
+// down-sweep's to the lanes (kphVerdict); an up-sweep is metered lane by
+// lane when it starts (meterUp).
+func (s *kthStep[K]) stepCur(pe *comm.PE) *comm.RecvHandle {
+	if s.feed == nil {
+		return s.cur.Step(pe)
+	}
+	w0, n0 := pe.SentWords(), pe.Sends()
+	h := s.cur.Step(pe)
+	dw, dn := pe.SentWords()-w0, pe.Sends()-n0
+	switch s.phase {
+	case kphPrivate:
+		l := &s.lanes[s.li]
+		l.words += dw
+		l.sends += dn
+	case kphVerdict:
+		s.downWords += dw
+		s.downSends += dn
+	}
+	return h
+}
+
 func (s *kthStep[K]) Step(pe *comm.PE) *comm.RecvHandle {
 	for {
 		if s.cur != nil {
-			if h := s.cur.Step(pe); h != nil {
+			if h := s.stepCur(pe); h != nil {
 				return h
 			}
 			s.cur = nil
@@ -835,6 +896,17 @@ func (s *kthStep[K]) Step(pe *comm.PE) *comm.RecvHandle {
 			s.cur = coll.BroadcastVecStep(pe, 0, s.verdicts, s.onVerdicts)
 			s.phase = kphVerdict
 		case kphVerdict:
+			if s.feed != nil {
+				// Every PE forwards the whole vector to each of its
+				// children: a lane alone would send its verdict in as
+				// many messages.
+				w := s.downWords / int64(len(s.verdicts))
+				for i := range s.lanes {
+					s.lanes[i].words += w
+					s.lanes[i].sends += s.downSends
+				}
+				s.downWords, s.downSends = 0, 0
+			}
 			for i := range s.lanes {
 				s.apply(pe, &s.lanes[i], s.verdicts[i])
 			}

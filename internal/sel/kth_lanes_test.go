@@ -13,14 +13,15 @@ import (
 // lanesFeed is one PE's Feed in the lane tests: it hands over lanes in a
 // fixed order, the first ones when the selection starts (level 0) and the
 // rest when rank 0 reads Ready at level 1's up-sweep, so that they join
-// at level 2. It records every answer and counts the levels (rank 0's
-// Ready calls).
+// at level 2. It records every answer and lane meter and counts the
+// levels (rank 0's Ready calls).
 type lanesFeed struct {
 	lanes  []Lane[uint64]
 	late   int // lanes[late:] join at level 2
 	next   int
 	levels int
 	res    []uint64
+	meters [][2]int64
 	done   int
 }
 
@@ -36,8 +37,9 @@ func (f *lanesFeed) Next(*comm.PE) (Lane[uint64], *comm.RecvHandle) {
 	return f.lanes[f.next-1], nil
 }
 
-func (f *lanesFeed) Done(_ *comm.PE, id int, v uint64) {
+func (f *lanesFeed) Done(_ *comm.PE, id int, v uint64, words, sends int64) {
 	f.res[id] = v
+	f.meters[id] = [2]int64{words, sends}
 	f.done++
 }
 
@@ -75,9 +77,10 @@ type lanesShape struct {
 // runs the k = 1 min-reduction while the others sweep. Every answer must
 // be the sort oracle's on every PE; every PE must send exactly the shared
 // levels' sweeps (treeSends per level) plus log₂ p per private collective
-// of any lane; one lane must be metered exactly as KthSortedStep on the
-// same window and stream; and 8 lanes must send at most half of what
-// their 8 selections send one at a time.
+// of any lane; one lane must send exactly what KthSortedStep sends on the
+// same window and stream; every lane's meters, summed over the PEs, must
+// be that lone selection's words and sends at any L; and 8 lanes must
+// send at most half of what their 8 selections send one at a time.
 func TestKthLanesShareEachLevel(t *testing.T) {
 	rng := xrand.New(71)
 	thin := lanesShape{name: "thin", p: 64}
@@ -147,6 +150,14 @@ func TestKthLanesShareEachLevel(t *testing.T) {
 				st := m.Stats()
 				m.Close()
 				alone += st.TotalSends
+				var lane [2]int64
+				for _, f := range got {
+					lane[0] += f.meters[j][0]
+					lane[1] += f.meters[j][1]
+				}
+				if w := [2]int64{st.TotalWords, st.TotalSends}; lane != w {
+					t.Errorf("%s: lane %d metered (words, sends) %v, alone it sends %v", name, j, lane, w)
+				}
 				if nl == 1 && st != stats {
 					t.Errorf("%s: meters %+v, KthSortedStep's %+v", name, stats, st)
 				}
@@ -178,7 +189,7 @@ func runLanes(t *testing.T, sh lanesShape, lanes []Lane[uint64], first int) ([]l
 	sends := make([]int64, sh.p)
 	m.MustRunAsync(func(pe *comm.PE) comm.Stepper {
 		r := pe.Rank()
-		f := &lanesFeed{lanes: slices.Clone(lanes), late: first, res: make([]uint64, len(lanes))}
+		f := &lanesFeed{lanes: slices.Clone(lanes), late: first, res: make([]uint64, len(lanes)), meters: make([][2]int64, len(lanes))}
 		for j := range f.lanes {
 			f.lanes[j].Sorted = sh.window(j, r)
 		}

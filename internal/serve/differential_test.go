@@ -42,14 +42,13 @@ func serveRigs(p int) []serveRig {
 // runServed executes the fixed query set against a fresh server on m,
 // either strictly sequentially (submit → wait → submit) or fully
 // concurrently (submit all, wait all), and returns per-query outcomes in
-// submission order and the machine's counters over the run (runDelta).
-func runServed(t *testing.T, m *comm.Machine, shards [][]uint64, ranks []int64, cfg Config, concurrent bool) ([]queryOutcome, [2]int64) {
+// submission order.
+func runServed(t *testing.T, m *comm.Machine, shards [][]uint64, ranks []int64, cfg Config, concurrent bool) []queryOutcome {
 	t.Helper()
 	s, err := NewServer(m, shards, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := m.Stats()
 	out := make([]queryOutcome, len(ranks))
 	collect := func(i int, tk *Ticket[uint64]) {
 		res, err := tk.Wait()
@@ -83,59 +82,19 @@ func runServed(t *testing.T, m *comm.Machine, shards [][]uint64, ranks []int64, 
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return out, runDelta(m, before)
+	return out
 }
 
-// runDelta is the words and messages m sent since before: a server's
-// run, when before was read right after NewServer (its rank table build
-// is folded by then, and the muxes fold theirs when Close retires them).
-func runDelta(m *comm.Machine, before comm.Stats) [2]int64 {
-	after := m.Stats()
-	return [2]int64{after.TotalWords - before.TotalWords, after.TotalSends - before.TotalSends}
-}
-
-// meterSums checks a concurrent served run against the same queries
-// served one at a time, under the served meter contract. A query with
-// exact set (DeleteMin, TopKFreq) runs its own stepper in its own context
-// and is metered as sequentially, to the word. The Kth queries ride one
-// selection engine per PE and share its levels' sweeps; which of them
-// share a level depends on timing, so their tickets are checked by
-// conservation instead: every ticket of the run sums to delta, the
-// machine's counters over the run, and the Kth tickets send at most
-// what they sent one at a time.
-func meterSums(t *testing.T, name string, exact []bool, seq, con [][2]int64, delta [2]int64) {
-	t.Helper()
-	var sum [2]int64
-	var seqKth, conKth int64
-	for i := range con {
-		sum[0] += con[i][0]
-		sum[1] += con[i][1]
-		if exact[i] {
-			if con[i] != seq[i] {
-				t.Errorf("%s: query %d: (words, sends) %v at depth, %v one at a time", name, i, con[i], seq[i])
-			}
-			continue
-		}
-		seqKth += seq[i][1]
-		conKth += con[i][1]
-	}
-	if sum != delta {
-		t.Errorf("%s: the tickets sum to (words, sends) %v, the machine sent %v", name, sum, delta)
-	}
-	if conKth > seqKth {
-		t.Errorf("%s: the Kth queries sent %d messages at depth, %d one at a time", name, conKth, seqKth)
-	}
-}
-
-// outcomeMeters is the (words, sends) of every outcome.
-func outcomeMeters(outs []queryOutcome) [][2]int64 {
-	m := make([][2]int64, len(outs))
-	for i, o := range outs {
-		m[i] = [2]int64{o.words, o.sends}
-	}
-	return m
-}
-
+// TestServeConcurrentMatchesSequential is the serving layer's
+// differential: N tagged queries interleaved at full inflight depth must
+// be bit-identical — answers AND per-query attributed meters — to the
+// same queries run strictly one at a time, on both executors, with the
+// production scheduler squeezed to w < p (the regime where suspended
+// tenants genuinely share workers). Per-query RNG streams are derived
+// from the submission index, so the pivot walks are interleaving-
+// independent by construction; this test pins that nothing else (tag
+// allocation, pooled buffers, context demux, meter attribution) leaks between
+// tenants either.
 // mixedQuery is one entry of a mixed-kind workload: pq selects the
 // query type submitted with batch/rank size k.
 type mixedQuery struct {
@@ -145,15 +104,13 @@ type mixedQuery struct {
 
 // runServedMixed executes a mixed Kth/DeleteMin workload against a
 // fresh server on m, sequentially or fully concurrently, returning
-// per-query outcomes in submission order and the machine's counters over
-// the run.
-func runServedMixed(t *testing.T, m *comm.Machine, shards [][]uint64, queries []mixedQuery, cfg Config, concurrent bool) ([]queryOutcome, [2]int64) {
+// per-query outcomes in submission order.
+func runServedMixed(t *testing.T, m *comm.Machine, shards [][]uint64, queries []mixedQuery, cfg Config, concurrent bool) []queryOutcome {
 	t.Helper()
 	s, err := NewServer(m, shards, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := m.Stats()
 	submit := func(q mixedQuery) *Ticket[uint64] {
 		var tk *Ticket[uint64]
 		var err error
@@ -192,17 +149,7 @@ func runServedMixed(t *testing.T, m *comm.Machine, shards [][]uint64, queries []
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return out, runDelta(m, before)
-}
-
-// mixedExact marks the DeleteMin queries of a mixed workload, which are
-// metered exactly at any depth.
-func mixedExact(queries []mixedQuery) []bool {
-	exact := make([]bool, len(queries))
-	for i, q := range queries {
-		exact[i] = q.pq
-	}
-	return exact
+	return out
 }
 
 // mkUniqueShards builds p shards of globally unique keys (the DeleteMin
@@ -228,8 +175,7 @@ func mkUniqueShards(p int, seed int64) (shards [][]uint64, sorted []uint64) {
 // TestServeMixedKindsConcurrentMatchesSequential extends the serving
 // differential to the second query kind: a workload mixing Kth
 // selections with resident-queue DeleteMin batches must produce
-// bit-identical per-query answers and batch sizes, DeleteMin meters to
-// the word and Kth meters under the served meter contract (meterSums),
+// bit-identical per-query answers, batch sizes, AND attributed meters
 // whether run strictly one at a time or at full inflight depth, on both
 // executors, with the production scheduler squeezed to w < p. DeleteMin
 // queries mutate shared state, so this additionally pins the mux's FIFO
@@ -267,37 +213,24 @@ func TestServeMixedKindsConcurrentMatchesSequential(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			seqM := tc.mk()
 			defer seqM.Close()
-			seq, _ := runServedMixed(t, seqM, shards, queries, Config{MaxInflight: 1, BatchMax: 1, Seed: 31}, false)
+			seq := runServedMixed(t, seqM, shards, queries, Config{MaxInflight: 1, BatchMax: 1, Seed: 31}, false)
 			conM := tc.mk()
 			defer conM.Close()
-			con, delta := runServedMixed(t, conM, shards, queries, Config{MaxInflight: 6, BatchMax: 4, Seed: 31}, true)
+			con := runServedMixed(t, conM, shards, queries, Config{MaxInflight: 6, BatchMax: 4, Seed: 31}, true)
 			for i, q := range queries {
 				if seq[i].res != want[i].res || seq[i].n != want[i].n {
 					t.Errorf("query %d (%+v): sequential got (res %d, n %d) want (res %d, n %d)",
 						i, q, seq[i].res, seq[i].n, want[i].res, want[i].n)
 				}
-				if seq[i].res != con[i].res || seq[i].n != con[i].n {
+				if seq[i] != con[i] {
 					t.Errorf("query %d (%+v): outcomes diverge\n  sequential: %+v\n  concurrent: %+v",
 						i, q, seq[i], con[i])
 				}
 			}
-			meterSums(t, tc.name, mixedExact(queries), outcomeMeters(seq), outcomeMeters(con), delta)
 		})
 	}
 }
 
-// TestServeConcurrentMatchesSequential is the serving layer's
-// differential: N queries interleaved at full inflight depth, with the
-// production scheduler squeezed to w < p (the regime where suspended
-// tenants genuinely share workers) and on the reference executor, must
-// give the answers of the same queries run strictly one at a time. The
-// Kth queries ride one selection engine per PE, so their tickets follow
-// the served meter contract (meterSums): they sum to the machine's
-// counters, and at depth they send no more than one at a time. Per-query
-// RNG streams are derived from the submission index, so the pivot walks
-// are interleaving-independent by construction; this test pins that
-// nothing else (tag allocation, pooled buffers, context demux, lane
-// admission, meter attribution) leaks between tenants either.
 func TestServeConcurrentMatchesSequential(t *testing.T) {
 	const p = 8
 	shards, sorted := mkShards(p, 17)
@@ -306,16 +239,19 @@ func TestServeConcurrentMatchesSequential(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			seqM := tc.mk()
 			defer seqM.Close()
-			seq, _ := runServed(t, seqM, shards, ranks, Config{MaxInflight: 1, BatchMax: 1, Seed: 29}, false)
+			seq := runServed(t, seqM, shards, ranks, Config{MaxInflight: 1, BatchMax: 1, Seed: 29}, false)
 			conM := tc.mk()
 			defer conM.Close()
-			con, delta := runServed(t, conM, shards, ranks, Config{MaxInflight: 6, BatchMax: 4, Seed: 29}, true)
+			con := runServed(t, conM, shards, ranks, Config{MaxInflight: 6, BatchMax: 4, Seed: 29}, true)
 			for i := range ranks {
-				if want := sorted[ranks[i]-1]; seq[i].res != want || con[i].res != want {
-					t.Errorf("query %d (rank %d): got %d one at a time, %d at depth; want %d", i, ranks[i], seq[i].res, con[i].res, want)
+				if want := sorted[ranks[i]-1]; seq[i].res != want {
+					t.Errorf("query %d (rank %d): sequential got %d want %d", i, ranks[i], seq[i].res, want)
+				}
+				if seq[i] != con[i] {
+					t.Errorf("query %d (rank %d): outcomes diverge\n  sequential: %+v\n  concurrent: %+v",
+						i, ranks[i], seq[i], con[i])
 				}
 			}
-			meterSums(t, tc.name, make([]bool, len(ranks)), outcomeMeters(seq), outcomeMeters(con), delta)
 		})
 	}
 }

@@ -53,12 +53,12 @@ type lane[K cmp.Ordered] struct {
 // its messages has arrived.
 //
 // Kth admission is the engine's Feed (Ready, Next, Done). An idle engine
-// starts with the Kth queries of the oldest doorbell it has not admitted
-// (kthQ's first bells[0] queries); every PE receives the same doorbells
-// in the same order, so every PE starts the same lanes. A running engine
-// admits at each level every Kth query the root (rank 0) has received,
-// and every other PE admits as many from the head of its kthQ — waiting
-// on its doorbell receive for one that has not arrived yet.
+// starts with the oldest Kth query it has not admitted, kthQ's head;
+// every PE receives the same doorbells in the same order, so every PE
+// starts the same lane. A running engine admits at each level every Kth
+// query the root (rank 0) has received, and every other PE admits as
+// many from the head of its kthQ — waiting on its doorbell receive for
+// one that has not arrived yet.
 type mux[K cmp.Ordered] struct {
 	srv   *Server[K]
 	shard []K              // this PE's resident sorted shard; read-only
@@ -68,15 +68,12 @@ type mux[K cmp.Ordered] struct {
 	// The Kth engine (nil while idle), the receive it waits on (nil when
 	// runnable; onDB: it waits for a doorbell to bring the next Kth
 	// query), the dispatched Kth queries it has not admitted, in dispatch
-	// order, the number of them each of their doorbells brought, and its
-	// lanes in admission order, which share every burst's meters.
+	// order, and its lanes.
 	eng   comm.Stepper
 	wait  *comm.RecvHandle
 	onDB  bool
 	kthQ  []*query[K]
-	bells []int
 	lanes []lane[K]
-	deal  int // the lane the next burst's remainders are dealt from
 	// DeleteMin state: the queue is the unpopped suffix shard[cut:], rng
 	// its selections' stream, and pqQ the FIFO of DeleteMin slots. cut is
 	// shared mutable state across DeleteMin queries, so only the FIFO
@@ -128,17 +125,12 @@ func (x *mux[K]) Step(pe *comm.PE) *comm.RecvHandle {
 			x.db = nil
 			progress = true
 			if o, _ := rx.(*op[K]); o != nil && len(o.queries) > 0 {
-				kth := 0
 				for _, q := range o.queries {
 					if q.kind == kindKth {
 						x.kthQ = append(x.kthQ, q)
-						kth++
 					} else {
 						x.addSlot(pe, q)
 					}
-				}
-				if kth > 0 {
-					x.bells = append(x.bells, kth)
 				}
 				x.db = pe.IRecv(pe.ExternalSrc(), doorbellTag)
 			} else {
@@ -179,8 +171,8 @@ func (x *mux[K]) Step(pe *comm.PE) *comm.RecvHandle {
 				}
 			}
 		}
-		if x.eng == nil && len(x.bells) > 0 {
-			x.eng = sel.KthSortedLanesStep[K](pe, x, x.bells[0])
+		if x.eng == nil && len(x.kthQ) > 0 {
+			x.eng = sel.KthSortedLanesStep[K](pe, x, 1)
 		}
 		if x.eng != nil && (x.onDB && len(x.kthQ) > 0 || !x.onDB && (x.wait == nil || x.wait.Test())) {
 			progress = true
@@ -243,48 +235,32 @@ func (x *mux[K]) Next(pe *comm.PE) (sel.Lane[K], *comm.RecvHandle) {
 	}
 	q := x.kthQ[0]
 	x.kthQ = popFront(x.kthQ)
-	if x.bells[0]--; x.bells[0] == 0 {
-		x.bells = popFront(x.bells)
-	}
 	x.lanes = append(x.lanes, lane[K]{q: q})
 	lo, hi, base, total := x.table.window(q.k, x.srv.n, len(x.shard))
 	return sel.Lane[K]{Sorted: x.shard[lo:hi], N: total, K: q.k - base, Seed: q.seed, ID: q.id}, nil
 }
 
-// Done implements sel.Feed: lane id has its answer on this PE.
-func (x *mux[K]) Done(_ *comm.PE, id int, v K) {
+// Done implements sel.Feed: lane id has its answer on this PE, and its
+// meters here, which the query's ticket sums over the PEs.
+func (x *mux[K]) Done(_ *comm.PE, id int, v K, words, sends int64) {
 	for i := range x.lanes {
 		if l := &x.lanes[i]; l.q.id == id {
 			l.res, l.done = v, true
+			l.q.words.Add(words)
+			l.q.sends.Add(sends)
 			return
 		}
 	}
 	panic("serve: the engine finished a lane the mux does not know")
 }
 
-// stepEngine runs one engine burst under the Kth context. Its sent words
-// and messages (exact deltas of this PE's counters) are split evenly
-// among the lanes live during it, so a lone lane is metered exactly and
-// the tickets sum to the machine's counters. The remainders are dealt
-// one unit per lane from a cursor that moves on by the sends dealt: a
-// burst often sends fewer messages than there are lanes, and a fixed
-// receiver would get nearly all of the level's messages. Lanes that
-// finished complete their tickets after the split.
+// stepEngine runs one engine burst under the Kth context. The engine
+// meters every lane itself (Done); lanes that finished complete their
+// tickets after the burst.
 func (x *mux[K]) stepEngine(pe *comm.PE) {
-	w0, s0 := pe.SentWords(), pe.Sends()
 	pe.SetCtx(x.srv.kthCtx)
 	h := x.eng.Step(pe)
 	pe.SetCtx(0)
-	if n := len(x.lanes); n > 0 {
-		dw, ds := pe.SentWords()-w0, pe.Sends()-s0
-		x.deal %= n // lanes may have left since the last burst
-		for i, l := range x.lanes {
-			turn := (i - x.deal + n) % n // lane i's place in the deal
-			l.q.words.Add(share(dw, n, turn))
-			l.q.sends.Add(share(ds, n, turn))
-		}
-		x.deal = (x.deal + int(ds%int64(n))) % n
-	}
 	j := 0
 	for _, l := range x.lanes {
 		if !l.done {
@@ -308,15 +284,6 @@ func (x *mux[K]) stepEngine(pe *comm.PE) {
 	case h == x.db:
 		x.wait, x.onDB = nil, true
 	}
-}
-
-// share is the part of d that the lane in place turn of a deal among n
-// lanes gets: d/n, and one more while the remainder lasts.
-func share(d int64, n, turn int) int64 {
-	if turn < int(d%int64(n)) {
-		return d/int64(n) + 1
-	}
-	return d / int64(n)
 }
 
 // popStep is one DeleteMin on one PE, the paper's exact deleteMin* on

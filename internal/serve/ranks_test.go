@@ -215,8 +215,7 @@ func TestRankTableCutsSends(t *testing.T) {
 	m := comm.NewMachine(comm.DefaultConfig(p))
 	defer m.Close()
 	var sends int64
-	outs, _ := runServed(t, m, shards, ranks, Config{Seed: 5}, true)
-	for _, o := range outs {
+	for _, o := range runServed(t, m, shards, ranks, Config{Seed: 5}, true) {
 		sends += o.sends
 	}
 	mean := float64(sends) / float64(p*queries)

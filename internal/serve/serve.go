@@ -16,12 +16,11 @@
 // DeleteMin and TopKFreq queries each lease a comm.Ctx, so their
 // collective traffic is invisible to every other query's, and the per-PE
 // mux steps whichever tenant's messages have arrived (comm.MultiWaiter
-// suspension arms all pending (src, ctx) keys at once). Answers do not
-// depend on interleaving or depth. Meters follow one contract (pinned by
-// the differentials): a query served alone, and every DeleteMin and
-// TopKFreq query at any depth, is metered bit-identically to a
-// sequential run; Kth queries at depth share their levels' words and
-// sends, and their tickets sum to the machine's counters.
+// suspension arms all pending (src, ctx) keys at once). Throughput rises
+// with inflight depth while each query's metered words/sends stay
+// bit-identical to a sequential run — pinned by the differential tests.
+// A Kth query is metered what its selection sends alone, so at depth the
+// machine sends fewer messages than the Kth tickets sum to.
 //
 // The key set is immutable for a server's lifetime, so NewServer builds
 // a resident index once — a sorted copy of every shard and a rank table
@@ -224,16 +223,16 @@ func (t *Ticket[K]) BatchLen() int64 { return t.n }
 func (t *Ticket[K]) Items() []dht.KV { return t.items }
 
 // Meters returns the query's attributed communication: words sent and
-// messages sent, summed over all PEs. A DeleteMin or TopKFreq query, and
-// a Kth query that ran alone, is metered exactly the traffic its stepper
-// performed. Kth queries that shared their selection engine share its
-// traffic: on every PE, each burst of the engine is split evenly among
-// the lanes live during it (the remainders dealt in turn), so the
-// tickets of a run sum to the machine's counters, but which lanes shared
-// a level depends on timing. Valid after Wait returns nil error. The
-// virtual clock is deliberately not attributed — under interleaving a
-// PE's clock folds waits of whichever query resumed it, so per-query
-// clock is not well defined.
+// messages sent, summed over all PEs. A DeleteMin or TopKFreq query is
+// metered exactly the traffic its stepper performed. A Kth query is
+// metered what its selection sends alone (sel.KthSortedLanesStep), the
+// traffic of a sequential run, whichever queries shared its levels; the
+// messages that sharing saves show only in the machine's counters.
+// Valid after Wait returns nil error. The virtual clock is deliberately
+// not attributed — under interleaving a PE's clock folds waits of
+// whichever query resumed it, so per-query clock is not well defined;
+// words and startups are, and they are what the differential tests pin
+// against sequential execution.
 func (t *Ticket[K]) Meters() (words, sends int64) {
 	return t.q.words.Load(), t.q.sends.Load()
 }
