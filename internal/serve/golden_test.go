@@ -2,9 +2,7 @@ package serve
 
 import (
 	"encoding/binary"
-	"fmt"
 	"hash/fnv"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -13,48 +11,36 @@ import (
 )
 
 // TestServeMixedGolden pins a fixed Kth/DeleteMin sequence at
-// p ∈ {1, 3, 16}: every query's answer, realized batch size and
-// attributed words and sends, bit for bit, served strictly one at a time
-// and at full inflight depth. The sequence ends with a DeleteMin asking
-// for at least what remains and one on the emptied queue; Kth queries
-// after them still answer from the whole key set.
+// p ∈ {1, 3, 16}, served strictly one at a time and at full inflight
+// depth: every query's answer and realized batch size, and apart from
+// them its attributed words and sends, bit for bit. The sequence ends
+// with a DeleteMin asking for at least what remains and one on the
+// emptied queue; Kth queries after them still answer from the whole key
+// set.
 func TestServeMixedGolden(t *testing.T) {
-	want := map[int][]queryOutcome{
+	wantAnswers := map[int][]answer{
 		1: {
-			{res: 562651720480456706, n: 0, words: 0, sends: 0},
-			{res: 2671526869773320206, n: 5, words: 0, sends: 0},
-			{res: 9380663006505992229, n: 0, words: 0, sends: 0},
-			{res: 3293464593270046749, n: 1, words: 0, sends: 0},
-			{res: 0, n: 34, words: 0, sends: 0},
-			{res: 18386531863682351127, n: 0, words: 0, sends: 0},
-			{res: 0, n: 0, words: 0, sends: 0},
-			{res: 3383257305409650698, n: 0, words: 0, sends: 0},
-			{res: 0, n: 0, words: 0, sends: 0},
-			{res: 4728667202415230996, n: 0, words: 0, sends: 0},
+			{562651720480456706, 0}, {2671526869773320206, 5}, {9380663006505992229, 0},
+			{3293464593270046749, 1}, {0, 34}, {18386531863682351127, 0},
+			{0, 0}, {3383257305409650698, 0}, {0, 0}, {4728667202415230996, 0},
 		},
 		3: {
-			{res: 107687713590739073, n: 0, words: 8, sends: 4},
-			{res: 562651720480456706, n: 5, words: 32, sends: 8},
-			{res: 9848460403976175765, n: 0, words: 101, sends: 8},
-			{res: 748566039293329470, n: 1, words: 16, sends: 8},
-			{res: 4962326346748395558, n: 37, words: 106, sends: 12},
-			{res: 18445585215121260587, n: 0, words: 35, sends: 4},
-			{res: 0, n: 116, words: 8, sends: 4},
-			{res: 1334437871725052062, n: 0, words: 103, sends: 8},
-			{res: 0, n: 0, words: 8, sends: 4},
-			{res: 6899904195984359526, n: 0, words: 111, sends: 8},
+			{107687713590739073, 0}, {562651720480456706, 5}, {9848460403976175765, 0},
+			{748566039293329470, 1}, {4962326346748395558, 37}, {18445585215121260587, 0},
+			{0, 116}, {1334437871725052062, 0}, {0, 0}, {6899904195984359526, 0},
 		},
 		16: {
-			{res: 34428792639324519, n: 0, words: 128, sends: 64},
-			{res: 129839787077009564, n: 5, words: 393, sends: 94},
-			{res: 8712363069245751545, n: 0, words: 807, sends: 90},
-			{res: 175869751220765394, n: 1, words: 256, sends: 128},
-			{res: 748566039293329470, n: 37, words: 735, sends: 124},
-			{res: 18445890744356962677, n: 0, words: 601, sends: 90},
-			{res: 0, n: 807, words: 128, sends: 64},
-			{res: 177682610788499597, n: 0, words: 725, sends: 90},
-			{res: 0, n: 0, words: 128, sends: 64},
-			{res: 5957843835285406165, n: 0, words: 823, sends: 90},
+			{34428792639324519, 0}, {129839787077009564, 5}, {8712363069245751545, 0},
+			{175869751220765394, 1}, {748566039293329470, 37}, {18445890744356962677, 0},
+			{0, 807}, {177682610788499597, 0}, {0, 0}, {5957843835285406165, 0},
+		},
+	}
+	wantMeters := map[int][]meter{
+		1: {{0, 0}, {0, 0}, {0, 0}, {0, 0}, {0, 0}, {0, 0}, {0, 0}, {0, 0}, {0, 0}, {0, 0}},
+		3: {{8, 4}, {32, 8}, {101, 8}, {16, 8}, {106, 12}, {35, 4}, {8, 4}, {103, 8}, {8, 4}, {111, 8}},
+		16: {
+			{128, 64}, {393, 94}, {807, 90}, {256, 128}, {735, 124},
+			{601, 90}, {128, 64}, {725, 90}, {128, 64}, {823, 90},
 		},
 	}
 	for _, p := range []int{1, 3, 16} {
@@ -74,20 +60,52 @@ func TestServeMixedGolden(t *testing.T) {
 			m := comm.NewMachine(comm.DefaultConfig(p))
 			got := runServedMixed(t, m, shards, queries, run.cfg, run.concurrent)
 			m.Close()
-			if !reflect.DeepEqual(got, want[p]) {
-				t.Errorf("p=%d concurrent=%v:\n got %s\nwant %s", p, run.concurrent, fmtServeGolden(got), fmtServeGolden(want[p]))
+			answers, meters := splitOutcomes(got)
+			if !slices.Equal(answers, wantAnswers[p]) {
+				t.Errorf("p=%d concurrent=%v: answers\n got %v\nwant %v", p, run.concurrent, answers, wantAnswers[p])
+			}
+			if !slices.Equal(meters, wantMeters[p]) {
+				t.Errorf("p=%d concurrent=%v: meters\n got %v\nwant %v", p, run.concurrent, meters, wantMeters[p])
 			}
 		}
 	}
 }
 
-// fmtServeGolden prints outcomes as the literal of a want entry.
-func fmtServeGolden(outs []queryOutcome) string {
-	s := "{\n"
-	for _, o := range outs {
-		s += fmt.Sprintf("\t{res: %d, n: %d, words: %d, sends: %d},\n", o.res, o.n, o.words, o.sends)
+// answer is a query's observable result: its answer and realized batch
+// size. meter is its attributed words and sends.
+type (
+	answer struct {
+		res uint64
+		n   int64
 	}
-	return s + "}"
+	meter struct{ words, sends int64 }
+)
+
+// splitOutcomes splits outcomes into their answers and their meters.
+func splitOutcomes(outs []queryOutcome) ([]answer, []meter) {
+	answers, meters := make([]answer, len(outs)), make([]meter, len(outs))
+	for i, o := range outs {
+		answers[i], meters[i] = answer{o.res, o.n}, meter{o.words, o.sends}
+	}
+	return answers, meters
+}
+
+// kthDigests checks served Kth outcomes against the sorted union and
+// folds them into an answers digest and a meters digest (with the meters'
+// sums), each over the per-query sequence.
+func kthDigests(t *testing.T, outs []queryOutcome, ranks []int64, sorted []uint64) (answers, meters uint64, words, sends int64) {
+	t.Helper()
+	ha, hm := fnv.New64a(), fnv.New64a()
+	for i, o := range outs {
+		if want := sorted[ranks[i]-1]; o.res != want {
+			t.Errorf("Kth(%d) = %d, want %d", ranks[i], o.res, want)
+		}
+		binary.Write(ha, binary.LittleEndian, o.res)
+		binary.Write(hm, binary.LittleEndian, [2]int64{o.words, o.sends})
+		words += o.words
+		sends += o.sends
+	}
+	return ha.Sum64(), hm.Sum64(), words, sends
 }
 
 // TestServeKthGolden pins served Kth at a shape with a populated rank
@@ -95,8 +113,9 @@ func fmtServeGolden(outs []queryOutcome) string {
 // hundred ranks (1, n, evenly spaced ranks, and each side of the global
 // rank of every 8th shard key contributed at a 16p stride), served one
 // at a time and at full inflight depth. Every answer must equal the sort
-// oracle; the attributed meters are pinned as their sums and a digest of
-// the per-query (words, sends) sequence. A Kth ticket is metered what its
+// oracle and the answers are pinned as a digest of their sequence; apart
+// from them, the attributed meters are pinned as their sums and a digest
+// of the per-query (words, sends) sequence. A Kth ticket is metered what its
 // selection sends alone, so the pins hold at depth too, where the machine
 // must send fewer messages than one at a time: the queries in flight
 // share their levels' sweeps. Selecting over all n keys, with no rank
@@ -106,7 +125,8 @@ func fmtServeGolden(outs []queryOutcome) string {
 // served one at a time.
 func TestServeKthGolden(t *testing.T) {
 	const p, perPE = 16, 1 << 13
-	const wantWords, wantSends, wantDigest = 118848, 18818, 0x16b40019a354f158
+	const wantAnswers = 0x3437ddfc03b866a8
+	const wantWords, wantSends, wantMeters = 118848, 18818, 0x16b40019a354f158
 	rng := xrand.New(42)
 	shards := make([][]uint64, p)
 	var sorted []uint64
@@ -150,24 +170,19 @@ func TestServeKthGolden(t *testing.T) {
 		} else {
 			t.Logf("the machine sent %d messages at depth, %d one at a time", sent, seqSent)
 		}
-		var words, sends int64
-		h := fnv.New64a()
-		for i, o := range got {
-			if want := sorted[ranks[i]-1]; o.res != want {
-				t.Errorf("concurrent=%v: Kth(%d) = %d, want %d", run.concurrent, ranks[i], o.res, want)
-			}
-			words += o.words
-			sends += o.sends
-			binary.Write(h, binary.LittleEndian, [2]int64{o.words, o.sends})
+		answers, meters, words, sends := kthDigests(t, got, ranks, sorted)
+		if answers != wantAnswers {
+			t.Errorf("concurrent=%v: %d queries: answers digest %#x, want %#x", run.concurrent, len(ranks), answers, uint64(wantAnswers))
 		}
-		if words != wantWords || sends != wantSends || h.Sum64() != wantDigest {
-			t.Errorf("concurrent=%v: %d queries: words %d, sends %d, digest %#x; want %d, %d, %#x",
-				run.concurrent, len(ranks), words, sends, h.Sum64(), wantWords, wantSends, uint64(wantDigest))
+		if words != wantWords || sends != wantSends || meters != wantMeters {
+			t.Errorf("concurrent=%v: %d queries: words %d, sends %d, meters digest %#x; want %d, %d, %#x",
+				run.concurrent, len(ranks), words, sends, meters, wantWords, wantSends, uint64(wantMeters))
 		}
 	}
 	t.Run("thin", func(t *testing.T) {
 		const p, perPE = 64, 256
-		const wantWords, wantSends, wantDigest = 201001, 33900, 0xc152f0f2b8393997
+		const wantAnswers = 0x377ad3a99301fb2c
+		const wantWords, wantSends, wantMeters = 201001, 33900, 0xc152f0f2b8393997
 		shards := make([][]uint64, p)
 		var sorted []uint64
 		for r := range shards {
@@ -187,19 +202,13 @@ func TestServeKthGolden(t *testing.T) {
 		m := comm.NewMachine(comm.DefaultConfig(p))
 		got := runServed(t, m, shards, ranks, Config{MaxInflight: 1, BatchMax: 1, Seed: 53}, false)
 		m.Close()
-		var words, sends int64
-		h := fnv.New64a()
-		for i, o := range got {
-			if want := sorted[ranks[i]-1]; o.res != want {
-				t.Errorf("Kth(%d) = %d, want %d", ranks[i], o.res, want)
-			}
-			words += o.words
-			sends += o.sends
-			binary.Write(h, binary.LittleEndian, [2]int64{o.words, o.sends})
+		answers, meters, words, sends := kthDigests(t, got, ranks, sorted)
+		if answers != wantAnswers {
+			t.Errorf("%d queries: answers digest %#x, want %#x", len(ranks), answers, uint64(wantAnswers))
 		}
-		if words != wantWords || sends != wantSends || h.Sum64() != wantDigest {
-			t.Errorf("%d queries: words %d, sends %d, digest %#x; want %d, %d, %#x",
-				len(ranks), words, sends, h.Sum64(), wantWords, wantSends, uint64(wantDigest))
+		if words != wantWords || sends != wantSends || meters != wantMeters {
+			t.Errorf("%d queries: words %d, sends %d, meters digest %#x; want %d, %d, %#x",
+				len(ranks), words, sends, meters, wantWords, wantSends, uint64(wantMeters))
 		}
 	})
 }
