@@ -6,10 +6,10 @@ import (
 )
 
 // The vector all-reduce engine (AllReduce, AllReduceIntoStep and, on one
-// element, the scalar all-reduce) and the scalar broadcast engine
-// (BroadcastScalar, BroadcastScalarStep). The blocking forms in coll.go
-// drive the same steppers through comm.RunSteps, so the two execution
-// modes cannot diverge in results or metered statistics.
+// element, the scalar all-reduce) and the vector broadcast engine
+// (BroadcastVecStep and, on one element, BroadcastScalar). The blocking
+// forms in coll.go drive the same steppers through comm.RunSteps, so the
+// two execution modes cannot diverge in results or metered statistics.
 //
 // Result-delivery convention: the *Step forms hand results to the out
 // callback as borrowed views, valid only during the call, so a

@@ -272,10 +272,7 @@ func newKthEngine[K cmp.Ordered](pe *comm.PE, sorted bool, out func(K), self boo
 	s.phase, s.li, s.admit = kphPrivate, 0, 0
 	s.downWords, s.downSends = 0, 0
 	s.cur = nil
-	s.target = 4 * (math.Sqrt(float64(pe.P())) + 8)
-	if sorted { // a miss costs one sweep and no scan: see the file comment
-		s.target *= 2
-	}
+	s.target = sampleTarget(pe.P(), sorted)
 	if s.onI64 == nil {
 		s.onI64 = func(v int64) { s.i64 = v }
 		s.onTag = func(v tagged[K]) { s.tg = v }
@@ -285,6 +282,23 @@ func newKthEngine[K cmp.Ordered](pe *comm.PE, sorted bool, out func(K), self boo
 	}
 	return s
 }
+
+// sampleTarget is the level rule's expected sample per lane on p PEs:
+// 4(√p + 8), twice that in the sorted form, where a miss costs one sweep
+// and no scan (see the file comment).
+func sampleTarget(p int, sorted bool) float64 {
+	t := 4 * (math.Sqrt(float64(p)) + 8)
+	if sorted {
+		t *= 2
+	}
+	return t
+}
+
+// OneSweepWindow is the largest window KthSortedStep gathers whole in its
+// first up-sweep on p PEs, ⌊8(√p + 8)⌋, its sample target: a selection of
+// a rank k > 1 inside a window of at most that many keys is one up-sweep
+// and one down-sweep, 2(p−1) messages.
+func OneSweepWindow(p int) int { return int(sampleTarget(p, true)) }
 
 // newKthStep is the one-lane selection of rank k in local, whose global
 // size is n (n < 0: a size all-reduce finds it), sampling from rng.

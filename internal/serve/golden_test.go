@@ -37,10 +37,10 @@ func TestServeMixedGolden(t *testing.T) {
 	}
 	wantMeters := map[int][]meter{
 		1: {{0, 0}, {0, 0}, {0, 0}, {0, 0}, {0, 0}, {0, 0}, {0, 0}, {0, 0}, {0, 0}, {0, 0}},
-		3: {{8, 4}, {32, 8}, {101, 8}, {16, 8}, {106, 12}, {35, 4}, {8, 4}, {103, 8}, {8, 4}, {111, 8}},
+		3: {{8, 4}, {32, 8}, {73, 4}, {16, 8}, {106, 12}, {17, 4}, {8, 4}, {71, 4}, {8, 4}, {71, 4}},
 		16: {
-			{128, 64}, {393, 94}, {807, 90}, {256, 128}, {735, 124},
-			{601, 90}, {128, 64}, {725, 90}, {128, 64}, {823, 90},
+			{128, 64}, {393, 94}, {296, 30}, {256, 128}, {735, 124},
+			{267, 30}, {128, 64}, {320, 30}, {128, 64}, {291, 30},
 		},
 	}
 	for _, p := range []int{1, 3, 16} {
@@ -109,24 +109,25 @@ func kthDigests(t *testing.T, outs []queryOutcome, ranks []int64, sorted []uint6
 }
 
 // TestServeKthGolden pins served Kth at a shape with a populated rank
-// table and bounded windows: p = 16 shards of 2^13 unique keys, a few
-// hundred ranks (1, n, evenly spaced ranks, and each side of the global
-// rank of every 8th shard key contributed at a 16p stride), served one
-// at a time and at full inflight depth. Every answer must equal the sort
+// table: p = 16 shards of 2^13 unique keys, a few hundred ranks (1, n,
+// evenly spaced ranks, and each side of the global rank of every
+// (128p)-th key of every shard), served one at a time and at full
+// inflight depth. Every answer must equal the sort
 // oracle and the answers are pinned as a digest of their sequence; apart
 // from them, the attributed meters are pinned as their sums and a digest
 // of the per-query (words, sends) sequence. A Kth ticket is metered what its
 // selection sends alone, so the pins hold at depth too, where the machine
 // must send fewer messages than one at a time: the queries in flight
-// share their levels' sweeps. Selecting over all n keys, with no rank
-// table, the same queries sent 458 183 words in 51 128 messages.
-// The thin shape of the serving benchmark (p = 64, n/p = 256 random keys,
-// every shard shorter than 16p, so no rank table) is pinned the same way,
-// served one at a time.
+// share their levels' sweeps. The same queries sent 458 183 words in
+// 51 128 messages selecting over all n keys, and 118 848 words in 18 818
+// messages in the windows of a table of every (16p)-th key of every
+// shard. The thin shape of the serving benchmark (p = 64, n/p = 256
+// random keys) is pinned the same way, served one at a time; with no
+// table it sent 201 001 words in 33 900 messages.
 func TestServeKthGolden(t *testing.T) {
 	const p, perPE = 16, 1 << 13
 	const wantAnswers = 0x3437ddfc03b866a8
-	const wantWords, wantSends, wantMeters = 118848, 18818, 0x16b40019a354f158
+	const wantWords, wantSends, wantMeters = 86085, 8892, 0xed9db9e3baeca89d
 	rng := xrand.New(42)
 	shards := make([][]uint64, p)
 	var sorted []uint64
@@ -182,7 +183,7 @@ func TestServeKthGolden(t *testing.T) {
 	t.Run("thin", func(t *testing.T) {
 		const p, perPE = 64, 256
 		const wantAnswers = 0x377ad3a99301fb2c
-		const wantWords, wantSends, wantMeters = 201001, 33900, 0xc152f0f2b8393997
+		const wantWords, wantSends, wantMeters = 51986, 8196, 0x859d2ba1b0d4b249
 		shards := make([][]uint64, p)
 		var sorted []uint64
 		for r := range shards {

@@ -223,9 +223,9 @@ func (x *mux[K]) Ready() int { return len(x.kthQ) }
 // Next implements sel.Feed: the next Kth query of the dispatch order as a
 // lane, or the doorbell receive that will bring it. The lane is the
 // sorted-input selection straight on the rank table's window around k, a
-// sub-slice of the resident shard (a binary search, no messages, no copy;
-// the table knows the window's global size), with the query's own stream,
-// so its pivot walk does not depend on which lanes share its levels.
+// sub-slice of the resident shard (arithmetic, no messages, no copy),
+// with the query's own stream, so its pivot walk does not depend on which
+// lanes share its levels.
 func (x *mux[K]) Next(pe *comm.PE) (sel.Lane[K], *comm.RecvHandle) {
 	if len(x.kthQ) == 0 {
 		if x.db == nil {
@@ -236,8 +236,8 @@ func (x *mux[K]) Next(pe *comm.PE) (sel.Lane[K], *comm.RecvHandle) {
 	q := x.kthQ[0]
 	x.kthQ = popFront(x.kthQ)
 	x.lanes = append(x.lanes, lane[K]{q: q})
-	lo, hi, base, total := x.table.window(q.k, x.srv.n, len(x.shard))
-	return sel.Lane[K]{Sorted: x.shard[lo:hi], N: total, K: q.k - base, Seed: q.seed, ID: q.id}, nil
+	lo, hi, total, kRem := x.table.window(q.k)
+	return sel.Lane[K]{Sorted: x.shard[lo:hi], N: total, K: kRem, Seed: q.seed, ID: q.id}, nil
 }
 
 // Done implements sel.Feed: lane id has its answer on this PE, and its

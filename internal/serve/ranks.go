@@ -6,146 +6,208 @@ import (
 
 	"commtopk/internal/coll"
 	"commtopk/internal/comm"
+	"commtopk/internal/sel"
 )
 
-// rankStride is the rank table's sampling stride in multiples of p: PE i
-// contributes its sorted shard's keys at positions s−1, 2s−1, … with
-// s = rankStride·p, so the table has about n/s rows and a window between
-// two adjacent rows holds at most s keys per PE, s·p = 16p² globally.
-// EXPERIMENTS.md has the sweep over {4, 16, 64} behind the constant.
-const rankStride = 16
-
-// rankTable is one PE's share of the resident rank table: rows are
-// elements of the key set, ascending in the total order (key, PE rank,
-// position in that PE's sorted shard), which breaks ties so that every
-// row has its own rank, however many keys share its value. Row j's
-// global rank is ranks[j] (identical on every PE), and this PE's sorted
-// shard holds exactly its first pos[j] keys at or before row j, so the
-// elements of global ranks (ranks[j−1], ranks[j]] are the union over PEs
-// of shard[pos[j−1]:pos[j]].
+// rankTable is one PE's share of the resident rank table, which cuts
+// the key set into windows of r keys at exact global ranks. The key set
+// is ordered by (key, PE rank, position in that PE's sorted shard), which
+// gives every key its own rank however many keys share its value. cut[j]
+// is this PE's count of keys among the first j·r keys of that order, for
+// every multiple of r below n, and then the length of its shard; the
+// ranks themselves are implicit. So the keys of global ranks
+// (j·r, (j+1)·r] are the union over PEs of shard[cut[j]:cut[j+1]].
 type rankTable struct {
-	ranks []int64
-	pos   []int32
+	r, n int64
+	cut  []int32
 }
 
-// tableRow is a row in transit during the build.
-type tableRow[K cmp.Ordered] struct {
-	key      K
-	src, idx int32
+// window returns the window holding the key of global rank k: this PE's
+// keys shard[lo:hi] of a window of total keys, in which k has rank kRem.
+func (t rankTable) window(k int64) (lo, hi int, total, kRem int64) {
+	j := (k - 1) / t.r
+	return int(t.cut[j]), int(t.cut[j+1]), min(t.r, t.n-j*t.r), k - j*t.r
 }
 
-func cmpRow[K cmp.Ordered](a, b tableRow[K]) int {
-	if c := cmp.Compare(a.key, b.key); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(a.src, b.src); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.idx, b.idx)
+// rangePart is what a PE sends the owner of a range: its keys in the
+// range and how many of its keys lie before it.
+type rangePart[K cmp.Ordered] struct {
+	before int
+	keys   []K
 }
 
-// buildRankTable is the blocking SPMD set-up of the rank table over this
-// PE's sorted shard: every PE contributes every (rankStride·p)-th key,
-// one all-gather gives every PE all rows as p runs already in cmpRow
-// order, a p-way merge of the runs walks the rows in order while one
-// merging walk over the shard counts this PE's keys at or before each
-// row, and one vector all-reduce sums the counts into exact global
-// ranks: O(rows·log p + len(shard)) local work. Shards shorter than the
-// stride contribute no row; when all of them are, the table is empty.
-// Neither the gathered rows nor the all-reduce buffer outlive the call.
-func buildRankTable[K cmp.Ordered](pe *comm.PE, shard []K) rankTable {
-	stride := rankStride * pe.P()
-	me := int32(pe.Rank())
-	var mine []tableRow[K]
-	for i := stride - 1; i < len(shard); i += stride {
-		mine = append(mine, tableRow[K]{key: shard[i], src: me, idx: int32(i)})
+// buildRankTable is the blocking SPMD build of the rank table with rows
+// of r keys over this PE's sorted shard, of a key set of n > r keys: it
+// sorts the key set by ranges but keeps only the cuts. Owners of the
+// ranges are ranks 0..q−1, q = n/(p·r) clamped to [1, p], so that its two
+// exchanges cost at most two messages per row.
+//  1. The root sorts a regular sample of q−1 keys per PE and broadcasts
+//     q−1 splitters. Range i holds the keys from splitter i−1 up to below
+//     splitter i, so a tie group lies in one range, however large.
+//  2. Every PE sends owner i its keys in range i, a read-only view of the
+//     resident shard, and its count of keys before the range.
+//  3. Owner i sums those counts to the global rank its range starts
+//     after and merges its p runs in the key set's order. At each global
+//     rank that is a multiple of r below n, a run's merged count plus its
+//     start is its PE's cut; owner i sends every PE its cuts.
+//
+// Local work is O(n/q · log p) on an owner; nothing but the cuts outlives
+// the call.
+func buildRankTable[K cmp.Ordered](pe *comm.PE, shard []K, r, n int64) rankTable {
+	p, me := pe.P(), pe.Rank()
+	q := int(min(int64(p), max(1, n/(int64(p)*r))))
+	var sample []K
+	for i := 1; i < q && len(shard) > 0; i++ {
+		sample = append(sample, shard[i*len(shard)/q])
 	}
-	rows := coll.AllGatherConcat(pe, mine)
-	t := rankTable{ranks: make([]int64, len(rows)), pos: make([]int32, len(rows))}
-	// The rows come in cmpRow order, so this PE's count is monotone in j
-	// and c only moves forward: below, at or above a row's source it
-	// counts the keys < key, the row itself, or the keys <= key.
-	c := 0
-	mergeRuns(rows, func(j int, r tableRow[K]) {
-		switch {
-		case me < r.src:
-			for c < len(shard) && shard[c] <= r.key {
-				c++
+	var splitters []K
+	comm.RunSteps(pe, coll.ReduceConcatStep(pe, 0, nil, 1, sample, func(_ []int64, all []K) {
+		if all != nil {
+			slices.Sort(all)
+			for i := 1; i < q; i++ {
+				splitters = append(splitters, all[i*len(all)/q])
 			}
-		case me > r.src:
-			for c < len(shard) && shard[c] < r.key {
-				c++
-			}
-		default:
-			c = int(r.idx) + 1
 		}
-		t.pos[j], t.ranks[j] = int32(c), int64(c)
-	})
-	copy(t.ranks, coll.AllReduce(pe, t.ranks, addInt64))
-	return t
-}
-
-// mergeRuns calls visit(j, row) for every row in cmpRow order, j counting
-// from 0. rows is the concatenation of runs in cmpRow order, one per
-// source PE (a run is a maximal stretch of one src); a binary heap of the
-// runs' heads merges them in O(len(rows)·log runs).
-func mergeRuns[K cmp.Ordered](rows []tableRow[K], visit func(int, tableRow[K])) {
-	// Run i's rows left are rows[next[i]:end[i]]; h holds the runs not
-	// yet exhausted, a min-heap by their next row.
-	var next, end, h []int
-	for i := range rows {
-		if i == 0 || rows[i].src != rows[i-1].src {
-			if i > 0 {
-				end = append(end, i)
-			}
-			h = append(h, len(next))
-			next = append(next, i)
+	}))
+	// off[i] is where range i starts in this shard: its keys below the
+	// i-th splitter.
+	off := make([]int, q+1)
+	off[q] = len(shard)
+	for i, s := range coll.Broadcast(pe, 0, splitters) {
+		off[i+1] = sel.SliceSeq[K](shard).CountLess(s)
+	}
+	parts, replies := pe.NextCollTag(), pe.NextCollTag()
+	for i := range q {
+		if i != me {
+			part := rangePart[K]{before: off[i], keys: shard[off[i]:off[i+1]]}
+			pe.Send(i, parts, part, 1+int64(len(part.keys))*coll.WordsOf[K]())
 		}
 	}
-	end = append(end, len(rows))
-	less := func(a, b int) bool { return cmpRow(rows[next[h[a]]], rows[next[h[b]]]) < 0 }
-	down := func(i int) {
-		for {
-			c := 2*i + 1
-			if c >= len(h) {
-				return
+	var cols []int32 // an owner's cuts: PE s's at its row j is cols[s·rows+j]
+	rows := 0
+	if me < q {
+		runs, before := make([][]K, p), make([]int, p)
+		var base, m int64
+		for src := range runs {
+			part := rangePart[K]{before: off[me], keys: shard[off[me]:off[me+1]]}
+			if src != me {
+				rx, _ := pe.Recv(src, parts)
+				part = rx.(rangePart[K])
 			}
-			if c+1 < len(h) && less(c+1, c) {
-				c++
+			runs[src], before[src] = part.keys, part.before
+			base += int64(part.before)
+			m += int64(len(part.keys))
+		}
+		// The range's rows lie at the multiples of r in (base,
+		// min(base+m, n−1)].
+		if next, last := (base/r+1)*r, min(base+m, n-1); next <= last {
+			rows = int((last-next)/r + 1)
+			cols = cutRuns(runs, before, next-base, r, rows)
+		}
+		for s := range p {
+			if s != me {
+				col := cols[s*rows : (s+1)*rows]
+				pe.Send(s, replies, col, int64(len(col))*coll.WordsOf[int32]())
 			}
-			if !less(c, i) {
-				return
-			}
-			h[i], h[c] = h[c], h[i]
-			i = c
 		}
 	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		down(i)
-	}
-	for j := range rows {
-		r := h[0]
-		visit(j, rows[next[r]])
-		if next[r]++; next[r] == end[r] {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
+	cut := make([]int32, 1, (n-1)/r+2)
+	for i := range q {
+		col := cols[me*rows : (me+1)*rows]
+		if i != me {
+			rx, _ := pe.Recv(i, replies)
+			col = rx.([]int32)
 		}
-		down(0)
+		cut = append(cut, col...)
+	}
+	return rankTable{r: r, n: n, cut: append(cut, int32(len(shard)))}
+}
+
+// cutRuns merges sorted runs in (key, run) order and records, at the
+// merged positions first, first+r, … (1-based, rows of them), how many
+// keys of each run the merge has taken, plus before[s] for run s: at
+// row j in cols[s·rows+j].
+func cutRuns[K cmp.Ordered](runs [][]K, before []int, first, r int64, rows int) []int32 {
+	cols := make([]int32, len(runs)*rows)
+	t := &loserTree[K]{runs: runs, pos: make([]int, len(runs)), node: make([]head[K], len(runs)), win: make([]head[K], 2*len(runs))}
+	for s, run := range runs {
+		if len(run) > 0 {
+			t.live = append(t.live, s)
+		}
+	}
+	t.play()
+	for g, j := int64(1), 0; j < rows; g++ {
+		t.pop()
+		if g == first {
+			for s, c := range t.pos {
+				cols[s*rows+j] = int32(before[s] + c)
+			}
+			j++
+			first += r
+		}
+	}
+	return cols
+}
+
+// loserTree merges the runs not yet exhausted, about log₂ of their number
+// comparisons per key: leaf i plays run live[i] (ascending, so a lower
+// leaf is a lower run) at node len(live)+i, node x ≥ 1 holds the head
+// that lost the match there and node 0 the winner. pos[s] counts the keys
+// of run s popped.
+type loserTree[K cmp.Ordered] struct {
+	runs      [][]K
+	pos       []int
+	live      []int
+	node, win []head[K] // win: play's winners by node
+}
+
+// head is a run's next key and the leaf that plays the run.
+type head[K cmp.Ordered] struct {
+	key  K
+	leaf int
+}
+
+// play plays the tournament from scratch.
+func (t *loserTree[K]) play() {
+	l, win := len(t.live), t.win
+	for i, s := range t.live {
+		win[l+i] = head[K]{t.runs[s][t.pos[s]], i}
+	}
+	for x := l - 1; x >= 1; x-- {
+		a, b := win[2*x], win[2*x+1]
+		if b.key < a.key || b.key == a.key && b.leaf < a.leaf {
+			a, b = b, a
+		}
+		win[x], t.node[x] = a, b
+	}
+	if l > 0 {
+		t.node[0] = win[1] // the root, or for one run its leaf
 	}
 }
 
-// window returns where the element of global rank k lies: this PE's keys
-// shard[lo:hi] of a window of total global size, in which it has rank
-// k − base. A missing row on either side is that end of the shard
-// (global rank 0, or n for a shard of length size).
-func (t rankTable) window(k, n int64, size int) (lo, hi int, base, total int64) {
-	j, _ := slices.BinarySearch(t.ranks, k)
-	hi, total = size, n
-	if j < len(t.ranks) {
-		hi, total = int(t.pos[j]), t.ranks[j]
+// pop takes the least head, the lowest run's on a tie. Some run must
+// still hold a key.
+func (t *loserTree[K]) pop() {
+	w := t.node[0].leaf
+	s := t.live[w]
+	if t.pos[s]++; t.pos[s] == len(t.runs[s]) {
+		t.live = slices.Delete(t.live, w, w+1)
+		t.play()
+		return
 	}
-	if j > 0 {
-		lo, base = int(t.pos[j-1]), t.ranks[j-1]
+	cur := head[K]{t.runs[s][t.pos[s]], w}
+	for x := (w + len(t.live)) / 2; x >= 1; x /= 2 {
+		// Register moves and one store whichever wins: no branch on the
+		// (unpredictable) outcome.
+		lost := t.node[x]
+		less := lost.key < cur.key
+		if lost.key == cur.key {
+			less = lost.leaf < cur.leaf
+		}
+		if less {
+			lost, cur = cur, lost
+		}
+		t.node[x] = lost
 	}
-	return lo, hi, base, total - base
+	t.node[0] = cur
 }

@@ -14,8 +14,8 @@ import (
 // byte-identical after a server's whole life (bench/ reuses them across
 // set-ups), and a server that has run 100 fat Kth queries over all eight
 // context leases and then 20 DeleteMin(32) holds one more copy of the
-// shards, its rank table (12 bytes per row, n/16p rows on every PE) and
-// a constant — no Θ(n/p) scratch per (PE, context) survives on the serve
+// shards, its rank table (4 bytes per row, n/r rows on every PE) and a
+// constant — no Θ(n/p) scratch per (PE, context) survives on the serve
 // path, and the priority queue DeleteMin pops from is the sorted copy
 // itself, not a second structure over the same keys.
 func TestServeResidentIndex(t *testing.T) {
@@ -84,7 +84,7 @@ func TestServeResidentIndex(t *testing.T) {
 	}
 	var tableBytes int
 	for _, tb := range s.tables {
-		tableBytes += 8*len(tb.ranks) + 4*len(tb.pos)
+		tableBytes += 4 * len(tb.cut)
 	}
 	t.Logf("resident after %d Kth and %d DeleteMin queries: %d bytes for %d shard bytes (%.2f×), %d of them the rank table",
 		queries, pops, held, shardBytes, float64(held)/shardBytes, tableBytes)
@@ -118,10 +118,7 @@ func TestServeKthAllocsIndependentOfP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		i := int64(0)
-		query := func() {
-			i++
-			k := 1 + i*7919%n
+		kth := func(k int64) {
 			tk, err := s.Kth(k)
 			if err != nil {
 				t.Fatal(err)
@@ -130,9 +127,19 @@ func TestServeKthAllocsIndependentOfP(t *testing.T) {
 				t.Fatalf("p=%d: Kth(%d) = %d, %v; want %d", p, k, got, err, sorted[k-1])
 			}
 		}
+		i := int64(0)
+		query := func() {
+			i++
+			kth(1 + i*7919%n)
+		}
 		for range 50 {
 			query()
 		}
+		// The first rank of a window takes the k = 1 min-reduction, not
+		// the sweeps; the first such query on a server allocates its
+		// per-PE state, once. The measured queries take it too at p = 64
+		// (i = 128).
+		kth(s.tables[0].r + 1)
 		allocs[p] = testing.AllocsPerRun(200, query)
 		if err := s.Close(); err != nil {
 			t.Fatal(err)

@@ -24,26 +24,20 @@
 //
 // The key set is immutable for a server's lifetime, so NewServer builds
 // a resident index once — a sorted copy of every shard and a rank table
-// over the copies — and the two query kinds that select by key order are
-// answered from it. The rank table holds every (16p)-th key of every
-// sorted shard as a row with its exact global rank and, per PE, the
-// shard position that cuts the key set at that row. Kth finds the two
-// rows around its rank by a binary search, with no messages, and runs
-// the sorted-input form of Algorithm 1 (a lane of the mux's engine)
-// inside that window of at most 16p² keys: the window is a sub-slice of the resident
-// shard, never copied or written; band counts are binary searches; the
-// window's global size is read off the table, not a per-query
-// all-reduce. DeleteMin pops from the unpopped suffix of every sorted
-// shard, the server's priority queue (a served queue never inserts): one
-// size sum, the same selection on the first min(k, len) keys of every
-// suffix (Appendix A), and a per-PE cursor moves past the batch; it does
-// not use the table. Popped keys stay in the index, so Kth still sees
-// them. Cost: O(n/p · log n/p) set-up per shard (sorted min(GOMAXPROCS,
-// p) at a time), one all-gather of n/16p rows and one all-reduce of as
-// many counts; resident beside the caller's shards are n words of sorted
-// copies and 12 bytes per row on every PE (3/4 of a byte per key in
-// all). Against a one-shot scan per query that is repaid after about ten
-// Kth queries per server. TopKFreq counts occurrences, not order, and
+// over the copies (see NewServer for the costs) — and the two query
+// kinds that select by key order are answered from it. The rank table
+// cuts the key set into windows of r = sel.OneSweepWindow(p) keys at
+// exact global ranks. Kth finds its window by arithmetic, with no
+// messages, and runs the sorted-input form of Algorithm 1 (a lane of the
+// mux's engine) on it, a sub-slice of the resident shard never copied or
+// written: the first up-sweep carries the whole window, so the root
+// answers after one up-sweep and one down-sweep (the first rank of a
+// window is a min-reduction). DeleteMin pops from the unpopped suffix of
+// every sorted shard, the server's priority queue (a served queue never
+// inserts): one size sum, the same selection on the first min(k, len)
+// keys of every suffix (Appendix A), and a per-PE cursor moves past the
+// batch; it does not use the table. Popped keys stay in the index, so
+// Kth still sees them. TopKFreq counts occurrences, not order, and
 // keeps reading the caller's shards: it runs the blocking freq.PAC as a
 // coroutine body nested in the mux (comm.BodyStep).
 //
@@ -69,6 +63,7 @@ import (
 
 	"commtopk/internal/comm"
 	"commtopk/internal/dht"
+	"commtopk/internal/sel"
 )
 
 var (
@@ -270,21 +265,19 @@ type Server[K cmp.Ordered] struct {
 
 // NewServer starts serving queries against shards (shards[i] is PE i's
 // resident data) on m. The shards are never written — not by NewServer,
-// not by any query — and the caller must not write them either until Close
-// returns (TopKFreq reads them in place); no shard may hold more than
-// math.MaxInt32 keys. Kth and DeleteMin are served from a sorted copy NewServer
-// makes of each shard, which no query writes either, and Kth also from a
-// rank table over the copies. The sort costs O(n/p · log n/p) per shard,
-// spread over min(GOMAXPROCS, p) goroutines that have exited when
-// NewServer returns; the table costs one blocking run on m (an all-gather
-// of n/16p rows, a merge of the rows and one walk over the shard on every
-// PE, and one all-reduce of the counts), skipped when every shard is
-// shorter than 16p and the table would be empty. The server holds n more
-// words than the caller's shards plus 12 bytes per table row on every PE.
-// A one-shot Kth scans its shard about three times and the sort costs
-// about sixteen scans (the table adds under a tenth to the set-up at
-// p = 16, n/p = 2^16), so the index has paid for itself after roughly ten
-// Kth queries. The machine must be idle; it
+// not by any query — and the caller must not write them either until
+// Close returns (TopKFreq reads them in place); no shard may hold more
+// than math.MaxInt32 keys. Kth and DeleteMin are served from a sorted
+// copy NewServer makes of each shard, which no query writes either, and
+// Kth also from a rank table over the copies. The sort costs
+// O(n/p · log n/p) per shard, spread over min(GOMAXPROCS, p) goroutines
+// that have exited when NewServer returns; the table costs one blocking
+// run on m (buildRankTable), about a fifth of the sort at p = 16,
+// n/p = 2^16, and none when the key set is one window. The server holds
+// n more words than the caller's shards plus, on every PE, 4 bytes for
+// every r keys of the key set. A one-shot Kth scans its shard about three
+// times and the sort costs about sixteen scans, so the index has paid for
+// itself after roughly ten Kth queries. The machine must be idle; it
 // stays busy until Close and remains owned by the caller afterwards.
 func NewServer[K cmp.Ordered](m *comm.Machine, shards [][]K, cfg Config) (*Server[K], error) {
 	if len(shards) != m.P() {
@@ -297,20 +290,21 @@ func NewServer[K cmp.Ordered](m *comm.Machine, shards [][]K, cfg Config) (*Serve
 		runDone: make(chan struct{}),
 		dspDone: make(chan struct{}),
 	}
-	longest := 0
 	for _, sh := range shards {
 		if len(sh) > math.MaxInt32 {
 			return nil, fmt.Errorf("serve: shard of %d keys exceeds %d", len(sh), math.MaxInt32)
 		}
 		s.n += int64(len(sh))
-		longest = max(longest, len(sh))
 	}
 	s.tables = make([]rankTable, m.P())
-	// A shard shorter than the stride contributes no row, so when every
-	// shard is, the table is empty and its run would buy nothing.
-	if longest >= rankStride*m.P() {
+	r := int64(sel.OneSweepWindow(m.P()))
+	for i, sh := range shards {
+		s.tables[i] = rankTable{r: r, n: s.n, cut: []int32{0, int32(len(sh))}}
+	}
+	// A key set of at most r keys is one window.
+	if s.n > r {
 		if err := m.Run(func(pe *comm.PE) {
-			s.tables[pe.Rank()] = buildRankTable(pe, s.sorted[pe.Rank()])
+			s.tables[pe.Rank()] = buildRankTable(pe, s.sorted[pe.Rank()], r, s.n)
 		}); err != nil {
 			return nil, err
 		}

@@ -82,11 +82,12 @@ tier1() {
   must_run ./internal/experiments/ 'TestScheduleExploration|TestExplorationIsSensitive|TestFuzzDifferentialSteppers'
   must_run ./internal/serve/ 'TestServeScheduleExploration'
   # Served Kth's rank table: built through both executors on random,
-  # tie-heavy, unequal, empty and short shards; windows of at most 16p²
-  # keys; answers at and beside every row rank against the sort oracle;
-  # the sends per query it saves; no build run when every shard is
-  # shorter than the stride.
-  must_run ./internal/serve/ 'TestRankTable|TestRankTableServedAnswers|TestRankTableCutsSends|TestShortShardsBuildNoTable'
+  # tie-heavy, unequal, empty and short shards, its cuts equal to a sort
+  # oracle's at every multiple of r; answers at and beside every multiple
+  # of r against the sort oracle; a served Kth is one sweep (2.1 sends
+  # per PE on average at fat's and thin's shapes, exactly 2(p−1) messages
+  # inside a full window); no build run when the key set is one window.
+  must_run ./internal/serve/ 'TestRankTable|TestRankTableServedAnswers|TestRankTableCutsSends|TestKthInAWholeWindowIsOneSweep|TestKeySetOfOneWindowBuildsNoTable|TestMergerOrder'
   # A served Kth allocates its ticket, query and doorbell share, nothing
   # per PE: the same count at p = 16 and p = 64.
   must_run ./internal/serve/ 'TestServeKthAllocsIndependentOfP'
@@ -186,7 +187,7 @@ race() {
   # executors, Kth lanes under the meter contract; Kth/DeleteMin against
   # their recorded results and meters; the resident index and its rank
   # table; the stress.
-  must_run ./internal/serve/ 'TestServeResidentIndex|TestServeKthGolden|TestServeConcurrentMatchesSequential|TestServeMixedKindsConcurrentMatchesSequential|TestServeFreqConcurrentMatchesSequential|TestServeScheduleExploration|TestServeConcurrentStress|TestServeMixedGolden|TestRankTable|TestRankTableServedAnswers|TestRankTableCutsSends|TestShortShardsBuildNoTable' -race -count=5
+  must_run ./internal/serve/ 'TestServeResidentIndex|TestServeKthGolden|TestServeConcurrentMatchesSequential|TestServeMixedKindsConcurrentMatchesSequential|TestServeFreqConcurrentMatchesSequential|TestServeScheduleExploration|TestServeConcurrentStress|TestServeMixedGolden|TestRankTable|TestRankTableServedAnswers|TestRankTableCutsSends|TestKthInAWholeWindowIsOneSweep|TestKeySetOfOneWindowBuildsNoTable|TestMergerOrder' -race -count=5
   # External abort against finishRun's re-arm (the wire reader goroutine).
   must_run ./internal/wire/ 'TestWorkerCrashTeardown|TestClusterCloseIdempotent' -race -count=20
 }
