@@ -86,8 +86,9 @@ tier1() {
   # oracle's at every multiple of r; answers at and beside every multiple
   # of r against the sort oracle; a served Kth is one sweep (2.1 sends
   # per PE on average at fat's and thin's shapes, exactly 2(p−1) messages
-  # inside a full window); no build run when the key set is one window.
-  must_run ./internal/serve/ 'TestRankTable|TestRankTableServedAnswers|TestRankTableCutsSends|TestKthInAWholeWindowIsOneSweep|TestKeySetOfOneWindowBuildsNoTable|TestMergerOrder'
+  # inside a full window); no build run when the key set is one window;
+  # the owners' merge against a sort oracle.
+  must_run ./internal/serve/ 'TestRankTable|TestRankTableServedAnswers|TestRankTableCutsSends|TestKthInAWholeWindowIsOneSweep|TestKeySetOfOneWindowBuildsNoTable|TestCutRuns'
   # A served Kth allocates its ticket, query and doorbell share, nothing
   # per PE: the same count at p = 16 and p = 64.
   must_run ./internal/serve/ 'TestServeKthAllocsIndependentOfP'
@@ -187,7 +188,7 @@ race() {
   # executors, Kth lanes under the meter contract; Kth/DeleteMin against
   # their recorded results and meters; the resident index and its rank
   # table; the stress.
-  must_run ./internal/serve/ 'TestServeResidentIndex|TestServeKthGolden|TestServeConcurrentMatchesSequential|TestServeMixedKindsConcurrentMatchesSequential|TestServeFreqConcurrentMatchesSequential|TestServeScheduleExploration|TestServeConcurrentStress|TestServeMixedGolden|TestRankTable|TestRankTableServedAnswers|TestRankTableCutsSends|TestKthInAWholeWindowIsOneSweep|TestKeySetOfOneWindowBuildsNoTable|TestMergerOrder' -race -count=5
+  must_run ./internal/serve/ 'TestServeResidentIndex|TestServeKthGolden|TestServeConcurrentMatchesSequential|TestServeMixedKindsConcurrentMatchesSequential|TestServeFreqConcurrentMatchesSequential|TestServeScheduleExploration|TestServeConcurrentStress|TestServeMixedGolden|TestRankTable|TestRankTableServedAnswers|TestRankTableCutsSends|TestKthInAWholeWindowIsOneSweep|TestKeySetOfOneWindowBuildsNoTable|TestCutRuns' -race -count=5
   # External abort against finishRun's re-arm (the wire reader goroutine).
   must_run ./internal/wire/ 'TestWorkerCrashTeardown|TestClusterCloseIdempotent' -race -count=20
 }
