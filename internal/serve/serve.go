@@ -298,16 +298,14 @@ func NewServer[K cmp.Ordered](m *comm.Machine, shards [][]K, cfg Config) (*Serve
 	}
 	s.tables = make([]rankTable, m.P())
 	r := int64(sel.OneSweepWindow(m.P()))
-	for i, sh := range shards {
-		s.tables[i] = rankTable{r: r, n: s.n, cut: []int32{0, int32(len(sh))}}
-	}
-	// A key set of at most r keys is one window.
-	if s.n > r {
-		if err := m.Run(func(pe *comm.PE) {
-			s.tables[pe.Rank()] = buildRankTable(pe, s.sorted[pe.Rank()], r, s.n)
-		}); err != nil {
-			return nil, err
+	if s.n <= r { // the key set is one window
+		for i, sh := range shards {
+			s.tables[i] = rankTable{r: r, n: s.n, cut: []int32{0, int32(len(sh))}}
 		}
+	} else if err := m.Run(func(pe *comm.PE) {
+		s.tables[pe.Rank()] = buildRankTable(pe, s.sorted[pe.Rank()], r, s.n)
+	}); err != nil {
+		return nil, err
 	}
 	if fs, ok := any(shards).([][]uint64); ok {
 		s.freqShards = fs
